@@ -27,6 +27,7 @@ instead of forcing N×M hand-wiring.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import (
@@ -586,10 +587,10 @@ class PipelineConfig:
 
     def resolve(self, path: Union[str, pathlib.Path]) -> str:
         """Resolve ``path`` against the config file's directory when relative."""
-        candidate = pathlib.Path(path)
-        if not candidate.is_absolute() and self.base_dir:
-            return str(pathlib.Path(self.base_dir) / candidate)
-        return str(candidate)
+        path = os.fspath(path)
+        if not os.path.isabs(path) and self.base_dir:
+            return os.path.join(self.base_dir, path)
+        return path
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain JSON/TOML-serialisable form, stamped with the version.

@@ -11,7 +11,8 @@ gives the repository one vocabulary for all of them:
   :class:`CompiledProgram`.
 * :class:`CompiledProgram` — the scan contract every compiled matcher
   honours: per-payload ``match``/``scan``/``scan_packets`` plus the resumable
-  ``initial_scan_states`` / ``scan_from`` pair the streaming layer needs.
+  ``initial_scan_states`` / ``scan_from`` pair the streaming layer needs and
+  its batched form ``scan_many`` (one call per shard batch).
 * :class:`ScanState` — the immutable, JSON-checkpointable resume record
   carried across the segments of one flow.
 * a registry (:func:`register_backend` / :func:`get_backend`) mapping the CLI
@@ -122,6 +123,9 @@ class ScanState:
 #: A flow's complete resumable state: one :class:`ScanState` per scan unit.
 FlowState = Tuple[ScanState, ...]
 
+#: One unit of batched scanning: a flow's state and the bytes to resume over.
+ScanJob = Tuple[FlowState, bytes]
+
 
 def advance_history(
     prev1: Optional[int], prev2: Optional[int], chunk: bytes
@@ -153,6 +157,10 @@ class CompiledProgram(Protocol):
         self, states: FlowState, chunk: bytes
     ) -> Tuple[MatchList, FlowState]: ...
 
+    def scan_many(
+        self, jobs: Sequence[ScanJob]
+    ) -> List[Tuple[MatchList, FlowState]]: ...
+
     def match(self, data: bytes) -> MatchList: ...
 
     def scan(self, data: bytes) -> MatchList: ...
@@ -166,8 +174,9 @@ class CompiledProgramMixin:
     A conforming class sets ``backend_name``, exposes ``patterns`` and
     implements ``_scan_chunk(states, chunk) -> (matches, states)`` over the
     canonical tuple-of-:class:`ScanState` form; everything else — the bare
-    ``ScanState`` convenience of ``scan_from``, ``scan``, ``scan_packets``
-    and (unless overridden) ``match`` — is derived here.
+    ``ScanState`` convenience of ``scan_from``, the batched ``scan_many``,
+    ``scan``, ``scan_packets`` and (unless overridden) ``match`` — is derived
+    here.
     """
 
     backend_name: str = "unnamed"
@@ -210,6 +219,17 @@ class CompiledProgramMixin:
         every segment) must not pay for the convenience shims per call.
         """
         return self._scan_chunk(states, chunk)
+
+    def scan_many(
+        self, jobs: Sequence[ScanJob]
+    ) -> List[Tuple[MatchList, FlowState]]:
+        """Scan independent ``(states, chunk)`` jobs — one per flow of a
+        shard batch — and return one :meth:`scan_chunk` result per job.
+
+        The default is exactly that loop; a backend that can advance many
+        streams at once (the dense lane kernel) overrides it.
+        """
+        return [self.scan_chunk(states, chunk) for states, chunk in jobs]
 
     def scan(self, data: bytes) -> MatchList:
         """Scan one payload from a fresh state (alias of :meth:`match`)."""
@@ -338,6 +358,7 @@ __all__ = [
     "ROOT_STATE",
     "ScanState",
     "FlowState",
+    "ScanJob",
     "advance_history",
     "CompiledProgram",
     "CompiledProgramMixin",

@@ -29,6 +29,10 @@ over the whole state graph:
   324-bit word image back to its stored pointers and match address, within
   the 13-pointer hardware limit, with no two states overlapping inside a
   word.
+* **Dense kernel views** — the lane kernel's premultiplied table holds every
+  dense-table target shifted left by 8, its match-flag vector marks exactly
+  the reference's reporting states, and a lane's warm-up is at least as long
+  as the deepest state (a shorter one loses matches just after a lane cut).
 * **Match-memory completeness** — every pattern's terminal state is reachable
   (by walking the pattern through the reference table) and reports the
   pattern's string number through the match memory.
@@ -327,34 +331,65 @@ def _check_dense(capped: _Capped, program: CompiledDenseProgram, ref: Reference)
     _check_outputs(capped, program.matches_of, ref, source, code="DEN002")
     _check_pattern_reachability(capped, program.matches_of, ref, source)
 
-    # The hot-loop signed flat table must agree with the dense table: absolute
-    # values are the targets, the sign marks transitions into matching states.
-    signed = program.signed_table
-    if signed.shape != program.table.shape:
+    # The kernel's views must agree with the dense table and the reference:
+    # premultiplied entries are the targets shifted left by 8, one flag per
+    # state marks the matching ones.
+    premultiplied = program.premultiplied
+    if premultiplied.shape != (program.table.size,):
         capped.add(
             ERROR,
             "DEN003",
-            f"signed table shape {signed.shape} != table shape "
-            f"{program.table.shape}",
+            f"premultiplied table shape {premultiplied.shape} != flattened "
+            f"table shape {(program.table.size,)}",
             source=source,
         )
         return
+    targets = premultiplied.reshape(program.table.shape).astype(np.int64)
+    wrong = ((targets >> 8) != program.table) | ((targets & 0xFF) != 0)
+    for state, byte in np.argwhere(wrong).tolist():
+        capped.add(
+            ERROR,
+            "DEN003",
+            f"premultiplied entry {int(targets[state, byte])} is not table "
+            f"target {int(program.table[state, byte])} << 8",
+            state=int(state),
+            byte=int(byte),
+            source=source,
+        )
     has_match = np.fromiter(
         (len(ref.outputs[s]) > 0 for s in range(ref.num_states)),
         dtype=bool,
         count=ref.num_states,
     )
-    targets_ok = np.abs(signed.astype(np.int64)) == program.table.astype(np.int64)
-    signs_ok = (signed < 0) == has_match[program.table]
-    for state, byte in np.argwhere(~(targets_ok & signs_ok)).tolist():
+    flags = program.match_flags
+    if flags.shape != has_match.shape:
         capped.add(
             ERROR,
             "DEN003",
-            f"signed flat entry {int(signed[state, byte])} disagrees with "
-            f"table target {int(program.table[state, byte])} "
-            "(value or match-sign)",
+            f"match-flag vector shape {flags.shape} != {has_match.shape}",
+            source=source,
+        )
+        return
+    for state in np.flatnonzero(flags != has_match).tolist():
+        capped.add(
+            ERROR,
+            "DEN003",
+            f"match flag {bool(flags[state])} but the reference state "
+            f"{'reports' if has_match[state] else 'does not report'} a match",
             state=int(state),
-            byte=int(byte),
+            source=source,
+        )
+
+    # A lane reaches its cut in the uncut walk's state only if it warmed up
+    # over at least as many bytes as the deepest state remembers; shorter is
+    # a silent false negative just after every cut.
+    deepest = int(ref.depth.max())
+    if program.warmup < deepest:
+        capped.add(
+            ERROR,
+            "DEN004",
+            f"lane warm-up of {program.warmup} byte(s) is shorter than the "
+            f"deepest reference state ({deepest})",
             source=source,
         )
 

@@ -22,12 +22,13 @@ Hot path
 --------
 The sharded services feed whole shard batches through :meth:`scan_batch`,
 which concatenates consecutive same-flow segments and crosses into the
-backend once per flow instead of once per segment, then re-attributes the
-matches to their segments by offset.  The fast path is taken only when the
-batch provably cannot evict a flow; under eviction pressure the scanner
-falls back to the exact per-segment loop, so events, statistics and LRU
-order are byte-identical either way (the differential harness in the test
-suite holds it to that).
+backend once per batch (``scan_many``: one job per flow, plus one per
+lower-cased view under ``track_nocase``) instead of once per segment, then
+re-attributes the matches to their segments by offset.  The fast path is
+taken only when the batch provably cannot evict a flow; under eviction
+pressure the scanner falls back to the exact per-segment loop, so events,
+statistics and LRU order are byte-identical either way (the differential
+harness in the test suite holds it to that).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..backend import CompiledProgram
+from ..backend import CompiledProgram, MatchList, ScanJob
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
 
@@ -133,10 +134,17 @@ class StreamScanner:
         self._pattern_length = {
             index: len(pattern) for index, pattern in enumerate(program.patterns)
         }
-        # The canonical tuple-in/tuple-out fast call; programs predating
-        # scan_chunk (or wrappers like HardwareAccelerator) fall back to the
-        # coercing scan_from, which is semantically identical.
-        self._scan = getattr(program, "scan_chunk", program.scan_from)
+        # The batched backend entry; programs predating it (or wrappers like
+        # HardwareAccelerator) get the protocol's default — one resumable
+        # call per job, semantically identical.
+        scan_many = getattr(program, "scan_many", None)
+        if scan_many is None:
+            scan = getattr(program, "scan_chunk", program.scan_from)
+
+            def scan_many(jobs):
+                return [scan(states, chunk) for states, chunk in jobs]
+
+        self._scan_many = scan_many
 
     # ------------------------------------------------------------------
     def _new_entry(self, key: FlowKey) -> FlowEntry:
@@ -156,6 +164,49 @@ class StreamScanner:
             else ANONYMOUS_FLOW
         )
 
+    def _scan_views(
+        self, work: Sequence[Tuple[FlowEntry, bytes]]
+    ) -> List[Tuple[MatchList, MatchList]]:
+        """Cross into the backend once for the next bytes of several flows.
+
+        Every ``(entry, payload)`` rides the same ``scan_many`` call as one
+        raw job plus, under ``track_nocase``, one job over the lower-cased
+        view.  Resumes the entries' states, records the matched string
+        numbers and returns ``(raw, lowered)`` hit lists per entry, where
+        ``lowered`` holds only what the raw view did not already report.
+        """
+        jobs: List[ScanJob] = [(entry.states, payload) for entry, payload in work]
+        if self.track_nocase:
+            for entry, payload in work:
+                if entry.lower_states is None:
+                    # e.g. a flow restored from a checkpoint written without
+                    # nocase tracking: restart the lowered view rather than
+                    # silently never matching case-insensitively again.  Seed
+                    # it at the raw stream offset so lowered matches keep
+                    # reporting flow-absolute positions (and dedup against
+                    # raw hits works).
+                    entry.lower_states = self.program.initial_scan_states(
+                        offset=entry.bytes_scanned
+                    )
+                jobs.append((entry.lower_states, payload.lower()))
+        results = self._scan_many(jobs)
+
+        views: List[Tuple[MatchList, MatchList]] = []
+        for position, (entry, _) in enumerate(work):
+            raw, entry.states = results[position]
+            entry.matched.update(number for _, number in raw)
+            lowered: MatchList = []
+            if self.track_nocase:
+                lowered, entry.lower_states = results[len(work) + position]
+                # an occurrence that is already lower-case matches in both
+                # views; report it once (the raw event) so statistics are
+                # not inflated
+                raw_hits = set(raw)
+                lowered = [hit for hit in lowered if hit not in raw_hits]
+                entry.matched_lower.update(number for _, number in lowered)
+            views.append((raw, lowered))
+        return views
+
     # ------------------------------------------------------------------
     def scan_packet(self, packet: Packet) -> List[StreamMatch]:
         """Scan one packet as the next segment of its flow."""
@@ -167,35 +218,14 @@ class StreamScanner:
         """Scan ``payload`` as the next segment of flow ``key``."""
         entry = self.flows.get_or_create(key, self._new_entry)
         segment_start = entry.bytes_scanned
-
-        raw, entry.states = self._scan(entry.states, payload)
+        ((raw, lowered),) = self._scan_views([(entry, payload)])
         matches = [
             StreamMatch(key, packet_id, offset, number) for offset, number in raw
         ]
-        entry.matched.update(number for _, number in raw)
-
-        if self.track_nocase:
-            if entry.lower_states is None:
-                # e.g. a flow restored from a checkpoint written without
-                # nocase tracking: restart the lowered view rather than
-                # silently never matching case-insensitively again.  Seed it
-                # at the raw stream offset so lowered matches keep reporting
-                # flow-absolute positions (and dedup against raw hits works).
-                entry.lower_states = self.program.initial_scan_states(
-                    offset=segment_start
-                )
-            lowered, entry.lower_states = self._scan(
-                entry.lower_states, payload.lower()
-            )
-            # an occurrence that is already lower-case matches in both views;
-            # report it once (the raw event) so statistics are not inflated
-            raw_hits = set(raw)
-            lowered = [hit for hit in lowered if hit not in raw_hits]
-            matches.extend(
-                StreamMatch(key, packet_id, offset, number, True)
-                for offset, number in lowered
-            )
-            entry.matched_lower.update(number for _, number in lowered)
+        matches.extend(
+            StreamMatch(key, packet_id, offset, number, True)
+            for offset, number in lowered
+        )
 
         entry.packets += 1
         self.stats.segments += 1
@@ -229,13 +259,13 @@ class StreamScanner:
 
         Fast path: when the batch provably cannot evict (live flows plus this
         batch's new flows fit the table), each flow's segments are
-        concatenated and cross into the backend as one chunk; matches are
-        re-attributed to segments by their flow-absolute end offset and LRU
-        recency is replayed in per-segment order afterwards.  Any batch that
-        could evict takes the exact per-segment loop instead, because
-        eviction timing (and hence restart state) depends on the segment
-        interleaving the fast path collapses.  Events, statistics and final
-        table state are identical on both paths.
+        concatenated and the whole batch crosses into the backend once, one
+        job per flow; matches are re-attributed to segments by their
+        flow-absolute end offset and LRU recency is replayed in per-segment
+        order afterwards.  Any batch that could evict takes the exact
+        per-segment loop instead, because eviction timing (and hence restart
+        state) depends on the segment interleaving the fast path collapses.
+        Events, statistics and final table state are identical on both paths.
         """
         flows = self.flows
         groups: Dict[FlowKey, List[int]] = {}
@@ -251,11 +281,8 @@ class StreamScanner:
         if len(flows) + new_flows > flows.capacity:
             return self._scan_batch_per_segment(items)
 
-        per_item: List[List[StreamMatch]] = [[] for _ in items]
-        stats = self.stats
+        work: List[Tuple[FlowEntry, bytes]] = []
         table_stats = flows.stats
-        pattern_length = self._pattern_length
-        scan = self._scan
         for key, indexes in groups.items():
             entry = flows.lookup(key)
             if entry is None:
@@ -268,69 +295,39 @@ class StreamScanner:
             table_stats.lookups += extra
             table_stats.hits += extra
             entry.packets += len(indexes)
+            work.append((entry, b"".join([items[index][1] for index in indexes])))
 
-            if extra == 0:
-                # single segment: nothing to concatenate
-                index = indexes[0]
-                _, payload, packet_id = items[index]
-                events = self._scan_entry(entry, key, payload, packet_id)
-                per_item[index] = events
-                stats.segments += 1
-                stats.bytes_scanned += len(payload)
-                stats.matches += len(events)
-                segment_start = entry.bytes_scanned - len(payload)
-                for event in events:
-                    if event.end_offset - pattern_length[event.string_number] < segment_start:
-                        stats.cross_segment_matches += 1
-                continue
-
-            payloads = [items[index][1] for index in indexes]
-            joined = b"".join(payloads)
-            base = entry.bytes_scanned
+        per_item: List[List[StreamMatch]] = [[] for _ in items]
+        stats = self.stats
+        pattern_length = self._pattern_length
+        for (key, indexes), (entry, joined), (raw, lowered) in zip(
+            groups.items(), work, self._scan_views(work)
+        ):
             # boundaries[j] = flow-absolute end offset of segment j; a match
             # with end offset o belongs to the segment with the smallest
             # boundary >= o (its final byte is at o - 1 < boundaries[j]).
             boundaries: List[int] = []
-            acc = base
-            for payload in payloads:
-                acc += len(payload)
+            acc = entry.bytes_scanned - len(joined)
+            for index in indexes:
+                acc += len(items[index][1])
                 boundaries.append(acc)
 
-            raw, entry.states = scan(entry.states, joined)
-            seg_events: List[List[StreamMatch]] = [[] for _ in indexes]
-            for offset, number in raw:
-                j = bisect_left(boundaries, offset)
-                seg_events[j].append(
-                    StreamMatch(key, items[indexes[j]][2], offset, number)
-                )
-            entry.matched.update(number for _, number in raw)
-
-            if self.track_nocase:
-                if entry.lower_states is None:
-                    entry.lower_states = self.program.initial_scan_states(
-                        offset=base
+            for hits, is_lowered in ((raw, False), (lowered, True)):
+                for offset, number in hits:
+                    index = indexes[bisect_left(boundaries, offset)]
+                    per_item[index].append(
+                        StreamMatch(key, items[index][2], offset, number, is_lowered)
                     )
-                lowered, entry.lower_states = scan(
-                    entry.lower_states, joined.lower()
-                )
-                raw_hits = set(raw)
-                lowered = [hit for hit in lowered if hit not in raw_hits]
-                for offset, number in lowered:
-                    j = bisect_left(boundaries, offset)
-                    seg_events[j].append(
-                        StreamMatch(key, items[indexes[j]][2], offset, number, True)
-                    )
-                entry.matched_lower.update(number for _, number in lowered)
 
             stats.segments += len(indexes)
             stats.bytes_scanned += len(joined)
-            for j, events in enumerate(seg_events):
+            for index, boundary in zip(indexes, boundaries):
+                events = per_item[index]
                 stats.matches += len(events)
-                segment_start = boundaries[j] - len(payloads[j])
+                segment_start = boundary - len(items[index][1])
                 for event in events:
                     if event.end_offset - pattern_length[event.string_number] < segment_start:
                         stats.cross_segment_matches += 1
-                per_item[indexes[j]] = events
 
         # Replay LRU recency in per-segment order: the grouped walk touched
         # each flow at its *first* arrival, but per-segment scanning leaves
@@ -338,33 +335,6 @@ class StreamScanner:
         for key in sorted(groups, key=lambda flow: groups[flow][-1]):
             flows.touch(key)
         return per_item, []
-
-    def _scan_entry(
-        self, entry: FlowEntry, key: FlowKey, payload: bytes, packet_id: int
-    ) -> List[StreamMatch]:
-        """One segment's backend crossing + event building (no table or
-        scanner statistics — :meth:`scan_batch` accounts for those)."""
-        raw, entry.states = self._scan(entry.states, payload)
-        matches = [
-            StreamMatch(key, packet_id, offset, number) for offset, number in raw
-        ]
-        entry.matched.update(number for _, number in raw)
-        if self.track_nocase:
-            if entry.lower_states is None:
-                entry.lower_states = self.program.initial_scan_states(
-                    offset=entry.bytes_scanned - len(payload)
-                )
-            lowered, entry.lower_states = self._scan(
-                entry.lower_states, payload.lower()
-            )
-            raw_hits = set(raw)
-            lowered = [hit for hit in lowered if hit not in raw_hits]
-            matches.extend(
-                StreamMatch(key, packet_id, offset, number, True)
-                for offset, number in lowered
-            )
-            entry.matched_lower.update(number for _, number in lowered)
-        return matches
 
     def _scan_batch_per_segment(
         self, items: Sequence[BatchItem]

@@ -20,7 +20,7 @@ from repro.backend import (
     get_backend,
 )
 from repro.core import CompiledDenseProgram, DTPAutomaton, compile_ruleset
-from repro.core.compiled import VECTOR_MIN_CHUNK
+from repro.core import compiled
 from repro.fpga import STRATIX_III
 from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
@@ -216,33 +216,180 @@ class TestDenseProgram:
         for state in range(program.num_states):
             assert sorted(program.matches_of(state)) == sorted(dfa.outputs[state])
 
-    def test_root_skip_path_agrees_with_plain_loop(self):
-        # rare starter bytes + a long chunk force the vectorised skip path
-        patterns = [b"\xf0\xf1rare", b"\xf5odd"]
-        program = CompiledDenseProgram.from_patterns(patterns)
-        rng = random.Random(5)
-        payload = bytearray(rng.randrange(97, 123) for _ in range(4 * VECTOR_MIN_CHUNK))
-        payload[50:56] = b"\xf0\xf1rare"
-        payload[200:204] = b"\xf5odd"
-        payload = bytes(payload)
-        reference = AhoCorasickDFA.from_patterns(patterns)
-        assert sorted(program.match(payload)) == sorted(reference.match(payload))
-        # resuming mid-pattern must survive the skip optimisation too
-        states = program.initial_scan_states()
-        first, states = program.scan_from(states, payload[:52])
-        second, _ = program.scan_from(states, payload[52:])
-        assert sorted(list(first) + list(second)) == sorted(reference.match(payload))
-
     def test_memory_accounting(self):
         import sys
 
         program = CompiledDenseProgram.from_patterns([b"abc"])
-        array_bytes = (
-            program.table.nbytes + program.match_index.nbytes + program.match_pids.nbytes
+        arrays = (
+            program.table, program.premultiplied, program.match_flags,
+            program.match_index, program.match_pids,
         )
-        # the footprint must cover the hot-loop flat list, not just the arrays
-        assert program.memory_bytes() >= array_bytes + sys.getsizeof(program._flat)
+        array_bytes = sum(array.nbytes for array in arrays)
+        assert program.memory_bytes() == array_bytes  # no signed row built yet
+        program.match(b"xxabcx")  # a short call: the scalar loop builds rows
+        assert program._rows, "the scalar loop must have cached the rows it visited"
+        row_slots = sum(sys.getsizeof(row) for row in program._rows.values())
+        assert program.memory_bytes() >= array_bytes + row_slots
         assert program.memory_words() == -(-program.memory_bytes() * 8 // 324)
+
+    def test_premultiplied_index_never_wraps(self):
+        """``state << 8`` needs 2**23 states to overflow ``int32``: from there
+        on the table must be built in ``int64``, not wrap silently."""
+        import numpy as np
+
+        limit = compiled.INT32_MAX_STATES
+        assert compiled.premultiplied_dtype(limit - 1) == np.int32
+        assert ((limit - 1) << 8) + 255 <= np.iinfo(np.int32).max
+        assert (limit << 8) > np.iinfo(np.int32).max  # what int32 would wrap
+        assert compiled.premultiplied_dtype(limit) == np.int64
+        assert compiled.premultiplied_dtype(10 * limit) == np.int64
+
+    def test_kernel_walks_an_int64_table(self, monkeypatch):
+        """The wide-index variant is the same kernel over another dtype."""
+        import numpy as np
+
+        monkeypatch.setattr(compiled, "premultiplied_dtype", lambda n: np.dtype(np.int64))
+        monkeypatch.setattr(compiled, "KERNEL_MIN_BYTES", 0)
+        patterns = [b"he", b"she", b"hers", b"his"]
+        program = CompiledDenseProgram.from_patterns(patterns)
+        assert program.premultiplied.dtype == np.int64
+        payload = b"ushers and his sheep; she said hers" * 7
+        assert program.match(payload) == AhoCorasickDFA.from_patterns(patterns).match(payload)
+
+
+# ----------------------------------------------------------------------
+# the lane kernel: every cut a batch can make, against the reference DFA
+# ----------------------------------------------------------------------
+LANE_PATTERNS = [b"he", b"she", b"hers", b"e", b"abcdef", b"cde", b"ef", b"\x00\x00"]
+
+
+@pytest.fixture
+def short_lanes(force_short_lanes):
+    """The kernel on every call, 6-byte lanes, three lanes a tile."""
+    program = CompiledDenseProgram.from_patterns(LANE_PATTERNS)
+    lane_len = force_short_lanes(program)
+    assert lane_len == 6
+    return program, AhoCorasickDFA.from_patterns(LANE_PATTERNS), lane_len
+
+
+def scalar_scan(program, states, chunk):
+    """The signed-row loop, whatever the kernel threshold is patched to."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled, "KERNEL_MIN_BYTES", 1 << 30)
+        return program.scan_chunk(states, chunk)
+
+
+class TestLaneKernel:
+    def test_every_pattern_at_every_offset_across_cuts_and_tiles(self, short_lanes):
+        """One job of eight lanes (three tiles): each pattern slides over
+        every lane cut and tile boundary; match lists are compared in order,
+        so patterns ending on the same byte must come out in output order."""
+        program, reference, lane_len = short_lanes
+        length = 8 * lane_len + 3  # not a whole number of lanes either
+        for pattern in LANE_PATTERNS:
+            for offset in range(length - len(pattern) + 1):
+                payload = bytearray(b"x" * length)
+                payload[offset:offset + len(pattern)] = pattern
+                payload = bytes(payload)
+                expected = reference.match(payload)
+                assert expected
+                assert program.match(payload) == expected, (pattern, offset)
+                assert scalar_scan(program, program.initial_scan_states(), payload)[0] == expected
+
+    def test_padding_is_never_reported(self, short_lanes):
+        """A short last lane walks zero padding: the all-zero pattern must
+        not match there, nor in the lead before the first job."""
+        program, reference, lane_len = short_lanes
+        for length in range(1, 3 * lane_len):
+            payload = b"\x00" * length
+            assert program.match(payload) == reference.match(payload), length
+
+    def test_jobs_of_every_awkward_length_with_carried_state(self, short_lanes):
+        """scan_many over jobs of length 0, 1, lane_len - 1, lane_len,
+        lane_len + 1, ...: each resumes a different flow mid-pattern, so the
+        first byte of a job completes a match only through its carried state,
+        and a pattern straddles every job boundary of the packed buffer."""
+        program, reference, lane_len = short_lanes
+        period = b"xshersxabcdefx"
+        stream = period * 12
+        lengths = [0, 1, lane_len - 1, lane_len, lane_len + 1, 2 * lane_len,
+                   3 * lane_len + 2, 0, 5, 1]
+        for head in range(1, len(period) + 1):
+            jobs, expected = [], []
+            for flow, length in enumerate(lengths):
+                prefix = stream[flow:flow + head]  # a different phase per flow
+                body = stream[flow + head:flow + head + length]
+                before, states = scalar_scan(program, program.initial_scan_states(), prefix)
+                jobs.append((states, body))
+                expected.append(reference.match(prefix + body)[len(before):])
+            results = program.scan_many(jobs)
+            assert [matches for matches, _ in results] == expected, head
+            for (states, body), (_, after) in zip(jobs, results):
+                # state id, history and offset all carry on
+                assert after == scalar_scan(program, states, body)[1]
+
+    def test_one_shot_streamed_batched_and_scalar_agree(self, short_lanes):
+        program, reference, lane_len = short_lanes
+        rng = random.Random(77)
+        for _ in range(40):
+            payload = random_payload(
+                rng, LANE_PATTERNS[:7], length=5 * lane_len + rng.randrange(7),
+                alphabet=b"hesrabcdf",
+            )
+            expected = reference.match(payload)
+            assert program.match(payload) == expected
+            assert scalar_scan(program, program.initial_scan_states(), payload)[0] == expected
+            cuts = sorted(rng.sample(range(len(payload) + 1), 3))
+            pieces = [payload[a:b] for a, b in zip([0] + cuts, cuts + [len(payload)])]
+            states, streamed = program.initial_scan_states(), []
+            for piece in pieces:
+                found, states = program.scan_chunk(states, piece)
+                streamed.extend(found)
+            assert streamed == expected
+            # the same pieces as four independent flows in one batch
+            batched = program.scan_many(
+                [(program.initial_scan_states(), piece) for piece in pieces]
+            )
+            assert [m for m, _ in batched] == [reference.match(piece) for piece in pieces]
+
+    def test_a_pattern_longer_than_any_derived_lane(self):
+        """Nothing forced: the derived lane length must stay >= the longest
+        pattern, or a lane's warm-up would start mid-pattern and the match
+        ending just after a cut would silently vanish."""
+        rng = random.Random(3)
+        long_pattern = bytes(rng.randrange(1, 256) for _ in range(700))
+        patterns = [long_pattern, b"needle"]
+        program = CompiledDenseProgram.from_patterns(patterns)
+        reference = AhoCorasickDFA.from_patterns(patterns)
+        for total in (0, 1, 700, compiled.KERNEL_MIN_BYTES, 1 << 16, 1 << 24):
+            assert program._lane_len(total) >= program.warmup == 700
+        size = 3 * compiled.KERNEL_MIN_BYTES
+        lane_len = program._lane_len(size)
+        for offset in (lane_len - 699, lane_len - 350, lane_len - 1, lane_len, 2 * lane_len + 5):
+            payload = bytearray(b"y" * size)
+            payload[offset:offset + 700] = long_pattern
+            payload[offset + 700:offset + 706] = b"needle"
+            assert program.match(bytes(payload)) == reference.match(bytes(payload)), offset
+
+    def test_derived_lanes_on_a_real_sized_batch(self):
+        """Nothing forced: 40 flows x 2 KB with planted strings, one
+        scan_many call vs one reference match per flow."""
+        ruleset = generate_snort_like_ruleset(60, seed=12)
+        program = CompiledDenseProgram.from_patterns(ruleset.patterns)
+        reference = AhoCorasickDFA.from_patterns(ruleset.patterns)
+        rng = random.Random(13)
+        payloads = []
+        for _ in range(40):
+            body = bytearray(rng.randrange(256) for _ in range(2048 + rng.randrange(64)))
+            for pattern in rng.sample(list(ruleset.patterns), 4):
+                offset = rng.randrange(len(body) - len(pattern))
+                body[offset:offset + len(pattern)] = pattern
+            payloads.append(bytes(body))
+        results = program.scan_many(
+            [(program.initial_scan_states(), payload) for payload in payloads]
+        )
+        assert [m for m, _ in results] == [reference.match(p) for p in payloads]
+        assert any(m for m, _ in results)
 
 
 class TestConsumersThroughProtocol:

@@ -123,6 +123,22 @@ def _mutate_dense_outputs(program):
     program.match_pids[0] = (program.match_pids[0] + 1) % len(program.patterns)
 
 
+def _mutate_dense_premultiplied(program):
+    # the kernel's copy of one transition now lands one state off
+    program.premultiplied[256 + ord("e")] += 256
+
+
+def _mutate_dense_flag(program):
+    # a reporting state the kernel's flag gather would no longer see
+    state = int(program.match_flags.nonzero()[0][0])
+    program.match_flags[state] = False
+
+
+def _mutate_dense_warmup(program):
+    # lanes would reach their cut one byte short of the deepest state
+    program.warmup -= 1
+
+
 def _mutate_bitmap(program):
     program.bitmaps[1] ^= 1 << ord("e")  # drop a real child edge
 
@@ -142,6 +158,9 @@ BACKEND_MUTATIONS = [
     pytest.param("ac", _mutate_ac, id="ac-table-entry"),
     pytest.param("dense", _mutate_dense_table, id="dense-table-entry"),
     pytest.param("dense", _mutate_dense_outputs, id="dense-match-pid"),
+    pytest.param("dense", _mutate_dense_premultiplied, id="dense-premultiplied-entry"),
+    pytest.param("dense", _mutate_dense_flag, id="dense-match-flag"),
+    pytest.param("dense", _mutate_dense_warmup, id="dense-warmup-length"),
     pytest.param("bitmap", _mutate_bitmap, id="bitmap-bit"),
     pytest.param("path", _mutate_path, id="path-fail-link"),
     pytest.param("dtp", _mutate_dtp, id="dtp-stored-pointer"),

@@ -8,6 +8,9 @@ that fast path to the per-segment contract from three directions:
 * **boundary splits** — every pattern, split at every offset across 2 and 3
   segment boundaries, must match identically one-shot vs streamed vs batched
   (the ScanState tail-carry property under the new code path);
+* **lane cuts** — the dense backend takes a whole batch as one ``scan_many``
+  call and cuts it into lanes; with tiny lanes forced, interleaved flows
+  split at every offset must still equal the plain DFA, flow by flow;
 * **statistics parity** — the batched path must report byte-identical
   :class:`ScannerStatistics` and :class:`FlowTableStatistics` counters, and
   leave the identical LRU recency order, as segment-at-a-time scanning;
@@ -102,6 +105,76 @@ class TestBoundarySplits:
                             f"pattern #{flow_n} split at ({first}, {second}) "
                             f"via {events_of.__name__}"
                         )
+
+
+# ----------------------------------------------------------------------
+# the dense lane kernel under scan_batch: many flows, one backend crossing
+# ----------------------------------------------------------------------
+class TestLaneKernelBatches:
+    """scan_batch hands the dense backend one job per flow (two under
+    ``track_nocase``); with the kernel forced onto tiny lanes every flow's
+    pattern crosses a lane cut, and neighbouring flows share tiles, so a
+    leak across a job boundary would surface as an event on the wrong flow.
+    The reference is the plain DFA backend scanned segment by segment."""
+
+    PATTERNS = [b"he", b"she", b"hers", b"aBcDeF", b"abcdef", b"ef"]
+
+    @pytest.fixture
+    def short_lanes(self, force_short_lanes):
+        program = get_backend("dense").compile(self.PATTERNS)
+        force_short_lanes(program, lanes_per_tile=4)
+        return program
+
+    @staticmethod
+    def events_of(per_item):
+        return [
+            [(e.flow, e.packet_id, e.end_offset, e.string_number, e.lowered) for e in item]
+            for item in per_item
+        ]
+
+    @pytest.mark.parametrize("track_nocase", (False, True))
+    def test_interleaved_flows_split_at_every_offset(self, short_lanes, track_nocase):
+        reference_program = get_backend("ac").compile(self.PATTERNS)
+        body = b"..ushers..aBcDeF..ABCDEF.."
+        calls = []
+        scan_many = short_lanes.scan_many
+        for cut in range(len(body) + 1):
+            # flow n is the body rotated by n, split at `cut`; the first
+            # batch interleaves two segments of every flow, the second
+            # resumes every flow mid-stream (carried state at a job's first
+            # byte)
+            streams = [body[n:] + body[:n] for n in range(5)]
+            items = [(make_key(n), stream[:cut // 2], n) for n, stream in enumerate(streams)]
+            items += [
+                (make_key(n), stream[cut // 2:cut], 5 + n) for n, stream in enumerate(streams)
+            ]
+            tail = [(make_key(n), stream[cut:], 10 + n) for n, stream in enumerate(streams)]
+            reference = StreamScanner(reference_program, track_nocase=track_nocase)
+            expected = [reference.scan_segment(*item) for item in items + tail]
+
+            batched = StreamScanner(short_lanes, track_nocase=track_nocase)
+            batched._scan_many = lambda jobs: calls.append(len(jobs)) or scan_many(jobs)
+            first, _ = batched.scan_batch(items)
+            second, _ = batched.scan_batch(tail)
+            assert self.events_of(first + second) == self.events_of(expected), cut
+            assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+            for key in reference.flows.keys():
+                assert batched.flows.peek(key).states == reference.flows.peek(key).states
+                assert (
+                    batched.flows.peek(key).lower_states
+                    == reference.flows.peek(key).lower_states
+                )
+        # one backend crossing per batch: raw jobs, plus the lowered views
+        assert set(calls) == {10 if track_nocase else 5}
+
+    def test_one_flow_many_segments_is_one_job(self, short_lanes):
+        reference_program = get_backend("ac").compile(self.PATTERNS)
+        stream = b"xshersxabcdefx" * 6
+        segments = [stream[i:i + 5] for i in range(0, len(stream), 5)]
+        expected = segment_events(StreamScanner(reference_program), make_key(), segments)
+        assert expected
+        assert batch_events(StreamScanner(short_lanes), make_key(), segments) == expected
+        assert segment_events(StreamScanner(short_lanes), make_key(), segments) == expected
 
 
 # ----------------------------------------------------------------------
