@@ -6,9 +6,8 @@ failure-function automaton's speed depends on the input, which is exactly
 what the guaranteed-rate hardware design removes.
 
 Every registered :mod:`repro.backend` backend is benchmarked through the
-unified protocol (``bench_backends.py`` adds the payload-size sweep and the
-machine-readable artifact); the goto/failure NFA rides along as the one
-matcher deliberately outside the protocol.
+unified protocol; the goto/failure NFA rides along as the one matcher
+deliberately outside the protocol.
 """
 
 import pytest

@@ -335,6 +335,9 @@ class Session:
             if engine.flow_capacity != DEFAULT_FLOW_CAPACITY:
                 ids.reset_flows(capacity=engine.flow_capacity)
             self._ids = ids
+            # the engine is composed as a whole: run() feeds the IDS through
+            # the reassembler, so the first pass does not build it mid-stream
+            self.reassembler
         return self._ids
 
     # ------------------------------------------------------------------
@@ -597,9 +600,8 @@ class Session:
         if self._service is not _UNSET:
             out["service"] = self.service.stats()
         if self._reassembler not in (_UNSET, None):
-            from dataclasses import asdict
-
-            out["reassembly"] = asdict(self.reassembler.stats)
+            # flat counters: a shallow copy, not asdict's recursive one
+            out["reassembly"] = dict(vars(self.reassembler.stats))
         if self._ids is not _UNSET:
             ids_stats = self.ids.stats
             out["ids"] = {

@@ -33,6 +33,11 @@ over the whole state graph:
   dense-table target shifted left by 8, its match-flag vector marks exactly
   the reference's reporting states, and a lane's warm-up is at least as long
   as the deepest state (a shorter one loses matches just after a lane cut).
+* **DTP kernel views** — the row-displacement table owns, for every state,
+  exactly the slots of its stored pointers and holds their targets; the
+  direct-indexed default views reproduce ``DefaultTransitionTable.resolve``
+  for every one of the 256 x 257 x 257 ``(byte, prev1, prev2)`` histories,
+  ``None`` included; and the lane warm-up covers the deepest state.
 * **Match-memory completeness** — every pattern's terminal state is reachable
   (by walking the pattern through the reference table) and reports the
   pattern's string number through the match memory.
@@ -56,7 +61,7 @@ from ..automata.wu_manber import WuManber
 from ..backend import get_backend
 from ..core.accelerator_config import AcceleratorProgram, BlockProgram
 from ..core.compiled import CompiledDenseProgram
-from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, DTPAutomaton
+from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, NO_BYTE, DTPAutomaton
 from ..core.match_memory import MatchMemory
 from ..core.state_types import WORD_BITS
 from .diagnostics import ERROR, WARNING, Report
@@ -513,10 +518,11 @@ def _check_path(
 def _default_arrays(defaults) -> Tuple[np.ndarray, ...]:
     """Vector form of the lookup table; ``-2`` never equals a real byte."""
     d1 = np.asarray(defaults.d1, dtype=np.int64)
-    d2p = np.full((ALPHABET, 4), -2, dtype=np.int64)
-    d2t = np.zeros((ALPHABET, 4), dtype=np.int64)
+    slots = max([4] + [len(entries) for entries in defaults.d2.values()])
+    d2p = np.full((ALPHABET, slots), -2, dtype=np.int64)
+    d2t = np.zeros((ALPHABET, slots), dtype=np.int64)
     for byte, entries in defaults.d2.items():
-        for slot, entry in enumerate(entries[:4]):
+        for slot, entry in enumerate(entries):
             d2p[byte, slot] = entry.preceding_byte
             d2t[byte, slot] = entry.state
     d3p0 = np.full(ALPHABET, -2, dtype=np.int64)
@@ -534,13 +540,13 @@ def _vector_resolve(
 ) -> np.ndarray:
     """``defaults.resolve`` for whole rows: one (prev1, prev2) pair per row.
 
-    Applied in reverse priority — d1 base, then d2 slots 3..0 (slot 0 wins,
-    matching the resolver's first-match scan), then d3 on top.
+    Applied in reverse priority — d1 base, then the d2 slots last to first
+    (slot 0 wins, matching the resolver's first-match scan), then d3 on top.
     """
     d1, d2p, d2t, d3p0, d3p1, d3t = arrays
     rows = prev1.shape[0]
     resolved = np.broadcast_to(d1, (rows, ALPHABET)).copy()
-    for slot in range(3, -1, -1):
+    for slot in range(d2p.shape[1] - 1, -1, -1):
         hit = prev1[:, None] == d2p[None, :, slot]
         resolved = np.where(hit, d2t[None, :, slot], resolved)
     hit3 = (prev1[:, None] == d3p1[None, :]) & (prev2[:, None] == d3p0[None, :])
@@ -599,6 +605,17 @@ def _check_dtp_automaton(
     defaults = dtp.defaults
     _check_outputs(capped, lambda s: dtp.outputs[s], ref, source, code="DTP005")
     _check_pattern_reachability(capped, lambda s: dtp.outputs[s], ref, source)
+    # the kernel reports from the packed copy, flagged per state
+    packed = lambda s: dtp.match_pids[dtp.match_index[s]:dtp.match_index[s + 1]]
+    if dtp.match_index.shape == (ref.num_states + 1,):
+        _check_outputs(capped, packed, ref, source, code="DTP005")
+    if not np.array_equal(dtp.match_flags, [bool(o) for o in ref.outputs]):
+        capped.add(
+            ERROR,
+            "DTP005",
+            "match-flag vector does not mark exactly the reporting states",
+            source=source,
+        )
 
     # --- well-formedness of the default table itself (DTP004) -------------
     for byte in range(ALPHABET):
@@ -644,9 +661,11 @@ def _check_dtp_automaton(
 
     # --- stored pointers are exact (DTP001) + capacity (DTP006) -----------
     stored_mask = np.zeros((ref.num_states, ALPHABET), dtype=bool)
+    stored_target = np.zeros((ref.num_states, ALPHABET), dtype=np.int64)
     for state, row in enumerate(dtp.stored):
         for byte, target in row.items():
             stored_mask[state, byte] = True
+            stored_target[state, byte] = target
             if target != int(ref.table[state, byte]):
                 capped.add(
                     ERROR,
@@ -760,6 +779,128 @@ def _check_dtp_automaton(
                     capped, ref, ROOT, byte, resolved, expected,
                     f"({describe})", source,
                 )
+
+    _check_dtp_kernel(capped, dtp, ref, stored_mask, stored_target, arrays, source)
+
+
+def _check_dtp_kernel(
+    capped: _Capped,
+    dtp: DTPAutomaton,
+    ref: Reference,
+    stored_mask: np.ndarray,
+    stored_target: np.ndarray,
+    arrays: Tuple[np.ndarray, ...],
+    source: str,
+) -> None:
+    """The lane kernel's views against the structures they were derived from."""
+    # --- row-displacement table == stored pointers (DTP007) ---------------
+    base, check, following = dtp.base, dtp.check, dtp.next
+    if (
+        base.shape != (ref.num_states,)
+        or check.shape != following.shape
+        or base.min() < 0
+        or int(base.max()) + ALPHABET > check.size
+    ):
+        capped.add(
+            ERROR,
+            "DTP007",
+            f"row-displacement table is malformed: base {base.shape} in "
+            f"[{int(base.min())}, {int(base.max())}], check {check.shape}, "
+            f"next {following.shape}",
+            source=source,
+        )
+    else:
+        chunk = 8192
+        for start in range(0, ref.num_states, chunk):
+            states = np.arange(start, min(start + chunk, ref.num_states))
+            slots = base[states, None].astype(np.int64) + np.arange(ALPHABET)
+            owned = check[slots] == states[:, None]
+            wanted = stored_mask[states]
+            wrong = (owned != wanted) | (
+                owned & (following[slots] != stored_target[states])
+            )
+            for row, byte in np.argwhere(wrong).tolist():
+                state, slot = int(states[row]), int(slots[row, byte])
+                if not wanted[row, byte]:
+                    message = f"slot {slot} is owned by a state that stores no pointer here"
+                elif not owned[row, byte]:
+                    message = (
+                        f"stored pointer -> {int(stored_target[state, byte])} has no "
+                        f"slot: check[{slot}] is {int(check[slot])}"
+                    )
+                else:
+                    message = (
+                        f"slot {slot} leads to {int(following[slot])}, the stored "
+                        f"pointer to {int(stored_target[state, byte])}"
+                    )
+                capped.add(ERROR, "DTP007", message, state=state, byte=byte, source=source)
+
+    # --- default views == resolve(), every history (DTP008) ---------------
+    stride = NO_BYTE + 1
+    default12, d3_key, d3_state = dtp.default12, dtp.d3_key, dtp.d3_state
+    if (
+        default12.shape != (stride * stride,)
+        or d3_key.shape != (ALPHABET,)
+        or d3_state.shape != (ALPHABET,)
+    ):
+        capped.add(
+            ERROR,
+            "DTP008",
+            f"default views are malformed: default12 {default12.shape}, "
+            f"d3_key {d3_key.shape}, d3_state {d3_state.shape}",
+            source=source,
+        )
+    else:
+        history = np.arange(stride)
+        # None (the kernel's 256) equals no stored preceding byte
+        seen = np.where(history == NO_BYTE, -3, history)
+        describe = lambda v: "None" if v == NO_BYTE else f"{v:#04x}"
+        d3p0, d3p1, d3t = arrays[3:]
+        # where no depth-3 default fires neither side looks at prev2
+        shallow = default12.reshape(stride, stride)[:, :ALPHABET]
+        reference = _vector_resolve(arrays, seen, np.full(stride, -3))
+        for prev1, byte in np.argwhere(shallow != reference).tolist():
+            capped.add(
+                ERROR,
+                "DTP008",
+                f"depth-1/2 default view -> {int(shallow[prev1, byte])} under "
+                f"prev1={describe(prev1)}, resolve() says {int(reference[prev1, byte])}",
+                byte=int(byte),
+                source=source,
+            )
+        prev1_fits = seen[:, None] == d3p1[None, :]
+        other_state = (d3_state != d3t)[None, :]
+        for prev2 in range(stride):
+            fires = d3_key[None, :] == (prev2 * stride + history)[:, None]
+            expected = prev1_fits & (d3p0 == seen[prev2])[None, :]
+            wrong = (fires != expected) | (fires & other_state)
+            if not wrong.any():
+                continue
+            for prev1, byte in np.argwhere(wrong).tolist():
+                capped.add(
+                    ERROR,
+                    "DTP008",
+                    "depth-3 default view "
+                    + (f"fires -> {int(d3_state[byte])}" if fires[prev1, byte]
+                       else "does not fire")
+                    + f" under history (prev2={describe(prev2)}, prev1="
+                    f"{describe(prev1)}), resolve() "
+                    + (f"-> {int(d3t[byte])}" if expected[prev1, byte]
+                       else "falls through to depth 2/1"),
+                    byte=int(byte),
+                    source=source,
+                )
+
+    # --- warm-up covers the deepest state (DTP009) ------------------------
+    deepest = int(ref.depth.max())
+    if dtp.warmup < deepest:
+        capped.add(
+            ERROR,
+            "DTP009",
+            f"lane warm-up of {dtp.warmup} byte(s) is shorter than the "
+            f"deepest reference state ({deepest})",
+            source=source,
+        )
 
 
 def _dtp_effective_table(dtp: DTPAutomaton, ref: Reference) -> np.ndarray:

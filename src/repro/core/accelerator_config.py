@@ -16,21 +16,24 @@ update time:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..automata.aho_corasick import AhoCorasickDFA
-from ..backend import CompiledProgramMixin, FlowState
+from ..backend import FlowState, ScanState
 from ..fpga.devices import FPGADevice
 from ..fpga.throughput import accelerator_throughput_gbps
 from ..rulesets.ruleset import RuleSet
+from . import lanes
 from .default_transitions import build_default_transition_table
 from .dtp_automaton import (
     HARDWARE_MAX_POINTERS,
     DTPAutomaton,
-    ScanState,
     StagedPointerCounts,
 )
+from .lanes import LaneBatch, LaneCut, LaneKernelMixin
 from .lookup_table import EncodedLookupTable, encode_lookup_table
 from .match_memory import MATCH_MEMORY_WORDS, MatchMemory
 from .memory_layout import PackedStateMachine, PackingError, pack_state_machine
@@ -56,6 +59,15 @@ class BlockProgram:
     match_memory: MatchMemory
     #: local pattern id -> global string number reported to the host
     string_numbers: Dict[int, int]
+    #: ``string_numbers`` as an array: the local ids a scan reports map to
+    #: global numbers with one take per block
+    numbers: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.numbers = np.array(
+            [self.string_numbers[local_id] for local_id in range(len(self.string_numbers))],
+            dtype=np.int64,
+        )
 
     @property
     def num_states(self) -> int:
@@ -80,26 +92,9 @@ class BlockProgram:
     def memory_bytes(self) -> int:
         return (self.memory_bits() + 7) // 8
 
-    def match(self, payload: bytes) -> MatchList:
-        """Scan a payload, reporting (end_position, global string number)."""
-        return [
-            (position, self.string_numbers[pattern_id])
-            for position, pattern_id in self.dtp.match(payload)
-        ]
-
-    def scan_from(
-        self, scan_state: ScanState, chunk: bytes
-    ) -> Tuple[MatchList, ScanState]:
-        """Resumable scan (see :meth:`DTPAutomaton.scan_from`), global numbers."""
-        raw, next_state = self.dtp.scan_from(scan_state, chunk)
-        return (
-            [(position, self.string_numbers[pattern_id]) for position, pattern_id in raw],
-            next_state,
-        )
-
 
 @dataclass
-class AcceleratorProgram(CompiledProgramMixin):
+class AcceleratorProgram(LaneKernelMixin):
     """A compiled accelerator configuration for one device.
 
     Conforms to the :class:`repro.backend.CompiledProgram` protocol (backend
@@ -176,17 +171,6 @@ class AcceleratorProgram(CompiledProgramMixin):
         """The compiled patterns; string numbers index this tuple."""
         return tuple(rule.pattern for rule in self.ruleset)
 
-    def match(self, payload: bytes) -> MatchList:
-        """Scan one payload against the full ruleset (all blocks of one group)."""
-        matches: MatchList = []
-        for block in self.blocks:
-            matches.extend(block.match(payload))
-        matches.sort()
-        return matches
-
-    def scan_packets(self, payloads: Iterable[bytes]) -> List[MatchList]:
-        return [self.match(payload) for payload in payloads]
-
     # ------------------------------------------------------------------
     # streaming (flow-oriented) scanning
     # ------------------------------------------------------------------
@@ -195,25 +179,55 @@ class AcceleratorProgram(CompiledProgramMixin):
         """One resumable :class:`ScanState` per block of the group."""
         return len(self.blocks)
 
-    def _scan_chunk(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
-        """Scan one segment of a flow, resuming every block from ``states``.
+    @property
+    def warmup(self) -> int:
+        """Bytes a lane warms up over: the longest pattern of any block."""
+        return max(block.dtp.warmup for block in self.blocks)
 
-        Returns stream-absolute ``(end_offset, string_number)`` matches plus
-        the per-block states to carry into the flow's next segment.  Chunked
-        scanning is equivalent to :meth:`match` over the concatenated stream.
-        """
+    def _unit_states(self, states: FlowState) -> FlowState:
         if len(states) != len(self.blocks):
             raise ValueError(
                 f"expected {len(self.blocks)} per-block scan states, got {len(states)}"
             )
+        return states
+
+    def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
+        """Scan one segment of a flow, resuming every block from ``states``.
+
+        Returns stream-absolute ``(end_offset, string_number)`` matches plus
+        the per-block states to carry into the flow's next segment.
+        """
         matches: MatchList = []
         next_states: List[ScanState] = []
-        for block, state in zip(self.blocks, states):
-            block_matches, next_state = block.scan_from(state, chunk)
-            matches.extend(block_matches)
+        for block, state in zip(self.blocks, self._unit_states(states)):
+            found, (next_state,) = block.dtp._scan_scalar((state,), chunk)
+            if found:
+                ends, pattern_ids = zip(*found)
+                matches.extend(zip(ends, block.numbers.take(pattern_ids).tolist()))
             next_states.append(next_state)
         matches.sort()
         return matches, tuple(next_states)
+
+    def _scan_lanes(
+        self, flow_states: Sequence[FlowState], batch: LaneBatch
+    ) -> List[Tuple[MatchList, FlowState]]:
+        """The batch is packed and cut once; every block's kernel runs over
+        the same cut, and the blocks' hits merge per job in ``(end_offset,
+        string_number)`` order."""
+        cut = LaneCut(batch, self.warmup, history=2)
+        flow_states = list(map(self._unit_states, flow_states))
+        parts, finals = [], []
+        for unit, block in enumerate(self.blocks):
+            (jobs, ends, pattern_ids), final = block.dtp.lane_hits(
+                cut, [states[unit] for states in flow_states]
+            )
+            parts.append((jobs, ends, block.numbers.take(pattern_ids)))
+            finals.append(final)
+        jobs, ends, numbers = map(np.concatenate, zip(*parts))
+        order = np.lexsort((numbers, ends, jobs))
+        return lanes.job_results(
+            flow_states, batch, (jobs[order], ends[order], numbers[order]), finals
+        )
 
     def string_number_to_sid(self) -> Dict[int, int]:
         """Map global string numbers back to rule sids."""

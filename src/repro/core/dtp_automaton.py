@@ -25,19 +25,62 @@ can never fire "too deep"; resolution order (3, then 2, then 1) picks the
 deepest stored suffix, and the explicit pointer list retains every case the
 table cannot express.  One character is consumed per lookup, preserving the
 paper's guaranteed-rate property.
+
+The lane kernel
+---------------
+Calls of ``lanes.KERNEL_MIN_BYTES`` or more, and every ``scan_many`` batch,
+are cut into lanes by :mod:`repro.core.lanes` and stepped by this module's
+kernel: all lanes of all flows consume one byte per step, through the paper's
+two structures laid out as flat arrays.
+
+* **Stored pointers** — ``base`` / ``check`` / ``next``, a row-displacement
+  ("double-array") table: state ``s`` keeps its pointer for byte ``b`` in slot
+  ``base[s] + b``, ``check`` names the slot's owner (``-1``: free) and
+  ``next`` its target.  The sparse rows interleave, so the table holds a few
+  slots per pointer instead of 256 per state.
+* **Depth-1/2 defaults** — ``default12``, direct-indexed by
+  ``prev1 * 257 + byte``: the depth-2 default registered for ``byte`` whose
+  preceding character is ``prev1``, else the depth-1 default.
+* **Depth-3 defaults** — ``d3_key`` / ``d3_state``, one compare per byte:
+  the depth-3 default of ``byte`` fires when ``prev2 * 257 + prev1`` equals
+  ``d3_key[byte]``.
+
+A missing history byte (stream start) is the value :data:`NO_BYTE` ``= 256``,
+which no stored preceding character equals — hence the stride of 257.  The
+default target depends on ``(byte, prev1, prev2)`` and never on the state, so
+it is computed from the tile's byte matrix alone, for every lane and an
+eighth of the tile's steps per call; a step is then ``take(base) + byte ->
+take(check) != state -> take(next)``, overwritten by that step's default row
+where no pointer is stored.  The step costs the same whether a pointer hits
+or a default fires.
+
+Why a lane may warm up from the root: with the stream's true history a
+default can land a warming lane *deeper* than the plain DFA lane that left
+the root with it — but only ever on a pattern prefix that is a genuine suffix
+of the input, because a default fires on matching preceding bytes alone, and
+a stored pointer maps a genuine suffix to a genuine suffix.  And never
+shallower: a pruned transition's target is the root or a registered default
+whose preceding bytes are in the input, so the resolver returns it or
+something deeper.  The warming lane is therefore sandwiched, suffix-wise, between the
+DFA lane and the true state; after ``warmup`` (= longest pattern) bytes
+those two are equal, and so is it.  A job's first lane takes the carried-in
+state and reads the carried ``prev1``/``prev2`` in place of the two bytes
+before its cut, which in the packed buffer belong to some other job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..automata.aho_corasick import AhoCorasickDFA
 from ..automata.trie import ALPHABET_SIZE, ROOT
-from ..backend import CompiledProgramMixin, FlowState, ScanState
+from ..backend import FlowState, ScanState
+from . import lanes
 from .default_transitions import DefaultTransitionTable, build_default_transition_table
+from .lanes import Hits, LaneBatch, LaneCut, LaneKernelMixin
 
 MatchList = List[Tuple[int, int]]
 
@@ -50,6 +93,16 @@ HARDWARE_MAX_POINTERS = 13
 # ``from repro.core.dtp_automaton import ScanState`` callers.
 
 _CHUNK_STATES = 8192  # chunk size for the vectorised pruning pass
+
+#: "No such byte yet" in the kernel's history columns; byte values and this
+#: sentinel index the default views with stride ``NO_BYTE + 1``.
+NO_BYTE = 256
+_STRIDE = NO_BYTE + 1
+
+#: Row-displacement table slots per stored pointer: sparse enough that a
+#: random displacement of a 13-pointer row usually fits (4 ms for 12 k
+#: pointers), 32 bytes a pointer.
+_SLOTS_PER_POINTER = 4
 
 
 @dataclass
@@ -136,7 +189,77 @@ def staged_pointer_counts(
     )
 
 
-class DTPAutomaton(CompiledProgramMixin):
+def displace_rows(
+    states: np.ndarray, symbols: np.ndarray, targets: np.ndarray, num_states: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-displacement layout ``(base, check, next)`` of sparse rows.
+
+    ``(states[i], symbols[i]) -> targets[i]``, sorted by state.  Rounds of
+    random displacements, every unplaced row bidding one per round: a row
+    keeps its displacement when all its slots are free and no larger row
+    bids for any of them in the same round.  The generator is seeded, so the
+    layout is a function of the pointers; there is no per-row Python loop.
+    A table too crowded to finish (many near-full rows) doubles every 32
+    rounds.
+    """
+    owners, counts = np.unique(states, return_counts=True)
+    # larger rows first: np.unique keeps the first bidder for a slot
+    by_size = np.argsort(-counts, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(len(owners))
+    row = np.repeat(rank, counts)
+    order = np.argsort(row, kind="stable")
+    row, states, symbols, targets = row[order], states[order], symbols[order], targets[order]
+
+    size = _SLOTS_PER_POINTER * len(states) + ALPHABET_SIZE
+    check = np.full(size + ALPHABET_SIZE, -1, dtype=np.int32)
+    following = np.zeros(size + ALPHABET_SIZE, dtype=np.int32)
+    displacement = np.zeros(len(owners), dtype=np.int64)
+    pending = np.ones(len(owners), dtype=bool)
+    rng = np.random.default_rng(0)
+    rounds = 0
+    while pending.any():
+        if rounds and rounds % 32 == 0:
+            check = np.concatenate([check, np.full(size, -1, dtype=np.int32)])
+            following = np.concatenate([following, np.zeros(size, dtype=np.int32)])
+            size *= 2
+        rounds += 1
+        trial = rng.integers(0, size, len(owners))
+        bidding = np.flatnonzero(pending[row])
+        slots = trial[row[bidding]] + symbols[bidding]
+        outbid = np.ones(len(slots), dtype=bool)
+        outbid[np.unique(slots, return_index=True)[1]] = False
+        lost = np.zeros(len(owners), dtype=bool)
+        lost[row[bidding[outbid | (check[slots] >= 0)]]] = True
+        won = pending & ~lost
+        kept = won[row[bidding]]
+        check[slots[kept]] = states[bidding[kept]]
+        following[slots[kept]] = targets[bidding[kept]]
+        displacement[won] = trial[won]
+        pending = lost
+    base = np.zeros(num_states, dtype=np.int32)
+    base[owners[by_size]] = displacement
+    return base, check, following
+
+
+def default_views(
+    defaults: DefaultTransitionTable,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(default12, d3_key, d3_state)``: the lookup table as the kernel
+    indexes it (see the module docstring)."""
+    default12 = np.tile(np.append(defaults.d1, ROOT).astype(np.int32), _STRIDE)
+    for byte, entries in defaults.d2.items():
+        for entry in reversed(entries):  # the resolver takes the first that fits
+            default12[entry.preceding_byte * _STRIDE + byte] = entry.state
+    d3_key = np.full(ALPHABET_SIZE, -1, dtype=np.int32)
+    d3_state = np.zeros(ALPHABET_SIZE, dtype=np.int32)
+    for byte, entry in defaults.d3.items():
+        d3_key[byte] = entry.preceding_bytes[0] * _STRIDE + entry.preceding_bytes[1]
+        d3_state[byte] = entry.state
+    return default12, d3_key, d3_state
+
+
+class DTPAutomaton(LaneKernelMixin):
     """Software model of the paper's compressed string matching automaton.
 
     Conforms to the :class:`repro.backend.CompiledProgram` protocol (backend
@@ -177,7 +300,15 @@ class DTPAutomaton(CompiledProgramMixin):
         self.depth = dfa.depth
         self.num_states = dfa.num_states
         self.stored: List[Dict[int, int]] = [dict() for _ in range(self.num_states)]
-        self._build_stored_pointers()
+        #: bytes a lane walks from the root before its cut: the deepest state
+        self.warmup = int(self.depth.max())
+        # kernel views (see the module docstring)
+        self.base, self.check, self.next = displace_rows(
+            *self._build_stored_pointers(), self.num_states
+        )
+        self.default12, self.d3_key, self.d3_state = default_views(self.defaults)
+        self.match_index, self.match_pids = lanes.pack_outputs(self.outputs)
+        self.match_flags = np.diff(self.match_index) > 0
 
     # ------------------------------------------------------------------
     # construction
@@ -191,7 +322,9 @@ class DTPAutomaton(CompiledProgramMixin):
         """Build from a :class:`repro.rulesets.RuleSet`."""
         return cls.from_patterns(ruleset.patterns, **kwargs)
 
-    def _build_stored_pointers(self) -> None:
+    def _build_stored_pointers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fill ``stored``; return the kept pointers as ``(states, bytes,
+        targets)`` arrays sorted by state, then byte."""
         dfa = self.dfa
         defaults = self.defaults
         num_states = self.num_states
@@ -199,6 +332,7 @@ class DTPAutomaton(CompiledProgramMixin):
         d1_row = defaults.d1.astype(np.int64)
         columns = np.arange(ALPHABET_SIZE, dtype=np.int32)[None, :]
 
+        kept: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for start in range(0, num_states, _CHUNK_STATES):
             stop = min(start + _CHUNK_STATES, num_states)
             block = dfa.table[start:stop]
@@ -212,9 +346,13 @@ class DTPAutomaton(CompiledProgramMixin):
 
             rows, cols = np.nonzero(keep)
             targets = block[rows, cols]
+            rows += start
             stored = self.stored
             for row, col, target in zip(rows.tolist(), cols.tolist(), targets.tolist()):
-                stored[start + row][col] = target
+                stored[row][col] = target
+            kept.append((rows, cols, targets))
+        states, symbols, targets = map(np.concatenate, zip(*kept))
+        return states, symbols, targets
 
     # ------------------------------------------------------------------
     # transition / matching
@@ -228,11 +366,6 @@ class DTPAutomaton(CompiledProgramMixin):
             return target
         return self.defaults.resolve(byte, prev1, prev2)
 
-    def match(self, data: bytes) -> MatchList:
-        """Scan one packet payload; history resets at the packet boundary."""
-        matches, _ = self._scan_chunk((ScanState(),), data)
-        return matches
-
     def initial_scan_state(self) -> ScanState:
         """The state a fresh flow starts in (root state, empty byte history)."""
         return ScanState()
@@ -242,7 +375,7 @@ class DTPAutomaton(CompiledProgramMixin):
         """The compiled patterns; pattern ids index this tuple."""
         return tuple(self.dfa.trie.patterns)
 
-    def _scan_chunk(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
+    def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
         """Scan ``chunk`` resuming from ``states``; return matches + new state.
 
         Feeding the segments of one byte stream through consecutive
@@ -270,6 +403,96 @@ class DTPAutomaton(CompiledProgramMixin):
             ScanState(state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)),
         )
 
+    # ------------------------------------------------------------------
+    # the lane kernel
+    # ------------------------------------------------------------------
+    def _default_rows(self, columns: np.ndarray) -> np.ndarray:
+        """The default target of some consecutive steps of every lane.
+
+        ``columns[i]`` is window byte ``i`` of every lane (``int16``, history
+        may hold :data:`NO_BYTE`); step ``j`` consumes ``columns[j + 2]`` with
+        ``columns[j + 1]`` and ``columns[j]`` before it.
+        """
+        pairs = np.multiply(columns[:-1], _STRIDE, dtype=np.int32)
+        pairs += columns[1:]  # pairs[i] = columns[i] * 257 + columns[i + 1]
+        consumed = columns[2:]
+        out = self.default12.take(pairs[1:], mode="clip")
+        fires = self.d3_key.take(consumed, mode="clip") == pairs[:-1]
+        np.copyto(out, self.d3_state.take(consumed, mode="clip"), where=fires)
+        return out
+
+    def lane_hits(
+        self, cut: LaneCut, scan_states: Sequence[ScanState]
+    ) -> Tuple[Hits, np.ndarray]:
+        """Run the kernel over ``cut`` (built with two history bytes), one
+        scan state per job: ``(job, end offset, pattern id)`` hits in walk
+        order and the final state id of every job."""
+        count = len(scan_states)
+        carried = np.fromiter((s.state for s in scan_states), np.int32, count)
+        offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
+        prev1 = np.fromiter(
+            (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.int16, count
+        )
+        prev2 = np.fromiter(
+            (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
+            np.int16, count,
+        )
+        warm = cut.lead - 2
+        # the default rows of a whole tile would outweigh its state history:
+        # they are made for an eighth of the steps at a time
+        slab = (cut.lead + cut.lane_len) // 8 + 1
+        # bound methods skip np.take's Python wrapper
+        base, check, following_of = self.base.take, self.check.take, self.next.take
+        add, differs, copyto = np.add, np.not_equal, np.copyto
+
+        def walk(window, history, first_lanes, first_jobs):
+            columns = window.astype(np.int16)
+            # a job's first lane reads the carried history where the packed
+            # buffer has another job's bytes
+            columns[warm, first_lanes] = prev2[first_jobs]
+            columns[warm + 1, first_lanes] = prev1[first_jobs]
+            consumed = list(columns[2:])
+            slot = np.empty(history.shape[1], dtype=np.int32)
+            owner = np.empty_like(slot)
+            pruned = np.empty(history.shape[1], dtype=bool)
+
+            def advance(first, sources, targets):
+                """Steps ``first`` .. ``first + len(sources) - 1``."""
+                for top in range(0, len(sources), slab):
+                    low = first + top
+                    high = min(low + slab, first + len(sources))
+                    for state, column, default, following in zip(
+                        sources[top:], consumed[low:high],
+                        self._default_rows(columns[low:high + 2]), targets[top:],
+                    ):
+                        base(state, out=slot, mode="clip")
+                        add(slot, column, out=slot)
+                        check(slot, out=owner, mode="clip")
+                        differs(owner, state, out=pruned)
+                        following_of(slot, out=following, mode="clip")
+                        copyto(following, default, where=pruned)
+
+            rows = list(history)
+            # warm up from the root in place: these states report nothing
+            state = rows[0]
+            state.fill(ROOT)
+            advance(0, [state] * warm, [state] * warm)
+            state[first_lanes] = carried[first_jobs]
+            advance(warm, rows[:-1], rows[1:])
+
+        hits, final = cut.run(
+            carried, offsets, self.match_flags, walk, cut.lead + cut.lane_len
+        )
+        return lanes.expand_hits(hits, self.match_index, self.match_pids), final
+
+    def _scan_lanes(
+        self, flow_states: Sequence[FlowState], batch: LaneBatch
+    ) -> List[Tuple[MatchList, FlowState]]:
+        hits, final = self.lane_hits(
+            LaneCut(batch, self.warmup, history=2), [state for (state,) in flow_states]
+        )
+        return lanes.job_results(flow_states, batch, hits, [final])
+
     def iter_states(self, data: bytes) -> Iterator[int]:
         """Yield the state after each byte (mirrors ``AhoCorasickDFA.iter_states``)."""
         state = ROOT
@@ -280,10 +503,6 @@ class DTPAutomaton(CompiledProgramMixin):
             yield state
             prev2 = prev1
             prev1 = byte
-
-    def scan_packets(self, payloads: Iterable[bytes]) -> List[MatchList]:
-        """Scan several packets; the automaton state and history reset per packet."""
-        return [self.match(payload) for payload in payloads]
 
     def verify_equivalence(self, data: bytes) -> bool:
         """Check state-by-state agreement with the uncompressed DFA on ``data``."""

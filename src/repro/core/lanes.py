@@ -1,0 +1,342 @@
+"""The lane driver the NumPy scan kernels share.
+
+An Aho-Corasick state is the longest suffix of the input that is a prefix of
+some pattern, so it depends on the last ``warmup`` (= longest pattern) bytes
+only.  A stream may therefore be *cut* anywhere: a lane that starts at the
+root ``warmup`` bytes before its cut arrives at the cut in exactly the state
+the uncut walk has there.  Matches seen while warming up are dropped — the
+lane before the cut reports them.  A job's first lane has nothing to warm up
+from; it is handed the job's carried-in state at its first byte instead.
+
+So every job (one flow's bytes plus its resumable state) is cut into lanes of
+one common length, and *all* lanes of *all* jobs advance together, one byte
+per step — the paper's engines time-sharing one state memory, turned
+sideways.  What one step *is* belongs to the kernel (one gather from the
+premultiplied dense table in :mod:`repro.core.compiled`; stored pointer or
+default transition in :mod:`repro.core.dtp_automaton`); everything around it
+is here, once::
+
+    scan_many(jobs) ──► LaneBatch ──► scan_chunk ──► _scan_lanes
+                                                        │
+            LaneCut(batch, warmup)   pack + lane geometry, once per batch
+                 │
+                 └─ run(carried, ...)    once per kernel (per block)
+                      per tile:  byte window ─► kernel's walk() ─► state history
+                                 final-state pick-up, slabbed flag gather,
+                                 nonzero ─► (job, end offset, state) hits
+                 expand_hits / split_matches ─► per-job match lists
+
+Lanes are processed in tiles of at most :data:`TILE_CELLS` lane rows, so
+working memory is bounded by the tile, not by the batch.  A tile keeps the
+state of every lane at every step; matches come out of it with one flag
+gather and one ``nonzero``, and are reported per job in end-offset, then
+``outputs[state]``, order — the order of the byte-at-a-time walk.
+
+The lane length is derived from the batch: every step pays a fixed NumPy
+dispatch cost whatever the lane count, and every lane pays ``warmup`` extra
+steps, so few long lanes waste dispatch and many short lanes waste warm-up;
+the optimum grows with the square root of the batch until the tile bound caps
+it.
+
+Calls too small to amortise the dispatch (:data:`KERNEL_MIN_BYTES`) keep the
+kernel owner's scalar loop, which is also the reference the kernels are
+tested against.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from math import isqrt
+from typing import Callable, List, Sequence, Tuple, Union
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from ..backend import (
+    CompiledProgramMixin,
+    FlowState,
+    MatchList,
+    ScanJob,
+    ScanState,
+    advance_history,
+)
+
+#: Calls with fewer payload bytes than this stay on the scalar loop: one
+#: kernel pass costs at least ``warmup`` + lane-length NumPy dispatches, which
+#: a few KB cannot amortise (measured crossover ~4 KB at 60-byte patterns,
+#: ~2 KB at 8-byte ones; the dense scalar loop runs 55-95 ns/B).
+KERNEL_MIN_BYTES = 4096
+
+#: Lane rows (one lane's cell at one step) a tile may hold.  The dense kernel
+#: keeps an ``int32`` state per row, 1 MB, plus ~0.6 MB of byte columns and
+#: flag-gather scratch; the dtp kernel counts its warm-up rows too and keeps
+#: ``int16`` bytes beside the states, ~1.9 MB with its default-row slab.
+#: Twice that is ~10 % faster on 2 MB batches, but the tile is what a small
+#: ruleset's process pays in peak RSS for using a kernel at all.
+TILE_CELLS = 1 << 18
+
+#: What one kernel step's fixed NumPy dispatch costs, in lane cells of gather
+#: work (measured: ~1.7 us per step against ~6 ns per cell).
+STEP_DISPATCH_CELLS = 256
+
+#: ``walk(window, history, lanes, jobs)``: a kernel's inner loop over one
+#: tile.  ``window[i]`` is byte ``i`` of every lane's window (``lead`` bytes
+#: before the lane's cut, then its own ``lane_len``); the kernel leaves the
+#: plain state id each lane entered on its own byte ``i`` in ``history[i + 1]``
+#: (``history[0]`` is the state at the cut).  ``lanes`` are the tile's lanes
+#: that open a job and ``jobs`` the jobs they open: those start from the
+#: job's carried-in state instead of a warm-up.
+Walk = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+
+#: Flat hit arrays, one entry per report, in packed-buffer order:
+#: ``(job index, stream-absolute end offset, state or pattern id)``.
+Hits = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class LaneBatch:
+    """The chunks of several scan jobs, travelling as one chunk.
+
+    ``len(batch)`` is the jobs' payload byte count, so the batch crosses
+    :meth:`CompiledProgramMixin.scan_chunk` like any other chunk of that
+    many bytes; :meth:`pack` lays it out for the lane kernels.
+    """
+
+    __slots__ = ("chunks", "nbytes")
+
+    def __init__(self, chunks: Sequence[bytes]):
+        self.chunks = chunks
+        self.nbytes = sum(map(len, chunks))
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def pack(self, lane_len: int, lead: int) -> np.ndarray:
+        """One ``uint8`` buffer: ``lead`` zero bytes, then every chunk
+        padded to a whole number of lanes — so lane ``k`` reads what precedes
+        its cut at ``[k * lane_len:]`` and its own bytes ``lead`` further on."""
+        padding = bytes(lane_len)
+        parts: List[bytes] = [bytes(lead)]
+        for chunk in self.chunks:
+            parts.append(chunk)
+            parts.append(padding[: -len(chunk) % lane_len])
+        return np.frombuffer(b"".join(parts), dtype=np.uint8)
+
+
+def lane_length(warmup: int, total_bytes: int) -> int:
+    """Lane length for a batch of ``total_bytes``.
+
+    With ``w`` warm-up steps, lane length ``l`` and ``n`` bytes in a tile
+    (a batch larger than one tile repeats it), a pass takes ``w + l``
+    steps of ``STEP_DISPATCH_CELLS + n / l`` cell-times each, least at
+    ``l = sqrt(w * n / STEP_DISPATCH_CELLS)``.  The extra ``w`` under the
+    root keeps the result from falling below ``w``: a lane's warm-up
+    must stay inside its own job.
+    """
+    warmup = max(warmup, 1)
+    cells = min(total_bytes, TILE_CELLS)
+    return isqrt(warmup * (warmup + cells // STEP_DISPATCH_CELLS))
+
+
+def pack_outputs(outputs: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Packed match-output arrays: state ``s`` reports the pattern ids
+    ``match_pids[match_index[s]:match_index[s + 1]]`` — the software analogue
+    of the hardware's matching-string-number memory walk."""
+    counts = np.fromiter((len(o) for o in outputs), dtype=np.int64, count=len(outputs))
+    match_index = np.zeros(len(outputs) + 1, dtype=np.int32)
+    np.cumsum(counts, out=match_index[1:])
+    match_pids = np.fromiter(
+        (pid for o in outputs for pid in o), dtype=np.int32, count=int(counts.sum())
+    )
+    return match_index, match_pids
+
+
+def resumed(scan_state: ScanState, state: int, chunk: bytes) -> ScanState:
+    """The scan state after ``chunk`` left the automaton in ``state``."""
+    prev1, prev2 = advance_history(scan_state.prev1, scan_state.prev2, chunk)
+    return ScanState(state=state, prev1=prev1, prev2=prev2,
+                     offset=scan_state.offset + len(chunk))
+
+
+class LaneCut:
+    """One batch cut into lanes: the packed bytes and the lane geometry.
+
+    Built once per batch; every kernel that scans the batch (one per block
+    of a multi-block program) :meth:`run`\\ s over the same cut.  ``history``
+    extra bytes are kept in front of each lane's warm-up for kernels whose
+    step reads the bytes before the current one.
+    """
+
+    def __init__(self, batch: LaneBatch, warmup: int, history: int = 0):
+        self.lead = warmup + history
+        self.lane_len = lane_len = lane_length(warmup, len(batch))
+        self.data = batch.pack(lane_len, self.lead)
+        # job j owns lanes first[j] .. first[j] + lanes_of[j] - 1
+        self.lengths = lengths = np.fromiter(
+            map(len, batch.chunks), dtype=np.int64, count=len(batch.chunks)
+        )
+        lanes_of = -(-lengths // lane_len)
+        self.first = np.cumsum(lanes_of) - lanes_of
+        self.num_lanes = int(lanes_of.sum())
+        self.job_of_lane = np.repeat(np.arange(len(lengths)), lanes_of)
+        self.live = live = np.flatnonzero(lanes_of)
+        self.live_first = self.first[live]
+        self.live_last = self.live_first + lanes_of[live] - 1
+        # history row holding a job's final state: the one after its last byte
+        self.live_last_row = lengths[live] - (lanes_of[live] - 1) * lane_len
+
+    def run(
+        self,
+        carried: np.ndarray,
+        offsets: np.ndarray,
+        match_flags: np.ndarray,
+        walk: Walk,
+        lane_rows: int,
+    ) -> Tuple[Hits, np.ndarray]:
+        """Walk every lane with one kernel; return its hits and final states.
+
+        ``carried`` / ``offsets`` hold each job's carried-in state id and
+        stream offset; ``lane_rows`` is what one lane weighs in the tile
+        budget.  Hits carry the *state* that reported; the final-state array
+        has one id per job (an empty job ends where it started).
+        """
+        lane_len, num_lanes = self.lane_len, self.num_lanes
+        live, live_first, live_last = self.live, self.live_first, self.live_last
+        final = carried.copy()
+        tile = max(1, min(num_lanes, TILE_CELLS // lane_rows))
+        history = np.empty((lane_len + 1, tile), dtype=carried.dtype)
+        # the flag gather widens its indices to intp: eight slabs a tile keep
+        # that temporary a quarter of the history's size
+        slab = lane_len // 8 + 1
+        hit_positions: List[np.ndarray] = []
+        hit_states: List[np.ndarray] = []
+        for low in range(0, num_lanes, tile):
+            high = min(num_lanes, low + tile)
+            windows = sliding_window_view(self.data, self.lead + lane_len)
+            begin, end = np.searchsorted(live_first, (low, high))
+            walk(
+                windows[low * lane_len:high * lane_len:lane_len].T,
+                history[:, :high - low],
+                live_first[begin:end] - low,
+                live[begin:end],
+            )
+            begin, end = np.searchsorted(live_last, (low, high))
+            final[live[begin:end]] = history[
+                self.live_last_row[begin:end], live_last[begin:end] - low
+            ]
+            entered = history[1:, :high - low]
+            for top in range(0, lane_len, slab):
+                part = entered[top:top + slab]
+                steps, lanes = np.nonzero(match_flags.take(part))
+                if len(steps):
+                    hit_positions.append((lanes + low) * lane_len + steps + top)
+                    hit_states.append(part[steps, lanes])
+
+        if not hit_positions:
+            empty = np.empty(0, dtype=np.int64)
+            return (empty, empty, empty), final
+        positions = np.concatenate(hit_positions)
+        order = np.argsort(positions)
+        positions = positions[order]
+        jobs = self.job_of_lane[positions // lane_len]
+        within = positions - self.first[jobs] * lane_len
+        real = within < self.lengths[jobs]  # a short last lane also walked its padding
+        jobs = jobs[real]
+        return (
+            jobs,
+            offsets[jobs] + within[real] + 1,
+            np.concatenate(hit_states)[order][real],
+        ), final
+
+
+def expand_hits(hits: Hits, match_index: np.ndarray, match_pids: np.ndarray) -> Hits:
+    """One entry per reported pattern id instead of per reporting state,
+    ids in ``outputs[state]`` order (see :func:`pack_outputs`)."""
+    jobs, ends, states = hits
+    starts = match_index[states]
+    counts = match_index[states + 1] - starts
+    hit = np.repeat(np.arange(len(states)), counts)
+    nth = np.arange(len(hit)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return jobs[hit], ends[hit], match_pids[starts[hit] + nth]
+
+
+def split_matches(num_jobs: int, hits: Hits) -> List[MatchList]:
+    """Per-job ``(end_offset, id)`` lists from hits sorted by job."""
+    jobs, ends, ids = hits
+    if not len(jobs):
+        return [[] for _ in range(num_jobs)]
+    bounds = np.searchsorted(jobs, np.arange(num_jobs + 1)).tolist()
+    found = list(zip(ends.tolist(), ids.tolist()))
+    return [found[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
+def job_results(
+    flow_states: Sequence[FlowState],
+    batch: LaneBatch,
+    hits: Hits,
+    finals: Sequence[np.ndarray],
+) -> List[Tuple[MatchList, FlowState]]:
+    """One ``(matches, states)`` per job from its hits (sorted by job) and
+    the final-state array of each of the program's scan units."""
+    matches = split_matches(len(flow_states), hits)
+    if len(finals) == 1:
+        # the per-job zip/map below costs 0.5 us a job: 7 % of a dense batch
+        # of 256 flows x 512 B
+        return [
+            (found, (resumed(scan_state, state, chunk),))
+            for (scan_state,), chunk, found, state in zip(
+                flow_states, batch.chunks, matches, finals[0].tolist()
+            )
+        ]
+    return [
+        (found, tuple(map(resumed, states, ended, repeat(chunk))))
+        for states, chunk, found, ended in zip(
+            flow_states, batch.chunks, matches,
+            zip(*(final.tolist() for final in finals)),
+        )
+    ]
+
+
+class LaneKernelMixin(CompiledProgramMixin):
+    """The one scan entry of a program with a lane kernel.
+
+    A conforming class implements ``_scan_scalar(states, chunk)`` — the
+    byte-at-a-time loop, the reference semantics — and
+    ``_scan_lanes(flow_states, batch)`` returning one ``(matches, states)``
+    per packed job; ``match``/``scan``/``scan_from``/``scan_packets`` all
+    arrive here through :meth:`_scan_chunk`.
+    """
+
+    def scan_many(self, jobs: Sequence[ScanJob]) -> List[Tuple[MatchList, FlowState]]:
+        """Scan independent jobs together: every lane of every job advances
+        in the same kernel step.
+
+        The packed batch crosses :meth:`scan_chunk` like any other chunk
+        (``len(batch)`` is the payload byte count), so whatever observes the
+        backend boundary there sees one call carrying the batch's bytes.
+        """
+        batch = LaneBatch([chunk for _, chunk in jobs])
+        if len(batch) < KERNEL_MIN_BYTES:
+            return super().scan_many(jobs)
+        return self.scan_chunk([states for states, _ in jobs], batch)
+
+    def _scan_chunk(
+        self,
+        states: Union[FlowState, Sequence[FlowState]],
+        chunk: Union[bytes, LaneBatch],
+    ) -> Union[Tuple[MatchList, FlowState], List[Tuple[MatchList, FlowState]]]:
+        """One chunk resumed from ``states``; or, for a :class:`LaneBatch`,
+        one ``(matches, states)`` result per packed job (``states`` is then
+        the jobs' state tuples, in order)."""
+        if isinstance(chunk, LaneBatch):
+            return self._scan_lanes(states, chunk)
+        if len(chunk) >= KERNEL_MIN_BYTES:
+            return self._scan_lanes([states], LaneBatch([chunk]))[0]
+        return self._scan_scalar(states, chunk)
+
+    def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
+        raise NotImplementedError
+
+    def _scan_lanes(
+        self, flow_states: Sequence[FlowState], batch: LaneBatch
+    ) -> List[Tuple[MatchList, FlowState]]:
+        raise NotImplementedError

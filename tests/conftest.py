@@ -96,20 +96,21 @@ def text_with_patterns(rng: random.Random, patterns, length: int = 2000) -> byte
 
 @pytest.fixture
 def force_short_lanes(monkeypatch):
-    """Private test hook for the dense lane kernel (module constants, not an
-    option): every call takes the kernel, and ``force(program)`` makes its
-    lanes exactly one warm-up long — the shortest legal — with
-    ``lanes_per_tile`` lanes a tile, so a few dozen bytes cross lane cuts and
-    tile boundaries.  Returns the lane length."""
-    from repro.core import compiled
+    """Private test hook for the lane kernels (the shared driver's module
+    constants, not an option): every call takes the kernel, and
+    ``force(program)`` makes its lanes exactly one warm-up long — the
+    shortest legal — with ``lanes_per_tile`` dense lanes a tile (a dtp lane,
+    which keeps its warm-up and history bytes too, weighs two), so a few dozen
+    bytes cross lane cuts and tile boundaries.  Returns the lane length."""
+    from repro.core import lanes
 
-    monkeypatch.setattr(compiled, "KERNEL_MIN_BYTES", 0)
-    monkeypatch.setattr(compiled, "STEP_DISPATCH_CELLS", 1 << 40)
+    monkeypatch.setattr(lanes, "KERNEL_MIN_BYTES", 0)
+    monkeypatch.setattr(lanes, "STEP_DISPATCH_CELLS", 1 << 40)
 
     def force(program, lanes_per_tile: int = 3) -> int:
-        lane_len = program._lane_len(10_000)
+        lane_len = lanes.lane_length(program.warmup, 10_000)
         assert lane_len == program.warmup
-        monkeypatch.setattr(compiled, "TILE_CELLS", lanes_per_tile * (lane_len + 1))
+        monkeypatch.setattr(lanes, "TILE_CELLS", lanes_per_tile * (lane_len + 1))
         return lane_len
 
     return force

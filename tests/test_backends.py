@@ -20,7 +20,7 @@ from repro.backend import (
     get_backend,
 )
 from repro.core import CompiledDenseProgram, DTPAutomaton, compile_ruleset
-from repro.core import compiled
+from repro.core import compiled, lanes
 from repro.fpga import STRATIX_III
 from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
@@ -249,7 +249,7 @@ class TestDenseProgram:
         import numpy as np
 
         monkeypatch.setattr(compiled, "premultiplied_dtype", lambda n: np.dtype(np.int64))
-        monkeypatch.setattr(compiled, "KERNEL_MIN_BYTES", 0)
+        monkeypatch.setattr(lanes, "KERNEL_MIN_BYTES", 0)
         patterns = [b"he", b"she", b"hers", b"his"]
         program = CompiledDenseProgram.from_patterns(patterns)
         assert program.premultiplied.dtype == np.int64
@@ -260,26 +260,39 @@ class TestDenseProgram:
 # ----------------------------------------------------------------------
 # the lane kernel: every cut a batch can make, against the reference DFA
 # ----------------------------------------------------------------------
-LANE_PATTERNS = [b"he", b"she", b"hers", b"e", b"abcdef", b"cde", b"ef", b"\x00\x00"]
+LANE_PATTERNS = [
+    b"he", b"she", b"hers", b"e", b"abcdef", b"cde", b"ef", b"\x00\x00", b"\x00\x00\x01",
+]
 
 
-@pytest.fixture
-def short_lanes(force_short_lanes):
-    """The kernel on every call, 6-byte lanes, three lanes a tile."""
-    program = CompiledDenseProgram.from_patterns(LANE_PATTERNS)
-    lane_len = force_short_lanes(program)
-    assert lane_len == 6
-    return program, AhoCorasickDFA.from_patterns(LANE_PATTERNS), lane_len
+def final_state(reference, payload):
+    """The reference DFA's state after ``payload`` from the root."""
+    state = 0
+    for state in reference.iter_states(payload):
+        pass
+    return state
 
 
 def scalar_scan(program, states, chunk):
-    """The signed-row loop, whatever the kernel threshold is patched to."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(compiled, "KERNEL_MIN_BYTES", 1 << 30)
-        return program.scan_chunk(states, chunk)
+    """The byte-at-a-time loop, whatever the kernel threshold is patched to."""
+    return program._scan_scalar(states, chunk)
 
 
 class TestLaneKernel:
+    """The dense kernel; :class:`TestDtpLaneKernel` reruns every test here
+    on the DTP kernel through the same driver."""
+
+    compile = staticmethod(CompiledDenseProgram.from_patterns)
+    lanes_per_tile = 3
+
+    @pytest.fixture
+    def short_lanes(self, force_short_lanes):
+        """The kernel on every call, 6-byte lanes, three lanes a tile."""
+        program = self.compile(LANE_PATTERNS)
+        lane_len = force_short_lanes(program, self.lanes_per_tile)
+        assert lane_len == 6
+        return program, AhoCorasickDFA.from_patterns(LANE_PATTERNS), lane_len
+
     def test_every_pattern_at_every_offset_across_cuts_and_tiles(self, short_lanes):
         """One job of eight lanes (three tiles): each pattern slides over
         every lane cut and tile boundary; match lists are compared in order,
@@ -298,11 +311,19 @@ class TestLaneKernel:
 
     def test_padding_is_never_reported(self, short_lanes):
         """A short last lane walks zero padding: the all-zero pattern must
-        not match there, nor in the lead before the first job."""
+        not match there, nor in the lead before the first job — and a fresh
+        flow has no bytes before its first: the zeros in front of it in the
+        packed buffer must not complete ``00 00`` or ``00 00 01`` (for the
+        dtp kernel: fire a depth-2/3 default)."""
         program, reference, lane_len = short_lanes
         for length in range(1, 3 * lane_len):
-            payload = b"\x00" * length
-            assert program.match(payload) == reference.match(payload), length
+            for payload in (b"\x00" * length, b"\x00" * (length - 1) + b"\x01"):
+                assert program.match(payload) == reference.match(payload), payload
+        # ... nor when the fresh flows sit behind other jobs' bytes and padding
+        payloads = [b"\x00", b"\x01", b"\x00\x01", b"\x00\x00", b"\x01\x00\x00\x01", b"\x00"]
+        results = program.scan_many([(program.initial_scan_states(), p) for p in payloads])
+        assert [m for m, _ in results] == [reference.match(p) for p in payloads]
+        assert [s.state for _, (s,) in results] == [final_state(reference, p) for p in payloads]
 
     def test_jobs_of_every_awkward_length_with_carried_state(self, short_lanes):
         """scan_many over jobs of length 0, 1, lane_len - 1, lane_len,
@@ -312,7 +333,7 @@ class TestLaneKernel:
         program, reference, lane_len = short_lanes
         period = b"xshersxabcdefx"
         stream = period * 12
-        lengths = [0, 1, lane_len - 1, lane_len, lane_len + 1, 2 * lane_len,
+        lengths = [0, 1, 2, lane_len - 1, lane_len, lane_len + 1, 2 * lane_len,
                    3 * lane_len + 2, 0, 5, 1]
         for head in range(1, len(period) + 1):
             jobs, expected = [], []
@@ -337,15 +358,18 @@ class TestLaneKernel:
                 alphabet=b"hesrabcdf",
             )
             expected = reference.match(payload)
+            ended = final_state(reference, payload)
             assert program.match(payload) == expected
-            assert scalar_scan(program, program.initial_scan_states(), payload)[0] == expected
+            one_shot = program.scan_chunk(program.initial_scan_states(), payload)
+            assert one_shot == scalar_scan(program, program.initial_scan_states(), payload)
+            assert (one_shot[0], one_shot[1][0].state) == (expected, ended)
             cuts = sorted(rng.sample(range(len(payload) + 1), 3))
             pieces = [payload[a:b] for a, b in zip([0] + cuts, cuts + [len(payload)])]
             states, streamed = program.initial_scan_states(), []
             for piece in pieces:
                 found, states = program.scan_chunk(states, piece)
                 streamed.extend(found)
-            assert streamed == expected
+            assert (streamed, states) == one_shot
             # the same pieces as four independent flows in one batch
             batched = program.scan_many(
                 [(program.initial_scan_states(), piece) for piece in pieces]
@@ -359,12 +383,12 @@ class TestLaneKernel:
         rng = random.Random(3)
         long_pattern = bytes(rng.randrange(1, 256) for _ in range(700))
         patterns = [long_pattern, b"needle"]
-        program = CompiledDenseProgram.from_patterns(patterns)
+        program = self.compile(patterns)
         reference = AhoCorasickDFA.from_patterns(patterns)
-        for total in (0, 1, 700, compiled.KERNEL_MIN_BYTES, 1 << 16, 1 << 24):
-            assert program._lane_len(total) >= program.warmup == 700
-        size = 3 * compiled.KERNEL_MIN_BYTES
-        lane_len = program._lane_len(size)
+        for total in (0, 1, 700, lanes.KERNEL_MIN_BYTES, 1 << 16, 1 << 24):
+            assert lanes.lane_length(program.warmup, total) >= program.warmup == 700
+        size = 3 * lanes.KERNEL_MIN_BYTES
+        lane_len = lanes.lane_length(program.warmup, size)
         for offset in (lane_len - 699, lane_len - 350, lane_len - 1, lane_len, 2 * lane_len + 5):
             payload = bytearray(b"y" * size)
             payload[offset:offset + 700] = long_pattern
@@ -375,7 +399,7 @@ class TestLaneKernel:
         """Nothing forced: 40 flows x 2 KB with planted strings, one
         scan_many call vs one reference match per flow."""
         ruleset = generate_snort_like_ruleset(60, seed=12)
-        program = CompiledDenseProgram.from_patterns(ruleset.patterns)
+        program = self.compile(ruleset.patterns)
         reference = AhoCorasickDFA.from_patterns(ruleset.patterns)
         rng = random.Random(13)
         payloads = []
@@ -390,6 +414,126 @@ class TestLaneKernel:
         )
         assert [m for m, _ in results] == [reference.match(p) for p in payloads]
         assert any(m for m, _ in results)
+
+
+class TestDtpLaneKernel(TestLaneKernel):
+    """Every cut above through the DTP kernel — stored pointers in the
+    row-displacement table, everything else by default transition — plus what
+    only that kernel has: the two-byte history a default compares."""
+
+    compile = staticmethod(DTPAutomaton.from_patterns)
+    lanes_per_tile = 6  # a dtp lane weighs two: three lanes a tile again
+
+    def test_kernel_is_the_step_loop(self, short_lanes):
+        """Byte for byte the state ``step()`` reaches, on traffic where both
+        pointer kinds are exercised at every step parity."""
+        program, reference, lane_len = short_lanes
+        rng = random.Random(5)
+        payload = random_payload(
+            rng, LANE_PATTERNS, length=9 * lane_len + 1, alphabet=b"hesrabcdf\x00\x01"
+        )
+        walked = list(program.iter_states(payload))
+        assert walked == list(reference.iter_states(payload))
+        for stop in range(len(payload) + 1):
+            _, (state,) = program.scan_chunk(program.initial_scan_states(), payload[:stop])
+            assert state.state == ([0] + walked)[stop], stop
+            assert (state.prev1, state.prev2) == (
+                payload[stop - 1] if stop >= 1 else None,
+                payload[stop - 2] if stop >= 2 else None,
+            )
+
+    def test_depth3_default_straddling_a_job_boundary(self, short_lanes):
+        """A job whose first byte comes one or two bytes after a depth-3
+        default's prefix began in the flow's previous segment: the default can
+        only fire on the carried ``prev1``/``prev2`` (the bytes before the job
+        in the packed buffer are another flow's), and must fire."""
+        program, reference, lane_len = short_lanes
+        assert program.defaults.d3
+        jobs, expected = [], []
+        for byte, entry in sorted(program.defaults.d3.items()):
+            triple = bytes(entry.preceding_bytes) + bytes([byte])
+            before = reference.table[reference.table[0][triple[0]]][triple[1]]
+            assert byte not in program.stored[before], "the transition must be pruned"
+            stream = b"zz" + triple + b"zz" * lane_len
+            for cut in (3, 4):  # one and two bytes into the triple
+                found, states = scalar_scan(program, program.initial_scan_states(), stream[:cut])
+                jobs.append((states, stream[cut:]))
+                expected.append(reference.match(stream)[len(found):])
+                # the neighbour in the packed buffer ends in the same prefix:
+                # a fresh flow starting with the default's byte must stay shallow
+                jobs.append((program.initial_scan_states(), stream[cut:]))
+                expected.append(reference.match(stream[cut:]))
+        results = program.scan_many(jobs)
+        assert [m for m, _ in results] == expected
+        for (states, body), (_, after) in zip(jobs, results):
+            assert after == scalar_scan(program, states, body)[1]
+
+    def test_checkpoint_hand_over_dtp_dense_dtp(self, short_lanes):
+        """A flow changes backend twice mid-pattern, through JSON-shaped
+        checkpoints, every leg on its lane kernel: dense keeps the history
+        the DTP kernel needs when it takes the flow back."""
+        program, reference, lane_len = short_lanes
+        dense = CompiledDenseProgram.from_patterns(LANE_PATTERNS)
+        stream = (b"xushersx\x00\x00\x01abcdefx" * 4)[: 7 * lane_len]
+        for first in range(1, len(stream) - 1, 5):
+            for second in range(first + 1, len(stream), 7):
+                found, states = [], program.initial_scan_states()
+                legs = ((program, stream[:first]), (dense, stream[first:second]),
+                        (program, stream[second:]))
+                for backend, piece in legs:
+                    restored = tuple(
+                        ScanState.from_tuple(json.loads(json.dumps(s.as_tuple())))
+                        for s in states
+                    )
+                    ((matches, states),) = backend.scan_many([(restored, piece)])
+                    found.extend(matches)
+                assert found == reference.match(stream), (first, second)
+                assert states[0].state == final_state(reference, stream)
+
+
+class TestAcceleratorLaneKernel:
+    """The device-compiled program: one packed batch, one kernel run per
+    block, hits merged per job in ``(end_offset, string_number)`` order."""
+
+    @pytest.mark.parametrize("blocks_per_group", (1, 2, 3))
+    def test_multi_block_batches_merge_in_order(self, force_short_lanes, blocks_per_group):
+        ruleset = generate_snort_like_ruleset(40, seed=21)
+        program = compile_ruleset(ruleset, STRATIX_III, blocks_per_group=blocks_per_group)
+        assert len(program.blocks) == blocks_per_group
+        lane_len = force_short_lanes(program, lanes_per_tile=8)
+        assert lane_len == max(map(len, ruleset.patterns))
+        dense = get_backend("dense").compile(ruleset.patterns)
+        rng = random.Random(22)
+        patterns = list(ruleset.patterns)
+        streams = []
+        for flow in range(6):
+            body = bytearray(rng.randrange(256) for _ in range(3 * lane_len + 7 * flow))
+            for pattern in rng.sample(patterns, 5):
+                offset = rng.randrange(len(body) - len(pattern))
+                body[offset:offset + len(pattern)] = pattern
+            # two strings of different blocks ending on the same byte
+            streams.append(bytes(body) + patterns[flow] + patterns[-1 - flow])
+        # each flow resumes mid-stream: every block carries its own state
+        heads = [program._scan_scalar(program.initial_scan_states(), s[:flow + 1])
+                 for flow, s in enumerate(streams)]
+        jobs = [(states, s[flow + 1:]) for flow, (s, (_, states)) in enumerate(zip(streams, heads))]
+        results = program.scan_many(jobs)
+        for (found, after), (states, body), stream, (head, _) in zip(results, jobs, streams, heads):
+            assert (found, after) == program._scan_scalar(states, body)
+            assert head + found == sorted(dense.match(stream))
+            assert len(after) == blocks_per_group
+        assert any(found for found, _ in results)
+        # the same bytes one-shot through match(): the mixin's default entry
+        assert [program.match(s) for s in streams] == [sorted(dense.match(s)) for s in streams]
+
+    def test_wrong_state_count_is_rejected_on_both_paths(self, force_short_lanes):
+        ruleset = generate_snort_like_ruleset(20, seed=8)
+        program = compile_ruleset(ruleset, STRATIX_III, blocks_per_group=2)
+        with pytest.raises(ValueError, match="per-block scan states"):
+            program.scan_chunk((ScanState(),), b"short")
+        force_short_lanes(program)
+        with pytest.raises(ValueError, match="per-block scan states"):
+            program.scan_many([((ScanState(),), b"anything at all")])
 
 
 class TestConsumersThroughProtocol:

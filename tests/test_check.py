@@ -16,6 +16,7 @@ The load-bearing properties:
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.backend import get_backend
@@ -154,6 +155,81 @@ def _mutate_dtp(program):
     program.stored[state][byte] = 0 if program.stored[state][byte] != 0 else 1
 
 
+def _dtp_pointer_slot(program):
+    """(state, slot) of the one stored pointer of the Figure 2 automaton."""
+    state = next(s for s in range(program.num_states) if program.stored[s])
+    return state, int(program.base[state]) + next(iter(program.stored[state]))
+
+
+def _mutate_dtp_check(program):
+    # the kernel would no longer find the pointer: a default fires instead
+    program.check[_dtp_pointer_slot(program)[1]] = -1
+
+
+def _mutate_dtp_next(program):
+    program.next[_dtp_pointer_slot(program)[1]] -= 1
+
+
+def _mutate_dtp_base(program):
+    # the row now reads its neighbours' slots
+    program.base[_dtp_pointer_slot(program)[0]] += 1
+
+
+def _mutate_dtp_phantom_slot(program):
+    # the root stores nothing; a slot in its window claiming it would be taken
+    slot = next(
+        int(program.base[0]) + byte for byte in range(256)
+        if program.check[int(program.base[0]) + byte] < 0
+    )
+    program.check[slot] = 0
+
+
+def _mutate_dtp_default12(program):
+    # 'h' then 'e' is the depth-2 default "he"
+    program.default12[ord("h") * 257 + ord("e")] = 0
+
+
+def _mutate_dtp_default12_at_stream_start(program):
+    # prev1 = None (256): the depth-1 default of 'h' with no byte before it
+    program.default12[256 * 257 + ord("h")] = 0
+
+
+def _mutate_dtp_d3_key(program):
+    # the depth-3 default "she" would fire after "sg", and not after "sh"
+    program.d3_key[ord("e")] -= 1
+
+
+def _mutate_dtp_d3_state(program):
+    program.d3_state[ord("e")] -= 1
+
+
+def _mutate_dtp_warmup(program):
+    program.warmup -= 1
+
+
+def _mutate_dtp_flag(program):
+    program.match_flags[int(program.match_flags.nonzero()[0][0])] = False
+
+
+def _mutate_dtp_packed_outputs(program):
+    program.match_pids[0] = (program.match_pids[0] + 1) % len(program.patterns)
+
+
+DTP_KERNEL_MUTATIONS = [
+    pytest.param(_mutate_dtp_check, "DTP007", id="check-entry"),
+    pytest.param(_mutate_dtp_next, "DTP007", id="next-entry"),
+    pytest.param(_mutate_dtp_base, "DTP007", id="base-entry"),
+    pytest.param(_mutate_dtp_phantom_slot, "DTP007", id="phantom-slot"),
+    pytest.param(_mutate_dtp_default12, "DTP008", id="default-table-entry"),
+    pytest.param(_mutate_dtp_default12_at_stream_start, "DTP008", id="default-table-none-row"),
+    pytest.param(_mutate_dtp_d3_key, "DTP008", id="d3-key"),
+    pytest.param(_mutate_dtp_d3_state, "DTP008", id="d3-state"),
+    pytest.param(_mutate_dtp_warmup, "DTP009", id="warmup-length"),
+    pytest.param(_mutate_dtp_flag, "DTP005", id="match-flag"),
+    pytest.param(_mutate_dtp_packed_outputs, "DTP005", id="packed-match-pid"),
+]
+
+
 BACKEND_MUTATIONS = [
     pytest.param("ac", _mutate_ac, id="ac-table-entry"),
     pytest.param("dense", _mutate_dense_table, id="dense-table-entry"),
@@ -175,6 +251,23 @@ class TestMutationDetection:
         mutate(program)
         report = program.verify()
         assert report.errors, f"{backend} mutation went undetected"
+
+    @pytest.mark.parametrize("mutate, code", DTP_KERNEL_MUTATIONS)
+    def test_dtp_kernel_view_corruption_names_its_code(self, mutate, code):
+        """One corrupt entry of one lane-kernel view: the structures the
+        paper describes are untouched, so only the view's own proof fails."""
+        program = get_backend("dtp").compile(FIG2_PATTERNS)
+        assert program.verify().ok
+        mutate(program)
+        assert {d.code for d in program.verify().errors} == {code}
+
+    def test_corrupt_kernel_view_in_accelerator_block(self):
+        ruleset = generate_snort_like_ruleset(60, seed=5)
+        program = compile_ruleset(ruleset, get_device("stratix3"))
+        assert verify_program(program).ok
+        dtp = program.blocks[0].dtp
+        dtp.next[int(np.flatnonzero(dtp.check >= 0)[0])] += 1
+        assert {d.code for d in verify_program(program).errors} == {"DTP007"}
 
     def test_corrupt_stored_pointer_in_accelerator_block(self):
         ruleset = generate_snort_like_ruleset(60, seed=5)

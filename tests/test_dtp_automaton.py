@@ -1,11 +1,14 @@
 """Tests for the DTP-compressed automaton — the paper's core contribution."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import AhoCorasickDFA
 from repro.core import DTPAutomaton, build_default_transition_table
+from repro.core.dtp_automaton import displace_rows
+from repro.core.lanes import LaneBatch
 
 
 class TestFigure2Example:
@@ -104,6 +107,50 @@ class TestStatistics:
         assert len(dtp.states_exceeding(limit - 1)) >= 1
 
 
+class TestKernelViews:
+    """The lane kernel's flat views of ``stored`` and the lookup table (the
+    static proof of them is ``repro.check``'s DTP007-009)."""
+
+    def test_row_displacement_holds_exactly_the_stored_pointers(self, small_ruleset):
+        dtp = DTPAutomaton.from_ruleset(small_ruleset)
+        pointers = [
+            (state, byte, target)
+            for state, row in enumerate(dtp.stored) for byte, target in row.items()
+        ]
+        states, symbols, targets = map(np.array, zip(*pointers))
+        slots = dtp.base[states] + symbols
+        assert len(set(slots.tolist())) == len(pointers), "two pointers share a slot"
+        assert (dtp.check[slots] == states).all() and (dtp.next[slots] == targets).all()
+        assert int((dtp.check >= 0).sum()) == len(pointers)  # and nothing else is owned
+
+    def test_layout_is_a_function_of_the_pointers(self, small_ruleset):
+        first = DTPAutomaton.from_ruleset(small_ruleset)
+        again = DTPAutomaton.from_ruleset(small_ruleset)
+        for view in ("base", "check", "next", "default12", "d3_key", "d3_state"):
+            assert np.array_equal(getattr(first, view), getattr(again, view)), view
+
+    @pytest.mark.parametrize("rows, per_row", [(5, 256), (40, 200), (300, 120), (0, 0)])
+    def test_crowded_rows_still_find_room(self, rows, per_row):
+        """Near-full rows cannot interleave; the table grows until they fit."""
+        rng = np.random.default_rng(rows)
+        states = np.repeat(np.arange(rows) * 3, per_row)  # states in between store nothing
+        symbols = np.concatenate(
+            [np.sort(rng.choice(256, per_row, replace=False)) for _ in range(rows)]
+            or [np.empty(0, dtype=np.int64)]
+        )
+        targets = rng.integers(0, 3 * rows + 1, len(states))
+        base, check, following = displace_rows(states, symbols, targets, 3 * rows + 1)
+        slots = base[states] + symbols
+        assert (check[slots] == states).all() and (following[slots] == targets).all()
+        assert int((check >= 0).sum()) == len(states)
+
+    def test_verify_proves_the_views_of_random_automata(self, rng):
+        for count in (1, 3, 12):
+            patterns = {bytes(rng.choice(b"ab\x00") for _ in range(rng.randint(1, 5)))
+                        for _ in range(count)}
+            assert DTPAutomaton.from_patterns(sorted(patterns)).verify().ok, patterns
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     patterns=st.lists(st.binary(min_size=1, max_size=6), min_size=1, max_size=15, unique=True),
@@ -114,6 +161,15 @@ def test_dtp_equivalent_to_dfa_property(patterns, data):
     dfa = AhoCorasickDFA.from_patterns(patterns)
     dtp = DTPAutomaton(dfa)
     assert sorted(dtp.match(data)) == sorted(dfa.match(data))
+    # ... and so is the lane kernel, to the byte-at-a-time loop: order, final
+    # state and history included, in two jobs so one resumes mid-stream
+    fresh = dtp.initial_scan_states()
+    head, resumed = dtp._scan_scalar(fresh, data[:len(data) // 3])
+    (whole, tail) = dtp._scan_lanes(
+        [fresh, resumed], LaneBatch([data, data[len(data) // 3:]])
+    )
+    assert whole == dtp._scan_scalar(fresh, data)
+    assert (head + tail[0], tail[1]) == whole
 
 
 @settings(max_examples=15, deadline=None)

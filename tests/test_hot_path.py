@@ -8,9 +8,10 @@ that fast path to the per-segment contract from three directions:
 * **boundary splits** — every pattern, split at every offset across 2 and 3
   segment boundaries, must match identically one-shot vs streamed vs batched
   (the ScanState tail-carry property under the new code path);
-* **lane cuts** — the dense backend takes a whole batch as one ``scan_many``
-  call and cuts it into lanes; with tiny lanes forced, interleaved flows
-  split at every offset must still equal the plain DFA, flow by flow;
+* **lane cuts** — the dense and dtp backends take a whole batch as one
+  ``scan_many`` call and cut it into lanes; with tiny lanes forced,
+  interleaved flows split at every offset must still equal the plain DFA,
+  flow by flow;
 * **statistics parity** — the batched path must report byte-identical
   :class:`ScannerStatistics` and :class:`FlowTableStatistics` counters, and
   leave the identical LRU recency order, as segment-at-a-time scanning;
@@ -118,10 +119,11 @@ class TestLaneKernelBatches:
     The reference is the plain DFA backend scanned segment by segment."""
 
     PATTERNS = [b"he", b"she", b"hers", b"aBcDeF", b"abcdef", b"ef"]
+    compile = staticmethod(get_backend("dense").compile)
 
     @pytest.fixture
     def short_lanes(self, force_short_lanes):
-        program = get_backend("dense").compile(self.PATTERNS)
+        program = self.compile(self.PATTERNS)
         force_short_lanes(program, lanes_per_tile=4)
         return program
 
@@ -175,6 +177,76 @@ class TestLaneKernelBatches:
         assert expected
         assert batch_events(StreamScanner(short_lanes), make_key(), segments) == expected
         assert segment_events(StreamScanner(short_lanes), make_key(), segments) == expected
+
+
+class TestDtpLaneKernelBatches(TestLaneKernelBatches):
+    """The same batches through the DTP kernel, whose per-flow state also
+    carries the two history bytes (compared against the ``ac`` backend's,
+    which maintains them byte by byte)."""
+
+    compile = staticmethod(get_backend("dtp").compile)
+
+
+class TestAcceleratorLaneKernelBatches:
+    """... and through the device-compiled program, two blocks a group: one
+    state per block and flow, block hits merged per segment in string-number
+    order — so the reference is the same program walked segment by segment."""
+
+    events_of = staticmethod(TestLaneKernelBatches.events_of)
+
+    @pytest.fixture
+    def short_lanes(self, force_short_lanes):
+        from repro.core import compile_ruleset
+        from repro.fpga import STRATIX_III
+
+        program = compile_ruleset(
+            RuleSet.from_patterns(TestLaneKernelBatches.PATTERNS), STRATIX_III,
+            blocks_per_group=2,
+        )
+        force_short_lanes(program, lanes_per_tile=8)
+        return program
+
+    @pytest.mark.parametrize("track_nocase", (False, True))
+    def test_interleaved_flows_split_at_every_offset(self, short_lanes, track_nocase):
+        body = b"..ushers..aBcDeF..ABCDEF.."
+        for cut in range(len(body) + 1):
+            streams = [body[n:] + body[:n] for n in range(5)]
+            items = [(make_key(n), stream[:cut], n) for n, stream in enumerate(streams)]
+            tail = [(make_key(n), stream[cut:], 5 + n) for n, stream in enumerate(streams)]
+            reference = StreamScanner(short_lanes, track_nocase=track_nocase)
+            reference._scan_many = lambda jobs: [  # the byte-at-a-time loop
+                short_lanes._scan_scalar(states, chunk) for states, chunk in jobs
+            ]
+            expected = [reference.scan_segment(*item) for item in items + tail]
+            assert any(expected)
+            batched = StreamScanner(short_lanes, track_nocase=track_nocase)
+            first, _ = batched.scan_batch(items)
+            second, _ = batched.scan_batch(tail)
+            assert self.events_of(first + second) == self.events_of(expected), cut
+            assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+            for key in reference.flows.keys():
+                assert batched.flows.peek(key).states == reference.flows.peek(key).states
+                assert (
+                    batched.flows.peek(key).lower_states
+                    == reference.flows.peek(key).lower_states
+                )
+
+
+def test_forced_short_lanes_hold_the_differential_harness(force_short_lanes):
+    """``assert_equivalent_events`` with both kernels on tiny lanes: the
+    device-compiled dtp program and the dense table, in-memory and replayed
+    from a capture, byte-identical events, shard reports and gauges."""
+    from tests.conftest import assert_equivalent_events, build_program, equivalence_workload
+
+    ruleset, packets = equivalence_workload(num_rules=30, flows=7, num_packets=4, seed=19)
+    lane_len = force_short_lanes(build_program(ruleset, "dtp"), lanes_per_tile=8)
+    assert lane_len == force_short_lanes(build_program(ruleset, "dense"), lanes_per_tile=8)
+    reference = assert_equivalent_events(
+        ruleset, packets, backends=("dtp", "dense", "ac"), worker_counts=(None,),
+        track_nocase=True,
+    )
+    assert reference.events, "boundary-split flows should produce events"
+    assert sum(len(p.payload) for p in packets) > 20 * lane_len
 
 
 # ----------------------------------------------------------------------
