@@ -4,8 +4,10 @@
     python3 benchmarks/e2e/run.py --workload benign_bulk_dense ... | tail -n 1 > benign.json
     python3 benchmarks/e2e/run.py --workload deep_state_dense  ... | tail -n 1 > deep.json
     python3 benchmarks/e2e/run.py --workload benign_bulk_dtp   ... | tail -n 1 > dtp.json
+    python3 benchmarks/e2e/run.py --workload hit_heavy_confirm ... | tail -n 1 > hits.json
     python3 benchmarks/gate_rate_spread.py benign.json deep.json
     python3 benchmarks/gate_rate_spread.py benign.json dtp.json 4
+    python3 benchmarks/gate_rate_spread.py benign.json hits.json 6
 
 Each file holds one ``run.py`` result line; the gate fails (exit 1) when the
 first run's ``throughput_mb_s`` divided by the second's exceeds the bound
@@ -13,13 +15,19 @@ first run's ``throughput_mb_s`` divided by the second's exceeds the bound
 of two runs on the same runner cannot be tripped by a slow runner nor excused
 by a fast one.
 
-Two uses.  The *guaranteed-rate spread*: the paper guarantees one byte per
+Three uses.  The *guaranteed-rate spread*: the paper guarantees one byte per
 cycle whatever the traffic; the software form is that ``deep_state_dense``
 (every byte continues a rule prefix) scans about as fast as
 ``benign_bulk_dense`` (1.48 before the dense lane kernel, ~1.0 with it; bound
 1.3).  The *price of the paper's structure*: the same rules and bytes on
 ``dtp`` — stored pointers plus default-transition table — against ``dense``
-(14 before the DTP lane kernel, ~2.2 with it; bound 4).
+(14 before the DTP lane kernel, ~2.2 with it; bound 4).  The *price of a
+hit*: in the paper a match costs a match-memory read, not a slower cycle; the
+software form is ``hit_heavy_confirm`` (the same 500 rules, three planted
+strings per flow) against ``benign_bulk_dense`` (36 while the confirm stage
+asked every candidate rule on every packet, ~2.7 since it asks only the rules
+a packet's events touch — the rest is 512-byte against 1460-byte segments;
+bound 6).
 """
 
 from __future__ import annotations

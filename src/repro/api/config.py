@@ -41,6 +41,7 @@ from typing import (
     Union,
 )
 
+from ..capture import pcap as capture_pcap, replay as capture_replay
 from ..proto.reassembly import (
     DEFAULT_MAX_FLOW_BYTES,
     DEFAULT_REASSEMBLY_FLOWS,
@@ -744,11 +745,13 @@ def _load_generator_source(session, spec: SourceSpec) -> LoadedSource:
 
 
 def _load_pcap_source(session, spec: SourceSpec) -> LoadedSource:
-    from ..capture.pcap import read_capture
-    from ..capture.replay import load_packets
-
-    capture = read_capture(session.config.resolve(spec.path))
-    packets, stats = load_packets(capture, strict=session.config.engine.strict)
+    # module attributes, not function-level imports: this runs once at the
+    # top of every pcap pass, cold, where two trips through the import
+    # machinery are a quarter of Session.run()'s untraced glue
+    capture = capture_pcap.read_capture(session.config.resolve(spec.path))
+    packets, stats = capture_replay.load_packets(
+        capture, strict=session.config.engine.strict
+    )
     return LoadedSource(packets=packets, capture=capture, stats=stats)
 
 

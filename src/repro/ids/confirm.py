@@ -37,19 +37,58 @@ evaluator in the test suite):
 
 A rule without negation is *monotone* — once its predicate holds on a
 prefix it holds on the flow — so the pipeline alerts at the first packet
-where confirmation succeeds.  Rules with negation can only be confirmed
-once no more bytes can arrive: :meth:`ConfirmStage.finalize_flow` decides
-them at flow end or eviction, attributing the alert to the flow's last
-seen packet.
+where confirmation succeeds.  A negated component is decided as soon as its
+window is: a bounded one (``depth``/``within``) mid-stream, once the flow has
+grown past the window's end; an unbounded one (and a negated pcre or sticky
+content) only when no more bytes can arrive —
+:meth:`ConfirmStage.finalize_flow` decides those at flow end or eviction,
+attributing the alert to the flow's last seen packet.
+
+Which rules a packet can turn true (the event-driven due set)
+-------------------------------------------------------------
+``check`` is never run for "every candidate rule on every packet".  At
+construction the stage inverts its evaluators into an index *prefilter string
+number → rules with a positive raw step on it* — one for raw-view events
+(every such step) and one for lowered-view events (``nocase`` steps only: a
+case-sensitive step never sees a lowered hit) — and sorts the rules into
+three classes:
+
+* **event-only** — no pcre, no sticky-buffer content, no negated content.
+  The verdict is a function of the steps' occurrence lists alone, and lists
+  only grow, so it can turn true only on a packet that appended to one of
+  them: the rule is asked on the packets whose events the index maps to it.
+* **growth-sensitive** — any pcre, sticky or negated component.  The verdict
+  can flip with no new positive hit (a bounded negation window closes as
+  ``length`` grows, a pcre or an ``http_uri`` matches bytes of a later
+  hit-free segment).  It still needs every positive raw step to have
+  occurred, so it is false until the index first maps an event of the flow
+  to it; from then on the flow keeps it in its ``touched`` set and asks it
+  on every packet until it alerts.
+* **unanchored** — growth-sensitive with no positive raw step (a pure
+  sticky-buffer rule): no event can announce it, so it sits in ``touched``
+  from the flow's first packet.
+
+Per packet the due set is ``index[this packet's events] ∪ touched``,
+restricted to the flow's header candidates, minus the rules that already
+alerted, asked in rule-file order so alerts come out in the order the
+exhaustive loop produced.  ``check`` is pure, so asking a rule
+that cannot have changed is always safe and asking too few never is; the
+naive evaluator in the test suite (every rule on every packet) is the
+reference.  ``touched`` is not checkpointed: it is re-derived from the
+restored occurrence positions (every recorded position was once an event).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..proto.http import HttpStream
 from ..rulesets.parser import RulePredicate
 from ..streaming.flow import FlowKey
+from ..traffic.packet import FiveTuple, Packet
+from .classifier import CANDIDATE_CACHE_LIMIT
 
 
 class _Step:
@@ -150,6 +189,10 @@ class RuleEvaluator:
         #: the raw positive steps: the cheap candidacy gate (sticky steps
         #: have no prefilter occurrences to gate on)
         self.positive_steps = [s for s in self.steps if not s.negated]
+        #: verdict can flip with no new positive hit (see the module docstring)
+        self.growth_sensitive = bool(
+            self.pcres or self.sticky_steps or len(self.positive_steps) < len(self.steps)
+        )
 
     def _sticky_ok(self, http: Optional[HttpStream], at_end: bool) -> bool:
         """Evaluate the sticky-buffer contents against the flow's normalized
@@ -241,25 +284,43 @@ class RuleEvaluator:
         return True
 
 
+class _Candidates(NamedTuple):
+    """One header-candidate list and what the stage derives from it, shared
+    by every flow whose header matched the same rules."""
+
+    sids: Tuple[int, ...]
+    members: FrozenSet[int]
+    #: the candidates no prefilter event can announce (pure sticky rules)
+    unanchored: FrozenSet[int]
+
+
 class _FlowRecord:
     """Per-flow confirm state: occurrence positions, optional byte buffer,
-    header-candidate sids, and which rules already alerted."""
+    header candidates, which rules already alerted, and which
+    growth-sensitive rules are re-asked as the flow grows."""
 
     __slots__ = (
         "positions", "lower_positions", "buffer", "length",
-        "alerted", "candidates", "last_packet_id", "http",
+        "alerted", "view", "last_packet_id", "http", "touched",
     )
 
-    def __init__(self):
+    def __init__(self, view: _Candidates):
         self.positions: Dict[int, List[int]] = {}
         self.lower_positions: Dict[int, List[int]] = {}
         self.buffer: Optional[bytearray] = None
         self.length = 0
         self.alerted: Set[int] = set()
-        self.candidates: Optional[Tuple[int, ...]] = None
+        self.view = view
         self.last_packet_id = -1
         #: the flow's HTTP normalizer (only when some rule is sticky)
         self.http: Optional[HttpStream] = None
+        #: growth-sensitive candidates asked on every packet until they
+        #: alert: the unanchored ones from the start, the rest once touched
+        self.touched: Set[int] = set(view.unanchored)
+
+    @property
+    def candidates(self) -> Tuple[int, ...]:
+        return self.view.sids
 
     @property
     def has_hits(self) -> bool:
@@ -269,6 +330,20 @@ class _FlowRecord:
             return True
         return self.http is not None and self.http.is_http
 
+    def absorb(self, packet_id: int, payload: bytes, events: Sequence) -> None:
+        """Fold one scanned packet in.  ``events`` carry flow-absolute end
+        offsets (the scanner's resumability contract), so positions
+        accumulate sorted per view without any per-segment rebasing."""
+        self.last_packet_id = packet_id
+        self.length += len(payload)
+        if self.buffer is not None:
+            self.buffer += payload
+        if self.http is not None:
+            self.http.feed(payload)
+        for event in events:
+            target = self.lower_positions if event.lowered else self.positions
+            target.setdefault(event.string_number, []).append(event.end_offset)
+
     def as_dict(self) -> Dict:
         return {
             "positions": {str(k): v for k, v in self.positions.items()},
@@ -276,14 +351,14 @@ class _FlowRecord:
             "buffer": None if self.buffer is None else bytes(self.buffer).hex(),
             "length": self.length,
             "alerted": sorted(self.alerted),
-            "candidates": None if self.candidates is None else list(self.candidates),
+            "candidates": list(self.view.sids),
             "last_packet_id": self.last_packet_id,
             "http": None if self.http is None else self.http.as_dict(),
         }
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "_FlowRecord":
-        record = cls()
+    def from_dict(cls, data: Dict, view: _Candidates) -> "_FlowRecord":
+        record = cls(view)
         record.positions = {int(k): list(v) for k, v in data["positions"].items()}
         record.lower_positions = {
             int(k): list(v) for k, v in data["lower_positions"].items()
@@ -292,8 +367,6 @@ class _FlowRecord:
         record.buffer = None if buffer is None else bytearray(bytes.fromhex(buffer))
         record.length = int(data["length"])
         record.alerted = set(data["alerted"])
-        candidates = data.get("candidates")
-        record.candidates = None if candidates is None else tuple(candidates)
         record.last_packet_id = int(data["last_packet_id"])
         http = data.get("http")
         record.http = None if http is None else HttpStream.from_dict(http)
@@ -303,10 +376,11 @@ class _FlowRecord:
 class ConfirmStage:
     """Correlates prefilter events into per-rule verdicts, flow by flow.
 
-    One instance backs both the serial and the process-parallel IDS paths
-    (it is fed from :class:`StreamMatch` events either way), replacing the
-    two separate ``FlowEntry`` / parent-side-mirror bookkeepings.  Flow
-    byte buffers are kept only when some rule actually carries a pcre.
+    One instance backs the serial and the process-parallel flow scans and
+    the stateless per-packet path (it is fed :class:`StreamMatch` events
+    every way).  Flow byte buffers are kept only when some rule actually
+    carries a pcre.  ``evaluators`` arrive in rule-file order, which is the
+    order verdicts are asked and alerts come out in.
     """
 
     def __init__(self, evaluators: Iterable[RuleEvaluator]):
@@ -317,44 +391,71 @@ class ConfirmStage:
         self.needs_http = any(e.needs_http for e in self.evaluators.values())
         #: insertion-ordered: finalize walks flows in first-seen order
         self._flows: Dict[FlowKey, _FlowRecord] = {}
+        # the event-driven due set (module docstring): string number -> sids
+        # with a positive raw step on it, per prefilter view.  A rule naming
+        # one string twice is listed twice; the due set is a set.
+        self._rank = {sid: rank for rank, sid in enumerate(self.evaluators)}
+        self._raw_index: Dict[int, List[int]] = {}
+        self._lower_index: Dict[int, List[int]] = {}
+        growth: Set[int] = set()
+        unanchored: Set[int] = set()
+        for sid, evaluator in self.evaluators.items():
+            if evaluator.growth_sensitive:
+                growth.add(sid)
+                if not evaluator.positive_steps:
+                    unanchored.add(sid)
+            for step in evaluator.positive_steps:
+                self._raw_index.setdefault(step.number, []).append(sid)
+                if step.nocase:
+                    self._lower_index.setdefault(step.number, []).append(sid)
+        self._growth = frozenset(growth)
+        self._unanchored = frozenset(unanchored)
+        self._requires_end = frozenset(
+            sid for sid, e in self.evaluators.items() if e.requires_end
+        )
+        self._views: Dict[Tuple[int, ...], _Candidates] = {}
 
     # ------------------------------------------------------------------
+    def _view(self, candidates: Iterable[int]) -> _Candidates:
+        sids = tuple(candidates)
+        view = self._views.get(sids)
+        if view is None:
+            if len(self._views) >= CANDIDATE_CACHE_LIMIT:
+                self._views.clear()
+            members = frozenset(sids)
+            view = self._views[sids] = _Candidates(
+                sids, members, self._unanchored & members
+            )
+        return view
+
+    def new_record(self, candidates: Iterable[int]) -> _FlowRecord:
+        """A flow record the stage does not track: :meth:`observe` creates
+        the tracked ones, the stateless per-packet path uses one per packet."""
+        record = _FlowRecord(self._view(candidates))
+        if self.needs_buffer:
+            record.buffer = bytearray()
+        if self.needs_http:
+            record.http = HttpStream()
+        return record
+
     def observe(
         self,
         key: FlowKey,
-        packet_id: int,
-        payload: bytes,
+        packet: Packet,
         events: Sequence,
-        candidates_fn: Callable[[], Sequence[int]],
+        classify: Callable[[Optional[FiveTuple]], Sequence[int]],
     ) -> _FlowRecord:
         """Fold one scanned packet's prefilter events into flow state.
 
-        ``events`` carry flow-absolute end offsets (the scanner's
-        resumability contract), so positions accumulate sorted per view
-        without any per-segment rebasing.  ``candidates_fn`` supplies the
-        packet's header-candidate sids; it is only called the first time a
-        flow is seen (the 5-tuple — and therefore the candidate set — is
-        constant across a flow's segments).  Returns the flow's record so
-        the caller can drive its verdict loop without re-deriving state.
+        ``classify`` supplies the header-candidate sids; it is only called
+        the first time a flow is seen (the 5-tuple — and therefore the
+        candidate set — is constant across a flow's segments).  Returns the
+        flow's record for :meth:`verdicts`.
         """
         record = self._flows.get(key)
         if record is None:
-            record = self._flows[key] = _FlowRecord()
-            if self.needs_buffer:
-                record.buffer = bytearray()
-            if self.needs_http:
-                record.http = HttpStream()
-        record.last_packet_id = packet_id
-        record.length += len(payload)
-        if record.buffer is not None:
-            record.buffer += payload
-        if record.http is not None:
-            record.http.feed(payload)
-        if record.candidates is None:
-            record.candidates = tuple(candidates_fn())
-        for event in events:
-            target = record.lower_positions if event.lowered else record.positions
-            target.setdefault(event.string_number, []).append(event.end_offset)
+            record = self._flows[key] = self.new_record(classify(packet.header))
+        record.absorb(packet.packet_id, packet.payload, events)
         return record
 
     def flow_keys(self) -> List[FlowKey]:
@@ -362,24 +463,14 @@ class ConfirmStage:
         return list(self._flows)
 
     # ------------------------------------------------------------------
-    def is_alerted(self, key: FlowKey, sid: int) -> bool:
-        record = self._flows.get(key)
-        return record is not None and sid in record.alerted
-
-    def mark_alerted(self, key: FlowKey, sid: int) -> None:
-        self._flows[key].alerted.add(sid)
-
     def _occurrences(self, record: _FlowRecord) -> OccurrenceFn:
         def occ(step: _Step) -> Sequence[int]:
             return merged_occurrences(step, record.positions, record.lower_positions)
 
         return occ
 
-    def check(self, key: FlowKey, sid: int, at_end: bool = False) -> bool:
-        """Evaluate rule ``sid`` against flow ``key``'s accumulated state."""
-        record = self._flows.get(key)
-        if record is None:
-            return False
+    def check(self, record: _FlowRecord, sid: int, at_end: bool = False) -> bool:
+        """Evaluate rule ``sid`` against a flow's accumulated state (pure)."""
         evaluator = self.evaluators[sid]
         occ = self._occurrences(record)
         # cheap candidacy gate: every positive content must occur somewhere
@@ -393,6 +484,38 @@ class ConfirmStage:
         )
         return evaluator.evaluate(occ, record.length, buffer, at_end, record.http)
 
+    def _confirmed(
+        self, record: _FlowRecord, due: Iterable[int], at_end: bool
+    ) -> List[int]:
+        """Ask the ``due`` rules in rule-file order; the ones that hold are
+        marked alerted (a rule alerts once per flow) and returned."""
+        out: List[int] = []
+        for sid in sorted(due, key=self._rank.__getitem__):
+            if self.check(record, sid, at_end):
+                record.alerted.add(sid)
+                record.touched.discard(sid)
+                out.append(sid)
+        return out
+
+    def verdicts(
+        self, record: _FlowRecord, events: Sequence, at_end: bool = False
+    ) -> List[int]:
+        """The rules the packet just absorbed confirms, in rule-file order.
+
+        ``events`` are that packet's prefilter events; only the rules they
+        can have changed, plus the flow's growth-sensitive ones, are asked
+        (the due set of the module docstring).
+        """
+        due: Set[int] = set()
+        for event in events:
+            index = self._lower_index if event.lowered else self._raw_index
+            due.update(index.get(event.string_number, ()))
+        due &= record.view.members
+        due -= record.alerted
+        record.touched |= due & self._growth
+        due |= record.touched
+        return self._confirmed(record, due, at_end)
+
     def finalize_flow(self, key: FlowKey) -> List[Tuple[int, int]]:
         """Decide end-of-flow rules (negation) for one flow.
 
@@ -403,17 +526,13 @@ class ConfirmStage:
         record = self._flows.get(key)
         if record is None:
             return []
-        out: List[Tuple[int, int]] = []
-        for sid in record.candidates or ():
-            evaluator = self.evaluators.get(sid)
-            if evaluator is None or not evaluator.requires_end:
-                continue
-            if sid in record.alerted:
-                continue
-            if self.check(key, sid, at_end=True):
-                record.alerted.add(sid)
-                out.append((record.last_packet_id, sid))
-        return out
+        # a pending end-of-flow rule is growth-sensitive: unless the flow
+        # touched it, one of its positive contents never occurred
+        due = record.touched & self._requires_end
+        return [
+            (record.last_packet_id, sid)
+            for sid in self._confirmed(record, due, at_end=True)
+        ]
 
     def drop(self, key: FlowKey) -> None:
         """Forget a flow (after eviction: the scanner restarts it at offset
@@ -437,7 +556,18 @@ class ConfirmStage:
         self._flows = {}
         for entry in data["flows"]:
             key = FlowKey.coerced(*entry["key"])
-            self._flows[key] = _FlowRecord.from_dict(entry)
+            record = _FlowRecord.from_dict(entry, self._view(entry["candidates"]))
+            # ``touched`` is not serialised: every number with a recorded
+            # position was once an event, so the index gives it back
+            for index, positions in (
+                (self._raw_index, record.positions),
+                (self._lower_index, record.lower_positions),
+            ):
+                for number in positions:
+                    record.touched.update(index.get(number, ()))
+            record.touched &= self._growth & record.view.members
+            record.touched -= record.alerted
+            self._flows[key] = record
 
 
 __all__ = ["ConfirmStage", "RuleEvaluator", "merged_occurrences"]

@@ -14,9 +14,14 @@ used on a router line card, as a *two-stage* software IDS:
    windows, negation, pcre — against the prefilter's absolute hit positions,
    and an alert is raised only when header and predicate both hold.
 
-Rules without negation alert at the first packet where the predicate holds;
-rules with negated components are decided at flow end (:meth:`finish`) or
-eviction, attributed to the flow's last seen packet.
+Every rule alerts at the first packet where its predicate holds mid-stream —
+a negated content with a bounded window (``depth``/``within``) included, once
+the flow has grown past the window.  Negated components that stay open as
+long as bytes can arrive (unbounded windows, negated pcres and sticky
+contents) are decided at flow end (:meth:`finish`) or eviction, attributed to
+the flow's last seen packet.  The confirm stage is event-driven: a packet asks
+only the rules its own prefilter events can have changed, plus the few the
+flow's growth alone can flip (see :mod:`repro.ids.confirm`).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from ..backend import CompiledProgram, get_backend
 from ..core.accelerator_config import compile_ruleset
 from ..fpga.devices import FPGADevice, STRATIX_III
 from ..hardware.accelerator import HardwareAccelerator
-from ..proto.http import HttpStream
 from ..rulesets.parser import (
     ContentPattern,
     RulePredicate,
@@ -37,11 +41,11 @@ from ..rulesets.parser import (
 )
 from ..rulesets.ruleset import RuleSet
 from ..streaming.executor import ParallelScanService
-from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowTable
-from ..streaming.scanner import StreamScanner
+from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
+from ..streaming.scanner import ANONYMOUS_FLOW, StreamMatch, StreamScanner
 from ..traffic.packet import Packet
 from .classifier import HeaderClassifier, HeaderPattern
-from .confirm import ConfirmStage, RuleEvaluator, merged_occurrences
+from .confirm import ConfirmStage, RuleEvaluator
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,6 @@ class IntrusionDetectionSystem:
         # Contents flagged nocase are stored lower-cased and additionally
         # searched in a lower-cased view of each payload.
         self._content_ruleset = RuleSet(name="ids-contents")
-        self._string_to_rules: Dict[bytes, Set[int]] = {}
         self._nocase_patterns: Set[bytes] = set()
         for rule in rules:
             for content in rule.predicate.contents:
@@ -178,8 +181,6 @@ class IntrusionDetectionSystem:
                 pattern = content.effective_pattern()
                 if content.nocase:
                     self._nocase_patterns.add(pattern)
-                if not content.negated:
-                    self._string_to_rules.setdefault(pattern, set()).add(rule.sid)
                 if pattern not in self._content_ruleset:
                     self._content_ruleset.add_pattern(pattern)
         if len(self._content_ruleset) == 0:
@@ -204,22 +205,17 @@ class IntrusionDetectionSystem:
                     f"backend, not {backend!r}"
                 )
             self.program = get_backend(backend).compile(self._content_ruleset.patterns)
-        self._number_to_pattern = {
-            index: rule.pattern for index, rule in enumerate(self._content_ruleset)
-        }
         number_of = {
             rule.pattern: index for index, rule in enumerate(self._content_ruleset)
         }
         self._nocase_numbers = {number_of[p] for p in self._nocase_patterns}
-        #: per-rule compiled predicates bound to the prefilter numbering
-        self._evaluators: Dict[int, RuleEvaluator] = {
-            rule.sid: RuleEvaluator(rule.sid, rule.predicate, number_of)
-            for rule in rules
-        }
-        #: the confirm stage: one instance correlates both the serial and
-        #: the parallel flow scan (it is fed from StreamMatch events either
-        #: way), replacing the old FlowEntry/parent-mirror bookkeeping
-        self._confirm = ConfirmStage(self._evaluators.values())
+        #: the confirm stage: per-rule predicates bound to the prefilter
+        #: numbering, in rule order.  One instance correlates the serial and
+        #: the parallel flow scan and the stateless :meth:`process` (it is
+        #: fed from StreamMatch events every way)
+        self._confirm = ConfirmStage(
+            RuleEvaluator(rule.sid, rule.predicate, number_of) for rule in rules
+        )
         self.accelerator: Optional[HardwareAccelerator] = (
             HardwareAccelerator(self.program) if use_hardware_model else None
         )
@@ -323,24 +319,27 @@ class IntrusionDetectionSystem:
         )
 
     # ------------------------------------------------------------------
-    def _match_positions(
-        self, payload: bytes
-    ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """Occurrence end-offsets per string number, raw and lowered view.
+    def _alert(self, packet_id: int, sid: int) -> Alert:
+        rule = self.rules[sid]
+        self.stats.alerts_raised += 1
+        return Alert(packet_id=packet_id, sid=sid, msg=rule.msg, action=rule.action)
+
+    def _packet_events(self, packet: Packet) -> List[StreamMatch]:
+        """One packet's prefilter events, raw view then lowered view.
 
         The payload is scanned as-is; when any rule uses ``nocase`` a
         lower-cased copy is scanned as well (its hits credit only the
         case-insensitive patterns at evaluation time).
         """
         matcher = self._matcher  # accelerator and program share the protocol
-        raw: Dict[int, List[int]] = {}
-        for end, number in matcher.match(payload):
-            raw.setdefault(number, []).append(end)
-        lower: Dict[int, List[int]] = {}
+        views = [(packet.payload, False)]
         if self._nocase_patterns:
-            for end, number in matcher.match(payload.lower()):
-                lower.setdefault(number, []).append(end)
-        return raw, lower
+            views.append((packet.payload.lower(), True))
+        return [
+            StreamMatch(ANONYMOUS_FLOW, packet.packet_id, end, number, lowered)
+            for payload, lowered in views
+            for end, number in matcher.match(payload)
+        ]
 
     def process(self, packets: Sequence[Packet]) -> List[Alert]:
         """Run the full pipeline over ``packets`` and return the alerts raised.
@@ -349,42 +348,23 @@ class IntrusionDetectionSystem:
         negation included — are decided per packet (``at_end`` semantics).
         """
         alerts: List[Alert] = []
+        confirm = self._confirm
         for packet in packets:
             self.stats.packets_processed += 1
             self.stats.payload_bytes += len(packet.payload)
-            raw, lower = self._match_positions(packet.payload)
-            hits = set(raw) | (set(lower) & self._nocase_numbers)
-            self.stats.content_matches += len(hits)
-            candidates = self.classifier.classify(packet.header)
-            self.stats.header_candidates += len(candidates)
-            http: Optional[HttpStream] = None
-            if self._confirm.needs_http:
-                # stateless: the packet is its own flow, so it gets its own
-                # normalizer (mirroring the per-flow one in scan_flow)
-                http = HttpStream()
-                http.feed(packet.payload)
-            for sid in candidates:
-                evaluator = self._evaluators[sid]
-
-                def occ(step, raw=raw, lower=lower):
-                    return merged_occurrences(step, raw, lower)
-
-                if not all(occ(step) for step in evaluator.positive_steps):
-                    continue
-                buffer = packet.payload if evaluator.needs_buffer else None
-                if evaluator.evaluate(
-                    occ, len(packet.payload), buffer, at_end=True, http=http
-                ):
-                    rule = self.rules[sid]
-                    alerts.append(
-                        Alert(
-                            packet_id=packet.packet_id,
-                            sid=sid,
-                            msg=rule.msg,
-                            action=rule.action,
-                        )
-                    )
-                    self.stats.alerts_raised += 1
+            events = self._packet_events(packet)
+            self.stats.content_matches += len({
+                event.string_number
+                for event in events
+                if not event.lowered or event.string_number in self._nocase_numbers
+            })
+            # the packet is its own flow: a record of its own (with its own
+            # pcre buffer and HTTP normalizer), never tracked by the stage
+            record = confirm.new_record(self.classifier.classify(packet.header))
+            self.stats.header_candidates += len(record.candidates)
+            record.absorb(packet.packet_id, packet.payload, events)
+            for sid in confirm.verdicts(record, events, at_end=True):
+                alerts.append(self._alert(packet.packet_id, sid))
         return alerts
 
     # ------------------------------------------------------------------
@@ -449,6 +429,7 @@ class IntrusionDetectionSystem:
     def _correlate(
         self,
         packets: Sequence[Packet],
+        keys: Sequence[FlowKey],
         per_packet_events: Sequence[Sequence],
         evictions: Sequence,
     ) -> List[Alert]:
@@ -463,6 +444,7 @@ class IntrusionDetectionSystem:
         """
         alerts: List[Alert] = []
         confirm = self._confirm
+        classify = self.classifier.classify
         next_eviction = 0
         for index, packet in enumerate(packets):
             self.stats.packets_processed += 1
@@ -478,46 +460,17 @@ class IntrusionDetectionSystem:
                 _, evicted_key = evictions[next_eviction]
                 next_eviction += 1
                 for packet_id, sid in confirm.finalize_flow(evicted_key):
-                    rule = self.rules[sid]
-                    alerts.append(
-                        Alert(
-                            packet_id=packet_id,
-                            sid=sid,
-                            msg=rule.msg,
-                            action=rule.action,
-                        )
-                    )
-                    self.stats.alerts_raised += 1
+                    alerts.append(self._alert(packet_id, sid))
                 confirm.drop(evicted_key)
-            key = StreamScanner.flow_key(packet)
-            record = confirm.observe(
-                key,
-                packet.packet_id,
-                packet.payload,
-                events,
-                lambda packet=packet: self.classifier.classify(packet.header),
-            )
+            record = confirm.observe(keys[index], packet, events, classify)
             self.stats.header_candidates += len(record.candidates)
             # no prefilter hit and no normalized HTTP buffer on this flow
             # yet -> no rule can pass its candidacy gate: keep the no-hit
             # hot path free of per-rule work
             if not record.has_hits:
                 continue
-            for sid in record.candidates:
-                if sid in record.alerted:
-                    continue
-                if confirm.check(key, sid):
-                    rule = self.rules[sid]
-                    alerts.append(
-                        Alert(
-                            packet_id=packet.packet_id,
-                            sid=sid,
-                            msg=rule.msg,
-                            action=rule.action,
-                        )
-                    )
-                    confirm.mark_alerted(key, sid)
-                    self.stats.alerts_raised += 1
+            for sid in confirm.verdicts(record, events):
+                alerts.append(self._alert(packet.packet_id, sid))
         return alerts
 
     def scan_flow(self, packets: Sequence[Packet]) -> List[Alert]:
@@ -529,11 +482,12 @@ class IntrusionDetectionSystem:
         completes, and a multi-content predicate may gather its occurrences
         over several segments (the events' end offsets stay flow-absolute,
         which is what positional windows are resolved against).  A rule
-        without negated components alerts at most once per tracked flow, at
-        the first packet where its predicate holds; rules with negation are
-        decided when the flow ends — call :meth:`finish` after the last
-        segment — or when its state is evicted under memory pressure.
-        Evicted flows restart from scratch.
+        alerts at most once per tracked flow, at the first packet where its
+        predicate holds; negated components still open then (an unbounded
+        window, a negated pcre or sticky content) are decided when the flow
+        ends — call :meth:`finish` after the last segment — or when its
+        state is evicted under memory pressure.  Evicted flows restart from
+        scratch.
 
         Content matching always uses the software automaton here, even when
         the IDS was built with ``use_hardware_model=True`` (which only
@@ -551,13 +505,14 @@ class IntrusionDetectionSystem:
         if self.workers is not None:
             return self._scan_flow_parallel(packets)
         scanner = self.flow_scanner
+        keys = [scanner.flow_key(packet) for packet in packets]
         per_packet_events, evictions = scanner.scan_batch(
             [
-                (scanner.flow_key(packet), packet.payload, packet.packet_id)
-                for packet in packets
+                (key, packet.payload, packet.packet_id)
+                for key, packet in zip(keys, packets)
             ]
         )
-        return self._correlate(packets, per_packet_events, evictions)
+        return self._correlate(packets, keys, per_packet_events, evictions)
 
     def _scan_flow_parallel(self, packets: Sequence[Packet]) -> List[Alert]:
         """The :meth:`scan_flow` pipeline over the parallel shard executor.
@@ -571,34 +526,27 @@ class IntrusionDetectionSystem:
         """
         service = self.parallel_service
         _, per_packet_events, evictions = service.scan_annotated(packets)
-        return self._correlate(packets, per_packet_events, evictions)
+        keys = [StreamScanner.flow_key(packet) for packet in packets]
+        return self._correlate(packets, keys, per_packet_events, evictions)
 
     def finish(self) -> List[Alert]:
         """Decide the pending end-of-flow verdicts of every tracked flow.
 
-        Rules with negated components cannot alert mid-stream — a later
-        byte could still land in a negation window — so after the last
-        segment of the workload, call :meth:`finish` to evaluate them with
-        the flows closed.  Alerts are attributed to each flow's last seen
+        A negated component whose window is still open cannot alert
+        mid-stream — a later byte could still land in it — so after the last
+        segment of the workload, call :meth:`finish` to evaluate those rules
+        with the flows closed.  Alerts are attributed to each flow's last seen
         packet, flows are walked in first-seen order, and the call is
         idempotent (decided rules are marked, state is kept for inspection).
         Rules without negation never alert here: their predicates are
         monotone, so a prefix that failed keeps failing on the same bytes.
         """
-        alerts: List[Alert] = []
-        for key in self._confirm.flow_keys():
-            for packet_id, sid in self._confirm.finalize_flow(key):
-                rule = self.rules[sid]
-                alerts.append(
-                    Alert(
-                        packet_id=packet_id,
-                        sid=sid,
-                        msg=rule.msg,
-                        action=rule.action,
-                    )
-                )
-                self.stats.alerts_raised += 1
-        return alerts
+        confirm = self._confirm
+        return [
+            self._alert(packet_id, sid)
+            for key in confirm.flow_keys()
+            for packet_id, sid in confirm.finalize_flow(key)
+        ]
 
     # ------------------------------------------------------------------
     # checkpoint / restore (serial flow scan)

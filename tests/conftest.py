@@ -16,6 +16,8 @@ their own comparison loops.
 from __future__ import annotations
 
 import io
+import ipaddress
+import json
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +28,7 @@ from repro.backend import get_backend
 from repro.capture import replay_scan, write_packets
 from repro.core import DTPAutomaton, compile_ruleset
 from repro.fpga import CYCLONE_III, STRATIX_III
+from repro.proto import HttpStream
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ParallelScanService, ScanService
 from repro.traffic import Packet, TrafficGenerator
@@ -309,17 +312,64 @@ def naive_occurrence_ends(data: bytes, content) -> List[int]:
     return ends
 
 
+def naive_header_match(rule_header, header) -> bool:
+    """Does a parsed rule's header admit a packet's 5-tuple?  Written apart
+    from :mod:`repro.ids.classifier` (no parsing shared, nothing cached);
+    covers the forms the differential workloads use — ``any``, an address or
+    CIDR block, a port, ``lo:hi``/``lo:``/``:hi``, and ``!`` negation."""
+    if header is None:
+        return True
+    if rule_header.protocol not in ("ip", "any", header.protocol):
+        return False
+
+    def ip_ok(pattern: str, address: str) -> bool:
+        if pattern == "any":
+            return True
+        inside = ipaddress.ip_address(address) in ipaddress.ip_network(
+            pattern.lstrip("!"), strict=False
+        )
+        return inside != pattern.startswith("!")
+
+    def port_ok(pattern: str, port: int) -> bool:
+        if pattern == "any":
+            return True
+        low, colon, high = pattern.lstrip("!").partition(":")
+        if colon:
+            inside = int(low or 0) <= port <= int(high or 65535)
+        else:
+            inside = port == int(low)
+        return inside != pattern.startswith("!")
+
+    return (
+        ip_ok(rule_header.src_ip, header.src_ip)
+        and ip_ok(rule_header.dst_ip, header.dst_ip)
+        and port_ok(rule_header.src_port, header.src_port)
+        and port_ok(rule_header.dst_port, header.dst_port)
+    )
+
+
 def naive_rule_match(spec, data: bytes, at_end: bool) -> bool:
     """Evaluate one parsed rule over a whole (reassembled) flow prefix.
 
     An independent implementation of the documented predicate semantics
     (see :mod:`repro.ids.confirm`): occurrence windows by ``bytes.find``,
     chain backtracking by plain recursion, negation decided when the window
-    is provably complete, pcre via :mod:`re` over the full bytes.  This is
-    the ground truth the two-stage pipeline is differentially tested
-    against; it shares no code with the prefilter or the confirm stage.
+    is provably complete, pcre via :mod:`re` over the full bytes, sticky
+    buffers by normalizing the whole prefix in one shot (no incremental
+    state).  This is the ground truth the two-stage pipeline is
+    differentially tested against; it shares no code with the prefilter or
+    the confirm stage, and it evaluates every rule on every packet.
     """
     contents = list(spec.contents)
+
+    def sticky_ok(content) -> bool:
+        stream = HttpStream()
+        stream.feed(data)
+        buffer = stream.buffer(content.buffer)
+        if content.nocase:
+            buffer = buffer.lower()
+        found = content.effective_pattern() in buffer
+        return (not found and at_end) if content.negated else found
 
     def window(content, doe):
         if content.is_relative:
@@ -344,6 +394,8 @@ def naive_rule_match(spec, data: bytes, at_end: bool) -> bool:
         if index == len(contents):
             return pcres_ok()
         content = contents[index]
+        if content.is_sticky:
+            return sticky_ok(content) and chain(index + 1, doe)
         length = len(content.pattern)
         lo, hi = window(content, doe)
         ends = naive_occurrence_ends(data, content)
@@ -370,11 +422,10 @@ def naive_reference_alerts(specs, packets: Sequence[Packet]) -> List[Tuple[int, 
     prefixes: a rule alerts once per flow at the first packet where its
     predicate holds mid-stream, and rules with negated components get one
     more evaluation at flow end, attributed to the flow's last packet, with
-    flows walked in first-seen order.  Assumes wildcard rule headers (what
-    the randomized predicate workloads use), so every rule is a candidate
-    for every flow.
+    flows walked in first-seen order.  A rule is a candidate for the flows
+    its header admits (:func:`naive_header_match`).
     """
-    active = [spec for spec in specs if spec.positive_contents]
+    loaded = [spec for spec in specs if spec.positive_contents]
     flows: Dict[object, Dict] = {}
     out: List[Tuple[int, int]] = []
     for packet in packets:
@@ -383,17 +434,23 @@ def naive_reference_alerts(specs, packets: Sequence[Packet]) -> List[Tuple[int, 
                packet.header.protocol) if packet.header is not None else None
         state = flows.get(key)
         if state is None:
-            state = flows[key] = {"data": bytearray(), "last": -1, "alerted": set()}
+            state = flows[key] = {
+                "data": bytearray(), "last": -1, "alerted": set(),
+                "active": [
+                    spec for spec in loaded
+                    if naive_header_match(spec.header, packet.header)
+                ],
+            }
         state["data"] += packet.payload
         state["last"] = packet.packet_id
-        for spec in active:
+        for spec in state["active"]:
             if spec.sid in state["alerted"]:
                 continue
             if naive_rule_match(spec, bytes(state["data"]), at_end=False):
                 state["alerted"].add(spec.sid)
                 out.append((packet.packet_id, spec.sid))
     for state in flows.values():  # insertion order = first-seen order
-        for spec in active:
+        for spec in state["active"]:
             if spec.sid in state["alerted"]:
                 continue
             requires_end = any(c.negated for c in spec.contents) or any(
@@ -407,15 +464,36 @@ def naive_reference_alerts(specs, packets: Sequence[Packet]) -> List[Tuple[int, 
     return out
 
 
-def random_predicate_rules(ruleset: RuleSet, seed: int, num_rules: int = 12):
+#: rule headers over the 5-tuples :class:`TrafficGenerator` draws (tcp/udp,
+#: 10/8 -> 192.168/16, source ports >= 1024, eight destination ports): each
+#: admits some flows and rejects others, so candidates != all rules
+MIXED_RULE_HEADERS = (
+    "alert ip any any -> any any",
+    "alert tcp any any -> any any",
+    "alert ip any any -> any 80",
+    "alert ip any any -> any !443",
+    "alert ip any any -> any :1024",
+    "alert ip any 1024:32767 -> any any",
+    "alert ip any any -> 192.168.0.0/17 any",
+    "alert udp !10.128.0.0/9 any -> any any",
+)
+
+
+def random_predicate_rules(
+    ruleset: RuleSet,
+    seed: int,
+    num_rules: int = 12,
+    headers: Sequence[str] = ("alert ip any any -> any any",),
+):
     """Randomized full-grammar rules over a synthetic ruleset's patterns.
 
     Builds rule *lines* (then parses them, so the parser is in the loop):
-    wildcard headers, 1–3 contents drawn from ``ruleset`` (later ones may be
-    negated), random offset/depth/distance/within windows, occasional
-    ``nocase`` and ``pcre`` options.  Patterns come from the same ruleset
-    the traffic generator injects, so prefilter hits are guaranteed and the
-    windows decide the interesting part.
+    a header drawn from ``headers`` (wildcard by default), 1–3 contents
+    drawn from ``ruleset`` (later ones may be negated), random
+    offset/depth/distance/within windows, occasional ``nocase`` and ``pcre``
+    options.  Patterns come from the same ruleset the traffic generator
+    injects, so prefilter hits are guaranteed and the windows decide the
+    interesting part.
     """
     from repro.rulesets import parse_rules, render_content
 
@@ -455,9 +533,7 @@ def random_predicate_rules(ruleset: RuleSet, seed: int, num_rules: int = 12):
                 flags = "i" if rng.random() < 0.5 else ""
                 options.append(f'pcre:{bang}"/{fragment}.*/{flags}"')
         options.append(f"sid:{5000 + index}")
-        lines.append(
-            "alert ip any any -> any any (" + "; ".join(options) + ";)"
-        )
+        lines.append(f"{rng.choice(headers)} (" + "; ".join(options) + ";)")
     return parse_rules(lines)
 
 
@@ -484,11 +560,16 @@ def assert_equivalent_alerts(
     worker_counts: Sequence[Optional[int]] = (None, 2),
     sources: Sequence[str] = ("memory", "pcap"),
     flow_capacity: int = 4096,
+    restore_at: Optional[int] = None,
 ) -> List[Tuple[int, int]]:
     """Differentially check the two-stage pipeline against the naive
     reference: every backend × workers × source combination must produce the
     naive evaluator's exact ``(packet_id, sid)`` alert sequence.  Returns
     that sequence so callers can assert workload-specific properties.
+
+    With ``restore_at`` every serial in-memory combination is run once more
+    with a checkpoint → JSON → restore into a fresh IDS before packet
+    ``restore_at`` (a parallel IDS checkpoints through its scan service).
     """
     from repro.capture import replay_ids
     from repro.ids import IntrusionDetectionSystem
@@ -518,4 +599,16 @@ def assert_equivalent_alerts(
                 assert got == expected, (
                     f"{label} alerts differ from the naive reference"
                 )
+        if restore_at is not None and None in worker_counts and "memory" in sources:
+            with IntrusionDetectionSystem.from_specs(specs, backend=backend) as ids:
+                alerts = ids.scan_flow(packets[:restore_at])
+                saved = json.loads(json.dumps(ids.checkpoint()))
+            with IntrusionDetectionSystem.from_specs(specs, backend=backend) as ids:
+                ids.restore(saved)
+                alerts += ids.scan_flow(packets[restore_at:]) + ids.finish()
+            got = [(alert.packet_id, alert.sid) for alert in alerts]
+            assert got == expected, (
+                f"backend={backend} alerts differ from the naive reference "
+                f"after a checkpoint/restore before packet {restore_at}"
+            )
     return expected

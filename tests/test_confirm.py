@@ -12,7 +12,12 @@ Three layers of coverage:
   end);
 * :class:`TestDifferential` — randomized full-grammar rulesets scanned
   through every {backend} × {serial, workers} × {memory, pcap} combination
-  must produce the naive reference evaluator's exact alert sequence.
+  must produce the naive reference evaluator's exact alert sequence;
+* :class:`TestEventDrivenIndex` — the same harness aimed at the confirm
+  stage's due set (which rules a packet asks): header-restricted
+  candidates, the lowered-view index, shared and repeated strings, verdicts
+  that flip on packets with no prefilter event, eviction, alert order, and
+  a count of ``check`` calls that locks the property without a clock.
 """
 
 import io
@@ -27,16 +32,18 @@ from repro.api import (
     SourceSpec,
 )
 from repro.capture import replay_ids, write_packets
-from repro.ids import IntrusionDetectionSystem, RuleEvaluator
+from repro.ids import ConfirmStage, IntrusionDetectionSystem, RuleEvaluator
 from repro.rulesets import (
     RuleParseError,
     generate_snort_like_ruleset,
     parse_rule,
     parse_rules,
 )
+from repro.streaming import FlowKey
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import (
+    MIXED_RULE_HEADERS,
     assert_equivalent_alerts,
     naive_reference_alerts,
     naive_rule_match,
@@ -47,12 +54,12 @@ from tests.conftest import (
 WILDCARD = "alert ip any any -> any any "
 
 
-def _flow(payloads, src_port=1111, start_id=0):
+def _flow(payloads, src_port=1111, start_id=0, dst_port=80):
     header = FiveTuple(
         src_ip="10.0.0.1",
         dst_ip="10.0.0.2",
         src_port=src_port,
-        dst_port=80,
+        dst_port=dst_port,
         protocol="tcp",
     )
     return [
@@ -344,16 +351,21 @@ class TestPipeline:
 class TestDifferential:
     @pytest.mark.parametrize("seed", [11, 29, 47])
     def test_randomized_predicates_match_naive_reference(self, seed):
-        ruleset = generate_snort_like_ruleset(18, seed=seed)
+        ruleset = generate_snort_like_ruleset(24, seed=seed)
         generator = TrafficGenerator(ruleset, seed=seed + 1)
-        packets = TrafficGenerator.interleave(
-            generator.flows(5, num_packets=3, split_patterns=1, whole_patterns=2)
+        flows = generator.flows(24, num_packets=3, split_patterns=1, whole_patterns=2)
+        packets = TrafficGenerator.interleave(flows)
+        specs = random_predicate_rules(
+            ruleset, seed=seed, num_rules=64, headers=MIXED_RULE_HEADERS
         )
-        specs = random_predicate_rules(ruleset, seed=seed, num_rules=10)
         expected = assert_equivalent_alerts(specs, packets)
         # the workload must actually exercise the confirm stage: traffic is
-        # built from the same patterns the rules window over
-        assert expected, "workload produced no alerts; weaken the windows"
+        # built from the same patterns the rules window over, and the mixed
+        # headers must leave some rule out of some flow's candidates
+        assert len(expected) >= 24, "workload barely alerts; weaken the windows"
+        classifier = IntrusionDetectionSystem.from_specs(specs).classifier
+        sizes = {len(classifier.classify(flow.header)) for flow in flows}
+        assert len(sizes) > 1 and max(sizes) < len(specs)
 
     def test_handcrafted_mixed_grammar_matches_naive_reference(self):
         lines = [
@@ -385,3 +397,167 @@ class TestDifferential:
         with IntrusionDetectionSystem.from_specs(specs, backend="dtp") as ids:
             alerts = replay_ids(io.BytesIO(buffer.getvalue()), ids)
         assert _alert_pairs(alerts) == naive_reference_alerts(specs, packets)
+
+
+# ----------------------------------------------------------------------
+# the event-driven due set: which rules a packet asks
+# ----------------------------------------------------------------------
+HTTP_TAIL = b" HTTP/1.1\r\nHost: a\r\n\r\n"
+
+#: verdicts that flip on a packet carrying no prefilter event: (rule, the
+#: flow's segments, the packet that alerts)
+GROWTH_ONLY_FLIPS = {
+    "bounded negation window closes": (
+        WILDCARD + '(content:"ab"; content:!"zz"; distance:0; within:8; sid:1;)',
+        [b"ab..", b"........", b"...."],
+        1,
+    ),
+    "pcre matches bytes of a later segment": (
+        WILDCARD + '(content:"cmd"; pcre:"/cmd.*END/"; sid:1;)',
+        [b"run cmd ", b"... END", b"...."],
+        1,
+    ),
+    "http_uri completed by a later segment": (
+        'alert tcp any any -> any any (content:"GET"; content:"/cmd.exe"; '
+        "http_uri; sid:1;)",
+        [b"GET /cm", b"d.exe" + HTTP_TAIL, b"...."],
+        1,
+    ),
+}
+
+
+class TestEventDrivenIndex:
+    def test_port_restricted_rules_are_asked_only_on_their_flows(self):
+        lines = [
+            'alert tcp any any -> any 80 (content:"needle"; sid:1;)',
+            'alert tcp any any -> any 8080 (content:"needle"; sid:2;)',
+            'alert tcp any any -> any 1024: (content:"needle"; content:!"zz"; sid:3;)',
+            'alert tcp any any -> any :1023 (content:"thread"; nocase; sid:4;)',
+            WILDCARD + '(content:"needle"; content:"thread"; sid:5;)',
+        ]
+        packets = (
+            _flow([b"a needle", b"a THREAD"], src_port=1000, dst_port=80)
+            + _flow([b"a needle", b"a thread"], src_port=2000, start_id=2, dst_port=8080)
+            + _flow([b"a thread"], src_port=3000, start_id=4, dst_port=443)
+        )
+        expected = assert_equivalent_alerts(parse_rules(lines), packets)
+        assert expected == [(0, 1), (1, 4), (2, 2), (3, 5), (4, 4), (3, 3)]
+
+    def test_lowered_view_hit_reaches_only_the_nocase_rule(self):
+        """"CmD.ExE" is an event of the lowered view alone: the nocase rule
+        must be asked, the case-sensitive rule on the same bytes must not
+        alert — and does once the exact-case bytes arrive."""
+        lines = [
+            WILDCARD + '(content:"cmd.exe"; sid:1;)',
+            WILDCARD + '(content:"CMD.exe"; nocase; sid:2;)',
+        ]
+        packets = _flow([b"run CmD.", b"ExE now", b"then cmd.exe"])
+        expected = assert_equivalent_alerts(parse_rules(lines), packets)
+        assert expected == [(1, 2), (2, 1)]
+
+    def test_shared_and_repeated_strings(self):
+        """Two rules on one string are both asked by its event; a rule
+        naming one string twice is asked once and needs two occurrences."""
+        lines = [
+            WILDCARD + '(content:"ab"; content:"ab"; distance:0; sid:1;)',
+            WILDCARD + '(content:"ab"; sid:2;)',
+            WILDCARD + '(content:"ab"; content:"cd"; sid:3;)',
+        ]
+        packets = _flow([b"..ab..", b"..cd..", b"..ab.."])
+        expected = assert_equivalent_alerts(parse_rules(lines), packets)
+        assert expected == [(0, 2), (1, 3), (2, 1)]
+
+    @pytest.mark.parametrize("case", sorted(GROWTH_ONLY_FLIPS))
+    def test_growth_only_flip_on_a_packet_without_events(self, case):
+        line, payloads, alerting = GROWTH_ONLY_FLIPS[case]
+        specs = parse_rules([line])
+        packets = _flow(payloads)
+        with IntrusionDetectionSystem.from_specs(specs, backend="dense") as ids:
+            ids.scan_flow(packets[:alerting])
+            events, _ = ids.flow_scanner.scan_batch(
+                [(FlowKey.from_header(p.header), p.payload, p.packet_id)
+                 for p in packets[alerting:]]
+            )
+        assert events[0] == [], "the flipping packet must carry no prefilter event"
+        # the restore lands between the hit packet and the growth packet
+        expected = assert_equivalent_alerts(specs, packets, restore_at=alerting)
+        assert expected == [(alerting, 1)]
+
+    @pytest.mark.parametrize("backend", ["dtp", "dense"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_evicted_flow_alerts_again_on_a_new_hit(self, backend, workers):
+        """Eviction drops the flow's record (alerted set included): the
+        restarted flow is asked again and alerts again."""
+        lines = [
+            WILDCARD + '(content:"ab"; sid:1;)',
+            WILDCARD + '(content:"ab"; pcre:"/ab.*!/"; sid:2;)',
+        ]
+        ids = IntrusionDetectionSystem.from_specs(
+            parse_rules(lines), backend=backend, workers=workers
+        )
+        ids.reset_flows(capacity=1)
+        # two flows that share a shard, so the 1-slot table thrashes on
+        # the parallel path too
+        def shard(port):
+            if workers is None:
+                return 0
+            key = FlowKey.from_header(_flow([b""], src_port=port)[0].header)
+            return ids.parallel_service.shard_for(key)
+
+        ports = [1111, next(p for p in range(2000, 2100) if shard(p) == shard(1111))]
+        packets = (
+            _flow([b"ab!"], src_port=ports[0], start_id=0)
+            + _flow([b"..ab"], src_port=ports[1], start_id=1)
+            + _flow([b"ab", b"..!"], src_port=ports[0], start_id=2)
+        )
+        with ids:
+            alerts = ids.scan_flow(packets) + ids.finish()
+        assert _alert_pairs(alerts) == [
+            (0, 1), (0, 2), (1, 1), (2, 1), (3, 2),
+        ]
+
+    def test_rules_alerting_on_one_packet_keep_rule_file_order(self):
+        lines = [
+            WILDCARD + '(content:"cc"; sid:30;)',
+            WILDCARD + '(content:"aa"; pcre:"/aa/"; sid:10;)',
+            WILDCARD + '(content:"bb"; content:!"zz"; distance:0; within:2; sid:20;)',
+            WILDCARD + '(content:"aa"; content:"cc"; sid:5;)',
+        ]
+        # the strings arrive in the reverse of rule-file order
+        packets = _flow([b"aa bb cc .."])
+        expected = assert_equivalent_alerts(parse_rules(lines), packets)
+        assert expected == [(0, 30), (0, 10), (0, 20), (0, 5)]
+
+    @pytest.mark.parametrize("backend", ["dtp", "dense"])
+    def test_checks_scale_with_hits_not_with_rules_times_packets(
+        self, backend, monkeypatch
+    ):
+        """200 plain rules over 32 flows x 8 segments: ``check`` runs a few
+        times per planted string, not once per rule per later packet (an
+        every-candidate loop makes ~200 calls per packet after a flow's
+        first hit — tens of thousands here)."""
+        ruleset = generate_snort_like_ruleset(200, seed=5)
+        generator = TrafficGenerator(ruleset, seed=6)
+        flows = generator.flows(
+            32, num_packets=8, split_patterns=1, whole_patterns=2, segment_bytes=96
+        )
+        planted = sum(len(flow.injected_sids) for flow in flows)
+        calls = []
+        original = ConfirmStage.check
+
+        def counting(self, record, sid, at_end=False):
+            calls.append(sid)
+            return original(self, record, sid, at_end)
+
+        monkeypatch.setattr(ConfirmStage, "check", counting)
+        with IntrusionDetectionSystem.from_ruleset(ruleset, backend=backend) as ids:
+            alerts = ids.scan_flow(TrafficGenerator.interleave(flows)) + ids.finish()
+        flow_of = {p.packet_id: n for n, flow in enumerate(flows) for p in flow.packets}
+        assert sorted((flow_of[a.packet_id], a.sid) for a in alerts) == sorted(
+            (n, rule.sid)
+            for n, flow in enumerate(flows)
+            for rule in ruleset
+            if rule.pattern in flow.payload
+        )
+        assert planted == 32 * 3 and len(alerts) > planted // 2
+        assert len(alerts) <= len(calls) <= 4 * planted

@@ -57,6 +57,71 @@ class TestHeaderClassifier:
         classifier.add_rule(7, HeaderPattern(dst_port="80"))
         assert classifier.classify(None) == [7]
 
+    def test_one_test_per_distinct_pattern_per_header(self, monkeypatch):
+        """500 rules over three distinct header patterns cost three
+        ``matches`` calls a header, however the rules interleave."""
+        patterns = [
+            HeaderPattern(),
+            HeaderPattern(protocol="tcp", dst_port="80"),
+            HeaderPattern(dst_ip="192.168.0.0/16", src_port="!22"),
+        ]
+        classifier = HeaderClassifier()
+        for rule_id in range(500):
+            # equal patterns, distinct objects — as from_specs builds them
+            classifier.add_rule(rule_id, HeaderPattern(**vars(patterns[rule_id % 3])))
+        calls = []
+        original = HeaderPattern.matches
+
+        def counting(self, header):
+            calls.append(self)
+            return original(self, header)
+
+        monkeypatch.setattr(HeaderPattern, "matches", counting)
+        web = classifier.classify(header(dport=80))
+        assert web == list(range(500)) and len(calls) == 3
+        assert classifier.classify(header(dst="10.1.1.1", dport=443)) == list(range(0, 500, 3))
+        assert classifier.classify(header(dport=80)) == web and len(calls) == 9
+
+        # the returned list is the caller's to mutate
+        web.clear()
+        assert classifier.classify(header(dport=80)) == list(range(500))
+
+        # a rule added after a classify is seen by the next one
+        classifier.add_rule(500, HeaderPattern(dst_port="80"))
+        classifier.add_rule(501, HeaderPattern(dst_port="81"))
+        assert classifier.classify(header(dport=80)) == list(range(501))
+        assert len(classifier) == 502
+
+    @pytest.mark.parametrize(
+        "pattern, admitted, rejected",
+        [
+            (HeaderPattern(dst_ip="192.168.0.0/16"), header(), header(dst="10.1.2.3")),
+            (HeaderPattern(dst_ip="192.168.1.5"), header(), header(dst="192.168.1.6")),
+            (HeaderPattern(src_ip="!10.0.0.0/8"), header(src="172.16.0.1"), header()),
+            (HeaderPattern(src_ip="gateway"), header(src="gateway"), header()),
+            (HeaderPattern(dst_ip="!192.168.0.0/16"), header(dst="gateway"), header()),
+            (HeaderPattern(dst_port="1024:2048"), header(dport=2048), header(dport=2049)),
+            (HeaderPattern(dst_port=":1023"), header(dport=0), header(dport=1024)),
+            (HeaderPattern(src_port="1024:"), header(sport=65535), header(sport=1023)),
+            (HeaderPattern(src_port="!22"), header(sport=23), header(sport=22)),
+            (HeaderPattern(dst_port="!1:1023"), header(dport=8080), header(dport=80)),
+            (HeaderPattern(protocol="udp"), header(proto="udp"), header()),
+        ],
+    )
+    def test_pattern_forms_classify_as_their_field_tests_say(
+        self, pattern, admitted, rejected
+    ):
+        classifier = HeaderClassifier()
+        classifier.add_rule(1, HeaderPattern())
+        classifier.add_rule(2, pattern)
+        for _ in range(2):  # the second round is served from the cache
+            assert classifier.classify(admitted) == [1, 2]
+            assert classifier.classify(rejected) == [1]
+
+    def test_malformed_pattern_is_rejected_when_the_rule_is_added(self):
+        with pytest.raises(ValueError):
+            HeaderClassifier().add_rule(1, HeaderPattern(dst_port="$HTTP_PORTS"))
+
 
 class TestPipeline:
     def _rules(self):
