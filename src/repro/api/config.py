@@ -26,6 +26,7 @@ instead of forcing N×M hand-wiring.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -556,6 +557,13 @@ class SinkSpec:
 # ----------------------------------------------------------------------
 # the pipeline document
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=64)
+def _resolve_against(base_dir: str, path: str) -> str:
+    # memoised: every run() of every session over the same files asks again,
+    # cold, and posixpath answers in pure Python
+    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """One declarative document describing a complete scan run.
@@ -588,10 +596,9 @@ class PipelineConfig:
 
     def resolve(self, path: Union[str, pathlib.Path]) -> str:
         """Resolve ``path`` against the config file's directory when relative."""
-        path = os.fspath(path)
-        if not os.path.isabs(path) and self.base_dir:
-            return os.path.join(self.base_dir, path)
-        return path
+        if self.base_dir:
+            return _resolve_against(self.base_dir, os.fspath(path))
+        return os.fspath(path)
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain JSON/TOML-serialisable form, stamped with the version.

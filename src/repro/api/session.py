@@ -364,7 +364,11 @@ class Session:
         per-packet sum must not be repaid on every call.
         """
         if self._payload_bytes is _UNSET:
-            self._payload_bytes = sum(len(p.payload) for p in self.packets)
+            source = self._loaded_source
+            if source.stats is not None:  # a capture: the decoder counted them
+                self._payload_bytes = source.stats.payload_bytes
+            else:
+                self._payload_bytes = sum(len(p.payload) for p in source.packets)
         return self._payload_bytes
 
     @property
@@ -444,17 +448,21 @@ class Session:
         mode scans them; packet ids then follow reassembled emission
         order.  Capture sinks still export the *source* packets verbatim.
         """
-        packets = self.packets
-        if self.reassembler is not None:
-            packets = self.reassembler.process(packets) + self.reassembler.flush_all()
-        run = RunResult(mode=self.config.mode)
-        if self.config.mode == "stream":
+        mode = self.config.mode
+        packets = self._loaded_source.packets
+        reassembler = self.reassembler
+        if reassembler is not None:
+            packets = reassembler.process(packets)  # a fresh list: ours to extend
+            packets += reassembler.flush_all()
+        run = RunResult(mode=mode)
+        if mode == "stream":
             run.scan_result = self.service.scan(packets)
             run.events = run.scan_result.events
-        elif self.config.mode == "ids":
+        elif mode == "ids":
             # the source is finite, so after the last segment the flows are
             # over: decide the pending negation verdicts too
-            run.alerts = self.ids.scan_flow(packets) + self.ids.finish()
+            ids = self.ids
+            run.alerts = ids.scan_flow(packets) + ids.finish()
         else:
             run.per_packet = self.scan_stateless(
                 [packet.payload for packet in packets]
@@ -585,25 +593,28 @@ class Session:
         sources.
         """
         out: Dict[str, Any] = {"mode": self.config.mode}
-        if self._source is not _UNSET:
-            out["packets"] = len(self.packets)
+        source = self._source
+        if source is not _UNSET:
+            out["packets"] = len(source.packets)
             out["payload_bytes"] = self.payload_bytes
-            if self.flows is not None:
-                out["flows"] = len(self.flows)
-            if self.capture_stats is not None:
-                stats = self.capture_stats
+            if source.flows is not None:
+                out["flows"] = len(source.flows)
+            stats = source.stats
+            if stats is not None:
                 out["capture"] = {
                     "frames": stats.frames,
                     "decoded": stats.decoded,
                     "skipped": dict(stats.skipped),
                 }
+        # whatever is built is read where it is kept: this runs cold, once per
+        # run(), and every property hop is paid in full
         if self._service is not _UNSET:
-            out["service"] = self.service.stats()
+            out["service"] = self._service.stats()
         if self._reassembler not in (_UNSET, None):
             # flat counters: a shallow copy, not asdict's recursive one
-            out["reassembly"] = dict(vars(self.reassembler.stats))
+            out["reassembly"] = dict(vars(self._reassembler.stats))
         if self._ids is not _UNSET:
-            ids_stats = self.ids.stats
+            ids_stats = self._ids.stats
             out["ids"] = {
                 "packets_processed": ids_stats.packets_processed,
                 "payload_bytes": ids_stats.payload_bytes,

@@ -15,7 +15,9 @@ Supported layers:
 
 Frames outside that set — ARP, ICMP, IP fragments — decode to
 ``None`` with a reason, so replay can count what it skipped instead of
-failing on real-world captures.  Encoding is deterministic: fixed MAC
+failing on real-world captures.  Decoding resolves a flow's header once:
+later frames of the flow look it up by their raw address and port bytes.
+Encoding is deterministic: fixed MAC
 addresses, caller-supplied (or zero) TCP sequence numbers and correct
 IPv4/TCP/UDP checksums, so a written capture is byte-stable for a given
 packet stream and accepted by standard tools.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..traffic.packet import FiveTuple
 from .pcap import LINKTYPE_ETHERNET, LINKTYPE_LINUX_SLL, LINKTYPE_RAW
@@ -85,6 +87,37 @@ def _checksum(data: bytes) -> int:
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
+#: Most flows :func:`decode_frame` remembers; the table is cleared, not
+#: trimmed, when it fills — the next frame of each flow re-resolves it.
+FLOW_INTERN_BOUND = 1 << 16
+
+#: (protocol, raw address bytes + raw port bytes) -> the flow's one header.
+#: A pure memo: a hit returns a header equal to what a miss would build.
+_FLOWS: Dict[Tuple[int, bytes], FiveTuple] = {}
+
+_IPV4_FIELDS = struct.Struct("!BxH2xHxB")  # version/ihl, total length, frag, protocol
+_IPV6_FIELDS = struct.Struct("!HB")  # payload length, next header
+_TCP_FIELDS = struct.Struct("!IxxxxBB")  # seq, data offset, flags (after the ports)
+_UINT16 = struct.Struct("!H")
+
+
+def _intern_flow(protocol: int, wire: bytes) -> FiveTuple:
+    """Resolve a flow's wire identity to its header, once per flow."""
+    half = (len(wire) - 4) // 2
+    src_port, dst_port = struct.unpack_from("!HH", wire, 2 * half)
+    header = FiveTuple(
+        src_ip=str(ipaddress.ip_address(wire[:half])),
+        dst_ip=str(ipaddress.ip_address(wire[half:2 * half])),
+        src_port=src_port,
+        dst_port=dst_port,
+        protocol=_PROTO_NAME[protocol],
+    )
+    if len(_FLOWS) >= FLOW_INTERN_BOUND:
+        _FLOWS.clear()
+    _FLOWS[protocol, wire] = header
+    return header
+
+
 def decode_frame(
     data: bytes, linktype: int = LINKTYPE_ETHERNET
 ) -> Tuple[Optional[DecodedFrame], Optional[str]]:
@@ -93,121 +126,108 @@ def decode_frame(
     ``reason`` is a short stable token (``"link"``, ``"network"``,
     ``"fragment"``, ``"transport"``, ``"truncated"``) suitable for
     aggregation into replay statistics.
+
+    One pass by offset from link header to payload: nothing is sliced but
+    the payload and the flow's wire identity (address and port bytes), which
+    is looked up in a bounded table of flows already seen — so a frame of a
+    known flow reuses that flow's :class:`FiveTuple` (and the
+    :class:`~repro.streaming.flow.FlowKey` the scan layers attached to it)
+    and only a flow's first frame builds addresses and validates ports.
+    The returned header is *equal* to a freshly built one; whether it is the
+    same object as an earlier frame's is not part of the contract.
     """
+    size = len(data)
     if linktype == LINKTYPE_ETHERNET:
-        if len(data) < 14:
+        if size < 14:
             return None, "truncated"
-        (ethertype,) = struct.unpack_from("!H", data, 12)
-        offset = 14
+        (ethertype,) = _UINT16.unpack_from(data, 12)
+        ip = 14
         while ethertype == _ETHERTYPE_VLAN:
-            if len(data) < offset + 4:
+            if size < ip + 4:
                 return None, "truncated"
-            (ethertype,) = struct.unpack_from("!H", data, offset + 2)
-            offset += 4
-        packet = data[offset:]
+            (ethertype,) = _UINT16.unpack_from(data, ip + 2)
+            ip += 4
     elif linktype == LINKTYPE_LINUX_SLL:
-        if len(data) < 16:
+        if size < 16:
             return None, "truncated"
-        (ethertype,) = struct.unpack_from("!H", data, 14)
-        packet = data[16:]
+        (ethertype,) = _UINT16.unpack_from(data, 14)
+        ip = 16
     elif linktype == LINKTYPE_RAW:
         if not data:
             return None, "truncated"
-        version = data[0] >> 4
-        ethertype = _ETHERTYPE_IPV4 if version == 4 else _ETHERTYPE_IPV6
-        packet = data
+        ethertype = _ETHERTYPE_IPV4 if data[0] >> 4 == 4 else _ETHERTYPE_IPV6
+        ip = 0
     else:
         return None, "link"
 
+    # network layer: protocol, [transport, end) and the address bytes
     if ethertype == _ETHERTYPE_IPV4:
-        return _decode_ipv4(packet)
-    if ethertype == _ETHERTYPE_IPV6:
-        return _decode_ipv6(packet)
-    return None, "network"
-
-
-def _decode_ipv4(packet: bytes) -> Tuple[Optional[DecodedFrame], Optional[str]]:
-    if len(packet) < 20:
-        return None, "truncated"
-    if packet[0] >> 4 != 4:
-        return None, "network"
-    header_len = (packet[0] & 0x0F) * 4
-    total_len = struct.unpack_from("!H", packet, 2)[0]
-    if header_len < 20 or len(packet) < total_len or total_len < header_len:
-        return None, "truncated"
-    flags_fragment = struct.unpack_from("!H", packet, 6)[0]
-    # any fragment is unscannable without reassembly: a non-first fragment
-    # (offset != 0) has no transport header, a first fragment (MF set) has a
-    # partial payload that would silently miss boundary-spanning patterns
-    if flags_fragment & 0x3FFF:  # offset bits | more-fragments
-        return None, "fragment"
-    protocol = packet[9]
-    src = str(ipaddress.IPv4Address(packet[12:16]))
-    dst = str(ipaddress.IPv4Address(packet[16:20]))
-    return _decode_transport(
-        protocol, src, dst, packet[header_len:total_len]
-    )
-
-
-def _decode_ipv6(packet: bytes) -> Tuple[Optional[DecodedFrame], Optional[str]]:
-    if len(packet) < 40:
-        return None, "truncated"
-    if packet[0] >> 4 != 6:
-        return None, "network"
-    payload_len, next_header = struct.unpack_from("!HB", packet, 4)
-    src = str(ipaddress.IPv6Address(packet[8:24]))
-    dst = str(ipaddress.IPv6Address(packet[24:40]))
-    end = 40 + payload_len
-    if len(packet) < end:
-        return None, "truncated"
-    position = 40
-    while next_header in _IPV6_EXTENSIONS or next_header == _IPV6_FRAGMENT:
-        if position + 8 > end:
+        if size - ip < 20:
             return None, "truncated"
-        if next_header == _IPV6_FRAGMENT:
-            # offset bits | M flag: only atomic fragments are complete
-            if struct.unpack_from("!H", packet, position + 2)[0] & 0xFFF9:
-                return None, "fragment"
-            next_header = packet[position]
-            position += 8
-        else:
-            next_header, ext_len = struct.unpack_from("!BB", packet, position)
-            position += (ext_len + 1) * 8
-    return _decode_transport(next_header, src, dst, packet[position:end])
+        version_ihl, total_len, flags_fragment, protocol = _IPV4_FIELDS.unpack_from(data, ip)
+        if version_ihl >> 4 != 4:
+            return None, "network"
+        header_len = (version_ihl & 0x0F) * 4
+        if header_len < 20 or size - ip < total_len or total_len < header_len:
+            return None, "truncated"
+        # any fragment is unscannable without reassembly: a non-first fragment
+        # (offset != 0) has no transport header, a first fragment (MF set) has a
+        # partial payload that would silently miss boundary-spanning patterns
+        if flags_fragment & 0x3FFF:  # offset bits | more-fragments
+            return None, "fragment"
+        addresses = data[ip + 12:ip + 20]
+        transport = ip + header_len
+        end = ip + total_len
+    elif ethertype == _ETHERTYPE_IPV6:
+        if size - ip < 40:
+            return None, "truncated"
+        if data[ip] >> 4 != 6:
+            return None, "network"
+        payload_len, protocol = _IPV6_FIELDS.unpack_from(data, ip + 4)
+        end = ip + 40 + payload_len
+        if size < end:
+            return None, "truncated"
+        addresses = data[ip + 8:ip + 40]
+        transport = ip + 40
+        while protocol in _IPV6_EXTENSIONS or protocol == _IPV6_FRAGMENT:
+            if transport + 8 > end:
+                return None, "truncated"
+            if protocol == _IPV6_FRAGMENT:
+                # offset bits | M flag: only atomic fragments are complete
+                if _UINT16.unpack_from(data, transport + 2)[0] & 0xFFF9:
+                    return None, "fragment"
+                protocol = data[transport]
+                transport += 8
+            else:
+                protocol = data[transport]
+                transport += (data[transport + 1] + 1) * 8
+    else:
+        return None, "network"
 
-
-def _decode_transport(
-    protocol: int, src: str, dst: str, segment: bytes
-) -> Tuple[Optional[DecodedFrame], Optional[str]]:
-    seq: Optional[int] = None
-    flags = 0
+    # transport layer
     if protocol == _IPPROTO_TCP:
-        if len(segment) < 20:
+        if end - transport < 20:
             return None, "truncated"
-        src_port, dst_port = struct.unpack_from("!HH", segment, 0)
-        seq = struct.unpack_from("!I", segment, 4)[0]
-        flags = segment[13]
-        data_offset = (segment[12] >> 4) * 4
-        if data_offset < 20 or data_offset > len(segment):
+        seq, data_offset, flags = _TCP_FIELDS.unpack_from(data, transport + 4)
+        data_offset = (data_offset >> 4) * 4
+        if data_offset < 20 or data_offset > end - transport:
             return None, "truncated"
-        payload = segment[data_offset:]
+        payload = data[transport + data_offset:end]
     elif protocol == _IPPROTO_UDP:
-        if len(segment) < 8:
+        if end - transport < 8:
             return None, "truncated"
-        src_port, dst_port, length = struct.unpack_from("!HHH", segment, 0)
-        if length < 8 or length > len(segment):
+        (length,) = _UINT16.unpack_from(data, transport + 4)
+        if length < 8 or length > end - transport:
             return None, "truncated"
-        payload = segment[8:length]
+        seq, flags = None, 0
+        payload = data[transport + 8:transport + length]
     else:
         return None, "transport"
-    header = FiveTuple(
-        src_ip=src,
-        dst_ip=dst,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=_PROTO_NAME[protocol],
-    )
-    return DecodedFrame(header=header, payload=payload, seq=seq, flags=flags), None
+    wire = addresses + data[transport:transport + 4]
+    header = _FLOWS.get((protocol, wire))
+    if header is None:
+        header = _intern_flow(protocol, wire)
+    return DecodedFrame(header, payload, seq, flags), None
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,14 @@ PCAPNG_BLOCK_EPB = 0x00000006
 _OPT_ENDOFOPT = 0
 _OPT_IF_TSRESOL = 9
 
+#: Most bytes one ``handle.read`` is asked for.  Every length in a capture is
+#: untrusted, and ``read(n)`` sizes its buffer from ``n`` before it looks at
+#: the file, so nothing is ever read by a length the file supplied.
+READ_BLOCK = 1 << 16
+#: libpcap's ``MAXIMUM_SNAPLEN``: no record may claim more captured bytes
+#: than the larger of this and the file's own snap length.
+MAX_SNAPLEN = 262_144
+
 PathOrIO = Union[str, "os.PathLike[str]", BinaryIO]
 
 
@@ -99,10 +107,20 @@ class CaptureFile:
 # reading
 # ----------------------------------------------------------------------
 def _read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise CaptureError(f"truncated capture: short read in {what}")
-    return data
+    """Read exactly ``count`` bytes, at most :data:`READ_BLOCK` per call.
+
+    A length that exceeds what the file has left fails here as a short read
+    after buffering only the bytes that exist.
+    """
+    chunks: List[bytes] = []
+    missing = count
+    while missing > 0:
+        data = handle.read(min(missing, READ_BLOCK))
+        if not data:
+            raise CaptureError(f"truncated capture: short read in {what}")
+        chunks.append(data)
+        missing -= len(data)
+    return b"".join(chunks)
 
 
 def _open(source: PathOrIO, mode: str):
@@ -118,11 +136,9 @@ def read_capture(source: PathOrIO) -> CaptureFile:
     try:
         magic_bytes = _read_exact(handle, 4, "magic number")
         (magic,) = struct.unpack("<I", magic_bytes)
-        if magic in (PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO):
-            return _read_pcap(handle, "<", magic == PCAP_MAGIC_NANO)
         (magic_be,) = struct.unpack(">I", magic_bytes)
-        if magic_be in (PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO):
-            return _read_pcap(handle, ">", magic_be == PCAP_MAGIC_NANO)
+        if {magic, magic_be} & {PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO}:
+            return _read_pcap(PcapBlockReader(handle, magic_bytes))
         if magic == PCAPNG_BLOCK_SHB:  # block type is endian-independent here
             return _read_pcapng(handle)
         raise CaptureError(f"not a pcap or pcapng file (magic 0x{magic:08X})")
@@ -131,31 +147,139 @@ def read_capture(source: PathOrIO) -> CaptureFile:
             handle.close()
 
 
-def _read_pcap(handle: BinaryIO, endian: str, nanosecond: bool) -> CaptureFile:
-    version_major, version_minor, _, _, snaplen, linktype = struct.unpack(
-        endian + "HHiIII", _read_exact(handle, 20, "pcap global header")
-    )
-    if version_major != 2:  # pragma: no cover - no other version exists
-        raise CaptureError(f"unsupported pcap version {version_major}.{version_minor}")
-    frac_scale = 1 if nanosecond else 1000
-    capture = CaptureFile(
-        linktype=linktype, fmt="pcap", nanosecond=nanosecond, snaplen=snaplen
-    )
-    while True:
-        header = handle.read(16)
-        if not header:
-            return capture
-        if len(header) != 16:
-            raise CaptureError("truncated capture: short read in pcap record header")
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(endian + "IIII", header)
-        data = _read_exact(handle, incl_len, "pcap record data")
-        capture.records.append(
-            CaptureRecord(
-                data=data,
-                ts_ns=ts_sec * 1_000_000_000 + ts_frac * frac_scale,
-                orig_len=orig_len if orig_len != incl_len else None,
-            )
+#: One record as the block reader hands it out:
+#: ``(ts_sec, ts_frac, orig_len, data)``.
+RawRecord = Tuple[int, int, int, bytes]
+
+
+class PcapBlockReader:
+    """Incremental classic-pcap reader: bounded block reads in, whole records out.
+
+    The one container loop behind :func:`read_capture` and the live
+    :class:`repro.streaming.ingest.PcapTailSource`.  Each :meth:`read_block`
+    asks the handle for at most :data:`READ_BLOCK` bytes and parses every
+    record that is now complete out of the buffer by offset; an incomplete
+    tail stays buffered for the next block, so a caller waits (or gives up)
+    only when a record really is unfinished.  ``prefix`` holds bytes the
+    caller already consumed from the handle (the magic number).
+
+    Lengths are checked against the bytes present, never allocated from: a
+    record claiming more than ``max(snaplen, MAX_SNAPLEN)`` captured bytes is
+    rejected on sight, and one that merely outruns the file is reported by
+    :meth:`finish` — both as :class:`CaptureError` naming the record index.
+    ``linktype`` is ``None`` until the 24-byte global header has arrived.
+    """
+
+    def __init__(self, handle: BinaryIO, prefix: bytes = b""):
+        self.handle = handle
+        self.linktype: Optional[int] = None
+        self.snaplen = 0
+        self.nanosecond = False
+        #: records handed out so far (the index of the next one)
+        self.index = 0
+        self._buffer = prefix
+        self._record = struct.Struct("<IIII")
+        self._limit = MAX_SNAPLEN
+
+    def _parse_global_header(self, buffer: bytes) -> None:
+        (magic,) = struct.unpack_from("<I", buffer, 0)
+        endian = "<"
+        if magic not in (PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO):
+            (magic_be,) = struct.unpack_from(">I", buffer, 0)
+            if magic_be not in (PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO):
+                raise CaptureError(
+                    f"not a classic pcap file (magic 0x{magic:08X}); "
+                    "pcapng does not tail safely, read_capture() reads it whole"
+                )
+            endian, magic = ">", magic_be
+        version_major, version_minor, _, _, snaplen, linktype = struct.unpack_from(
+            endian + "HHiIII", buffer, 4
         )
+        if version_major != 2:  # pragma: no cover - no other version exists
+            raise CaptureError(f"unsupported pcap version {version_major}.{version_minor}")
+        self.nanosecond = magic == PCAP_MAGIC_NANO
+        self.snaplen = snaplen
+        self.linktype = linktype
+        self._record = struct.Struct(endian + "IIII")
+        self._limit = max(snaplen, MAX_SNAPLEN)
+
+    def read_block(self) -> Optional[List[RawRecord]]:
+        """Read one block; return the records it completed.
+
+        ``None`` means the handle had nothing new (end of file, or — for a
+        file still being written — nothing *yet*); an empty list means bytes
+        arrived but the next record is still incomplete.
+        """
+        block = self.handle.read(READ_BLOCK)
+        if not block:
+            return None
+        buffer = self._buffer + block if self._buffer else block
+        size = len(buffer)
+        position = 0
+        if self.linktype is None:
+            if size < 24:
+                self._buffer = buffer
+                return []
+            self._parse_global_header(buffer)
+            position = 24
+        records: List[RawRecord] = []
+        unpack_from = self._record.unpack_from
+        limit = self._limit
+        while position + 16 <= size:
+            ts_sec, ts_frac, incl_len, orig_len = unpack_from(buffer, position)
+            if incl_len > limit:
+                raise CaptureError(
+                    f"pcap record {self.index + len(records)} claims {incl_len} "
+                    f"captured bytes, above the {limit}-byte snap length limit"
+                )
+            end = position + 16 + incl_len
+            if end > size:
+                break
+            records.append((ts_sec, ts_frac, orig_len, buffer[position + 16:end]))
+            position = end
+        self.index += len(records)
+        self._buffer = buffer[position:]
+        return records
+
+    def finish(self) -> None:
+        """The input has ended: whatever is still buffered was cut short."""
+        if self.linktype is None:
+            raise CaptureError(
+                "truncated capture: short read in pcap global header"
+                if self._buffer
+                else "empty capture file"
+            )
+        if self._buffer:
+            raise CaptureError(
+                f"truncated capture: pcap record {self.index} is cut short "
+                f"({len(self._buffer)} bytes of it are in the file)"
+            )
+
+
+def _read_pcap(reader: PcapBlockReader) -> CaptureFile:
+    records: List[CaptureRecord] = []
+    append = records.append
+    while True:
+        block = reader.read_block()
+        if block is None:
+            break
+        frac_scale = 1 if reader.nanosecond else 1000
+        for ts_sec, ts_frac, orig_len, data in block:
+            append(
+                CaptureRecord(
+                    data,
+                    ts_sec * 1_000_000_000 + ts_frac * frac_scale,
+                    orig_len if orig_len != len(data) else None,
+                )
+            )
+    reader.finish()
+    return CaptureFile(
+        linktype=reader.linktype,
+        records=records,
+        fmt="pcap",
+        nanosecond=reader.nanosecond,
+        snaplen=reader.snaplen,
+    )
 
 
 def _parse_options(data: bytes, endian: str) -> List[Tuple[int, bytes]]:
@@ -198,8 +322,10 @@ def _read_pcapng(handle: BinaryIO) -> CaptureFile:
     # the caller consumed the SHB block-type word already; re-enter the loop
     # with it pre-read
     pending_type: Optional[int] = PCAPNG_BLOCK_SHB
+    block_index = -1
 
     while True:
+        block_index += 1
         if pending_type is None:
             type_bytes = handle.read(4)
             if not type_bytes:
@@ -219,7 +345,11 @@ def _read_pcapng(handle: BinaryIO) -> CaptureFile:
             if magic != PCAPNG_BYTE_ORDER_MAGIC:
                 raise CaptureError("pcapng section header has a bad byte-order magic")
             (total_length,) = struct.unpack(endian + "I", length_and_magic[:4])
-            body = _read_exact(handle, total_length - 12, "pcapng section header")
+            if total_length < 28 or total_length % 4:
+                raise CaptureError(f"bad pcapng section header length {total_length}")
+            _read_exact(
+                handle, total_length - 12, f"pcapng section header (block {block_index})"
+            )
             interfaces = []
             snaplens = []
             continue
@@ -228,8 +358,12 @@ def _read_pcapng(handle: BinaryIO) -> CaptureFile:
             endian + "I", _read_exact(handle, 4, "pcapng block length")
         )
         if total_length < 12 or total_length % 4:
-            raise CaptureError(f"bad pcapng block length {total_length}")
-        body = _read_exact(handle, total_length - 8, "pcapng block body")[:-4]
+            raise CaptureError(
+                f"bad pcapng block length {total_length} (block {block_index})"
+            )
+        body = _read_exact(
+            handle, total_length - 8, f"pcapng block {block_index} body"
+        )[:-4]
 
         if block_type == PCAPNG_BLOCK_IDB:
             if len(body) < 8:

@@ -87,29 +87,33 @@ def load_packets(
     capture = _as_capture(source)
     stats = ReplayStats()
     packets: List[Packet] = []
+    append = packets.append
+    linktype = capture.linktype
     next_id = first_packet_id
-    for record in capture.records:
-        stats.frames += 1
-        frame, reason = decode_frame(record.data, capture.linktype)
+    payload_bytes = 0
+    for index, record in enumerate(capture.records):
+        frame, reason = decode_frame(record.data, linktype)
         if frame is None:
             if strict:
-                raise CaptureError(
-                    f"frame {stats.frames - 1} cannot be decoded ({reason})"
-                )
+                raise CaptureError(f"frame {index} cannot be decoded ({reason})")
             stats.skipped[reason] = stats.skipped.get(reason, 0) + 1
             continue
-        packets.append(
+        seq = frame.seq
+        payload = frame.payload
+        append(
             Packet(
-                payload=frame.payload,
-                header=frame.header,
-                packet_id=next_id,
-                tcp_seq=frame.seq,
-                tcp_flags=frame.flags if frame.seq is not None else None,
+                payload,
+                frame.header,
+                next_id,
+                tcp_seq=seq,
+                tcp_flags=frame.flags if seq is not None else None,
             )
         )
         next_id += 1
-        stats.decoded += 1
-        stats.payload_bytes += len(frame.payload)
+        payload_bytes += len(payload)
+    stats.frames = len(capture.records)
+    stats.decoded = len(packets)
+    stats.payload_bytes = payload_bytes
     return packets, stats
 
 

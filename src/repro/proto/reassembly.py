@@ -272,7 +272,7 @@ class TcpReassembler:
             self.stats.passthrough += 1
             return [self._emit(packet, packet.payload, packet.tcp_seq)]
 
-        key = FlowKey.from_header(header)
+        key = FlowKey.from_header(header)  # resolved once, kept on the header
         out: List[Packet] = []
         state = self._flows.get(key)
         if state is None:
@@ -333,6 +333,16 @@ class TcpReassembler:
             data = data[trim:]
             offset = state.next_off
 
+        if offset == state.next_off and not state.holes:
+            # on the delivery point with nothing waiting behind a hole:
+            # nothing to place or drain — deliver the segment as it is
+            out.append(self._emit_piece(state, packet, bytes(data)))
+            if flags & _FIN:
+                state.fin_off = end
+            if state.fin_off is not None:
+                self._maybe_close(key, state)
+            return out
+
         self._insert(state, offset, data)
         if flags & _FIN:
             state.fin_off = end
@@ -380,8 +390,14 @@ class TcpReassembler:
         return state
 
     def _insert(self, state: _FlowState, offset: int, data: bytes) -> None:
-        """Insert one piece into the hole buffer under the overlap policy."""
+        """Insert one piece into the hole buffer under the overlap policy.
+
+        ``buffered_bytes`` moves by what the policy cut: under either policy
+        every overlapped byte is held once before and once after, so the
+        buffer grows by the new piece minus the overlap.
+        """
         holes = state.holes
+        overlap = 0
         if self.overlap_policy == "last":
             # the new bytes win: cut every overlapped range out of the
             # existing pieces, then insert the new piece whole
@@ -396,8 +412,7 @@ class TcpReassembler:
                     replaced.append([piece_off, piece[: offset - piece_off]])
                 if piece_end > end:
                     replaced.append([end, piece[end - piece_off:]])
-                kept = max(0, min(piece_end, end) - max(piece_off, offset))
-                self.stats.overlap_bytes += kept
+                overlap += max(0, min(piece_end, end) - max(piece_off, offset))
             replaced.append([offset, data])
             replaced.sort(key=lambda item: item[0])
             state.holes = replaced
@@ -417,9 +432,7 @@ class TcpReassembler:
                         next_pieces.append([new_off, new_data[: piece_off - new_off]])
                     if new_end > piece_end:
                         next_pieces.append([piece_end, new_data[piece_end - new_off:]])
-                    self.stats.overlap_bytes += (
-                        min(new_end, piece_end) - max(new_off, piece_off)
-                    )
+                    overlap += min(new_end, piece_end) - max(new_off, piece_off)
                 pieces = next_pieces
                 if not pieces:
                     break
@@ -427,19 +440,24 @@ class TcpReassembler:
                 holes + [piece for piece in pieces if piece[1]],
                 key=lambda item: item[0],
             )
-        state.buffered_bytes = sum(len(piece[1]) for piece in state.holes)
+        self.stats.overlap_bytes += overlap
+        state.buffered_bytes += len(data) - overlap
 
     def _drain(self, state: _FlowState, template: Packet) -> List[Packet]:
         """Deliver every piece now contiguous with the delivery point."""
         out: List[Packet] = []
         holes = state.holes
-        while holes and holes[0][0] <= state.next_off:
-            offset, data = holes.pop(0)
+        count = 0
+        for offset, data in holes:
+            if offset > state.next_off:
+                break
+            count += 1
+            state.buffered_bytes -= len(data)
             if offset < state.next_off:  # defensive: policy trimming left none
                 data = data[state.next_off - offset:]
             if data:
                 out.append(self._emit_piece(state, template, bytes(data)))
-        state.buffered_bytes = sum(len(piece[1]) for piece in holes)
+        del holes[:count]
         return out
 
     def _flush_state(self, state: _FlowState, template: Packet) -> List[Packet]:

@@ -17,8 +17,9 @@ which is what makes checkpointing and migration across engines cheap.
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..backend import ScanState
@@ -38,6 +39,13 @@ class FlowKey:
     state — the place where direction normalisation (client/server flows),
     VLAN/tunnel identifiers or IPv6 scoping would land without touching the
     packet model.
+
+    A key is resolved once per flow and then handed from layer to layer, so
+    it carries what every layer used to recompute per packet: its hash and
+    ``shard_crc``, the CRC32 of :meth:`encode` the services reduce to a shard
+    number.  Identity is still *by value*: a key rebuilt from a checkpoint, a
+    pickle or a fresh :meth:`coerced` call is equal, hashes alike and lands
+    on the same shard — nothing may assume two equal keys are one object.
     """
 
     src_ip: str
@@ -45,6 +53,20 @@ class FlowKey:
     src_port: int
     dst_port: int
     protocol: str
+    shard_crc: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shard_crc", zlib.crc32(self.encode()))
+        object.__setattr__(self, "_hash", hash(self.as_tuple()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: string hashes are salted per process, so
+        # the cached hash must never travel inside a pickle
+        return (FlowKey, self.as_tuple())
 
     @classmethod
     def coerced(cls, src_ip, dst_ip, src_port, dst_port, protocol) -> "FlowKey":
@@ -66,13 +88,18 @@ class FlowKey:
 
     @classmethod
     def from_header(cls, header: FiveTuple) -> "FlowKey":
-        return cls.coerced(
-            header.src_ip,
-            header.dst_ip,
-            header.src_port,
-            header.dst_port,
-            header.protocol,
-        )
+        """The header's flow key, derived on first use and kept on the header."""
+        key = header.flow_key
+        if key is None:
+            key = cls.coerced(
+                header.src_ip,
+                header.dst_ip,
+                header.src_port,
+                header.dst_port,
+                header.protocol,
+            )
+            object.__setattr__(header, "flow_key", key)
+        return key
 
     def as_tuple(self) -> Tuple[str, str, int, int, str]:
         return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)

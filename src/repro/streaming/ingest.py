@@ -41,14 +41,13 @@ source with no limits runs until cancelled — that is the serving loop.
 from __future__ import annotations
 
 import asyncio
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..capture.frames import decode_frame
-from ..capture.pcap import CaptureError, PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO
+from ..capture.pcap import CaptureError, PcapBlockReader
 from ..traffic.packet import FiveTuple, Packet
 from .scanner import StreamMatch
 
@@ -211,11 +210,13 @@ class UdpListenerSource:
 class PcapTailSource:
     """Incrementally decode a classic pcap file, optionally ``tail -f`` style.
 
-    Reads the 24-byte global header, then consumes 16-byte-headed records as
-    they become available.  With ``follow=False`` the source is exhausted at
-    end of file (a *complete* record boundary — a half-written record means
-    a truncated capture and raises); with ``follow=True`` it polls every
-    ``poll_interval`` seconds for appended records until cancelled.  Only
+    Reads whatever the file holds in bounded blocks (the
+    :class:`repro.capture.pcap.PcapBlockReader` behind ``read_capture`` too)
+    and emits every complete record; it waits only when the next record is
+    unfinished.  With ``follow=False`` the source is exhausted at end of
+    file (a *complete* record boundary — a half-written record means a
+    truncated capture and raises); with ``follow=True`` it polls every
+    ``poll_interval`` seconds for appended bytes until cancelled.  Only
     classic pcap is supported — pcapng's variable-length block structure
     does not tail safely — and the error says so.
     """
@@ -244,73 +245,37 @@ class PcapTailSource:
     def stats(self) -> Dict[str, int]:
         return {"records": self.records, "skipped_frames": self.skipped}
 
-    async def _read_exact(self, handle, count: int, *, at_boundary: bool) -> Optional[bytes]:
-        """Read exactly ``count`` bytes, polling for growth in follow mode.
-
-        Returns ``None`` for a clean end of file (only possible when
-        ``at_boundary`` — i.e. no partial record has been consumed).
-        """
-        chunks: List[bytes] = []
-        got = 0
-        while got < count:
-            data = handle.read(count - got)
-            if data:
-                chunks.append(data)
-                got += len(data)
+    def _emit_block(self, block, linktype: int, emit: EmitFn) -> None:
+        for _, _, _, data in block:
+            frame, reason = decode_frame(data, linktype)
+            if frame is None:
+                if self.strict:
+                    raise CaptureError(
+                        f"frame {self.records + self.skipped} cannot be "
+                        f"decoded ({reason})"
+                    )
+                self.skipped += 1
                 continue
-            if self.follow:
-                await asyncio.sleep(self.poll_interval)
-                continue
-            if got == 0 and at_boundary:
-                return None
-            raise CaptureError(
-                f"truncated capture: short read in pcap record ({self.path})"
-            )
-        return b"".join(chunks)
+            self.records += 1
+            seq = frame.seq
+            emit(frame.header, frame.payload, seq, frame.flags if seq is not None else None)
 
     async def run(self, emit: EmitFn) -> None:
-        with open(self.path, "rb") as handle:
-            header = await self._read_exact(handle, 24, at_boundary=True)
-            self._ready.set()
-            if header is None:
-                if not self.follow:
-                    raise CaptureError(f"empty capture file ({self.path})")
-                return  # pragma: no cover - follow mode never returns None here
-            (magic,) = struct.unpack("<I", header[:4])
-            if magic in (PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO):
-                endian = "<"
-            else:
-                (magic_be,) = struct.unpack(">I", header[:4])
-                if magic_be in (PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO):
-                    endian = ">"
-                else:
-                    raise CaptureError(
-                        f"not a classic pcap file (magic 0x{magic:08X}); "
-                        "tail-follow does not support pcapng"
-                    )
-            _, _, _, _, _, linktype = struct.unpack(endian + "HHiIII", header[4:])
-            while True:
-                record_header = await self._read_exact(handle, 16, at_boundary=True)
-                if record_header is None:
-                    return  # exhausted (follow=False)
-                _, _, incl_len, _ = struct.unpack(endian + "IIII", record_header)
-                data = await self._read_exact(handle, incl_len, at_boundary=False)
-                frame, reason = decode_frame(data, linktype)
-                if frame is None:
-                    if self.strict:
-                        raise CaptureError(
-                            f"frame {self.records + self.skipped} cannot be "
-                            f"decoded ({reason})"
-                        )
-                    self.skipped += 1
-                    continue
-                self.records += 1
-                emit(
-                    frame.header,
-                    frame.payload,
-                    frame.seq,
-                    frame.flags if frame.seq is not None else None,
-                )
+        try:
+            with open(self.path, "rb") as handle:
+                reader = PcapBlockReader(handle)
+                while True:
+                    block = reader.read_block()
+                    self._ready.set()
+                    if block is not None:
+                        self._emit_block(block, reader.linktype, emit)
+                    elif self.follow:  # nothing new yet
+                        await asyncio.sleep(self.poll_interval)
+                    else:
+                        reader.finish()  # a half-written record raises
+                        return
+        except CaptureError as exc:
+            raise CaptureError(f"{exc} ({self.path})") from None
 
 
 # ----------------------------------------------------------------------

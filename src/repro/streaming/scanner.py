@@ -24,7 +24,8 @@ The sharded services feed whole shard batches through :meth:`scan_batch`,
 which concatenates consecutive same-flow segments and crosses into the
 backend once per batch (``scan_many``: one job per flow, plus one per
 lower-cased view under ``track_nocase``) instead of once per segment, then
-re-attributes the matches to their segments by offset.  The fast path is
+re-attributes the matches to their segments by offset — per-segment work
+only a flow whose scan reported a hit pays for.  The fast path is
 taken only when the batch provably cannot evict a flow; under eviction
 pressure the scanner falls back to the exact per-segment loop, so events,
 statistics and LRU order are byte-identical either way (the differential
@@ -158,11 +159,9 @@ class StreamScanner:
 
     @staticmethod
     def flow_key(packet: Packet) -> FlowKey:
-        return (
-            FlowKey.from_header(packet.header)
-            if packet.header is not None
-            else ANONYMOUS_FLOW
-        )
+        """The packet's flow: the key its header already carries, if any."""
+        header = packet.header
+        return ANONYMOUS_FLOW if header is None else FlowKey.from_header(header)
 
     def _scan_views(
         self, work: Sequence[Tuple[FlowEntry, bytes]]
@@ -194,16 +193,18 @@ class StreamScanner:
         views: List[Tuple[MatchList, MatchList]] = []
         for position, (entry, _) in enumerate(work):
             raw, entry.states = results[position]
-            entry.matched.update(number for _, number in raw)
+            if raw:
+                entry.matched.update(number for _, number in raw)
             lowered: MatchList = []
             if self.track_nocase:
                 lowered, entry.lower_states = results[len(work) + position]
-                # an occurrence that is already lower-case matches in both
-                # views; report it once (the raw event) so statistics are
-                # not inflated
-                raw_hits = set(raw)
-                lowered = [hit for hit in lowered if hit not in raw_hits]
-                entry.matched_lower.update(number for _, number in lowered)
+                if lowered:
+                    # an occurrence that is already lower-case matches in
+                    # both views; report it once (the raw event) so
+                    # statistics are not inflated
+                    raw_hits = set(raw)
+                    lowered = [hit for hit in lowered if hit not in raw_hits]
+                    entry.matched_lower.update(number for _, number in lowered)
             views.append((raw, lowered))
         return views
 
@@ -299,35 +300,16 @@ class StreamScanner:
 
         per_item: List[List[StreamMatch]] = [[] for _ in items]
         stats = self.stats
-        pattern_length = self._pattern_length
         for (key, indexes), (entry, joined), (raw, lowered) in zip(
             groups.items(), work, self._scan_views(work)
         ):
-            # boundaries[j] = flow-absolute end offset of segment j; a match
-            # with end offset o belongs to the segment with the smallest
-            # boundary >= o (its final byte is at o - 1 < boundaries[j]).
-            boundaries: List[int] = []
-            acc = entry.bytes_scanned - len(joined)
-            for index in indexes:
-                acc += len(items[index][1])
-                boundaries.append(acc)
-
-            for hits, is_lowered in ((raw, False), (lowered, True)):
-                for offset, number in hits:
-                    index = indexes[bisect_left(boundaries, offset)]
-                    per_item[index].append(
-                        StreamMatch(key, items[index][2], offset, number, is_lowered)
-                    )
-
             stats.segments += len(indexes)
             stats.bytes_scanned += len(joined)
-            for index, boundary in zip(indexes, boundaries):
-                events = per_item[index]
-                stats.matches += len(events)
-                segment_start = boundary - len(items[index][1])
-                for event in events:
-                    if event.end_offset - pattern_length[event.string_number] < segment_start:
-                        stats.cross_segment_matches += 1
+            if raw or lowered:
+                self._attribute(
+                    key, indexes, items, entry.bytes_scanned - len(joined),
+                    raw, lowered, per_item,
+                )
 
         # Replay LRU recency in per-segment order: the grouped walk touched
         # each flow at its *first* arrival, but per-segment scanning leaves
@@ -335,6 +317,48 @@ class StreamScanner:
         for key in sorted(groups, key=lambda flow: groups[flow][-1]):
             flows.touch(key)
         return per_item, []
+
+    def _attribute(
+        self,
+        key: FlowKey,
+        indexes: List[int],
+        items: Sequence[BatchItem],
+        start: int,
+        raw: MatchList,
+        lowered: MatchList,
+        per_item: List[List[StreamMatch]],
+    ) -> None:
+        """Hand one flow's hits to the segments they ended in.
+
+        The per-segment half of the fast path, entered only for a flow whose
+        joined scan reported a hit: ``start`` is the flow-absolute offset of
+        the flow's first segment in this batch.
+        """
+        # boundaries[j] = flow-absolute end offset of segment j; a match
+        # with end offset o belongs to the segment with the smallest
+        # boundary >= o (its final byte is at o - 1 < boundaries[j]).
+        boundaries: List[int] = []
+        acc = start
+        for index in indexes:
+            acc += len(items[index][1])
+            boundaries.append(acc)
+
+        for hits, is_lowered in ((raw, False), (lowered, True)):
+            for offset, number in hits:
+                index = indexes[bisect_left(boundaries, offset)]
+                per_item[index].append(
+                    StreamMatch(key, items[index][2], offset, number, is_lowered)
+                )
+
+        stats = self.stats
+        pattern_length = self._pattern_length
+        for index, boundary in zip(indexes, boundaries):
+            events = per_item[index]
+            stats.matches += len(events)
+            segment_start = boundary - len(items[index][1])
+            for event in events:
+                if event.end_offset - pattern_length[event.string_number] < segment_start:
+                    stats.cross_segment_matches += 1
 
     def _scan_batch_per_segment(
         self, items: Sequence[BatchItem]

@@ -14,15 +14,15 @@ of :class:`repro.hardware.HardwareAccelerator` but at flow granularity.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
-from .scanner import StreamMatch, StreamScanner
+from .scanner import BatchItem, StreamMatch, StreamScanner
 
 
 @dataclass
@@ -99,7 +99,7 @@ class ShardedScanServiceBase:
 
     def shard_for(self, key: FlowKey) -> int:
         """Stable flow -> shard mapping (CRC32 of the canonical 5-tuple)."""
-        return zlib.crc32(key.encode()) % self.num_shards
+        return key.shard_crc % self.num_shards
 
     def _group_by_shard(
         self, packets: Sequence[Packet]
@@ -111,17 +111,11 @@ class ShardedScanServiceBase:
         is what keeps cross-segment state consistent.
         """
         batches: Dict[int, List[Tuple[int, FlowKey, Packet]]] = {}
-        # Flows repeat within a batch, so the FlowKey construction and CRC32
-        # shard hash are memoised on the (hashable) wire header.
-        cache: Dict[Optional[object], Tuple[FlowKey, int]] = {}
+        flow_key = StreamScanner.flow_key
+        num_shards = self.num_shards
         for index, packet in enumerate(packets):
-            header = packet.header
-            cached = cache.get(header)
-            if cached is None:
-                key = StreamScanner.flow_key(packet)
-                cached = (key, self.shard_for(key))
-                cache[header] = cached
-            key, shard = cached
+            key = flow_key(packet)  # resolved once per flow, CRC included
+            shard = key.shard_crc % num_shards
             batch = batches.get(shard)
             if batch is None:
                 batch = batches[shard] = []
@@ -235,40 +229,32 @@ class ScanService(ShardedScanServiceBase):
         arrival order, so the pre-sort order fed to :meth:`_aggregate` is
         identical to segment-at-a-time scanning.
         """
-        batches = self._group_by_shard(packets)
+        # one grouping pass builds each shard's scan_batch items directly
+        num_shards = self.num_shards
+        batches: List[List[BatchItem]] = [[] for _ in range(num_shards)]
+        flow_key = StreamScanner.flow_key
+        for packet in packets:
+            key = flow_key(packet)
+            batches[key.shard_crc % num_shards].append(
+                (key, packet.payload, packet.packet_id)
+            )
         events: List[StreamMatch] = []
         shard_reports: List[ShardReport] = []
         for shard, engine in enumerate(self.engines):
-            batch = batches.get(shard)
-            if not batch:
-                shard_reports.append(
-                    ShardReport(
-                        shard=shard,
-                        packets=0,
-                        bytes_scanned=0,
-                        matches=0,
-                        active_flows=engine.active_flows,
-                        evicted_flows=0,
-                    )
-                )
-                continue
-            before_matches = engine.stats.matches
+            items = batches[shard]
+            stats = engine.stats
+            before_matches = stats.matches
+            before_bytes = stats.bytes_scanned
             before_evicted = engine.flows.stats.evicted
-            items = [
-                (key, packet.payload, packet.packet_id) for _, key, packet in batch
-            ]
-            per_item, _ = engine.scan_batch(items)
-            batch_bytes = 0
-            for item in items:
-                batch_bytes += len(item[1])
-            for item_events in per_item:
-                events.extend(item_events)
+            if items:
+                per_item, _ = engine.scan_batch(items)
+                events.extend(chain.from_iterable(per_item))
             shard_reports.append(
                 ShardReport(
                     shard=shard,
-                    packets=len(batch),
-                    bytes_scanned=batch_bytes,
-                    matches=engine.stats.matches - before_matches,
+                    packets=len(items),
+                    bytes_scanned=stats.bytes_scanned - before_bytes,
+                    matches=stats.matches - before_matches,
                     active_flows=engine.active_flows,
                     evicted_flows=engine.flows.stats.evicted - before_evicted,
                 )

@@ -3,18 +3,29 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, ClassVar, List, Optional
 
 
 @dataclass(frozen=True)
 class FiveTuple:
-    """The classic 5-tuple a router's header classifier operates on."""
+    """The classic 5-tuple a router's header classifier operates on.
+
+    ``flow_key`` is the flow's resolved identity — the
+    :class:`repro.streaming.flow.FlowKey` (with its hash and shard CRC) that
+    :meth:`FlowKey.from_header` attaches on first use, so every later packet
+    carrying this header object reads it instead of re-deriving it.  It is a
+    cache, not a field (the class default is shadowed per instance):
+    equality, hashing, ``repr`` and ``replace`` ignore it, and a header that
+    never met a scan layer simply has ``None``.
+    """
 
     src_ip: str
     dst_ip: str
     src_port: int
     dst_port: int
     protocol: str
+
+    flow_key: ClassVar[Optional[Any]] = None
 
     def __post_init__(self) -> None:
         for port in (self.src_port, self.dst_port):

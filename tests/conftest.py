@@ -19,19 +19,32 @@ import io
 import ipaddress
 import json
 import random
+import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.automata import AhoCorasickDFA
 from repro.backend import get_backend
-from repro.capture import replay_scan, write_packets
+from repro.capture import (
+    LINKTYPE_ETHERNET,
+    LINKTYPE_LINUX_SLL,
+    LINKTYPE_RAW,
+    CaptureError,
+    replay_scan,
+    write_packets,
+)
+from repro.capture.frames import DecodedFrame
+from repro.capture.replay import ReplayStats
 from repro.core import DTPAutomaton, compile_ruleset
 from repro.fpga import CYCLONE_III, STRATIX_III
-from repro.proto import HttpStream
+from repro.proto import HttpStream, TcpReassembler
+from repro.proto.reassembly import _FIN, _RST, _SEQ_MASK, _SYN, _FlowState, _seq_delta
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ParallelScanService, ScanService
+from repro.streaming.flow import FlowKey
 from repro.traffic import Packet, TrafficGenerator
+from repro.traffic.packet import FiveTuple
 
 #: The worked example of Figures 1 and 2.
 PAPER_EXAMPLE_PATTERNS = [b"he", b"she", b"his", b"hers"]
@@ -290,6 +303,335 @@ def assert_equivalent_events(
     assert reference is not None, "no backend/worker/source combinations given"
     reference.combinations = combinations
     return reference
+
+
+# ----------------------------------------------------------------------
+# the per-packet front end as it was: reference decoder and reassembler
+# ----------------------------------------------------------------------
+# Moved here verbatim when the production paths were fused (one decode pass
+# by offset with interned flows; in-order segments delivered without the
+# hole buffer; incremental hole bookkeeping).  The differential tests in
+# tests/test_front_end.py hold the fast paths to these, frame by frame and
+# packet by packet.
+_ETHERTYPE_IPV4 = 0x0800
+_ETHERTYPE_IPV6 = 0x86DD
+_ETHERTYPE_VLAN = 0x8100
+_IPPROTO_TCP = 6
+_IPPROTO_UDP = 17
+_IPV6_EXTENSIONS = {0, 43, 60}
+_IPV6_FRAGMENT = 44
+_PROTO_NAME = {_IPPROTO_TCP: "tcp", _IPPROTO_UDP: "udp"}
+
+
+def reference_decode_frame(
+    data: bytes, linktype: int = LINKTYPE_ETHERNET
+) -> Tuple[Optional[DecodedFrame], Optional[str]]:
+    """The decoder as it stood before the fused, flow-interning one: slice per
+    layer, fresh ``ipaddress`` objects and a fresh ``FiveTuple`` per frame."""
+    if linktype == LINKTYPE_ETHERNET:
+        if len(data) < 14:
+            return None, "truncated"
+        (ethertype,) = struct.unpack_from("!H", data, 12)
+        offset = 14
+        while ethertype == _ETHERTYPE_VLAN:
+            if len(data) < offset + 4:
+                return None, "truncated"
+            (ethertype,) = struct.unpack_from("!H", data, offset + 2)
+            offset += 4
+        packet = data[offset:]
+    elif linktype == LINKTYPE_LINUX_SLL:
+        if len(data) < 16:
+            return None, "truncated"
+        (ethertype,) = struct.unpack_from("!H", data, 14)
+        packet = data[16:]
+    elif linktype == LINKTYPE_RAW:
+        if not data:
+            return None, "truncated"
+        version = data[0] >> 4
+        ethertype = _ETHERTYPE_IPV4 if version == 4 else _ETHERTYPE_IPV6
+        packet = data
+    else:
+        return None, "link"
+
+    if ethertype == _ETHERTYPE_IPV4:
+        return _reference_decode_ipv4(packet)
+    if ethertype == _ETHERTYPE_IPV6:
+        return _reference_decode_ipv6(packet)
+    return None, "network"
+
+
+def _reference_decode_ipv4(packet: bytes) -> Tuple[Optional[DecodedFrame], Optional[str]]:
+    if len(packet) < 20:
+        return None, "truncated"
+    if packet[0] >> 4 != 4:
+        return None, "network"
+    header_len = (packet[0] & 0x0F) * 4
+    total_len = struct.unpack_from("!H", packet, 2)[0]
+    if header_len < 20 or len(packet) < total_len or total_len < header_len:
+        return None, "truncated"
+    flags_fragment = struct.unpack_from("!H", packet, 6)[0]
+    # any fragment is unscannable without reassembly: a non-first fragment
+    # (offset != 0) has no transport header, a first fragment (MF set) has a
+    # partial payload that would silently miss boundary-spanning patterns
+    if flags_fragment & 0x3FFF:  # offset bits | more-fragments
+        return None, "fragment"
+    protocol = packet[9]
+    src = str(ipaddress.IPv4Address(packet[12:16]))
+    dst = str(ipaddress.IPv4Address(packet[16:20]))
+    return _reference_decode_transport(
+        protocol, src, dst, packet[header_len:total_len]
+    )
+
+
+def _reference_decode_ipv6(packet: bytes) -> Tuple[Optional[DecodedFrame], Optional[str]]:
+    if len(packet) < 40:
+        return None, "truncated"
+    if packet[0] >> 4 != 6:
+        return None, "network"
+    payload_len, next_header = struct.unpack_from("!HB", packet, 4)
+    src = str(ipaddress.IPv6Address(packet[8:24]))
+    dst = str(ipaddress.IPv6Address(packet[24:40]))
+    end = 40 + payload_len
+    if len(packet) < end:
+        return None, "truncated"
+    position = 40
+    while next_header in _IPV6_EXTENSIONS or next_header == _IPV6_FRAGMENT:
+        if position + 8 > end:
+            return None, "truncated"
+        if next_header == _IPV6_FRAGMENT:
+            # offset bits | M flag: only atomic fragments are complete
+            if struct.unpack_from("!H", packet, position + 2)[0] & 0xFFF9:
+                return None, "fragment"
+            next_header = packet[position]
+            position += 8
+        else:
+            next_header, ext_len = struct.unpack_from("!BB", packet, position)
+            position += (ext_len + 1) * 8
+    return _reference_decode_transport(next_header, src, dst, packet[position:end])
+
+
+def _reference_decode_transport(
+    protocol: int, src: str, dst: str, segment: bytes
+) -> Tuple[Optional[DecodedFrame], Optional[str]]:
+    seq: Optional[int] = None
+    flags = 0
+    if protocol == _IPPROTO_TCP:
+        if len(segment) < 20:
+            return None, "truncated"
+        src_port, dst_port = struct.unpack_from("!HH", segment, 0)
+        seq = struct.unpack_from("!I", segment, 4)[0]
+        flags = segment[13]
+        data_offset = (segment[12] >> 4) * 4
+        if data_offset < 20 or data_offset > len(segment):
+            return None, "truncated"
+        payload = segment[data_offset:]
+    elif protocol == _IPPROTO_UDP:
+        if len(segment) < 8:
+            return None, "truncated"
+        src_port, dst_port, length = struct.unpack_from("!HHH", segment, 0)
+        if length < 8 or length > len(segment):
+            return None, "truncated"
+        payload = segment[8:length]
+    else:
+        return None, "transport"
+    header = FiveTuple(
+        src_ip=src,
+        dst_ip=dst,
+        src_port=src_port,
+        dst_port=dst_port,
+        protocol=_PROTO_NAME[protocol],
+    )
+    return DecodedFrame(header=header, payload=payload, seq=seq, flags=flags), None
+
+
+
+def reference_load_packets(capture, first_packet_id: int = 0, strict: bool = False):
+    """``load_packets`` over :func:`reference_decode_frame`, counting as it did."""
+    stats = ReplayStats()
+    packets: List[Packet] = []
+    next_id = first_packet_id
+    for record in capture.records:
+        stats.frames += 1
+        frame, reason = reference_decode_frame(record.data, capture.linktype)
+        if frame is None:
+            if strict:
+                raise CaptureError(
+                    f"frame {stats.frames - 1} cannot be decoded ({reason})"
+                )
+            stats.skipped[reason] = stats.skipped.get(reason, 0) + 1
+            continue
+        packets.append(
+            Packet(
+                payload=frame.payload,
+                header=frame.header,
+                packet_id=next_id,
+                tcp_seq=frame.seq,
+                tcp_flags=frame.flags if frame.seq is not None else None,
+            )
+        )
+        next_id += 1
+        stats.decoded += 1
+        stats.payload_bytes += len(frame.payload)
+    return packets, stats
+
+
+class ReferenceReassembler(TcpReassembler):
+    """:class:`TcpReassembler` with the insert-then-drain ``feed`` and the
+    re-summing hole bookkeeping it had before the O(1) in-order path."""
+
+    def feed(self, packet: Packet) -> List[Packet]:
+        """``feed`` as it stood before the in-order early return: every data
+        segment goes through ``_insert`` then ``_drain``, and the flow key is
+        re-derived from the header on every packet."""
+        self.stats.segments_in += 1
+        header = packet.header
+        if header is None or header.protocol.lower() != "tcp":
+            self.stats.passthrough += 1
+            return [self._emit(packet, packet.payload, packet.tcp_seq)]
+
+        key = FlowKey.coerced(
+            header.src_ip, header.dst_ip, header.src_port, header.dst_port,
+            header.protocol,
+        )
+        out: List[Packet] = []
+        state = self._flows.get(key)
+        if state is None:
+            state = self._create(key, packet, out)
+        else:
+            self._flows.move_to_end(key)
+
+        if state.mode == "arrival":
+            self.stats.passthrough += 1
+            out.append(self._emit(packet, packet.payload, packet.tcp_seq))
+            return out
+
+        flags = packet.tcp_flags or 0
+        if flags & _RST:
+            self.stats.reset_flows += 1
+            self._flows.pop(key, None)
+            return out
+        seq = packet.tcp_seq
+        if seq is None:
+            # a seq-less segment inside a seq flow: deliver at the current
+            # point rather than guess (keeps mixed captures flowing)
+            if packet.payload:
+                out.append(self._emit_piece(state, packet, packet.payload))
+            return out
+        if flags & _SYN:
+            if state.next_off == 0 and not state.holes:
+                # (re)anchor an empty flow at the handshake
+                state.seq_at_next = (seq + 1) & _SEQ_MASK
+            if not packet.payload and not flags & _FIN:
+                return out
+            seq = (seq + 1) & _SEQ_MASK  # SYN consumes one: data starts after it
+
+        data = packet.payload
+        if not data:
+            if flags & _FIN:
+                rel = _seq_delta(seq, state.seq_at_next)
+                state.fin_off = state.next_off + rel
+                self._maybe_close(key, state)
+            else:
+                self.stats.keepalives += 1
+            return out
+
+        rel = _seq_delta(seq, state.seq_at_next)
+        offset = state.next_off + rel
+        end = offset + len(data)
+        if offset < state.next_off and not state.delivered:
+            # the anchor came from an out-of-order first arrival; nothing
+            # has reached the scanner yet, so the stream start moves back
+            state.seq_at_next = seq
+            state.next_off = offset
+        if end <= state.next_off:
+            self.stats.retransmits += 1
+            return out
+        if offset < state.next_off:
+            # leading bytes were already delivered and are final
+            trim = state.next_off - offset
+            self.stats.overlap_bytes += trim
+            data = data[trim:]
+            offset = state.next_off
+
+        self._insert(state, offset, data)
+        if flags & _FIN:
+            state.fin_off = end
+
+        if offset > state.next_off:
+            self.stats.reordered += 1
+
+        out.extend(self._drain(state, packet))
+        if (
+            state.buffered_bytes > self.max_flow_bytes
+            or len(state.holes) > self.max_flow_segments
+        ):
+            self.stats.hole_flushes += 1
+            out.extend(self._flush_state(state, packet))
+        self._maybe_close(key, state)
+        return out
+
+    def _insert(self, state: _FlowState, offset: int, data: bytes) -> None:
+        """Insert one piece into the hole buffer under the overlap policy."""
+        holes = state.holes
+        if self.overlap_policy == "last":
+            # the new bytes win: cut every overlapped range out of the
+            # existing pieces, then insert the new piece whole
+            replaced: List[List] = []
+            end = offset + len(data)
+            for piece_off, piece in holes:
+                piece_end = piece_off + len(piece)
+                if piece_end <= offset or piece_off >= end:
+                    replaced.append([piece_off, piece])
+                    continue
+                if piece_off < offset:
+                    replaced.append([piece_off, piece[: offset - piece_off]])
+                if piece_end > end:
+                    replaced.append([end, piece[end - piece_off:]])
+                kept = max(0, min(piece_end, end) - max(piece_off, offset))
+                self.stats.overlap_bytes += kept
+            replaced.append([offset, data])
+            replaced.sort(key=lambda item: item[0])
+            state.holes = replaced
+        else:
+            # "first": bytes that arrived earlier win — trim the new piece
+            # around every existing range it overlaps
+            pieces: List[List] = [[offset, data]]
+            for piece_off, piece in holes:
+                piece_end = piece_off + len(piece)
+                next_pieces: List[List] = []
+                for new_off, new_data in pieces:
+                    new_end = new_off + len(new_data)
+                    if new_end <= piece_off or new_off >= piece_end:
+                        next_pieces.append([new_off, new_data])
+                        continue
+                    if new_off < piece_off:
+                        next_pieces.append([new_off, new_data[: piece_off - new_off]])
+                    if new_end > piece_end:
+                        next_pieces.append([piece_end, new_data[piece_end - new_off:]])
+                    self.stats.overlap_bytes += (
+                        min(new_end, piece_end) - max(new_off, piece_off)
+                    )
+                pieces = next_pieces
+                if not pieces:
+                    break
+            state.holes = sorted(
+                holes + [piece for piece in pieces if piece[1]],
+                key=lambda item: item[0],
+            )
+        state.buffered_bytes = sum(len(piece[1]) for piece in state.holes)
+
+    def _drain(self, state: _FlowState, template: Packet) -> List[Packet]:
+        """Deliver every piece now contiguous with the delivery point."""
+        out: List[Packet] = []
+        holes = state.holes
+        while holes and holes[0][0] <= state.next_off:
+            offset, data = holes.pop(0)
+            if offset < state.next_off:  # defensive: policy trimming left none
+                data = data[state.next_off - offset:]
+            if data:
+                out.append(self._emit_piece(state, template, bytes(data)))
+        state.buffered_bytes = sum(len(piece[1]) for piece in holes)
+        return out
 
 
 # ----------------------------------------------------------------------

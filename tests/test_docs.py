@@ -131,7 +131,6 @@ class TestArchitectureDoc:
             "repro.capture",
             "read_capture",
             "byte-identical",
-            "bench_pcap_replay.py",
         ):
             assert needle in text, f"architecture.md misses {needle!r}"
 
