@@ -112,8 +112,10 @@ class SourceSpec:
       ``strict`` flag.
 
     Three kinds are **live** (:attr:`is_live` is true): they cannot be
-    loaded eagerly into a packet list, only served through
-    :meth:`repro.api.Session.serve` / the ``serve`` CLI subcommand:
+    loaded eagerly into a packet list, only served —
+    :meth:`repro.api.Session.serve`, :meth:`repro.api.Session.run` (which
+    serves, then emits the sinks) and the ``serve`` / ``run`` CLI
+    subcommands, in stream or ids mode:
 
     * ``"tcp"``       — an asyncio TCP listener on ``host``:``port`` (each
       connection is a flow, each read a segment);
@@ -400,12 +402,17 @@ class EngineSpec:
     ``backend`` is any :mod:`repro.backend` registry name; ``workers=None``
     keeps the serial in-process :class:`repro.streaming.ScanService`, an
     integer dispatches shards to that many worker processes
-    (:class:`repro.streaming.ParallelScanService`).  In ids mode ``shards``
-    is unused — the IDS shards by ``workers`` (its parallel pool pins one
-    shard per worker).  ``strict`` makes pcap-source decoding fail on
-    undecodable frames instead of skipping and counting them.
-    ``ring_slots``/``ring_slot_bytes`` (``None`` = the transport defaults)
-    size the parallel service's per-worker shared-memory payload rings.
+    (:class:`repro.streaming.ParallelScanService`).  Every mode builds its
+    scan service through :func:`repro.streaming.build_scan_service`, so
+    ``workers``, ``flow_capacity`` and ``ring_slots``/``ring_slot_bytes``
+    (``None`` = the transport defaults; they size the parallel service's
+    per-worker shared-memory payload rings) mean the same thing in stream
+    and ids mode.  ``shards`` does not yet: the IDS's prefilter keeps one
+    flow table in-process and one shard per worker — four shards would cut
+    every ids batch's lane-kernel crossing in four and re-order evictions,
+    i.e. alerts (one meaning for ``shards`` waits for one backend crossing
+    per batch in the serial service).  ``strict`` makes pcap-source decoding
+    fail on undecodable frames instead of skipping and counting them.
 
     ``reassemble`` inserts the :class:`repro.proto.TcpReassembler` between
     the packet source and the scan path: TCP segments are re-ordered by
@@ -782,8 +789,9 @@ register_source(
 
 def _load_live_source(session, spec: SourceSpec) -> LoadedSource:
     raise ConfigError(
-        f"{spec.kind!r} is a live source and cannot be loaded into a packet "
-        "list; run it with Session.serve() or the `serve` CLI subcommand"
+        f"{spec.kind!r} is a live source and has no packet list to load; "
+        "Session.serve() / run() and the `serve` / `run` CLI subcommands "
+        "serve it"
     )
 
 
@@ -809,23 +817,12 @@ def _live_source_object(session, spec: SourceSpec):
     raise ConfigError(f"{spec.kind!r} is not a live source kind")
 
 
-register_source(
-    SourceFactory(
-        "tcp", "live asyncio TCP listener (serve-only)", _load_live_source
-    )
-)
-register_source(
-    SourceFactory(
-        "udp", "live asyncio datagram endpoint (serve-only)", _load_live_source
-    )
-)
-register_source(
-    SourceFactory(
-        "pcap-tail",
-        "incremental (optionally tail-followed) classic pcap reader (serve-only)",
-        _load_live_source,
-    )
-)
+for _kind, _description in (
+    ("tcp", "live asyncio TCP listener"),
+    ("udp", "live asyncio datagram endpoint"),
+    ("pcap-tail", "incremental (optionally tail-followed) classic pcap reader"),
+):
+    register_source(SourceFactory(_kind, f"{_description} (served)", _load_live_source))
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,19 @@
 into the exact object composition previously hand-wired per call site —
 ruleset generation or Snort-file parsing, backend compilation (the ``dtp``
 backend through the full device compiler, every other backend through
-:func:`repro.backend.get_backend`), the serial
-:class:`repro.streaming.ScanService` or process-parallel
-:class:`repro.streaming.ParallelScanService`, and the
-:class:`repro.ids.IntrusionDetectionSystem` — and exposes it through a small
-surface: :meth:`Session.run`, :meth:`Session.scan`,
-:meth:`Session.checkpoint` / :meth:`Session.restore`, :meth:`Session.stats`
-and :meth:`Session.close` (sessions are context managers).
+:func:`repro.backend.get_backend`) and **one ordered stage list**::
+
+    Reassembly  ->  Prefilter (scan service)  ->  Confirm  ->  Sinks
+    TcpReassembler  build_scan_service(...)       the IDS      config order
+
+``ids`` mode is ``stream`` mode plus the confirm stage: the IDS scans through
+the session's one scan service (``session.service is session.ids.service``).
+The stages share a small contract, implemented on the classes themselves —
+feed a batch (``process`` re-shapes packets, the engine's ``scan`` consumes
+them), ``flush`` at the end of a finite source, ``checkpoint``/``restore``,
+``close`` — and ``run``, ``scan``, ``flush``, ``serve``, ``checkpoint``,
+``restore``, ``stats`` and ``close`` walk that list in every mode (sessions
+are context managers; ``docs/architecture.md`` §7 has the table).
 
 Everything is built lazily and cached, so a CLI adapter can ask only for
 what it prints; the composition is the same one the direct constructors
@@ -26,10 +32,23 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..backend import CompiledProgram, get_backend
+# modules, not names, where a caller may wrap the function (the benchmark's
+# tracer patches these attributes): the call must look it up when it is made
+from ..core import accelerator_config
+from ..fpga.devices import get_device
+from ..hardware.accelerator import HardwareAccelerator
+from ..ids.pipeline import IntrusionDetectionSystem
+from ..proto.reassembly import TcpReassembler
+from ..rulesets import parser as rules_parser
+from ..rulesets.generator import generate_snort_like_ruleset
+from ..streaming.executor import build_scan_service
+from ..streaming.ingest import IngestReport, LiveIngestor
+from ..streaming.service import StreamScanResult
 from ..traffic.packet import MatchEvent, Packet
 from .config import (
     EmptyRulesetError,
     PipelineConfig,
+    _live_source_object,
     get_sink,
     get_source,
     load_config,
@@ -43,16 +62,18 @@ class RunResult:
     ``events`` are :class:`repro.streaming.StreamMatch` objects in stream
     mode and :class:`repro.traffic.MatchEvent` objects in packets mode
     (empty in ids mode); ``alerts`` are the IDS alerts (ids mode only).
-    ``scan_result`` is the stream mode's aggregate
-    :class:`repro.streaming.StreamScanResult`; ``per_packet`` the packets
-    mode's per-payload match lists.  ``sinks`` holds one output per
-    configured sink, in config order.
+    ``scan_result`` is the engine's aggregate
+    :class:`repro.streaming.StreamScanResult` of an offline source,
+    ``ingest`` the :class:`repro.streaming.IngestReport` of a live one;
+    ``per_packet`` the packets mode's per-payload match lists.  ``sinks``
+    holds one output per configured sink, in config order.
     """
 
     mode: str
     events: List = field(default_factory=list)
     alerts: List = field(default_factory=list)
-    scan_result: Optional[Any] = None
+    scan_result: Optional[StreamScanResult] = None
+    ingest: Optional[IngestReport] = None
     per_packet: Optional[List] = None
     stats: Dict[str, Any] = field(default_factory=dict)
     sinks: List[Any] = field(default_factory=list)
@@ -81,7 +102,20 @@ class Session:
         self._service = _UNSET
         self._ids = _UNSET
         self._hardware = _UNSET
-        self._reassembler = _UNSET
+        #: the stage that consumes the packets, by attribute name: the scan
+        #: service, or in ids mode the IDS (that service plus the confirm stage)
+        self._engine_name = "ids" if config.mode == "ids" else "service"
+        self._live = config.source.is_live  # run() serves instead of loading
+        engine = config.engine
+        self._set_reassembler(
+            TcpReassembler(
+                overlap_policy=engine.overlap_policy,
+                max_flows=engine.reassembly_flows,
+                max_flow_bytes=engine.reassembly_bytes,
+            )
+            if engine.reassemble
+            else None
+        )
         self._sid_of = _UNSET
         self._payload_bytes = _UNSET
         # one remap dict per allocator pass: ruleset_from_specs assigns a sid
@@ -91,6 +125,17 @@ class Session:
         self._ids_sid_remap: Dict[int, int] = {}
         #: seconds spent compiling the program (set on first .program access)
         self.compile_seconds: Optional[float] = None
+
+    def _set_reassembler(self, reassembler: Optional[TcpReassembler]) -> None:
+        #: The configured :class:`repro.proto.TcpReassembler`, ``None`` unless
+        #: the engine set ``reassemble=True``.  One instance persists across
+        #: :meth:`scan` calls, so segments buffered behind a sequence hole
+        #: carry over exactly like the scan services' flow state; :meth:`run`
+        #: and :meth:`serve` flush it when their finite source ends.
+        self.reassembler = reassembler
+        #: ``(name, stage)`` of the stages that re-shape packets before the
+        #: engine scans them, in order
+        self._front = () if reassembler is None else (("reassembly", reassembler),)
 
     @classmethod
     def from_config(
@@ -114,20 +159,16 @@ class Session:
             if spec.kind == "synthetic":
                 self._specs = None
             elif spec.kind == "file":
-                from ..rulesets.parser import parse_rules
-
                 with open(self.config.resolve(spec.path), encoding="utf-8") as handle:
-                    parsed = parse_rules(handle, strict=spec.strict)
+                    parsed = rules_parser.parse_rules(handle, strict=spec.strict)
                 if not any(entry.contents for entry in parsed):
                     raise EmptyRulesetError(
                         f"no content patterns found in {spec.path}"
                     )
                 self._specs = parsed
             else:  # explicit specs
-                from ..rulesets.parser import spec_from_content
-
                 self._specs = [
-                    spec_from_content(
+                    rules_parser.spec_from_content(
                         rule.content, sid=rule.sid, msg=rule.msg, nocase=rule.nocase
                     )
                     for rule in spec.rules
@@ -153,14 +194,10 @@ class Session:
         if self._ruleset is _UNSET:
             spec = self.config.rules
             if spec.kind == "synthetic":
-                from ..rulesets.generator import generate_snort_like_ruleset
-
                 self._ruleset = generate_snort_like_ruleset(spec.size, seed=spec.seed)
             else:
-                from ..rulesets.parser import ruleset_from_specs
-
                 name = spec.path if spec.kind == "file" else "specs"
-                self._ruleset = ruleset_from_specs(
+                self._ruleset = rules_parser.ruleset_from_specs(
                     self.specs, name=name, sid_remap=self._ruleset_sid_remap
                 )
         return self._ruleset
@@ -193,8 +230,6 @@ class Session:
     # ------------------------------------------------------------------
     @property
     def device(self):
-        from ..fpga.devices import get_device
-
         return get_device(self.config.engine.device)
 
     @property
@@ -209,9 +244,9 @@ class Session:
         if self._program is _UNSET:
             start = time.perf_counter()
             if self.config.engine.backend == "dtp":
-                from ..core.accelerator_config import compile_ruleset
-
-                self._program = compile_ruleset(self.ruleset, self.device)
+                self._program = accelerator_config.compile_ruleset(
+                    self.ruleset, self.device
+                )
             else:
                 self._program = get_backend(self.config.engine.backend).compile(
                     self.ruleset.patterns
@@ -228,8 +263,6 @@ class Session:
                     "the cycle-level hardware model only executes the 'dtp' "
                     f"backend, not {self.config.engine.backend!r}"
                 )
-            from ..hardware.accelerator import HardwareAccelerator
-
             self._hardware = HardwareAccelerator(self.program)
         return self._hardware
 
@@ -249,95 +282,54 @@ class Session:
 
     @property
     def service(self):
-        """The configured (serial or process-parallel) sharded scan service."""
+        """The pipeline's one (serial or process-parallel) scan service.
+
+        In ids mode this *is* :attr:`ids`' service — one prefilter per
+        session, never a second compile.
+        """
+        if self._engine_name == "ids":
+            return self.ids.service
         if self._service is _UNSET:
-            engine = self.config.engine
-            if engine.workers is not None:  # 0 is invalid, not "serial"
-                from ..streaming.executor import ParallelScanService
-
-                ring_kwargs = {}
-                if engine.ring_slots is not None:
-                    ring_kwargs["ring_slots"] = engine.ring_slots
-                if engine.ring_slot_bytes is not None:
-                    ring_kwargs["ring_slot_bytes"] = engine.ring_slot_bytes
-                self._service = ParallelScanService(
-                    self.program,
-                    num_shards=engine.shards,
-                    flow_capacity_per_shard=engine.flow_capacity,
-                    track_nocase=self._track_nocase,
-                    workers=engine.workers,
-                    **ring_kwargs,
-                )
-            else:
-                from ..streaming.service import ScanService
-
-                self._service = ScanService(
-                    self.program,
-                    num_shards=engine.shards,
-                    flow_capacity_per_shard=engine.flow_capacity,
-                    track_nocase=self._track_nocase,
-                )
+            self._service = build_scan_service(
+                self.program,
+                num_shards=self.config.engine.shards,
+                track_nocase=self._track_nocase,
+                **self._service_options,
+            )
         return self._service
 
     @property
-    def reassembler(self):
-        """The configured :class:`repro.proto.TcpReassembler`.
-
-        ``None`` unless the engine set ``reassemble=True``.  One instance
-        persists across :meth:`scan` calls, so segments buffered behind a
-        sequence hole carry over exactly like the scan services' flow
-        state; :meth:`run` and :meth:`serve` flush it when their finite
-        source ends.
-        """
-        if self._reassembler is _UNSET:
-            engine = self.config.engine
-            if not engine.reassemble:
-                self._reassembler = None
-            else:
-                from ..proto.reassembly import TcpReassembler
-
-                self._reassembler = TcpReassembler(
-                    overlap_policy=engine.overlap_policy,
-                    max_flows=engine.reassembly_flows,
-                    max_flow_bytes=engine.reassembly_bytes,
-                )
-        return self._reassembler
+    def _service_options(self) -> Dict[str, Any]:
+        """The engine options every mode's scan service is built with."""
+        engine = self.config.engine
+        return dict(
+            workers=engine.workers,
+            flow_capacity=engine.flow_capacity,
+            ring_slots=engine.ring_slots,
+            ring_slot_bytes=engine.ring_slot_bytes,
+        )
 
     @property
     def ids(self):
         """The configured :class:`repro.ids.IntrusionDetectionSystem`."""
         if self._ids is _UNSET:
-            from ..ids.pipeline import IntrusionDetectionSystem
-
-            engine = self.config.engine
+            options = dict(
+                device=self.device,
+                backend=self.config.engine.backend,
+                **self._service_options,
+            )
             if self.specs is None:
-                ids = IntrusionDetectionSystem.from_ruleset(
-                    self.ruleset,
-                    device=self.device,
-                    backend=engine.backend,
-                    workers=engine.workers,
-                )
+                self._ids = IntrusionDetectionSystem.from_ruleset(self.ruleset, **options)
             else:
                 if all(not entry.positive_contents for entry in self.specs):
                     raise EmptyRulesetError(
                         "no rule has a positive content for the prefilter to "
                         "anchor on; the ids engine cannot run this ruleset"
                     )
-                ids = IntrusionDetectionSystem.from_specs(
-                    self.specs,
-                    device=self.device,
-                    backend=engine.backend,
-                    workers=engine.workers,
-                    sid_remap=self._ids_sid_remap,
+                self._ids = IntrusionDetectionSystem.from_specs(
+                    self.specs, sid_remap=self._ids_sid_remap, **options
                 )
-            from ..streaming.flow import DEFAULT_FLOW_CAPACITY
-
-            if engine.flow_capacity != DEFAULT_FLOW_CAPACITY:
-                ids.reset_flows(capacity=engine.flow_capacity)
-            self._ids = ids
-            # the engine is composed as a whole: run() feeds the IDS through
-            # the reassembler, so the first pass does not build it mid-stream
-            self.reassembler
+            self._ids.service  # composed at set-up, not by the first pass mid-stream
         return self._ids
 
     # ------------------------------------------------------------------
@@ -389,37 +381,60 @@ class Session:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def scan(self, packets: Optional[Sequence[Packet]] = None):
-        """Stateful sharded scan of ``packets`` (default: the source's).
+    def _reshaped(self, packets: Sequence[Packet], end_of_source: bool) -> List[Packet]:
+        """``packets`` through the front stages, in order.
 
-        Returns the service's :class:`repro.streaming.StreamScanResult`;
-        repeated calls continue the same flow state, exactly as repeated
-        ``service.scan`` calls would.  With ``reassemble`` on, segments
-        pass through the session's :attr:`reassembler` first — data stuck
-        behind a sequence hole stays buffered across calls; call
-        :meth:`flush_reassembly` when no more segments will arrive.
+        At the end of a finite source each stage also releases what it still
+        buffers (into the stages after it), so one engine scan sees it all.
         """
-        if packets is None:
-            packets = self.packets
-        if self.reassembler is not None:
-            packets = self.reassembler.process(packets)
-        return self.service.scan(packets)
+        for _, stage in self._front:
+            packets = stage.process(packets)  # a fresh list: ours to extend
+            if end_of_source:
+                packets += stage.flush_all()
+        return packets
 
-    def flush_reassembly(self):
-        """Flush segments still buffered behind sequence holes into the scan.
+    def _scan(self, packets: Sequence[Packet], end_of_source: bool) -> StreamScanResult:
+        """One batch down the stage list; every stage flushes behind it when
+        it is the last of a finite source (in ids mode that also decides the
+        pending end-of-flow verdicts)."""
+        engine = getattr(self, self._engine_name)
+        packets = self._reshaped(packets, end_of_source)
+        result = engine.scan(packets)
+        result.scanned = packets
+        end = engine.flush() if end_of_source else None
+        if end is not None:
+            result.alerts += end.alerts
+        return result
 
-        Returns the :class:`repro.streaming.StreamScanResult` of the
-        flushed tail, or ``None`` when reassembly is off or nothing was
-        buffered.  :meth:`run` and :meth:`serve` call this implicitly —
-        their sources are finite — so it only needs calling after manual
-        incremental :meth:`scan` use.
+    def scan(self, packets: Optional[Sequence[Packet]] = None) -> StreamScanResult:
+        """One batch of ``packets`` (default: the source's) down the stage list.
+
+        Returns the engine's :class:`repro.streaming.StreamScanResult` (in
+        ids mode with the batch's ``alerts``); ``scanned`` names the packets
+        it covers.  Repeated calls continue the same flow state, exactly as
+        repeated ``service.scan`` calls would.  With ``reassemble`` on,
+        segments pass through the session's :attr:`reassembler` first — data
+        stuck behind a sequence hole stays buffered across calls; call
+        :meth:`flush` when no more segments will arrive.
         """
-        if self.reassembler is None:
-            return None
-        tail = self.reassembler.flush_all()
-        if not tail:
-            return None
-        return self.service.scan(tail)
+        return self._scan(self.packets if packets is None else packets, False)
+
+    def flush(self) -> Optional[StreamScanResult]:
+        """End of a finite source: flush every stage, front to back.
+
+        Segments still buffered behind sequence holes are scanned as one
+        last batch and the engine flushes behind them.  Returns that batch's
+        result, or ``None`` when nothing was buffered and nothing raised.
+        :meth:`run` and :meth:`serve` flush implicitly — their sources are
+        finite — so this only needs calling after manual incremental
+        :meth:`scan` use.
+        """
+        result = self._scan([], end_of_source=True)
+        return result if result.packets or result.alerts else None
+
+    #: :meth:`flush` under the name it had while the reassembler was the only
+    #: stage with anything to flush
+    flush_reassembly = flush
 
     def scan_stateless(
         self, payloads: Optional[Sequence[bytes]] = None
@@ -440,88 +455,85 @@ class Session:
           :class:`repro.traffic.MatchEvent` records in arrival order;
         * ``stream`` mode  — one batched stateful scan through the sharded
           service (events in the canonical order);
-        * ``ids`` mode     — :meth:`IntrusionDetectionSystem.scan_flow` over
-          the source packets.
+        * ``ids`` mode     — the same scan plus the confirm stage
+          (:meth:`IntrusionDetectionSystem.scan_flow`, then ``finish``).
 
         With ``reassemble`` on, the source's TCP segments are re-ordered
         (and the reassembler flushed — the source is finite) before any
         mode scans them; packet ids then follow reassembled emission
         order.  Capture sinks still export the *source* packets verbatim.
+        A live source (``tcp``/``udp``/``pcap-tail``) is served
+        (:meth:`serve`) instead of loaded, and the sinks emitted over its
+        report.
         """
         mode = self.config.mode
-        packets = self._loaded_source.packets
-        reassembler = self.reassembler
-        if reassembler is not None:
-            packets = reassembler.process(packets)  # a fresh list: ours to extend
-            packets += reassembler.flush_all()
-        run = RunResult(mode=mode)
-        if mode == "stream":
-            run.scan_result = self.service.scan(packets)
-            run.events = run.scan_result.events
-        elif mode == "ids":
-            # the source is finite, so after the last segment the flows are
-            # over: decide the pending negation verdicts too
-            ids = self.ids
-            run.alerts = ids.scan_flow(packets) + ids.finish()
-        else:
-            run.per_packet = self.scan_stateless(
-                [packet.payload for packet in packets]
+        if self._live:
+            report = self.serve()
+            run = RunResult(
+                mode, events=report.events, alerts=report.alerts, ingest=report
             )
-            run.events = [
+        elif mode == "packets":
+            packets = self._reshaped(self._loaded_source.packets, end_of_source=True)
+            per_packet = self.scan_stateless([packet.payload for packet in packets])
+            events = [
                 MatchEvent(
                     packet_id=packet.packet_id,
                     end_offset=offset,
                     string_number=number,
                 )
-                for packet, matches in zip(packets, run.per_packet)
+                for packet, matches in zip(packets, per_packet)
                 for offset, number in matches
             ]
+            run = RunResult(mode, events=events, per_packet=per_packet)
+        else:
+            result = self._scan(self._loaded_source.packets, end_of_source=True)
+            run = RunResult(
+                mode, events=result.events, alerts=result.alerts, scan_result=result
+            )
         run.stats = self.stats()
         for spec in self.config.sinks:
             run.sinks.append(get_sink(spec.kind).emit(self, spec, run))
         return run
 
-    def serve(self, *, collect_events: bool = True, on_batch=None):
-        """Serve the configured **live** source through the stream engine.
+    def serve(self, *, collect_events: bool = True, on_batch=None) -> IngestReport:
+        """Serve the configured **live** source down the stage list.
 
         Builds the :mod:`repro.streaming.ingest` source the config's
         ``tcp``/``udp``/``pcap-tail`` spec describes, micro-batches its
-        segments into :attr:`service` and returns the
-        :class:`~repro.streaming.ingest.IngestReport`.  Packet ids are
-        assigned in arrival order, so serving a finished capture through
-        ``pcap-tail`` produces events byte-identical to an offline
-        ``pcap``-source :meth:`run`.  The spec's ``max_packets`` /
-        ``idle_timeout`` bound the loop; ``on_batch(result, packets)``
-        observes every flushed batch as it happens.
+        segments into :meth:`scan` and returns the
+        :class:`~repro.streaming.ingest.IngestReport` — in ids mode with
+        the ``alerts`` raised.  Packet ids are assigned in arrival order, so
+        serving a finished capture through ``pcap-tail`` produces events and
+        alerts byte-identical to an offline ``pcap``-source :meth:`run`.  The
+        spec's ``max_packets`` / ``idle_timeout`` bound the loop;
+        ``on_batch(result, packets)`` observes every scanned batch as it
+        happens.  No sink is emitted here (:meth:`run` on a live source does
+        that).
 
         With ``engine.reassemble`` on, every batch is routed through the
         session's :class:`~repro.proto.reassembly.TcpReassembler` before
-        scanning, and segments still parked behind sequence holes when the
-        source closes are flushed and scanned as a final batch.
+        scanning, and when the source closes :meth:`flush` scans the
+        segments still parked behind sequence holes (and, in ids mode,
+        decides the pending end-of-flow verdicts) as a final batch.
         """
-        self._require_stream("serve")
         spec = self.config.source
         if not spec.is_live:
             raise ValueError(
                 f"serve() needs a live source ({', '.join(spec.LIVE_KINDS)}); "
                 f"{spec.kind!r} sources replay offline through run()"
             )
-        from ..streaming.ingest import LiveIngestor
-        from .config import _live_source_object
-
-        preprocess = preprocess_flush = None
-        if self.reassembler is not None:
-            preprocess = self.reassembler.process
-            preprocess_flush = self.reassembler.flush_all
+        if self.config.mode == "packets":
+            raise ValueError(
+                "serve() scans flows statefully; 'packets' mode matches each "
+                "packet on its own and only runs offline"
+            )
         ingestor = LiveIngestor(
-            self.service,
+            self,
             batch_packets=spec.batch_packets,
             max_packets=spec.max_packets,
             idle_timeout=spec.idle_timeout,
             collect_events=collect_events,
             on_batch=on_batch,
-            preprocess=preprocess,
-            preprocess_flush=preprocess_flush,
         )
         return ingestor.serve(_live_source_object(self, spec))
 
@@ -529,39 +541,27 @@ class Session:
     # state and reporting
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
-        """Serialise the stream engine's flow state (the service envelope).
+        """Serialise every stage's in-flight state.
 
-        Without reassembly, checkpoints are interchangeable with ones taken
-        directly from a :class:`ScanService` / :class:`ParallelScanService`
-        with the same ``shards`` — the facade adds no envelope of its own.
-        With ``reassemble`` on, the reassembler's in-flight state (buffered
-        holes, per-flow anchors) must ride along, so the checkpoint becomes
-        ``{"service": ..., "reassembly": ...}``; :meth:`restore` accepts
-        both shapes.
+        When the engine is the only stateful stage the envelope is the
+        engine's own: a stream-mode checkpoint is interchangeable with one
+        taken directly from a :class:`ScanService` /
+        :class:`ParallelScanService` with the same ``shards``, an ids-mode
+        one with the IDS's ``{"service", "confirm"}``.  With ``reassemble``
+        on, the reassembler's state (buffered holes, per-flow anchors) must
+        ride along, so the checkpoint becomes ``{"service" | "ids": ...,
+        "reassembly": ...}``; :meth:`restore` accepts both shapes.
         """
-        self._require_stream("checkpoint")
-        data = self.service.checkpoint()
-        if self.reassembler is not None:
-            return {"service": data, "reassembly": self.reassembler.checkpoint()}
-        return data
+        data = getattr(self, self._engine_name).checkpoint()
+        front = {name: stage.checkpoint() for name, stage in self._front}
+        return {self._engine_name: data, **front} if front else data
 
     def restore(self, data: Dict) -> None:
-        """Restore flow state saved by :meth:`checkpoint` (or a raw service)."""
-        self._require_stream("restore")
+        """Restore state saved by :meth:`checkpoint` (or by a raw engine)."""
         if "reassembly" in data:
-            from ..proto.reassembly import TcpReassembler
-
-            self._reassembler = TcpReassembler.restore(data["reassembly"])
-            self.service.restore(data["service"])
-        else:
-            self.service.restore(data)
-
-    def _require_stream(self, what: str) -> None:
-        if self.config.mode != "stream":
-            raise ValueError(
-                f"{what}() needs a stream-mode session; {self.config.mode!r} "
-                "sessions keep no service flow state to exchange"
-            )
+            self._set_reassembler(TcpReassembler.restore(data["reassembly"]))
+            data = data[self._engine_name]
+        getattr(self, self._engine_name).restore(data)
 
     def event_record(self, event) -> Dict[str, Any]:
         """One match event as a plain JSON-serialisable record."""
@@ -587,41 +587,40 @@ class Session:
     def stats(self) -> Dict[str, Any]:
         """Gauges of whatever the session has built so far.
 
-        Always includes the mode; adds source totals once the source loaded,
-        the service's shard gauges once the stream engine exists, the IDS
-        counters once the IDS exists, and capture decode statistics for pcap
-        sources.
+        Always includes the mode; adds source totals once the source loaded
+        (capture decode statistics for pcap sources), then one entry per
+        built stage: ``service`` (the shard gauges — in ids mode the IDS's
+        service), ``reassembly`` and ``ids`` (the confirm-side counters).
         """
         out: Dict[str, Any] = {"mode": self.config.mode}
         source = self._source
+        # whatever is built is read where it is kept: this runs cold, once per
+        # run(), and every property hop is paid in full
         if source is not _UNSET:
+            stats = source.stats
             out["packets"] = len(source.packets)
-            out["payload_bytes"] = self.payload_bytes
+            out["payload_bytes"] = (
+                self.payload_bytes if stats is None else stats.payload_bytes
+            )
             if source.flows is not None:
                 out["flows"] = len(source.flows)
-            stats = source.stats
             if stats is not None:
                 out["capture"] = {
                     "frames": stats.frames,
                     "decoded": stats.decoded,
                     "skipped": dict(stats.skipped),
                 }
-        # whatever is built is read where it is kept: this runs cold, once per
-        # run(), and every property hop is paid in full
-        if self._service is not _UNSET:
-            out["service"] = self._service.stats()
-        if self._reassembler not in (_UNSET, None):
-            # flat counters: a shallow copy, not asdict's recursive one
-            out["reassembly"] = dict(vars(self._reassembler.stats))
-        if self._ids is not _UNSET:
-            ids_stats = self._ids.stats
-            out["ids"] = {
-                "packets_processed": ids_stats.packets_processed,
-                "payload_bytes": ids_stats.payload_bytes,
-                "header_candidates": ids_stats.header_candidates,
-                "content_matches": ids_stats.content_matches,
-                "alerts_raised": ids_stats.alerts_raised,
-            }
+        ids = self._ids
+        service = self._service
+        if ids is not _UNSET and self._engine_name == "ids":
+            service = ids.service  # the session's one prefilter lives there
+        if service is not _UNSET:
+            out["service"] = service.stats()
+        # flat counters: a shallow copy each, not asdict's recursive one
+        for name, stage in self._front:
+            out[name] = dict(vars(stage.stats))
+        if ids is not _UNSET:
+            out["ids"] = dict(vars(ids.stats))
         return out
 
     def verify(self):
@@ -646,10 +645,9 @@ class Session:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release engine resources (worker pools); idempotent."""
-        if self._service is not _UNSET:
-            self._service.close()
-        if self._ids is not _UNSET:
-            self._ids.close()
+        for engine in (self._service, self._ids):
+            if engine is not _UNSET:
+                engine.close()
 
     def __enter__(self) -> "Session":
         return self

@@ -20,8 +20,10 @@ IDM104   ``raise ConfigError`` in a module that defines ``_cmd_*``
 IDM105   ``*Error`` raised with a constant "must be ..." message that
          does not interpolate the offending value (use an f-string so
          the traceback shows what was passed)
-IDM106   a ``_cmd_*`` handler reads a count flag (``args.workers``,
-         ``args.flows``, ...) without calling ``_require_count`` on it
+IDM106   a function in a module that defines ``_cmd_*`` handlers — a
+         handler, or a builder the handlers share — reads a count flag
+         (``args.workers``, ``args.flows``, ...) without calling
+         ``_require_count`` on it: the check travels with the read
 =======  ==============================================================
 
 Run as ``python -m repro.check.idioms [paths...]`` (default:
@@ -97,8 +99,8 @@ def _statement_lists(node: ast.AST) -> Iterable[List[ast.stmt]]:
                 yield block
 
 
-def _exception_name(node: Optional[ast.expr]) -> Optional[str]:
-    """Name of the exception in ``raise X(...)`` / ``raise X``."""
+def _called_name(node: Optional[ast.expr]) -> Optional[str]:
+    """Name of ``X`` in ``X(...)`` / ``X`` / ``module.X(...)``."""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Name):
@@ -118,29 +120,19 @@ def _args_attr(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _check_handler(report: Report, function: ast.FunctionDef, where: str) -> None:
-    source = f"{where}:{function.lineno}"
+def _check_count_flags(report: Report, function: ast.FunctionDef, where: str) -> None:
+    """IDM106, for any function of a handler module."""
     required: set = set()
     read: set = set()
     for node in ast.walk(function):
-        if isinstance(node, ast.Call):
-            name = node.func.id if isinstance(node.func, ast.Name) else (
-                node.func.attr if isinstance(node.func, ast.Attribute) else None
-            )
-            if name == "exit" and isinstance(node.func, ast.Attribute) and (
-                isinstance(node.func.value, ast.Name) and node.func.value.id == "sys"
-            ):
-                report.add(
-                    ERROR,
-                    "IDM102",
-                    f"{function.name} calls sys.exit at line {node.lineno}; "
-                    "handlers return an exit code to main()",
-                    source=source,
-                )
-            if name == "_require_count" and len(node.args) >= 2:
-                attr = _args_attr(node.args[1])
-                if attr is not None:
-                    required.add(attr)
+        if (
+            isinstance(node, ast.Call)
+            and _called_name(node) == "_require_count"
+            and len(node.args) >= 2
+        ):
+            attr = _args_attr(node.args[1])
+            if attr is not None:
+                required.add(attr)
         attr = _args_attr(node) if isinstance(node, ast.Attribute) else None
         if attr is not None:
             read.add(attr)
@@ -152,8 +144,27 @@ def _check_handler(report: Report, function: ast.FunctionDef, where: str) -> Non
             f"{function.name} reads args.{attr} without "
             f'_require_count("{flag}", args.{attr}) — a bad {flag} must '
             "raise a raw ValueError before any work happens",
-            source=source,
+            source=f"{where}:{function.lineno}",
         )
+
+
+def _check_handler(report: Report, function: ast.FunctionDef, where: str) -> None:
+    """IDM102 and IDM103, for the ``_cmd_*`` handlers themselves."""
+    for node in ast.walk(function):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exit"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "sys"
+        ):
+            report.add(
+                ERROR,
+                "IDM102",
+                f"{function.name} calls sys.exit at line {node.lineno}; "
+                "handlers return an exit code to main()",
+                source=f"{where}:{function.lineno}",
+            )
     for block in _statement_lists(function):
         for index, stmt in enumerate(block):
             if not _is_stderr_print(stmt):
@@ -200,7 +211,7 @@ def check_source(source: str, filename: str = "<string>") -> Report:
                 source=f"{filename}:{node.lineno}",
             )
         if isinstance(node, ast.Raise):
-            name = _exception_name(node.exc)
+            name = _called_name(node.exc)
             if name == "ConfigError" and handlers:
                 report.add(
                     ERROR,
@@ -228,6 +239,10 @@ def check_source(source: str, filename: str = "<string>") -> Report:
                 )
     for function in handlers:
         _check_handler(report, function, filename)
+    if handlers:  # a builder the handlers share range-checks what it reads, too
+        for function in tree.body:
+            if isinstance(function, ast.FunctionDef):
+                _check_count_flags(report, function, filename)
     return report
 
 

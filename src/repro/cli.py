@@ -24,11 +24,12 @@ figure can be regenerated from a shell:
 * ``table1`` / ``table2`` / ``table3`` — regenerate the paper's tables;
 * ``fig6`` / ``fig7`` / ``fig8``       — regenerate the paper's figures as text.
 
-The scanning subcommands are thin adapters: each builds a
-:class:`repro.api.PipelineConfig` from its flags and delegates construction
-to :class:`repro.api.Session`, so the CLI, the config-file path (``run``)
-and programmatic use share one composition of sources, rules, engines and
-sinks.  ``scan``, ``scan-stream``, ``scan-pcap`` and ``ids`` take
+The scanning subcommands are presets: each names a mode and a source, one
+shared builder (:func:`_pipeline_config`) turns the rest of its flags into a
+:class:`repro.api.PipelineConfig`, and :class:`repro.api.Session` composes
+and drives it — so the CLI, the config-file path (``run``) and programmatic
+use share one composition of sources, rules, engines and sinks, and one set
+of summary printers.  ``scan``, ``scan-stream``, ``scan-pcap`` and ``ids`` take
 ``--backend`` with any name from :mod:`repro.backend` (``dtp``, ``dense``,
 ``bitmap``, ``path``, ``wu-manber``, ``ac``); every backend is driven
 through the same :class:`repro.backend.CompiledProgram` protocol, so the
@@ -92,6 +93,30 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         choices=backend_names(),
         help="matcher backend (all report identical match sets)",
     )
+    parser.add_argument("--device", default="stratix3", choices=sorted(DEVICES))
+
+
+def _add_rules_file_arguments(
+    parser: argparse.ArgumentParser,
+    rules_help: str = "Snort rules file to match against (default: "
+                      "the synthetic --size/--seed ruleset)",
+) -> None:
+    parser.add_argument("--rules", metavar="FILE", help=rules_help)
+    parser.add_argument("--strict-rules", action="store_true",
+                        help="reject rules with unsupported options instead "
+                             "of keeping them unparsed (lenient default)")
+
+
+def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
+    """The scan-service flags the stream-mode subcommands share."""
+    parser.add_argument("--shards", type=int, default=4, help="scan engine pool size")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="scan shards on this many worker processes "
+                             "(default: serial in-process scan)")
+    parser.add_argument("--flow-capacity", type=int, default=4096,
+                        help="LRU flow-table capacity per shard")
+    parser.add_argument("--print-events", action="store_true",
+                        help="print every match event (backend-independent report)")
 
 
 def _add_reassembly_arguments(parser: argparse.ArgumentParser) -> None:
@@ -107,17 +132,109 @@ def _add_reassembly_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _print_reassembly_summary(session) -> None:
-    """One gauge line when the reassembler ran (shared by the scan commands)."""
-    stats = session.stats().get("reassembly")
-    if stats is None:
-        return
-    print(
-        f"reassembled               : {stats['segments_in']} segments -> "
-        f"{stats['packets_out']} packets "
-        f"(reordered={stats['reordered']}, retransmits={stats['retransmits']}, "
-        f"hole_flushes={stats['hole_flushes']})"
+#: Flags a scan-shaped subcommand may not define, at their ``EngineSpec`` /
+#: ``RulesSpec`` defaults, so :func:`_pipeline_config` reads every one by name.
+_PIPELINE_DEFAULTS = dict(
+    rules=None, strict_rules=False, shards=4, workers=None, flow_capacity=4096,
+    strict=False, reassemble=False, overlap_policy="first",
+)
+
+
+def _require_count(name: str, value: Optional[int], minimum: int = 1) -> None:
+    """Range-check a count flag at the CLI layer (same raw-``ValueError``
+    idiom as every other bad input value; the spec layer re-checks for
+    programmatic callers, so both surfaces reject ``--workers 0``)."""
+    if value is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _pipeline_config(
+    args: argparse.Namespace, mode: str, source: SourceSpec, sinks=()
+) -> PipelineConfig:
+    """The config a scan-shaped subcommand's flags describe: the preset's
+    ``mode`` and ``source`` plus the shared rules and engine flags (absent
+    ones at :data:`_PIPELINE_DEFAULTS`), range-checked where they are read."""
+    _require_count("--shards", args.shards)
+    _require_count("--workers", args.workers)
+    _require_count("--flow-capacity", args.flow_capacity)
+    if args.rules:
+        rules = RulesSpec(kind="file", path=args.rules, strict=args.strict_rules)
+    else:
+        rules = RulesSpec(kind="synthetic", size=args.size, seed=args.seed)
+    return PipelineConfig(
+        mode=mode,
+        source=source,
+        rules=rules,
+        engine=EngineSpec(
+            backend=args.backend,
+            device=args.device,
+            shards=args.shards,
+            workers=args.workers,
+            flow_capacity=args.flow_capacity,
+            strict=args.strict,
+            reassemble=args.reassemble,
+            overlap_policy=args.overlap_policy,
+        ),
+        sinks=sinks,
     )
+
+
+def _flow_source(args: argparse.Namespace, **shape) -> SourceSpec:
+    """The generated workload ``scan-stream`` and ``ids`` share: interleaved
+    flows, each carrying one deliberately split rule string."""
+    _require_count("--flows", args.flows)
+    _require_count("--packets-per-flow", args.packets_per_flow)
+    return SourceSpec(
+        kind="generator",
+        flows=args.flows,
+        packets_per_flow=args.packets_per_flow,
+        split_patterns=1,
+        seed=args.seed + 1,
+        **shape,
+    )
+
+
+def _flow_count(session) -> int:
+    """Flows in the session's source: generator ground truth, else counted."""
+    if session.flows is not None:
+        return len(session.flows)
+    return len({StreamScanner.flow_key(packet) for packet in session.packets})
+
+
+# The summary printers take the label column's width: every subcommand keeps
+# the alignment its output has always had.
+def _print_rules_loaded(session, count: int, width: int) -> None:
+    # remaps cover genuine collisions and the extra contents of
+    # multi-content rules — both are sids that differ from the rule file
+    remapped = len(session.sid_remap)
+    print(f"{'rules loaded':<{width}}: {count}"
+          + (f" ({remapped} reassigned sids)" if remapped else ""))
+
+
+def _print_reassembly_summary(session, width: int = 26) -> None:
+    """One gauge line when the reassembler ran (shared by the scan commands)."""
+    if session.reassembler is None:
+        return
+    stats = session.reassembler.stats
+    print(
+        f"{'reassembled':<{width}}: {stats.segments_in} segments -> "
+        f"{stats.packets_out} packets "
+        f"(reordered={stats.reordered}, retransmits={stats.retransmits}, "
+        f"hole_flushes={stats.hole_flushes})"
+    )
+
+
+def _print_serve_summary(report, width: int) -> None:
+    counters = ", ".join(
+        f"{name}={count}" for name, count in sorted(report.source_stats.items())
+    )
+    print(
+        f"served {report.packets} packets / {report.batches} batches "
+        f"({report.payload_bytes} payload bytes) "
+        f"in {report.elapsed_seconds:.2f}s"
+    )
+    print(f"{'stop reason':<{width}}: {report.stop_reason}"
+          + (f" ({counters})" if counters else ""))
 
 
 def _cmd_generate_ruleset(args: argparse.Namespace) -> int:
@@ -161,19 +278,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     _require_count("--packets", args.packets)
     _require_count("--payload", args.payload)
-    config = PipelineConfig(
-        mode="packets",
-        source=SourceSpec(
-            kind="generator",
-            count=args.packets,
-            mean_payload=args.payload,
-            attack_rate=args.attack_rate,
-            seed=args.seed + 1,
-        ),
-        rules=RulesSpec(kind="synthetic", size=args.size, seed=args.seed),
-        engine=EngineSpec(backend=args.backend, device=args.device),
+    source = SourceSpec(
+        kind="generator",
+        count=args.packets,
+        mean_payload=args.payload,
+        attack_rate=args.attack_rate,
+        seed=args.seed + 1,
     )
-    with Session.from_config(config) as session:
+    with Session.from_config(_pipeline_config(args, "packets", source)) as session:
         packets = session.packets
 
         if args.backend == "dtp":
@@ -205,14 +317,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_count(name: str, value: Optional[int], minimum: int = 1) -> None:
-    """Range-check a count flag at the CLI layer (same raw-``ValueError``
-    idiom as every other bad input value; the spec layer re-checks for
-    programmatic callers, so both surfaces reject ``--workers 0``)."""
-    if value is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
 def _parse_endpoint(value: str) -> Tuple[str, int]:
     """``HOST:PORT``, ``:PORT`` or bare ``PORT`` (host defaults to loopback).
 
@@ -233,55 +337,35 @@ def _print_event_report(events, sid_of) -> None:
         )
 
 
-def _print_scan_summary(service, result, show_workers: bool, extra_lines=()) -> None:
-    """The service-state summary shared by ``scan-stream`` and ``scan-pcap``.
+def _print_scan_summary(session, result, extra_lines=()) -> None:
+    """The engine summary shared by the stream-mode commands: the reassembly
+    gauges when the reassembler ran, then the scan service's.
 
     ``extra_lines`` are printed between the match counters and the flow-table
     gauges (scan-stream's split-pattern ground truth goes there).
     """
-    if show_workers:
-        print(f"worker processes          : {service.num_workers}")
+    _print_reassembly_summary(session)
+    stats = session.service.stats()
+    if stats["num_workers"] is not None:
+        print(f"worker processes          : {stats['num_workers']}")
     print(f"match events              : {len(result.events)}")
-    print(f"cross-segment matches     : {service.cross_segment_matches}")
+    print(f"cross-segment matches     : {stats['cross_segment_matches']}")
     for line in extra_lines:
         print(line)
-    print(f"active flows              : {service.active_flows}")
-    print(f"evicted flows             : {service.evicted_flows}")
-    print(f"shard occupancy           : {service.shard_occupancy()}")
+    print(f"active flows              : {stats['active_flows']}")
+    print(f"evicted flows             : {stats['evicted_flows']}")
+    print(f"shard occupancy           : {stats['shard_occupancy']}")
 
 
 def _cmd_scan_stream(args: argparse.Namespace) -> int:
-    _require_count("--shards", args.shards)
-    _require_count("--workers", args.workers)
-    _require_count("--flow-capacity", args.flow_capacity)
-    _require_count("--flows", args.flows)
-    _require_count("--packets-per-flow", args.packets_per_flow)
     sinks = ()
     if args.export_pcap:
         # the sink follows the extension so the file's magic matches its name
         sinks = (SinkSpec(kind="pcap", path=args.export_pcap),)
-    config = PipelineConfig(
-        mode="stream",
-        source=SourceSpec(
-            kind="generator",
-            flows=args.flows,
-            packets_per_flow=args.packets_per_flow,
-            split_patterns=1,
-            split_segments=args.split_segments,
-            segment_bytes=args.segment_bytes,
-            seed=args.seed + 1,
-        ),
-        rules=RulesSpec(kind="synthetic", size=args.size, seed=args.seed),
-        engine=EngineSpec(
-            backend=args.backend,
-            device=args.device,
-            shards=args.shards,
-            workers=args.workers,
-            flow_capacity=args.flow_capacity,
-        ),
-        sinks=sinks,
+    source = _flow_source(
+        args, split_segments=args.split_segments, segment_bytes=args.segment_bytes
     )
-    with Session.from_config(config) as session:
+    with Session.from_config(_pipeline_config(args, "stream", source, sinks)) as session:
         run = session.run()
         result = run.scan_result
         if args.export_pcap:
@@ -313,88 +397,48 @@ def _cmd_scan_stream(args: argparse.Namespace) -> int:
             f"({result.bytes_scanned} bytes) on {session.service.num_shards} shard(s)"
         )
         _print_scan_summary(
-            session.service,
+            session,
             result,
-            show_workers=args.workers is not None,
             extra_lines=(
                 f"split patterns detected   : {found_split}/{num_flows} (streaming)",
                 f"split patterns detected   : {stateless_split}/{num_flows} (per-packet scan)",
             ),
         )
-    if args.print_events:
-        # the match report proper: identical for every backend on the same
-        # workload (the equivalence the backend protocol guarantees)
-        _print_event_report(result.events, sid_of)
+        if args.print_events:
+            # the match report proper: identical for every backend on the same
+            # workload (the equivalence the backend protocol guarantees)
+            _print_event_report(result.events, sid_of)
     return 0
 
 
 def _cmd_scan_pcap(args: argparse.Namespace) -> int:
-    _require_count("--shards", args.shards)
-    _require_count("--workers", args.workers)
-    _require_count("--flow-capacity", args.flow_capacity)
-    if args.rules:
-        rules = RulesSpec(kind="file", path=args.rules, strict=args.strict_rules)
-    else:
-        rules = RulesSpec(kind="synthetic", size=args.size, seed=args.seed)
-    config = PipelineConfig(
-        mode="stream",
-        source=SourceSpec(kind="pcap", path=args.pcap),
-        rules=rules,
-        engine=EngineSpec(
-            backend=args.backend,
-            device=args.device,
-            shards=args.shards,
-            workers=args.workers,
-            flow_capacity=args.flow_capacity,
-            strict=args.strict,
-            reassemble=args.reassemble,
-            overlap_policy=args.overlap_policy,
-        ),
-    )
-    try:
-        with Session.from_config(config) as session:
-            ruleset = session.ruleset
-            result = session.run().scan_result
-            capture = session.capture
-            stats = session.capture_stats
-            flow_count = len(
-                {StreamScanner.flow_key(packet) for packet in session.packets}
-            )
-            print(f"backend                   : {args.backend}")
-            print(
-                f"capture                   : {args.pcap} "
-                f"({capture.fmt}, linktype {capture.linktype}, {stats.frames} frames)"
-            )
-            print(
-                f"decoded {stats.decoded} packets / {flow_count} flows "
-                f"({stats.payload_bytes} payload bytes)"
-            )
-            print(f"skipped frames            : {stats.skipped_total}"
-                  + (f" (fragments={stats.skipped_fragments}, "
-                     f"other={stats.skipped_other})"
-                     if stats.skipped_total else ""))
-            # remaps cover genuine collisions and the extra contents of
-            # multi-content rules — both are sids that differ from the rule file
-            remapped = len(session.sid_remap)
-            print(f"rules loaded              : {len(ruleset)}"
-                  + (f" ({remapped} reassigned sids)" if remapped else ""))
-            _print_reassembly_summary(session)
-            _print_scan_summary(
-                session.service, result, show_workers=args.workers is not None
-            )
-            sid_of = session.sid_of
-    except EmptyRulesetError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    if args.print_events:
-        _print_event_report(result.events, sid_of)
+    source = SourceSpec(kind="pcap", path=args.pcap)
+    with Session.from_config(_pipeline_config(args, "stream", source)) as session:
+        ruleset = session.ruleset
+        result = session.run().scan_result
+        capture = session.capture
+        stats = session.capture_stats
+        print(f"backend                   : {args.backend}")
+        print(
+            f"capture                   : {args.pcap} "
+            f"({capture.fmt}, linktype {capture.linktype}, {stats.frames} frames)"
+        )
+        print(
+            f"decoded {stats.decoded} packets / {_flow_count(session)} flows "
+            f"({stats.payload_bytes} payload bytes)"
+        )
+        print(f"skipped frames            : {stats.skipped_total}"
+              + (f" (fragments={stats.skipped_fragments}, "
+                 f"other={stats.skipped_other})"
+                 if stats.skipped_total else ""))
+        _print_rules_loaded(session, len(ruleset), 26)
+        _print_scan_summary(session, result)
+        if args.print_events:
+            _print_event_report(result.events, session.sid_of)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    _require_count("--shards", args.shards)
-    _require_count("--workers", args.workers)
-    _require_count("--flow-capacity", args.flow_capacity)
     _require_count("--max-packets", args.max_packets)
     _require_count("--batch-packets", args.batch_packets)
 
@@ -414,165 +458,78 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         idle_timeout=args.idle_seconds,
         batch_packets=args.batch_packets,
     )
-    if args.tcp:
-        host, port = _parse_endpoint(args.tcp)
-        source = SourceSpec(kind="tcp", host=host, port=port, **limits)
-    elif args.udp:
-        host, port = _parse_endpoint(args.udp)
-        source = SourceSpec(kind="udp", host=host, port=port, **limits)
-    else:
+    if args.pcap_tail:
         source = SourceSpec(kind="pcap-tail", path=args.pcap_tail,
                             follow=args.follow, poll_interval=args.poll_interval,
                             **limits)
-
-    if args.rules:
-        rules = RulesSpec(kind="file", path=args.rules, strict=args.strict_rules)
     else:
-        rules = RulesSpec(kind="synthetic", size=args.size, seed=args.seed)
-    config = PipelineConfig(
-        mode="stream",
-        source=source,
-        rules=rules,
-        engine=EngineSpec(
-            backend=args.backend,
-            device=args.device,
-            shards=args.shards,
-            workers=args.workers,
-            flow_capacity=args.flow_capacity,
-            strict=args.strict,
-            reassemble=args.reassemble,
-            overlap_policy=args.overlap_policy,
-        ),
-    )
-    try:
-        with Session.from_config(config) as session:
-            ruleset = session.ruleset
-            print(f"backend                   : {args.backend}")
-            print(f"source                    : {source.kind} "
-                  + (args.pcap_tail if args.pcap_tail
-                     else f"{source.host}:{source.port}")
-                  + (" (follow)" if args.follow else ""))
-            remapped = len(session.sid_remap)
-            print(f"rules loaded              : {len(ruleset)}"
-                  + (f" ({remapped} reassigned sids)" if remapped else ""))
-            report = session.serve()
-            counters = ", ".join(
-                f"{name}={count}" for name, count in sorted(report.source_stats.items())
-            )
-            print(
-                f"served {report.packets} packets / {report.batches} batches "
-                f"({report.payload_bytes} payload bytes) "
-                f"in {report.elapsed_seconds:.2f}s"
-            )
-            print(f"stop reason               : {report.stop_reason}"
-                  + (f" ({counters})" if counters else ""))
-            _print_reassembly_summary(session)
-            _print_scan_summary(
-                session.service, report, show_workers=args.workers is not None
-            )
-            sid_of = session.sid_of
-    except EmptyRulesetError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
-    if args.print_events:
-        _print_event_report(report.events, sid_of)
+        host, port = _parse_endpoint(args.tcp or args.udp)
+        source = SourceSpec(kind="tcp" if args.tcp else "udp", host=host, port=port,
+                            **limits)
+
+    with Session.from_config(_pipeline_config(args, "stream", source)) as session:
+        ruleset = session.ruleset
+        print(f"backend                   : {args.backend}")
+        print(f"source                    : {source.kind} "
+              + (args.pcap_tail if args.pcap_tail
+                 else f"{source.host}:{source.port}")
+              + (" (follow)" if args.follow else ""))
+        _print_rules_loaded(session, len(ruleset), 26)
+        report = session.serve()
+        _print_serve_summary(report, 26)
+        _print_scan_summary(session, report)
+        if args.print_events:
+            _print_event_report(report.events, session.sid_of)
     return 0
 
 
 def _cmd_ids(args: argparse.Namespace) -> int:
-    _require_count("--workers", args.workers)
-    _require_count("--flows", args.flows)
-    _require_count("--packets-per-flow", args.packets_per_flow)
-    if args.rules:
+    if args.rules and not args.pcap:
         # real rules only make sense against real traffic: the synthetic
         # flow generator injects patterns from the synthetic ruleset
-        if not args.pcap:
-            print("--rules requires --pcap (a capture to match against)",
-                  file=sys.stderr)
-            return 1
-        rules = RulesSpec(kind="file", path=args.rules, strict=args.strict_rules)
-    else:
-        rules = RulesSpec(kind="synthetic", size=args.size, seed=args.seed)
+        print("--rules requires --pcap (a capture to match against)",
+              file=sys.stderr)
+        return 1
     if args.pcap:
         # replay a capture through the stateful pipeline instead of
         # generating flows (no injection ground truth on the wire)
         source = SourceSpec(kind="pcap", path=args.pcap)
     else:
-        source = SourceSpec(
-            kind="generator",
-            flows=args.flows,
-            packets_per_flow=args.packets_per_flow,
-            split_patterns=1,
-            seed=args.seed + 1,
-        )
-    config = PipelineConfig(
-        mode="ids",
-        source=source,
-        rules=rules,
-        engine=EngineSpec(
-            backend=args.backend,
-            device=args.device,
-            workers=args.workers,
-            strict=args.strict,
-            reassemble=args.reassemble,
-            overlap_policy=args.overlap_policy,
-        ),
-    )
-    try:
-        with Session.from_config(config) as session:
-            ids = session.ids
-            flows = session.flows
-            flow_count = (
-                len(flows)
-                if flows is not None
-                else len({StreamScanner.flow_key(packet) for packet in session.packets})
-            )
-            alerts = session.run().alerts
+        source = _flow_source(args)
+    with Session.from_config(_pipeline_config(args, "ids", source)) as session:
+        ids = session.ids
+        flows = session.flows
+        alerts = session.run().alerts
 
-            print(f"backend              : {args.backend}")
-            if args.pcap:
-                stats = session.capture_stats
-                print(
-                    f"capture              : {args.pcap} "
-                    f"({stats.frames} frames, {stats.skipped_total} skipped)"
-                )
+        print(f"backend              : {args.backend}")
+        if args.pcap:
+            stats = session.capture_stats
             print(
-                f"processed {ids.stats.packets_processed} packets / {flow_count} flows "
-                f"({ids.stats.payload_bytes} payload bytes)"
+                f"capture              : {args.pcap} "
+                f"({stats.frames} frames, {stats.skipped_total} skipped)"
             )
-            remapped = len(session.sid_remap)
-            print(f"rules loaded         : {len(ids.rules)}"
-                  + (f" ({remapped} reassigned sids)" if remapped else ""))
-            if session.specs is not None:
-                skipped = session.skipped_rules
-                ignored = sum(len(e.unparsed_options) for e in session.specs)
-                if skipped:
-                    print(f"rules skipped        : {skipped} (no positive content)")
-                if ignored:
-                    print(f"options ignored      : {ignored} "
-                          "(lenient parse; --strict-rules rejects them)")
-            reassembly = session.stats().get("reassembly")
-            if reassembly is not None:
-                print(
-                    f"reassembled          : {reassembly['segments_in']} "
-                    f"segments -> {reassembly['packets_out']} packets "
-                    f"(reordered={reassembly['reordered']}, "
-                    f"retransmits={reassembly['retransmits']})"
-                )
-            print(f"alerts raised        : {len(alerts)}")
-            if flows is not None:
-                alerted_sids = {alert.sid for alert in alerts}
-                split_detected = sum(
-                    1 for flow in flows for sid in flow.split_sids if sid in alerted_sids
-                )
-                split_total = sum(len(flow.split_sids) for flow in flows)
-                print(f"split-pattern alerts : {split_detected}/{split_total}")
-    except EmptyRulesetError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+        print(
+            f"processed {ids.stats.packets_processed} packets / "
+            f"{_flow_count(session)} flows ({ids.stats.payload_bytes} payload bytes)"
+        )
+        _print_rules_loaded(session, len(ids.rules), 21)
+        if session.specs is not None:
+            skipped = session.skipped_rules
+            ignored = sum(len(e.unparsed_options) for e in session.specs)
+            if skipped:
+                print(f"rules skipped        : {skipped} (no positive content)")
+            if ignored:
+                print(f"options ignored      : {ignored} "
+                      "(lenient parse; --strict-rules rejects them)")
+        _print_reassembly_summary(session, 21)
+        print(f"alerts raised        : {len(alerts)}")
+        if flows is not None:
+            alerted_sids = {alert.sid for alert in alerts}
+            split_detected = sum(
+                1 for flow in flows for sid in flow.split_sids if sid in alerted_sids
+            )
+            split_total = sum(len(flow.split_sids) for flow in flows)
+            print(f"split-pattern alerts : {split_detected}/{split_total}")
     if args.print_alerts:
         print("alert report:")
         for alert in alerts:
@@ -582,30 +539,29 @@ def _cmd_ids(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    try:
-        with Session.from_config(config) as session:
-            run = session.run()
-            print(f"pipeline              : {args.config}")
-            print(f"version               : {repro_version()}")
-            print(f"mode                  : {config.mode}")
-            print(f"backend               : {config.engine.backend}")
-            print(f"rules loaded          : {len(session.ruleset)}")
+    with Session.from_config(config) as session:
+        run = session.run()
+        print(f"pipeline              : {args.config}")
+        print(f"version               : {repro_version()}")
+        print(f"mode                  : {config.mode}")
+        print(f"backend               : {config.engine.backend}")
+        print(f"rules loaded          : {len(session.ruleset)}")
+        if run.ingest is not None:  # a live source: what serve() reported
+            _print_serve_summary(run.ingest, 22)
+        else:
             print(f"packets               : {len(session.packets)}")
-            if config.mode == "ids":
-                print(f"alerts raised         : {len(run.alerts)}")
+        if config.mode == "ids":
+            print(f"alerts raised         : {len(run.alerts)}")
+        else:
+            print(f"match events          : {len(run.events)}")
+        for index, (spec, output) in enumerate(zip(config.sinks, run.sinks)):
+            if spec.kind == "ndjson":
+                summary = f"wrote {output['records']} {output['what']} to {output['path']}"
+            elif spec.kind == "pcap":
+                summary = f"wrote {output['frames']} frames to {output['path']}"
             else:
-                print(f"match events          : {len(run.events)}")
-            for index, (spec, output) in enumerate(zip(config.sinks, run.sinks)):
-                if spec.kind == "ndjson":
-                    summary = f"wrote {output['records']} {output['what']} to {output['path']}"
-                elif spec.kind == "pcap":
-                    summary = f"wrote {output['frames']} frames to {output['path']}"
-                else:
-                    summary = f"collected {len(output)} {spec.kind}"
-                print(f"sink[{index}] {spec.kind:<13s}: {summary}")
-    except EmptyRulesetError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+                summary = f"collected {len(output)} {spec.kind}"
+            print(f"sink[{index}] {spec.kind:<13s}: {summary}")
     return 0
 
 
@@ -770,6 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {version}",
         help="print the package version and exit",
     )
+    parser.set_defaults(**_PIPELINE_DEFAULTS)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     generate = subparsers.add_parser("generate-ruleset", help="synthesise a Snort-like ruleset")
@@ -785,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan = subparsers.add_parser("scan", help="scan synthetic traffic with any backend")
     _add_ruleset_arguments(scan)
     _add_backend_argument(scan)
-    scan.add_argument("--device", default="stratix3", choices=sorted(DEVICES))
     scan.add_argument("--packets", type=int, default=60)
     scan.add_argument("--payload", type=int, default=300, help="mean payload bytes")
     scan.add_argument("--attack-rate", type=float, default=0.3)
@@ -796,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_ruleset_arguments(scan_stream)
     _add_backend_argument(scan_stream)
-    scan_stream.add_argument("--device", default="stratix3", choices=sorted(DEVICES))
+    _add_service_arguments(scan_stream)
     scan_stream.add_argument("--flows", type=int, default=24, help="concurrent flows")
     scan_stream.add_argument("--packets-per-flow", type=int, default=4)
     scan_stream.add_argument(
@@ -804,14 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="segments each injected pattern is split across",
     )
     scan_stream.add_argument("--segment-bytes", type=int, default=None)
-    scan_stream.add_argument("--shards", type=int, default=4, help="scan engine pool size")
-    scan_stream.add_argument("--workers", type=int, default=None,
-                             help="scan shards on this many worker processes "
-                                  "(default: serial in-process scan)")
-    scan_stream.add_argument("--flow-capacity", type=int, default=4096,
-                             help="LRU flow-table capacity per shard")
-    scan_stream.add_argument("--print-events", action="store_true",
-                             help="print every match event (backend-independent report)")
     scan_stream.add_argument("--export-pcap", metavar="PATH",
                              help="also write the generated workload as a capture "
                                   "(pcapng when PATH ends in .pcapng, else pcap; "
@@ -822,27 +770,14 @@ def build_parser() -> argparse.ArgumentParser:
         "scan-pcap", help="replay a pcap/pcapng capture through the scan service"
     )
     scan_pcap.add_argument("pcap", help="capture file (pcap or pcapng, auto-detected)")
-    scan_pcap.add_argument("--rules", metavar="FILE",
-                           help="Snort rules file to match against (default: "
-                                "the synthetic --size/--seed ruleset)")
-    scan_pcap.add_argument("--strict-rules", action="store_true",
-                           help="reject rules with unsupported options instead "
-                                "of keeping them unparsed (lenient default)")
+    _add_rules_file_arguments(scan_pcap)
     _add_ruleset_arguments(scan_pcap)
     _add_backend_argument(scan_pcap)
-    scan_pcap.add_argument("--device", default="stratix3", choices=sorted(DEVICES))
-    scan_pcap.add_argument("--shards", type=int, default=4, help="scan engine pool size")
-    scan_pcap.add_argument("--workers", type=int, default=None,
-                           help="scan shards on this many worker processes "
-                                "(default: serial in-process scan)")
-    scan_pcap.add_argument("--flow-capacity", type=int, default=4096,
-                           help="LRU flow-table capacity per shard")
+    _add_service_arguments(scan_pcap)
     scan_pcap.add_argument("--strict", action="store_true",
                            help="fail on frames that cannot be decoded "
                                 "(default: skip and count them)")
     _add_reassembly_arguments(scan_pcap)
-    scan_pcap.add_argument("--print-events", action="store_true",
-                           help="print every match event (backend-independent report)")
     scan_pcap.set_defaults(handler=_cmd_scan_pcap)
 
     serve = subparsers.add_parser(
@@ -861,21 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of stopping at end of file")
     serve.add_argument("--poll-interval", type=float, default=0.2,
                        help="with --follow: seconds between polls for new records")
-    serve.add_argument("--rules", metavar="FILE",
-                       help="Snort rules file to match against (default: "
-                            "the synthetic --size/--seed ruleset)")
-    serve.add_argument("--strict-rules", action="store_true",
-                       help="reject rules with unsupported options instead "
-                            "of keeping them unparsed (lenient default)")
+    _add_rules_file_arguments(serve)
     _add_ruleset_arguments(serve)
     _add_backend_argument(serve)
-    serve.add_argument("--device", default="stratix3", choices=sorted(DEVICES))
-    serve.add_argument("--shards", type=int, default=4, help="scan engine pool size")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="scan shards on this many worker processes "
-                            "(default: serial in-process scan)")
-    serve.add_argument("--flow-capacity", type=int, default=4096,
-                       help="LRU flow-table capacity per shard")
+    _add_service_arguments(serve)
     serve.add_argument("--max-packets", type=int, default=None,
                        help="stop after scanning this many packets")
     serve.add_argument("--idle-seconds", type=float, default=None,
@@ -886,8 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --pcap-tail: fail on frames that cannot be "
                             "decoded (default: skip and count them)")
     _add_reassembly_arguments(serve)
-    serve.add_argument("--print-events", action="store_true",
-                       help="print every match event (backend-independent report)")
     serve.set_defaults(handler=_cmd_serve)
 
     ids = subparsers.add_parser(
@@ -896,19 +818,15 @@ def build_parser() -> argparse.ArgumentParser:
     ids.add_argument("--size", type=int, default=80, help="number of strings")
     ids.add_argument("--seed", type=int, default=2010, help="generation seed")
     _add_backend_argument(ids)
-    ids.add_argument("--device", default="stratix3", choices=sorted(DEVICES))
     ids.add_argument("--flows", type=int, default=12, help="concurrent flows")
     ids.add_argument("--packets-per-flow", type=int, default=3)
     ids.add_argument("--workers", type=int, default=None,
                      help="run content scanning on this many worker processes")
     ids.add_argument("--pcap", metavar="PATH",
                      help="replay this capture instead of generating flows")
-    ids.add_argument("--rules", metavar="FILE",
-                     help="build the IDS from this Snort rules file instead of "
-                          "the synthetic ruleset (requires --pcap)")
-    ids.add_argument("--strict-rules", action="store_true",
-                     help="reject rules with unsupported options instead "
-                          "of keeping them unparsed (lenient default)")
+    _add_rules_file_arguments(
+        ids, "build the IDS from this Snort rules file instead of "
+             "the synthetic ruleset (requires --pcap)")
     ids.add_argument("--strict", action="store_true",
                      help="with --pcap: fail on frames that cannot be decoded "
                           "(default: skip and count them)")
@@ -986,7 +904,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except EmptyRulesetError as exc:  # an empty-result error, whatever the preset
+        print(exc, file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:  # the way out of an unbounded `serve` / live `run`
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

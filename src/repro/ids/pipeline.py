@@ -40,9 +40,10 @@ from ..rulesets.parser import (
     SnortRuleSpec,
 )
 from ..rulesets.ruleset import RuleSet
-from ..streaming.executor import ParallelScanService
-from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
+from ..streaming.executor import build_scan_service
+from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowKey
 from ..streaming.scanner import ANONYMOUS_FLOW, StreamMatch, StreamScanner
+from ..streaming.service import ShardedScanServiceBase, StreamScanResult
 from ..traffic.packet import Packet
 from .classifier import HeaderClassifier, HeaderPattern
 from .confirm import ConfirmStage, RuleEvaluator
@@ -135,11 +136,20 @@ class IntrusionDetectionSystem:
     model can execute; every other backend runs the same pipeline through
     its compiled program.
 
-    ``workers`` routes :meth:`scan_flow` content matching through the
-    process-parallel :class:`repro.streaming.ParallelScanService` with that
-    many worker processes (``None``, the default, keeps the in-process
-    scanner).  Call :meth:`close` (or :meth:`reset_flows`) to shut the
-    worker pool down when done.
+    :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
+    prefilter runs on one scan service (:attr:`service`, built on first use
+    by :func:`repro.streaming.build_scan_service` — in-process, or with
+    ``workers`` on that many worker processes; ``flow_capacity`` and
+    ``ring_slots`` / ``ring_slot_bytes`` are its options) with one flow table
+    in-process and one shard per worker, so a whole batch crosses into the
+    lane kernel at once and flows are evicted in arrival order.  Call
+    :meth:`close` (or :meth:`reset_flows`) to shut a worker pool down.
+
+    As a pipeline stage the IDS answers a scan service's calls —
+    :meth:`scan` / :meth:`flush` (batch results carrying the alerts),
+    :meth:`checkpoint` / :meth:`restore`, :meth:`close` — which is how
+    :class:`repro.api.Session` and :class:`repro.streaming.LiveIngestor`
+    drive it.
     """
 
     def __init__(
@@ -149,6 +159,9 @@ class IntrusionDetectionSystem:
         use_hardware_model: bool = False,
         backend: str = "dtp",
         workers: Optional[int] = None,
+        flow_capacity: int = DEFAULT_FLOW_CAPACITY,
+        ring_slots: Optional[int] = None,
+        ring_slot_bytes: Optional[int] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
@@ -210,9 +223,9 @@ class IntrusionDetectionSystem:
         }
         self._nocase_numbers = {number_of[p] for p in self._nocase_patterns}
         #: the confirm stage: per-rule predicates bound to the prefilter
-        #: numbering, in rule order.  One instance correlates the serial and
-        #: the parallel flow scan and the stateless :meth:`process` (it is
-        #: fed from StreamMatch events every way)
+        #: numbering, in rule order.  One instance correlates the flow scan
+        #: and the stateless :meth:`process` (it is fed from StreamMatch
+        #: events either way)
         self._confirm = ConfirmStage(
             RuleEvaluator(rule.sid, rule.predicate, number_of) for rule in rules
         )
@@ -223,48 +236,37 @@ class IntrusionDetectionSystem:
         self._matcher: CompiledProgram = (
             self.accelerator if self.accelerator is not None else self.program
         )
-        self._flow_scanner: Optional[StreamScanner] = None
-        self._flow_capacity = DEFAULT_FLOW_CAPACITY
         self.workers = workers
-        self._parallel_service: Optional[ParallelScanService] = None
+        self._service: Optional[ShardedScanServiceBase] = None
+        self._service_options = dict(
+            flow_capacity=flow_capacity,
+            ring_slots=ring_slots,
+            ring_slot_bytes=ring_slot_bytes,
+        )
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_ruleset(
-        cls,
-        ruleset,
-        device: FPGADevice = STRATIX_III,
-        use_hardware_model: bool = False,
-        backend: str = "dtp",
-        workers: Optional[int] = None,
-    ) -> "IntrusionDetectionSystem":
+    def from_ruleset(cls, ruleset, **engine) -> "IntrusionDetectionSystem":
         """Build an IDS with one wildcard-header rule per ruleset pattern.
 
         The wildcard header keeps every packet a candidate, so detection is
         decided purely by the content matcher — the construction the CLI and
-        :class:`repro.api.Session` use for synthetic rulesets.
+        :class:`repro.api.Session` use for synthetic rulesets.  ``engine``
+        holds the constructor's keyword arguments (``device``, ``backend``,
+        ``workers``, ``flow_capacity``, ...).
         """
         rules = [
             IDSRule(sid=rule.sid, header=HeaderPattern(), contents=(rule.pattern,))
             for rule in ruleset
         ]
-        return cls(
-            rules,
-            device=device,
-            use_hardware_model=use_hardware_model,
-            backend=backend,
-            workers=workers,
-        )
+        return cls(rules, **engine)
 
     @classmethod
     def from_specs(
         cls,
         specs: Iterable[SnortRuleSpec],
-        device: FPGADevice = STRATIX_III,
-        use_hardware_model: bool = False,
-        backend: str = "dtp",
-        workers: Optional[int] = None,
         sid_remap: Optional[Dict[int, int]] = None,
+        **engine,
     ) -> "IntrusionDetectionSystem":
         """Build an IDS from parsed Snort rules.
 
@@ -283,7 +285,7 @@ class IntrusionDetectionSystem:
         a rules file with colliding or missing sids loads instead of tripping
         the duplicate-sid constructor check, and reassignments are recorded
         in ``sid_remap`` (when given) exactly as :func:`ruleset_from_specs`
-        records them.
+        records them.  ``engine`` holds the constructor's keyword arguments.
         """
         specs = list(specs)
         allocator = SidAllocator(specs, sid_remap)
@@ -310,13 +312,7 @@ class IntrusionDetectionSystem:
                     predicate=spec.predicate,
                 )
             )
-        return cls(
-            rules,
-            device=device,
-            use_hardware_model=use_hardware_model,
-            backend=backend,
-            workers=workers,
-        )
+        return cls(rules, **engine)
 
     # ------------------------------------------------------------------
     def _alert(self, packet_id: int, sid: int) -> Alert:
@@ -371,54 +367,42 @@ class IntrusionDetectionSystem:
     # stateful (streaming) scanning
     # ------------------------------------------------------------------
     @property
-    def flow_scanner(self) -> StreamScanner:
-        """The lazily created stateful scanner backing :meth:`scan_flow`."""
-        if self._flow_scanner is None:
-            self._flow_scanner = StreamScanner(
+    def service(self) -> ShardedScanServiceBase:
+        """The scan service the prefilter runs on, built on first use."""
+        if self._service is None:
+            self._service = build_scan_service(
                 self.program,
-                capacity=self._flow_capacity,
+                num_shards=self.workers or 1,
+                workers=self.workers,
                 track_nocase=bool(self._nocase_patterns),
+                **self._service_options,
             )
-        return self._flow_scanner
+        return self._service
 
     @property
-    def parallel_service(self) -> ParallelScanService:
-        """The lazily created worker pool backing the parallel flow scan."""
-        if self.workers is None:
-            raise ValueError(
-                "this IDS was built without workers=; pass workers=N to "
-                "IntrusionDetectionSystem to enable the parallel flow scan"
-            )
-        if self._parallel_service is None:
-            self._parallel_service = ParallelScanService(
-                self.program,
-                num_shards=self.workers,
-                flow_capacity_per_shard=self._flow_capacity,
-                track_nocase=bool(self._nocase_patterns),
-                workers=self.workers,
-            )
-        return self._parallel_service
+    def flow_scanner(self) -> StreamScanner:
+        """The in-process service's one engine (a read-only view; a parallel
+        IDS keeps its engines in the worker processes)."""
+        return self.service.engines[0]
 
     def reset_flows(self, capacity: Optional[int] = None) -> None:
         """Drop all tracked flow state (optionally resizing the flow table)."""
         if capacity is not None:
-            self._flow_capacity = capacity
-        self._flow_scanner = None
+            self._service_options["flow_capacity"] = capacity
+        if self._service is not None:
+            self._service.close()
+            self._service = None  # rebuilt on next use, at the new size
         self._confirm.reset()
-        self.close()
 
     def close(self) -> None:
         """Shut down the parallel scan workers, if any were started.
 
         The correlation state goes with them: a pool rebuilt later starts
         with fresh flow tables, so the confirm stage must be fresh too.
-        (A serial IDS keeps its scanner and confirm state across close().)
+        (A serial IDS keeps its service and confirm state across close().)
         """
-        if self._parallel_service is not None:
-            self._parallel_service.close()
-            self._parallel_service = None
         if self.workers is not None:
-            self._confirm.reset()
+            self.reset_flows()
 
     def __enter__(self) -> "IntrusionDetectionSystem":
         return self
@@ -435,12 +419,11 @@ class IntrusionDetectionSystem:
     ) -> List[Alert]:
         """Fold scanned events into confirm-stage verdicts, packet by packet.
 
-        Shared by the serial and parallel flow scans: both produce exactly
-        (per-packet event lists, ``(item_index, key)`` eviction records) and
-        both must alert identically.  A flow evicted while packet ``index``
-        was being scanned is finalized (pending negation verdicts) and
-        dropped before that packet is correlated — it restarts from scratch,
-        because the scanner restarted its offsets too.
+        Fed from the service's annotated scan: per-packet event lists and
+        ``(arrival_index, key)`` eviction records.  A flow evicted while
+        packet ``index`` was being scanned is finalized (pending negation
+        verdicts) and dropped before that packet is correlated — it restarts
+        from scratch, because the scanner restarted its offsets too.
         """
         alerts: List[Alert] = []
         confirm = self._confirm
@@ -496,37 +479,15 @@ class IntrusionDetectionSystem:
         exposed (:meth:`repro.hardware.StringMatchingEngine.resume_flow`)
         but not yet driven by a flow-aware hardware scheduler.
 
-        With ``workers`` set, the payload scanning runs on the parallel
-        shard executor and alerts are correlated from its event stream —
-        same alerts, same order, same statistics as the serial path (the
-        flow-capacity bound then applies per worker shard rather than to
-        one shared table, which only matters under eviction pressure).
+        The payloads are scanned by :attr:`service` — in-process or on the
+        worker pool — and the confirm stage runs here either way, fed from
+        the annotated scan: per-packet events (flow-absolute offsets) and
+        eviction records that finalize-and-drop a flow exactly where the
+        shard's LRU table forgot it.  Same alerts, same order, same
+        statistics for any worker count (the flow-capacity bound applies per
+        shard, which only matters under eviction pressure).
         """
-        if self.workers is not None:
-            return self._scan_flow_parallel(packets)
-        scanner = self.flow_scanner
-        keys = [scanner.flow_key(packet) for packet in packets]
-        per_packet_events, evictions = scanner.scan_batch(
-            [
-                (key, packet.payload, packet.packet_id)
-                for key, packet in zip(keys, packets)
-            ]
-        )
-        return self._correlate(packets, keys, per_packet_events, evictions)
-
-    def _scan_flow_parallel(self, packets: Sequence[Packet]) -> List[Alert]:
-        """The :meth:`scan_flow` pipeline over the parallel shard executor.
-
-        Workers own the flow tables, but the confirm stage is parent-side
-        either way: per-packet events (flow-absolute offsets) feed the same
-        :class:`ConfirmStage` the serial path uses, and eviction records
-        finalize-and-drop a flow exactly where the worker's LRU table forgot
-        it (an evicted flow restarts from scratch and may alert again,
-        mirroring the serial semantics).
-        """
-        service = self.parallel_service
-        _, per_packet_events, evictions = service.scan_annotated(packets)
-        keys = [StreamScanner.flow_key(packet) for packet in packets]
+        _, per_packet_events, evictions, keys = self.service.scan_annotated(packets)
         return self._correlate(packets, keys, per_packet_events, evictions)
 
     def finish(self) -> List[Alert]:
@@ -549,34 +510,47 @@ class IntrusionDetectionSystem:
         ]
 
     # ------------------------------------------------------------------
-    # checkpoint / restore (serial flow scan)
+    # the pipeline-stage contract (shared with the scan services)
     # ------------------------------------------------------------------
+    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
+        """:meth:`scan_flow` as a pipeline stage: the batch result a scan
+        service would return, with the confirm stage's alerts in place of
+        the prefilter events it consumed."""
+        before = self.stats.payload_bytes
+        alerts = self.scan_flow(packets)
+        scanned = self.stats.payload_bytes - before
+        return StreamScanResult([], len(packets), scanned, alerts=alerts)
+
+    def flush(self) -> Optional[StreamScanResult]:
+        """End of a finite source: what :meth:`finish` raised, as a
+        packet-less batch (``None`` when it raised nothing)."""
+        alerts = self.finish()
+        return StreamScanResult([], 0, 0, alerts=alerts) if alerts else None
+
     def checkpoint(self) -> Dict:
-        """Serialise the serial flow scan's state: scanner flows + confirm.
+        """Serialise the flow scan's state: ``{"service", "confirm"}``.
 
         Everything the confirm stage needs across a restart — absolute hit
         positions per flow, pcre byte buffers, pending negation candidacy —
-        rides next to the scanner's resumable automaton states, so a
-        restored IDS continues mid-flow predicates exactly where it
-        stopped.  Parallel pools checkpoint through their service instead.
+        rides next to the service's envelope of resumable automaton states,
+        so a restored IDS continues mid-flow predicates exactly where it
+        stopped, in-process or on the worker pool.
         """
-        if self.workers is not None:
-            raise ValueError(
-                "checkpoint() covers the serial flow scan; a parallel IDS "
-                "checkpoints its scan service (parallel_service.checkpoint())"
-            )
         return {
-            "flows": self.flow_scanner.flows.checkpoint(),
+            "service": self.service.checkpoint(),
             "confirm": self._confirm.checkpoint(),
         }
 
     def restore(self, data: Dict) -> None:
-        """Restore state saved by :meth:`checkpoint`."""
-        if self.workers is not None:
-            raise ValueError(
-                "restore() covers the serial flow scan; a parallel IDS "
-                "restores through its scan service (parallel_service.restore())"
-            )
-        scanner = self.flow_scanner
-        scanner.flows = FlowTable.restore(data["flows"])
+        """Restore state saved by :meth:`checkpoint`.
+
+        Also accepts the ``{"flows", "confirm"}`` shape written before the
+        IDS scanned through a service: one bare flow table, i.e. shard 0 of
+        a one-shard service envelope.
+        """
+        if "flows" in data:
+            service_state = {"num_shards": 1, "shards": [data["flows"]]}
+        else:
+            service_state = data["service"]
+        self.service.restore(service_state)
         self._confirm.restore(data["confirm"])

@@ -13,14 +13,15 @@ puts on top of the matcher:
 * :mod:`repro.streaming.service` — a hash-sharded :class:`ScanService`
   dispatching batches across a pool of scanners with aggregate reporting;
 * :mod:`repro.streaming.executor` — :class:`ParallelScanService`, the same
-  front-end with each shard's engine living in its own worker process;
+  front-end with each shard's engine living in its own worker process, and
+  :func:`build_scan_service`, the one builder that picks between the two;
 * :mod:`repro.streaming.transport` — the zero-copy shared-memory ring that
   carries payload bytes between the executor's dispatcher and its workers;
 * :mod:`repro.streaming.ingest`  — the asyncio front-end feeding any scan
   service from live sources (socket listeners, tail-followed captures).
 """
 
-from .executor import ParallelScanService, WorkerCrashedError
+from .executor import ParallelScanService, WorkerCrashedError, build_scan_service
 from .flow import (
     DEFAULT_FLOW_CAPACITY,
     FlowEntry,
@@ -42,6 +43,7 @@ from .transport import ShardRing, TransportError, TransportStats
 __all__ = [
     "ParallelScanService",
     "WorkerCrashedError",
+    "build_scan_service",
     "DEFAULT_FLOW_CAPACITY",
     "FlowEntry",
     "FlowKey",

@@ -13,8 +13,11 @@ separate cores or processes" — literally true:
   *exclusively*; no flow state is ever shared or migrated, which is exactly
   the isolation the serial service already guarantees per shard.
 * :class:`ParallelScanService` mirrors the :class:`ScanService` API —
-  ``scan`` / ``submit`` / ``checkpoint`` / ``restore`` / ``shard_occupancy``
-  and the same :class:`StreamScanResult` / :class:`ShardReport` aggregates.
+  ``scan`` / ``scan_annotated`` / ``submit`` / ``checkpoint`` / ``restore`` /
+  ``shard_occupancy`` and the same :class:`StreamScanResult` /
+  :class:`ShardReport` aggregates.
+* :func:`build_scan_service` picks between the two: the one function every
+  composition (``Session``, the IDS) builds its prefilter through.
 
 Two planes carry the traffic (see :mod:`repro.streaming.transport`):
 
@@ -50,7 +53,7 @@ The pool is a context manager (``with ParallelScanService(...) as service:``)
 and shuts its workers down gracefully on ``close()``; worker processes are
 daemonic as a safety net against leaked services.  Declaratively, an
 ``EngineSpec(workers=N)`` in a :class:`repro.api.PipelineConfig` makes
-:class:`repro.api.Session` build this front-end instead of the serial one —
+:func:`build_scan_service` pick this front-end instead of the serial one —
 with, by contract, byte-identical output.
 """
 
@@ -60,13 +63,20 @@ import multiprocessing
 import os
 import traceback
 from multiprocessing import connection
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
 from .scanner import BatchItem, Eviction, StreamMatch, StreamScanner
-from .service import ShardedScanServiceBase, ShardReport, StreamScanResult
+from .service import (
+    AnnotatedScan,
+    ScanService,
+    ShardBatch,
+    ShardedScanServiceBase,
+    ShardReport,
+)
 from .transport import (
     DEFAULT_RING_SLOTS,
     DEFAULT_RING_SLOT_BYTES,
@@ -228,14 +238,13 @@ def _shard_worker(
                 table_data, capacity=engine.flows.capacity
             )
 
-    def handle_stats(_payload) -> Dict[int, Dict[str, int]]:
+    def handle_stats(_payload) -> Dict[int, Tuple[int, int, int]]:
         return {
-            shard: {
-                "active_flows": engine.active_flows,
-                "evicted_flows": engine.flows.stats.evicted,
-                "cross_segment_matches": engine.stats.cross_segment_matches,
-                "restore_dropped": engine.flows.stats.restore_dropped,
-            }
+            shard: (
+                engine.active_flows,
+                engine.flows.stats.evicted,
+                engine.stats.cross_segment_matches,
+            )
             for shard, engine in engines.items()
         }
 
@@ -574,7 +583,7 @@ class ParallelScanService(ShardedScanServiceBase):
         if failures:
             raise RuntimeError("; ".join(failures))
 
-    def _jobs_for(self, batches: Dict[int, List[Tuple]]) -> Dict[_WorkerHandle, List[Tuple]]:
+    def _jobs_for(self, batches: List[ShardBatch]) -> Dict[_WorkerHandle, List[Tuple]]:
         """Flatten grouped batches into each worker's shard-major item list.
 
         Every worker appears in the result — an idle worker still receives
@@ -584,8 +593,9 @@ class ParallelScanService(ShardedScanServiceBase):
         for handle in self._workers:
             items: List[Tuple] = []
             for shard in handle.shards:
-                for arrival, key, packet in batches.get(shard, []):
-                    items.append((shard, arrival, key, packet.payload, packet.packet_id))
+                items.extend(
+                    (shard, arrival, *item) for arrival, item in zip(*batches[shard])
+                )
             jobs[handle] = items
         return jobs
 
@@ -620,34 +630,17 @@ class ParallelScanService(ShardedScanServiceBase):
         )
         return events
 
-    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """Batched dispatch: group by shard, scan shards concurrently."""
-        result, _, _ = self.scan_annotated(packets)
-        return result
-
-    def scan_annotated(
-        self, packets: Sequence[Packet]
-    ) -> Tuple[StreamScanResult, List[List[StreamMatch]], List[Eviction]]:
-        """:meth:`scan` plus per-packet events and LRU-eviction records.
-
-        Returns ``(result, per_packet_events, evictions)``: the aggregate
-        result, the events of each input packet in arrival order (what
-        serial :meth:`StreamScanner.scan_packet` would have returned for
-        it), and ``(arrival_index, key)`` for every flow LRU-evicted while
-        the packet at ``arrival_index`` was being scanned.  The stateful IDS
-        pipeline correlates alerts from these without touching worker-owned
-        flow tables.
-        """
+    def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
+        """See :meth:`ShardedScanServiceBase.scan_annotated`; the shards'
+        batches scan concurrently on the worker pool."""
         self._ensure_open()
-        batches = self._group_by_shard(packets)
+        keys, batches = self._group_by_shard(packets)
         jobs = self._jobs_for(batches)
 
-        per_shard_events: Dict[int, List[StreamMatch]] = {
-            shard: [] for shard in range(self.num_shards)
-        }
-        per_packet: List[List[StreamMatch]] = [[] for _ in packets]
-        matches: Dict[int, int] = {shard: 0 for shard in range(self.num_shards)}
-        evicted: Dict[int, int] = {shard: 0 for shard in range(self.num_shards)}
+        per_shard_events: List[List[StreamMatch]] = [[] for _ in batches]
+        # every packet sits in exactly one chunk, so every slot is filled
+        per_packet: List = [None] * len(packets)
+        matches, evicted = [0] * self.num_shards, [0] * self.num_shards
         gauges: Dict[int, int] = {}
         evictions: List[Eviction] = []
 
@@ -673,12 +666,12 @@ class ParallelScanService(ShardedScanServiceBase):
         events: List[StreamMatch] = []
         shard_reports: List[ShardReport] = []
         for shard in range(self.num_shards):
-            batch = batches.get(shard, [])
+            items = batches[shard][1]
             shard_reports.append(
                 ShardReport(
                     shard=shard,
-                    packets=len(batch),
-                    bytes_scanned=sum(len(packet.payload) for _, _, packet in batch),
+                    packets=len(items),
+                    bytes_scanned=sum(len(payload) for _, payload, _ in items),
                     matches=matches[shard],
                     active_flows=gauges[shard],
                     evicted_flows=evicted[shard],
@@ -686,8 +679,9 @@ class ParallelScanService(ShardedScanServiceBase):
             )
             events.extend(per_shard_events[shard])  # shard order == serial
             # pre-sort order
-        evictions.sort(key=lambda record: record[0])
-        return self._aggregate(len(packets), events, shard_reports), per_packet, evictions
+        evictions.sort(key=itemgetter(0))  # reply order -> arrival order
+        result = self._aggregate(len(packets), events, shard_reports)
+        return result, per_packet, evictions, keys
 
     def probe_transport(self, packets: Sequence[Packet]) -> int:
         """Push payloads through the data plane without scanning them.
@@ -699,7 +693,7 @@ class ParallelScanService(ShardedScanServiceBase):
         payload bytes the workers acknowledged.  Flow tables are untouched.
         """
         self._ensure_open()
-        jobs = self._jobs_for(self._group_by_shard(packets))
+        jobs = self._jobs_for(self._group_by_shard(packets)[1])
         drained = [0]
 
         def on_reply(_handle, _chunk_items, reply) -> None:
@@ -709,30 +703,11 @@ class ParallelScanService(ShardedScanServiceBase):
         return drained[0]
 
     # ------------------------------------------------------------------
-    @property
-    def active_flows(self) -> int:
-        return sum(stats["active_flows"] for stats in self._shard_stats().values())
-
-    @property
-    def evicted_flows(self) -> int:
-        return sum(stats["evicted_flows"] for stats in self._shard_stats().values())
-
-    @property
-    def cross_segment_matches(self) -> int:
-        return sum(
-            stats["cross_segment_matches"] for stats in self._shard_stats().values()
-        )
-
-    def shard_occupancy(self) -> List[int]:
-        """Live flow count per shard (how even the hash partitioning is)."""
-        stats = self._shard_stats()
-        return [stats[shard]["active_flows"] for shard in range(self.num_shards)]
-
-    def _shard_stats(self) -> Dict[int, Dict[str, int]]:
-        merged: Dict[int, Dict[str, int]] = {}
+    def _shard_gauges(self) -> List[Tuple[int, int, int]]:
+        merged: Dict[int, Tuple[int, int, int]] = {}
         for reply in self._request_all("stats"):
             merged.update(reply)
-        return merged
+        return [merged[shard] for shard in range(self.num_shards)]
 
     def stats(self) -> Dict:
         """Serial-compatible service stats plus a ``transport`` section."""
@@ -766,4 +741,35 @@ class ParallelScanService(ShardedScanServiceBase):
         self._request_all("restore", payloads)
 
 
-__all__ = ["ParallelScanService", "WorkerCrashedError"]
+def build_scan_service(
+    program: CompiledProgram,
+    *,
+    num_shards: int,
+    workers: Optional[int] = None,
+    flow_capacity: int = DEFAULT_FLOW_CAPACITY,
+    track_nocase: bool = False,
+    ring_slots: Optional[int] = None,
+    ring_slot_bytes: Optional[int] = None,
+) -> ShardedScanServiceBase:
+    """The one place a scan service is constructed.
+
+    ``workers=None`` builds the in-process :class:`ScanService`, a count the
+    :class:`ParallelScanService` over that many worker processes (``0`` is
+    invalid, not "serial"); the ring sizes only apply there, ``None`` meaning
+    the transport defaults.  :class:`repro.api.Session` and
+    :class:`repro.ids.IntrusionDetectionSystem` both compose their prefilter
+    through this function, so every engine option reaches every mode.
+    """
+    shape = dict(
+        num_shards=num_shards,
+        flow_capacity_per_shard=flow_capacity,
+        track_nocase=track_nocase,
+    )
+    if workers is None:
+        return ScanService(program, **shape)
+    rings = dict(ring_slots=ring_slots, ring_slot_bytes=ring_slot_bytes)
+    rings = {name: size for name, size in rings.items() if size is not None}
+    return ParallelScanService(program, workers=workers, **shape, **rings)
+
+
+__all__ = ["ParallelScanService", "WorkerCrashedError", "build_scan_service"]

@@ -18,8 +18,9 @@ connections.  This module is that front-end:
   ``tail -f`` style.  Frames that cannot be decoded are skipped and counted,
   mirroring :func:`repro.capture.replay.load_packets`.
 
-:class:`LiveIngestor` drives one source into any scan service front-end
-(serial or parallel).  It assigns sequential packet ids in arrival order —
+:class:`LiveIngestor` drives one source into any pipeline — a scan service
+(serial or parallel), the IDS, or a composed :class:`repro.api.Session`.
+It assigns sequential packet ids in arrival order —
 the same contract capture replay makes — and micro-batches segments
 (``batch_packets`` cap, flushed early when the wire goes idle for
 ``batch_idle`` seconds) so the parallel service amortises its dispatch over
@@ -44,6 +45,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..capture.frames import decode_frame
@@ -73,7 +75,8 @@ class IngestReport:
     """What one :meth:`LiveIngestor.run` served.
 
     ``events`` is the concatenated canonical event stream (empty when
-    ``collect_events`` was off); ``stop_reason`` is ``"max_packets"``,
+    ``collect_events`` was off); ``alerts`` are the alerts a pipeline with a
+    confirm stage raised, in order; ``stop_reason`` is ``"max_packets"``,
     ``"idle_timeout"``, ``"source_exhausted"`` or ``"cancelled"``.
     ``source_stats`` are the source's own counters (connections, datagrams,
     skipped frames, ...).
@@ -84,6 +87,7 @@ class IngestReport:
     batches: int = 0
     matches: int = 0
     events: List[StreamMatch] = field(default_factory=list)
+    alerts: List = field(default_factory=list)
     stop_reason: str = "cancelled"
     elapsed_seconds: float = 0.0
     source_stats: Dict[str, int] = field(default_factory=dict)
@@ -282,29 +286,29 @@ class PcapTailSource:
 # the ingestor
 # ----------------------------------------------------------------------
 class LiveIngestor:
-    """Micro-batching bridge from one live source into a scan service.
+    """Micro-batching bridge from one live source into a pipeline.
 
-    ``service`` is any :class:`~repro.streaming.service.ShardedScanServiceBase`
-    front-end.  Batches close at ``batch_packets`` segments or after
-    ``batch_idle`` quiet seconds, whichever first; ``on_batch(result,
-    packets)`` (if given) observes every flushed batch — the hook streaming
-    sinks attach to.  Set ``collect_events=False`` on unbounded serving
-    loops so the report does not accumulate events forever.
+    ``pipeline`` is anything answering ``scan(packets)`` and ``flush()`` with
+    :class:`~repro.streaming.service.StreamScanResult` batch results: a bare
+    scan service, the IDS, or a :class:`repro.api.Session` whose stage list
+    re-shapes each batch first (reassembly).  Batches close at
+    ``batch_packets`` segments or after ``batch_idle`` quiet seconds,
+    whichever first; when serving stops, ``flush()`` releases what the
+    pipeline still holds (data behind sequence holes, pending end-of-flow
+    verdicts) as a final batch, so nothing is lost.  ``on_batch(result,
+    packets)`` (if given) observes every batch with the packets actually
+    scanned — the hook streaming sinks attach to.  Set
+    ``collect_events=False`` on unbounded serving loops so the report does
+    not accumulate events forever.
 
-    ``preprocess`` (if given) maps each closed batch's packets to the
-    packets actually scanned — the hook the :mod:`repro.proto` reassembler
-    plugs into; it may return fewer packets than it was given (data parked
-    behind a sequence hole) or more (a flush released buffered segments).
-    ``preprocess_flush`` is called once when serving stops and its packets
-    are scanned as a final batch, so nothing buffered is lost.  With a
-    preprocessor, the report's ``packets``/``payload_bytes`` count what was
-    *scanned* (the preprocessor's output); ``max_packets`` still bounds
-    arrivals.
+    The report's ``packets``/``payload_bytes`` count what was *scanned* (a
+    reassembling pipeline parks and releases segments); ``max_packets``
+    bounds arrivals.
     """
 
     def __init__(
         self,
-        service,
+        pipeline,
         *,
         batch_packets: int = 256,
         batch_idle: float = 0.05,
@@ -312,20 +316,16 @@ class LiveIngestor:
         idle_timeout: Optional[float] = None,
         collect_events: bool = True,
         on_batch: Optional[Callable] = None,
-        preprocess: Optional[Callable[[List[Packet]], List[Packet]]] = None,
-        preprocess_flush: Optional[Callable[[], List[Packet]]] = None,
     ):
         if batch_packets < 1:
             raise ValueError(f"batch_packets must be >= 1, got {batch_packets}")
-        self.service = service
+        self.pipeline = pipeline
         self.batch_packets = batch_packets
         self.batch_idle = batch_idle
         self.max_packets = max_packets
         self.idle_timeout = idle_timeout
         self.collect_events = collect_events
         self.on_batch = on_batch
-        self.preprocess = preprocess
-        self.preprocess_flush = preprocess_flush
 
     def serve(self, source) -> IngestReport:
         """Synchronous wrapper: run the ingestion loop to completion."""
@@ -355,24 +355,27 @@ class LiveIngestor:
         next_id = 0
         last_arrival = time.monotonic()
 
-        async def scan_batch(todo: List[Packet]) -> None:
-            result = await loop.run_in_executor(executor, self.service.scan, todo)
+        async def absorb(call: Callable, todo: List[Packet]) -> None:
+            """Run one pipeline call off the loop; fold its batch result in."""
+            result = await loop.run_in_executor(executor, call)
+            if result is None or not (result.packets or result.alerts):
+                return  # nothing was buffered / every segment was parked
             report.batches += 1
-            report.packets += len(todo)
-            report.payload_bytes += sum(len(packet.payload) for packet in todo)
+            report.packets += result.packets
+            report.payload_bytes += result.bytes_scanned
             report.matches += len(result.events)
+            report.alerts.extend(result.alerts)
             if self.collect_events:
                 report.events.extend(result.events)
             if self.on_batch is not None:
-                self.on_batch(result, todo)
+                self.on_batch(
+                    result, todo if result.scanned is None else result.scanned
+                )
 
         async def flush() -> None:
             nonlocal batch
             todo, batch = batch, []
-            if self.preprocess is not None:
-                todo = self.preprocess(todo)
-            if todo:
-                await scan_batch(todo)
+            await absorb(partial(self.pipeline.scan, todo), todo)
 
         try:
             while True:
@@ -415,10 +418,7 @@ class LiveIngestor:
                     await flush()
             if batch:
                 await flush()
-            if self.preprocess_flush is not None:
-                tail = self.preprocess_flush()
-                if tail:
-                    await scan_batch(tail)
+            await absorb(self.pipeline.flush, [])
         finally:
             source_task.cancel()
             try:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
-from .scanner import BatchItem, StreamMatch, StreamScanner
+from .scanner import BatchItem, Eviction, StreamMatch, StreamScanner
 
 
 @dataclass
@@ -44,12 +44,22 @@ class ShardReport:
 
 @dataclass
 class StreamScanResult:
-    """Aggregate outcome of one batched scan across all shards."""
+    """Aggregate outcome of one batched scan across all shards.
+
+    The one batch result every pipeline hands on: a scan service fills the
+    first four fields; ``alerts`` is what a confirm stage raised for the
+    batch (:meth:`repro.ids.IntrusionDetectionSystem.scan`), and ``scanned``
+    names the packets the result covers when a composed pipeline re-shaped
+    the caller's batch before scanning it (:meth:`repro.api.Session.scan`
+    with reassembly) — ``None`` when they are the caller's own.
+    """
 
     events: List[StreamMatch]
     packets: int
     bytes_scanned: int
     shards: List[ShardReport] = field(default_factory=list)
+    alerts: List = field(default_factory=list)
+    scanned: Optional[Sequence[Packet]] = None
 
     def events_for_flow(self, flow: FlowKey) -> List[StreamMatch]:
         return [event for event in self.events if event.flow == flow]
@@ -66,6 +76,15 @@ class StreamScanResult:
 #: The canonical event sort key as a C-level attribute getter (the aggregate
 #: sort is on the hot path; ``attrgetter`` avoids a Python frame per event).
 _EVENT_ORDER = attrgetter("packet_id", "end_offset", "string_number")
+
+#: One shard's share of a batch: each item's arrival index in the caller's
+#: batch, next to the ``scan_batch`` items themselves.
+ShardBatch = Tuple[List[int], List[BatchItem]]
+
+#: What :meth:`ShardedScanServiceBase.scan_annotated` returns.
+AnnotatedScan = Tuple[
+    StreamScanResult, List[List[StreamMatch]], List[Eviction], List[FlowKey]
+]
 
 
 def event_order(event: StreamMatch) -> Tuple[int, int, int]:
@@ -103,24 +122,50 @@ class ShardedScanServiceBase:
 
     def _group_by_shard(
         self, packets: Sequence[Packet]
-    ) -> Dict[int, List[Tuple[int, FlowKey, Packet]]]:
-        """Group ``packets`` by shard, keeping each packet's arrival index.
+    ) -> Tuple[List[FlowKey], List[ShardBatch]]:
+        """Resolve every packet's flow key and group the batch by shard.
 
+        The one per-packet dispatch loop: returns the keys in arrival order
+        and, per shard, the arrival indices next to the ``scan_batch`` items.
         Grouping preserves each flow's arrival order (all packets of a flow
         hash to the same shard and the batch is walked front to back), which
         is what keeps cross-segment state consistent.
         """
-        batches: Dict[int, List[Tuple[int, FlowKey, Packet]]] = {}
+        keys: List[FlowKey] = []
+        batches: List[ShardBatch] = [([], []) for _ in range(self.num_shards)]
         flow_key = StreamScanner.flow_key
         num_shards = self.num_shards
         for index, packet in enumerate(packets):
             key = flow_key(packet)  # resolved once per flow, CRC included
-            shard = key.shard_crc % num_shards
-            batch = batches.get(shard)
-            if batch is None:
-                batch = batches[shard] = []
-            batch.append((index, key, packet))
-        return batches
+            keys.append(key)
+            arrivals, items = batches[key.shard_crc % num_shards]
+            arrivals.append(index)
+            items.append((key, packet.payload, packet.packet_id))
+        return keys, batches
+
+    def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
+        """Batched dispatch plus what a confirm stage needs to follow it.
+
+        Returns ``(result, per_packet_events, evictions, keys)``: the
+        aggregate result, the events of each input packet in arrival order
+        (what :meth:`StreamScanner.scan_packet` would have returned for it),
+        ``(arrival_index, key)`` for every flow LRU-evicted while the packet
+        at ``arrival_index`` was being scanned, and every packet's resolved
+        flow key.  The stateful IDS pipeline correlates alerts from these
+        without touching the shards' flow tables.
+        """
+        raise NotImplementedError
+
+    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
+        """Batched dispatch: group ``packets`` by shard, scan, aggregate.
+
+        The annotation is dropped here, not retained: a result that kept the
+        per-packet lists would keep every event list alive through the sinks.
+        """
+        return self.scan_annotated(packets)[0]
+
+    def flush(self) -> None:
+        """End of a finite source: a scan service buffers nothing."""
 
     def _aggregate(
         self,
@@ -154,6 +199,27 @@ class ShardedScanServiceBase:
                 f"expected {self.num_shards}"
             )
 
+    def _shard_gauges(self) -> List[Tuple[int, int, int]]:
+        """``(active flows, evicted flows, cross-segment matches)`` of every
+        shard, in shard order, as one snapshot (one round trip to a pool)."""
+        raise NotImplementedError
+
+    @property
+    def active_flows(self) -> int:
+        return sum(row[0] for row in self._shard_gauges())
+
+    @property
+    def evicted_flows(self) -> int:
+        return sum(row[1] for row in self._shard_gauges())
+
+    @property
+    def cross_segment_matches(self) -> int:
+        return sum(row[2] for row in self._shard_gauges())
+
+    def shard_occupancy(self) -> List[int]:
+        """Live flow count per shard (how even the hash partitioning is)."""
+        return [row[0] for row in self._shard_gauges()]
+
     def stats(self) -> Dict[str, object]:
         """The service's gauges as one plain dict (shared by both front-ends).
 
@@ -162,13 +228,14 @@ class ShardedScanServiceBase:
         gauges.  The dict is JSON-serialisable, so it can ride along in run
         artifacts (:meth:`repro.api.Session.stats` embeds it).
         """
+        active, evicted, cross_segment = zip(*self._shard_gauges())
         return {
             "num_shards": self.num_shards,
             "num_workers": self.num_workers,
-            "active_flows": self.active_flows,
-            "evicted_flows": self.evicted_flows,
-            "cross_segment_matches": self.cross_segment_matches,
-            "shard_occupancy": self.shard_occupancy(),
+            "active_flows": sum(active),
+            "evicted_flows": sum(evicted),
+            "cross_segment_matches": sum(cross_segment),
+            "shard_occupancy": list(active),
         }
 
     # ------------------------------------------------------------------
@@ -220,35 +287,24 @@ class ScanService(ShardedScanServiceBase):
             key, packet.payload, packet.packet_id
         )
 
-    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """Batched dispatch: group ``packets`` by shard, scan, aggregate.
+    def _scan_shards(
+        self, batches: List[ShardBatch], shard_reports: List[ShardReport]
+    ) -> Iterator[Tuple[List[int], List[List[StreamMatch]], List[Eviction]]]:
+        """Cross each shard's batch into its engine, in shard order.
 
-        Each shard's batch crosses into the engine once through
-        :meth:`StreamScanner.scan_batch` (the hot path that batches same-flow
-        segments before entering the backend); events come back per item in
+        One :meth:`StreamScanner.scan_batch` call per shard (the hot path
+        that batches same-flow segments before entering the backend); yields
+        the shard's arrival indices, per-item events and eviction records
+        and appends its :class:`ShardReport`.  Events come back per item in
         arrival order, so the pre-sort order fed to :meth:`_aggregate` is
         identical to segment-at-a-time scanning.
         """
-        # one grouping pass builds each shard's scan_batch items directly
-        num_shards = self.num_shards
-        batches: List[List[BatchItem]] = [[] for _ in range(num_shards)]
-        flow_key = StreamScanner.flow_key
-        for packet in packets:
-            key = flow_key(packet)
-            batches[key.shard_crc % num_shards].append(
-                (key, packet.payload, packet.packet_id)
-            )
-        events: List[StreamMatch] = []
-        shard_reports: List[ShardReport] = []
-        for shard, engine in enumerate(self.engines):
-            items = batches[shard]
+        for shard, (engine, (arrivals, items)) in enumerate(zip(self.engines, batches)):
             stats = engine.stats
             before_matches = stats.matches
             before_bytes = stats.bytes_scanned
             before_evicted = engine.flows.stats.evicted
-            if items:
-                per_item, _ = engine.scan_batch(items)
-                events.extend(chain.from_iterable(per_item))
+            per_item, evictions = engine.scan_batch(items) if items else ([], [])
             shard_reports.append(
                 ShardReport(
                     shard=shard,
@@ -259,24 +315,47 @@ class ScanService(ShardedScanServiceBase):
                     evicted_flows=engine.flows.stats.evicted - before_evicted,
                 )
             )
+            yield arrivals, per_item, evictions
+
+    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
+        """Batched dispatch: group ``packets`` by shard, scan, aggregate.
+
+        Each shard's per-item event lists are flattened and dropped before
+        the next shard scans: holding ten thousand of them to the end of the
+        call (let alone in the result) ages them into the collector's older
+        generations, which a small-packet pass pays for in full collections.
+        """
+        events: List[StreamMatch] = []
+        shard_reports: List[ShardReport] = []
+        for _, per_item, _ in self._scan_shards(
+            self._group_by_shard(packets)[1], shard_reports
+        ):
+            events.extend(chain.from_iterable(per_item))
         return self._aggregate(len(packets), events, shard_reports)
 
+    def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
+        """See :meth:`ShardedScanServiceBase.scan_annotated`."""
+        keys, batches = self._group_by_shard(packets)
+        # every packet sits in exactly one shard batch, so every slot is filled
+        per_packet: List = [None] * len(packets)
+        events: List[StreamMatch] = []
+        evictions: List[Eviction] = []
+        shard_reports: List[ShardReport] = []
+        for arrivals, per_item, shard_evictions in self._scan_shards(batches, shard_reports):
+            for arrival, item_events in zip(arrivals, per_item):
+                per_packet[arrival] = item_events
+            events.extend(chain.from_iterable(per_item))
+            evictions.extend((arrivals[index], key) for index, key in shard_evictions)
+        evictions.sort(key=itemgetter(0))  # shard order -> arrival order
+        result = self._aggregate(len(packets), events, shard_reports)
+        return result, per_packet, evictions, keys
+
     # ------------------------------------------------------------------
-    @property
-    def active_flows(self) -> int:
-        return sum(engine.active_flows for engine in self.engines)
-
-    @property
-    def evicted_flows(self) -> int:
-        return sum(engine.flows.stats.evicted for engine in self.engines)
-
-    @property
-    def cross_segment_matches(self) -> int:
-        return sum(engine.stats.cross_segment_matches for engine in self.engines)
-
-    def shard_occupancy(self) -> List[int]:
-        """Live flow count per shard (how even the hash partitioning is)."""
-        return [engine.active_flows for engine in self.engines]
+    def _shard_gauges(self) -> List[Tuple[int, int, int]]:
+        return [
+            (len(engine.flows), engine.flows.stats.evicted, engine.stats.cross_segment_matches)
+            for engine in self.engines
+        ]
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:

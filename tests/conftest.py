@@ -909,9 +909,9 @@ def assert_equivalent_alerts(
     naive evaluator's exact ``(packet_id, sid)`` alert sequence.  Returns
     that sequence so callers can assert workload-specific properties.
 
-    With ``restore_at`` every serial in-memory combination is run once more
-    with a checkpoint → JSON → restore into a fresh IDS before packet
-    ``restore_at`` (a parallel IDS checkpoints through its scan service).
+    With ``restore_at`` every in-memory combination is run once more with a
+    checkpoint → JSON → restore into a fresh IDS before packet
+    ``restore_at`` — the in-process service and the worker pool alike.
     """
     from repro.capture import replay_ids
     from repro.ids import IntrusionDetectionSystem
@@ -941,16 +941,18 @@ def assert_equivalent_alerts(
                 assert got == expected, (
                     f"{label} alerts differ from the naive reference"
                 )
-        if restore_at is not None and None in worker_counts and "memory" in sources:
-            with IntrusionDetectionSystem.from_specs(specs, backend=backend) as ids:
+            if restore_at is None or "memory" not in sources:
+                continue
+            engine = dict(backend=backend, workers=workers)
+            with IntrusionDetectionSystem.from_specs(specs, **engine) as ids:
                 alerts = ids.scan_flow(packets[:restore_at])
                 saved = json.loads(json.dumps(ids.checkpoint()))
-            with IntrusionDetectionSystem.from_specs(specs, backend=backend) as ids:
+            with IntrusionDetectionSystem.from_specs(specs, **engine) as ids:
                 ids.restore(saved)
                 alerts += ids.scan_flow(packets[restore_at:]) + ids.finish()
             got = [(alert.packet_id, alert.sid) for alert in alerts]
             assert got == expected, (
-                f"backend={backend} alerts differ from the naive reference "
-                f"after a checkpoint/restore before packet {restore_at}"
+                f"backend={backend} workers={workers} alerts differ from the naive "
+                f"reference after a checkpoint/restore before packet {restore_at}"
             )
     return expected

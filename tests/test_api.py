@@ -245,18 +245,59 @@ def test_session_checkpoints_interchange_with_raw_service(backend, workers):
         assert fresh.scan(second).events == serial_events
 
 
-def test_checkpoint_requires_stream_mode():
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("reassemble", (False, True))
+def test_ids_session_checkpoint_resumes_to_the_same_alerts(workers, reassemble, tmp_path):
+    """An ids-mode session checkpoints like a stream-mode one: cut a capture
+    anywhere, carry the JSON to a fresh session, and the alerts continue to
+    what the uninterrupted run raises — hit positions, pcre buffers, pending
+    negations and (with reassembly) the segments parked behind holes."""
+    ruleset = build_ruleset()
+    generator = TrafficGenerator(ruleset, seed=SEED + 1)
+    flows = generator.flows(6, num_packets=4, split_patterns=1, whole_patterns=1)
+    if reassemble:
+        flows = [generator.mangle(flow, mode="reorder") for flow in flows]
+    packets = TrafficGenerator.interleave(flows)
+    planted = next(rule for rule in ruleset if rule.sid in flows[0].injected_sids)
+    from repro.rulesets import render_content
+
+    rules = tmp_path / "ids.rules"
+    rules.write_text(
+        "".join(
+            f'alert ip any any -> any any (content:"{render_content(rule.pattern)}"; '
+            f"sid:{rule.sid};)\n"
+            for rule in ruleset
+        )
+        + f'alert ip any any -> any any (content:"{render_content(planted.pattern)}"; '
+        'content:!"|00 01 02 03|"; sid:9000;)\n'
+    )
     config = PipelineConfig(
         mode="ids",
-        source=generator_source(),
-        rules=RulesSpec(kind="synthetic", size=SIZE, seed=SEED),
-        engine=EngineSpec(backend="dense"),
+        source=SourceSpec(kind="packets", packets=()),
+        rules=RulesSpec(kind="file", path=str(rules)),
+        engine=EngineSpec(backend="dense", workers=workers, reassemble=reassemble),
     )
-    with Session.from_config(config) as session:
-        with pytest.raises(ValueError, match="stream-mode"):
-            session.checkpoint()
-        with pytest.raises(ValueError, match="stream-mode"):
-            session.restore({})
+
+    def served(session, batch):
+        return [(alert.packet_id, alert.sid) for alert in session.scan(batch).alerts]
+
+    def flushed(session):
+        return [(alert.packet_id, alert.sid) for alert in session.flush().alerts]
+
+    with Session.from_config(config) as whole:
+        expected = served(whole, packets) + flushed(whole)
+    assert expected[-1][1] == 9000 and len(expected) > 6
+
+    cut = len(packets) // 2
+    with Session.from_config(config) as first:
+        early = served(first, packets[:cut])
+        saved = json.loads(json.dumps(first.checkpoint()))
+    # the engine's own envelope, unless another stage's state rides along
+    assert sorted(saved) == (["ids", "reassembly"] if reassemble else ["confirm", "service"])
+    with Session.from_config(config) as second:
+        second.restore(saved)
+        late = served(second, packets[cut:]) + flushed(second)
+    assert early and late and early + late == expected
 
 
 # ----------------------------------------------------------------------

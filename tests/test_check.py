@@ -427,6 +427,23 @@ class TestIdiomChecker:
         assert any(d.code == "IDM106" for d in check_source(bad).errors)
         assert check_source(good).ok
 
+    def test_count_flag_check_follows_the_read_into_a_shared_builder(self):
+        """Once the handlers' flag reads move into a builder they share, the
+        builder is where the range check has to be: every function of a
+        handler module is held to IDM106, not just the ``_cmd_*`` bodies."""
+        handler = "def _cmd_x(args):\n    return run(_config(args))\n"
+        bad = handler + "def _config(args):\n    return spec(args.workers)\n"
+        good = handler + (
+            "def _config(args):\n"
+            "    _require_count('--workers', args.workers)\n"
+            "    return spec(args.workers)\n"
+        )
+        findings = [d for d in check_source(bad).errors if d.code == "IDM106"]
+        assert len(findings) == 1 and "_config reads args.workers" in findings[0].message
+        assert check_source(good).ok
+        # the same builder in a module without handlers is not CLI code
+        assert check_source("def _config(args):\n    return spec(args.workers)\n").ok
+
     def test_syntax_error_is_reported_not_raised(self):
         report = check_source("def broken(:\n")
         assert any(d.code == "IDM100" for d in report.errors)

@@ -229,6 +229,23 @@ def test_ids_pcap_command(capsys, workload_pcap):
     assert out.count("packet=") == 6
 
 
+def test_ids_reassemble_reports_the_loss_counter(capsys, workload_pcap):
+    """``ids --reassemble`` prints the reassembly gauges through the printer
+    ``scan-pcap`` and ``serve`` use — ``hole_flushes`` (the bytes a forced
+    flush skipped are bytes an alert can depend on) included."""
+    assert main(["ids", "--size", "40", "--seed", "5", "--reassemble",
+                 "--pcap", str(workload_pcap)]) == 0
+    ids_line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("reassembled"))
+    assert main(["scan-pcap", str(workload_pcap), "--size", "40", "--seed", "5",
+                 "--reassemble"]) == 0
+    scan_line = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("reassembled"))
+    assert ids_line.startswith("reassembled          : 18 segments -> 18 packets (")
+    assert ids_line.endswith("hole_flushes=0)")
+    assert ids_line.split(":", 1)[1] == scan_line.split(":", 1)[1]
+
+
 def test_sid_remap_counts_follow_the_engine_built(tmp_path, capsys, workload_pcap):
     """ids counts per-rule reassignments, scan-pcap per-content (PR-4 idiom).
 
@@ -270,6 +287,37 @@ def test_run_example_pipeline_config(tmp_path, capsys):
     assert sink.exists()
     records = [json.loads(line) for line in sink.read_text().splitlines()]
     assert records and all({"packet", "sid", "msg", "action"} <= set(r) for r in records)
+
+
+def test_run_example_live_ids_config(tmp_path, capsys):
+    """The live-IDS example (CI runs it too): ``run`` serves the capture
+    ``make_community_pcap.py`` writes through a ``pcap-tail`` source and its
+    ndjson alerts are the ``ids --pcap`` report of the same capture."""
+    import runpy
+
+    examples = tmp_path / "examples"
+    examples.mkdir()
+    for name in ("pipeline_serve_ids.json", "community_sample.rules"):
+        (examples / name).write_text((EXAMPLES / name).read_text(encoding="utf-8"),
+                                     encoding="utf-8")
+    pcap = tmp_path / "community_sample.pcap"
+    writer = runpy.run_path(str(EXAMPLES / "make_community_pcap.py"))
+    assert writer["main"](["make_community_pcap.py", str(pcap)]) == 0
+    capsys.readouterr()
+
+    assert main(["ids", "--pcap", str(pcap), "--backend", "dense", "--print-alerts",
+                 "--rules", str(examples / "community_sample.rules")]) == 0
+    offline = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  packet=")]
+    assert main(["run", str(examples / "pipeline_serve_ids.json")]) == 0
+    out = capsys.readouterr().out
+    assert "served 6 packets / 4 batches" in out  # 3 of segments + the end-of-source flush
+    assert "stop reason           : source_exhausted" in out
+    assert f"alerts raised         : {len(offline)}" in out
+    records = [json.loads(line) for line in
+               (examples / "pipeline_serve_alerts.ndjson").read_text().splitlines()]
+    assert [f"  packet={r['packet']} sid={r['sid']}" for r in records] == offline
+    assert {2000001, 2000002, 2000003, 2000004} == {r["sid"] for r in records}
 
 
 # ----------------------------------------------------------------------

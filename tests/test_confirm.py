@@ -21,6 +21,7 @@ Three layers of coverage:
 """
 
 import io
+import json
 
 import pytest
 
@@ -314,9 +315,11 @@ class TestPipeline:
             alerts = ids.process(packets)
         assert _alert_pairs(alerts) == [(0, 1)]
 
-    def test_checkpoint_restore_resumes_confirm_state(self):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_checkpoint_restore_resumes_confirm_state(self, workers):
         """Splitting a flow across checkpoint/restore must not change the
-        alerts: positions, pcre buffers and negation candidacy all travel."""
+        alerts: positions, pcre buffers and negation candidacy all travel —
+        for the in-process service and the worker pool alike."""
         lines = [
             WILDCARD + '(content:"GET"; offset:0; depth:4; '
             'content:"HTTP"; distance:0; within:40; sid:1;)',
@@ -328,21 +331,14 @@ class TestPipeline:
             expected = _alert_pairs(
                 reference.scan_flow(packets) + reference.finish()
             )
-        with _ids_for(lines) as first:
+        with _ids_for(lines, workers=workers) as first:
             early = first.scan_flow(packets[:1])
-            saved = first.checkpoint()
-        with _ids_for(lines) as second:
+            saved = json.loads(json.dumps(first.checkpoint()))
+        assert sorted(saved) == ["confirm", "service"]
+        with _ids_for(lines, workers=workers) as second:
             second.restore(saved)
             late = second.scan_flow(packets[1:]) + second.finish()
         assert _alert_pairs(early) + _alert_pairs(late) == expected
-
-    def test_parallel_checkpoint_refused(self):
-        lines = [WILDCARD + '(content:"ab"; sid:1;)']
-        with _ids_for(lines, workers=2) as ids:
-            with pytest.raises(ValueError, match="parallel"):
-                ids.checkpoint()
-            with pytest.raises(ValueError, match="parallel"):
-                ids.restore({"flows": {}, "confirm": {"flows": []}})
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +498,7 @@ class TestEventDrivenIndex:
             if workers is None:
                 return 0
             key = FlowKey.from_header(_flow([b""], src_port=port)[0].header)
-            return ids.parallel_service.shard_for(key)
+            return ids.service.shard_for(key)
 
         ports = [1111, next(p for p in range(2000, 2100) if shard(p) == shard(1111))]
         packets = (

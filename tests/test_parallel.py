@@ -363,9 +363,16 @@ class TestParallelIDS:
         # the rule completed on the second call and never re-alerted
         assert [[a.sid for a in alerts] for alerts in per_call] == [[], [1002], []]
 
-    def test_parallel_service_requires_workers(self):
-        with pytest.raises(ValueError):
-            self.build_ids().parallel_service
+    def test_service_follows_workers(self):
+        """One prefilter either way: a single in-process table without
+        ``workers``, one shard per worker with it (what keeps every batch one
+        lane-kernel crossing and the eviction order the arrival order)."""
+        serial = self.build_ids().service
+        assert isinstance(serial, ScanService)
+        assert (serial.num_shards, serial.num_workers) == (1, None)
+        with self.build_ids(workers=2) as ids:
+            assert isinstance(ids.service, ParallelScanService)
+            assert (ids.service.num_shards, ids.service.num_workers) == (2, 2)
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
