@@ -10,6 +10,8 @@
     python3 benchmarks/gate_rate_spread.py benign.json hits.json 6
     python3 benchmarks/e2e/run.py --workload mangled_small_segments --trace 1 | tail -n 1 > m.json
     python3 benchmarks/gate_rate_spread.py --front-end m.json 18
+    python3 benchmarks/e2e/run.py --workload web_rules_mixed --trace 1 | tail -n 1 > web.json
+    python3 benchmarks/gate_rate_spread.py --check-yield web.json 0.02
 
 Each file holds one ``run.py`` result line; the gate fails (exit 1) when the
 first run's ``throughput_mb_s`` divided by the second's exceeds the bound
@@ -17,9 +19,10 @@ first run's ``throughput_mb_s`` divided by the second's exceeds the bound
 of two runs on the same runner cannot be tripped by a slow runner nor excused
 by a fast one.  ``--front-end`` takes the ratio from the ledger of **one**
 traced run instead: ``(capture.decode_s + proto.reassembly_s +
-streaming.self_s) / backend.scan_s``.
+streaming.self_s) / backend.scan_s``; ``--check-yield`` takes two *counts* of one
+traced run, ``ids.alerts / ids.confirm_checks``, and fails *below* its bound.
 
-Four uses.  The *guaranteed-rate spread*: the paper guarantees one byte per
+Five uses.  The *guaranteed-rate spread*: the paper guarantees one byte per
 cycle whatever the traffic; the software form is that ``deep_state_dense``
 (every byte continues a rule prefix) scans about as fast as
 ``benign_bulk_dense`` (1.48 before the dense lane kernel, ~1.0 with it, ~1.1
@@ -38,7 +41,13 @@ traffic, and 64-byte segments are traffic; the software form is the seconds
 payload byte — decode, reassembly, shard dispatch — against the seconds its
 kernel spends scanning (25 while every packet re-derived its flow's identity,
 ~10 since a flow is resolved once and an in-order segment skips the hole
-buffer; bound 18).
+buffer; bound 18).  The *yield of a question*: a match costs one match-memory
+read, not one per rule that might care; the software form is the share of
+``ConfirmStage.check`` calls on ``web_rules_mixed`` that end in an alert
+(0.0046 while every repeat hit re-asked every rule naming its string and every
+packet re-asked every touched sticky/pcre rule, 0.0255 since a rule is asked
+only when an input of its verdict changed; floor 0.02).  Both counts repeat
+exactly run to run, so this gate needs no second run to compare against.
 """
 
 from __future__ import annotations
@@ -76,9 +85,30 @@ def front_end(argv) -> int:
     return 0
 
 
+def check_yield(argv) -> int:
+    """``--check-yield run.json floor``: alerts per confirm check, from counts."""
+    result = _load(argv[0])
+    floor = float(argv[1])
+    metrics = result["metrics"]
+    alerts = metrics["ids.alerts"]["value"]
+    checks = metrics["ids.confirm_checks"]["value"]
+    share = alerts / checks if checks else 0.0
+    print(f"{argv[0]} ids.alerts {alerts:.0f} / ids.confirm_checks {checks:.0f} = "
+          f"{share:.4f} (floor {floor:g})")
+    if not (result["correct"] and result["failed"] == 0):
+        print("gate_rate_spread: the run produced wrong output", file=sys.stderr)
+        return 1
+    if share < floor:
+        print("gate_rate_spread: check yield below the floor", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv) -> int:
     if len(argv) == 4 and argv[1] == "--front-end":
         return front_end(argv[2:])
+    if len(argv) == 4 and argv[1] == "--check-yield":
+        return check_yield(argv[2:])
     if len(argv) not in (3, 4):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

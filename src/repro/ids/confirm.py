@@ -44,44 +44,58 @@ content) only when no more bytes can arrive —
 :meth:`ConfirmStage.finalize_flow` decides those at flow end or eviction,
 attributing the alert to the flow's last seen packet.
 
-Which rules a packet can turn true (the event-driven due set)
--------------------------------------------------------------
-``check`` is never run for "every candidate rule on every packet".  At
-construction the stage inverts its evaluators into an index *prefilter string
-number → rules with a positive raw step on it* — one for raw-view events
-(every such step) and one for lowered-view events (``nocase`` steps only: a
-case-sensitive step never sees a lowered hit) — and sorts the rules into
-three classes:
+Which rules a packet can turn true (the per-flow open set)
+----------------------------------------------------------
+``check`` is never run for "every candidate rule on every packet", nor for
+every rule a packet's events *name*: a rule is asked only when an input of
+its verdict changed.  At construction the stage inverts its evaluators into an
+index *prefilter string number → rules with a positive raw step on it* — one
+for raw-view events (every such step) and one for lowered-view events
+(``nocase`` steps only: a case-sensitive step never sees a lowered hit).  Per
+flow it keeps the **open set**: the header candidates whose whole candidacy
+gate is open — every positive raw step has occurred — and which have not
+alerted.  A rule outside it is false whatever else the packet brought.  A rule
+without a positive raw step (a pure sticky-buffer rule) has nothing to wait
+for and starts in it; every other rule can only *enter* on the **first**
+occurrence of one of its strings in the flow (per view), which
+``_FlowRecord.absorb`` sees when it creates the position list.  A packet then
+asks, in rule-file order:
 
-* **event-only** — no pcre, no sticky-buffer content, no negated content.
-  The verdict is a function of the steps' occurrence lists alone, and lists
-  only grow, so it can turn true only on a packet that appended to one of
-  them: the rule is asked on the packets whose events the index maps to it.
-* **growth-sensitive** — any pcre, sticky or negated component.  The verdict
-  can flip with no new positive hit (a bounded negation window closes as
-  ``length`` grows, a pcre or an ``http_uri`` matches bytes of a later
-  hit-free segment).  It still needs every positive raw step to have
-  occurred, so it is false until the index first maps an event of the flow
-  to it; from then on the flow keeps it in its ``touched`` set and asks it
-  on every packet until it alerts.
-* **unanchored** — growth-sensitive with no positive raw step (a pure
-  sticky-buffer rule): no event can announce it, so it sits in ``touched``
-  from the flow's first packet.
+* **gate** — the rules its first occurrences just opened;
+* **positional** — open rules with an ``offset``/``depth``/``distance``/
+  ``within`` on some raw step that one of its events names.  A windowless
+  rule reads only whether each list is empty, which no repeat hit changes;
+  a new occurrence of a *negated* step's string only removes options, so it
+  names nobody;
+* **what grew** — when the payload is non-empty, open rules that read the
+  flow's bytes or its length (a pcre; a bounded negation window, decided once
+  ``length`` passes its end); when ``HttpStream.feed`` reports a normalized
+  buffer grew, open rules with a sticky content;
+* **end-only** — never mid-stream: a negated pcre, a negated sticky content
+  or an unbounded negated content cannot hold while bytes can still arrive,
+  so such a rule waits in the open set for :meth:`ConfirmStage.finalize_flow`,
+  which asks ``open ∩ requires_end`` with the flow closed.
 
-Per packet the due set is ``index[this packet's events] ∪ touched``,
-restricted to the flow's header candidates, minus the rules that already
-alerted, asked in rule-file order so alerts come out in the order the
-exhaustive loop produced.  ``check`` is pure, so asking a rule
-that cannot have changed is always safe and asking too few never is; the
-naive evaluator in the test suite (every rule on every packet) is the
-reference.  ``touched`` is not checkpointed: it is re-derived from the
-restored occurrence positions (every recorded position was once an event).
+Soundness, input by input.  A verdict reads: the occurrence lists of its
+positive steps (emptiness → *gate*; positions, only through a window →
+*positional*), those of its negated steps (more occurrences can only turn it
+false), ``length`` and the byte buffer (change only with a non-empty payload →
+*what grew*), the normalized HTTP buffers (change only when ``feed`` says so),
+and ``at_end`` (flow end).  A rule that was false when last asked and has seen
+none of these change is still false, so the first packet on which it holds is
+always one that asks it.  ``check`` is pure: asking a rule that cannot have
+changed is always safe and asking too few never is; the naive evaluator in the
+test suite (every rule on every packet) is the reference, and the stage this
+one replaced is kept in ``tests/conftest.py`` as a second one.  The open set is
+not checkpointed: it is re-derived from the restored occurrence positions (the
+gate is a function of them alone).
 """
 
 from __future__ import annotations
 
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Union,
 )
 
 from ..proto.http import HttpStream
@@ -128,33 +142,21 @@ class _Step:
             hi = lo + self.depth if self.depth is not None else None
         return lo, hi
 
+    @property
+    def windowed(self) -> bool:
+        """Carries a positional modifier: which occurrence is chosen matters,
+        not just whether one exists."""
+        return self.relative or self.offset is not None or self.depth is not None
+
+    @property
+    def bounded(self) -> bool:
+        """The window has an end the stream can grow past."""
+        return (self.within if self.relative else self.depth) is not None
+
 
 #: occurrence source handed to :meth:`RuleEvaluator.evaluate`: step -> sorted
 #: absolute end offsets of that step's pattern in the flow so far.
 OccurrenceFn = Callable[[_Step], Sequence[int]]
-
-
-def merged_occurrences(
-    step: _Step,
-    positions: Dict[int, List[int]],
-    lower_positions: Dict[int, List[int]],
-) -> Sequence[int]:
-    """Sorted end offsets of ``step``'s pattern, honouring its case mode.
-
-    Case-sensitive steps see only the raw-view hits; ``nocase`` steps merge
-    in the lower-cased-view hits (deduplicated — a hit present in both views
-    is one occurrence).  Shared between the streaming :class:`ConfirmStage`
-    and the stateless per-packet path in the pipeline.
-    """
-    raw = positions.get(step.number, ())
-    if not step.nocase:
-        return raw
-    lower = lower_positions.get(step.number, ())
-    if not lower:
-        return raw
-    if not raw:
-        return lower
-    return sorted(set(raw).union(lower))
 
 
 class RuleEvaluator:
@@ -189,10 +191,28 @@ class RuleEvaluator:
         #: the raw positive steps: the cheap candidacy gate (sticky steps
         #: have no prefilter occurrences to gate on)
         self.positive_steps = [s for s in self.steps if not s.negated]
-        #: verdict can flip with no new positive hit (see the module docstring)
-        self.growth_sensitive = bool(
-            self.pcres or self.sticky_steps or len(self.positive_steps) < len(self.steps)
+        # which changes can flip the verdict (see the module docstring)
+        negated = [s for s in self.steps if s.negated]
+        #: a repeat hit of a positive string can: some raw step has a window
+        self.positional = any(s.windowed for s in self.steps)
+        #: a non-empty payload can: the verdict reads the flow's bytes (pcre)
+        #: or its length (a bounded negation window closing)
+        self.reads_stream = bool(self.pcres) or any(s.bounded for s in negated)
+        #: nothing can before flow end: a negated pcre, a negated sticky
+        #: content or an unbounded negated content
+        self.end_only = (
+            any(is_negated for _, is_negated in self.pcres)
+            or any(s.negated for s in self.sticky_steps)
+            or any(not s.bounded for s in negated)
         )
+
+    def gate_open(self, occurrences: OccurrenceFn) -> bool:
+        """The cheap candidacy gate: every positive raw content has occurred
+        somewhere (a rule with none has no gate to wait at)."""
+        for step in self.positive_steps:
+            if not occurrences(step):
+                return False
+        return True
 
     def _sticky_ok(self, http: Optional[HttpStream], at_end: bool) -> bool:
         """Evaluate the sticky-buffer contents against the flow's normalized
@@ -202,10 +222,9 @@ class RuleEvaluator:
         a hit stands; negated ones are only provable once the flow cannot
         grow, exactly like negated raw contents."""
         for step in self.sticky_steps:
-            data = b"" if http is None else http.buffer(step.buffer)
-            if step.nocase:
-                data = data.lower()
-            found = step.pattern in data
+            found = http is not None and step.pattern in http.buffer(
+                step.buffer, lowered=step.nocase
+            )
             if step.negated:
                 if found or not at_end:
                     return False
@@ -217,7 +236,7 @@ class RuleEvaluator:
         self,
         occurrences: OccurrenceFn,
         length: int,
-        buffer: Optional[bytes],
+        buffer: Optional[Union[bytes, bytearray]],
         at_end: bool,
         http: Optional[HttpStream] = None,
     ) -> bool:
@@ -266,7 +285,7 @@ class RuleEvaluator:
 
         return chain(0, 0)
 
-    def _pcres_ok(self, buffer: Optional[bytes], at_end: bool) -> bool:
+    def _pcres_ok(self, buffer: Optional[Union[bytes, bytearray]], at_end: bool) -> bool:
         if not self.pcres:
             return True
         if buffer is None:
@@ -290,18 +309,21 @@ class _Candidates(NamedTuple):
 
     sids: Tuple[int, ...]
     members: FrozenSet[int]
-    #: the candidates no prefilter event can announce (pure sticky rules)
-    unanchored: FrozenSet[int]
+    #: the candidates with no positive raw step (pure sticky rules): no gate
+    #: to wait at, so every flow's open set starts from them
+    gateless: FrozenSet[int]
 
 
 class _FlowRecord:
     """Per-flow confirm state: occurrence positions, optional byte buffer,
-    header candidates, which rules already alerted, and which
-    growth-sensitive rules are re-asked as the flow grows."""
+    header candidates, which rules already alerted, the open set, and what
+    the last absorbed packet changed (the inputs :meth:`ConfirmStage.verdicts`
+    routes on)."""
 
     __slots__ = (
         "positions", "lower_positions", "buffer", "length",
-        "alerted", "view", "last_packet_id", "http", "touched",
+        "alerted", "view", "last_packet_id", "http",
+        "open", "fresh", "fed", "grew", "_merged",
     )
 
     def __init__(self, view: _Candidates):
@@ -314,9 +336,17 @@ class _FlowRecord:
         self.last_packet_id = -1
         #: the flow's HTTP normalizer (only when some rule is sticky)
         self.http: Optional[HttpStream] = None
-        #: growth-sensitive candidates asked on every packet until they
-        #: alert: the unanchored ones from the start, the rest once touched
-        self.touched: Set[int] = set(view.unanchored)
+        #: candidates whose whole gate is open and which have not alerted
+        self.open: Set[int] = set(view.gateless)
+        #: the events that created a position list (a string's first
+        #: occurrence in its view) and are not routed yet
+        self.fresh: Sequence = ()
+        #: did the last packet carry bytes / grow a normalized HTTP buffer
+        self.fed = False
+        self.grew = False
+        #: string number -> (raw count, lowered count, merged list): see
+        #: :meth:`occurrences`
+        self._merged: Dict[int, Tuple[int, int, List[int]]] = {}
 
     @property
     def candidates(self) -> Tuple[int, ...]:
@@ -336,13 +366,46 @@ class _FlowRecord:
         accumulate sorted per view without any per-segment rebasing."""
         self.last_packet_id = packet_id
         self.length += len(payload)
+        self.fed = bool(payload)
         if self.buffer is not None:
             self.buffer += payload
         if self.http is not None:
-            self.http.feed(payload)
-        for event in events:
-            target = self.lower_positions if event.lowered else self.positions
-            target.setdefault(event.string_number, []).append(event.end_offset)
+            self.grew = self.http.feed(payload)
+        if events:
+            fresh = []
+            for event in events:
+                target = self.lower_positions if event.lowered else self.positions
+                ends = target.get(event.string_number)
+                if ends is None:
+                    target[event.string_number] = [event.end_offset]
+                    fresh.append(event)
+                else:
+                    ends.append(event.end_offset)
+            self.fresh = fresh
+
+    def occurrences(self, step: _Step) -> Sequence[int]:
+        """Sorted end offsets of ``step``'s pattern, honouring its case mode
+        (the :data:`OccurrenceFn` of this flow).
+
+        Case-sensitive steps see only the raw-view hits; ``nocase`` steps
+        merge in the lower-cased-view hits (deduplicated — a hit present in
+        both views is one occurrence).  The merged list is kept until either
+        view's list grows.
+        """
+        raw = self.positions.get(step.number, ())
+        if not step.nocase:
+            return raw
+        lower = self.lower_positions.get(step.number, ())
+        if not lower:
+            return raw
+        if not raw:
+            return lower
+        cached = self._merged.get(step.number)
+        if cached is None or cached[0] != len(raw) or cached[1] != len(lower):
+            cached = self._merged[step.number] = (
+                len(raw), len(lower), sorted(set(raw).union(lower))
+            )
+        return cached[2]
 
     def as_dict(self) -> Dict:
         return {
@@ -367,6 +430,7 @@ class _FlowRecord:
         record.buffer = None if buffer is None else bytearray(bytes.fromhex(buffer))
         record.length = int(data["length"])
         record.alerted = set(data["alerted"])
+        record.open -= record.alerted
         record.last_packet_id = int(data["last_packet_id"])
         http = data.get("http")
         record.http = None if http is None else HttpStream.from_dict(http)
@@ -391,28 +455,27 @@ class ConfirmStage:
         self.needs_http = any(e.needs_http for e in self.evaluators.values())
         #: insertion-ordered: finalize walks flows in first-seen order
         self._flows: Dict[FlowKey, _FlowRecord] = {}
-        # the event-driven due set (module docstring): string number -> sids
-        # with a positive raw step on it, per prefilter view.  A rule naming
-        # one string twice is listed twice; the due set is a set.
+        # the routing tables of the module docstring: string number -> sids
+        # with a positive raw step on it, per prefilter view (a rule naming
+        # one string twice is listed twice; what is asked is a set), and the
+        # rules each kind of change can flip
         self._rank = {sid: rank for rank, sid in enumerate(self.evaluators)}
         self._raw_index: Dict[int, List[int]] = {}
         self._lower_index: Dict[int, List[int]] = {}
-        growth: Set[int] = set()
-        unanchored: Set[int] = set()
         for sid, evaluator in self.evaluators.items():
-            if evaluator.growth_sensitive:
-                growth.add(sid)
-                if not evaluator.positive_steps:
-                    unanchored.add(sid)
             for step in evaluator.positive_steps:
                 self._raw_index.setdefault(step.number, []).append(sid)
                 if step.nocase:
                     self._lower_index.setdefault(step.number, []).append(sid)
-        self._growth = frozenset(growth)
-        self._unanchored = frozenset(unanchored)
-        self._requires_end = frozenset(
-            sid for sid, e in self.evaluators.items() if e.requires_end
-        )
+
+        def rules_where(flag: Callable[[RuleEvaluator], bool]) -> FrozenSet[int]:
+            return frozenset(sid for sid, e in self.evaluators.items() if flag(e))
+
+        self._positional = rules_where(lambda e: e.positional)
+        self._reads_stream = rules_where(lambda e: e.reads_stream)
+        self._sticky = rules_where(lambda e: e.needs_http)
+        self._end_only = rules_where(lambda e: e.end_only)
+        self._requires_end = rules_where(lambda e: e.requires_end)
         self._views: Dict[Tuple[int, ...], _Candidates] = {}
 
     # ------------------------------------------------------------------
@@ -422,10 +485,10 @@ class ConfirmStage:
         if view is None:
             if len(self._views) >= CANDIDATE_CACHE_LIMIT:
                 self._views.clear()
-            members = frozenset(sids)
-            view = self._views[sids] = _Candidates(
-                sids, members, self._unanchored & members
+            gateless = frozenset(
+                sid for sid in sids if not self.evaluators[sid].positive_steps
             )
+            view = self._views[sids] = _Candidates(sids, frozenset(sids), gateless)
         return view
 
     def new_record(self, candidates: Iterable[int]) -> _FlowRecord:
@@ -463,26 +526,40 @@ class ConfirmStage:
         return list(self._flows)
 
     # ------------------------------------------------------------------
-    def _occurrences(self, record: _FlowRecord) -> OccurrenceFn:
-        def occ(step: _Step) -> Sequence[int]:
-            return merged_occurrences(step, record.positions, record.lower_positions)
-
-        return occ
-
     def check(self, record: _FlowRecord, sid: int, at_end: bool = False) -> bool:
         """Evaluate rule ``sid`` against a flow's accumulated state (pure)."""
         evaluator = self.evaluators[sid]
-        occ = self._occurrences(record)
-        # cheap candidacy gate: every positive content must occur somewhere
-        # before the positional/pcre machinery is worth running
-        if not all(occ(step) for step in evaluator.positive_steps):
-            return False
-        buffer = (
-            bytes(record.buffer)
-            if evaluator.needs_buffer and record.buffer is not None
-            else None
+        occ = record.occurrences
+        # the gate first: the positional/pcre machinery is only worth running
+        # once every positive content occurs somewhere
+        return evaluator.gate_open(occ) and evaluator.evaluate(
+            occ, record.length, record.buffer, at_end, record.http
         )
-        return evaluator.evaluate(occ, record.length, buffer, at_end, record.http)
+
+    def _named(self, events: Iterable) -> Set[int]:
+        """The rules with a positive raw step on a string ``events`` hit."""
+        named: Set[int] = set()
+        for event in events:
+            index = self._lower_index if event.lowered else self._raw_index
+            named.update(index.get(event.string_number, ()))
+        return named
+
+    def _opened(self, record: _FlowRecord, named: Iterable[int]) -> Set[int]:
+        """Move the ``named`` candidates whose whole gate is open into the
+        flow's open set; returns the ones that were not in it."""
+        members, alerted, open_set = record.view.members, record.alerted, record.open
+        occ = record.occurrences
+        opened: Set[int] = set()
+        for sid in named:
+            if (
+                sid in members
+                and sid not in open_set
+                and sid not in alerted
+                and self.evaluators[sid].gate_open(occ)
+            ):
+                open_set.add(sid)
+                opened.add(sid)
+        return opened
 
     def _confirmed(
         self, record: _FlowRecord, due: Iterable[int], at_end: bool
@@ -493,7 +570,7 @@ class ConfirmStage:
         for sid in sorted(due, key=self._rank.__getitem__):
             if self.check(record, sid, at_end):
                 record.alerted.add(sid)
-                record.touched.discard(sid)
+                record.open.discard(sid)
                 out.append(sid)
         return out
 
@@ -502,19 +579,29 @@ class ConfirmStage:
     ) -> List[int]:
         """The rules the packet just absorbed confirms, in rule-file order.
 
-        ``events`` are that packet's prefilter events; only the rules they
-        can have changed, plus the flow's growth-sensitive ones, are asked
-        (the due set of the module docstring).
+        ``events`` are that packet's prefilter events.  Only open rules one
+        of whose verdict inputs the packet changed are asked (the module
+        docstring says which and why); ``at_end`` — the packet is the whole
+        flow — changes the last input of every open rule.
         """
         due: Set[int] = set()
-        for event in events:
-            index = self._lower_index if event.lowered else self._raw_index
-            due.update(index.get(event.string_number, ()))
-        due &= record.view.members
-        due -= record.alerted
-        record.touched |= due & self._growth
-        due |= record.touched
-        return self._confirmed(record, due, at_end)
+        if record.fresh:
+            due = self._opened(record, self._named(record.fresh))
+            record.fresh = ()
+        open_set = record.open
+        if at_end:
+            due |= open_set
+        elif open_set:
+            if events:
+                positional = open_set & self._positional
+                if positional:
+                    due |= positional & self._named(events)
+            if record.fed:
+                due |= open_set & self._reads_stream
+            if record.grew:
+                due |= open_set & self._sticky
+            due -= self._end_only
+        return self._confirmed(record, due, at_end) if due else []
 
     def finalize_flow(self, key: FlowKey) -> List[Tuple[int, int]]:
         """Decide end-of-flow rules (negation) for one flow.
@@ -526,9 +613,9 @@ class ConfirmStage:
         record = self._flows.get(key)
         if record is None:
             return []
-        # a pending end-of-flow rule is growth-sensitive: unless the flow
-        # touched it, one of its positive contents never occurred
-        due = record.touched & self._requires_end
+        # only a negated component reads ``at_end``, and a rule outside the
+        # open set is missing a positive content
+        due = record.open & self._requires_end
         return [
             (record.last_packet_id, sid)
             for sid in self._confirmed(record, due, at_end=True)
@@ -557,17 +644,17 @@ class ConfirmStage:
         for entry in data["flows"]:
             key = FlowKey.coerced(*entry["key"])
             record = _FlowRecord.from_dict(entry, self._view(entry["candidates"]))
-            # ``touched`` is not serialised: every number with a recorded
-            # position was once an event, so the index gives it back
+            # the open set is not serialised: the gate reads the positions
+            # alone, and every rule it can admit is indexed under one of them
+            named: Set[int] = set()
             for index, positions in (
                 (self._raw_index, record.positions),
                 (self._lower_index, record.lower_positions),
             ):
                 for number in positions:
-                    record.touched.update(index.get(number, ()))
-            record.touched &= self._growth & record.view.members
-            record.touched -= record.alerted
+                    named.update(index.get(number, ()))
+            self._opened(record, named)
             self._flows[key] = record
 
 
-__all__ = ["ConfirmStage", "RuleEvaluator", "merged_occurrences"]
+__all__ = ["ConfirmStage", "RuleEvaluator"]

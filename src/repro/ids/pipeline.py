@@ -19,9 +19,10 @@ a negated content with a bounded window (``depth``/``within``) included, once
 the flow has grown past the window.  Negated components that stay open as
 long as bytes can arrive (unbounded windows, negated pcres and sticky
 contents) are decided at flow end (:meth:`finish`) or eviction, attributed to
-the flow's last seen packet.  The confirm stage is event-driven: a packet asks
-only the rules its own prefilter events can have changed, plus the few the
-flow's growth alone can flip (see :mod:`repro.ids.confirm`).
+the flow's last seen packet.  A packet asks only the rules one of whose
+verdict inputs it changed — a string's first occurrence, a repeat hit inside a
+positional rule, bytes under a pcre, a normalized HTTP buffer that grew (the
+per-flow open set of :mod:`repro.ids.confirm`).
 """
 
 from __future__ import annotations

@@ -79,7 +79,10 @@ def _normalize_header_line(line: bytes) -> Optional[bytes]:
 class HttpStream:
     """One flow's incremental HTTP/1.x request-line + header normalizer."""
 
-    __slots__ = ("_state", "_line", "_body_left", "_uri", "_headers", "requests")
+    __slots__ = (
+        "_state", "_line", "_body_left", "_uri", "_headers", "requests",
+        "_lowered",
+    )
 
     #: parser states
     _REQUEST = 0
@@ -94,6 +97,9 @@ class HttpStream:
         self._uri = b""
         self._headers = b""
         self.requests = 0
+        # buffer name -> its lower-cased view, for ``nocase`` contents: not
+        # state (never serialised), extended only by what the buffer grew by
+        self._lowered: Dict[str, bytes] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -111,20 +117,28 @@ class HttpStream:
         """True once at least one request line has parsed."""
         return self.requests > 0
 
-    def buffer(self, name: str) -> bytes:
-        """The normalized buffer for a sticky-buffer name."""
+    def buffer(self, name: str, lowered: bool = False) -> bytes:
+        """The normalized buffer for a sticky-buffer name; ``lowered`` gives
+        its lower-cased view (what a ``nocase`` content is searched in)."""
         if name == "http_uri":
-            return self._uri
-        if name == "http_header":
-            return self._headers
-        raise ValueError(f"unknown HTTP buffer {name!r}")
+            data = self._uri
+        elif name == "http_header":
+            data = self._headers
+        else:
+            raise ValueError(f"unknown HTTP buffer {name!r}")
+        if not lowered:
+            return data
+        view = self._lowered.get(name, b"")
+        if len(view) != len(data):  # append-only: lower what was appended
+            view = self._lowered[name] = view + data[len(view):].lower()
+        return view
 
     # ------------------------------------------------------------------
     def feed(self, data: bytes) -> bool:
         """Consume the flow's next stream-order bytes.
 
-        Returns True when either normalized buffer grew (the confirm stage
-        uses this to re-check buffer-targeted rules only when needed).
+        Returns True when either normalized buffer grew: the confirm stage
+        re-asks a flow's open sticky-buffer rules on exactly those packets.
         """
         if self._state == self._OPAQUE or not data:
             return False

@@ -20,7 +20,9 @@ import ipaddress
 import json
 import random
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import pytest
 
@@ -38,6 +40,8 @@ from repro.capture.frames import DecodedFrame
 from repro.capture.replay import ReplayStats
 from repro.core import DTPAutomaton, compile_ruleset
 from repro.fpga import CYCLONE_III, STRATIX_III
+from repro.ids.classifier import CANDIDATE_CACHE_LIMIT
+from repro.ids.confirm import OccurrenceFn, RuleEvaluator, _Step
 from repro.proto import HttpStream, TcpReassembler
 from repro.proto.reassembly import _FIN, _RST, _SEQ_MASK, _SYN, _FlowState, _seq_delta
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
@@ -632,6 +636,342 @@ class ReferenceReassembler(TcpReassembler):
                 out.append(self._emit_piece(state, template, bytes(data)))
         state.buffered_bytes = sum(len(piece[1]) for piece in holes)
         return out
+
+
+# ----------------------------------------------------------------------
+# the confirm stage as it was: the event-driven due set
+# ----------------------------------------------------------------------
+# Moved here verbatim (names prefixed) when the production stage went from
+# "ask what the packet's events name, plus every touched growth-sensitive
+# rule" to the per-flow open set.  It drives the production ``RuleEvaluator``
+# objects, so what the differential tests in tests/test_confirm.py compare is
+# *which rules are asked when*, not how one rule is evaluated (the naive
+# evaluator below covers that).  ``install_reference_confirm`` swaps it into a
+# built IDS.
+def reference_merged_occurrences(
+    step: _Step,
+    positions: Dict[int, List[int]],
+    lower_positions: Dict[int, List[int]],
+) -> Sequence[int]:
+    """Sorted end offsets of ``step``'s pattern, honouring its case mode.
+
+    Case-sensitive steps see only the raw-view hits; ``nocase`` steps merge
+    in the lower-cased-view hits (deduplicated — a hit present in both views
+    is one occurrence).  Shared between the streaming :class:`ReferenceConfirmStage`
+    and the stateless per-packet path in the pipeline.
+    """
+    raw = positions.get(step.number, ())
+    if not step.nocase:
+        return raw
+    lower = lower_positions.get(step.number, ())
+    if not lower:
+        return raw
+    if not raw:
+        return lower
+    return sorted(set(raw).union(lower))
+
+
+class _ReferenceCandidates(NamedTuple):
+    """One header-candidate list and what the stage derives from it, shared
+    by every flow whose header matched the same rules."""
+
+    sids: Tuple[int, ...]
+    members: FrozenSet[int]
+    #: the candidates no prefilter event can announce (pure sticky rules)
+    unanchored: FrozenSet[int]
+
+
+class _ReferenceFlowRecord:
+    """Per-flow confirm state: occurrence positions, optional byte buffer,
+    header candidates, which rules already alerted, and which
+    growth-sensitive rules are re-asked as the flow grows."""
+
+    __slots__ = (
+        "positions", "lower_positions", "buffer", "length",
+        "alerted", "view", "last_packet_id", "http", "touched",
+    )
+
+    def __init__(self, view: _ReferenceCandidates):
+        self.positions: Dict[int, List[int]] = {}
+        self.lower_positions: Dict[int, List[int]] = {}
+        self.buffer: Optional[bytearray] = None
+        self.length = 0
+        self.alerted: Set[int] = set()
+        self.view = view
+        self.last_packet_id = -1
+        #: the flow's HTTP normalizer (only when some rule is sticky)
+        self.http: Optional[HttpStream] = None
+        #: growth-sensitive candidates asked on every packet until they
+        #: alert: the unanchored ones from the start, the rest once touched
+        self.touched: Set[int] = set(view.unanchored)
+
+    @property
+    def candidates(self) -> Tuple[int, ...]:
+        return self.view.sids
+
+    @property
+    def has_hits(self) -> bool:
+        """Anything for a rule to match on yet: prefilter occurrences, or a
+        normalized HTTP buffer a sticky content could hit."""
+        if self.positions or self.lower_positions:
+            return True
+        return self.http is not None and self.http.is_http
+
+    def absorb(self, packet_id: int, payload: bytes, events: Sequence) -> None:
+        """Fold one scanned packet in.  ``events`` carry flow-absolute end
+        offsets (the scanner's resumability contract), so positions
+        accumulate sorted per view without any per-segment rebasing."""
+        self.last_packet_id = packet_id
+        self.length += len(payload)
+        if self.buffer is not None:
+            self.buffer += payload
+        if self.http is not None:
+            self.http.feed(payload)
+        for event in events:
+            target = self.lower_positions if event.lowered else self.positions
+            target.setdefault(event.string_number, []).append(event.end_offset)
+
+    def as_dict(self) -> Dict:
+        return {
+            "positions": {str(k): v for k, v in self.positions.items()},
+            "lower_positions": {str(k): v for k, v in self.lower_positions.items()},
+            "buffer": None if self.buffer is None else bytes(self.buffer).hex(),
+            "length": self.length,
+            "alerted": sorted(self.alerted),
+            "candidates": list(self.view.sids),
+            "last_packet_id": self.last_packet_id,
+            "http": None if self.http is None else self.http.as_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict, view: _ReferenceCandidates) -> "_ReferenceFlowRecord":
+        record = cls(view)
+        record.positions = {int(k): list(v) for k, v in data["positions"].items()}
+        record.lower_positions = {
+            int(k): list(v) for k, v in data["lower_positions"].items()
+        }
+        buffer = data.get("buffer")
+        record.buffer = None if buffer is None else bytearray(bytes.fromhex(buffer))
+        record.length = int(data["length"])
+        record.alerted = set(data["alerted"])
+        record.last_packet_id = int(data["last_packet_id"])
+        http = data.get("http")
+        record.http = None if http is None else HttpStream.from_dict(http)
+        return record
+
+
+class ReferenceConfirmStage:
+    """The confirm stage as it stood before the per-flow open set: the due set
+    is ``index[this packet's events] ∪ touched`` (every rule an event names,
+    plus every growth-sensitive rule a flow ever touched, on every packet).
+
+    Correlates prefilter events into per-rule verdicts, flow by flow.
+
+    One instance backs the serial and the process-parallel flow scans and
+    the stateless per-packet path (it is fed :class:`StreamMatch` events
+    every way).  Flow byte buffers are kept only when some rule actually
+    carries a pcre.  ``evaluators`` arrive in rule-file order, which is the
+    order verdicts are asked and alerts come out in.
+    """
+
+    def __init__(self, evaluators: Iterable[RuleEvaluator]):
+        self.evaluators: Dict[int, RuleEvaluator] = {e.sid: e for e in evaluators}
+        self.needs_buffer = any(e.needs_buffer for e in self.evaluators.values())
+        #: some rule targets a normalized HTTP buffer: every flow carries an
+        #: incremental :class:`HttpStream` alongside its hit positions
+        self.needs_http = any(e.needs_http for e in self.evaluators.values())
+        #: insertion-ordered: finalize walks flows in first-seen order
+        self._flows: Dict[FlowKey, _ReferenceFlowRecord] = {}
+        # the event-driven due set (module docstring): string number -> sids
+        # with a positive raw step on it, per prefilter view.  A rule naming
+        # one string twice is listed twice; the due set is a set.
+        self._rank = {sid: rank for rank, sid in enumerate(self.evaluators)}
+        self._raw_index: Dict[int, List[int]] = {}
+        self._lower_index: Dict[int, List[int]] = {}
+        growth: Set[int] = set()
+        unanchored: Set[int] = set()
+        for sid, evaluator in self.evaluators.items():
+            # ``RuleEvaluator.growth_sensitive`` as it was (the attribute left
+            # with the due set): any pcre, sticky or negated component
+            if (
+                evaluator.pcres
+                or evaluator.sticky_steps
+                or len(evaluator.positive_steps) < len(evaluator.steps)
+            ):
+                growth.add(sid)
+                if not evaluator.positive_steps:
+                    unanchored.add(sid)
+            for step in evaluator.positive_steps:
+                self._raw_index.setdefault(step.number, []).append(sid)
+                if step.nocase:
+                    self._lower_index.setdefault(step.number, []).append(sid)
+        self._growth = frozenset(growth)
+        self._unanchored = frozenset(unanchored)
+        self._requires_end = frozenset(
+            sid for sid, e in self.evaluators.items() if e.requires_end
+        )
+        self._views: Dict[Tuple[int, ...], _ReferenceCandidates] = {}
+
+    # ------------------------------------------------------------------
+    def _view(self, candidates: Iterable[int]) -> _ReferenceCandidates:
+        sids = tuple(candidates)
+        view = self._views.get(sids)
+        if view is None:
+            if len(self._views) >= CANDIDATE_CACHE_LIMIT:
+                self._views.clear()
+            members = frozenset(sids)
+            view = self._views[sids] = _ReferenceCandidates(
+                sids, members, self._unanchored & members
+            )
+        return view
+
+    def new_record(self, candidates: Iterable[int]) -> _ReferenceFlowRecord:
+        """A flow record the stage does not track: :meth:`observe` creates
+        the tracked ones, the stateless per-packet path uses one per packet."""
+        record = _ReferenceFlowRecord(self._view(candidates))
+        if self.needs_buffer:
+            record.buffer = bytearray()
+        if self.needs_http:
+            record.http = HttpStream()
+        return record
+
+    def observe(
+        self,
+        key: FlowKey,
+        packet: Packet,
+        events: Sequence,
+        classify: Callable[[Optional[FiveTuple]], Sequence[int]],
+    ) -> _ReferenceFlowRecord:
+        """Fold one scanned packet's prefilter events into flow state.
+
+        ``classify`` supplies the header-candidate sids; it is only called
+        the first time a flow is seen (the 5-tuple — and therefore the
+        candidate set — is constant across a flow's segments).  Returns the
+        flow's record for :meth:`verdicts`.
+        """
+        record = self._flows.get(key)
+        if record is None:
+            record = self._flows[key] = self.new_record(classify(packet.header))
+        record.absorb(packet.packet_id, packet.payload, events)
+        return record
+
+    def flow_keys(self) -> List[FlowKey]:
+        """Tracked flows in first-seen order."""
+        return list(self._flows)
+
+    # ------------------------------------------------------------------
+    def _occurrences(self, record: _ReferenceFlowRecord) -> OccurrenceFn:
+        def occ(step: _Step) -> Sequence[int]:
+            return reference_merged_occurrences(step, record.positions, record.lower_positions)
+
+        return occ
+
+    def check(self, record: _ReferenceFlowRecord, sid: int, at_end: bool = False) -> bool:
+        """Evaluate rule ``sid`` against a flow's accumulated state (pure)."""
+        evaluator = self.evaluators[sid]
+        occ = self._occurrences(record)
+        # cheap candidacy gate: every positive content must occur somewhere
+        # before the positional/pcre machinery is worth running
+        if not all(occ(step) for step in evaluator.positive_steps):
+            return False
+        buffer = (
+            bytes(record.buffer)
+            if evaluator.needs_buffer and record.buffer is not None
+            else None
+        )
+        return evaluator.evaluate(occ, record.length, buffer, at_end, record.http)
+
+    def _confirmed(
+        self, record: _ReferenceFlowRecord, due: Iterable[int], at_end: bool
+    ) -> List[int]:
+        """Ask the ``due`` rules in rule-file order; the ones that hold are
+        marked alerted (a rule alerts once per flow) and returned."""
+        out: List[int] = []
+        for sid in sorted(due, key=self._rank.__getitem__):
+            if self.check(record, sid, at_end):
+                record.alerted.add(sid)
+                record.touched.discard(sid)
+                out.append(sid)
+        return out
+
+    def verdicts(
+        self, record: _ReferenceFlowRecord, events: Sequence, at_end: bool = False
+    ) -> List[int]:
+        """The rules the packet just absorbed confirms, in rule-file order.
+
+        ``events`` are that packet's prefilter events; only the rules they
+        can have changed, plus the flow's growth-sensitive ones, are asked
+        (the due set of the module docstring).
+        """
+        due: Set[int] = set()
+        for event in events:
+            index = self._lower_index if event.lowered else self._raw_index
+            due.update(index.get(event.string_number, ()))
+        due &= record.view.members
+        due -= record.alerted
+        record.touched |= due & self._growth
+        due |= record.touched
+        return self._confirmed(record, due, at_end)
+
+    def finalize_flow(self, key: FlowKey) -> List[Tuple[int, int]]:
+        """Decide end-of-flow rules (negation) for one flow.
+
+        Returns ``(packet_id, sid)`` pairs — the alert is attributed to the
+        flow's last seen packet, the point where "no more bytes" became
+        true.  Safe to call repeatedly: decided rules are marked alerted.
+        """
+        record = self._flows.get(key)
+        if record is None:
+            return []
+        # a pending end-of-flow rule is growth-sensitive: unless the flow
+        # touched it, one of its positive contents never occurred
+        due = record.touched & self._requires_end
+        return [
+            (record.last_packet_id, sid)
+            for sid in self._confirmed(record, due, at_end=True)
+        ]
+
+    def drop(self, key: FlowKey) -> None:
+        """Forget a flow (after eviction: the scanner restarts it at offset
+        0, so stale absolute positions must not survive)."""
+        self._flows.pop(key, None)
+
+    def reset(self) -> None:
+        self._flows.clear()
+
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> Dict:
+        """JSON-serialisable snapshot of every tracked flow's confirm state."""
+        return {
+            "flows": [
+                {"key": list(key.as_tuple()), **record.as_dict()}
+                for key, record in self._flows.items()
+            ]
+        }
+
+    def restore(self, data: Dict) -> None:
+        self._flows = {}
+        for entry in data["flows"]:
+            key = FlowKey.coerced(*entry["key"])
+            record = _ReferenceFlowRecord.from_dict(entry, self._view(entry["candidates"]))
+            # ``touched`` is not serialised: every number with a recorded
+            # position was once an event, so the index gives it back
+            for index, positions in (
+                (self._raw_index, record.positions),
+                (self._lower_index, record.lower_positions),
+            ):
+                for number in positions:
+                    record.touched.update(index.get(number, ()))
+            record.touched &= self._growth & record.view.members
+            record.touched -= record.alerted
+            self._flows[key] = record
+
+
+def install_reference_confirm(ids) -> ReferenceConfirmStage:
+    """Replace a built IDS's confirm stage with the reference one over the
+    same evaluators (before any packet is scanned)."""
+    ids._confirm = ReferenceConfirmStage(ids._confirm.evaluators.values())
+    return ids._confirm
 
 
 # ----------------------------------------------------------------------

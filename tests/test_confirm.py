@@ -1,6 +1,6 @@
 """Two-stage rule semantics: the confirm stage and its full grammar.
 
-Three layers of coverage:
+Layers of coverage:
 
 * :class:`TestPredicateGrammar` — the parser's positional modifiers,
   negation, pcre, and the grammar errors that must be rejected in both
@@ -17,13 +17,20 @@ Three layers of coverage:
   stage's due set (which rules a packet asks): header-restricted
   candidates, the lowered-view index, shared and repeated strings, verdicts
   that flip on packets with no prefilter event, eviction, alert order, and
-  a count of ``check`` calls that locks the property without a clock.
+  a count of ``check`` calls that locks the property without a clock;
+* :class:`TestOpenSet` — the per-flow open set against the stage it replaced
+  (``ReferenceConfirmStage`` in ``tests/conftest.py``) and the naive
+  evaluator: a ``hypothesis`` differential over the web workload's seven rule
+  shapes, a ``check`` count on a miniature of that workload, and the restore
+  edges a re-derived open set creates.
 """
 
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     EngineSpec,
@@ -41,11 +48,13 @@ from repro.rulesets import (
     parse_rules,
 )
 from repro.streaming import FlowKey
+from repro.streaming.scanner import ANONYMOUS_FLOW, StreamMatch
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import (
     MIXED_RULE_HEADERS,
     assert_equivalent_alerts,
+    install_reference_confirm,
     naive_reference_alerts,
     naive_rule_match,
     random_predicate_rules,
@@ -557,3 +566,235 @@ class TestEventDrivenIndex:
         )
         assert planted == 32 * 3 and len(alerts) > planted // 2
         assert len(alerts) <= len(calls) <= 4 * planted
+
+
+# ----------------------------------------------------------------------
+# the per-flow open set: a rule is asked only when an input of its verdict
+# changed — held to the stage it replaced and to the naive evaluator
+# ----------------------------------------------------------------------
+#: the seven rule shapes of the end-to-end benchmark's web workload, over
+#: short tokens: an anchored chain, nocase + pcre, a negated content decided at
+#: flow end, http_uri, a common string gating an http_header content, a
+#: distance/within pair, and a negated pcre
+WEB_SHAPES = (
+    lambda a, b: ('alert tcp any any -> any 80 (content:"GET "; offset:0; depth:4; '
+                  f'content:"/{a}.cgi"; distance:0; within:24; sid:SID;)'),
+    lambda a, b: (f'alert tcp any any -> any 80 (content:"{a}.exe"; nocase; '
+                  f'pcre:"/GET[^\\r\\n]*{a}\\.exe/i"; sid:SID;)'),
+    lambda a, b: (f'alert tcp any any -> any 80 (content:"POST /{a}"; offset:0; '
+                  f'depth:{6 + len(a)}; content:!"X-Token:"; nocase; sid:SID;)'),
+    lambda a, b: f'alert tcp any any -> any 8080 (content:"/{a}/admin"; http_uri; sid:SID;)',
+    lambda a, b: ('alert tcp any any -> any any (content:"Accept"; '
+                  f'content:"User-Agent: {a}bot"; http_header; nocase; sid:SID;)'),
+    lambda a, b: (f'alert tcp any any -> any 8080 (content:"{a}"; content:"{b}"; '
+                  "distance:4; within:16; sid:SID;)"),
+    lambda a, b: (f'alert tcp any 1024: -> any 80 (content:"|0d 0a|Cookie: {a}="; '
+                  f'depth:120; pcre:!"/{a}=safe/"; sid:SID;)'),
+)
+WEB_TOKENS = ("kwrt", "zmpl")
+
+
+def _web_request(method, uri, headers, body):
+    lines = [f"{method} {uri} HTTP/1.1", "Host: h.example", *headers, "Accept: */*"]
+    if body or method == "POST":
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+_token = st.sampled_from(WEB_TOKENS)
+#: what a request is assembled from: every string some shape gates on, in the
+#: spellings that trip it and the ones that only hit the prefilter
+_uri_piece = st.one_of(
+    st.sampled_from(["/", "/x", "/scripts", "%2f", "?id=1"]),
+    st.builds(
+        lambda tok, form: form.format(tok=tok, up=tok.upper()),
+        _token,
+        st.sampled_from(["/{tok}.cgi", "/{up}.ExE", "/{tok}", "/{tok}/admin",
+                         "/{tok}/%61dmin"]),
+    ),
+)
+_header = st.one_of(
+    st.sampled_from(["x-token: 1f", "X-Other: 1"]),
+    st.builds(
+        lambda tok, form: form.format(tok=tok, title=tok.title()),
+        _token,
+        st.sampled_from(["user-agent:   {title}BOT/1.0", "User-Agent: {tok}/2.0",
+                         "Cookie: {tok}=evil", "Cookie: {tok}=safe"]),
+    ),
+)
+_body_piece = st.one_of(
+    st.sampled_from([b"Accept", b"GET ", b"--------", b"q" * 20, b"X-Token:", b"\r\n"]),
+    st.builds(
+        lambda tok, form: form.format(tok=tok).encode(),
+        _token,
+        st.sampled_from(["{tok}", "{tok}.exe", "name={tok}.EXE", "{tok}=safe"]),
+    ),
+)
+_request = st.builds(
+    _web_request,
+    st.sampled_from(["GET", "POST"]),
+    st.lists(_uri_piece, min_size=1, max_size=3).map("".join),
+    st.lists(_header, max_size=3),
+    st.lists(_body_piece, max_size=8).map(b"".join),
+)
+
+
+@st.composite
+def _web_case(draw):
+    """Rules from the seven shapes plus one or two HTTP flows cut at random
+    offsets — a repeated cut is an empty-payload packet, a cut inside a body
+    leaves body-only segments, and the bodies repeat the gating strings."""
+    shapes = draw(st.lists(
+        st.tuples(st.integers(0, len(WEB_SHAPES) - 1), _token, _token),
+        min_size=1, max_size=6,
+    ))
+    lines = [
+        WEB_SHAPES[shape](a, b).replace("SID", str(7000 + index))
+        for index, (shape, a, b) in enumerate(shapes)
+    ]
+    flows = []
+    for number in range(draw(st.integers(1, 2))):
+        stream = b"".join(draw(st.lists(_request, min_size=1, max_size=3)))
+        cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+        bounds = [0, *cuts, len(stream)]
+        flows.append(_flow(
+            [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+            src_port=2000 + number,
+            dst_port=draw(st.sampled_from([80, 8080])),
+        ))
+    # interleave round-robin, then id in arrival order
+    longest = max(len(flow) for flow in flows)
+    packets = [flow[i] for i in range(longest) for flow in flows if i < len(flow)]
+    return parse_rules(lines), renumbered(packets)
+
+
+def _scan_counting(specs, packets, stage=None, restore_at=None):
+    """``(alert pairs, check calls)`` of one serial dense IDS over ``packets``;
+    ``stage`` swaps the confirm stage in first (the reference one)."""
+    def build():
+        ids = IntrusionDetectionSystem.from_specs(specs, backend="dense")
+        confirm = stage(ids) if stage is not None else ids._confirm
+        original = confirm.check
+
+        def counting(record, sid, at_end=False):
+            calls.append(sid)
+            return original(record, sid, at_end)
+
+        confirm.check = counting
+        return ids
+
+    calls = []
+    ids = build()
+    if restore_at is None:
+        alerts = ids.scan_flow(packets)
+    else:
+        alerts = ids.scan_flow(packets[:restore_at])
+        saved = json.loads(json.dumps(ids.checkpoint()))
+        ids = build()
+        ids.restore(saved)
+        alerts += ids.scan_flow(packets[restore_at:])
+    return _alert_pairs(alerts + ids.finish()), len(calls)
+
+
+class TestOpenSet:
+    @settings(max_examples=120, deadline=None)
+    @given(_web_case(), st.data())
+    def test_open_set_equals_reference_stage_equals_naive(self, case, data):
+        specs, packets = case
+        expected = naive_reference_alerts(specs, packets)
+        reference, reference_calls = _scan_counting(
+            specs, packets, stage=install_reference_confirm
+        )
+        assert reference == expected
+        got, calls = _scan_counting(specs, packets)
+        assert got == expected
+        assert calls <= reference_calls
+        # the open set is re-derived, not restored: any cut must do
+        cut = data.draw(st.integers(0, len(packets)))
+        assert _scan_counting(specs, packets, restore_at=cut)[0] == expected
+
+    def test_a_quarter_of_the_reference_stages_checks_on_web_traffic(self):
+        """A miniature of the benchmark's web workload: 21 rules (every shape
+        × three tokens), 24 keep-alive flows of two requests in 48-byte
+        segments, the second one's body repeating ``Accept`` and ``GET ``.
+        The reference stage re-asks every rule those repeats name and every
+        touched sticky/pcre rule on each body-only segment."""
+        tokens = ("kwrt", "zmpl", "vbnd")
+        lines = [
+            shape(tok, tokens[(n + 1) % 3]).replace("SID", str(8000 + 7 * n + k))
+            for n, tok in enumerate(tokens)
+            for k, shape in enumerate(WEB_SHAPES)
+        ]
+        specs = parse_rules(lines)
+        triggers = [
+            ("GET", "/kwrt.cgi?id=1", [], b""),
+            ("GET", "/scripts/ZMPL.ExE", [], b""),
+            ("POST", "/vbnd", [], b"q" * 24),
+            ("GET", "/kwrt/%61dmin", [], b""),
+            ("GET", "/", ["user-agent:   ZmplBOT/1.0"], b""),
+            ("POST", "/api", [], b"vbnd--------kwrt"),
+            ("GET", "/", ["Cookie: kwrt=evil"], b""),
+            ("GET", "/index.html", ["User-Agent: plain/2.0"], b""),
+        ]
+        padding = b"".join(
+            b"Accept " + b"q" * 30 + b" GET " + b"x" * 25 for _ in range(6)
+        )
+        packets = []
+        for number in range(24):
+            first = _web_request(*triggers[number % len(triggers)])
+            stream = first + _web_request("POST", "/pad", [], padding)
+            packets.append(_flow(
+                [stream[at:at + 48] for at in range(0, len(stream), 48)],
+                src_port=3000 + number,
+                dst_port=(80, 8080)[number % 2],
+            ))
+        packets = renumbered(
+            [flow[i] for i in range(max(map(len, packets))) for flow in packets
+             if i < len(flow)]
+        )
+        expected = naive_reference_alerts(specs, packets)
+        reference, reference_calls = _scan_counting(
+            specs, packets, stage=install_reference_confirm
+        )
+        got, calls = _scan_counting(specs, packets)
+        assert got == reference == expected
+        assert len(expected) >= 12, "the miniature must trip its rules"
+        assert len(expected) <= calls <= reference_calls // 4, (calls, reference_calls)
+
+    def test_merged_occurrences_are_kept_until_a_view_grows(self):
+        """A nocase step seen in both views merges them once per growth, not
+        once per ask; the first occurrences are what ``absorb`` reports."""
+        ids = _ids_for([WILDCARD + '(content:"ab"; nocase; sid:1;)'])
+        stage = ids._confirm
+        step = stage.evaluators[1].steps[0]
+        record = stage.new_record([1])
+
+        def hit(end, lowered):
+            return StreamMatch(ANONYMOUS_FLOW, 0, end, step.number, lowered)
+
+        events = [hit(2, False), hit(2, True), hit(6, True)]
+        record.absorb(0, b"abxxAB", events)
+        assert record.fresh == events[:2]  # one per view, no repeat
+        merged = record.occurrences(step)
+        assert merged == [2, 6] and record.occurrences(step) is merged
+        record.absorb(1, b"xAb", [hit(9, True)])
+        assert record.fresh == []
+        assert record.occurrences(step) == [2, 6, 9]
+
+    @pytest.mark.parametrize(
+        "line, payloads",
+        [
+            # event-only *positional*: the gate opened before the checkpoint,
+            # only a repeat hit after it can satisfy the window
+            ('(content:"ab"; content:"cd"; distance:0; within:4; sid:9;)',
+             [b"ab......cd", b"..abcd.."]),
+            # windowless: the second string's first occurrence comes after
+            # the restore and must find the first one's gate half open
+            ('(content:"ab"; content:"cd"; sid:9;)', [b"..ab..", b"..cd.."]),
+        ],
+        ids=["positional-repeat-hit", "windowless-second-string"],
+    )
+    def test_restore_rederives_the_open_set(self, line, payloads):
+        specs = parse_rules([WILDCARD + line])
+        expected = assert_equivalent_alerts(specs, _flow(payloads), restore_at=1)
+        assert expected == [(1, 9)]

@@ -4,11 +4,17 @@
   in one shared namespace — the quickstart is written as a progression);
 * the README's artefact table and docs/cli.md must cover every benchmark
   script and every CLI subcommand that exists (and name no phantom ones);
-* PAPER.md must carry the real citation, not the seed stub.
+* PAPER.md must carry the real citation, not the seed stub;
+* CI's ``tests`` job (and the ``test`` extra) must install every third-party
+  module the test suite imports — nobody runs ``ci.yml`` before it is pushed.
 """
 
+import ast
+import importlib.util
 import pathlib
 import re
+import sys
+import sysconfig
 
 
 from repro.cli import build_parser
@@ -141,3 +147,62 @@ class TestPaperStub:
         assert "Ultra-High Throughput String Matching" in text
         assert "DATE" in text and "2010" in text
         assert len(text.split()) > 100, "PAPER.md still looks like the stub"
+
+
+def _is_stdlib(module: str) -> bool:
+    names = getattr(sys, "stdlib_module_names", None)  # 3.10+
+    if names is not None:
+        return module in names
+    origin = getattr(importlib.util.find_spec(module), "origin", None)
+    if origin in (None, "built-in", "frozen"):
+        return True
+    return origin.startswith(sysconfig.get_paths()["stdlib"]) and (
+        "site-packages" not in origin
+    )
+
+
+def third_party_imports(directory: pathlib.Path):
+    """Top-level modules imported by the ``*.py`` files under ``directory``
+    that are neither standard library nor this repository's own."""
+    own = {"repro", directory.name} | {path.stem for path in directory.glob("*.py")}
+    modules = set()
+    for path in sorted(directory.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    return sorted(m for m in modules - own if not _is_stdlib(m))
+
+
+class TestCiInstallsWhatTestsImport:
+    def needed(self):
+        needed = third_party_imports(REPO_ROOT / "tests")
+        assert {"pytest", "numpy", "hypothesis"} <= set(needed), needed
+        # a distribution is named like its module, dashes for underscores
+        return [module.lower().replace("_", "-") for module in needed]
+
+    def test_ci_tests_job_installs_every_imported_module(self):
+        text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        job = re.search(r"^  tests:\n(.*?)(?=^  [\w-]+:\n)", text, flags=re.M | re.S)
+        assert job, "ci.yml has no `tests` job"
+        assert "python -m pytest" in job.group(1)
+        installed = {
+            name
+            for line in re.findall(r"pip install (.*)", job.group(1))
+            for name in line.split()
+        }
+        missing = [name for name in self.needed() if name not in installed]
+        assert not missing, (
+            f"ci.yml's tests job imports {missing} under tests/ but never installs them"
+        )
+
+    def test_test_extra_names_every_imported_module(self):
+        text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        declared = set(
+            re.findall(r'"([A-Za-z0-9_.-]+)', " ".join(
+                re.findall(r"^(?:dependencies|test) = \[(.*?)\]", text, flags=re.M)
+            ))
+        )
+        missing = [name for name in self.needed() if name not in declared]
+        assert not missing, f"pyproject.toml's test extra misses {missing}"

@@ -639,6 +639,21 @@ class TestHttpStream:
         assert restored.uri == whole.uri
         assert restored.headers == whole.headers
 
+    def test_lowered_view_follows_the_buffer_across_feeds_and_restore(self):
+        """The lower-cased view is kept per buffer and only extended; it is
+        not state, so a restored stream rebuilds it on first use."""
+        cut = len(REQUEST) // 2
+        stream = HttpStream()
+        for piece in (REQUEST[:cut], REQUEST[cut:], REQUEST.replace(b"GET", b"POST")):
+            stream.feed(piece)
+            for name in ("http_uri", "http_header"):
+                assert stream.buffer(name, lowered=True) == stream.buffer(name).lower()
+        assert stream.buffer("http_header", lowered=True) != stream.headers
+        saved = json.loads(json.dumps(stream.as_dict()))
+        assert not any("lower" in key for key in saved)
+        restored = HttpStream.from_dict(saved)
+        assert restored.buffer("http_header", lowered=True) == stream.headers.lower()
+
     def test_buffer_name_validation(self):
         stream = HttpStream()
         stream.feed(REQUEST)
