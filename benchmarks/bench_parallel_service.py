@@ -16,15 +16,6 @@ meaningless without it — on a 1-core container the 4-worker run measures
 pure executor overhead, not scaling, and ``cpu_limited`` is set so a
 regression gate can tell the two situations apart.
 
-The ``transport`` section is the per-stage breakdown for the shared-memory
-shard transport: ``probe_transport`` pushes the largest workload through the
-full data plane (interning, chunking, ring writes, worker reads) with the
-scan replaced by a drain, so dividing by the measured parallel scan time
-says what fraction of the wall clock the transport itself costs.  On a
-CPU-starved runner the speedup headline above is meaningless, but this
-fraction still is — a transport under ~half the total proves the scan, not
-the byte carriage, dominates.
-
 The ``hot_path`` section answers a different question: how much does the
 streaming service layer (flow table, sharding, event objects) cost on top of
 the raw backend?  It times the dense backend scanning the same segments bare
@@ -191,20 +182,6 @@ def run_sweep(smoke: bool = False, repeats: Optional[int] = None) -> Dict:
     service_mb = sweeps[HOT_PATH_BACKEND][-1]["serial"]["mb_per_s"]
     hot_path_ratio = raw_mb / service_mb
 
-    # per-stage breakdown: transport-only dispatch vs the full parallel scan
-    max_workers = WORKER_COUNTS[-1]
-    transport_best = float("inf")
-    with ParallelScanService(
-        programs[HOT_PATH_BACKEND], num_shards=NUM_SHARDS, workers=max_workers
-    ) as probe_service:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            probe_service.probe_transport(largest_packets)
-            transport_best = min(transport_best, time.perf_counter() - start)
-        transport_counters = probe_service.transport_stats.as_dict()
-    parallel_best = sweeps[HOT_PATH_BACKEND][-1]["workers"][str(max_workers)]["seconds"]
-    transport_fraction = transport_best / parallel_best
-
     cpu_count = os.cpu_count() or 1
     largest = sweeps["dtp"][-1]
     headline = largest["workers"][str(WORKER_COUNTS[-1])]["speedup_vs_serial"]
@@ -225,17 +202,6 @@ def run_sweep(smoke: bool = False, repeats: Optional[int] = None) -> Dict:
         "speedup_target": SPEEDUP_TARGET,
         "meets_speedup_target": headline >= SPEEDUP_TARGET,
         "cpu_limited": cpu_count < WORKER_COUNTS[-1],
-        "transport": {
-            "carrier": "shared-memory ring",
-            "backend": HOT_PATH_BACKEND,
-            "workers": max_workers,
-            "flows": flow_counts[-1],
-            "transport_only_seconds": transport_best,
-            "parallel_scan_seconds": parallel_best,
-            "fraction_of_scan": transport_fraction,
-            "not_dominant": transport_fraction < 0.5,
-            "counters": transport_counters,
-        },
         "hot_path": {
             "backend": HOT_PATH_BACKEND,
             "flows": flow_counts[-1],
@@ -280,14 +246,6 @@ def format_report(report: Dict) -> str:
         f"{report['speedup_at_4_workers_largest']:.2f}x "
         f"(target {report['speedup_target']}x"
         + (", CPU-LIMITED: fewer cores than workers)" if report["cpu_limited"] else ")")
-    )
-    transport = report["transport"]
-    lines.append(
-        f"transport ({transport['carrier']}, {transport['workers']} workers): "
-        f"{transport['transport_only_seconds'] * 1e3:.1f} ms of "
-        f"{transport['parallel_scan_seconds'] * 1e3:.1f} ms scan — "
-        f"{transport['fraction_of_scan']:.0%} of wall clock"
-        + ("" if transport["not_dominant"] else " (DOMINANT)")
     )
     hot = report["hot_path"]
     lines.append(
@@ -341,12 +299,6 @@ def test_parallel_service_sweep_smoke(results_dir):
             for entry in point["workers"].values():
                 assert entry["mb_per_s"] > 0
     assert "speedup_at_4_workers_largest" in report
-    assert report["transport"]["transport_only_seconds"] > 0
-    assert report["transport"]["counters"]["ring_segments"] > 0
-    assert report["transport"]["not_dominant"], (
-        "the shared-memory transport should be a minority of the scan wall "
-        f"clock, measured {report['transport']['fraction_of_scan']:.0%}"
-    )
     assert report["hot_path"]["raw_backend_mb_per_s"] > 0
     assert report["hot_path"]["serial_service_mb_per_s"] > 0
     # scaling is hardware-dependent (CI containers are often 1-2 cores), so

@@ -404,10 +404,8 @@ class EngineSpec:
     integer dispatches shards to that many worker processes
     (:class:`repro.streaming.ParallelScanService`).  Every mode builds its
     scan service through :func:`repro.streaming.build_scan_service`, so
-    ``workers``, ``flow_capacity`` and ``ring_slots``/``ring_slot_bytes``
-    (``None`` = the transport defaults; they size the parallel service's
-    per-worker shared-memory payload rings) mean the same thing in stream
-    and ids mode.  ``shards`` does not yet: the IDS's prefilter keeps one
+    ``workers`` and ``flow_capacity`` mean the same thing in stream and ids
+    mode.  ``shards`` does not yet: the IDS's prefilter keeps one
     flow table in-process and one shard per worker — four shards would cut
     every ids batch's lane-kernel crossing in four and re-order evictions,
     i.e. alerts (one meaning for ``shards`` waits for one backend crossing
@@ -430,8 +428,6 @@ class EngineSpec:
     workers: Optional[int] = None
     flow_capacity: int = 4096
     strict: bool = False
-    ring_slots: Optional[int] = None
-    ring_slot_bytes: Optional[int] = None
     reassemble: bool = False
     overlap_policy: str = "first"
     reassembly_flows: int = DEFAULT_REASSEMBLY_FLOWS
@@ -457,10 +453,6 @@ class EngineSpec:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.flow_capacity < 1:
             raise ConfigError(f"flow_capacity must be >= 1, got {self.flow_capacity}")
-        for name in ("ring_slots", "ring_slot_bytes"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.overlap_policy not in OVERLAP_POLICIES:
             raise ConfigError(
                 f"unknown overlap_policy {self.overlap_policy!r}; available: "
@@ -482,10 +474,6 @@ class EngineSpec:
             out["workers"] = self.workers
         if self.strict:
             out["strict"] = True
-        if self.ring_slots is not None:
-            out["ring_slots"] = self.ring_slots
-        if self.ring_slot_bytes is not None:
-            out["ring_slot_bytes"] = self.ring_slot_bytes
         if self.reassemble:
             out["reassemble"] = True
         if self.overlap_policy != "first":
@@ -502,8 +490,7 @@ class EngineSpec:
             data,
             (
                 "backend", "device", "shards", "workers", "flow_capacity",
-                "strict", "ring_slots", "ring_slot_bytes",
-                "reassemble", "overlap_policy", "reassembly_flows",
+                "strict", "reassemble", "overlap_policy", "reassembly_flows",
                 "reassembly_bytes",
             ),
             "engine",

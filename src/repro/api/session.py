@@ -302,12 +302,7 @@ class Session:
     def _service_options(self) -> Dict[str, Any]:
         """The engine options every mode's scan service is built with."""
         engine = self.config.engine
-        return dict(
-            workers=engine.workers,
-            flow_capacity=engine.flow_capacity,
-            ring_slots=engine.ring_slots,
-            ring_slot_bytes=engine.ring_slot_bytes,
-        )
+        return dict(workers=engine.workers, flow_capacity=engine.flow_capacity)
 
     @property
     def ids(self):

@@ -140,11 +140,11 @@ class IntrusionDetectionSystem:
     :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
     prefilter runs on one scan service (:attr:`service`, built on first use
     by :func:`repro.streaming.build_scan_service` — in-process, or with
-    ``workers`` on that many worker processes; ``flow_capacity`` and
-    ``ring_slots`` / ``ring_slot_bytes`` are its options) with one flow table
-    in-process and one shard per worker, so a whole batch crosses into the
-    lane kernel at once and flows are evicted in arrival order.  Call
-    :meth:`close` (or :meth:`reset_flows`) to shut a worker pool down.
+    ``workers`` on that many worker processes) with one flow table of
+    ``flow_capacity`` flows in-process and one shard per worker, so a whole
+    batch crosses into the lane kernel at once and flows are evicted in
+    arrival order.  Call :meth:`close` (or :meth:`reset_flows`) to shut a
+    worker pool down.
 
     As a pipeline stage the IDS answers a scan service's calls —
     :meth:`scan` / :meth:`flush` (batch results carrying the alerts),
@@ -161,8 +161,6 @@ class IntrusionDetectionSystem:
         backend: str = "dtp",
         workers: Optional[int] = None,
         flow_capacity: int = DEFAULT_FLOW_CAPACITY,
-        ring_slots: Optional[int] = None,
-        ring_slot_bytes: Optional[int] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
@@ -239,11 +237,7 @@ class IntrusionDetectionSystem:
         )
         self.workers = workers
         self._service: Optional[ShardedScanServiceBase] = None
-        self._service_options = dict(
-            flow_capacity=flow_capacity,
-            ring_slots=ring_slots,
-            ring_slot_bytes=ring_slot_bytes,
-        )
+        self._flow_capacity = flow_capacity
 
     # ------------------------------------------------------------------
     @classmethod
@@ -375,8 +369,8 @@ class IntrusionDetectionSystem:
                 self.program,
                 num_shards=self.workers or 1,
                 workers=self.workers,
+                flow_capacity=self._flow_capacity,
                 track_nocase=bool(self._nocase_patterns),
-                **self._service_options,
             )
         return self._service
 
@@ -389,7 +383,7 @@ class IntrusionDetectionSystem:
     def reset_flows(self, capacity: Optional[int] = None) -> None:
         """Drop all tracked flow state (optionally resizing the flow table)."""
         if capacity is not None:
-            self._service_options["flow_capacity"] = capacity
+            self._flow_capacity = capacity
         if self._service is not None:
             self._service.close()
             self._service = None  # rebuilt on next use, at the new size

@@ -13,10 +13,9 @@ puts on top of the matcher:
 * :mod:`repro.streaming.service` — a hash-sharded :class:`ScanService`
   dispatching batches across a pool of scanners with aggregate reporting;
 * :mod:`repro.streaming.executor` — :class:`ParallelScanService`, the same
-  front-end with each shard's engine living in its own worker process, and
-  :func:`build_scan_service`, the one builder that picks between the two;
-* :mod:`repro.streaming.transport` — the zero-copy shared-memory ring that
-  carries payload bytes between the executor's dispatcher and its workers;
+  front-end with each shard's engine living in a worker process (payloads
+  and replies cross one pipe per worker), and :func:`build_scan_service`,
+  the one builder that picks between the two;
 * :mod:`repro.streaming.ingest`  — the asyncio front-end feeding any scan
   service from live sources (socket listeners, tail-followed captures).
 """
@@ -38,7 +37,6 @@ from .ingest import (
 )
 from .scanner import ANONYMOUS_FLOW, ScannerStatistics, StreamMatch, StreamScanner
 from .service import ScanService, ShardReport, StreamScanResult
-from .transport import ShardRing, TransportError, TransportStats
 
 __all__ = [
     "ParallelScanService",
@@ -61,7 +59,4 @@ __all__ = [
     "ScanService",
     "ShardReport",
     "StreamScanResult",
-    "ShardRing",
-    "TransportError",
-    "TransportStats",
 ]

@@ -19,31 +19,23 @@ separate cores or processes" — literally true:
 * :func:`build_scan_service` picks between the two: the one function every
   composition (``Session``, the IDS) builds its prefilter through.
 
-Two planes carry the traffic (see :mod:`repro.streaming.transport`):
+One pipe per worker carries everything.  A scan is one ``"scan"`` request
+per worker holding that worker's items shard-major as ``(shard, flow_id,
+packet_id, payload)``: flow keys are interned to small integer ids (each
+:class:`FlowKey` crosses to a worker once, in the request's ``new_keys``),
+the payload rides in the request itself, and only compact ``(end_offset,
+string_number, lowered)`` match tuples come back, inflated to
+:class:`StreamMatch` records by the dispatcher.  A worker with nothing to
+scan still gets an empty request, so every shard's gauge returns with the
+scan.  Checkpoint, restore, stats and stop are requests on the same pipe.
 
-* **Data plane** — one :class:`~repro.streaming.transport.ShardRing` of
-  shared memory per worker carries the raw payload bytes.  The dispatcher
-  copies each segment into a ring slot; the worker scans it through a
-  ``memoryview`` of the same mapping.  No payload is pickled in either
-  direction: flow keys are interned to small integer ids (each
-  :class:`FlowKey` crosses the pipe exactly once per worker) and only
-  compact ``(end_offset, string_number, lowered)`` match tuples come back,
-  inflated to :class:`StreamMatch` records by the dispatcher.  Payloads
-  larger than a ring slot spill — pickled — over the control pipe; a full
-  ring closes the current chunk and the dispatcher waits for the worker to
-  drain it (explicit backpressure, counted in ``TransportStats``).
-* **Control plane** — the original pipe still carries the scan *metadata*
-  (shard/flow-id/packet-id per item) and every stateful command:
-  checkpoint, restore, stats, stop.
-
-Determinism: items are dispatched shard-major per worker, chunk boundaries
-only ever split a shard's batch into consecutive ``scan_batch`` calls (the
-scanner's batched hot path is split-invariant), and the parent concatenates
-each shard's events in shard order before the canonical stable sort — the
-identical pre-sort order the serial service produces — so the event stream
-is byte-identical to :class:`ScanService` in every configuration.
-Checkpoints use the same envelope as the serial service, so a serial
-checkpoint restores into a parallel service and vice versa.
+Determinism: each shard's batch is one ``scan_batch`` call in its worker,
+and the parent concatenates each shard's events in shard order before the
+canonical stable sort — the identical pre-sort order the serial service
+produces — so the event stream is byte-identical to :class:`ScanService` in
+every configuration.  Checkpoints use the same envelope as the serial
+service, so a serial checkpoint restores into a parallel service and vice
+versa.
 
 Every reply wait polls with a timeout and checks worker liveness, so a
 crashed worker raises :exc:`WorkerCrashedError` naming the worker and its
@@ -62,14 +54,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
+from itertools import groupby
 from multiprocessing import connection
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
-from .scanner import BatchItem, Eviction, StreamMatch, StreamScanner
+from .scanner import Eviction, StreamMatch, StreamScanner
 from .service import (
     AnnotatedScan,
     ScanService,
@@ -77,19 +70,6 @@ from .service import (
     ShardedScanServiceBase,
     ShardReport,
 )
-from .transport import (
-    DEFAULT_RING_SLOTS,
-    DEFAULT_RING_SLOT_BYTES,
-    ShardRing,
-    TransportError,
-    TransportStats,
-)
-
-#: One batch item on the wire: ``(FlowKey, payload, packet_id)`` — the same
-#: shape :meth:`StreamScanner.scan_batch` consumes.  Since the ring
-#: transport this shape only ever crosses a process boundary for engines,
-#: not for dispatch; it remains the worker-side batch item.
-WireItem = BatchItem
 
 #: How often reply waits wake up to check worker liveness (seconds).
 _POLL_SECONDS = 0.1
@@ -99,11 +79,9 @@ class WorkerCrashedError(RuntimeError):
     """A shard worker process died while a request was in flight."""
 
 
-def _pick_context(start_method: Optional[str]) -> multiprocessing.context.BaseContext:
-    """``fork`` when the platform has it (cheap startup, nothing re-imported);
-    the compiled program is picklable, so ``spawn``/``forkserver`` work too."""
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
+def _pick_context() -> multiprocessing.context.BaseContext:
+    """``fork`` when the platform has it (cheap startup, nothing re-imported),
+    else the platform default — the compiled program is picklable."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -111,9 +89,6 @@ def _pick_context(start_method: Optional[str]) -> multiprocessing.context.BaseCo
 
 def _shard_worker(
     conn,
-    ring_name: str,
-    ring_slots: int,
-    ring_slot_bytes: int,
     program: CompiledProgram,
     shard_ids: Sequence[int],
     flow_capacity: int,
@@ -124,12 +99,8 @@ def _shard_worker(
     Speaks a tagged request/response protocol over ``conn``; every request
     gets exactly one ``("ok", value)`` or ``("error", traceback)`` reply, so
     the parent can fan a command out to all workers and collect the replies
-    without ever blocking on an out-of-sync pipe.  Payload bytes arrive
-    through the shared-memory ring, not the pipe (see the module
-    docstring); ``"scan"`` metadata names each item's slot implicitly by
-    ring order.
+    without ever blocking on an out-of-sync pipe.
     """
-    ring = ShardRing(ring_slots, ring_slot_bytes, name=ring_name)
     engines: Dict[int, StreamScanner] = {
         shard: StreamScanner(
             program, FlowTable(flow_capacity), track_nocase=track_nocase
@@ -139,97 +110,34 @@ def _shard_worker(
     #: interned flow ids — each FlowKey is pickled to this worker only once.
     keys: Dict[int, FlowKey] = {}
 
-    def resolve(items, views):
-        """Materialise chunk items into ``(shard, key, payload, packet_id)``.
-
-        Ring-borne payloads come back as memoryviews into shared memory
-        (appended to ``views`` so the caller can release them); spilled
-        payloads arrived as bytes in the metadata itself.
-        """
-        resolved = []
-        for shard, flow_id, packet_id, spill in items:
-            if spill is None:
-                slot_flow_id, view = ring.read()
-                if slot_flow_id != flow_id:
-                    raise TransportError(
-                        f"ring slot flow id {slot_flow_id} does not match "
-                        f"scan metadata flow id {flow_id}"
-                    )
-                views.append(view)
-                # memoryview has no .lower(); the case-tracking scan path
-                # needs real bytes.  The default path stays zero-copy.
-                data = bytes(view) if track_nocase else view
-            else:
-                data = spill
-            resolved.append((shard, keys[flow_id], data, packet_id))
-        return resolved
-
-    def handle_scan(payload) -> Dict:
-        keys.update(payload["new_keys"])
-        views: List[memoryview] = []
-        try:
-            resolved = resolve(payload["items"], views)
-            events_out: List[List[Tuple[int, int, bool]]] = []
-            reports: Dict[int, Tuple[int, int]] = {}
-            evictions_out: List[Tuple[int, FlowKey]] = []
-            index = 0
-            while index < len(resolved):
-                shard = resolved[index][0]
-                end = index
-                while end < len(resolved) and resolved[end][0] == shard:
-                    end += 1
-                engine = engines[shard]
-                before_matches = engine.stats.matches
-                before_evicted = engine.flows.stats.evicted
-                # The engine's batched hot path: same-flow segments are
-                # scanned as one backend crossing whenever the batch cannot
-                # evict, and eviction records come back (item_index, key).
-                per_item, run_evictions = engine.scan_batch(
-                    [(key, data, packet_id) for _, key, data, packet_id in resolved[index:end]]
-                )
-                for item_events in per_item:
-                    events_out.append(
-                        [
-                            (match.end_offset, match.string_number, match.lowered)
-                            for match in item_events
-                        ]
-                    )
-                for local_index, key in run_evictions:
-                    evictions_out.append((index + local_index, key))
-                matches_delta = engine.stats.matches - before_matches
-                evicted_delta = engine.flows.stats.evicted - before_evicted
-                prior = reports.get(shard)
-                if prior is not None:
-                    matches_delta += prior[0]
-                    evicted_delta += prior[1]
-                reports[shard] = (matches_delta, evicted_delta)
-                index = end
-        finally:
-            for view in views:
-                view.release()
-        return {
-            "events": events_out,
-            "reports": reports,
-            "evictions": evictions_out,
-            "gauges": {shard: engine.active_flows for shard, engine in engines.items()},
+    def handle_scan(request) -> Dict[int, Tuple]:
+        """Scan each shard's run of items; reply for *every* owned shard with
+        ``(per-item compact events, matches, evicted, evictions, active)``."""
+        keys.update(request["new_keys"])
+        runs = {
+            shard: [(keys[flow_id], payload, packet_id) for _, flow_id, packet_id, payload in run]
+            for shard, run in groupby(request["items"], key=itemgetter(0))
         }
-
-    def handle_drain(payload) -> Dict:
-        """Transport probe: consume the chunk's payload bytes, scan nothing.
-
-        Exists so benchmarks can measure the data plane's cost through the
-        production dispatch path, separated from matcher compute.
-        """
-        keys.update(payload["new_keys"])
-        drained = 0
-        for shard, flow_id, packet_id, spill in payload["items"]:
-            if spill is None:
-                _, view = ring.read()
-                drained += len(view)
-                view.release()
-            else:
-                drained += len(spill)
-        return {"drained": drained}
+        reply = {}
+        for shard, engine in engines.items():
+            before_matches = engine.stats.matches
+            before_evicted = engine.flows.stats.evicted
+            batch = runs.get(shard)
+            # The engine's batched hot path: same-flow segments are scanned
+            # as one backend crossing whenever the batch cannot evict, and
+            # eviction records come back (item_index, key).
+            per_item, evictions = engine.scan_batch(batch) if batch else ([], [])
+            reply[shard] = (
+                [
+                    [(match.end_offset, match.string_number, match.lowered) for match in item_events]
+                    for item_events in per_item
+                ],
+                engine.stats.matches - before_matches,
+                engine.flows.stats.evicted - before_evicted,
+                evictions,
+                engine.active_flows,
+            )
+        return reply
 
     def handle_restore(tables: Dict[int, Dict]) -> None:
         for shard, table_data in tables.items():
@@ -250,7 +158,6 @@ def _shard_worker(
 
     handlers = {
         "scan": handle_scan,
-        "drain": handle_drain,
         "checkpoint": lambda _payload: {
             shard: engine.flows.checkpoint() for shard, engine in engines.items()
         },
@@ -262,10 +169,8 @@ def _shard_worker(
         try:
             command, payload = conn.recv()
         except (EOFError, KeyboardInterrupt):
-            ring.close()
             return
         if command == "stop":
-            ring.close()
             conn.send(("ok", None))
             conn.close()
             return
@@ -283,32 +188,13 @@ def _shard_worker(
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process."""
 
-    def __init__(self, index: int, process, conn, shards: List[int], ring: ShardRing):
+    def __init__(self, index: int, process, conn, shards: List[int]):
         self.index = index
         self.process = process
         self.conn = conn
         self.shards = shards
-        self.ring = ring
         #: flow ids this worker already holds the FlowKey for.
         self.known_flows: set = set()
-
-
-class _DispatchState:
-    """Progress of one worker through one scan's flattened item list.
-
-    ``items`` are ``(shard, arrival_index, key, payload, packet_id)`` in
-    shard-major order; ``cursor`` marks the first item not yet dispatched;
-    ``chunk_items`` / ``ring_in_flight`` describe the chunk currently in
-    flight (its parent-side metadata and how many ring slots it occupies).
-    """
-
-    __slots__ = ("items", "cursor", "chunk_items", "ring_in_flight")
-
-    def __init__(self, items: List[Tuple]):
-        self.items = items
-        self.cursor = 0
-        self.chunk_items: List[Tuple] = []
-        self.ring_in_flight = 0
 
 
 class ParallelScanService(ShardedScanServiceBase):
@@ -319,10 +205,6 @@ class ParallelScanService(ShardedScanServiceBase):
     ``num_shards``); ``workers`` says how many OS processes the shards are
     spread over (shard *s* lives in worker ``s % workers``).  ``workers``
     defaults to one per shard, bounded by the machine's CPU count.
-    ``ring_slots`` × ``ring_slot_bytes`` size each worker's shared-memory
-    payload ring (see :mod:`repro.streaming.transport`); the defaults suit
-    MTU-sized segments, and tiny values are legitimate — they just trade
-    throughput for backpressure stalls, never correctness.
 
     The event stream, the per-shard reports and the checkpoint format are
     byte-identical to the serial service on the same traffic; what changes
@@ -336,9 +218,6 @@ class ParallelScanService(ShardedScanServiceBase):
         flow_capacity_per_shard: int = DEFAULT_FLOW_CAPACITY,
         track_nocase: bool = False,
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        ring_slots: int = DEFAULT_RING_SLOTS,
-        ring_slot_bytes: int = DEFAULT_RING_SLOT_BYTES,
     ):
         self._validate_num_shards(num_shards)
         if workers is None:
@@ -350,8 +229,7 @@ class ParallelScanService(ShardedScanServiceBase):
         self.program = program
         self.num_shards = num_shards
         self.num_workers = workers
-        self.transport_stats = TransportStats()
-        context = _pick_context(start_method)
+        context = _pick_context()
         self._workers: List[_WorkerHandle] = []
         self._worker_of_shard: Dict[int, _WorkerHandle] = {}
         #: global FlowKey -> flow id interning table (ids are service-wide).
@@ -359,26 +237,16 @@ class ParallelScanService(ShardedScanServiceBase):
         try:
             for index in range(workers):
                 shards = list(range(index, num_shards, workers))
-                ring = ShardRing(ring_slots, ring_slot_bytes)
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
                     target=_shard_worker,
-                    args=(
-                        child_conn,
-                        ring.name,
-                        ring_slots,
-                        ring_slot_bytes,
-                        program,
-                        shards,
-                        flow_capacity_per_shard,
-                        track_nocase,
-                    ),
+                    args=(child_conn, program, shards, flow_capacity_per_shard, track_nocase),
                     daemon=True,
                     name=f"repro-shard-worker-{index}",
                 )
                 process.start()
                 child_conn.close()  # the parent keeps only its end
-                handle = _WorkerHandle(index, process, parent_conn, shards, ring)
+                handle = _WorkerHandle(index, process, parent_conn, shards)
                 self._workers.append(handle)
                 for shard in shards:
                     self._worker_of_shard[shard] = handle
@@ -407,8 +275,8 @@ class ParallelScanService(ShardedScanServiceBase):
                 raise WorkerCrashedError(self._crash_message(handle))
 
     def _send(self, handle: _WorkerHandle, message) -> None:
-        """Send on the control pipe; a dead peer raises WorkerCrashedError
-        (a kill between requests surfaces on the *send*, not the recv)."""
+        """Send on the pipe; a dead peer raises WorkerCrashedError (a kill
+        between requests surfaces on the *send*, not the recv)."""
         try:
             handle.conn.send(message)
         except (BrokenPipeError, ConnectionResetError, OSError):
@@ -471,7 +339,6 @@ class ParallelScanService(ShardedScanServiceBase):
                 handle.process.terminate()
                 handle.process.join(timeout=5)
             handle.conn.close()
-            handle.ring.close()
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
         try:
@@ -480,131 +347,25 @@ class ParallelScanService(ShardedScanServiceBase):
             pass
 
     # ------------------------------------------------------------------
-    # data-plane dispatch
+    # scan dispatch
     # ------------------------------------------------------------------
-    def _flow_id_for(self, key: FlowKey) -> int:
-        flow_id = self._flow_ids.get(key)
-        if flow_id is None:
-            flow_id = len(self._flow_ids)
-            self._flow_ids[key] = flow_id
-        return flow_id
-
-    def _send_chunk(
-        self, handle: _WorkerHandle, state: _DispatchState, command: str
-    ) -> None:
-        """Dispatch the next chunk of ``state`` to ``handle``.
-
-        Writes payloads into the worker's ring until the items run out or
-        the ring fills (backpressure: the chunk is cut short and the
-        remainder waits for this chunk's acknowledgement).  Oversized
-        payloads spill into the metadata message itself.
-        """
-        ring = handle.ring
-        stats = self.transport_stats
-        wire_items = []
-        chunk_items = []
+    def _scan_request(self, handle: _WorkerHandle, batches: List[ShardBatch]) -> Tuple:
+        """``handle``'s ``"scan"`` request: its shards' items, shard-major,
+        with the flow keys it has not seen yet."""
+        flow_ids = self._flow_ids
+        known = handle.known_flows
         new_keys: Dict[int, FlowKey] = {}
-        stalled = False
-        items = state.items
-        while state.cursor < len(items):
-            shard, arrival, key, payload, packet_id = items[state.cursor]
-            flow_id = self._flow_id_for(key)
-            if len(payload) > ring.slot_bytes:
-                spill = bytes(payload)
-                stats.spilled_segments += 1
-                stats.spilled_bytes += len(payload)
-            else:
-                if not ring.try_write(flow_id, payload):
-                    stalled = True
-                    break
-                spill = None
-                stats.ring_segments += 1
-                stats.ring_bytes += len(payload)
-            if flow_id not in handle.known_flows:
-                new_keys[flow_id] = key
-                handle.known_flows.add(flow_id)
-            wire_items.append((shard, flow_id, packet_id, spill))
-            chunk_items.append((shard, arrival, key, packet_id))
-            state.cursor += 1
-        if stalled:
-            stats.backpressure_stalls += 1
-        stats.chunks += 1
-        state.chunk_items = chunk_items
-        state.ring_in_flight = ring.pending
-        self._send(handle, (command, {"new_keys": new_keys, "items": wire_items}))
-
-    def _pump(
-        self,
-        jobs: Dict[_WorkerHandle, List[Tuple]],
-        command: str,
-        on_reply: Callable[[_WorkerHandle, List[Tuple], Dict], None],
-    ) -> None:
-        """Drive every worker through its item list, chunk by chunk.
-
-        One chunk per worker is in flight at any time; replies free that
-        worker's ring slots and trigger the next chunk, so all workers stay
-        busy concurrently while the ring enforces bounded memory.
-        ``on_reply`` sees each chunk's parent-side metadata next to the
-        worker's reply.
-        """
-        states: Dict[_WorkerHandle, _DispatchState] = {}
-        pending: Dict[object, _WorkerHandle] = {}
-        for handle, items in jobs.items():
-            state = _DispatchState(items)
-            states[handle] = state
-            self._send_chunk(handle, state, command)
-            pending[handle.conn] = handle
-        failures: List[str] = []
-        while pending:
-            ready = connection.wait(list(pending), timeout=_POLL_SECONDS)
-            if not ready:
-                self._check_alive(list(pending.values()))
-                continue
-            for conn in ready:
-                handle = pending[conn]
-                try:
-                    status, value = conn.recv()
-                except (EOFError, OSError):
-                    raise WorkerCrashedError(self._crash_message(handle)) from None
-                state = states[handle]
-                handle.ring.consumed(state.ring_in_flight)
-                if status != "ok":
-                    failures.append(f"shard worker {handle.index} failed:\n{value}")
-                    del pending[conn]
-                    continue
-                if failures:
-                    del pending[conn]  # stop feeding once anything failed
-                    continue
-                on_reply(handle, state.chunk_items, value)
-                if state.cursor < len(state.items):
-                    self._send_chunk(handle, state, command)
-                else:
-                    del pending[conn]
-        if failures:
-            raise RuntimeError("; ".join(failures))
-
-    def _jobs_for(self, batches: List[ShardBatch]) -> Dict[_WorkerHandle, List[Tuple]]:
-        """Flatten grouped batches into each worker's shard-major item list.
-
-        Every worker appears in the result — an idle worker still receives
-        one empty chunk so its shard gauges come back with the scan.
-        """
-        jobs: Dict[_WorkerHandle, List[Tuple]] = {}
-        for handle in self._workers:
-            items: List[Tuple] = []
-            for shard in handle.shards:
-                items.extend(
-                    (shard, arrival, *item) for arrival, item in zip(*batches[shard])
-                )
-            jobs[handle] = items
-        return jobs
-
-    @staticmethod
-    def _inflate(key: FlowKey, packet_id: int, compact) -> List[StreamMatch]:
-        return [
-            StreamMatch(key, packet_id, end_offset, string_number, lowered)
-            for end_offset, string_number, lowered in compact
-        ]
+        items = []
+        for shard in handle.shards:
+            for key, payload, packet_id in batches[shard][1]:
+                flow_id = flow_ids.get(key)
+                if flow_id is None:
+                    flow_id = flow_ids[key] = len(flow_ids)
+                if flow_id not in known:
+                    known.add(flow_id)
+                    new_keys[flow_id] = key
+                items.append((shard, flow_id, packet_id, payload))
+        return ("scan", {"new_keys": new_keys, "items": items})
 
     # ------------------------------------------------------------------
     # the ScanService API
@@ -615,92 +376,48 @@ class ParallelScanService(ShardedScanServiceBase):
         key = StreamScanner.flow_key(packet)
         shard = self.shard_for(key)
         handle = self._worker_of_shard[shard]
-        events: List[StreamMatch] = []
-
-        def on_reply(_handle, chunk_items, reply) -> None:
-            for (_, _, item_key, packet_id), compact in zip(
-                chunk_items, reply["events"]
-            ):
-                events.extend(self._inflate(item_key, packet_id, compact))
-
-        self._pump(
-            {handle: [(shard, 0, key, packet.payload, packet.packet_id)]},
-            "scan",
-            on_reply,
-        )
-        return events
+        batches: List[ShardBatch] = [([], []) for _ in range(self.num_shards)]
+        batches[shard] = ([0], [(key, packet.payload, packet.packet_id)])
+        (reply,) = self._exchange([handle], [self._scan_request(handle, batches)])
+        (compact,) = reply[shard][0]
+        return [StreamMatch(key, packet.packet_id, *match) for match in compact]
 
     def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
         """See :meth:`ShardedScanServiceBase.scan_annotated`; the shards'
         batches scan concurrently on the worker pool."""
         self._ensure_open()
         keys, batches = self._group_by_shard(packets)
-        jobs = self._jobs_for(batches)
+        replies: Dict[int, Tuple] = {}
+        for reply in self._exchange(
+            self._workers, [self._scan_request(handle, batches) for handle in self._workers]
+        ):
+            replies.update(reply)
 
-        per_shard_events: List[List[StreamMatch]] = [[] for _ in batches]
-        # every packet sits in exactly one chunk, so every slot is filled
+        # every packet sits in exactly one shard batch, so every slot is filled
         per_packet: List = [None] * len(packets)
-        matches, evicted = [0] * self.num_shards, [0] * self.num_shards
-        gauges: Dict[int, int] = {}
-        evictions: List[Eviction] = []
-
-        def on_reply(_handle, chunk_items, reply) -> None:
-            for (shard, arrival, key, packet_id), compact in zip(
-                chunk_items, reply["events"]
-            ):
-                item_events = self._inflate(key, packet_id, compact)
-                per_packet[arrival] = item_events
-                per_shard_events[shard].extend(item_events)
-            for shard, (matches_delta, evicted_delta) in reply["reports"].items():
-                matches[shard] += matches_delta
-                evicted[shard] += evicted_delta
-            for local_index, key in reply["evictions"]:
-                evictions.append((chunk_items[local_index][1], key))
-            gauges.update(reply["gauges"])  # later chunks overwrite: the
-            # final value is each shard's end-of-scan gauge, which equals
-            # the serial service's after-my-batch gauge (a shard's flow
-            # table only changes while its own batch scans).
-
-        self._pump(jobs, "scan", on_reply)
-
         events: List[StreamMatch] = []
+        evictions: List[Eviction] = []
         shard_reports: List[ShardReport] = []
-        for shard in range(self.num_shards):
-            items = batches[shard][1]
+        for shard, (arrivals, items) in enumerate(batches):
+            compact_events, matches, evicted, shard_evictions, active = replies[shard]
+            for arrival, (key, _, packet_id), compact in zip(arrivals, items, compact_events):
+                item_events = [StreamMatch(key, packet_id, *match) for match in compact]
+                per_packet[arrival] = item_events
+                events.extend(item_events)  # shard order == serial pre-sort order
+            evictions.extend((arrivals[index], key) for index, key in shard_evictions)
             shard_reports.append(
                 ShardReport(
                     shard=shard,
                     packets=len(items),
                     bytes_scanned=sum(len(payload) for _, payload, _ in items),
-                    matches=matches[shard],
-                    active_flows=gauges[shard],
-                    evicted_flows=evicted[shard],
+                    matches=matches,
+                    active_flows=active,
+                    evicted_flows=evicted,
                 )
             )
-            events.extend(per_shard_events[shard])  # shard order == serial
-            # pre-sort order
-        evictions.sort(key=itemgetter(0))  # reply order -> arrival order
+        evictions.sort(key=itemgetter(0))  # shard order -> arrival order
         result = self._aggregate(len(packets), events, shard_reports)
         return result, per_packet, evictions, keys
-
-    def probe_transport(self, packets: Sequence[Packet]) -> int:
-        """Push payloads through the data plane without scanning them.
-
-        Benchmark instrumentation: exercises the exact production dispatch
-        path (interning, ring writes, chunking, backpressure, replies) while
-        the workers only consume — so ``bench_transport.py`` can report
-        transport cost separated from matcher compute.  Returns the total
-        payload bytes the workers acknowledged.  Flow tables are untouched.
-        """
-        self._ensure_open()
-        jobs = self._jobs_for(self._group_by_shard(packets)[1])
-        drained = [0]
-
-        def on_reply(_handle, _chunk_items, reply) -> None:
-            drained[0] += reply["drained"]
-
-        self._pump(jobs, "drain", on_reply)
-        return drained[0]
 
     # ------------------------------------------------------------------
     def _shard_gauges(self) -> List[Tuple[int, int, int]]:
@@ -708,12 +425,6 @@ class ParallelScanService(ShardedScanServiceBase):
         for reply in self._request_all("stats"):
             merged.update(reply)
         return [merged[shard] for shard in range(self.num_shards)]
-
-    def stats(self) -> Dict:
-        """Serial-compatible service stats plus a ``transport`` section."""
-        merged = super().stats()
-        merged["transport"] = self.transport_stats.as_dict()
-        return merged
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
@@ -748,15 +459,12 @@ def build_scan_service(
     workers: Optional[int] = None,
     flow_capacity: int = DEFAULT_FLOW_CAPACITY,
     track_nocase: bool = False,
-    ring_slots: Optional[int] = None,
-    ring_slot_bytes: Optional[int] = None,
 ) -> ShardedScanServiceBase:
     """The one place a scan service is constructed.
 
     ``workers=None`` builds the in-process :class:`ScanService`, a count the
     :class:`ParallelScanService` over that many worker processes (``0`` is
-    invalid, not "serial"); the ring sizes only apply there, ``None`` meaning
-    the transport defaults.  :class:`repro.api.Session` and
+    invalid, not "serial").  :class:`repro.api.Session` and
     :class:`repro.ids.IntrusionDetectionSystem` both compose their prefilter
     through this function, so every engine option reaches every mode.
     """
@@ -767,9 +475,7 @@ def build_scan_service(
     )
     if workers is None:
         return ScanService(program, **shape)
-    rings = dict(ring_slots=ring_slots, ring_slot_bytes=ring_slot_bytes)
-    rings = {name: size for name, size in rings.items() if size is not None}
-    return ParallelScanService(program, workers=workers, **shape, **rings)
+    return ParallelScanService(program, workers=workers, **shape)
 
 
 __all__ = ["ParallelScanService", "WorkerCrashedError", "build_scan_service"]

@@ -200,7 +200,6 @@ class EquivalenceReference:
 def _comparable_stats(stats: Dict) -> Dict:
     stats = dict(stats)
     stats.pop("num_workers", None)  # serial None vs parallel N, by design
-    stats.pop("transport", None)  # data-plane counters exist only parallel-side
     return stats
 
 
@@ -216,7 +215,6 @@ def assert_equivalent_events(
     track_nocase: bool = False,
     batches: int = 1,
     capture_fmt: str = "pcap",
-    parallel_kwargs: Optional[Dict] = None,
 ) -> EquivalenceReference:
     """Differentially scan one workload through every requested combination.
 
@@ -232,10 +230,7 @@ def assert_equivalent_events(
 
     ``batches > 1`` splits the packets into that many consecutive ``scan()``
     calls, pinning state carry-over *between* batches; it is memory-source
-    only, because a capture replay is a single pass.  ``parallel_kwargs``
-    are forwarded to every :class:`ParallelScanService` built — the
-    transport tests use them to force tiny ring geometries (wraparound,
-    spill, backpressure) and assert the events stay canonical.  When ``"pcap"`` is
+    only, because a capture replay is a single pass.  When ``"pcap"`` is
     among the sources, packets are renumbered in arrival order first — the
     id convention replay uses — so both sources report comparable events.
     """
@@ -266,7 +261,6 @@ def assert_equivalent_events(
                 flow_capacity_per_shard=flow_capacity,
                 track_nocase=track_nocase,
                 workers=workers,
-                **(parallel_kwargs or {}),
             )
         with service:
             if source == "memory":

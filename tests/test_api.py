@@ -466,8 +466,8 @@ def test_registries_list_builtin_kinds():
         lambda: EngineSpec(shards=0),
         lambda: EngineSpec(workers=0),
         lambda: EngineSpec(flow_capacity=0),
-        lambda: EngineSpec(ring_slots=0),
-        lambda: EngineSpec(ring_slot_bytes=-1),
+        lambda: EngineSpec.from_dict({"ring_slots": 256}),  # retired knob
+        lambda: EngineSpec.from_dict({"ring_slot_bytes": 2048}),  # retired knob
         lambda: SinkSpec(kind="nope"),
         lambda: SinkSpec(kind="ndjson"),  # no path
         lambda: SinkSpec(kind="events", what="bogus"),
@@ -480,6 +480,12 @@ def test_registries_list_builtin_kinds():
 def test_malformed_configs_raise_config_error(factory):
     with pytest.raises(ConfigError):
         factory()
+
+
+@pytest.mark.parametrize("key", ["ring_slots", "ring_slot_bytes"])
+def test_retired_engine_keys_are_named(key):
+    with pytest.raises(ConfigError, match=f"unknown engine key\\(s\\) '{key}'"):
+        EngineSpec.from_dict({"backend": "dense", key: 256})
 
 
 def test_contentless_rules_file_raises_empty_ruleset(tmp_path):

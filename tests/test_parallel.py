@@ -1,6 +1,6 @@
 """Tests for the process-parallel shard executor and the checkpoint fixes.
 
-Two families of guarantees are pinned down here:
+Three families of guarantees are pinned down here:
 
 * **equivalence** — :class:`repro.streaming.ParallelScanService` must report
   the byte-identical event stream, shard reports and checkpoint envelope as
@@ -9,7 +9,11 @@ Two families of guarantees are pinned down here:
   cross-segment matches intact;
 * **checkpoint correctness** — flow keys survive a JSON round trip with
   float-typed ports (the sharding/identity bug), and the flow table's
-  created/evicted/restore accounting tells the truth.
+  created/evicted/restore accounting tells the truth;
+* **the pipe protocol** — a scan is one request per worker carrying the
+  payloads inline and each flow key once, idle workers still return their
+  gauges, replies are compact tuples, and a failed or dead worker raises
+  without desynchronising the pipes.
 """
 
 import json
@@ -163,6 +167,21 @@ class TestParallelEquivalence:
             batches=2,
         )
         assert reference.events, "boundary-split flows should produce events"
+        assert reference.stats["cross_segment_matches"] > 0
+
+        # segments far past an MTU ride the request as they are
+        large = TrafficGenerator.interleave(
+            generator.flows(2, num_packets=3, split_patterns=1, segment_bytes=4096)
+            + generator.flows(2, num_packets=3, split_patterns=1, segment_bytes=65536)
+        )
+        reference = assert_equivalent_events(
+            small_ruleset,
+            large,
+            backends=("dtp",),
+            worker_counts=(None, 2, 4),
+            sources=("memory",),
+            num_shards=4,
+        )
         assert reference.stats["cross_segment_matches"] > 0
 
     def test_submit_matches_serial_submit(self, crafted_program, crafted_ruleset):
@@ -410,3 +429,198 @@ def test_crash_error_names_worker_and_shards(crafted_program):
         message = str(excinfo.value)
         assert "worker 1" in message and "shards [1, 3]" in message
         assert "exit code" in message
+
+
+# ----------------------------------------------------------------------
+# the one data plane: a scan is one pipe request per worker
+# ----------------------------------------------------------------------
+def header_on_shard(service, shard: int, skip: int = 0) -> FiveTuple:
+    """The ``skip``-th :func:`make_header` whose flow hashes to ``shard``."""
+    found = (
+        header
+        for header in map(make_header, range(256))
+        if service.shard_for(FlowKey.from_header(header)) == shard
+    )
+    for _ in range(skip):
+        next(found)
+    return next(found)
+
+
+def record_calls(monkeypatch, service, name: str) -> list:
+    """Wrap ``service.<name>`` so every call's positional arguments are kept."""
+    calls = []
+    original = getattr(service, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(service, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("size", (0, 1, 1500, 65536, 1 << 20))
+def test_payload_of_any_size_rides_the_request(crafted_program, crafted_ruleset, size):
+    """No slot size to fit: a payload of any length crosses in the request,
+    and a signature split across it and the next segment still matches."""
+    pattern = crafted_ruleset[0].pattern
+    filler = b"x" * size
+    if size >= len(pattern):
+        filler = filler[: size - len(pattern)] + pattern
+    header = make_header(9)
+    packets = [
+        Packet(payload=filler + pattern[:9], header=header, packet_id=0),
+        Packet(payload=pattern[9:], header=header, packet_id=1),
+    ]
+    serial = ScanService(crafted_program, num_shards=2)
+    expected = [serial.submit(packet) for packet in packets]
+    with ParallelScanService(crafted_program, num_shards=2, workers=2) as parallel:
+        assert [parallel.submit(packet) for packet in packets] == expected
+    assert sum(map(len, expected)) == 1 + (size >= len(pattern))
+    assert expected[1][0].end_offset == size + len(pattern)
+
+
+def test_flow_keys_cross_to_each_worker_once(crafted_program, monkeypatch):
+    packets = [
+        Packet(payload=b"segment", header=make_header(n), packet_id=0) for n in range(8)
+    ]
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as service:
+        sent = record_calls(monkeypatch, service, "_send")
+        service.scan(packets)
+        service.scan(packets)
+    first, second = sent[:2], sent[2:]
+    assert [command for _, (command, _) in sent] == ["scan"] * 4
+    shipped = [key for _, (_, request) in first for key in request["new_keys"].values()]
+    assert len(shipped) == 8
+    assert set(shipped) == {FlowKey.from_header(make_header(n)) for n in range(8)}
+    assert all(request["new_keys"] == {} for _, (_, request) in second)
+    assert sum(len(request["items"]) for _, (_, request) in second) == len(packets)
+
+
+def test_flow_ids_are_service_wide_and_stable(crafted_program):
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as service:
+        service.scan([Packet(payload=b"a", header=make_header(n), packet_id=0) for n in range(5)])
+        ids = dict(service._flow_ids)
+        service.scan([Packet(payload=b"b", header=make_header(n), packet_id=1) for n in range(7)])
+        assert sorted(ids.values()) == list(range(5))
+        assert {key: service._flow_ids[key] for key in ids} == ids
+        assert sorted(service._flow_ids.values()) == list(range(7))
+
+
+def test_scan_request_is_shard_major_with_the_payload_inline(crafted_program):
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as service:
+        packets = [
+            Packet(payload=bytes([65 + n]) * (n + 1), header=make_header(n), packet_id=n)
+            for n in range(12)
+        ]
+        _, batches = service._group_by_shard(packets)
+        handle = service._workers[1]
+        command, request = service._scan_request(handle, batches)
+    assert command == "scan"
+    expected = [
+        (shard, service._flow_ids[key], packet_id, payload)
+        for shard in handle.shards
+        for key, payload, packet_id in batches[shard][1]
+    ]
+    assert request["items"] == expected
+    by_id = {packet.packet_id: packet.payload for packet in packets}
+    assert all(payload is by_id[packet_id] for _, _, packet_id, payload in request["items"])
+
+
+def test_idle_worker_reports_its_gauges_with_the_scan(crafted_program, monkeypatch):
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as service:
+        busy, idle = header_on_shard(service, 0), header_on_shard(service, 1)
+        service.scan([Packet(payload=b"first", header=idle, packet_id=0)])
+        exchanges = record_calls(monkeypatch, service, "_exchange")
+        result = service.scan([Packet(payload=b"second", header=busy, packet_id=0)])
+    assert len(exchanges) == 1 and len(exchanges[0][0]) == 2
+    assert [report.shard for report in result.shards] == [0, 1, 2, 3]
+    assert [report.packets for report in result.shards] == [1, 0, 0, 0]
+    assert [report.active_flows for report in result.shards] == [1, 1, 0, 0]
+
+
+def test_submit_is_one_exchange_with_one_worker(crafted_program, monkeypatch):
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as service:
+        header = header_on_shard(service, 3)
+        exchanges = record_calls(monkeypatch, service, "_exchange")
+        service.submit(Packet(payload=b"payload", header=header, packet_id=0))
+    ((handles, requests),) = exchanges
+    assert [handle.index for handle in handles] == [1]
+    ((command, request),) = requests
+    assert command == "scan"
+    assert [item[0] for item in request["items"]] == [3]
+
+
+def test_replies_are_compact_match_tuples(crafted_program, crafted_ruleset):
+    pattern = crafted_ruleset[0].pattern
+    with ParallelScanService(crafted_program, num_shards=2, workers=1) as service:
+        header = header_on_shard(service, 0)
+        _, batches = service._group_by_shard(
+            [Packet(payload=b"::" + pattern, header=header, packet_id=0)]
+        )
+        (handle,) = service._workers
+        (reply,) = service._exchange([handle], [service._scan_request(handle, batches)])
+    compact, matches, evicted, evictions, active = reply[0]
+    assert compact == [[(2 + len(pattern), 0, False)]]
+    assert (matches, evicted, evictions, active) == (1, 0, [], 1)
+    assert reply[1] == ([], 0, 0, [], 0)
+
+
+def test_many_consecutive_scans_match_serial(crafted_program, crafted_ruleset):
+    """Dozens of small requests back to back, state carried across each."""
+    pattern = crafted_ruleset[0].pattern
+    pieces = [pattern[index : index + 3] for index in range(0, len(pattern), 3)]
+    batches = [
+        [Packet(payload=piece, header=make_header(flow), packet_id=index)]
+        for index, piece in enumerate(pieces * 3)
+        for flow in range(4)
+    ]
+    serial = ScanService(crafted_program, num_shards=4)
+    expected = [serial.scan(batch).events for batch in batches]
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as parallel:
+        assert [parallel.scan(batch).events for batch in batches] == expected
+    assert sum(map(len, expected)) == 4 * 3
+
+
+def test_empty_scan_answers_for_every_shard(crafted_program):
+    serial = ScanService(crafted_program, num_shards=4).scan([])
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as parallel:
+        result = parallel.scan([])
+    assert (result.events, result.packets, result.bytes_scanned) == ([], 0, 0)
+    assert result.shards == serial.shards and len(result.shards) == 4
+
+
+def test_worker_error_reply_keeps_the_pipes_in_sync(crafted_program, crafted_ruleset):
+    pattern = crafted_ruleset[0].pattern
+    packets = [Packet(payload=pattern, header=make_header(n), packet_id=0) for n in range(4)]
+    expected = ScanService(crafted_program, num_shards=4).scan(packets).events
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as service:
+        with pytest.raises(RuntimeError) as excinfo:
+            service._request_all("bogus")
+        message = str(excinfo.value)
+        assert "shard worker 0 failed" in message and "shard worker 1 failed" in message
+        assert "unknown command 'bogus'" in message
+        assert service.scan(packets).events == expected
+
+
+def test_large_payload_to_a_dead_worker_raises(crafted_program):
+    from repro.streaming import WorkerCrashedError
+
+    with ParallelScanService(crafted_program, num_shards=4, workers=2) as service:
+        header = header_on_shard(service, 1)
+        victim = service._workers[1]
+        victim.process.kill()
+        victim.process.join()
+        with pytest.raises(WorkerCrashedError, match=r"worker 1 \(shards \[1, 3\]\)"):
+            service.submit(Packet(payload=b"y" * (1 << 20), header=header, packet_id=0))
+
+
+def test_pool_forks_when_the_platform_can(monkeypatch):
+    import multiprocessing
+
+    from repro.streaming.executor import _pick_context
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    assert _pick_context().get_start_method() == "fork"
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _pick_context() is multiprocessing.get_context()
