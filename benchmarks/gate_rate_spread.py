@@ -12,6 +12,8 @@
     python3 benchmarks/gate_rate_spread.py --front-end m.json 18
     python3 benchmarks/e2e/run.py --workload web_rules_mixed --trace 1 | tail -n 1 > web.json
     python3 benchmarks/gate_rate_spread.py --check-yield web.json 0.02
+    python3 benchmarks/e2e/run.py --workload live_microbatch ... | tail -n 1 > live.json
+    python3 benchmarks/gate_rate_spread.py benign.json live.json 3
 
 Each file holds one ``run.py`` result line; the gate fails (exit 1) when the
 first run's ``throughput_mb_s`` divided by the second's exceeds the bound
@@ -22,7 +24,7 @@ traced run instead: ``(capture.decode_s + proto.reassembly_s +
 streaming.self_s) / backend.scan_s``; ``--check-yield`` takes two *counts* of one
 traced run, ``ids.alerts / ids.confirm_checks``, and fails *below* its bound.
 
-Five uses.  The *guaranteed-rate spread*: the paper guarantees one byte per
+Six uses.  The *guaranteed-rate spread*: the paper guarantees one byte per
 cycle whatever the traffic; the software form is that ``deep_state_dense``
 (every byte continues a rule prefix) scans about as fast as
 ``benign_bulk_dense`` (1.48 before the dense lane kernel, ~1.0 with it, ~1.1
@@ -48,6 +50,13 @@ read, not one per rule that might care; the software form is the share of
 packet re-asked every touched sticky/pcre rule, 0.0255 since a rule is asked
 only when an input of its verdict changed; floor 0.02).  Both counts repeat
 exactly run to run, so this gate needs no second run to compare against.
+The *price of serving*: the paper's engines pull packets from one shared
+buffer, so a packet costs the same byte per cycle however it arrived; the
+software form is ``live_microbatch`` (a capture tailed through
+``Session.serve()`` in 64-packet batches, reassembled) against
+``benign_bulk_dense`` (~4.6 while every shard of a batch crossed into the
+kernel on its own and the ingest loop awaited once per packet, ~2.3 since a
+batch costs one crossing and one await; bound 3).
 """
 
 from __future__ import annotations

@@ -406,10 +406,12 @@ class EngineSpec:
     scan service through :func:`repro.streaming.build_scan_service`, so
     ``workers`` and ``flow_capacity`` mean the same thing in stream and ids
     mode.  ``shards`` does not yet: the IDS's prefilter keeps one
-    flow table in-process and one shard per worker — four shards would cut
-    every ids batch's lane-kernel crossing in four and re-order evictions,
-    i.e. alerts (one meaning for ``shards`` waits for one backend crossing
-    per batch in the serial service).  ``strict`` makes pcap-source decoding
+    flow table in-process and one shard per worker.  A batch crosses into
+    the backend once whatever the shard count, so splitting it costs no
+    kernel width; what still separates the modes is flow memory — four
+    shards bound flows per shard, which re-orders evictions (i.e. alerts)
+    and changes the ids checkpoint's ``{"num_shards": 1}`` envelope.
+    ``strict`` makes pcap-source decoding
     fail on undecodable frames instead of skipping and counting them.
 
     ``reassemble`` inserts the :class:`repro.proto.TcpReassembler` between

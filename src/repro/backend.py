@@ -12,7 +12,8 @@ gives the repository one vocabulary for all of them:
 * :class:`CompiledProgram` — the scan contract every compiled matcher
   honours: per-payload ``match``/``scan``/``scan_packets`` plus the resumable
   ``initial_scan_states`` / ``scan_from`` pair the streaming layer needs and
-  its batched form ``scan_many`` (one call per shard batch).
+  its batched form ``scan_many`` (one call per batch, whatever the shard
+  count).
 * :class:`ScanState` — the immutable, JSON-checkpointable resume record
   carried across the segments of one flow.
 * a registry (:func:`register_backend` / :func:`get_backend`) mapping the CLI
@@ -224,7 +225,7 @@ class CompiledProgramMixin:
         self, jobs: Sequence[ScanJob]
     ) -> List[Tuple[MatchList, FlowState]]:
         """Scan independent ``(states, chunk)`` jobs — one per flow of a
-        shard batch — and return one :meth:`scan_chunk` result per job.
+        batch — and return one :meth:`scan_chunk` result per job.
 
         The default is exactly that loop; a backend that can advance many
         streams at once (the dense lane kernel) overrides it.

@@ -409,12 +409,13 @@ class IntrusionDetectionSystem:
         self,
         packets: Sequence[Packet],
         keys: Sequence[FlowKey],
-        per_packet_events: Sequence[Sequence],
+        hits: Dict[int, Sequence],
         evictions: Sequence,
     ) -> List[Alert]:
         """Fold scanned events into confirm-stage verdicts, packet by packet.
 
-        Fed from the service's annotated scan: per-packet event lists and
+        Fed from the service's annotated scan: the event lists of the
+        packets that matched (``hits``, by arrival index) and
         ``(arrival_index, key)`` eviction records.  A flow evicted while
         packet ``index`` was being scanned is finalized (pending negation
         verdicts) and dropped before that packet is correlated — it restarts
@@ -427,7 +428,7 @@ class IntrusionDetectionSystem:
         for index, packet in enumerate(packets):
             self.stats.packets_processed += 1
             self.stats.payload_bytes += len(packet.payload)
-            events = per_packet_events[index]
+            events = hits.get(index, ())
             # distinct strings per packet, matching process()'s accounting
             self.stats.content_matches += len({e.string_number for e in events})
             # the eviction is always triggered by a *different* flow's arrival
@@ -476,14 +477,15 @@ class IntrusionDetectionSystem:
 
         The payloads are scanned by :attr:`service` — in-process or on the
         worker pool — and the confirm stage runs here either way, fed from
-        the annotated scan: per-packet events (flow-absolute offsets) and
+        the annotated scan: the matched packets' events (flow-absolute
+        offsets) and
         eviction records that finalize-and-drop a flow exactly where the
         shard's LRU table forgot it.  Same alerts, same order, same
         statistics for any worker count (the flow-capacity bound applies per
         shard, which only matters under eviction pressure).
         """
-        _, per_packet_events, evictions, keys = self.service.scan_annotated(packets)
-        return self._correlate(packets, keys, per_packet_events, evictions)
+        _, hits, evictions, keys = self.service.scan_annotated(packets)
+        return self._correlate(packets, keys, hits, evictions)
 
     def finish(self) -> List[Alert]:
         """Decide the pending end-of-flow verdicts of every tracked flow.

@@ -29,13 +29,14 @@ string_number, lowered)`` match tuples come back, inflated to
 scan still gets an empty request, so every shard's gauge returns with the
 scan.  Checkpoint, restore, stats and stop are requests on the same pipe.
 
-Determinism: each shard's batch is one ``scan_batch`` call in its worker,
-and the parent concatenates each shard's events in shard order before the
-canonical stable sort — the identical pre-sort order the serial service
-produces — so the event stream is byte-identical to :class:`ScanService` in
-every configuration.  Checkpoints use the same envelope as the serial
-service, so a serial checkpoint restores into a parallel service and vice
-versa.
+Determinism: each request is one ``scan_batch`` call in its worker (one
+backend crossing for all of the worker's shards, as the serial service makes
+one for all of its own), and the parent concatenates each shard's events in
+shard order before the canonical stable sort — the identical pre-sort order
+the serial service produces — so the event stream is byte-identical to
+:class:`ScanService` in every configuration.  Checkpoints use the same
+envelope as the serial service, so a serial checkpoint restores into a
+parallel service and vice versa.
 
 Every reply wait polls with a timeout and checks worker liveness, so a
 crashed worker raises :exc:`WorkerCrashedError` naming the worker and its
@@ -62,17 +63,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
-from .scanner import Eviction, StreamMatch, StreamScanner
-from .service import (
-    AnnotatedScan,
-    ScanService,
-    ShardBatch,
-    ShardedScanServiceBase,
-    ShardReport,
-)
+from .scanner import BatchItem, Eviction, SegmentBatch, StreamMatch, StreamScanner
+from .service import AnnotatedScan, ScanService, ShardedScanServiceBase, ShardReport
 
 #: How often reply waits wake up to check worker liveness (seconds).
 _POLL_SECONDS = 0.1
+
+#: One shard's share of a batch: each item's arrival index in the caller's
+#: batch, next to the ``(key, payload, packet_id)`` items themselves.
+ShardBatch = Tuple[List[int], List[BatchItem]]
 
 
 class WorkerCrashedError(RuntimeError):
@@ -91,6 +90,7 @@ def _shard_worker(
     conn,
     program: CompiledProgram,
     shard_ids: Sequence[int],
+    num_shards: int,
     flow_capacity: int,
     track_nocase: bool,
 ) -> None:
@@ -107,34 +107,50 @@ def _shard_worker(
         )
         for shard in shard_ids
     }
+    #: every shard by number, ``None`` where another worker owns it
+    shards = [engines.get(shard) for shard in range(num_shards)]
+    crossing = engines[shard_ids[0]]
     #: interned flow ids — each FlowKey is pickled to this worker only once.
     keys: Dict[int, FlowKey] = {}
 
     def handle_scan(request) -> Dict[int, Tuple]:
-        """Scan each shard's run of items; reply for *every* owned shard with
-        ``(per-item compact events, matches, evicted, evictions, active)``."""
+        """Scan the request's items — every owned shard's, shard-major — in
+        one ``scan_batch`` call, i.e. one backend crossing; reply for *every*
+        owned shard with ``(per-item compact events, matches, evicted,
+        evictions, active)``, item positions counted within the shard's run."""
         keys.update(request["new_keys"])
-        runs = {
-            shard: [(keys[flow_id], payload, packet_id) for _, flow_id, packet_id, payload in run]
-            for shard, run in groupby(request["items"], key=itemgetter(0))
+        items = request["items"]
+        before = {
+            shard: (engine.stats.matches, engine.flows.stats.evicted)
+            for shard, engine in engines.items()
         }
+        hits, evictions = crossing.scan_batch(
+            SegmentBatch(
+                [keys[item[1]] for item in items],
+                [item[3] for item in items],
+                [item[2] for item in items],
+            ),
+            shards,
+        )
+        runs: Dict[int, Tuple[int, int]] = {}
+        start = 0
+        for shard, run in groupby(items, key=itemgetter(0)):
+            end = start + sum(1 for _ in run)
+            runs[shard] = (start, end)
+            start = end
         reply = {}
         for shard, engine in engines.items():
-            before_matches = engine.stats.matches
-            before_evicted = engine.flows.stats.evicted
-            batch = runs.get(shard)
-            # The engine's batched hot path: same-flow segments are scanned
-            # as one backend crossing whenever the batch cannot evict, and
-            # eviction records come back (item_index, key).
-            per_item, evictions = engine.scan_batch(batch) if batch else ([], [])
+            start, end = runs.get(shard, (0, 0))
+            matches, evicted = before[shard]
             reply[shard] = (
                 [
-                    [(match.end_offset, match.string_number, match.lowered) for match in item_events]
-                    for item_events in per_item
+                    [(match.end_offset, match.string_number, match.lowered)
+                     for match in hits.get(index, ())]
+                    for index in range(start, end)
                 ],
-                engine.stats.matches - before_matches,
-                engine.flows.stats.evicted - before_evicted,
-                evictions,
+                engine.stats.matches - matches,
+                engine.flows.stats.evicted - evicted,
+                [(index - start, key) for index, key in evictions if start <= index < end],
                 engine.active_flows,
             )
         return reply
@@ -240,7 +256,10 @@ class ParallelScanService(ShardedScanServiceBase):
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
                     target=_shard_worker,
-                    args=(child_conn, program, shards, flow_capacity_per_shard, track_nocase),
+                    args=(
+                        child_conn, program, shards, num_shards,
+                        flow_capacity_per_shard, track_nocase,
+                    ),
                     daemon=True,
                     name=f"repro-shard-worker-{index}",
                 )
@@ -349,6 +368,29 @@ class ParallelScanService(ShardedScanServiceBase):
     # ------------------------------------------------------------------
     # scan dispatch
     # ------------------------------------------------------------------
+    def _group_by_shard(
+        self, packets: Sequence[Packet]
+    ) -> Tuple[List[FlowKey], List[ShardBatch]]:
+        """Resolve every packet's flow key and group the batch by shard.
+
+        The pool's one per-packet dispatch loop: returns the keys in arrival
+        order and, per shard, the arrival indices next to the items its
+        worker scans.  Grouping preserves each flow's arrival order (all
+        packets of a flow hash to the same shard and the batch is walked
+        front to back), which is what keeps cross-segment state consistent.
+        """
+        keys: List[FlowKey] = []
+        batches: List[ShardBatch] = [([], []) for _ in range(self.num_shards)]
+        flow_key = StreamScanner.flow_key
+        num_shards = self.num_shards
+        for index, packet in enumerate(packets):
+            key = flow_key(packet)  # resolved once per flow, CRC included
+            keys.append(key)
+            arrivals, items = batches[key.shard_crc % num_shards]
+            arrivals.append(index)
+            items.append((key, packet.payload, packet.packet_id))
+        return keys, batches
+
     def _scan_request(self, handle: _WorkerHandle, batches: List[ShardBatch]) -> Tuple:
         """``handle``'s ``"scan"`` request: its shards' items, shard-major,
         with the flow keys it has not seen yet."""
@@ -393,17 +435,14 @@ class ParallelScanService(ShardedScanServiceBase):
         ):
             replies.update(reply)
 
-        # every packet sits in exactly one shard batch, so every slot is filled
-        per_packet: List = [None] * len(packets)
-        events: List[StreamMatch] = []
+        hits: Dict[int, List[StreamMatch]] = {}  # shard order == serial order
         evictions: List[Eviction] = []
         shard_reports: List[ShardReport] = []
         for shard, (arrivals, items) in enumerate(batches):
             compact_events, matches, evicted, shard_evictions, active = replies[shard]
             for arrival, (key, _, packet_id), compact in zip(arrivals, items, compact_events):
-                item_events = [StreamMatch(key, packet_id, *match) for match in compact]
-                per_packet[arrival] = item_events
-                events.extend(item_events)  # shard order == serial pre-sort order
+                if compact:
+                    hits[arrival] = [StreamMatch(key, packet_id, *match) for match in compact]
             evictions.extend((arrivals[index], key) for index, key in shard_evictions)
             shard_reports.append(
                 ShardReport(
@@ -416,8 +455,7 @@ class ParallelScanService(ShardedScanServiceBase):
                 )
             )
         evictions.sort(key=itemgetter(0))  # shard order -> arrival order
-        result = self._aggregate(len(packets), events, shard_reports)
-        return result, per_packet, evictions, keys
+        return self._aggregate(len(packets), hits, shard_reports), hits, evictions, keys
 
     # ------------------------------------------------------------------
     def _shard_gauges(self) -> List[Tuple[int, int, int]]:

@@ -22,9 +22,13 @@ connections.  This module is that front-end:
 (serial or parallel), the IDS, or a composed :class:`repro.api.Session`.
 It assigns sequential packet ids in arrival order —
 the same contract capture replay makes — and micro-batches segments
-(``batch_packets`` cap, flushed early when the wire goes idle for
-``batch_idle`` seconds) so the parallel service amortises its dispatch over
-real batches.  Scans run in a single worker thread off the event loop: the
+(``batch_packets`` cap, flushed early when the wire goes idle) so a batch
+pays its dispatch and its one backend crossing over real batches.  The
+loop awaits the arrival queue only when it is empty: one wake-up takes
+everything already queued (``get_nowait``) up to the batch's room and the
+``max_packets`` limit, so a burst costs one await, not one per segment, and
+batch boundaries stay exactly where the cap puts them.  Scans run in a
+single worker thread off the event loop: the
 listener keeps accepting while a batch scans, and one scan at a time keeps
 the event stream identical to scanning the batches back-to-back serially.
 Because ids are globally monotone in arrival order and each batch's events
@@ -404,16 +408,30 @@ class LiveIngestor:
                         break
                     continue
                 last_arrival = time.monotonic()
-                batch.append(
-                    Packet(
-                        payload=payload,
-                        header=header,
-                        packet_id=next_id,
-                        tcp_seq=seq,
-                        tcp_flags=flags,
+                # One await per wake-up, not per segment: take what is
+                # already queued without suspending, up to the batch's room
+                # and the arrival limit.
+                room = self.batch_packets - len(batch)
+                if self.max_packets is not None:
+                    room = min(room, self.max_packets - next_id)
+                while True:
+                    batch.append(
+                        Packet(
+                            payload=payload,
+                            header=header,
+                            packet_id=next_id,
+                            tcp_seq=seq,
+                            tcp_flags=flags,
+                        )
                     )
-                )
-                next_id += 1
+                    next_id += 1
+                    room -= 1
+                    if room <= 0:
+                        break
+                    try:
+                        header, payload, seq, flags = queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        break
                 if len(batch) >= self.batch_packets:
                     await flush()
             if batch:

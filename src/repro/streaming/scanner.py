@@ -20,14 +20,16 @@ Higher layers stack the sharded services on top of it; the declarative
 
 Hot path
 --------
-The sharded services feed whole shard batches through :meth:`scan_batch`,
-which concatenates consecutive same-flow segments and crosses into the
-backend once per batch (``scan_many``: one job per flow, plus one per
-lower-cased view under ``track_nocase``) instead of once per segment, then
-re-attributes the matches to their segments by offset — per-segment work
-only a flow whose scan reported a hit pays for.  The fast path is
-taken only when the batch provably cannot evict a flow; under eviction
-pressure the scanner falls back to the exact per-segment loop, so events,
+A scan service hands a whole batch — every shard's segments — to one
+:meth:`scan_batch` call.  The batch is grouped by flow once; each flow's
+shard only picks the :class:`FlowTable` (and statistics) it lives in.  Every
+flow of every shard that cannot evict is concatenated into one job, and all
+of those jobs cross into the backend together (``scan_many``: one job per
+flow, plus one per lower-cased view under ``track_nocase``), so a batch
+costs one backend crossing whatever the shard count.  Matches are then
+re-attributed to their segments by offset — per-segment work only a flow
+whose scan reported a hit pays for.  A shard whose table could evict takes
+the exact per-segment loop instead, and only that shard does, so events,
 statistics and LRU order are byte-identical either way (the differential
 harness in the test suite holds it to that).
 """
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram, MatchList, ScanJob
 from ..traffic.packet import Packet
@@ -46,13 +50,63 @@ from .flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
 #: anonymous flow so bare payload streams can still be scanned statefully).
 ANONYMOUS_FLOW = FlowKey("0.0.0.0", "0.0.0.0", 0, 0, "raw")
 
-#: One batch item: ``(FlowKey, payload, packet_id)`` — the executor's wire
-#: format, shared by :meth:`StreamScanner.scan_batch`.
+#: One batch item: ``(FlowKey, payload, packet_id)`` — the item form
+#: :meth:`StreamScanner.scan_batch` accepts besides a :class:`SegmentBatch`.
 BatchItem = Tuple[FlowKey, bytes, int]
 
 #: Per-batch eviction record: ``(item_index, FlowKey)`` — the flow evicted
 #: while the batch item at ``item_index`` was being scanned.
 Eviction = Tuple[int, FlowKey]
+
+#: What :meth:`StreamScanner.scan_batch` returns: ``(hits, evictions)``.
+#: ``hits`` maps the index of every segment that matched to its events and
+#: holds nothing for the others; it is ordered by shard, then by arrival —
+#: the order the canonical event sort breaks its ties in.
+BatchScan = Tuple[Dict[int, List["StreamMatch"]], List[Eviction]]
+
+_PAYLOADS = attrgetter("payload")
+_PACKET_IDS = attrgetter("packet_id")
+
+
+class SegmentBatch:
+    """One batch of flow segments as three parallel columns.
+
+    Segment ``i`` is ``payloads[i]`` of flow ``keys[i]`` with id
+    ``packet_ids[i]``.  The services build one straight from their packets,
+    so a batch costs three lists, not one record per segment.
+    """
+
+    __slots__ = ("keys", "payloads", "packet_ids")
+
+    def __init__(
+        self,
+        keys: List[FlowKey],
+        payloads: Sequence[bytes],
+        packet_ids: Sequence[int],
+    ):
+        self.keys = keys
+        self.payloads = payloads
+        self.packet_ids = packet_ids
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @classmethod
+    def from_packets(cls, packets: Sequence[Packet]) -> "SegmentBatch":
+        flow_key = StreamScanner.flow_key  # resolved once per flow, CRC included
+        return cls(
+            [flow_key(packet) for packet in packets],
+            list(map(_PAYLOADS, packets)),
+            list(map(_PACKET_IDS, packets)),
+        )
+
+    @classmethod
+    def from_items(cls, items: Sequence[BatchItem]) -> "SegmentBatch":
+        return cls(
+            [item[0] for item in items],
+            [item[1] for item in items],
+            [item[2] for item in items],
+        )
 
 
 class StreamMatch:
@@ -249,84 +303,140 @@ class StreamScanner:
     # batched scanning (the services' hot path)
     # ------------------------------------------------------------------
     def scan_batch(
-        self, items: Sequence[BatchItem]
-    ) -> Tuple[List[List[StreamMatch]], List[Eviction]]:
-        """Scan one shard batch of ``(key, payload, packet_id)`` segments.
+        self,
+        items: Union[SegmentBatch, Sequence[BatchItem]],
+        shards: Optional[Sequence[Optional["StreamScanner"]]] = None,
+    ) -> BatchScan:
+        """Scan one batch of segments: a :class:`SegmentBatch` or a sequence
+        of ``(key, payload, packet_id)`` items.
 
-        Returns ``(per_item, evictions)``: ``per_item[i]`` is exactly the
-        event list :meth:`scan_segment` would have returned for ``items[i]``,
-        and ``evictions`` records ``(item_index, key)`` for every flow
-        LRU-evicted while item ``item_index`` was being scanned.
+        ``shards`` are the engines of a multi-shard owner, indexed by shard
+        number: a flow lives in ``shards[key.shard_crc % len(shards)]`` (a
+        pool worker leaves the shards it does not own ``None``, and no flow
+        of its batch routes there).  By default this engine is the only
+        shard.  Every engine must scan this engine's program with its
+        ``track_nocase``, because this engine's crossing serves them all.
 
-        Fast path: when the batch provably cannot evict (live flows plus this
-        batch's new flows fit the table), each flow's segments are
-        concatenated and the whole batch crosses into the backend once, one
-        job per flow; matches are re-attributed to segments by their
-        flow-absolute end offset and LRU recency is replayed in per-segment
-        order afterwards.  Any batch that could evict takes the exact
-        per-segment loop instead, because eviction timing (and hence restart
-        state) depends on the segment interleaving the fast path collapses.
-        Events, statistics and final table state are identical on both paths.
+        Returns ``(hits, evictions)`` (see :data:`BatchScan`): ``hits[i]``
+        is exactly the non-empty event list :meth:`scan_segment` would have
+        returned for segment ``i`` on its shard, and ``evictions`` records
+        ``(i, key)``, in arrival order, for every flow LRU-evicted while
+        segment ``i`` was being scanned.
+
+        Fast path: the batch is grouped by flow once.  A shard that provably
+        cannot evict (its live flows plus this batch's new ones fit its
+        table) concatenates each of its flows' segments into one job, and
+        the jobs of every such shard cross into the backend in one
+        ``scan_many`` call; matches are re-attributed to segments by their
+        flow-absolute end offset and each table's LRU recency is replayed in
+        per-segment order afterwards.  A shard that could evict takes the
+        exact per-segment loop instead, because eviction timing (and hence
+        restart state) depends on the segment interleaving the fast path
+        collapses.  Events, statistics and final table state are identical
+        on both paths.
         """
-        flows = self.flows
+        batch = items if isinstance(items, SegmentBatch) else SegmentBatch.from_items(items)
+        if shards is None:
+            shards = (self,)
         groups: Dict[FlowKey, List[int]] = {}
-        for index, item in enumerate(items):
-            key = item[0]
+        for index, key in enumerate(batch.keys):
             group = groups.get(key)
             if group is None:
                 groups[key] = [index]
             else:
                 group.append(index)
+        num_shards = len(shards)
+        routed: List[List[FlowKey]] = [[] for _ in range(num_shards)]
+        for key in groups:
+            routed[key.shard_crc % num_shards].append(key)
 
-        new_flows = sum(1 for key in groups if key not in flows)
-        if len(flows) + new_flows > flows.capacity:
-            return self._scan_batch_per_segment(items)
-
+        # per shard with flows: (engine, its flows, where its jobs start in
+        # `work` — None for the per-segment loop)
+        plan: List[Tuple[StreamScanner, List[FlowKey], Optional[int]]] = []
         work: List[Tuple[FlowEntry, bytes]] = []
-        table_stats = flows.stats
-        for key, indexes in groups.items():
-            entry = flows.lookup(key)
-            if entry is None:
-                entry = self._new_entry(key)
-                flows.insert(entry)
-            # Emulate the per-segment bookkeeping the collapsed lookups would
-            # have done: each of the k segments performs one lookup, and all
-            # but the creating miss (if any) hit.
-            extra = len(indexes) - 1
-            table_stats.lookups += extra
-            table_stats.hits += extra
-            entry.packets += len(indexes)
-            work.append((entry, b"".join([items[index][1] for index in indexes])))
+        payloads = batch.payloads
+        for engine, flows in zip(shards, routed):
+            if not flows:
+                continue
+            table = engine.flows
+            new_flows = sum(1 for key in flows if key not in table)
+            if len(table) + new_flows > table.capacity:
+                plan.append((engine, flows, None))
+                continue
+            plan.append((engine, flows, len(work)))
+            table_stats = table.stats
+            for key in flows:
+                indexes = groups[key]
+                entry = table.lookup(key)
+                if entry is None:
+                    entry = engine._new_entry(key)
+                    table.insert(entry)
+                # Emulate the per-segment bookkeeping the collapsed lookups
+                # would have done: each of the k segments performs one
+                # lookup, and all but the creating miss (if any) hit.
+                extra = len(indexes) - 1
+                table_stats.lookups += extra
+                table_stats.hits += extra
+                entry.packets += len(indexes)
+                work.append((entry, b"".join([payloads[index] for index in indexes])))
+        views = self._scan_views(work) if work else []
 
-        per_item: List[List[StreamMatch]] = [[] for _ in items]
+        hits: Dict[int, List[StreamMatch]] = {}
+        evictions: List[Eviction] = []
+        for engine, flows, first in plan:
+            if first is None:
+                indexes = sorted(chain.from_iterable(groups[key] for key in flows))
+                engine._scan_per_segment(indexes, batch, hits, evictions)
+            else:
+                last = first + len(flows)
+                engine._settle(
+                    flows, groups, batch, work[first:last], views[first:last], hits
+                )
+        evictions.sort(key=itemgetter(0))  # shard order -> arrival order
+        return hits, evictions
+
+    def _settle(
+        self,
+        flows: List[FlowKey],
+        groups: Dict[FlowKey, List[int]],
+        batch: SegmentBatch,
+        work: List[Tuple[FlowEntry, bytes]],
+        views: List[Tuple[MatchList, MatchList]],
+        hits: Dict[int, List[StreamMatch]],
+    ) -> None:
+        """The fast path's per-shard half, after the crossing: count this
+        shard's segments, hand its flows' hits to their segments (into
+        ``hits``, in arrival order) and replay its LRU recency."""
         stats = self.stats
-        for (key, indexes), (entry, joined), (raw, lowered) in zip(
-            groups.items(), work, self._scan_views(work)
-        ):
+        found: Dict[int, List[StreamMatch]] = {}
+        for key, (entry, joined), (raw, lowered) in zip(flows, work, views):
+            indexes = groups[key]
             stats.segments += len(indexes)
             stats.bytes_scanned += len(joined)
             if raw or lowered:
                 self._attribute(
-                    key, indexes, items, entry.bytes_scanned - len(joined),
-                    raw, lowered, per_item,
+                    key, indexes, batch, entry.bytes_scanned - len(joined),
+                    raw, lowered, found,
                 )
+        for index in sorted(found):
+            hits[index] = found[index]
 
         # Replay LRU recency in per-segment order: the grouped walk touched
         # each flow at its *first* arrival, but per-segment scanning leaves
         # flows ordered by their *last* segment in the batch.
-        for key in sorted(groups, key=lambda flow: groups[flow][-1]):
-            flows.touch(key)
-        return per_item, []
+        table = self.flows
+        for key in sorted(flows, key=lambda flow: groups[flow][-1]):
+            table.touch(key)
 
     def _attribute(
         self,
         key: FlowKey,
         indexes: List[int],
-        items: Sequence[BatchItem],
+        batch: SegmentBatch,
         start: int,
         raw: MatchList,
         lowered: MatchList,
-        per_item: List[List[StreamMatch]],
+        found: Dict[int, List[StreamMatch]],
     ) -> None:
         """Hand one flow's hits to the segments they ended in.
 
@@ -337,35 +447,40 @@ class StreamScanner:
         # boundaries[j] = flow-absolute end offset of segment j; a match
         # with end offset o belongs to the segment with the smallest
         # boundary >= o (its final byte is at o - 1 < boundaries[j]).
+        payloads, packet_ids = batch.payloads, batch.packet_ids
         boundaries: List[int] = []
         acc = start
         for index in indexes:
-            acc += len(items[index][1])
+            acc += len(payloads[index])
             boundaries.append(acc)
-
-        for hits, is_lowered in ((raw, False), (lowered, True)):
-            for offset, number in hits:
-                index = indexes[bisect_left(boundaries, offset)]
-                per_item[index].append(
-                    StreamMatch(key, items[index][2], offset, number, is_lowered)
-                )
 
         stats = self.stats
         pattern_length = self._pattern_length
-        for index, boundary in zip(indexes, boundaries):
-            events = per_item[index]
-            stats.matches += len(events)
-            segment_start = boundary - len(items[index][1])
-            for event in events:
-                if event.end_offset - pattern_length[event.string_number] < segment_start:
+        for matches, is_lowered in ((raw, False), (lowered, True)):
+            stats.matches += len(matches)
+            for offset, number in matches:
+                position = bisect_left(boundaries, offset)
+                index = indexes[position]
+                events = found.get(index)
+                if events is None:
+                    events = found[index] = []
+                events.append(StreamMatch(key, packet_ids[index], offset, number, is_lowered))
+                # the match ends in this segment but started before it
+                segment_start = boundaries[position - 1] if position else start
+                if offset - pattern_length[number] < segment_start:
                     stats.cross_segment_matches += 1
 
-    def _scan_batch_per_segment(
-        self, items: Sequence[BatchItem]
-    ) -> Tuple[List[List[StreamMatch]], List[Eviction]]:
-        """The exact slow path: per-segment scanning with eviction records."""
-        per_item: List[List[StreamMatch]] = []
-        evictions: List[Eviction] = []
+    def _scan_per_segment(
+        self,
+        indexes: List[int],
+        batch: SegmentBatch,
+        hits: Dict[int, List[StreamMatch]],
+        evictions: List[Eviction],
+    ) -> None:
+        """The exact slow path: scan segments ``indexes`` one at a time,
+        recording their events into ``hits`` and ``(index, key)`` eviction
+        records into ``evictions``."""
+        keys, payloads, packet_ids = batch.keys, batch.payloads, batch.packet_ids
         flows = self.flows
         previous = flows.on_evict
         position = 0
@@ -377,11 +492,12 @@ class StreamScanner:
 
         flows.on_evict = record
         try:
-            for position, (key, payload, packet_id) in enumerate(items):
-                per_item.append(self.scan_segment(key, payload, packet_id))
+            for position in indexes:
+                events = self.scan_segment(keys[position], payloads[position], packet_ids[position])
+                if events:
+                    hits[position] = events
         finally:
             flows.on_evict = previous
-        return per_item, evictions
 
     # ------------------------------------------------------------------
     def close_flow(self, key: FlowKey) -> Optional[FlowEntry]:
@@ -396,8 +512,10 @@ class StreamScanner:
 __all__ = [
     "ANONYMOUS_FLOW",
     "BatchItem",
+    "BatchScan",
     "Eviction",
     "ScannerStatistics",
+    "SegmentBatch",
     "StreamMatch",
     "StreamScanner",
 ]

@@ -7,22 +7,24 @@ production flow engines do: flows are hash-partitioned over a pool of
 scan engines (one :class:`repro.streaming.scanner.StreamScanner` per shard,
 each with its own bounded :class:`FlowTable`), so every packet of a flow
 always lands on the same shard and the flow's resumable automaton state never
-has to move.  Batched dispatch groups an arrival batch by shard while
-preserving per-flow arrival order, mirroring the per-packet-group round-robin
-of :class:`repro.hardware.HardwareAccelerator` but at flow granularity.
+has to move.  A shard owns flows, not packets: like the paper's engines
+pulling from one shared packet buffer, the serial service scans a whole
+arrival batch in one :meth:`StreamScanner.scan_batch` call — grouped by flow
+once, each flow's shard picking only the table it lives in, every shard's
+jobs sharing one backend crossing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
-from .scanner import BatchItem, Eviction, StreamMatch, StreamScanner
+from .scanner import Eviction, SegmentBatch, StreamMatch, StreamScanner
 
 
 @dataclass
@@ -77,13 +79,9 @@ class StreamScanResult:
 #: sort is on the hot path; ``attrgetter`` avoids a Python frame per event).
 _EVENT_ORDER = attrgetter("packet_id", "end_offset", "string_number")
 
-#: One shard's share of a batch: each item's arrival index in the caller's
-#: batch, next to the ``scan_batch`` items themselves.
-ShardBatch = Tuple[List[int], List[BatchItem]]
-
 #: What :meth:`ShardedScanServiceBase.scan_annotated` returns.
 AnnotatedScan = Tuple[
-    StreamScanResult, List[List[StreamMatch]], List[Eviction], List[FlowKey]
+    StreamScanResult, Dict[int, List[StreamMatch]], List[Eviction], List[FlowKey]
 ]
 
 
@@ -98,8 +96,8 @@ class ShardedScanServiceBase:
     The serial :class:`ScanService` and the process-parallel
     :class:`repro.streaming.executor.ParallelScanService` differ only in
     *where* a shard's engine lives (this process vs a worker process); the
-    flow→shard mapping, the batch grouping, the result aggregation and the
-    checkpoint envelope live here so the two front-ends cannot drift apart.
+    flow→shard mapping, the result aggregation and the checkpoint envelope
+    live here so the two front-ends cannot drift apart.
     Both are context managers, so callers can hold either in a ``with`` block
     (teardown is a no-op for the serial service).  Either front-end can be
     built declaratively through :class:`repro.api.Session` (the
@@ -120,44 +118,22 @@ class ShardedScanServiceBase:
         """Stable flow -> shard mapping (CRC32 of the canonical 5-tuple)."""
         return key.shard_crc % self.num_shards
 
-    def _group_by_shard(
-        self, packets: Sequence[Packet]
-    ) -> Tuple[List[FlowKey], List[ShardBatch]]:
-        """Resolve every packet's flow key and group the batch by shard.
-
-        The one per-packet dispatch loop: returns the keys in arrival order
-        and, per shard, the arrival indices next to the ``scan_batch`` items.
-        Grouping preserves each flow's arrival order (all packets of a flow
-        hash to the same shard and the batch is walked front to back), which
-        is what keeps cross-segment state consistent.
-        """
-        keys: List[FlowKey] = []
-        batches: List[ShardBatch] = [([], []) for _ in range(self.num_shards)]
-        flow_key = StreamScanner.flow_key
-        num_shards = self.num_shards
-        for index, packet in enumerate(packets):
-            key = flow_key(packet)  # resolved once per flow, CRC included
-            keys.append(key)
-            arrivals, items = batches[key.shard_crc % num_shards]
-            arrivals.append(index)
-            items.append((key, packet.payload, packet.packet_id))
-        return keys, batches
-
     def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
         """Batched dispatch plus what a confirm stage needs to follow it.
 
-        Returns ``(result, per_packet_events, evictions, keys)``: the
-        aggregate result, the events of each input packet in arrival order
-        (what :meth:`StreamScanner.scan_packet` would have returned for it),
-        ``(arrival_index, key)`` for every flow LRU-evicted while the packet
-        at ``arrival_index`` was being scanned, and every packet's resolved
+        Returns ``(result, hits, evictions, keys)``: the aggregate result;
+        ``hits[i]``, the events of input packet ``i`` (what
+        :meth:`StreamScanner.scan_packet` would have returned for it) for
+        every packet that matched — absent means none; ``(arrival_index,
+        key)`` for every flow LRU-evicted while the packet at
+        ``arrival_index`` was being scanned; and every packet's resolved
         flow key.  The stateful IDS pipeline correlates alerts from these
         without touching the shards' flow tables.
         """
         raise NotImplementedError
 
     def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """Batched dispatch: group ``packets`` by shard, scan, aggregate.
+        """Batched dispatch: scan ``packets`` across the shards, aggregate.
 
         The annotation is dropped here, not retained: a result that kept the
         per-packet lists would keep every event list alive through the sinks.
@@ -170,16 +146,18 @@ class ShardedScanServiceBase:
     def _aggregate(
         self,
         num_packets: int,
-        events: List[StreamMatch],
+        hits: Dict[int, List[StreamMatch]],
         shard_reports: List[ShardReport],
     ) -> StreamScanResult:
-        """Sort events into the canonical order and assemble the result.
+        """Sort the batch's events into the canonical order and assemble the
+        result.
 
-        ``events`` must arrive in shard order (shard 0's batch front to back,
+        ``hits`` must be ordered by shard (shard 0's packets front to back,
         then shard 1's, …): the sort is stable, so the pre-sort order decides
         ties and both service front-ends must feed the identical order for
         their reports to be byte-identical.
         """
+        events = list(chain.from_iterable(hits.values()))
         events.sort(key=_EVENT_ORDER)
         return StreamScanResult(
             events=events,
@@ -287,68 +265,37 @@ class ScanService(ShardedScanServiceBase):
             key, packet.payload, packet.packet_id
         )
 
-    def _scan_shards(
-        self, batches: List[ShardBatch], shard_reports: List[ShardReport]
-    ) -> Iterator[Tuple[List[int], List[List[StreamMatch]], List[Eviction]]]:
-        """Cross each shard's batch into its engine, in shard order.
-
-        One :meth:`StreamScanner.scan_batch` call per shard (the hot path
-        that batches same-flow segments before entering the backend); yields
-        the shard's arrival indices, per-item events and eviction records
-        and appends its :class:`ShardReport`.  Events come back per item in
-        arrival order, so the pre-sort order fed to :meth:`_aggregate` is
-        identical to segment-at-a-time scanning.
-        """
-        for shard, (engine, (arrivals, items)) in enumerate(zip(self.engines, batches)):
-            stats = engine.stats
-            before_matches = stats.matches
-            before_bytes = stats.bytes_scanned
-            before_evicted = engine.flows.stats.evicted
-            per_item, evictions = engine.scan_batch(items) if items else ([], [])
-            shard_reports.append(
-                ShardReport(
-                    shard=shard,
-                    packets=len(items),
-                    bytes_scanned=stats.bytes_scanned - before_bytes,
-                    matches=stats.matches - before_matches,
-                    active_flows=engine.active_flows,
-                    evicted_flows=engine.flows.stats.evicted - before_evicted,
-                )
-            )
-            yield arrivals, per_item, evictions
-
-    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """Batched dispatch: group ``packets`` by shard, scan, aggregate.
-
-        Each shard's per-item event lists are flattened and dropped before
-        the next shard scans: holding ten thousand of them to the end of the
-        call (let alone in the result) ages them into the collector's older
-        generations, which a small-packet pass pays for in full collections.
-        """
-        events: List[StreamMatch] = []
-        shard_reports: List[ShardReport] = []
-        for _, per_item, _ in self._scan_shards(
-            self._group_by_shard(packets)[1], shard_reports
-        ):
-            events.extend(chain.from_iterable(per_item))
-        return self._aggregate(len(packets), events, shard_reports)
-
     def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
-        """See :meth:`ShardedScanServiceBase.scan_annotated`."""
-        keys, batches = self._group_by_shard(packets)
-        # every packet sits in exactly one shard batch, so every slot is filled
-        per_packet: List = [None] * len(packets)
-        events: List[StreamMatch] = []
-        evictions: List[Eviction] = []
-        shard_reports: List[ShardReport] = []
-        for arrivals, per_item, shard_evictions in self._scan_shards(batches, shard_reports):
-            for arrival, item_events in zip(arrivals, per_item):
-                per_packet[arrival] = item_events
-            events.extend(chain.from_iterable(per_item))
-            evictions.extend((arrivals[index], key) for index, key in shard_evictions)
-        evictions.sort(key=itemgetter(0))  # shard order -> arrival order
-        result = self._aggregate(len(packets), events, shard_reports)
-        return result, per_packet, evictions, keys
+        """See :meth:`ShardedScanServiceBase.scan_annotated`.
+
+        The whole batch is one :meth:`StreamScanner.scan_batch` call over
+        every shard's engine: one grouping by flow, one backend crossing.
+        Nothing per packet is built beyond the batch's three columns — a
+        small-packet pass pays for every object that lives through the
+        batch in the collector's older generations.
+        """
+        batch = SegmentBatch.from_packets(packets)
+        engines = self.engines
+        before = [
+            (engine.stats.segments, engine.stats.bytes_scanned, engine.stats.matches,
+             engine.flows.stats.evicted)
+            for engine in engines
+        ]
+        hits, evictions = engines[0].scan_batch(batch, engines)
+        shard_reports = [
+            ShardReport(
+                shard=shard,
+                packets=engine.stats.segments - segments,
+                bytes_scanned=engine.stats.bytes_scanned - scanned,
+                matches=engine.stats.matches - matches,
+                active_flows=engine.active_flows,
+                evicted_flows=engine.flows.stats.evicted - evicted,
+            )
+            for shard, (engine, (segments, scanned, matches, evicted)) in enumerate(
+                zip(engines, before)
+            )
+        ]
+        return self._aggregate(len(packets), hits, shard_reports), hits, evictions, batch.keys
 
     # ------------------------------------------------------------------
     def _shard_gauges(self) -> List[Tuple[int, int, int]]:

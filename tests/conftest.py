@@ -1237,6 +1237,7 @@ def assert_equivalent_alerts(
     sources: Sequence[str] = ("memory", "pcap"),
     flow_capacity: int = 4096,
     restore_at: Optional[int] = None,
+    num_shards: Optional[int] = None,
 ) -> List[Tuple[int, int]]:
     """Differentially check the two-stage pipeline against the naive
     reference: every backend × workers × source combination must produce the
@@ -1246,9 +1247,25 @@ def assert_equivalent_alerts(
     With ``restore_at`` every in-memory combination is run once more with a
     checkpoint → JSON → restore into a fresh IDS before packet
     ``restore_at`` — the in-process service and the worker pool alike.
+
+    The IDS sizes its own prefilter (one shard in-process, one per worker);
+    ``num_shards`` swaps in a service over that many shards instead, which
+    pins that correlation holds over any shard count.
     """
     from repro.capture import replay_ids
     from repro.ids import IntrusionDetectionSystem
+    from repro.streaming import build_scan_service
+
+    def build_ids(backend: str, workers: Optional[int]):
+        ids = IntrusionDetectionSystem.from_specs(specs, backend=backend, workers=workers)
+        if flow_capacity != 4096:
+            ids.reset_flows(capacity=flow_capacity)
+        if num_shards is not None:
+            ids._service = build_scan_service(
+                ids.program, num_shards=num_shards, workers=workers,
+                flow_capacity=flow_capacity, track_nocase=bool(ids._nocase_patterns),
+            )
+        return ids
 
     packets = renumbered(list(packets))
     expected = naive_reference_alerts(specs, packets)
@@ -1261,12 +1278,7 @@ def assert_equivalent_alerts(
         for workers in worker_counts:
             for source in sources:
                 label = f"backend={backend} workers={workers} source={source}"
-                ids = IntrusionDetectionSystem.from_specs(
-                    specs, backend=backend, workers=workers
-                )
-                if flow_capacity != 4096:
-                    ids.reset_flows(capacity=flow_capacity)
-                with ids:
+                with build_ids(backend, workers) as ids:
                     if source == "memory":
                         alerts = ids.scan_flow(packets) + ids.finish()
                     else:
@@ -1277,11 +1289,10 @@ def assert_equivalent_alerts(
                 )
             if restore_at is None or "memory" not in sources:
                 continue
-            engine = dict(backend=backend, workers=workers)
-            with IntrusionDetectionSystem.from_specs(specs, **engine) as ids:
+            with build_ids(backend, workers) as ids:
                 alerts = ids.scan_flow(packets[:restore_at])
                 saved = json.loads(json.dumps(ids.checkpoint()))
-            with IntrusionDetectionSystem.from_specs(specs, **engine) as ids:
+            with build_ids(backend, workers) as ids:
                 ids.restore(saved)
                 alerts += ids.scan_flow(packets[restore_at:]) + ids.finish()
             got = [(alert.packet_id, alert.sid) for alert in alerts]

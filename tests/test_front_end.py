@@ -661,17 +661,16 @@ class TestOncePerFlow:
         keys = [FlowKey("10.0.0.1", "10.0.0.2", 1000 + flow, 80, "tcp") for flow in range(256)]
         items = [(key, b"nothing to see " * 3, 8 * index + round_index)
                  for round_index in range(8) for index, key in enumerate(keys)]
-        per_item, evictions = scanner.scan_batch(items)
-        assert calls == [] and evictions == []
-        assert per_item == [[] for _ in items]
+        hits, evictions = scanner.scan_batch(items)
+        assert calls == [] and evictions == [] and hits == {}
         assert (scanner.stats.segments, scanner.stats.bytes_scanned) == (2048, 2048 * 45)
 
         # one flow with a hit split across its segments: exactly one call
         items[5] = (keys[5], b"....need", 5)
         items[5 + 256] = (keys[5], b"le....", 5 + 256)
-        per_item, _ = StreamScanner(program, FlowTable(1024)).scan_batch(items)
+        hits, _ = StreamScanner(program, FlowTable(1024)).scan_batch(items)
         assert calls == [keys[5]]
-        assert [len(events) for events in per_item if events] == [1]
+        assert {index: len(events) for index, events in hits.items()} == {5 + 256: 1}
 
     def test_a_capture_is_read_in_blocks(self):
         class CountingReader(io.BytesIO):

@@ -1,9 +1,10 @@
 """Property tests pinning the batched streaming hot path.
 
-The services now feed whole shard batches through
+The services feed whole batches — every shard's segments at once — through
 :meth:`repro.streaming.StreamScanner.scan_batch`, which concatenates
-consecutive same-flow segments into one backend crossing.  These tests hold
-that fast path to the per-segment contract from three directions:
+consecutive same-flow segments and crosses into the backend once per batch
+whatever the shard count.  These tests hold that fast path to the
+per-segment contract from five directions:
 
 * **boundary splits** — every pattern, split at every offset across 2 and 3
   segment boundaries, must match identically one-shot vs streamed vs batched
@@ -17,20 +18,40 @@ that fast path to the per-segment contract from three directions:
   leave the identical LRU recency order, as segment-at-a-time scanning;
 * **eviction pressure** — a batch that could evict must fall back to the
   exact per-segment loop, producing the same events, eviction records and
-  restart behaviour the serial path shows.
+  restart behaviour the serial path shows;
+* **one crossing per batch** — a serial service of 1, 2, 4 or 8 shards, and
+  a pool worker owning two, calls ``scan_many`` once per batch; only a shard
+  under eviction pressure steps out of it, segment by segment.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from itertools import chain
+from multiprocessing import Pipe
 
 import pytest
 
 from repro.backend import get_backend
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from repro.streaming import FlowKey, FlowTable, ScanService, StreamScanner
+from repro.streaming import (
+    DEFAULT_FLOW_CAPACITY,
+    FlowKey,
+    FlowTable,
+    ScanService,
+    ShardReport,
+    StreamScanner,
+)
+from repro.streaming.executor import _shard_worker
+from repro.streaming.service import event_order
 from repro.traffic import Packet, TrafficGenerator
-from tests.conftest import random_text
+from tests.conftest import (
+    assert_equivalent_alerts,
+    assert_equivalent_events,
+    equivalence_workload,
+    random_predicate_rules,
+    random_text,
+)
 
 BACKENDS = ("dense", "dtp")
 
@@ -53,11 +74,18 @@ def segment_events(scanner: StreamScanner, key: FlowKey, segments):
 
 
 def batch_events(scanner: StreamScanner, key: FlowKey, segments):
-    per_item, evictions = scanner.scan_batch(
+    hits, evictions = scanner.scan_batch(
         [(key, segment, packet_id) for packet_id, segment in enumerate(segments)]
     )
     assert evictions == []
-    return [(e.end_offset, e.string_number) for item in per_item for e in item]
+    return [(e.end_offset, e.string_number) for events in hits.values() for e in events]
+
+
+def per_item(hits, count: int):
+    """``scan_batch``'s hits as one event list per item, the shape
+    segment-at-a-time scanning returns."""
+    assert all(hits.values()), "hits holds only segments that matched"
+    return [hits.get(index, []) for index in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +184,8 @@ class TestLaneKernelBatches:
 
             batched = StreamScanner(short_lanes, track_nocase=track_nocase)
             batched._scan_many = lambda jobs: calls.append(len(jobs)) or scan_many(jobs)
-            first, _ = batched.scan_batch(items)
-            second, _ = batched.scan_batch(tail)
+            first = per_item(batched.scan_batch(items)[0], len(items))
+            second = per_item(batched.scan_batch(tail)[0], len(tail))
             assert self.events_of(first + second) == self.events_of(expected), cut
             assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
             for key in reference.flows.keys():
@@ -220,8 +248,8 @@ class TestAcceleratorLaneKernelBatches:
             expected = [reference.scan_segment(*item) for item in items + tail]
             assert any(expected)
             batched = StreamScanner(short_lanes, track_nocase=track_nocase)
-            first, _ = batched.scan_batch(items)
-            second, _ = batched.scan_batch(tail)
+            first = per_item(batched.scan_batch(items)[0], len(items))
+            second = per_item(batched.scan_batch(tail)[0], len(tail))
             assert self.events_of(first + second) == self.events_of(expected), cut
             assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
             for key in reference.flows.keys():
@@ -279,9 +307,9 @@ class TestStatisticsParity:
             for p in drift_workload
         ]
         expected = [reference.scan_segment(*item) for item in items]
-        got, evictions = batched.scan_batch(items)
+        hits, evictions = batched.scan_batch(items)
 
-        assert got == expected
+        assert per_item(hits, len(items)) == expected
         assert evictions == []
         assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
         assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(
@@ -359,9 +387,9 @@ class TestEvictionPressure:
         reference.flows.on_evict = None
 
         batched = StreamScanner(program, FlowTable(capacity))
-        got, evictions = batched.scan_batch(items)
+        hits, evictions = batched.scan_batch(items)
 
-        assert got == expected
+        assert per_item(hits, len(items)) == expected
         assert evictions == expected_evictions
         assert evictions, "the workload must actually evict"
         assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
@@ -376,7 +404,7 @@ class TestEvictionPressure:
         program = get_backend("dense").compile(drift_ruleset.patterns)
         items = self.build_items(num_flows=4, segments=2)
         scanner = StreamScanner(program, FlowTable(capacity=4))
-        per_item, evictions = scanner.scan_batch(items)
+        _, evictions = scanner.scan_batch(items)
         assert evictions == []
         assert scanner.flows.stats.evicted == 0
         assert len(scanner.flows) == 4
@@ -409,3 +437,241 @@ class TestEvictionPressure:
         assert batched.stats() == per_packet.stats()
         assert batched.evicted_flows > 0
         assert result.packets == len(packets)
+
+
+# ----------------------------------------------------------------------
+# one backend crossing per batch, whatever the shard count
+# ----------------------------------------------------------------------
+def count_crossings(monkeypatch, program) -> list:
+    """Wrap ``program.scan_many`` — before any scanner captures it — so each
+    backend crossing records its job count."""
+    calls = []
+    scan_many = program.scan_many
+    monkeypatch.setattr(
+        program, "scan_many", lambda jobs: calls.append(len(jobs)) or scan_many(jobs)
+    )
+    return calls
+
+
+def header_on_shard(service, shard: int, skip: int = 0):
+    """The ``skip``-th :func:`make_header` whose flow hashes to ``shard``."""
+    found = (
+        header
+        for header in map(make_header, range(256))
+        if service.shard_for(FlowKey.from_header(header)) == shard
+    )
+    for _ in range(skip):
+        next(found)
+    return next(found)
+
+
+def segment_at_a_time(service, packets):
+    """What one batched ``scan_annotated`` must equal: every packet
+    ``submit``-ted on its own (one ``scan_segment`` each).
+
+    Returns the canonical events (gathered in shard order, then stably
+    sorted), the events by arrival index, the ``(arrival, key)`` evictions
+    and the batch's shard reports.
+    """
+    engines = service.engines
+    before = [
+        (e.stats.segments, e.stats.bytes_scanned, e.stats.matches, e.flows.stats.evicted)
+        for e in engines
+    ]
+    by_shard = [[] for _ in engines]
+    hits, evictions = {}, []
+    arrival = 0
+    for engine in engines:
+        engine.flows.on_evict = lambda entry: evictions.append((arrival, entry.key))
+    for arrival, packet in enumerate(packets):
+        events = service.submit(packet)
+        if events:
+            hits[arrival] = events
+            by_shard[service.shard_for(StreamScanner.flow_key(packet))].extend(events)
+    for engine in engines:
+        engine.flows.on_evict = None
+    reports = [
+        ShardReport(
+            shard, e.stats.segments - segments, e.stats.bytes_scanned - scanned,
+            e.stats.matches - matches, len(e.flows), e.flows.stats.evicted - evicted,
+        )
+        for shard, (e, (segments, scanned, matches, evicted)) in enumerate(zip(engines, before))
+    ]
+    return sorted(chain.from_iterable(by_shard), key=event_order), hits, evictions, reports
+
+
+def assert_same_state(batched: ScanService, reference: ScanService) -> None:
+    """Gauges, every shard's counters, LRU order and checkpoint, equal."""
+    assert batched.stats() == reference.stats()
+    for ours, theirs in zip(batched.engines, reference.engines):
+        assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
+        assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(theirs.flows.stats)
+        assert ours.flows.keys() == theirs.flows.keys()
+    assert batched.checkpoint() == reference.checkpoint()
+
+
+@pytest.fixture(scope="module")
+def crossing_batches(drift_ruleset):
+    """Two batches: interleaved boundary-split flows, plus *twins* — six
+    flows carrying one stream under equal packet ids, so their events tie on
+    the whole canonical sort key and only the pre-sort order (shard, then
+    arrival) tells them apart.  The second batch resumes every flow."""
+    generator = TrafficGenerator(drift_ruleset, seed=93)
+    flows = generator.flows(12, num_packets=4, split_patterns=1, segment_bytes=70)
+    packets = TrafficGenerator.interleave(flows)
+    pattern = drift_ruleset.patterns[0]
+    stream = b"..." + pattern + b"..." + pattern.upper() + b"..."
+    first_cut = 3 + len(pattern) // 2
+    second_cut = 6 + len(pattern) + len(pattern) // 2
+    pieces = [stream[:first_cut], stream[first_cut:second_cut], stream[second_cut:]]
+    twins = [
+        [Packet(payload=piece, header=make_header(200 + twin), packet_id=5000 + round_index)
+         for twin in range(6)]
+        for round_index, piece in enumerate(pieces)
+    ]
+    half = len(packets) // 2
+    return packets[:half] + twins[0], packets[half:] + twins[1] + twins[2]
+
+
+class TestOneCrossingPerBatch:
+    @pytest.mark.parametrize("num_shards", (1, 2, 4, 8))
+    @pytest.mark.parametrize("track_nocase", (False, True))
+    def test_serial_batch_is_one_crossing_equal_to_segment_at_a_time(
+        self, monkeypatch, drift_ruleset, crossing_batches, num_shards, track_nocase
+    ):
+        program = get_backend("dense").compile(drift_ruleset.patterns)
+        calls = count_crossings(monkeypatch, program)
+        shape = dict(num_shards=num_shards, track_nocase=track_nocase)
+        batched, reference = ScanService(program, **shape), ScanService(program, **shape)
+        sort_keys = []
+        for annotated, batch in zip((False, True), crossing_batches):
+            if annotated:
+                result, hits, evictions, keys = batched.scan_annotated(batch)
+            else:
+                result = batched.scan(batch)
+            flows = len({StreamScanner.flow_key(packet) for packet in batch})
+            assert calls == [2 * flows if track_nocase else flows]
+
+            events, expected_hits, expected_evictions, reports = segment_at_a_time(
+                reference, batch
+            )
+            del calls[:]  # the reference crosses once per segment
+            assert result.events == events
+            assert result.shards == reports
+            assert result.packets == len(batch)
+            assert result.bytes_scanned == sum(len(packet.payload) for packet in batch)
+            if annotated:
+                assert hits == expected_hits
+                assert evictions == expected_evictions == []
+                assert keys == [StreamScanner.flow_key(packet) for packet in batch]
+                # hits come in the pre-sort order: shard, then arrival
+                assert list(hits) == sorted(hits, key=lambda i: (batched.shard_for(keys[i]), i))
+            assert_same_state(batched, reference)
+            sort_keys += map(event_order, result.events)
+        assert len(sort_keys) > len(set(sort_keys)), "the twins must tie on the sort key"
+
+    def test_a_shard_under_eviction_pressure_steps_out_alone(self, monkeypatch, drift_ruleset):
+        """Shard 0 holds three flows in two slots and scans segment by
+        segment; shards 1-3 still share the batch's one crossing."""
+        program = get_backend("dense").compile(drift_ruleset.patterns)
+        calls = count_crossings(monkeypatch, program)
+        shape = dict(num_shards=4, flow_capacity_per_shard=2)
+        batched, reference = ScanService(program, **shape), ScanService(program, **shape)
+        headers = [header_on_shard(batched, 0, skip) for skip in range(3)]
+        headers += [header_on_shard(batched, shard) for shard in (1, 2, 3)]
+        pattern = drift_ruleset.patterns[0]
+        cut = 2 + len(pattern) // 2
+        stream = b"<<" + pattern + b">>"
+        packets = [
+            Packet(payload=piece, header=header, packet_id=round_index)
+            for round_index, piece in enumerate((stream[:cut], stream[cut:], b"tail"))
+            for header in headers
+        ]
+        result, hits, evictions, _ = batched.scan_annotated(packets)
+        # the crossing of shards 1-3 (a job per flow), then shard 0's nine segments
+        assert calls == [3] + [1] * 9
+
+        events, expected_hits, expected_evictions, reports = segment_at_a_time(
+            reference, packets
+        )
+        assert evictions == expected_evictions and evictions
+        assert all(key in map(FlowKey.from_header, headers[:3]) for _, key in evictions)
+        assert hits == expected_hits and hits
+        assert result.events == events
+        assert result.shards == reports
+        assert_same_state(batched, reference)
+
+
+def test_a_pool_worker_crosses_once_per_request(monkeypatch, drift_ruleset):
+    """A worker owning shards 0 and 2 of 4 scans each request — both
+    shards' items — in one ``scan_many`` call, and replies per shard what
+    the serial service computes for those segments."""
+    program = get_backend("dense").compile(drift_ruleset.patterns)
+    serial = ScanService(program, num_shards=4)
+    headers = [header_on_shard(serial, shard, skip) for shard in (0, 2) for skip in range(2)]
+    keys = [FlowKey.from_header(header) for header in headers]
+    pattern = drift_ruleset.patterns[0]
+    cut = len(pattern) // 2
+    requests = []
+    for round_index, piece in enumerate((b"::" + pattern[:cut], pattern[cut:] + b"::")):
+        items = sorted(
+            (
+                (serial.shard_for(key), flow_id, round_index * len(keys) + flow_id, piece)
+                for flow_id, key in enumerate(keys)
+            ),
+            key=lambda item: item[0],
+        )
+        requests.append({"new_keys": {} if round_index else dict(enumerate(keys)), "items": items})
+
+    calls = count_crossings(monkeypatch, program)
+    parent, child = Pipe()
+    for request in requests:
+        parent.send(("scan", request))
+    parent.send(("stop", None))
+    _shard_worker(child, program, [0, 2], 4, DEFAULT_FLOW_CAPACITY, False)
+    replies = [parent.recv() for _ in requests]
+    assert parent.recv() == ("ok", None)
+    assert calls == [len(keys)] * len(requests)
+
+    matched = 0
+    for request, (status, reply) in zip(requests, replies):
+        assert status == "ok" and sorted(reply) == [0, 2]
+        packets = [
+            Packet(payload=payload, header=headers[flow_id], packet_id=packet_id)
+            for _, flow_id, packet_id, payload in request["items"]
+        ]
+        _, hits, _, _ = serial.scan_annotated(packets)
+        compact = [
+            [(e.end_offset, e.string_number, e.lowered) for e in hits.get(index, ())]
+            for index in range(len(packets))
+        ]
+        assert reply[0][0] + reply[2][0] == compact
+        assert reply[0][3] == reply[2][3] == []
+        matched += reply[0][1] + reply[2][1]
+    assert matched == len(keys), "every flow completes its split pattern once"
+
+
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_equivalent_events_across_shard_counts(num_shards):
+    """Backends x {serial, pool} x {memory, pcap} at 1 and 4 shards (a
+    one-shard pool has one worker)."""
+    ruleset, packets = equivalence_workload(num_rules=30, flows=9, num_packets=4, seed=23)
+    reference = assert_equivalent_events(
+        ruleset, packets, num_shards=num_shards,
+        worker_counts=(None, min(2, num_shards)), track_nocase=True,
+    )
+    assert reference.events
+
+
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_equivalent_alerts_across_shard_counts(num_shards):
+    ruleset = generate_snort_like_ruleset(24, seed=11)
+    generator = TrafficGenerator(ruleset, seed=12)
+    packets = TrafficGenerator.interleave(
+        generator.flows(16, num_packets=3, split_patterns=1, whole_patterns=2)
+    )
+    specs = random_predicate_rules(ruleset, seed=11, num_rules=48)
+    expected = assert_equivalent_alerts(
+        specs, packets, num_shards=num_shards, worker_counts=(None, min(2, num_shards))
+    )
+    assert len(expected) >= 16, "workload barely alerts"

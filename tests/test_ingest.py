@@ -264,3 +264,131 @@ def test_idle_timeout_stops_a_silent_listener():
     assert report.packets == 0 and not captured
     assert report.events == []
     assert report.source_stats == {"connections": 0, "segments": 0}
+
+
+# ----------------------------------------------------------------------
+# draining the arrival queue: batch shapes, counted, not timed
+# ----------------------------------------------------------------------
+class BurstSource:
+    """Emits every segment synchronously on its first step, then ends."""
+
+    kind = "burst"
+
+    def __init__(self, packets):
+        self.packets = packets
+
+    def stats(self):
+        return {"segments": len(self.packets)}
+
+    async def run(self, emit):
+        for packet in self.packets:
+            emit(packet.header, packet.payload)
+
+
+class RecordingPipeline:
+    """A scan service that also records the size of every batch it scans."""
+
+    def __init__(self, service, on_scan=None):
+        self.service = service
+        self.batches = []
+        self.on_scan = on_scan
+
+    def scan(self, packets):
+        self.batches.append(len(packets))
+        if self.on_scan is not None:
+            self.on_scan(len(self.batches))
+        return self.service.scan(packets)
+
+    def flush(self):
+        return self.service.flush()
+
+
+def burst(count: int = 1000):
+    """``count`` segments round-robin over 16 flows; every flow's stream
+    splits the signature across two consecutive segments."""
+    from repro.traffic import FiveTuple, Packet
+
+    pieces = (b"..EVILPAY", b"LOADSIGNATURE..", b"filler bytes ")
+    return [
+        Packet(
+            payload=pieces[(index // 16) % 3],
+            header=FiveTuple(f"10.9.0.{index % 16}", "10.9.1.1", 7000 + index % 16, 80, "tcp"),
+            packet_id=index,
+        )
+        for index in range(count)
+    ]
+
+
+def test_a_synchronous_burst_fills_whole_batches(monkeypatch):
+    """1 000 segments already queued: full 64-packet batches plus the
+    remainder, one await per wake-up (not one per segment), and the events
+    of one offline scan."""
+    program = crafted_program()
+    waits = []
+    wait_for = asyncio.wait_for
+
+    def counting(awaitable, timeout):
+        waits.append(timeout)
+        return wait_for(awaitable, timeout)
+
+    monkeypatch.setattr(asyncio, "wait_for", counting)
+    packets = burst()
+    with ScanService(program, num_shards=4) as service:
+        pipeline = RecordingPipeline(service)
+        report = LiveIngestor(pipeline, batch_packets=64).serve(BurstSource(packets))
+    with ScanService(program, num_shards=4) as offline:
+        reference = offline.scan(packets)
+
+    assert pipeline.batches == [64] * 15 + [40]
+    assert report.stop_reason == "source_exhausted"
+    assert (report.packets, report.batches) == (1000, 16)
+    assert report.events == reference.events and report.events
+    # a wake-up per batch, one that flushes the remainder, one that sees the end
+    assert len(waits) <= len(pipeline.batches) + 2
+
+
+def test_max_packets_stops_mid_drain():
+    program = crafted_program()
+    packets = burst()
+    with ScanService(program, num_shards=4) as service:
+        pipeline = RecordingPipeline(service)
+        report = LiveIngestor(pipeline, batch_packets=64, max_packets=100).serve(
+            BurstSource(packets)
+        )
+    with ScanService(program, num_shards=4) as offline:
+        reference = offline.scan(packets[:100])
+    assert pipeline.batches == [64, 36]
+    assert report.stop_reason == "max_packets"
+    assert report.packets == 100
+    assert report.events == reference.events and report.events
+
+
+def test_a_follow_mode_tail_still_idle_flushes_a_partial_batch(
+    tmp_path, workload, dense_program
+):
+    """Ten records and a 64-packet cap: the quiet wire closes the batch
+    while the source is still live — the scan of that batch appends five
+    more records, which arrive as a second batch."""
+    from tests.conftest import renumbered
+
+    packets = renumbered(workload[1])[:15]
+    path = tmp_path / "growing.pcap"
+    with open(path, "wb") as handle:
+        write_packets(handle, packets[:10])
+
+    def append_tail(batches: int) -> None:
+        if batches == 1:
+            with open(path, "ab") as handle:
+                for packet in packets[10:]:
+                    handle.write(single_record(packet))
+
+    with ScanService(dense_program, num_shards=4) as service:
+        pipeline = RecordingPipeline(service, on_scan=append_tail)
+        report = LiveIngestor(pipeline, batch_packets=64, max_packets=15).serve(
+            PcapTailSource(str(path), follow=True, poll_interval=0.01)
+        )
+    with ScanService(dense_program, num_shards=4) as offline:
+        reference = offline.scan(packets)
+    assert pipeline.batches == [10, 5]
+    assert report.stop_reason == "max_packets"
+    assert report.events == reference.events
