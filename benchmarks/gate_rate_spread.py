@@ -9,7 +9,7 @@
     python3 benchmarks/gate_rate_spread.py benign.json dtp.json 4
     python3 benchmarks/gate_rate_spread.py benign.json hits.json 6
     python3 benchmarks/e2e/run.py --workload mangled_small_segments --trace 1 | tail -n 1 > m.json
-    python3 benchmarks/gate_rate_spread.py --front-end m.json 18
+    python3 benchmarks/gate_rate_spread.py --front-end m.json 12
     python3 benchmarks/e2e/run.py --workload web_rules_mixed --trace 1 | tail -n 1 > web.json
     python3 benchmarks/gate_rate_spread.py --check-yield web.json 0.02
     python3 benchmarks/e2e/run.py --workload live_microbatch ... | tail -n 1 > live.json
@@ -43,7 +43,9 @@ traffic, and 64-byte segments are traffic; the software form is the seconds
 payload byte — decode, reassembly, shard dispatch — against the seconds its
 kernel spends scanning (25 while every packet re-derived its flow's identity,
 ~10 since a flow is resolved once and an in-order segment skips the hole
-buffer; bound 18).  The *yield of a question*: a match costs one match-memory
+buffer, ~7 since a frame is decoded straight into its one ``Packet`` and a
+segment ahead of a waiting hole is delivered without entering it; bound 12).
+The *yield of a question*: a match costs one match-memory
 read, not one per rule that might care; the software form is the share of
 ``ConfirmStage.check`` calls on ``web_rules_mixed`` that end in an alert
 (0.0046 while every repeat hit re-asked every rule naming its string and every

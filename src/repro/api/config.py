@@ -42,7 +42,7 @@ from typing import (
     Union,
 )
 
-from ..capture import pcap as capture_pcap, replay as capture_replay
+from ..capture import replay as capture_replay
 from ..proto.reassembly import (
     DEFAULT_MAX_FLOW_BYTES,
     DEFAULT_REASSEMBLY_FLOWS,
@@ -676,8 +676,9 @@ class LoadedSource:
 
     ``flows`` carries the generator's ground-truth
     :class:`repro.traffic.GeneratedFlow` list (``None`` for other kinds);
-    ``capture``/``stats`` carry the parsed container and decode statistics
-    of a pcap source.
+    ``stats`` the decode statistics of a pcap source.  ``capture`` is the
+    parsed container, which the pcap source never builds (it streams the
+    file): :attr:`repro.api.Session.capture` reads it on first access.
     """
 
     packets: List[Packet]
@@ -748,14 +749,14 @@ def _load_generator_source(session, spec: SourceSpec) -> LoadedSource:
 
 
 def _load_pcap_source(session, spec: SourceSpec) -> LoadedSource:
-    # module attributes, not function-level imports: this runs once at the
-    # top of every pcap pass, cold, where two trips through the import
-    # machinery are a quarter of Session.run()'s untraced glue
-    capture = capture_pcap.read_capture(session.config.resolve(spec.path))
+    # a module attribute, not a function-level import: this runs once at the
+    # top of every pcap pass, cold, where a trip through the import
+    # machinery is a large share of Session.run()'s untraced glue.  The file
+    # is streamed: no container is built (Session.capture reads one on demand)
     packets, stats = capture_replay.load_packets(
-        capture, strict=session.config.engine.strict
+        session.config.resolve(spec.path), strict=session.config.engine.strict
     )
-    return LoadedSource(packets=packets, capture=capture, stats=stats)
+    return LoadedSource(packets=packets, stats=stats)
 
 
 register_source(

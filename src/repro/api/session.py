@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..backend import CompiledProgram, get_backend
 # modules, not names, where a caller may wrap the function (the benchmark's
 # tracer patches these attributes): the call must look it up when it is made
+from ..capture import pcap as capture_pcap
 from ..core import accelerator_config
 from ..fpga.devices import get_device
 from ..hardware.accelerator import HardwareAccelerator
@@ -365,8 +366,18 @@ class Session:
 
     @property
     def capture(self):
-        """The parsed capture container (pcap sources only, else ``None``)."""
-        return self._loaded_source.capture
+        """The parsed capture container (pcap sources only, else ``None``).
+
+        The pcap source decodes its file block by block and builds no
+        container, so this reads the file again on first access and caches
+        the result: only a caller that asks (``scan-pcap`` prints the format
+        and link type) pays for it.
+        """
+        loaded = self._loaded_source
+        spec = self.config.source
+        if loaded.capture is None and spec.kind == "pcap":
+            loaded.capture = capture_pcap.read_capture(self.config.resolve(spec.path))
+        return loaded.capture
 
     @property
     def capture_stats(self):

@@ -1,8 +1,10 @@
 """Link/network/transport frame codec between capture bytes and the Packet model.
 
-:func:`decode_frame` turns one captured frame into the 5-tuple header and the
-TCP/UDP payload the scan layers operate on; :func:`encode_frame` is its
-inverse, used to export generated traffic as standards-conformant captures.
+:func:`decode_fields` turns one captured frame into the 5-tuple header and the
+TCP/UDP payload the scan layers operate on, as plain values replay builds its
+one ``Packet`` from (:func:`decode_frame` wraps them in a
+:class:`DecodedFrame`); :func:`encode_frame` is the inverse, used to export
+generated traffic as standards-conformant captures.
 Supported layers:
 
 * link: Ethernet (including 802.1Q VLAN tags), Linux cooked capture (SLL)
@@ -87,7 +89,7 @@ def _checksum(data: bytes) -> int:
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
-#: Most flows :func:`decode_frame` remembers; the table is cleared, not
+#: Most flows :func:`decode_fields` remembers; the table is cleared, not
 #: trimmed, when it fills — the next frame of each flow re-resolves it.
 FLOW_INTERN_BOUND = 1 << 16
 
@@ -125,7 +127,22 @@ def decode_frame(
 
     ``reason`` is a short stable token (``"link"``, ``"network"``,
     ``"fragment"``, ``"transport"``, ``"truncated"``) suitable for
-    aggregation into replay statistics.
+    aggregation into replay statistics.  The :class:`DecodedFrame` view of
+    :func:`decode_fields`, which replay and the tail reader call directly.
+    """
+    header, payload, seq, flags = decode_fields(data, linktype)
+    if header is None:
+        return None, payload
+    return DecodedFrame(header, payload, seq, 0 if flags is None else flags), None
+
+
+def decode_fields(data: bytes, linktype: int = LINKTYPE_ETHERNET) -> Tuple:
+    """Decode one captured frame into plain values, ready for a ``Packet``.
+
+    Returns ``(header, payload, tcp_seq, tcp_flags)`` — sequence number and
+    flag byte are ``None`` for UDP, as :class:`~repro.traffic.Packet` wants
+    them — or, for a frame that cannot be scanned, ``(None, reason, None,
+    None)`` with the :func:`decode_frame` reason token.
 
     One pass by offset from link header to payload: nothing is sliced but
     the payload and the flow's wire identity (address and port bytes), which
@@ -139,95 +156,95 @@ def decode_frame(
     size = len(data)
     if linktype == LINKTYPE_ETHERNET:
         if size < 14:
-            return None, "truncated"
+            return None, "truncated", None, None
         (ethertype,) = _UINT16.unpack_from(data, 12)
         ip = 14
         while ethertype == _ETHERTYPE_VLAN:
             if size < ip + 4:
-                return None, "truncated"
+                return None, "truncated", None, None
             (ethertype,) = _UINT16.unpack_from(data, ip + 2)
             ip += 4
     elif linktype == LINKTYPE_LINUX_SLL:
         if size < 16:
-            return None, "truncated"
+            return None, "truncated", None, None
         (ethertype,) = _UINT16.unpack_from(data, 14)
         ip = 16
     elif linktype == LINKTYPE_RAW:
         if not data:
-            return None, "truncated"
+            return None, "truncated", None, None
         ethertype = _ETHERTYPE_IPV4 if data[0] >> 4 == 4 else _ETHERTYPE_IPV6
         ip = 0
     else:
-        return None, "link"
+        return None, "link", None, None
 
     # network layer: protocol, [transport, end) and the address bytes
     if ethertype == _ETHERTYPE_IPV4:
         if size - ip < 20:
-            return None, "truncated"
+            return None, "truncated", None, None
         version_ihl, total_len, flags_fragment, protocol = _IPV4_FIELDS.unpack_from(data, ip)
         if version_ihl >> 4 != 4:
-            return None, "network"
+            return None, "network", None, None
         header_len = (version_ihl & 0x0F) * 4
         if header_len < 20 or size - ip < total_len or total_len < header_len:
-            return None, "truncated"
+            return None, "truncated", None, None
         # any fragment is unscannable without reassembly: a non-first fragment
         # (offset != 0) has no transport header, a first fragment (MF set) has a
         # partial payload that would silently miss boundary-spanning patterns
         if flags_fragment & 0x3FFF:  # offset bits | more-fragments
-            return None, "fragment"
+            return None, "fragment", None, None
         addresses = data[ip + 12:ip + 20]
         transport = ip + header_len
         end = ip + total_len
     elif ethertype == _ETHERTYPE_IPV6:
         if size - ip < 40:
-            return None, "truncated"
+            return None, "truncated", None, None
         if data[ip] >> 4 != 6:
-            return None, "network"
+            return None, "network", None, None
         payload_len, protocol = _IPV6_FIELDS.unpack_from(data, ip + 4)
         end = ip + 40 + payload_len
         if size < end:
-            return None, "truncated"
+            return None, "truncated", None, None
         addresses = data[ip + 8:ip + 40]
         transport = ip + 40
         while protocol in _IPV6_EXTENSIONS or protocol == _IPV6_FRAGMENT:
             if transport + 8 > end:
-                return None, "truncated"
+                return None, "truncated", None, None
             if protocol == _IPV6_FRAGMENT:
                 # offset bits | M flag: only atomic fragments are complete
                 if _UINT16.unpack_from(data, transport + 2)[0] & 0xFFF9:
-                    return None, "fragment"
+                    return None, "fragment", None, None
                 protocol = data[transport]
                 transport += 8
             else:
                 protocol = data[transport]
                 transport += (data[transport + 1] + 1) * 8
     else:
-        return None, "network"
+        return None, "network", None, None
 
     # transport layer
     if protocol == _IPPROTO_TCP:
         if end - transport < 20:
-            return None, "truncated"
+            return None, "truncated", None, None
         seq, data_offset, flags = _TCP_FIELDS.unpack_from(data, transport + 4)
         data_offset = (data_offset >> 4) * 4
         if data_offset < 20 or data_offset > end - transport:
-            return None, "truncated"
+            return None, "truncated", None, None
         payload = data[transport + data_offset:end]
     elif protocol == _IPPROTO_UDP:
         if end - transport < 8:
-            return None, "truncated"
+            return None, "truncated", None, None
         (length,) = _UINT16.unpack_from(data, transport + 4)
         if length < 8 or length > end - transport:
-            return None, "truncated"
-        seq, flags = None, 0
+            return None, "truncated", None, None
+        seq = flags = None
         payload = data[transport + 8:transport + length]
     else:
-        return None, "transport"
+        return None, "transport", None, None
     wire = addresses + data[transport:transport + 4]
     header = _FLOWS.get((protocol, wire))
     if header is None:
         header = _intern_flow(protocol, wire)
-    return DecodedFrame(header, payload, seq, flags), None
+    return header, payload, seq, flags
 
 
 # ----------------------------------------------------------------------

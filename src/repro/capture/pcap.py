@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Link-layer types (the registry values pcap and pcapng share).
 LINKTYPE_ETHERNET = 1
@@ -130,18 +130,25 @@ def _open(source: PathOrIO, mode: str):
     return open(source, mode), True
 
 
+def _classic_reader(handle: BinaryIO) -> Optional["PcapBlockReader"]:
+    """Sniff the magic number: a block reader for classic pcap, ``None`` for
+    pcapng; anything else raises."""
+    magic_bytes = _read_exact(handle, 4, "magic number")
+    (magic,) = struct.unpack("<I", magic_bytes)
+    (magic_be,) = struct.unpack(">I", magic_bytes)
+    if {magic, magic_be} & {PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO}:
+        return PcapBlockReader(handle, magic_bytes)
+    if magic == PCAPNG_BLOCK_SHB:  # block type is endian-independent here
+        return None
+    raise CaptureError(f"not a pcap or pcapng file (magic 0x{magic:08X})")
+
+
 def read_capture(source: PathOrIO) -> CaptureFile:
     """Read a pcap or pcapng file, auto-detected from its magic number."""
     handle, needs_close = _open(source, "rb")
     try:
-        magic_bytes = _read_exact(handle, 4, "magic number")
-        (magic,) = struct.unpack("<I", magic_bytes)
-        (magic_be,) = struct.unpack(">I", magic_bytes)
-        if {magic, magic_be} & {PCAP_MAGIC_MICRO, PCAP_MAGIC_NANO}:
-            return _read_pcap(PcapBlockReader(handle, magic_bytes))
-        if magic == PCAPNG_BLOCK_SHB:  # block type is endian-independent here
-            return _read_pcapng(handle)
-        raise CaptureError(f"not a pcap or pcapng file (magic 0x{magic:08X})")
+        reader = _classic_reader(handle)
+        return _read_pcapng(handle) if reader is None else _read_pcap(reader)
     finally:
         if needs_close:
             handle.close()
@@ -150,6 +157,41 @@ def read_capture(source: PathOrIO) -> CaptureFile:
 #: One record as the block reader hands it out:
 #: ``(ts_sec, ts_frac, orig_len, data)``.
 RawRecord = Tuple[int, int, int, bytes]
+
+
+def read_blocks(
+    source: Union[PathOrIO, CaptureFile]
+) -> Iterator[Tuple[Optional[int], Sequence[RawRecord]]]:
+    """A capture's records as ``(linktype, records)`` blocks, in file order.
+
+    A classic pcap is streamed: one :class:`PcapBlockReader` block at a time,
+    no :class:`CaptureRecord` is built and nothing but the current block is
+    held.  A pcapng file is parsed whole by :func:`read_capture`'s reader and
+    an already-parsed :class:`CaptureFile` is taken as it is; either comes out
+    as one block whose records carry only the frame bytes (zero timestamps
+    and lengths).  ``linktype`` is ``None`` only on a block that completed
+    no record before the pcap global header had arrived.  Every container
+    error :func:`read_capture` raises is raised here, at the block it
+    concerns — a record cut short at the end of the file after the blocks
+    before it.
+    """
+    if not isinstance(source, CaptureFile):
+        handle, needs_close = _open(source, "rb")
+        try:
+            reader = _classic_reader(handle)
+            if reader is not None:
+                while True:
+                    block = reader.read_block()
+                    if block is None:
+                        break
+                    yield reader.linktype, block
+                reader.finish()
+                return
+            source = _read_pcapng(handle)
+        finally:
+            if needs_close:
+                handle.close()
+    yield source.linktype, [(0, 0, 0, record.data) for record in source.records]
 
 
 class PcapBlockReader:

@@ -26,17 +26,18 @@ without any hand-wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..traffic.packet import Packet
-from .frames import FrameEncodeError, decode_frame, encode_frame
+from .frames import FrameEncodeError, decode_fields, encode_frame
 from .pcap import (
     LINKTYPE_ETHERNET,
     CaptureError,
     CaptureFile,
     CaptureRecord,
     PathOrIO,
-    read_capture,
+    RawRecord,
+    read_blocks,
     write_pcap,
     write_pcapng,
 )
@@ -69,8 +70,41 @@ class ReplayStats:
         return self.skipped_total - self.skipped_fragments
 
 
-def _as_capture(source: CaptureSource) -> CaptureFile:
-    return source if isinstance(source, CaptureFile) else read_capture(source)
+def decode_records(
+    records: Iterable[RawRecord],
+    linktype: Optional[int],
+    stats: ReplayStats,
+    strict: bool = False,
+) -> Iterator[Tuple]:
+    """The one record loop: decode raw records in capture order.
+
+    Yields :func:`~repro.capture.frames.decode_fields`' plain
+    ``(header, payload, tcp_seq, tcp_flags)`` per scannable frame — the
+    consumer builds the frame's one :class:`Packet` — and counts every frame
+    into ``stats`` once the records are exhausted.  An undecodable frame is
+    skipped and counted by reason or, with ``strict``, raises
+    :class:`CaptureError` naming its index among every frame ``stats`` has
+    seen.  :func:`load_packets` runs it over a whole capture,
+    :class:`repro.streaming.ingest.PcapTailSource` over each block it reads.
+    """
+    decode = decode_fields
+    skipped = stats.skipped
+    frames = stats.frames
+    payload_bytes = 0
+    for _, _, _, data in records:
+        fields = decode(data, linktype)
+        frames += 1
+        if fields[0] is None:
+            reason = fields[1]
+            if strict:
+                raise CaptureError(f"frame {frames - 1} cannot be decoded ({reason})")
+            skipped[reason] = skipped.get(reason, 0) + 1
+            continue
+        payload_bytes += len(fields[1])
+        yield fields
+    stats.frames = frames
+    stats.decoded = frames - stats.skipped_total
+    stats.payload_bytes += payload_bytes
 
 
 def load_packets(
@@ -82,38 +116,19 @@ def load_packets(
 
     Packet ids are assigned sequentially in capture order starting at
     ``first_packet_id``; undecodable frames are skipped and counted (or, with
-    ``strict``, raise :class:`repro.capture.CaptureError`).
+    ``strict``, raise :class:`repro.capture.CaptureError`).  A classic pcap
+    given by path or handle is streamed block by block
+    (:func:`~repro.capture.pcap.read_blocks`): each frame becomes its one
+    :class:`Packet` and no :class:`CaptureRecord` is built.
     """
-    capture = _as_capture(source)
     stats = ReplayStats()
     packets: List[Packet] = []
     append = packets.append
-    linktype = capture.linktype
     next_id = first_packet_id
-    payload_bytes = 0
-    for index, record in enumerate(capture.records):
-        frame, reason = decode_frame(record.data, linktype)
-        if frame is None:
-            if strict:
-                raise CaptureError(f"frame {index} cannot be decoded ({reason})")
-            stats.skipped[reason] = stats.skipped.get(reason, 0) + 1
-            continue
-        seq = frame.seq
-        payload = frame.payload
-        append(
-            Packet(
-                payload,
-                frame.header,
-                next_id,
-                tcp_seq=seq,
-                tcp_flags=frame.flags if seq is not None else None,
-            )
-        )
-        next_id += 1
-        payload_bytes += len(payload)
-    stats.frames = len(capture.records)
-    stats.decoded = len(packets)
-    stats.payload_bytes = payload_bytes
+    for linktype, records in read_blocks(source):
+        for header, payload, seq, flags in decode_records(records, linktype, stats, strict):
+            append(Packet(payload, header, next_id, None, seq, flags))
+            next_id += 1
     return packets, stats
 
 
@@ -216,6 +231,7 @@ def replay_ids(
 __all__ = [
     "CaptureSource",
     "ReplayStats",
+    "decode_records",
     "load_packets",
     "replay_ids",
     "replay_scan",

@@ -235,23 +235,13 @@ class TcpReassembler:
 
     # ------------------------------------------------------------------
     def _emit(self, source: Packet, payload: bytes, seq: Optional[int]) -> Packet:
-        packet = Packet(
-            payload=payload,
-            header=source.header,
-            packet_id=self._next_id,
-            tcp_seq=seq,
-        )
+        packet = Packet(payload, source.header, self._next_id, None, seq)
         self._next_id += 1
         self.stats.packets_out += 1
         return packet
 
     def _emit_piece(self, state: _FlowState, template: Packet, data: bytes) -> Packet:
-        packet = Packet(
-            payload=data,
-            header=template.header,
-            packet_id=self._next_id,
-            tcp_seq=state.seq_at_next,
-        )
+        packet = Packet(data, template.header, self._next_id, None, state.seq_at_next)
         self._next_id += 1
         self.stats.packets_out += 1
         state.next_off += len(data)
@@ -333,12 +323,16 @@ class TcpReassembler:
             data = data[trim:]
             offset = state.next_off
 
-        if offset == state.next_off and not state.holes:
-            # on the delivery point with nothing waiting behind a hole:
-            # nothing to place or drain — deliver the segment as it is
+        holes = state.holes
+        if offset == state.next_off and (not holes or end <= holes[0][0]):
+            # on the delivery point and clear of the first buffered piece: no
+            # byte overlaps, so either policy delivers the segment as it is —
+            # then whatever it made contiguous
             out.append(self._emit_piece(state, packet, bytes(data)))
             if flags & _FIN:
                 state.fin_off = end
+            if holes:
+                out.extend(self._drain(state, packet))
             if state.fin_off is not None:
                 self._maybe_close(key, state)
             return out

@@ -20,10 +20,12 @@ connections.  This module is that front-end:
 
 :class:`LiveIngestor` drives one source into any pipeline — a scan service
 (serial or parallel), the IDS, or a composed :class:`repro.api.Session`.
-It assigns sequential packet ids in arrival order —
-the same contract capture replay makes — and micro-batches segments
-(``batch_packets`` cap, flushed early when the wire goes idle) so a batch
-pays its dispatch and its one backend crossing over real batches.  The
+``emit`` builds each segment's one :class:`~repro.traffic.Packet`, which
+gets its sequential id in arrival order when a batch takes it — the same
+contract capture replay makes — and segments are micro-batched
+(``batch_packets`` cap, flushed early once the wire has been quiet for
+``batch_idle`` seconds) so a batch pays its dispatch and its one backend
+crossing over real batches.  The
 loop awaits the arrival queue only when it is empty: one wake-up takes
 everything already queued (``get_nowait``) up to the batch's room and the
 ``max_packets`` limit, so a burst costs one await, not one per segment, and
@@ -52,8 +54,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from ..capture.frames import decode_frame
 from ..capture.pcap import CaptureError, PcapBlockReader
+from ..capture.replay import ReplayStats, decode_records
 from ..traffic.packet import FiveTuple, Packet
 from .scanner import StreamMatch
 
@@ -65,8 +67,8 @@ from .scanner import StreamMatch
 #: socket listeners deliver kernel-ordered bytes and leave them ``None``).
 EmitFn = Callable[..., None]
 
-#: Ingestor wake-up granularity (seconds): how often flush deadlines, source
-#: exhaustion and idle timeouts are checked while the wire is quiet.
+#: Ingestor wake-up granularity (seconds) while no batch is open: how often
+#: source exhaustion and idle timeouts are checked while the wire is quiet.
 _TICK_SECONDS = 0.05
 
 
@@ -220,7 +222,10 @@ class PcapTailSource:
 
     Reads whatever the file holds in bounded blocks (the
     :class:`repro.capture.pcap.PcapBlockReader` behind ``read_capture`` too)
-    and emits every complete record; it waits only when the next record is
+    and emits every complete record, decoded by the record loop
+    :func:`~repro.capture.replay.load_packets` runs
+    (:func:`~repro.capture.replay.decode_records`, counting into
+    :attr:`decode_stats`); it waits only when the next record is
     unfinished.  With ``follow=False`` the source is exhausted at end of
     file (a *complete* record boundary — a half-written record means a
     truncated capture and raises); with ``follow=True`` it polls every
@@ -243,30 +248,16 @@ class PcapTailSource:
         self.follow = follow
         self.poll_interval = poll_interval
         self.strict = strict
-        self.records = 0
-        self.skipped = 0
+        #: frames read so far, decoded and skipped by reason
+        self.decode_stats = ReplayStats()
         self._ready = asyncio.Event()
 
     async def ready(self) -> None:
         await self._ready.wait()
 
     def stats(self) -> Dict[str, int]:
-        return {"records": self.records, "skipped_frames": self.skipped}
-
-    def _emit_block(self, block, linktype: int, emit: EmitFn) -> None:
-        for _, _, _, data in block:
-            frame, reason = decode_frame(data, linktype)
-            if frame is None:
-                if self.strict:
-                    raise CaptureError(
-                        f"frame {self.records + self.skipped} cannot be "
-                        f"decoded ({reason})"
-                    )
-                self.skipped += 1
-                continue
-            self.records += 1
-            seq = frame.seq
-            emit(frame.header, frame.payload, seq, frame.flags if seq is not None else None)
+        stats = self.decode_stats
+        return {"records": stats.decoded, "skipped_frames": stats.skipped_total}
 
     async def run(self, emit: EmitFn) -> None:
         try:
@@ -276,7 +267,10 @@ class PcapTailSource:
                     block = reader.read_block()
                     self._ready.set()
                     if block is not None:
-                        self._emit_block(block, reader.linktype, emit)
+                        for fields in decode_records(
+                            block, reader.linktype, self.decode_stats, self.strict
+                        ):
+                            emit(*fields)
                     elif self.follow:  # nothing new yet
                         await asyncio.sleep(self.poll_interval)
                     else:
@@ -344,7 +338,7 @@ class LiveIngestor:
             seq: Optional[int] = None,
             flags: Optional[int] = None,
         ) -> None:
-            queue.put_nowait((header, payload, seq, flags))
+            queue.put_nowait(Packet(payload, header, 0, None, seq, flags))
 
         report = IngestReport()
         started = time.perf_counter()
@@ -387,8 +381,10 @@ class LiveIngestor:
                     report.stop_reason = "max_packets"
                     break
                 try:
-                    header, payload, seq, flags = await asyncio.wait_for(
-                        queue.get(), timeout=_TICK_SECONDS
+                    # an open batch closes after batch_idle quiet seconds;
+                    # with none open, the tick checks for the end of serving
+                    packet = await asyncio.wait_for(
+                        queue.get(), timeout=self.batch_idle if batch else _TICK_SECONDS
                     )
                 except asyncio.TimeoutError:
                     if batch:
@@ -415,21 +411,14 @@ class LiveIngestor:
                 if self.max_packets is not None:
                     room = min(room, self.max_packets - next_id)
                 while True:
-                    batch.append(
-                        Packet(
-                            payload=payload,
-                            header=header,
-                            packet_id=next_id,
-                            tcp_seq=seq,
-                            tcp_flags=flags,
-                        )
-                    )
+                    packet.packet_id = next_id
+                    batch.append(packet)
                     next_id += 1
                     room -= 1
                     if room <= 0:
                         break
                     try:
-                        header, payload, seq, flags = queue.get_nowait()
+                        packet = queue.get_nowait()
                     except asyncio.QueueEmpty:
                         break
                 if len(batch) >= self.batch_packets:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, List, Optional
+from dataclasses import dataclass
+from typing import Any, ClassVar, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class FiveTuple:
                 raise ValueError(f"port {port} out of range")
 
 
-@dataclass
 class Packet:
     """A packet: header 5-tuple plus payload bytes.
 
@@ -45,14 +44,67 @@ class Packet:
     flag byte when known (capture replay and adversarial traffic set them);
     ``None`` means "no usable sequence state" and the :mod:`repro.proto`
     reassembler falls back to arrival order for the flow.
+
+    A ``__slots__`` record rather than a dataclass: capture replay builds one
+    per decoded frame and the reassembler one per emitted segment, and slot
+    instances allocate without a per-instance ``__dict__``.  Construction,
+    equality, ``repr`` and unhashability keep the dataclass semantics.
+    ``injected_sids`` is still a list owned by this one packet, but it is
+    created on first access — a packet off the wire never allocates one.
     """
 
-    payload: bytes
-    header: Optional[FiveTuple] = None
-    packet_id: int = 0
-    injected_sids: List[int] = field(default_factory=list)
-    tcp_seq: Optional[int] = None
-    tcp_flags: Optional[int] = None
+    __slots__ = ("payload", "header", "packet_id", "_injected_sids", "tcp_seq", "tcp_flags")
+
+    def __init__(
+        self,
+        payload: bytes,
+        header: Optional[FiveTuple] = None,
+        packet_id: int = 0,
+        injected_sids: Optional[List[int]] = None,
+        tcp_seq: Optional[int] = None,
+        tcp_flags: Optional[int] = None,
+    ):
+        self.payload = payload
+        self.header = header
+        self.packet_id = packet_id
+        self._injected_sids = injected_sids
+        self.tcp_seq = tcp_seq
+        self.tcp_flags = tcp_flags
+
+    @property
+    def injected_sids(self) -> List[int]:
+        sids = self._injected_sids
+        if sids is None:
+            sids = self._injected_sids = []
+        return sids
+
+    @injected_sids.setter
+    def injected_sids(self, sids: List[int]) -> None:
+        self._injected_sids = sids
+
+    def _fields(self) -> Tuple:
+        return (
+            self.payload, self.header, self.packet_id, self.injected_sids,
+            self.tcp_seq, self.tcp_flags,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, like the dataclass it replaced
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(payload={self.payload!r}, "
+            f"header={self.header!r}, packet_id={self.packet_id!r}, "
+            f"injected_sids={self.injected_sids!r}, tcp_seq={self.tcp_seq!r}, "
+            f"tcp_flags={self.tcp_flags!r})"
+        )
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
 
     @property
     def length(self) -> int:

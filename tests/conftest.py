@@ -20,6 +20,7 @@ import ipaddress
 import json
 import random
 import struct
+from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -308,7 +309,8 @@ def assert_equivalent_events(
 # ----------------------------------------------------------------------
 # Moved here verbatim when the production paths were fused (one decode pass
 # by offset with interned flows; in-order segments delivered without the
-# hole buffer; incremental hole bookkeeping).  The differential tests in
+# hole buffer; incremental hole bookkeeping), and the packet dataclass when
+# it became a slots record.  The differential tests in
 # tests/test_front_end.py hold the fast paths to these, frame by frame and
 # packet by packet.
 _ETHERTYPE_IPV4 = 0x0800
@@ -442,6 +444,16 @@ def _reference_decode_transport(
     return DecodedFrame(header=header, payload=payload, seq=seq, flags=flags), None
 
 
+def reference_decode_fields(data: bytes, linktype: int = LINKTYPE_ETHERNET) -> Tuple:
+    """:func:`reference_decode_frame` in the plain-value shape of
+    ``repro.capture.frames.decode_fields`` — what replay's record loop calls —
+    so a test can swap the reference decoder in beneath it."""
+    frame, reason = reference_decode_frame(data, linktype)
+    if frame is None:
+        return None, reason, None, None
+    tcp = frame.seq is not None
+    return frame.header, frame.payload, frame.seq, frame.flags if tcp else None
+
 
 def reference_load_packets(capture, first_packet_id: int = 0, strict: bool = False):
     """``load_packets`` over :func:`reference_decode_frame`, counting as it did."""
@@ -471,6 +483,26 @@ def reference_load_packets(capture, first_packet_id: int = 0, strict: bool = Fal
         stats.decoded += 1
         stats.payload_bytes += len(frame.payload)
     return packets, stats
+
+
+@dataclass
+class ReferencePacket:
+    """``repro.traffic.Packet`` as it stood before it became a ``__slots__``
+    record: the dataclass the suite was written against, verbatim."""
+
+    payload: bytes
+    header: Optional[FiveTuple] = None
+    packet_id: int = 0
+    injected_sids: List[int] = field(default_factory=list)
+    tcp_seq: Optional[int] = None
+    tcp_flags: Optional[int] = None
+
+    @property
+    def length(self) -> int:
+        return len(self.payload)
+
+    def __len__(self) -> int:
+        return len(self.payload)
 
 
 class ReferenceReassembler(TcpReassembler):

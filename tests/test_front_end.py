@@ -54,11 +54,14 @@ from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import FlowTable, ScanService, StreamScanner
 from repro.streaming.flow import FlowEntry, FlowKey
 from repro.streaming.ingest import PcapTailSource
+from repro.traffic import MANGLE_MODES, TrafficGenerator
 from repro.traffic.packet import FiveTuple, Packet
 from tests.conftest import (
+    ReferencePacket,
     ReferenceReassembler,
     assert_equivalent_events,
     equivalence_workload,
+    reference_decode_fields,
     reference_decode_frame,
     reference_load_packets,
     renumbered,
@@ -250,6 +253,185 @@ class TestDecodeAgainstReference:
 
 
 # ----------------------------------------------------------------------
+# three decode routes: the streamed file, the parsed container, the reference
+# ----------------------------------------------------------------------
+ROUTE_HEADERS = [
+    FiveTuple("10.0.0.1", "10.0.0.2", 1000, 80, "tcp"),
+    FiveTuple("10.0.0.3", "10.0.0.4", 53, 5353, "udp"),
+    FiveTuple("2001:db8::1", "2001:db8::2", 443, 1024, "tcp"),
+]
+#: where the IP header starts under each link type the routes are run on
+#: (802.1Q frames add four bytes per tag)
+IP_OFFSET = {"ethernet": 14, "vlan": 14, "sll": 16, "raw": 0, "unknown": 14}
+LINKTYPE = {"ethernet": LINKTYPE_ETHERNET, "vlan": LINKTYPE_ETHERNET,
+            "sll": LINKTYPE_LINUX_SLL, "raw": LINKTYPE_RAW, "unknown": 147}
+
+
+def route_frames(link: str, count: int = 3000):
+    """``count`` frames under ``link``, one of every skip reason among them
+    (an unknown link type skips them all as ``"link"``)."""
+    encode_as = LINKTYPE_ETHERNET if link in ("vlan", "unknown") else LINKTYPE[link]
+    wire, ips = [], []
+    for index in range(count):
+        frame = encode_frame(ROUTE_HEADERS[index % 3], bytes([index % 251]) * (index % 9 * 7),
+                             encode_as, seq=index * 11, flags=0x18 | index % 2)
+        ip = IP_OFFSET[link]
+        if link == "vlan":  # one or two 802.1Q tags
+            tags = 1 + index % 2
+            frame = frame[:12] + struct.pack("!HH", 0x8100, 7) * tags + frame[12:]
+            ip += 4 * tags
+        wire.append(bytearray(frame))
+        ips.append(ip)
+    v4 = [index for index in range(count) if index % 3 != 2]  # the IPv4 frames
+    fragment, transport, network, truncated = v4[1200], v4[1300], v4[1500], v4[1900]
+    wire[fragment][ips[fragment] + 6:ips[fragment] + 8] = struct.pack("!H", 0x2000)  # MF
+    wire[transport][ips[transport] + 9] = 1  # ICMP
+    if link == "raw":
+        wire[network][0] = 0x55  # neither IPv4 nor IPv6
+    else:
+        wire[network][ips[network] - 2:ips[network]] = struct.pack("!H", 0x0806)  # ARP
+    wire[truncated] = wire[truncated][: ips[truncated] + 10]
+    return [bytes(frame) for frame in wire]
+
+
+def pcap_file(wire, linktype: int, endian: str = "<", nanosecond: bool = False) -> bytes:
+    """A classic pcap in either byte order, timestamps in µs or ns."""
+    magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
+    out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype)]
+    for index, frame in enumerate(wire):
+        out.append(struct.pack(endian + "IIII", 1_700_000_000 + index, 999 * index,
+                                len(frame), len(frame) + index % 2) + frame)
+    return b"".join(out)
+
+
+def decode_routes(path, strict: bool = False):
+    """Streamed ``load_packets(path)``, ``load_packets(read_capture(path))``
+    and the reference decoder: ``(packets, stats)`` or the error message."""
+
+    def attempt(load):
+        try:
+            return load()
+        except CaptureError as exc:
+            return f"CaptureError: {exc}"
+
+    def parsed(loader):
+        return lambda: loader(read_capture(str(path)), first_packet_id=3, strict=strict)
+
+    return [
+        attempt(lambda: load_packets(str(path), first_packet_id=3, strict=strict)),
+        attempt(parsed(load_packets)),
+        attempt(parsed(reference_load_packets)),
+    ]
+
+
+class TestDecodeRoutes:
+    @pytest.mark.parametrize("link", ["ethernet", "vlan", "sll", "raw", "unknown"])
+    @pytest.mark.parametrize("endian, nanosecond", [("<", False), (">", True), (">", False)])
+    def test_routes_agree(self, tmp_path, link, endian, nanosecond):
+        path = tmp_path / "routes.pcap"
+        path.write_bytes(pcap_file(route_frames(link), LINKTYPE[link], endian, nanosecond))
+        assert path.stat().st_size > 3 * pcap.READ_BLOCK  # records cross blocks
+        streamed, parsed, reference = decode_routes(path)
+        assert streamed == parsed == reference
+        packets, stats = streamed
+        if link == "unknown":
+            assert stats.skipped == {"link": 3000} and packets == []
+        else:
+            assert stats.skipped == {"fragment": 1, "transport": 1, "network": 1, "truncated": 1}
+            assert stats.decoded == len(packets) == 2996 and packets[0].packet_id == 3
+            assert {packet.tcp_flags for packet in packets} == {0x18, 0x19, None}
+
+    def test_pcapng_takes_the_same_decode_body(self, tmp_path):
+        path = tmp_path / "routes.pcapng"
+        write_pcapng(str(path), [CaptureRecord(frame) for frame in route_frames("ethernet")])
+        streamed, parsed, reference = decode_routes(path)
+        assert streamed == parsed == reference
+        assert streamed[1].skipped_total == 4
+
+    @pytest.mark.parametrize("link", ["ethernet", "vlan", "sll", "raw"])
+    def test_strict_names_the_same_frame(self, tmp_path, link):
+        path = tmp_path / "strict.pcap"
+        path.write_bytes(pcap_file(route_frames(link), LINKTYPE[link]))
+        messages = decode_routes(path, strict=True)
+        assert len(set(messages)) == 1
+        # frame 1800 of 3000: blocks before it were decoded and handed out
+        assert messages[0] == "CaptureError: frame 1800 cannot be decoded (fragment)"
+
+    def test_containers_cut_short_or_oversized_fail_alike(self, tmp_path):
+        whole = pcap_file(route_frames("ethernet"), LINKTYPE_ETHERNET)
+        path = tmp_path / "bad.pcap"
+        path.write_bytes(whole[:-5])
+        messages = decode_routes(path)
+        assert len(set(messages)) == 1
+        assert "truncated capture: pcap record 2999 is cut short" in messages[0]
+
+        at = len(pcap_file(route_frames("ethernet")[:2000], LINKTYPE_ETHERNET))
+        oversized = struct.pack("<IIII", 0, 0, 2**31, 2**31)
+        path.write_bytes(whole[:at] + oversized + whole[at:])
+        messages = decode_routes(path)
+        assert len(set(messages)) == 1
+        assert "pcap record 2000 claims 2147483648 captured bytes" in messages[0]
+
+
+# ----------------------------------------------------------------------
+# the packet record against the dataclass it replaced
+# ----------------------------------------------------------------------
+PACKET_CASES = [
+    dict(payload=b"x"),
+    dict(payload=b"x", injected_sids=[]),
+    dict(payload=b"x", packet_id=1),
+    dict(payload=b"abc", header=FiveTuple("10.0.0.1", "10.0.0.2", 1, 2, "tcp"),
+         packet_id=7, injected_sids=[1, 2], tcp_seq=5, tcp_flags=0x18),
+    dict(payload=b"abc", header=FiveTuple("10.0.0.1", "10.0.0.2", 1, 2, "tcp"),
+         packet_id=7, injected_sids=[1, 2], tcp_seq=5, tcp_flags=0x19),
+    dict(payload=b"", tcp_seq=0),
+]
+
+
+class TestPacketRecord:
+    def test_equality_repr_and_hashing_match_the_dataclass(self):
+        for one in PACKET_CASES:
+            ours, theirs = Packet(**one), ReferencePacket(**one)
+            assert repr(ours) == repr(theirs).replace("ReferencePacket(", "Packet(", 1)
+            assert ours != theirs and ours != tuple(one.values())
+            for other in PACKET_CASES:
+                assert (ours == Packet(**other)) == (theirs == ReferencePacket(**other))
+                assert (ours != Packet(**other)) == (theirs != ReferencePacket(**other))
+            for packet in (ours, theirs):
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(packet)
+        positional = (b"p", ROUTE_HEADERS[0], 4, [9], 12, 2)
+        assert Packet(*positional) == Packet(**dict(zip(
+            ("payload", "header", "packet_id", "injected_sids", "tcp_seq", "tcp_flags"),
+            positional,
+        )))
+        assert repr(Packet(*positional)) == repr(ReferencePacket(*positional)).replace(
+            "ReferencePacket(", "Packet(", 1
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for one in PACKET_CASES:
+            ours = pickle.loads(pickle.dumps(Packet(**one), protocol))
+            theirs = pickle.loads(pickle.dumps(ReferencePacket(**one), protocol))
+            assert type(ours) is Packet and ours == Packet(**one)
+            assert repr(ours) == repr(theirs).replace("ReferencePacket(", "Packet(", 1)
+
+    def test_default_packets_never_share_a_list(self):
+        first, second = Packet(b"a"), Packet(b"b")
+        first.injected_sids.append(1)
+        assert second.injected_sids == [] and first.injected_sids == [1]
+        assert first.injected_sids is not second.injected_sids
+        assert Packet(b"c").injected_sids is not Packet(b"c").injected_sids
+        sids = [4]
+        owned = Packet(b"d", injected_sids=sids)
+        assert owned.injected_sids is sids  # as given, like the dataclass
+        owned.injected_sids = [5]
+        assert owned.injected_sids == [5] and sids == [4]
+        assert not hasattr(owned, "__dict__")
+
+
+# ----------------------------------------------------------------------
 # reassembly: seed-driven hostile wire, packet by packet, against the reference
 # ----------------------------------------------------------------------
 def seg(payload, seq, flags, header, packet_id=0):
@@ -392,6 +574,44 @@ class TestReassemblyAgainstReference:
         assert ours.stats.packets_out + ours.stats.retransmits == segments
         assert ours.buffered_bytes == 0
 
+    @pytest.mark.parametrize("policy", ["first", "last"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generated_mangled_flows(self, seed, policy):
+        """The generator's three mangle modes, mixed per flow and topped with
+        re-sends whose bytes disagree: packet by packet, then flushed, the
+        same packets, statistics and checkpoint as the reference."""
+        wire = mangled_wire(seed)
+        ours = TcpReassembler(overlap_policy=policy)
+        reference = ReferenceReassembler(overlap_policy=policy)
+        for packet in wire:
+            assert view(ours.process([packet])) == view(reference.process([packet]))
+            assert_same_state(ours, reference)
+        assert view(ours.flush_all()) == view(reference.flush_all())
+        assert_same_state(ours, reference)
+        assert ours.stats.reordered and ours.stats.overlap_bytes  # not vacuous
+
+
+def mangled_wire(seed: int, flows: int = 12):
+    """Generated flows, each mangled by a seed-chosen mode, interleaved, plus
+    re-sends of delivered or buffered ranges with other bytes."""
+    rng = random.Random(seed)
+    generator = TrafficGenerator(MANGLE_RULES, seed=seed)
+    mangled = [
+        generator.mangle(flow, mode=rng.choice(MANGLE_MODES), overlap_bytes=rng.randint(1, 12))
+        for flow in generator.flows(flows, num_packets=rng.randint(3, 8), segment_bytes=24)
+    ]
+    wire = TrafficGenerator.interleave(mangled)
+    for _ in range(flows):
+        victim = rng.choice([packet for packet in wire if packet.payload])
+        cut = rng.randrange(len(victim.payload))
+        wire.insert(rng.randrange(len(wire) + 1), seg(
+            bytes(len(victim.payload) - cut), (victim.tcp_seq + cut) % 2**32, ACK, victim.header,
+        ))
+    return renumbered(wire)
+
+
+MANGLE_RULES = generate_snort_like_ruleset(30, seed=8)
+
 
 # ----------------------------------------------------------------------
 # interning: bounded tables, equal-not-identical keys
@@ -448,7 +668,7 @@ class TestFlowInterning:
         assert max(sizes) <= small_intern_bound
         assert len(run.events) >= 3 * small_intern_bound  # every split pattern found
 
-        monkeypatch.setattr(replay, "decode_frame", reference_decode_frame)
+        monkeypatch.setattr(replay, "decode_fields", reference_decode_fields)
         with Session.from_config(config) as session:
             expected = session.run()
         assert run.events == expected.events
@@ -647,6 +867,43 @@ class TestOncePerFlow:
         assert len(reassembler) == 0  # the FIN retired the flow
         assert reassembler.stats.reordered == 0
 
+    @pytest.mark.parametrize("policy", ["first", "last"])
+    def test_a_segment_ahead_of_a_waiting_hole_skips_the_hole_buffer(self, monkeypatch, policy):
+        """Only what lands beyond the delivery point, or overlaps the first
+        buffered piece, is inserted; an in-order segment that ends at or
+        before it is delivered directly and then drains what it joined."""
+        inserted = []
+        real_insert = TcpReassembler._insert
+
+        def counting(self, state, offset, data):
+            inserted.append((offset, len(data)))
+            return real_insert(self, state, offset, data)
+
+        monkeypatch.setattr(TcpReassembler, "_insert", counting)
+        header = FiveTuple("10.0.0.1", "10.0.0.2", 40000, 80, "tcp")
+        isn = 2**32 - 50  # the stream wraps
+        stream = bytes(range(200))
+
+        def at(start, end, flags=ACK):
+            return seg(stream[start:end], (isn + 1 + start) % 2**32, flags, header)
+
+        wire = renumbered([
+            seg(b"", isn, SYN, header),
+            at(100, 140), at(160, 200, ACK | FIN),  # two holes wait
+            at(0, 20), at(20, 60),                   # in order, ahead of both
+            at(60, 100),                             # ends at the hole: drains 100-140
+            at(130, 150),                            # overlaps the delivered point: trimmed
+            at(150, 165),                            # overlaps the second hole: inserted
+        ])
+        reassembler = TcpReassembler(overlap_policy=policy)
+        out = reassembler.process(wire)
+        assert inserted == [(100, 40), (160, 40), (150, 15)]
+        assert b"".join(packet.payload for packet in out) == stream
+        assert len(reassembler) == 0  # the FIN retired the flow
+        reference = ReferenceReassembler(overlap_policy=policy)
+        assert view(out) == view(reference.process(wire))
+        assert_same_state(reassembler, reference)
+
     def test_a_hit_free_batch_does_no_per_segment_work(self, monkeypatch):
         calls = []
         real = StreamScanner._attribute
@@ -671,6 +928,40 @@ class TestOncePerFlow:
         hits, _ = StreamScanner(program, FlowTable(1024)).scan_batch(items)
         assert calls == [keys[5]]
         assert {index: len(events) for index, events in hits.items()} == {5 + 256: 1}
+
+    def test_one_object_per_packet_through_a_session(self, monkeypatch, tmp_path):
+        """A 10 000-frame capture through ``Session.run()``: no
+        ``CaptureRecord`` and no ``DecodedFrame`` is built, and every
+        ``Packet`` is either a decoded frame or a reassembled segment."""
+        header = FiveTuple("10.4.0.1", "10.4.1.1", 20000, 80, "tcp")
+        wire = [seg(b"", 99, SYN, header)] + [
+            seg(b"z" * 30, 100 + 30 * index, ACK, header) for index in range(9_999)
+        ]
+        wire[500], wire[501] = wire[501], wire[500]  # one segment waits behind a hole
+        path = tmp_path / "ten_thousand.pcap"
+        write_packets(str(path), renumbered(wire))
+        config = {
+            "mode": "stream",
+            "rules": {"kind": "specs", "rules": [{"content": "zzzz", "sid": 1}]},
+            "engine": {"backend": "dense", "reassemble": True},
+            "source": {"kind": "pcap", "path": str(path)},
+        }
+        built = {CaptureRecord: 0, frames.DecodedFrame: 0, Packet: 0}
+        for cls in built:
+            def counting(self, *args, real=cls.__init__, cls=cls, **kwargs):
+                built[cls] += 1
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        with Session.from_config(config) as session:
+            run = session.run()
+            counts = dict(built)
+            assert run.stats["capture"]["decoded"] == 10_000
+            assert run.stats["reassembly"]["reordered"] == 1
+            emitted = run.stats["reassembly"]["packets_out"]
+            assert counts == {CaptureRecord: 0, frames.DecodedFrame: 0, Packet: 10_000 + emitted}
+            # the container is still there for whoever asks
+            assert (session.capture.fmt, len(session.capture)) == ("pcap", 10_000)
 
     def test_a_capture_is_read_in_blocks(self):
         class CountingReader(io.BytesIO):

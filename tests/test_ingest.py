@@ -363,6 +363,44 @@ def test_max_packets_stops_mid_drain():
     assert report.events == reference.events and report.events
 
 
+class PausingSource:
+    """Emits three segments, pauses, then emits the rest."""
+
+    kind = "pausing"
+
+    def __init__(self, packets, pause):
+        self.packets = packets
+        self.pause = pause
+        self.arrivals = []
+
+    def stats(self):
+        return {"segments": len(self.arrivals)}
+
+    async def run(self, emit):
+        for index, packet in enumerate(self.packets):
+            if index == 3:
+                await asyncio.sleep(self.pause)
+            self.arrivals.append(time.monotonic())
+            emit(packet.header, packet.payload)
+
+
+def test_batch_idle_closes_an_open_batch():
+    """A 5 ms ``batch_idle``, not the 50 ms tick, decides when an open batch
+    is quiet: three segments, a 40 ms pause, one more — the three are
+    scanned as a batch of their own before the fourth arrives."""
+    program = crafted_program()
+    scanned_at = []
+    source = PausingSource(burst(4), pause=0.04)
+    with ScanService(program, num_shards=2) as service:
+        pipeline = RecordingPipeline(
+            service, on_scan=lambda batches: scanned_at.append(time.monotonic())
+        )
+        report = LiveIngestor(pipeline, batch_packets=64, batch_idle=0.005).serve(source)
+    assert pipeline.batches == [3, 1]
+    assert scanned_at[0] < source.arrivals[3]
+    assert report.stop_reason == "source_exhausted" and report.packets == 4
+
+
 def test_a_follow_mode_tail_still_idle_flushes_a_partial_batch(
     tmp_path, workload, dense_program
 ):
