@@ -30,7 +30,8 @@ over the whole state graph:
   the 13-pointer hardware limit, with no two states overlapping inside a
   word.
 * **Dense kernel views** — the lane kernel's premultiplied table holds every
-  dense-table target shifted left by 8, its match-flag vector marks exactly
+  dense-table target shifted left by 8, plus the table's size when the
+  reference target reports a match, its match-flag vector marks exactly
   the reference's reporting states, and a lane's warm-up is at least as long
   as the deepest state (a shorter one loses matches just after a lane cut).
 * **DTP kernel views** — the row-displacement table owns, for every state,
@@ -337,35 +338,40 @@ def _check_dense(capped: _Capped, program: CompiledDenseProgram, ref: Reference)
     _check_pattern_reachability(capped, program.matches_of, ref, source)
 
     # The kernel's views must agree with the dense table and the reference:
-    # premultiplied entries are the targets shifted left by 8, one flag per
-    # state marks the matching ones.
+    # a premultiplied entry is its target shifted left by 8, plus the table
+    # size when the target reports a match; one flag per state marks the
+    # matching ones.
     premultiplied = program.premultiplied
-    if premultiplied.shape != (program.table.size,):
+    size = program.table.size
+    if premultiplied.shape != (size,):
         capped.add(
             ERROR,
             "DEN003",
             f"premultiplied table shape {premultiplied.shape} != flattened "
-            f"table shape {(program.table.size,)}",
+            f"table shape {(size,)}",
             source=source,
         )
         return
-    targets = premultiplied.reshape(program.table.shape).astype(np.int64)
-    wrong = ((targets >> 8) != program.table) | ((targets & 0xFF) != 0)
-    for state, byte in np.argwhere(wrong).tolist():
-        capped.add(
-            ERROR,
-            "DEN003",
-            f"premultiplied entry {int(targets[state, byte])} is not table "
-            f"target {int(program.table[state, byte])} << 8",
-            state=int(state),
-            byte=int(byte),
-            source=source,
-        )
     has_match = np.fromiter(
         (len(ref.outputs[s]) > 0 for s in range(ref.num_states)),
         dtype=bool,
         count=ref.num_states,
     )
+    values = premultiplied.reshape(program.table.shape).astype(np.int64)
+    # clipped: an out-of-range table entry is DEN001's finding, not a crash
+    flagged = has_match.take(program.table, mode="clip")
+    expected = (program.table.astype(np.int64) << 8) + size * flagged
+    for state, byte in np.argwhere(values != expected).tolist():
+        capped.add(
+            ERROR,
+            "DEN003",
+            f"premultiplied entry {int(values[state, byte])} is not table "
+            f"target {int(program.table[state, byte])} << 8 plus {size} times "
+            f"its match flag ({bool(flagged[state, byte])})",
+            state=int(state),
+            byte=int(byte),
+            source=source,
+        )
     flags = program.match_flags
     if flags.shape != has_match.shape:
         capped.add(

@@ -12,19 +12,23 @@ function* baseline does, but engineered for a software host:
 * ``match_index`` / ``match_pids`` — a packed match-output array: state ``s``
   matches the pattern ids ``match_pids[match_index[s]:match_index[s + 1]]``,
   mirroring the hardware's matching-string-number memory walk;
-* ``premultiplied`` / ``match_flags`` — the kernel's views: the flat table
-  with every target stored as ``state << 8``, so the next lookup index is one
-  add (``target + byte``), and one boolean per state marking the states that
-  report a match.
+* ``premultiplied`` / ``match_flags`` — the kernel's views: one boolean per
+  state marking the states that report a match, and the flat table with every
+  target ``t`` stored as ``(t << 8) + N * match_flags[t]`` (``N`` its length):
+  the next lookup index is one add (``value + byte``, taken modulo ``N``), and
+  a value of ``N`` or more is a match, like the paper's has-match bit in the
+  state word.
 
 The lane kernel
 ---------------
 Every job is cut into lanes warmed up from the root and all lanes of all jobs
-advance together (the cut, the warm-up argument, tiles and match extraction
-are :mod:`repro.core.lanes`, shared with the DTP kernel).  This kernel's step
-is a single ``np.take(premultiplied, state + byte_column)`` and costs the
-same whatever state the traffic drives the automaton into, which is the
-software form of the paper's guaranteed rate.
+advance together (the cut, the warm-up argument, tiles, slabs and match
+extraction are :mod:`repro.core.lanes`, shared with the DTP kernel).  This
+kernel's step is a single ``np.take(premultiplied, state + byte_column,
+mode="wrap")`` and costs the same whatever state the traffic drives the
+automaton into, which is the software form of the paper's guaranteed rate.  A
+slab of states with no match is found by one ``max()``; states are decoded to
+plain ids, ``(value % N) >> 8``, only for hits and final states.
 
 Calls too small to amortise the dispatch (``lanes.KERNEL_MIN_BYTES``) keep a
 scalar loop over lazily built *signed rows* (``row[byte]`` is the next state,
@@ -52,18 +56,29 @@ from ..backend import FlowState, MatchList
 from . import lanes
 from .lanes import LaneBatch, LaneCut, LaneKernelMixin
 
-#: Largest state count whose premultiplied index (``state << 8 | byte``)
-#: still fits ``int32``.
-INT32_MAX_STATES = 1 << 23
+#: Largest state count whose flagged premultiplied index (below ``2 * N``,
+#: ``N = num_states * 256``) still fits ``int32``.
+INT32_MAX_STATES = 1 << 22
 
 
 def premultiplied_dtype(num_states: int) -> np.dtype:
     """The integer type of the premultiplied table for ``num_states`` states.
 
-    ``state << 8`` wraps silently in ``int32`` from 2**23 states on; larger
+    A flagged index wraps silently in ``int32`` past 2**22 states; larger
     automata pay for ``int64`` indices instead of walking a corrupt table.
     """
-    return np.dtype(np.int32 if num_states < INT32_MAX_STATES else np.int64)
+    return np.dtype(np.int32 if num_states <= INT32_MAX_STATES else np.int64)
+
+
+def flagged_view(table: np.ndarray, match_flags: np.ndarray) -> np.ndarray:
+    """``premultiplied`` (see the module docstring), gathered into place 256
+    rows at a time: one gather would widen the whole table to ``intp``."""
+    view = np.empty(table.shape, dtype=premultiplied_dtype(len(table)))
+    entering = np.arange(len(table), dtype=view.dtype) << 8  # value per state
+    entering[match_flags] += view.size
+    for low in range(0, len(table), 256):
+        entering.take(table[low:low + 256], out=view[low:low + 256], mode="clip")
+    return view.ravel()
 
 
 class _SignedRows(dict):
@@ -110,9 +125,7 @@ class CompiledDenseProgram(LaneKernelMixin):
         # kernel views (the root, state 0, can never match — patterns are
         # non-empty — so a signed row's sign encoding is unambiguous)
         self.match_flags = np.diff(self.match_index) > 0
-        self.premultiplied = (
-            self.table.astype(premultiplied_dtype(self.num_states)) << 8
-        ).ravel()
+        self.premultiplied = flagged_view(self.table, self.match_flags)
         self._rows = _SignedRows(self.table, self.match_flags)
 
     # ------------------------------------------------------------------
@@ -182,34 +195,39 @@ class CompiledDenseProgram(LaneKernelMixin):
     ) -> List[Tuple[MatchList, FlowState]]:
         cut = LaneCut(batch, self.warmup)
         premultiplied, dtype = self.premultiplied, self.premultiplied.dtype
+        # a state value at or above this carries the match bit
+        flagged = len(premultiplied)
         count = len(flow_states)
-        carried = np.fromiter((states[0].state for states in flow_states), dtype, count)
+        carried = np.fromiter((states[0].state for states in flow_states), dtype, count) << 8
         offsets = np.fromiter((states[0].offset for states in flow_states), np.int64, count)
         # the bound method skips np.take's Python wrapper, ~1.4 us a step
         add, take = np.add, premultiplied.take
 
         def walk(window, history, first_lanes, first_jobs):
-            columns = np.ascontiguousarray(window)
             rows = list(history)
             lookup = np.empty_like(rows[0])
             # warm up from the root in place: these states report nothing
             state = rows[0]
             state.fill(0)
-            for column in columns[:cut.lead]:
+            for column in np.ascontiguousarray(window[:cut.lead]):
                 add(state, column, out=lookup)
-                take(lookup, out=state, mode="clip")
-            state[first_lanes] = carried[first_jobs] << 8
-            for state, column, following in zip(rows, columns[cut.lead:], rows[1:]):
-                add(state, column, out=lookup)
-                take(lookup, out=following, mode="clip")
-            entered = history[1:]
-            np.right_shift(entered, 8, out=entered)  # the walk is done with it
+                take(lookup, out=state, mode="wrap")
+            state[first_lanes] = carried[first_jobs]
+            for top in range(cut.lead, len(window), len(rows) - 1):
+                columns = np.ascontiguousarray(window[top:top + len(rows) - 1])
+                for source, column, target in zip(rows, columns, rows[1:]):
+                    add(source, column, out=lookup)
+                    take(lookup, out=target, mode="wrap")
+                yield len(columns)
 
-        hits, final = cut.run(carried, offsets, self.match_flags, walk, cut.lane_len + 1)
-        return lanes.job_results(
-            flow_states, batch,
-            lanes.expand_hits(hits, self.match_index, self.match_pids), [final],
+        def reports(entered):
+            return entered >= flagged if entered.max() >= flagged else None
+
+        (jobs, ends, values), final = cut.run(carried, offsets, walk, reports)
+        hits = lanes.expand_hits(
+            (jobs, ends, (values - flagged) >> 8), self.match_index, self.match_pids
         )
+        return lanes.job_results(flow_states, batch, hits, [(final % flagged) >> 8])
 
     # ------------------------------------------------------------------
     # memory accounting
@@ -218,7 +236,7 @@ class CompiledDenseProgram(LaneKernelMixin):
         """Total resident footprint: dense arrays plus the scan views.
 
         Counts the NumPy transition/match arrays, the premultiplied table
-        and flag vector the kernel gathers from, and the signed rows the
+        the kernel gathers from and the flag vector, and the signed rows the
         scalar loop has built so far (8-byte list slots plus one boxed int
         per entry outside CPython's small-int cache).  Matters because the
         dense backend's whole trade is memory for speed — understating it

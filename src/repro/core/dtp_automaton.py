@@ -49,10 +49,12 @@ A missing history byte (stream start) is the value :data:`NO_BYTE` ``= 256``,
 which no stored preceding character equals — hence the stride of 257.  The
 default target depends on ``(byte, prev1, prev2)`` and never on the state, so
 it is computed from the tile's byte matrix alone, for every lane and an
-eighth of the tile's steps per call; a step is then ``take(base) + byte ->
-take(check) != state -> take(next)``, overwritten by that step's default row
-where no pointer is stored.  The step costs the same whether a pointer hits
-or a default fires.
+eighth of a history slab's steps per call; a step is then ``take(base) +
+byte -> take(check) != state -> take(next)``, overwritten by that step's
+default row where no pointer is stored.  The step costs the same whether a
+pointer hits or a default fires.  The states stay plain ids: a slab's hits
+are found with one ``match_flags`` gather (the dense kernel carries the flag
+in the state value instead; these views are the paper's sized structure).
 
 Why a lane may warm up from the root: with the stream's true history a
 default can land a warming lane *deeper* than the plain DFA lane that left
@@ -438,32 +440,34 @@ class DTPAutomaton(LaneKernelMixin):
             np.int16, count,
         )
         warm = cut.lead - 2
-        # the default rows of a whole tile would outweigh its state history:
-        # they are made for an eighth of the steps at a time
-        slab = (cut.lead + cut.lane_len) // 8 + 1
         # bound methods skip np.take's Python wrapper
         base, check, following_of = self.base.take, self.check.take, self.next.take
         add, differs, copyto = np.add, np.not_equal, np.copyto
 
         def walk(window, history, first_lanes, first_jobs):
-            columns = window.astype(np.int16)
-            # a job's first lane reads the carried history where the packed
-            # buffer has another job's bytes
-            columns[warm, first_lanes] = prev2[first_jobs]
-            columns[warm + 1, first_lanes] = prev1[first_jobs]
-            consumed = list(columns[2:])
+            rows = list(history)
+            slab = len(rows) - 1
+            # the default rows of a whole slab would outweigh its states:
+            # they are made for an eighth of its steps at a time
+            part = slab // 8 + 1
             slot = np.empty(history.shape[1], dtype=np.int32)
             owner = np.empty_like(slot)
             pruned = np.empty(history.shape[1], dtype=bool)
 
             def advance(first, sources, targets):
                 """Steps ``first`` .. ``first + len(sources) - 1``."""
-                for top in range(0, len(sources), slab):
+                for top in range(0, len(sources), part):
                     low = first + top
-                    high = min(low + slab, first + len(sources))
+                    columns = window[low:min(low + part, first + len(sources)) + 2]
+                    columns = columns.astype(np.int16)
+                    # a job's first lane reads the carried history where the
+                    # packed buffer has another job's bytes
+                    for row, carried_bytes in ((warm, prev2), (warm + 1, prev1)):
+                        if low <= row < low + len(columns):
+                            columns[row - low, first_lanes] = carried_bytes[first_jobs]
                     for state, column, default, following in zip(
-                        sources[top:], consumed[low:high],
-                        self._default_rows(columns[low:high + 2]), targets[top:],
+                        sources[top:], columns[2:], self._default_rows(columns),
+                        targets[top:],
                     ):
                         base(state, out=slot, mode="clip")
                         add(slot, column, out=slot)
@@ -472,17 +476,17 @@ class DTPAutomaton(LaneKernelMixin):
                         following_of(slot, out=following, mode="clip")
                         copyto(following, default, where=pruned)
 
-            rows = list(history)
             # warm up from the root in place: these states report nothing
             state = rows[0]
             state.fill(ROOT)
             advance(0, [state] * warm, [state] * warm)
             state[first_lanes] = carried[first_jobs]
-            advance(warm, rows[:-1], rows[1:])
+            for top in range(0, cut.lane_len, slab):
+                steps = min(slab, cut.lane_len - top)
+                advance(warm + top, rows[:steps], rows[1:steps + 1])
+                yield steps
 
-        hits, final = cut.run(
-            carried, offsets, self.match_flags, walk, cut.lead + cut.lane_len
-        )
+        hits, final = cut.run(carried, offsets, walk, self.match_flags.take)
         return lanes.expand_hits(hits, self.match_index, self.match_pids), final
 
     def _scan_lanes(

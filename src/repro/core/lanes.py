@@ -21,22 +21,25 @@ is here, once::
             LaneCut(batch, warmup)   pack + lane geometry, once per batch
                  │
                  └─ run(carried, ...)    once per kernel (per block)
-                      per tile:  byte window ─► kernel's walk() ─► state history
-                                 final-state pick-up, slabbed flag gather,
-                                 nonzero ─► (job, end offset, state) hits
+                      per tile:  byte window ─► kernel's walk() ─► one slab
+                      per slab:  final-state pick-up; reports() ─► flatnonzero
+                                 ─► (job, end offset, state) hits
                  expand_hits / split_matches ─► per-job match lists
 
-Lanes are processed in tiles of at most :data:`TILE_CELLS` lane rows, so
-working memory is bounded by the tile, not by the batch.  A tile keeps the
-state of every lane at every step; matches come out of it with one flag
-gather and one ``nonzero``, and are reported per job in end-offset, then
+A tile is every lane of the batch side by side, up to :data:`MAX_WIDTH`
+lanes.  It keeps the states of a *slab* of steps only (:data:`SLAB_CELLS`
+lane cells): the walk fills the slab, the driver picks up the final states
+and the hits in it, and the next slab starts from its last row.  Working
+memory is set by the slab, not by the batch nor the lane length.  Hits are
+found by the kernel's ``reports`` test on the slab — one ``max()`` for the
+dense kernel, whose state values carry the match bit — and taken out with
+``flatnonzero``; they are reported per job in end-offset, then
 ``outputs[state]``, order — the order of the byte-at-a-time walk.
 
 The lane length is derived from the batch: every step pays a fixed NumPy
 dispatch cost whatever the lane count, and every lane pays ``warmup`` extra
 steps, so few long lanes waste dispatch and many short lanes waste warm-up;
-the optimum grows with the square root of the batch until the tile bound caps
-it.
+the optimum grows with the square root of the batch.
 
 Calls too small to amortise the dispatch (:data:`KERNEL_MIN_BYTES`) keep the
 kernel owner's scalar loop, which is also the reference the kernels are
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import isqrt
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,29 +70,37 @@ from ..backend import (
 #: ~2 KB at 8-byte ones; the dense scalar loop runs 55-95 ns/B).
 KERNEL_MIN_BYTES = 4096
 
-#: Lane rows (one lane's cell at one step) a tile may hold.  The dense kernel
-#: keeps an ``int32`` state per row, 1 MB, plus ~0.6 MB of byte columns and
-#: flag-gather scratch; the dtp kernel counts its warm-up rows too and keeps
-#: ``int16`` bytes beside the states, ~1.9 MB with its default-row slab.
-#: Twice that is ~10 % faster on 2 MB batches, but the tile is what a small
-#: ruleset's process pays in peak RSS for using a kernel at all.
-TILE_CELLS = 1 << 18
+#: Lanes a tile walks side by side: a batch of more lanes takes several
+#: tiles.  Past a few thousand lanes a step costs ~2.3 ns a lane whatever the
+#: width, so the cap only bounds the per-step rows (128 KB of ``int32``).
+MAX_WIDTH = 1 << 15
+
+#: Lane cells (one lane's state after one step) a history slab holds: 1 MB
+#: of ``int32`` states.  A slab costs the driver a few NumPy calls and the
+#: dense kernel one ``max()`` over it, ~5 % of walking it at this size.
+SLAB_CELLS = 1 << 18
 
 #: What one kernel step's fixed NumPy dispatch costs, in lane cells of gather
-#: work (measured: ~1.7 us per step against ~6 ns per cell).
-STEP_DISPATCH_CELLS = 256
+#: work (measured: ~3.5 us per two-call step against ~2.3 ns per cell).
+STEP_DISPATCH_CELLS = 1024
 
 #: ``walk(window, history, lanes, jobs)``: a kernel's inner loop over one
-#: tile.  ``window[i]`` is byte ``i`` of every lane's window (``lead`` bytes
-#: before the lane's cut, then its own ``lane_len``); the kernel leaves the
-#: plain state id each lane entered on its own byte ``i`` in ``history[i + 1]``
-#: (``history[0]`` is the state at the cut).  ``lanes`` are the tile's lanes
-#: that open a job and ``jobs`` the jobs they open: those start from the
-#: job's carried-in state instead of a warm-up.
-Walk = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+#: tile, a generator.  ``window[i]`` is byte ``i`` of every lane's window
+#: (``lead`` bytes before the lane's cut, then its own ``lane_len``).  Slab by
+#: slab, it leaves the state value each lane entered on the slab's byte ``k``
+#: in ``history[k + 1]`` and yields the slab's byte count; a slab starts from
+#: ``history[0]``: the state at the cut, then the last row of the slab before,
+#: which the driver moves there.  ``lanes`` are the tile's lanes that open a
+#: job and ``jobs`` the jobs they open: those start from the job's carried-in
+#: state instead of a warm-up.
+Walk = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], Iterator[int]]
+
+#: ``reports(entered)``: the cells of a slab's states that report a match, as
+#: a boolean mask, or ``None`` when none does.
+Reports = Callable[[np.ndarray], Optional[np.ndarray]]
 
 #: Flat hit arrays, one entry per report, in packed-buffer order:
-#: ``(job index, stream-absolute end offset, state or pattern id)``.
+#: ``(job index, stream-absolute end offset, state value or pattern id)``.
 Hits = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -125,16 +136,14 @@ class LaneBatch:
 def lane_length(warmup: int, total_bytes: int) -> int:
     """Lane length for a batch of ``total_bytes``.
 
-    With ``w`` warm-up steps, lane length ``l`` and ``n`` bytes in a tile
-    (a batch larger than one tile repeats it), a pass takes ``w + l``
-    steps of ``STEP_DISPATCH_CELLS + n / l`` cell-times each, least at
-    ``l = sqrt(w * n / STEP_DISPATCH_CELLS)``.  The extra ``w`` under the
-    root keeps the result from falling below ``w``: a lane's warm-up
-    must stay inside its own job.
+    With ``w`` warm-up steps, lane length ``l`` and ``n`` bytes, a pass
+    takes ``w + l`` steps of ``STEP_DISPATCH_CELLS + n / l`` cell-times
+    each, least at ``l = sqrt(w * n / STEP_DISPATCH_CELLS)``.  The extra
+    ``w`` under the root keeps the result from falling below ``w``: a
+    lane's warm-up must stay inside its own job.
     """
     warmup = max(warmup, 1)
-    cells = min(total_bytes, TILE_CELLS)
-    return isqrt(warmup * (warmup + cells // STEP_DISPATCH_CELLS))
+    return isqrt(warmup * (warmup + total_bytes // STEP_DISPATCH_CELLS))
 
 
 def pack_outputs(outputs: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -188,48 +197,47 @@ class LaneCut:
         self,
         carried: np.ndarray,
         offsets: np.ndarray,
-        match_flags: np.ndarray,
         walk: Walk,
-        lane_rows: int,
+        reports: Reports,
     ) -> Tuple[Hits, np.ndarray]:
         """Walk every lane with one kernel; return its hits and final states.
 
-        ``carried`` / ``offsets`` hold each job's carried-in state id and
-        stream offset; ``lane_rows`` is what one lane weighs in the tile
-        budget.  Hits carry the *state* that reported; the final-state array
-        has one id per job (an empty job ends where it started).
+        ``carried`` / ``offsets`` hold each job's carried-in state value and
+        stream offset.  Hits carry the state *value* that reported; the
+        final-state array has one value per job (an empty job ends where it
+        started) — both in the kernel's encoding, which it decodes.
         """
         lane_len, num_lanes = self.lane_len, self.num_lanes
         live, live_first, live_last = self.live, self.live_first, self.live_last
         final = carried.copy()
-        tile = max(1, min(num_lanes, TILE_CELLS // lane_rows))
-        history = np.empty((lane_len + 1, tile), dtype=carried.dtype)
-        # the flag gather widens its indices to intp: eight slabs a tile keep
-        # that temporary a quarter of the history's size
-        slab = lane_len // 8 + 1
+        width = max(1, min(num_lanes, MAX_WIDTH))
+        slab = max(1, min(lane_len, SLAB_CELLS // width))
         hit_positions: List[np.ndarray] = []
         hit_states: List[np.ndarray] = []
-        for low in range(0, num_lanes, tile):
-            high = min(num_lanes, low + tile)
+        for low in range(0, num_lanes, width):
+            high = min(num_lanes, low + width)
             windows = sliding_window_view(self.data, self.lead + lane_len)
+            history = np.empty((slab + 1, high - low), dtype=carried.dtype)
+            begin, end = np.searchsorted(live_last, (low, high))  # jobs ending here
+            ending, rows = live[begin:end], self.live_last_row[begin:end]
+            ending_lanes = live_last[begin:end] - low
             begin, end = np.searchsorted(live_first, (low, high))
-            walk(
-                windows[low * lane_len:high * lane_len:lane_len].T,
-                history[:, :high - low],
-                live_first[begin:end] - low,
-                live[begin:end],
-            )
-            begin, end = np.searchsorted(live_last, (low, high))
-            final[live[begin:end]] = history[
-                self.live_last_row[begin:end], live_last[begin:end] - low
-            ]
-            entered = history[1:, :high - low]
-            for top in range(0, lane_len, slab):
-                part = entered[top:top + slab]
-                steps, lanes = np.nonzero(match_flags.take(part))
-                if len(steps):
-                    hit_positions.append((lanes + low) * lane_len + steps + top)
-                    hit_states.append(part[steps, lanes])
+            top = 0
+            for count in walk(
+                windows[low * lane_len:high * lane_len:lane_len].T, history,
+                live_first[begin:end] - low, live[begin:end],
+            ):
+                entered = history[1:count + 1]
+                due = (rows > top) & (rows <= top + count)
+                final[ending[due]] = history[rows[due] - top, ending_lanes[due]]
+                mask = reports(entered)
+                if mask is not None:
+                    cells = np.flatnonzero(mask)
+                    steps, lanes = np.divmod(cells, high - low)
+                    hit_positions.append((lanes + low) * lane_len + top + steps)
+                    hit_states.append(entered.take(cells))
+                history[0] = history[count]
+                top += count
 
         if not hit_positions:
             empty = np.empty(0, dtype=np.int64)

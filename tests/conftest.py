@@ -21,13 +21,17 @@ import json
 import random
 import struct
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.automata import AhoCorasickDFA
+from repro.automata.trie import ROOT
 from repro.backend import get_backend
 from repro.capture import (
     LINKTYPE_ETHERNET,
@@ -39,7 +43,9 @@ from repro.capture import (
 )
 from repro.capture.frames import DecodedFrame
 from repro.capture.replay import ReplayStats
-from repro.core import DTPAutomaton, compile_ruleset
+from repro.core import DTPAutomaton, compile_ruleset, lanes
+from repro.core.dtp_automaton import _STRIDE, NO_BYTE
+from repro.core.lanes import LaneBatch
 from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.ids.classifier import CANDIDATE_CACHE_LIMIT
 from repro.ids.confirm import OccurrenceFn, RuleEvaluator, _Step
@@ -120,18 +126,18 @@ def force_short_lanes(monkeypatch):
     """Private test hook for the lane kernels (the shared driver's module
     constants, not an option): every call takes the kernel, and
     ``force(program)`` makes its lanes exactly one warm-up long — the
-    shortest legal — with ``lanes_per_tile`` dense lanes a tile (a dtp lane,
-    which keeps its warm-up and history bytes too, weighs two), so a few dozen
-    bytes cross lane cuts and tile boundaries.  Returns the lane length."""
-    from repro.core import lanes
-
+    shortest legal — its tiles ``lanes_per_tile`` lanes wide and its history
+    slabs ``slab_rows`` steps deep (a tile of fewer lanes gets deeper slabs),
+    so a few dozen bytes cross lane cuts, tile boundaries and slab edges.
+    Returns the lane length."""
     monkeypatch.setattr(lanes, "KERNEL_MIN_BYTES", 0)
     monkeypatch.setattr(lanes, "STEP_DISPATCH_CELLS", 1 << 40)
 
-    def force(program, lanes_per_tile: int = 3) -> int:
+    def force(program, lanes_per_tile: int = 3, slab_rows: int = 4) -> int:
         lane_len = lanes.lane_length(program.warmup, 10_000)
         assert lane_len == program.warmup
-        monkeypatch.setattr(lanes, "TILE_CELLS", lanes_per_tile * (lane_len + 1))
+        monkeypatch.setattr(lanes, "MAX_WIDTH", lanes_per_tile)
+        monkeypatch.setattr(lanes, "SLAB_CELLS", lanes_per_tile * slab_rows)
         return lane_len
 
     return force
@@ -302,6 +308,243 @@ def assert_equivalent_events(
     assert reference is not None, "no backend/worker/source combinations given"
     reference.combinations = combinations
     return reference
+
+
+# ----------------------------------------------------------------------
+# the lane kernels as they were: whole-lane history tiles, flag gathers
+# ----------------------------------------------------------------------
+# Moved here verbatim (names prefixed, ``self`` the program) when the driver
+# went to batch-wide tiles over a slab-rolled history and the dense kernel's
+# state values took the match bit.  The differential tests in
+# tests/test_backends.py hold the production kernels to these, batch by
+# batch: hits, their order and every job's final state.
+REFERENCE_TILE_CELLS = 1 << 18
+REFERENCE_STEP_DISPATCH_CELLS = 256
+
+
+def reference_lane_length(warmup: int, total_bytes: int) -> int:
+    """Lane length for a batch of ``total_bytes``.
+
+    With ``w`` warm-up steps, lane length ``l`` and ``n`` bytes in a tile
+    (a batch larger than one tile repeats it), a pass takes ``w + l``
+    steps of ``STEP_DISPATCH_CELLS + n / l`` cell-times each, least at
+    ``l = sqrt(w * n / STEP_DISPATCH_CELLS)``.  The extra ``w`` under the
+    root keeps the result from falling below ``w``: a lane's warm-up
+    must stay inside its own job.
+    """
+    warmup = max(warmup, 1)
+    cells = min(total_bytes, REFERENCE_TILE_CELLS)
+    return isqrt(warmup * (warmup + cells // REFERENCE_STEP_DISPATCH_CELLS))
+
+
+class ReferenceLaneCut:
+    """One batch cut into lanes: the packed bytes and the lane geometry.
+
+    Built once per batch; every kernel that scans the batch (one per block
+    of a multi-block program) :meth:`run`\\ s over the same cut.  ``history``
+    extra bytes are kept in front of each lane's warm-up for kernels whose
+    step reads the bytes before the current one.
+    """
+
+    def __init__(self, batch: LaneBatch, warmup: int, history: int = 0):
+        self.lead = warmup + history
+        self.lane_len = lane_len = reference_lane_length(warmup, len(batch))
+        self.data = batch.pack(lane_len, self.lead)
+        # job j owns lanes first[j] .. first[j] + lanes_of[j] - 1
+        self.lengths = lengths = np.fromiter(
+            map(len, batch.chunks), dtype=np.int64, count=len(batch.chunks)
+        )
+        lanes_of = -(-lengths // lane_len)
+        self.first = np.cumsum(lanes_of) - lanes_of
+        self.num_lanes = int(lanes_of.sum())
+        self.job_of_lane = np.repeat(np.arange(len(lengths)), lanes_of)
+        self.live = live = np.flatnonzero(lanes_of)
+        self.live_first = self.first[live]
+        self.live_last = self.live_first + lanes_of[live] - 1
+        # history row holding a job's final state: the one after its last byte
+        self.live_last_row = lengths[live] - (lanes_of[live] - 1) * lane_len
+
+    def run(
+        self,
+        carried: np.ndarray,
+        offsets: np.ndarray,
+        match_flags: np.ndarray,
+        walk: Callable,
+        lane_rows: int,
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """Walk every lane with one kernel; return its hits and final states.
+
+        ``carried`` / ``offsets`` hold each job's carried-in state id and
+        stream offset; ``lane_rows`` is what one lane weighs in the tile
+        budget.  Hits carry the *state* that reported; the final-state array
+        has one id per job (an empty job ends where it started).
+        """
+        lane_len, num_lanes = self.lane_len, self.num_lanes
+        live, live_first, live_last = self.live, self.live_first, self.live_last
+        final = carried.copy()
+        tile = max(1, min(num_lanes, REFERENCE_TILE_CELLS // lane_rows))
+        history = np.empty((lane_len + 1, tile), dtype=carried.dtype)
+        # the flag gather widens its indices to intp: eight slabs a tile keep
+        # that temporary a quarter of the history's size
+        slab = lane_len // 8 + 1
+        hit_positions: List[np.ndarray] = []
+        hit_states: List[np.ndarray] = []
+        for low in range(0, num_lanes, tile):
+            high = min(num_lanes, low + tile)
+            windows = sliding_window_view(self.data, self.lead + lane_len)
+            begin, end = np.searchsorted(live_first, (low, high))
+            walk(
+                windows[low * lane_len:high * lane_len:lane_len].T,
+                history[:, :high - low],
+                live_first[begin:end] - low,
+                live[begin:end],
+            )
+            begin, end = np.searchsorted(live_last, (low, high))
+            final[live[begin:end]] = history[
+                self.live_last_row[begin:end], live_last[begin:end] - low
+            ]
+            entered = history[1:, :high - low]
+            for top in range(0, lane_len, slab):
+                part = entered[top:top + slab]
+                steps, lanes = np.nonzero(match_flags.take(part))
+                if len(steps):
+                    hit_positions.append((lanes + low) * lane_len + steps + top)
+                    hit_states.append(part[steps, lanes])
+
+        if not hit_positions:
+            empty = np.empty(0, dtype=np.int64)
+            return (empty, empty, empty), final
+        positions = np.concatenate(hit_positions)
+        order = np.argsort(positions)
+        positions = positions[order]
+        jobs = self.job_of_lane[positions // lane_len]
+        within = positions - self.first[jobs] * lane_len
+        real = within < self.lengths[jobs]  # a short last lane also walked its padding
+        jobs = jobs[real]
+        return (
+            jobs,
+            offsets[jobs] + within[real] + 1,
+            np.concatenate(hit_states)[order][real],
+        ), final
+
+
+def reference_dense_scan_lanes(self, flow_states, batch: LaneBatch):
+    """``CompiledDenseProgram._scan_lanes`` as it was, over the plain
+    ``state << 8`` view it walked (rebuilt here from the dense table)."""
+    cut = ReferenceLaneCut(batch, self.warmup)
+    premultiplied = (
+        self.table.astype(np.int32 if self.num_states < 1 << 23 else np.int64) << 8
+    ).ravel()
+    dtype = premultiplied.dtype
+    count = len(flow_states)
+    carried = np.fromiter((states[0].state for states in flow_states), dtype, count)
+    offsets = np.fromiter((states[0].offset for states in flow_states), np.int64, count)
+    # the bound method skips np.take's Python wrapper, ~1.4 us a step
+    add, take = np.add, premultiplied.take
+
+    def walk(window, history, first_lanes, first_jobs):
+        columns = np.ascontiguousarray(window)
+        rows = list(history)
+        lookup = np.empty_like(rows[0])
+        # warm up from the root in place: these states report nothing
+        state = rows[0]
+        state.fill(0)
+        for column in columns[:cut.lead]:
+            add(state, column, out=lookup)
+            take(lookup, out=state, mode="clip")
+        state[first_lanes] = carried[first_jobs] << 8
+        for state, column, following in zip(rows, columns[cut.lead:], rows[1:]):
+            add(state, column, out=lookup)
+            take(lookup, out=following, mode="clip")
+        entered = history[1:]
+        np.right_shift(entered, 8, out=entered)  # the walk is done with it
+
+    hits, final = cut.run(carried, offsets, self.match_flags, walk, cut.lane_len + 1)
+    return lanes.job_results(
+        flow_states, batch,
+        lanes.expand_hits(hits, self.match_index, self.match_pids), [final],
+    )
+
+
+def _reference_default_rows(self, columns: np.ndarray) -> np.ndarray:
+    """``DTPAutomaton._default_rows`` as it was."""
+    pairs = np.multiply(columns[:-1], _STRIDE, dtype=np.int32)
+    pairs += columns[1:]  # pairs[i] = columns[i] * 257 + columns[i + 1]
+    consumed = columns[2:]
+    out = self.default12.take(pairs[1:], mode="clip")
+    fires = self.d3_key.take(consumed, mode="clip") == pairs[:-1]
+    np.copyto(out, self.d3_state.take(consumed, mode="clip"), where=fires)
+    return out
+
+
+def reference_dtp_lane_hits(self, cut: ReferenceLaneCut, scan_states):
+    """``DTPAutomaton.lane_hits`` as it was."""
+    count = len(scan_states)
+    carried = np.fromiter((s.state for s in scan_states), np.int32, count)
+    offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
+    prev1 = np.fromiter(
+        (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.int16, count
+    )
+    prev2 = np.fromiter(
+        (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
+        np.int16, count,
+    )
+    warm = cut.lead - 2
+    # the default rows of a whole tile would outweigh its state history:
+    # they are made for an eighth of the steps at a time
+    slab = (cut.lead + cut.lane_len) // 8 + 1
+    # bound methods skip np.take's Python wrapper
+    base, check, following_of = self.base.take, self.check.take, self.next.take
+    add, differs, copyto = np.add, np.not_equal, np.copyto
+
+    def walk(window, history, first_lanes, first_jobs):
+        columns = window.astype(np.int16)
+        # a job's first lane reads the carried history where the packed
+        # buffer has another job's bytes
+        columns[warm, first_lanes] = prev2[first_jobs]
+        columns[warm + 1, first_lanes] = prev1[first_jobs]
+        consumed = list(columns[2:])
+        slot = np.empty(history.shape[1], dtype=np.int32)
+        owner = np.empty_like(slot)
+        pruned = np.empty(history.shape[1], dtype=bool)
+
+        def advance(first, sources, targets):
+            """Steps ``first`` .. ``first + len(sources) - 1``."""
+            for top in range(0, len(sources), slab):
+                low = first + top
+                high = min(low + slab, first + len(sources))
+                for state, column, default, following in zip(
+                    sources[top:], consumed[low:high],
+                    _reference_default_rows(self, columns[low:high + 2]), targets[top:],
+                ):
+                    base(state, out=slot, mode="clip")
+                    add(slot, column, out=slot)
+                    check(slot, out=owner, mode="clip")
+                    differs(owner, state, out=pruned)
+                    following_of(slot, out=following, mode="clip")
+                    copyto(following, default, where=pruned)
+
+        rows = list(history)
+        # warm up from the root in place: these states report nothing
+        state = rows[0]
+        state.fill(ROOT)
+        advance(0, [state] * warm, [state] * warm)
+        state[first_lanes] = carried[first_jobs]
+        advance(warm, rows[:-1], rows[1:])
+
+    hits, final = cut.run(
+        carried, offsets, self.match_flags, walk, cut.lead + cut.lane_len
+    )
+    return lanes.expand_hits(hits, self.match_index, self.match_pids), final
+
+
+def reference_dtp_scan_lanes(self, flow_states, batch: LaneBatch):
+    """``DTPAutomaton._scan_lanes`` over :func:`reference_dtp_lane_hits`."""
+    hits, final = reference_dtp_lane_hits(
+        self, ReferenceLaneCut(batch, self.warmup, history=2),
+        [state for (state,) in flow_states],
+    )
+    return lanes.job_results(flow_states, batch, hits, [final])
 
 
 # ----------------------------------------------------------------------

@@ -233,16 +233,41 @@ class TestDenseProgram:
         assert program.memory_words() == -(-program.memory_bytes() * 8 // 324)
 
     def test_premultiplied_index_never_wraps(self):
-        """``state << 8`` needs 2**23 states to overflow ``int32``: from there
-        on the table must be built in ``int64``, not wrap silently."""
+        """A flagged index ``(t << 8) + N + byte`` stays below ``2 * N``
+        (``N = states * 256``), so ``int32`` holds it up to 2**22 states: from
+        there on the table must be built in ``int64``, not wrap silently."""
         import numpy as np
 
         limit = compiled.INT32_MAX_STATES
-        assert compiled.premultiplied_dtype(limit - 1) == np.int32
-        assert ((limit - 1) << 8) + 255 <= np.iinfo(np.int32).max
-        assert (limit << 8) > np.iinfo(np.int32).max  # what int32 would wrap
-        assert compiled.premultiplied_dtype(limit) == np.int64
+        assert compiled.premultiplied_dtype(limit) == np.int32
+        size = limit * 256
+        assert ((limit - 1) << 8) + size + 255 == 2 * size - 1 == np.iinfo(np.int32).max
+        assert compiled.premultiplied_dtype(limit + 1) == np.int64  # 2 * N + 511 would wrap
         assert compiled.premultiplied_dtype(10 * limit) == np.int64
+
+    def test_int64_fallback_scans_identically(self, monkeypatch):
+        """The same kernel over an ``int64`` table, chosen through a small
+        state limit: identical matches and final states on a batch of flows
+        that resume mid-pattern and cross every slab of the walk."""
+        import numpy as np
+
+        ruleset = generate_snort_like_ruleset(40, seed=31)
+        narrow = CompiledDenseProgram.from_patterns(ruleset.patterns)
+        monkeypatch.setattr(compiled, "INT32_MAX_STATES", 16)
+        wide = CompiledDenseProgram.from_patterns(ruleset.patterns)
+        assert (narrow.premultiplied.dtype, wide.premultiplied.dtype) == (np.int32, np.int64)
+        assert np.array_equal(narrow.premultiplied, wide.premultiplied)
+        monkeypatch.setattr(lanes, "SLAB_CELLS", 64)
+        rng = random.Random(32)
+        jobs = []
+        for _ in range(12):
+            body = random_payload(rng, list(ruleset.patterns), length=rng.randrange(600, 1400))
+            _, states = narrow._scan_scalar(narrow.initial_scan_states(), body[:7])
+            jobs.append((states, body[7:]))
+        found = narrow.scan_many(jobs)
+        assert found == wide.scan_many(jobs)
+        assert found == [narrow._scan_scalar(states, body) for states, body in jobs]
+        assert any(matches for matches, _ in found)
 
     def test_kernel_walks_an_int64_table(self, monkeypatch):
         """The wide-index variant is the same kernel over another dtype."""
@@ -284,12 +309,14 @@ class TestLaneKernel:
 
     compile = staticmethod(CompiledDenseProgram.from_patterns)
     lanes_per_tile = 3
+    slab_rows = 4
 
     @pytest.fixture
     def short_lanes(self, force_short_lanes):
-        """The kernel on every call, 6-byte lanes, three lanes a tile."""
+        """The kernel on every call, 6-byte lanes, three lanes a tile, slabs
+        of four steps (a slab edge two bytes before every lane's end)."""
         program = self.compile(LANE_PATTERNS)
-        lane_len = force_short_lanes(program, self.lanes_per_tile)
+        lane_len = force_short_lanes(program, self.lanes_per_tile, self.slab_rows)
         assert lane_len == 6
         return program, AhoCorasickDFA.from_patterns(LANE_PATTERNS), lane_len
 
@@ -376,6 +403,100 @@ class TestLaneKernel:
             )
             assert [m for m, _ in batched] == [reference.match(piece) for piece in pieces]
 
+    def test_final_state_on_a_slab_edge(self, short_lanes):
+        """Jobs whose last byte is a slab's last row — the row the next slab
+        starts from — and the rows either side of it, in a job's first lane
+        and in later ones, each resuming a flow mid-pattern: every final
+        state, history and offset is the scalar loop's."""
+        program, reference, lane_len = short_lanes
+        stream = b"xshersxabcdefxhe" * 4
+        edge = min(self.slab_rows, lane_len)
+        lengths = [
+            whole * lane_len + edge + delta
+            for whole in (0, 1, 2) for delta in (-1, 0, 1) if edge + delta > 0
+        ]
+        for head in range(1, 16):
+            jobs = [
+                (scalar_scan(program, program.initial_scan_states(), stream[:head])[1],
+                 stream[head:head + length])
+                for length in lengths
+            ]
+            results = program.scan_many(jobs)
+            assert results == [scalar_scan(program, states, body) for states, body in jobs]
+
+    def test_hits_in_the_first_and_last_cell_of_a_slab(self, short_lanes):
+        """A slab with no hit, then one that reports in its first cell (first
+        lane, first row), its last (last lane, last row), or both: each is
+        found and mapped back to its lane and byte."""
+        program, reference, lane_len = short_lanes
+        first = self.slab_rows
+        last = (self.lanes_per_tile - 1) * lane_len + min(2 * self.slab_rows, lane_len) - 1
+        for cells in ((first,), (last,), (first, last)):
+            payload = bytearray(b"x" * (self.lanes_per_tile * lane_len))
+            for cell in cells:
+                payload[cell] = ord("e")
+            payload = bytes(payload)
+            expected = reference.match(payload)
+            assert [end for end, _ in expected] == [cell + 1 for cell in cells]
+            assert program.match(payload) == expected
+            # ... and with the tile's lanes spread over three jobs
+            pieces = [payload[low:low + lane_len] for low in range(0, len(payload), lane_len)]
+            results = program.scan_many([(program.initial_scan_states(), p) for p in pieces])
+            assert [m for m, _ in results] == [reference.match(p) for p in pieces]
+
+    def test_matches_the_tiled_walk_on_random_batches(self, short_lanes):
+        """Randomized batches — empty, short and multi-lane jobs, each
+        resuming a flow mid-stream — against the driver and walk this kernel
+        had before slab-rolled history (``tests/conftest.py``), with the
+        forced geometry here and the derived one below."""
+        program, reference, lane_len = short_lanes
+        rng = random.Random(41)
+        for _ in range(30):
+            jobs = []
+            for _ in range(rng.randrange(1, 9)):
+                length = rng.choice((0, 1, lane_len - 1, rng.randrange(40)))
+                stream = random_payload(
+                    rng, LANE_PATTERNS, length=length + 12, alphabet=b"hesrabcdfx\x00\x01"
+                )
+                head = rng.randrange(12)
+                _, states = scalar_scan(program, program.initial_scan_states(), stream[:head])
+                jobs.append((states, stream[head:head + length]))
+            batch = lanes.LaneBatch([chunk for _, chunk in jobs])
+            flow_states = [states for states, _ in jobs]
+            assert program._scan_lanes(flow_states, batch) == self.tiled_walk(
+                program, flow_states, batch
+            )
+
+    def test_matches_the_tiled_walk_on_real_sized_batches(self):
+        """Nothing forced: a 60-rule program over batches of up to 60 flows
+        of up to 4 KB with planted strings, against the previous driver."""
+        ruleset = generate_snort_like_ruleset(60, seed=43)
+        program = self.compile(ruleset.patterns)
+        patterns = list(ruleset.patterns)
+        rng = random.Random(44)
+        for _ in range(4):
+            jobs = []
+            for _ in range(rng.randrange(20, 60)):
+                body = bytearray(rng.randbytes(rng.choice((0, 5, rng.randrange(4096)))))
+                for pattern in rng.sample(patterns, 3):
+                    if len(body) > len(pattern):
+                        offset = rng.randrange(len(body) - len(pattern))
+                        body[offset:offset + len(pattern)] = pattern
+                head = rng.choice(patterns)[: rng.randrange(1, 8)]
+                _, states = scalar_scan(program, program.initial_scan_states(), head)
+                jobs.append((states, bytes(body)))
+            batch = lanes.LaneBatch([chunk for _, chunk in jobs])
+            flow_states = [states for states, _ in jobs]
+            found = program._scan_lanes(flow_states, batch)
+            assert found == self.tiled_walk(program, flow_states, batch)
+            assert any(matches for matches, _ in found)
+
+    @staticmethod
+    def tiled_walk(program, flow_states, batch):
+        from tests.conftest import reference_dense_scan_lanes
+
+        return reference_dense_scan_lanes(program, flow_states, batch)
+
     def test_a_pattern_longer_than_any_derived_lane(self):
         """Nothing forced: the derived lane length must stay >= the longest
         pattern, or a lane's warm-up would start mid-pattern and the match
@@ -422,7 +543,12 @@ class TestDtpLaneKernel(TestLaneKernel):
     only that kernel has: the two-byte history a default compares."""
 
     compile = staticmethod(DTPAutomaton.from_patterns)
-    lanes_per_tile = 6  # a dtp lane weighs two: three lanes a tile again
+
+    @staticmethod
+    def tiled_walk(program, flow_states, batch):
+        from tests.conftest import reference_dtp_scan_lanes
+
+        return reference_dtp_scan_lanes(program, flow_states, batch)
 
     def test_kernel_is_the_step_loop(self, short_lanes):
         """Byte for byte the state ``step()`` reaches, on traffic where both
@@ -447,7 +573,21 @@ class TestDtpLaneKernel(TestLaneKernel):
         default's prefix began in the flow's previous segment: the default can
         only fire on the carried ``prev1``/``prev2`` (the bytes before the job
         in the packed buffer are another flow's), and must fire."""
+        self.assert_depth3_defaults_fire_across_jobs(*short_lanes)
+
+    @pytest.mark.parametrize("slab_rows", (1, 2))
+    def test_slab_edge_one_and_two_bytes_into_a_first_lane(
+        self, short_lanes, force_short_lanes, slab_rows
+    ):
+        """A job's first lane reads the carried ``prev2`` and ``prev1`` on its
+        first step and ``prev1`` again on its second: a slab edge after its
+        first or second byte must not lose them from the next slab's bytes."""
         program, reference, lane_len = short_lanes
+        force_short_lanes(program, self.lanes_per_tile, slab_rows)
+        self.assert_depth3_defaults_fire_across_jobs(program, reference, lane_len)
+
+    @staticmethod
+    def assert_depth3_defaults_fire_across_jobs(program, reference, lane_len):
         assert program.defaults.d3
         jobs, expected = [], []
         for byte, entry in sorted(program.defaults.d3.items()):
@@ -489,6 +629,19 @@ class TestDtpLaneKernel(TestLaneKernel):
                     found.extend(matches)
                 assert found == reference.match(stream), (first, second)
                 assert states[0].state == final_state(reference, stream)
+
+
+class TestLaneKernelOneRowSlab(TestLaneKernel):
+    """Every dense test above with a slab edge after every byte: the
+    history the driver keeps is one step deep."""
+
+    slab_rows = 1
+
+
+class TestDtpLaneKernelOneRowSlab(TestDtpLaneKernel):
+    """... and every DTP one."""
+
+    slab_rows = 1
 
 
 class TestAcceleratorLaneKernel:

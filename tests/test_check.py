@@ -129,6 +129,18 @@ def _mutate_dense_premultiplied(program):
     program.premultiplied[256 + ord("e")] += 256
 
 
+def _mutate_dense_value_hides_a_match(program):
+    # one transition into a reporting state loses the match bit of its value
+    size = len(program.premultiplied)
+    program.premultiplied[int(np.flatnonzero(program.premultiplied >= size)[0])] -= size
+
+
+def _mutate_dense_value_invents_a_match(program):
+    # one transition into a silent state gains the match bit
+    size = len(program.premultiplied)
+    program.premultiplied[int(np.flatnonzero(program.premultiplied < size)[0])] += size
+
+
 def _mutate_dense_flag(program):
     # a reporting state the kernel's flag gather would no longer see
     state = int(program.match_flags.nonzero()[0][0])
@@ -260,6 +272,17 @@ class TestMutationDetection:
         assert program.verify().ok
         mutate(program)
         assert {d.code for d in program.verify().errors} == {code}
+
+    @pytest.mark.parametrize(
+        "mutate", (_mutate_dense_value_hides_a_match, _mutate_dense_value_invents_a_match)
+    )
+    def test_dense_match_bit_corruption_names_its_code(self, mutate):
+        """One premultiplied value with its match bit flipped: the table and
+        the flag vector are untouched, so only the flagged view's proof fails."""
+        program = get_backend("dense").compile(FIG2_PATTERNS)
+        assert program.verify().ok
+        mutate(program)
+        assert {d.code for d in program.verify().errors} == {"DEN003"}
 
     def test_corrupt_kernel_view_in_accelerator_block(self):
         ruleset = generate_snort_like_ruleset(60, seed=5)
