@@ -144,7 +144,6 @@ from .streaming import (
     FlowEntry,
     FlowKey,
     FlowTable,
-    ParallelScanService,
     ScanService,
     StreamMatch,
     StreamScanner,
@@ -215,7 +214,6 @@ __all__ = [
     "FlowEntry",
     "FlowKey",
     "FlowTable",
-    "ParallelScanService",
     "ScanService",
     "StreamMatch",
     "StreamScanner",

@@ -6,16 +6,16 @@ A :class:`PipelineConfig` names everything a scan run is made of —
   synthetic :class:`repro.traffic.TrafficGenerator`, or a pcap/pcapng file),
 * a :class:`RulesSpec` (where patterns come from: the synthetic Snort-like
   ruleset, a Snort rules file, or explicit :class:`ContentRule` entries),
-* an :class:`EngineSpec` (backend name, device, shard count, worker
-  processes, per-shard flow capacity, strict capture decoding),
+* an :class:`EngineSpec` (backend name, device, shard count, per-shard
+  flow capacity, strict capture decoding, reassembly),
 * zero or more :class:`SinkSpec` entries (collect alerts or events, write
   them as NDJSON, export the workload as a capture)
 
 — and :class:`repro.api.Session` turns it into the exact object composition
-(`ScanService` / `ParallelScanService` / `IntrusionDetectionSystem` / replay
-adapters) the CLI and the test suite used to hand-wire.  Configs round-trip
-through :meth:`PipelineConfig.to_dict` / :meth:`PipelineConfig.from_dict`
-and load from JSON or TOML files (:func:`load_config`), so any run is a
+(`ScanService` / `IntrusionDetectionSystem` / replay adapters) the CLI and
+the test suite used to hand-wire.  Configs round-trip through
+:meth:`PipelineConfig.to_dict` / :meth:`PipelineConfig.from_dict` and load
+from JSON or TOML files (:func:`load_config`), so any run is a
 reproducible artifact; ``to_dict`` stamps the producing package version.
 
 Source and sink kinds live in registries mirroring the lazy-factory pattern
@@ -397,18 +397,15 @@ class RulesSpec:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EngineSpec:
-    """How the pipeline scans: backend, sharding, workers, flow memory.
+    """How the pipeline scans: backend, sharding, flow memory.
 
-    ``backend`` is any :mod:`repro.backend` registry name; ``workers=None``
-    keeps the serial in-process :class:`repro.streaming.ScanService`, an
-    integer dispatches shards to that many worker processes
-    (:class:`repro.streaming.ParallelScanService`).  Every mode builds its
-    scan service through :func:`repro.streaming.build_scan_service`, so
-    ``workers`` and ``flow_capacity`` mean the same thing in stream and ids
-    mode.  ``shards`` does not yet: the IDS's prefilter keeps one
-    flow table in-process and one shard per worker.  A batch crosses into
-    the backend once whatever the shard count, so splitting it costs no
-    kernel width; what still separates the modes is flow memory — four
+    ``backend`` is any :mod:`repro.backend` registry name.  Every mode scans
+    through one in-process :class:`repro.streaming.ScanService`, so
+    ``flow_capacity`` means the same thing in stream and ids mode.
+    ``shards`` does not yet: stream mode partitions its flow LRU over
+    ``shards`` tables, while the IDS's prefilter keeps one table.  A batch
+    crosses into the backend once whatever the shard count, so splitting it
+    costs no kernel width; what separates the modes is flow memory — four
     shards bound flows per shard, which re-orders evictions (i.e. alerts)
     and changes the ids checkpoint's ``{"num_shards": 1}`` envelope.
     ``strict`` makes pcap-source decoding
@@ -427,7 +424,6 @@ class EngineSpec:
     backend: str = "dtp"
     device: str = "stratix3"
     shards: int = 4
-    workers: Optional[int] = None
     flow_capacity: int = 4096
     strict: bool = False
     reassemble: bool = False
@@ -451,8 +447,6 @@ class EngineSpec:
             )
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.flow_capacity < 1:
             raise ConfigError(f"flow_capacity must be >= 1, got {self.flow_capacity}")
         if self.overlap_policy not in OVERLAP_POLICIES:
@@ -472,8 +466,6 @@ class EngineSpec:
             "shards": self.shards,
             "flow_capacity": self.flow_capacity,
         }
-        if self.workers is not None:
-            out["workers"] = self.workers
         if self.strict:
             out["strict"] = True
         if self.reassemble:
@@ -491,7 +483,7 @@ class EngineSpec:
         _check_keys(
             data,
             (
-                "backend", "device", "shards", "workers", "flow_capacity",
+                "backend", "device", "shards", "flow_capacity",
                 "strict", "reassemble", "overlap_policy", "reassembly_flows",
                 "reassembly_bytes",
             ),

@@ -7,7 +7,7 @@ backend through the full device compiler, every other backend through
 :func:`repro.backend.get_backend`) and **one ordered stage list**::
 
     Reassembly  ->  Prefilter (scan service)  ->  Confirm  ->  Sinks
-    TcpReassembler  build_scan_service(...)       the IDS      config order
+    TcpReassembler  ScanService(...)              the IDS      config order
 
 ``ids`` mode is ``stream`` mode plus the confirm stage: the IDS scans through
 the session's one scan service (``session.service is session.ids.service``).
@@ -21,8 +21,8 @@ are context managers; ``docs/architecture.md`` §7 has the table).
 Everything is built lazily and cached, so a CLI adapter can ask only for
 what it prints; the composition is the same one the direct constructors
 produce, which is what makes the facade's output byte-identical to
-hand-wiring (the contract ``tests/test_api.py`` enforces across backends,
-worker counts and sources).
+hand-wiring (the contract ``tests/test_api.py`` enforces across backends
+and sources).
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ from ..ids.pipeline import IntrusionDetectionSystem
 from ..proto.reassembly import TcpReassembler
 from ..rulesets import parser as rules_parser
 from ..rulesets.generator import generate_snort_like_ruleset
-from ..streaming.executor import build_scan_service
 from ..streaming.ingest import IngestReport, LiveIngestor
-from ..streaming.service import StreamScanResult
+from ..streaming.service import ScanService, StreamScanResult
 from ..traffic.packet import MatchEvent, Packet
 from .config import (
     EmptyRulesetError,
@@ -90,8 +89,7 @@ class Session:
     on first access, ``session.packets`` loads the source once,
     ``session.service`` / ``session.ids`` build the configured engine — so
     construction costs nothing and adapters pay only for what they use.
-    Use as a context manager (or call :meth:`close`) to shut down worker
-    pools.
+    Sessions are context managers; :meth:`close` closes every built stage.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -283,36 +281,33 @@ class Session:
 
     @property
     def service(self):
-        """The pipeline's one (serial or process-parallel) scan service.
+        """The pipeline's one scan service.
 
         In ids mode this *is* :attr:`ids`' service — one prefilter per
-        session, never a second compile.
+        session, never a second compile.  A stream-mode service partitions
+        its flow LRU over ``shards`` tables; the IDS keeps one.
         """
         if self._engine_name == "ids":
             return self.ids.service
         if self._service is _UNSET:
-            self._service = build_scan_service(
+            engine = self.config.engine
+            self._service = ScanService(
                 self.program,
-                num_shards=self.config.engine.shards,
+                num_shards=engine.shards,
+                flow_capacity_per_shard=engine.flow_capacity,
                 track_nocase=self._track_nocase,
-                **self._service_options,
             )
         return self._service
-
-    @property
-    def _service_options(self) -> Dict[str, Any]:
-        """The engine options every mode's scan service is built with."""
-        engine = self.config.engine
-        return dict(workers=engine.workers, flow_capacity=engine.flow_capacity)
 
     @property
     def ids(self):
         """The configured :class:`repro.ids.IntrusionDetectionSystem`."""
         if self._ids is _UNSET:
+            engine = self.config.engine
             options = dict(
                 device=self.device,
-                backend=self.config.engine.backend,
-                **self._service_options,
+                backend=engine.backend,
+                flow_capacity=engine.flow_capacity,
             )
             if self.specs is None:
                 self._ids = IntrusionDetectionSystem.from_ruleset(self.ruleset, **options)
@@ -551,10 +546,9 @@ class Session:
 
         When the engine is the only stateful stage the envelope is the
         engine's own: a stream-mode checkpoint is interchangeable with one
-        taken directly from a :class:`ScanService` /
-        :class:`ParallelScanService` with the same ``shards``, an ids-mode
-        one with the IDS's ``{"service", "confirm"}``.  With ``reassemble``
-        on, the reassembler's state (buffered holes, per-flow anchors) must
+        taken directly from a :class:`ScanService` with the same ``shards``,
+        an ids-mode one with the IDS's ``{"service", "confirm"}``.  With
+        ``reassemble`` on, the reassembler's state (buffered holes, per-flow anchors) must
         ride along, so the checkpoint becomes ``{"service" | "ids": ...,
         "reassembly": ...}``; :meth:`restore` accepts both shapes.
         """
@@ -650,7 +644,7 @@ class Session:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release engine resources (worker pools); idempotent."""
+        """Close every built engine stage; idempotent."""
         for engine in (self._service, self._ids):
             if engine is not _UNSET:
                 engine.close()

@@ -8,8 +8,8 @@ The subsystem splits into three layers:
   frame decoding into the :class:`repro.traffic.Packet` model, and the
   deterministic inverse encoding;
 * :mod:`repro.capture.replay` — adapters that stream a capture through
-  :class:`~repro.streaming.StreamScanner`, :class:`~repro.streaming.ScanService`,
-  :class:`~repro.streaming.ParallelScanService` and the IDS with events
+  :class:`~repro.streaming.StreamScanner`, :class:`~repro.streaming.ScanService`
+  and the IDS with events
   byte-identical to an in-memory scan of the same segments.
 """
 

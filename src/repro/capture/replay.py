@@ -2,9 +2,8 @@
 
 The contract this module makes testable: a capture written by
 :func:`write_packets`, read back and replayed through any scan front-end —
-:class:`repro.streaming.StreamScanner`, the serial
-:class:`repro.streaming.ScanService`, the process-parallel
-:class:`repro.streaming.ParallelScanService` or the stateful
+:class:`repro.streaming.StreamScanner`, the sharded
+:class:`repro.streaming.ScanService` or the stateful
 :class:`repro.ids.IntrusionDetectionSystem` pipeline — produces events and
 alerts **byte-identical** to scanning the same segments in memory.  Capture
 order is flow-segment order (packet ids are assigned sequentially from
@@ -201,10 +200,9 @@ def replay_stream(source: CaptureSource, scanner, strict: bool = False):
 
 
 def replay_scan(source: CaptureSource, service, strict: bool = False):
-    """Replay a capture through a (serial or parallel) scan service.
+    """Replay a capture through a :class:`repro.streaming.ScanService`.
 
-    ``service`` is any :class:`repro.streaming.service.ShardedScanServiceBase`
-    front-end; the returned :class:`StreamScanResult` is byte-identical to
+    The returned :class:`StreamScanResult` is byte-identical to
     ``service.scan(packets)`` on the same in-memory segments.
     """
     packets, _ = load_packets(source, strict=strict)

@@ -110,9 +110,6 @@ def _add_rules_file_arguments(
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """The scan-service flags the stream-mode subcommands share."""
     parser.add_argument("--shards", type=int, default=4, help="scan engine pool size")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="scan shards on this many worker processes "
-                             "(default: serial in-process scan)")
     parser.add_argument("--flow-capacity", type=int, default=4096,
                         help="LRU flow-table capacity per shard")
     parser.add_argument("--print-events", action="store_true",
@@ -135,7 +132,7 @@ def _add_reassembly_arguments(parser: argparse.ArgumentParser) -> None:
 #: Flags a scan-shaped subcommand may not define, at their ``EngineSpec`` /
 #: ``RulesSpec`` defaults, so :func:`_pipeline_config` reads every one by name.
 _PIPELINE_DEFAULTS = dict(
-    rules=None, strict_rules=False, shards=4, workers=None, flow_capacity=4096,
+    rules=None, strict_rules=False, shards=4, flow_capacity=4096,
     strict=False, reassemble=False, overlap_policy="first",
 )
 
@@ -143,7 +140,7 @@ _PIPELINE_DEFAULTS = dict(
 def _require_count(name: str, value: Optional[int], minimum: int = 1) -> None:
     """Range-check a count flag at the CLI layer (same raw-``ValueError``
     idiom as every other bad input value; the spec layer re-checks for
-    programmatic callers, so both surfaces reject ``--workers 0``)."""
+    programmatic callers, so both surfaces reject ``--shards 0``)."""
     if value is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
@@ -155,7 +152,6 @@ def _pipeline_config(
     ``mode`` and ``source`` plus the shared rules and engine flags (absent
     ones at :data:`_PIPELINE_DEFAULTS`), range-checked where they are read."""
     _require_count("--shards", args.shards)
-    _require_count("--workers", args.workers)
     _require_count("--flow-capacity", args.flow_capacity)
     if args.rules:
         rules = RulesSpec(kind="file", path=args.rules, strict=args.strict_rules)
@@ -169,7 +165,6 @@ def _pipeline_config(
             backend=args.backend,
             device=args.device,
             shards=args.shards,
-            workers=args.workers,
             flow_capacity=args.flow_capacity,
             strict=args.strict,
             reassemble=args.reassemble,
@@ -346,8 +341,6 @@ def _print_scan_summary(session, result, extra_lines=()) -> None:
     """
     _print_reassembly_summary(session)
     stats = session.service.stats()
-    if stats["num_workers"] is not None:
-        print(f"worker processes          : {stats['num_workers']}")
     print(f"match events              : {len(result.events)}")
     print(f"cross-segment matches     : {stats['cross_segment_matches']}")
     for line in extra_lines:
@@ -820,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(ids)
     ids.add_argument("--flows", type=int, default=12, help="concurrent flows")
     ids.add_argument("--packets-per-flow", type=int, default=3)
-    ids.add_argument("--workers", type=int, default=None,
-                     help="run content scanning on this many worker processes")
     ids.add_argument("--pcap", metavar="PATH",
                      help="replay this capture instead of generating flows")
     _add_rules_file_arguments(

@@ -440,11 +440,11 @@ class _FlowRecord:
 class ConfirmStage:
     """Correlates prefilter events into per-rule verdicts, flow by flow.
 
-    One instance backs the serial and the process-parallel flow scans and
-    the stateless per-packet path (it is fed :class:`StreamMatch` events
-    every way).  Flow byte buffers are kept only when some rule actually
-    carries a pcre.  ``evaluators`` arrive in rule-file order, which is the
-    order verdicts are asked and alerts come out in.
+    One instance backs the flow scan and the stateless per-packet path (it
+    is fed :class:`StreamMatch` events either way).  Flow byte buffers are
+    kept only when some rule actually carries a pcre.  ``evaluators`` arrive
+    in rule-file order, which is the order verdicts are asked and alerts
+    come out in.
     """
 
     def __init__(self, evaluators: Iterable[RuleEvaluator]):

@@ -41,10 +41,9 @@ from ..rulesets.parser import (
     SnortRuleSpec,
 )
 from ..rulesets.ruleset import RuleSet
-from ..streaming.executor import build_scan_service
 from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowKey
 from ..streaming.scanner import ANONYMOUS_FLOW, StreamMatch, StreamScanner
-from ..streaming.service import ShardedScanServiceBase, StreamScanResult
+from ..streaming.service import ScanService, StreamScanResult
 from ..traffic.packet import Packet
 from .classifier import HeaderClassifier, HeaderPattern
 from .confirm import ConfirmStage, RuleEvaluator
@@ -138,13 +137,12 @@ class IntrusionDetectionSystem:
     its compiled program.
 
     :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
-    prefilter runs on one scan service (:attr:`service`, built on first use
-    by :func:`repro.streaming.build_scan_service` — in-process, or with
-    ``workers`` on that many worker processes) with one flow table of
-    ``flow_capacity`` flows in-process and one shard per worker, so a whole
-    batch crosses into the lane kernel at once and flows are evicted in
-    arrival order.  Call :meth:`close` (or :meth:`reset_flows`) to shut a
-    worker pool down.
+    prefilter runs on one :class:`repro.streaming.ScanService`
+    (:attr:`service`, built on first use) with one flow table of
+    ``flow_capacity`` flows, so a whole batch crosses into the lane kernel
+    at once and flows are evicted in arrival order.  Unlike a stream-mode
+    session, which partitions its flow LRU over ``shards`` tables, the IDS
+    keeps that one table.
 
     As a pipeline stage the IDS answers a scan service's calls —
     :meth:`scan` / :meth:`flush` (batch results carrying the alerts),
@@ -159,11 +157,8 @@ class IntrusionDetectionSystem:
         device: FPGADevice = STRATIX_III,
         use_hardware_model: bool = False,
         backend: str = "dtp",
-        workers: Optional[int] = None,
         flow_capacity: int = DEFAULT_FLOW_CAPACITY,
     ):
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
         if not rules:
             raise ValueError("at least one rule is required")
         self.rules: Dict[int, IDSRule] = {}
@@ -235,8 +230,7 @@ class IntrusionDetectionSystem:
         self._matcher: CompiledProgram = (
             self.accelerator if self.accelerator is not None else self.program
         )
-        self.workers = workers
-        self._service: Optional[ShardedScanServiceBase] = None
+        self._service: Optional[ScanService] = None
         self._flow_capacity = flow_capacity
 
     # ------------------------------------------------------------------
@@ -248,7 +242,7 @@ class IntrusionDetectionSystem:
         decided purely by the content matcher — the construction the CLI and
         :class:`repro.api.Session` use for synthetic rulesets.  ``engine``
         holds the constructor's keyword arguments (``device``, ``backend``,
-        ``workers``, ``flow_capacity``, ...).
+        ``flow_capacity``, ...).
         """
         rules = [
             IDSRule(sid=rule.sid, header=HeaderPattern(), contents=(rule.pattern,))
@@ -362,42 +356,32 @@ class IntrusionDetectionSystem:
     # stateful (streaming) scanning
     # ------------------------------------------------------------------
     @property
-    def service(self) -> ShardedScanServiceBase:
+    def service(self) -> ScanService:
         """The scan service the prefilter runs on, built on first use."""
         if self._service is None:
-            self._service = build_scan_service(
+            self._service = ScanService(
                 self.program,
-                num_shards=self.workers or 1,
-                workers=self.workers,
-                flow_capacity=self._flow_capacity,
+                num_shards=1,
+                flow_capacity_per_shard=self._flow_capacity,
                 track_nocase=bool(self._nocase_patterns),
             )
         return self._service
 
     @property
     def flow_scanner(self) -> StreamScanner:
-        """The in-process service's one engine (a read-only view; a parallel
-        IDS keeps its engines in the worker processes)."""
+        """The service's one engine (a read-only view)."""
         return self.service.engines[0]
 
     def reset_flows(self, capacity: Optional[int] = None) -> None:
         """Drop all tracked flow state (optionally resizing the flow table)."""
         if capacity is not None:
             self._flow_capacity = capacity
-        if self._service is not None:
-            self._service.close()
-            self._service = None  # rebuilt on next use, at the new size
+        self._service = None  # rebuilt on next use, at the new size
         self._confirm.reset()
 
     def close(self) -> None:
-        """Shut down the parallel scan workers, if any were started.
-
-        The correlation state goes with them: a pool rebuilt later starts
-        with fresh flow tables, so the confirm stage must be fresh too.
-        (A serial IDS keeps its service and confirm state across close().)
-        """
-        if self.workers is not None:
-            self.reset_flows()
+        """Part of the pipeline-stage contract: nothing to release (flow
+        and confirm state are kept, so a closed IDS can still be read)."""
 
     def __enter__(self) -> "IntrusionDetectionSystem":
         return self
@@ -475,14 +459,10 @@ class IntrusionDetectionSystem:
         exposed (:meth:`repro.hardware.StringMatchingEngine.resume_flow`)
         but not yet driven by a flow-aware hardware scheduler.
 
-        The payloads are scanned by :attr:`service` — in-process or on the
-        worker pool — and the confirm stage runs here either way, fed from
-        the annotated scan: the matched packets' events (flow-absolute
-        offsets) and
-        eviction records that finalize-and-drop a flow exactly where the
-        shard's LRU table forgot it.  Same alerts, same order, same
-        statistics for any worker count (the flow-capacity bound applies per
-        shard, which only matters under eviction pressure).
+        The payloads are scanned by :attr:`service`, and the confirm stage
+        is fed from its annotated scan: the matched packets' events
+        (flow-absolute offsets) and eviction records that finalize-and-drop
+        a flow exactly where the LRU table forgot it.
         """
         _, hits, evictions, keys = self.service.scan_annotated(packets)
         return self._correlate(packets, keys, hits, evictions)
@@ -531,7 +511,7 @@ class IntrusionDetectionSystem:
         positions per flow, pcre byte buffers, pending negation candidacy —
         rides next to the service's envelope of resumable automaton states,
         so a restored IDS continues mid-flow predicates exactly where it
-        stopped, in-process or on the worker pool.
+        stopped.
         """
         return {
             "service": self.service.checkpoint(),

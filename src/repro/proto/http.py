@@ -23,8 +23,7 @@ at request boundaries).  Both buffers and the pending-line accumulator are
 size-capped so a hostile flow cannot grow them without bound.
 
 State is tiny and JSON-serialisable (:meth:`as_dict` / :meth:`from_dict`),
-so the confirm stage can carry normalizer state inside its flow checkpoints
-— serial and parallel pipelines stay interchangeable.
+so the confirm stage can carry normalizer state inside its flow checkpoints.
 """
 
 from __future__ import annotations

@@ -47,8 +47,7 @@ and live ingestion make — downstream event streams stay canonically sorted.
 Checkpoint/restore mirrors :class:`~repro.streaming.flow.FlowTable`: the
 whole reassembler serialises to one JSON-friendly dict in LRU order, and
 restoring into a smaller ``max_flows`` drops (and counts) the LRU head, so
-serial and parallel pipelines can exchange checkpoints that include
-reassembly state.
+a session checkpoint can carry reassembly state.
 """
 
 from __future__ import annotations

@@ -12,15 +12,10 @@ puts on top of the matcher:
   flow state around each segment scan (one engine multiplexing many flows);
 * :mod:`repro.streaming.service` — a hash-sharded :class:`ScanService`
   dispatching batches across a pool of scanners with aggregate reporting;
-* :mod:`repro.streaming.executor` — :class:`ParallelScanService`, the same
-  front-end with each shard's engine living in a worker process (payloads
-  and replies cross one pipe per worker), and :func:`build_scan_service`,
-  the one builder that picks between the two;
 * :mod:`repro.streaming.ingest`  — the asyncio front-end feeding any scan
   service from live sources (socket listeners, tail-followed captures).
 """
 
-from .executor import ParallelScanService, WorkerCrashedError, build_scan_service
 from .flow import (
     DEFAULT_FLOW_CAPACITY,
     FlowEntry,
@@ -39,9 +34,6 @@ from .scanner import ANONYMOUS_FLOW, ScannerStatistics, StreamMatch, StreamScann
 from .service import ScanService, ShardReport, StreamScanResult
 
 __all__ = [
-    "ParallelScanService",
-    "WorkerCrashedError",
-    "build_scan_service",
     "DEFAULT_FLOW_CAPACITY",
     "FlowEntry",
     "FlowKey",

@@ -18,8 +18,8 @@ connections.  This module is that front-end:
   ``tail -f`` style.  Frames that cannot be decoded are skipped and counted,
   mirroring :func:`repro.capture.replay.load_packets`.
 
-:class:`LiveIngestor` drives one source into any pipeline — a scan service
-(serial or parallel), the IDS, or a composed :class:`repro.api.Session`.
+:class:`LiveIngestor` drives one source into any pipeline — a scan service,
+the IDS, or a composed :class:`repro.api.Session`.
 ``emit`` builds each segment's one :class:`~repro.traffic.Packet`, which
 gets its sequential id in arrival order when a batch takes it — the same
 contract capture replay makes — and segments are micro-batched

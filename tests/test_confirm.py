@@ -11,7 +11,7 @@ Layers of coverage:
   end-of-flow finalisation, eviction, checkpoint/restore, nocase end to
   end);
 * :class:`TestDifferential` — randomized full-grammar rulesets scanned
-  through every {backend} × {serial, workers} × {memory, pcap} combination
+  through every {backend} × {memory, pcap} combination
   must produce the naive reference evaluator's exact alert sequence;
 * :class:`TestEventDrivenIndex` — the same harness aimed at the confirm
   stage's due set (which rules a packet asks): header-restricted
@@ -291,11 +291,8 @@ class TestPipeline:
         lines = [WILDCARD + '(content:"CMD.exe"; nocase; sid:1;)']
         packets = _flow([b"run CmD.", b"ExE now"])
         with _ids_for(lines) as ids:
-            serial = ids.scan_flow(packets) + ids.finish()
-        with _ids_for(lines, workers=2) as ids:
-            parallel = ids.scan_flow(packets) + ids.finish()
-        assert _alert_pairs(serial) == [(1, 1)]
-        assert _alert_pairs(parallel) == [(1, 1)]
+            alerts = ids.scan_flow(packets) + ids.finish()
+        assert _alert_pairs(alerts) == [(1, 1)]
 
     def test_nocase_rules_file_scans_through_session(self, tmp_path):
         """Lock for the Session wiring bug: the sharded scan service must be
@@ -324,11 +321,9 @@ class TestPipeline:
             alerts = ids.process(packets)
         assert _alert_pairs(alerts) == [(0, 1)]
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_checkpoint_restore_resumes_confirm_state(self, workers):
+    def test_checkpoint_restore_resumes_confirm_state(self):
         """Splitting a flow across checkpoint/restore must not change the
-        alerts: positions, pcre buffers and negation candidacy all travel —
-        for the in-process service and the worker pool alike."""
+        alerts: positions, pcre buffers and negation candidacy all travel."""
         lines = [
             WILDCARD + '(content:"GET"; offset:0; depth:4; '
             'content:"HTTP"; distance:0; within:40; sid:1;)',
@@ -340,11 +335,11 @@ class TestPipeline:
             expected = _alert_pairs(
                 reference.scan_flow(packets) + reference.finish()
             )
-        with _ids_for(lines, workers=workers) as first:
+        with _ids_for(lines) as first:
             early = first.scan_flow(packets[:1])
             saved = json.loads(json.dumps(first.checkpoint()))
         assert sorted(saved) == ["confirm", "service"]
-        with _ids_for(lines, workers=workers) as second:
+        with _ids_for(lines) as second:
             second.restore(saved)
             late = second.scan_flow(packets[1:]) + second.finish()
         assert _alert_pairs(early) + _alert_pairs(late) == expected
@@ -489,31 +484,19 @@ class TestEventDrivenIndex:
         assert expected == [(alerting, 1)]
 
     @pytest.mark.parametrize("backend", ["dtp", "dense"])
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_evicted_flow_alerts_again_on_a_new_hit(self, backend, workers):
+    def test_evicted_flow_alerts_again_on_a_new_hit(self, backend):
         """Eviction drops the flow's record (alerted set included): the
         restarted flow is asked again and alerts again."""
         lines = [
             WILDCARD + '(content:"ab"; sid:1;)',
             WILDCARD + '(content:"ab"; pcre:"/ab.*!/"; sid:2;)',
         ]
-        ids = IntrusionDetectionSystem.from_specs(
-            parse_rules(lines), backend=backend, workers=workers
-        )
+        ids = IntrusionDetectionSystem.from_specs(parse_rules(lines), backend=backend)
         ids.reset_flows(capacity=1)
-        # two flows that share a shard, so the 1-slot table thrashes on
-        # the parallel path too
-        def shard(port):
-            if workers is None:
-                return 0
-            key = FlowKey.from_header(_flow([b""], src_port=port)[0].header)
-            return ids.service.shard_for(key)
-
-        ports = [1111, next(p for p in range(2000, 2100) if shard(p) == shard(1111))]
         packets = (
-            _flow([b"ab!"], src_port=ports[0], start_id=0)
-            + _flow([b"..ab"], src_port=ports[1], start_id=1)
-            + _flow([b"ab", b"..!"], src_port=ports[0], start_id=2)
+            _flow([b"ab!"], src_port=1111, start_id=0)
+            + _flow([b"..ab"], src_port=2000, start_id=1)
+            + _flow([b"ab", b"..!"], src_port=1111, start_id=2)
         )
         with ids:
             alerts = ids.scan_flow(packets) + ids.finish()

@@ -19,30 +19,28 @@ per-segment contract from five directions:
 * **eviction pressure** — a batch that could evict must fall back to the
   exact per-segment loop, producing the same events, eviction records and
   restart behaviour the serial path shows;
-* **one crossing per batch** — a serial service of 1, 2, 4 or 8 shards, and
-  a pool worker owning two, calls ``scan_many`` once per batch; only a shard
-  under eviction pressure steps out of it, segment by segment.
+* **one crossing per batch** — a service of 1, 2, 4 or 8 shards calls
+  ``scan_many`` once per batch; only a shard under eviction pressure steps
+  out of it, segment by segment, and segments of any size (0 B to 1 MiB)
+  batch exactly as they scan one at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from itertools import chain
-from multiprocessing import Pipe
 
 import pytest
 
 from repro.backend import get_backend
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import (
-    DEFAULT_FLOW_CAPACITY,
     FlowKey,
     FlowTable,
     ScanService,
     ShardReport,
     StreamScanner,
 )
-from repro.streaming.executor import _shard_worker
 from repro.streaming.service import event_order
 from repro.traffic import Packet, TrafficGenerator
 from tests.conftest import (
@@ -270,8 +268,7 @@ def test_forced_short_lanes_hold_the_differential_harness(force_short_lanes):
     lane_len = force_short_lanes(build_program(ruleset, "dtp"), lanes_per_tile=8)
     assert lane_len == force_short_lanes(build_program(ruleset, "dense"), lanes_per_tile=8)
     reference = assert_equivalent_events(
-        ruleset, packets, backends=("dtp", "dense", "ac"), worker_counts=(None,),
-        track_nocase=True,
+        ruleset, packets, backends=("dtp", "dense", "ac"), track_nocase=True,
     )
     assert reference.events, "boundary-split flows should produce events"
     assert sum(len(p.payload) for p in packets) > 20 * lane_len
@@ -602,63 +599,61 @@ class TestOneCrossingPerBatch:
         assert_same_state(batched, reference)
 
 
-def test_a_pool_worker_crosses_once_per_request(monkeypatch, drift_ruleset):
-    """A worker owning shards 0 and 2 of 4 scans each request — both
-    shards' items — in one ``scan_many`` call, and replies per shard what
-    the serial service computes for those segments."""
-    program = get_backend("dense").compile(drift_ruleset.patterns)
-    serial = ScanService(program, num_shards=4)
-    headers = [header_on_shard(serial, shard, skip) for shard in (0, 2) for skip in range(2)]
-    keys = [FlowKey.from_header(header) for header in headers]
-    pattern = drift_ruleset.patterns[0]
-    cut = len(pattern) // 2
-    requests = []
-    for round_index, piece in enumerate((b"::" + pattern[:cut], pattern[cut:] + b"::")):
-        items = sorted(
-            (
-                (serial.shard_for(key), flow_id, round_index * len(keys) + flow_id, piece)
-                for flow_id, key in enumerate(keys)
-            ),
-            key=lambda item: item[0],
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_oversized_segments_batch_equal_to_segment_at_a_time(
+        self, drift_ruleset, backend
+    ):
+        """Flows of 4 KiB and 64 KiB segments, far past an MTU, with a rule
+        string split across their boundaries: one batch, one crossing, the
+        per-segment events, reports and state."""
+        program = get_backend(backend).compile(drift_ruleset.patterns)
+        generator = TrafficGenerator(drift_ruleset, seed=47)
+        packets = TrafficGenerator.interleave(
+            generator.flows(2, num_packets=3, split_patterns=1, segment_bytes=4096)
+            + generator.flows(2, num_packets=3, split_patterns=1, segment_bytes=65536)
         )
-        requests.append({"new_keys": {} if round_index else dict(enumerate(keys)), "items": items})
+        batched, reference = ScanService(program), ScanService(program)
+        result, hits, evictions, _ = batched.scan_annotated(packets)
+        events, expected_hits, expected_evictions, reports = segment_at_a_time(
+            reference, packets
+        )
+        assert result.events == events and hits == expected_hits
+        assert evictions == expected_evictions == []
+        assert result.shards == reports
+        assert_same_state(batched, reference)
+        assert batched.cross_segment_matches > 0
 
-    calls = count_crossings(monkeypatch, program)
-    parent, child = Pipe()
-    for request in requests:
-        parent.send(("scan", request))
-    parent.send(("stop", None))
-    _shard_worker(child, program, [0, 2], 4, DEFAULT_FLOW_CAPACITY, False)
-    replies = [parent.recv() for _ in requests]
-    assert parent.recv() == ("ok", None)
-    assert calls == [len(keys)] * len(requests)
-
-    matched = 0
-    for request, (status, reply) in zip(requests, replies):
-        assert status == "ok" and sorted(reply) == [0, 2]
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("size", (0, 1, 1500, 65536, 1 << 20))
+    def test_payload_of_any_size_batch_equal_to_segment_at_a_time(self, backend, size):
+        """No segment size is special: a payload of 0 B to 1 MiB batches as
+        it scans alone, and a signature split across it and the next
+        segment still matches at its flow-absolute offset."""
+        pattern = b"EVILPAYLOADSIGNATURE"
+        program = get_backend(backend).compile([pattern, b"lowercasesignature"])
+        filler = b"x" * size
+        if size >= len(pattern):
+            filler = filler[: size - len(pattern)] + pattern
         packets = [
-            Packet(payload=payload, header=headers[flow_id], packet_id=packet_id)
-            for _, flow_id, packet_id, payload in request["items"]
+            Packet(payload=filler + pattern[:9], header=make_header(9), packet_id=0),
+            Packet(payload=pattern[9:], header=make_header(9), packet_id=1),
         ]
-        _, hits, _, _ = serial.scan_annotated(packets)
-        compact = [
-            [(e.end_offset, e.string_number, e.lowered) for e in hits.get(index, ())]
-            for index in range(len(packets))
-        ]
-        assert reply[0][0] + reply[2][0] == compact
-        assert reply[0][3] == reply[2][3] == []
-        matched += reply[0][1] + reply[2][1]
-    assert matched == len(keys), "every flow completes its split pattern once"
+        batched, reference = ScanService(program, num_shards=2), ScanService(program, num_shards=2)
+        result, hits, _, _ = batched.scan_annotated(packets)
+        events, expected_hits, _, reports = segment_at_a_time(reference, packets)
+        assert result.events == events and hits == expected_hits
+        assert result.shards == reports
+        assert_same_state(batched, reference)
+        assert len(events) == 1 + (size >= len(pattern))
+        assert events[-1].end_offset == size + len(pattern)
 
 
 @pytest.mark.parametrize("num_shards", (1, 4))
 def test_equivalent_events_across_shard_counts(num_shards):
-    """Backends x {serial, pool} x {memory, pcap} at 1 and 4 shards (a
-    one-shard pool has one worker)."""
+    """Backends x {memory, pcap} at 1 and 4 shards."""
     ruleset, packets = equivalence_workload(num_rules=30, flows=9, num_packets=4, seed=23)
     reference = assert_equivalent_events(
-        ruleset, packets, num_shards=num_shards,
-        worker_counts=(None, min(2, num_shards)), track_nocase=True,
+        ruleset, packets, num_shards=num_shards, track_nocase=True
     )
     assert reference.events
 
@@ -671,7 +666,5 @@ def test_equivalent_alerts_across_shard_counts(num_shards):
         generator.flows(16, num_packets=3, split_patterns=1, whole_patterns=2)
     )
     specs = random_predicate_rules(ruleset, seed=11, num_rules=48)
-    expected = assert_equivalent_alerts(
-        specs, packets, num_shards=num_shards, worker_counts=(None, min(2, num_shards))
-    )
+    expected = assert_equivalent_alerts(specs, packets, num_shards=num_shards)
     assert len(expected) >= 16, "workload barely alerts"

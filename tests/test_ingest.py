@@ -22,7 +22,6 @@ from repro.capture import CaptureError, replay_scan, write_packets
 from repro.rulesets import RuleSet
 from repro.streaming import (
     LiveIngestor,
-    ParallelScanService,
     PcapTailSource,
     ScanService,
     TcpListenerSource,
@@ -60,13 +59,14 @@ def single_record(packet) -> bytes:
 # ----------------------------------------------------------------------
 # pcap tail: the replayed-live acceptance path
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("batch_packets", [256, 5])
 def test_pcap_tail_serve_equals_offline_replay(
-    tmp_path, workload, dense_program, workers, batch_packets
+    tmp_path, workload, dense_program, batch_packets, shards
 ):
-    """Serving a capture through the live loop — in one batch or many —
-    reports exactly the events an offline replay of the same file does."""
+    """Serving a capture through the live loop — in one batch or many, over
+    one flow table or several — reports exactly the events an offline replay
+    of the same file does."""
     from tests.conftest import renumbered
 
     _, packets = workload
@@ -74,15 +74,10 @@ def test_pcap_tail_serve_equals_offline_replay(
     with open(path, "wb") as handle:
         write_packets(handle, renumbered(packets))
 
-    def build_service():
-        if workers is None:
-            return ScanService(dense_program, num_shards=4)
-        return ParallelScanService(dense_program, num_shards=4, workers=workers)
-
-    with build_service() as service:
+    with ScanService(dense_program, num_shards=shards) as service:
         ingestor = LiveIngestor(service, batch_packets=batch_packets)
         report = ingestor.serve(PcapTailSource(str(path)))
-    with ScanService(dense_program, num_shards=4) as offline:
+    with ScanService(dense_program, num_shards=shards) as offline:
         with open(path, "rb") as handle:
             reference = replay_scan(handle, offline)
 

@@ -9,24 +9,26 @@ What the two-path layout used to forbid or hide, locked here:
   restore, and stream-mode checkpoints are the bytes they always were;
 * the structure itself, without a clock: one scan service and one compiled
   prefilter per session, nothing per-packet retained by ``ScanService.scan``,
-  one construction site per service class.
+  ``ScanService`` built in exactly two places, and no process pool.
 """
 
 import ast
 import gc
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-import repro.api.session as session_module
 import repro.core.accelerator_config as accelerator_config
 import repro.ids.pipeline as ids_pipeline
 from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SinkSpec, SourceSpec
 from repro.backend import Backend, get_backend
 from repro.ids import IntrusionDetectionSystem
 from repro.rulesets import generate_snort_like_ruleset, parse_rules, render_content
-from repro.streaming import ParallelScanService, ScanService
+from repro.streaming import ScanService
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import renumbered
@@ -71,23 +73,22 @@ def live_workload(tmp_path_factory):
     return root
 
 
-def live_config(root, kind, *, backend, workers, reassemble, sinks=()):
+def live_config(root, kind, *, backend, reassemble, sinks=()):
     capture = "mangled.pcap" if reassemble else "clean.pcap"
     limits = dict(batch_packets=5) if kind == "pcap-tail" else {}
     return PipelineConfig(
         mode="ids",
         source=SourceSpec(kind=kind, path=str(root / capture), **limits),
         rules=RulesSpec(kind="file", path=str(root / "live.rules")),
-        engine=EngineSpec(backend=backend, workers=workers, reassemble=reassemble),
+        engine=EngineSpec(backend=backend, reassemble=reassemble),
         sinks=sinks,
     )
 
 
 @pytest.mark.parametrize("backend", ("dtp", "dense"))
-@pytest.mark.parametrize("workers", (None, 2))
 @pytest.mark.parametrize("reassemble", (False, True))
-def test_serve_raises_the_offline_runs_alerts(live_workload, backend, workers, reassemble):
-    engine = dict(backend=backend, workers=workers, reassemble=reassemble)
+def test_serve_raises_the_offline_runs_alerts(live_workload, backend, reassemble):
+    engine = dict(backend=backend, reassemble=reassemble)
     with Session.from_config(live_config(live_workload, "pcap", **engine)) as offline:
         expected = offline.run().alerts
         offline_stats = offline.ids.stats
@@ -115,7 +116,7 @@ def test_run_on_a_live_source_serves_then_emits_the_sinks(live_workload, tmp_pat
     def config(kind, name):
         sinks = (SinkSpec(kind="ndjson", path=str(tmp_path / name)), SinkSpec(kind="alerts"))
         return live_config(
-            live_workload, kind, backend="dense", workers=None, reassemble=True, sinks=sinks
+            live_workload, kind, backend="dense", reassemble=True, sinks=sinks
         )
 
     with Session.from_config(config("pcap", "offline.ndjson")) as session:
@@ -129,7 +130,7 @@ def test_run_on_a_live_source_serves_then_emits_the_sinks(live_workload, tmp_pat
 
 
 def test_serve_still_refuses_what_it_cannot_scan(live_workload):
-    offline = live_config(live_workload, "pcap", backend="dense", workers=None, reassemble=False)
+    offline = live_config(live_workload, "pcap", backend="dense", reassemble=False)
     with Session.from_config(offline) as session:
         with pytest.raises(ValueError, match="live source"):
             session.serve()
@@ -173,8 +174,7 @@ def ids_config(**engine):
     )
 
 
-@pytest.mark.parametrize("workers", (None, 1))
-def test_flow_capacity_reaches_the_ids_without_a_reset(workers, monkeypatch):
+def test_flow_capacity_reaches_the_ids_without_a_reset(monkeypatch):
     resized = []
     original = IntrusionDetectionSystem.reset_flows
 
@@ -183,7 +183,7 @@ def test_flow_capacity_reaches_the_ids_without_a_reset(workers, monkeypatch):
         original(self, capacity)
 
     monkeypatch.setattr(IntrusionDetectionSystem, "reset_flows", spy)
-    with Session.from_config(ids_config(workers=workers, flow_capacity=1)) as session:
+    with Session.from_config(ids_config(flow_capacity=1)) as session:
         alerts = session.run().alerts
         assert session.stats()["service"]["evicted_flows"] > 0
     assert alerts == []  # every flow was forgotten between its two halves
@@ -292,12 +292,14 @@ def test_a_parent_ids_checkpoint_restores_and_continues(through, tmp_path):
     assert pairs(late) == [(4, 4), (3, 2)]
 
 
-def test_a_one_table_checkpoint_does_not_fit_a_worker_pool():
-    with IntrusionDetectionSystem.from_specs(
-        parse_rules(STORED_RULE_LINES), backend="dense", workers=2
-    ) as ids:
-        with pytest.raises(ValueError, match="1 shards, service has 2"):
-            ids.restore(json.loads(PARENT_IDS_CHECKPOINT))
+def test_a_one_table_checkpoint_does_not_fit_two_shards():
+    ids = IntrusionDetectionSystem.from_specs(parse_rules(STORED_RULE_LINES), backend="dense")
+    table = json.loads(PARENT_IDS_CHECKPOINT)["flows"]
+    service = ScanService(ids.program, num_shards=2)
+    with pytest.raises(ValueError, match="1 shards, service has 2"):
+        service.restore({"num_shards": 1, "shards": [table]})
+    with pytest.raises(ValueError, match="lists 1 shard tables, expected 2"):
+        service.restore({"num_shards": 2, "shards": [table]})
 
 
 # ----------------------------------------------------------------------
@@ -315,15 +317,14 @@ def counting(monkeypatch, owner, name, calls):
 
 @pytest.mark.parametrize("mode", ("stream", "ids"))
 @pytest.mark.parametrize("backend", ("dtp", "dense"))
-@pytest.mark.parametrize("workers", (None, 2))
+@pytest.mark.parametrize("shards", (1, 3))
 def test_a_session_builds_one_service_and_compiles_one_prefilter(
-    mode, backend, workers, monkeypatch
+    mode, backend, shards, monkeypatch
 ):
-    built, services, compiled = [], [], []
-    counting(monkeypatch, session_module, "build_scan_service", built)
-    counting(monkeypatch, ids_pipeline, "build_scan_service", built)
+    """One service and one prefilter per session at any ``shards``; stream
+    mode spreads its flow LRU over that many tables, ids mode keeps one."""
+    services, compiled = [], []
     counting(monkeypatch, ScanService, "__init__", services)
-    counting(monkeypatch, ParallelScanService, "__init__", services)
     counting(monkeypatch, accelerator_config, "compile_ruleset", compiled)
     counting(monkeypatch, ids_pipeline, "compile_ruleset", compiled)
     counting(monkeypatch, Backend, "compile", compiled)
@@ -332,7 +333,7 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
         mode=mode,
         source=SourceSpec(kind="generator", flows=6, packets_per_flow=3, seed=6),
         rules=RulesSpec(kind="synthetic", size=30, seed=5),
-        engine=EngineSpec(backend=backend, workers=workers, reassemble=True),
+        engine=EngineSpec(backend=backend, shards=shards, reassemble=True),
         sinks=(SinkSpec(kind="alerts" if mode == "ids" else "events"),),
     )
     with Session.from_config(config) as session:
@@ -341,8 +342,11 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
         session.stats(), session.checkpoint()
         if mode == "ids":
             assert session.service is session.ids.service
-            assert session.service.num_shards == (workers or 1)
-    assert len(built) == len(services) == len(compiled) == 1
+            assert session.service.num_shards == 1
+        else:
+            assert session.service.num_shards == shards
+            assert len(session.checkpoint()["service"]["shards"]) == shards
+    assert len(services) == len(compiled) == 1
 
 
 def test_stream_scan_retains_nothing_per_packet(small_ruleset):
@@ -372,26 +376,61 @@ def test_stream_scan_retains_nothing_per_packet(small_ruleset):
     assert sizes and max(sizes) < 100, "something per-packet is reachable from the result"
 
 
-def test_each_service_class_has_one_construction_site():
-    calls = {"ScanService": [], "ParallelScanService": []}
+def test_scan_service_is_built_in_two_places_only():
+    """``Session.service`` (stream mode) and ``IntrusionDetectionSystem.service``
+    are the only construction sites, and both pass every engine option; no
+    retired name of the process pool or its payload ring comes back."""
+    calls, sites = [], []
     retired = {
         "_scan_flow_parallel", "preprocess_flush", "_require_stream", "parallel_service",
-        # the shared-memory payload ring and its knobs: payloads ride the pipe
+        # the shared-memory payload ring and its knobs: payloads rode the pipe
         "shared_memory", "multiprocessing.shared_memory", "ShardRing", "ring_slots",
         "ring_slot_bytes", "start_method", "probe_transport", "transport_stats",
+        # the process pool itself: one in-process service
+        "ParallelScanService", "build_scan_service", "WorkerCrashedError", "num_workers",
+        "multiprocessing",
     }
     for path in sorted(SRC_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for owner in ast.walk(tree):
+            if not isinstance(owner, ast.ClassDef):
+                continue
+            for method in owner.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                for node in ast.walk(method):
+                    if isinstance(node, ast.Call) and "ScanService" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
+                        keywords = {keyword.arg for keyword in node.keywords}
+                        sites.append((f"{owner.name}.{method.name}", keywords))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in calls:
-                    calls[name].append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and "ScanService" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
             names = {
                 getattr(node, "attr", None), getattr(node, "name", None),
                 getattr(node, "arg", None), getattr(node, "id", None),
                 getattr(node, "module", None),
             }
-            assert not names & retired, f"{path.name}:{node.lineno} brings back {names & retired}"
-    assert [len(sites) for sites in calls.values()] == [1, 1], calls
-    assert all(site.startswith("executor.py") for sites in calls.values() for site in sites)
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not names & retired, f"{where} brings back {names & retired}"
+    assert len(calls) == 2, calls  # none outside a method either
+    assert sorted(site for site, _ in sites) == [
+        "IntrusionDetectionSystem.service", "Session.service",
+    ], sites
+    for site, keywords in sites:
+        assert {"flow_capacity_per_shard", "track_nocase"} <= keywords, site
+
+
+def test_importing_the_package_starts_no_process_machinery():
+    code = (
+        "import sys, repro, repro.api; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_ROOT.parent)},
+    ).stdout
+    assert loaded.strip() == "[]"

@@ -12,7 +12,7 @@ Three layers under test:
   (``http_uri`` / ``http_header``), including the RS011/RS012 lint codes;
 
 plus the differential gates: adversarially mangled flows, reassembled, must
-scan byte-identically across every backend × worker × source combination,
+scan byte-identically across every backend × source combination,
 and the whole pipeline must catch splits that per-packet and no-reassembly
 scans provably miss.
 """

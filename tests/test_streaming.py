@@ -5,6 +5,8 @@ string split across consecutive packets of one flow is invisible to the
 per-packet scan path but must be found by the stateful flow scan.
 """
 
+import json
+from collections import Counter
 
 import pytest
 
@@ -183,6 +185,99 @@ class TestFlowTable:
 
 
 # ----------------------------------------------------------------------
+# FlowKey type coercion on restore
+# ----------------------------------------------------------------------
+class TestFlowKeyCoercion:
+    def test_coerced_constructor_canonicalises_types(self):
+        key = FlowKey.coerced("10.0.0.1", "192.168.0.1", 40001.0, 80.0, "tcp")
+        assert key == make_key(1)
+        assert isinstance(key.src_port, int) and isinstance(key.dst_port, int)
+        assert key.encode() == make_key(1).encode()
+
+    def test_from_header_coerces_port_types(self):
+        header = FiveTuple("10.0.0.1", "192.168.0.1", 40001.0, 80.0, "tcp")
+        assert FlowKey.from_header(header) == make_key(1)
+
+    def test_from_dict_coerces_float_ports(self):
+        entry = FlowEntry(key=make_key(2), states=(ScanState(),))
+        data = entry.as_dict()
+        data["key"][2] = float(data["key"][2])  # what a JSON writer may emit
+        data["key"][3] = float(data["key"][3])
+        restored = FlowEntry.from_dict(data)
+        assert restored.key == make_key(2)
+        assert restored.key.encode() == make_key(2).encode()
+
+    def test_float_port_checkpoint_resumes_flow_and_sharding(
+        self, crafted_program, crafted_ruleset
+    ):
+        """The regression proper: a float-port checkpoint used to produce a
+        key encoding ``"80.0"``, so the restored flow neither resumed nor
+        landed on the live traffic's shard."""
+        pattern = crafted_ruleset[0].pattern
+        header = make_header(3)
+        service = ScanService(crafted_program, num_shards=4)
+        assert service.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
+
+        snapshot = json.loads(json.dumps(service.checkpoint()))
+        for shard_data in snapshot["shards"]:
+            for flow in shard_data["flows"]:
+                flow["key"][2] = float(flow["key"][2])
+                flow["key"][3] = float(flow["key"][3])
+
+        resumed = ScanService(crafted_program, num_shards=4)
+        resumed.restore(snapshot)
+        live_key = FlowKey.from_header(header)
+        restored_key = resumed.engines[resumed.shard_for(live_key)].flows.keys()[0]
+        assert restored_key == live_key
+        assert resumed.shard_for(restored_key) == service.shard_for(live_key)
+        matches = resumed.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
+        assert [m.string_number for m in matches] == [0]
+
+
+# ----------------------------------------------------------------------
+# flow-table statistics accounting
+# ----------------------------------------------------------------------
+class TestFlowTableAccounting:
+    @staticmethod
+    def entry(n: int) -> FlowEntry:
+        return FlowEntry(key=make_key(n), states=(ScanState(),))
+
+    def test_insert_overwrite_does_not_count_as_created(self):
+        table = FlowTable(capacity=4)
+        table.insert(self.entry(1))
+        table.insert(self.entry(1))  # overwrite, not a new flow
+        assert len(table) == 1
+        assert table.stats.created == 1
+        table.insert(self.entry(2))
+        assert table.stats.created == 2
+
+    def test_restore_counts_created(self):
+        table = FlowTable(capacity=8)
+        for n in range(3):
+            table.insert(self.entry(n))
+        restored = FlowTable.restore(table.checkpoint())
+        assert restored.stats.created == 3
+        assert restored.stats.evicted == 0
+        assert restored.stats.restore_dropped == 0
+
+    def test_restore_overflow_counts_drops_and_invokes_on_evict(self):
+        table = FlowTable(capacity=8)
+        for n in range(5):
+            table.insert(self.entry(n))
+        dropped = []
+        restored = FlowTable.restore(
+            table.checkpoint(), capacity=2, on_evict=dropped.append
+        )
+        assert len(restored) == 2
+        assert restored.stats.restore_dropped == 3
+        assert restored.stats.created == 2
+        assert restored.stats.evicted == 0  # drops are not LRU evictions
+        # the LRU head was dropped, oldest first, and handed to on_evict
+        assert [e.key for e in dropped] == [make_key(0), make_key(1), make_key(2)]
+        assert make_key(3) in restored and make_key(4) in restored
+
+
+# ----------------------------------------------------------------------
 # cross-packet matching (the tentpole regression)
 # ----------------------------------------------------------------------
 class TestCrossPacketMatching:
@@ -348,6 +443,141 @@ class TestScanService:
         with pytest.raises(ValueError):
             ScanService(crafted_program, num_shards=0)
 
+    def test_state_carries_across_consecutive_scans(
+        self, crafted_program, crafted_ruleset, small_ruleset
+    ):
+        """Flow state spans ``scan()`` calls: two batches of randomized
+        traffic through the differential harness, then dozens of one-packet
+        scans against one ``submit`` per packet."""
+        from tests.conftest import assert_equivalent_events
+
+        generator = TrafficGenerator(small_ruleset, seed=47)
+        flows = generator.flows(14, num_packets=4, split_patterns=1, segment_bytes=90)
+        reference = assert_equivalent_events(
+            small_ruleset, TrafficGenerator.interleave(flows), sources=("memory",),
+            num_shards=4, batches=2,
+        )
+        assert reference.stats["cross_segment_matches"] > 0
+
+        pattern = crafted_ruleset[0].pattern
+        pieces = [pattern[index : index + 3] for index in range(0, len(pattern), 3)]
+        packets = [
+            Packet(payload=piece, header=make_header(flow), packet_id=index)
+            for index, piece in enumerate(pieces * 3)
+            for flow in range(4)
+        ]
+        batched, submitted = ScanService(crafted_program), ScanService(crafted_program)
+        events = [event for packet in packets for event in batched.scan([packet]).events]
+        assert events == [event for packet in packets for event in submitted.submit(packet)]
+        assert len(events) == 4 * 3
+
+    def test_empty_scan_answers_for_every_shard(self, crafted_program):
+        result = ScanService(crafted_program, num_shards=4).scan([])
+        assert (result.events, result.packets, result.bytes_scanned) == ([], 0, 0)
+        assert [report.shard for report in result.shards] == [0, 1, 2, 3]
+        assert all(report.packets == report.active_flows == 0 for report in result.shards)
+
+
+# ----------------------------------------------------------------------
+# what the shard count may and may not change
+# ----------------------------------------------------------------------
+#: One table (what the IDS uses), a power of two, an odd count, the default,
+#: and more tables than some batches have flows.
+SHARD_COUNTS = (1, 2, 3, 4, 8)
+
+
+@pytest.fixture(scope="module")
+def split_traffic(small_ruleset):
+    """Twelve interleaved flows, each with a rule string split across two of
+    its four segments."""
+    generator = TrafficGenerator(small_ruleset, seed=53)
+    flows = generator.flows(12, num_packets=4, split_patterns=1, segment_bytes=90)
+    return TrafficGenerator.interleave(flows)
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+class TestShardCount:
+    """``num_shards`` partitions the flow LRU and the shard reports, nothing
+    else: every flow's events are the same at every count."""
+
+    def test_events_do_not_depend_on_the_shard_count(
+        self, small_program, split_traffic, num_shards
+    ):
+        one_table = ScanService(small_program, num_shards=1).scan(split_traffic)
+        sharded = ScanService(small_program, num_shards=num_shards).scan(split_traffic)
+        assert one_table.events, "split strings must produce events"
+        assert len(sharded.events) == len(one_table.events)
+        assert sharded.events_by_flow() == one_table.events_by_flow()
+        assert (sharded.packets, sharded.bytes_scanned) == (
+            one_table.packets, one_table.bytes_scanned,
+        )
+
+    def test_shard_reports_partition_the_batch(self, small_program, split_traffic, num_shards):
+        service = ScanService(small_program, num_shards=num_shards)
+        result = service.scan(split_traffic)
+        keys = [StreamScanner.flow_key(packet) for packet in split_traffic]
+        packets_on = Counter(service.shard_for(key) for key in keys)
+        flows_on = Counter(service.shard_for(key) for key in set(keys))
+        assert [report.shard for report in result.shards] == list(range(num_shards))
+        assert [report.packets for report in result.shards] == [
+            packets_on[shard] for shard in range(num_shards)
+        ]
+        assert sum(report.bytes_scanned for report in result.shards) == result.bytes_scanned
+        assert result.bytes_scanned == sum(len(packet.payload) for packet in split_traffic)
+        assert sum(report.matches for report in result.shards) == len(result.events)
+        occupancy = [flows_on[shard] for shard in range(num_shards)]
+        assert [report.active_flows for report in result.shards] == occupancy
+        assert service.stats()["shard_occupancy"] == occupancy
+
+    def test_flow_capacity_bounds_each_shard(self, small_program, split_traffic, num_shards):
+        service = ScanService(small_program, num_shards=num_shards, flow_capacity_per_shard=1)
+        result = service.scan(split_traffic)
+        flows_on = Counter(
+            service.shard_for(key)
+            for key in {StreamScanner.flow_key(packet) for packet in split_traffic}
+        )
+        assert service.shard_occupancy() == [
+            min(1, flows_on[shard]) for shard in range(num_shards)
+        ]
+        assert sum(report.evicted_flows for report in result.shards) == service.evicted_flows
+        # twelve flows over at most eight one-flow tables: some shard evicts
+        assert service.evicted_flows >= sum(flows_on.values()) - service.active_flows > 0
+
+    def test_checkpoint_resumes_across_a_json_round_trip(
+        self, small_program, split_traffic, num_shards
+    ):
+        half = len(split_traffic) // 2
+        uninterrupted = ScanService(small_program, num_shards=num_shards)
+        uninterrupted.scan(split_traffic[:half])
+        snapshot = json.loads(json.dumps(uninterrupted.checkpoint()))
+        expected = uninterrupted.scan(split_traffic[half:])
+
+        resumed = ScanService(small_program, num_shards=num_shards)
+        resumed.restore(snapshot)
+        got = resumed.scan(split_traffic[half:])
+        assert got.events == expected.events
+        assert got.shards == expected.shards
+        # a service that forgot the first half reports other offsets
+        cold = ScanService(small_program, num_shards=num_shards).scan(split_traffic[half:])
+        assert cold.events != expected.events
+
+    def test_restore_puts_every_flow_on_its_own_shard(
+        self, small_program, split_traffic, num_shards
+    ):
+        service = ScanService(small_program, num_shards=num_shards)
+        service.scan(split_traffic)
+        snapshot = service.checkpoint()
+        resumed = ScanService(small_program, num_shards=num_shards)
+        resumed.restore(snapshot)
+        assert resumed.shard_occupancy() == service.shard_occupancy()
+        for shard, engine in enumerate(resumed.engines):
+            assert all(resumed.shard_for(key) == shard for key in engine.flows.keys())
+        other = num_shards + 1
+        with pytest.raises(
+            ValueError, match=f"checkpoint has {num_shards} shards, service has {other}"
+        ):
+            ScanService(small_program, num_shards=other).restore(snapshot)
+
 
 # ----------------------------------------------------------------------
 # multi-packet flow generation
@@ -490,6 +720,73 @@ class TestIDSScanFlow:
             Packet(payload=b"SiGnAtUrE", header=header, packet_id=1),
         ]
         assert [a.sid for a in ids.scan_flow(packets)] == [2001]
+
+    def test_state_persists_across_scan_flow_calls(self):
+        """Multi-content completion and once-per-flow alerting span
+        separate ``scan_flow`` calls."""
+        ids = self.build_ids()
+        header = make_header(2)
+        batches = [
+            [Packet(payload=b"XMALICIOUSSHELLCODEX", header=header, packet_id=0)],
+            [Packet(payload=b"QQBACKDOORBEACONQQ", header=header, packet_id=1)],
+            [Packet(payload=b"QQBACKDOORBEACONQQ bis", header=header, packet_id=2)],
+        ]
+        alerts = [[a.sid for a in ids.scan_flow(batch)] for batch in batches]
+        assert alerts == [[], [1002], []]
+
+    def test_evicted_flow_restarts_from_scratch(self):
+        """A one-flow table forgets the split half it held when another
+        flow arrives, and the forgotten flow alerts again once re-seen whole."""
+        ids = self.build_ids()
+        ids.reset_flows(capacity=1)
+        one, two = make_header(1), make_header(2)
+        packets = [
+            Packet(payload=b"EVILPAYLOAD", header=one, packet_id=0),
+            Packet(payload=b"other flow", header=two, packet_id=0),  # evicts flow 1
+            Packet(payload=b"SIGNATURE", header=one, packet_id=1),  # state lost
+            Packet(payload=b"EVILPAYLOADSIGNATURE", header=one, packet_id=2),
+        ]
+        alerts = ids.scan_flow(packets)
+        assert [(a.sid, a.packet_id) for a in alerts] == [(1001, 2)]
+        assert ids.service.evicted_flows == 2
+
+    def test_one_call_alerts_like_one_call_per_packet(self):
+        """Batching is invisible to correlation: split, multi-content and
+        nocase rules over interleaved flows alert the same whether the
+        traffic arrives in one ``scan_flow`` call or one call per packet."""
+        nocase_rule = IDSRule(
+            sid=2001,
+            header=HeaderPattern(),
+            contents=(b"evilpayloadsignature",),
+            nocase=(True,),
+        )
+        one, two, three = make_header(1), make_header(2), make_header(3)
+        packets = [
+            Packet(payload=b"GET EVILPAY", header=one, packet_id=0),
+            Packet(payload=b"XMALICIOUSSHELLCODEX", header=two, packet_id=0),
+            Packet(payload=b"LOADSIGNATURE\r\n", header=one, packet_id=1),
+            Packet(payload=b"QQBACKDOOR", header=two, packet_id=1),
+            Packet(payload=b"EvIlPaYlOaDsIgNaTuRe", header=three, packet_id=0),
+            Packet(payload=b"BEACONQQ", header=two, packet_id=2),
+            Packet(payload=b"EVILPAYLOADSIGNATURE", header=one, packet_id=2),
+        ]
+        rules = [*self.build_ids().rules.values(), nocase_rule]
+        batched, single = IntrusionDetectionSystem(rules), IntrusionDetectionSystem(rules)
+        expected = batched.scan_flow(packets)
+        assert [alert for packet in packets for alert in single.scan_flow([packet])] == expected
+        assert sorted(alert.sid for alert in expected) == [1001, 1002, 2001, 2001]
+        for counter in ("alerts_raised", "content_matches", "header_candidates", "payload_bytes"):
+            assert getattr(single.stats, counter) == getattr(batched.stats, counter), counter
+
+    def test_service_is_one_in_process_table(self):
+        """The IDS builds a one-shard :class:`ScanService` and sizes its
+        table from ``reset_flows``."""
+        ids = self.build_ids()
+        assert type(ids.service) is ScanService
+        assert ids.service.num_shards == 1
+        ids.reset_flows(capacity=3)
+        assert type(ids.service) is ScanService
+        assert [engine.flows.capacity for engine in ids.service.engines] == [3]
 
     def test_reset_flows_drops_state(self):
         ids = self.build_ids()
