@@ -46,7 +46,6 @@ from repro.traffic import TrafficGenerator
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "results" / "BENCH_api.json"
 
 BENCH_SEED = 2010
-NUM_SHARDS = 4
 OVERHEAD_TARGET = 0.05  # the facade must stay within 5% on the largest payload
 
 FULL_RULESET_SIZE = 200
@@ -73,7 +72,7 @@ def build_config(ruleset_size: int, flow_count: int, segments: int,
             seed=BENCH_SEED + flow_count,
         ),
         rules=RulesSpec(kind="synthetic", size=ruleset_size, seed=BENCH_SEED),
-        engine=EngineSpec(backend="dtp", shards=NUM_SHARDS),
+        engine=EngineSpec(backend="dtp"),
     )
 
 
@@ -98,7 +97,7 @@ def bench_point(config: PipelineConfig, ruleset, repeats: int) -> Dict:
     direct_best = float("inf")
     direct_events = None
     for _ in range(repeats):
-        service = ScanService(program, num_shards=NUM_SHARDS)
+        service = ScanService(program)
         start = time.perf_counter()
         direct_events = service.scan(packets).events
         direct_best = min(direct_best, time.perf_counter() - start)
@@ -157,7 +156,6 @@ def run_sweep(smoke: bool = False, repeats: Optional[int] = None) -> Dict:
         "mode": "smoke" if smoke else "full",
         "seed": BENCH_SEED,
         "ruleset_size": ruleset_size,
-        "num_shards": NUM_SHARDS,
         "segments_per_flow": segments,
         "segment_bytes": segment_bytes,
         "repeats": repeats,
@@ -174,7 +172,7 @@ def run_sweep(smoke: bool = False, repeats: Optional[int] = None) -> Dict:
 def format_report(report: Dict) -> str:
     lines = [
         f"session facade overhead sweep ({report['mode']}): "
-        f"{report['ruleset_size']} strings, {report['num_shards']} shards"
+        f"{report['ruleset_size']} strings"
     ]
     lines.append(
         f"{'payload':>10s} {'direct MB/s':>12s} {'session MB/s':>13s} {'overhead':>9s}"

@@ -3,14 +3,14 @@
 Not a paper artefact: this measures the flow-scan subsystem layered on top of
 the compiled automaton.  Interleaved multi-packet flows (each carrying one
 pattern deliberately split across a segment boundary) are pushed through a
-sharded :class:`repro.streaming.ScanService`, sweeping the number of
+:class:`repro.streaming.ScanService`, sweeping the number of
 concurrent flows.  Reported per point: scan throughput, cross-segment
 detection rate, and flow-table behaviour — including an over-capacity point
 where LRU eviction kicks in.
 
 Standalone ``--smoke`` mode is the CI throughput-regression gate for the
 batched streaming hot path: it times the dense backend scanning the workload
-bare (``program.scan`` per segment, no flow state) and the full sharded
+bare (``program.scan`` per segment, no flow state) and the full
 :class:`ScanService` over the identical segments, writes
 ``BENCH_streaming_smoke.json`` with the service-vs-raw-backend ratio, and
 exits non-zero if the service falls past a deliberately generous threshold —
@@ -43,11 +43,10 @@ BENCH_SEED = 2010
 RULESET_SIZE = 200
 SEGMENTS_PER_FLOW = 4
 SEGMENT_BYTES = 128
-NUM_SHARDS = 4
 
-#: (concurrent flows, per-shard flow-table capacity); the last point forces
-#: LRU eviction by giving the table room for only half the flows.
-SWEEP = ((16, 4096), (64, 4096), (256, 4096), (512, 4096), (512, 64))
+#: (concurrent flows, flow-table capacity); the last point forces LRU
+#: eviction by giving the table room for only half the flows.
+SWEEP = ((16, 4096), (64, 4096), (256, 4096), (512, 4096), (512, 256))
 
 SMOKE_RULESET_SIZE = 40
 SMOKE_FLOWS = 32
@@ -114,7 +113,7 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
             program.scan(payload)
         raw_best = min(raw_best, time.perf_counter() - start)
 
-        service = ScanService(program, num_shards=NUM_SHARDS)
+        service = ScanService(program)
         start = time.perf_counter()
         service.scan(packets)
         service_best = min(service_best, time.perf_counter() - start)
@@ -143,7 +142,6 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
         "flows": SMOKE_FLOWS,
         "segments_per_flow": SMOKE_SEGMENTS_PER_FLOW,
         "segment_bytes": SMOKE_SEGMENT_BYTES,
-        "num_shards": NUM_SHARDS,
         "repeats": repeats,
         "payload_bytes": payload_bytes,
         "cross_segment_matches": cross_segment,
@@ -238,9 +236,7 @@ def test_streaming_flow_scaling(benchmark, write_result):
         rows = []
         for flow_count, capacity in SWEEP:
             flows, packets = workloads[(flow_count, capacity)]
-            service = ScanService(
-                program, num_shards=NUM_SHARDS, flow_capacity_per_shard=capacity
-            )
+            service = ScanService(program, flow_capacity=capacity)
             start = time.perf_counter()
             result = service.scan(packets)
             elapsed = time.perf_counter() - start
@@ -257,7 +253,7 @@ def test_streaming_flow_scaling(benchmark, write_result):
             rows.append(
                 {
                     "flows": flow_count,
-                    "capacity/shard": capacity,
+                    "capacity": capacity,
                     "packets": result.packets,
                     "kbytes": round(result.bytes_scanned / 1024, 1),
                     "mbit_per_s": round(result.bytes_scanned * 8 / elapsed / 1e6, 2),
@@ -276,7 +272,7 @@ def test_streaming_flow_scaling(benchmark, write_result):
         format_table(rows, title="Streaming scan throughput vs concurrent flows"),
     )
 
-    by_key = {(row["flows"], row["capacity/shard"]): row for row in rows}
+    by_key = {(row["flows"], row["capacity"]): row for row in rows}
     # with ample flow-table capacity every split pattern is caught statefully
     for flow_count, capacity in SWEEP[:-1]:
         row = by_key[(flow_count, capacity)]
@@ -284,8 +280,8 @@ def test_streaming_flow_scaling(benchmark, write_result):
         assert row["evicted"] == 0
         assert row["cross_segment"] >= flow_count
     # the over-capacity point must actually exercise LRU eviction
-    assert by_key[(512, 64)]["evicted"] > 0
-    assert by_key[(512, 64)]["active_flows"] <= NUM_SHARDS * 64
+    assert by_key[(512, 256)]["evicted"] > 0
+    assert by_key[(512, 256)]["active_flows"] == 256
 
 
 if __name__ == "__main__":

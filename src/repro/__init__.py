@@ -20,7 +20,7 @@ The package is organised as:
 * :mod:`repro.capture`  — pcap/pcapng capture I/O, frame en/decoding and
   replay through every scan layer;
 * :mod:`repro.streaming`— stateful flow scanning: cross-packet matching, the
-  LRU flow table and the sharded scan service;
+  LRU flow table and the scan service;
 * :mod:`repro.ids`      — an end-to-end mini intrusion detection pipeline;
 * :mod:`repro.analysis` — the metrics behind every table and figure.
 
@@ -42,7 +42,7 @@ per-packet scan but found by the stateful scan service:
 
     >>> from repro import ScanService, TrafficGenerator
     >>> flow = TrafficGenerator(ruleset, seed=5).flow(num_packets=3, split_patterns=1)
-    >>> result = ScanService(program, num_shards=2).scan(flow.packets)
+    >>> result = ScanService(program).scan(flow.packets)
     >>> streamed = {ruleset[e.string_number].sid for e in result.events}
     >>> set(flow.split_sids) <= streamed
     True
@@ -64,7 +64,7 @@ reports the identical events:
     >>> replayed, stats = load_packets(capture)
     >>> [p.payload for p in replayed] == [p.payload for p in flow.packets]
     True
-    >>> ScanService(program, num_shards=2).scan(replayed).events == result.events
+    >>> ScanService(program).scan(replayed).events == result.events
     True
 """
 

@@ -21,7 +21,7 @@ subcommand executes a config file directly.
     ...     mode="stream",
     ...     source=SourceSpec(kind="packets", packets=(packet,)),
     ...     rules=RulesSpec(kind="specs", rules=(ContentRule(content="evil", sid=7),)),
-    ...     engine=EngineSpec(backend="dense", shards=1),
+    ...     engine=EngineSpec(backend="dense"),
     ... )
     >>> with Session.from_config(config) as session:
     ...     [(e.packet_id, e.end_offset, session.sid_of[e.string_number])

@@ -6,8 +6,8 @@ A :class:`PipelineConfig` names everything a scan run is made of —
   synthetic :class:`repro.traffic.TrafficGenerator`, or a pcap/pcapng file),
 * a :class:`RulesSpec` (where patterns come from: the synthetic Snort-like
   ruleset, a Snort rules file, or explicit :class:`ContentRule` entries),
-* an :class:`EngineSpec` (backend name, device, shard count, per-shard
-  flow capacity, strict capture decoding, reassembly),
+* an :class:`EngineSpec` (backend name, device, flow capacity, strict
+  capture decoding, reassembly),
 * zero or more :class:`SinkSpec` entries (collect alerts or events, write
   them as NDJSON, export the workload as a capture)
 
@@ -50,8 +50,8 @@ from ..proto.reassembly import (
 )
 from ..traffic.packet import FiveTuple, Packet
 
-#: Pipeline execution modes: stateless per-packet matching, stateful
-#: sharded flow scanning, or the full header+content IDS pipeline.
+#: Pipeline execution modes: stateless per-packet matching, stateful flow
+#: scanning, or the full header+content IDS pipeline.
 PIPELINE_MODES = ("packets", "stream", "ids")
 
 
@@ -397,19 +397,14 @@ class RulesSpec:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EngineSpec:
-    """How the pipeline scans: backend, sharding, flow memory.
+    """How the pipeline scans: backend, flow memory, capture and reassembly.
 
     ``backend`` is any :mod:`repro.backend` registry name.  Every mode scans
-    through one in-process :class:`repro.streaming.ScanService`, so
-    ``flow_capacity`` means the same thing in stream and ids mode.
-    ``shards`` does not yet: stream mode partitions its flow LRU over
-    ``shards`` tables, while the IDS's prefilter keeps one table.  A batch
-    crosses into the backend once whatever the shard count, so splitting it
-    costs no kernel width; what separates the modes is flow memory — four
-    shards bound flows per shard, which re-orders evictions (i.e. alerts)
-    and changes the ids checkpoint's ``{"num_shards": 1}`` envelope.
-    ``strict`` makes pcap-source decoding
-    fail on undecodable frames instead of skipping and counting them.
+    through one in-process :class:`repro.streaming.ScanService` with one
+    LRU flow table, so ``flow_capacity`` — the flows tracked at once — means
+    the same thing in stream and ids mode.  ``strict`` makes pcap-source
+    decoding fail on undecodable frames instead of skipping and counting
+    them.
 
     ``reassemble`` inserts the :class:`repro.proto.TcpReassembler` between
     the packet source and the scan path: TCP segments are re-ordered by
@@ -423,7 +418,6 @@ class EngineSpec:
 
     backend: str = "dtp"
     device: str = "stratix3"
-    shards: int = 4
     flow_capacity: int = 4096
     strict: bool = False
     reassemble: bool = False
@@ -445,8 +439,6 @@ class EngineSpec:
                 f"unknown device {self.device!r}; available: "
                 f"{', '.join(sorted(DEVICES))}"
             )
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
         if self.flow_capacity < 1:
             raise ConfigError(f"flow_capacity must be >= 1, got {self.flow_capacity}")
         if self.overlap_policy not in OVERLAP_POLICIES:
@@ -463,7 +455,6 @@ class EngineSpec:
         out: Dict[str, Any] = {
             "backend": self.backend,
             "device": self.device,
-            "shards": self.shards,
             "flow_capacity": self.flow_capacity,
         }
         if self.strict:
@@ -483,9 +474,8 @@ class EngineSpec:
         _check_keys(
             data,
             (
-                "backend", "device", "shards", "flow_capacity",
-                "strict", "reassemble", "overlap_policy", "reassembly_flows",
-                "reassembly_bytes",
+                "backend", "device", "flow_capacity", "strict", "reassemble",
+                "overlap_policy", "reassembly_flows", "reassembly_bytes",
             ),
             "engine",
         )
@@ -559,7 +549,7 @@ class PipelineConfig:
     ``mode`` selects the execution path :class:`repro.api.Session` drives:
 
     * ``"packets"`` — stateless per-packet matching (the ``scan`` CLI path);
-    * ``"stream"``  — stateful sharded flow scanning (``scan-stream`` /
+    * ``"stream"``  — stateful flow scanning (``scan-stream`` /
       ``scan-pcap``);
     * ``"ids"``     — the header+content IDS pipeline over streamed flows.
 

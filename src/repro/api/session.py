@@ -284,17 +284,15 @@ class Session:
         """The pipeline's one scan service.
 
         In ids mode this *is* :attr:`ids`' service — one prefilter per
-        session, never a second compile.  A stream-mode service partitions
-        its flow LRU over ``shards`` tables; the IDS keeps one.
+        session, never a second compile.  Either mode keeps one flow table
+        of ``flow_capacity`` flows.
         """
         if self._engine_name == "ids":
             return self.ids.service
         if self._service is _UNSET:
-            engine = self.config.engine
             self._service = ScanService(
                 self.program,
-                num_shards=engine.shards,
-                flow_capacity_per_shard=engine.flow_capacity,
+                flow_capacity=self.config.engine.flow_capacity,
                 track_nocase=self._track_nocase,
             )
         return self._service
@@ -454,7 +452,7 @@ class Session:
 
         * ``packets`` mode — stateless per-packet matching; events are
           :class:`repro.traffic.MatchEvent` records in arrival order;
-        * ``stream`` mode  — one batched stateful scan through the sharded
+        * ``stream`` mode  — one batched stateful scan through the scan
           service (events in the canonical order);
         * ``ids`` mode     — the same scan plus the confirm stage
           (:meth:`IntrusionDetectionSystem.scan_flow`, then ``finish``).
@@ -546,8 +544,8 @@ class Session:
 
         When the engine is the only stateful stage the envelope is the
         engine's own: a stream-mode checkpoint is interchangeable with one
-        taken directly from a :class:`ScanService` with the same ``shards``,
-        an ids-mode one with the IDS's ``{"service", "confirm"}``.  With
+        taken directly from a :class:`ScanService`, an ids-mode one with
+        the IDS's ``{"service", "confirm"}``.  With
         ``reassemble`` on, the reassembler's state (buffered holes, per-flow anchors) must
         ride along, so the checkpoint becomes ``{"service" | "ids": ...,
         "reassembly": ...}``; :meth:`restore` accepts both shapes.
@@ -589,8 +587,8 @@ class Session:
 
         Always includes the mode; adds source totals once the source loaded
         (capture decode statistics for pcap sources), then one entry per
-        built stage: ``service`` (the shard gauges — in ids mode the IDS's
-        service), ``reassembly`` and ``ids`` (the confirm-side counters).
+        built stage: ``service`` (the flow-table gauges — in ids mode the
+        IDS's service), ``reassembly`` and ``ids`` (the confirm-side counters).
         """
         out: Dict[str, Any] = {"mode": self.config.mode}
         source = self._source

@@ -12,8 +12,7 @@ gives the repository one vocabulary for all of them:
 * :class:`CompiledProgram` — the scan contract every compiled matcher
   honours: per-payload ``match``/``scan``/``scan_packets`` plus the resumable
   ``initial_scan_states`` / ``scan_from`` pair the streaming layer needs and
-  its batched form ``scan_many`` (one call per batch, whatever the shard
-  count).
+  its batched form ``scan_many`` (one call per batch).
 * :class:`ScanState` — the immutable, JSON-checkpointable resume record
   carried across the segments of one flow.
 * a registry (:func:`register_backend` / :func:`get_backend`) mapping the CLI

@@ -2,13 +2,13 @@
 
 The contract this module makes testable: a capture written by
 :func:`write_packets`, read back and replayed through any scan front-end —
-:class:`repro.streaming.StreamScanner`, the sharded
+:class:`repro.streaming.StreamScanner`, the
 :class:`repro.streaming.ScanService` or the stateful
 :class:`repro.ids.IntrusionDetectionSystem` pipeline — produces events and
 alerts **byte-identical** to scanning the same segments in memory.  Capture
 order is flow-segment order (packet ids are assigned sequentially from
 ``first_packet_id``), which is exactly the arrival-order guarantee the
-sharded services already rely on.
+scan services already rely on.
 
 Real-world captures contain frames the DPI layers cannot scan (ARP, ICMP,
 fragments); :func:`load_packets` skips and counts them per reason in

@@ -22,7 +22,7 @@ IDM105   ``*Error`` raised with a constant "must be ..." message that
          the traceback shows what was passed)
 IDM106   a function in a module that defines ``_cmd_*`` handlers — a
          handler, or a builder the handlers share — reads a count flag
-         (``args.shards``, ``args.flows``, ...) without calling
+         (``args.flows``, ``args.flow_capacity``, ...) without calling
          ``_require_count`` on it: the check travels with the read
 =======  ==============================================================
 
@@ -43,7 +43,6 @@ from .diagnostics import ERROR, Report
 
 #: argparse count flags whose handlers must range-check before any work.
 COUNT_ATTRS = frozenset({
-    "shards",
     "flow_capacity",
     "max_packets",
     "batch_packets",

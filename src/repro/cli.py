@@ -109,9 +109,8 @@ def _add_rules_file_arguments(
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """The scan-service flags the stream-mode subcommands share."""
-    parser.add_argument("--shards", type=int, default=4, help="scan engine pool size")
     parser.add_argument("--flow-capacity", type=int, default=4096,
-                        help="LRU flow-table capacity per shard")
+                        help="LRU flow-table capacity (flows tracked at once)")
     parser.add_argument("--print-events", action="store_true",
                         help="print every match event (backend-independent report)")
 
@@ -132,7 +131,7 @@ def _add_reassembly_arguments(parser: argparse.ArgumentParser) -> None:
 #: Flags a scan-shaped subcommand may not define, at their ``EngineSpec`` /
 #: ``RulesSpec`` defaults, so :func:`_pipeline_config` reads every one by name.
 _PIPELINE_DEFAULTS = dict(
-    rules=None, strict_rules=False, shards=4, flow_capacity=4096,
+    rules=None, strict_rules=False, flow_capacity=4096,
     strict=False, reassemble=False, overlap_policy="first",
 )
 
@@ -140,7 +139,7 @@ _PIPELINE_DEFAULTS = dict(
 def _require_count(name: str, value: Optional[int], minimum: int = 1) -> None:
     """Range-check a count flag at the CLI layer (same raw-``ValueError``
     idiom as every other bad input value; the spec layer re-checks for
-    programmatic callers, so both surfaces reject ``--shards 0``)."""
+    programmatic callers, so both surfaces reject ``--flow-capacity 0``)."""
     if value is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
@@ -151,7 +150,6 @@ def _pipeline_config(
     """The config a scan-shaped subcommand's flags describe: the preset's
     ``mode`` and ``source`` plus the shared rules and engine flags (absent
     ones at :data:`_PIPELINE_DEFAULTS`), range-checked where they are read."""
-    _require_count("--shards", args.shards)
     _require_count("--flow-capacity", args.flow_capacity)
     if args.rules:
         rules = RulesSpec(kind="file", path=args.rules, strict=args.strict_rules)
@@ -164,7 +162,6 @@ def _pipeline_config(
         engine=EngineSpec(
             backend=args.backend,
             device=args.device,
-            shards=args.shards,
             flow_capacity=args.flow_capacity,
             strict=args.strict,
             reassemble=args.reassemble,
@@ -347,7 +344,6 @@ def _print_scan_summary(session, result, extra_lines=()) -> None:
         print(line)
     print(f"active flows              : {stats['active_flows']}")
     print(f"evicted flows             : {stats['evicted_flows']}")
-    print(f"shard occupancy           : {stats['shard_occupancy']}")
 
 
 def _cmd_scan_stream(args: argparse.Namespace) -> int:
@@ -387,7 +383,7 @@ def _cmd_scan_stream(args: argparse.Namespace) -> int:
         print(f"backend                   : {args.backend}")
         print(
             f"scanned {result.packets} packets / {num_flows} flows "
-            f"({result.bytes_scanned} bytes) on {session.service.num_shards} shard(s)"
+            f"({result.bytes_scanned} bytes)"
         )
         _print_scan_summary(
             session,

@@ -2,7 +2,7 @@
 to NumPy arrays and walked many lanes at a time.
 
 Every other backend in this repository interprets some linked structure per
-input byte — dict lookups in the DTP pointer lists, bitmap popcounts, failure
+input byte — dict probes in the DTP pointer lists, bitmap popcounts, failure
 walks.  This backend trades memory for speed the same way the paper's *move
 function* baseline does, but engineered for a software host:
 
@@ -38,7 +38,7 @@ visited are ever materialised.
 
 The scan is resumable either way: the per-flow state is a 1-tuple
 :class:`repro.backend.ScanState` carrying the plain state id, so the
-streaming layer (flow table, stream scanner, sharded service) uses this
+streaming layer (flow table, stream scanner, scan service) uses this
 backend unchanged and checkpoints are interchangeable with every other
 automaton backend's.
 """

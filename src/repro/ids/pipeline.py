@@ -140,9 +140,8 @@ class IntrusionDetectionSystem:
     prefilter runs on one :class:`repro.streaming.ScanService`
     (:attr:`service`, built on first use) with one flow table of
     ``flow_capacity`` flows, so a whole batch crosses into the lane kernel
-    at once and flows are evicted in arrival order.  Unlike a stream-mode
-    session, which partitions its flow LRU over ``shards`` tables, the IDS
-    keeps that one table.
+    at once and flows are evicted in arrival order — the same service a
+    stream-mode session scans with.
 
     As a pipeline stage the IDS answers a scan service's calls —
     :meth:`scan` / :meth:`flush` (batch results carrying the alerts),
@@ -361,8 +360,7 @@ class IntrusionDetectionSystem:
         if self._service is None:
             self._service = ScanService(
                 self.program,
-                num_shards=1,
-                flow_capacity_per_shard=self._flow_capacity,
+                flow_capacity=self._flow_capacity,
                 track_nocase=bool(self._nocase_patterns),
             )
         return self._service
@@ -370,7 +368,7 @@ class IntrusionDetectionSystem:
     @property
     def flow_scanner(self) -> StreamScanner:
         """The service's one engine (a read-only view)."""
-        return self.service.engines[0]
+        return self.service.scanner
 
     def reset_flows(self, capacity: Optional[int] = None) -> None:
         """Drop all tracked flow state (optionally resizing the flow table)."""
@@ -509,7 +507,7 @@ class IntrusionDetectionSystem:
 
         Everything the confirm stage needs across a restart — absolute hit
         positions per flow, pcre byte buffers, pending negation candidacy —
-        rides next to the service's envelope of resumable automaton states,
+        rides next to the service's table of resumable automaton states,
         so a restored IDS continues mid-flow predicates exactly where it
         stopped.
         """
@@ -522,12 +520,8 @@ class IntrusionDetectionSystem:
         """Restore state saved by :meth:`checkpoint`.
 
         Also accepts the ``{"flows", "confirm"}`` shape written before the
-        IDS scanned through a service: one bare flow table, i.e. shard 0 of
-        a one-shard service envelope.
+        IDS scanned through a service: the same one flow table, under
+        another key.
         """
-        if "flows" in data:
-            service_state = {"num_shards": 1, "shards": [data["flows"]]}
-        else:
-            service_state = data["service"]
-        self.service.restore(service_state)
+        self.service.restore(data["flows"] if "flows" in data else data["service"])
         self._confirm.restore(data["confirm"])

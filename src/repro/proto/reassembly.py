@@ -1,7 +1,7 @@
 """Sequence-number-driven TCP stream reassembly in front of the scan layers.
 
 Everything downstream of this module — :class:`repro.streaming.StreamScanner`,
-the sharded services, the two-stage IDS — scans segments in *arrival order*
+the scan service, the two-stage IDS — scans segments in *arrival order*
 and trusts that order to equal stream order.  Real captures break that trust:
 segments arrive out of order, retransmitted, and deliberately overlapping —
 the classic IDS evasion surface.  :class:`TcpReassembler` closes it by

@@ -10,8 +10,8 @@ puts on top of the matcher:
   state record and a bounded LRU :class:`FlowTable` with checkpointing;
 * :mod:`repro.streaming.scanner` — a :class:`StreamScanner` that loads/stores
   flow state around each segment scan (one engine multiplexing many flows);
-* :mod:`repro.streaming.service` — a hash-sharded :class:`ScanService`
-  dispatching batches across a pool of scanners with aggregate reporting;
+* :mod:`repro.streaming.service` — a :class:`ScanService` scanning whole
+  batches on one scanner with aggregate reporting;
 * :mod:`repro.streaming.ingest`  — the asyncio front-end feeding any scan
   service from live sources (socket listeners, tail-followed captures).
 """
@@ -31,7 +31,7 @@ from .ingest import (
     UdpListenerSource,
 )
 from .scanner import ANONYMOUS_FLOW, ScannerStatistics, StreamMatch, StreamScanner
-from .service import ScanService, ShardReport, StreamScanResult
+from .service import ScanService, StreamScanResult
 
 __all__ = [
     "DEFAULT_FLOW_CAPACITY",
@@ -49,6 +49,5 @@ __all__ = [
     "StreamMatch",
     "StreamScanner",
     "ScanService",
-    "ShardReport",
     "StreamScanResult",
 ]

@@ -17,7 +17,6 @@ which is what makes checkpointing and migration across engines cheap.
 
 from __future__ import annotations
 
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -41,11 +40,10 @@ class FlowKey:
     packet model.
 
     A key is resolved once per flow and then handed from layer to layer, so
-    it carries what every layer used to recompute per packet: its hash and
-    ``shard_crc``, the CRC32 of :meth:`encode` the services reduce to a shard
-    number.  Identity is still *by value*: a key rebuilt from a checkpoint, a
-    pickle or a fresh :meth:`coerced` call is equal, hashes alike and lands
-    on the same shard — nothing may assume two equal keys are one object.
+    it carries what every layer used to recompute per packet: its hash.
+    Identity is still *by value*: a key rebuilt from a checkpoint, a pickle
+    or a fresh :meth:`coerced` call is equal and hashes alike — nothing may
+    assume two equal keys are one object.
     """
 
     src_ip: str
@@ -53,11 +51,9 @@ class FlowKey:
     src_port: int
     dst_port: int
     protocol: str
-    shard_crc: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shard_crc", zlib.crc32(self.encode()))
         object.__setattr__(self, "_hash", hash(self.as_tuple()))
 
     def __hash__(self) -> int:
@@ -75,7 +71,7 @@ class FlowKey:
         Flow identity is *typed*: ``encode()`` stringifies every field, so a
         port that arrives as the float ``80.0`` (a JSON checkpoint round-trip,
         a hand-written fixture) would hash and compare as ``"80.0"`` — a
-        different shard and a different table slot than the live ``80``.
+        different table slot than the live ``80``.
         Every constructor that ingests external data funnels through here.
         """
         return cls(
@@ -105,7 +101,7 @@ class FlowKey:
         return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
 
     def encode(self) -> bytes:
-        """Stable byte encoding used for shard hashing and checkpoints."""
+        """Stable byte encoding of the flow's identity."""
         return "|".join(str(part) for part in self.as_tuple()).encode()
 
 
@@ -201,18 +197,12 @@ class FlowEntry:
 
 @dataclass
 class FlowTableStatistics:
-    lookups: int = 0
-    hits: int = 0
     created: int = 0
     evicted: int = 0
     #: flows present in a checkpoint but dropped at restore time because they
     #: exceeded the restoring table's capacity (not LRU evictions — the flows
     #: were never live in this table).
     restore_dropped: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class FlowTable:
@@ -242,21 +232,18 @@ class FlowTable:
         return list(self._entries)
 
     def peek(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Like :meth:`lookup` but touching neither recency nor statistics."""
+        """Like :meth:`lookup` but leaving ``key``'s recency alone."""
         return self._entries.get(key)
 
     def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
         """Return the entry for ``key`` (refreshing its recency) or ``None``."""
-        self.stats.lookups += 1
         entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self.stats.hits += 1
-        self._entries.move_to_end(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
     def touch(self, key: FlowKey) -> None:
-        """Refresh ``key``'s recency without counting a lookup.
+        """Refresh ``key``'s recency.
 
         The batched fast path walks flows in grouped order and then replays
         the per-segment recency sequence through here, so eviction order

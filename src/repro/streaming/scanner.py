@@ -14,32 +14,29 @@ The scanner is written against the :class:`repro.backend.CompiledProgram`
 protocol, so *any* backend — the device-partitioned
 :class:`repro.core.AcceleratorProgram`, the compiled dense table, a plain
 DFA, even Wu-Manber — multiplexes flows through the identical code path.
-Higher layers stack the sharded services on top of it; the declarative
+Higher layers stack the scan service on top of it; the declarative
 :class:`repro.api.Session` facade composes the whole column from one
 :class:`repro.api.PipelineConfig`.
 
 Hot path
 --------
-A scan service hands a whole batch — every shard's segments — to one
-:meth:`scan_batch` call.  The batch is grouped by flow once; each flow's
-shard only picks the :class:`FlowTable` (and statistics) it lives in.  Every
-flow of every shard that cannot evict is concatenated into one job, and all
-of those jobs cross into the backend together (``scan_many``: one job per
-flow, plus one per lower-cased view under ``track_nocase``), so a batch
-costs one backend crossing whatever the shard count.  Matches are then
+A scan service hands a whole batch to one :meth:`scan_batch` call.  The
+batch is grouped by flow once; each flow's segments are concatenated into
+one job, and all of those jobs cross into the backend together
+(``scan_many``: one job per flow, plus one per lower-cased view under
+``track_nocase``), so a batch costs one backend crossing.  Matches are then
 re-attributed to their segments by offset — per-segment work only a flow
-whose scan reported a hit pays for.  A shard whose table could evict takes
-the exact per-segment loop instead, and only that shard does, so events,
-statistics and LRU order are byte-identical either way (the differential
-harness in the test suite holds it to that).
+whose scan reported a hit pays for.  A batch that could make the flow table
+evict takes the exact per-segment loop instead, so events, statistics and
+LRU order are byte-identical either way (the differential harness in the
+test suite holds it to that).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram, MatchList, ScanJob
@@ -60,8 +57,8 @@ Eviction = Tuple[int, FlowKey]
 
 #: What :meth:`StreamScanner.scan_batch` returns: ``(hits, evictions)``.
 #: ``hits`` maps the index of every segment that matched to its events and
-#: holds nothing for the others; it is ordered by shard, then by arrival —
-#: the order the canonical event sort breaks its ties in.
+#: holds nothing for the others; it is ordered by arrival — the order the
+#: canonical event sort breaks its ties in.
 BatchScan = Tuple[Dict[int, List["StreamMatch"]], List[Eviction]]
 
 _PAYLOADS = attrgetter("payload")
@@ -93,7 +90,7 @@ class SegmentBatch:
 
     @classmethod
     def from_packets(cls, packets: Sequence[Packet]) -> "SegmentBatch":
-        flow_key = StreamScanner.flow_key  # resolved once per flow, CRC included
+        flow_key = StreamScanner.flow_key  # resolved once per flow
         return cls(
             [flow_key(packet) for packet in packets],
             list(map(_PAYLOADS, packets)),
@@ -302,41 +299,28 @@ class StreamScanner:
     # ------------------------------------------------------------------
     # batched scanning (the services' hot path)
     # ------------------------------------------------------------------
-    def scan_batch(
-        self,
-        items: Union[SegmentBatch, Sequence[BatchItem]],
-        shards: Optional[Sequence["StreamScanner"]] = None,
-    ) -> BatchScan:
+    def scan_batch(self, items: Union[SegmentBatch, Sequence[BatchItem]]) -> BatchScan:
         """Scan one batch of segments: a :class:`SegmentBatch` or a sequence
         of ``(key, payload, packet_id)`` items.
 
-        ``shards`` are the engines of a multi-shard owner, indexed by shard
-        number: a flow lives in ``shards[key.shard_crc % len(shards)]``.  By
-        default this engine is the only shard.  Every engine must scan this
-        engine's program with its ``track_nocase``, because this engine's
-        crossing serves them all.
-
         Returns ``(hits, evictions)`` (see :data:`BatchScan`): ``hits[i]``
         is exactly the non-empty event list :meth:`scan_segment` would have
-        returned for segment ``i`` on its shard, and ``evictions`` records
-        ``(i, key)``, in arrival order, for every flow LRU-evicted while
-        segment ``i`` was being scanned.
+        returned for segment ``i``, and ``evictions`` records ``(i, key)``,
+        in arrival order, for every flow LRU-evicted while segment ``i`` was
+        being scanned.
 
-        Fast path: the batch is grouped by flow once.  A shard that provably
-        cannot evict (its live flows plus this batch's new ones fit its
-        table) concatenates each of its flows' segments into one job, and
-        the jobs of every such shard cross into the backend in one
-        ``scan_many`` call; matches are re-attributed to segments by their
-        flow-absolute end offset and each table's LRU recency is replayed in
-        per-segment order afterwards.  A shard that could evict takes the
-        exact per-segment loop instead, because eviction timing (and hence
-        restart state) depends on the segment interleaving the fast path
-        collapses.  Events, statistics and final table state are identical
-        on both paths.
+        Fast path: the batch is grouped by flow once.  When the table
+        provably cannot evict (its live flows plus this batch's new ones fit
+        its capacity), each flow's segments are concatenated into one job
+        and every job crosses into the backend in one ``scan_many`` call;
+        matches are re-attributed to segments by their flow-absolute end
+        offset and the table's LRU recency is replayed in per-segment order
+        afterwards.  Otherwise the batch takes the exact per-segment loop,
+        because eviction timing (and hence restart state) depends on the
+        segment interleaving the fast path collapses.  Events, statistics
+        and final table state are identical on both paths.
         """
         batch = items if isinstance(items, SegmentBatch) else SegmentBatch.from_items(items)
-        if shards is None:
-            shards = (self,)
         groups: Dict[FlowKey, List[int]] = {}
         for index, key in enumerate(batch.keys):
             group = groups.get(key)
@@ -344,72 +328,26 @@ class StreamScanner:
                 groups[key] = [index]
             else:
                 group.append(index)
-        num_shards = len(shards)
-        routed: List[List[FlowKey]] = [[] for _ in range(num_shards)]
-        for key in groups:
-            routed[key.shard_crc % num_shards].append(key)
+        table = self.flows
+        if len(table) + sum(1 for key in groups if key not in table) > table.capacity:
+            return self._scan_per_segment(batch)
 
-        # per shard with flows: (engine, its flows, where its jobs start in
-        # `work` — None for the per-segment loop)
-        plan: List[Tuple[StreamScanner, List[FlowKey], Optional[int]]] = []
         work: List[Tuple[FlowEntry, bytes]] = []
         payloads = batch.payloads
-        for engine, flows in zip(shards, routed):
-            if not flows:
-                continue
-            table = engine.flows
-            new_flows = sum(1 for key in flows if key not in table)
-            if len(table) + new_flows > table.capacity:
-                plan.append((engine, flows, None))
-                continue
-            plan.append((engine, flows, len(work)))
-            table_stats = table.stats
-            for key in flows:
-                indexes = groups[key]
-                entry = table.lookup(key)
-                if entry is None:
-                    entry = engine._new_entry(key)
-                    table.insert(entry)
-                # Emulate the per-segment bookkeeping the collapsed lookups
-                # would have done: each of the k segments performs one
-                # lookup, and all but the creating miss (if any) hit.
-                extra = len(indexes) - 1
-                table_stats.lookups += extra
-                table_stats.hits += extra
-                entry.packets += len(indexes)
-                work.append((entry, b"".join([payloads[index] for index in indexes])))
+        for key, indexes in groups.items():
+            entry = table.peek(key)
+            if entry is None:
+                entry = self._new_entry(key)
+                table.insert(entry)
+            entry.packets += len(indexes)
+            work.append((entry, b"".join([payloads[index] for index in indexes])))
         views = self._scan_views(work) if work else []
 
-        hits: Dict[int, List[StreamMatch]] = {}
-        evictions: List[Eviction] = []
-        for engine, flows, first in plan:
-            if first is None:
-                indexes = sorted(chain.from_iterable(groups[key] for key in flows))
-                engine._scan_per_segment(indexes, batch, hits, evictions)
-            else:
-                last = first + len(flows)
-                engine._settle(
-                    flows, groups, batch, work[first:last], views[first:last], hits
-                )
-        evictions.sort(key=itemgetter(0))  # shard order -> arrival order
-        return hits, evictions
-
-    def _settle(
-        self,
-        flows: List[FlowKey],
-        groups: Dict[FlowKey, List[int]],
-        batch: SegmentBatch,
-        work: List[Tuple[FlowEntry, bytes]],
-        views: List[Tuple[MatchList, MatchList]],
-        hits: Dict[int, List[StreamMatch]],
-    ) -> None:
-        """The fast path's per-shard half, after the crossing: count this
-        shard's segments, hand its flows' hits to their segments (into
-        ``hits``, in arrival order) and replay its LRU recency."""
         stats = self.stats
         found: Dict[int, List[StreamMatch]] = {}
-        for key, (entry, joined), (raw, lowered) in zip(flows, work, views):
-            indexes = groups[key]
+        for (key, indexes), (entry, joined), (raw, lowered) in zip(
+            groups.items(), work, views
+        ):
             stats.segments += len(indexes)
             stats.bytes_scanned += len(joined)
             if raw or lowered:
@@ -417,15 +355,13 @@ class StreamScanner:
                     key, indexes, batch, entry.bytes_scanned - len(joined),
                     raw, lowered, found,
                 )
-        for index in sorted(found):
-            hits[index] = found[index]
 
-        # Replay LRU recency in per-segment order: the grouped walk touched
-        # each flow at its *first* arrival, but per-segment scanning leaves
-        # flows ordered by their *last* segment in the batch.
-        table = self.flows
-        for key in sorted(flows, key=lambda flow: groups[flow][-1]):
+        # Replay LRU recency in per-segment order: the grouped walk inserted
+        # new flows at their *first* arrival and left live ones in place, but
+        # per-segment scanning leaves flows ordered by their *last* segment.
+        for key in sorted(groups, key=lambda flow: groups[flow][-1]):
             table.touch(key)
+        return {index: found[index] for index in sorted(found)}, []
 
     def _attribute(
         self,
@@ -469,17 +405,12 @@ class StreamScanner:
                 if offset - pattern_length[number] < segment_start:
                     stats.cross_segment_matches += 1
 
-    def _scan_per_segment(
-        self,
-        indexes: List[int],
-        batch: SegmentBatch,
-        hits: Dict[int, List[StreamMatch]],
-        evictions: List[Eviction],
-    ) -> None:
-        """The exact slow path: scan segments ``indexes`` one at a time,
-        recording their events into ``hits`` and ``(index, key)`` eviction
-        records into ``evictions``."""
+    def _scan_per_segment(self, batch: SegmentBatch) -> BatchScan:
+        """The exact slow path: scan the batch one segment at a time,
+        recording each flow the table evicts on the way."""
         keys, payloads, packet_ids = batch.keys, batch.payloads, batch.packet_ids
+        hits: Dict[int, List[StreamMatch]] = {}
+        evictions: List[Eviction] = []
         flows = self.flows
         previous = flows.on_evict
         position = 0
@@ -491,12 +422,13 @@ class StreamScanner:
 
         flows.on_evict = record
         try:
-            for position in indexes:
+            for position in range(len(keys)):
                 events = self.scan_segment(keys[position], payloads[position], packet_ids[position])
                 if events:
                     hits[position] = events
         finally:
             flows.on_evict = previous
+        return hits, evictions
 
     # ------------------------------------------------------------------
     def close_flow(self, key: FlowKey) -> Optional[FlowEntry]:

@@ -1,17 +1,13 @@
-"""Sharded flow-scan service: many flows multiplexed over an engine pool.
+"""Flow-scan service: many flows multiplexed over one scan engine.
 
-The paper's accelerator exposes independent packet groups that scan distinct
-packets concurrently; at system level a line card must therefore decide
-*which* engine sees which packet.  The service makes that decision the way
-production flow engines do: flows are hash-partitioned over a pool of
-scan engines (one :class:`repro.streaming.scanner.StreamScanner` per shard,
-each with its own bounded :class:`FlowTable`), so every packet of a flow
-always lands on the same shard and the flow's resumable automaton state never
-has to move.  A shard owns flows, not packets: like the paper's engines
-pulling from one shared packet buffer, the service scans a whole
-arrival batch in one :meth:`StreamScanner.scan_batch` call — grouped by flow
-once, each flow's shard picking only the table it lives in, every shard's
-jobs sharing one backend crossing.
+The paper's accelerator scans many flows on engines that each own their
+flows' registers, so no engine waits on another.  The service is one such
+engine in software: one :class:`repro.streaming.scanner.StreamScanner` with
+one bounded :class:`FlowTable`, so a flow's resumable automaton state never
+has to move.  Like the paper's engines pulling from one shared packet
+buffer, the service scans a whole arrival batch in one
+:meth:`StreamScanner.scan_batch` call — grouped by flow once, every flow's
+job sharing one backend crossing.
 """
 
 from __future__ import annotations
@@ -28,28 +24,11 @@ from .scanner import Eviction, SegmentBatch, StreamMatch, StreamScanner
 
 
 @dataclass
-class ShardReport:
-    """Per-shard slice of a :class:`StreamScanResult`.
-
-    ``packets``/``bytes_scanned``/``matches``/``evicted_flows`` count this
-    batch only (summable across reports); ``active_flows`` is a gauge — the
-    shard's live flow count when the batch finished.
-    """
-
-    shard: int
-    packets: int
-    bytes_scanned: int
-    matches: int
-    active_flows: int
-    evicted_flows: int
-
-
-@dataclass
 class StreamScanResult:
-    """Aggregate outcome of one batched scan across all shards.
+    """Aggregate outcome of one batched scan.
 
     The one batch result every pipeline hands on: a scan service fills the
-    first four fields; ``alerts`` is what a confirm stage raised for the
+    first three fields; ``alerts`` is what a confirm stage raised for the
     batch (:meth:`repro.ids.IntrusionDetectionSystem.scan`), and ``scanned``
     names the packets the result covers when a composed pipeline re-shaped
     the caller's batch before scanning it (:meth:`repro.api.Session.scan`
@@ -59,7 +38,6 @@ class StreamScanResult:
     events: List[StreamMatch]
     packets: int
     bytes_scanned: int
-    shards: List[ShardReport] = field(default_factory=list)
     alerts: List = field(default_factory=list)
     scanned: Optional[Sequence[Packet]] = None
 
@@ -91,47 +69,30 @@ def event_order(event: StreamMatch) -> Tuple[int, int, int]:
 
 
 class ScanService:
-    """Hash-sharded, stateful scanning front-end over one compiled program.
+    """Stateful scanning front-end over one compiled program.
 
-    ``program`` is any :class:`repro.backend.CompiledProgram` — the engines
-    reference the same compiled structure (mirroring the replicated packet
-    groups on the device) but each shard keeps a private flow table, so
-    shards share no mutable state.  The service is a context manager, so
-    callers can hold it in a ``with`` block (teardown is a no-op); it is
-    built declaratively through :class:`repro.api.Session`.
+    ``program`` is any :class:`repro.backend.CompiledProgram`; the service's
+    one :attr:`scanner` keeps every flow in one LRU table of
+    ``flow_capacity`` flows.  The service is a context manager, so callers
+    can hold it in a ``with`` block (teardown is a no-op); it is built
+    declaratively through :class:`repro.api.Session`.
     """
 
     def __init__(
         self,
         program: CompiledProgram,
-        num_shards: int = 4,
-        flow_capacity_per_shard: int = DEFAULT_FLOW_CAPACITY,
+        flow_capacity: int = DEFAULT_FLOW_CAPACITY,
         track_nocase: bool = False,
     ):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be at least 1, got {num_shards}")
         self.program = program
-        self.num_shards = num_shards
-        self.engines: List[StreamScanner] = [
-            StreamScanner(
-                program,
-                FlowTable(flow_capacity_per_shard),
-                track_nocase=track_nocase,
-            )
-            for _ in range(num_shards)
-        ]
-
-    def shard_for(self, key: FlowKey) -> int:
-        """Stable flow -> shard mapping (CRC32 of the canonical 5-tuple)."""
-        return key.shard_crc % self.num_shards
+        self.scanner = StreamScanner(
+            program, FlowTable(flow_capacity), track_nocase=track_nocase
+        )
 
     # ------------------------------------------------------------------
     def submit(self, packet: Packet) -> List[StreamMatch]:
-        """Scan a single packet on its flow's shard."""
-        key = StreamScanner.flow_key(packet)
-        return self.engines[self.shard_for(key)].scan_segment(
-            key, packet.payload, packet.packet_id
-        )
+        """Scan a single packet as the next segment of its flow."""
+        return self.scanner.scan_packet(packet)
 
     def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
         """Batched dispatch plus what a confirm stage needs to follow it.
@@ -143,49 +104,28 @@ class ScanService:
         key)`` for every flow LRU-evicted while the packet at
         ``arrival_index`` was being scanned; and every packet's resolved
         flow key.  The stateful IDS pipeline correlates alerts from these
-        without touching the shards' flow tables.
+        without touching the flow table.
 
-        The whole batch is one :meth:`StreamScanner.scan_batch` call over
-        every shard's engine: one grouping by flow, one backend crossing.
-        Nothing per packet is built beyond the batch's three columns — a
-        small-packet pass pays for every object that lives through the
-        batch in the collector's older generations.  ``hits`` comes back
-        ordered by shard, then arrival, and the canonical event sort is
-        stable, so that order decides its ties.
+        The whole batch is one :meth:`StreamScanner.scan_batch` call: one
+        grouping by flow, one backend crossing.  Nothing per packet is built
+        beyond the batch's three columns — a small-packet pass pays for
+        every object that lives through the batch in the collector's older
+        generations.  ``hits`` comes back in arrival order, and the
+        canonical event sort is stable, so that order decides its ties.
         """
         batch = SegmentBatch.from_packets(packets)
-        engines = self.engines
-        before = [
-            (engine.stats.segments, engine.stats.bytes_scanned, engine.stats.matches,
-             engine.flows.stats.evicted)
-            for engine in engines
-        ]
-        hits, evictions = engines[0].scan_batch(batch, engines)
-        shard_reports = [
-            ShardReport(
-                shard=shard,
-                packets=engine.stats.segments - segments,
-                bytes_scanned=engine.stats.bytes_scanned - scanned,
-                matches=engine.stats.matches - matches,
-                active_flows=engine.active_flows,
-                evicted_flows=engine.flows.stats.evicted - evicted,
-            )
-            for shard, (engine, (segments, scanned, matches, evicted)) in enumerate(
-                zip(engines, before)
-            )
-        ]
+        scanner = self.scanner
+        before = scanner.stats.bytes_scanned
+        hits, evictions = scanner.scan_batch(batch)
         events = list(chain.from_iterable(hits.values()))
         events.sort(key=_EVENT_ORDER)
         result = StreamScanResult(
-            events=events,
-            packets=len(packets),
-            bytes_scanned=sum(report.bytes_scanned for report in shard_reports),
-            shards=shard_reports,
+            events, len(packets), scanner.stats.bytes_scanned - before
         )
         return result, hits, evictions, batch.keys
 
     def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """Batched dispatch: scan ``packets`` across the shards, aggregate.
+        """Batched dispatch: scan ``packets`` statefully, aggregate.
 
         The annotation is dropped here, not retained: a result that kept the
         per-packet lists would keep every event list alive through the sinks.
@@ -198,67 +138,56 @@ class ScanService:
     # ------------------------------------------------------------------
     @property
     def active_flows(self) -> int:
-        return sum(len(engine.flows) for engine in self.engines)
+        return len(self.scanner.flows)
 
     @property
     def evicted_flows(self) -> int:
-        return sum(engine.flows.stats.evicted for engine in self.engines)
+        return self.scanner.flows.stats.evicted
 
     @property
     def cross_segment_matches(self) -> int:
-        return sum(engine.stats.cross_segment_matches for engine in self.engines)
-
-    def shard_occupancy(self) -> List[int]:
-        """Live flow count per shard (how even the hash partitioning is)."""
-        return [len(engine.flows) for engine in self.engines]
+        return self.scanner.stats.cross_segment_matches
 
     def stats(self) -> Dict[str, object]:
         """The service's gauges as one plain dict.
 
         Counters (``evicted_flows``, ``cross_segment_matches``) are
-        lifetime totals; ``active_flows``/``shard_occupancy`` are live
-        gauges.  The dict is JSON-serialisable, so it can ride along in run
-        artifacts (:meth:`repro.api.Session.stats` embeds it).
+        lifetime totals; ``active_flows`` is a live gauge.  The dict is
+        JSON-serialisable, so it can ride along in run artifacts
+        (:meth:`repro.api.Session.stats` embeds it).
         """
-        # one walk of the engines: Session.run() calls this cold, once a pass
-        active, evicted, cross_segment = zip(*[
-            (len(engine.flows), engine.flows.stats.evicted, engine.stats.cross_segment_matches)
-            for engine in self.engines
-        ])
+        scanner = self.scanner
         return {
-            "num_shards": self.num_shards,
-            "active_flows": sum(active),
-            "evicted_flows": sum(evicted),
-            "cross_segment_matches": sum(cross_segment),
-            "shard_occupancy": list(active),
+            "active_flows": len(scanner.flows),
+            "evicted_flows": scanner.flows.stats.evicted,
+            "cross_segment_matches": scanner.stats.cross_segment_matches,
         }
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
-        """Serialise every shard's flow table to plain data."""
-        return {
-            "num_shards": self.num_shards,
-            "shards": [engine.flows.checkpoint() for engine in self.engines],
-        }
+        """Serialise the flow table to plain data (:meth:`FlowTable.checkpoint`)."""
+        return self.scanner.flows.checkpoint()
 
     def restore(self, data: Dict) -> None:
-        """Restore flow state saved by :meth:`checkpoint` (same sharding).
+        """Restore flow state saved by :meth:`checkpoint`.
 
-        Each shard keeps its *configured* flow capacity — a checkpoint from a
+        The table keeps its *configured* flow capacity — a checkpoint from a
         larger table never silently raises this service's memory bound;
-        over-capacity flows are dropped LRU-first.
+        over-capacity flows are dropped LRU-first.  The older envelope that
+        listed one table per partition of the flows is accepted when it holds
+        one table, which is every checkpoint the IDS wrote; the LRU order
+        across several tables cannot be recovered, so more raise.
         """
-        if int(data["num_shards"]) != self.num_shards:
-            raise ValueError(
-                f"checkpoint has {data['num_shards']} shards, service has {self.num_shards}"
-            )
-        if len(data["shards"]) != self.num_shards:
-            raise ValueError(
-                f"checkpoint lists {len(data['shards'])} shard tables, "
-                f"expected {self.num_shards}"
-            )
-        for engine, shard_data in zip(self.engines, data["shards"]):
-            engine.flows = FlowTable.restore(shard_data, capacity=engine.flows.capacity)
+        if "flows" not in data:
+            tables = data["shards"]
+            if len(tables) != 1:
+                raise ValueError(
+                    f"checkpoint holds {len(tables)} flow tables; only a "
+                    "one-table checkpoint can be restored"
+                )
+            data = tables[0]
+        scanner = self.scanner
+        scanner.flows = FlowTable.restore(data, capacity=scanner.flows.capacity)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

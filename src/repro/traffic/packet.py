@@ -11,7 +11,7 @@ class FiveTuple:
     """The classic 5-tuple a router's header classifier operates on.
 
     ``flow_key`` is the flow's resolved identity — the
-    :class:`repro.streaming.flow.FlowKey` (with its hash and shard CRC) that
+    :class:`repro.streaming.flow.FlowKey` (with its hash) that
     :meth:`FlowKey.from_header` attaches on first use, so every later packet
     carrying this header object reads it instead of re-deriving it.  It is a
     cache, not a field (the class default is shadowed per instance):

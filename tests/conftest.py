@@ -7,7 +7,7 @@ their own small instances.
 :func:`assert_equivalent_events` is the regression gate for every streaming
 optimisation: it scans one randomized workload through every requested
 {backend} × {in-memory, pcap-replay} combination and asserts the event
-streams, shard reports and service gauges are byte-identical.  The
+streams, batch totals and service gauges are byte-identical.  The
 scan-equivalence test families (backends, capture replay, pipeline API) all
 call it instead of hand-rolling their own comparison loops.
 """
@@ -208,7 +208,6 @@ def assert_equivalent_events(
     *,
     backends: Sequence[str] = ("dtp", "dense"),
     sources: Sequence[str] = ("memory", "pcap"),
-    num_shards: int = 2,
     flow_capacity: int = 4096,
     track_nocase: bool = False,
     batches: int = 1,
@@ -219,7 +218,7 @@ def assert_equivalent_events(
     Every ``backend`` × ``source`` (``"memory"`` scans the packet list,
     ``"pcap"`` replays it from an in-memory capture) through a
     :class:`ScanService` must produce
-    byte-identical events, shard reports, batch totals and final service
+    byte-identical events, batch totals and final service
     gauges; the first combination is the reference and every other one is
     asserted against it.  Returns the reference (see
     :class:`EquivalenceReference`) so callers can pile on workload-specific
@@ -246,10 +245,7 @@ def assert_equivalent_events(
 
     def run(program, source: str):
         service = ScanService(
-            program,
-            num_shards=num_shards,
-            flow_capacity_per_shard=flow_capacity,
-            track_nocase=track_nocase,
+            program, flow_capacity=flow_capacity, track_nocase=track_nocase
         )
         if source == "memory":
             results = [service.scan(chunk) for chunk in chunks]
@@ -273,9 +269,6 @@ def assert_equivalent_events(
             for got, want in zip(results, reference.results):
                 assert got.events == want.events, (
                     f"{label} events differ from {reference_label}"
-                )
-                assert got.shards == want.shards, (
-                    f"{label} shard reports differ from {reference_label}"
                 )
                 assert got.packets == want.packets
                 assert got.bytes_scanned == want.bytes_scanned
@@ -1488,7 +1481,6 @@ def assert_equivalent_alerts(
     sources: Sequence[str] = ("memory", "pcap"),
     flow_capacity: int = 4096,
     restore_at: Optional[int] = None,
-    num_shards: Optional[int] = None,
 ) -> List[Tuple[int, int]]:
     """Differentially check the two-stage pipeline against the naive
     reference: every backend × source combination must produce the naive
@@ -1498,10 +1490,6 @@ def assert_equivalent_alerts(
     With ``restore_at`` every backend is run once more in memory with a
     checkpoint → JSON → restore into a fresh IDS before packet
     ``restore_at``.
-
-    The IDS sizes its own prefilter (one shard); ``num_shards`` swaps in a
-    service over that many shards instead, which pins that correlation holds
-    over any shard count.
     """
     from repro.capture import replay_ids
     from repro.ids import IntrusionDetectionSystem
@@ -1510,11 +1498,6 @@ def assert_equivalent_alerts(
         ids = IntrusionDetectionSystem.from_specs(specs, backend=backend)
         if flow_capacity != 4096:
             ids.reset_flows(capacity=flow_capacity)
-        if num_shards is not None:
-            ids._service = ScanService(
-                ids.program, num_shards=num_shards, flow_capacity_per_shard=flow_capacity,
-                track_nocase=bool(ids._nocase_patterns),
-            )
         return ids
 
     packets = renumbered(list(packets))

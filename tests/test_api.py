@@ -1,7 +1,7 @@
 """The declarative pipeline API: equivalence, round-trips, checkpoints.
 
 The headline contract: for the same configuration, :class:`repro.api.Session`
-produces **byte-identical** output — events, shard reports, alerts — to the
+produces **byte-identical** output — events, batch totals, alerts — to the
 direct composition of :class:`ScanService` / the replay adapters, across
 {dtp, dense} × {in-memory, pcap}.  The facade adds configuration, never
 behaviour.
@@ -36,10 +36,10 @@ from repro.streaming import ScanService
 from repro.traffic import TrafficGenerator
 
 SIZE, SEED = 40, 5
-#: Stream mode partitions its flow LRU over ``shards`` tables; the facade must
-#: agree with the direct composition at every count, one table included.
-SHARD_COUNTS = (1, 2, 4)
-FLOW_CAPACITY = 4096
+#: The workload's six flows in fewer table slots (every batch steps out
+#: segment by segment), in exactly enough, and in the default table: the
+#: facade must agree with the direct composition at every capacity.
+FLOW_CAPACITIES = (2, 6, 4096)
 
 BACKENDS = ("dtp", "dense")
 
@@ -60,8 +60,8 @@ def build_packets(ruleset):
     return TrafficGenerator.interleave(flows)
 
 
-def make_service(program, shards):
-    return ScanService(program, num_shards=shards, flow_capacity_per_shard=FLOW_CAPACITY)
+def make_service(program, capacity):
+    return ScanService(program, flow_capacity=capacity)
 
 
 def generator_source():
@@ -70,14 +70,12 @@ def generator_source():
     )
 
 
-def stream_config(source, backend, sinks=(), shards=2):
+def stream_config(source, backend, sinks=(), capacity=4096):
     return PipelineConfig(
         mode="stream",
         source=source,
         rules=RulesSpec(kind="synthetic", size=SIZE, seed=SEED),
-        engine=EngineSpec(
-            backend=backend, shards=shards, flow_capacity=FLOW_CAPACITY,
-        ),
+        engine=EngineSpec(backend=backend, flow_capacity=capacity),
         sinks=sinks,
     )
 
@@ -94,8 +92,8 @@ def workload_pcap(tmp_path_factory):
 # equivalence: Session output == direct composition
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_stream_session_matches_direct_composition(shards, backend):
+@pytest.mark.parametrize("capacity", FLOW_CAPACITIES)
+def test_stream_session_matches_direct_composition(capacity, backend):
     """The facade must add configuration, never behaviour: its stream result
     equals the reference the differential harness proves every direct
     composition produces."""
@@ -108,22 +106,22 @@ def test_stream_session_matches_direct_composition(shards, backend):
         packets,
         backends=(backend,),
         sources=("memory",),
-        num_shards=shards,
-        flow_capacity=FLOW_CAPACITY,
+        flow_capacity=capacity,
     ).result
 
-    with Session.from_config(stream_config(generator_source(), backend, shards=shards)) as s:
+    config = stream_config(generator_source(), backend, capacity=capacity)
+    with Session.from_config(config) as s:
         via_session = s.run().scan_result
+        assert s.service.scanner.flows.capacity == capacity
 
     assert via_session.events == direct.events
-    assert via_session.shards == direct.shards
     assert via_session.packets == direct.packets
     assert via_session.bytes_scanned == direct.bytes_scanned
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_pcap_session_matches_direct_replay(shards, backend, workload_pcap):
+@pytest.mark.parametrize("capacity", FLOW_CAPACITIES)
+def test_pcap_session_matches_direct_replay(capacity, backend, workload_pcap):
     """Replay through a pcap-source Session equals the harness reference for
     the same capture (which itself equals the in-memory scan)."""
     from tests.conftest import assert_equivalent_events
@@ -134,18 +132,17 @@ def test_pcap_session_matches_direct_replay(shards, backend, workload_pcap):
         build_packets(ruleset),
         backends=(backend,),
         sources=("memory", "pcap"),
-        num_shards=shards,
-        flow_capacity=FLOW_CAPACITY,
+        flow_capacity=capacity,
     ).result
 
     config = stream_config(
-        SourceSpec(kind="pcap", path=str(workload_pcap)), backend, shards=shards
+        SourceSpec(kind="pcap", path=str(workload_pcap)), backend, capacity=capacity
     )
     with Session.from_config(config) as s:
         via_session = s.scan()
 
     assert via_session.events == direct.events
-    assert via_session.shards == direct.shards
+    assert via_session.bytes_scanned == direct.bytes_scanned
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -194,9 +191,9 @@ def test_packets_mode_matches_stateless_scan():
 # checkpoint/restore through the facade
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_session_checkpoints_interchange_with_raw_service(shards, backend):
-    """Session checkpoints are the raw service envelope, both directions."""
+@pytest.mark.parametrize("capacity", FLOW_CAPACITIES)
+def test_session_checkpoints_interchange_with_raw_service(capacity, backend):
+    """Session checkpoints are the raw service's flow table, both directions."""
     ruleset = build_ruleset()
     program = build_program(ruleset, backend)
     packets = build_packets(ruleset)
@@ -204,13 +201,13 @@ def test_session_checkpoints_interchange_with_raw_service(shards, backend):
     first, second = packets[:half], packets[half:]
 
     config = stream_config(
-        SourceSpec(kind="packets", packets=tuple(packets)), backend, shards=shards
+        SourceSpec(kind="packets", packets=tuple(packets)), backend, capacity=capacity
     )
     with Session.from_config(config) as session:
         session.scan(first)
         session_checkpoint = session.checkpoint()
 
-        raw = make_service(program, shards)
+        raw = make_service(program, capacity)
         raw.scan(first)
         raw_checkpoint = raw.checkpoint()
         assert session_checkpoint == raw_checkpoint
@@ -218,7 +215,7 @@ def test_session_checkpoints_interchange_with_raw_service(shards, backend):
         # a JSON round-tripped session checkpoint restores into a raw service
         revived = json.loads(json.dumps(session_checkpoint))
         events = session.scan(second).events
-        raw2 = make_service(program, shards)
+        raw2 = make_service(program, capacity)
         raw2.restore(revived)
         assert raw2.scan(second).events == events
 
@@ -316,7 +313,7 @@ def test_run_cli_executes_json_and_toml_configs(tmp_path, capsys):
         "source": {"kind": "generator", "flows": 4, "packets_per_flow": 3,
                    "split_patterns": 1, "seed": 7},
         "rules": {"kind": "synthetic", "size": SIZE, "seed": SEED},
-        "engine": {"backend": "dense", "shards": 2},
+        "engine": {"backend": "dense", "flow_capacity": 64},
         "sinks": [{"kind": "ndjson", "path": "events.ndjson"}],
     }
     json_path = tmp_path / "pipe.json"
@@ -343,7 +340,7 @@ def test_run_cli_executes_json_and_toml_configs(tmp_path, capsys):
                 f"seed = {SEED}",
                 "[engine]",
                 'backend = "dense"',
-                "shards = 2",
+                "flow_capacity = 64",
                 "[[sinks]]",
                 'kind = "ndjson"',
                 'path = "events_toml.ndjson"',
@@ -372,7 +369,7 @@ def test_relative_paths_resolve_against_config_dir(tmp_path):
                 "source": {"kind": "generator", "flows": 4, "packets_per_flow": 3,
                            "split_patterns": 1, "seed": 7},
                 "rules": {"kind": "file", "path": "local.rules"},
-                "engine": {"backend": "dense", "shards": 2},
+                "engine": {"backend": "dense", "flow_capacity": 64},
             }
         ),
         encoding="utf-8",
@@ -445,7 +442,7 @@ def test_registries_list_builtin_kinds():
         lambda: SourceSpec(kind="tcp", port=9, max_packets=0),
         lambda: EngineSpec(backend="nope"),
         lambda: EngineSpec(device="nope"),
-        lambda: EngineSpec(shards=0),
+        lambda: EngineSpec.from_dict({"shards": 4}),  # retired option
         lambda: EngineSpec.from_dict({"workers": 2}),  # retired option
         lambda: EngineSpec(flow_capacity=0),
         lambda: EngineSpec.from_dict({"ring_slots": 256}),  # retired knob
@@ -464,10 +461,29 @@ def test_malformed_configs_raise_config_error(factory):
         factory()
 
 
-@pytest.mark.parametrize("key", ["ring_slots", "ring_slot_bytes", "workers"])
+@pytest.mark.parametrize("key", ["ring_slots", "ring_slot_bytes", "workers", "shards"])
 def test_retired_engine_keys_are_named(key):
     with pytest.raises(ConfigError, match=f"unknown engine key\\(s\\) '{key}'"):
         EngineSpec.from_dict({"backend": "dense", key: 2})
+
+
+@pytest.mark.parametrize("suffix", [".json", ".toml"])
+def test_config_file_naming_shards_is_refused_by_name(tmp_path, suffix):
+    """A config written while stream mode split its flow table still names
+    ``shards``; loading it fails on that key instead of dropping it."""
+    path = tmp_path / f"old{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps({
+            "source": {"kind": "generator", "count": 2},
+            "engine": {"backend": "dense", "shards": 4},
+        }))
+    else:
+        path.write_text(
+            '[source]\nkind = "generator"\ncount = 2\n'
+            '[engine]\nbackend = "dense"\nshards = 4\n'
+        )
+    with pytest.raises(ConfigError, match="unknown engine key\\(s\\) 'shards'"):
+        load_config(path)
 
 
 def test_contentless_rules_file_raises_empty_ruleset(tmp_path):

@@ -177,7 +177,6 @@ class TestStreamingAcrossBackends:
             packets,
             backends=("dtp", name),
             sources=("memory",),
-            num_shards=2,
         )
         assert reference.events, "boundary-split flows should produce events"
 

@@ -327,7 +327,6 @@ class TestReplayEquivalence:
             packets,
             backends=self.BACKENDS,
             sources=("memory", "pcap"),
-            num_shards=4,
             capture_fmt=fmt,
         )
         # every deliberately split pattern is found on the replay path too

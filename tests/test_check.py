@@ -427,8 +427,8 @@ class TestIdiomChecker:
         assert check_source("def build():\n    raise ConfigError('nope')\n").ok
 
     def test_must_be_message_requires_value(self):
-        bad = "def f(n):\n    raise ValueError('shards must be >= 1')\n"
-        good = "def f(n):\n    raise ValueError(f'shards must be >= 1, got {n}')\n"
+        bad = "def f(n):\n    raise ValueError('flows must be >= 1')\n"
+        good = "def f(n):\n    raise ValueError(f'flows must be >= 1, got {n}')\n"
         protocol = (
             "def f():\n"
             "    raise RuntimeError('start_packet must be called before process_byte')\n"
@@ -440,12 +440,12 @@ class TestIdiomChecker:
     def test_count_flag_requires_require_count(self):
         bad = (
             "def _cmd_x(args):\n"
-            "    return do(args.shards)\n"
+            "    return do(args.flows)\n"
         )
         good = (
             "def _cmd_x(args):\n"
-            "    _require_count('--shards', args.shards)\n"
-            "    return do(args.shards)\n"
+            "    _require_count('--flows', args.flows)\n"
+            "    return do(args.flows)\n"
         )
         assert any(d.code == "IDM106" for d in check_source(bad).errors)
         assert check_source(good).ok
@@ -455,17 +455,17 @@ class TestIdiomChecker:
         builder is where the range check has to be: every function of a
         handler module is held to IDM106, not just the ``_cmd_*`` bodies."""
         handler = "def _cmd_x(args):\n    return run(_config(args))\n"
-        bad = handler + "def _config(args):\n    return spec(args.shards)\n"
+        bad = handler + "def _config(args):\n    return spec(args.flows)\n"
         good = handler + (
             "def _config(args):\n"
-            "    _require_count('--shards', args.shards)\n"
-            "    return spec(args.shards)\n"
+            "    _require_count('--flows', args.flows)\n"
+            "    return spec(args.flows)\n"
         )
         findings = [d for d in check_source(bad).errors if d.code == "IDM106"]
-        assert len(findings) == 1 and "_config reads args.shards" in findings[0].message
+        assert len(findings) == 1 and "_config reads args.flows" in findings[0].message
         assert check_source(good).ok
         # the same builder in a module without handlers is not CLI code
-        assert check_source("def _config(args):\n    return spec(args.shards)\n").ok
+        assert check_source("def _config(args):\n    return spec(args.flows)\n").ok
 
     def test_syntax_error_is_reported_not_raised(self):
         report = check_source("def broken(:\n")
@@ -511,7 +511,7 @@ class TestSurfaces:
 
     def test_cli_lint_code_paths(self, capsys, tmp_path):
         bad = tmp_path / "handlers.py"
-        bad.write_text("def _cmd_x(args):\n    return do(args.shards)\n")
+        bad.write_text("def _cmd_x(args):\n    return do(args.flows)\n")
         assert main(["lint", "--code", str(bad)]) == 1
         assert "IDM106" in capsys.readouterr().out
         assert main(["lint", "--code", str(SRC_ROOT / "check")]) == 0

@@ -60,11 +60,25 @@ def test_scan_command(capsys):
 
 def test_scan_stream_command(capsys):
     assert main(["scan-stream", "--size", "40", "--seed", "5", "--flows", "6",
-                 "--packets-per-flow", "3", "--shards", "2"]) == 0
+                 "--packets-per-flow", "3"]) == 0
     out = capsys.readouterr().out
     assert "6/6 (streaming)" in out
     assert "0/6 (per-packet scan)" in out
-    assert "shard occupancy" in out
+    assert "active flows              : 6" in out
+    assert "shard" not in out  # one flow table: no occupancy split to report
+
+
+@pytest.mark.parametrize("command", ["scan-stream", "scan-pcap"])
+def test_flow_capacity_bounds_the_one_table(capsys, workload_pcap, command):
+    """``--flow-capacity`` is the whole flow memory: two slots for six
+    round-robin flows hold two flows and evict on every other arrival."""
+    source = (["scan-stream", "--flows", "6", "--packets-per-flow", "3"]
+              if command == "scan-stream" else ["scan-pcap", str(workload_pcap)])
+    assert main([*source, "--size", "40", "--seed", "5", "--flow-capacity", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "active flows              : 2" in out
+    assert "evicted flows             : 16" in out
+    assert "match events              : 0" in out  # every split string forgotten
 
 
 def test_scan_stream_three_segment_split(capsys):
@@ -84,10 +98,9 @@ def test_scan_software_backend(capsys):
     assert "match events           : 10" in out
 
 
-def _stream_match_report(capsys, backend, shards="2"):
+def _stream_match_report(capsys, backend):
     assert main(["scan-stream", "--size", "40", "--seed", "5", "--flows", "6",
-                 "--packets-per-flow", "3", "--shards", shards,
-                 "--backend", backend, "--print-events"]) == 0
+                 "--packets-per-flow", "3", "--backend", backend, "--print-events"]) == 0
     out = capsys.readouterr().out
     assert f"backend                   : {backend}" in out
     return out[out.index("match report:"):]
@@ -102,13 +115,8 @@ def test_scan_stream_backends_report_identically(capsys):
     assert reports["dtp"].count("packet=") == 6
 
 
-@pytest.mark.parametrize("shards", ["1", "3"])
-def test_scan_stream_shard_counts_report_identically(capsys, shards):
-    """``--shards`` partitions the flow tables, never the events."""
-    assert _stream_match_report(capsys, "dtp", shards) == _stream_match_report(capsys, "dtp")
-
-
-@pytest.mark.parametrize(
+#: The subcommands that once took a retired engine flag.
+ENGINE_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["scan-stream", "--size", "20"],
@@ -118,11 +126,23 @@ def test_scan_stream_shard_counts_report_identically(capsys, shards):
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@ENGINE_COMMANDS
 def test_retired_workers_flag_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, "--workers", "2"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@ENGINE_COMMANDS
+def test_retired_shards_flag_is_rejected(capsys, argv):
+    """One flow table per service: ``--shards`` is gone, not ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--shards", "4"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
 
 
 def test_ids_command(capsys):
@@ -138,8 +158,7 @@ def workload_pcap(tmp_path, capsys):
     """The scan-stream workload for --size 40 --seed 5, exported as a pcap."""
     path = tmp_path / "workload.pcap"
     assert main(["scan-stream", "--size", "40", "--seed", "5", "--flows", "6",
-                 "--packets-per-flow", "3", "--shards", "2",
-                 "--export-pcap", str(path)]) == 0
+                 "--packets-per-flow", "3", "--export-pcap", str(path)]) == 0
     out = capsys.readouterr().out
     assert f"wrote 18 frames to {path}" in out
     return path
@@ -147,7 +166,7 @@ def workload_pcap(tmp_path, capsys):
 
 def _pcap_match_report(capsys, path, *extra):
     assert main(["scan-pcap", str(path), "--size", "40", "--seed", "5",
-                 "--shards", "2", "--print-events", *extra]) == 0
+                 "--print-events", *extra]) == 0
     out = capsys.readouterr().out
     return out, out[out.index("match report:"):]
 
@@ -168,23 +187,12 @@ def test_scan_pcap_backends_report_identically(capsys, workload_pcap):
     assert len(reports) == 1, "replayed match reports must be byte-identical"
 
 
-@pytest.mark.parametrize("shards", ["1", "3"])
-def test_scan_pcap_shard_counts_report_identically(capsys, workload_pcap, shards):
-    _, reference = _pcap_match_report(capsys, workload_pcap)
-    out, report = _pcap_match_report(capsys, workload_pcap, "--shards", shards)
-    occupancy = next(line for line in out.splitlines() if line.startswith("shard occupancy"))
-    tables = [int(n) for n in occupancy.split(":")[1].strip(" []").split(",")]
-    assert len(tables) == int(shards) and sum(tables) == 6
-    assert report == reference, "replayed match reports must not depend on --shards"
-
-
 def test_scan_pcap_with_rules_file(tmp_path, capsys, workload_pcap):
     rules = tmp_path / "local.rules"
     rules.write_text(
         'alert tcp any any -> any any (msg:"chatter"; content:"GET /index.html"; sid:10;)\n'
     )
-    assert main(["scan-pcap", str(workload_pcap), "--rules", str(rules),
-                 "--shards", "2"]) == 0
+    assert main(["scan-pcap", str(workload_pcap), "--rules", str(rules)]) == 0
     out = capsys.readouterr().out
     assert "rules loaded              : 1" in out
     assert "match events              : " in out
@@ -200,11 +208,9 @@ def test_scan_pcap_rejects_garbage_file(tmp_path):
 def test_export_pcapng_container_follows_extension(tmp_path, capsys):
     path = tmp_path / "workload.pcapng"
     assert main(["scan-stream", "--size", "40", "--seed", "5", "--flows", "6",
-                 "--packets-per-flow", "3", "--shards", "2",
-                 "--export-pcap", str(path)]) == 0
+                 "--packets-per-flow", "3", "--export-pcap", str(path)]) == 0
     capsys.readouterr()
-    assert main(["scan-pcap", str(path), "--size", "40", "--seed", "5",
-                 "--shards", "2"]) == 0
+    assert main(["scan-pcap", str(path), "--size", "40", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "(pcapng, linktype 1, 18 frames)" in out
 
@@ -276,8 +282,7 @@ def test_sid_remap_counts_follow_the_engine_built(tmp_path, capsys, workload_pca
     assert main(["ids", "--pcap", str(workload_pcap), "--rules", str(rules)]) == 0
     out = capsys.readouterr().out
     assert "rules loaded         : 2 (1 reassigned sids)" in out
-    assert main(["scan-pcap", str(workload_pcap), "--rules", str(rules),
-                 "--shards", "2"]) == 0
+    assert main(["scan-pcap", str(workload_pcap), "--rules", str(rules)]) == 0
     out = capsys.readouterr().out
     assert "rules loaded              : 3 (2 reassigned sids)" in out
 
@@ -350,8 +355,6 @@ def test_run_example_live_ids_config(tmp_path, capsys):
         pytest.param(["scan", "--size", "20", "--seed", "2", "--packets", "2",
                       "--attack-rate", "1.5"], ValueError, id="scan-bad-attack-rate"),
         pytest.param(["scan-stream", "--size", "20", "--seed", "2", "--flows", "2",
-                      "--shards", "0"], ValueError, id="scan-stream-zero-shards"),
-        pytest.param(["scan-stream", "--size", "20", "--seed", "2", "--flows", "2",
                       "--flow-capacity", "0"], ValueError,
                      id="scan-stream-zero-flow-capacity"),
         pytest.param(["scan-stream", "--size", "20", "--seed", "2", "--flows", "2",
@@ -373,12 +376,10 @@ def test_run_example_live_ids_config(tmp_path, capsys):
                      id="ids-zero-packets-per-flow"),
         # count flags are range-checked before the capture is even opened,
         # so a placeholder path exercises the validation alone
-        pytest.param(["scan-pcap", "unused.pcap", "--shards", "0"],
-                     ValueError, id="scan-pcap-zero-shards"),
         pytest.param(["scan-pcap", "unused.pcap", "--flow-capacity", "0"],
                      ValueError, id="scan-pcap-zero-flow-capacity"),
-        pytest.param(["serve", "--pcap-tail", "unused.pcap", "--shards", "-1"],
-                     ValueError, id="serve-negative-shards"),
+        pytest.param(["serve", "--pcap-tail", "unused.pcap", "--flow-capacity", "-1"],
+                     ValueError, id="serve-negative-flow-capacity"),
         pytest.param(["serve", "--pcap-tail", "unused.pcap", "--max-packets", "0"],
                      ValueError, id="serve-zero-max-packets"),
         pytest.param(["serve", "--pcap-tail", "unused.pcap", "--batch-packets", "0"],
@@ -399,7 +400,7 @@ def test_serve_pcap_tail_matches_scan_pcap(capsys, workload_pcap):
     match report byte-identical to the offline scan of the same capture."""
     _, offline_report = _pcap_match_report(capsys, workload_pcap)
     assert main(["serve", "--pcap-tail", str(workload_pcap), "--size", "40",
-                 "--seed", "5", "--shards", "2", "--print-events"]) == 0
+                 "--seed", "5", "--print-events"]) == 0
     out = capsys.readouterr().out
     assert "stop reason               : source_exhausted" in out
     assert "served 18 packets" in out

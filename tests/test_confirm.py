@@ -295,7 +295,7 @@ class TestPipeline:
         assert _alert_pairs(alerts) == [(1, 1)]
 
     def test_nocase_rules_file_scans_through_session(self, tmp_path):
-        """Lock for the Session wiring bug: the sharded scan service must be
+        """Lock for the Session wiring bug: the scan service must be
         built with nocase tracking whenever the loaded rules need it."""
         rules = tmp_path / "nocase.rules"
         rules.write_text(WILDCARD + '(content:"CMD.exe"; nocase; sid:1;)\n')

@@ -650,7 +650,7 @@ class TestFlowInterning:
         config = {
             "mode": "stream",
             "rules": {"kind": "synthetic", "size": 40, "seed": 3},
-            "engine": {"backend": "dense", "shards": 3, "reassemble": True},
+            "engine": {"backend": "dense", "reassemble": True},
             "source": {"kind": "pcap", "path": str(path)},
         }
         sizes = []
@@ -673,7 +673,6 @@ class TestFlowInterning:
             expected = session.run()
         assert run.events == expected.events
         assert run.stats == expected.stats
-        assert run.scan_result.shards == expected.scan_result.shards
 
     def test_session_payload_bytes_is_the_decoders_count(self, tmp_path):
         """``stats()["payload_bytes"]`` of a pcap source comes from
@@ -704,7 +703,6 @@ class TestFlowInterning:
         program = get_backend("dense").compile([b"needle"])
         table = FlowTable(8)
         table.insert(FlowEntry(key=interned, states=program.initial_scan_states()))
-        service = ScanService(program, num_shards=5)
         travelled = {
             "pickle": pickle.loads(pickle.dumps(interned)),
             "coerced": FlowKey.coerced(*interned.as_tuple()),
@@ -719,7 +717,6 @@ class TestFlowInterning:
             assert key is not interned, how
             assert key == interned and hash(key) == hash(interned), how
             assert table.peek(key) is table.peek(interned), how
-            assert service.shard_for(key) == service.shard_for(interned), how
         # the hash cache never travels: string hashes are salted per process
         assert b"_hash" not in pickle.dumps(interned)
         assert pickle.loads(pickle.dumps(header)) == header
@@ -729,19 +726,39 @@ class TestFlowInterning:
     ):
         ruleset, packets = equivalence_workload(num_rules=40, flows=40, num_packets=3, seed=21)
         reference = assert_equivalent_events(
-            ruleset, packets, backends=("dense",), sources=("memory", "pcap"), num_shards=3,
+            ruleset, packets, backends=("dense",), sources=("memory", "pcap"),
         )
         assert reference.events
 
 
 # ----------------------------------------------------------------------
-# a checkpoint the parent commit wrote
+# a stored checkpoint
 # ----------------------------------------------------------------------
-#: ``Session.checkpoint()`` of the commit before the front-end rewrite, taken
-#: two thirds into :func:`golden_wire`: flow 1 is parked mid-pattern in the
-#: automaton, every flow has holes buffered and the sequence numbers have
-#: just wrapped.  Flow identity is restored from it by value.
-PARENT_CHECKPOINT = (
+#: ``Session.checkpoint()`` taken two thirds into :func:`golden_wire`: flow 1
+#: is parked mid-pattern in the automaton, every flow has holes buffered and
+#: the sequence numbers have just wrapped.  Flow identity is restored from it
+#: by value.
+STORED_CHECKPOINT = (
+    '{"service":{"capacity":4096,"flows":[{"key":["10.0.0.1",'
+    '"10.0.1.1",4000,80,"tcp"],"states":[[10,65,79,14]],"lower_states":null,"packets":2,'
+    '"matched":[],"matched_lower":[],"alerted":[]},{"key":["10.0.0.2","10.0.1.1",4001,80,'
+    '"tcp"],"states":[[0,32,114,14]],"lower_states":null,"packets":2,"matched":[],'
+    '"matched_lower":[],"alerted":[]}]},'
+    '"reassembly":{"overlap_policy":"first","max_flows":1024,"max_flow_bytes":65536,'
+    '"max_flow_segments":128,"next_packet_id":4,"flows":[{"key":["10.0.0.3","10.0.1.1",'
+    '4002,80,"tcp"],"mode":"seq","next_off":0,"seq_at_next":4294967289,"holes":[[7,'
+    '"41597878787878"],[21,"787369676e6174"],[35,"494c5041594c4f"]],"fin_off":null,'
+    '"delivered":false},{"key":["10.0.0.1","10.0.1.1",4000,80,"tcp"],"mode":"seq",'
+    '"next_off":14,"seq_at_next":5,"holes":[[21,"636f6e642d7369"],[35,"2e2e2e2e"]],'
+    '"fin_off":null,"delivered":true},{"key":["10.0.0.2","10.0.1.1",4001,80,"tcp"],'
+    '"mode":"seq","next_off":14,"seq_at_next":6,"holes":[[21,"652062656e6967"],[35,'
+    '"722e2e2e2e"]],"fin_off":null,"delivered":true}]}}'
+)
+
+
+#: The same point as written while stream mode split its flows over two
+#: tables (``shards: 2``; the second one empty).
+TWO_TABLE_CHECKPOINT = (
     '{"service":{"num_shards":2,"shards":[{"capacity":4096,"flows":[{"key":["10.0.0.1",'
     '"10.0.1.1",4000,80,"tcp"],"states":[[10,65,79,14]],"lower_states":null,"packets":2,'
     '"matched":[],"matched_lower":[],"alerted":[]},{"key":["10.0.0.2","10.0.1.1",4001,80,'
@@ -780,22 +797,25 @@ def golden_wire():
     return renumbered(wire)
 
 
-def test_a_parent_checkpoint_restores_and_continues():
+def test_a_stored_checkpoint_restores_and_continues():
     config = {
         "mode": "stream",
         "rules": {"kind": "specs", "rules": [{"content": "EVILPAYLOAD", "sid": 1},
                                              {"content": "signature", "sid": 2}]},
-        "engine": {"backend": "dense", "shards": 2, "reassemble": True},
+        "engine": {"backend": "dense", "reassemble": True},
         "source": {"kind": "packets", "packets": []},
     }
     wire = golden_wire()
     cut = 2 * len(wire) // 3
     with Session.from_config(config) as session:
         assert session.scan(wire[:cut]).events == []
-        # the format is unchanged: this commit writes the same bytes
-        assert json.dumps(session.checkpoint(), separators=(",", ":")) == PARENT_CHECKPOINT
+        # the format is pinned: this commit writes the same bytes
+        assert json.dumps(session.checkpoint(), separators=(",", ":")) == STORED_CHECKPOINT
     with Session.from_config(config) as session:
-        session.restore(json.loads(PARENT_CHECKPOINT))
+        with pytest.raises(ValueError, match="checkpoint holds 2 flow tables"):
+            session.restore(json.loads(TWO_TABLE_CHECKPOINT))
+    with Session.from_config(config) as session:
+        session.restore(json.loads(STORED_CHECKPOINT))
         events = session.scan(wire[cut:]).events
         assert session.flush_reassembly() is None
     assert [(e.flow.as_tuple(), e.packet_id, e.end_offset, e.string_number) for e in events] == [
@@ -841,7 +861,7 @@ class TestOncePerFlow:
         try:
             decoded, stats = load_packets(buffer)
             program = get_backend("dense").compile([b"needle"])
-            result = ScanService(program, num_shards=4).scan(TcpReassembler().process(decoded))
+            result = ScanService(program).scan(TcpReassembler().process(decoded))
         finally:
             frames._FLOWS.clear()  # drop the counting subclass instances
         assert stats.decoded == result.packets == flows * rounds

@@ -1,10 +1,10 @@
 """Property tests pinning the batched streaming hot path.
 
-The services feed whole batches — every shard's segments at once — through
+The scan service feeds whole batches through
 :meth:`repro.streaming.StreamScanner.scan_batch`, which concatenates
-consecutive same-flow segments and crosses into the backend once per batch
-whatever the shard count.  These tests hold that fast path to the
-per-segment contract from five directions:
+consecutive same-flow segments and crosses into the backend once per batch.
+These tests hold that fast path to the per-segment contract from five
+directions:
 
 * **boundary splits** — every pattern, split at every offset across 2 and 3
   segment boundaries, must match identically one-shot vs streamed vs batched
@@ -19,16 +19,15 @@ per-segment contract from five directions:
 * **eviction pressure** — a batch that could evict must fall back to the
   exact per-segment loop, producing the same events, eviction records and
   restart behaviour the serial path shows;
-* **one crossing per batch** — a service of 1, 2, 4 or 8 shards calls
-  ``scan_many`` once per batch; only a shard under eviction pressure steps
-  out of it, segment by segment, and segments of any size (0 B to 1 MiB)
-  batch exactly as they scan one at a time.
+* **one crossing per batch** — a service calls ``scan_many`` once per
+  batch; only a table under eviction pressure steps out of it, segment by
+  segment, and segments of any size (0 B to 1 MiB) batch exactly as they
+  scan one at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from itertools import chain
 
 import pytest
 
@@ -38,7 +37,6 @@ from repro.streaming import (
     FlowKey,
     FlowTable,
     ScanService,
-    ShardReport,
     StreamScanner,
 )
 from repro.streaming.service import event_order
@@ -261,7 +259,7 @@ class TestAcceleratorLaneKernelBatches:
 def test_forced_short_lanes_hold_the_differential_harness(force_short_lanes):
     """``assert_equivalent_events`` with both kernels on tiny lanes: the
     device-compiled dtp program and the dense table, in-memory and replayed
-    from a capture, byte-identical events, shard reports and gauges."""
+    from a capture, byte-identical events, batch totals and gauges."""
     from tests.conftest import assert_equivalent_events, build_program, equivalence_workload
 
     ruleset, packets = equivalence_workload(num_rules=30, flows=7, num_packets=4, seed=19)
@@ -328,8 +326,8 @@ class TestStatisticsParity:
         """ScanService.scan (batched) vs submit() (per segment): same events,
         same stats() dict — the drift the ISSUE names, locked shut."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
-        batched_service = ScanService(program, num_shards=3)
-        submit_service = ScanService(program, num_shards=3)
+        batched_service = ScanService(program)
+        submit_service = ScanService(program)
 
         result = batched_service.scan(drift_workload)
         submitted = []
@@ -342,11 +340,9 @@ class TestStatisticsParity:
             submitted, key=lambda e: (e.packet_id, e.end_offset, e.string_number)
         )
         assert batched_service.stats() == submit_service.stats()
-        for ours, theirs in zip(batched_service.engines, submit_service.engines):
-            assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
-            assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(
-                theirs.flows.stats
-            )
+        ours, theirs = batched_service.scanner, submit_service.scanner
+        assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
+        assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(theirs.flows.stats)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +409,7 @@ class TestEvictionPressure:
         assert scanner.flows.stats.evicted == 1
 
     def test_service_level_eviction_equivalence(self, drift_ruleset):
-        """End to end: a capacity-1 sharded service reports identical events
+        """End to end: a capacity-1 service reports identical events
         and eviction counters whether batched or per-packet."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         packets = []
@@ -426,8 +422,8 @@ class TestEvictionPressure:
                         packet_id=seg,
                     )
                 )
-        batched = ScanService(program, num_shards=2, flow_capacity_per_shard=1)
-        per_packet = ScanService(program, num_shards=2, flow_capacity_per_shard=1)
+        batched = ScanService(program, flow_capacity=1)
+        per_packet = ScanService(program, flow_capacity=1)
         result = batched.scan(packets)
         for packet in packets:
             per_packet.submit(packet)
@@ -437,7 +433,7 @@ class TestEvictionPressure:
 
 
 # ----------------------------------------------------------------------
-# one backend crossing per batch, whatever the shard count
+# one backend crossing per batch
 # ----------------------------------------------------------------------
 def count_crossings(monkeypatch, program) -> list:
     """Wrap ``program.scan_many`` — before any scanner captures it — so each
@@ -450,60 +446,34 @@ def count_crossings(monkeypatch, program) -> list:
     return calls
 
 
-def header_on_shard(service, shard: int, skip: int = 0):
-    """The ``skip``-th :func:`make_header` whose flow hashes to ``shard``."""
-    found = (
-        header
-        for header in map(make_header, range(256))
-        if service.shard_for(FlowKey.from_header(header)) == shard
-    )
-    for _ in range(skip):
-        next(found)
-    return next(found)
-
-
 def segment_at_a_time(service, packets):
     """What one batched ``scan_annotated`` must equal: every packet
     ``submit``-ted on its own (one ``scan_segment`` each).
 
-    Returns the canonical events (gathered in shard order, then stably
-    sorted), the events by arrival index, the ``(arrival, key)`` evictions
-    and the batch's shard reports.
+    Returns the canonical events (gathered in arrival order, then stably
+    sorted), the events by arrival index and the ``(arrival, key)``
+    evictions.
     """
-    engines = service.engines
-    before = [
-        (e.stats.segments, e.stats.bytes_scanned, e.stats.matches, e.flows.stats.evicted)
-        for e in engines
-    ]
-    by_shard = [[] for _ in engines]
-    hits, evictions = {}, []
+    flows = service.scanner.flows
+    found, hits, evictions = [], {}, []
     arrival = 0
-    for engine in engines:
-        engine.flows.on_evict = lambda entry: evictions.append((arrival, entry.key))
+    flows.on_evict = lambda entry: evictions.append((arrival, entry.key))
     for arrival, packet in enumerate(packets):
         events = service.submit(packet)
         if events:
             hits[arrival] = events
-            by_shard[service.shard_for(StreamScanner.flow_key(packet))].extend(events)
-    for engine in engines:
-        engine.flows.on_evict = None
-    reports = [
-        ShardReport(
-            shard, e.stats.segments - segments, e.stats.bytes_scanned - scanned,
-            e.stats.matches - matches, len(e.flows), e.flows.stats.evicted - evicted,
-        )
-        for shard, (e, (segments, scanned, matches, evicted)) in enumerate(zip(engines, before))
-    ]
-    return sorted(chain.from_iterable(by_shard), key=event_order), hits, evictions, reports
+            found.extend(events)
+    flows.on_evict = None
+    return sorted(found, key=event_order), hits, evictions
 
 
 def assert_same_state(batched: ScanService, reference: ScanService) -> None:
-    """Gauges, every shard's counters, LRU order and checkpoint, equal."""
+    """Gauges, the scanner's counters, LRU order and checkpoint, equal."""
     assert batched.stats() == reference.stats()
-    for ours, theirs in zip(batched.engines, reference.engines):
-        assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
-        assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(theirs.flows.stats)
-        assert ours.flows.keys() == theirs.flows.keys()
+    ours, theirs = batched.scanner, reference.scanner
+    assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
+    assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(theirs.flows.stats)
+    assert ours.flows.keys() == theirs.flows.keys()
     assert batched.checkpoint() == reference.checkpoint()
 
 
@@ -511,8 +481,8 @@ def assert_same_state(batched: ScanService, reference: ScanService) -> None:
 def crossing_batches(drift_ruleset):
     """Two batches: interleaved boundary-split flows, plus *twins* — six
     flows carrying one stream under equal packet ids, so their events tie on
-    the whole canonical sort key and only the pre-sort order (shard, then
-    arrival) tells them apart.  The second batch resumes every flow."""
+    the whole canonical sort key and only the pre-sort (arrival) order tells
+    them apart.  The second batch resumes every flow."""
     generator = TrafficGenerator(drift_ruleset, seed=93)
     flows = generator.flows(12, num_packets=4, split_patterns=1, segment_bytes=70)
     packets = TrafficGenerator.interleave(flows)
@@ -531,15 +501,15 @@ def crossing_batches(drift_ruleset):
 
 
 class TestOneCrossingPerBatch:
-    @pytest.mark.parametrize("num_shards", (1, 2, 4, 8))
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("track_nocase", (False, True))
     def test_serial_batch_is_one_crossing_equal_to_segment_at_a_time(
-        self, monkeypatch, drift_ruleset, crossing_batches, num_shards, track_nocase
+        self, monkeypatch, drift_ruleset, crossing_batches, backend, track_nocase
     ):
-        program = get_backend("dense").compile(drift_ruleset.patterns)
+        program = get_backend(backend).compile(drift_ruleset.patterns)
         calls = count_crossings(monkeypatch, program)
-        shape = dict(num_shards=num_shards, track_nocase=track_nocase)
-        batched, reference = ScanService(program, **shape), ScanService(program, **shape)
+        batched = ScanService(program, track_nocase=track_nocase)
+        reference = ScanService(program, track_nocase=track_nocase)
         sort_keys = []
         for annotated, batch in zip((False, True), crossing_batches):
             if annotated:
@@ -549,33 +519,30 @@ class TestOneCrossingPerBatch:
             flows = len({StreamScanner.flow_key(packet) for packet in batch})
             assert calls == [2 * flows if track_nocase else flows]
 
-            events, expected_hits, expected_evictions, reports = segment_at_a_time(
-                reference, batch
-            )
+            events, expected_hits, expected_evictions = segment_at_a_time(reference, batch)
             del calls[:]  # the reference crosses once per segment
             assert result.events == events
-            assert result.shards == reports
             assert result.packets == len(batch)
             assert result.bytes_scanned == sum(len(packet.payload) for packet in batch)
             if annotated:
                 assert hits == expected_hits
                 assert evictions == expected_evictions == []
                 assert keys == [StreamScanner.flow_key(packet) for packet in batch]
-                # hits come in the pre-sort order: shard, then arrival
-                assert list(hits) == sorted(hits, key=lambda i: (batched.shard_for(keys[i]), i))
+                assert list(hits) == sorted(hits)  # the pre-sort order: arrival
             assert_same_state(batched, reference)
             sort_keys += map(event_order, result.events)
         assert len(sort_keys) > len(set(sort_keys)), "the twins must tie on the sort key"
 
-    def test_a_shard_under_eviction_pressure_steps_out_alone(self, monkeypatch, drift_ruleset):
-        """Shard 0 holds three flows in two slots and scans segment by
-        segment; shards 1-3 still share the batch's one crossing."""
+    def test_a_table_under_eviction_pressure_steps_out_segment_by_segment(
+        self, monkeypatch, drift_ruleset
+    ):
+        """Three flows in two slots: the whole batch scans segment by
+        segment, one crossing each, with the per-segment evictions."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         calls = count_crossings(monkeypatch, program)
-        shape = dict(num_shards=4, flow_capacity_per_shard=2)
-        batched, reference = ScanService(program, **shape), ScanService(program, **shape)
-        headers = [header_on_shard(batched, 0, skip) for skip in range(3)]
-        headers += [header_on_shard(batched, shard) for shard in (1, 2, 3)]
+        batched = ScanService(program, flow_capacity=2)
+        reference = ScanService(program, flow_capacity=2)
+        headers = [make_header(n) for n in range(3)]
         pattern = drift_ruleset.patterns[0]
         cut = 2 + len(pattern) // 2
         stream = b"<<" + pattern + b">>"
@@ -585,19 +552,13 @@ class TestOneCrossingPerBatch:
             for header in headers
         ]
         result, hits, evictions, _ = batched.scan_annotated(packets)
-        # the crossing of shards 1-3 (a job per flow), then shard 0's nine segments
-        assert calls == [3] + [1] * 9
+        assert calls == [1] * 9
 
-        events, expected_hits, expected_evictions, reports = segment_at_a_time(
-            reference, packets
-        )
+        events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
         assert evictions == expected_evictions and evictions
-        assert all(key in map(FlowKey.from_header, headers[:3]) for _, key in evictions)
-        assert hits == expected_hits and hits
+        assert hits == expected_hits
         assert result.events == events
-        assert result.shards == reports
         assert_same_state(batched, reference)
-
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_oversized_segments_batch_equal_to_segment_at_a_time(
@@ -605,7 +566,7 @@ class TestOneCrossingPerBatch:
     ):
         """Flows of 4 KiB and 64 KiB segments, far past an MTU, with a rule
         string split across their boundaries: one batch, one crossing, the
-        per-segment events, reports and state."""
+        per-segment events and state."""
         program = get_backend(backend).compile(drift_ruleset.patterns)
         generator = TrafficGenerator(drift_ruleset, seed=47)
         packets = TrafficGenerator.interleave(
@@ -614,12 +575,9 @@ class TestOneCrossingPerBatch:
         )
         batched, reference = ScanService(program), ScanService(program)
         result, hits, evictions, _ = batched.scan_annotated(packets)
-        events, expected_hits, expected_evictions, reports = segment_at_a_time(
-            reference, packets
-        )
+        events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
         assert result.events == events and hits == expected_hits
         assert evictions == expected_evictions == []
-        assert result.shards == reports
         assert_same_state(batched, reference)
         assert batched.cross_segment_matches > 0
 
@@ -638,33 +596,28 @@ class TestOneCrossingPerBatch:
             Packet(payload=filler + pattern[:9], header=make_header(9), packet_id=0),
             Packet(payload=pattern[9:], header=make_header(9), packet_id=1),
         ]
-        batched, reference = ScanService(program, num_shards=2), ScanService(program, num_shards=2)
+        batched, reference = ScanService(program), ScanService(program)
         result, hits, _, _ = batched.scan_annotated(packets)
-        events, expected_hits, _, reports = segment_at_a_time(reference, packets)
+        events, expected_hits, _ = segment_at_a_time(reference, packets)
         assert result.events == events and hits == expected_hits
-        assert result.shards == reports
         assert_same_state(batched, reference)
         assert len(events) == 1 + (size >= len(pattern))
         assert events[-1].end_offset == size + len(pattern)
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
-def test_equivalent_events_across_shard_counts(num_shards):
-    """Backends x {memory, pcap} at 1 and 4 shards."""
+def test_equivalent_events_with_nocase_tracking():
+    """Backends x {memory, pcap}, lowered views included."""
     ruleset, packets = equivalence_workload(num_rules=30, flows=9, num_packets=4, seed=23)
-    reference = assert_equivalent_events(
-        ruleset, packets, num_shards=num_shards, track_nocase=True
-    )
+    reference = assert_equivalent_events(ruleset, packets, track_nocase=True)
     assert reference.events
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
-def test_equivalent_alerts_across_shard_counts(num_shards):
+def test_equivalent_alerts_on_random_predicates():
     ruleset = generate_snort_like_ruleset(24, seed=11)
     generator = TrafficGenerator(ruleset, seed=12)
     packets = TrafficGenerator.interleave(
         generator.flows(16, num_packets=3, split_patterns=1, whole_patterns=2)
     )
     specs = random_predicate_rules(ruleset, seed=11, num_rules=48)
-    expected = assert_equivalent_alerts(specs, packets, num_shards=num_shards)
+    expected = assert_equivalent_alerts(specs, packets)
     assert len(expected) >= 16, "workload barely alerts"

@@ -193,9 +193,20 @@ def test_flow_capacity_reaches_the_ids_without_a_reset(monkeypatch):
 # ----------------------------------------------------------------------
 # checkpoints the parent commit wrote
 # ----------------------------------------------------------------------
-#: ``Session.checkpoint()`` of a two-shard stream session (no reassembly:
-#: the bare service envelope) three packets into :func:`stored_wire`.
-PARENT_SERVICE_CHECKPOINT = (
+#: ``Session.checkpoint()`` of a stream session three packets into
+#: :func:`stored_wire` (no reassembly: the service's bare flow table).
+SERVICE_CHECKPOINT = (
+    '{"capacity":4096,"flows":[{"key":["10.0.0.1","10.0.1.1",4000,80,"tcp"],"states":'
+    '[[14,100,109,20]],"lower_states":null,"packets":1,"matched":[1],"matched_lower":[],'
+    '"alerted":[]},{"key":["10.0.0.2","10.0.1.1",4001,80,"tcp"],"states":[[7,89,65,11]],'
+    '"lower_states":null,"packets":1,"matched":[],"matched_lower":[],"alerted":[]},{"key":'
+    '["10.0.0.3","10.0.1.1",4002,80,"tcp"],"states":[[0,122,122,6]],"lower_states":null,'
+    '"packets":1,"matched":[],"matched_lower":[],"alerted":[]}]}'
+)
+
+#: The same point as written while stream mode split its flows over two
+#: tables (``shards: 2``): the order across the tables is lost.
+TWO_TABLE_SERVICE_CHECKPOINT = (
     '{"num_shards":2,"shards":[{"capacity":4096,"flows":[{"key":["10.0.0.1","10.0.1.1",4000,'
     '80,"tcp"],"states":[[14,100,109,20]],"lower_states":null,"packets":1,"matched":[1],'
     '"matched_lower":[],"alerted":[]},{"key":["10.0.0.2","10.0.1.1",4001,80,"tcp"],"states":'
@@ -245,24 +256,35 @@ def stored_wire():
     ]
 
 
-def test_a_parent_service_checkpoint_restores_and_is_still_what_we_write():
-    config = {
-        "mode": "stream",
-        "rules": {"kind": "specs", "rules": [{"content": "EVILPAYLOAD", "sid": 4},
-                                             {"content": "cmd", "sid": 3}]},
-        "engine": {"backend": "dense", "shards": 2},
-        "source": {"kind": "packets", "packets": []},
-    }
+STORED_SERVICE_CONFIG = {
+    "mode": "stream",
+    "rules": {"kind": "specs", "rules": [{"content": "EVILPAYLOAD", "sid": 4},
+                                         {"content": "cmd", "sid": 3}]},
+    "engine": {"backend": "dense"},
+    "source": {"kind": "packets", "packets": []},
+}
+
+
+def test_a_service_checkpoint_restores_and_is_still_what_we_write():
     wire = stored_wire()
-    with Session.from_config(config) as session:
+    with Session.from_config(STORED_SERVICE_CONFIG) as session:
         session.scan(wire[:3])
-        # the format is unchanged: this commit writes the same bytes
         written = json.dumps(session.checkpoint(), separators=(",", ":"))
-        assert written == PARENT_SERVICE_CHECKPOINT
-    with Session.from_config(config) as session:
-        session.restore(json.loads(PARENT_SERVICE_CHECKPOINT))
-        events = session.scan(wire[3:]).events
-    assert [(e.packet_id, e.end_offset, e.string_number) for e in events] == [(4, 15, 0)]
+        assert written == SERVICE_CHECKPOINT
+    for stored in (
+        json.loads(SERVICE_CHECKPOINT),
+        {"num_shards": 1, "shards": [json.loads(SERVICE_CHECKPOINT)]},  # older envelope
+    ):
+        with Session.from_config(STORED_SERVICE_CONFIG) as session:
+            session.restore(stored)
+            events = session.scan(wire[3:]).events
+        assert [(e.packet_id, e.end_offset, e.string_number) for e in events] == [(4, 15, 0)]
+
+
+def test_a_two_table_service_checkpoint_is_refused_by_count():
+    with Session.from_config(STORED_SERVICE_CONFIG) as session:
+        with pytest.raises(ValueError, match="checkpoint holds 2 flow tables"):
+            session.restore(json.loads(TWO_TABLE_SERVICE_CHECKPOINT))
 
 
 @pytest.mark.parametrize("through", ("ids", "session"))
@@ -292,14 +314,22 @@ def test_a_parent_ids_checkpoint_restores_and_continues(through, tmp_path):
     assert pairs(late) == [(4, 4), (3, 2)]
 
 
-def test_a_one_table_checkpoint_does_not_fit_two_shards():
-    ids = IntrusionDetectionSystem.from_specs(parse_rules(STORED_RULE_LINES), backend="dense")
-    table = json.loads(PARENT_IDS_CHECKPOINT)["flows"]
-    service = ScanService(ids.program, num_shards=2)
-    with pytest.raises(ValueError, match="1 shards, service has 2"):
-        service.restore({"num_shards": 1, "shards": [table]})
-    with pytest.raises(ValueError, match="lists 1 shard tables, expected 2"):
-        service.restore({"num_shards": 2, "shards": [table]})
+def test_an_ids_checkpoint_in_the_one_table_envelope_restores_and_continues():
+    """Every ids checkpoint written while services had a table count wraps
+    its one table as ``{"num_shards": 1, "shards": [table]}``."""
+    stored = json.loads(PARENT_IDS_CHECKPOINT)
+    enveloped = {
+        "service": {"num_shards": 1, "shards": [stored["flows"]]},
+        "confirm": stored["confirm"],
+    }
+    wire = stored_wire()
+    with IntrusionDetectionSystem.from_specs(
+        parse_rules(STORED_RULE_LINES), backend="dense"
+    ) as ids:
+        ids.restore(enveloped)
+        assert json.loads(json.dumps(ids.checkpoint()["service"])) == stored["flows"]
+        late = ids.scan_flow(wire[3:]) + ids.finish()
+    assert pairs(late) == [(4, 4), (3, 2)]
 
 
 # ----------------------------------------------------------------------
@@ -317,12 +347,11 @@ def counting(monkeypatch, owner, name, calls):
 
 @pytest.mark.parametrize("mode", ("stream", "ids"))
 @pytest.mark.parametrize("backend", ("dtp", "dense"))
-@pytest.mark.parametrize("shards", (1, 3))
 def test_a_session_builds_one_service_and_compiles_one_prefilter(
-    mode, backend, shards, monkeypatch
+    mode, backend, monkeypatch
 ):
-    """One service and one prefilter per session at any ``shards``; stream
-    mode spreads its flow LRU over that many tables, ids mode keeps one."""
+    """One service, one flow table and one prefilter per session, in either
+    mode."""
     services, compiled = [], []
     counting(monkeypatch, ScanService, "__init__", services)
     counting(monkeypatch, accelerator_config, "compile_ruleset", compiled)
@@ -333,7 +362,7 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
         mode=mode,
         source=SourceSpec(kind="generator", flows=6, packets_per_flow=3, seed=6),
         rules=RulesSpec(kind="synthetic", size=30, seed=5),
-        engine=EngineSpec(backend=backend, shards=shards, reassemble=True),
+        engine=EngineSpec(backend=backend, reassemble=True),
         sinks=(SinkSpec(kind="alerts" if mode == "ids" else "events"),),
     )
     with Session.from_config(config) as session:
@@ -342,11 +371,31 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
         session.stats(), session.checkpoint()
         if mode == "ids":
             assert session.service is session.ids.service
-            assert session.service.num_shards == 1
-        else:
-            assert session.service.num_shards == shards
-            assert len(session.checkpoint()["service"]["shards"]) == shards
+        saved = session.checkpoint()  # reassembly on: {engine, "reassembly"}
+        table = saved["ids"]["service"] if mode == "ids" else saved["service"]
+        assert table == session.service.scanner.flows.checkpoint()
     assert len(services) == len(compiled) == 1
+
+
+@pytest.mark.parametrize("mode", ("stream", "ids"))
+def test_service_stats_are_one_tables_gauges(mode):
+    """``stats()["service"]`` is the one flow table's gauges in either mode,
+    and ``flow_capacity`` bounds the same table: two slots for six flows
+    evict alike in stream and ids mode."""
+    stats = {}
+    for capacity in (2, 4096):
+        config = PipelineConfig(
+            mode=mode,
+            source=SourceSpec(kind="generator", flows=6, packets_per_flow=3, seed=6),
+            rules=RulesSpec(kind="synthetic", size=30, seed=5),
+            engine=EngineSpec(backend="dense", flow_capacity=capacity),
+        )
+        with Session.from_config(config) as session:
+            session.run()
+            stats[capacity] = session.stats()["service"]
+    assert sorted(stats[2]) == ["active_flows", "cross_segment_matches", "evicted_flows"]
+    assert (stats[2]["active_flows"], stats[2]["evicted_flows"]) == (2, 16)
+    assert (stats[4096]["active_flows"], stats[4096]["evicted_flows"]) == (6, 0)
 
 
 def test_stream_scan_retains_nothing_per_packet(small_ruleset):
@@ -361,7 +410,7 @@ def test_stream_scan_retains_nothing_per_packet(small_ruleset):
         )
         for index in range(1000)
     ]
-    result = ScanService(program, num_shards=4).scan(packets)
+    result = ScanService(program).scan(packets)
     assert result.packets == 1000 and result.events == [] and result.scanned is None
     gc.collect()
     seen, frontier, sizes = {id(result)}, [result], []
@@ -389,6 +438,9 @@ def test_scan_service_is_built_in_two_places_only():
         # the process pool itself: one in-process service
         "ParallelScanService", "build_scan_service", "WorkerCrashedError", "num_workers",
         "multiprocessing",
+        # in-process shards: one flow table per service, its lookup counters
+        "shards", "num_shards", "flow_capacity_per_shard", "ShardReport", "shard_for",
+        "shard_occupancy", "shard_crc", "lookups", "hit_rate",
     }
     for path in sorted(SRC_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -421,7 +473,7 @@ def test_scan_service_is_built_in_two_places_only():
         "IntrusionDetectionSystem.service", "Session.service",
     ], sites
     for site, keywords in sites:
-        assert {"flow_capacity_per_shard", "track_nocase"} <= keywords, site
+        assert {"flow_capacity", "track_nocase"} <= keywords, site
 
 
 def test_importing_the_package_starts_no_process_machinery():

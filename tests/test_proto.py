@@ -451,12 +451,12 @@ class TestMangledEquivalence:
         program = build_program(ruleset, "dtp")
         sid_of = {i: rule.sid for i, rule in enumerate(ruleset)}
         # stateful scan of the mangled wire order, without reassembly
-        with ScanService(program, num_shards=1) as service:
+        with ScanService(program) as service:
             raw_events = service.scan(renumbered(mangled.packets)).events
         raw_sids = {sid_of[e.string_number] for e in raw_events}
         # with reassembly the split pattern is back
         reassembled, _ = reassemble_packets(mangled.packets)
-        with ScanService(program, num_shards=1) as service:
+        with ScanService(program) as service:
             fixed_events = service.scan(reassembled).events
         fixed_sids = {sid_of[e.string_number] for e in fixed_events}
         for sid in flow.split_sids:

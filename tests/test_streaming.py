@@ -5,8 +5,8 @@ string split across consecutive packets of one flow is invisible to the
 per-packet scan path but must be found by the stateful flow scan.
 """
 
+import dataclasses
 import json
-from collections import Counter
 
 import pytest
 
@@ -19,9 +19,11 @@ from repro.streaming import (
     FlowEntry,
     FlowKey,
     FlowTable,
+    FlowTableStatistics,
     ScanService,
     StreamScanner,
 )
+from repro.streaming.service import event_order
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 #: The worked example of Figures 1 and 2 (mirrors tests/conftest.py).
@@ -150,13 +152,14 @@ class TestFlowTable:
         with pytest.raises(ValueError):
             FlowTable(capacity=0)
 
-    def test_peek_does_not_touch_recency_or_stats(self):
+    def test_peek_does_not_touch_recency_or_create(self):
         table = FlowTable(capacity=2)
         table.insert(self.entry(1))
         table.insert(self.entry(2))
-        lookups_before = table.stats.lookups
-        assert table.peek(make_key(1)) is not None
-        assert table.stats.lookups == lookups_before
+        assert table.peek(make_key(1)).key == make_key(1)
+        assert table.peek(make_key(9)) is None
+        assert table.keys() == [make_key(1), make_key(2)]  # recency untouched
+        assert table.stats.created == 2  # a miss creates nothing
         table.insert(self.entry(3))  # flow 1 is still the LRU victim
         assert make_key(1) not in table
 
@@ -207,29 +210,22 @@ class TestFlowKeyCoercion:
         assert restored.key == make_key(2)
         assert restored.key.encode() == make_key(2).encode()
 
-    def test_float_port_checkpoint_resumes_flow_and_sharding(
-        self, crafted_program, crafted_ruleset
-    ):
+    def test_float_port_checkpoint_resumes_flow(self, crafted_program, crafted_ruleset):
         """The regression proper: a float-port checkpoint used to produce a
-        key encoding ``"80.0"``, so the restored flow neither resumed nor
-        landed on the live traffic's shard."""
+        key encoding ``"80.0"``, so the restored flow never resumed."""
         pattern = crafted_ruleset[0].pattern
         header = make_header(3)
-        service = ScanService(crafted_program, num_shards=4)
+        service = ScanService(crafted_program)
         assert service.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
 
         snapshot = json.loads(json.dumps(service.checkpoint()))
-        for shard_data in snapshot["shards"]:
-            for flow in shard_data["flows"]:
-                flow["key"][2] = float(flow["key"][2])
-                flow["key"][3] = float(flow["key"][3])
+        for flow in snapshot["flows"]:
+            flow["key"][2] = float(flow["key"][2])
+            flow["key"][3] = float(flow["key"][3])
 
-        resumed = ScanService(crafted_program, num_shards=4)
+        resumed = ScanService(crafted_program)
         resumed.restore(snapshot)
-        live_key = FlowKey.from_header(header)
-        restored_key = resumed.engines[resumed.shard_for(live_key)].flows.keys()[0]
-        assert restored_key == live_key
-        assert resumed.shard_for(restored_key) == service.shard_for(live_key)
+        assert resumed.scanner.flows.keys() == [FlowKey.from_header(header)]
         matches = resumed.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
         assert [m.string_number for m in matches] == [0]
 
@@ -241,6 +237,12 @@ class TestFlowTableAccounting:
     @staticmethod
     def entry(n: int) -> FlowEntry:
         return FlowEntry(key=make_key(n), states=(ScanState(),))
+
+    def test_counters_are_the_ones_something_reads(self):
+        """Creations, evictions and restore drops; lookups are not counted."""
+        assert [f.name for f in dataclasses.fields(FlowTableStatistics)] == [
+            "created", "evicted", "restore_dropped",
+        ]
 
     def test_insert_overwrite_does_not_count_as_created(self):
         table = FlowTable(capacity=4)
@@ -366,23 +368,16 @@ class TestCrossPacketMatching:
 
 
 # ----------------------------------------------------------------------
-# sharded scan service
+# scan service
 # ----------------------------------------------------------------------
 class TestScanService:
-    def test_flow_sticks_to_one_shard(self, crafted_program):
-        service = ScanService(crafted_program, num_shards=4)
-        for n in range(50):
-            shard = service.shard_for(make_key(n))
-            assert shard == service.shard_for(make_key(n))
-            assert 0 <= shard < 4
-
     def test_interleaved_flows_all_detected(self, small_program, small_ruleset):
         generator = TrafficGenerator(small_ruleset, seed=31)
         flows = generator.flows(
             10, num_packets=4, split_patterns=1, segment_bytes=120
         )
         packets = TrafficGenerator.interleave(flows)
-        service = ScanService(small_program, num_shards=3)
+        service = ScanService(small_program)
         result = service.scan(packets)
         sid_of = {index: rule.sid for index, rule in enumerate(small_ruleset)}
         for flow in flows:
@@ -392,56 +387,85 @@ class TestScanService:
         assert result.packets == len(packets)
         assert result.bytes_scanned == sum(len(p.payload) for p in packets)
         assert service.active_flows == 10
-        assert sum(report.packets for report in result.shards) == len(packets)
         assert service.cross_segment_matches >= 10
 
     def test_submit_single_packet(self, crafted_program, crafted_ruleset):
-        service = ScanService(crafted_program, num_shards=2)
+        service = ScanService(crafted_program)
         pattern = crafted_ruleset[0].pattern
         header = make_header(4)
         first = service.submit(Packet(payload=pattern[:6], header=header, packet_id=0))
         second = service.submit(Packet(payload=pattern[6:], header=header, packet_id=1))
         assert first == [] and [m.string_number for m in second] == [0]
 
-    def test_shard_report_evictions_are_per_batch(self, crafted_program):
-        service = ScanService(crafted_program, num_shards=1, flow_capacity_per_shard=1)
-        first = service.scan(
+    def test_evicted_flows_is_a_lifetime_counter(self, crafted_program):
+        service = ScanService(crafted_program, flow_capacity=1)
+        service.scan(
             [Packet(payload=b"a", header=make_header(n), packet_id=n) for n in range(3)]
         )
-        assert sum(r.evicted_flows for r in first.shards) == 2
-        # a quiet second batch must not re-report the first batch's evictions
-        second = service.scan([Packet(payload=b"b", header=make_header(2), packet_id=9)])
-        assert sum(r.evicted_flows for r in second.shards) == 0
-        assert service.evicted_flows == 2  # lifetime counter unchanged
+        assert service.evicted_flows == 2
+        # a quiet second batch adds nothing and takes nothing back
+        service.scan([Packet(payload=b"b", header=make_header(2), packet_id=9)])
+        assert service.stats()["evicted_flows"] == 2
+
+    def test_capacity_two_evicts_the_least_recently_used_flow(self, crafted_program):
+        """One LRU table for every flow: the third flow pushes out whichever
+        flow was scanned least recently, wherever its key hashes."""
+        service = ScanService(crafted_program, flow_capacity=2)
+        scan = [
+            Packet(payload=b"x", header=make_header(n), packet_id=index)
+            for index, n in enumerate((1, 2, 1))
+        ]
+        service.scan(scan)  # flow 2 is now the least recently used
+        service.scan([Packet(payload=b"y", header=make_header(3), packet_id=3)])
+        assert service.scanner.flows.keys() == [make_key(1), make_key(3)]
+        assert service.stats() == {
+            "active_flows": 2, "evicted_flows": 1, "cross_segment_matches": 0,
+        }
 
     def test_checkpoint_restore_resumes_mid_flow(self, crafted_program, crafted_ruleset):
         pattern = crafted_ruleset[0].pattern
         header = make_header(5)
-        service = ScanService(crafted_program, num_shards=2)
+        service = ScanService(crafted_program)
         assert service.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
 
         snapshot = service.checkpoint()
-        resumed = ScanService(crafted_program, num_shards=2)
+        assert snapshot == service.scanner.flows.checkpoint()  # no envelope
+        resumed = ScanService(crafted_program)
         resumed.restore(snapshot)
         matches = resumed.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
         assert [m.string_number for m in matches] == [0]
 
     def test_restore_keeps_configured_capacity(self, crafted_program):
-        snapshot = ScanService(
-            crafted_program, num_shards=2, flow_capacity_per_shard=4096
-        ).checkpoint()
-        small = ScanService(crafted_program, num_shards=2, flow_capacity_per_shard=8)
+        snapshot = ScanService(crafted_program, flow_capacity=4096).checkpoint()
+        small = ScanService(crafted_program, flow_capacity=8)
         small.restore(snapshot)
-        assert all(engine.flows.capacity == 8 for engine in small.engines)
+        assert small.scanner.flows.capacity == 8
 
-    def test_restore_rejects_shard_mismatch(self, crafted_program):
-        snapshot = ScanService(crafted_program, num_shards=2).checkpoint()
-        with pytest.raises(ValueError):
-            ScanService(crafted_program, num_shards=3).restore(snapshot)
+    def test_one_table_envelope_restores_like_a_fresh_checkpoint(
+        self, crafted_program, crafted_ruleset
+    ):
+        """The ``{"num_shards": 1, "shards": [table]}`` envelope older
+        services and every IDS checkpoint wrote still restores."""
+        pattern = crafted_ruleset[0].pattern
+        service = ScanService(crafted_program)
+        for n in range(3):
+            service.submit(Packet(payload=pattern[:9], header=make_header(n), packet_id=n))
+        table = service.checkpoint()
+        fresh, enveloped = ScanService(crafted_program), ScanService(crafted_program)
+        fresh.restore(table)
+        enveloped.restore({"num_shards": 1, "shards": [table]})
+        assert enveloped.checkpoint() == fresh.checkpoint() == table
+        tail = Packet(payload=pattern[9:], header=make_header(1), packet_id=9)
+        assert enveloped.submit(tail) == fresh.submit(tail) != []
 
-    def test_num_shards_validation(self, crafted_program):
-        with pytest.raises(ValueError):
-            ScanService(crafted_program, num_shards=0)
+    def test_multi_table_envelope_is_refused_by_count(self, crafted_program):
+        table = ScanService(crafted_program).checkpoint()
+        with pytest.raises(ValueError, match="checkpoint holds 2 flow tables"):
+            ScanService(crafted_program).restore({"num_shards": 2, "shards": [table, table]})
+
+    def test_flow_capacity_validation(self, crafted_program):
+        with pytest.raises(ValueError, match="capacity must be at least 1, got 0"):
+            ScanService(crafted_program, flow_capacity=0)
 
     def test_state_carries_across_consecutive_scans(
         self, crafted_program, crafted_ruleset, small_ruleset
@@ -455,7 +479,7 @@ class TestScanService:
         flows = generator.flows(14, num_packets=4, split_patterns=1, segment_bytes=90)
         reference = assert_equivalent_events(
             small_ruleset, TrafficGenerator.interleave(flows), sources=("memory",),
-            num_shards=4, batches=2,
+            batches=2,
         )
         assert reference.stats["cross_segment_matches"] > 0
 
@@ -471,19 +495,21 @@ class TestScanService:
         assert events == [event for packet in packets for event in submitted.submit(packet)]
         assert len(events) == 4 * 3
 
-    def test_empty_scan_answers_for_every_shard(self, crafted_program):
-        result = ScanService(crafted_program, num_shards=4).scan([])
+    def test_empty_scan(self, crafted_program):
+        service = ScanService(crafted_program)
+        result = service.scan([])
         assert (result.events, result.packets, result.bytes_scanned) == ([], 0, 0)
-        assert [report.shard for report in result.shards] == [0, 1, 2, 3]
-        assert all(report.packets == report.active_flows == 0 for report in result.shards)
+        assert service.stats() == {
+            "active_flows": 0, "evicted_flows": 0, "cross_segment_matches": 0,
+        }
 
 
 # ----------------------------------------------------------------------
-# what the shard count may and may not change
+# what the flow capacity may and may not change
 # ----------------------------------------------------------------------
-#: One table (what the IDS uses), a power of two, an odd count, the default,
-#: and more tables than some batches have flows.
-SHARD_COUNTS = (1, 2, 3, 4, 8)
+#: One flow, fewer table slots than flows, one slot short of and exactly
+#: enough (either side of the fast path's edge) and the default.
+FLOW_CAPACITIES = (1, 3, 11, 12, 4096)
 
 
 @pytest.fixture(scope="module")
@@ -495,88 +521,71 @@ def split_traffic(small_ruleset):
     return TrafficGenerator.interleave(flows)
 
 
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-class TestShardCount:
-    """``num_shards`` partitions the flow LRU and the shard reports, nothing
-    else: every flow's events are the same at every count."""
+@pytest.mark.parametrize("capacity", FLOW_CAPACITIES)
+class TestFlowCapacity:
+    """``flow_capacity`` bounds the one LRU table; under pressure the batch
+    takes the per-segment loop, and either way the service answers exactly
+    what one packet at a time would."""
 
-    def test_events_do_not_depend_on_the_shard_count(
-        self, small_program, split_traffic, num_shards
+    def test_events_equal_segment_at_a_time(self, small_program, split_traffic, capacity):
+        service = ScanService(small_program, flow_capacity=capacity)
+        result = service.scan(split_traffic)
+        one_by_one = StreamScanner(small_program, capacity=capacity)
+        expected = one_by_one.scan_packets(split_traffic)
+        assert result.events == sorted(expected, key=event_order)
+        assert service.scanner.stats == one_by_one.stats
+        assert service.scanner.flows.keys() == one_by_one.flows.keys()
+        assert service.evicted_flows == one_by_one.flows.stats.evicted
+
+    @pytest.mark.parametrize("batches", (2, 5))
+    def test_batches_carry_state_like_one_batch(
+        self, small_program, split_traffic, capacity, batches
     ):
-        one_table = ScanService(small_program, num_shards=1).scan(split_traffic)
-        sharded = ScanService(small_program, num_shards=num_shards).scan(split_traffic)
-        assert one_table.events, "split strings must produce events"
-        assert len(sharded.events) == len(one_table.events)
-        assert sharded.events_by_flow() == one_table.events_by_flow()
-        assert (sharded.packets, sharded.bytes_scanned) == (
-            one_table.packets, one_table.bytes_scanned,
-        )
+        whole = ScanService(small_program, flow_capacity=capacity)
+        expected = whole.scan(split_traffic).events
+        cut = ScanService(small_program, flow_capacity=capacity)
+        size = -(-len(split_traffic) // batches)
+        events = []
+        for start in range(0, len(split_traffic), size):
+            events += cut.scan(split_traffic[start : start + size]).events
+        assert sorted(events, key=event_order) == expected
+        assert cut.stats() == whole.stats()
+        assert cut.scanner.flows.keys() == whole.scanner.flows.keys()
 
-    def test_shard_reports_partition_the_batch(self, small_program, split_traffic, num_shards):
-        service = ScanService(small_program, num_shards=num_shards)
-        result = service.scan(split_traffic)
-        keys = [StreamScanner.flow_key(packet) for packet in split_traffic]
-        packets_on = Counter(service.shard_for(key) for key in keys)
-        flows_on = Counter(service.shard_for(key) for key in set(keys))
-        assert [report.shard for report in result.shards] == list(range(num_shards))
-        assert [report.packets for report in result.shards] == [
-            packets_on[shard] for shard in range(num_shards)
-        ]
-        assert sum(report.bytes_scanned for report in result.shards) == result.bytes_scanned
-        assert result.bytes_scanned == sum(len(packet.payload) for packet in split_traffic)
-        assert sum(report.matches for report in result.shards) == len(result.events)
-        occupancy = [flows_on[shard] for shard in range(num_shards)]
-        assert [report.active_flows for report in result.shards] == occupancy
-        assert service.stats()["shard_occupancy"] == occupancy
-
-    def test_flow_capacity_bounds_each_shard(self, small_program, split_traffic, num_shards):
-        service = ScanService(small_program, num_shards=num_shards, flow_capacity_per_shard=1)
-        result = service.scan(split_traffic)
-        flows_on = Counter(
-            service.shard_for(key)
-            for key in {StreamScanner.flow_key(packet) for packet in split_traffic}
-        )
-        assert service.shard_occupancy() == [
-            min(1, flows_on[shard]) for shard in range(num_shards)
-        ]
-        assert sum(report.evicted_flows for report in result.shards) == service.evicted_flows
-        # twelve flows over at most eight one-flow tables: some shard evicts
-        assert service.evicted_flows >= sum(flows_on.values()) - service.active_flows > 0
+    def test_flow_capacity_bounds_the_table(self, small_program, split_traffic, capacity):
+        service = ScanService(small_program, flow_capacity=capacity)
+        service.scan(split_traffic)
+        flows = len({StreamScanner.flow_key(packet) for packet in split_traffic})
+        assert service.active_flows == min(capacity, flows)
+        assert service.evicted_flows >= flows - service.active_flows
+        assert (service.evicted_flows > 0) == (capacity < flows)
 
     def test_checkpoint_resumes_across_a_json_round_trip(
-        self, small_program, split_traffic, num_shards
+        self, small_program, split_traffic, capacity
     ):
         half = len(split_traffic) // 2
-        uninterrupted = ScanService(small_program, num_shards=num_shards)
+        uninterrupted = ScanService(small_program, flow_capacity=capacity)
         uninterrupted.scan(split_traffic[:half])
         snapshot = json.loads(json.dumps(uninterrupted.checkpoint()))
         expected = uninterrupted.scan(split_traffic[half:])
 
-        resumed = ScanService(small_program, num_shards=num_shards)
+        resumed = ScanService(small_program, flow_capacity=capacity)
         resumed.restore(snapshot)
         got = resumed.scan(split_traffic[half:])
         assert got.events == expected.events
-        assert got.shards == expected.shards
-        # a service that forgot the first half reports other offsets
-        cold = ScanService(small_program, num_shards=num_shards).scan(split_traffic[half:])
-        assert cold.events != expected.events
+        assert resumed.scanner.flows.keys() == uninterrupted.scanner.flows.keys()
+        if capacity >= 12:
+            # a service that forgot the first half reports other offsets
+            cold = ScanService(small_program, flow_capacity=capacity)
+            assert cold.scan(split_traffic[half:]).events != expected.events
 
-    def test_restore_puts_every_flow_on_its_own_shard(
-        self, small_program, split_traffic, num_shards
-    ):
-        service = ScanService(small_program, num_shards=num_shards)
+    def test_restore_keeps_lru_order(self, small_program, split_traffic, capacity):
+        service = ScanService(small_program, flow_capacity=capacity)
         service.scan(split_traffic)
-        snapshot = service.checkpoint()
-        resumed = ScanService(small_program, num_shards=num_shards)
-        resumed.restore(snapshot)
-        assert resumed.shard_occupancy() == service.shard_occupancy()
-        for shard, engine in enumerate(resumed.engines):
-            assert all(resumed.shard_for(key) == shard for key in engine.flows.keys())
-        other = num_shards + 1
-        with pytest.raises(
-            ValueError, match=f"checkpoint has {num_shards} shards, service has {other}"
-        ):
-            ScanService(small_program, num_shards=other).restore(snapshot)
+        resumed = ScanService(small_program, flow_capacity=capacity)
+        resumed.restore(service.checkpoint())
+        assert resumed.scanner.flows.keys() == service.scanner.flows.keys()
+        assert resumed.checkpoint() == service.checkpoint()
 
 
 # ----------------------------------------------------------------------
@@ -779,14 +788,14 @@ class TestIDSScanFlow:
             assert getattr(single.stats, counter) == getattr(batched.stats, counter), counter
 
     def test_service_is_one_in_process_table(self):
-        """The IDS builds a one-shard :class:`ScanService` and sizes its
-        table from ``reset_flows``."""
+        """The IDS builds a :class:`ScanService` and sizes its one table from
+        ``reset_flows``."""
         ids = self.build_ids()
         assert type(ids.service) is ScanService
-        assert ids.service.num_shards == 1
+        assert ids.flow_scanner is ids.service.scanner
         ids.reset_flows(capacity=3)
         assert type(ids.service) is ScanService
-        assert [engine.flows.capacity for engine in ids.service.engines] == [3]
+        assert ids.flow_scanner.flows.capacity == 3
 
     def test_reset_flows_drops_state(self):
         ids = self.build_ids()
