@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Union
 
 from ..backend import CompiledProgram, get_backend
 # modules, not names, where a caller may wrap the function (the benchmark's
@@ -44,7 +44,7 @@ from ..rulesets import parser as rules_parser
 from ..rulesets.generator import generate_snort_like_ruleset
 from ..streaming.ingest import IngestReport, LiveIngestor
 from ..streaming.service import ScanService, StreamScanResult
-from ..traffic.packet import MatchEvent, Packet
+from ..traffic.packet import Packet
 from .config import (
     EmptyRulesetError,
     PipelineConfig,
@@ -59,14 +59,12 @@ from .config import (
 class RunResult:
     """Outcome of one :meth:`Session.run` execution.
 
-    ``events`` are :class:`repro.streaming.StreamMatch` objects in stream
-    mode and :class:`repro.traffic.MatchEvent` objects in packets mode
-    (empty in ids mode); ``alerts`` are the IDS alerts (ids mode only).
-    ``scan_result`` is the engine's aggregate
+    ``events`` are :class:`repro.streaming.StreamMatch` objects (empty in
+    ids mode; in packets mode they carry no flow); ``alerts`` are the IDS
+    alerts (ids mode only).  ``scan_result`` is the engine's aggregate
     :class:`repro.streaming.StreamScanResult` of an offline source,
-    ``ingest`` the :class:`repro.streaming.IngestReport` of a live one;
-    ``per_packet`` the packets mode's per-payload match lists.  ``sinks``
-    holds one output per configured sink, in config order.
+    ``ingest`` the :class:`repro.streaming.IngestReport` of a live one.
+    ``sinks`` holds one output per configured sink, in config order.
     """
 
     mode: str
@@ -74,7 +72,6 @@ class RunResult:
     alerts: List = field(default_factory=list)
     scan_result: Optional[StreamScanResult] = None
     ingest: Optional[IngestReport] = None
-    per_packet: Optional[List] = None
     stats: Dict[str, Any] = field(default_factory=dict)
     sinks: List[Any] = field(default_factory=list)
 
@@ -104,6 +101,8 @@ class Session:
         #: the stage that consumes the packets, by attribute name: the scan
         #: service, or in ids mode the IDS (that service plus the confirm stage)
         self._engine_name = "ids" if config.mode == "ids" else "service"
+        #: the engine's batch call: in packets mode every packet is a fresh flow
+        self._scan_name = "scan_fresh" if config.mode == "packets" else "scan"
         self._live = config.source.is_live  # run() serves instead of loading
         engine = config.engine
         self._set_reassembler(
@@ -266,26 +265,30 @@ class Session:
         return self._hardware
 
     @property
-    def _track_nocase(self) -> bool:
-        """Does any loaded rule carry ``nocase``?
+    def _nocase_numbers(self) -> FrozenSet[int]:
+        """The string numbers some loaded ``nocase`` content uses.
 
-        When true, the scan services must dual-view scan (raw payload plus a
-        lower-cased copy) — the patterns themselves are stored lower-cased by
-        :func:`ruleset_from_specs`, so without the lowered view a ``nocase``
-        rule silently misses uppercase payloads.
+        When there are any, the scan service must dual-view scan (raw payload
+        plus a lower-cased copy) — the patterns themselves are stored
+        lower-cased by :func:`ruleset_from_specs`, so without the lowered
+        view a ``nocase`` rule silently misses uppercase payloads — and a
+        lowered hit credits only these strings.
         """
-        specs = self.specs
-        if specs is None:
-            return False
-        return any(c.nocase for entry in specs for c in entry.contents)
+        nocase = {
+            c.effective_pattern()
+            for entry in self.specs or ()
+            for c in entry.contents
+            if c.nocase and not c.is_sticky
+        }
+        return frozenset(n for n, rule in enumerate(self.ruleset) if rule.pattern in nocase)
 
     @property
     def service(self):
         """The pipeline's one scan service.
 
         In ids mode this *is* :attr:`ids`' service — one prefilter per
-        session, never a second compile.  Either mode keeps one flow table
-        of ``flow_capacity`` flows.
+        session, never a second compile.  Every mode keeps one flow table
+        of ``flow_capacity`` flows (packets mode never fills it).
         """
         if self._engine_name == "ids":
             return self.ids.service
@@ -293,7 +296,7 @@ class Session:
             self._service = ScanService(
                 self.program,
                 flow_capacity=self.config.engine.flow_capacity,
-                track_nocase=self._track_nocase,
+                track_nocase=self._nocase_numbers,
             )
         return self._service
 
@@ -398,7 +401,7 @@ class Session:
         pending end-of-flow verdicts)."""
         engine = getattr(self, self._engine_name)
         packets = self._reshaped(packets, end_of_source)
-        result = engine.scan(packets)
+        result = getattr(engine, self._scan_name)(packets)
         result.scanned = packets
         end = engine.flush() if end_of_source else None
         if end is not None:
@@ -411,7 +414,8 @@ class Session:
         Returns the engine's :class:`repro.streaming.StreamScanResult` (in
         ids mode with the batch's ``alerts``); ``scanned`` names the packets
         it covers.  Repeated calls continue the same flow state, exactly as
-        repeated ``service.scan`` calls would.  With ``reassemble`` on,
+        repeated ``service.scan`` calls would (in packets mode every packet
+        starts afresh: ``service.scan_fresh``).  With ``reassemble`` on,
         segments pass through the session's :attr:`reassembler` first — data
         stuck behind a sequence hole stays buffered across calls; call
         :meth:`flush` when no more segments will arrive.
@@ -435,14 +439,6 @@ class Session:
     #: stage with anything to flush
     flush_reassembly = flush
 
-    def scan_stateless(
-        self, payloads: Optional[Sequence[bytes]] = None
-    ) -> List[List]:
-        """Per-packet matching with state reset at every packet boundary."""
-        if payloads is None:
-            payloads = [packet.payload for packet in self.packets]
-        return self.program.scan_packets(payloads)
-
     def hardware_scan(self):
         """Scan the source packets on the cycle-level hardware model (dtp)."""
         return self.hardware.scan(self.packets)
@@ -450,8 +446,8 @@ class Session:
     def run(self) -> RunResult:
         """Execute the configured pipeline end to end, then emit every sink.
 
-        * ``packets`` mode — stateless per-packet matching; events are
-          :class:`repro.traffic.MatchEvent` records in arrival order;
+        * ``packets`` mode — the scan service with state reset at every
+          packet boundary (events in arrival order, without a flow);
         * ``stream`` mode  — one batched stateful scan through the scan
           service (events in the canonical order);
         * ``ids`` mode     — the same scan plus the confirm stage
@@ -471,19 +467,6 @@ class Session:
             run = RunResult(
                 mode, events=report.events, alerts=report.alerts, ingest=report
             )
-        elif mode == "packets":
-            packets = self._reshaped(self._loaded_source.packets, end_of_source=True)
-            per_packet = self.scan_stateless([packet.payload for packet in packets])
-            events = [
-                MatchEvent(
-                    packet_id=packet.packet_id,
-                    end_offset=offset,
-                    string_number=number,
-                )
-                for packet, matches in zip(packets, per_packet)
-                for offset, number in matches
-            ]
-            run = RunResult(mode, events=events, per_packet=per_packet)
         else:
             result = self._scan(self._loaded_source.packets, end_of_source=True)
             run = RunResult(
@@ -520,11 +503,6 @@ class Session:
             raise ValueError(
                 f"serve() needs a live source ({', '.join(spec.LIVE_KINDS)}); "
                 f"{spec.kind!r} sources replay offline through run()"
-            )
-        if self.config.mode == "packets":
-            raise ValueError(
-                "serve() scans flows statefully; 'packets' mode matches each "
-                "packet on its own and only runs offline"
             )
         ingestor = LiveIngestor(
             self,

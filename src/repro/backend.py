@@ -241,8 +241,10 @@ class CompiledProgramMixin:
         return self.scan(data)
 
     def scan_packets(self, payloads: Iterable[bytes]) -> List[MatchList]:
-        """Scan several packets; state resets per packet."""
-        return [self.match(payload) for payload in payloads]
+        """Scan several packets; state resets per packet (one
+        :meth:`scan_many` call over fresh-state jobs)."""
+        states = self.initial_scan_states()
+        return [matches for matches, _ in self.scan_many([(states, p) for p in payloads])]
 
     def verify(self, patterns: Optional[Sequence[bytes]] = None):
         """Statically verify this compiled program (no traffic scanned).

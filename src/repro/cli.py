@@ -293,17 +293,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             )
             return 0
 
-        # every other backend: functional scan through the unified protocol
-        session.program  # compiled here so compile_seconds excludes the scan
+        # every other backend: the scan service, state reset per packet
+        session.service  # built here so the timed scan is the scan alone
         total_bytes = sum(len(packet.payload) for packet in packets)
         scan_start = time.perf_counter()
-        per_packet = session.scan_stateless()
+        result = session.scan()
         scan_seconds = time.perf_counter() - scan_start
-        events = sum(len(matches) for matches in per_packet)
         print(f"scanned {len(packets)} packets ({total_bytes} bytes)")
         print(f"backend                : {args.backend}")
         print(f"compile time           : {session.compile_seconds * 1e3:.1f} ms")
-        print(f"match events           : {events}")
+        print(f"match events           : {len(result.events)}")
         if scan_seconds > 0:
             print(f"software throughput    : {total_bytes / scan_seconds / 1e6:.2f} MB/s")
     return 0

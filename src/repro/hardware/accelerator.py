@@ -172,10 +172,10 @@ class HardwareAccelerator:
             for index, payload in enumerate(payloads)
         ]
         result = self.scan(packets)
-        per_packet: List[MatchList] = [[] for _ in packets]
+        found: List[MatchList] = [[] for _ in packets]
         for event in result.events:
-            per_packet[event.packet_id].append((event.end_offset, event.string_number))
-        return per_packet
+            found[event.packet_id].append((event.end_offset, event.string_number))
+        return found
 
     def initial_scan_states(self, offset: int = 0) -> FlowState:
         return self.program.initial_scan_states(offset=offset)

@@ -5,10 +5,10 @@ used on a router line card, as a *two-stage* software IDS:
 
 1. the *header* of every packet goes through 5-tuple classification
    (:mod:`repro.ids.classifier`);
-2. the *payload* goes through the string matching accelerator
-   (:mod:`repro.hardware` when simulating hardware, or the software
-   :class:`repro.core.DTPAutomaton` matcher) — the line-rate **prefilter**,
-   which reports where every rule content (negated ones included) occurs;
+2. the *payload* goes through the string matching accelerator's compiled
+   program on a :class:`repro.streaming.ScanService` — the line-rate
+   **prefilter**, which reports where every rule content (negated ones
+   included) occurs;
 3. the **confirm** stage (:mod:`repro.ids.confirm`) evaluates each candidate
    rule's full :class:`~repro.rulesets.parser.RulePredicate` — positional
    windows, negation, pcre — against the prefilter's absolute hit positions,
@@ -33,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..backend import CompiledProgram, get_backend
 from ..core.accelerator_config import compile_ruleset
 from ..fpga.devices import FPGADevice, STRATIX_III
-from ..hardware.accelerator import HardwareAccelerator
 from ..rulesets.parser import (
     ContentPattern,
     RulePredicate,
@@ -42,7 +41,7 @@ from ..rulesets.parser import (
 )
 from ..rulesets.ruleset import RuleSet
 from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowKey
-from ..streaming.scanner import ANONYMOUS_FLOW, StreamMatch, StreamScanner
+from ..streaming.scanner import SegmentBatch, StreamScanner
 from ..streaming.service import ScanService, StreamScanResult
 from ..traffic.packet import Packet
 from .classifier import HeaderClassifier, HeaderPattern
@@ -132,8 +131,7 @@ class IntrusionDetectionSystem:
 
     ``backend`` selects the content matcher (any name registered in
     :mod:`repro.backend`).  The default ``"dtp"`` compiles the device-mapped
-    accelerator program and is the only backend the cycle-level hardware
-    model can execute; every other backend runs the same pipeline through
+    accelerator program; every other backend runs the same pipeline through
     its compiled program.
 
     :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
@@ -154,7 +152,6 @@ class IntrusionDetectionSystem:
         self,
         rules: Sequence[IDSRule],
         device: FPGADevice = STRATIX_III,
-        use_hardware_model: bool = False,
         backend: str = "dtp",
         flow_capacity: int = DEFAULT_FLOW_CAPACITY,
     ):
@@ -166,7 +163,6 @@ class IntrusionDetectionSystem:
                 raise ValueError(f"duplicate sid {rule.sid}")
             self.rules[rule.sid] = rule
         self.device = device
-        self.use_hardware_model = use_hardware_model
         self.stats = IDSStatistics()
 
         self.classifier = HeaderClassifier()
@@ -179,14 +175,14 @@ class IntrusionDetectionSystem:
         # Contents flagged nocase are stored lower-cased and additionally
         # searched in a lower-cased view of each payload.
         self._content_ruleset = RuleSet(name="ids-contents")
-        self._nocase_patterns: Set[bytes] = set()
+        nocase_patterns: Set[bytes] = set()
         for rule in rules:
             for content in rule.predicate.contents:
                 if content.is_sticky:
                     continue  # tested against normalized buffers, not the stream
                 pattern = content.effective_pattern()
                 if content.nocase:
-                    self._nocase_patterns.add(pattern)
+                    nocase_patterns.add(pattern)
                 if pattern not in self._content_ruleset:
                     self._content_ruleset.add_pattern(pattern)
         if len(self._content_ruleset) == 0:
@@ -205,29 +201,18 @@ class IntrusionDetectionSystem:
         if backend == "dtp":
             self.program: CompiledProgram = compile_ruleset(self._content_ruleset, device)
         else:
-            if use_hardware_model:
-                raise ValueError(
-                    "the cycle-level hardware model only executes the 'dtp' "
-                    f"backend, not {backend!r}"
-                )
             self.program = get_backend(backend).compile(self._content_ruleset.patterns)
         number_of = {
             rule.pattern: index for index, rule in enumerate(self._content_ruleset)
         }
-        self._nocase_numbers = {number_of[p] for p in self._nocase_patterns}
+        #: the strings a lowered-view hit may credit (the service's track_nocase)
+        self._nocase_numbers = frozenset(number_of[p] for p in nocase_patterns)
         #: the confirm stage: per-rule predicates bound to the prefilter
         #: numbering, in rule order.  One instance correlates the flow scan
         #: and the stateless :meth:`process` (it is fed from StreamMatch
         #: events either way)
         self._confirm = ConfirmStage(
             RuleEvaluator(rule.sid, rule.predicate, number_of) for rule in rules
-        )
-        self.accelerator: Optional[HardwareAccelerator] = (
-            HardwareAccelerator(self.program) if use_hardware_model else None
-        )
-        #: content matcher used by :meth:`process` (protocol-conformant)
-        self._matcher: CompiledProgram = (
-            self.accelerator if self.accelerator is not None else self.program
         )
         self._service: Optional[ScanService] = None
         self._flow_capacity = flow_capacity
@@ -308,40 +293,23 @@ class IntrusionDetectionSystem:
         self.stats.alerts_raised += 1
         return Alert(packet_id=packet_id, sid=sid, msg=rule.msg, action=rule.action)
 
-    def _packet_events(self, packet: Packet) -> List[StreamMatch]:
-        """One packet's prefilter events, raw view then lowered view.
-
-        The payload is scanned as-is; when any rule uses ``nocase`` a
-        lower-cased copy is scanned as well (its hits credit only the
-        case-insensitive patterns at evaluation time).
-        """
-        matcher = self._matcher  # accelerator and program share the protocol
-        views = [(packet.payload, False)]
-        if self._nocase_patterns:
-            views.append((packet.payload.lower(), True))
-        return [
-            StreamMatch(ANONYMOUS_FLOW, packet.packet_id, end, number, lowered)
-            for payload, lowered in views
-            for end, number in matcher.match(payload)
-        ]
-
     def process(self, packets: Sequence[Packet]) -> List[Alert]:
         """Run the full pipeline over ``packets`` and return the alerts raised.
 
         Stateless: every packet is its own complete "flow", so predicates —
         negation included — are decided per packet (``at_end`` semantics).
+        The prefilter is :attr:`service`'s scanner with every packet a fresh
+        flow (:meth:`StreamScanner.scan_fresh`): one backend crossing for the
+        batch, and the flow table is not touched.
         """
         alerts: List[Alert] = []
         confirm = self._confirm
-        for packet in packets:
+        hits = self.service.scanner.scan_fresh(SegmentBatch.from_packets(packets))
+        for index, packet in enumerate(packets):
             self.stats.packets_processed += 1
             self.stats.payload_bytes += len(packet.payload)
-            events = self._packet_events(packet)
-            self.stats.content_matches += len({
-                event.string_number
-                for event in events
-                if not event.lowered or event.string_number in self._nocase_numbers
-            })
+            events = hits.get(index, ())
+            self.stats.content_matches += len({event.string_number for event in events})
             # the packet is its own flow: a record of its own (with its own
             # pcre buffer and HTTP normalizer), never tracked by the stage
             record = confirm.new_record(self.classifier.classify(packet.header))
@@ -361,7 +329,7 @@ class IntrusionDetectionSystem:
             self._service = ScanService(
                 self.program,
                 flow_capacity=self._flow_capacity,
-                track_nocase=bool(self._nocase_patterns),
+                track_nocase=self._nocase_numbers,
             )
         return self._service
 
@@ -411,7 +379,7 @@ class IntrusionDetectionSystem:
             self.stats.packets_processed += 1
             self.stats.payload_bytes += len(packet.payload)
             events = hits.get(index, ())
-            # distinct strings per packet, matching process()'s accounting
+            # distinct strings per packet, as process() counts them
             self.stats.content_matches += len({e.string_number for e in events})
             # the eviction is always triggered by a *different* flow's arrival
             while (
@@ -449,13 +417,6 @@ class IntrusionDetectionSystem:
         ends — call :meth:`finish` after the last segment — or when its
         state is evicted under memory pressure.  Evicted flows restart from
         scratch.
-
-        Content matching always uses the software automaton here, even when
-        the IDS was built with ``use_hardware_model=True`` (which only
-        affects :meth:`process`): the cycle-level model scans whole packets
-        per engine, while the per-engine flow checkpointing it would need is
-        exposed (:meth:`repro.hardware.StringMatchingEngine.resume_flow`)
-        but not yet driven by a flow-aware hardware scheduler.
 
         The payloads are scanned by :attr:`service`, and the confirm stage
         is fed from its annotated scan: the matched packets' events

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram, MatchList, ScanJob
 from ..traffic.packet import Packet
@@ -113,6 +113,8 @@ class StreamMatch:
     *flow's* byte stream (not the segment), so a cross-segment match reports
     an offset beyond the current segment's start.  ``lowered`` marks hits
     found in the lower-cased view of the stream (case-insensitive scanning).
+    ``flow`` is ``None`` when the segment was scanned as a flow of its own
+    (:meth:`StreamScanner.scan_fresh`).
 
     A ``__slots__`` record rather than a dataclass: the streaming hot loop
     creates one per match event, and slot instances allocate without a
@@ -124,7 +126,7 @@ class StreamMatch:
 
     def __init__(
         self,
-        flow: FlowKey,
+        flow: Optional[FlowKey],
         packet_id: int,
         end_offset: int,
         string_number: int,
@@ -136,7 +138,7 @@ class StreamMatch:
         self.string_number = string_number
         self.lowered = lowered
 
-    def _key(self) -> Tuple[FlowKey, int, int, int, bool]:
+    def _key(self) -> Tuple[Optional[FlowKey], int, int, int, bool]:
         return (self.flow, self.packet_id, self.end_offset, self.string_number, self.lowered)
 
     def __eq__(self, other: object) -> bool:
@@ -170,6 +172,11 @@ class StreamScanner:
     protocol.  ``capacity`` sizes the internally created flow table and is
     ignored when an explicit ``flow_table`` is supplied (the table's own
     bound applies).
+
+    ``track_nocase`` turns on the lower-cased second view of every payload.
+    It names the string numbers a lowered-view hit may credit — the strings
+    some ``nocase`` content uses — or is ``True`` for every string; an empty
+    set (or ``False``) scans the raw view alone.
     """
 
     def __init__(
@@ -177,7 +184,7 @@ class StreamScanner:
         program: CompiledProgram,
         flow_table: Optional[FlowTable] = None,
         capacity: int = DEFAULT_FLOW_CAPACITY,
-        track_nocase: bool = False,
+        track_nocase: Union[bool, AbstractSet[int]] = False,
     ):
         self.program = program
         self.flows = flow_table if flow_table is not None else FlowTable(capacity)
@@ -223,7 +230,8 @@ class StreamScanner:
         raw job plus, under ``track_nocase``, one job over the lower-cased
         view.  Resumes the entries' states, records the matched string
         numbers and returns ``(raw, lowered)`` hit lists per entry, where
-        ``lowered`` holds only what the raw view did not already report.
+        ``lowered`` holds only what the raw view did not already report, on
+        the strings ``track_nocase`` lets a lowered hit credit.
         """
         jobs: List[ScanJob] = [(entry.states, payload) for entry, payload in work]
         if self.track_nocase:
@@ -241,6 +249,7 @@ class StreamScanner:
                 jobs.append((entry.lower_states, payload.lower()))
         results = self._scan_many(jobs)
 
+        nocase = self.track_nocase
         views: List[Tuple[MatchList, MatchList]] = []
         for position, (entry, _) in enumerate(work):
             raw, entry.states = results[position]
@@ -252,9 +261,13 @@ class StreamScanner:
                 if lowered:
                     # an occurrence that is already lower-case matches in
                     # both views; report it once (the raw event) so
-                    # statistics are not inflated
+                    # statistics are not inflated.  A case-sensitive string
+                    # found only in the lowered view did not occur at all.
                     raw_hits = set(raw)
-                    lowered = [hit for hit in lowered if hit not in raw_hits]
+                    lowered = [
+                        hit for hit in lowered
+                        if hit not in raw_hits and (nocase is True or hit[1] in nocase)
+                    ]
                     entry.matched_lower.update(number for _, number in lowered)
             views.append((raw, lowered))
         return views
@@ -363,9 +376,28 @@ class StreamScanner:
             table.touch(key)
         return {index: found[index] for index in sorted(found)}, []
 
+    def scan_fresh(self, batch: SegmentBatch) -> Dict[int, List[StreamMatch]]:
+        """Scan every segment of ``batch`` as a new flow of its own.
+
+        The stateless mode: the registers reset at every packet boundary, as
+        in the paper's engine.  Still one :meth:`_scan_views` call (one
+        backend crossing, both views), but the flow table and its LRU order
+        are not touched.  Returns hits by arrival index, like
+        :meth:`scan_batch`; the events carry no flow.
+        """
+        work = [(self._new_entry(key), payload) for key, payload in zip(batch.keys, batch.payloads)]
+        views = self._scan_views(work) if work else []
+        self.stats.segments += len(work)
+        self.stats.bytes_scanned += sum(map(len, batch.payloads))
+        found: Dict[int, List[StreamMatch]] = {}
+        for index, (raw, lowered) in enumerate(views):
+            if raw or lowered:
+                self._attribute(None, [index], batch, 0, raw, lowered, found)
+        return found
+
     def _attribute(
         self,
-        key: FlowKey,
+        key: Optional[FlowKey],
         indexes: List[int],
         batch: SegmentBatch,
         start: int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
@@ -82,7 +82,7 @@ class ScanService:
         self,
         program: CompiledProgram,
         flow_capacity: int = DEFAULT_FLOW_CAPACITY,
-        track_nocase: bool = False,
+        track_nocase: Union[bool, AbstractSet[int]] = False,
     ):
         self.program = program
         self.scanner = StreamScanner(
@@ -131,6 +131,14 @@ class ScanService:
         per-packet lists would keep every event list alive through the sinks.
         """
         return self.scan_annotated(packets)[0]
+
+    def scan_fresh(self, packets: Sequence[Packet]) -> StreamScanResult:
+        """``packets`` mode: every packet a new flow of its own
+        (:meth:`StreamScanner.scan_fresh`).  Events carry no flow and stay in
+        arrival order, which a source's packet ids need not follow."""
+        hits = self.scanner.scan_fresh(SegmentBatch.from_packets(packets))
+        events = list(chain.from_iterable(hits.values()))
+        return StreamScanResult(events, len(packets), sum(len(p.payload) for p in packets))
 
     def flush(self) -> None:
         """End of a finite source: a scan service buffers nothing."""

@@ -53,8 +53,9 @@ from repro.proto.reassembly import _FIN, _RST, _SEQ_MASK, _SYN, _FlowState, _seq
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ScanService
 from repro.streaming.flow import FlowKey
+from repro.streaming.scanner import ANONYMOUS_FLOW, StreamMatch
 from repro.traffic import Packet, TrafficGenerator
-from repro.traffic.packet import FiveTuple
+from repro.traffic.packet import FiveTuple, MatchEvent
 
 #: The worked example of Figures 1 and 2.
 PAPER_EXAMPLE_PATTERNS = [b"he", b"she", b"his", b"hers"]
@@ -1211,6 +1212,92 @@ def install_reference_confirm(ids) -> ReferenceConfirmStage:
     same evaluators (before any packet is scanned)."""
     ids._confirm = ReferenceConfirmStage(ids._confirm.evaluators.values())
     return ids._confirm
+
+
+# ----------------------------------------------------------------------
+# the stateless mode as it was: private per-packet matchers
+# ----------------------------------------------------------------------
+# Moved here verbatim (names prefixed, ``self`` the Session or the IDS) when
+# ``packets`` mode and ``IntrusionDetectionSystem.process`` went onto the scan
+# service's fresh-flow scan.  Two names had to change: ``_packet_events``
+# matched with ``self._matcher`` (always ``self.program`` unless the retired
+# cycle-model switch was on) and tested ``self._nocase_patterns`` (non-empty
+# exactly when ``self._nocase_numbers`` is).  ``reference_packets_run_events``
+# is the ``packets`` branch of ``Session.run``, and ``reference_scan_packets``
+# the ``CompiledProgramMixin.scan_packets`` it called (one ``match`` a payload,
+# before that became one ``scan_many`` call).
+def reference_scan_packets(self, payloads: Iterable[bytes]) -> List[List]:
+    """Scan several packets; state resets per packet."""
+    return [self.match(payload) for payload in payloads]
+
+
+def reference_scan_stateless(
+    self, payloads: Optional[Sequence[bytes]] = None
+) -> List[List]:
+    """Per-packet matching with state reset at every packet boundary."""
+    if payloads is None:
+        payloads = [packet.payload for packet in self.packets]
+    return reference_scan_packets(self.program, payloads)
+
+
+def reference_packets_run_events(self) -> List[MatchEvent]:
+    packets = self._reshaped(self._loaded_source.packets, end_of_source=True)
+    per_packet = reference_scan_stateless(self, [packet.payload for packet in packets])
+    events = [
+        MatchEvent(
+            packet_id=packet.packet_id,
+            end_offset=offset,
+            string_number=number,
+        )
+        for packet, matches in zip(packets, per_packet)
+        for offset, number in matches
+    ]
+    return events
+
+
+def reference_packet_events(self, packet: Packet) -> List[StreamMatch]:
+    """One packet's prefilter events, raw view then lowered view.
+
+    The payload is scanned as-is; when any rule uses ``nocase`` a
+    lower-cased copy is scanned as well (its hits credit only the
+    case-insensitive patterns at evaluation time).
+    """
+    matcher = self.program  # accelerator and program share the protocol
+    views = [(packet.payload, False)]
+    if self._nocase_numbers:
+        views.append((packet.payload.lower(), True))
+    return [
+        StreamMatch(ANONYMOUS_FLOW, packet.packet_id, end, number, lowered)
+        for payload, lowered in views
+        for end, number in matcher.match(payload)
+    ]
+
+
+def reference_process(self, packets: Sequence[Packet]) -> List:
+    """Run the full pipeline over ``packets`` and return the alerts raised.
+
+    Stateless: every packet is its own complete "flow", so predicates —
+    negation included — are decided per packet (``at_end`` semantics).
+    """
+    alerts = []
+    confirm = self._confirm
+    for packet in packets:
+        self.stats.packets_processed += 1
+        self.stats.payload_bytes += len(packet.payload)
+        events = reference_packet_events(self, packet)
+        self.stats.content_matches += len({
+            event.string_number
+            for event in events
+            if not event.lowered or event.string_number in self._nocase_numbers
+        })
+        # the packet is its own flow: a record of its own (with its own
+        # pcre buffer and HTTP normalizer), never tracked by the stage
+        record = confirm.new_record(self.classifier.classify(packet.header))
+        self.stats.header_candidates += len(record.candidates)
+        record.absorb(packet.packet_id, packet.payload, events)
+        for sid in confirm.verdicts(record, events, at_end=True):
+            alerts.append(self._alert(packet.packet_id, sid))
+    return alerts
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,8 @@ from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import FlowKey, FlowTable, StreamScanner
 from repro.traffic import TrafficGenerator
 
+from tests.conftest import reference_scan_packets
+
 ALL_BACKENDS = ("ac", "bitmap", "dense", "dtp", "path", "wu-manber")
 
 
@@ -126,6 +128,36 @@ class TestCrossBackendEquivalence:
             first, states = program.scan_from(states, payload[:split])
             second, states = program.scan_from(states, payload[split:])
             assert sorted(list(first) + list(second)) == sorted(dense.match(payload))
+
+
+    @pytest.mark.parametrize("short_lanes", (False, True))
+    def test_scan_packets_is_one_scan_many_over_fresh_states(
+        self, monkeypatch, force_short_lanes, short_lanes
+    ):
+        """``scan_packets`` crosses into the backend once, every job from a
+        fresh state, and reports per payload exactly what one ``match`` a
+        payload did (the reference), in the same order."""
+        ruleset = generate_snort_like_ruleset(40, seed=9)
+        packets = TrafficGenerator(ruleset, seed=10).packets(30)
+        payloads = [packet.payload for packet in packets] + [b""]
+        programs = [get_backend(name).compile(ruleset.patterns) for name in ALL_BACKENDS]
+        programs.append(compile_ruleset(ruleset, STRATIX_III))
+        for program in programs:
+            if short_lanes and hasattr(program, "warmup"):
+                force_short_lanes(program)
+            crossings = []
+            scan_many = program.scan_many
+
+            def counting(jobs, scan_many=scan_many):
+                crossings.append([states for states, _ in jobs])
+                return scan_many(jobs)
+
+            monkeypatch.setattr(program, "scan_many", counting)
+            expected = reference_scan_packets(program, payloads)
+            assert any(expected), program.backend_name
+            assert program.scan_packets(payloads) == expected, program.backend_name
+            (jobs,) = crossings
+            assert jobs == [program.initial_scan_states()] * len(payloads)
 
 
 class TestScanState:
@@ -706,10 +738,13 @@ class TestConsumersThroughProtocol:
         for name in ("dense", "ac", "bitmap"):
             assert alerts_with(name) == reference, name
 
-    def test_ids_rejects_hardware_model_on_non_dtp_backend(self):
+    def test_ids_refuses_the_retired_hardware_model_keyword(self):
+        """The cycle model never matched traffic for the IDS again after the
+        stateless path moved onto the scan service; its switch is gone."""
         rules = [IDSRule(sid=1, header=HeaderPattern(), contents=(b"x",))]
-        with pytest.raises(ValueError, match="dtp"):
-            IntrusionDetectionSystem(rules, use_hardware_model=True, backend="dense")
+        for backend in ("dtp", "dense"):
+            with pytest.raises(TypeError, match="use_hardware_model"):
+                IntrusionDetectionSystem(rules, use_hardware_model=True, backend=backend)
 
     def test_hardware_accelerator_protocol_front(self):
         ruleset = generate_snort_like_ruleset(20, seed=8)

@@ -1,10 +1,15 @@
 """Tests for the header classifier and the end-to-end IDS pipeline."""
 
+import pathlib
+import runpy
+
 import pytest
 
 from repro.ids import HeaderClassifier, HeaderPattern, IDSRule, IntrusionDetectionSystem
 from repro.rulesets import parse_rules
 from repro.traffic import FiveTuple, Packet
+
+EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "examples" / "snort_ids.py"
 
 
 def header(src="10.0.0.1", dst="192.168.1.5", sport=40000, dport=80, proto="tcp"):
@@ -152,19 +157,6 @@ class TestPipeline:
         alerts = ids.process([only_one, both])
         assert {a.packet_id for a in alerts if a.sid == 2} == {1}
 
-    def test_hardware_and_software_paths_agree(self):
-        rules = self._rules()
-        packets = [
-            Packet(payload=b"GET /x cmd.exe root.exe baddomain", header=header(dport=80), packet_id=0),
-            Packet(payload=b"nothing interesting", header=header(), packet_id=1),
-            Packet(payload=b"baddomain lookup", header=header(proto="udp", dport=53), packet_id=2),
-        ]
-        software = IntrusionDetectionSystem(rules, use_hardware_model=False)
-        hardware = IntrusionDetectionSystem(rules, use_hardware_model=True)
-        software_alerts = {(a.packet_id, a.sid) for a in software.process(packets)}
-        hardware_alerts = {(a.packet_id, a.sid) for a in hardware.process(packets)}
-        assert software_alerts == hardware_alerts
-
     def test_statistics_updated(self):
         ids = IntrusionDetectionSystem(self._rules())
         ids.process([Packet(payload=b"cmd.exe", header=header(dport=80), packet_id=0)])
@@ -222,3 +214,22 @@ class TestPipeline:
         rules = self._rules() + [IDSRule(sid=1, header=HeaderPattern(), contents=(b"dup",))]
         with pytest.raises(ValueError):
             IntrusionDetectionSystem(rules)
+
+
+class TestSnortExample:
+    """``examples/snort_ids.py``: it runs, and its alerts are the ground truth."""
+
+    def test_example_runs(self, capsys):
+        runpy.run_path(str(EXAMPLE), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "processed 6 packets" in out and "ALERT packet=0 sid=1002" in out
+
+    def test_example_raises_its_ground_truth(self):
+        example = runpy.run_path(str(EXAMPLE))
+        ids = IntrusionDetectionSystem.from_specs(parse_rules(example["SNORT_RULES"]))
+        alerts = ids.process(example["PACKETS"])
+        # packet 0 says CMD.EXE to a nocase rule; packet 3 carries cmd.exe
+        # to the wrong port, so the header check vetoes it
+        assert [(a.packet_id, a.sid) for a in alerts] == [
+            (0, 1002), (1, 1256), (2, 2100), (4, 3000),
+        ]

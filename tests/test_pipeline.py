@@ -4,6 +4,7 @@ What the two-path layout used to forbid or hide, locked here:
 
 * ``Session.serve()`` raises alerts — byte-identical to the offline run of
   the same capture — and ``run()`` on a live source emits the sinks;
+  ``packets`` mode serves too, writing the offline run's ndjson;
 * every ``EngineSpec`` field reaches the IDS's scan service;
 * checkpoints written before the IDS scanned through a service still
   restore, and stream-mode checkpoints are the bytes they always were;
@@ -19,6 +20,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -134,15 +136,29 @@ def test_serve_still_refuses_what_it_cannot_scan(live_workload):
     with Session.from_config(offline) as session:
         with pytest.raises(ValueError, match="live source"):
             session.serve()
-    stateless = PipelineConfig(
-        mode="packets",
-        source=SourceSpec(kind="pcap-tail", path=str(live_workload / "clean.pcap")),
-        rules=RulesSpec(kind="synthetic", size=10),
-        engine=EngineSpec(backend="dense"),
-    )
-    with Session.from_config(stateless) as session:
-        with pytest.raises(ValueError, match="statefully"):
-            session.serve()
+
+
+@pytest.mark.parametrize("backend", ("dtp", "dense"))
+@pytest.mark.parametrize("reassemble", (False, True))
+def test_serve_in_packets_mode_writes_the_offline_ndjson(
+    live_workload, tmp_path, backend, reassemble
+):
+    """The stateless mode is the scan service too, so it serves: a capture
+    served through ``pcap-tail`` writes the offline run's ndjson, byte for
+    byte."""
+    def run(kind):
+        config = live_config(
+            live_workload, kind, backend=backend, reassemble=reassemble,
+            sinks=(SinkSpec(kind="ndjson", path=str(tmp_path / f"{kind}.ndjson")),),
+        )
+        with Session.from_config(replace(config, mode="packets")) as session:
+            return session.run()
+
+    offline, live = run("pcap"), run("pcap-tail")
+    assert live.ingest is not None and live.ingest.batches > 1
+    served = (tmp_path / "pcap-tail.ndjson").read_bytes()
+    assert served == (tmp_path / "pcap.ndjson").read_bytes()
+    assert len(offline.events) > 3 and b'"flow"' not in served
 
 
 # ----------------------------------------------------------------------
@@ -426,9 +442,11 @@ def test_stream_scan_retains_nothing_per_packet(small_ruleset):
 
 
 def test_scan_service_is_built_in_two_places_only():
-    """``Session.service`` (stream mode) and ``IntrusionDetectionSystem.service``
-    are the only construction sites, and both pass every engine option; no
-    retired name of the process pool or its payload ring comes back."""
+    """``Session.service`` (stream and packets mode) and
+    ``IntrusionDetectionSystem.service`` are the only construction sites, and
+    both pass every engine option; no retired name of the process pool, its
+    payload ring, in-process shards or the stateless mode's private matchers
+    comes back."""
     calls, sites = [], []
     retired = {
         "_scan_flow_parallel", "preprocess_flush", "_require_stream", "parallel_service",
@@ -441,6 +459,8 @@ def test_scan_service_is_built_in_two_places_only():
         # in-process shards: one flow table per service, its lookup counters
         "shards", "num_shards", "flow_capacity_per_shard", "ShardReport", "shard_for",
         "shard_occupancy", "shard_crc", "lookups", "hit_rate",
+        # the stateless mode's private matchers: it scans through the service
+        "scan_stateless", "_packet_events", "_matcher", "use_hardware_model", "per_packet",
     }
     for path in sorted(SRC_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
