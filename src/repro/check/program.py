@@ -34,10 +34,12 @@ over the whole state graph:
   reference target reports a match, its match-flag vector marks exactly
   the reference's reporting states, and a lane's warm-up is at least as long
   as the deepest state (a shorter one loses matches just after a lane cut).
-* **DTP kernel views** — the row-displacement table owns, for every state,
-  exactly the slots of its stored pointers and holds their targets; the
-  direct-indexed default views reproduce ``DefaultTransitionTable.resolve``
-  for every one of the 256 x 257 x 257 ``(byte, prev1, prev2)`` histories,
+* **DTP kernel views** — every state has a value of its own, at or above
+  the table length exactly when it reports a match, and ``id_of`` decodes
+  it; the row-displacement table owns, for every state value, exactly the
+  slots of its stored pointers and holds their targets' values; the pair
+  table and its escapes reproduce ``DefaultTransitionTable.resolve`` for
+  every one of the 256 x 257 x 257 ``(byte, prev1, prev2)`` histories,
   ``None`` included; and the lane warm-up covers the deepest state.
 * **Match-memory completeness** — every pattern's terminal state is reachable
   (by walking the pattern through the reference table) and reports the
@@ -611,17 +613,10 @@ def _check_dtp_automaton(
     defaults = dtp.defaults
     _check_outputs(capped, lambda s: dtp.outputs[s], ref, source, code="DTP005")
     _check_pattern_reachability(capped, lambda s: dtp.outputs[s], ref, source)
-    # the kernel reports from the packed copy, flagged per state
+    # the kernel reports from the packed copy
     packed = lambda s: dtp.match_pids[dtp.match_index[s]:dtp.match_index[s + 1]]
     if dtp.match_index.shape == (ref.num_states + 1,):
         _check_outputs(capped, packed, ref, source, code="DTP005")
-    if not np.array_equal(dtp.match_flags, [bool(o) for o in ref.outputs]):
-        capped.add(
-            ERROR,
-            "DTP005",
-            "match-flag vector does not mark exactly the reporting states",
-            source=source,
-        )
 
     # --- well-formedness of the default table itself (DTP004) -------------
     for byte in range(ALPHABET):
@@ -799,32 +794,79 @@ def _check_dtp_kernel(
     source: str,
 ) -> None:
     """The lane kernel's views against the structures they were derived from."""
-    # --- row-displacement table == stored pointers (DTP007) ---------------
-    base, check, following = dtp.base, dtp.check, dtp.next
+    # --- state values + row-displacement table == stored pointers (DTP007) --
+    flagged, value_of, id_of = dtp.flagged, dtp.value_of, dtp.id_of
+    check, following = dtp.check, dtp.next
     if (
-        base.shape != (ref.num_states,)
-        or check.shape != following.shape
-        or base.min() < 0
-        or int(base.max()) + ALPHABET > check.size
+        value_of.shape != (ref.num_states,)
+        or check.shape != (flagged,)
+        or following.shape != (flagged,)
+        or id_of.shape != (2 * flagged,)
+        or value_of.min() < 0
+        or int(value_of.max()) >= 2 * flagged
     ):
         capped.add(
             ERROR,
             "DTP007",
-            f"row-displacement table is malformed: base {base.shape} in "
-            f"[{int(base.min())}, {int(base.max())}], check {check.shape}, "
-            f"next {following.shape}",
+            f"state-value views are malformed: flagged {flagged}, value_of "
+            f"{value_of.shape} in [{int(value_of.min())}, {int(value_of.max())}], "
+            f"check {check.shape}, next {following.shape}, id_of {id_of.shape}",
             source=source,
         )
     else:
+        reporting = np.array([bool(o) for o in ref.outputs])
+        for state in np.flatnonzero((value_of >= flagged) != reporting).tolist():
+            capped.add(
+                ERROR,
+                "DTP007",
+                f"value {int(value_of[state])} is "
+                + ("at or above" if value_of[state] >= flagged else "below")
+                + f" {flagged}, but the reference state "
+                + ("reports" if reporting[state] else "does not report")
+                + " a match",
+                state=state,
+                source=source,
+            )
+        rows = value_of % flagged
+        distinct, first = np.unique(rows, return_index=True)
+        shared = np.ones(ref.num_states, dtype=bool)
+        shared[first] = False
+        for state in np.flatnonzero(shared).tolist():
+            other = int(first[np.searchsorted(distinct, rows[state])])
+            capped.add(
+                ERROR,
+                "DTP007",
+                f"value {int(value_of[state])} shares its row with state {other} "
+                f"(value {int(value_of[other])}): each would read the other's pointers",
+                state=state,
+                source=source,
+            )
+        decoded = id_of.take(value_of)
+        for state in np.flatnonzero(decoded != np.arange(ref.num_states)).tolist():
+            capped.add(
+                ERROR,
+                "DTP007",
+                f"id_of[{int(value_of[state])}] decodes to {int(decoded[state])}",
+                state=state,
+                source=source,
+            )
+        if int((id_of >= 0).sum()) != ref.num_states:
+            capped.add(
+                ERROR,
+                "DTP007",
+                f"id_of decodes {int((id_of >= 0).sum())} values for "
+                f"{ref.num_states} states",
+                source=source,
+            )
         chunk = 8192
         for start in range(0, ref.num_states, chunk):
             states = np.arange(start, min(start + chunk, ref.num_states))
-            slots = base[states, None].astype(np.int64) + np.arange(ALPHABET)
-            owned = check[slots] == states[:, None]
+            values = value_of[states, None]
+            slots = (values.astype(np.int64) + np.arange(ALPHABET)) % flagged
+            owned = check[slots] == values
             wanted = stored_mask[states]
-            wrong = (owned != wanted) | (
-                owned & (following[slots] != stored_target[states])
-            )
+            targets = value_of[stored_target[states]]
+            wrong = (owned != wanted) | (owned & (following[slots] != targets))
             for row, byte in np.argwhere(wrong).tolist():
                 state, slot = int(states[row]), int(slots[row, byte])
                 if not wanted[row, byte]:
@@ -836,66 +878,68 @@ def _check_dtp_kernel(
                     )
                 else:
                     message = (
-                        f"slot {slot} leads to {int(following[slot])}, the stored "
-                        f"pointer to {int(stored_target[state, byte])}"
+                        f"slot {slot} leads to value {int(following[slot])}, the stored "
+                        f"pointer to {int(stored_target[state, byte])} (value "
+                        f"{int(targets[row, byte])})"
                     )
                 capped.add(ERROR, "DTP007", message, state=state, byte=byte, source=source)
 
     # --- default views == resolve(), every history (DTP008) ---------------
-    stride = NO_BYTE + 1
-    default12, d3_key, d3_state = dtp.default12, dtp.d3_key, dtp.d3_state
-    if (
-        default12.shape != (stride * stride,)
-        or d3_key.shape != (ALPHABET,)
-        or d3_state.shape != (ALPHABET,)
-    ):
+    # Decoded through id_of, which DTP007 proves the inverse of value_of.
+    rows = NO_BYTE + 1
+    pair_default, escape_default = dtp.pair_default, dtp.escape_default
+    if pair_default.shape != (rows * ALPHABET,) or escape_default.shape != (ALPHABET * rows,):
         capped.add(
             ERROR,
             "DTP008",
-            f"default views are malformed: default12 {default12.shape}, "
-            f"d3_key {d3_key.shape}, d3_state {d3_state.shape}",
+            f"default views are malformed: pair_default {pair_default.shape}, "
+            f"escape_default {escape_default.shape}",
             source=source,
         )
     else:
-        history = np.arange(stride)
+        history = np.arange(rows)
         # None (the kernel's 256) equals no stored preceding byte
         seen = np.where(history == NO_BYTE, -3, history)
         describe = lambda v: "None" if v == NO_BYTE else f"{v:#04x}"
         d3p0, d3p1, d3t = arrays[3:]
-        # where no depth-3 default fires neither side looks at prev2
-        shallow = default12.reshape(stride, stride)[:, :ALPHABET]
-        reference = _vector_resolve(arrays, seen, np.full(stride, -3))
-        for prev1, byte in np.argwhere(shallow != reference).tolist():
+        shallow = _vector_resolve(arrays, seen, np.full(rows, -3))  # no d3 fires
+        entries = pair_default.reshape(rows, ALPHABET).astype(np.int64)
+        escapes = entries < 0
+        # every cell whose default may depend on prev2: an escape, or where
+        # resolve() has a depth-3 default
+        special = escapes.copy()
+        d3_bytes = np.flatnonzero(d3p1 >= 0)
+        special[d3p1[d3_bytes], d3_bytes] = True
+        plain = id_of.take(entries, mode="clip")
+        for prev1, byte in np.argwhere(~special & (plain != shallow)).tolist():
             capped.add(
                 ERROR,
                 "DTP008",
-                f"depth-1/2 default view -> {int(shallow[prev1, byte])} under "
-                f"prev1={describe(prev1)}, resolve() says {int(reference[prev1, byte])}",
+                f"depth-1/2 default view -> {int(plain[prev1, byte])} under "
+                f"prev1={describe(prev1)}, resolve() says {int(shallow[prev1, byte])}",
                 byte=int(byte),
                 source=source,
             )
-        prev1_fits = seen[:, None] == d3p1[None, :]
-        other_state = (d3_state != d3t)[None, :]
-        for prev2 in range(stride):
-            fires = d3_key[None, :] == (prev2 * stride + history)[:, None]
-            expected = prev1_fits & (d3p0 == seen[prev2])[None, :]
-            wrong = (fires != expected) | (fires & other_state)
-            if not wrong.any():
-                continue
-            for prev1, byte in np.argwhere(wrong).tolist():
-                capped.add(
-                    ERROR,
-                    "DTP008",
-                    "depth-3 default view "
-                    + (f"fires -> {int(d3_state[byte])}" if fires[prev1, byte]
-                       else "does not fire")
-                    + f" under history (prev2={describe(prev2)}, prev1="
-                    f"{describe(prev1)}), resolve() "
-                    + (f"-> {int(d3t[byte])}" if expected[prev1, byte]
-                       else "falls through to depth 2/1"),
-                    byte=int(byte),
-                    source=source,
-                )
+        prev1s, bytes_ = np.nonzero(special)
+        codes = entries[prev1s, bytes_][None, :]
+        escaped = escape_default.take(~codes + history[:, None], mode="clip")
+        got = id_of.take(np.where(codes < 0, escaped, codes), mode="clip")
+        fires = (seen[prev1s] == d3p1[bytes_])[None, :] & (
+            seen[:, None] == d3p0[bytes_][None, :]
+        )
+        expected = np.where(fires, d3t[bytes_][None, :], shallow[prev1s, bytes_][None, :])
+        for prev2, cell in np.argwhere(got != expected).tolist():
+            prev1, byte = int(prev1s[cell]), int(bytes_[cell])
+            capped.add(
+                ERROR,
+                "DTP008",
+                ("escape" if escapes[prev1, byte] else "depth-1/2 default view")
+                + f" -> {int(got[prev2, cell])} under history (prev2="
+                f"{describe(prev2)}, prev1={describe(prev1)}), resolve() says "
+                f"{int(expected[prev2, cell])}",
+                byte=byte,
+                source=source,
+            )
 
     # --- warm-up covers the deepest state (DTP009) ------------------------
     deepest = int(ref.depth.max())

@@ -33,28 +33,36 @@ are cut into lanes by :mod:`repro.core.lanes` and stepped by this module's
 kernel: all lanes of all flows consume one byte per step, through the paper's
 two structures laid out as flat arrays.
 
-* **Stored pointers** — ``base`` / ``check`` / ``next``, a row-displacement
-  ("double-array") table: state ``s`` keeps its pointer for byte ``b`` in slot
-  ``base[s] + b``, ``check`` names the slot's owner (``-1``: free) and
-  ``next`` its target.  The sparse rows interleave, so the table holds a few
+* **Stored pointers** — ``check`` / ``next``, a row-displacement
+  ("double-array") table whose displacements are the state *values* the
+  kernel walks.  Every state has a displacement of its own; its value
+  (``value_of``) is that displacement, plus ``flagged`` (the table's length)
+  when the state reports a match — the paper's has-match bit.  State value
+  ``v`` keeps its pointer for byte ``b`` in slot ``(v + b) % flagged``;
+  ``check`` holds the slot owner's value (``-1``: free) and ``next`` the
+  target's value.  The sparse rows interleave, so the table holds a few
   slots per pointer instead of 256 per state.
-* **Depth-1/2 defaults** — ``default12``, direct-indexed by
-  ``prev1 * 257 + byte``: the depth-2 default registered for ``byte`` whose
-  preceding character is ``prev1``, else the depth-1 default.
-* **Depth-3 defaults** — ``d3_key`` / ``d3_state``, one compare per byte:
-  the depth-3 default of ``byte`` fires when ``prev2 * 257 + prev1`` equals
-  ``d3_key[byte]``.
+* **Depth-1/2 defaults** — ``pair_default``, direct-indexed by
+  ``prev1 * 256 + byte``: the value of the depth-2 default registered for
+  ``byte`` whose preceding character is ``prev1``, else of the depth-1
+  default.  Row :data:`NO_BYTE` ``= 256`` is the missing history byte of a
+  stream's start, which no stored preceding character equals.
+* **Depth-3 defaults** — the (at most 256) pairs after which a depth-3
+  default may fire are *escapes*: their ``pair_default`` entry is ``~(byte *
+  257)``, and the cell's default is ``escape_default[byte * 257 + prev2]``
+  (the depth-3 default where ``prev2`` fits it, else the depth-1/2 one;
+  ``prev2`` may be :data:`NO_BYTE`).
 
-A missing history byte (stream start) is the value :data:`NO_BYTE` ``= 256``,
-which no stored preceding character equals — hence the stride of 257.  The
-default target depends on ``(byte, prev1, prev2)`` and never on the state, so
-it is computed from the tile's byte matrix alone, for every lane and an
-eighth of a history slab's steps per call; a step is then ``take(base) +
-byte -> take(check) != state -> take(next)``, overwritten by that step's
-default row where no pointer is stored.  The step costs the same whether a
-pointer hits or a default fires.  The states stay plain ids: a slab's hits
-are found with one ``match_flags`` gather (the dense kernel carries the flag
-in the state value instead; these views are the paper's sized structure).
+The default target depends on ``(byte, prev1, prev2)`` and never on the
+state, so it is computed from the tile's bytes alone, an eighth of a history
+slab's steps at a time: a big-endian ``uint16`` view with stride 1 over the
+packed bytes *is* ``prev1 * 256 + byte``, so the defaults are one gather from
+it, plus a fix-up of the escape cells.  A step is then ``value + byte ->
+take(check) != value
+-> take(next)``, overwritten by that step's default row where no pointer is
+stored: five NumPy calls whether a pointer hits or a default fires.  A slab
+with no match is one ``max() < flagged``, as in the dense kernel; values are
+decoded to plain state ids (``id_of``) for hits and final states only.
 
 Why a lane may warm up from the root: with the stream's true history a
 default can land a warming lane *deeper* than the plain DFA lane that left
@@ -66,8 +74,9 @@ whose preceding bytes are in the input, so the resolver returns it or
 something deeper.  The warming lane is therefore sandwiched, suffix-wise, between the
 DFA lane and the true state; after ``warmup`` (= longest pattern) bytes
 those two are equal, and so is it.  A job's first lane takes the carried-in
-state and reads the carried ``prev1``/``prev2`` in place of the two bytes
-before its cut, which in the packed buffer belong to some other job.
+state, and the defaults of its first two steps — the ones that read the two
+bytes before its cut, which in the packed buffer belong to some other job —
+are resolved again from the carried ``prev1``/``prev2``, for those lanes only.
 """
 
 from __future__ import annotations
@@ -76,6 +85,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..automata.aho_corasick import AhoCorasickDFA
 from ..automata.trie import ALPHABET_SIZE, ROOT
@@ -96,10 +106,9 @@ HARDWARE_MAX_POINTERS = 13
 
 _CHUNK_STATES = 8192  # chunk size for the vectorised pruning pass
 
-#: "No such byte yet" in the kernel's history columns; byte values and this
-#: sentinel index the default views with stride ``NO_BYTE + 1``.
+#: "No such byte yet" in a lane's carried history: the ``prev1`` row of
+#: ``pair_default`` that holds the depth-1 defaults.
 NO_BYTE = 256
-_STRIDE = NO_BYTE + 1
 
 #: Row-displacement table slots per stored pointer: sparse enough that a
 #: random displacement of a 13-pointer row usually fits (4 ms for 12 k
@@ -196,13 +205,17 @@ def displace_rows(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-displacement layout ``(base, check, next)`` of sparse rows.
 
-    ``(states[i], symbols[i]) -> targets[i]``, sorted by state.  Rounds of
-    random displacements, every unplaced row bidding one per round: a row
-    keeps its displacement when all its slots are free and no larger row
-    bids for any of them in the same round.  The generator is seeded, so the
-    layout is a function of the pointers; there is no per-row Python loop.
-    A table too crowded to finish (many near-full rows) doubles every 32
-    rounds.
+    ``(states[i], symbols[i]) -> targets[i]``, sorted by state; ``check``
+    names a slot's owner (``-1``: free) and ``next`` its target.  Every one
+    of the ``num_states`` states gets a displacement of its own, below
+    ``len(check) - 255``, so a displacement can stand for its state.  Rounds
+    of random displacements, every unplaced row bidding one per round: a row
+    keeps its displacement when it and all its slots are free and no larger
+    row bids for any of them in the same round.  States that store nothing
+    then take the lowest displacements left.  The generator is seeded, so
+    the layout is a function of the pointers; there is no per-row Python
+    loop.  A table too crowded to finish (many near-full rows) doubles every
+    32 rounds.
     """
     owners, counts = np.unique(states, return_counts=True)
     # larger rows first: np.unique keeps the first bidder for a slot
@@ -213,9 +226,10 @@ def displace_rows(
     order = np.argsort(row, kind="stable")
     row, states, symbols, targets = row[order], states[order], symbols[order], targets[order]
 
-    size = _SLOTS_PER_POINTER * len(states) + ALPHABET_SIZE
+    size = max(_SLOTS_PER_POINTER * len(states), num_states) + ALPHABET_SIZE
     check = np.full(size + ALPHABET_SIZE, -1, dtype=np.int32)
     following = np.zeros(size + ALPHABET_SIZE, dtype=np.int32)
+    taken = np.zeros(size, dtype=bool)  # displacements already given out
     displacement = np.zeros(len(owners), dtype=np.int64)
     pending = np.ones(len(owners), dtype=bool)
     rng = np.random.default_rng(0)
@@ -224,6 +238,7 @@ def displace_rows(
         if rounds and rounds % 32 == 0:
             check = np.concatenate([check, np.full(size, -1, dtype=np.int32)])
             following = np.concatenate([following, np.zeros(size, dtype=np.int32)])
+            taken = np.concatenate([taken, np.zeros(size, dtype=bool)])
             size *= 2
         rounds += 1
         trial = rng.integers(0, size, len(owners))
@@ -233,32 +248,57 @@ def displace_rows(
         outbid[np.unique(slots, return_index=True)[1]] = False
         lost = np.zeros(len(owners), dtype=bool)
         lost[row[bidding[outbid | (check[slots] >= 0)]]] = True
+        rows = np.flatnonzero(pending)
+        twin = np.ones(len(rows), dtype=bool)
+        twin[np.unique(trial[rows], return_index=True)[1]] = False
+        lost[rows[twin | taken[trial[rows]]]] = True
         won = pending & ~lost
         kept = won[row[bidding]]
         check[slots[kept]] = states[bidding[kept]]
         following[slots[kept]] = targets[bidding[kept]]
         displacement[won] = trial[won]
+        taken[trial[won]] = True
         pending = lost
     base = np.zeros(num_states, dtype=np.int32)
     base[owners[by_size]] = displacement
+    silent = np.ones(num_states, dtype=bool)
+    silent[owners] = False
+    base[silent] = np.flatnonzero(~taken)[: int(silent.sum())]
     return base, check, following
 
 
+def state_values(
+    base: np.ndarray, check: np.ndarray, following: np.ndarray, reporting: np.ndarray
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(flagged, value_of, check, next)``: a row-displacement layout from
+    :func:`displace_rows` re-expressed in state values (see the module
+    docstring).  ``flagged = len(check)``, and a reporting state's value is
+    its displacement plus ``flagged``: the kernel takes its slots ``value +
+    byte`` modulo ``flagged``."""
+    flagged = len(check)
+    value_of = (base + flagged * reporting).astype(np.int32)
+    owners = np.where(check >= 0, value_of.take(check, mode="clip"), -1).astype(np.int32)
+    return flagged, value_of, owners, value_of.take(following)
+
+
 def default_views(
-    defaults: DefaultTransitionTable,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(default12, d3_key, d3_state)``: the lookup table as the kernel
-    indexes it (see the module docstring)."""
-    default12 = np.tile(np.append(defaults.d1, ROOT).astype(np.int32), _STRIDE)
+    defaults: DefaultTransitionTable, value_of: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pair_default, escape_default)``: the lookup table as the kernel
+    indexes it, in state values (see the module docstring)."""
+    resolved = np.tile(defaults.d1, (NO_BYTE + 1, 1))  # [prev1, byte] -> state
     for byte, entries in defaults.d2.items():
         for entry in reversed(entries):  # the resolver takes the first that fits
-            default12[entry.preceding_byte * _STRIDE + byte] = entry.state
-    d3_key = np.full(ALPHABET_SIZE, -1, dtype=np.int32)
-    d3_state = np.zeros(ALPHABET_SIZE, dtype=np.int32)
+            resolved[entry.preceding_byte, byte] = entry.state
+    pair_default = value_of.take(resolved)
+    # [byte, prev2]: what an escape pair resolves to, NO_BYTE included
+    escape_default = np.zeros((ALPHABET_SIZE, NO_BYTE + 1), dtype=np.int32)
     for byte, entry in defaults.d3.items():
-        d3_key[byte] = entry.preceding_bytes[0] * _STRIDE + entry.preceding_bytes[1]
-        d3_state[byte] = entry.state
-    return default12, d3_key, d3_state
+        prev2, prev1 = entry.preceding_bytes
+        escape_default[byte] = pair_default[prev1, byte]
+        escape_default[byte, prev2] = value_of[entry.state]
+        pair_default[prev1, byte] = ~(byte * (NO_BYTE + 1))
+    return pair_default.ravel(), escape_default.ravel()
 
 
 class DTPAutomaton(LaneKernelMixin):
@@ -305,12 +345,14 @@ class DTPAutomaton(LaneKernelMixin):
         #: bytes a lane walks from the root before its cut: the deepest state
         self.warmup = int(self.depth.max())
         # kernel views (see the module docstring)
-        self.base, self.check, self.next = displace_rows(
-            *self._build_stored_pointers(), self.num_states
-        )
-        self.default12, self.d3_key, self.d3_state = default_views(self.defaults)
         self.match_index, self.match_pids = lanes.pack_outputs(self.outputs)
-        self.match_flags = np.diff(self.match_index) > 0
+        self.flagged, self.value_of, self.check, self.next = state_values(
+            *displace_rows(*self._build_stored_pointers(), self.num_states),
+            np.diff(self.match_index) > 0,
+        )
+        self.id_of = np.full(2 * self.flagged, -1, dtype=np.int32)
+        self.id_of[self.value_of] = np.arange(self.num_states)
+        self.pair_default, self.escape_default = default_views(self.defaults, self.value_of)
 
     # ------------------------------------------------------------------
     # construction
@@ -408,20 +450,25 @@ class DTPAutomaton(LaneKernelMixin):
     # ------------------------------------------------------------------
     # the lane kernel
     # ------------------------------------------------------------------
-    def _default_rows(self, columns: np.ndarray) -> np.ndarray:
-        """The default target of some consecutive steps of every lane.
+    def _resolve(self, byte: np.ndarray, prev1: np.ndarray, prev2: np.ndarray) -> np.ndarray:
+        """Default values for arbitrary histories, :data:`NO_BYTE` included."""
+        default = self.pair_default.take(prev1 * 256 + byte)
+        escapes = np.flatnonzero(default < 0)
+        default[escapes] = self.escape_default.take(~default[escapes] + prev2[escapes])
+        return default
 
-        ``columns[i]`` is window byte ``i`` of every lane (``int16``, history
-        may hold :data:`NO_BYTE`); step ``j`` consumes ``columns[j + 2]`` with
-        ``columns[j + 1]`` and ``columns[j]`` before it.
+    def _default_rows(self, pairs: np.ndarray, low: int, high: int) -> np.ndarray:
+        """The default value of steps ``low`` .. ``high - 1`` of every lane.
+
+        Step ``j`` consumes the low byte of ``pairs[j + 1]``, after its high
+        byte and the high byte of ``pairs[j]``.
         """
-        pairs = np.multiply(columns[:-1], _STRIDE, dtype=np.int32)
-        pairs += columns[1:]  # pairs[i] = columns[i] * 257 + columns[i + 1]
-        consumed = columns[2:]
-        out = self.default12.take(pairs[1:], mode="clip")
-        fires = self.d3_key.take(consumed, mode="clip") == pairs[:-1]
-        np.copyto(out, self.d3_state.take(consumed, mode="clip"), where=fires)
-        return out
+        index = pairs[low:high + 1].astype(np.intp, order="C")
+        default = self.pair_default.take(index[1:])
+        escapes = np.flatnonzero(default < 0)
+        before = index.ravel().take(escapes)  # the same lane's pair one step earlier
+        default.put(escapes, self.escape_default.take(~default.take(escapes) + (before >> 8)))
+        return default
 
     def lane_hits(
         self, cut: LaneCut, scan_states: Sequence[ScanState]
@@ -430,55 +477,67 @@ class DTPAutomaton(LaneKernelMixin):
         scan state per job: ``(job, end offset, pattern id)`` hits in walk
         order and the final state id of every job."""
         count = len(scan_states)
-        carried = np.fromiter((s.state for s in scan_states), np.int32, count)
+        carried = self.value_of.take(np.fromiter((s.state for s in scan_states), np.intp, count))
         offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
         prev1 = np.fromiter(
-            (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.int16, count
+            (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.intp, count
         )
         prev2 = np.fromiter(
             (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
-            np.int16, count,
+            np.intp, count,
         )
         warm = cut.lead - 2
+        flagged = self.flagged
         # bound methods skip np.take's Python wrapper
-        base, check, following_of = self.base.take, self.check.take, self.next.take
+        check, following_of = self.check.take, self.next.take
         add, differs, copyto = np.add, np.not_equal, np.copyto
 
         def walk(window, history, first_lanes, first_jobs):
             rows = list(history)
             slab = len(rows) - 1
-            # the default rows of a whole slab would outweigh its states:
-            # they are made for an eighth of its steps at a time
+            # a whole slab's defaults (and their intp pair index) would
+            # outweigh its states: they are made an eighth of a slab at a time
             part = slab // 8 + 1
-            slot = np.empty(history.shape[1], dtype=np.int32)
-            owner = np.empty_like(slot)
+            # pairs[i] = window[i] * 256 + window[i + 1], read in place: a
+            # big-endian uint16 over each byte and the next
+            pairs = as_strided(
+                window, (len(window) - 1, window.shape[1], 2), window.strides + (1,)
+            ).view(">u2")[..., 0]
+            slot = np.empty(history.shape[1], dtype=np.intp)
+            owner = np.empty_like(rows[0])
             pruned = np.empty(history.shape[1], dtype=bool)
+            # a job's first lane has the carried history where the packed
+            # buffer has another job's bytes: the two steps that read it
+            first_bytes = window[cut.lead, first_lanes].astype(np.intp)
+            carried_history = (
+                (warm, prev1[first_jobs], prev2[first_jobs]),
+                (warm + 1, first_bytes, prev1[first_jobs]),
+            )
 
             def advance(first, sources, targets):
                 """Steps ``first`` .. ``first + len(sources) - 1``."""
                 for top in range(0, len(sources), part):
                     low = first + top
-                    columns = window[low:min(low + part, first + len(sources)) + 2]
-                    columns = columns.astype(np.int16)
-                    # a job's first lane reads the carried history where the
-                    # packed buffer has another job's bytes
-                    for row, carried_bytes in ((warm, prev2), (warm + 1, prev1)):
-                        if low <= row < low + len(columns):
-                            columns[row - low, first_lanes] = carried_bytes[first_jobs]
+                    high = min(low + part, first + len(sources))
+                    defaults = self._default_rows(pairs, low, high)
+                    for step, before, before_that in carried_history:
+                        if low <= step < high:
+                            defaults[step - low, first_lanes] = self._resolve(
+                                window[step + 2, first_lanes], before, before_that
+                            )
+                    columns = np.ascontiguousarray(window[low + 2:high + 2])
                     for state, column, default, following in zip(
-                        sources[top:], columns[2:], self._default_rows(columns),
-                        targets[top:],
+                        sources[top:], columns, defaults, targets[top:]
                     ):
-                        base(state, out=slot, mode="clip")
-                        add(slot, column, out=slot)
-                        check(slot, out=owner, mode="clip")
+                        add(state, column, out=slot)
+                        check(slot, out=owner, mode="wrap")
                         differs(owner, state, out=pruned)
-                        following_of(slot, out=following, mode="clip")
+                        following_of(slot, out=following, mode="wrap")
                         copyto(following, default, where=pruned)
 
             # warm up from the root in place: these states report nothing
             state = rows[0]
-            state.fill(ROOT)
+            state.fill(self.value_of[ROOT])
             advance(0, [state] * warm, [state] * warm)
             state[first_lanes] = carried[first_jobs]
             for top in range(0, cut.lane_len, slab):
@@ -486,8 +545,15 @@ class DTPAutomaton(LaneKernelMixin):
                 advance(warm + top, rows[:steps], rows[1:steps + 1])
                 yield steps
 
-        hits, final = cut.run(carried, offsets, walk, self.match_flags.take)
-        return lanes.expand_hits(hits, self.match_index, self.match_pids), final
+        def reports(entered):
+            return entered >= flagged if entered.max() >= flagged else None
+
+        (jobs, ends, values), final = cut.run(carried, offsets, walk, reports)
+        id_of = self.id_of
+        hits = lanes.expand_hits(
+            (jobs, ends, id_of.take(values)), self.match_index, self.match_pids
+        )
+        return hits, id_of.take(final)
 
     def _scan_lanes(
         self, flow_states: Sequence[FlowState], batch: LaneBatch

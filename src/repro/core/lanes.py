@@ -31,8 +31,8 @@ lanes.  It keeps the states of a *slab* of steps only (:data:`SLAB_CELLS`
 lane cells): the walk fills the slab, the driver picks up the final states
 and the hits in it, and the next slab starts from its last row.  Working
 memory is set by the slab, not by the batch nor the lane length.  Hits are
-found by the kernel's ``reports`` test on the slab — one ``max()`` for the
-dense kernel, whose state values carry the match bit — and taken out with
+found by the kernel's ``reports`` test on the slab — one ``max()``, since
+both kernels' state values carry the match bit — and taken out with
 ``flatnonzero``; they are reported per job in end-offset, then
 ``outputs[state]``, order — the order of the byte-at-a-time walk.
 

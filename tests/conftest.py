@@ -43,7 +43,7 @@ from repro.capture import (
 from repro.capture.frames import DecodedFrame
 from repro.capture.replay import ReplayStats
 from repro.core import DTPAutomaton, compile_ruleset, lanes
-from repro.core.dtp_automaton import _STRIDE, NO_BYTE
+from repro.core.dtp_automaton import NO_BYTE
 from repro.core.lanes import LaneBatch
 from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.ids.classifier import CANDIDATE_CACHE_LIMIT
@@ -437,6 +437,93 @@ def reference_dense_scan_lanes(self, flow_states, batch: LaneBatch):
     )
 
 
+# ----------------------------------------------------------------------
+# the DTP kernel's views as they were: plain state ids, stride-257 defaults
+# ----------------------------------------------------------------------
+# Both DTP references below walk these, rebuilt here from a program's stored
+# pointers and lookup table, since the program now carries state-value views.
+_SLOTS_PER_POINTER = 4
+_STRIDE = NO_BYTE + 1
+
+
+def reference_displace_rows(states, symbols, targets, num_states):
+    """``dtp_automaton.displace_rows`` as it was (displacements may repeat)."""
+    owners, counts = np.unique(states, return_counts=True)
+    # larger rows first: np.unique keeps the first bidder for a slot
+    by_size = np.argsort(-counts, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(len(owners))
+    row = np.repeat(rank, counts)
+    order = np.argsort(row, kind="stable")
+    row, states, symbols, targets = row[order], states[order], symbols[order], targets[order]
+
+    size = _SLOTS_PER_POINTER * len(states) + 256
+    check = np.full(size + 256, -1, dtype=np.int32)
+    following = np.zeros(size + 256, dtype=np.int32)
+    displacement = np.zeros(len(owners), dtype=np.int64)
+    pending = np.ones(len(owners), dtype=bool)
+    rng = np.random.default_rng(0)
+    rounds = 0
+    while pending.any():
+        if rounds and rounds % 32 == 0:
+            check = np.concatenate([check, np.full(size, -1, dtype=np.int32)])
+            following = np.concatenate([following, np.zeros(size, dtype=np.int32)])
+            size *= 2
+        rounds += 1
+        trial = rng.integers(0, size, len(owners))
+        bidding = np.flatnonzero(pending[row])
+        slots = trial[row[bidding]] + symbols[bidding]
+        outbid = np.ones(len(slots), dtype=bool)
+        outbid[np.unique(slots, return_index=True)[1]] = False
+        lost = np.zeros(len(owners), dtype=bool)
+        lost[row[bidding[outbid | (check[slots] >= 0)]]] = True
+        won = pending & ~lost
+        kept = won[row[bidding]]
+        check[slots[kept]] = states[bidding[kept]]
+        following[slots[kept]] = targets[bidding[kept]]
+        displacement[won] = trial[won]
+        pending = lost
+    base = np.zeros(num_states, dtype=np.int32)
+    base[owners[by_size]] = displacement
+    return base, check, following
+
+
+def reference_default_views(defaults):
+    """``dtp_automaton.default_views`` as it was: ``(default12, d3_key, d3_state)``."""
+    default12 = np.tile(np.append(defaults.d1, ROOT).astype(np.int32), _STRIDE)
+    for byte, entries in defaults.d2.items():
+        for entry in reversed(entries):  # the resolver takes the first that fits
+            default12[entry.preceding_byte * _STRIDE + byte] = entry.state
+    d3_key = np.full(256, -1, dtype=np.int32)
+    d3_state = np.zeros(256, dtype=np.int32)
+    for byte, entry in defaults.d3.items():
+        d3_key[byte] = entry.preceding_bytes[0] * _STRIDE + entry.preceding_bytes[1]
+        d3_state[byte] = entry.state
+    return default12, d3_key, d3_state
+
+
+class ReferenceDtpViews:
+    """A DTP program's kernel views as the references below read them off
+    ``self``: ``base``/``check``/``next`` over plain ids, ``default12``,
+    ``d3_key``/``d3_state`` and the ``match_flags`` vector."""
+
+    def __init__(self, program: DTPAutomaton):
+        pointers = [
+            (state, byte, target)
+            for state, row in enumerate(program.stored) for byte, target in sorted(row.items())
+        ]
+        states, symbols, targets = (
+            np.array(column, dtype=np.int64) for column in zip(*pointers)
+        ) if pointers else (np.empty(0, dtype=np.int64),) * 3
+        self.base, self.check, self.next = reference_displace_rows(
+            states, symbols, targets, program.num_states
+        )
+        self.default12, self.d3_key, self.d3_state = reference_default_views(program.defaults)
+        self.match_index, self.match_pids = program.match_index, program.match_pids
+        self.match_flags = np.diff(self.match_index) > 0
+        self.warmup = program.warmup
+
+
 def _reference_default_rows(self, columns: np.ndarray) -> np.ndarray:
     """``DTPAutomaton._default_rows`` as it was."""
     pairs = np.multiply(columns[:-1], _STRIDE, dtype=np.int32)
@@ -449,7 +536,8 @@ def _reference_default_rows(self, columns: np.ndarray) -> np.ndarray:
 
 
 def reference_dtp_lane_hits(self, cut: ReferenceLaneCut, scan_states):
-    """``DTPAutomaton.lane_hits`` as it was."""
+    """``DTPAutomaton.lane_hits`` over whole-lane history tiles, as it was
+    (``self``: a :class:`ReferenceDtpViews`)."""
     count = len(scan_states)
     carried = np.fromiter((s.state for s in scan_states), np.int32, count)
     offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
@@ -509,10 +597,108 @@ def reference_dtp_lane_hits(self, cut: ReferenceLaneCut, scan_states):
     return lanes.expand_hits(hits, self.match_index, self.match_pids), final
 
 
-def reference_dtp_scan_lanes(self, flow_states, batch: LaneBatch):
+def reference_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
     """``DTPAutomaton._scan_lanes`` over :func:`reference_dtp_lane_hits`."""
     hits, final = reference_dtp_lane_hits(
-        self, ReferenceLaneCut(batch, self.warmup, history=2),
+        ReferenceDtpViews(program), ReferenceLaneCut(batch, program.warmup, history=2),
+        [state for (state,) in flow_states],
+    )
+    return lanes.job_results(flow_states, batch, hits, [final])
+
+
+# ----------------------------------------------------------------------
+# the DTP kernel of the slab-rolled driver, as it was: plain state ids, a
+# six-call step and default rows built from an int16 byte matrix
+# ----------------------------------------------------------------------
+# Moved here verbatim (``self`` a :class:`ReferenceDtpViews`) when the state
+# value became its row displacement and took the match bit, and the defaults
+# became one pair gather per byte.  It runs on the production driver
+# (``lanes.LaneCut``), so the two differ in the kernel's step alone.
+def _slab_default_rows(self, columns: np.ndarray) -> np.ndarray:
+    """The default target of some consecutive steps of every lane.
+
+    ``columns[i]`` is window byte ``i`` of every lane (``int16``, history
+    may hold :data:`NO_BYTE`); step ``j`` consumes ``columns[j + 2]`` with
+    ``columns[j + 1]`` and ``columns[j]`` before it.
+    """
+    pairs = np.multiply(columns[:-1], _STRIDE, dtype=np.int32)
+    pairs += columns[1:]  # pairs[i] = columns[i] * 257 + columns[i + 1]
+    consumed = columns[2:]
+    out = self.default12.take(pairs[1:], mode="clip")
+    fires = self.d3_key.take(consumed, mode="clip") == pairs[:-1]
+    np.copyto(out, self.d3_state.take(consumed, mode="clip"), where=fires)
+    return out
+
+
+def slab_dtp_lane_hits(self, cut: lanes.LaneCut, scan_states):
+    """Run the kernel over ``cut`` (built with two history bytes), one
+    scan state per job: ``(job, end offset, pattern id)`` hits in walk
+    order and the final state id of every job."""
+    count = len(scan_states)
+    carried = np.fromiter((s.state for s in scan_states), np.int32, count)
+    offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
+    prev1 = np.fromiter(
+        (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.int16, count
+    )
+    prev2 = np.fromiter(
+        (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
+        np.int16, count,
+    )
+    warm = cut.lead - 2
+    # bound methods skip np.take's Python wrapper
+    base, check, following_of = self.base.take, self.check.take, self.next.take
+    add, differs, copyto = np.add, np.not_equal, np.copyto
+
+    def walk(window, history, first_lanes, first_jobs):
+        rows = list(history)
+        slab = len(rows) - 1
+        # the default rows of a whole slab would outweigh its states:
+        # they are made for an eighth of its steps at a time
+        part = slab // 8 + 1
+        slot = np.empty(history.shape[1], dtype=np.int32)
+        owner = np.empty_like(slot)
+        pruned = np.empty(history.shape[1], dtype=bool)
+
+        def advance(first, sources, targets):
+            """Steps ``first`` .. ``first + len(sources) - 1``."""
+            for top in range(0, len(sources), part):
+                low = first + top
+                columns = window[low:min(low + part, first + len(sources)) + 2]
+                columns = columns.astype(np.int16)
+                # a job's first lane reads the carried history where the
+                # packed buffer has another job's bytes
+                for row, carried_bytes in ((warm, prev2), (warm + 1, prev1)):
+                    if low <= row < low + len(columns):
+                        columns[row - low, first_lanes] = carried_bytes[first_jobs]
+                for state, column, default, following in zip(
+                    sources[top:], columns[2:], _slab_default_rows(self, columns),
+                    targets[top:],
+                ):
+                    base(state, out=slot, mode="clip")
+                    add(slot, column, out=slot)
+                    check(slot, out=owner, mode="clip")
+                    differs(owner, state, out=pruned)
+                    following_of(slot, out=following, mode="clip")
+                    copyto(following, default, where=pruned)
+
+        # warm up from the root in place: these states report nothing
+        state = rows[0]
+        state.fill(ROOT)
+        advance(0, [state] * warm, [state] * warm)
+        state[first_lanes] = carried[first_jobs]
+        for top in range(0, cut.lane_len, slab):
+            steps = min(slab, cut.lane_len - top)
+            advance(warm + top, rows[:steps], rows[1:steps + 1])
+            yield steps
+
+    hits, final = cut.run(carried, offsets, walk, self.match_flags.take)
+    return lanes.expand_hits(hits, self.match_index, self.match_pids), final
+
+
+def slab_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
+    """``DTPAutomaton._scan_lanes`` over :func:`slab_dtp_lane_hits`."""
+    hits, final = slab_dtp_lane_hits(
+        ReferenceDtpViews(program), lanes.LaneCut(batch, program.warmup, history=2),
         [state for (state,) in flow_states],
     )
     return lanes.job_results(flow_states, batch, hits, [final])

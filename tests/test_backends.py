@@ -10,7 +10,10 @@ streaming layer, the IDS and the CLI treat backends as interchangeable.
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.automata import AhoCorasickDFA
 from repro.backend import (
@@ -21,7 +24,7 @@ from repro.backend import (
 )
 from repro.core import CompiledDenseProgram, DTPAutomaton, compile_ruleset
 from repro.core import compiled, lanes
-from repro.fpga import STRATIX_III
+from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
@@ -29,7 +32,13 @@ from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import FlowKey, FlowTable, StreamScanner
 from repro.traffic import TrafficGenerator
 
-from tests.conftest import reference_scan_packets
+from tests.conftest import (
+    ReferenceDtpViews,
+    reference_dtp_scan_lanes,
+    reference_scan_packets,
+    slab_dtp_lane_hits,
+    slab_dtp_scan_lanes,
+)
 
 ALL_BACKENDS = ("ac", "bitmap", "dense", "dtp", "path", "wu-manber")
 
@@ -570,15 +579,29 @@ class TestLaneKernel:
 class TestDtpLaneKernel(TestLaneKernel):
     """Every cut above through the DTP kernel — stored pointers in the
     row-displacement table, everything else by default transition — plus what
-    only that kernel has: the two-byte history a default compares."""
+    only that kernel has: the two-byte history a default compares.
+
+    Every kernel call of every test here is also held to both previous DTP
+    kernels in ``tests/conftest.py``: the six-call step of the slab-rolled
+    driver, and the whole-lane tiles before it."""
 
     compile = staticmethod(DTPAutomaton.from_patterns)
 
+    @pytest.fixture(autouse=True)
+    def against_both_references(self, monkeypatch):
+        kernel = DTPAutomaton._scan_lanes
+
+        def checked(program, flow_states, batch):
+            found = kernel(program, flow_states, batch)
+            assert found == slab_dtp_scan_lanes(program, flow_states, batch)
+            assert found == reference_dtp_scan_lanes(program, flow_states, batch)
+            return found
+
+        monkeypatch.setattr(DTPAutomaton, "_scan_lanes", checked)
+
     @staticmethod
     def tiled_walk(program, flow_states, batch):
-        from tests.conftest import reference_dtp_scan_lanes
-
-        return reference_dtp_scan_lanes(program, flow_states, batch)
+        return slab_dtp_scan_lanes(program, flow_states, batch)
 
     def test_kernel_is_the_step_loop(self, short_lanes):
         """Byte for byte the state ``step()`` reaches, on traffic where both
@@ -661,6 +684,41 @@ class TestDtpLaneKernel(TestLaneKernel):
                 assert states[0].state == final_state(reference, stream)
 
 
+@pytest.mark.parametrize("slab_rows", (4, 1))
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_dtp_escapes_every_few_bytes(force_short_lanes, slab_rows, data):
+    """A stream spliced from depth-3 default triples, their pairs and stray
+    bytes, so escape cells — pairs after which a depth-3 default may fire —
+    come every few bytes, fire or not, and straddle lane cuts, slab edges and
+    job boundaries; each job resumes its flow.  The kernel must be the
+    scalar loop's, and both previous DTP kernels', batch for batch."""
+    program = DTPAutomaton.from_patterns(LANE_PATTERNS)
+    force_short_lanes(program, 3, slab_rows)
+    triples = [bytes(e.preceding_bytes) + bytes([b]) for b, e in program.defaults.d3.items()]
+    assert triples
+    pieces = st.one_of(
+        st.sampled_from(triples),
+        st.sampled_from(triples).map(lambda triple: triple[1:]),
+        st.binary(min_size=1, max_size=2),
+    )
+    stream = b"".join(data.draw(st.lists(pieces, min_size=1, max_size=40)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), min_size=1, max_size=6)))
+    bounds = [0] + cuts + [len(stream)]
+    flow_states, chunks = [], []
+    for head, end in zip(bounds, bounds[1:]):
+        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
+        chunks.append(stream[head:end])
+    batch = lanes.LaneBatch(chunks)
+    found = program._scan_lanes(flow_states, batch)
+    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+    assert found == slab_dtp_scan_lanes(program, flow_states, batch)
+    assert found == reference_dtp_scan_lanes(program, flow_states, batch)
+
+
 class TestLaneKernelOneRowSlab(TestLaneKernel):
     """Every dense test above with a slab edge after every byte: the
     history the driver keeps is one step deep."""
@@ -708,6 +766,39 @@ class TestAcceleratorLaneKernel:
         assert any(found for found, _ in results)
         # the same bytes one-shot through match(): the mixin's default entry
         assert [program.match(s) for s in streams] == [sorted(dense.match(s)) for s in streams]
+
+    def test_paper_sized_program_shares_one_cut(self):
+        """2 588 strings in three blocks, one cut: every block's kernel is
+        the previous slab kernel's on the same cut, hits and final states,
+        and the merged batch is the scalar loop's job for job."""
+        ruleset = generate_snort_like_ruleset(2588, seed=7)
+        program = compile_ruleset(ruleset, CYCLONE_III)
+        assert len(program.blocks) == 3
+        patterns = list(ruleset.patterns)
+        rng = random.Random(23)
+        jobs = []
+        for _ in range(24):
+            body = bytearray(rng.randbytes(rng.choice((0, 1, 2, rng.randrange(3000)))))
+            for pattern in rng.sample(patterns, 6):
+                if len(body) > len(pattern):
+                    offset = rng.randrange(len(body) - len(pattern))
+                    body[offset:offset + len(pattern)] = pattern
+            head = rng.choice(patterns)[: rng.randrange(1, 8)]
+            _, states = program._scan_scalar(program.initial_scan_states(), head)
+            jobs.append((states, bytes(body)))
+        batch = lanes.LaneBatch([chunk for _, chunk in jobs])
+        cut = lanes.LaneCut(batch, program.warmup, history=2)
+        for unit, block in enumerate(program.blocks):
+            scan_states = [states[unit] for states, _ in jobs]
+            (found_jobs, ends, pids), final = block.dtp.lane_hits(cut, scan_states)
+            (want_jobs, want_ends, want_pids), want_final = slab_dtp_lane_hits(
+                ReferenceDtpViews(block.dtp), cut, scan_states
+            )
+            assert np.array_equal(found_jobs, want_jobs) and np.array_equal(ends, want_ends)
+            assert np.array_equal(pids, want_pids) and np.array_equal(final, want_final)
+            assert len(pids)
+        found = program._scan_lanes([states for states, _ in jobs], batch)
+        assert found == [program._scan_scalar(states, body) for states, body in jobs]
 
     def test_wrong_state_count_is_rejected_on_both_paths(self, force_short_lanes):
         ruleset = generate_snort_like_ruleset(20, seed=8)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.automata.trie import ROOT
 from repro.backend import get_backend
 from repro.check import (
     AUTOMATON_BACKENDS,
@@ -170,7 +171,19 @@ def _mutate_dtp(program):
 def _dtp_pointer_slot(program):
     """(state, slot) of the one stored pointer of the Figure 2 automaton."""
     state = next(s for s in range(program.num_states) if program.stored[s])
-    return state, int(program.base[state]) + next(iter(program.stored[state]))
+    byte = next(iter(program.stored[state]))
+    return state, (int(program.value_of[state]) + byte) % program.flagged
+
+
+def _dtp_undefaulted_state(program):
+    """A reporting state no default leads to ("hers"): its value may move
+    without touching the default views."""
+    defaulted = set(program.id_of[program.pair_default[program.pair_default >= 0]].tolist())
+    defaulted |= set(program.id_of[program.escape_default].tolist())
+    return next(
+        s for s in range(program.num_states)
+        if s not in defaulted and program.value_of[s] >= program.flagged
+    )
 
 
 def _mutate_dtp_check(program):
@@ -182,45 +195,59 @@ def _mutate_dtp_next(program):
     program.next[_dtp_pointer_slot(program)[1]] -= 1
 
 
-def _mutate_dtp_base(program):
+def _mutate_dtp_value(program):
     # the row now reads its neighbours' slots
-    program.base[_dtp_pointer_slot(program)[0]] += 1
+    program.value_of[_dtp_pointer_slot(program)[0]] += 1
+
+
+def _mutate_dtp_value_collision(program):
+    # two states share one row: each would read the other's pointers
+    program.value_of[_dtp_undefaulted_state(program)] = program.value_of[ROOT]
+
+
+def _mutate_dtp_reporting_below_flag(program):
+    # a reporting state whose value lost the match bit: its hits vanish
+    program.value_of[_dtp_undefaulted_state(program)] -= program.flagged
 
 
 def _mutate_dtp_phantom_slot(program):
     # the root stores nothing; a slot in its window claiming it would be taken
+    root = int(program.value_of[ROOT])
     slot = next(
-        int(program.base[0]) + byte for byte in range(256)
-        if program.check[int(program.base[0]) + byte] < 0
+        (root + byte) % program.flagged for byte in range(256)
+        if program.check[(root + byte) % program.flagged] < 0
     )
-    program.check[slot] = 0
+    program.check[slot] = root
 
 
-def _mutate_dtp_default12(program):
-    # 'h' then 'e' is the depth-2 default "he"
-    program.default12[ord("h") * 257 + ord("e")] = 0
+def _mutate_dtp_pair_default(program):
+    # 'h' then 'i' is the depth-2 default "hi"
+    program.pair_default[ord("h") * 256 + ord("i")] = program.value_of[ROOT]
 
 
-def _mutate_dtp_default12_at_stream_start(program):
+def _mutate_dtp_pair_default_at_stream_start(program):
     # prev1 = None (256): the depth-1 default of 'h' with no byte before it
-    program.default12[256 * 257 + ord("h")] = 0
+    program.pair_default[256 * 256 + ord("h")] = program.value_of[ROOT]
 
 
-def _mutate_dtp_d3_key(program):
-    # the depth-3 default "she" would fire after "sg", and not after "sh"
-    program.d3_key[ord("e")] -= 1
+def _mutate_dtp_dropped_escape(program):
+    # 'h' then 'e' is the escape of the depth-3 default "she": without it the
+    # depth-2 default "he" is taken after "sh" too
+    program.pair_default[ord("h") * 256 + ord("e")] = program.escape_default[ord("e") * 257]
 
 
-def _mutate_dtp_d3_state(program):
-    program.d3_state[ord("e")] -= 1
+def _mutate_dtp_escape_prev2(program):
+    # the depth-3 default "she" would fire after "gh", and not after "sh"
+    row = program.escape_default[ord("e") * 257:ord("e") * 257 + 257]
+    row[[ord("s"), ord("g")]] = row[[ord("g"), ord("s")]]
+
+
+def _mutate_dtp_escape_target(program):
+    program.escape_default[ord("e") * 257 + ord("s")] = program.value_of[ROOT]
 
 
 def _mutate_dtp_warmup(program):
     program.warmup -= 1
-
-
-def _mutate_dtp_flag(program):
-    program.match_flags[int(program.match_flags.nonzero()[0][0])] = False
 
 
 def _mutate_dtp_packed_outputs(program):
@@ -230,14 +257,16 @@ def _mutate_dtp_packed_outputs(program):
 DTP_KERNEL_MUTATIONS = [
     pytest.param(_mutate_dtp_check, "DTP007", id="check-entry"),
     pytest.param(_mutate_dtp_next, "DTP007", id="next-entry"),
-    pytest.param(_mutate_dtp_base, "DTP007", id="base-entry"),
+    pytest.param(_mutate_dtp_value, "DTP007", id="value-entry"),
+    pytest.param(_mutate_dtp_value_collision, "DTP007", id="value-collision"),
+    pytest.param(_mutate_dtp_reporting_below_flag, "DTP007", id="reporting-state-below-flag"),
     pytest.param(_mutate_dtp_phantom_slot, "DTP007", id="phantom-slot"),
-    pytest.param(_mutate_dtp_default12, "DTP008", id="default-table-entry"),
-    pytest.param(_mutate_dtp_default12_at_stream_start, "DTP008", id="default-table-none-row"),
-    pytest.param(_mutate_dtp_d3_key, "DTP008", id="d3-key"),
-    pytest.param(_mutate_dtp_d3_state, "DTP008", id="d3-state"),
+    pytest.param(_mutate_dtp_pair_default, "DTP008", id="pair-table-entry"),
+    pytest.param(_mutate_dtp_pair_default_at_stream_start, "DTP008", id="pair-table-none-row"),
+    pytest.param(_mutate_dtp_dropped_escape, "DTP008", id="dropped-escape"),
+    pytest.param(_mutate_dtp_escape_prev2, "DTP008", id="escape-prev2"),
+    pytest.param(_mutate_dtp_escape_target, "DTP008", id="escape-target"),
     pytest.param(_mutate_dtp_warmup, "DTP009", id="warmup-length"),
-    pytest.param(_mutate_dtp_flag, "DTP005", id="match-flag"),
     pytest.param(_mutate_dtp_packed_outputs, "DTP005", id="packed-match-pid"),
 ]
 

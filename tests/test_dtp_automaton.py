@@ -1,5 +1,7 @@
 """Tests for the DTP-compressed automaton — the paper's core contribution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.automata import AhoCorasickDFA
 from repro.core import DTPAutomaton, build_default_transition_table
 from repro.core.dtp_automaton import displace_rows
-from repro.core.lanes import LaneBatch
+from repro.core.lanes import LaneBatch, LaneCut
 
 
 class TestFigure2Example:
@@ -118,20 +120,30 @@ class TestKernelViews:
             for state, row in enumerate(dtp.stored) for byte, target in row.items()
         ]
         states, symbols, targets = map(np.array, zip(*pointers))
-        slots = dtp.base[states] + symbols
+        slots = (dtp.value_of[states] + symbols) % dtp.flagged
         assert len(set(slots.tolist())) == len(pointers), "two pointers share a slot"
-        assert (dtp.check[slots] == states).all() and (dtp.next[slots] == targets).all()
+        assert (dtp.check[slots] == dtp.value_of[states]).all()
+        assert (dtp.next[slots] == dtp.value_of[targets]).all()
         assert int((dtp.check >= 0).sum()) == len(pointers)  # and nothing else is owned
+
+    def test_state_values_are_rows_of_their_own_and_carry_the_match_bit(self, small_ruleset):
+        dtp = DTPAutomaton.from_ruleset(small_ruleset)
+        rows = dtp.value_of % dtp.flagged
+        assert len(np.unique(rows)) == dtp.num_states
+        assert rows.max() + 256 <= dtp.flagged  # no row wraps round the table
+        assert np.array_equal(dtp.value_of >= dtp.flagged, [bool(o) for o in dtp.outputs])
+        assert np.array_equal(dtp.id_of[dtp.value_of], np.arange(dtp.num_states))
 
     def test_layout_is_a_function_of_the_pointers(self, small_ruleset):
         first = DTPAutomaton.from_ruleset(small_ruleset)
         again = DTPAutomaton.from_ruleset(small_ruleset)
-        for view in ("base", "check", "next", "default12", "d3_key", "d3_state"):
+        for view in ("value_of", "check", "next", "id_of", "pair_default", "escape_default"):
             assert np.array_equal(getattr(first, view), getattr(again, view)), view
 
     @pytest.mark.parametrize("rows, per_row", [(5, 256), (40, 200), (300, 120), (0, 0)])
     def test_crowded_rows_still_find_room(self, rows, per_row):
-        """Near-full rows cannot interleave; the table grows until they fit."""
+        """Near-full rows cannot interleave; the table grows until they fit,
+        and every state, storing or not, keeps a displacement of its own."""
         rng = np.random.default_rng(rows)
         states = np.repeat(np.arange(rows) * 3, per_row)  # states in between store nothing
         symbols = np.concatenate(
@@ -143,6 +155,32 @@ class TestKernelViews:
         slots = base[states] + symbols
         assert (check[slots] == states).all() and (following[slots] == targets).all()
         assert int((check >= 0).sum()) == len(states)
+        assert len(np.unique(base)) == 3 * rows + 1
+        assert base.max() + 256 <= len(check)
+
+    def test_kernel_memory_is_set_by_the_slab(self, small_ruleset):
+        """The ``tracemalloc`` peak of one ``scan_many``, less the packed
+        buffer it must hold, at 4 MB and at 16 MB: working memory is a slab's
+        and a tile's, so the 12 MB more of batch may move it by little (a
+        per-batch array of one byte a cell would add over 12 MB)."""
+        dtp = DTPAutomaton.from_ruleset(small_ruleset)
+
+        def working_memory(size):
+            rng = np.random.default_rng(size)
+            chunks = [rng.integers(0, 256, size // 64, dtype=np.uint8).tobytes() for _ in range(64)]
+            jobs = [(dtp.initial_scan_states(), chunk) for chunk in chunks]
+            packed = len(LaneCut(LaneBatch(chunks), dtp.warmup, history=2).data)
+            tracemalloc.start()
+            try:
+                dtp.scan_many(jobs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - packed
+
+        small, large = working_memory(4 << 20), working_memory(16 << 20)
+        assert small < 8 << 20
+        assert large - small < 3 << 20, (small, large)
 
     def test_verify_proves_the_views_of_random_automata(self, rng):
         for count in (1, 3, 12):
