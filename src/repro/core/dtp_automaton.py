@@ -56,13 +56,13 @@ two structures laid out as flat arrays.
 The default target depends on ``(byte, prev1, prev2)`` and never on the
 state, so it is computed from the tile's bytes alone, an eighth of a history
 slab's steps at a time: a big-endian ``uint16`` view with stride 1 over the
-packed bytes *is* ``prev1 * 256 + byte``, so the defaults are one gather from
-it, plus a fix-up of the escape cells.  A step is then ``value + byte ->
-take(check) != value
--> take(next)``, overwritten by that step's default row where no pointer is
-stored: five NumPy calls whether a pointer hits or a default fires.  A slab
-with no match is one ``max() < flagged``, as in the dense kernel; values are
-decoded to plain state ids (``id_of``) for hits and final states only.
+packed bytes *is* ``prev1 * 256 + byte``, so the defaults are one gather
+from it, plus a fix-up of the escape cells, found with ``flatnonzero``.  A
+step is then ``value + byte -> take(check) != value -> take(next)``,
+overwritten by that step's default row where no pointer is stored: five
+NumPy calls whether a pointer hits or a default fires.  A slab with no match
+is one ``max() < flagged``, as in the dense kernel; values are decoded to
+plain state ids (``id_of``) for hits and final states only.
 
 Why a lane may warm up from the root: with the stream's true history a
 default can land a warming lane *deeper* than the plain DFA lane that left
