@@ -167,24 +167,29 @@ class AhoCorasickDFA(CompiledProgramMixin):
         return cls(Trie.from_patterns(patterns))
 
     def _build_table(self) -> np.ndarray:
-        trie = self.trie
+        """One depth level at a time: every state of a level inherits its
+        fallback's (shallower, finished) row in one fancy copy, then the
+        level's goto edges are scattered over it.  A child's fallback is its
+        parent's inherited entry for its byte, read before that scatter."""
         table = np.zeros((self.num_states, ALPHABET_SIZE), dtype=np.int32)
-        # Root row: its own goto edges, everything else stays at root.
-        for byte, child in trie.children[ROOT].items():
-            table[ROOT, byte] = child
-            self.fail[child] = ROOT
-
-        for state in trie.iter_bfs():
-            if state == ROOT:
-                continue
-            # Inherit the fallback row, then overwrite with own goto edges.
-            table[state] = table[self.fail[state]]
-            for byte, child in trie.children[state].items():
-                self.fail[child] = table[self.fail[state], byte]
-                self.outputs[child] = list(trie.outputs[child]) + list(
-                    self.outputs[self.fail[child]]
-                )
-                table[state, byte] = child
+        fail = np.zeros(self.num_states, dtype=np.int32)
+        by_depth = np.argsort(self.depth, kind="stable")
+        bounds = np.cumsum(np.bincount(self.depth)).tolist()
+        outputs = self.outputs
+        for low, middle, high in zip([0] + bounds, bounds, bounds[1:]):
+            level, children = by_depth[low:middle], by_depth[middle:high]
+            if low:  # the root row starts all-root
+                table[level] = table[fail[level]]
+            parents, labels = self.parent[children], self.label[children]
+            fail[children] = table[parents, labels]
+            table[parents, labels] = children
+            for child, fallback in zip(children.tolist(), fail[children].tolist()):
+                if outputs[fallback]:
+                    outputs[child] = outputs[child] + outputs[fallback]
+        if len(bounds) > 1:  # the deepest level has no children to scatter
+            deepest = by_depth[bounds[-2]:]
+            table[deepest] = table[fail[deepest]]
+        self.fail = fail.tolist()
         return table
 
     @property

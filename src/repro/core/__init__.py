@@ -37,7 +37,6 @@ from .memory_layout import (
     PackingError,
     Placement,
     StateRecord,
-    build_state_records,
     default_target_order,
     pack_state_machine,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "PackingError",
     "Placement",
     "StateRecord",
-    "build_state_records",
     "default_target_order",
     "pack_state_machine",
     "PartitionPlan",

@@ -21,13 +21,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..automata.aho_corasick import AhoCorasickDFA
 from ..backend import FlowState, ScanState
 from ..fpga.devices import FPGADevice
 from ..fpga.throughput import accelerator_throughput_gbps
 from ..rulesets.ruleset import RuleSet
 from . import lanes
-from .default_transitions import build_default_transition_table
 from .dtp_automaton import (
     HARDWARE_MAX_POINTERS,
     DTPAutomaton,
@@ -243,15 +241,13 @@ def _compile_block(
     include_d2: bool,
     include_d3: bool,
 ) -> BlockProgram:
-    dfa = AhoCorasickDFA.from_patterns(group.patterns)
-    defaults = build_default_transition_table(
-        dfa,
+    dtp = DTPAutomaton.from_patterns(
+        group.patterns,
         d2_slots=d2_slots,
         include_d2=include_d2,
         include_d3=include_d3,
         max_stored_pointers=HARDWARE_MAX_POINTERS if include_d2 or include_d3 else None,
     )
-    dtp = DTPAutomaton(dfa, defaults=defaults)
 
     string_numbers = {
         local_id: global_index[rule.pattern] for local_id, rule in enumerate(group)
@@ -264,7 +260,7 @@ def _compile_block(
     packed = pack_state_machine(
         dtp, match_memory=match_memory, capacity_words=device.state_machine_words
     )
-    lookup = encode_lookup_table(defaults)
+    lookup = encode_lookup_table(dtp.defaults)
     return BlockProgram(
         index=index,
         ruleset=group,
@@ -276,14 +272,27 @@ def _compile_block(
     )
 
 
+def _trie_states(patterns: Sequence[bytes]) -> int:
+    """States of the patterns' trie, root included, counted without building
+    it: in sorted order a pattern adds the prefixes longer than the one it
+    shares with its predecessor."""
+    states = 1
+    previous = b""
+    for pattern in sorted(patterns):
+        shared = 0
+        limit = min(len(pattern), len(previous))
+        while shared < limit and pattern[shared] == previous[shared]:
+            shared += 1
+        states += len(pattern) - shared
+        previous = pattern
+    return states
+
+
 def _estimate_groups(ruleset: RuleSet, device: FPGADevice) -> int:
     """Cheap lower-bound estimate of the number of blocks needed."""
-    from ..automata.trie import Trie
-
-    trie = Trie.from_patterns(ruleset.patterns)
     # Most states store 0-1 pointers (one slot); assume a conservative average
     # of 1.5 slots per state for the initial guess, then let packing decide.
-    estimated_slots = int(trie.num_states * 1.5)
+    estimated_slots = int(_trie_states(ruleset.patterns) * 1.5)
     capacity_slots = device.state_machine_words * SLOTS_PER_WORD
     return max(1, math.ceil(estimated_slots / capacity_slots))
 

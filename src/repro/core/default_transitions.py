@@ -143,7 +143,23 @@ def build_default_transition_table(
     min_popularity: int = 1,
     max_stored_pointers: Optional[int] = None,
 ) -> DefaultTransitionTable:
-    """Select default transition pointers for ``dfa``.
+    """Select default transition pointers for ``dfa`` (see
+    :func:`select_defaults`, which also returns the pruning mask)."""
+    return select_defaults(
+        dfa, d2_slots, include_d2, include_d3, min_popularity, max_stored_pointers
+    )[0]
+
+
+def select_defaults(
+    dfa: AhoCorasickDFA,
+    d2_slots: int = 4,
+    include_d2: bool = True,
+    include_d3: bool = True,
+    min_popularity: int = 1,
+    max_stored_pointers: Optional[int] = None,
+) -> Tuple[DefaultTransitionTable, np.ndarray]:
+    """Select default transition pointers for ``dfa``; return the table and
+    :func:`stored_mask` against it, the block's one pruning pass.
 
     "Most commonly pointed to" is measured as the state's in-degree in the
     full move-function DFA: the number of (state, character) pairs whose
@@ -177,10 +193,9 @@ def build_default_transition_table(
 
     table = DefaultTransitionTable(d1=d1, d2_slots=d2_slots)
     if not include_d2 and not include_d3:
-        return table
+        return table, stored_mask(dfa, table)
 
-    # In-degree of every state over the full transition table.
-    in_degree = np.bincount(dfa.table.ravel(), minlength=dfa.num_states)
+    in_degree = _in_degree(dfa)
 
     if include_d2 and d2_slots > 0:
         depth2_states = np.flatnonzero(dfa.depth == 2)
@@ -228,46 +243,74 @@ def build_default_transition_table(
                 best[byte] = entry
         table.d3 = best
 
+    keep = stored_mask(dfa, table)
     if max_stored_pointers is not None:
-        enforce_pointer_limit(dfa, table, max_stored_pointers)
-    return table
+        enforce_pointer_limit(dfa, table, max_stored_pointers, keep=keep, in_degree=in_degree)
+    return table, keep
+
+
+# ----------------------------------------------------------------------
+# the pruning pass
+# ----------------------------------------------------------------------
+#: rows of the DFA table per step of a pass over it: its temporaries stay
+#: a few hundred kB whatever the block's size
+_ROWS = 1024
+
+
+def _in_degree(dfa: AhoCorasickDFA) -> np.ndarray:
+    """In-degree of every state over the full transition table."""
+    in_degree = np.zeros(dfa.num_states, dtype=np.int64)
+    for start in range(0, dfa.num_states, _ROWS):
+        in_degree += np.bincount(
+            dfa.table[start:start + _ROWS].ravel(), minlength=dfa.num_states
+        )
+    return in_degree
+
+
+def registered_bytes(table: DefaultTransitionTable, num_states: int) -> np.ndarray:
+    """Per state: the byte under which a depth-2 or depth-3 default
+    registers it, ``-1`` when none does."""
+    registered = np.full(num_states, -1, dtype=np.int16)
+    for byte, entries in table.d2.items():
+        for entry in entries:
+            registered[entry.state] = byte
+    for byte, entry in table.d3.items():
+        registered[entry.state] = byte
+    return registered
+
+
+def stored_mask(dfa: AhoCorasickDFA, table: DefaultTransitionTable) -> np.ndarray:
+    """``keep[s, c]``: whether transition ``s --c--> t`` stays a stored
+    pointer against ``table`` (see :mod:`repro.core.dtp_automaton`).
+
+    It is dropped when ``t`` is the root, the depth-1 default of ``c``, or
+    registered as a deeper default under ``c``.  Only depth-2 and depth-3
+    states are ever registered, so the pruning rule's depth tests are
+    implied: one gather over the table.
+    """
+    registered = registered_bytes(table, dfa.num_states)
+    columns = np.arange(ALPHABET_SIZE, dtype=registered.dtype)
+    d1 = table.d1.astype(dfa.table.dtype)
+    keep = np.empty(dfa.table.shape, dtype=bool)
+    for start in range(0, dfa.num_states, _ROWS):
+        targets = dfa.table[start:start + _ROWS]
+        part = keep[start:start + _ROWS]
+        np.not_equal(registered.take(targets), columns, out=part)
+        part &= targets != d1
+        part &= targets != ROOT
+    return keep
 
 
 # ----------------------------------------------------------------------
 # pointer-limit repair pass
 # ----------------------------------------------------------------------
-def _stored_pointer_counts(dfa: AhoCorasickDFA, table: DefaultTransitionTable) -> np.ndarray:
-    """Per-state count of explicit pointers kept after pruning against ``table``."""
-    num_states = dfa.num_states
-    d2_byte = np.full(num_states, -1, dtype=np.int32)
-    for byte, entries in table.d2.items():
-        for entry in entries:
-            d2_byte[entry.state] = byte
-    d3_byte = np.full(num_states, -1, dtype=np.int32)
-    for byte, entry in table.d3.items():
-        d3_byte[entry.state] = byte
-    d1_row = table.d1.astype(np.int64)
-    columns = np.arange(ALPHABET_SIZE, dtype=np.int32)[None, :]
-
-    counts = np.zeros(num_states, dtype=np.int64)
-    chunk = 8192
-    for start in range(0, num_states, chunk):
-        stop = min(start + chunk, num_states)
-        block = dfa.table[start:stop]
-        non_root = block != ROOT
-        target_depth = dfa.depth[block]
-        drop = non_root & (target_depth == 1) & (block == d1_row[None, :])
-        drop |= non_root & (target_depth == 2) & (d2_byte[block] == columns)
-        drop |= non_root & (target_depth == 3) & (d3_byte[block] == columns)
-        counts[start:stop] = (non_root & ~drop).sum(axis=1)
-    return counts
-
-
 def enforce_pointer_limit(
     dfa: AhoCorasickDFA,
     table: DefaultTransitionTable,
     limit: int,
     max_iterations: int = 20000,
+    keep: Optional[np.ndarray] = None,
+    in_degree: Optional[np.ndarray] = None,
 ) -> bool:
     """Reassign default slots so no state stores more than ``limit`` pointers.
 
@@ -285,15 +328,24 @@ def enforce_pointer_limit(
     Covering a state removes the explicit pointer from *every* state that
     transitions to it (all of them end with the required preceding
     characters), so each repair strictly reduces the offender's count by one.
-    Returns ``True`` when all states are within the limit afterwards.
+    ``keep`` is :func:`stored_mask` against ``table`` (computed when
+    omitted); every repair updates it, so it stays the mask of the repaired
+    table.  Returns ``True`` when all states are within the limit afterwards.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    in_degree = np.bincount(dfa.table.ravel(), minlength=dfa.num_states)
-    counts = _stored_pointer_counts(dfa, table)
+    if in_degree is None:
+        in_degree = _in_degree(dfa)
+    if keep is None:
+        keep = stored_mask(dfa, table)
+    counts = np.count_nonzero(keep, axis=1)
 
     def sources_of(state: int, byte: int) -> np.ndarray:
         return np.flatnonzero(dfa.table[:, byte] == state)
+
+    def pruned(sources: np.ndarray, byte: int, dropped: bool) -> None:
+        counts[sources] += -1 if dropped else 1
+        keep[sources, byte] = not dropped
 
     d2_states = {entry.state for entries in table.d2.values() for entry in entries}
     d3_states = {entry.state for entry in table.d3.values()}
@@ -311,7 +363,7 @@ def enforce_pointer_limit(
                 return False
             entries.remove(evicted)
             d2_states.discard(evicted.state)
-            counts[sources_of(evicted.state, byte)] += 1
+            pruned(sources_of(evicted.state, byte), byte, dropped=False)
         entries.append(
             DepthTwoDefault(
                 byte=byte,
@@ -321,7 +373,7 @@ def enforce_pointer_limit(
             )
         )
         d2_states.add(target)
-        counts[sources_of(target, byte)] -= 1
+        pruned(sources_of(target, byte), byte, dropped=True)
         return True
 
     def try_cover_depth3(byte: int, target: int) -> bool:
@@ -331,7 +383,7 @@ def enforce_pointer_limit(
             if gaining.size and counts[gaining].max() >= limit:
                 return False
             d3_states.discard(current.state)
-            counts[gaining] += 1
+            pruned(gaining, byte, dropped=False)
         parent = int(dfa.parent[target])
         grandparent = int(dfa.parent[parent])
         table.d3[byte] = DepthThreeDefault(
@@ -341,7 +393,7 @@ def enforce_pointer_limit(
             popularity=int(in_degree[target]),
         )
         d3_states.add(target)
-        counts[sources_of(target, byte)] -= 1
+        pruned(sources_of(target, byte), byte, dropped=True)
         return True
 
     iterations = 0

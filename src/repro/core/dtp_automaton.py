@@ -82,6 +82,7 @@ are resolved again from the carried ``prev1``/``prev2``, for those lanes only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,7 +92,12 @@ from ..automata.aho_corasick import AhoCorasickDFA
 from ..automata.trie import ALPHABET_SIZE, ROOT
 from ..backend import FlowState, ScanState
 from . import lanes
-from .default_transitions import DefaultTransitionTable, build_default_transition_table
+from .default_transitions import (
+    DefaultTransitionTable,
+    registered_bytes,
+    select_defaults,
+    stored_mask,
+)
 from .lanes import Hits, LaneBatch, LaneCut, LaneKernelMixin
 
 MatchList = List[Tuple[int, int]]
@@ -104,7 +110,7 @@ HARDWARE_MAX_POINTERS = 13
 # (shared by every backend) and the import above re-exports it for existing
 # ``from repro.core.dtp_automaton import ScanState`` callers.
 
-_CHUNK_STATES = 8192  # chunk size for the vectorised pruning pass
+_CHUNK_STATES = 8192  # chunk size for staged_pointer_counts
 
 #: "No such byte yet" in a lane's carried history: the ``prev1`` row of
 #: ``pair_default`` that holds the depth-1 defaults.
@@ -142,30 +148,12 @@ class StagedPointerCounts:
         return 100.0 * (1.0 - self.after_d1_d2_d3 / self.original)
 
 
-def _default_membership_arrays(
-    defaults: DefaultTransitionTable, num_states: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Map each state to the byte under which it is registered as a d2/d3 default.
-
-    Returns two int32 arrays of length ``num_states`` holding the byte value
-    or ``-1`` when the state is not a registered default of that depth.
-    """
-    d2_byte = np.full(num_states, -1, dtype=np.int32)
-    for byte, entries in defaults.d2.items():
-        for entry in entries:
-            d2_byte[entry.state] = byte
-    d3_byte = np.full(num_states, -1, dtype=np.int32)
-    for byte, entry in defaults.d3.items():
-        d3_byte[entry.state] = byte
-    return d2_byte, d3_byte
-
-
 def staged_pointer_counts(
     dfa: AhoCorasickDFA, defaults: DefaultTransitionTable
 ) -> StagedPointerCounts:
     """Count stored pointers before and after each default-insertion stage."""
     num_states = dfa.num_states
-    d2_byte, d3_byte = _default_membership_arrays(defaults, num_states)
+    registered = registered_bytes(defaults, num_states)
     d1_row = defaults.d1.astype(np.int64)
     columns = np.arange(ALPHABET_SIZE, dtype=np.int32)[None, :]
 
@@ -184,11 +172,11 @@ def staged_pointer_counts(
         keep1 = non_root & ~drop1
         after_d1 += int(keep1.sum())
 
-        drop2 = keep1 & (target_depth == 2) & (d2_byte[block] == columns)
+        drop2 = keep1 & (target_depth == 2) & (registered[block] == columns)
         keep2 = keep1 & ~drop2
         after_d1_d2 += int(keep2.sum())
 
-        drop3 = keep2 & (target_depth == 3) & (d3_byte[block] == columns)
+        drop3 = keep2 & (target_depth == 3) & (registered[block] == columns)
         after_all += int((keep2 & ~drop3).sum())
 
     return StagedPointerCounts(
@@ -331,23 +319,32 @@ class DTPAutomaton(LaneKernelMixin):
         max_stored_pointers: Optional[int] = None,
     ):
         self.dfa = dfa
-        self.defaults = defaults or build_default_transition_table(
-            dfa,
-            d2_slots=d2_slots,
-            include_d2=include_d2,
-            include_d3=include_d3,
-            max_stored_pointers=max_stored_pointers,
-        )
+        if defaults is None:
+            defaults, keep = select_defaults(
+                dfa,
+                d2_slots=d2_slots,
+                include_d2=include_d2,
+                include_d3=include_d3,
+                max_stored_pointers=max_stored_pointers,
+            )
+        else:
+            keep = stored_mask(dfa, defaults)
+        self.defaults = defaults
         self.outputs = dfa.outputs
         self.depth = dfa.depth
         self.num_states = dfa.num_states
-        self.stored: List[Dict[int, int]] = [dict() for _ in range(self.num_states)]
+        #: the stored pointers, ``(states, bytes, targets)`` sorted by state,
+        #: then byte; state ``s`` owns entries ``pointer_index[s]`` ..
+        #: ``pointer_index[s + 1] - 1``
+        flat = np.flatnonzero(keep)
+        self.pointers = (flat >> 8, flat & 0xFF, dfa.table.ravel().take(flat))
+        self.pointer_index = np.searchsorted(self.pointers[0], np.arange(self.num_states + 1))
         #: bytes a lane walks from the root before its cut: the deepest state
         self.warmup = int(self.depth.max())
         # kernel views (see the module docstring)
         self.match_index, self.match_pids = lanes.pack_outputs(self.outputs)
         self.flagged, self.value_of, self.check, self.next = state_values(
-            *displace_rows(*self._build_stored_pointers(), self.num_states),
+            *displace_rows(*self.pointers, self.num_states),
             np.diff(self.match_index) > 0,
         )
         self.id_of = np.full(2 * self.flagged, -1, dtype=np.int32)
@@ -366,37 +363,19 @@ class DTPAutomaton(LaneKernelMixin):
         """Build from a :class:`repro.rulesets.RuleSet`."""
         return cls.from_patterns(ruleset.patterns, **kwargs)
 
-    def _build_stored_pointers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fill ``stored``; return the kept pointers as ``(states, bytes,
-        targets)`` arrays sorted by state, then byte."""
-        dfa = self.dfa
-        defaults = self.defaults
-        num_states = self.num_states
-        d2_byte, d3_byte = _default_membership_arrays(defaults, num_states)
-        d1_row = defaults.d1.astype(np.int64)
-        columns = np.arange(ALPHABET_SIZE, dtype=np.int32)[None, :]
+    @cached_property
+    def stored(self) -> List[Dict[int, int]]:
+        """Per state, its stored pointers as ``{byte: target}``: the scalar
+        walk's view of :attr:`pointers`, built on first use and independent
+        of the kernel's displaced rows."""
+        stored: List[Dict[int, int]] = [{} for _ in range(self.num_states)]
+        for state, byte, target in zip(*(column.tolist() for column in self.pointers)):
+            stored[state][byte] = target
+        return stored
 
-        kept: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for start in range(0, num_states, _CHUNK_STATES):
-            stop = min(start + _CHUNK_STATES, num_states)
-            block = dfa.table[start:stop]
-            non_root = block != ROOT
-            target_depth = dfa.depth[block]
-
-            drop = non_root & (target_depth == 1) & (block == d1_row[None, :])
-            drop |= non_root & (target_depth == 2) & (d2_byte[block] == columns)
-            drop |= non_root & (target_depth == 3) & (d3_byte[block] == columns)
-            keep = non_root & ~drop
-
-            rows, cols = np.nonzero(keep)
-            targets = block[rows, cols]
-            rows += start
-            stored = self.stored
-            for row, col, target in zip(rows.tolist(), cols.tolist(), targets.tolist()):
-                stored[row][col] = target
-            kept.append((rows, cols, targets))
-        states, symbols, targets = map(np.concatenate, zip(*kept))
-        return states, symbols, targets
+    def pointer_counts(self) -> np.ndarray:
+        """Stored pointers per state."""
+        return np.diff(self.pointer_index)
 
     # ------------------------------------------------------------------
     # transition / matching
@@ -585,7 +564,7 @@ class DTPAutomaton(LaneKernelMixin):
     # statistics / memory accounting
     # ------------------------------------------------------------------
     def stored_pointer_count(self) -> int:
-        return sum(len(pointers) for pointers in self.stored)
+        return len(self.pointers[0])
 
     def average_stored_pointers(self) -> float:
         return self.stored_pointer_count() / self.num_states
@@ -595,18 +574,15 @@ class DTPAutomaton(LaneKernelMixin):
         return self.stored_pointer_count() * pointer_bytes
 
     def pointer_count_histogram(self) -> Dict[int, int]:
-        histogram: Dict[int, int] = {}
-        for pointers in self.stored:
-            count = len(pointers)
-            histogram[count] = histogram.get(count, 0) + 1
-        return histogram
+        histogram = np.bincount(self.pointer_counts())
+        return {count: int(states) for count, states in enumerate(histogram) if states}
 
     def max_pointers_per_state(self) -> int:
-        return max((len(p) for p in self.stored), default=0)
+        return int(self.pointer_counts().max(initial=0))
 
     def states_exceeding(self, limit: int = HARDWARE_MAX_POINTERS) -> List[int]:
         """State ids whose stored pointer count exceeds the hardware limit."""
-        return [s for s, pointers in enumerate(self.stored) if len(pointers) > limit]
+        return np.flatnonzero(self.pointer_counts() > limit).tolist()
 
     def staged_counts(self) -> StagedPointerCounts:
         return staged_pointer_counts(self.dfa, self.defaults)

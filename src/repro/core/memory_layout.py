@@ -20,7 +20,10 @@ deterministic — this is what lets the hardware omit addresses from the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..automata.trie import ROOT
 from .dtp_automaton import DTPAutomaton
@@ -29,13 +32,25 @@ from .state_types import (
     ADDRESS_BITS,
     CHAR_BITS,
     MATCH_INFO_BITS,
+    MAX_POINTERS_PER_STATE,
     POINTER_BITS,
     SLOTS_PER_WORD,
+    STATE_TYPES,
     WORD_BITS,
     StateType,
     slots_for_pointer_count,
-    type_for_placement,
 )
+
+#: slots a state takes, by its stored pointer count
+_SLOTS_FOR_COUNT = np.array(
+    [slots_for_pointer_count(count) for count in range(MAX_POINTERS_PER_STATE + 1)]
+)
+#: state type id of a ``(slots, start slot)`` placement
+_TYPE_ID = np.zeros((SLOTS_PER_WORD + 1, SLOTS_PER_WORD), dtype=np.int8)
+for _type in STATE_TYPES:
+    _TYPE_ID[_type.slots, _type.start_slot] = _type.type_id
+#: slots of a state type, by type id
+_TYPE_SLOTS = np.array([0] + [state_type.slots for state_type in STATE_TYPES])
 
 
 class PackingError(ValueError):
@@ -75,14 +90,42 @@ class Placement:
         return self.state_type.type_id
 
 
-@dataclass
+@dataclass(eq=False)
 class PackedStateMachine:
-    """The packed image of one string matching block's state machine."""
+    """The packed image of one string matching block's state machine.
 
-    records: Dict[int, StateRecord]
-    placements: Dict[int, Placement]
+    The placements are arrays over state ids; :attr:`records` and
+    :attr:`placements` are per-state views of them (and of the automaton's
+    stored pointers and the match memory), built on first use.
+    """
+
+    #: per state: the memory word it lives in and its state type id
+    word_index: np.ndarray
+    type_id: np.ndarray
     num_words: int
+    #: the automaton the words hold (its stored pointers and defaults)
+    dtp: DTPAutomaton = field(repr=False)
+    match_memory: Optional[MatchMemory] = field(default=None, repr=False)
     capacity_words: Optional[int] = None
+
+    @cached_property
+    def records(self) -> Dict[int, StateRecord]:
+        bounds = self.dtp.pointer_index.tolist()
+        pairs = list(zip(*(column.tolist() for column in self.dtp.pointers[1:])))
+        address = self.match_memory.address_of if self.match_memory else lambda state: None
+        return {
+            state: StateRecord(state, pairs[bounds[state]:bounds[state + 1]], address(state))
+            for state in range(len(self.word_index))
+        }
+
+    @cached_property
+    def placements(self) -> Dict[int, Placement]:
+        return {
+            state: Placement(word, STATE_TYPES[type_id - 1])
+            for state, (word, type_id) in enumerate(
+                zip(self.word_index.tolist(), self.type_id.tolist())
+            )
+        }
 
     # ------------------------------------------------------------------
     # addressing
@@ -96,13 +139,13 @@ class PackedStateMachine:
         return placement.word_index, placement.type_id
 
     def states_in_word(self, word_index: int) -> List[int]:
-        return [s for s, p in self.placements.items() if p.word_index == word_index]
+        return np.flatnonzero(self.word_index == word_index).tolist()
 
     # ------------------------------------------------------------------
     # utilisation / accounting
     # ------------------------------------------------------------------
     def used_slots(self) -> int:
-        return sum(self.placements[s].state_type.slots for s in self.placements)
+        return int(_TYPE_SLOTS.take(self.type_id).sum())
 
     def slot_utilisation(self) -> float:
         total = self.num_words * SLOTS_PER_WORD
@@ -119,10 +162,8 @@ class PackedStateMachine:
         return self.num_words <= capacity_words
 
     def type_histogram(self) -> Dict[int, int]:
-        histogram: Dict[int, int] = {}
-        for placement in self.placements.values():
-            histogram[placement.type_id] = histogram.get(placement.type_id, 0) + 1
-        return histogram
+        histogram = np.bincount(self.type_id)
+        return {type_id: int(states) for type_id, states in enumerate(histogram) if states}
 
     # ------------------------------------------------------------------
     # bit-level encoding
@@ -207,97 +248,69 @@ class PackedStateMachine:
 # ----------------------------------------------------------------------
 # packing algorithm
 # ----------------------------------------------------------------------
-@dataclass
-class _OpenWord:
-    """A partially filled word during packing."""
-
-    index: int
-    free_slots: List[int] = field(default_factory=lambda: list(range(SLOTS_PER_WORD)))
-
-
-class _Packer:
-    """Greedy, deterministic, gap-free word packer."""
-
-    def __init__(self) -> None:
-        self.placements: Dict[int, Placement] = {}
-        self.next_word = 0
-
-    def _new_word(self) -> int:
-        word = self.next_word
-        self.next_word += 1
-        return word
-
-    def pack_group(self, group: Sequence[StateRecord]) -> None:
-        """Pack ``group`` into fresh words (words are not shared across groups)."""
-        by_slots: Dict[int, List[StateRecord]] = {1: [], 3: [], 5: [], 7: [], 9: []}
-        for record in group:
-            by_slots[record.slots].append(record)
-
-        singles = by_slots[1]
-
-        def take_singles(count: int, word: int, start_slot: int) -> None:
-            for offset in range(count):
-                if not singles:
-                    return
-                record = singles.pop(0)
-                self._place(record, word, 1, start_slot + offset)
-
-        for record in by_slots[9]:
-            word = self._new_word()
-            self._place(record, word, 9, 0)
-
-        for record in by_slots[7]:
-            word = self._new_word()
-            self._place(record, word, 7, 0)
-            take_singles(2, word, 7)
-
-        threes = by_slots[3]
-        for record in by_slots[5]:
-            word = self._new_word()
-            self._place(record, word, 5, 0)
-            if threes:
-                other = threes.pop(0)
-                self._place(other, word, 3, 6)
-                take_singles(1, word, 5)
-            else:
-                take_singles(4, word, 5)
-
-        while threes:
-            word = self._new_word()
-            for start in (0, 3, 6):
-                if threes:
-                    record = threes.pop(0)
-                    self._place(record, word, 3, start)
-                else:
-                    take_singles(3, word, start)
-
-        while singles:
-            word = self._new_word()
-            take_singles(SLOTS_PER_WORD, word, 0)
-
-    def _place(self, record: StateRecord, word: int, slots: int, start_slot: int) -> None:
-        state_type = type_for_placement(slots, start_slot)
-        self.placements[record.state_id] = Placement(word_index=word, state_type=state_type)
+def _words_needed(classes: np.ndarray) -> Tuple[int, int, int]:
+    """``(words, fives with a three, single slots left over)`` of one group
+    with ``classes[k]`` states of ``k`` slots."""
+    nines, sevens, fives, threes, singles = (int(classes[k]) for k in (9, 7, 5, 3, 1))
+    paired = min(fives, threes)
+    lone = threes - paired
+    spare = 2 * sevens + paired + 4 * (fives - paired) + (0, 6, 3)[lone % 3]
+    fresh = -(-max(0, singles - spare) // SLOTS_PER_WORD)
+    return nines + sevens + fives + -(-lone // 3) + fresh, paired, spare
 
 
-def build_state_records(
-    dtp: DTPAutomaton, match_memory: Optional[MatchMemory] = None
-) -> List[StateRecord]:
-    """Turn a DTP automaton (plus its match memory) into packable records."""
-    records: List[StateRecord] = []
-    for state_id in range(dtp.num_states):
-        pointers = sorted(dtp.stored[state_id].items())
-        match_address = None
-        if match_memory is not None:
-            match_address = match_memory.address_of(state_id)
-        records.append(
-            StateRecord(
-                state_id=state_id,
-                pointers=[(char, target) for char, target in pointers],
-                match_address=match_address,
-            )
-        )
-    return records
+def place_states(slots: np.ndarray, first_word: int = 0) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Greedy, deterministic, gap-free placement of one group of states.
+
+    ``slots`` is each state's size class (1, 3, 5, 7 or 9) in group order;
+    returns each state's word and start slot, and the words used.  Words are
+    not shared across groups.  In group order, every 9-slot state takes a
+    word; every 7-slot one a word whose slots 7-8 go to single-slot states;
+    every 5-slot one a word that also takes the next 3-slot state at slot 6
+    and a single at slot 5 while 3-slot states last, else singles at slots
+    5-8; the remaining 3-slot states go three to a word, singles filling the
+    last word's free thirds; the remaining singles nine to a word.
+    """
+    classes = np.bincount(slots, minlength=SLOTS_PER_WORD + 1)
+    words, paired, spare = _words_needed(classes)
+    word = np.empty(len(slots), dtype=np.int64)
+    start = np.zeros(len(slots), dtype=np.int64)
+    nines, sevens, fives, threes, singles = (
+        np.flatnonzero(slots == size) for size in (9, 7, 5, 3, 1)
+    )
+    next_word = first_word
+    own = []  # the words of the 9-, 7- and 5-slot states: one each
+    for members in (nines, sevens, fives):
+        own.append(next_word + np.arange(len(members)))
+        word[members] = own[-1]
+        next_word += len(members)
+    _, seven_words, five_words = own
+    word[threes[:paired]] = five_words[:paired]
+    start[threes[:paired]] = 6
+    lone = np.arange(len(threes) - paired)
+    word[threes[paired:]] = next_word + lone // 3
+    start[threes[paired:]] = 3 * (lone % 3)
+    next_word += -(-len(lone) // 3)
+    # the single slots left free, in the order they are handed out
+    tail = (range(0), range(3, 9), range(6, 9))[len(lone) % 3]
+    fresh = np.arange(max(0, len(singles) - spare))
+    free_word = np.concatenate([
+        np.repeat(seven_words, 2),
+        five_words[:paired],
+        np.repeat(five_words[paired:], 4),
+        np.full(len(tail), next_word - 1),
+        next_word + fresh // SLOTS_PER_WORD,
+    ])
+    free_slot = np.concatenate([
+        np.tile([7, 8], len(seven_words)),
+        np.full(paired, 5),
+        np.tile([5, 6, 7, 8], len(five_words) - paired),
+        np.array(tail),
+        fresh % SLOTS_PER_WORD,
+    ])
+    word[singles] = free_word[:len(singles)]
+    start[singles] = free_slot[:len(singles)]
+    return word, start, words
 
 
 def default_target_order(dtp: DTPAutomaton) -> List[int]:
@@ -337,40 +350,50 @@ def pack_state_machine(
     """Pack the whole automaton; raises :class:`PackingError` when it cannot fit.
 
     The root and every default-target state are packed first (fixed-address
-    region); the remaining states follow in state-id order.
+    region); the remaining states follow in state-id order.  Whether the
+    block fits is known from the two groups' size-class counts, before any
+    state is placed.
     """
-    records = build_state_records(dtp, match_memory)
-    record_by_id = {record.state_id: record for record in records}
-
-    for record in records:
-        if record.num_pointers > 13:
-            raise PackingError(
-                f"state {record.state_id} stores {record.num_pointers} pointers; "
-                "the hardware handles at most 13 (Section IV.A)"
-            )
-
-    priority = default_target_order(dtp)
-    priority_set = set(priority)
-    rest = [record for record in records if record.state_id not in priority_set]
-
-    packer = _Packer()
-    packer.pack_group([record_by_id[s] for s in priority])
-    packer.pack_group(rest)
-
-    packed = PackedStateMachine(
-        records=record_by_id,
-        placements=packer.placements,
-        num_words=packer.next_word,
-        capacity_words=capacity_words,
-    )
-    if capacity_words is not None and packed.num_words > capacity_words:
+    counts = dtp.pointer_counts()
+    if counts.max() > MAX_POINTERS_PER_STATE:
+        state = int(np.argmax(counts > MAX_POINTERS_PER_STATE))
         raise PackingError(
-            f"state machine needs {packed.num_words} words but the block memory "
+            f"state {state} stores {counts[state]} pointers; "
+            "the hardware handles at most 13 (Section IV.A)"
+        )
+    slots = _SLOTS_FOR_COUNT.take(counts)
+    priority = np.array(default_target_order(dtp))
+    rest = np.ones(len(slots), dtype=bool)
+    rest[priority] = False
+    groups = [priority, np.flatnonzero(rest)]
+
+    num_words = sum(
+        _words_needed(np.bincount(slots.take(group), minlength=SLOTS_PER_WORD + 1))[0]
+        for group in groups
+    )
+    if capacity_words is not None and num_words > capacity_words:
+        raise PackingError(
+            f"state machine needs {num_words} words but the block memory "
             f"holds only {capacity_words}"
         )
-    if packed.num_words > (1 << ADDRESS_BITS):
+    if num_words > (1 << ADDRESS_BITS):
         raise PackingError(
-            f"state machine needs {packed.num_words} words; addresses are "
+            f"state machine needs {num_words} words; addresses are "
             f"{ADDRESS_BITS} bits (max {1 << ADDRESS_BITS})"
         )
-    return packed
+
+    word_index = np.empty(len(slots), dtype=np.int64)
+    start_slot = np.empty(len(slots), dtype=np.int64)
+    first_word = 0
+    for group in groups:
+        group_slots = slots.take(group)
+        word_index[group], start_slot[group], words = place_states(group_slots, first_word)
+        first_word += words
+    return PackedStateMachine(
+        word_index=word_index,
+        type_id=_TYPE_ID[slots, start_slot],
+        num_words=num_words,
+        dtp=dtp,
+        match_memory=match_memory,
+        capacity_words=capacity_words,
+    )

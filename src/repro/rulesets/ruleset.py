@@ -45,6 +45,7 @@ class RuleSet:
         self.name = name
         self._rules: List[PatternRule] = []
         self._by_pattern: Dict[bytes, PatternRule] = {}
+        self._max_sid = 0
         if rules is not None:
             for rule in rules:
                 self.add(rule)
@@ -57,6 +58,8 @@ class RuleSet:
             raise ValueError(f"duplicate pattern {rule.pattern!r} (sid {rule.sid})")
         self._rules.append(rule)
         self._by_pattern[rule.pattern] = rule
+        if len(self._rules) == 1 or rule.sid > self._max_sid:
+            self._max_sid = rule.sid
 
     def add_pattern(self, pattern: bytes, msg: str = "") -> PatternRule:
         """Add a raw pattern, assigning the next free sid."""
@@ -67,7 +70,7 @@ class RuleSet:
     def next_sid(self) -> int:
         if not self._rules:
             return 1
-        return max(r.sid for r in self._rules) + 1
+        return self._max_sid + 1
 
     @classmethod
     def from_patterns(

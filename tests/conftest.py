@@ -1805,3 +1805,239 @@ def assert_equivalent_alerts(
             f"checkpoint/restore before packet {restore_at}"
         )
     return expected
+
+
+# ----------------------------------------------------------------------
+# the compile path as it was: per-state objects, four walks of the table
+# ----------------------------------------------------------------------
+# The differential references for the array compile path
+# (tests/test_compile_path.py): the DFA table built state by state, the
+# pruning mask's three gathers, the stored pointers as one dict per state
+# and the greedy word packer over per-state records.
+class _ReferenceDfa:
+    """Carries what ``AhoCorasickDFA._build_table`` read and wrote on ``self``."""
+
+    def __init__(self, trie):
+        self.trie = trie
+        self.num_states = trie.num_states
+        self.fail: List[int] = [ROOT] * trie.num_states
+        self.outputs: List[List[int]] = [list(o) for o in trie.outputs]
+
+
+def reference_build_table(trie):
+    """``AhoCorasickDFA._build_table`` as it was: ``(table, fail, outputs)``."""
+    self = _ReferenceDfa(trie)
+    table = np.zeros((self.num_states, 256), dtype=np.int32)
+    # Root row: its own goto edges, everything else stays at root.
+    for byte, child in trie.children[ROOT].items():
+        table[ROOT, byte] = child
+        self.fail[child] = ROOT
+
+    for state in trie.iter_bfs():
+        if state == ROOT:
+            continue
+        # Inherit the fallback row, then overwrite with own goto edges.
+        table[state] = table[self.fail[state]]
+        for byte, child in trie.children[state].items():
+            self.fail[child] = table[self.fail[state], byte]
+            self.outputs[child] = list(trie.outputs[child]) + list(
+                self.outputs[self.fail[child]]
+            )
+            table[state, byte] = child
+    return table, self.fail, self.outputs
+
+
+def reference_stored_pointer_counts(dfa, table) -> np.ndarray:
+    """``default_transitions._stored_pointer_counts`` as it was."""
+    num_states = dfa.num_states
+    d2_byte = np.full(num_states, -1, dtype=np.int32)
+    for byte, entries in table.d2.items():
+        for entry in entries:
+            d2_byte[entry.state] = byte
+    d3_byte = np.full(num_states, -1, dtype=np.int32)
+    for byte, entry in table.d3.items():
+        d3_byte[entry.state] = byte
+    d1_row = table.d1.astype(np.int64)
+    columns = np.arange(256, dtype=np.int32)[None, :]
+
+    counts = np.zeros(num_states, dtype=np.int64)
+    chunk = 8192
+    for start in range(0, num_states, chunk):
+        stop = min(start + chunk, num_states)
+        block = dfa.table[start:stop]
+        non_root = block != ROOT
+        target_depth = dfa.depth[block]
+        drop = non_root & (target_depth == 1) & (block == d1_row[None, :])
+        drop |= non_root & (target_depth == 2) & (d2_byte[block] == columns)
+        drop |= non_root & (target_depth == 3) & (d3_byte[block] == columns)
+        counts[start:stop] = (non_root & ~drop).sum(axis=1)
+    return counts
+
+
+def reference_build_stored_pointers(dfa, defaults):
+    """``DTPAutomaton._build_stored_pointers`` as it was: ``(stored, (states,
+    bytes, targets))`` — one dict per state and the same pointers as arrays."""
+    num_states = dfa.num_states
+    stored: List[Dict[int, int]] = [dict() for _ in range(num_states)]
+    # dtp_automaton._default_membership_arrays as it was
+    d2_byte = np.full(num_states, -1, dtype=np.int32)
+    for byte, entries in defaults.d2.items():
+        for entry in entries:
+            d2_byte[entry.state] = byte
+    d3_byte = np.full(num_states, -1, dtype=np.int32)
+    for byte, entry in defaults.d3.items():
+        d3_byte[entry.state] = byte
+    d1_row = defaults.d1.astype(np.int64)
+    columns = np.arange(256, dtype=np.int32)[None, :]
+
+    kept = []
+    for start in range(0, num_states, 8192):
+        stop = min(start + 8192, num_states)
+        block = dfa.table[start:stop]
+        non_root = block != ROOT
+        target_depth = dfa.depth[block]
+
+        drop = non_root & (target_depth == 1) & (block == d1_row[None, :])
+        drop |= non_root & (target_depth == 2) & (d2_byte[block] == columns)
+        drop |= non_root & (target_depth == 3) & (d3_byte[block] == columns)
+        keep = non_root & ~drop
+
+        rows, cols = np.nonzero(keep)
+        targets = block[rows, cols]
+        rows += start
+        for row, col, target in zip(rows.tolist(), cols.tolist(), targets.tolist()):
+            stored[row][col] = target
+        kept.append((rows, cols, targets))
+    states, symbols, targets = map(np.concatenate, zip(*kept))
+    return stored, (states, symbols, targets)
+
+
+def reference_build_state_records(stored, match_memory=None):
+    """``memory_layout.build_state_records`` as it was, over ``stored``."""
+    from repro.core.memory_layout import StateRecord
+
+    records = []
+    for state_id in range(len(stored)):
+        pointers = sorted(stored[state_id].items())
+        match_address = None
+        if match_memory is not None:
+            match_address = match_memory.address_of(state_id)
+        records.append(
+            StateRecord(
+                state_id=state_id,
+                pointers=[(char, target) for char, target in pointers],
+                match_address=match_address,
+            )
+        )
+    return records
+
+
+class ReferencePacker:
+    """``memory_layout._Packer`` as it was: greedy, deterministic, gap-free."""
+
+    def __init__(self) -> None:
+        self.placements = {}
+        self.next_word = 0
+
+    def _new_word(self) -> int:
+        word = self.next_word
+        self.next_word += 1
+        return word
+
+    def pack_group(self, group) -> None:
+        """Pack ``group`` into fresh words (words are not shared across groups)."""
+        by_slots = {1: [], 3: [], 5: [], 7: [], 9: []}
+        for record in group:
+            by_slots[record.slots].append(record)
+
+        singles = by_slots[1]
+
+        def take_singles(count: int, word: int, start_slot: int) -> None:
+            for offset in range(count):
+                if not singles:
+                    return
+                record = singles.pop(0)
+                self._place(record, word, 1, start_slot + offset)
+
+        for record in by_slots[9]:
+            word = self._new_word()
+            self._place(record, word, 9, 0)
+
+        for record in by_slots[7]:
+            word = self._new_word()
+            self._place(record, word, 7, 0)
+            take_singles(2, word, 7)
+
+        threes = by_slots[3]
+        for record in by_slots[5]:
+            word = self._new_word()
+            self._place(record, word, 5, 0)
+            if threes:
+                other = threes.pop(0)
+                self._place(other, word, 3, 6)
+                take_singles(1, word, 5)
+            else:
+                take_singles(4, word, 5)
+
+        while threes:
+            word = self._new_word()
+            for start in (0, 3, 6):
+                if threes:
+                    record = threes.pop(0)
+                    self._place(record, word, 3, start)
+                else:
+                    take_singles(3, word, start)
+
+        while singles:
+            word = self._new_word()
+            take_singles(9, word, 0)
+
+    def _place(self, record, word: int, slots: int, start_slot: int) -> None:
+        from repro.core.memory_layout import Placement
+        from repro.core.state_types import type_for_placement
+
+        state_type = type_for_placement(slots, start_slot)
+        self.placements[record.state_id] = Placement(word_index=word, state_type=state_type)
+
+
+class ReferencePacked(NamedTuple):
+    records: Dict
+    placements: Dict
+    num_words: int
+
+
+def reference_pack_state_machine(dtp, stored, match_memory=None, capacity_words=None):
+    """``memory_layout.pack_state_machine`` as it was, over a ``stored`` list
+    of dicts (what the automaton carried then)."""
+    from repro.core.memory_layout import PackingError, default_target_order
+
+    records = reference_build_state_records(stored, match_memory)
+    record_by_id = {record.state_id: record for record in records}
+
+    for record in records:
+        if record.num_pointers > 13:
+            raise PackingError(
+                f"state {record.state_id} stores {record.num_pointers} pointers; "
+                "the hardware handles at most 13 (Section IV.A)"
+            )
+
+    priority = default_target_order(dtp)
+    priority_set = set(priority)
+    rest = [record for record in records if record.state_id not in priority_set]
+
+    packer = ReferencePacker()
+    packer.pack_group([record_by_id[s] for s in priority])
+    packer.pack_group(rest)
+
+    packed = ReferencePacked(record_by_id, packer.placements, packer.next_word)
+    if capacity_words is not None and packed.num_words > capacity_words:
+        raise PackingError(
+            f"state machine needs {packed.num_words} words but the block memory "
+            f"holds only {capacity_words}"
+        )
+    if packed.num_words > (1 << 12):
+        raise PackingError(
+            f"state machine needs {packed.num_words} words; addresses are "
+            f"12 bits (max {1 << 12})"
+        )
+    return packed

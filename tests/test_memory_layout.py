@@ -1,54 +1,52 @@
 """Tests for 324-bit word packing and the bit-level state encoding."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DTPAutomaton, MatchMemory, PackingError, pack_state_machine
-from repro.core.memory_layout import StateRecord, _Packer, default_target_order
-from repro.core.state_types import WORD_BITS
+from repro.core.memory_layout import default_target_order, place_states
+from repro.core.state_types import WORD_BITS, slots_for_pointer_count, type_for_placement
 
 
 def _pack_sizes(pointer_counts):
-    """Pack synthetic states with the given pointer counts; return the packer."""
-    records = [
-        StateRecord(state_id=index, pointers=[(0, 0)] * count)
-        for index, count in enumerate(pointer_counts)
-    ]
-    packer = _Packer()
-    packer.pack_group(records)
-    return packer, records
+    """Place synthetic states with the given pointer counts as one group:
+    ``(word, start slot, slots)`` per state and the words used."""
+    slots = np.array([slots_for_pointer_count(count) for count in pointer_counts])
+    word, start, words = place_states(slots)
+    return list(zip(word.tolist(), start.tolist(), slots.tolist())), words
 
 
 class TestPacker:
     def test_no_slot_overlap(self):
-        packer, records = _pack_sizes([0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 0, 0, 3, 3, 1, 1])
+        placed, _ = _pack_sizes([0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 0, 0, 3, 3, 1, 1])
         used = {}
-        for record in records:
-            placement = packer.placements[record.state_id]
-            for slot in placement.state_type.slot_range():
-                key = (placement.word_index, slot)
+        for state, (word, start, slots) in enumerate(placed):
+            for slot in type_for_placement(slots, start).slot_range():
+                key = (word, slot)
                 assert key not in used, f"slot collision at {key}"
-                used[key] = record.state_id
+                used[key] = state
 
     def test_every_state_placed(self):
         counts = [0] * 20 + [3] * 7 + [6] * 3 + [9] * 2 + [12]
-        packer, records = _pack_sizes(counts)
-        assert len(packer.placements) == len(records)
+        placed, words = _pack_sizes(counts)
+        assert len(placed) == len(counts)
+        assert {word for word, _, _ in placed} == set(range(words))
 
     def test_gap_free_for_mixed_sizes(self):
         # 1 five-slot + 1 three-slot + 1 one-slot fill a word exactly
-        packer, _ = _pack_sizes([6, 3, 1])
-        assert packer.next_word == 1
+        _, words = _pack_sizes([6, 3, 1])
+        assert words == 1
 
     def test_full_word_state(self):
-        packer, _ = _pack_sizes([13])
-        assert packer.next_word == 1
+        _, words = _pack_sizes([13])
+        assert words == 1
 
     def test_singles_fill_leftovers(self):
         # a 7-slot state leaves two single slots
-        packer, _ = _pack_sizes([9, 0, 0])
-        assert packer.next_word == 1
+        _, words = _pack_sizes([9, 0, 0])
+        assert words == 1
 
 
 class TestPackStateMachine:
@@ -82,10 +80,13 @@ class TestPackStateMachine:
             assert max_priority_word <= min_other_word
 
     def test_pointer_limit_raises(self):
-        record_like = DTPAutomaton.from_patterns([b"ab"])
-        record_like.stored[0] = {i: 1 for i in range(14)}  # force an illegal state
-        with pytest.raises(PackingError):
-            pack_state_machine(record_like)
+        # without deeper defaults "a" keeps a pointer to each of its 14 children
+        over = DTPAutomaton.from_patterns(
+            [b"a" + bytes([byte]) for byte in range(14)], include_d2=False, include_d3=False
+        )
+        assert over.max_pointers_per_state() == 14
+        with pytest.raises(PackingError, match="stores 14 pointers"):
+            pack_state_machine(over)
 
     def test_type_histogram_counts_all_states(self, small_ruleset):
         dtp = DTPAutomaton.from_ruleset(small_ruleset)
@@ -135,13 +136,12 @@ class TestEncoding:
 @settings(max_examples=25, deadline=None)
 @given(counts=st.lists(st.integers(min_value=0, max_value=13), min_size=1, max_size=60))
 def test_packer_never_overlaps_property(counts):
-    packer, records = _pack_sizes(counts)
+    placed, _ = _pack_sizes(counts)
     used = set()
-    for record in records:
-        placement = packer.placements[record.state_id]
-        for slot in placement.state_type.slot_range():
-            key = (placement.word_index, slot)
+    for word, start, slots in placed:
+        for slot in type_for_placement(slots, start).slot_range():
+            key = (word, slot)
             assert key not in used
             used.add(key)
     # total slots used is exactly the sum of state sizes
-    assert len(used) == sum(r.slots for r in records)
+    assert len(used) == sum(slots for _, _, slots in placed)

@@ -75,3 +75,34 @@ def test_indexing_and_iteration():
     ruleset = RuleSet.from_patterns([b"aa", b"bb"])
     assert ruleset[0].pattern == b"aa"
     assert [r.pattern for r in ruleset] == [b"aa", b"bb"]
+
+
+class _CountingList(list):
+    """A list that counts the items its iterators hand out."""
+
+    steps = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.steps += 1
+            yield item
+
+
+def test_add_pattern_does_not_rescan_the_rules():
+    """Each new sid comes from a running maximum: N ``add_pattern`` calls
+    walk none of the rules already held (they walked N²/2 before)."""
+    ruleset = RuleSet.from_patterns([b"seed%d" % index for index in range(50)])
+    ruleset._rules = counting = _CountingList(ruleset._rules)
+    for index in range(200):
+        ruleset.add_pattern(b"added%d" % index)
+    assert counting.steps == 0
+    assert ruleset.sids == list(range(1, 251))
+
+
+def test_next_sid_follows_the_largest_sid_in_any_order():
+    ruleset = RuleSet([PatternRule(b"a", sid=-7), PatternRule(b"b", sid=-9)])
+    assert ruleset.next_sid() == -6
+    ruleset.add(PatternRule(b"c", sid=40))
+    ruleset.add(PatternRule(b"d", sid=12))
+    assert ruleset.add_pattern(b"e").sid == 41
+    assert RuleSet().next_sid() == 1
