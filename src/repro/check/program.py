@@ -1,6 +1,6 @@
 """Static program verifier: prove compiled-artifact invariants without scanning.
 
-The dynamic harnesses (``DTPAutomaton.verify_equivalence``, the
+The dynamic harnesses (the test suite's DFA-equivalence walks and its
 ``assert_equivalent_events`` fixture) *sample* behaviour by scanning traffic.
 This module walks the compiled artifacts themselves and proves the invariants
 over the whole state graph:
@@ -29,11 +29,12 @@ over the whole state graph:
   324-bit word image back to its stored pointers and match address, within
   the 13-pointer hardware limit, with no two states overlapping inside a
   word.
-* **Dense kernel views** — the lane kernel's premultiplied table holds every
-  dense-table target shifted left by 8, plus the table's size when the
-  reference target reports a match, its match-flag vector marks exactly
-  the reference's reporting states, and a lane's warm-up is at least as long
-  as the deepest state (a shorter one loses matches just after a lane cut).
+* **Dense kernel views** — the lane kernel's premultiplied table, the dense
+  program's only transition table, decodes to the reference move function;
+  every entry is its target shifted left by 8, plus the table's size exactly
+  when the target reports a match; its match-flag vector marks exactly the
+  reference's reporting states, and a lane's warm-up is at least as long as
+  the deepest state (a shorter one loses matches just after a lane cut).
 * **DTP kernel views** — every state has a value of its own, at or above
   the table length exactly when it reports a match, and ``id_of`` decodes
   it; the row-displacement table owns, for every state value, exactly the
@@ -335,41 +336,39 @@ def _check_dense(capped: _Capped, program: CompiledDenseProgram, ref: Reference)
     source = "dense"
     if not _check_state_count(capped, program.num_states, ref, source):
         return
-    _check_table(capped, program.table, ref, source, code="DEN001")
     _check_outputs(capped, program.matches_of, ref, source, code="DEN002")
     _check_pattern_reachability(capped, program.matches_of, ref, source)
 
-    # The kernel's views must agree with the dense table and the reference:
-    # a premultiplied entry is its target shifted left by 8, plus the table
-    # size when the target reports a match; one flag per state marks the
-    # matching ones.
+    # The kernel's one table: an entry is its target shifted left by 8 (the
+    # move function, DEN001), plus the table size when the target reports a
+    # match (DEN003, as is the flag vector marking the matching states).
     premultiplied = program.premultiplied
-    size = program.table.size
+    size = ref.num_states * ALPHABET
     if premultiplied.shape != (size,):
         capped.add(
             ERROR,
             "DEN003",
-            f"premultiplied table shape {premultiplied.shape} != flattened "
-            f"table shape {(size,)}",
+            f"premultiplied table shape {premultiplied.shape} != {(size,)}",
             source=source,
         )
         return
+    values = premultiplied.reshape(ref.num_states, ALPHABET).astype(np.int64)
+    targets = (values % size) >> 8
+    _check_table(capped, targets, ref, source, code="DEN001")
     has_match = np.fromiter(
         (len(ref.outputs[s]) > 0 for s in range(ref.num_states)),
         dtype=bool,
         count=ref.num_states,
     )
-    values = premultiplied.reshape(program.table.shape).astype(np.int64)
-    # clipped: an out-of-range table entry is DEN001's finding, not a crash
-    flagged = has_match.take(program.table, mode="clip")
-    expected = (program.table.astype(np.int64) << 8) + size * flagged
-    for state, byte in np.argwhere(values != expected).tolist():
+    flagged = has_match.take(targets)
+    malformed = (values < 0) | (values >= 2 * size) | ((values & 0xFF) != 0)
+    for state, byte in np.argwhere(malformed | ((values >= size) != flagged)).tolist():
         capped.add(
             ERROR,
             "DEN003",
-            f"premultiplied entry {int(values[state, byte])} is not table "
-            f"target {int(program.table[state, byte])} << 8 plus {size} times "
-            f"its match flag ({bool(flagged[state, byte])})",
+            f"premultiplied entry {int(values[state, byte])} is not target "
+            f"{int(targets[state, byte])} << 8 plus {size} times its match "
+            f"flag ({bool(flagged[state, byte])})",
             state=int(state),
             byte=int(byte),
             source=source,
@@ -661,32 +660,32 @@ def _check_dtp_automaton(
             )
 
     # --- stored pointers are exact (DTP001) + capacity (DTP006) -----------
+    states, symbols, targets = (column.astype(np.int64) for column in dtp.pointers)
     stored_mask = np.zeros((ref.num_states, ALPHABET), dtype=bool)
+    stored_mask[states, symbols] = True
     stored_target = np.zeros((ref.num_states, ALPHABET), dtype=np.int64)
-    for state, row in enumerate(dtp.stored):
-        for byte, target in row.items():
-            stored_mask[state, byte] = True
-            stored_target[state, byte] = target
-            if target != int(ref.table[state, byte]):
-                capped.add(
-                    ERROR,
-                    "DTP001",
-                    f"stored pointer -> {target}, reference says "
-                    f"{int(ref.table[state, byte])}",
-                    state=state,
-                    byte=byte,
-                    source=source,
-                )
-        if len(row) > HARDWARE_MAX_POINTERS:
-            capped.add(
-                WARNING,
-                "DTP006",
-                f"state stores {len(row)} pointers; the hardware handles at "
-                f"most {HARDWARE_MAX_POINTERS} (packing will reject this "
-                "block — rebuild with max_stored_pointers set)",
-                state=state,
-                source=source,
-            )
+    stored_target[states, symbols] = targets
+    expected = ref.table[states, symbols]
+    for index in np.flatnonzero(targets != expected).tolist():
+        capped.add(
+            ERROR,
+            "DTP001",
+            f"stored pointer -> {int(targets[index])}, reference says {int(expected[index])}",
+            state=int(states[index]),
+            byte=int(symbols[index]),
+            source=source,
+        )
+    counts = np.bincount(states, minlength=ref.num_states)
+    for state in np.flatnonzero(counts > HARDWARE_MAX_POINTERS).tolist():
+        capped.add(
+            WARNING,
+            "DTP006",
+            f"state stores {int(counts[state])} pointers; the hardware handles "
+            f"at most {HARDWARE_MAX_POINTERS} (packing will reject this "
+            "block — rebuild with max_stored_pointers set)",
+            state=state,
+            source=source,
+        )
 
     arrays = _default_arrays(defaults)
 
@@ -958,15 +957,22 @@ def _dtp_effective_table(dtp: DTPAutomaton, ref: Reference) -> np.ndarray:
     prev1 = np.where(ref.depth >= 1, ref.label, -3)
     prev2 = np.where(ref.depth >= 2, ref.label[ref.parent], -3)
     eff = _vector_resolve(_default_arrays(dtp.defaults), prev1, prev2)
-    for state, row in enumerate(dtp.stored):
-        for byte, target in row.items():
-            eff[state, byte] = target
+    states, symbols, targets = dtp.pointers
+    eff[states, symbols] = targets
     return eff
 
 
 # ----------------------------------------------------------------------
 # hardware-layer checkers (packing, lookup encoding, match memory, image)
 # ----------------------------------------------------------------------
+def _stored_rows(dtp: DTPAutomaton) -> List[List[Tuple[int, int]]]:
+    """Per state, its stored ``(byte, target)`` pairs in byte order, off the
+    pointer arrays the packer and the kernel read."""
+    pairs = list(zip(dtp.pointers[1].tolist(), dtp.pointers[2].tolist()))
+    bounds = dtp.pointer_index.tolist()
+    return [pairs[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
 def _check_packing(capped: _Capped, block: BlockProgram, ref: Reference, source: str) -> None:
     packed = block.packed
     dtp = block.dtp
@@ -1008,6 +1014,7 @@ def _check_packing(capped: _Capped, block: BlockProgram, ref: Reference, source:
                 state=spans[-1][2],
                 source=source,
             )
+    stored = _stored_rows(dtp)
     for state, record in packed.records.items():
         capacity = packed.placements[state].state_type.max_pointers
         if record.num_pointers > HARDWARE_MAX_POINTERS:
@@ -1028,7 +1035,7 @@ def _check_packing(capped: _Capped, block: BlockProgram, ref: Reference, source:
                 state=state,
                 source=source,
             )
-        if sorted(record.pointers) != sorted(dtp.stored[state].items()):
+        if sorted(record.pointers) != stored[state]:
             capped.add(
                 ERROR,
                 "PACK001",
@@ -1243,7 +1250,7 @@ def _check_block_image(capped: _Capped, block: BlockProgram, source: str) -> Non
             f"{packed.address_of(ROOT)}",
             source=source,
         )
-    for state, row in enumerate(block.dtp.stored):
+    for state, row in enumerate(_stored_rows(block.dtp)):
         entry = image.states.get(packed.address_of(state))
         if entry is None:
             capped.add(
@@ -1254,7 +1261,7 @@ def _check_block_image(capped: _Capped, block: BlockProgram, source: str) -> Non
                 source=source,
             )
             continue
-        want = {char: packed.address_of(target) for char, target in row.items()}
+        want = {char: packed.address_of(target) for char, target in row}
         if entry.pointers != want:
             capped.add(
                 ERROR,
@@ -1429,7 +1436,8 @@ def _effective_view(program, ref: Reference):
     if isinstance(program, AhoCorasickDFA):
         return np.asarray(program.table, dtype=np.int64), lambda s: program.outputs[s]
     if isinstance(program, CompiledDenseProgram):
-        return np.asarray(program.table, dtype=np.int64), program.matches_of
+        values = program.premultiplied.reshape(-1, ALPHABET).astype(np.int64)
+        return (values % values.size) >> 8, program.matches_of
     if isinstance(program, BitmapAhoCorasick):
         rows = [dict(program.children_of(s)) for s in range(program.num_states)]
         capped = _Capped(Report())  # guard failures surface via the table diff

@@ -159,11 +159,12 @@ def lint_ruleset(rules: RulesInput, subject: str = "") -> Report:
     # holds.  Built without the pointer cap so the raw requirement shows.
     if ordered:
         dtp = DTPAutomaton.from_patterns(ordered)
+        counts = dtp.pointer_counts()
         for state in dtp.states_exceeding(HARDWARE_MAX_POINTERS):
             report.add(
                 WARNING,
                 "RS007",
-                f"automaton state {state} needs {len(dtp.stored[state])} "
+                f"automaton state {state} needs {int(counts[state])} "
                 f"stored pointers; the hardware word holds "
                 f"{HARDWARE_MAX_POINTERS} (the block compiler will have to "
                 "split or re-partition)",

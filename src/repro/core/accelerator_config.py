@@ -143,7 +143,8 @@ class AcceleratorProgram(LaneKernelMixin):
         return sum(block.memory_bytes() for block in self.blocks)
 
     def staged_counts(self) -> StagedPointerCounts:
-        """Aggregate staged pointer counts over all blocks (Table II columns)."""
+        """Aggregate staged pointer counts over all blocks (Table II columns);
+        each block rebuilds its DFA for them."""
         totals = StagedPointerCounts(0, 0, 0, 0, 0)
         for block in self.blocks:
             staged = block.dtp.staged_counts()

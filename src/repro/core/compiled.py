@@ -6,18 +6,16 @@ input byte — dict probes in the DTP pointer lists, bitmap popcounts, failure
 walks.  This backend trades memory for speed the same way the paper's *move
 function* baseline does, but engineered for a software host:
 
-* ``table`` — a dense ``(num_states, 256)`` ``int32`` transition table
-  (``table[s, c]`` is the next state), the software analogue of reading one
-  324-bit state word per character;
+* ``premultiplied`` — the one transition table, dense and flat: entry ``s *
+  256 + c`` holds the next state ``t`` as ``(t << 8) + N * match_flags[t]``
+  (``N`` its length; ``match_flags`` marks the states that report a match),
+  the software analogue of reading one 324-bit state word per character.  The
+  next lookup index is one add (``value + byte``, taken modulo ``N``), a value
+  of ``N`` or more is a match, like the paper's has-match bit in the state
+  word, and ``(value % N) >> 8`` is the plain target;
 * ``match_index`` / ``match_pids`` — a packed match-output array: state ``s``
   matches the pattern ids ``match_pids[match_index[s]:match_index[s + 1]]``,
-  mirroring the hardware's matching-string-number memory walk;
-* ``premultiplied`` / ``match_flags`` — the kernel's views: one boolean per
-  state marking the states that report a match, and the flat table with every
-  target ``t`` stored as ``(t << 8) + N * match_flags[t]`` (``N`` its length):
-  the next lookup index is one add (``value + byte``, taken modulo ``N``), and
-  a value of ``N`` or more is a match, like the paper's has-match bit in the
-  state word.
+  mirroring the hardware's matching-string-number memory walk.
 
 The lane kernel
 ---------------
@@ -32,9 +30,9 @@ plain ids, ``(value % N) >> 8``, only for hits and final states.
 
 Calls too small to amortise the dispatch (``lanes.KERNEL_MIN_BYTES``) keep a
 scalar loop over lazily built *signed rows* (``row[byte]`` is the next state,
-negated when that state reports a match), so short segments cost one dict
-lookup, one list index and one sign test per byte and only the rows actually
-visited are ever materialised.
+negated when that state reports a match), decoded from ``premultiplied`` one
+row at a time, so short segments cost one dict lookup, one list index and one
+sign test per byte and only the rows actually visited are ever materialised.
 
 The scan is resumable either way: the per-flow state is a 1-tuple
 :class:`repro.backend.ScanState` carrying the plain state id, so the
@@ -82,16 +80,17 @@ def flagged_view(table: np.ndarray, match_flags: np.ndarray) -> np.ndarray:
 
 
 class _SignedRows(dict):
-    """``state -> signed transition row``, each row built on first use."""
+    """``state -> signed transition row``, decoded on first use."""
 
-    def __init__(self, table: np.ndarray, match_flags: np.ndarray):
+    def __init__(self, premultiplied: np.ndarray):
         super().__init__()
-        self._table = table
-        self._match_flags = match_flags
+        self._premultiplied = premultiplied
 
     def __missing__(self, state: int) -> List[int]:
-        targets = self._table[state]
-        row = np.where(self._match_flags[targets], -targets, targets).tolist()
+        size = len(self._premultiplied)
+        values = self._premultiplied[state * ALPHABET_SIZE:(state + 1) * ALPHABET_SIZE]
+        targets = (values % size) >> 8
+        row = np.where(values >= size, -targets, targets).tolist()
         self[state] = row
         return row
 
@@ -111,7 +110,6 @@ class CompiledDenseProgram(LaneKernelMixin):
             raise ValueError(f"transition table must be (num_states, 256), got {table.shape}")
         if table.shape[0] != len(outputs):
             raise ValueError("one output list per state is required")
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
         self.num_states = int(table.shape[0])
         self._patterns = tuple(bytes(p) for p in patterns)
         #: bytes a lane walks from the root before its cut (see module doc):
@@ -125,8 +123,8 @@ class CompiledDenseProgram(LaneKernelMixin):
         # kernel views (the root, state 0, can never match — patterns are
         # non-empty — so a signed row's sign encoding is unambiguous)
         self.match_flags = np.diff(self.match_index) > 0
-        self.premultiplied = flagged_view(self.table, self.match_flags)
-        self._rows = _SignedRows(self.table, self.match_flags)
+        self.premultiplied = flagged_view(table, self.match_flags)
+        self._rows = _SignedRows(self.premultiplied)
 
     # ------------------------------------------------------------------
     # construction
@@ -135,18 +133,16 @@ class CompiledDenseProgram(LaneKernelMixin):
     def from_automaton(cls, automaton) -> "CompiledDenseProgram":
         """Flatten any AC-equivalent automaton.
 
-        Accepts an :class:`AhoCorasickDFA` directly, or anything exposing an
-        equivalent one (``automaton.dfa``, e.g. a ``DTPAutomaton``); other
-        protocol backends are re-compiled from their ``patterns``.
+        Accepts an :class:`AhoCorasickDFA` directly; other protocol backends
+        (e.g. a ``DTPAutomaton``) are re-compiled from their ``patterns``.
         """
-        dfa = getattr(automaton, "dfa", automaton)
-        if isinstance(dfa, AhoCorasickDFA):
-            return cls(dfa.table, dfa.outputs, dfa.trie.patterns)
+        if isinstance(automaton, AhoCorasickDFA):
+            return cls(automaton.table, automaton.outputs, automaton.trie.patterns)
         patterns = getattr(automaton, "patterns", None)
         if patterns is None:
             raise TypeError(
                 f"cannot flatten {type(automaton).__name__}: "
-                "expected an AhoCorasickDFA, a .dfa attribute, or .patterns"
+                "expected an AhoCorasickDFA or .patterns"
             )
         return cls.from_patterns(patterns)
 
@@ -235,19 +231,22 @@ class CompiledDenseProgram(LaneKernelMixin):
     def memory_bytes(self) -> int:
         """Total resident footprint: dense arrays plus the scan views.
 
-        Counts the NumPy transition/match arrays, the premultiplied table
-        the kernel gathers from and the flag vector, and the signed rows the
-        scalar loop has built so far (8-byte list slots plus one boxed int
-        per entry outside CPython's small-int cache).  Matters because the
-        dense backend's whole trade is memory for speed — understating it
-        would skew the dense-vs-DTP comparison (``backend.table_mb``).
+        Counts the premultiplied table, the flag vector, the packed match
+        arrays and the signed rows the scalar loop has built so far (8-byte
+        list slots plus one boxed int per entry outside CPython's small-int
+        cache, -5 .. 256; a matching target ``t`` is held as ``-t``).  Matters
+        because the dense backend's whole trade is memory for speed —
+        understating it would skew the dense-vs-DTP comparison
+        (``backend.table_mb``).
         """
         array_bytes = (
-            self.table.nbytes + self.premultiplied.nbytes + self.match_flags.nbytes
+            self.premultiplied.nbytes + self.match_flags.nbytes
             + self.match_index.nbytes + self.match_pids.nbytes
         )
-        row_slots = sum(sys.getsizeof(row) for row in self._rows.values())
-        boxed_ints = int((self.table[list(self._rows)] > 256).sum()) * 32
+        rows = list(self._rows.values())
+        row_slots = sum(sys.getsizeof(row) for row in rows)
+        entries = np.array(rows, dtype=np.int64)
+        boxed_ints = int(((entries < -5) | (entries > 256)).sum()) * 32
         return int(array_bytes + row_slots + boxed_ints)
 
     def memory_words(self, word_bits: int = 324) -> int:

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -296,6 +296,10 @@ class DTPAutomaton(LaneKernelMixin):
     name ``"dtp"``): the per-flow state carries the automaton state *and* the
     two-byte input history the default-transition lookup needs.
 
+    It keeps the stored :attr:`pointers`, the lookup table and the kernel
+    views laid out from them, not the DFA it is compiled from (the statistics
+    that compare against that DFA rebuild it from :attr:`patterns`).
+
     Parameters
     ----------
     dfa:
@@ -318,7 +322,8 @@ class DTPAutomaton(LaneKernelMixin):
         include_d3: bool = True,
         max_stored_pointers: Optional[int] = None,
     ):
-        self.dfa = dfa
+        #: the compiled patterns; pattern ids index this tuple
+        self.patterns: Tuple[bytes, ...] = tuple(dfa.trie.patterns)
         if defaults is None:
             defaults, keep = select_defaults(
                 dfa,
@@ -392,11 +397,6 @@ class DTPAutomaton(LaneKernelMixin):
     def initial_scan_state(self) -> ScanState:
         """The state a fresh flow starts in (root state, empty byte history)."""
         return ScanState()
-
-    @property
-    def patterns(self) -> Tuple[bytes, ...]:
-        """The compiled patterns; pattern ids index this tuple."""
-        return tuple(self.dfa.trie.patterns)
 
     def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
         """Scan ``chunk`` resuming from ``states``; return matches + new state.
@@ -542,24 +542,6 @@ class DTPAutomaton(LaneKernelMixin):
         )
         return lanes.job_results(flow_states, batch, hits, [final])
 
-    def iter_states(self, data: bytes) -> Iterator[int]:
-        """Yield the state after each byte (mirrors ``AhoCorasickDFA.iter_states``)."""
-        state = ROOT
-        prev1: Optional[int] = None
-        prev2: Optional[int] = None
-        for byte in data:
-            state = self.step(state, byte, prev1, prev2)
-            yield state
-            prev2 = prev1
-            prev1 = byte
-
-    def verify_equivalence(self, data: bytes) -> bool:
-        """Check state-by-state agreement with the uncompressed DFA on ``data``."""
-        for ours, reference in zip(self.iter_states(data), self.dfa.iter_states(data)):
-            if ours != reference:
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # statistics / memory accounting
     # ------------------------------------------------------------------
@@ -585,11 +567,13 @@ class DTPAutomaton(LaneKernelMixin):
         return np.flatnonzero(self.pointer_counts() > limit).tolist()
 
     def staged_counts(self) -> StagedPointerCounts:
-        return staged_pointer_counts(self.dfa, self.defaults)
+        """Stored pointers per compression stage (rebuilds the DFA)."""
+        return staged_pointer_counts(AhoCorasickDFA.from_patterns(self.patterns), self.defaults)
 
     def reduction_percent(self) -> float:
-        """Pointer reduction relative to the original move-function automaton."""
-        original = self.dfa.stored_pointer_count()
+        """Pointer reduction relative to the original move-function automaton
+        (rebuilt)."""
+        original = AhoCorasickDFA.from_patterns(self.patterns).stored_pointer_count()
         if original == 0:
             return 0.0
         return 100.0 * (1.0 - self.stored_pointer_count() / original)

@@ -22,7 +22,8 @@ import struct
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 import numpy as np
@@ -401,11 +402,10 @@ class ReferenceLaneCut:
 
 def reference_dense_scan_lanes(self, flow_states, batch: LaneBatch):
     """``CompiledDenseProgram._scan_lanes`` as it was, over the plain
-    ``state << 8`` view it walked (rebuilt here from the dense table)."""
+    ``state << 8`` view it walked (rebuilt here: the flagged table without
+    its match bit)."""
     cut = ReferenceLaneCut(batch, self.warmup)
-    premultiplied = (
-        self.table.astype(np.int32 if self.num_states < 1 << 23 else np.int64) << 8
-    ).ravel()
+    premultiplied = self.premultiplied % len(self.premultiplied)
     dtype = premultiplied.dtype
     count = len(flow_states)
     carried = np.fromiter((states[0].state for states in flow_states), dtype, count)
@@ -435,6 +435,33 @@ def reference_dense_scan_lanes(self, flow_states, batch: LaneBatch):
         flow_states, batch,
         lanes.expand_hits(hits, self.match_index, self.match_pids), [final],
     )
+
+
+# ----------------------------------------------------------------------
+# the DTP program's scalar walkers, as they were on the program
+# ----------------------------------------------------------------------
+def reference_iter_states(program: DTPAutomaton, data: bytes) -> Iterator[int]:
+    """``DTPAutomaton.iter_states`` as it was: the state after each byte of
+    the scalar ``step`` walk (mirrors ``AhoCorasickDFA.iter_states``)."""
+    state = ROOT
+    prev1: Optional[int] = None
+    prev2: Optional[int] = None
+    for byte in data:
+        state = program.step(state, byte, prev1, prev2)
+        yield state
+        prev2 = prev1
+        prev1 = byte
+
+
+def reference_verify_equivalence(program: DTPAutomaton, data: bytes) -> bool:
+    """``DTPAutomaton.verify_equivalence`` as it was: state-by-state agreement
+    with the uncompressed DFA on ``data``, the DFA rebuilt from the program's
+    patterns (the program no longer keeps it)."""
+    dfa = AhoCorasickDFA.from_patterns(program.patterns)
+    for ours, reference in zip(reference_iter_states(program, data), dfa.iter_states(data)):
+        if ours != reference:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.traffic import TrafficGenerator
 from tests.conftest import (
     ReferenceDtpViews,
     reference_dtp_scan_lanes,
+    reference_iter_states,
     reference_scan_packets,
     slab_dtp_lane_hits,
     slab_dtp_scan_lanes,
@@ -260,8 +261,7 @@ class TestDenseProgram:
 
         program = CompiledDenseProgram.from_patterns([b"abc"])
         arrays = (
-            program.table, program.premultiplied, program.match_flags,
-            program.match_index, program.match_pids,
+            program.premultiplied, program.match_flags, program.match_index, program.match_pids,
         )
         array_bytes = sum(array.nbytes for array in arrays)
         assert program.memory_bytes() == array_bytes  # no signed row built yet
@@ -270,6 +270,27 @@ class TestDenseProgram:
         row_slots = sum(sys.getsizeof(row) for row in program._rows.values())
         assert program.memory_bytes() >= array_bytes + row_slots
         assert program.memory_words() == -(-program.memory_bytes() * 8 // 324)
+
+    def test_memory_accounting_counts_boxed_matching_targets(self):
+        """A signed row holds a matching target ``t`` as ``-t``: outside
+        CPython's small-int cache (-5 .. 256) from ``t = 6`` on, so a boxed
+        int the footprint must count."""
+        import sys
+
+        program = CompiledDenseProgram.from_patterns([b"abcdefgh"])
+        program.match(b"abcdefgh")
+        assert program._rows[7][ord("h")] == -8
+        rows = list(program._rows.values())
+        boxed = sum(not -5 <= entry <= 256 for row in rows for entry in row)
+        assert boxed == 1
+        array_bytes = sum(
+            array.nbytes for array in (
+                program.premultiplied, program.match_flags, program.match_index,
+                program.match_pids,
+            )
+        )
+        row_slots = sum(sys.getsizeof(row) for row in rows)
+        assert program.memory_bytes() == array_bytes + row_slots + 32 * boxed
 
     def test_premultiplied_index_never_wraps(self):
         """A flagged index ``(t << 8) + N + byte`` stays below ``2 * N``
@@ -611,7 +632,7 @@ class TestDtpLaneKernel(TestLaneKernel):
         payload = random_payload(
             rng, LANE_PATTERNS, length=9 * lane_len + 1, alphabet=b"hesrabcdf\x00\x01"
         )
-        walked = list(program.iter_states(payload))
+        walked = list(reference_iter_states(program, payload))
         assert walked == list(reference.iter_states(payload))
         for stop in range(len(payload) + 1):
             _, (state,) = program.scan_chunk(program.initial_scan_states(), payload[:stop])

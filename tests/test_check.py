@@ -116,7 +116,7 @@ def _mutate_ac(program):
 
 
 def _mutate_dense_table(program):
-    program.table[1, ord("e")] = 0
+    program.premultiplied[256 + ord("e")] = 0  # 'h' --e--> the root, no match bit
 
 
 def _mutate_dense_outputs(program):
@@ -142,6 +142,11 @@ def _mutate_dense_value_invents_a_match(program):
     program.premultiplied[int(np.flatnonzero(program.premultiplied < size)[0])] += size
 
 
+def _mutate_dense_value_off_its_row(program):
+    # the decoded target and the match bit hold, but the lookup lands one cell off
+    program.premultiplied[256 + ord("e")] += 1
+
+
 def _mutate_dense_flag(program):
     # a reporting state the kernel's flag gather would no longer see
     state = int(program.match_flags.nonzero()[0][0])
@@ -163,9 +168,8 @@ def _mutate_path(program):
 
 
 def _mutate_dtp(program):
-    state = next(s for s in range(program.num_states) if program.stored[s])
-    byte = next(iter(program.stored[state]))
-    program.stored[state][byte] = 0 if program.stored[state][byte] != 0 else 1
+    targets = program.pointers[2]
+    targets[0] = 0 if targets[0] != 0 else 1
 
 
 def _dtp_pointer_slot(program):
@@ -303,11 +307,17 @@ class TestMutationDetection:
         assert {d.code for d in program.verify().errors} == {code}
 
     @pytest.mark.parametrize(
-        "mutate", (_mutate_dense_value_hides_a_match, _mutate_dense_value_invents_a_match)
+        "mutate",
+        (
+            _mutate_dense_value_hides_a_match,
+            _mutate_dense_value_invents_a_match,
+            _mutate_dense_value_off_its_row,
+        ),
     )
     def test_dense_match_bit_corruption_names_its_code(self, mutate):
-        """One premultiplied value with its match bit flipped: the table and
-        the flag vector are untouched, so only the flagged view's proof fails."""
+        """One premultiplied value with its match bit flipped or its low byte
+        set: the decoded target and the flag vector are untouched, so only
+        the encoding's proof fails."""
         program = get_backend("dense").compile(FIG2_PATTERNS)
         assert program.verify().ok
         mutate(program)
@@ -325,9 +335,7 @@ class TestMutationDetection:
         ruleset = generate_snort_like_ruleset(60, seed=5)
         program = compile_ruleset(ruleset, get_device("stratix3"))
         block = program.blocks[0]
-        state = next(s for s in range(block.dtp.num_states) if block.dtp.stored[s])
-        byte = next(iter(block.dtp.stored[state]))
-        block.dtp.stored[state][byte] ^= 1
+        block.dtp.pointers[2][0] ^= 1
         assert verify_program(program).errors
 
     def test_corrupt_match_memory_word(self):

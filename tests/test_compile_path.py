@@ -10,6 +10,7 @@ pointers per state, and the greedy packer over per-state records.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.automata import AhoCorasickDFA
 from repro.automata.trie import Trie
+from repro.backend import get_backend
 from repro.core import DTPAutomaton, MatchMemory, PackingError, compile_ruleset
 from repro.core import accelerator_config
 from repro.core.default_transitions import select_defaults, stored_mask
@@ -65,14 +67,16 @@ def assert_dfa_is_the_reference(dfa: AhoCorasickDFA) -> None:
 
 def assert_dtp_is_the_reference(dtp: DTPAutomaton) -> None:
     """Pointer arrays, the scalar walk's dicts, the counts and every kernel
-    view equal what the per-state pruning pass made of the same table."""
-    stored, arrays = reference_build_stored_pointers(dtp.dfa, dtp.defaults)
+    view equal what the per-state pruning pass made of the same table (the
+    DFA rebuilt from the patterns: the program does not keep it)."""
+    dfa = AhoCorasickDFA.from_patterns(dtp.patterns)
+    stored, arrays = reference_build_stored_pointers(dfa, dtp.defaults)
     for ours, theirs in zip(dtp.pointers, arrays):
         assert ours.dtype == theirs.dtype
         assert np.array_equal(ours, theirs)
     assert dtp.stored == stored
     assert np.array_equal(
-        dtp.pointer_counts(), reference_stored_pointer_counts(dtp.dfa, dtp.defaults)
+        dtp.pointer_counts(), reference_stored_pointer_counts(dfa, dtp.defaults)
     )
     flagged, value_of, check, following = state_values(
         *displace_rows(*arrays, dtp.num_states), np.diff(dtp.match_index) > 0
@@ -219,9 +223,10 @@ def test_a_paper_sized_program_compiles_as_before(paper_sized_program):
     assert len(paper_sized_program.blocks) == 2
     for block in paper_sized_program.blocks:
         dtp = block.dtp
-        assert_dfa_is_the_reference(dtp.dfa)
+        dfa = AhoCorasickDFA.from_patterns(dtp.patterns)
+        assert_dfa_is_the_reference(dfa)
         assert_dtp_is_the_reference(dtp)
-        _, fail, outputs = reference_build_table(dtp.dfa.trie)
+        _, fail, outputs = reference_build_table(dfa.trie)
         matches = {
             state: [block.string_numbers[pid] for pid in found]
             for state, found in enumerate(outputs) if found
@@ -269,3 +274,36 @@ def test_compile_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(program.blocks) == 1
     assert peak / 1e6 <= COMPILE_PEAK_MB
+
+
+def resident_mb(build):
+    """``(build(), MB it holds)``: ``tracemalloc``'s count of what is still
+    allocated once the build returned and the collector ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = build()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return built, size / 1e6
+
+
+def test_a_compiled_program_keeps_one_transition_table():
+    """500 strings: the dtp program holds its pointer arrays and kernel views
+    (3.3 MB), not also the DFA they were pruned from (13.9 MB while it did);
+    the dense program its premultiplied table (8.3 MB), not also the plain
+    one (16.1 MB while it did)."""
+    ruleset = snort_like(500)
+    program, dtp_mb = resident_mb(lambda: compile_ruleset(ruleset, STRATIX_III))
+    dense, dense_mb = resident_mb(lambda: get_backend("dense").compile(ruleset.patterns))
+    assert len(program.blocks) == 1
+    assert dtp_mb <= 4 and dtp_mb <= dense_mb / 2, (dtp_mb, dense_mb)
+    table_sized = [
+        name for name, value in vars(dense).items()
+        if isinstance(value, np.ndarray) and value.size >= dense.num_states * 256
+    ]
+    assert table_sized == ["premultiplied"]
+    assert dense_mb <= 1.25 * dense.premultiplied.nbytes / 1e6, dense_mb
+

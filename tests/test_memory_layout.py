@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata import AhoCorasickDFA
 from repro.core import DTPAutomaton, MatchMemory, PackingError, pack_state_machine
 from repro.core.memory_layout import default_target_order, place_states
 from repro.core.state_types import WORD_BITS, slots_for_pointer_count, type_for_placement
@@ -100,7 +101,8 @@ class TestEncoding:
         matches = {s: [pid for pid in dtp.outputs[s]] for s in dtp.matching_states()}
         match_memory = MatchMemory.build(matches)
         packed = pack_state_machine(dtp, match_memory=match_memory)
-        words = packed.encode_words(pad_lookup=lambda state, char: int(dtp.dfa.table[state, char]))
+        table = AhoCorasickDFA.from_patterns(dtp.patterns).table
+        words = packed.encode_words(pad_lookup=lambda state, char: int(table[state, char]))
         assert len(words) == packed.num_words
         assert all(word < (1 << WORD_BITS) for word in words)
 
@@ -120,7 +122,7 @@ class TestEncoding:
             # state stored at that address
             reverse = {packed.address_of(s): s for s in packed.placements}
             for char, address, type_id in decoded["pointers"]:
-                assert reverse[(address, type_id)] == int(dtp.dfa.table[state_id, char])
+                assert reverse[(address, type_id)] == int(table[state_id, char])
 
     def test_encode_without_pad_lookup(self, example_dtp):
         packed = pack_state_machine(example_dtp)
