@@ -6,7 +6,7 @@
     python3 benchmarks/e2e/run.py --workload benign_bulk_dtp   ... | tail -n 1 > dtp.json
     python3 benchmarks/e2e/run.py --workload hit_heavy_confirm ... | tail -n 1 > hits.json
     python3 benchmarks/gate_rate_spread.py benign.json deep.json
-    python3 benchmarks/gate_rate_spread.py benign.json dtp.json 4
+    python3 benchmarks/gate_rate_spread.py benign.json dtp.json 3
     python3 benchmarks/gate_rate_spread.py benign.json hits.json 6
     python3 benchmarks/e2e/run.py --workload mangled_small_segments --trace 1 | tail -n 1 > m.json
     python3 benchmarks/gate_rate_spread.py --front-end m.json 12
@@ -36,7 +36,10 @@ loosened).  The *price of the paper's structure*: the same rules and bytes on
 ``dtp`` — stored pointers plus default-transition table — against ``dense``
 (14 before the DTP lane kernel, ~2.2 with it, ~2.4 later; 2.62 then 3.62,
 worst 3.73, across the slab walk, which took 64 % off the dense kernel and
-20 % off dtp's; bound 4).  The *price of a
+20 % off dtp's; bound 4, then 3 once the state value became its row
+displacement, ~2.35; 2.82-2.94 after later dense speed-ups; 2.70 and 2.54,
+parent 2.88 and 2.94 in the same two sets, since a lane warms up 8 bytes
+and only lanes cut deeper are walked again).  The *price of a
 hit*: in the paper a match costs a match-memory read, not a slower cycle; the
 software form is ``hit_heavy_confirm`` (the same 500 rules, three planted
 strings per flow) against ``benign_bulk_dense`` (36 while the confirm stage

@@ -33,15 +33,16 @@ over the whole state graph:
   program's only transition table, decodes to the reference move function;
   every entry is its target shifted left by 8, plus the table's size exactly
   when the target reports a match; its match-flag vector marks exactly the
-  reference's reporting states, and a lane's warm-up is at least as long as
-  the deepest state (a shorter one loses matches just after a lane cut).
+  reference's reporting states, and ``warmup`` is at least the deepest
+  state's depth: it bounds the lane repair walk and makes every lane end in
+  the true state (a shorter one loses matches just after a lane cut).
 * **DTP kernel views** — every state has a value of its own, at or above
   the table length exactly when it reports a match, and ``id_of`` decodes
   it; the row-displacement table owns, for every state value, exactly the
   slots of its stored pointers and holds their targets' values; the pair
   table and its escapes reproduce ``DefaultTransitionTable.resolve`` for
   every one of the 256 x 257 x 257 ``(byte, prev1, prev2)`` histories,
-  ``None`` included; and the lane warm-up covers the deepest state.
+  ``None`` included; and ``warmup`` covers the deepest state.
 * **Match-memory completeness** — every pattern's terminal state is reachable
   (by walking the pattern through the reference table) and reports the
   pattern's string number through the match memory.
@@ -392,9 +393,10 @@ def _check_dense(capped: _Capped, program: CompiledDenseProgram, ref: Reference)
             source=source,
         )
 
-    # A lane reaches its cut in the uncut walk's state only if it warmed up
-    # over at least as many bytes as the deepest state remembers; shorter is
-    # a silent false negative just after every cut.
+    # Every lane ends in the uncut walk's state, and a lane's repair walk
+    # settles within ``warmup`` steps of its warm-up's start, only if
+    # ``warmup`` covers the deepest state; shorter is a silent false negative
+    # just after a cut.
     deepest = int(ref.depth.max())
     if program.warmup < deepest:
         capped.add(

@@ -19,14 +19,17 @@ function* baseline does, but engineered for a software host:
 
 The lane kernel
 ---------------
-Every job is cut into lanes warmed up from the root and all lanes of all jobs
-advance together (the cut, the warm-up argument, tiles, slabs and match
-extraction are :mod:`repro.core.lanes`, shared with the DTP kernel).  This
-kernel's step is a single ``np.take(premultiplied, state + byte_column,
+Every job is cut into lanes and all lanes of all jobs advance together (the
+cut, the short warm-up with its cut check and repair walk, tiles, slabs and
+match extraction are :mod:`repro.core.lanes`, shared with the DTP kernel).
+This kernel's step is a single ``np.take(premultiplied, state + byte_column,
 mode="wrap")`` and costs the same whatever state the traffic drives the
 automaton into, which is the software form of the paper's guaranteed rate.  A
 slab of states with no match is found by one ``max()``; states are decoded to
-plain ids, ``(value % N) >> 8``, only for hits and final states.
+plain ids, ``(value % N) >> 8``, only for hits and final states.  The repair
+walk settles a lane by its state's depth: ``value_depth[value >> 8]``, the
+DFA's depth twice over (a flagged value's ``>> 8`` is its id plus the state
+count), built with the table.
 
 Calls too small to amortise the dispatch (``lanes.KERNEL_MIN_BYTES``) keep a
 scalar loop over lazily built *signed rows* (``row[byte]`` is the next state,
@@ -105,6 +108,7 @@ class CompiledDenseProgram(LaneKernelMixin):
         table: np.ndarray,
         outputs: Sequence[Sequence[int]],
         patterns: Sequence[bytes],
+        depth: np.ndarray,
     ):
         if table.ndim != 2 or table.shape[1] != ALPHABET_SIZE:
             raise ValueError(f"transition table must be (num_states, 256), got {table.shape}")
@@ -124,6 +128,9 @@ class CompiledDenseProgram(LaneKernelMixin):
         # non-empty — so a signed row's sign encoding is unambiguous)
         self.match_flags = np.diff(self.match_index) > 0
         self.premultiplied = flagged_view(table, self.match_flags)
+        #: the depth of state ``(v % N) >> 8``, indexed by ``v >> 8``: the
+        #: lane repair's settling test (see :mod:`repro.core.lanes`)
+        self.value_depth = np.tile(lanes.depth_view(np.asarray(depth)), 2)
         self._rows = _SignedRows(self.premultiplied)
 
     # ------------------------------------------------------------------
@@ -137,7 +144,9 @@ class CompiledDenseProgram(LaneKernelMixin):
         (e.g. a ``DTPAutomaton``) are re-compiled from their ``patterns``.
         """
         if isinstance(automaton, AhoCorasickDFA):
-            return cls(automaton.table, automaton.outputs, automaton.trie.patterns)
+            return cls(
+                automaton.table, automaton.outputs, automaton.trie.patterns, automaton.depth
+            )
         patterns = getattr(automaton, "patterns", None)
         if patterns is None:
             raise TypeError(
@@ -198,18 +207,19 @@ class CompiledDenseProgram(LaneKernelMixin):
         offsets = np.fromiter((states[0].offset for states in flow_states), np.int64, count)
         # the bound method skips np.take's Python wrapper, ~1.4 us a step
         add, take = np.add, premultiplied.take
+        value_depth = self.value_depth
 
-        def walk(window, history, first_lanes, first_jobs):
+        def walk(window, history, warm, start, first_lanes, first_jobs):
             rows = list(history)
             lookup = np.empty_like(rows[0])
-            # warm up from the root in place: these states report nothing
+            # warm up in place: these states report nothing
             state = rows[0]
-            state.fill(0)
-            for column in np.ascontiguousarray(window[:cut.lead]):
+            state[...] = start
+            for column in np.ascontiguousarray(window[:warm]):
                 add(state, column, out=lookup)
                 take(lookup, out=state, mode="wrap")
             state[first_lanes] = carried[first_jobs]
-            for top in range(cut.lead, len(window), len(rows) - 1):
+            for top in range(warm, len(window), len(rows) - 1):
                 columns = np.ascontiguousarray(window[top:top + len(rows) - 1])
                 for source, column, target in zip(rows, columns, rows[1:]):
                     add(source, column, out=lookup)
@@ -219,7 +229,10 @@ class CompiledDenseProgram(LaneKernelMixin):
         def reports(entered):
             return entered >= flagged if entered.max() >= flagged else None
 
-        (jobs, ends, values), final = cut.run(carried, offsets, walk, reports)
+        def depths(entered):
+            return value_depth.take(entered >> 8)
+
+        (jobs, ends, values), final = cut.run(carried, offsets, 0, walk, reports, depths)
         hits = lanes.expand_hits(
             (jobs, ends, (values - flagged) >> 8), self.match_index, self.match_pids
         )
@@ -231,16 +244,17 @@ class CompiledDenseProgram(LaneKernelMixin):
     def memory_bytes(self) -> int:
         """Total resident footprint: dense arrays plus the scan views.
 
-        Counts the premultiplied table, the flag vector, the packed match
-        arrays and the signed rows the scalar loop has built so far (8-byte
-        list slots plus one boxed int per entry outside CPython's small-int
-        cache, -5 .. 256; a matching target ``t`` is held as ``-t``).  Matters
+        Counts the premultiplied table, the flag vector, the depth view, the
+        packed match arrays and the signed rows the scalar loop has built so
+        far (8-byte list slots plus one boxed int per entry outside CPython's
+        small-int cache, -5 .. 256; a matching target ``t`` is held as
+        ``-t``).  Matters
         because the dense backend's whole trade is memory for speed —
         understating it would skew the dense-vs-DTP comparison
         (``backend.table_mb``).
         """
         array_bytes = (
-            self.premultiplied.nbytes + self.match_flags.nbytes
+            self.premultiplied.nbytes + self.match_flags.nbytes + self.value_depth.nbytes
             + self.match_index.nbytes + self.match_pids.nbytes
         )
         rows = list(self._rows.values())

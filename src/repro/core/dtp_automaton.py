@@ -71,12 +71,20 @@ of the input, because a default fires on matching preceding bytes alone, and
 a stored pointer maps a genuine suffix to a genuine suffix.  And never
 shallower: a pruned transition's target is the root or a registered default
 whose preceding bytes are in the input, so the resolver returns it or
-something deeper.  The warming lane is therefore sandwiched, suffix-wise, between the
-DFA lane and the true state; after ``warmup`` (= longest pattern) bytes
-those two are equal, and so is it.  A job's first lane takes the carried-in
-state, and the defaults of its first two steps — the ones that read the two
-bytes before its cut, which in the packed buffer belong to some other job —
-are resolved again from the carried ``prev1``/``prev2``, for those lanes only.
+something deeper.  The warming lane is therefore sandwiched, suffix-wise,
+between the DFA lane and the true state.  The DFA lane that left the root
+``w`` bytes ago is in the true state once that state is at most ``w`` deep,
+and so, from then on, is the warming lane.  That is why :mod:`repro.core.lanes`
+may warm a lane up over :data:`~repro.core.lanes.SHORT_WARMUP` bytes only:
+its repair walk re-walks a lane that reached its cut wrong until the true
+state is no deeper than the short warm-up plus the steps taken, which needs
+at most ``warmup`` (= deepest state, DTP009) minus that many steps, and the
+first walk is right from there on.  Every lane ends in the true state, since
+none is shorter than ``warmup``; ``value_depth`` (the depth of each state
+value) is the settling test.  A job's first lane takes the carried-in state,
+and the defaults of its first two steps — the ones that read the two bytes
+before its cut, which in the packed buffer belong to some other job — are
+resolved again from the carried ``prev1``/``prev2``, for those lanes only.
 """
 
 from __future__ import annotations
@@ -354,6 +362,11 @@ class DTPAutomaton(LaneKernelMixin):
         )
         self.id_of = np.full(2 * self.flagged, -1, dtype=np.int32)
         self.id_of[self.value_of] = np.arange(self.num_states)
+        #: the depth of the state behind each value: the lane repair's
+        #: settling test (see :mod:`repro.core.lanes`)
+        depth = lanes.depth_view(self.depth)
+        self.value_depth = np.zeros(2 * self.flagged, dtype=depth.dtype)
+        self.value_depth[self.value_of] = depth
         self.pair_default, self.escape_default = default_views(self.defaults, self.value_of)
 
     # ------------------------------------------------------------------
@@ -465,13 +478,12 @@ class DTPAutomaton(LaneKernelMixin):
             (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
             np.intp, count,
         )
-        warm = cut.lead - 2
         flagged = self.flagged
         # bound methods skip np.take's Python wrapper
         check, following_of = self.check.take, self.next.take
         add, differs, copyto = np.add, np.not_equal, np.copyto
 
-        def walk(window, history, first_lanes, first_jobs):
+        def walk(window, history, warm, start, first_lanes, first_jobs):
             rows = list(history)
             slab = len(rows) - 1
             # a whole slab's defaults (and their intp pair index) would
@@ -487,7 +499,7 @@ class DTPAutomaton(LaneKernelMixin):
             pruned = np.empty(history.shape[1], dtype=bool)
             # a job's first lane has the carried history where the packed
             # buffer has another job's bytes: the two steps that read it
-            first_bytes = window[cut.lead, first_lanes].astype(np.intp)
+            first_bytes = window[warm + 2, first_lanes].astype(np.intp)
             carried_history = (
                 (warm, prev1[first_jobs], prev2[first_jobs]),
                 (warm + 1, first_bytes, prev1[first_jobs]),
@@ -514,20 +526,23 @@ class DTPAutomaton(LaneKernelMixin):
                         following_of(slot, out=following, mode="wrap")
                         copyto(following, default, where=pruned)
 
-            # warm up from the root in place: these states report nothing
+            # warm up in place: these states report nothing
             state = rows[0]
-            state.fill(self.value_of[ROOT])
+            state[...] = start
             advance(0, [state] * warm, [state] * warm)
             state[first_lanes] = carried[first_jobs]
-            for top in range(0, cut.lane_len, slab):
-                steps = min(slab, cut.lane_len - top)
+            walked = len(window) - 2 - warm
+            for top in range(0, walked, slab):
+                steps = min(slab, walked - top)
                 advance(warm + top, rows[:steps], rows[1:steps + 1])
                 yield steps
 
         def reports(entered):
             return entered >= flagged if entered.max() >= flagged else None
 
-        (jobs, ends, values), final = cut.run(carried, offsets, walk, reports)
+        (jobs, ends, values), final = cut.run(
+            carried, offsets, self.value_of[ROOT], walk, reports, self.value_depth.take
+        )
         id_of = self.id_of
         hits = lanes.expand_hits(
             (jobs, ends, id_of.take(values)), self.match_index, self.match_pids

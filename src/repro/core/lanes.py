@@ -2,16 +2,34 @@
 
 An Aho-Corasick state is the longest suffix of the input that is a prefix of
 some pattern, so it depends on the last ``warmup`` (= longest pattern) bytes
-only.  A stream may therefore be *cut* anywhere: a lane that starts at the
-root ``warmup`` bytes before its cut arrives at the cut in exactly the state
-the uncut walk has there.  Matches seen while warming up are dropped — the
-lane before the cut reports them.  A job's first lane has nothing to warm up
-from; it is handed the job's carried-in state at its first byte instead.
+only.  A stream may therefore be *cut* anywhere: every job (one flow's bytes
+plus its resumable state) is cut into lanes of one common length, and *all*
+lanes of *all* jobs advance together, one byte per step — the paper's
+engines time-sharing one state memory, turned sideways.  A job's first lane
+is handed the job's carried-in state at its first byte.  Every other lane
+starts at the root only :data:`SHORT_WARMUP` bytes before its cut (the
+speculative start of data-parallel state machines) and is then checked:
 
-So every job (one flow's bytes plus its resumable state) is cut into lanes of
-one common length, and *all* lanes of *all* jobs advance together, one byte
-per step — the paper's engines time-sharing one state memory, turned
-sideways.  What one step *is* belongs to the kernel (one gather from the
+* A lane that starts at the root ``w`` bytes early is in the uncut walk's
+  state as soon as that state is at most ``w`` plus the lane's steps deep,
+  and from there on the two walks are one.  Traffic whose state at a cut is
+  shallow — most traffic — costs :data:`SHORT_WARMUP` steps a lane instead
+  of ``warmup``.
+* Lanes are never shorter than ``warmup``, so every lane *ends* in the true
+  state, whatever its start.  After the walk, each lane's state at its cut
+  is compared with the previous lane's end state, across tiles: one
+  comparison over the lanes.
+* A lane that disagrees is walked again from the true state, with the other
+  disagreeing lanes only, until its state is no deeper than
+  :data:`SHORT_WARMUP` plus its steps — within ``warmup -``
+  :data:`SHORT_WARMUP` steps, since no state is deeper than ``warmup``
+  (``repro.check``'s DEN004 / DTP009 prove that of every program).  The
+  re-walk's hits and final states replace the first walk's in that stretch;
+  lanes leave the re-walk as they settle.  So all-deep traffic costs at most
+  the ``warmup`` steps a lane it always did, and matches seen while warming
+  up are still dropped — the lane before the cut reports them.
+
+What one step *is* belongs to the kernel (one gather from the
 premultiplied dense table in :mod:`repro.core.compiled`; stored pointer or
 default transition in :mod:`repro.core.dtp_automaton`); everything around it
 is here, once::
@@ -24,22 +42,25 @@ is here, once::
                       per tile:  byte window ─► kernel's walk() ─► one slab
                       per slab:  final-state pick-up; reports() ─► flatnonzero
                                  ─► (job, end offset, state) hits
+                      cut check: state at each cut vs the lane before's end
+                      repair:    walk() again over the lanes that disagree
                  expand_hits / split_matches ─► per-job match lists
 
 A tile is every lane of the batch side by side, up to :data:`MAX_WIDTH`
 lanes.  It keeps the states of a *slab* of steps only (:data:`SLAB_CELLS`
 lane cells): the walk fills the slab, the driver picks up the final states
 and the hits in it, and the next slab starts from its last row.  Working
-memory is set by the slab, not by the batch nor the lane length.  Hits are
-found by the kernel's ``reports`` test on the slab — one ``max()``, since
-both kernels' state values carry the match bit — and taken out with
-``flatnonzero``; they are reported per job in end-offset, then
-``outputs[state]``, order — the order of the byte-at-a-time walk.
+memory is set by the slab, not by the batch nor the lane length; the repair
+is tiled the same way.  Hits are found by the kernel's ``reports`` test on
+the slab — one ``max()``, since both kernels' state values carry the match
+bit — and taken out with ``flatnonzero``; they are reported per job in
+end-offset, then ``outputs[state]``, order — the order of the
+byte-at-a-time walk.
 
 The lane length is derived from the batch: every step pays a fixed NumPy
-dispatch cost whatever the lane count, and every lane pays ``warmup`` extra
-steps, so few long lanes waste dispatch and many short lanes waste warm-up;
-the optimum grows with the square root of the batch.
+dispatch cost whatever the lane count, and a lane may pay up to ``warmup``
+extra steps, so few long lanes waste dispatch and many short lanes waste
+warm-up and repair; the optimum grows with the square root of the batch.
 
 Calls too small to amortise the dispatch (:data:`KERNEL_MIN_BYTES`) keep the
 kernel owner's scalar loop, which is also the reference the kernels are
@@ -80,24 +101,39 @@ MAX_WIDTH = 1 << 15
 #: dense kernel one ``max()`` over it, ~5 % of walking it at this size.
 SLAB_CELLS = 1 << 18
 
+#: Bytes a lane other than its job's first walks from the root before its
+#: cut (fewer when no pattern is that long).  The state at a cut of benign
+#: traffic is at most 6 deep with 500 rules (mean 0.95, p99 5), so lanes of
+#: such traffic never need the repair walk.
+SHORT_WARMUP = 8
+
 #: What one kernel step's fixed NumPy dispatch costs, in lane cells of gather
 #: work (measured: ~3.5 us per two-call step against ~2.3 ns per cell).
 STEP_DISPATCH_CELLS = 1024
 
-#: ``walk(window, history, lanes, jobs)``: a kernel's inner loop over one
-#: tile, a generator.  ``window[i]`` is byte ``i`` of every lane's window
-#: (``lead`` bytes before the lane's cut, then its own ``lane_len``).  Slab by
-#: slab, it leaves the state value each lane entered on the slab's byte ``k``
-#: in ``history[k + 1]`` and yields the slab's byte count; a slab starts from
-#: ``history[0]``: the state at the cut, then the last row of the slab before,
-#: which the driver moves there.  ``lanes`` are the tile's lanes that open a
-#: job and ``jobs`` the jobs they open: those start from the job's carried-in
-#: state instead of a warm-up.
-Walk = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], Iterator[int]]
+#: ``walk(window, history, warm, start, lanes, jobs)``: a kernel's inner loop
+#: over some lanes side by side, a generator.  ``window[i]`` is byte ``i`` of
+#: every lane's window: the bytes the kernel's step reads before the current
+#: one (``LaneCut``'s ``history``), ``warm`` bytes before the lane's cut, then
+#: the bytes it walks.  Every lane enters its window in state value ``start``
+#: (one value, or one per lane) and warms up, then ``lanes`` — the lanes that
+#: open a job — take their job's carried-in state from ``jobs``.  Slab by
+#: slab, the walk leaves the state value each lane entered on the slab's byte
+#: ``k`` in ``history[k + 1]`` and yields the slab's byte count; a slab starts
+#: from ``history[0]``: the state at the cut, then the last row of the slab
+#: before, which the driver moves there.
+Walk = Callable[
+    [np.ndarray, np.ndarray, int, Union[int, np.ndarray], np.ndarray, np.ndarray],
+    Iterator[int],
+]
 
 #: ``reports(entered)``: the cells of a slab's states that report a match, as
 #: a boolean mask, or ``None`` when none does.
 Reports = Callable[[np.ndarray], Optional[np.ndarray]]
+
+#: ``depths(entered)``: the depth of the state behind each state value, the
+#: length of the input suffix it remembers.
+Depths = Callable[[np.ndarray], np.ndarray]
 
 #: Flat hit arrays, one entry per report, in packed-buffer order:
 #: ``(job index, stream-absolute end offset, state value or pattern id)``.
@@ -138,12 +174,21 @@ def lane_length(warmup: int, total_bytes: int) -> int:
 
     With ``w`` warm-up steps, lane length ``l`` and ``n`` bytes, a pass
     takes ``w + l`` steps of ``STEP_DISPATCH_CELLS + n / l`` cell-times
-    each, least at ``l = sqrt(w * n / STEP_DISPATCH_CELLS)``.  The extra
-    ``w`` under the root keeps the result from falling below ``w``: a
-    lane's warm-up must stay inside its own job.
+    each, least at ``l = sqrt(w * n / STEP_DISPATCH_CELLS)``.  ``w`` is the
+    whole ``warmup`` — a lane's short warm-up plus its longest repair, the
+    most a lane can pay on all-deep traffic — so the square root trades
+    dispatch against that guaranteed cost; benign traffic pays
+    :data:`SHORT_WARMUP` of it.  The extra ``w`` under the root keeps the
+    result from falling below ``w``: a lane must end in the true state.
     """
     warmup = max(warmup, 1)
     return isqrt(warmup * (warmup + total_bytes // STEP_DISPATCH_CELLS))
+
+
+def depth_view(depth: np.ndarray) -> np.ndarray:
+    """State depths in the smallest of ``int16`` / ``int32`` that holds them."""
+    deepest = int(depth.max(initial=0))
+    return depth.astype(np.int16 if deepest <= np.iinfo(np.int16).max else np.int32)
 
 
 def pack_outputs(outputs: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -176,7 +221,10 @@ class LaneCut:
     """
 
     def __init__(self, batch: LaneBatch, warmup: int, history: int = 0):
-        self.lead = warmup + history
+        self.warmup = warmup
+        self.short = min(SHORT_WARMUP, warmup)
+        self.history = history
+        self.lead = self.short + history
         self.lane_len = lane_len = lane_length(warmup, len(batch))
         self.data = batch.pack(lane_len, self.lead)
         # job j owns lanes first[j] .. first[j] + lanes_of[j] - 1
@@ -197,21 +245,27 @@ class LaneCut:
         self,
         carried: np.ndarray,
         offsets: np.ndarray,
+        root: int,
         walk: Walk,
         reports: Reports,
+        depths: Depths,
     ) -> Tuple[Hits, np.ndarray]:
         """Walk every lane with one kernel; return its hits and final states.
 
         ``carried`` / ``offsets`` hold each job's carried-in state value and
-        stream offset.  Hits carry the state *value* that reported; the
-        final-state array has one value per job (an empty job ends where it
-        started) — both in the kernel's encoding, which it decodes.
+        stream offset, ``root`` the root's value.  Hits carry the state
+        *value* that reported; the final-state array has one value per job
+        (an empty job ends where it started) — both in the kernel's
+        encoding, which it decodes.
         """
         lane_len, num_lanes = self.lane_len, self.num_lanes
         live, live_first, live_last = self.live, self.live_first, self.live_last
         final = carried.copy()
         width = max(1, min(num_lanes, MAX_WIDTH))
         slab = max(1, min(lane_len, SLAB_CELLS // width))
+        # every lane's state at its cut, and after its last byte
+        at_cut = np.empty(num_lanes, dtype=carried.dtype)
+        at_end = np.empty_like(at_cut)
         hit_positions: List[np.ndarray] = []
         hit_states: List[np.ndarray] = []
         for low in range(0, num_lanes, width):
@@ -224,9 +278,11 @@ class LaneCut:
             begin, end = np.searchsorted(live_first, (low, high))
             top = 0
             for count in walk(
-                windows[low * lane_len:high * lane_len:lane_len].T, history,
-                live_first[begin:end] - low, live[begin:end],
+                windows[low * lane_len:high * lane_len:lane_len].T, history, self.short,
+                root, live_first[begin:end] - low, live[begin:end],
             ):
+                if not top:
+                    at_cut[low:high] = history[0]
                 entered = history[1:count + 1]
                 due = (rows > top) & (rows <= top + count)
                 final[ending[due]] = history[rows[due] - top, ending_lanes[due]]
@@ -238,6 +294,11 @@ class LaneCut:
                     hit_states.append(entered.take(cells))
                 history[0] = history[count]
                 top += count
+            at_end[low:high] = history[0]
+        first_walk = len(hit_positions)
+        starts, stops = self._repair(
+            at_cut, at_end, final, walk, reports, depths, hit_positions, hit_states
+        )
 
         if not hit_positions:
             empty = np.empty(0, dtype=np.int64)
@@ -248,12 +309,83 @@ class LaneCut:
         jobs = self.job_of_lane[positions // lane_len]
         within = positions - self.first[jobs] * lane_len
         real = within < self.lengths[jobs]  # a short last lane also walked its padding
+        if len(starts):
+            # the first walk's hits in a repaired stretch are the repair's now
+            low, high = np.searchsorted(positions, (starts, stops))
+            counts = high - low
+            replaced = np.repeat(low - (np.cumsum(counts) - counts), counts)
+            replaced += np.arange(len(replaced))
+            walked = sum(map(len, hit_positions[:first_walk]))
+            real[replaced[order[replaced] < walked]] = False
         jobs = jobs[real]
         return (
             jobs,
             offsets[jobs] + within[real] + 1,
             np.concatenate(hit_states)[order][real],
         ), final
+
+    def _repair(
+        self,
+        at_cut: np.ndarray,
+        at_end: np.ndarray,
+        final: np.ndarray,
+        walk: Walk,
+        reports: Reports,
+        depths: Depths,
+        hit_positions: List[np.ndarray],
+        hit_states: List[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Walk the lanes that reached their cut in a wrong state again, from
+        the previous lane's end state, until each is no deeper than the short
+        warm-up plus its steps; add their hits and final states in that
+        stretch.  Returns the stretches, as ``[start, stop)`` hit positions."""
+        lane_len, short = self.lane_len, self.short
+        repaired = np.flatnonzero(at_cut[1:] != at_end[:-1]) + 1
+        jobs = self.job_of_lane[repaired]
+        opening = jobs != self.job_of_lane[repaired - 1]  # those carry their job's state
+        repaired, jobs = repaired[~opening], jobs[~opening]
+        starts = repaired * lane_len
+        stops = starts.copy()
+        # bytes of its job from each lane's cut: a last lane ends after that many
+        remaining = self.lengths[jobs] - (repaired - self.first[jobs]) * lane_len
+        bound = self.warmup - short  # every lane is settled after this many steps
+        if not len(repaired):
+            return starts, stops
+        windows = sliding_window_view(self.data, self.history + bound)
+        # a tile's window and its history stay within a slab of cells
+        width = max(1, min(MAX_WIDTH, SLAB_CELLS // bound))
+        none = np.empty(0, dtype=np.intp)
+        for low in range(0, len(repaired), width):
+            lanes = np.arange(low, min(low + width, len(repaired)))
+            tile_window = windows[starts[lanes] + short]
+            state = at_end[repaired[lanes] - 1]
+            done = 0
+            while len(lanes):
+                # settled lanes leave after each round; rounds double
+                steps = min(bound - done, max(short, done))
+                history = np.empty((steps + 1, len(lanes)), dtype=at_cut.dtype)
+                window = tile_window[lanes - low, done:done + self.history + steps]
+                for _ in walk(window.T, history, 0, state, none, none):
+                    pass
+                entered = history[1:]
+                mask = reports(entered)
+                if mask is not None:
+                    cells = np.flatnonzero(mask)
+                    rows, columns = np.divmod(cells, len(lanes))
+                    hit_positions.append(starts[lanes[columns]] + done + rows)
+                    hit_states.append(entered.take(cells))
+                row = remaining[lanes] - done  # a job's last byte in this round?
+                due = np.flatnonzero((row >= 1) & (row <= steps))
+                final[jobs[lanes[due]]] = history[row[due], due]
+                stops[lanes] += steps
+                done += steps
+                if done == bound:
+                    break
+                # a lane this shallow is where the first walk put it: it leaves
+                state = history[steps]
+                going = depths(state) > short + done
+                lanes, state = lanes[going], state[going]
+        return starts, stops
 
 
 def expand_hits(hits: Hits, match_index: np.ndarray, match_pids: np.ndarray) -> Hits:

@@ -28,7 +28,7 @@ from typing import (
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.automata import AhoCorasickDFA
 from repro.automata.trie import ROOT
@@ -44,6 +44,7 @@ from repro.capture import (
 from repro.capture.frames import DecodedFrame
 from repro.capture.replay import ReplayStats
 from repro.core import DTPAutomaton, compile_ruleset, lanes
+from repro.core import lanes as lane_driver
 from repro.core.dtp_automaton import NO_BYTE
 from repro.core.lanes import LaneBatch
 from repro.fpga import CYCLONE_III, STRATIX_III
@@ -639,8 +640,9 @@ def reference_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
 # ----------------------------------------------------------------------
 # Moved here verbatim (``self`` a :class:`ReferenceDtpViews`) when the state
 # value became its row displacement and took the match bit, and the defaults
-# became one pair gather per byte.  It runs on the production driver
-# (``lanes.LaneCut``), so the two differ in the kernel's step alone.
+# became one pair gather per byte.  It runs on the full-warm-up driver
+# (:class:`FullWarmupLaneCut`), so it and :func:`full_warmup_dtp_lane_hits`
+# differ in the kernel's step alone.
 def _slab_default_rows(self, columns: np.ndarray) -> np.ndarray:
     """The default target of some consecutive steps of every lane.
 
@@ -657,7 +659,7 @@ def _slab_default_rows(self, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def slab_dtp_lane_hits(self, cut: lanes.LaneCut, scan_states):
+def slab_dtp_lane_hits(self, cut: "FullWarmupLaneCut", scan_states):
     """Run the kernel over ``cut`` (built with two history bytes), one
     scan state per job: ``(job, end offset, pattern id)`` hits in walk
     order and the final state id of every job."""
@@ -725,7 +727,239 @@ def slab_dtp_lane_hits(self, cut: lanes.LaneCut, scan_states):
 def slab_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
     """``DTPAutomaton._scan_lanes`` over :func:`slab_dtp_lane_hits`."""
     hits, final = slab_dtp_lane_hits(
-        ReferenceDtpViews(program), lanes.LaneCut(batch, program.warmup, history=2),
+        ReferenceDtpViews(program), FullWarmupLaneCut(batch, program.warmup, history=2),
+        [state for (state,) in flow_states],
+    )
+    return lanes.job_results(flow_states, batch, hits, [final])
+
+
+# ----------------------------------------------------------------------
+# the lane driver and both kernels as they were: every lane warmed up over
+# the longest pattern
+# ----------------------------------------------------------------------
+# Moved here verbatim when a lane came to warm up ``SHORT_WARMUP`` bytes and
+# be checked at its cut (and walked again where it disagrees).  The
+# autouse fixtures of tests/test_backends.py's lane-kernel tests hold every
+# production kernel call to these: hits, their order and every job's final
+# state.
+class FullWarmupLaneCut:
+    """One batch cut into lanes: the packed bytes and the lane geometry.
+
+    Built once per batch; every kernel that scans the batch (one per block
+    of a multi-block program) :meth:`run`\\ s over the same cut.  ``history``
+    extra bytes are kept in front of each lane's warm-up for kernels whose
+    step reads the bytes before the current one.
+    """
+
+    def __init__(self, batch: LaneBatch, warmup: int, history: int = 0):
+        self.lead = warmup + history
+        self.lane_len = lane_len = lane_driver.lane_length(warmup, len(batch))
+        self.data = batch.pack(lane_len, self.lead)
+        # job j owns lanes first[j] .. first[j] + lanes_of[j] - 1
+        self.lengths = lengths = np.fromiter(
+            map(len, batch.chunks), dtype=np.int64, count=len(batch.chunks)
+        )
+        lanes_of = -(-lengths // lane_len)
+        self.first = np.cumsum(lanes_of) - lanes_of
+        self.num_lanes = int(lanes_of.sum())
+        self.job_of_lane = np.repeat(np.arange(len(lengths)), lanes_of)
+        self.live = live = np.flatnonzero(lanes_of)
+        self.live_first = self.first[live]
+        self.live_last = self.live_first + lanes_of[live] - 1
+        # history row holding a job's final state: the one after its last byte
+        self.live_last_row = lengths[live] - (lanes_of[live] - 1) * lane_len
+
+    def run(
+        self,
+        carried: np.ndarray,
+        offsets: np.ndarray,
+        walk: Callable,
+        reports: Callable,
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """Walk every lane with one kernel; return its hits and final states.
+
+        ``carried`` / ``offsets`` hold each job's carried-in state value and
+        stream offset.  Hits carry the state *value* that reported; the
+        final-state array has one value per job (an empty job ends where it
+        started) — both in the kernel's encoding, which it decodes.
+        """
+        lane_len, num_lanes = self.lane_len, self.num_lanes
+        live, live_first, live_last = self.live, self.live_first, self.live_last
+        final = carried.copy()
+        width = max(1, min(num_lanes, lane_driver.MAX_WIDTH))
+        slab = max(1, min(lane_len, lane_driver.SLAB_CELLS // width))
+        hit_positions: List[np.ndarray] = []
+        hit_states: List[np.ndarray] = []
+        for low in range(0, num_lanes, width):
+            high = min(num_lanes, low + width)
+            windows = sliding_window_view(self.data, self.lead + lane_len)
+            history = np.empty((slab + 1, high - low), dtype=carried.dtype)
+            begin, end = np.searchsorted(live_last, (low, high))  # jobs ending here
+            ending, rows = live[begin:end], self.live_last_row[begin:end]
+            ending_lanes = live_last[begin:end] - low
+            begin, end = np.searchsorted(live_first, (low, high))
+            top = 0
+            for count in walk(
+                windows[low * lane_len:high * lane_len:lane_len].T, history,
+                live_first[begin:end] - low, live[begin:end],
+            ):
+                entered = history[1:count + 1]
+                due = (rows > top) & (rows <= top + count)
+                final[ending[due]] = history[rows[due] - top, ending_lanes[due]]
+                mask = reports(entered)
+                if mask is not None:
+                    cells = np.flatnonzero(mask)
+                    steps, lanes = np.divmod(cells, high - low)
+                    hit_positions.append((lanes + low) * lane_len + top + steps)
+                    hit_states.append(entered.take(cells))
+                history[0] = history[count]
+                top += count
+
+        if not hit_positions:
+            empty = np.empty(0, dtype=np.int64)
+            return (empty, empty, empty), final
+        positions = np.concatenate(hit_positions)
+        order = np.argsort(positions)
+        positions = positions[order]
+        jobs = self.job_of_lane[positions // lane_len]
+        within = positions - self.first[jobs] * lane_len
+        real = within < self.lengths[jobs]  # a short last lane also walked its padding
+        jobs = jobs[real]
+        return (
+            jobs,
+            offsets[jobs] + within[real] + 1,
+            np.concatenate(hit_states)[order][real],
+        ), final
+
+
+def full_warmup_dense_scan_lanes(self, flow_states, batch: LaneBatch):
+    """``CompiledDenseProgram._scan_lanes`` as it was, on
+    :class:`FullWarmupLaneCut`."""
+    cut = FullWarmupLaneCut(batch, self.warmup)
+    premultiplied, dtype = self.premultiplied, self.premultiplied.dtype
+    # a state value at or above this carries the match bit
+    flagged = len(premultiplied)
+    count = len(flow_states)
+    carried = np.fromiter((states[0].state for states in flow_states), dtype, count) << 8
+    offsets = np.fromiter((states[0].offset for states in flow_states), np.int64, count)
+    # the bound method skips np.take's Python wrapper, ~1.4 us a step
+    add, take = np.add, premultiplied.take
+
+    def walk(window, history, first_lanes, first_jobs):
+        rows = list(history)
+        lookup = np.empty_like(rows[0])
+        # warm up from the root in place: these states report nothing
+        state = rows[0]
+        state.fill(0)
+        for column in np.ascontiguousarray(window[:cut.lead]):
+            add(state, column, out=lookup)
+            take(lookup, out=state, mode="wrap")
+        state[first_lanes] = carried[first_jobs]
+        for top in range(cut.lead, len(window), len(rows) - 1):
+            columns = np.ascontiguousarray(window[top:top + len(rows) - 1])
+            for source, column, target in zip(rows, columns, rows[1:]):
+                add(source, column, out=lookup)
+                take(lookup, out=target, mode="wrap")
+            yield len(columns)
+
+    def reports(entered):
+        return entered >= flagged if entered.max() >= flagged else None
+
+    (jobs, ends, values), final = cut.run(carried, offsets, walk, reports)
+    hits = lanes.expand_hits(
+        (jobs, ends, (values - flagged) >> 8), self.match_index, self.match_pids
+    )
+    return lanes.job_results(flow_states, batch, hits, [(final % flagged) >> 8])
+
+
+def full_warmup_dtp_lane_hits(self, cut: FullWarmupLaneCut, scan_states):
+    """Run the kernel over ``cut`` (built with two history bytes), one
+    scan state per job: ``(job, end offset, pattern id)`` hits in walk
+    order and the final state id of every job."""
+    count = len(scan_states)
+    carried = self.value_of.take(np.fromiter((s.state for s in scan_states), np.intp, count))
+    offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
+    prev1 = np.fromiter(
+        (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.intp, count
+    )
+    prev2 = np.fromiter(
+        (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
+        np.intp, count,
+    )
+    warm = cut.lead - 2
+    flagged = self.flagged
+    # bound methods skip np.take's Python wrapper
+    check, following_of = self.check.take, self.next.take
+    add, differs, copyto = np.add, np.not_equal, np.copyto
+
+    def walk(window, history, first_lanes, first_jobs):
+        rows = list(history)
+        slab = len(rows) - 1
+        # a whole slab's defaults (and their intp pair index) would
+        # outweigh its states: they are made an eighth of a slab at a time
+        part = slab // 8 + 1
+        # pairs[i] = window[i] * 256 + window[i + 1], read in place: a
+        # big-endian uint16 over each byte and the next
+        pairs = as_strided(
+            window, (len(window) - 1, window.shape[1], 2), window.strides + (1,)
+        ).view(">u2")[..., 0]
+        slot = np.empty(history.shape[1], dtype=np.intp)
+        owner = np.empty_like(rows[0])
+        pruned = np.empty(history.shape[1], dtype=bool)
+        # a job's first lane has the carried history where the packed
+        # buffer has another job's bytes: the two steps that read it
+        first_bytes = window[cut.lead, first_lanes].astype(np.intp)
+        carried_history = (
+            (warm, prev1[first_jobs], prev2[first_jobs]),
+            (warm + 1, first_bytes, prev1[first_jobs]),
+        )
+
+        def advance(first, sources, targets):
+            """Steps ``first`` .. ``first + len(sources) - 1``."""
+            for top in range(0, len(sources), part):
+                low = first + top
+                high = min(low + part, first + len(sources))
+                defaults = self._default_rows(pairs, low, high)
+                for step, before, before_that in carried_history:
+                    if low <= step < high:
+                        defaults[step - low, first_lanes] = self._resolve(
+                            window[step + 2, first_lanes], before, before_that
+                        )
+                columns = np.ascontiguousarray(window[low + 2:high + 2])
+                for state, column, default, following in zip(
+                    sources[top:], columns, defaults, targets[top:]
+                ):
+                    add(state, column, out=slot)
+                    check(slot, out=owner, mode="wrap")
+                    differs(owner, state, out=pruned)
+                    following_of(slot, out=following, mode="wrap")
+                    copyto(following, default, where=pruned)
+
+        # warm up from the root in place: these states report nothing
+        state = rows[0]
+        state.fill(self.value_of[ROOT])
+        advance(0, [state] * warm, [state] * warm)
+        state[first_lanes] = carried[first_jobs]
+        for top in range(0, cut.lane_len, slab):
+            steps = min(slab, cut.lane_len - top)
+            advance(warm + top, rows[:steps], rows[1:steps + 1])
+            yield steps
+
+    def reports(entered):
+        return entered >= flagged if entered.max() >= flagged else None
+
+    (jobs, ends, values), final = cut.run(carried, offsets, walk, reports)
+    id_of = self.id_of
+    hits = lanes.expand_hits(
+        (jobs, ends, id_of.take(values)), self.match_index, self.match_pids
+    )
+    return hits, id_of.take(final)
+
+def full_warmup_dtp_scan_lanes(self, flow_states, batch: LaneBatch):
+    """``DTPAutomaton._scan_lanes`` as it was, over
+    :func:`full_warmup_dtp_lane_hits`."""
+    hits, final = full_warmup_dtp_lane_hits(
+        self, FullWarmupLaneCut(batch, self.warmup, history=2),
         [state for (state,) in flow_states],
     )
     return lanes.job_results(flow_states, batch, hits, [final])

@@ -9,6 +9,7 @@ streaming layer, the IDS and the CLI treat backends as interchangeable.
 
 import json
 import random
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -28,12 +29,16 @@ from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
-from repro.rulesets import generate_snort_like_ruleset
+from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import FlowKey, FlowTable, StreamScanner
 from repro.traffic import TrafficGenerator
 
 from tests.conftest import (
+    FullWarmupLaneCut,
     ReferenceDtpViews,
+    full_warmup_dense_scan_lanes,
+    full_warmup_dtp_lane_hits,
+    full_warmup_dtp_scan_lanes,
     reference_dtp_scan_lanes,
     reference_iter_states,
     reference_scan_packets,
@@ -261,7 +266,8 @@ class TestDenseProgram:
 
         program = CompiledDenseProgram.from_patterns([b"abc"])
         arrays = (
-            program.premultiplied, program.match_flags, program.match_index, program.match_pids,
+            program.premultiplied, program.match_flags, program.value_depth,
+            program.match_index, program.match_pids,
         )
         array_bytes = sum(array.nbytes for array in arrays)
         assert program.memory_bytes() == array_bytes  # no signed row built yet
@@ -285,8 +291,8 @@ class TestDenseProgram:
         assert boxed == 1
         array_bytes = sum(
             array.nbytes for array in (
-                program.premultiplied, program.match_flags, program.match_index,
-                program.match_pids,
+                program.premultiplied, program.match_flags, program.value_depth,
+                program.match_index, program.match_pids,
             )
         )
         row_slots = sum(sys.getsizeof(row) for row in rows)
@@ -370,6 +376,19 @@ class TestLaneKernel:
     compile = staticmethod(CompiledDenseProgram.from_patterns)
     lanes_per_tile = 3
     slab_rows = 4
+
+    @pytest.fixture(autouse=True)
+    def against_the_references(self, monkeypatch):
+        """Every kernel call of every test here is also held to the driver
+        and walk that warmed every lane up over the longest pattern."""
+        kernel = CompiledDenseProgram._scan_lanes
+
+        def checked(program, flow_states, batch):
+            found = kernel(program, flow_states, batch)
+            assert found == full_warmup_dense_scan_lanes(program, flow_states, batch)
+            return found
+
+        monkeypatch.setattr(CompiledDenseProgram, "_scan_lanes", checked)
 
     @pytest.fixture
     def short_lanes(self, force_short_lanes):
@@ -602,18 +621,20 @@ class TestDtpLaneKernel(TestLaneKernel):
     row-displacement table, everything else by default transition — plus what
     only that kernel has: the two-byte history a default compares.
 
-    Every kernel call of every test here is also held to both previous DTP
-    kernels in ``tests/conftest.py``: the six-call step of the slab-rolled
-    driver, and the whole-lane tiles before it."""
+    Every kernel call of every test here is also held to the previous DTP
+    kernels in ``tests/conftest.py``: this one on the full-warm-up driver,
+    the six-call step of the slab-rolled driver, and the whole-lane tiles
+    before it."""
 
     compile = staticmethod(DTPAutomaton.from_patterns)
 
     @pytest.fixture(autouse=True)
-    def against_both_references(self, monkeypatch):
+    def against_the_references(self, monkeypatch):
         kernel = DTPAutomaton._scan_lanes
 
         def checked(program, flow_states, batch):
             found = kernel(program, flow_states, batch)
+            assert found == full_warmup_dtp_scan_lanes(program, flow_states, batch)
             assert found == slab_dtp_scan_lanes(program, flow_states, batch)
             assert found == reference_dtp_scan_lanes(program, flow_states, batch)
             return found
@@ -790,7 +811,8 @@ class TestAcceleratorLaneKernel:
 
     def test_paper_sized_program_shares_one_cut(self):
         """2 588 strings in three blocks, one cut: every block's kernel is
-        the previous slab kernel's on the same cut, hits and final states,
+        the previous kernels' on the same batch — this one's on the
+        full-warm-up driver, and the slab kernel's — hits and final states,
         and the merged batch is the scalar loop's job for job."""
         ruleset = generate_snort_like_ruleset(2588, seed=7)
         program = compile_ruleset(ruleset, CYCLONE_III)
@@ -809,14 +831,16 @@ class TestAcceleratorLaneKernel:
             jobs.append((states, bytes(body)))
         batch = lanes.LaneBatch([chunk for _, chunk in jobs])
         cut = lanes.LaneCut(batch, program.warmup, history=2)
+        full_cut = FullWarmupLaneCut(batch, program.warmup, history=2)
         for unit, block in enumerate(program.blocks):
             scan_states = [states[unit] for states, _ in jobs]
             (found_jobs, ends, pids), final = block.dtp.lane_hits(cut, scan_states)
-            (want_jobs, want_ends, want_pids), want_final = slab_dtp_lane_hits(
-                ReferenceDtpViews(block.dtp), cut, scan_states
-            )
-            assert np.array_equal(found_jobs, want_jobs) and np.array_equal(ends, want_ends)
-            assert np.array_equal(pids, want_pids) and np.array_equal(final, want_final)
+            for (want_jobs, want_ends, want_pids), want_final in (
+                full_warmup_dtp_lane_hits(block.dtp, full_cut, scan_states),
+                slab_dtp_lane_hits(ReferenceDtpViews(block.dtp), full_cut, scan_states),
+            ):
+                assert np.array_equal(found_jobs, want_jobs) and np.array_equal(ends, want_ends)
+                assert np.array_equal(pids, want_pids) and np.array_equal(final, want_final)
             assert len(pids)
         found = program._scan_lanes([states for states, _ in jobs], batch)
         assert found == [program._scan_scalar(states, body) for states, body in jobs]
@@ -829,6 +853,206 @@ class TestAcceleratorLaneKernel:
         force_short_lanes(program)
         with pytest.raises(ValueError, match="per-block scan states"):
             program.scan_many([((ScanState(),), b"anything at all")])
+
+
+# ----------------------------------------------------------------------
+# the short warm-up's cut check and repair walk
+# ----------------------------------------------------------------------
+#: A pattern of period 10: on a stream of its whole periods every state past
+#: byte 40 is 31-40 deep, so every lane cut there is repaired.  The others
+#: report inside repaired stretches, and put some in a second block.
+REPAIR_LONG = b"abcdefghij" * 4
+REPAIR_PATTERNS = [REPAIR_LONG, b"cdefghijabcd", b"ijabcdefghijab", b"fghij", b"ja", b"e"]
+
+
+@pytest.fixture(scope="module")
+def repair_programs():
+    """``REPAIR_PATTERNS`` compiled dense, dtp, and into a 3-block Cyclone
+    III program."""
+    accelerator = compile_ruleset(
+        RuleSet.from_patterns(REPAIR_PATTERNS), CYCLONE_III, blocks_per_group=3
+    )
+    assert len(accelerator.blocks) == 3
+    return {
+        "dense": CompiledDenseProgram.from_patterns(REPAIR_PATTERNS),
+        "dtp": DTPAutomaton.from_patterns(REPAIR_PATTERNS),
+        "accelerator": accelerator,
+    }
+
+
+class Walked(NamedTuple):
+    """One kernel walk: its warm-up, its lanes and the steps after it."""
+
+    warm: int
+    lanes: int
+    steps: int
+
+
+@pytest.fixture
+def walked(monkeypatch) -> List[Walked]:
+    """Every walk the lane driver runs, in order; a repair walk is one with
+    no warm-up."""
+    calls: List[Walked] = []
+    run = lanes.LaneCut.run
+
+    def counting_run(self, carried, offsets, root, walk, reports, depths):
+        def counted(window, history, warm, start, first_lanes, first_jobs):
+            steps = 0
+            for count in walk(window, history, warm, start, first_lanes, first_jobs):
+                steps += count
+                yield count
+            calls.append(Walked(warm, window.shape[1], steps))
+
+        return run(self, carried, offsets, root, counted, reports, depths)
+
+    monkeypatch.setattr(lanes.LaneCut, "run", counting_run)
+    return calls
+
+
+def assert_lanes_are_exact(program, stream: bytes, bounds: Sequence[int]):
+    """Jobs ``stream[a:b]`` between consecutive ``bounds``, each resuming its
+    flow, in one kernel call: equal to the scalar loop job for job, and to
+    the full-warm-up driver's kernel where the program has one."""
+    flow_states, chunks = [], []
+    for head, end in zip(bounds, bounds[1:]):
+        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
+        chunks.append(stream[head:end])
+    batch = lanes.LaneBatch(chunks)
+    found = program._scan_lanes(flow_states, batch)
+    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+    reference = {
+        CompiledDenseProgram: full_warmup_dense_scan_lanes,
+        DTPAutomaton: full_warmup_dtp_scan_lanes,
+    }.get(type(program))
+    if reference is not None:
+        assert found == reference(program, flow_states, batch)
+    return found
+
+
+@pytest.mark.parametrize("kind", ("dense", "dtp", "accelerator"))
+@pytest.mark.parametrize("slab_rows", (4, 1))
+@settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_repair_walk_on_cuts_deeper_than_the_warm_up(
+    repair_programs, force_short_lanes, kind, slab_rows, data
+):
+    """Prefixes of one long pattern, whole periods of it, back to back: every
+    lane cut sits 31-40 deep, so every lane that does not open a job is
+    walked again, for 23-32 steps of its 40.  Jobs cut the stream anywhere
+    and resume their flow, so last lanes end inside a repaired stretch and
+    patterns complete there; slab edges fall every step or every four."""
+    program = repair_programs[kind]
+    force_short_lanes(program, 3, slab_rows)
+    periods = data.draw(st.lists(st.integers(1, 4), min_size=3, max_size=20))
+    stream = b"".join(REPAIR_LONG[:10 * count] for count in periods)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=5)))
+    assert_lanes_are_exact(program, stream, [0] + cuts + [len(stream)])
+
+
+class TestLaneRepair:
+    """Fixed cuts around the short warm-up, on 40-byte lanes (one
+    ``REPAIR_LONG``), three lanes a tile and four-step slabs."""
+
+    @pytest.fixture(params=("dense", "dtp", "accelerator"))
+    def program(self, request, repair_programs, force_short_lanes):
+        program = repair_programs[request.param]
+        assert force_short_lanes(program) == len(REPAIR_LONG)
+        return program
+
+    @pytest.mark.parametrize("depth", (8, 9, 11))
+    @pytest.mark.parametrize("tail", (39, 31, 30, 20, 1))
+    def test_a_cut_at_depth(self, program, walked, depth, tail):
+        """A lane cut with ``depth`` bytes of ``REPAIR_LONG`` before it and
+        the rest after it, the job ending ``tail`` bytes past the cut.  At
+        depth 8 the short warm-up reads the whole prefix: nothing is walked
+        again.  At depth 9 the dense lane is walked again, for 32 steps (a
+        DTP lane may still be right: a default can read the byte before its
+        warm-up), at depth 11 every lane is: the pattern completes inside
+        that stretch (at tail 31 on the job's last byte at depth 9), and a
+        job ending 30, 20 or 1 byte in ends inside it."""
+        lane_len = len(REPAIR_LONG)
+        stream = (b"x" * (lane_len - depth) + REPAIR_LONG + b"x" * lane_len)[:lane_len + tail]
+        found = assert_lanes_are_exact(program, stream, [0, len(stream)])
+        completed = [end for end, pid in found[0][0] if pid == 0]  # REPAIR_LONG
+        assert completed == ([2 * lane_len - depth] if tail >= lane_len - depth else [])
+        repaired = any(not walk.warm for walk in walked)
+        if depth == 8 or depth == 11 or isinstance(program, CompiledDenseProgram):
+            assert repaired == (depth > lanes.SHORT_WARMUP)
+
+    def test_cut_states_are_told_apart_by_the_lane_before(self, program, walked):
+        """Lanes that alternate: one ends on 15 bytes of ``REPAIR_LONG``, the
+        next finishes the pattern and ends on the same last 10 bytes after
+        ``x`` — so in the very state a warm-up over those bytes reaches at
+        the 15-deep cut.  Only the 15-deep cuts are walked again (all the
+        dense and dtp kernels repair): each lane is told apart by the lane
+        right before it, not by itself nor by the lane before that."""
+        lane_len = len(REPAIR_LONG)
+        deep = b"x" * (lane_len - 15) + REPAIR_LONG[:15]
+        finishing = REPAIR_LONG[15:] + b"x" * 5 + REPAIR_LONG[5:15]
+        assert len(deep) == len(finishing) == lane_len
+        stream = (deep + finishing) * 5
+        found = assert_lanes_are_exact(program, stream, [0, len(stream)])
+        assert [end for end, pid in found[0][0] if pid == 0] == [
+            2 * lane_len * pair + 2 * lane_len - 15 for pair in range(5)
+        ]
+        # five lanes walked again, each for 32 steps: until the pattern ends
+        if not hasattr(program, "blocks"):
+            assert sum(walk.lanes * walk.steps for walk in walked if not walk.warm) == 5 * 32
+
+
+@pytest.mark.parametrize("kind", ("dense", "dtp"))
+def test_all_deep_traffic_costs_at_most_the_full_warm_up(repair_programs, walked, kind):
+    """Nothing forced; every lane cut 31-40 deep.  Every lane that does not
+    open a job is walked again, and no lane walks more than ``warmup +
+    lane_len`` cells — what every lane walked before the short warm-up, so
+    the worst case is the old guaranteed cost."""
+    program = repair_programs[kind]
+    stream = REPAIR_LONG[:10] * 2000
+    bounds = [0, 1, 2500, 2537, 9000, 9001, 15000, 20000]
+    assert_lanes_are_exact(program, stream, bounds)
+    chunks = [stream[head:end] for head, end in zip(bounds, bounds[1:])]
+    cut = lanes.LaneCut(lanes.LaneBatch(chunks), program.warmup)
+    main = [walk for walk in walked if walk.warm]
+    repair = [walk for walk in walked if not walk.warm]
+    assert main == [Walked(lanes.SHORT_WARMUP, cut.num_lanes, cut.lane_len)]
+    assert repair[0].lanes == cut.num_lanes - len(cut.live)
+    assert sum(walk.steps for walk in repair) <= program.warmup - lanes.SHORT_WARMUP
+
+
+#: benign_bulk's traffic (``benchmarks/e2e``): protocol words and short
+#: binary runs.
+CHATTER = (
+    b"GET /index.html HTTP/1.1\r\n", b"Host: example.com\r\n", b"Accept: */*\r\n",
+    b"Content-Type: text/html\r\n", b"the quick brown fox ", b"lorem ipsum dolor ",
+    b"0123456789", b"abcdefghijklmnopqrstuvwxyz", b"\r\n\r\n",
+)
+
+
+def chatter(rng: random.Random, size: int) -> bytes:
+    out = bytearray()
+    while len(out) < size:
+        out += rng.choice(CHATTER) if rng.random() < 0.7 else rng.randbytes(rng.randint(4, 16))
+    return bytes(out[:size])
+
+
+@pytest.mark.parametrize("compile", (CompiledDenseProgram.from_patterns, DTPAutomaton.from_patterns))
+def test_benign_chatter_needs_no_repair(walked, compile):
+    """Nothing forced: 48 flows of benign_bulk-shaped chatter through 500
+    rules, none of whose strings it carries.  No lane is walked again and
+    every lane walks ``SHORT_WARMUP + lane_len`` cells, not ``warmup +
+    lane_len``."""
+    ruleset = generate_snort_like_ruleset(500, seed=2)
+    program = compile(ruleset.patterns)
+    assert program.warmup > lanes.SHORT_WARMUP
+    rng = random.Random(6)
+    payloads = [chatter(rng, 4096) for _ in range(48)]
+    results = program.scan_many([(program.initial_scan_states(), p) for p in payloads])
+    assert not any(matches for matches, _ in results)
+    cut = lanes.LaneCut(lanes.LaneBatch(payloads), program.warmup)
+    assert walked == [Walked(lanes.SHORT_WARMUP, cut.num_lanes, cut.lane_len)]
 
 
 class TestConsumersThroughProtocol:

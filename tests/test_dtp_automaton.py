@@ -165,25 +165,36 @@ class TestKernelViews:
         """The ``tracemalloc`` peak of one ``scan_many``, less the packed
         buffer it must hold, at 4 MB and at 16 MB: working memory is a slab's
         and a tile's, so the 12 MB more of batch may move it by little (a
-        per-batch array of one byte a cell would add over 12 MB)."""
+        per-batch array of one byte a cell would add over 12 MB).  The same
+        at 16 MB of traffic that cuts every lane 31-40 deep: every lane but
+        the first of a job is walked again, and the repair's windows and
+        history are tiled by the slab too (one tile of all 20 k repaired
+        lanes would add ~4 MB)."""
         dtp = DTPAutomaton.from_ruleset(small_ruleset)
+        # never completes on its own periods, so the deep batch reports nothing
+        deep = DTPAutomaton.from_patterns([b"abcdefghij" * 4 + b"Z"])
 
-        def working_memory(size):
-            rng = np.random.default_rng(size)
-            chunks = [rng.integers(0, 256, size // 64, dtype=np.uint8).tobytes() for _ in range(64)]
-            jobs = [(dtp.initial_scan_states(), chunk) for chunk in chunks]
-            packed = len(LaneCut(LaneBatch(chunks), dtp.warmup, history=2).data)
+        def working_memory(program, chunks):
+            jobs = [(program.initial_scan_states(), chunk) for chunk in chunks]
+            packed = len(LaneCut(LaneBatch(chunks), program.warmup, history=2).data)
             tracemalloc.start()
             try:
-                dtp.scan_many(jobs)
+                program.scan_many(jobs)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             return peak - packed
 
-        small, large = working_memory(4 << 20), working_memory(16 << 20)
+        def random_chunks(size):
+            rng = np.random.default_rng(size)
+            return [rng.integers(0, 256, size // 64, dtype=np.uint8).tobytes() for _ in range(64)]
+
+        small = working_memory(dtp, random_chunks(4 << 20))
+        large = working_memory(dtp, random_chunks(16 << 20))
+        all_deep = working_memory(deep, [b"abcdefghij" * ((16 << 20) // 640)] * 64)
         assert small < 8 << 20
         assert large - small < 3 << 20, (small, large)
+        assert all_deep - small < 3 << 20, (small, all_deep)
 
     def test_verify_proves_the_views_of_random_automata(self, rng):
         for count in (1, 3, 12):
