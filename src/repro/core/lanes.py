@@ -240,6 +240,10 @@ class LaneCut:
         self.live_last = self.live_first + lanes_of[live] - 1
         # history row holding a job's final state: the one after its last byte
         self.live_last_row = lengths[live] - (lanes_of[live] - 1) * lane_len
+        # lane k reads windows[k * lane_len]: its lead, then its own bytes
+        self.windows = None
+        if self.num_lanes:
+            self.windows = sliding_window_view(self.data, self.lead + lane_len)
 
     def run(
         self,
@@ -270,7 +274,6 @@ class LaneCut:
         hit_states: List[np.ndarray] = []
         for low in range(0, num_lanes, width):
             high = min(num_lanes, low + width)
-            windows = sliding_window_view(self.data, self.lead + lane_len)
             history = np.empty((slab + 1, high - low), dtype=carried.dtype)
             begin, end = np.searchsorted(live_last, (low, high))  # jobs ending here
             ending, rows = live[begin:end], self.live_last_row[begin:end]
@@ -278,7 +281,7 @@ class LaneCut:
             begin, end = np.searchsorted(live_first, (low, high))
             top = 0
             for count in walk(
-                windows[low * lane_len:high * lane_len:lane_len].T, history, self.short,
+                self.windows[low * lane_len:high * lane_len:lane_len].T, history, self.short,
                 root, live_first[begin:end] - low, live[begin:end],
             ):
                 if not top:
@@ -351,18 +354,18 @@ class LaneCut:
         bound = self.warmup - short  # every lane is settled after this many steps
         if not len(repaired):
             return starts, stops
-        windows = sliding_window_view(self.data, self.history + bound)
         # a tile's window and its history stay within a slab of cells
         width = max(1, min(MAX_WIDTH, SLAB_CELLS // bound))
         none = np.empty(0, dtype=np.intp)
         for low in range(0, len(repaired), width):
             lanes = np.arange(low, min(low + width, len(repaired)))
-            tile_window = windows[starts[lanes] + short]
+            tile_window = self.windows[starts[lanes], short:short + self.history + bound]
             state = at_end[repaired[lanes] - 1]
             done = 0
             while len(lanes):
-                # settled lanes leave after each round; rounds double
-                steps = min(bound - done, max(short, done))
+                # settled lanes leave after each round; rounds double, and
+                # are at least one step's dispatch worth of cells long
+                steps = min(bound - done, max(short, done, STEP_DISPATCH_CELLS // len(lanes)))
                 history = np.empty((steps + 1, len(lanes)), dtype=at_cut.dtype)
                 window = tile_window[lanes - low, done:done + self.history + steps]
                 for _ in walk(window.T, history, 0, state, none, none):

@@ -1022,6 +1022,27 @@ def test_all_deep_traffic_costs_at_most_the_full_warm_up(repair_programs, walked
     assert sum(walk.steps for walk in repair) <= program.warmup - lanes.SHORT_WARMUP
 
 
+@pytest.mark.parametrize("kind", ("dense", "dtp", "accelerator"))
+def test_repair_rounds_at_derived_geometry(repair_programs, walked, kind):
+    """Nothing forced: 16 KB of lanes that each end on 9 bytes of
+    ``REPAIR_LONG`` and finish the previous lane's, so every cut sits one
+    byte deeper than the short warm-up reads.  Hundreds of lanes disagree,
+    so the repair walks in rounds of 8, 8 and 16 steps, and a lane may leave
+    only once its state is no deeper than 8 plus its steps — here when the
+    pattern ends, 31 steps in, not one round early."""
+    program = repair_programs[kind]
+    size = 16 << 10
+    lane_len = lanes.lane_length(program.warmup, size)
+    stream = b"x" * (lane_len - 9) + REPAIR_LONG[:9]
+    while len(stream) < size:
+        stream += REPAIR_LONG[9:] + b"x" * (lane_len - len(REPAIR_LONG)) + REPAIR_LONG[:9]
+    stream = stream[:size]
+    found = assert_lanes_are_exact(program, stream, [0, size])
+    assert len([end for end, pid in found[0][0] if pid == 0]) == size // lane_len - 1
+    if kind == "dense":
+        assert [walk.steps for walk in walked if not walk.warm] == [8, 8, 16]
+
+
 #: benign_bulk's traffic (``benchmarks/e2e``): protocol words and short
 #: binary runs.
 CHATTER = (
