@@ -37,8 +37,8 @@ loosened).  The *price of the paper's structure*: the same rules and bytes on
 (14 before the DTP lane kernel, ~2.2 with it, ~2.4 later; 2.62 then 3.62,
 worst 3.73, across the slab walk, which took 64 % off the dense kernel and
 20 % off dtp's; bound 4, then 3 once the state value became its row
-displacement, ~2.35; 2.82-2.94 after later dense speed-ups; 2.70 and 2.54,
-parent 2.88 and 2.94 in the same two sets, since a lane warms up 8 bytes
+displacement, ~2.35; 2.82-2.94 after later dense speed-ups; 2.28-2.78 in
+five sets, parent 2.69-3.08 in the same sets, since a lane warms up 8 bytes
 and only lanes cut deeper are walked again).  The *price of a
 hit*: in the paper a match costs a match-memory read, not a slower cycle; the
 software form is ``hit_heavy_confirm`` (the same 500 rules, three planted
