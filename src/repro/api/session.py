@@ -2,9 +2,9 @@
 
 ``Session.from_config`` turns a declarative :class:`repro.api.PipelineConfig`
 into the exact object composition previously hand-wired per call site —
-ruleset generation or Snort-file parsing, backend compilation (the ``dtp``
-backend through the full device compiler, every other backend through
-:func:`repro.backend.get_backend`) and **one ordered stage list**::
+ruleset generation or Snort-file parsing, backend compilation (through
+:func:`repro.backend.get_backend`, for the configured device) and **one
+ordered stage list**::
 
     Reassembly  ->  Prefilter (scan service)  ->  Confirm  ->  Sinks
     TcpReassembler  ScanService(...)              the IDS      config order
@@ -35,7 +35,7 @@ from ..backend import CompiledProgram, get_backend
 # modules, not names, where a caller may wrap the function (the benchmark's
 # tracer patches these attributes): the call must look it up when it is made
 from ..capture import pcap as capture_pcap
-from ..core import accelerator_config
+from ..core.accelerator_config import AcceleratorProgram
 from ..fpga.devices import get_device
 from ..hardware.accelerator import HardwareAccelerator
 from ..ids.pipeline import IntrusionDetectionSystem
@@ -232,34 +232,29 @@ class Session:
 
     @property
     def program(self) -> CompiledProgram:
-        """The compiled matcher program for the configured backend.
-
-        The ``dtp`` backend goes through the full device compiler
-        (partitioning, 324-bit word packing) so its program mirrors the
-        hardware; every other backend compiles the bare pattern list.
-        String numbers follow ruleset order either way.
+        """The compiled matcher program for the configured backend and device:
+        ``get_backend(backend).compile(ruleset, device=device)``, the program
+        ``repro verify --backend`` proves (for ``dtp`` the partitioned,
+        word-packed accelerator program).  String numbers follow ruleset
+        order.
         """
         if self._program is _UNSET:
             start = time.perf_counter()
-            if self.config.engine.backend == "dtp":
-                self._program = accelerator_config.compile_ruleset(
-                    self.ruleset, self.device
-                )
-            else:
-                self._program = get_backend(self.config.engine.backend).compile(
-                    self.ruleset.patterns
-                )
+            self._program = get_backend(self.config.engine.backend).compile(
+                self.ruleset, device=self.device
+            )
             self.compile_seconds = time.perf_counter() - start
         return self._program
 
     @property
     def hardware(self):
-        """The cycle-level hardware model (``dtp`` backend only)."""
+        """The cycle-level hardware model of :attr:`program`; only an
+        :class:`~repro.core.AcceleratorProgram` (``dtp``) has one."""
         if self._hardware is _UNSET:
-            if self.config.engine.backend != "dtp":
+            if not isinstance(self.program, AcceleratorProgram):
                 raise ValueError(
-                    "the cycle-level hardware model only executes the 'dtp' "
-                    f"backend, not {self.config.engine.backend!r}"
+                    "the cycle-level hardware model executes an AcceleratorProgram, "
+                    f"not a {type(self.program).__name__}"
                 )
             self._hardware = HardwareAccelerator(self.program)
         return self._hardware
@@ -438,10 +433,6 @@ class Session:
     #: :meth:`flush` under the name it had while the reassembler was the only
     #: stage with anything to flush
     flush_reassembly = flush
-
-    def hardware_scan(self):
-        """Scan the source packets on the cycle-level hardware model (dtp)."""
-        return self.hardware.scan(self.packets)
 
     def run(self) -> RunResult:
         """Execute the configured pipeline end to end, then emit every sink.

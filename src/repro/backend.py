@@ -7,8 +7,12 @@ full move-function DFA, bitmap- or path-compressed failure automata, the
 DTP-pruned hardware form, or a software shift-table matcher.  This module
 gives the repository one vocabulary for all of them:
 
-* :class:`MatcherBackend` — a named compiler: ``compile(patterns)`` returns a
-  :class:`CompiledProgram`.
+* :class:`Backend` — a named compiler: ``compile(rules, device=None)`` returns
+  the :class:`CompiledProgram` a session scans.  ``rules`` is a
+  :class:`~repro.rulesets.RuleSet` or a sequence of byte patterns; only
+  ``dtp`` reads ``device`` — it compiles the partitioned, word-packed
+  accelerator program of :func:`repro.core.compile_ruleset`, the rest
+  compile the pattern tuple.
 * :class:`CompiledProgram` — the scan contract every compiled matcher
   honours: per-payload ``match``/``scan``/``scan_packets`` plus the resumable
   ``initial_scan_states`` / ``scan_from`` pair the streaming layer needs and
@@ -39,6 +43,7 @@ lazily inside the compile call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import (
     Any,
     Callable,
@@ -261,15 +266,17 @@ class CompiledProgramMixin:
 
 @dataclass(frozen=True)
 class Backend:
-    """A named matcher compiler: ``compile(patterns) -> CompiledProgram``."""
+    """A named matcher compiler: ``compile(rules, device) -> CompiledProgram``."""
 
     name: str
     description: str
-    factory: Callable[[Tuple[bytes, ...]], Any]
+    factory: Callable[[Any, Any], Any]
 
-    def compile(self, patterns: Sequence[bytes]) -> Any:
-        """Compile ``patterns`` (pattern ids follow the input order)."""
-        return self.factory(tuple(bytes(p) for p in patterns))
+    def compile(self, rules: Any, device: Any = None) -> Any:
+        """Compile ``rules`` (a ``RuleSet`` or byte patterns; string numbers
+        follow their order) for ``device`` (an ``FPGADevice``, read by
+        ``dtp`` only) into the program :class:`repro.api.Session` scans."""
+        return self.factory(rules, device)
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -302,58 +309,49 @@ def all_backends() -> List[Backend]:
 
 
 # ----------------------------------------------------------------------
-# built-in backends (factories import lazily to avoid circular imports)
+# built-in backends (compilers import lazily to avoid circular imports)
 # ----------------------------------------------------------------------
-def _compile_ac(patterns: Tuple[bytes, ...]):
-    from .automata.aho_corasick import AhoCorasickDFA
+def _pattern_compiler(module: str, target: str) -> Callable[[Any, Any], Any]:
+    """A factory calling ``module``'s ``target`` (a dotted attribute path) on
+    the pattern tuple of ``rules`` (a ``RuleSet``'s, or ``rules`` itself);
+    ``device`` is ignored."""
 
-    return AhoCorasickDFA.from_patterns(patterns)
+    def factory(rules, device):
+        compiler: Any = import_module(module, __package__)
+        for attribute in target.split("."):
+            compiler = getattr(compiler, attribute)
+        return compiler(tuple(bytes(p) for p in getattr(rules, "patterns", rules)))
 
-
-def _compile_dense(patterns: Tuple[bytes, ...]):
-    from .core.compiled import CompiledDenseProgram
-
-    return CompiledDenseProgram.from_patterns(patterns)
-
-
-def _compile_bitmap(patterns: Tuple[bytes, ...]):
-    from .automata.bitmap_ac import BitmapAhoCorasick
-
-    return BitmapAhoCorasick.from_patterns(patterns)
+    return factory
 
 
-def _compile_path(patterns: Tuple[bytes, ...]):
-    from .automata.path_compressed_ac import PathCompressedAhoCorasick
+def _compile_dtp(rules, device):
+    """``compile_ruleset`` for ``device`` (default Stratix III): a ``RuleSet``
+    keeps its sids and name, plain patterns become one (a duplicate raises
+    its ``ValueError``).  The function is looked up on its module when
+    called, so a wrapper installed there (the benchmark's tracer) sees it."""
+    from .core import accelerator_config
+    from .fpga.devices import STRATIX_III
+    from .rulesets.ruleset import RuleSet
 
-    return PathCompressedAhoCorasick.from_patterns(patterns)
-
-
-def _compile_wu_manber(patterns: Tuple[bytes, ...]):
-    from .automata.wu_manber import WuManber
-
-    return WuManber(patterns)
-
-
-def _compile_dtp(patterns: Tuple[bytes, ...]):
-    from .core.dtp_automaton import DTPAutomaton
-
-    return DTPAutomaton.from_patterns(patterns)
+    if not isinstance(rules, RuleSet):
+        rules = RuleSet.from_patterns([bytes(p) for p in rules])
+    return accelerator_config.compile_ruleset(rules, STRATIX_III if device is None else device)
 
 
-register_backend(Backend("ac", "full move-function Aho-Corasick DFA", _compile_ac))
-register_backend(
-    Backend("dense", "compiled dense-table fast path (NumPy flattened DFA)", _compile_dense)
-)
-register_backend(
-    Backend("bitmap", "bitmap-compressed Aho-Corasick (Tuck et al.)", _compile_bitmap)
-)
-register_backend(
-    Backend("path", "path-compressed Aho-Corasick (Tuck et al.)", _compile_path)
-)
-register_backend(Backend("wu-manber", "Wu-Manber shift-table matcher", _compile_wu_manber))
-register_backend(
-    Backend("dtp", "default-transition-pruned automaton (the paper's design)", _compile_dtp)
-)
+for _name, _module, _target, _description in (
+    ("ac", ".automata.aho_corasick", "AhoCorasickDFA.from_patterns",
+     "full move-function Aho-Corasick DFA"),
+    ("dense", ".core.compiled", "CompiledDenseProgram.from_patterns",
+     "compiled dense-table fast path (NumPy flattened DFA)"),
+    ("bitmap", ".automata.bitmap_ac", "BitmapAhoCorasick.from_patterns",
+     "bitmap-compressed Aho-Corasick (Tuck et al.)"),
+    ("path", ".automata.path_compressed_ac", "PathCompressedAhoCorasick.from_patterns",
+     "path-compressed Aho-Corasick (Tuck et al.)"),
+    ("wu-manber", ".automata.wu_manber", "WuManber", "Wu-Manber shift-table matcher"),
+):
+    register_backend(Backend(_name, _description, _pattern_compiler(_module, _target)))
+register_backend(Backend("dtp", "device-compiled DTP blocks (the paper's design)", _compile_dtp))
 
 __all__ = [
     "MatchList",

@@ -24,7 +24,7 @@ over the whole state graph:
   ``dtp`` backends share state numbering by construction, so proving each
   backend's effective transition function and output sets equal to the
   reference exhibits the identity relation as a bisimulation between any two
-  of them (:func:`verify_cross_backend`).
+  of them (:func:`verify_cross_backend`; ``dtp`` block by block).
 * **Memory-word packing round-trips** — every packed state decodes from its
   324-bit word image back to its stored pointers and match address, within
   the 13-pointer hardware limit, with no two states overlapping inside a
@@ -55,6 +55,7 @@ compiled program).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +70,7 @@ from ..core.compiled import CompiledDenseProgram
 from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, NO_BYTE, DTPAutomaton
 from ..core.match_memory import MatchMemory
 from ..core.state_types import WORD_BITS
+from ..rulesets.ruleset import RuleSet
 from .diagnostics import ERROR, WARNING, Report
 
 ROOT = 0
@@ -114,10 +116,11 @@ class Reference:
     :class:`~repro.automata.trie.Trie`/:class:`AhoCorasickDFA` code, so that a
     bug in the production builders is caught instead of reproduced.  State
     numbering follows pattern insertion order, which is exactly how every
-    production automaton numbers its states.
+    production automaton numbers its states.  A state reports
+    ``numbers[pid]`` (default ``pid``) for each pattern ``pid`` it ends.
     """
 
-    def __init__(self, patterns: Sequence[bytes]):
+    def __init__(self, patterns: Sequence[bytes], numbers: Optional[Sequence[int]] = None):
         self.patterns = [bytes(p) for p in patterns]
         children: List[Dict[int, int]] = [{}]
         parent: List[int] = [ROOT]
@@ -137,7 +140,7 @@ class Reference:
                     depth.append(depth[node] + 1)
                     own_outputs.append([])
                 node = nxt
-            own_outputs[node].append(pid)
+            own_outputs[node].append(pid if numbers is None else numbers[pid])
 
         self.children = children
         self.parent = np.asarray(parent, dtype=np.int64)
@@ -1451,55 +1454,70 @@ def _effective_view(program, ref: Reference):
         capped = _Capped(Report())
         eff = _closure_table(capped, rows, program.fail, ref, "path")
         return eff, lambda s: program.outputs[s]
-    if isinstance(program, DTPAutomaton):
-        return _dtp_effective_table(program, ref), lambda s: program.outputs[s]
+    if isinstance(program, BlockProgram):
+        numbers = program.string_numbers
+        return _dtp_effective_table(program.dtp, ref), lambda s: [
+            numbers.get(pid, -1) for pid in program.dtp.outputs[s]
+        ]
     raise TypeError(f"no structural view for {type(program).__name__}")
 
 
 def verify_cross_backend(
-    patterns: Sequence[bytes],
+    rules,
     backends: Sequence[str] = AUTOMATON_BACKENDS,
+    device=None,
 ) -> Report:
-    """Prove the automaton backends structurally bisimilar on ``patterns``.
+    """Prove the automaton backends structurally bisimilar on ``rules``.
 
-    All listed backends number their states identically (they share the trie
-    construction), so the identity relation is a bisimulation iff every
-    backend's effective move function and output sets equal the independent
-    reference — which is what this checks.  No byte of traffic is scanned.
+    ``rules`` (a :class:`RuleSet` or byte patterns) compiles through the
+    registry for ``device``, into the programs a :class:`repro.api.Session`
+    scans.  All listed backends number their states identically (they share
+    the trie construction; ``dtp`` per block, over the block's group), so the
+    identity relation is a bisimulation iff every backend's effective move
+    function and output sets equal the independent reference, and each
+    string number is reported by exactly one scan unit — which is what this
+    checks.  No byte of traffic is scanned.
     """
-    patterns = [bytes(p) for p in patterns]
+    patterns = [bytes(p) for p in (rules.patterns if isinstance(rules, RuleSet) else rules)]
     report = Report(
         subject=f"cross-backend equivalence ({', '.join(backends)}) over "
                 f"{len(patterns)} pattern(s)"
     )
     capped = _Capped(report)
     ref = Reference(patterns)
+    number_of = {pattern: number for number, pattern in enumerate(patterns)}
     for name in backends:
-        program = get_backend(name).compile(tuple(patterns))
-        num_states = getattr(program, "num_states", ref.num_states)
-        if not _check_state_count(capped, num_states, ref, name):
-            continue
-        eff, outputs_of = _effective_view(program, ref)
-        if eff is None:
-            capped.add(
-                ERROR,
-                "BSM001",
-                "failure links do not strictly decrease depth; no effective "
-                "move function exists",
-                source=name,
-            )
-            continue
-        mismatched = np.argwhere(eff != ref.table)
-        for state, byte in mismatched.tolist():
-            capped.add(
-                ERROR,
-                "BSM001",
-                f"effective transition -> {int(eff[state, byte])}, the "
-                f"common reference says {int(ref.table[state, byte])}",
-                state=int(state),
-                byte=int(byte),
-                source=name,
-            )
-        _check_outputs(capped, outputs_of, ref, name, code="BSM002")
+        program = get_backend(name).compile(rules, device=device)
+        owners: Counter = Counter()
+        for unit in program.blocks if isinstance(program, AcceleratorProgram) else [program]:
+            source, unit_ref = name, ref
+            if isinstance(unit, BlockProgram):  # reports global string numbers
+                source, group = f"{name}.block[{unit.index}]", unit.ruleset.patterns
+                unit_ref = Reference(group, [number_of.get(p, -1) for p in group])
+            num_states = getattr(unit, "num_states", unit_ref.num_states)
+            if not _check_state_count(capped, num_states, unit_ref, source):
+                continue
+            eff, outputs_of = _effective_view(unit, unit_ref)
+            if eff is None:
+                capped.add(
+                    ERROR,
+                    "BSM001",
+                    "failure links do not strictly decrease depth; no effective "
+                    "move function exists",
+                    source=source,
+                )
+                continue
+            _check_table(capped, eff, unit_ref, source, code="BSM001")
+            _check_outputs(capped, outputs_of, unit_ref, source, code="BSM002")
+            owners.update({n for s in range(unit_ref.num_states) for n in outputs_of(s)})
+        for number in range(len(patterns)):
+            if owners[number] != 1:
+                capped.add(
+                    ERROR,
+                    "BSM002",
+                    f"string number {number} is reported by {owners[number]} scan units",
+                    rule=number,
+                    source=name,
+                )
     capped.flush()
     return report

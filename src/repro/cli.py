@@ -73,7 +73,7 @@ from .api import (
     repro_version,
 )
 from .backend import backend_names
-from .core.accelerator_config import compile_ruleset
+from .core.accelerator_config import AcceleratorProgram, compile_ruleset
 from .fpga.devices import CYCLONE_III, DEVICES, STRATIX_III, get_device
 from .proto.reassembly import OVERLAP_POLICIES
 from .rulesets.generator import generate_paper_rulesets, generate_snort_like_ruleset
@@ -280,9 +280,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     with Session.from_config(_pipeline_config(args, "packets", source)) as session:
         packets = session.packets
 
-        if args.backend == "dtp":
-            # the paper's backend runs through the cycle-level hardware model
-            result = session.hardware_scan()
+        if isinstance(session.program, AcceleratorProgram):
+            # the paper's program runs through the cycle-level hardware model
+            result = session.hardware.scan(packets)
             print(f"scanned {len(packets)} packets ({result.bytes_processed} bytes)")
             print(f"engine cycles          : {result.engine_cycles}")
             print(f"bytes per engine cycle : {result.bytes_per_engine_cycle:.3f}")
@@ -596,22 +596,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
     ruleset = _ruleset_for_check(args)
-    patterns = tuple(ruleset.patterns)
-    reports = []
-    if args.backend == "all":
-        for name in AUTOMATON_BACKENDS:
-            reports.append(verify_program(get_backend(name).compile(patterns)))
-        reports.append(verify_cross_backend(patterns))
-    elif args.backend == "dtp":
-        # the paper's backend gets the full hardware-level audit: per-block
-        # DTP exactness, lookup encoding, word packing, match memory, image
-        program = compile_ruleset(ruleset, get_device(args.device))
-        reports.append(verify_program(program))
-        reports.append(verify_cross_backend(patterns))
-    else:
-        reports.append(verify_program(get_backend(args.backend).compile(patterns)))
+    device = get_device(args.device)
+    # the registry compiles what Session(backend=..., device=...) scans; for
+    # dtp, verify_program is the per-block hardware audit
+    names = AUTOMATON_BACKENDS if args.backend == "all" else (args.backend,)
+    reports = [
+        verify_program(get_backend(name).compile(ruleset, device=device)) for name in names
+    ]
+    if set(names) <= set(AUTOMATON_BACKENDS):
+        reports.append(verify_cross_backend(ruleset, device=device))
     report = merge_reports(
-        f"verify {args.backend} over {len(patterns)} pattern(s) "
+        f"verify {args.backend} over {len(ruleset)} pattern(s) "
         f"({ruleset.name})",
         reports,
     )

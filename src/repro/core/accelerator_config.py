@@ -346,8 +346,8 @@ def compile_ruleset(
         if groups > len(ruleset):
             break
         for strategy in strategies:
-            plan = partition_ruleset(ruleset, groups, strategy=strategy)
             try:
+                plan = partition_ruleset(ruleset, groups, strategy=strategy)
                 blocks = [
                     _compile_block(
                         index, group, global_index, device, d2_slots, include_d2, include_d3

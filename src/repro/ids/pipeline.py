@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..backend import CompiledProgram, get_backend
-from ..core.accelerator_config import compile_ruleset
+from ..core.accelerator_config import compile_ruleset  # noqa: F401 (the e2e tracer wraps it)
 from ..fpga.devices import FPGADevice, STRATIX_III
 from ..rulesets.parser import (
     ContentPattern,
@@ -129,10 +129,9 @@ class IDSStatistics:
 class IntrusionDetectionSystem:
     """A miniature Snort-style IDS driven by the paper's accelerator.
 
-    ``backend`` selects the content matcher (any name registered in
-    :mod:`repro.backend`).  The default ``"dtp"`` compiles the device-mapped
-    accelerator program; every other backend runs the same pipeline through
-    its compiled program.
+    ``backend`` selects the content matcher (any :mod:`repro.backend` name):
+    :attr:`program` is ``get_backend(backend).compile(contents, device=device)``,
+    what a :class:`repro.api.Session` of that backend and device scans.
 
     :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
     prefilter runs on one :class:`repro.streaming.ScanService`
@@ -198,10 +197,9 @@ class IntrusionDetectionSystem:
                         self._content_ruleset.add_pattern(pattern)
 
         self.backend = backend
-        if backend == "dtp":
-            self.program: CompiledProgram = compile_ruleset(self._content_ruleset, device)
-        else:
-            self.program = get_backend(backend).compile(self._content_ruleset.patterns)
+        self.program: CompiledProgram = get_backend(backend).compile(
+            self._content_ruleset, device=device
+        )
         number_of = {
             rule.pattern: index for index, rule in enumerate(self._content_ruleset)
         }

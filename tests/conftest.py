@@ -160,10 +160,8 @@ def renumbered(packets: Sequence[Packet]) -> List[Packet]:
 
 def build_program(ruleset: RuleSet, backend: str):
     """Compile ``ruleset`` for ``backend`` the way the pipeline API does:
-    ``dtp`` through the full device compiler, everything else bare."""
-    if backend == "dtp":
-        return compile_ruleset(ruleset, STRATIX_III)
-    return get_backend(backend).compile(ruleset.patterns)
+    through the registry, for the default device."""
+    return get_backend(backend).compile(ruleset)
 
 
 def equivalence_workload(

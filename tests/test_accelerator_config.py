@@ -93,6 +93,24 @@ class TestCompile:
         with pytest.raises(CompilationError):
             compile_ruleset(ruleset, tiny)
 
+    def test_an_empty_prefix_group_falls_back_to_the_balanced_split(self):
+        # sixteen strings fan out of one state: 16 stored pointers, over a
+        # word's 13, so one block cannot hold them, and the prefix split of
+        # two groups leaves one group empty; the balanced split is tried next
+        ruleset = RuleSet.from_patterns([b"abc" + bytes([k]) for k in range(65, 81)])
+        program = compile_ruleset(ruleset, STRATIX_III)
+        assert program.partition.strategy == "balanced"
+        assert program.blocks_per_group == 2
+        assert program.verify().ok
+
+    def test_a_fan_out_no_split_fits_is_a_compilation_error(self):
+        from dataclasses import replace
+
+        two_blocks = replace(STRATIX_III, num_matching_blocks=2)
+        ruleset = RuleSet.from_patterns([b"abc" + bytes([k]) for k in range(65, 105)])
+        with pytest.raises(CompilationError, match="does not fit"):
+            compile_ruleset(ruleset, two_blocks)
+
     def test_scan_packets_resets_between_payloads(self, small_program):
         pattern = small_program.ruleset[0].pattern
         # split the pattern across two packets: it must NOT be reported

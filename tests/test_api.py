@@ -28,8 +28,6 @@ from repro.api import (
 )
 from repro.backend import get_backend
 from repro.capture import load_packets
-from repro.core import compile_ruleset
-from repro.fpga import STRATIX_III
 from repro.ids import IntrusionDetectionSystem
 from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import ScanService
@@ -49,9 +47,7 @@ def build_ruleset():
 
 
 def build_program(ruleset, backend):
-    if backend == "dtp":
-        return compile_ruleset(ruleset, STRATIX_III)
-    return get_backend(backend).compile(ruleset.patterns)
+    return get_backend(backend).compile(ruleset)
 
 
 def build_packets(ruleset):

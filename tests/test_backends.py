@@ -7,8 +7,11 @@ set as the reference Aho-Corasick DFA.  That property is what lets the
 streaming layer, the IDS and the CLI treat backends as interchangeable.
 """
 
+import ast
+import hashlib
 import json
 import random
+from pathlib import Path
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
@@ -16,6 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SourceSpec
 from repro.automata import AhoCorasickDFA
 from repro.backend import (
     ScanState,
@@ -25,7 +30,7 @@ from repro.backend import (
 )
 from repro.core import CompiledDenseProgram, DTPAutomaton, compile_ruleset
 from repro.core import compiled, lanes
-from repro.fpga import CYCLONE_III, STRATIX_III
+from repro.fpga import CYCLONE_III, STRATIX_III, get_device
 from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
@@ -96,7 +101,17 @@ class TestCrossBackendEquivalence:
         payload = random_payload(rng, patterns)
         expected = sorted(reference.match(payload))
         assert expected, "workload should produce matches"
+        unique = list(dict.fromkeys(patterns))
         for name in ALL_BACKENDS:
+            if name == "dtp" and unique != patterns:
+                # the device compiler compiles unique strings, as RuleSet does
+                with pytest.raises(ValueError, match="duplicate pattern"):
+                    get_backend(name).compile(patterns)
+                program = get_backend(name).compile(unique)
+                assert sorted(program.match(payload)) == sorted(
+                    AhoCorasickDFA.from_patterns(unique).match(payload)
+                ), name
+                continue
             program = get_backend(name).compile(patterns)
             assert sorted(program.match(payload)) == expected, name
 
@@ -1116,3 +1131,79 @@ class TestConsumersThroughProtocol:
         assert [sorted(m) for m in batched] == [
             sorted(program.match(p)) for p in payloads
         ]
+
+
+# ----------------------------------------------------------------------
+# one meaning of a backend name: the registry compiles what every session
+# scans, and ``repro verify`` proves it
+# ----------------------------------------------------------------------
+DTP_VIEWS = (
+    "value_of", "check", "next", "id_of", "value_depth", "pair_default",
+    "escape_default", "match_index", "match_pids", "pointer_index",
+)
+
+
+def block_views(program):
+    """Per block of a device program: its group and a digest of its kernel
+    views and pointer arrays."""
+    views = []
+    for block in program.blocks:
+        dtp = block.dtp
+        digest = hashlib.sha256(repr((dtp.flagged, dtp.warmup)).encode())
+        for array in [getattr(dtp, name) for name in DTP_VIEWS] + list(dtp.pointers):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        views.append((tuple(block.ruleset.patterns), digest.hexdigest()))
+    return views
+
+
+class TestTheRegistryCompilesWhatScans:
+    @pytest.fixture(scope="class")
+    def ruleset(self):
+        return generate_snort_like_ruleset(1000, seed=2010)  # 2 blocks on cyclone3
+
+    @pytest.mark.parametrize("device", ("stratix3", "cyclone3"))
+    @pytest.mark.parametrize("name", backend_names())
+    def test_session_ids_and_registry_compile_one_program(self, ruleset, name, device):
+        session = Session(PipelineConfig(
+            source=SourceSpec(kind="generator", count=1),
+            rules=RulesSpec(kind="synthetic", size=len(ruleset), seed=2010),
+            engine=EngineSpec(backend=name, device=device),
+        ))
+        ids = IntrusionDetectionSystem.from_ruleset(
+            ruleset, backend=name, device=get_device(device)
+        )
+        registry = get_backend(name).compile(ruleset, device=get_device(device))
+        programs = (session.program, ids.program, registry)
+        assert len({type(program) for program in programs}) == 1
+        if name == "dtp":
+            views = [block_views(program) for program in programs]
+            assert views[0] == views[1] == views[2]
+            assert len(views[0]) == (2 if device == "cyclone3" else 1)
+
+    def test_only_an_accelerator_program_has_a_cycle_model(self):
+        session = Session(PipelineConfig(
+            source=SourceSpec(kind="generator", count=1),
+            rules=RulesSpec(kind="synthetic", size=20, seed=3),
+            engine=EngineSpec(backend="dense"),
+        ))
+        with pytest.raises(ValueError, match="CompiledDenseProgram"):
+            session.hardware
+
+
+def test_no_module_branches_on_the_dtp_name():
+    """Outside the registry and the device compiler, code asks the program
+    what it is: no comparison against the string ``"dtp"``."""
+    root = Path(repro.__file__).parent
+    allowed = {root / "backend.py", root / "core" / "accelerator_config.py"}
+    branches = []
+    for path in sorted(root.rglob("*.py")):
+        if path in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(leaf, ast.Constant) and leaf.value == "dtp"
+                for operand in (node.left, *node.comparators)
+                for leaf in ast.walk(operand)
+            ):
+                branches.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert branches == []

@@ -31,8 +31,6 @@ from repro.capture import (
     write_pcap,
     write_pcapng,
 )
-from repro.core import compile_ruleset
-from repro.fpga import STRATIX_III
 from repro.ids.classifier import HeaderPattern
 from repro.ids.pipeline import IDSRule, IntrusionDetectionSystem
 from repro.rulesets import generate_snort_like_ruleset
@@ -292,9 +290,7 @@ class TestReplayEquivalence:
     BACKENDS = ("dtp", "dense")
 
     def _program(self, ruleset, backend):
-        if backend == "dtp":
-            return compile_ruleset(ruleset, STRATIX_III)
-        return get_backend(backend).compile(ruleset.patterns)
+        return get_backend(backend).compile(ruleset)
 
     def test_loaded_packets_match_originals(self, workload, capture_bytes):
         _, packets = workload

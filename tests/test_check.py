@@ -33,6 +33,7 @@ from repro.check import (
     verify_program,
 )
 from repro.cli import main
+from repro.core import DTPAutomaton
 from repro.core.accelerator_config import compile_ruleset
 from repro.fpga.devices import get_device
 from repro.rulesets import generate_snort_like_ruleset
@@ -167,9 +168,13 @@ def _mutate_path(program):
     program.fail[state] = program.trie.num_states - 1
 
 
-def _mutate_dtp(program):
-    targets = program.pointers[2]
+def _flip_stored_pointer(dtp):
+    targets = dtp.pointers[2]
     targets[0] = 0 if targets[0] != 0 else 1
+
+
+def _mutate_dtp(program):
+    _flip_stored_pointer(program.blocks[0].dtp)
 
 
 def _dtp_pointer_slot(program):
@@ -301,7 +306,7 @@ class TestMutationDetection:
     def test_dtp_kernel_view_corruption_names_its_code(self, mutate, code):
         """One corrupt entry of one lane-kernel view: the structures the
         paper describes are untouched, so only the view's own proof fails."""
-        program = get_backend("dtp").compile(FIG2_PATTERNS)
+        program = DTPAutomaton.from_patterns(FIG2_PATTERNS)
         assert program.verify().ok
         mutate(program)
         assert {d.code for d in program.verify().errors} == {code}
@@ -346,6 +351,26 @@ class TestMutationDetection:
         block.match_memory.words[0] = (first ^ 1, second, last)
         assert verify_program(program).errors
 
+    def test_cross_backend_names_the_corrupt_block(self, monkeypatch):
+        """The cross-backend proof checks the program the registry compiles,
+        block by block: a stored pointer flipped in block 1 of a 2-block
+        program is a BSM001 of that block."""
+        from repro.core import accelerator_config
+
+        patterns = [b"abc" + bytes([k]) for k in range(65, 81)]
+        compile_ruleset = accelerator_config.compile_ruleset
+
+        def corrupted(*args, **kwargs):
+            program = compile_ruleset(*args, **kwargs)
+            assert len(program.blocks) == 2
+            _flip_stored_pointer(program.blocks[1].dtp)
+            return program
+
+        assert verify_cross_backend(patterns).ok
+        monkeypatch.setattr(accelerator_config, "compile_ruleset", corrupted)
+        report = verify_cross_backend(patterns)
+        assert {(d.code, d.source) for d in report.errors} == {("BSM001", "dtp.block[1]")}
+
     def test_corrupt_packed_record_pointer(self):
         ruleset = generate_snort_like_ruleset(60, seed=5)
         program = compile_ruleset(ruleset, get_device("stratix3"))
@@ -369,7 +394,7 @@ class TestMutationDetection:
         # one state fanning out to 16 children needs 16 stored pointers —
         # over the 13-pointer hardware word, but functionally correct
         patterns = tuple(b"abc" + bytes([k]) for k in range(65, 81))
-        program = get_backend("dtp").compile(patterns)
+        program = DTPAutomaton.from_patterns(patterns)
         report = program.verify()
         assert report.ok
         assert any(d.code == "DTP006" for d in report.warnings)
@@ -524,6 +549,9 @@ class TestSurfaces:
                      "--backend", "dtp", "--json", str(artifact)]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out and "proved:" in out
+        # the device program's per-block hardware audit, then the bisimulation
+        assert "proved: dtp program over 40 pattern(s)" in out
+        assert "proved: cross-backend equivalence (ac, dense, bitmap, path, dtp)" in out
         import json
 
         payload = json.loads(artifact.read_text())

@@ -228,6 +228,8 @@ class TestCiCommands:
         commands = ci_repro_commands()
         assert ["verify", "--rules", "examples/pipeline.rules", "--backend", "all",
                 "--json", "verify_all_diagnostics.json"] in commands
+        assert ["verify", "--size", "1000", "--seed", "2010", "--device", "cyclone3",
+                "--backend", "all"] in commands
         assert len(commands) >= 8, commands
         parser = build_parser()
         for argv in commands:

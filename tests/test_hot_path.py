@@ -32,6 +32,7 @@ import dataclasses
 import pytest
 
 from repro.backend import get_backend
+from repro.core import DTPAutomaton
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import (
     FlowKey,
@@ -208,7 +209,7 @@ class TestDtpLaneKernelBatches(TestLaneKernelBatches):
     carries the two history bytes (compared against the ``ac`` backend's,
     which maintains them byte by byte)."""
 
-    compile = staticmethod(get_backend("dtp").compile)
+    compile = staticmethod(DTPAutomaton.from_patterns)
 
 
 class TestAcceleratorLaneKernelBatches:

@@ -368,11 +368,11 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
 ):
     """One service, one flow table and one prefilter per session, in either
     mode."""
-    services, compiled = [], []
+    services, compiled, device_compiled = [], [], []
     counting(monkeypatch, ScanService, "__init__", services)
-    counting(monkeypatch, accelerator_config, "compile_ruleset", compiled)
-    counting(monkeypatch, ids_pipeline, "compile_ruleset", compiled)
     counting(monkeypatch, Backend, "compile", compiled)
+    counting(monkeypatch, accelerator_config, "compile_ruleset", device_compiled)
+    counting(monkeypatch, ids_pipeline, "compile_ruleset", device_compiled)
 
     config = PipelineConfig(
         mode=mode,
@@ -391,6 +391,8 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
         table = saved["ids"]["service"] if mode == "ids" else saved["service"]
         assert table == session.service.scanner.flows.checkpoint()
     assert len(services) == len(compiled) == 1
+    # the registry is the one entry point: dtp's device compile runs inside it
+    assert len(device_compiled) == (backend == "dtp")
 
 
 @pytest.mark.parametrize("mode", ("stream", "ids"))
