@@ -39,7 +39,12 @@ worst 3.73, across the slab walk, which took 64 % off the dense kernel and
 20 % off dtp's; bound 4, then 3 once the state value became its row
 displacement, ~2.35; 2.82-2.94 after later dense speed-ups; 2.28-2.78 in
 five sets, parent 2.69-3.08 in the same sets, since a lane warms up 8 bytes
-and only lanes cut deeper are walked again).  The *price of a
+and only lanes cut deeper are walked again; 2.09-2.18 in three sets, parent
+2.33-2.66 in the same sets, since the depth-3 defaults are folded into the
+kernel's stored pointers and no step fixes up escape cells).  That gate
+prices the structure on benign chatter; ``bench_dtp_escape_storm.py`` holds
+its kernel to one rate whatever the traffic (a depth-3 storm over benign
+chatter <= 1.15).  The *price of a
 hit*: in the paper a match costs a match-memory read, not a slower cycle; the
 software form is ``hit_heavy_confirm`` (the same 500 rules, three planted
 strings per flow) against ``benign_bulk_dense`` (36 while the confirm stage

@@ -39,9 +39,10 @@ over the whole state graph:
 * **DTP kernel views** — every state has a value of its own, at or above
   the table length exactly when it reports a match, and ``id_of`` decodes
   it; the row-displacement table owns, for every state value, exactly the
-  slots of its stored pointers and holds their targets' values; the pair
-  table and its escapes reproduce ``DefaultTransitionTable.resolve`` for
-  every one of the 256 x 257 x 257 ``(byte, prev1, prev2)`` histories,
+  slots of its stored pointers and of the transitions a depth-3 default
+  prunes (the reference's), and holds their targets' values; the pair table
+  reproduces ``DefaultTransitionTable.resolve`` with no depth-3 default
+  firing for every one of the 256 x 257 ``(byte, prev1)`` histories,
   ``None`` included; and ``warmup`` covers the deepest state.
 * **Match-memory completeness** — every pattern's terminal state is reachable
   (by walking the pattern through the reference table) and reports the
@@ -797,8 +798,13 @@ def _check_dtp_kernel(
     arrays: Tuple[np.ndarray, ...],
     source: str,
 ) -> None:
-    """The lane kernel's views against the structures they were derived from."""
-    # --- state values + row-displacement table == stored pointers (DTP007) --
+    """The lane kernel's views against the structures they were derived from.
+
+    The table holds the stored pointers and every transition a depth-3
+    default prunes, so the pair table need only hold the depth-1/2 defaults:
+    where a depth-3 default fires, DTP002 has the true target equal to it,
+    and a transition to it is held."""
+    # --- state values + row-displacement table == stored + folded (DTP007) --
     flagged, value_of, id_of = dtp.flagged, dtp.value_of, dtp.id_of
     check, following = dtp.check, dtp.next
     if (
@@ -862,86 +868,65 @@ def _check_dtp_kernel(
                 f"{ref.num_states} states",
                 source=source,
             )
+        d3p1, d3t = arrays[4:]
         chunk = 8192
         for start in range(0, ref.num_states, chunk):
             states = np.arange(start, min(start + chunk, ref.num_states))
             values = value_of[states, None]
             slots = (values.astype(np.int64) + np.arange(ALPHABET)) % flagged
             owned = check[slots] == values
-            wanted = stored_mask[states]
-            targets = value_of[stored_target[states]]
+            stored = stored_mask[states]
+            reference = ref.table[states]
+            wanted = stored | ((reference == d3t) & (d3p1 >= 0))
+            pointed = np.where(stored, stored_target[states], reference)
+            targets = value_of[pointed]
             wrong = (owned != wanted) | (owned & (following[slots] != targets))
             for row, byte in np.argwhere(wrong).tolist():
                 state, slot = int(states[row]), int(slots[row, byte])
+                kind = "stored" if stored[row, byte] else "folded"
                 if not wanted[row, byte]:
-                    message = f"slot {slot} is owned by a state that stores no pointer here"
+                    message = (
+                        f"slot {slot} is owned by a state that holds no pointer here "
+                        "(stored or folded)"
+                    )
                 elif not owned[row, byte]:
                     message = (
-                        f"stored pointer -> {int(stored_target[state, byte])} has no "
+                        f"{kind} pointer -> {int(pointed[row, byte])} has no "
                         f"slot: check[{slot}] is {int(check[slot])}"
                     )
                 else:
                     message = (
-                        f"slot {slot} leads to value {int(following[slot])}, the stored "
-                        f"pointer to {int(stored_target[state, byte])} (value "
+                        f"slot {slot} leads to value {int(following[slot])}, the {kind} "
+                        f"pointer to {int(pointed[row, byte])} (value "
                         f"{int(targets[row, byte])})"
                     )
                 capped.add(ERROR, "DTP007", message, state=state, byte=byte, source=source)
 
-    # --- default views == resolve(), every history (DTP008) ---------------
+    # --- pair table == resolve() with no depth-3 default, every history (DTP008)
     # Decoded through id_of, which DTP007 proves the inverse of value_of.
     rows = NO_BYTE + 1
-    pair_default, escape_default = dtp.pair_default, dtp.escape_default
-    if pair_default.shape != (rows * ALPHABET,) or escape_default.shape != (ALPHABET * rows,):
+    pair_default = dtp.pair_default
+    if pair_default.shape != (rows * ALPHABET,):
         capped.add(
             ERROR,
             "DTP008",
-            f"default views are malformed: pair_default {pair_default.shape}, "
-            f"escape_default {escape_default.shape}",
+            f"the pair table is malformed: pair_default {pair_default.shape}",
             source=source,
         )
     else:
-        history = np.arange(rows)
-        # None (the kernel's 256) equals no stored preceding byte
-        seen = np.where(history == NO_BYTE, -3, history)
-        describe = lambda v: "None" if v == NO_BYTE else f"{v:#04x}"
-        d3p0, d3p1, d3t = arrays[3:]
-        shallow = _vector_resolve(arrays, seen, np.full(rows, -3))  # no d3 fires
-        entries = pair_default.reshape(rows, ALPHABET).astype(np.int64)
-        escapes = entries < 0
-        # every cell whose default may depend on prev2: an escape, or where
-        # resolve() has a depth-3 default
-        special = escapes.copy()
-        d3_bytes = np.flatnonzero(d3p1 >= 0)
-        special[d3p1[d3_bytes], d3_bytes] = True
-        plain = id_of.take(entries, mode="clip")
-        for prev1, byte in np.argwhere(~special & (plain != shallow)).tolist():
+        # None (the kernel's 256) equals no stored preceding byte, and a
+        # prev2 of None fires no depth-3 default
+        seen = np.where(np.arange(rows) == NO_BYTE, -3, np.arange(rows))
+        shallow = _vector_resolve(arrays, seen, np.full(rows, -3))
+        got = id_of.take(pair_default.reshape(rows, ALPHABET), mode="clip")
+        for prev1, byte in np.argwhere(got != shallow).tolist():
             capped.add(
                 ERROR,
                 "DTP008",
-                f"depth-1/2 default view -> {int(plain[prev1, byte])} under "
-                f"prev1={describe(prev1)}, resolve() says {int(shallow[prev1, byte])}",
+                f"pair table -> {int(got[prev1, byte])} under prev1="
+                + ("None" if prev1 == NO_BYTE else f"{prev1:#04x}")
+                + f", resolve() with no depth-3 default says {int(shallow[prev1, byte])}",
                 byte=int(byte),
-                source=source,
-            )
-        prev1s, bytes_ = np.nonzero(special)
-        codes = entries[prev1s, bytes_][None, :]
-        escaped = escape_default.take(~codes + history[:, None], mode="clip")
-        got = id_of.take(np.where(codes < 0, escaped, codes), mode="clip")
-        fires = (seen[prev1s] == d3p1[bytes_])[None, :] & (
-            seen[:, None] == d3p0[bytes_][None, :]
-        )
-        expected = np.where(fires, d3t[bytes_][None, :], shallow[prev1s, bytes_][None, :])
-        for prev2, cell in np.argwhere(got != expected).tolist():
-            prev1, byte = int(prev1s[cell]), int(bytes_[cell])
-            capped.add(
-                ERROR,
-                "DTP008",
-                ("escape" if escapes[prev1, byte] else "depth-1/2 default view")
-                + f" -> {int(got[prev2, cell])} under history (prev2="
-                f"{describe(prev2)}, prev1={describe(prev1)}), resolve() says "
-                f"{int(expected[prev2, cell])}",
-                byte=byte,
                 source=source,
             )
 

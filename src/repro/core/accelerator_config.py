@@ -213,7 +213,7 @@ class AcceleratorProgram(LaneKernelMixin):
         """The batch is packed and cut once; every block's kernel runs over
         the same cut, and the blocks' hits merge per job in ``(end_offset,
         string_number)`` order."""
-        cut = LaneCut(batch, self.warmup, history=2)
+        cut = LaneCut(batch, self.warmup, history=1)
         flow_states = list(map(self._unit_states, flow_states))
         parts, finals = [], []
         for unit, block in enumerate(self.blocks):

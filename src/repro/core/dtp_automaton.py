@@ -42,49 +42,54 @@ two structures laid out as flat arrays.
   ``check`` holds the slot owner's value (``-1``: free) and ``next`` the
   target's value.  The sparse rows interleave, so the table holds a few
   slots per pointer instead of 256 per state.
+* **Depth-3 defaults, folded** — the table also holds every transition a
+  depth-3 default prunes, ``s --c--> t`` with ``t`` the depth-3 default of
+  ``c`` (:func:`folded_pointers`, from the pruning mask and the trie's
+  labels): 6-10 % more pointers, Table II's ``after_d1_d2`` count where no
+  pointer limit moved a default.  Where a depth-3 default would
+  fire on the true state, that state's folded pointer leads to the same
+  target, so the kernel never resolves one.  :attr:`pointers`, :attr:`stored` and the
+  packed words keep the paper's pruning; the scalar :meth:`step` still
+  resolves depth-3 defaults at run time, the independent reference.
 * **Depth-1/2 defaults** — ``pair_default``, direct-indexed by
   ``prev1 * 256 + byte``: the value of the depth-2 default registered for
   ``byte`` whose preceding character is ``prev1``, else of the depth-1
   default.  Row :data:`NO_BYTE` ``= 256`` is the missing history byte of a
   stream's start, which no stored preceding character equals.
-* **Depth-3 defaults** — the (at most 256) pairs after which a depth-3
-  default may fire are *escapes*: their ``pair_default`` entry is ``~(byte *
-  257)``, and the cell's default is ``escape_default[byte * 257 + prev2]``
-  (the depth-3 default where ``prev2`` fits it, else the depth-1/2 one;
-  ``prev2`` may be :data:`NO_BYTE`).
 
-The default target depends on ``(byte, prev1, prev2)`` and never on the
-state, so it is computed from the tile's bytes alone, an eighth of a history
-slab's steps at a time: a big-endian ``uint16`` view with stride 1 over the
-packed bytes *is* ``prev1 * 256 + byte``, so the defaults are one gather
-from it, plus a fix-up of the escape cells, found with ``flatnonzero``.  A
-step is then ``value + byte -> take(check) != value -> take(next)``,
-overwritten by that step's default row where no pointer is stored: five
-NumPy calls whether a pointer hits or a default fires.  A slab with no match
-is one ``max() < flagged``, as in the dense kernel; values are decoded to
-plain state ids (``id_of``) for hits and final states only.
+The default target then depends on ``(byte, prev1)`` and never on the state,
+so it is computed from the tile's bytes alone, an eighth of a history slab's
+steps at a time: a big-endian ``uint16`` view with stride 1 over the packed
+bytes *is* ``prev1 * 256 + byte``, so the defaults are one gather from it,
+the same work whatever the traffic.  A step is then ``value + byte ->
+take(check) != value -> take(next)``, overwritten by that step's default row
+where no pointer is stored: five NumPy calls whether a pointer hits or a
+default fires.  A slab with no match is one ``max() < flagged``, as in the
+dense kernel; values are decoded to plain state ids (``id_of``) for hits and
+final states only.
 
 Why a lane may warm up from the root: with the stream's true history a
 default can land a warming lane *deeper* than the plain DFA lane that left
 the root with it — but only ever on a pattern prefix that is a genuine suffix
-of the input, because a default fires on matching preceding bytes alone, and
-a stored pointer maps a genuine suffix to a genuine suffix.  And never
-shallower: a pruned transition's target is the root or a registered default
-whose preceding bytes are in the input, so the resolver returns it or
-something deeper.  The warming lane is therefore sandwiched, suffix-wise,
-between the DFA lane and the true state.  The DFA lane that left the root
-``w`` bytes ago is in the true state once that state is at most ``w`` deep,
-and so, from then on, is the warming lane.  That is why :mod:`repro.core.lanes`
-may warm a lane up over :data:`~repro.core.lanes.SHORT_WARMUP` bytes only:
-its repair walk re-walks a lane that reached its cut wrong until the true
-state is no deeper than the short warm-up plus the steps taken, which needs
-at most ``warmup`` (= deepest state, DTP009) minus that many steps, and the
-first walk is right from there on.  Every lane ends in the true state, since
-none is shorter than ``warmup``; ``value_depth`` (the depth of each state
-value) is the settling test.  A job's first lane takes the carried-in state,
-and the defaults of its first two steps — the ones that read the two bytes
-before its cut, which in the packed buffer belong to some other job — are
-resolved again from the carried ``prev1``/``prev2``, for those lanes only.
+of the input, because a default fires on the matching preceding byte alone,
+and a stored or folded pointer maps a genuine suffix to a genuine suffix.
+And never shallower: a transition the kernel does not hold has as target the
+root, the depth-1 default or a registered depth-2 default whose preceding
+byte is in the input, so the pair table returns it or something deeper.  The
+warming lane is therefore sandwiched, suffix-wise, between the DFA lane and
+the true state.  The DFA lane that left the root ``w`` bytes ago is in the
+true state once that state is at most ``w`` deep, and so, from then on, is
+the warming lane.  That is why :mod:`repro.core.lanes` may warm a lane up
+over :data:`~repro.core.lanes.SHORT_WARMUP` bytes only: its repair walk
+re-walks a lane that reached its cut wrong until the true state is no deeper
+than the short warm-up plus the steps taken, which needs at most ``warmup``
+(= deepest state, DTP009) minus that many steps, and the first walk is right
+from there on.  Every lane ends in the true state, since none is shorter
+than ``warmup``; ``value_depth`` (the depth of each state value) is the
+settling test.  A job's first lane takes the carried-in state, and the
+default of its first step — the one that reads the byte before its cut,
+which in the packed buffer belongs to some other job — is looked up again
+from the carried ``prev1``, for those lanes only.
 """
 
 from __future__ import annotations
@@ -227,40 +232,75 @@ def displace_rows(
     following = np.zeros(size + ALPHABET_SIZE, dtype=np.int32)
     taken = np.zeros(size, dtype=bool)  # displacements already given out
     displacement = np.zeros(len(owners), dtype=np.int64)
-    pending = np.ones(len(owners), dtype=bool)
+    # the unplaced rows (by rank) and their pointers: a round costs what is
+    # left to place, not the whole block
+    rows, bidding = np.arange(len(owners)), np.arange(len(states))
     rng = np.random.default_rng(0)
     rounds = 0
-    while pending.any():
+    while len(rows):
         if rounds and rounds % 32 == 0:
             check = np.concatenate([check, np.full(size, -1, dtype=np.int32)])
             following = np.concatenate([following, np.zeros(size, dtype=np.int32)])
             taken = np.concatenate([taken, np.zeros(size, dtype=bool)])
             size *= 2
         rounds += 1
-        trial = rng.integers(0, size, len(owners))
-        bidding = np.flatnonzero(pending[row])
-        slots = trial[row[bidding]] + symbols[bidding]
+        trial = rng.integers(0, size, len(rows))
+        at = np.searchsorted(rows, row[bidding])  # each pointer's row in ``rows``
+        slots = trial[at] + symbols[bidding]
         outbid = np.ones(len(slots), dtype=bool)
         outbid[np.unique(slots, return_index=True)[1]] = False
-        lost = np.zeros(len(owners), dtype=bool)
-        lost[row[bidding[outbid | (check[slots] >= 0)]]] = True
-        rows = np.flatnonzero(pending)
+        lost = taken[trial]
+        lost[at[outbid | (check[slots] >= 0)]] = True
         twin = np.ones(len(rows), dtype=bool)
-        twin[np.unique(trial[rows], return_index=True)[1]] = False
-        lost[rows[twin | taken[trial[rows]]]] = True
-        won = pending & ~lost
-        kept = won[row[bidding]]
+        twin[np.unique(trial, return_index=True)[1]] = False
+        lost |= twin
+        kept = ~lost[at]
         check[slots[kept]] = states[bidding[kept]]
         following[slots[kept]] = targets[bidding[kept]]
-        displacement[won] = trial[won]
-        taken[trial[won]] = True
-        pending = lost
+        displacement[rows[~lost]] = trial[~lost]
+        taken[trial[~lost]] = True
+        rows, bidding = rows[lost], bidding[~kept]
     base = np.zeros(num_states, dtype=np.int32)
     base[owners[by_size]] = displacement
     silent = np.ones(num_states, dtype=bool)
     silent[owners] = False
     base[silent] = np.flatnonzero(~taken)[: int(silent.sum())]
     return base, check, following
+
+
+def folded_pointers(
+    dfa: AhoCorasickDFA, defaults: DefaultTransitionTable, keep: np.ndarray
+) -> np.ndarray:
+    """The transitions a depth-3 default prunes, ``s --c--> t`` with ``t``
+    the depth-3 default of ``c``, as sorted flat indices ``s * 256 + c``.
+
+    ``t`` spells its preceding pair then ``c``, so ``s`` ends in that pair.
+    Conversely, where a state at depth 2 or more ends in the pair and
+    ``keep`` (:func:`~repro.core.default_transitions.stored_mask`) pruned
+    its ``c`` transition, the target is ``t``: it is at least 3 deep, since
+    the pair then ``c`` is a suffix of the input and a pattern prefix, and
+    the only pruned target that deep is ``c``'s depth-3 default.  So the set
+    comes from the trie's labels and the pruning mask, with no second pass
+    over the DFA table.
+    """
+    if not defaults.d3:
+        return np.empty(0, dtype=np.intp)
+    deep = np.flatnonzero(dfa.depth >= 2)
+    ends = dfa.parent_label[deep].astype(np.intp) * ALPHABET_SIZE + dfa.label[deep]
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    symbols = np.fromiter(defaults.d3, dtype=np.intp, count=len(defaults.d3))
+    pairs = np.array(
+        [first * ALPHABET_SIZE + second for first, second in
+         (entry.preceding_bytes for entry in defaults.d3.values())],
+        dtype=np.intp,
+    )
+    low = np.searchsorted(ends, pairs, "left")
+    counts = np.searchsorted(ends, pairs, "right") - low
+    # every state ending in a default's pair: a run of ``ends`` per default
+    at = np.repeat(low - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    flat = deep[order[at]] * ALPHABET_SIZE + np.repeat(symbols, counts)
+    return np.sort(flat[~keep.ravel()[flat]])
 
 
 def state_values(
@@ -277,24 +317,14 @@ def state_values(
     return flagged, value_of, owners, value_of.take(following)
 
 
-def default_views(
-    defaults: DefaultTransitionTable, value_of: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(pair_default, escape_default)``: the lookup table as the kernel
-    indexes it, in state values (see the module docstring)."""
+def default_views(defaults: DefaultTransitionTable, value_of: np.ndarray) -> np.ndarray:
+    """``pair_default``: the lookup table's depth-1/2 defaults as the kernel
+    indexes them, in state values (see the module docstring)."""
     resolved = np.tile(defaults.d1, (NO_BYTE + 1, 1))  # [prev1, byte] -> state
     for byte, entries in defaults.d2.items():
         for entry in reversed(entries):  # the resolver takes the first that fits
             resolved[entry.preceding_byte, byte] = entry.state
-    pair_default = value_of.take(resolved)
-    # [byte, prev2]: what an escape pair resolves to, NO_BYTE included
-    escape_default = np.zeros((ALPHABET_SIZE, NO_BYTE + 1), dtype=np.int32)
-    for byte, entry in defaults.d3.items():
-        prev2, prev1 = entry.preceding_bytes
-        escape_default[byte] = pair_default[prev1, byte]
-        escape_default[byte, prev2] = value_of[entry.state]
-        pair_default[prev1, byte] = ~(byte * (NO_BYTE + 1))
-    return pair_default.ravel(), escape_default.ravel()
+    return value_of.take(resolved).ravel()
 
 
 class DTPAutomaton(LaneKernelMixin):
@@ -350,14 +380,17 @@ class DTPAutomaton(LaneKernelMixin):
         #: then byte; state ``s`` owns entries ``pointer_index[s]`` ..
         #: ``pointer_index[s + 1] - 1``
         flat = np.flatnonzero(keep)
-        self.pointers = (flat >> 8, flat & 0xFF, dfa.table.ravel().take(flat))
+        table = dfa.table.ravel()
+        self.pointers = (flat >> 8, flat & 0xFF, table.take(flat))
         self.pointer_index = np.searchsorted(self.pointers[0], np.arange(self.num_states + 1))
         #: bytes a lane walks from the root before its cut: the deepest state
         self.warmup = int(self.depth.max())
-        # kernel views (see the module docstring)
+        # kernel views (see the module docstring): the stored pointers and
+        # the folded ones
         self.match_index, self.match_pids = lanes.pack_outputs(self.outputs)
+        held = np.sort(np.concatenate((flat, folded_pointers(dfa, defaults, keep))))
         self.flagged, self.value_of, self.check, self.next = state_values(
-            *displace_rows(*self.pointers, self.num_states),
+            *displace_rows(held >> 8, held & 0xFF, table.take(held), self.num_states),
             np.diff(self.match_index) > 0,
         )
         self.id_of = np.full(2 * self.flagged, -1, dtype=np.int32)
@@ -367,7 +400,7 @@ class DTPAutomaton(LaneKernelMixin):
         depth = lanes.depth_view(self.depth)
         self.value_depth = np.zeros(2 * self.flagged, dtype=depth.dtype)
         self.value_depth[self.value_of] = depth
-        self.pair_default, self.escape_default = default_views(self.defaults, self.value_of)
+        self.pair_default = default_views(self.defaults, self.value_of)
 
     # ------------------------------------------------------------------
     # construction
@@ -442,30 +475,10 @@ class DTPAutomaton(LaneKernelMixin):
     # ------------------------------------------------------------------
     # the lane kernel
     # ------------------------------------------------------------------
-    def _resolve(self, byte: np.ndarray, prev1: np.ndarray, prev2: np.ndarray) -> np.ndarray:
-        """Default values for arbitrary histories, :data:`NO_BYTE` included."""
-        default = self.pair_default.take(prev1 * 256 + byte)
-        escapes = np.flatnonzero(default < 0)
-        default[escapes] = self.escape_default.take(~default[escapes] + prev2[escapes])
-        return default
-
-    def _default_rows(self, pairs: np.ndarray, low: int, high: int) -> np.ndarray:
-        """The default value of steps ``low`` .. ``high - 1`` of every lane.
-
-        Step ``j`` consumes the low byte of ``pairs[j + 1]``, after its high
-        byte and the high byte of ``pairs[j]``.
-        """
-        index = pairs[low:high + 1].astype(np.intp, order="C")
-        default = self.pair_default.take(index[1:])
-        escapes = np.flatnonzero(default < 0)
-        before = index.ravel().take(escapes)  # the same lane's pair one step earlier
-        default.put(escapes, self.escape_default.take(~default.take(escapes) + (before >> 8)))
-        return default
-
     def lane_hits(
         self, cut: LaneCut, scan_states: Sequence[ScanState]
     ) -> Tuple[Hits, np.ndarray]:
-        """Run the kernel over ``cut`` (built with two history bytes), one
+        """Run the kernel over ``cut`` (built with one history byte), one
         scan state per job: ``(job, end offset, pattern id)`` hits in walk
         order and the final state id of every job."""
         count = len(scan_states)
@@ -474,13 +487,9 @@ class DTPAutomaton(LaneKernelMixin):
         prev1 = np.fromiter(
             (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.intp, count
         )
-        prev2 = np.fromiter(
-            (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
-            np.intp, count,
-        )
         flagged = self.flagged
         # bound methods skip np.take's Python wrapper
-        check, following_of = self.check.take, self.next.take
+        check, following_of, default_of = self.check.take, self.next.take, self.pair_default.take
         add, differs, copyto = np.add, np.not_equal, np.copyto
 
         def walk(window, history, warm, start, first_lanes, first_jobs):
@@ -497,26 +506,19 @@ class DTPAutomaton(LaneKernelMixin):
             slot = np.empty(history.shape[1], dtype=np.intp)
             owner = np.empty_like(rows[0])
             pruned = np.empty(history.shape[1], dtype=bool)
-            # a job's first lane has the carried history where the packed
-            # buffer has another job's bytes: the two steps that read it
-            first_bytes = window[warm + 2, first_lanes].astype(np.intp)
-            carried_history = (
-                (warm, prev1[first_jobs], prev2[first_jobs]),
-                (warm + 1, first_bytes, prev1[first_jobs]),
-            )
+            # a job's first lane has the carried prev1 where the packed
+            # buffer has another job's byte: its first step reads it
+            first_default = default_of(prev1[first_jobs] * 256 + window[warm + 1, first_lanes])
 
             def advance(first, sources, targets):
                 """Steps ``first`` .. ``first + len(sources) - 1``."""
                 for top in range(0, len(sources), part):
                     low = first + top
                     high = min(low + part, first + len(sources))
-                    defaults = self._default_rows(pairs, low, high)
-                    for step, before, before_that in carried_history:
-                        if low <= step < high:
-                            defaults[step - low, first_lanes] = self._resolve(
-                                window[step + 2, first_lanes], before, before_that
-                            )
-                    columns = np.ascontiguousarray(window[low + 2:high + 2])
+                    defaults = default_of(pairs[low:high])
+                    if low <= warm < high:
+                        defaults[warm - low, first_lanes] = first_default
+                    columns = np.ascontiguousarray(window[low + 1:high + 1])
                     for state, column, default, following in zip(
                         sources[top:], columns, defaults, targets[top:]
                     ):
@@ -531,7 +533,7 @@ class DTPAutomaton(LaneKernelMixin):
             state[...] = start
             advance(0, [state] * warm, [state] * warm)
             state[first_lanes] = carried[first_jobs]
-            walked = len(window) - 2 - warm
+            walked = len(window) - 1 - warm
             for top in range(0, walked, slab):
                 steps = min(slab, walked - top)
                 advance(warm + top, rows[:steps], rows[1:steps + 1])
@@ -553,7 +555,7 @@ class DTPAutomaton(LaneKernelMixin):
         self, flow_states: Sequence[FlowState], batch: LaneBatch
     ) -> List[Tuple[MatchList, FlowState]]:
         hits, final = self.lane_hits(
-            LaneCut(batch, self.warmup, history=2), [state for (state,) in flow_states]
+            LaneCut(batch, self.warmup, history=1), [state for (state,) in flow_states]
         )
         return lanes.job_results(flow_states, batch, hits, [final])
 

@@ -86,9 +86,11 @@ from ..backend import (
 )
 
 #: Calls with fewer payload bytes than this stay on the scalar loop: one
-#: kernel pass costs at least ``warmup`` + lane-length NumPy dispatches, which
-#: a few KB cannot amortise (measured crossover ~4 KB at 60-byte patterns,
-#: ~2 KB at 8-byte ones; the dense scalar loop runs 55-95 ns/B).
+#: kernel pass costs at least :data:`SHORT_WARMUP` + lane-length NumPy
+#: dispatches, ~140 us (dense) or ~300 us (dtp) whatever its size.  Measured
+#: at 500 rules (60-byte longest): the dense kernel beats its scalar loop
+#: (~75 ns/B) from ~3 KB, the dtp kernel beats its (~550 ns/B) from ~1 KB;
+#: one threshold serves both.
 KERNEL_MIN_BYTES = 4096
 
 #: Lanes a tile walks side by side: a batch of more lanes takes several

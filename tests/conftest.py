@@ -31,7 +31,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.automata import AhoCorasickDFA
-from repro.automata.trie import ROOT
+from repro.automata.trie import ALPHABET_SIZE, ROOT
 from repro.backend import get_backend
 from repro.capture import (
     LINKTYPE_ETHERNET,
@@ -45,7 +45,7 @@ from repro.capture.frames import DecodedFrame
 from repro.capture.replay import ReplayStats
 from repro.core import DTPAutomaton, compile_ruleset, lanes
 from repro.core import lanes as lane_driver
-from repro.core.dtp_automaton import NO_BYTE
+from repro.core.dtp_automaton import NO_BYTE, displace_rows, state_values
 from repro.core.lanes import LaneBatch
 from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.ids.classifier import CANDIDATE_CACHE_LIMIT
@@ -955,9 +955,181 @@ def full_warmup_dtp_lane_hits(self, cut: FullWarmupLaneCut, scan_states):
 
 def full_warmup_dtp_scan_lanes(self, flow_states, batch: LaneBatch):
     """``DTPAutomaton._scan_lanes`` as it was, over
-    :func:`full_warmup_dtp_lane_hits`."""
+    :func:`full_warmup_dtp_lane_hits` and the views of its day."""
     hits, final = full_warmup_dtp_lane_hits(
-        self, FullWarmupLaneCut(batch, self.warmup, history=2),
+        EscapeDtpViews(self), FullWarmupLaneCut(batch, self.warmup, history=2),
+        [state for (state,) in flow_states],
+    )
+    return lanes.job_results(flow_states, batch, hits, [final])
+
+
+# ----------------------------------------------------------------------
+# the DTP kernel of the short-warm-up driver as it was: depth-3 defaults
+# resolved at run time, as escape cells
+# ----------------------------------------------------------------------
+# Moved here verbatim when the transitions a depth-3 default prunes were
+# folded into the kernel's row-displacement table, so that the pair table
+# holds the depth-1/2 defaults only and a step reads one history byte.
+# :class:`EscapeDtpViews` rebuilds that kernel's views off a program's
+# stored pointers; :func:`full_warmup_dtp_lane_hits` reads them too.
+def escape_default_views(
+    defaults, value_of: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pair_default, escape_default)``: the lookup table as the kernel
+    indexes it, in state values.  The (at most 256) pairs after which a
+    depth-3 default may fire are *escapes*: their ``pair_default`` entry is
+    ``~(byte * 257)``, and the cell's default is ``escape_default[byte * 257
+    + prev2]`` (the depth-3 default where ``prev2`` fits it, else the
+    depth-1/2 one; ``prev2`` may be :data:`NO_BYTE`)."""
+    resolved = np.tile(defaults.d1, (NO_BYTE + 1, 1))  # [prev1, byte] -> state
+    for byte, entries in defaults.d2.items():
+        for entry in reversed(entries):  # the resolver takes the first that fits
+            resolved[entry.preceding_byte, byte] = entry.state
+    pair_default = value_of.take(resolved)
+    # [byte, prev2]: what an escape pair resolves to, NO_BYTE included
+    escape_default = np.zeros((ALPHABET_SIZE, NO_BYTE + 1), dtype=np.int32)
+    for byte, entry in defaults.d3.items():
+        prev2, prev1 = entry.preceding_bytes
+        escape_default[byte] = pair_default[prev1, byte]
+        escape_default[byte, prev2] = value_of[entry.state]
+        pair_default[prev1, byte] = ~(byte * (NO_BYTE + 1))
+    return pair_default.ravel(), escape_default.ravel()
+
+
+class EscapeDtpViews:
+    """A DTP program's kernel views before the fold: ``check`` / ``next``
+    over its stored pointers only, the pair table with its escape codes and
+    ``escape_default`` — ``self`` of :func:`escape_dtp_lane_hits` and
+    :func:`full_warmup_dtp_lane_hits`."""
+
+    def __init__(self, program: DTPAutomaton):
+        self.flagged, self.value_of, self.check, self.next = state_values(
+            *displace_rows(*program.pointers, program.num_states),
+            np.diff(program.match_index) > 0,
+        )
+        self.id_of = np.full(2 * self.flagged, -1, dtype=np.int32)
+        self.id_of[self.value_of] = np.arange(program.num_states)
+        depth = lanes.depth_view(program.depth)
+        self.value_depth = np.zeros(2 * self.flagged, dtype=depth.dtype)
+        self.value_depth[self.value_of] = depth
+        self.pair_default, self.escape_default = escape_default_views(
+            program.defaults, self.value_of
+        )
+        self.match_index, self.match_pids = program.match_index, program.match_pids
+        self.warmup = program.warmup
+
+    def _resolve(self, byte: np.ndarray, prev1: np.ndarray, prev2: np.ndarray) -> np.ndarray:
+        """Default values for arbitrary histories, :data:`NO_BYTE` included."""
+        default = self.pair_default.take(prev1 * 256 + byte)
+        escapes = np.flatnonzero(default < 0)
+        default[escapes] = self.escape_default.take(~default[escapes] + prev2[escapes])
+        return default
+
+    def _default_rows(self, pairs: np.ndarray, low: int, high: int) -> np.ndarray:
+        """The default value of steps ``low`` .. ``high - 1`` of every lane.
+
+        Step ``j`` consumes the low byte of ``pairs[j + 1]``, after its high
+        byte and the high byte of ``pairs[j]``.
+        """
+        index = pairs[low:high + 1].astype(np.intp, order="C")
+        default = self.pair_default.take(index[1:])
+        escapes = np.flatnonzero(default < 0)
+        before = index.ravel().take(escapes)  # the same lane's pair one step earlier
+        default.put(escapes, self.escape_default.take(~default.take(escapes) + (before >> 8)))
+        return default
+
+
+def escape_dtp_lane_hits(self, cut: lanes.LaneCut, scan_states):
+    """Run the kernel over ``cut`` (built with two history bytes), one
+    scan state per job: ``(job, end offset, pattern id)`` hits in walk
+    order and the final state id of every job."""
+    count = len(scan_states)
+    carried = self.value_of.take(np.fromiter((s.state for s in scan_states), np.intp, count))
+    offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
+    prev1 = np.fromiter(
+        (NO_BYTE if s.prev1 is None else s.prev1 for s in scan_states), np.intp, count
+    )
+    prev2 = np.fromiter(
+        (NO_BYTE if None in (s.prev1, s.prev2) else s.prev2 for s in scan_states),
+        np.intp, count,
+    )
+    flagged = self.flagged
+    # bound methods skip np.take's Python wrapper
+    check, following_of = self.check.take, self.next.take
+    add, differs, copyto = np.add, np.not_equal, np.copyto
+
+    def walk(window, history, warm, start, first_lanes, first_jobs):
+        rows = list(history)
+        slab = len(rows) - 1
+        # a whole slab's defaults (and their intp pair index) would
+        # outweigh its states: they are made an eighth of a slab at a time
+        part = slab // 8 + 1
+        # pairs[i] = window[i] * 256 + window[i + 1], read in place: a
+        # big-endian uint16 over each byte and the next
+        pairs = as_strided(
+            window, (len(window) - 1, window.shape[1], 2), window.strides + (1,)
+        ).view(">u2")[..., 0]
+        slot = np.empty(history.shape[1], dtype=np.intp)
+        owner = np.empty_like(rows[0])
+        pruned = np.empty(history.shape[1], dtype=bool)
+        # a job's first lane has the carried history where the packed
+        # buffer has another job's bytes: the two steps that read it
+        first_bytes = window[warm + 2, first_lanes].astype(np.intp)
+        carried_history = (
+            (warm, prev1[first_jobs], prev2[first_jobs]),
+            (warm + 1, first_bytes, prev1[first_jobs]),
+        )
+
+        def advance(first, sources, targets):
+            """Steps ``first`` .. ``first + len(sources) - 1``."""
+            for top in range(0, len(sources), part):
+                low = first + top
+                high = min(low + part, first + len(sources))
+                defaults = self._default_rows(pairs, low, high)
+                for step, before, before_that in carried_history:
+                    if low <= step < high:
+                        defaults[step - low, first_lanes] = self._resolve(
+                            window[step + 2, first_lanes], before, before_that
+                        )
+                columns = np.ascontiguousarray(window[low + 2:high + 2])
+                for state, column, default, following in zip(
+                    sources[top:], columns, defaults, targets[top:]
+                ):
+                    add(state, column, out=slot)
+                    check(slot, out=owner, mode="wrap")
+                    differs(owner, state, out=pruned)
+                    following_of(slot, out=following, mode="wrap")
+                    copyto(following, default, where=pruned)
+
+        # warm up in place: these states report nothing
+        state = rows[0]
+        state[...] = start
+        advance(0, [state] * warm, [state] * warm)
+        state[first_lanes] = carried[first_jobs]
+        walked = len(window) - 2 - warm
+        for top in range(0, walked, slab):
+            steps = min(slab, walked - top)
+            advance(warm + top, rows[:steps], rows[1:steps + 1])
+            yield steps
+
+    def reports(entered):
+        return entered >= flagged if entered.max() >= flagged else None
+
+    (jobs, ends, values), final = cut.run(
+        carried, offsets, self.value_of[ROOT], walk, reports, self.value_depth.take
+    )
+    id_of = self.id_of
+    hits = lanes.expand_hits(
+        (jobs, ends, id_of.take(values)), self.match_index, self.match_pids
+    )
+    return hits, id_of.take(final)
+
+
+def escape_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
+    """``DTPAutomaton._scan_lanes`` as it was, over
+    :func:`escape_dtp_lane_hits`."""
+    hits, final = escape_dtp_lane_hits(
+        EscapeDtpViews(program), lanes.LaneCut(batch, program.warmup, history=2),
         [state for (state,) in flow_states],
     )
     return lanes.job_results(flow_states, batch, hits, [final])
@@ -2169,6 +2341,18 @@ def reference_build_stored_pointers(dfa, defaults):
         kept.append((rows, cols, targets))
     states, symbols, targets = map(np.concatenate, zip(*kept))
     return stored, (states, symbols, targets)
+
+
+def reference_folded_pointers(dfa, defaults):
+    """The transitions a depth-3 default prunes, ``(states, bytes,
+    targets)`` sorted by state then byte: each default's byte column
+    searched for its target."""
+    folded = np.array(sorted(
+        (state, byte, entry.state)
+        for byte, entry in defaults.d3.items()
+        for state in np.flatnonzero(dfa.table[:, byte] == entry.state).tolist()
+    ), dtype=np.int64).reshape(-1, 3)
+    return folded[:, 0], folded[:, 1], folded[:, 2]
 
 
 def reference_build_state_records(stored, match_memory=None):

@@ -39,8 +39,11 @@ from repro.streaming import FlowKey, FlowTable, StreamScanner
 from repro.traffic import TrafficGenerator
 
 from tests.conftest import (
+    EscapeDtpViews,
     FullWarmupLaneCut,
     ReferenceDtpViews,
+    escape_dtp_lane_hits,
+    escape_dtp_scan_lanes,
     full_warmup_dense_scan_lanes,
     full_warmup_dtp_lane_hits,
     full_warmup_dtp_scan_lanes,
@@ -637,9 +640,10 @@ class TestDtpLaneKernel(TestLaneKernel):
     only that kernel has: the two-byte history a default compares.
 
     Every kernel call of every test here is also held to the previous DTP
-    kernels in ``tests/conftest.py``: this one on the full-warm-up driver,
-    the six-call step of the slab-rolled driver, and the whole-lane tiles
-    before it."""
+    kernels in ``tests/conftest.py``: the one that resolved depth-3 defaults
+    as escape cells, on this driver and on the full-warm-up one, the
+    six-call step of the slab-rolled driver, and the whole-lane tiles before
+    it."""
 
     compile = staticmethod(DTPAutomaton.from_patterns)
 
@@ -649,6 +653,7 @@ class TestDtpLaneKernel(TestLaneKernel):
 
         def checked(program, flow_states, batch):
             found = kernel(program, flow_states, batch)
+            assert found == escape_dtp_scan_lanes(program, flow_states, batch)
             assert found == full_warmup_dtp_scan_lanes(program, flow_states, batch)
             assert found == slab_dtp_scan_lanes(program, flow_states, batch)
             assert found == reference_dtp_scan_lanes(program, flow_states, batch)
@@ -749,10 +754,11 @@ class TestDtpLaneKernel(TestLaneKernel):
 @given(data=st.data())
 def test_dtp_escapes_every_few_bytes(force_short_lanes, slab_rows, data):
     """A stream spliced from depth-3 default triples, their pairs and stray
-    bytes, so escape cells — pairs after which a depth-3 default may fire —
-    come every few bytes, fire or not, and straddle lane cuts, slab edges and
-    job boundaries; each job resumes its flow.  The kernel must be the
-    scalar loop's, and both previous DTP kernels', batch for batch."""
+    bytes, so the pairs after which a depth-3 default may fire (the escape
+    cells of the kernel before the fold) come every few bytes, fire or not,
+    and straddle lane cuts, slab edges and job boundaries; each job resumes
+    its flow.  The kernel must be the scalar loop's, and the previous DTP
+    kernels', batch for batch."""
     program = DTPAutomaton.from_patterns(LANE_PATTERNS)
     force_short_lanes(program, 3, slab_rows)
     triples = [bytes(e.preceding_bytes) + bytes([b]) for b, e in program.defaults.d3.items()]
@@ -772,8 +778,88 @@ def test_dtp_escapes_every_few_bytes(force_short_lanes, slab_rows, data):
     batch = lanes.LaneBatch(chunks)
     found = program._scan_lanes(flow_states, batch)
     assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+    assert found == escape_dtp_scan_lanes(program, flow_states, batch)
     assert found == slab_dtp_scan_lanes(program, flow_states, batch)
     assert found == reference_dtp_scan_lanes(program, flow_states, batch)
+
+
+#: Patterns that share their first three bytes with others, so the depth-3
+#: defaults have popular targets, and longer ones through those targets.
+STORM_PATTERNS = [
+    b"she", b"shell", b"shed", b"he", b"hers", b"the", b"then", b"them", b"ther",
+    b"abc", b"abcab", b"bca", b"cab", b"cabin", b"\x00\x00\x01", b"\x00\x00\x01\x02",
+]
+
+
+@pytest.fixture(scope="module")
+def storm_programs():
+    """``STORM_PATTERNS`` as a bare dtp automaton and as a two-block
+    Cyclone III program."""
+    accelerator = compile_ruleset(
+        RuleSet.from_patterns(STORM_PATTERNS), CYCLONE_III, blocks_per_group=2
+    )
+    return {"dtp": DTPAutomaton.from_patterns(STORM_PATTERNS), "accelerator": accelerator}
+
+
+def storm_automata(program):
+    return [program] if isinstance(program, DTPAutomaton) else [b.dtp for b in program.blocks]
+
+
+@pytest.mark.parametrize("kind", ("dtp", "accelerator"))
+def test_the_kernel_table_holds_the_depth3_defaults(storm_programs, kind):
+    """The pair table holds depth-1/2 defaults only: no escape codes.  The
+    row-displacement table holds the stored pointers plus every transition a
+    depth-3 default prunes — Table II's ``after_d1_d2`` count where no
+    pointer limit moved a default."""
+    for dtp in storm_automata(storm_programs[kind]):
+        assert dtp.defaults.d3
+        assert (dtp.pair_default >= 0).all()
+        held = int((dtp.check >= 0).sum())
+        assert held > dtp.stored_pointer_count()
+        if kind == "dtp":
+            assert held == dtp.staged_counts().after_d1_d2
+
+
+@pytest.mark.parametrize("kind", ("dtp", "accelerator"))
+@pytest.mark.parametrize("slab_rows", (4, 1))
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_a_depth3_storm_is_the_scalar_loop_and_ac(
+    storm_programs, force_short_lanes, kind, slab_rows, data
+):
+    """A walk over the depth-3 defaults' triples, their pairs, stray bytes
+    and the patterns that complete through a depth-3 target, cut into jobs
+    that each resume their flow: the kernel, which never resolves a depth-3
+    default, must equal the scalar loop, which does so at run time, job for
+    job, and ``ac`` over the whole stream."""
+    program = storm_programs[kind]
+    force_short_lanes(program, 3, slab_rows)
+    triples = sorted({
+        bytes(entry.preceding_bytes) + bytes([byte])
+        for dtp in storm_automata(program) for byte, entry in dtp.defaults.d3.items()
+    })
+    through = [p for p in STORM_PATTERNS if p[:3] in triples]
+    assert through
+    pieces = st.one_of(
+        st.sampled_from(triples),
+        st.sampled_from(triples).map(lambda triple: triple[1:]),
+        st.sampled_from(through),
+        st.binary(min_size=1, max_size=2),
+    )
+    stream = b"".join(data.draw(st.lists(pieces, min_size=1, max_size=40)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+    bounds = [0] + cuts + [len(stream)]
+    flow_states, chunks = [], []
+    for head, end in zip(bounds, bounds[1:]):
+        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
+        chunks.append(stream[head:end])
+    found = program._scan_lanes(flow_states, lanes.LaneBatch(chunks))
+    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+    ac = get_backend("ac").compile(STORM_PATTERNS)
+    assert sorted(m for matches, _ in found for m in matches) == sorted(ac.match(stream))
 
 
 class TestLaneKernelOneRowSlab(TestLaneKernel):
@@ -826,9 +912,10 @@ class TestAcceleratorLaneKernel:
 
     def test_paper_sized_program_shares_one_cut(self):
         """2 588 strings in three blocks, one cut: every block's kernel is
-        the previous kernels' on the same batch — this one's on the
-        full-warm-up driver, and the slab kernel's — hits and final states,
-        and the merged batch is the scalar loop's job for job."""
+        the previous kernels' on the same batch — the escape-cell kernel's,
+        on this driver and on the full-warm-up one, and the slab kernel's —
+        hits and final states, and the merged batch is the scalar loop's job
+        for job."""
         ruleset = generate_snort_like_ruleset(2588, seed=7)
         program = compile_ruleset(ruleset, CYCLONE_III)
         assert len(program.blocks) == 3
@@ -845,13 +932,16 @@ class TestAcceleratorLaneKernel:
             _, states = program._scan_scalar(program.initial_scan_states(), head)
             jobs.append((states, bytes(body)))
         batch = lanes.LaneBatch([chunk for _, chunk in jobs])
-        cut = lanes.LaneCut(batch, program.warmup, history=2)
+        cut = lanes.LaneCut(batch, program.warmup, history=1)
+        escape_cut = lanes.LaneCut(batch, program.warmup, history=2)
         full_cut = FullWarmupLaneCut(batch, program.warmup, history=2)
         for unit, block in enumerate(program.blocks):
             scan_states = [states[unit] for states, _ in jobs]
             (found_jobs, ends, pids), final = block.dtp.lane_hits(cut, scan_states)
+            escape_views = EscapeDtpViews(block.dtp)
             for (want_jobs, want_ends, want_pids), want_final in (
-                full_warmup_dtp_lane_hits(block.dtp, full_cut, scan_states),
+                escape_dtp_lane_hits(escape_views, escape_cut, scan_states),
+                full_warmup_dtp_lane_hits(escape_views, full_cut, scan_states),
                 slab_dtp_lane_hits(ReferenceDtpViews(block.dtp), full_cut, scan_states),
             ):
                 assert np.array_equal(found_jobs, want_jobs) and np.array_equal(ends, want_ends)
@@ -1139,7 +1229,7 @@ class TestConsumersThroughProtocol:
 # ----------------------------------------------------------------------
 DTP_VIEWS = (
     "value_of", "check", "next", "id_of", "value_depth", "pair_default",
-    "escape_default", "match_index", "match_pids", "pointer_index",
+    "match_index", "match_pids", "pointer_index",
 )
 
 

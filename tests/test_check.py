@@ -187,8 +187,7 @@ def _dtp_pointer_slot(program):
 def _dtp_undefaulted_state(program):
     """A reporting state no default leads to ("hers"): its value may move
     without touching the default views."""
-    defaulted = set(program.id_of[program.pair_default[program.pair_default >= 0]].tolist())
-    defaulted |= set(program.id_of[program.escape_default].tolist())
+    defaulted = set(program.id_of[program.pair_default].tolist())
     return next(
         s for s in range(program.num_states)
         if s not in defaulted and program.value_of[s] >= program.flagged
@@ -239,20 +238,30 @@ def _mutate_dtp_pair_default_at_stream_start(program):
     program.pair_default[256 * 256 + ord("h")] = program.value_of[ROOT]
 
 
-def _mutate_dtp_dropped_escape(program):
-    # 'h' then 'e' is the escape of the depth-3 default "she": without it the
-    # depth-2 default "he" is taken after "sh" too
-    program.pair_default[ord("h") * 256 + ord("e")] = program.escape_default[ord("e") * 257]
+def _state_of(program, prefix):
+    """The state a fresh stream is in after ``prefix`` (a pattern prefix)."""
+    _, (scan_state,) = program._scan_scalar(program.initial_scan_states(), prefix)
+    return scan_state.state
 
 
-def _mutate_dtp_escape_prev2(program):
-    # the depth-3 default "she" would fire after "gh", and not after "sh"
-    row = program.escape_default[ord("e") * 257:ord("e") * 257 + 257]
-    row[[ord("s"), ord("g")]] = row[[ord("g"), ord("s")]]
+def _dtp_folded_slot(program):
+    """The slot of the folded pointer "sh" --'e'--> "she": the depth-3
+    default "she" prunes it, and the kernel's table holds it back."""
+    return (int(program.value_of[_state_of(program, b"sh")]) + ord("e")) % program.flagged
 
 
-def _mutate_dtp_escape_target(program):
-    program.escape_default[ord("e") * 257 + ord("s")] = program.value_of[ROOT]
+def _mutate_dtp_dropped_folded_pointer(program):
+    # without it the depth-2 default "he" is taken after "sh" too
+    program.check[_dtp_folded_slot(program)] = -1
+
+
+def _mutate_dtp_folded_pointer_target(program):
+    program.next[_dtp_folded_slot(program)] = program.value_of[_state_of(program, b"he")]
+
+
+def _mutate_dtp_pair_table_depth3(program):
+    # the pair table would fire the depth-3 default "she" after any 'h'
+    program.pair_default[ord("h") * 256 + ord("e")] = program.value_of[_state_of(program, b"she")]
 
 
 def _mutate_dtp_warmup(program):
@@ -272,9 +281,9 @@ DTP_KERNEL_MUTATIONS = [
     pytest.param(_mutate_dtp_phantom_slot, "DTP007", id="phantom-slot"),
     pytest.param(_mutate_dtp_pair_default, "DTP008", id="pair-table-entry"),
     pytest.param(_mutate_dtp_pair_default_at_stream_start, "DTP008", id="pair-table-none-row"),
-    pytest.param(_mutate_dtp_dropped_escape, "DTP008", id="dropped-escape"),
-    pytest.param(_mutate_dtp_escape_prev2, "DTP008", id="escape-prev2"),
-    pytest.param(_mutate_dtp_escape_target, "DTP008", id="escape-target"),
+    pytest.param(_mutate_dtp_dropped_folded_pointer, "DTP007", id="dropped-folded-pointer"),
+    pytest.param(_mutate_dtp_folded_pointer_target, "DTP007", id="folded-pointer-target"),
+    pytest.param(_mutate_dtp_pair_table_depth3, "DTP008", id="pair-table-depth3"),
     pytest.param(_mutate_dtp_warmup, "DTP009", id="warmup-length"),
     pytest.param(_mutate_dtp_packed_outputs, "DTP005", id="packed-match-pid"),
 ]

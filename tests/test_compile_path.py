@@ -24,7 +24,7 @@ from repro.automata import AhoCorasickDFA
 from repro.automata.trie import Trie
 from repro.backend import get_backend
 from repro.core import DTPAutomaton, MatchMemory, PackingError, compile_ruleset
-from repro.core import accelerator_config
+from repro.core import accelerator_config, default_transitions, dtp_automaton
 from repro.core.default_transitions import select_defaults, stored_mask
 from repro.core.dtp_automaton import (
     HARDWARE_MAX_POINTERS,
@@ -32,6 +32,7 @@ from repro.core.dtp_automaton import (
     displace_rows,
     state_values,
 )
+from repro.core.lanes import LaneBatch
 from repro.core.lookup_table import encode_lookup_table
 from repro.core.memory_layout import PackedStateMachine, pack_state_machine, place_states
 from repro.fpga import STRATIX_III
@@ -41,6 +42,7 @@ from tests.conftest import (
     ReferencePacker,
     reference_build_stored_pointers,
     reference_build_table,
+    reference_folded_pointers,
     reference_pack_state_machine,
     reference_stored_pointer_counts,
 )
@@ -67,8 +69,9 @@ def assert_dfa_is_the_reference(dfa: AhoCorasickDFA) -> None:
 
 def assert_dtp_is_the_reference(dtp: DTPAutomaton) -> None:
     """Pointer arrays, the scalar walk's dicts, the counts and every kernel
-    view equal what the per-state pruning pass made of the same table (the
-    DFA rebuilt from the patterns: the program does not keep it)."""
+    view equal what the per-state pruning pass made of the same table, the
+    kernel's with the transitions the depth-3 defaults prune (the DFA
+    rebuilt from the patterns: the program does not keep it)."""
     dfa = AhoCorasickDFA.from_patterns(dtp.patterns)
     stored, arrays = reference_build_stored_pointers(dfa, dtp.defaults)
     for ours, theirs in zip(dtp.pointers, arrays):
@@ -78,14 +81,20 @@ def assert_dtp_is_the_reference(dtp: DTPAutomaton) -> None:
     assert np.array_equal(
         dtp.pointer_counts(), reference_stored_pointer_counts(dfa, dtp.defaults)
     )
+    # the kernel's table also holds what the depth-3 defaults prune
+    held = [
+        np.concatenate(columns)
+        for columns in zip(arrays, reference_folded_pointers(dfa, dtp.defaults))
+    ]
+    order = np.lexsort((held[1], held[0]))
     flagged, value_of, check, following = state_values(
-        *displace_rows(*arrays, dtp.num_states), np.diff(dtp.match_index) > 0
+        *displace_rows(*(column[order] for column in held), dtp.num_states),
+        np.diff(dtp.match_index) > 0,
     )
     assert dtp.flagged == flagged
     for ours, theirs in (
         (dtp.value_of, value_of), (dtp.check, check), (dtp.next, following),
-        (dtp.pair_default, default_views(dtp.defaults, value_of)[0]),
-        (dtp.escape_default, default_views(dtp.defaults, value_of)[1]),
+        (dtp.pair_default, default_views(dtp.defaults, value_of)),
     ):
         assert np.array_equal(ours, theirs)
 
@@ -153,6 +162,57 @@ def test_random_blocks_compile_as_before(patterns, d2_slots, include_d2, include
     assert_dtp_is_the_reference(dtp)
     matches = {state: dtp.outputs[state] for state in dtp.matching_states()}
     assert_packing_is_the_reference(dtp, MatchMemory.build(matches))
+
+
+def test_a_moved_depth3_default_moves_what_it_folds():
+    """``ab`` keeps five pointers to ``ab?``, whose bytes' depth-3 defaults
+    are the more popular ``cc?``; a limit of four makes the repair pass move
+    the default of ``d`` to ``abd``, so ``cc --d--> ccd`` is stored again and
+    ``ab --d--> abd`` is folded instead."""
+    patterns = [b"ab" + bytes([x]) for x in b"defgh"] + [b"cc" + bytes([x]) for x in b"defgh"]
+    dfa = AhoCorasickDFA.from_patterns(patterns + [b"cccc"])
+    selected = select_defaults(dfa)[0]
+    repaired = select_defaults(dfa, max_stored_pointers=4)[0]
+    moved = [byte for byte, entry in repaired.d3.items() if selected.d3[byte] != entry]
+    assert moved == [ord("d")]
+    dtp = DTPAutomaton(dfa, max_stored_pointers=4)
+    assert dtp.max_pointers_per_state() == 4
+    assert_dtp_is_the_reference(dtp)
+    assert dtp.verify().ok
+    stream = b"xabdccdcccdabe" * 40
+    fresh = dtp.initial_scan_states()
+    assert dtp._scan_lanes([fresh], LaneBatch([stream])) == [dtp._scan_scalar(fresh, stream)]
+
+
+def test_a_block_prunes_in_one_pass(monkeypatch):
+    """Every block the compile builds, kept or not, makes one pruning pass
+    over its DFA table — one ``stored_mask`` and the one ``registered_bytes``
+    in it; the transitions its depth-3 defaults prune come from that pass's
+    mask and the trie's labels."""
+    calls = {"blocks": 0, "stored_mask": 0, "registered_bytes": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(default_transitions, "stored_mask")
+    counted(default_transitions, "registered_bytes")
+    counted(dtp_automaton, "stored_mask")
+    compile_block = accelerator_config._compile_block
+
+    def block(*args, **kwargs):
+        calls["blocks"] += 1
+        return compile_block(*args, **kwargs)
+
+    monkeypatch.setattr(accelerator_config, "_compile_block", block)
+    program = compile_ruleset(snort_like(2588), STRATIX_III)
+    assert len(program.blocks) == 2
+    assert calls["stored_mask"] == calls["registered_bytes"] == calls["blocks"] >= 2, calls
 
 
 def test_repairs_fire_and_match_the_reference():

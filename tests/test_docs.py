@@ -239,6 +239,18 @@ class TestCiCommands:
                 pytest.fail(f"ci.yml runs `python -m repro {shlex.join(argv)}`: it does not parse")
 
 
+    def test_the_dtp_storm_gate_parses(self):
+        """The ``e2e-guaranteed-rate`` job runs the DTP kernel's storm gate
+        with arguments the bench's own parser takes."""
+        job = CI.read_text(encoding="utf-8").split("\n  e2e-guaranteed-rate:\n")[1]
+        job = re.split(r"\n  [\w-]+:\n", job)[0]
+        commands = re.findall(r"python3? benchmarks/bench_dtp_escape_storm\.py(.*)", job)
+        assert len(commands) == 1, commands
+        bench = runpy.run_path(str(REPO_ROOT / "benchmarks" / "bench_dtp_escape_storm.py"))
+        args = bench["build_parser"]().parse_args(shlex.split(commands[0]))
+        assert args.output.name == "BENCH_dtp_escape_storm.json"
+
+
 class TestExamples:
     def test_quickstart_prints_its_figures(self, capsys):
         runpy.run_path(str(REPO_ROOT / "examples" / "quickstart.py"), run_name="__main__")

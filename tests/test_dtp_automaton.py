@@ -113,21 +113,32 @@ class TestStatistics:
 
 
 class TestKernelViews:
-    """The lane kernel's flat views of ``stored`` and the lookup table (the
-    static proof of them is ``repro.check``'s DTP007-009)."""
+    """The lane kernel's flat views of ``stored``, the transitions a depth-3
+    default prunes and the lookup table (the static proof of them is
+    ``repro.check``'s DTP007-009)."""
 
-    def test_row_displacement_holds_exactly_the_stored_pointers(self, small_ruleset):
+    def test_row_displacement_holds_the_stored_and_folded_pointers(self, small_ruleset):
         dtp = DTPAutomaton.from_ruleset(small_ruleset)
+        dfa = AhoCorasickDFA.from_patterns(dtp.patterns)
         pointers = [
             (state, byte, target)
             for state, row in enumerate(dtp.stored) for byte, target in row.items()
         ]
+        folded = [
+            (state, byte, entry.state)
+            for byte, entry in dtp.defaults.d3.items()
+            for state in np.flatnonzero(dfa.table[:, byte] == entry.state).tolist()
+        ]
+        assert folded and not {(s, b) for s, b, _ in folded} & {(s, b) for s, b, _ in pointers}
+        pointers += folded
         states, symbols, targets = map(np.array, zip(*pointers))
         slots = (dtp.value_of[states] + symbols) % dtp.flagged
         assert len(set(slots.tolist())) == len(pointers), "two pointers share a slot"
         assert (dtp.check[slots] == dtp.value_of[states]).all()
         assert (dtp.next[slots] == dtp.value_of[targets]).all()
         assert int((dtp.check >= 0).sum()) == len(pointers)  # and nothing else is owned
+        # uncapped, that is Table II's pointer count before the depth-3 stage
+        assert len(pointers) == dtp.staged_counts().after_d1_d2
 
     def test_state_values_are_rows_of_their_own_and_carry_the_match_bit(self, small_ruleset):
         dtp = DTPAutomaton.from_ruleset(small_ruleset)
@@ -140,7 +151,7 @@ class TestKernelViews:
     def test_layout_is_a_function_of_the_pointers(self, small_ruleset):
         first = DTPAutomaton.from_ruleset(small_ruleset)
         again = DTPAutomaton.from_ruleset(small_ruleset)
-        for view in ("value_of", "check", "next", "id_of", "pair_default", "escape_default"):
+        for view in ("value_of", "check", "next", "id_of", "pair_default"):
             assert np.array_equal(getattr(first, view), getattr(again, view)), view
 
     @pytest.mark.parametrize("rows, per_row", [(5, 256), (40, 200), (300, 120), (0, 0)])
@@ -176,7 +187,7 @@ class TestKernelViews:
 
         def working_memory(program, chunks):
             jobs = [(program.initial_scan_states(), chunk) for chunk in chunks]
-            packed = len(LaneCut(LaneBatch(chunks), program.warmup, history=2).data)
+            packed = len(LaneCut(LaneBatch(chunks), program.warmup, history=1).data)
             tracemalloc.start()
             try:
                 program.scan_many(jobs)
