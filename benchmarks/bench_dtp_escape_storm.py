@@ -80,7 +80,7 @@ def storm(program, rng: random.Random, size: int) -> bytes:
     return bytes(out[:size])
 
 
-def batches(seed: int = SEED):
+def batches():
     """``(program, ac, {"benign": jobs, "storm": jobs})`` for the benchmark's
     rules: one job per flow, fresh scan states."""
     if str(E2E) not in sys.path:
@@ -88,12 +88,12 @@ def batches(seed: int = SEED):
     from e2e_inputs import WORKLOADS, benign_flows, synthetic_rules
 
     sizes = WORKLOADS["benign_bulk_dtp"]["sizes"]
-    ruleset = synthetic_rules(seed, sizes["rules"])
+    ruleset = synthetic_rules(SEED, sizes["rules"])
     program = get_backend("dtp").compile(ruleset)
     ac = get_backend("ac").compile(ruleset)
-    flows = benign_flows(seed, sizes["flows"], sizes["rounds"], sizes["segment"])
+    flows = benign_flows(SEED, sizes["flows"], sizes["rounds"], sizes["segment"])
     benign = [b"".join(packet.payload for packet in flow.packets) for flow in flows]
-    rng = random.Random(f"storm:{seed}")
+    rng = random.Random(f"storm:{SEED}")
     storms = [storm(program, rng, len(chunk)) for chunk in benign]
     jobs = {
         name: [(program.initial_scan_states(), chunk) for chunk in chunks]
@@ -102,14 +102,14 @@ def batches(seed: int = SEED):
     return program, ac, jobs
 
 
-def run(rounds: int = ROUNDS, seed: int = SEED) -> Dict:
-    program, ac, jobs = batches(seed)
+def run() -> Dict:
+    program, ac, jobs = batches()
     correct = {}
     for name, batch in jobs.items():
         found = [matches for matches, _ in program.scan_many(batch)]
         correct[name] = found == [sorted(ac.match(chunk)) for _, chunk in batch]
     samples: Dict[str, List[float]] = {name: [] for name in jobs}
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         for name, batch in jobs.items():
             size = sum(len(chunk) for _, chunk in batch)
             start = time.perf_counter()
@@ -120,7 +120,7 @@ def run(rounds: int = ROUNDS, seed: int = SEED) -> Dict:
     return {
         "bytes_per_batch": sum(len(chunk) for _, chunk in jobs["benign"]),
         "jobs": len(jobs["benign"]),
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "benign_ns_per_byte": medians["benign"],
         "storm_ns_per_byte": medians["storm"],
         "samples_ns_per_byte": samples,
@@ -134,14 +134,12 @@ def run(rounds: int = ROUNDS, seed: int = SEED) -> Dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
-    parser.add_argument("--rounds", type=int, default=ROUNDS)
-    parser.add_argument("--seed", type=int, default=SEED)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    report = run(rounds=args.rounds, seed=args.seed)
+    report = run()
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(

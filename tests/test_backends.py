@@ -746,43 +746,6 @@ class TestDtpLaneKernel(TestLaneKernel):
                 assert states[0].state == final_state(reference, stream)
 
 
-@pytest.mark.parametrize("slab_rows", (4, 1))
-@settings(
-    max_examples=40, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_dtp_escapes_every_few_bytes(force_short_lanes, slab_rows, data):
-    """A stream spliced from depth-3 default triples, their pairs and stray
-    bytes, so the pairs after which a depth-3 default may fire (the escape
-    cells of the kernel before the fold) come every few bytes, fire or not,
-    and straddle lane cuts, slab edges and job boundaries; each job resumes
-    its flow.  The kernel must be the scalar loop's, and the previous DTP
-    kernels', batch for batch."""
-    program = DTPAutomaton.from_patterns(LANE_PATTERNS)
-    force_short_lanes(program, 3, slab_rows)
-    triples = [bytes(e.preceding_bytes) + bytes([b]) for b, e in program.defaults.d3.items()]
-    assert triples
-    pieces = st.one_of(
-        st.sampled_from(triples),
-        st.sampled_from(triples).map(lambda triple: triple[1:]),
-        st.binary(min_size=1, max_size=2),
-    )
-    stream = b"".join(data.draw(st.lists(pieces, min_size=1, max_size=40)))
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), min_size=1, max_size=6)))
-    bounds = [0] + cuts + [len(stream)]
-    flow_states, chunks = [], []
-    for head, end in zip(bounds, bounds[1:]):
-        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
-        chunks.append(stream[head:end])
-    batch = lanes.LaneBatch(chunks)
-    found = program._scan_lanes(flow_states, batch)
-    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
-    assert found == escape_dtp_scan_lanes(program, flow_states, batch)
-    assert found == slab_dtp_scan_lanes(program, flow_states, batch)
-    assert found == reference_dtp_scan_lanes(program, flow_states, batch)
-
-
 #: Patterns that share their first three bytes with others, so the depth-3
 #: defaults have popular targets, and longer ones through those targets.
 STORM_PATTERNS = [
@@ -820,25 +783,26 @@ def test_the_kernel_table_holds_the_depth3_defaults(storm_programs, kind):
             assert held == dtp.staged_counts().after_d1_d2
 
 
-@pytest.mark.parametrize("kind", ("dtp", "accelerator"))
 @pytest.mark.parametrize("slab_rows", (4, 1))
 @settings(
-    max_examples=30, deadline=None,
+    max_examples=40, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_a_depth3_storm_is_the_scalar_loop_and_ac(
-    storm_programs, force_short_lanes, kind, slab_rows, data
-):
-    """A walk over the depth-3 defaults' triples, their pairs, stray bytes
-    and the patterns that complete through a depth-3 target, cut into jobs
-    that each resume their flow: the kernel, which never resolves a depth-3
-    default, must equal the scalar loop, which does so at run time, job for
-    job, and ``ac`` over the whole stream."""
-    program = storm_programs[kind]
-    force_short_lanes(program, 3, slab_rows)
+def test_dtp_escapes_every_few_bytes(storm_programs, force_short_lanes, slab_rows, data):
+    """A depth-3 storm: a stream spliced from the depth-3 defaults' triples,
+    their pairs, stray bytes and the patterns that complete through a
+    depth-3 target, so the pairs after which a depth-3 default may fire (the
+    escape cells of the kernel before the fold) come every few bytes, fire or
+    not, and straddle lane cuts, slab edges and job boundaries; each job
+    resumes its flow.  On the bare automaton and on the two-block program,
+    the kernel, which never resolves a depth-3 default, must be the scalar
+    loop, which does so at run time, job for job, and ``ac`` over the whole
+    stream; on the bare automaton also the previous DTP kernels', batch for
+    batch."""
     triples = sorted({
         bytes(entry.preceding_bytes) + bytes([byte])
+        for program in storm_programs.values()
         for dtp in storm_automata(program) for byte, entry in dtp.defaults.d3.items()
     })
     through = [p for p in STORM_PATTERNS if p[:3] in triples]
@@ -850,16 +814,25 @@ def test_a_depth3_storm_is_the_scalar_loop_and_ac(
         st.binary(min_size=1, max_size=2),
     )
     stream = b"".join(data.draw(st.lists(pieces, min_size=1, max_size=40)))
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), min_size=1, max_size=6)))
     bounds = [0] + cuts + [len(stream)]
-    flow_states, chunks = [], []
-    for head, end in zip(bounds, bounds[1:]):
-        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
-        chunks.append(stream[head:end])
-    found = program._scan_lanes(flow_states, lanes.LaneBatch(chunks))
-    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
-    ac = get_backend("ac").compile(STORM_PATTERNS)
-    assert sorted(m for matches, _ in found for m in matches) == sorted(ac.match(stream))
+    expected = sorted(get_backend("ac").compile(STORM_PATTERNS).match(stream))
+    for kind, program in storm_programs.items():
+        force_short_lanes(program, 3, slab_rows)
+        flow_states, chunks = [], []
+        for head, end in zip(bounds, bounds[1:]):
+            flow_states.append(
+                scalar_scan(program, program.initial_scan_states(), stream[:head])[1]
+            )
+            chunks.append(stream[head:end])
+        batch = lanes.LaneBatch(chunks)
+        found = program._scan_lanes(flow_states, batch)
+        assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+        assert sorted(m for matches, _ in found for m in matches) == expected, kind
+        if kind == "dtp":
+            assert found == escape_dtp_scan_lanes(program, flow_states, batch)
+            assert found == slab_dtp_scan_lanes(program, flow_states, batch)
+            assert found == reference_dtp_scan_lanes(program, flow_states, batch)
 
 
 class TestLaneKernelOneRowSlab(TestLaneKernel):
