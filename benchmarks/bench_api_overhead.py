@@ -37,8 +37,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SourceSpec
-from repro.core import compile_ruleset
-from repro.fpga import STRATIX_III
+from repro.backend import get_backend
 from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import ScanService
 from repro.traffic import TrafficGenerator
@@ -83,7 +82,7 @@ def bench_point(config: PipelineConfig, ruleset, repeats: int) -> Dict:
     and both get their program compiled outside the timed region, so the
     measurement isolates the dispatch path.
     """
-    program = compile_ruleset(ruleset, STRATIX_III)
+    program = get_backend("dtp").compile(ruleset)
     generator = TrafficGenerator(ruleset, seed=config.source.seed)
     flows = generator.flows(
         config.source.flows,

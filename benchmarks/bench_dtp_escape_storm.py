@@ -2,7 +2,7 @@
 
 The paper's lookup table yields the depth-1, -2 and -3 defaults in one cycle,
 so its one-byte-per-cycle rate holds whatever the traffic.  The software
-form, at the kernel: the device-compiled ``dtp`` program for the end-to-end
+form, at the kernel: the registry's ``dtp`` program for the end-to-end
 benchmark's 500 synthetic rules scans two batches of the same shape through
 ``scan_many`` —
 
@@ -59,10 +59,9 @@ SEED = 1
 def storm(program, rng: random.Random, size: int) -> bytes:
     """``size`` bytes of a random walk over the depth-3 defaults' triples
     (see the module docstring)."""
-    triples = sorted({
-        (*entry.preceding_bytes, byte)
-        for block in program.blocks for byte, entry in block.dtp.defaults.d3.items()
-    })
+    triples = sorted(
+        {(*entry.preceding_bytes, byte) for byte, entry in program.defaults.d3.items()}
+    )
     firing: Dict[tuple, List[int]] = {}
     ending: Dict[int, List[int]] = {}
     for first, second, byte in triples:

@@ -29,8 +29,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis import format_table
 from repro.backend import get_backend
-from repro.core import compile_ruleset
-from repro.fpga import STRATIX_III
 from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import ScanService, StreamScanner
 from repro.traffic import TrafficGenerator
@@ -214,8 +212,8 @@ def test_streaming_smoke_gate(results_dir):
 
 def test_streaming_flow_scaling(benchmark, write_result):
     ruleset = generate_snort_like_ruleset(RULESET_SIZE, seed=BENCH_SEED)
-    program = compile_ruleset(ruleset, STRATIX_III)
-    sid_of = program.string_number_to_sid()
+    program = get_backend("dtp").compile(ruleset)
+    sid_of = {number: rule.sid for number, rule in enumerate(ruleset)}
 
     # pre-generate every workload so the timed region is scanning only
     workloads = {}

@@ -4,7 +4,7 @@
 Run with:  python examples/quickstart.py
 """
 
-from repro import STRATIX_III, compile_ruleset, generate_snort_like_ruleset
+from repro import STRATIX_III, compile_ruleset, generate_snort_like_ruleset, get_backend
 from repro.automata import AhoCorasickDFA
 
 
@@ -33,9 +33,10 @@ def main() -> None:
     print(f"nominal throughput          : {program.throughput_gbps:.1f} Gbps "
           f"({program.packet_groups} packet groups on {program.device.family})")
 
-    # 4. scan a payload
+    # 4. scan a payload: software scans one automaton over the whole ruleset,
+    #    the registry's dtp program (the blocks are the hardware's view)
     payload = b"GET /index.html " + ruleset[10].pattern + b" trailing bytes " + ruleset[42].pattern
-    matches = program.match(payload)
+    matches = get_backend("dtp").compile(ruleset).match(payload)
     sid_of = program.string_number_to_sid()
     print(f"\nscanning a {len(payload)}-byte payload -> {len(matches)} matches")
     for end, number in matches:

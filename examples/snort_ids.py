@@ -51,8 +51,8 @@ PACKETS = [
 def main() -> None:
     specs = parse_rules(SNORT_RULES)
     ids = IntrusionDetectionSystem.from_specs(specs)
-    print(f"loaded {len(ids.rules)} rules; content strings compiled into "
-          f"{ids.program.blocks_per_group} string matching block(s) on {ids.device.family}")
+    print(f"loaded {len(ids.rules)} rules; {len(ids.program.patterns)} content strings "
+          f"compiled into one {ids.program.num_states}-state DTP automaton")
 
     alerts = ids.process(PACKETS)
     print(f"\nprocessed {ids.stats.packets_processed} packets "

@@ -24,15 +24,18 @@ The package is organised as:
 * :mod:`repro.ids`      — an end-to-end mini intrusion detection pipeline;
 * :mod:`repro.analysis` — the metrics behind every table and figure.
 
-Quick start — compile a synthetic ruleset and scan a payload:
+Quick start — compile a synthetic ruleset for a device, then scan a payload
+with the registry's program over the same rules:
 
     >>> from repro import generate_snort_like_ruleset, compile_ruleset, STRATIX_III
     >>> ruleset = generate_snort_like_ruleset(64, seed=7)
-    >>> program = compile_ruleset(ruleset, STRATIX_III)
-    >>> program.blocks_per_group
+    >>> device_program = compile_ruleset(ruleset, STRATIX_III)
+    >>> device_program.blocks_per_group
     1
-    >>> program.throughput_gbps > 40.0
+    >>> device_program.throughput_gbps > 40.0
     True
+    >>> from repro import get_backend
+    >>> program = get_backend("dtp").compile(ruleset)
     >>> pattern = ruleset[0].pattern
     >>> (2 + len(pattern), 0) in program.match(b">>" + pattern + b"<<")
     True

@@ -402,7 +402,9 @@ class EngineSpec:
     ``backend`` is any :mod:`repro.backend` registry name.  Every mode scans
     through one in-process :class:`repro.streaming.ScanService` with one
     LRU flow table, so ``flow_capacity`` — the flows tracked at once — means
-    the same thing in stream and ids mode.  ``strict`` makes pcap-source
+    the same thing in stream and ids mode.  ``device`` is the FPGA whose
+    block partition :attr:`repro.api.Session.hardware` models; it does not
+    change what a scan runs.  ``strict`` makes pcap-source
     decoding fail on undecodable frames instead of skipping and counting
     them.
 

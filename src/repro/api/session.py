@@ -3,7 +3,7 @@
 ``Session.from_config`` turns a declarative :class:`repro.api.PipelineConfig`
 into the exact object composition previously hand-wired per call site —
 ruleset generation or Snort-file parsing, backend compilation (through
-:func:`repro.backend.get_backend`, for the configured device) and **one
+:func:`repro.backend.get_backend`) and **one
 ordered stage list**::
 
     Reassembly  ->  Prefilter (scan service)  ->  Confirm  ->  Sinks
@@ -35,7 +35,7 @@ from ..backend import CompiledProgram, get_backend
 # modules, not names, where a caller may wrap the function (the benchmark's
 # tracer patches these attributes): the call must look it up when it is made
 from ..capture import pcap as capture_pcap
-from ..core.accelerator_config import AcceleratorProgram
+from ..core.accelerator_config import compile_ruleset
 from ..fpga.devices import get_device
 from ..hardware.accelerator import HardwareAccelerator
 from ..ids.pipeline import IntrusionDetectionSystem
@@ -232,31 +232,25 @@ class Session:
 
     @property
     def program(self) -> CompiledProgram:
-        """The compiled matcher program for the configured backend and device:
-        ``get_backend(backend).compile(ruleset, device=device)``, the program
-        ``repro verify --backend`` proves (for ``dtp`` the partitioned,
-        word-packed accelerator program).  String numbers follow ruleset
+        """The compiled matcher program for the configured backend:
+        ``get_backend(backend).compile(ruleset)``, the program ``repro verify
+        --backend`` proves (for ``dtp`` one unpartitioned
+        :class:`~repro.core.DTPAutomaton`).  String numbers follow ruleset
         order.
         """
         if self._program is _UNSET:
             start = time.perf_counter()
-            self._program = get_backend(self.config.engine.backend).compile(
-                self.ruleset, device=self.device
-            )
+            self._program = get_backend(self.config.engine.backend).compile(self.ruleset)
             self.compile_seconds = time.perf_counter() - start
         return self._program
 
     @property
     def hardware(self):
-        """The cycle-level hardware model of :attr:`program`; only an
-        :class:`~repro.core.AcceleratorProgram` (``dtp``) has one."""
+        """The cycle-level hardware model of the ruleset on the configured
+        device: ``compile_ruleset``'s block partition, built on first use
+        (a scan never builds it), whatever the backend."""
         if self._hardware is _UNSET:
-            if not isinstance(self.program, AcceleratorProgram):
-                raise ValueError(
-                    "the cycle-level hardware model executes an AcceleratorProgram, "
-                    f"not a {type(self.program).__name__}"
-                )
-            self._hardware = HardwareAccelerator(self.program)
+            self._hardware = HardwareAccelerator(compile_ruleset(self.ruleset, self.device))
         return self._hardware
 
     @property
@@ -301,7 +295,6 @@ class Session:
         if self._ids is _UNSET:
             engine = self.config.engine
             options = dict(
-                device=self.device,
                 backend=engine.backend,
                 flow_capacity=engine.flow_capacity,
             )

@@ -7,12 +7,12 @@ full move-function DFA, bitmap- or path-compressed failure automata, the
 DTP-pruned hardware form, or a software shift-table matcher.  This module
 gives the repository one vocabulary for all of them:
 
-* :class:`Backend` — a named compiler: ``compile(rules, device=None)`` returns
-  the :class:`CompiledProgram` a session scans.  ``rules`` is a
-  :class:`~repro.rulesets.RuleSet` or a sequence of byte patterns; only
-  ``dtp`` reads ``device`` — it compiles the partitioned, word-packed
-  accelerator program of :func:`repro.core.compile_ruleset`, the rest
-  compile the pattern tuple.
+* :class:`Backend` — a named compiler: ``compile(rules)`` returns the
+  :class:`CompiledProgram` a session scans.  ``rules`` is a
+  :class:`~repro.rulesets.RuleSet` or a sequence of byte patterns; every
+  backend compiles the pattern tuple into one automaton (``dtp`` into one
+  :class:`~repro.core.DTPAutomaton`; the device's block partition,
+  :func:`repro.core.compile_ruleset`, is the hardware view and never scans).
 * :class:`CompiledProgram` — the scan contract every compiled matcher
   honours: per-payload ``match``/``scan``/``scan_packets`` plus the resumable
   ``initial_scan_states`` / ``scan_from`` pair the streaming layer needs and
@@ -28,11 +28,10 @@ Resumability contract
 Feeding the segments of one byte stream through consecutive ``scan_from``
 calls must be exactly equivalent to one ``match`` over the concatenated
 stream; reported end offsets are stream-absolute.  A backend's per-flow state
-is a tuple of :class:`ScanState` (one per internal scan unit — a single
-automaton uses a 1-tuple, a multi-block accelerator program one per block),
-which is what the flow table serialises.  ``scan_from`` also accepts a bare
-:class:`ScanState` for single-unit programs and then returns a bare
-:class:`ScanState`, preserving the original ``DTPAutomaton`` API.
+is a 1-tuple of :class:`ScanState` (:data:`FlowState`, the form the flow
+table serialises).  ``scan_from`` also accepts a bare :class:`ScanState` and
+then returns a bare :class:`ScanState`, preserving the original
+``DTPAutomaton`` API.
 
 This module deliberately imports nothing from the rest of the package (the
 automata and core layers import *it*), so every backend can conform without
@@ -76,7 +75,8 @@ class ScanState:
     stream-wide end positions.  ``tail`` is an optional carry buffer used by
     window-based backends (Wu-Manber keeps the last ``max_pattern_len - 1``
     bytes there).  Instances are immutable, so checkpointing a flow is just
-    keeping a reference.
+    keeping a reference.  Every program is one automaton, so a flow carries
+    exactly one (:data:`FlowState`).
     """
 
     state: int = ROOT_STATE
@@ -125,7 +125,8 @@ class ScanState:
         )
 
 
-#: A flow's complete resumable state: one :class:`ScanState` per scan unit.
+#: A flow's complete resumable state: a 1-tuple of :class:`ScanState` (every
+#: program is one automaton; a checkpoint keeps the tuple form).
 FlowState = Tuple[ScanState, ...]
 
 #: One unit of batched scanning: a flow's state and the bytes to resume over.
@@ -186,12 +187,9 @@ class CompiledProgramMixin:
 
     backend_name: str = "unnamed"
 
-    #: Number of internal scan units (per-flow ScanStates); single automaton.
-    scan_units: int = 1
-
     def initial_scan_states(self, offset: int = 0) -> FlowState:
-        """Fresh per-unit scan states for one new flow (or resumed stream)."""
-        return tuple(ScanState(offset=offset) for _ in range(self.scan_units))
+        """The fresh scan state of one new flow (or resumed stream)."""
+        return (ScanState(offset=offset),)
 
     def _scan_chunk(
         self, states: FlowState, chunk: bytes
@@ -203,9 +201,9 @@ class CompiledProgramMixin:
     ) -> Tuple[MatchList, Union[ScanState, FlowState]]:
         """Scan ``chunk`` resuming from ``states``; return matches + new state.
 
-        The canonical form takes and returns a tuple of per-unit states; a
-        bare :class:`ScanState` is accepted (and returned) for single-unit
-        programs.  Match end offsets are stream-absolute.
+        The canonical form takes and returns the 1-tuple :data:`FlowState`;
+        a bare :class:`ScanState` is accepted (and returned) as well.  Match
+        end offsets are stream-absolute.
         """
         if isinstance(states, ScanState):
             matches, (next_state,) = self._scan_chunk((states,), chunk)
@@ -266,17 +264,17 @@ class CompiledProgramMixin:
 
 @dataclass(frozen=True)
 class Backend:
-    """A named matcher compiler: ``compile(rules, device) -> CompiledProgram``."""
+    """A named matcher compiler: ``compile(rules) -> CompiledProgram``."""
 
     name: str
     description: str
-    factory: Callable[[Any, Any], Any]
+    factory: Callable[[Any], Any]
 
-    def compile(self, rules: Any, device: Any = None) -> Any:
+    def compile(self, rules: Any) -> Any:
         """Compile ``rules`` (a ``RuleSet`` or byte patterns; string numbers
-        follow their order) for ``device`` (an ``FPGADevice``, read by
-        ``dtp`` only) into the program :class:`repro.api.Session` scans."""
-        return self.factory(rules, device)
+        follow their order) into the program :class:`repro.api.Session`
+        scans."""
+        return self.factory(rules)
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -311,32 +309,17 @@ def all_backends() -> List[Backend]:
 # ----------------------------------------------------------------------
 # built-in backends (compilers import lazily to avoid circular imports)
 # ----------------------------------------------------------------------
-def _pattern_compiler(module: str, target: str) -> Callable[[Any, Any], Any]:
+def _pattern_compiler(module: str, target: str) -> Callable[[Any], Any]:
     """A factory calling ``module``'s ``target`` (a dotted attribute path) on
-    the pattern tuple of ``rules`` (a ``RuleSet``'s, or ``rules`` itself);
-    ``device`` is ignored."""
+    the pattern tuple of ``rules`` (a ``RuleSet``'s, or ``rules`` itself)."""
 
-    def factory(rules, device):
+    def factory(rules):
         compiler: Any = import_module(module, __package__)
         for attribute in target.split("."):
             compiler = getattr(compiler, attribute)
         return compiler(tuple(bytes(p) for p in getattr(rules, "patterns", rules)))
 
     return factory
-
-
-def _compile_dtp(rules, device):
-    """``compile_ruleset`` for ``device`` (default Stratix III): a ``RuleSet``
-    keeps its sids and name, plain patterns become one (a duplicate raises
-    its ``ValueError``).  The function is looked up on its module when
-    called, so a wrapper installed there (the benchmark's tracer) sees it."""
-    from .core import accelerator_config
-    from .fpga.devices import STRATIX_III
-    from .rulesets.ruleset import RuleSet
-
-    if not isinstance(rules, RuleSet):
-        rules = RuleSet.from_patterns([bytes(p) for p in rules])
-    return accelerator_config.compile_ruleset(rules, STRATIX_III if device is None else device)
 
 
 for _name, _module, _target, _description in (
@@ -349,9 +332,10 @@ for _name, _module, _target, _description in (
     ("path", ".automata.path_compressed_ac", "PathCompressedAhoCorasick.from_patterns",
      "path-compressed Aho-Corasick (Tuck et al.)"),
     ("wu-manber", ".automata.wu_manber", "WuManber", "Wu-Manber shift-table matcher"),
+    ("dtp", ".core.dtp_automaton", "DTPAutomaton.from_patterns",
+     "DTP-compressed automaton (the paper's design)"),
 ):
     register_backend(Backend(_name, _description, _pattern_compiler(_module, _target)))
-register_backend(Backend("dtp", "device-compiled DTP blocks (the paper's design)", _compile_dtp))
 
 __all__ = [
     "MatchList",

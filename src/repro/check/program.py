@@ -24,10 +24,11 @@ over the whole state graph:
   ``dtp`` backends share state numbering by construction, so proving each
   backend's effective transition function and output sets equal to the
   reference exhibits the identity relation as a bisimulation between any two
-  of them (:func:`verify_cross_backend`; ``dtp`` block by block).
-* **Memory-word packing round-trips** — every packed state decodes from its
-  324-bit word image back to its stored pointers and match address, within
-  the 13-pointer hardware limit, with no two states overlapping inside a
+  of them (:func:`verify_cross_backend`).
+* **Memory-word packing round-trips** — every packed state of a device
+  program's blocks decodes from its 324-bit word image back to its stored
+  pointers and match address, within the 13-pointer hardware limit (DTP006
+  warns of a block state over it), with no two states overlapping inside a
   word.
 * **Dense kernel views** — the lane kernel's premultiplied table, the dense
   program's only transition table, decodes to the reference move function;
@@ -56,7 +57,6 @@ compiled program).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -665,7 +665,7 @@ def _check_dtp_automaton(
                 source=source,
             )
 
-    # --- stored pointers are exact (DTP001) + capacity (DTP006) -----------
+    # --- stored pointers are exact (DTP001) -------------------------------
     states, symbols, targets = (column.astype(np.int64) for column in dtp.pointers)
     stored_mask = np.zeros((ref.num_states, ALPHABET), dtype=bool)
     stored_mask[states, symbols] = True
@@ -679,17 +679,6 @@ def _check_dtp_automaton(
             f"stored pointer -> {int(targets[index])}, reference says {int(expected[index])}",
             state=int(states[index]),
             byte=int(symbols[index]),
-            source=source,
-        )
-    counts = np.bincount(states, minlength=ref.num_states)
-    for state in np.flatnonzero(counts > HARDWARE_MAX_POINTERS).tolist():
-        capped.add(
-            WARNING,
-            "DTP006",
-            f"state stores {int(counts[state])} pointers; the hardware handles "
-            f"at most {HARDWARE_MAX_POINTERS} (packing will reject this "
-            "block — rebuild with max_stored_pointers set)",
-            state=state,
             source=source,
         )
 
@@ -1313,6 +1302,18 @@ def _check_accelerator(capped: _Capped, program: AcceleratorProgram, ref: Refere
         source = f"block[{block.index}]"
         block_ref = Reference([rule.pattern for rule in block.ruleset])
         _check_dtp_automaton(capped, block.dtp, block_ref, source=source)
+        # capacity: only a device block is packed into words
+        counts = block.dtp.pointer_counts()
+        for state in np.flatnonzero(counts > HARDWARE_MAX_POINTERS).tolist():
+            capped.add(
+                WARNING,
+                "DTP006",
+                f"state stores {int(counts[state])} pointers; the hardware handles "
+                f"at most {HARDWARE_MAX_POINTERS} (packing will reject this "
+                "block — rebuild with max_stored_pointers set)",
+                state=state,
+                source=source,
+            )
         _check_lookup_encoding(capped, block, source)
         _check_packing(capped, block, block_ref, source)
         _check_match_memory(
@@ -1393,8 +1394,11 @@ def verify_program(program, patterns: Optional[Sequence[bytes]] = None) -> Repor
     if patterns is None:
         patterns = program.patterns
     patterns = [bytes(p) for p in patterns]
-    name = getattr(program, "backend_name", type(program).__name__)
-    report = Report(subject=f"{name} program over {len(patterns)} pattern(s)")
+    if isinstance(program, AcceleratorProgram):
+        name = f"{program.device.family} device program ({program.blocks_per_group} block(s))"
+    else:
+        name = f"{getattr(program, 'backend_name', type(program).__name__)} program"
+    report = Report(subject=f"{name} over {len(patterns)} pattern(s)")
     capped = _Capped(report)
     ref = Reference(patterns)
 
@@ -1439,29 +1443,23 @@ def _effective_view(program, ref: Reference):
         capped = _Capped(Report())
         eff = _closure_table(capped, rows, program.fail, ref, "path")
         return eff, lambda s: program.outputs[s]
-    if isinstance(program, BlockProgram):
-        numbers = program.string_numbers
-        return _dtp_effective_table(program.dtp, ref), lambda s: [
-            numbers.get(pid, -1) for pid in program.dtp.outputs[s]
-        ]
+    if isinstance(program, DTPAutomaton):
+        return _dtp_effective_table(program, ref), lambda s: program.outputs[s]
     raise TypeError(f"no structural view for {type(program).__name__}")
 
 
 def verify_cross_backend(
     rules,
     backends: Sequence[str] = AUTOMATON_BACKENDS,
-    device=None,
 ) -> Report:
     """Prove the automaton backends structurally bisimilar on ``rules``.
 
     ``rules`` (a :class:`RuleSet` or byte patterns) compiles through the
-    registry for ``device``, into the programs a :class:`repro.api.Session`
-    scans.  All listed backends number their states identically (they share
-    the trie construction; ``dtp`` per block, over the block's group), so the
-    identity relation is a bisimulation iff every backend's effective move
-    function and output sets equal the independent reference, and each
-    string number is reported by exactly one scan unit — which is what this
-    checks.  No byte of traffic is scanned.
+    registry, into the programs a :class:`repro.api.Session` scans.  All
+    listed backends number their states identically (they share the trie
+    construction), so the identity relation is a bisimulation iff every
+    backend's effective move function and output sets equal the independent
+    reference — which is what this checks.  No byte of traffic is scanned.
     """
     patterns = [bytes(p) for p in (rules.patterns if isinstance(rules, RuleSet) else rules)]
     report = Report(
@@ -1470,39 +1468,22 @@ def verify_cross_backend(
     )
     capped = _Capped(report)
     ref = Reference(patterns)
-    number_of = {pattern: number for number, pattern in enumerate(patterns)}
     for name in backends:
-        program = get_backend(name).compile(rules, device=device)
-        owners: Counter = Counter()
-        for unit in program.blocks if isinstance(program, AcceleratorProgram) else [program]:
-            source, unit_ref = name, ref
-            if isinstance(unit, BlockProgram):  # reports global string numbers
-                source, group = f"{name}.block[{unit.index}]", unit.ruleset.patterns
-                unit_ref = Reference(group, [number_of.get(p, -1) for p in group])
-            num_states = getattr(unit, "num_states", unit_ref.num_states)
-            if not _check_state_count(capped, num_states, unit_ref, source):
-                continue
-            eff, outputs_of = _effective_view(unit, unit_ref)
-            if eff is None:
-                capped.add(
-                    ERROR,
-                    "BSM001",
-                    "failure links do not strictly decrease depth; no effective "
-                    "move function exists",
-                    source=source,
-                )
-                continue
-            _check_table(capped, eff, unit_ref, source, code="BSM001")
-            _check_outputs(capped, outputs_of, unit_ref, source, code="BSM002")
-            owners.update({n for s in range(unit_ref.num_states) for n in outputs_of(s)})
-        for number in range(len(patterns)):
-            if owners[number] != 1:
-                capped.add(
-                    ERROR,
-                    "BSM002",
-                    f"string number {number} is reported by {owners[number]} scan units",
-                    rule=number,
-                    source=name,
-                )
+        program = get_backend(name).compile(rules)
+        num_states = getattr(program, "num_states", ref.num_states)
+        if not _check_state_count(capped, num_states, ref, name):
+            continue
+        eff, outputs_of = _effective_view(program, ref)
+        if eff is None:
+            capped.add(
+                ERROR,
+                "BSM001",
+                "failure links do not strictly decrease depth; no effective "
+                "move function exists",
+                source=name,
+            )
+            continue
+        _check_table(capped, eff, ref, name, code="BSM001")
+        _check_outputs(capped, outputs_of, ref, name, code="BSM002")
     capped.flush()
     return report

@@ -73,7 +73,8 @@ from .api import (
     repro_version,
 )
 from .backend import backend_names
-from .core.accelerator_config import AcceleratorProgram, compile_ruleset
+from .core.accelerator_config import compile_ruleset
+from .core.dtp_automaton import DTPAutomaton
 from .fpga.devices import CYCLONE_III, DEVICES, STRATIX_III, get_device
 from .proto.reassembly import OVERLAP_POLICIES
 from .rulesets.generator import generate_paper_rulesets, generate_snort_like_ruleset
@@ -280,8 +281,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     with Session.from_config(_pipeline_config(args, "packets", source)) as session:
         packets = session.packets
 
-        if isinstance(session.program, AcceleratorProgram):
-            # the paper's program runs through the cycle-level hardware model
+        if isinstance(session.program, DTPAutomaton):
+            # the paper's structure runs through the cycle-level hardware model
             result = session.hardware.scan(packets)
             print(f"scanned {len(packets)} packets ({result.bytes_processed} bytes)")
             print(f"engine cycles          : {result.engine_cycles}")
@@ -596,15 +597,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
     ruleset = _ruleset_for_check(args)
-    device = get_device(args.device)
-    # the registry compiles what Session(backend=..., device=...) scans; for
-    # dtp, verify_program is the per-block hardware audit
+    # the registry compiles what Session(backend=...) scans; for dtp the
+    # device's blocks get the hardware audit as well
     names = AUTOMATON_BACKENDS if args.backend == "all" else (args.backend,)
-    reports = [
-        verify_program(get_backend(name).compile(ruleset, device=device)) for name in names
-    ]
+    programs = [get_backend(name).compile(ruleset) for name in names]
+    if any(isinstance(program, DTPAutomaton) for program in programs):
+        programs.append(compile_ruleset(ruleset, get_device(args.device)))
+    reports = [verify_program(program) for program in programs]
     if set(names) <= set(AUTOMATON_BACKENDS):
-        reports.append(verify_cross_backend(ruleset, device=device))
+        reports.append(verify_cross_backend(ruleset))
     report = merge_reports(
         f"verify {args.backend} over {len(ruleset)} pattern(s) "
         f"({ruleset.name})",

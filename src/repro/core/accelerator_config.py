@@ -11,34 +11,34 @@ update time:
    the lookup table;
 4. report the Table II statistics (states, average pointers, memory bytes,
    throughput) for the resulting configuration.
+
+The result is the hardware view of a ruleset: what Tables II/III, the block
+image and the cycle model (:class:`repro.hardware.HardwareAccelerator`)
+consume.  Software scans one unpartitioned automaton (the registry's ``dtp``
+entry, :meth:`DTPAutomaton.from_patterns`); in hardware the blocks run side
+by side, so the partition costs no rate there, but stepped one after another
+in software a byte would cost one step per block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..backend import FlowState, ScanState
 from ..fpga.devices import FPGADevice
 from ..fpga.throughput import accelerator_throughput_gbps
 from ..rulesets.ruleset import RuleSet
-from . import lanes
 from .dtp_automaton import (
     HARDWARE_MAX_POINTERS,
     DTPAutomaton,
     StagedPointerCounts,
 )
-from .lanes import LaneBatch, LaneCut, LaneKernelMixin
 from .lookup_table import EncodedLookupTable, encode_lookup_table
 from .match_memory import MATCH_MEMORY_WORDS, MatchMemory
 from .memory_layout import PackedStateMachine, PackingError, pack_state_machine
 from .partition import PartitionPlan, partition_ruleset
 from .state_types import SLOTS_PER_WORD
-
-MatchList = List[Tuple[int, int]]
 
 
 class CompilationError(ValueError):
@@ -57,15 +57,6 @@ class BlockProgram:
     match_memory: MatchMemory
     #: local pattern id -> global string number reported to the host
     string_numbers: Dict[int, int]
-    #: ``string_numbers`` as an array: the local ids a scan reports map to
-    #: global numbers with one take per block
-    numbers: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.numbers = np.array(
-            [self.string_numbers[local_id] for local_id in range(len(self.string_numbers))],
-            dtype=np.int64,
-        )
 
     @property
     def num_states(self) -> int:
@@ -92,22 +83,16 @@ class BlockProgram:
 
 
 @dataclass
-class AcceleratorProgram(LaneKernelMixin):
-    """A compiled accelerator configuration for one device.
-
-    Conforms to the :class:`repro.backend.CompiledProgram` protocol (backend
-    name ``"dtp"``): the per-flow state is one :class:`ScanState` per block
-    of the group, since every block holds a disjoint string group and scans
-    the whole byte stream.
-    """
+class AcceleratorProgram:
+    """A compiled accelerator configuration for one device: the blocks of
+    one packet group, each holding a disjoint string group and its memory
+    images.  Not a scan program (see the module docstring)."""
 
     device: FPGADevice
     ruleset: RuleSet
     blocks: List[BlockProgram]
     partition: PartitionPlan
     d2_slots: int = 4
-
-    backend_name = "dtp"
 
     @property
     def blocks_per_group(self) -> int:
@@ -162,71 +147,10 @@ class AcceleratorProgram(LaneKernelMixin):
         d3 = sum(block.dtp.defaults.num_d3 for block in self.blocks)
         return {"d1": d1, "d1+d2": d1 + d2, "d1+d2+d3": d1 + d2 + d3}
 
-    # ------------------------------------------------------------------
-    # functional scanning (software reference for the hardware simulation)
-    # ------------------------------------------------------------------
     @property
     def patterns(self) -> Tuple[bytes, ...]:
         """The compiled patterns; string numbers index this tuple."""
         return tuple(rule.pattern for rule in self.ruleset)
-
-    # ------------------------------------------------------------------
-    # streaming (flow-oriented) scanning
-    # ------------------------------------------------------------------
-    @property
-    def scan_units(self) -> int:
-        """One resumable :class:`ScanState` per block of the group."""
-        return len(self.blocks)
-
-    @property
-    def warmup(self) -> int:
-        """Bytes a lane warms up over: the longest pattern of any block."""
-        return max(block.dtp.warmup for block in self.blocks)
-
-    def _unit_states(self, states: FlowState) -> FlowState:
-        if len(states) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} per-block scan states, got {len(states)}"
-            )
-        return states
-
-    def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
-        """Scan one segment of a flow, resuming every block from ``states``.
-
-        Returns stream-absolute ``(end_offset, string_number)`` matches plus
-        the per-block states to carry into the flow's next segment.
-        """
-        matches: MatchList = []
-        next_states: List[ScanState] = []
-        for block, state in zip(self.blocks, self._unit_states(states)):
-            found, (next_state,) = block.dtp._scan_scalar((state,), chunk)
-            if found:
-                ends, pattern_ids = zip(*found)
-                matches.extend(zip(ends, block.numbers.take(pattern_ids).tolist()))
-            next_states.append(next_state)
-        matches.sort()
-        return matches, tuple(next_states)
-
-    def _scan_lanes(
-        self, flow_states: Sequence[FlowState], batch: LaneBatch
-    ) -> List[Tuple[MatchList, FlowState]]:
-        """The batch is packed and cut once; every block's kernel runs over
-        the same cut, and the blocks' hits merge per job in ``(end_offset,
-        string_number)`` order."""
-        cut = LaneCut(batch, self.warmup, history=1)
-        flow_states = list(map(self._unit_states, flow_states))
-        parts, finals = [], []
-        for unit, block in enumerate(self.blocks):
-            (jobs, ends, pattern_ids), final = block.dtp.lane_hits(
-                cut, [states[unit] for states in flow_states]
-            )
-            parts.append((jobs, ends, block.numbers.take(pattern_ids)))
-            finals.append(final)
-        jobs, ends, numbers = map(np.concatenate, zip(*parts))
-        order = np.lexsort((numbers, ends, jobs))
-        return lanes.job_results(
-            flow_states, batch, (jobs[order], ends[order], numbers[order]), finals
-        )
 
     def string_number_to_sid(self) -> Dict[int, int]:
         """Map global string numbers back to rule sids."""

@@ -236,7 +236,7 @@ class CompiledDenseProgram(LaneKernelMixin):
         hits = lanes.expand_hits(
             (jobs, ends, (values - flagged) >> 8), self.match_index, self.match_pids
         )
-        return lanes.job_results(flow_states, batch, hits, [(final % flagged) >> 8])
+        return lanes.job_results(flow_states, batch, hits, (final % flagged) >> 8)
 
     # ------------------------------------------------------------------
     # memory accounting

@@ -330,9 +330,12 @@ def default_views(defaults: DefaultTransitionTable, value_of: np.ndarray) -> np.
 class DTPAutomaton(LaneKernelMixin):
     """Software model of the paper's compressed string matching automaton.
 
-    Conforms to the :class:`repro.backend.CompiledProgram` protocol (backend
-    name ``"dtp"``): the per-flow state carries the automaton state *and* the
-    two-byte input history the default-transition lookup needs.
+    The registry's ``dtp`` program: one automaton over the whole ruleset,
+    conforming to the :class:`repro.backend.CompiledProgram` protocol; the
+    per-flow state carries the automaton state *and* the two-byte input
+    history the default-transition lookup needs.  A device's blocks
+    (:func:`repro.core.compile_ruleset`) are one of these per string group,
+    built with ``max_stored_pointers`` so that every state fits a word.
 
     It keeps the stored :attr:`pointers`, the lookup table and the kernel
     views laid out from them, not the DFA it is compiled from (the statistics
@@ -557,7 +560,7 @@ class DTPAutomaton(LaneKernelMixin):
         hits, final = self.lane_hits(
             LaneCut(batch, self.warmup, history=1), [state for (state,) in flow_states]
         )
-        return lanes.job_results(flow_states, batch, hits, [final])
+        return lanes.job_results(flow_states, batch, hits, final)
 
     # ------------------------------------------------------------------
     # statistics / memory accounting
@@ -568,9 +571,18 @@ class DTPAutomaton(LaneKernelMixin):
     def average_stored_pointers(self) -> float:
         return self.stored_pointer_count() / self.num_states
 
-    def memory_bytes(self, pointer_bytes: int = 4) -> int:
-        """Footprint storing one pointer per retained transition (cf. Table II)."""
-        return self.stored_pointer_count() * pointer_bytes
+    def memory_bytes(self) -> int:
+        """Resident footprint: every array the program holds — the stored
+        pointers, the kernel views, the packed outputs and the depths — as
+        :meth:`CompiledDenseProgram.memory_bytes` counts its own (the e2e
+        benchmark's ``backend.table_mb``).  A device block's memory image is
+        :meth:`BlockProgram.memory_bytes`."""
+        arrays = (
+            *self.pointers, self.pointer_index, self.depth, self.match_index,
+            self.match_pids, self.value_of, self.check, self.next, self.id_of,
+            self.value_depth, self.pair_default,
+        )
+        return sum(array.nbytes for array in arrays)
 
     def pointer_count_histogram(self) -> Dict[int, int]:
         histogram = np.bincount(self.pointer_counts())

@@ -38,7 +38,7 @@ is here, once::
                                                         │
             LaneCut(batch, warmup)   pack + lane geometry, once per batch
                  │
-                 └─ run(carried, ...)    once per kernel (per block)
+                 └─ run(carried, ...)    once per batch
                       per tile:  byte window ─► kernel's walk() ─► one slab
                       per slab:  final-state pick-up; reports() ─► flatnonzero
                                  ─► (job, end offset, state) hits
@@ -69,7 +69,6 @@ tested against.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import isqrt
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -216,10 +215,9 @@ def resumed(scan_state: ScanState, state: int, chunk: bytes) -> ScanState:
 class LaneCut:
     """One batch cut into lanes: the packed bytes and the lane geometry.
 
-    Built once per batch; every kernel that scans the batch (one per block
-    of a multi-block program) :meth:`run`\\ s over the same cut.  ``history``
-    extra bytes are kept in front of each lane's warm-up for kernels whose
-    step reads the bytes before the current one.
+    Built once per batch, and :meth:`run` once over it.  ``history`` extra
+    bytes are kept in front of each lane's warm-up for kernels whose step
+    reads the bytes before the current one.
     """
 
     def __init__(self, batch: LaneBatch, warmup: int, history: int = 0):
@@ -418,25 +416,15 @@ def job_results(
     flow_states: Sequence[FlowState],
     batch: LaneBatch,
     hits: Hits,
-    finals: Sequence[np.ndarray],
+    final: np.ndarray,
 ) -> List[Tuple[MatchList, FlowState]]:
     """One ``(matches, states)`` per job from its hits (sorted by job) and
-    the final-state array of each of the program's scan units."""
+    its final state id."""
     matches = split_matches(len(flow_states), hits)
-    if len(finals) == 1:
-        # the per-job zip/map below costs 0.5 us a job: 7 % of a dense batch
-        # of 256 flows x 512 B
-        return [
-            (found, (resumed(scan_state, state, chunk),))
-            for (scan_state,), chunk, found, state in zip(
-                flow_states, batch.chunks, matches, finals[0].tolist()
-            )
-        ]
     return [
-        (found, tuple(map(resumed, states, ended, repeat(chunk))))
-        for states, chunk, found, ended in zip(
-            flow_states, batch.chunks, matches,
-            zip(*(final.tolist() for final in finals)),
+        (found, (resumed(scan_state, state, chunk),))
+        for (scan_state,), chunk, found, state in zip(
+            flow_states, batch.chunks, matches, final.tolist()
         )
     ]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..backend import FlowState, MatchList
+from ..backend import MatchList
 from ..core.accelerator_config import AcceleratorProgram
 from ..fpga.devices import FPGADevice
 from ..fpga.throughput import accelerator_throughput_gbps
@@ -59,16 +59,12 @@ class AcceleratorScanResult:
 class HardwareAccelerator:
     """Cycle-level model of the multi-block accelerator.
 
-    The model also honours the :class:`repro.backend.CompiledProgram`
-    protocol so the IDS and any other consumer can treat it as one more
-    backend: per-payload :meth:`match`/:meth:`scan_packets` run the full
-    cycle-accurate pipeline (engines, memory ports, match schedulers), while
-    the resumable :meth:`scan_from` path delegates to the compiled program —
-    the cycle model contributes timing, never its own copy of the matching
-    semantics.
+    Per-payload :meth:`match`/:meth:`scan_packets` run the full
+    cycle-accurate pipeline (engines, memory ports, match schedulers) and
+    report what the registry's ``dtp`` program reports for the same bytes.
+    The model has no resumable stream scan: flows are scanned by the
+    registry's programs.
     """
-
-    backend_name = "dtp"
 
     def __init__(self, program: AcceleratorProgram, device: Optional[FPGADevice] = None):
         self.program = program
@@ -111,10 +107,9 @@ class HardwareAccelerator:
         """Scan ``packets``: round-robin across packet groups, merge matches.
 
         Accepts either a packet batch (returning the cycle-level
-        :class:`AcceleratorScanResult`) or, per the
-        :class:`repro.backend.CompiledProgram` protocol, one raw payload
-        (returning its match list) — a ``bytes`` value is never a packet
-        sequence, so the dispatch is unambiguous.
+        :class:`AcceleratorScanResult`) or one raw payload (returning its
+        match list) — a ``bytes`` value is never a packet sequence, so the
+        dispatch is unambiguous.
         """
         if isinstance(packets, (bytes, bytearray, memoryview)):
             return self.match(bytes(packets))
@@ -154,7 +149,7 @@ class HardwareAccelerator:
         )
 
     # ------------------------------------------------------------------
-    # CompiledProgram protocol surface (cycle-accurate where possible)
+    # per-payload scans (cycle-accurate)
     # ------------------------------------------------------------------
     @property
     def patterns(self) -> Tuple[bytes, ...]:
@@ -176,19 +171,6 @@ class HardwareAccelerator:
         for event in result.events:
             found[event.packet_id].append((event.end_offset, event.string_number))
         return found
-
-    def initial_scan_states(self, offset: int = 0) -> FlowState:
-        return self.program.initial_scan_states(offset=offset)
-
-    def scan_from(self, states, chunk: bytes):
-        """Resumable streaming scan.
-
-        Delegated to the compiled program: the per-engine flow checkpointing
-        the hardware exposes (:meth:`StringMatchingEngine.resume_flow`) is
-        not yet driven by a flow-aware scheduler, and the functional result
-        is identical by construction.
-        """
-        return self.program.scan_from(states, chunk)
 
     # ------------------------------------------------------------------
     def alerts_by_sid(self, result: AcceleratorScanResult) -> Dict[int, List[MatchEvent]]:

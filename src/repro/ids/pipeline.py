@@ -32,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..backend import CompiledProgram, get_backend
 from ..core.accelerator_config import compile_ruleset  # noqa: F401 (the e2e tracer wraps it)
-from ..fpga.devices import FPGADevice, STRATIX_III
 from ..rulesets.parser import (
     ContentPattern,
     RulePredicate,
@@ -130,8 +129,8 @@ class IntrusionDetectionSystem:
     """A miniature Snort-style IDS driven by the paper's accelerator.
 
     ``backend`` selects the content matcher (any :mod:`repro.backend` name):
-    :attr:`program` is ``get_backend(backend).compile(contents, device=device)``,
-    what a :class:`repro.api.Session` of that backend and device scans.
+    :attr:`program` is ``get_backend(backend).compile(contents)``, what a
+    :class:`repro.api.Session` of that backend scans.
 
     :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
     prefilter runs on one :class:`repro.streaming.ScanService`
@@ -150,7 +149,6 @@ class IntrusionDetectionSystem:
     def __init__(
         self,
         rules: Sequence[IDSRule],
-        device: FPGADevice = STRATIX_III,
         backend: str = "dtp",
         flow_capacity: int = DEFAULT_FLOW_CAPACITY,
     ):
@@ -161,7 +159,6 @@ class IntrusionDetectionSystem:
             if rule.sid in self.rules:
                 raise ValueError(f"duplicate sid {rule.sid}")
             self.rules[rule.sid] = rule
-        self.device = device
         self.stats = IDSStatistics()
 
         self.classifier = HeaderClassifier()
@@ -197,9 +194,7 @@ class IntrusionDetectionSystem:
                         self._content_ruleset.add_pattern(pattern)
 
         self.backend = backend
-        self.program: CompiledProgram = get_backend(backend).compile(
-            self._content_ruleset, device=device
-        )
+        self.program: CompiledProgram = get_backend(backend).compile(self._content_ruleset)
         number_of = {
             rule.pattern: index for index, rule in enumerate(self._content_ruleset)
         }
@@ -223,7 +218,7 @@ class IntrusionDetectionSystem:
         The wildcard header keeps every packet a candidate, so detection is
         decided purely by the content matcher — the construction the CLI and
         :class:`repro.api.Session` use for synthetic rulesets.  ``engine``
-        holds the constructor's keyword arguments (``device``, ``backend``,
+        holds the constructor's keyword arguments (``backend``,
         ``flow_capacity``, ...).
         """
         rules = [

@@ -1,6 +1,6 @@
 """Streaming flow-scan subsystem: stateful cross-packet matching at scale.
 
-The per-packet scan path (:meth:`repro.core.AcceleratorProgram.match`,
+The per-packet scan path (a compiled program's ``match``,
 :class:`repro.hardware.HardwareAccelerator`) resets the automaton at every
 packet boundary, so a pattern split across consecutive TCP segments of one
 flow is silently missed.  This package adds the layer a production line card

@@ -11,7 +11,7 @@ Memory is bounded: the table holds at most ``capacity`` flows and evicts the
 least recently scanned one when full (an evicted flow that sends more traffic
 simply restarts from the root state, the standard trade-off in flow-state
 engines).  The whole table can be checkpointed to a plain JSON-serialisable
-dict and restored later — per-flow state is tiny (a few integers per block),
+dict and restored later — per-flow state is tiny (a few integers),
 which is what makes checkpointing and migration across engines cheap.
 """
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..backend import ScanState
+from ..backend import FlowState, ScanState
 from ..traffic.packet import FiveTuple
 
 #: Default maximum number of concurrently tracked flows per table.
@@ -108,9 +108,10 @@ class FlowKey:
 class FlowEntry:
     """Everything remembered about one live flow between segments.
 
-    ``states`` holds one :class:`ScanState` per block of the compiled
-    program; ``lower_states`` is the parallel state over the lower-cased view
-    of the stream (allocated only when case-insensitive patterns exist).
+    ``states`` holds the compiled program's :class:`ScanState` (a 1-tuple,
+    :data:`repro.backend.FlowState`); ``lower_states`` is the parallel state
+    over the lower-cased view of the stream (allocated only when
+    case-insensitive patterns exist).
     ``matched`` / ``matched_lower`` accumulate the global string numbers seen
     so far and ``alerted`` the rule sids already reported, so multi-content
     rules can complete across segments without duplicate alerts.
@@ -178,21 +179,33 @@ class FlowEntry:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FlowEntry":
+        """Rebuild a flow from :meth:`as_dict` output.  Every program is one
+        automaton, so a flow whose ``states`` or ``lower_states`` hold other
+        than one :class:`ScanState` (a multi-block checkpoint) is refused
+        with a ``ValueError`` naming the flow."""
+        key = FlowKey.coerced(*data["key"])
         return cls(
-            key=FlowKey.coerced(*data["key"]),
-            states=tuple(ScanState.from_tuple(values) for values in data["states"]),
-            lower_states=(
-                None
-                if data.get("lower_states") is None
-                else tuple(
-                    ScanState.from_tuple(values) for values in data["lower_states"]
-                )
-            ),
+            key=key,
+            states=_flow_state(key, "states", data["states"]),
+            lower_states=_flow_state(key, "lower_states", data.get("lower_states")),
             packets=int(data.get("packets", 0)),
             matched=set(data.get("matched", ())),
             matched_lower=set(data.get("matched_lower", ())),
             alerted=set(data.get("alerted", ())),
         )
+
+
+def _flow_state(key: FlowKey, view: str, values: Optional[Sequence]) -> Optional[FlowState]:
+    """A checkpointed ``view`` of flow ``key``: one :class:`ScanState`, or
+    ``None``; any other count is a ``ValueError`` naming the flow."""
+    if values is None:
+        return None
+    if len(values) != 1:
+        raise ValueError(
+            f"flow {key.as_tuple()} checkpoints {len(values)} {view}; "
+            "a program has one scan state per flow"
+        )
+    return (ScanState.from_tuple(values[0]),)
 
 
 @dataclass

@@ -11,9 +11,9 @@ contiguous payload — the property the per-packet ``match`` path cannot
 provide.
 
 The scanner is written against the :class:`repro.backend.CompiledProgram`
-protocol, so *any* backend — the device-partitioned
-:class:`repro.core.AcceleratorProgram`, the compiled dense table, a plain
-DFA, even Wu-Manber — multiplexes flows through the identical code path.
+protocol, so *any* backend — the DTP automaton, the compiled dense table, a
+plain DFA, even Wu-Manber — multiplexes flows through the identical code
+path.
 Higher layers stack the scan service on top of it; the declarative
 :class:`repro.api.Session` facade composes the whole column from one
 :class:`repro.api.PipelineConfig`.
@@ -193,17 +193,7 @@ class StreamScanner:
         self._pattern_length = {
             index: len(pattern) for index, pattern in enumerate(program.patterns)
         }
-        # The batched backend entry; programs predating it (or wrappers like
-        # HardwareAccelerator) get the protocol's default — one resumable
-        # call per job, semantically identical.
-        scan_many = getattr(program, "scan_many", None)
-        if scan_many is None:
-            scan = getattr(program, "scan_chunk", program.scan_from)
-
-            def scan_many(jobs):
-                return [scan(states, chunk) for states, chunk in jobs]
-
-        self._scan_many = scan_many
+        self._scan_many = program.scan_many
 
     # ------------------------------------------------------------------
     def _new_entry(self, key: FlowKey) -> FlowEntry:

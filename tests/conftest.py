@@ -101,6 +101,13 @@ def small_program_cyclone(small_ruleset):
     return compile_ruleset(small_ruleset, CYCLONE_III)
 
 
+@pytest.fixture(scope="session")
+def small_dtp(small_ruleset):
+    """The small ruleset as the registry's ``dtp`` program: the one automaton
+    a session scans (``small_program`` is its hardware view)."""
+    return get_backend("dtp").compile(small_ruleset)
+
+
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(12345)
@@ -160,7 +167,7 @@ def renumbered(packets: Sequence[Packet]) -> List[Packet]:
 
 def build_program(ruleset: RuleSet, backend: str):
     """Compile ``ruleset`` for ``backend`` the way the pipeline API does:
-    through the registry, for the default device."""
+    through the registry."""
     return get_backend(backend).compile(ruleset)
 
 
@@ -432,7 +439,7 @@ def reference_dense_scan_lanes(self, flow_states, batch: LaneBatch):
     hits, final = cut.run(carried, offsets, self.match_flags, walk, cut.lane_len + 1)
     return lanes.job_results(
         flow_states, batch,
-        lanes.expand_hits(hits, self.match_index, self.match_pids), [final],
+        lanes.expand_hits(hits, self.match_index, self.match_pids), final,
     )
 
 
@@ -629,7 +636,7 @@ def reference_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
         ReferenceDtpViews(program), ReferenceLaneCut(batch, program.warmup, history=2),
         [state for (state,) in flow_states],
     )
-    return lanes.job_results(flow_states, batch, hits, [final])
+    return lanes.job_results(flow_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------
@@ -728,7 +735,7 @@ def slab_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
         ReferenceDtpViews(program), FullWarmupLaneCut(batch, program.warmup, history=2),
         [state for (state,) in flow_states],
     )
-    return lanes.job_results(flow_states, batch, hits, [final])
+    return lanes.job_results(flow_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------
@@ -867,7 +874,7 @@ def full_warmup_dense_scan_lanes(self, flow_states, batch: LaneBatch):
     hits = lanes.expand_hits(
         (jobs, ends, (values - flagged) >> 8), self.match_index, self.match_pids
     )
-    return lanes.job_results(flow_states, batch, hits, [(final % flagged) >> 8])
+    return lanes.job_results(flow_states, batch, hits, (final % flagged) >> 8)
 
 
 def full_warmup_dtp_lane_hits(self, cut: FullWarmupLaneCut, scan_states):
@@ -960,7 +967,7 @@ def full_warmup_dtp_scan_lanes(self, flow_states, batch: LaneBatch):
         EscapeDtpViews(self), FullWarmupLaneCut(batch, self.warmup, history=2),
         [state for (state,) in flow_states],
     )
-    return lanes.job_results(flow_states, batch, hits, [final])
+    return lanes.job_results(flow_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------
@@ -1132,7 +1139,7 @@ def escape_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
         EscapeDtpViews(program), lanes.LaneCut(batch, program.warmup, history=2),
         [state for (state,) in flow_states],
     )
-    return lanes.job_results(flow_states, batch, hits, [final])
+    return lanes.job_results(flow_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.automata import AhoCorasickDFA
+from repro.check import verify_program
 from repro.core import CompilationError, compile_ruleset
 from repro.core.dtp_automaton import HARDWARE_MAX_POINTERS
 from repro.fpga import STRATIX_III
+from repro.hardware import HardwareAccelerator
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 
 
@@ -38,7 +40,9 @@ class TestCompile:
 
         reference = AhoCorasickDFA.from_patterns(small_ruleset.patterns)
         data = text_with_patterns(rng, small_ruleset.patterns)
-        assert sorted(small_program.match(data)) == sorted(reference.match(data))
+        # the device program matches through its cycle model
+        accelerator = HardwareAccelerator(small_program)
+        assert sorted(accelerator.match(data)) == sorted(reference.match(data))
 
     def test_string_numbers_map_to_sids(self, small_ruleset, small_program):
         mapping = small_program.string_number_to_sid()
@@ -53,7 +57,7 @@ class TestCompile:
         assert program.packet_groups == 3
         reference = AhoCorasickDFA.from_patterns(medium_ruleset.patterns)
         data = text_with_patterns(rng, medium_ruleset.patterns)
-        assert sorted(program.match(data)) == sorted(reference.match(data))
+        assert sorted(HardwareAccelerator(program).match(data)) == sorted(reference.match(data))
 
     def test_throughput_scales_inversely_with_blocks(self, medium_ruleset):
         one = compile_ruleset(medium_ruleset, STRATIX_III, blocks_per_group=1)
@@ -101,7 +105,7 @@ class TestCompile:
         program = compile_ruleset(ruleset, STRATIX_III)
         assert program.partition.strategy == "balanced"
         assert program.blocks_per_group == 2
-        assert program.verify().ok
+        assert verify_program(program).ok
 
     def test_a_fan_out_no_split_fits_is_a_compilation_error(self):
         from dataclasses import replace
@@ -115,7 +119,8 @@ class TestCompile:
         pattern = small_program.ruleset[0].pattern
         # split the pattern across two packets: it must NOT be reported
         half = len(pattern) // 2 or 1
-        results = small_program.scan_packets([pattern[:half], pattern[half:]])
+        accelerator = HardwareAccelerator(small_program)
+        results = accelerator.scan_packets([pattern[:half], pattern[half:]])
         found_numbers = {number for matches in results for _, number in matches}
         assert 0 not in found_numbers or len(pattern) == 1
 
@@ -127,4 +132,4 @@ class TestCompile:
         )
         reference = AhoCorasickDFA.from_patterns(medium_ruleset.patterns)
         data = text_with_patterns(rng, medium_ruleset.patterns)
-        assert sorted(program.match(data)) == sorted(reference.match(data))
+        assert sorted(HardwareAccelerator(program).match(data)) == sorted(reference.match(data))

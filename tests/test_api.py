@@ -220,6 +220,29 @@ def test_session_checkpoints_interchange_with_raw_service(capacity, backend):
         assert fresh.scan(second).events == events
 
 
+def test_a_one_block_device_checkpoint_resumes_on_the_one_automaton():
+    """Where the ruleset fits one block, a dtp session used to scan that
+    block's automaton: its flow checkpoints restore into a session that
+    scans the one automaton, and the flows resume to the same events."""
+    from repro.core import compile_ruleset
+    from repro.fpga import STRATIX_III
+
+    ruleset = build_ruleset()
+    (block,) = compile_ruleset(ruleset, STRATIX_III).blocks
+    packets = build_packets(ruleset)
+    half = len(packets) // 2
+    config = stream_config(SourceSpec(kind="packets", packets=tuple(packets)), "dtp")
+    with Session.from_config(config) as uninterrupted:
+        uninterrupted.scan(packets[:half])
+        expected = uninterrupted.scan(packets[half:]).events
+    assert expected
+    old = make_service(block.dtp, 4096)
+    old.scan(packets[:half])
+    with Session.from_config(config) as resumed:
+        resumed.restore(json.loads(json.dumps(old.checkpoint())))
+        assert resumed.scan(packets[half:]).events == expected
+
+
 @pytest.mark.parametrize("reassemble", (False, True))
 def test_ids_session_checkpoint_resumes_to_the_same_alerts(reassemble, tmp_path):
     """An ids-mode session checkpoints like a stream-mode one: cut a capture

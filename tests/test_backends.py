@@ -28,9 +28,11 @@ from repro.backend import (
     backend_names,
     get_backend,
 )
+from repro.check import verify_cross_backend
 from repro.core import CompiledDenseProgram, DTPAutomaton, compile_ruleset
 from repro.core import compiled, lanes
-from repro.fpga import CYCLONE_III, STRATIX_III, get_device
+from repro.core.dtp_automaton import HARDWARE_MAX_POINTERS
+from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
@@ -104,17 +106,7 @@ class TestCrossBackendEquivalence:
         payload = random_payload(rng, patterns)
         expected = sorted(reference.match(payload))
         assert expected, "workload should produce matches"
-        unique = list(dict.fromkeys(patterns))
         for name in ALL_BACKENDS:
-            if name == "dtp" and unique != patterns:
-                # the device compiler compiles unique strings, as RuleSet does
-                with pytest.raises(ValueError, match="duplicate pattern"):
-                    get_backend(name).compile(patterns)
-                program = get_backend(name).compile(unique)
-                assert sorted(program.match(payload)) == sorted(
-                    AhoCorasickDFA.from_patterns(unique).match(payload)
-                ), name
-                continue
             program = get_backend(name).compile(patterns)
             assert sorted(program.match(payload)) == expected, name
 
@@ -150,17 +142,21 @@ class TestCrossBackendEquivalence:
             assert sorted(collected) == expected, name
 
     def test_device_compiled_program_matches_generic_backends(self):
-        """The multi-block AcceleratorProgram honours the same contract."""
+        """The two-block device program's cycle model and the registry's
+        ``dtp`` program, compiled from a ``RuleSet``, report what ``dense``
+        reports, whole and resumed."""
         ruleset = generate_snort_like_ruleset(40, seed=9)
-        program = compile_ruleset(ruleset, STRATIX_III)
+        program = get_backend("dtp").compile(ruleset)
+        accelerator = HardwareAccelerator(compile_ruleset(ruleset, STRATIX_III, blocks_per_group=2))
         dense = get_backend("dense").compile(ruleset.patterns)
         payload = b"##".join(rule.pattern for rule in ruleset)[:400]
-        assert sorted(program.match(payload)) == sorted(dense.match(payload))
+        expected = sorted(dense.match(payload))
+        assert sorted(program.match(payload)) == sorted(accelerator.match(payload)) == expected
         for split in (0, 13, 200, len(payload)):
             states = program.initial_scan_states()
             first, states = program.scan_from(states, payload[:split])
             second, states = program.scan_from(states, payload[split:])
-            assert sorted(list(first) + list(second)) == sorted(dense.match(payload))
+            assert sorted(list(first) + list(second)) == expected
 
 
     @pytest.mark.parametrize("short_lanes", (False, True))
@@ -174,7 +170,6 @@ class TestCrossBackendEquivalence:
         packets = TrafficGenerator(ruleset, seed=10).packets(30)
         payloads = [packet.payload for packet in packets] + [b""]
         programs = [get_backend(name).compile(ruleset.patterns) for name in ALL_BACKENDS]
-        programs.append(compile_ruleset(ruleset, STRATIX_III))
         for program in programs:
             if short_lanes and hasattr(program, "warmup"):
                 force_short_lanes(program)
@@ -756,8 +751,8 @@ STORM_PATTERNS = [
 
 @pytest.fixture(scope="module")
 def storm_programs():
-    """``STORM_PATTERNS`` as a bare dtp automaton and as a two-block
-    Cyclone III program."""
+    """``STORM_PATTERNS`` as the registry's dtp automaton and as a two-block
+    Cyclone III device program (the hardware view)."""
     accelerator = compile_ruleset(
         RuleSet.from_patterns(STORM_PATTERNS), CYCLONE_III, blocks_per_group=2
     )
@@ -795,11 +790,11 @@ def test_dtp_escapes_every_few_bytes(storm_programs, force_short_lanes, slab_row
     depth-3 target, so the pairs after which a depth-3 default may fire (the
     escape cells of the kernel before the fold) come every few bytes, fire or
     not, and straddle lane cuts, slab edges and job boundaries; each job
-    resumes its flow.  On the bare automaton and on the two-block program,
-    the kernel, which never resolves a depth-3 default, must be the scalar
-    loop, which does so at run time, job for job, and ``ac`` over the whole
-    stream; on the bare automaton also the previous DTP kernels', batch for
-    batch."""
+    resumes its flow.  On the automaton, the kernel, which never resolves a
+    depth-3 default, must be the scalar loop, which does so at run time, job
+    for job, ``ac`` over the whole stream and the previous DTP kernels', batch
+    for batch; the two-block program's cycle model, whose engines resolve
+    every default from the lookup table, must be ``ac`` over the stream."""
     triples = sorted({
         bytes(entry.preceding_bytes) + bytes([byte])
         for program in storm_programs.values()
@@ -817,22 +812,20 @@ def test_dtp_escapes_every_few_bytes(storm_programs, force_short_lanes, slab_row
     cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), min_size=1, max_size=6)))
     bounds = [0] + cuts + [len(stream)]
     expected = sorted(get_backend("ac").compile(STORM_PATTERNS).match(stream))
-    for kind, program in storm_programs.items():
-        force_short_lanes(program, 3, slab_rows)
-        flow_states, chunks = [], []
-        for head, end in zip(bounds, bounds[1:]):
-            flow_states.append(
-                scalar_scan(program, program.initial_scan_states(), stream[:head])[1]
-            )
-            chunks.append(stream[head:end])
-        batch = lanes.LaneBatch(chunks)
-        found = program._scan_lanes(flow_states, batch)
-        assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
-        assert sorted(m for matches, _ in found for m in matches) == expected, kind
-        if kind == "dtp":
-            assert found == escape_dtp_scan_lanes(program, flow_states, batch)
-            assert found == slab_dtp_scan_lanes(program, flow_states, batch)
-            assert found == reference_dtp_scan_lanes(program, flow_states, batch)
+    program = storm_programs["dtp"]
+    force_short_lanes(program, 3, slab_rows)
+    flow_states, chunks = [], []
+    for head, end in zip(bounds, bounds[1:]):
+        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
+        chunks.append(stream[head:end])
+    batch = lanes.LaneBatch(chunks)
+    found = program._scan_lanes(flow_states, batch)
+    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+    assert sorted(m for matches, _ in found for m in matches) == expected
+    assert found == escape_dtp_scan_lanes(program, flow_states, batch)
+    assert found == slab_dtp_scan_lanes(program, flow_states, batch)
+    assert found == reference_dtp_scan_lanes(program, flow_states, batch)
+    assert sorted(HardwareAccelerator(storm_programs["accelerator"]).match(stream)) == expected
 
 
 class TestLaneKernelOneRowSlab(TestLaneKernel):
@@ -848,50 +841,20 @@ class TestDtpLaneKernelOneRowSlab(TestDtpLaneKernel):
     slab_rows = 1
 
 
-class TestAcceleratorLaneKernel:
-    """The device-compiled program: one packed batch, one kernel run per
-    block, hits merged per job in ``(end_offset, string_number)`` order."""
+class TestOneAutomatonAtScale:
+    """The registry's ``dtp`` program over rulesets the device splits into
+    blocks: one automaton, one kernel run a batch."""
 
-    @pytest.mark.parametrize("blocks_per_group", (1, 2, 3))
-    def test_multi_block_batches_merge_in_order(self, force_short_lanes, blocks_per_group):
-        ruleset = generate_snort_like_ruleset(40, seed=21)
-        program = compile_ruleset(ruleset, STRATIX_III, blocks_per_group=blocks_per_group)
-        assert len(program.blocks) == blocks_per_group
-        lane_len = force_short_lanes(program, lanes_per_tile=8)
-        assert lane_len == max(map(len, ruleset.patterns))
-        dense = get_backend("dense").compile(ruleset.patterns)
-        rng = random.Random(22)
-        patterns = list(ruleset.patterns)
-        streams = []
-        for flow in range(6):
-            body = bytearray(rng.randrange(256) for _ in range(3 * lane_len + 7 * flow))
-            for pattern in rng.sample(patterns, 5):
-                offset = rng.randrange(len(body) - len(pattern))
-                body[offset:offset + len(pattern)] = pattern
-            # two strings of different blocks ending on the same byte
-            streams.append(bytes(body) + patterns[flow] + patterns[-1 - flow])
-        # each flow resumes mid-stream: every block carries its own state
-        heads = [program._scan_scalar(program.initial_scan_states(), s[:flow + 1])
-                 for flow, s in enumerate(streams)]
-        jobs = [(states, s[flow + 1:]) for flow, (s, (_, states)) in enumerate(zip(streams, heads))]
-        results = program.scan_many(jobs)
-        for (found, after), (states, body), stream, (head, _) in zip(results, jobs, streams, heads):
-            assert (found, after) == program._scan_scalar(states, body)
-            assert head + found == sorted(dense.match(stream))
-            assert len(after) == blocks_per_group
-        assert any(found for found, _ in results)
-        # the same bytes one-shot through match(): the mixin's default entry
-        assert [program.match(s) for s in streams] == [sorted(dense.match(s)) for s in streams]
-
-    def test_paper_sized_program_shares_one_cut(self):
-        """2 588 strings in three blocks, one cut: every block's kernel is
-        the previous kernels' on the same batch — the escape-cell kernel's,
-        on this driver and on the full-warm-up one, and the slab kernel's —
-        hits and final states, and the merged batch is the scalar loop's job
-        for job."""
+    def test_paper_sized_program_is_every_earlier_kernel(self):
+        """2 588 strings (three Cyclone III blocks), one automaton with
+        states over a word's 13 pointers: its kernel is the previous kernels'
+        on the same batch — the escape-cell kernel's, on this driver and on
+        the full-warm-up one, and the slab kernel's — hits and final states,
+        and the batch is the scalar loop's job for job."""
         ruleset = generate_snort_like_ruleset(2588, seed=7)
-        program = compile_ruleset(ruleset, CYCLONE_III)
-        assert len(program.blocks) == 3
+        assert len(compile_ruleset(ruleset, CYCLONE_III).blocks) == 3
+        program = get_backend("dtp").compile(ruleset)
+        assert program.max_pointers_per_state() > HARDWARE_MAX_POINTERS
         patterns = list(ruleset.patterns)
         rng = random.Random(23)
         jobs = []
@@ -905,32 +868,70 @@ class TestAcceleratorLaneKernel:
             _, states = program._scan_scalar(program.initial_scan_states(), head)
             jobs.append((states, bytes(body)))
         batch = lanes.LaneBatch([chunk for _, chunk in jobs])
-        cut = lanes.LaneCut(batch, program.warmup, history=1)
-        escape_cut = lanes.LaneCut(batch, program.warmup, history=2)
+        scan_states = [state for (state,), _ in jobs]
+        (found_jobs, ends, pids), final = program.lane_hits(
+            lanes.LaneCut(batch, program.warmup, history=1), scan_states
+        )
+        escape_views = EscapeDtpViews(program)
         full_cut = FullWarmupLaneCut(batch, program.warmup, history=2)
-        for unit, block in enumerate(program.blocks):
-            scan_states = [states[unit] for states, _ in jobs]
-            (found_jobs, ends, pids), final = block.dtp.lane_hits(cut, scan_states)
-            escape_views = EscapeDtpViews(block.dtp)
-            for (want_jobs, want_ends, want_pids), want_final in (
-                escape_dtp_lane_hits(escape_views, escape_cut, scan_states),
-                full_warmup_dtp_lane_hits(escape_views, full_cut, scan_states),
-                slab_dtp_lane_hits(ReferenceDtpViews(block.dtp), full_cut, scan_states),
-            ):
-                assert np.array_equal(found_jobs, want_jobs) and np.array_equal(ends, want_ends)
-                assert np.array_equal(pids, want_pids) and np.array_equal(final, want_final)
-            assert len(pids)
+        for (want_jobs, want_ends, want_pids), want_final in (
+            escape_dtp_lane_hits(
+                escape_views, lanes.LaneCut(batch, program.warmup, history=2), scan_states
+            ),
+            full_warmup_dtp_lane_hits(escape_views, full_cut, scan_states),
+            slab_dtp_lane_hits(ReferenceDtpViews(program), full_cut, scan_states),
+        ):
+            assert np.array_equal(found_jobs, want_jobs) and np.array_equal(ends, want_ends)
+            assert np.array_equal(pids, want_pids) and np.array_equal(final, want_final)
+        assert len(pids)
         found = program._scan_lanes([states for states, _ in jobs], batch)
         assert found == [program._scan_scalar(states, body) for states, body in jobs]
 
+    def test_one_batch_is_one_kernel_run_and_the_cycle_model_agrees(self, monkeypatch):
+        """1 000 strings, two Cyclone III blocks: one ``scan_many`` batch
+        enters ``LaneCut.run`` exactly once (the blocks were one run each),
+        and the cycle model on the two-block program reports the events the
+        registry's program and ``ac`` report."""
+        ruleset = generate_snort_like_ruleset(1000, seed=2010)
+        device_program = compile_ruleset(ruleset, CYCLONE_III)
+        assert len(device_program.blocks) == 2
+        program = get_backend("dtp").compile(ruleset)
+        rng = random.Random(24)
+        patterns = list(ruleset.patterns)
+        payloads = []
+        for _ in range(8):
+            body = bytearray(rng.randbytes(1024))
+            for pattern in rng.sample(patterns, 4):
+                offset = rng.randrange(len(body) - len(pattern))
+                body[offset:offset + len(pattern)] = pattern
+            payloads.append(bytes(body))
+        assert sum(map(len, payloads)) >= lanes.KERNEL_MIN_BYTES
+        runs = []
+        run = lanes.LaneCut.run
+
+        def counting(self, *args):
+            runs.append(self)
+            return run(self, *args)
+
+        monkeypatch.setattr(lanes.LaneCut, "run", counting)
+        results = program.scan_many([(program.initial_scan_states(), p) for p in payloads])
+        assert len(runs) == 1
+        ac = get_backend("ac").compile(ruleset)
+        expected = [sorted(ac.match(payload)) for payload in payloads]
+        assert all(expected)
+        assert [matches for matches, _ in results] == expected
+        cycle_model = HardwareAccelerator(device_program).scan_packets(payloads)
+        assert [sorted(matches) for matches in cycle_model] == expected
+
     def test_wrong_state_count_is_rejected_on_both_paths(self, force_short_lanes):
-        ruleset = generate_snort_like_ruleset(20, seed=8)
-        program = compile_ruleset(ruleset, STRATIX_III, blocks_per_group=2)
-        with pytest.raises(ValueError, match="per-block scan states"):
-            program.scan_chunk((ScanState(),), b"short")
+        """A flow state is one ScanState: two (a multi-block flow's) do not
+        unpack, on the scalar loop or in the kernel."""
+        program = get_backend("dtp").compile(generate_snort_like_ruleset(20, seed=8))
+        with pytest.raises(ValueError, match="unpack"):
+            program.scan_chunk((ScanState(),) * 2, b"short")
         force_short_lanes(program)
-        with pytest.raises(ValueError, match="per-block scan states"):
-            program.scan_many([((ScanState(),), b"anything at all")])
+        with pytest.raises(ValueError, match="unpack"):
+            program.scan_many([((ScanState(),) * 2, b"anything at all")])
 
 
 # ----------------------------------------------------------------------
@@ -938,23 +939,17 @@ class TestAcceleratorLaneKernel:
 # ----------------------------------------------------------------------
 #: A pattern of period 10: on a stream of its whole periods every state past
 #: byte 40 is 31-40 deep, so every lane cut there is repaired.  The others
-#: report inside repaired stretches, and put some in a second block.
+#: report inside repaired stretches.
 REPAIR_LONG = b"abcdefghij" * 4
 REPAIR_PATTERNS = [REPAIR_LONG, b"cdefghijabcd", b"ijabcdefghijab", b"fghij", b"ja", b"e"]
 
 
 @pytest.fixture(scope="module")
 def repair_programs():
-    """``REPAIR_PATTERNS`` compiled dense, dtp, and into a 3-block Cyclone
-    III program."""
-    accelerator = compile_ruleset(
-        RuleSet.from_patterns(REPAIR_PATTERNS), CYCLONE_III, blocks_per_group=3
-    )
-    assert len(accelerator.blocks) == 3
+    """``REPAIR_PATTERNS`` compiled dense and dtp."""
     return {
         "dense": CompiledDenseProgram.from_patterns(REPAIR_PATTERNS),
         "dtp": DTPAutomaton.from_patterns(REPAIR_PATTERNS),
-        "accelerator": accelerator,
     }
 
 
@@ -1007,7 +1002,7 @@ def assert_lanes_are_exact(program, stream: bytes, bounds: Sequence[int]):
     return found
 
 
-@pytest.mark.parametrize("kind", ("dense", "dtp", "accelerator"))
+@pytest.mark.parametrize("kind", ("dense", "dtp"))
 @pytest.mark.parametrize("slab_rows", (4, 1))
 @settings(
     max_examples=25, deadline=None,
@@ -1034,7 +1029,7 @@ class TestLaneRepair:
     """Fixed cuts around the short warm-up, on 40-byte lanes (one
     ``REPAIR_LONG``), three lanes a tile and four-step slabs."""
 
-    @pytest.fixture(params=("dense", "dtp", "accelerator"))
+    @pytest.fixture(params=("dense", "dtp"))
     def program(self, request, repair_programs, force_short_lanes):
         program = repair_programs[request.param]
         assert force_short_lanes(program) == len(REPAIR_LONG)
@@ -1077,8 +1072,7 @@ class TestLaneRepair:
             2 * lane_len * pair + 2 * lane_len - 15 for pair in range(5)
         ]
         # five lanes walked again, each for 32 steps: until the pattern ends
-        if not hasattr(program, "blocks"):
-            assert sum(walk.lanes * walk.steps for walk in walked if not walk.warm) == 5 * 32
+        assert sum(walk.lanes * walk.steps for walk in walked if not walk.warm) == 5 * 32
 
 
 @pytest.mark.parametrize("kind", ("dense", "dtp"))
@@ -1100,7 +1094,7 @@ def test_all_deep_traffic_costs_at_most_the_full_warm_up(repair_programs, walked
     assert sum(walk.steps for walk in repair) <= program.warmup - lanes.SHORT_WARMUP
 
 
-@pytest.mark.parametrize("kind", ("dense", "dtp", "accelerator"))
+@pytest.mark.parametrize("kind", ("dense", "dtp"))
 def test_repair_rounds_at_derived_geometry(repair_programs, walked, kind):
     """Nothing forced: 16 KB of lanes that each end on 9 bytes of
     ``REPAIR_LONG`` and finish the previous lane's, so every cut sits one
@@ -1183,17 +1177,18 @@ class TestConsumersThroughProtocol:
 
     def test_hardware_accelerator_protocol_front(self):
         ruleset = generate_snort_like_ruleset(20, seed=8)
-        program = compile_ruleset(ruleset, STRATIX_III)
-        accelerator = HardwareAccelerator(program)
+        accelerator = HardwareAccelerator(compile_ruleset(ruleset, STRATIX_III))
+        program = get_backend("dtp").compile(ruleset)
+        ac = get_backend("ac").compile(ruleset)
         payloads = [b"xx" + rule.pattern + b"yy" for rule in list(ruleset)[:4]]
-        # the cycle model's protocol surface reports what the program reports
+        # the cycle model's per-payload surface reports what the registry's
+        # program and ac report
         assert accelerator.patterns == program.patterns
         for payload in payloads:
-            assert sorted(accelerator.match(payload)) == sorted(program.match(payload))
+            expected = sorted(ac.match(payload))
+            assert sorted(accelerator.match(payload)) == sorted(program.match(payload)) == expected
         batched = accelerator.scan_packets(payloads)
-        assert [sorted(m) for m in batched] == [
-            sorted(program.match(p)) for p in payloads
-        ]
+        assert [sorted(m) for m in batched] == [sorted(ac.match(p)) for p in payloads]
 
 
 # ----------------------------------------------------------------------
@@ -1206,17 +1201,12 @@ DTP_VIEWS = (
 )
 
 
-def block_views(program):
-    """Per block of a device program: its group and a digest of its kernel
-    views and pointer arrays."""
-    views = []
-    for block in program.blocks:
-        dtp = block.dtp
-        digest = hashlib.sha256(repr((dtp.flagged, dtp.warmup)).encode())
-        for array in [getattr(dtp, name) for name in DTP_VIEWS] + list(dtp.pointers):
-            digest.update(np.ascontiguousarray(array).tobytes())
-        views.append((tuple(block.ruleset.patterns), digest.hexdigest()))
-    return views
+def automaton_views(dtp) -> str:
+    """A digest of a dtp automaton's kernel views and pointer arrays."""
+    digest = hashlib.sha256(repr((dtp.flagged, dtp.warmup)).encode())
+    for array in [getattr(dtp, name) for name in DTP_VIEWS] + list(dtp.pointers):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 class TestTheRegistryCompilesWhatScans:
@@ -1227,30 +1217,75 @@ class TestTheRegistryCompilesWhatScans:
     @pytest.mark.parametrize("device", ("stratix3", "cyclone3"))
     @pytest.mark.parametrize("name", backend_names())
     def test_session_ids_and_registry_compile_one_program(self, ruleset, name, device):
+        """Whatever the device, a session, the IDS and the registry compile
+        one program; for ``dtp`` one automaton over every string."""
         session = Session(PipelineConfig(
             source=SourceSpec(kind="generator", count=1),
             rules=RulesSpec(kind="synthetic", size=len(ruleset), seed=2010),
             engine=EngineSpec(backend=name, device=device),
         ))
-        ids = IntrusionDetectionSystem.from_ruleset(
-            ruleset, backend=name, device=get_device(device)
-        )
-        registry = get_backend(name).compile(ruleset, device=get_device(device))
+        ids = IntrusionDetectionSystem.from_ruleset(ruleset, backend=name)
+        registry = get_backend(name).compile(ruleset)
         programs = (session.program, ids.program, registry)
         assert len({type(program) for program in programs}) == 1
         if name == "dtp":
-            views = [block_views(program) for program in programs]
-            assert views[0] == views[1] == views[2]
-            assert len(views[0]) == (2 if device == "cyclone3" else 1)
+            assert isinstance(registry, DTPAutomaton)
+            assert len({automaton_views(program) for program in programs}) == 1
 
-    def test_only_an_accelerator_program_has_a_cycle_model(self):
-        session = Session(PipelineConfig(
-            source=SourceSpec(kind="generator", count=1),
-            rules=RulesSpec(kind="synthetic", size=20, seed=3),
-            engine=EngineSpec(backend="dense"),
-        ))
-        with pytest.raises(ValueError, match="CompiledDenseProgram"):
-            session.hardware
+    @pytest.mark.parametrize("size", (500, 1000))
+    def test_the_automaton_equals_a_one_block_device_program(self, size):
+        """On Stratix III 500 or 1 000 strings fit one block, whose automaton
+        (the program sessions scanned before the one automaton) is the
+        registry's, array for array."""
+        ruleset = generate_snort_like_ruleset(size, seed=2010)
+        (block,) = compile_ruleset(ruleset, STRATIX_III).blocks
+        assert block.ruleset.patterns == ruleset.patterns
+        assert automaton_views(block.dtp) == automaton_views(get_backend("dtp").compile(ruleset))
+
+    def test_the_cycle_model_is_built_lazily_and_only_when_asked(self, monkeypatch):
+        """A session scans without building the device's blocks; its cycle
+        model compiles them on first use, once, for the configured device,
+        whatever the backend."""
+        import repro.api.session as session_module
+
+        built = []
+        compile_blocks = session_module.compile_ruleset
+
+        def counting(ruleset, device):
+            built.append(device)
+            return compile_blocks(ruleset, device)
+
+        monkeypatch.setattr(session_module, "compile_ruleset", counting)
+        for backend in ("dtp", "dense"):
+            built.clear()
+            session = Session(PipelineConfig(
+                source=SourceSpec(kind="generator", count=3, seed=4),
+                rules=RulesSpec(kind="synthetic", size=20, seed=3),
+                engine=EngineSpec(backend=backend, device="cyclone3"),
+            ))
+            session.program, session.scan()
+            assert built == []
+            assert session.hardware is session.hardware
+            assert built == [CYCLONE_III]
+            assert session.hardware.program.patterns == session.program.patterns
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: get_backend("dtp").compile([b"ab"], device=STRATIX_III),
+        lambda: verify_cross_backend([b"ab"], device=STRATIX_III),
+        lambda: IntrusionDetectionSystem(
+            [IDSRule(sid=1, header=HeaderPattern(), contents=(b"ab",))], device=STRATIX_III
+        ),
+    ),
+    ids=("Backend.compile", "verify_cross_backend", "IntrusionDetectionSystem"),
+)
+def test_the_device_is_no_compile_option(call):
+    """Nothing a scan runs reads a device: passing one is a TypeError that
+    names it."""
+    with pytest.raises(TypeError, match="device"):
+        call()
 
 
 def test_no_module_branches_on_the_dtp_name():

@@ -36,7 +36,7 @@ from repro.cli import main
 from repro.core import DTPAutomaton
 from repro.core.accelerator_config import compile_ruleset
 from repro.fpga.devices import get_device
-from repro.rulesets import generate_snort_like_ruleset
+from repro.rulesets import RuleSet, generate_snort_like_ruleset
 
 FIG2_PATTERNS = (b"he", b"she", b"his", b"hers")
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -173,10 +173,6 @@ def _flip_stored_pointer(dtp):
     targets[0] = 0 if targets[0] != 0 else 1
 
 
-def _mutate_dtp(program):
-    _flip_stored_pointer(program.blocks[0].dtp)
-
-
 def _dtp_pointer_slot(program):
     """(state, slot) of the one stored pointer of the Figure 2 automaton."""
     state = next(s for s in range(program.num_states) if program.stored[s])
@@ -298,7 +294,7 @@ BACKEND_MUTATIONS = [
     pytest.param("dense", _mutate_dense_warmup, id="dense-warmup-length"),
     pytest.param("bitmap", _mutate_bitmap, id="bitmap-bit"),
     pytest.param("path", _mutate_path, id="path-fail-link"),
-    pytest.param("dtp", _mutate_dtp, id="dtp-stored-pointer"),
+    pytest.param("dtp", _flip_stored_pointer, id="dtp-stored-pointer"),
 ]
 
 
@@ -360,25 +356,22 @@ class TestMutationDetection:
         block.match_memory.words[0] = (first ^ 1, second, last)
         assert verify_program(program).errors
 
-    def test_cross_backend_names_the_corrupt_block(self, monkeypatch):
-        """The cross-backend proof checks the program the registry compiles,
-        block by block: a stored pointer flipped in block 1 of a 2-block
-        program is a BSM001 of that block."""
-        from repro.core import accelerator_config
-
+    def test_cross_backend_names_the_corrupt_backend(self, monkeypatch):
+        """The cross-backend proof checks the program the registry compiles:
+        a stored pointer flipped in the one ``dtp`` automaton (whose device
+        program takes two blocks) is a BSM001 of ``dtp``."""
         patterns = [b"abc" + bytes([k]) for k in range(65, 81)]
-        compile_ruleset = accelerator_config.compile_ruleset
+        from_patterns = DTPAutomaton.from_patterns
 
-        def corrupted(*args, **kwargs):
-            program = compile_ruleset(*args, **kwargs)
-            assert len(program.blocks) == 2
-            _flip_stored_pointer(program.blocks[1].dtp)
+        def corrupted(patterns, **kwargs):
+            program = from_patterns(patterns, **kwargs)
+            _flip_stored_pointer(program)
             return program
 
         assert verify_cross_backend(patterns).ok
-        monkeypatch.setattr(accelerator_config, "compile_ruleset", corrupted)
+        monkeypatch.setattr(DTPAutomaton, "from_patterns", corrupted)
         report = verify_cross_backend(patterns)
-        assert {(d.code, d.source) for d in report.errors} == {("BSM001", "dtp.block[1]")}
+        assert {(d.code, d.source) for d in report.errors} == {("BSM001", "dtp")}
 
     def test_corrupt_packed_record_pointer(self):
         ruleset = generate_snort_like_ruleset(60, seed=5)
@@ -399,14 +392,24 @@ class TestMutationDetection:
         program._shift[chunk] = program._shift[chunk] + 5  # would skip matches
         assert program.verify().errors
 
-    def test_capacity_overrun_is_a_warning_not_an_error(self):
+    def test_capacity_overrun_is_a_device_block_warning(self, monkeypatch):
         # one state fanning out to 16 children needs 16 stored pointers —
-        # over the 13-pointer hardware word, but functionally correct
+        # over the 13-pointer hardware word, but functionally correct, and
+        # the scanned automaton is never packed: no warning
         patterns = tuple(b"abc" + bytes([k]) for k in range(65, 81))
         program = DTPAutomaton.from_patterns(patterns)
         report = program.verify()
+        assert report.ok and not report.warnings
+        # the device program splits the fan-out over two blocks of at most
+        # 13 pointers a state; a block whose state held more would not pack
+        device_program = compile_ruleset(RuleSet.from_patterns(patterns), get_device("stratix3"))
+        assert not verify_program(device_program).warnings
+        dtp = device_program.blocks[1].dtp
+        over = np.where(dtp.pointer_counts() > 1, 14, dtp.pointer_counts())
+        monkeypatch.setattr(dtp, "pointer_counts", lambda: over)
+        report = verify_program(device_program)
         assert report.ok
-        assert any(d.code == "DTP006" for d in report.warnings)
+        assert {(d.code, d.source) for d in report.warnings} == {("DTP006", "block[1]")}
 
 
 # ----------------------------------------------------------------------
@@ -558,13 +561,26 @@ class TestSurfaces:
                      "--backend", "dtp", "--json", str(artifact)]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out and "proved:" in out
-        # the device program's per-block hardware audit, then the bisimulation
+        # the scanned automaton, the device program's per-block hardware
+        # audit, then the bisimulation
         assert "proved: dtp program over 40 pattern(s)" in out
+        assert "proved: Stratix III device program (1 block(s)) over 40 pattern(s)" in out
         assert "proved: cross-backend equivalence (ac, dense, bitmap, path, dtp)" in out
         import json
 
         payload = json.loads(artifact.read_text())
         assert payload["ok"] is True and payload["diagnostics"] == []
+
+    def test_cli_verify_proves_the_scanned_automaton_and_the_device_blocks(self, capsys):
+        """CI's two-block step: every backend's program, the two-block
+        device program's hardware audit, and the bisimulation."""
+        assert main(["verify", "--size", "1000", "--seed", "2010",
+                     "--device", "cyclone3", "--backend", "all"]) == 0
+        out = capsys.readouterr().out
+        assert "0 error(s), 0 warning(s)" in out
+        assert "proved: dtp program over 1000 pattern(s)" in out
+        assert "proved: Cyclone III device program (2 block(s)) over 1000 pattern(s)" in out
+        assert "proved: cross-backend equivalence" in out
 
     def test_cli_verify_all_backends(self, capsys):
         assert main(["verify", "--size", "30", "--seed", "3",

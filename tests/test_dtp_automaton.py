@@ -111,6 +111,21 @@ class TestStatistics:
         assert dtp.states_exceeding(limit) == []
         assert len(dtp.states_exceeding(limit - 1)) >= 1
 
+    def test_memory_bytes_counts_every_resident_array(self, small_ruleset):
+        """``memory_bytes`` is the resident arrays' size (the e2e benchmark's
+        ``backend.table_mb``), every array the program holds, not a pointer
+        count; the lazily built scalar view holds none."""
+        dtp = DTPAutomaton.from_ruleset(small_ruleset)
+        dtp.match(small_ruleset[0].pattern)  # builds ``stored``
+        arrays = [
+            array
+            for value in vars(dtp).values()
+            for array in (value if isinstance(value, tuple) else (value,))
+            if isinstance(array, np.ndarray)
+        ]
+        assert dtp.memory_bytes() == sum(array.nbytes for array in arrays)
+        assert dtp.memory_bytes() > 16 * dtp.stored_pointer_count()
+
 
 class TestKernelViews:
     """The lane kernel's flat views of ``stored``, the transitions a depth-3

@@ -145,10 +145,13 @@ class TestMatchScheduler:
 
 
 class TestAccelerator:
-    def test_scan_equals_program_reference(self, small_ruleset, small_program, rng):
+    def test_scan_equals_program_reference(self, small_ruleset, small_program, small_dtp, rng):
+        """The cycle model reports what the registry's ``dtp`` program and
+        ``ac`` report, packet for packet."""
         from tests.conftest import text_with_patterns
 
         accelerator = HardwareAccelerator(small_program)
+        ac = AhoCorasickDFA.from_patterns(small_ruleset.patterns)
         packets = [
             Packet(payload=text_with_patterns(rng, small_ruleset.patterns, length=200), packet_id=i)
             for i in range(18)
@@ -157,8 +160,9 @@ class TestAccelerator:
         for packet in packets:
             expected = {
                 (packet.packet_id, pos, number)
-                for pos, number in small_program.match(packet.payload)
+                for pos, number in small_dtp.match(packet.payload)
             }
+            assert sorted(small_dtp.match(packet.payload)) == sorted(ac.match(packet.payload))
             got = {
                 (e.packet_id, e.end_offset, e.string_number)
                 for e in result.events_for_packet(packet.packet_id)

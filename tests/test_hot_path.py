@@ -212,54 +212,9 @@ class TestDtpLaneKernelBatches(TestLaneKernelBatches):
     compile = staticmethod(DTPAutomaton.from_patterns)
 
 
-class TestAcceleratorLaneKernelBatches:
-    """... and through the device-compiled program, two blocks a group: one
-    state per block and flow, block hits merged per segment in string-number
-    order — so the reference is the same program walked segment by segment."""
-
-    events_of = staticmethod(TestLaneKernelBatches.events_of)
-
-    @pytest.fixture
-    def short_lanes(self, force_short_lanes):
-        from repro.core import compile_ruleset
-        from repro.fpga import STRATIX_III
-
-        program = compile_ruleset(
-            RuleSet.from_patterns(TestLaneKernelBatches.PATTERNS), STRATIX_III,
-            blocks_per_group=2,
-        )
-        force_short_lanes(program, lanes_per_tile=8)
-        return program
-
-    @pytest.mark.parametrize("track_nocase", (False, True))
-    def test_interleaved_flows_split_at_every_offset(self, short_lanes, track_nocase):
-        body = b"..ushers..aBcDeF..ABCDEF.."
-        for cut in range(len(body) + 1):
-            streams = [body[n:] + body[:n] for n in range(5)]
-            items = [(make_key(n), stream[:cut], n) for n, stream in enumerate(streams)]
-            tail = [(make_key(n), stream[cut:], 5 + n) for n, stream in enumerate(streams)]
-            reference = StreamScanner(short_lanes, track_nocase=track_nocase)
-            reference._scan_many = lambda jobs: [  # the byte-at-a-time loop
-                short_lanes._scan_scalar(states, chunk) for states, chunk in jobs
-            ]
-            expected = [reference.scan_segment(*item) for item in items + tail]
-            assert any(expected)
-            batched = StreamScanner(short_lanes, track_nocase=track_nocase)
-            first = per_item(batched.scan_batch(items)[0], len(items))
-            second = per_item(batched.scan_batch(tail)[0], len(tail))
-            assert self.events_of(first + second) == self.events_of(expected), cut
-            assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
-            for key in reference.flows.keys():
-                assert batched.flows.peek(key).states == reference.flows.peek(key).states
-                assert (
-                    batched.flows.peek(key).lower_states
-                    == reference.flows.peek(key).lower_states
-                )
-
-
 def test_forced_short_lanes_hold_the_differential_harness(force_short_lanes):
     """``assert_equivalent_events`` with both kernels on tiny lanes: the
-    device-compiled dtp program and the dense table, in-memory and replayed
+    dtp automaton and the dense table, in-memory and replayed
     from a capture, byte-identical events, batch totals and gauges."""
     from tests.conftest import assert_equivalent_events, build_program, equivalence_workload
 

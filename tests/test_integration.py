@@ -36,8 +36,9 @@ def test_all_matchers_agree_on_same_ruleset(rng):
     assert sorted(AhoCorasickNFA.from_patterns(patterns).match(data)) == reference
     assert sorted(DTPAutomaton.from_patterns(patterns).match(data)) == reference
     assert sorted(WuManber(patterns).match(data)) == reference
-    program = compile_ruleset(ruleset, STRATIX_III)
-    assert sorted(program.match(data)) == reference
+    # the device program matches through its cycle model
+    accelerator = HardwareAccelerator(compile_ruleset(ruleset, STRATIX_III))
+    assert sorted(accelerator.match(data)) == reference
 
 
 def test_reduced_rulesets_compile_and_shrink(medium_ruleset):

@@ -367,7 +367,7 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
     mode, backend, monkeypatch
 ):
     """One service, one flow table and one prefilter per session, in either
-    mode."""
+    mode, and no device compile."""
     services, compiled, device_compiled = [], [], []
     counting(monkeypatch, ScanService, "__init__", services)
     counting(monkeypatch, Backend, "compile", compiled)
@@ -391,8 +391,9 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
         table = saved["ids"]["service"] if mode == "ids" else saved["service"]
         assert table == session.service.scanner.flows.checkpoint()
     assert len(services) == len(compiled) == 1
-    # the registry is the one entry point: dtp's device compile runs inside it
-    assert len(device_compiled) == (backend == "dtp")
+    # the registry is the one entry point, and a scan never builds the
+    # device's blocks: only the cycle model (``session.hardware``) does
+    assert device_compiled == []
 
 
 @pytest.mark.parametrize("mode", ("stream", "ids"))

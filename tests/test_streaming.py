@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.backend import get_backend
 from repro.core import DTPAutomaton, ScanState, compile_ruleset
 from repro.fpga import STRATIX_III
 from repro.hardware import StringMatchingBlock
@@ -50,7 +51,7 @@ def crafted_ruleset() -> RuleSet:
 
 @pytest.fixture(scope="module")
 def crafted_program(crafted_ruleset):
-    return compile_ruleset(crafted_ruleset, STRATIX_III)
+    return get_backend("dtp").compile(crafted_ruleset)
 
 
 # ----------------------------------------------------------------------
@@ -86,27 +87,27 @@ class TestScanFrom:
         dtp = DTPAutomaton.from_patterns([b"abcd"])
         assert dtp.match(b"ab") == [] and dtp.match(b"cd") == []
 
-    def test_program_scan_from_spans_blocks(self, small_program, small_ruleset, rng):
+    def test_program_scan_from_resumes_across_chunks(self, small_dtp, small_ruleset, rng):
         patterns = [rule.pattern for rule in small_ruleset]
         stream = b"".join(
             bytes(rng.randrange(0, 256) for _ in range(50))
             + patterns[rng.randrange(len(patterns))]
             for _ in range(12)
         )
-        whole = small_program.match(stream)
-        states = small_program.initial_scan_states()
+        whole = small_dtp.match(stream)
+        states = small_dtp.initial_scan_states()
         chunked = []
         position = 0
         while position < len(stream):
             size = rng.randint(1, 100)
-            matches, states = small_program.scan_from(states, stream[position:position + size])
+            matches, states = small_dtp.scan_from(states, stream[position:position + size])
             chunked.extend(matches)
             position += size
         assert sorted(chunked) == sorted(whole)
 
-    def test_program_scan_from_validates_state_count(self, small_program):
+    def test_program_scan_from_validates_state_count(self, small_dtp):
         with pytest.raises(ValueError):
-            small_program.scan_from((ScanState(),) * (len(small_program.blocks) + 1), b"x")
+            small_dtp.scan_from((ScanState(),) * 2, b"x")
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +186,26 @@ class TestFlowTable:
         back = restored.lookup(make_key(1))
         assert back.states == entry.states
         assert back.matched == {7} and back.alerted == {99} and back.packets == 3
+
+    @pytest.mark.parametrize("view", ("states", "lower_states"))
+    @pytest.mark.parametrize("count", (0, 2))
+    def test_a_flow_of_other_than_one_scan_state_is_refused_by_name(self, view, count):
+        """Every program is one automaton: a checkpoint whose flow carries
+        per-block states (a multi-block device program's, before the one
+        automaton) fails at restore, naming the flow, not mid-scan."""
+        table = FlowTable(capacity=8)
+        entry = self.entry(5)
+        entry.lower_states = (ScanState(),)
+        table.insert(entry)
+        snapshot = json.loads(json.dumps(table.checkpoint()))
+        snapshot["flows"][0][view] = [ScanState(offset=9).as_tuple()] * count
+        with pytest.raises(ValueError, match=rf"{view}.*one scan state") as refused:
+            FlowTable.restore(snapshot)
+        assert repr(make_key(5).as_tuple()) in str(refused.value)
+        snapshot["flows"][0][view] = [ScanState(offset=9).as_tuple()]
+        assert getattr(FlowTable.restore(snapshot).lookup(make_key(5)), view) == (
+            ScanState(offset=9),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +351,7 @@ class TestCrossPacketMatching:
         """An already-lowercase occurrence matches in both views; one event."""
         ruleset = RuleSet(name="lower")
         ruleset.add_pattern(b"lowercasesignature")
-        program = compile_ruleset(ruleset, STRATIX_III)
+        program = get_backend("dtp").compile(ruleset)
         scanner = StreamScanner(program, track_nocase=True)
         matches = scanner.scan_segment(make_key(1), b"xx lowercasesignature yy")
         assert len(matches) == 1 and not matches[0].lowered
@@ -343,7 +364,7 @@ class TestCrossPacketMatching:
         regains case-insensitive matching with flow-absolute offsets."""
         ruleset = RuleSet(name="lower2")
         ruleset.add_pattern(b"lowercasesignature")
-        program = compile_ruleset(ruleset, STRATIX_III)
+        program = get_backend("dtp").compile(ruleset)
         plain = StreamScanner(program, track_nocase=False)
         plain.scan_segment(make_key(1), b"0123456789")  # 10 bytes of prologue
         snapshot = plain.flows.checkpoint()
@@ -371,13 +392,13 @@ class TestCrossPacketMatching:
 # scan service
 # ----------------------------------------------------------------------
 class TestScanService:
-    def test_interleaved_flows_all_detected(self, small_program, small_ruleset):
+    def test_interleaved_flows_all_detected(self, small_dtp, small_ruleset):
         generator = TrafficGenerator(small_ruleset, seed=31)
         flows = generator.flows(
             10, num_packets=4, split_patterns=1, segment_bytes=120
         )
         packets = TrafficGenerator.interleave(flows)
-        service = ScanService(small_program)
+        service = ScanService(small_dtp)
         result = service.scan(packets)
         sid_of = {index: rule.sid for index, rule in enumerate(small_ruleset)}
         for flow in flows:
@@ -527,10 +548,10 @@ class TestFlowCapacity:
     takes the per-segment loop, and either way the service answers exactly
     what one packet at a time would."""
 
-    def test_events_equal_segment_at_a_time(self, small_program, split_traffic, capacity):
-        service = ScanService(small_program, flow_capacity=capacity)
+    def test_events_equal_segment_at_a_time(self, small_dtp, split_traffic, capacity):
+        service = ScanService(small_dtp, flow_capacity=capacity)
         result = service.scan(split_traffic)
-        one_by_one = StreamScanner(small_program, capacity=capacity)
+        one_by_one = StreamScanner(small_dtp, capacity=capacity)
         expected = one_by_one.scan_packets(split_traffic)
         assert result.events == sorted(expected, key=event_order)
         assert service.scanner.stats == one_by_one.stats
@@ -539,11 +560,11 @@ class TestFlowCapacity:
 
     @pytest.mark.parametrize("batches", (2, 5))
     def test_batches_carry_state_like_one_batch(
-        self, small_program, split_traffic, capacity, batches
+        self, small_dtp, split_traffic, capacity, batches
     ):
-        whole = ScanService(small_program, flow_capacity=capacity)
+        whole = ScanService(small_dtp, flow_capacity=capacity)
         expected = whole.scan(split_traffic).events
-        cut = ScanService(small_program, flow_capacity=capacity)
+        cut = ScanService(small_dtp, flow_capacity=capacity)
         size = -(-len(split_traffic) // batches)
         events = []
         for start in range(0, len(split_traffic), size):
@@ -552,8 +573,8 @@ class TestFlowCapacity:
         assert cut.stats() == whole.stats()
         assert cut.scanner.flows.keys() == whole.scanner.flows.keys()
 
-    def test_flow_capacity_bounds_the_table(self, small_program, split_traffic, capacity):
-        service = ScanService(small_program, flow_capacity=capacity)
+    def test_flow_capacity_bounds_the_table(self, small_dtp, split_traffic, capacity):
+        service = ScanService(small_dtp, flow_capacity=capacity)
         service.scan(split_traffic)
         flows = len({StreamScanner.flow_key(packet) for packet in split_traffic})
         assert service.active_flows == min(capacity, flows)
@@ -561,28 +582,28 @@ class TestFlowCapacity:
         assert (service.evicted_flows > 0) == (capacity < flows)
 
     def test_checkpoint_resumes_across_a_json_round_trip(
-        self, small_program, split_traffic, capacity
+        self, small_dtp, split_traffic, capacity
     ):
         half = len(split_traffic) // 2
-        uninterrupted = ScanService(small_program, flow_capacity=capacity)
+        uninterrupted = ScanService(small_dtp, flow_capacity=capacity)
         uninterrupted.scan(split_traffic[:half])
         snapshot = json.loads(json.dumps(uninterrupted.checkpoint()))
         expected = uninterrupted.scan(split_traffic[half:])
 
-        resumed = ScanService(small_program, flow_capacity=capacity)
+        resumed = ScanService(small_dtp, flow_capacity=capacity)
         resumed.restore(snapshot)
         got = resumed.scan(split_traffic[half:])
         assert got.events == expected.events
         assert resumed.scanner.flows.keys() == uninterrupted.scanner.flows.keys()
         if capacity >= 12:
             # a service that forgot the first half reports other offsets
-            cold = ScanService(small_program, flow_capacity=capacity)
+            cold = ScanService(small_dtp, flow_capacity=capacity)
             assert cold.scan(split_traffic[half:]).events != expected.events
 
-    def test_restore_keeps_lru_order(self, small_program, split_traffic, capacity):
-        service = ScanService(small_program, flow_capacity=capacity)
+    def test_restore_keeps_lru_order(self, small_dtp, split_traffic, capacity):
+        service = ScanService(small_dtp, flow_capacity=capacity)
         service.scan(split_traffic)
-        resumed = ScanService(small_program, flow_capacity=capacity)
+        resumed = ScanService(small_dtp, flow_capacity=capacity)
         resumed.restore(service.checkpoint())
         assert resumed.scanner.flows.keys() == service.scanner.flows.keys()
         assert resumed.checkpoint() == service.checkpoint()
