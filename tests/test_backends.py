@@ -841,16 +841,61 @@ class TestDtpLaneKernelOneRowSlab(TestDtpLaneKernel):
     slab_rows = 1
 
 
-class TestOneAutomatonAtScale:
+class TestAcceleratorLaneKernel:
     """The registry's ``dtp`` program over rulesets the device splits into
-    blocks: one automaton, one kernel run a batch."""
+    blocks: one automaton, one kernel run a batch; the blocks are the cycle
+    model's, which merges their hits into what the automaton reports."""
 
-    def test_paper_sized_program_is_every_earlier_kernel(self):
+    @pytest.mark.parametrize("blocks_per_group", (1, 2, 3))
+    def test_multi_block_batches_merge_in_order(self, force_short_lanes, blocks_per_group):
+        """However many blocks the device takes, one automaton scans: flows
+        resumed mid-stream, one batch, equal to the scalar loop job for job
+        and to ``dense`` over the whole stream.  The cycle model, each of
+        whose blocks holds a share of the strings, merges their hits per
+        payload in ``(end_offset, string_number)`` order into exactly the
+        automaton's list."""
+        ruleset = generate_snort_like_ruleset(40, seed=21)
+        device_program = compile_ruleset(ruleset, STRATIX_III, blocks_per_group=blocks_per_group)
+        assert len(device_program.blocks) == blocks_per_group
+        program = get_backend("dtp").compile(ruleset)
+        lane_len = force_short_lanes(program, lanes_per_tile=8)
+        assert lane_len == max(map(len, ruleset.patterns))
+        dense = get_backend("dense").compile(ruleset.patterns)
+        rng = random.Random(22)
+        patterns = list(ruleset.patterns)
+        streams = []
+        for flow in range(6):
+            body = bytearray(rng.randrange(256) for _ in range(3 * lane_len + 7 * flow))
+            for pattern in rng.sample(patterns, 5):
+                offset = rng.randrange(len(body) - len(pattern))
+                body[offset:offset + len(pattern)] = pattern
+            streams.append(bytes(body) + patterns[flow] + patterns[-1 - flow])
+        heads = [program._scan_scalar(program.initial_scan_states(), s[:flow + 1])
+                 for flow, s in enumerate(streams)]
+        jobs = [(states, s[flow + 1:]) for flow, (s, (_, states)) in enumerate(zip(streams, heads))]
+        results = program.scan_many(jobs)
+        for (found, after), (states, body), stream, (head, _) in zip(results, jobs, streams, heads):
+            assert (found, after) == program._scan_scalar(states, body)
+            assert head + found == sorted(dense.match(stream))
+        assert any(found for found, _ in results)
+        merged = HardwareAccelerator(device_program).scan_packets(streams)
+        assert merged == [program.match(s) for s in streams]
+        # every block contributes to the merge
+        owner = {
+            number: block.index
+            for block in device_program.blocks for number in block.string_numbers.values()
+        }
+        assert {owner[number] for found in merged for _, number in found} == set(
+            range(blocks_per_group)
+        )
+
+    def test_paper_sized_program_shares_one_cut(self):
         """2 588 strings (three Cyclone III blocks), one automaton with
-        states over a word's 13 pointers: its kernel is the previous kernels'
-        on the same batch — the escape-cell kernel's, on this driver and on
-        the full-warm-up one, and the slab kernel's — hits and final states,
-        and the batch is the scalar loop's job for job."""
+        states over a word's 13 pointers and one cut for the batch: its
+        kernel is the previous kernels' on the same batch — the escape-cell
+        kernel's, on this driver and on the full-warm-up one, and the slab
+        kernel's — hits and final states, and the batch is the scalar loop's
+        job for job."""
         ruleset = generate_snort_like_ruleset(2588, seed=7)
         assert len(compile_ruleset(ruleset, CYCLONE_III).blocks) == 3
         program = get_backend("dtp").compile(ruleset)
@@ -939,17 +984,27 @@ class TestOneAutomatonAtScale:
 # ----------------------------------------------------------------------
 #: A pattern of period 10: on a stream of its whole periods every state past
 #: byte 40 is 31-40 deep, so every lane cut there is repaired.  The others
-#: report inside repaired stretches.
+#: report inside repaired stretches, and take the other blocks of a
+#: three-block device program.
 REPAIR_LONG = b"abcdefghij" * 4
 REPAIR_PATTERNS = [REPAIR_LONG, b"cdefghijabcd", b"ijabcdefghijab", b"fghij", b"ja", b"e"]
 
 
 @pytest.fixture(scope="module")
 def repair_programs():
-    """``REPAIR_PATTERNS`` compiled dense and dtp."""
+    """``REPAIR_PATTERNS`` compiled dense and dtp, and the automaton of the
+    one block of a three-block Cyclone III program that holds
+    ``REPAIR_LONG`` alone — what that hardware block scans, on its own."""
+    accelerator = compile_ruleset(
+        RuleSet.from_patterns(REPAIR_PATTERNS), CYCLONE_III, blocks_per_group=3
+    )
+    assert len(accelerator.blocks) == 3
+    (block,) = [b for b in accelerator.blocks if REPAIR_LONG in b.ruleset.patterns]
+    assert block.ruleset.patterns == [REPAIR_LONG] and block.string_numbers == {0: 0}
     return {
         "dense": CompiledDenseProgram.from_patterns(REPAIR_PATTERNS),
         "dtp": DTPAutomaton.from_patterns(REPAIR_PATTERNS),
+        "accelerator": block.dtp,
     }
 
 
@@ -1002,7 +1057,7 @@ def assert_lanes_are_exact(program, stream: bytes, bounds: Sequence[int]):
     return found
 
 
-@pytest.mark.parametrize("kind", ("dense", "dtp"))
+@pytest.mark.parametrize("kind", ("dense", "dtp", "accelerator"))
 @pytest.mark.parametrize("slab_rows", (4, 1))
 @settings(
     max_examples=25, deadline=None,
@@ -1029,7 +1084,7 @@ class TestLaneRepair:
     """Fixed cuts around the short warm-up, on 40-byte lanes (one
     ``REPAIR_LONG``), three lanes a tile and four-step slabs."""
 
-    @pytest.fixture(params=("dense", "dtp"))
+    @pytest.fixture(params=("dense", "dtp", "accelerator"))
     def program(self, request, repair_programs, force_short_lanes):
         program = repair_programs[request.param]
         assert force_short_lanes(program) == len(REPAIR_LONG)
@@ -1094,7 +1149,7 @@ def test_all_deep_traffic_costs_at_most_the_full_warm_up(repair_programs, walked
     assert sum(walk.steps for walk in repair) <= program.warmup - lanes.SHORT_WARMUP
 
 
-@pytest.mark.parametrize("kind", ("dense", "dtp"))
+@pytest.mark.parametrize("kind", ("dense", "dtp", "accelerator"))
 def test_repair_rounds_at_derived_geometry(repair_programs, walked, kind):
     """Nothing forced: 16 KB of lanes that each end on 9 bytes of
     ``REPAIR_LONG`` and finish the previous lane's, so every cut sits one

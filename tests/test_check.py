@@ -14,6 +14,7 @@ The load-bearing properties:
   itself passes it (the self-gate that keeps future drift out).
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,41 @@ class TestMutationDetection:
         report = verify_cross_backend(patterns)
         assert {(d.code, d.source) for d in report.errors} == {("BSM001", "dtp")}
 
+    def test_cross_backend_names_the_corrupt_block(self, monkeypatch, tmp_path, capsys):
+        """``repro verify --backend all --device``: the cross-backend run
+        also audits the device program block by block, so a stored pointer
+        flipped in block 1 of a 2-block program is an error of ``block[1]``
+        alone, while the scanned automaton and the bisimulation still
+        prove."""
+        import repro.cli
+
+        rules = tmp_path / "fanout.rules"
+        rules.write_text("".join(
+            f'alert tcp any any -> any 80 (content:"abc{chr(k)}"; sid:{k};)\n'
+            for k in range(65, 81)
+        ), encoding="utf-8")
+        argv = ["verify", "--rules", str(rules), "--backend", "all", "--device", "stratix3",
+                "--json", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        compile_device = repro.cli.compile_ruleset
+
+        def corrupted(*args, **kwargs):
+            program = compile_device(*args, **kwargs)
+            assert len(program.blocks) == 2
+            _flip_stored_pointer(program.blocks[1].dtp)
+            return program
+
+        monkeypatch.setattr(repro.cli, "compile_ruleset", corrupted)
+        capsys.readouterr()
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "FAILED: Stratix III device program (2 block(s))" in out
+        assert "proved: dtp program" in out and "proved: cross-backend equivalence" in out
+        errors = [d for d in json.loads((tmp_path / "report.json").read_text())["diagnostics"]
+                  if d["severity"] == "error"]
+        assert "DTP001" in {d["code"] for d in errors}
+        assert {d["source"] for d in errors} == {"block[1]"}
+
     def test_corrupt_packed_record_pointer(self):
         ruleset = generate_snort_like_ruleset(60, seed=5)
         program = compile_ruleset(ruleset, get_device("stratix3"))
@@ -392,7 +428,7 @@ class TestMutationDetection:
         program._shift[chunk] = program._shift[chunk] + 5  # would skip matches
         assert program.verify().errors
 
-    def test_capacity_overrun_is_a_device_block_warning(self, monkeypatch):
+    def test_capacity_overrun_is_a_warning_not_an_error(self, monkeypatch):
         # one state fanning out to 16 children needs 16 stored pointers —
         # over the 13-pointer hardware word, but functionally correct, and
         # the scanned automaton is never packed: no warning

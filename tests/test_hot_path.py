@@ -212,6 +212,70 @@ class TestDtpLaneKernelBatches(TestLaneKernelBatches):
     compile = staticmethod(DTPAutomaton.from_patterns)
 
 
+class TestAcceleratorLaneKernelBatches:
+    """... and through the two blocks of a device program, which in hardware
+    scan the same flows side by side: one scanner per block's automaton,
+    each carrying its own flow states, equal to the same automaton walked
+    segment by segment; the blocks' events, mapped to string numbers, are
+    the ``ac`` reference's segment for segment."""
+
+    events_of = staticmethod(TestLaneKernelBatches.events_of)
+
+    @pytest.fixture
+    def short_lanes(self, force_short_lanes):
+        from repro.core import compile_ruleset
+        from repro.fpga import STRATIX_III
+
+        program = compile_ruleset(
+            RuleSet.from_patterns(TestLaneKernelBatches.PATTERNS), STRATIX_III,
+            blocks_per_group=2,
+        )
+        assert len(program.blocks) == 2
+        for block in program.blocks:
+            force_short_lanes(block.dtp, lanes_per_tile=8)
+        return program.blocks
+
+    @pytest.mark.parametrize("track_nocase", (False, True))
+    def test_interleaved_flows_split_at_every_offset(self, short_lanes, track_nocase):
+        reference_program = get_backend("ac").compile(TestLaneKernelBatches.PATTERNS)
+        body = b"..ushers..aBcDeF..ABCDEF.."
+        for cut in range(len(body) + 1):
+            streams = [body[n:] + body[:n] for n in range(5)]
+            items = [(make_key(n), stream[:cut], n) for n, stream in enumerate(streams)]
+            tail = [(make_key(n), stream[cut:], 5 + n) for n, stream in enumerate(streams)]
+            whole = StreamScanner(reference_program, track_nocase=track_nocase)
+            expected = self.events_of([whole.scan_segment(*item) for item in items + tail])
+            merged = [[] for _ in expected]
+            for block in short_lanes:
+                program = block.dtp
+                reference = StreamScanner(program, track_nocase=track_nocase)
+                reference._scan_many = lambda jobs, program=program: [  # byte at a time
+                    program._scan_scalar(states, chunk) for states, chunk in jobs
+                ]
+                walked = [reference.scan_segment(*item) for item in items + tail]
+                batched = StreamScanner(program, track_nocase=track_nocase)
+                first = per_item(batched.scan_batch(items)[0], len(items))
+                second = per_item(batched.scan_batch(tail)[0], len(tail))
+                found = self.events_of(first + second)
+                assert any(found) and found == self.events_of(walked), cut
+                assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+                for key in reference.flows.keys():
+                    assert batched.flows.peek(key).states == reference.flows.peek(key).states
+                    assert (
+                        batched.flows.peek(key).lower_states
+                        == reference.flows.peek(key).lower_states
+                    )
+                for segment, events in zip(merged, found):
+                    segment.extend(
+                        (flow, packet, end, block.string_numbers[number], lowered)
+                        for flow, packet, end, number, lowered in events
+                    )
+            assert any(expected)
+            assert [sorted(segment) for segment in merged] == [
+                sorted(segment) for segment in expected
+            ], cut
+
+
 def test_forced_short_lanes_hold_the_differential_harness(force_short_lanes):
     """``assert_equivalent_events`` with both kernels on tiny lanes: the
     dtp automaton and the dense table, in-memory and replayed
