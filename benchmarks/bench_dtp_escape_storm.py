@@ -42,7 +42,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.backend import get_backend
+from repro.backend import ScanState, get_backend
 
 #: the end-to-end benchmark's inputs module, whose rules and chatter this
 #: gate shares
@@ -95,7 +95,7 @@ def batches():
     rng = random.Random(f"storm:{SEED}")
     storms = [storm(program, rng, len(chunk)) for chunk in benign]
     jobs = {
-        name: [(program.initial_scan_states(), chunk) for chunk in chunks]
+        name: [(ScanState(), chunk) for chunk in chunks]
         for name, chunks in (("benign", benign), ("storm", storms))
     }
     return program, ac, jobs

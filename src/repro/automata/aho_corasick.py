@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import CompiledProgramMixin, FlowState, ScanState, advance_history
+from ..backend import CompiledProgramMixin, ScanState, advance_history
 from .trie import ALPHABET_SIZE, ROOT, Trie
 
 MatchList = List[Tuple[int, int]]  # (end_position, pattern_id)
@@ -129,8 +129,8 @@ class AhoCorasickDFA(CompiledProgramMixin):
     """Full-DFA (move function) Aho-Corasick automaton.
 
     Implements the :class:`repro.backend.CompiledProgram` protocol (backend
-    name ``"ac"``): the per-flow state is a 1-tuple holding the current DFA
-    state, so chunked :meth:`scan_from` delivery matches exactly like one
+    name ``"ac"``): the per-flow :class:`ScanState` holds the current DFA
+    state, so chunked :meth:`scan_chunk` delivery matches exactly like one
     contiguous :meth:`match`.
 
     Attributes
@@ -203,13 +203,12 @@ class AhoCorasickDFA(CompiledProgramMixin):
     def step(self, state: int, byte: int) -> int:
         return int(self.table[state, byte])
 
-    def _scan_chunk(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
+    def _scan_chunk(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
         """Scan one stream segment; exactly one transition per input byte.
 
         This is the single copy of the matching walk — the mixin derives
-        ``match``/``scan``/``scan_from`` from it.
+        ``match``/``scan``/``scan_chunk`` from it.
         """
-        (scan_state,) = states
         matches: MatchList = []
         table = self.table
         outputs = self.outputs
@@ -220,8 +219,8 @@ class AhoCorasickDFA(CompiledProgramMixin):
             if outputs[state]:
                 matches.extend((base + position + 1, pid) for pid in outputs[state])
         prev1, prev2 = advance_history(scan_state.prev1, scan_state.prev2, chunk)
-        return matches, (
-            ScanState(state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)),
+        return matches, ScanState(
+            state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)
         )
 
     def iter_states(self, data: bytes) -> Iterator[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..backend import CompiledProgramMixin, FlowState, ScanState, advance_history
+from ..backend import CompiledProgramMixin, ScanState, advance_history
 from .aho_corasick import AhoCorasickNFA
 from .trie import ROOT, Trie
 
@@ -148,9 +148,8 @@ class PathCompressedAhoCorasick(CompiledProgramMixin):
         """The compiled patterns; pattern ids index this tuple."""
         return tuple(self.trie.patterns)
 
-    def _scan_chunk(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
+    def _scan_chunk(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
         """The failure-walk scan (single copy; the mixin derives ``match``)."""
-        (scan_state,) = states
         trie = self.trie
         matches: MatchList = []
         state = scan_state.state
@@ -162,8 +161,8 @@ class PathCompressedAhoCorasick(CompiledProgramMixin):
             if self.outputs[state]:
                 matches.extend((base + position + 1, pid) for pid in self.outputs[state])
         prev1, prev2 = advance_history(scan_state.prev1, scan_state.prev2, chunk)
-        return matches, (
-            ScanState(state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)),
+        return matches, ScanState(
+            state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)
         )
 
     # ------------------------------------------------------------------

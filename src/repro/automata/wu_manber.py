@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..backend import CompiledProgramMixin, FlowState, ScanState, advance_history
+from ..backend import CompiledProgramMixin, ScanState, advance_history
 
 MatchList = List[Tuple[int, int]]
 
@@ -107,9 +107,8 @@ class WuManber(CompiledProgramMixin):
         matches.sort()
         return matches
 
-    def _scan_chunk(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
+    def _scan_chunk(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
         """Resumable scan of one stream segment via the tail carry buffer."""
-        (scan_state,) = states
         tail = scan_state.tail or b""
         buffer = tail + chunk
         base = scan_state.offset - len(tail)
@@ -120,13 +119,11 @@ class WuManber(CompiledProgramMixin):
         ]
         carry = self._max_length - 1
         prev1, prev2 = advance_history(scan_state.prev1, scan_state.prev2, chunk)
-        return matches, (
-            ScanState(
-                prev1=prev1,
-                prev2=prev2,
-                offset=scan_state.offset + len(chunk),
-                tail=buffer[-carry:] if carry > 0 else b"",
-            ),
+        return matches, ScanState(
+            prev1=prev1,
+            prev2=prev2,
+            offset=scan_state.offset + len(chunk),
+            tail=buffer[-carry:] if carry > 0 else b"",
         )
 
     # ------------------------------------------------------------------

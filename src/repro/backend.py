@@ -15,8 +15,8 @@ gives the repository one vocabulary for all of them:
   :func:`repro.core.compile_ruleset`, is the hardware view and never scans).
 * :class:`CompiledProgram` — the scan contract every compiled matcher
   honours: per-payload ``match``/``scan``/``scan_packets`` plus the resumable
-  ``initial_scan_states`` / ``scan_from`` pair the streaming layer needs and
-  its batched form ``scan_many`` (one call per batch).
+  ``scan_chunk`` the streaming layer needs and its batched form ``scan_many``
+  (one call per batch).
 * :class:`ScanState` — the immutable, JSON-checkpointable resume record
   carried across the segments of one flow.
 * a registry (:func:`register_backend` / :func:`get_backend`) mapping the CLI
@@ -25,13 +25,14 @@ gives the repository one vocabulary for all of them:
 
 Resumability contract
 ---------------------
-Feeding the segments of one byte stream through consecutive ``scan_from``
+Feeding the segments of one byte stream through consecutive ``scan_chunk``
 calls must be exactly equivalent to one ``match`` over the concatenated
-stream; reported end offsets are stream-absolute.  A backend's per-flow state
-is a 1-tuple of :class:`ScanState` (:data:`FlowState`, the form the flow
-table serialises).  ``scan_from`` also accepts a bare :class:`ScanState` and
-then returns a bare :class:`ScanState`, preserving the original
-``DTPAutomaton`` API.
+stream; reported end offsets are stream-absolute.  Every program is one
+automaton, so a flow's resumable state is one :class:`ScanState` — the
+automaton state plus the byte history, the register set the paper's engine
+saves per flow — taken and returned by ``scan_chunk``.  A fresh flow starts
+from ``ScanState()``; one resumed at stream offset ``n`` from
+``ScanState(offset=n)``.
 
 This module deliberately imports nothing from the rest of the package (the
 automata and core layers import *it*), so every backend can conform without
@@ -53,7 +54,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
     runtime_checkable,
 )
 
@@ -76,7 +76,7 @@ class ScanState:
     window-based backends (Wu-Manber keeps the last ``max_pattern_len - 1``
     bytes there).  Instances are immutable, so checkpointing a flow is just
     keeping a reference.  Every program is one automaton, so a flow carries
-    exactly one (:data:`FlowState`).
+    exactly one.
     """
 
     state: int = ROOT_STATE
@@ -103,34 +103,42 @@ class ScanState:
         round-tripped through JSON (or was written by hand) may carry
         float-typed values, and an un-coerced float ``prev1``/``prev2`` would
         silently fail the ``==`` history comparisons the default-transition
-        lookup performs.
+        lookup performs.  A field out of range — a negative ``state`` or
+        ``offset``, a ``prev1``/``prev2`` that is not a byte, an element
+        count other than 4 or 5 — is a ``ValueError`` naming it.
+
+        >>> ScanState.from_tuple([3, 97, None, 10.0])
+        ScanState(state=3, prev1=97, prev2=None, offset=10, tail=None)
+        >>> ScanState.from_tuple([0, 300, None, 0])
+        Traceback (most recent call last):
+        ...
+        ValueError: ScanState.prev1 must be a byte (0..255) or None, got 300
         """
-        if len(values) == 4:
-            state, prev1, prev2, offset = values
-            tail: Optional[bytes] = None
-        else:
-            state, prev1, prev2, offset, raw_tail = values
-            if raw_tail is None:
-                tail = None
-            elif isinstance(raw_tail, str):
-                tail = bytes.fromhex(raw_tail)
-            else:
-                tail = bytes(raw_tail)
-        return cls(
-            state=int(state),
-            prev1=None if prev1 is None else int(prev1),
-            prev2=None if prev2 is None else int(prev2),
-            offset=int(offset),
-            tail=tail,
+        if len(values) not in (4, 5):
+            raise ValueError(f"ScanState takes 4 or 5 elements, got {len(values)}")
+        state, prev1, prev2, offset = (
+            None if value is None else int(value) for value in values[:4]
         )
+        for name, value in (("state", state), ("offset", offset)):
+            if value is None or value < 0:
+                raise ValueError(f"ScanState.{name} must be >= 0, got {value}")
+        for name, value in (("prev1", prev1), ("prev2", prev2)):
+            if value is not None and not 0 <= value <= 255:
+                raise ValueError(
+                    f"ScanState.{name} must be a byte (0..255) or None, got {value}"
+                )
+        raw_tail = values[4] if len(values) == 5 else None
+        if raw_tail is None:
+            tail: Optional[bytes] = None
+        elif isinstance(raw_tail, str):
+            tail = bytes.fromhex(raw_tail)
+        else:
+            tail = bytes(raw_tail)
+        return cls(state=state, prev1=prev1, prev2=prev2, offset=offset, tail=tail)
 
-
-#: A flow's complete resumable state: a 1-tuple of :class:`ScanState` (every
-#: program is one automaton; a checkpoint keeps the tuple form).
-FlowState = Tuple[ScanState, ...]
 
 #: One unit of batched scanning: a flow's state and the bytes to resume over.
-ScanJob = Tuple[FlowState, bytes]
+ScanJob = Tuple[ScanState, bytes]
 
 
 def advance_history(
@@ -153,19 +161,13 @@ class CompiledProgram(Protocol):
     @property
     def patterns(self) -> Tuple[bytes, ...]: ...
 
-    def initial_scan_states(self, offset: int = 0) -> FlowState: ...
-
-    def scan_from(
-        self, states: Union[ScanState, Sequence[ScanState]], chunk: bytes
-    ) -> Tuple[MatchList, Union[ScanState, FlowState]]: ...
-
     def scan_chunk(
-        self, states: FlowState, chunk: bytes
-    ) -> Tuple[MatchList, FlowState]: ...
+        self, states: ScanState, chunk: bytes
+    ) -> Tuple[MatchList, ScanState]: ...
 
     def scan_many(
         self, jobs: Sequence[ScanJob]
-    ) -> List[Tuple[MatchList, FlowState]]: ...
+    ) -> List[Tuple[MatchList, ScanState]]: ...
 
     def match(self, data: bytes) -> MatchList: ...
 
@@ -178,65 +180,45 @@ class CompiledProgramMixin:
     """Default shims tying a backend's ``_scan_chunk`` to the full protocol.
 
     A conforming class sets ``backend_name``, exposes ``patterns`` and
-    implements ``_scan_chunk(states, chunk) -> (matches, states)`` over the
-    canonical tuple-of-:class:`ScanState` form; everything else — the bare
-    ``ScanState`` convenience of ``scan_from``, the batched ``scan_many``,
-    ``scan``, ``scan_packets`` and (unless overridden) ``match`` — is derived
-    here.
+    implements ``_scan_chunk(scan_state, chunk) -> (matches, scan_state)``;
+    everything else — ``scan_chunk``, the batched ``scan_many``, ``scan``,
+    ``scan_packets`` and (unless overridden) ``match`` — is derived here.
     """
 
     backend_name: str = "unnamed"
 
-    def initial_scan_states(self, offset: int = 0) -> FlowState:
-        """The fresh scan state of one new flow (or resumed stream)."""
-        return (ScanState(offset=offset),)
-
     def _scan_chunk(
-        self, states: FlowState, chunk: bytes
-    ) -> Tuple[MatchList, FlowState]:
+        self, scan_state: ScanState, chunk: bytes
+    ) -> Tuple[MatchList, ScanState]:
         raise NotImplementedError
 
-    def scan_from(
-        self, states: Union[ScanState, Sequence[ScanState]], chunk: bytes
-    ) -> Tuple[MatchList, Union[ScanState, FlowState]]:
-        """Scan ``chunk`` resuming from ``states``; return matches + new state.
-
-        The canonical form takes and returns the 1-tuple :data:`FlowState`;
-        a bare :class:`ScanState` is accepted (and returned) as well.  Match
-        end offsets are stream-absolute.
-        """
-        if isinstance(states, ScanState):
-            matches, (next_state,) = self._scan_chunk((states,), chunk)
-            return matches, next_state
-        matches, next_states = self._scan_chunk(tuple(states), chunk)
-        return matches, next_states
-
     def scan_chunk(
-        self, states: FlowState, chunk: bytes
-    ) -> Tuple[MatchList, FlowState]:
-        """The hot-path form of :meth:`scan_from`: canonical tuple in and out.
+        self, states: ScanState, chunk: bytes
+    ) -> Tuple[MatchList, ScanState]:
+        """Scan ``chunk`` resuming from ``states``, the flow's one
+        :class:`ScanState`; return the matches (stream-absolute end offsets)
+        and the state to resume from next.
 
-        Identical semantics, but without the bare-:class:`ScanState`
-        dispatch and defensive ``tuple(...)`` coercion — callers that already
-        hold the canonical per-flow tuple (the streaming layer does, for
-        every segment) must not pay for the convenience shims per call.
+        The one crossing into a backend a profiler wraps: a lane kernel's
+        ``scan_many`` passes its packed batch and the jobs' states through
+        here as well (see :class:`repro.core.lanes.LaneKernelMixin`).
         """
         return self._scan_chunk(states, chunk)
 
     def scan_many(
         self, jobs: Sequence[ScanJob]
-    ) -> List[Tuple[MatchList, FlowState]]:
-        """Scan independent ``(states, chunk)`` jobs — one per flow of a
+    ) -> List[Tuple[MatchList, ScanState]]:
+        """Scan independent ``(state, chunk)`` jobs — one per flow of a
         batch — and return one :meth:`scan_chunk` result per job.
 
         The default is exactly that loop; a backend that can advance many
         streams at once (the dense lane kernel) overrides it.
         """
-        return [self.scan_chunk(states, chunk) for states, chunk in jobs]
+        return [self.scan_chunk(state, chunk) for state, chunk in jobs]
 
     def scan(self, data: bytes) -> MatchList:
         """Scan one payload from a fresh state (alias of :meth:`match`)."""
-        matches, _ = self._scan_chunk(self.initial_scan_states(), data)
+        matches, _ = self._scan_chunk(ScanState(), data)
         return matches
 
     def match(self, data: bytes) -> MatchList:
@@ -246,8 +228,8 @@ class CompiledProgramMixin:
     def scan_packets(self, payloads: Iterable[bytes]) -> List[MatchList]:
         """Scan several packets; state resets per packet (one
         :meth:`scan_many` call over fresh-state jobs)."""
-        states = self.initial_scan_states()
-        return [matches for matches, _ in self.scan_many([(states, p) for p in payloads])]
+        fresh = ScanState()
+        return [matches for matches, _ in self.scan_many([(fresh, p) for p in payloads])]
 
     def verify(self, patterns: Optional[Sequence[bytes]] = None):
         """Statically verify this compiled program (no traffic scanned).
@@ -341,7 +323,6 @@ __all__ = [
     "MatchList",
     "ROOT_STATE",
     "ScanState",
-    "FlowState",
     "ScanJob",
     "advance_history",
     "CompiledProgram",

@@ -37,7 +37,7 @@ negated when that state reports a match), decoded from ``premultiplied`` one
 row at a time, so short segments cost one dict lookup, one list index and one
 sign test per byte and only the rows actually visited are ever materialised.
 
-The scan is resumable either way: the per-flow state is a 1-tuple
+The scan is resumable either way: the per-flow state is one
 :class:`repro.backend.ScanState` carrying the plain state id, so the
 streaming layer (flow table, stream scanner, scan service) uses this
 backend unchanged and checkpoints are interchangeable with every other
@@ -53,7 +53,7 @@ import numpy as np
 
 from ..automata.aho_corasick import AhoCorasickDFA
 from ..automata.trie import ALPHABET_SIZE
-from ..backend import FlowState, MatchList
+from ..backend import MatchList, ScanState
 from . import lanes
 from .lanes import LaneBatch, LaneCut, LaneKernelMixin
 
@@ -176,8 +176,7 @@ class CompiledDenseProgram(LaneKernelMixin):
         """Pattern ids reported when ``state`` is entered (packed-array view)."""
         return self.match_pids[self.match_index[state]:self.match_index[state + 1]]
 
-    def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
-        (scan_state,) = states
+    def _scan_scalar(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
         state = scan_state.state
         base = scan_state.offset
         matches: MatchList = []
@@ -190,21 +189,21 @@ class CompiledDenseProgram(LaneKernelMixin):
                 end = base + position + 1
                 for pid in outputs[state]:
                     matches.append((end, pid))
-        return matches, (lanes.resumed(scan_state, state, chunk),)
+        return matches, lanes.resumed(scan_state, state, chunk)
 
     # ------------------------------------------------------------------
     # the lane kernel
     # ------------------------------------------------------------------
     def _scan_lanes(
-        self, flow_states: Sequence[FlowState], batch: LaneBatch
-    ) -> List[Tuple[MatchList, FlowState]]:
+        self, scan_states: Sequence[ScanState], batch: LaneBatch
+    ) -> List[Tuple[MatchList, ScanState]]:
         cut = LaneCut(batch, self.warmup)
         premultiplied, dtype = self.premultiplied, self.premultiplied.dtype
         # a state value at or above this carries the match bit
         flagged = len(premultiplied)
-        count = len(flow_states)
-        carried = np.fromiter((states[0].state for states in flow_states), dtype, count) << 8
-        offsets = np.fromiter((states[0].offset for states in flow_states), np.int64, count)
+        count = len(scan_states)
+        carried = np.fromiter((s.state for s in scan_states), dtype, count) << 8
+        offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
         # the bound method skips np.take's Python wrapper, ~1.4 us a step
         add, take = np.add, premultiplied.take
         value_depth = self.value_depth
@@ -236,7 +235,7 @@ class CompiledDenseProgram(LaneKernelMixin):
         hits = lanes.expand_hits(
             (jobs, ends, (values - flagged) >> 8), self.match_index, self.match_pids
         )
-        return lanes.job_results(flow_states, batch, hits, (final % flagged) >> 8)
+        return lanes.job_results(scan_states, batch, hits, (final % flagged) >> 8)
 
     # ------------------------------------------------------------------
     # memory accounting

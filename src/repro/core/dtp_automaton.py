@@ -103,7 +103,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..automata.aho_corasick import AhoCorasickDFA
 from ..automata.trie import ALPHABET_SIZE, ROOT
-from ..backend import FlowState, ScanState
+from ..backend import ScanState
 from . import lanes
 from .default_transitions import (
     DefaultTransitionTable,
@@ -443,22 +443,17 @@ class DTPAutomaton(LaneKernelMixin):
             return target
         return self.defaults.resolve(byte, prev1, prev2)
 
-    def initial_scan_state(self) -> ScanState:
-        """The state a fresh flow starts in (root state, empty byte history)."""
-        return ScanState()
-
-    def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
-        """Scan ``chunk`` resuming from ``states``; return matches + new state.
+    def _scan_scalar(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
+        """Scan ``chunk`` resuming from ``scan_state``; return matches + new state.
 
         Feeding the segments of one byte stream through consecutive
-        :meth:`scan_from` calls is exactly equivalent to one :meth:`match`
+        :meth:`scan_chunk` calls is exactly equivalent to one :meth:`match`
         over the concatenated stream: the returned state carries the
         automaton state *and* the two-byte history the default-transition
         lookup needs, so patterns straddling a segment boundary are still
         found.  Match end offsets are stream-absolute (``offset`` + position
         in ``chunk``).
         """
-        (scan_state,) = states
         matches: MatchList = []
         state = scan_state.state
         prev1 = scan_state.prev1
@@ -471,8 +466,8 @@ class DTPAutomaton(LaneKernelMixin):
                 matches.extend((base + position + 1, pid) for pid in outputs[state])
             prev2 = prev1
             prev1 = byte
-        return matches, (
-            ScanState(state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)),
+        return matches, ScanState(
+            state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)
         )
 
     # ------------------------------------------------------------------
@@ -555,12 +550,10 @@ class DTPAutomaton(LaneKernelMixin):
         return hits, id_of.take(final)
 
     def _scan_lanes(
-        self, flow_states: Sequence[FlowState], batch: LaneBatch
-    ) -> List[Tuple[MatchList, FlowState]]:
-        hits, final = self.lane_hits(
-            LaneCut(batch, self.warmup, history=1), [state for (state,) in flow_states]
-        )
-        return lanes.job_results(flow_states, batch, hits, final)
+        self, scan_states: Sequence[ScanState], batch: LaneBatch
+    ) -> List[Tuple[MatchList, ScanState]]:
+        hits, final = self.lane_hits(LaneCut(batch, self.warmup, history=1), scan_states)
+        return lanes.job_results(scan_states, batch, hits, final)
 
     # ------------------------------------------------------------------
     # statistics / memory accounting

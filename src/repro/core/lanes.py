@@ -77,7 +77,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend import (
     CompiledProgramMixin,
-    FlowState,
     MatchList,
     ScanJob,
     ScanState,
@@ -413,18 +412,18 @@ def split_matches(num_jobs: int, hits: Hits) -> List[MatchList]:
 
 
 def job_results(
-    flow_states: Sequence[FlowState],
+    scan_states: Sequence[ScanState],
     batch: LaneBatch,
     hits: Hits,
     final: np.ndarray,
-) -> List[Tuple[MatchList, FlowState]]:
-    """One ``(matches, states)`` per job from its hits (sorted by job) and
+) -> List[Tuple[MatchList, ScanState]]:
+    """One ``(matches, state)`` per job from its hits (sorted by job) and
     its final state id."""
-    matches = split_matches(len(flow_states), hits)
+    matches = split_matches(len(scan_states), hits)
     return [
-        (found, (resumed(scan_state, state, chunk),))
-        for (scan_state,), chunk, found, state in zip(
-            flow_states, batch.chunks, matches, final.tolist()
+        (found, resumed(scan_state, state, chunk))
+        for scan_state, chunk, found, state in zip(
+            scan_states, batch.chunks, matches, final.tolist()
         )
     ]
 
@@ -432,14 +431,14 @@ def job_results(
 class LaneKernelMixin(CompiledProgramMixin):
     """The one scan entry of a program with a lane kernel.
 
-    A conforming class implements ``_scan_scalar(states, chunk)`` — the
+    A conforming class implements ``_scan_scalar(scan_state, chunk)`` — the
     byte-at-a-time loop, the reference semantics — and
-    ``_scan_lanes(flow_states, batch)`` returning one ``(matches, states)``
-    per packed job; ``match``/``scan``/``scan_from``/``scan_packets`` all
+    ``_scan_lanes(scan_states, batch)`` returning one ``(matches, state)``
+    per packed job; ``match``/``scan``/``scan_chunk``/``scan_packets`` all
     arrive here through :meth:`_scan_chunk`.
     """
 
-    def scan_many(self, jobs: Sequence[ScanJob]) -> List[Tuple[MatchList, FlowState]]:
+    def scan_many(self, jobs: Sequence[ScanJob]) -> List[Tuple[MatchList, ScanState]]:
         """Scan independent jobs together: every lane of every job advances
         in the same kernel step.
 
@@ -450,26 +449,26 @@ class LaneKernelMixin(CompiledProgramMixin):
         batch = LaneBatch([chunk for _, chunk in jobs])
         if len(batch) < KERNEL_MIN_BYTES:
             return super().scan_many(jobs)
-        return self.scan_chunk([states for states, _ in jobs], batch)
+        return self.scan_chunk([state for state, _ in jobs], batch)
 
     def _scan_chunk(
         self,
-        states: Union[FlowState, Sequence[FlowState]],
+        states: Union[ScanState, Sequence[ScanState]],
         chunk: Union[bytes, LaneBatch],
-    ) -> Union[Tuple[MatchList, FlowState], List[Tuple[MatchList, FlowState]]]:
-        """One chunk resumed from ``states``; or, for a :class:`LaneBatch`,
-        one ``(matches, states)`` result per packed job (``states`` is then
-        the jobs' state tuples, in order)."""
+    ) -> Union[Tuple[MatchList, ScanState], List[Tuple[MatchList, ScanState]]]:
+        """One chunk resumed from the scan state ``states``; or, for a
+        :class:`LaneBatch`, one ``(matches, state)`` result per packed job
+        (``states`` is then the jobs' scan states, in order)."""
         if isinstance(chunk, LaneBatch):
             return self._scan_lanes(states, chunk)
         if len(chunk) >= KERNEL_MIN_BYTES:
             return self._scan_lanes([states], LaneBatch([chunk]))[0]
         return self._scan_scalar(states, chunk)
 
-    def _scan_scalar(self, states: FlowState, chunk: bytes) -> Tuple[MatchList, FlowState]:
+    def _scan_scalar(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
         raise NotImplementedError
 
     def _scan_lanes(
-        self, flow_states: Sequence[FlowState], batch: LaneBatch
-    ) -> List[Tuple[MatchList, FlowState]]:
+        self, scan_states: Sequence[ScanState], batch: LaneBatch
+    ) -> List[Tuple[MatchList, ScanState]]:
         raise NotImplementedError

@@ -103,16 +103,12 @@ class HardwareAccelerator:
         )
 
     # ------------------------------------------------------------------
-    def scan(self, packets):
+    def scan(self, packets: Iterable[Packet]) -> AcceleratorScanResult:
         """Scan ``packets``: round-robin across packet groups, merge matches.
 
-        Accepts either a packet batch (returning the cycle-level
-        :class:`AcceleratorScanResult`) or one raw payload (returning its
-        match list) — a ``bytes`` value is never a packet sequence, so the
-        dispatch is unambiguous.
+        Returns the cycle-level :class:`AcceleratorScanResult`; one raw
+        payload is scanned by :meth:`match`.
         """
-        if isinstance(packets, (bytes, bytearray, memoryview)):
-            return self.match(bytes(packets))
         per_group_packets: List[List[Packet]] = [[] for _ in range(self.packet_groups)]
         for index, packet in enumerate(packets):
             per_group_packets[index % self.packet_groups].append(packet)

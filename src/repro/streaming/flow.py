@@ -3,7 +3,7 @@
 Real DPI line cards scan *flows*, not packets: a pattern may straddle the
 boundary between consecutive TCP segments, and millions of concurrent flows
 must share a handful of engines.  The flow table keeps, per live flow, the
-resumable per-block :class:`repro.core.ScanState` registers (automaton state
+resumable :class:`repro.backend.ScanState` register set (automaton state
 plus two-byte history) so that scanning can pick up exactly where the flow's
 previous segment left off.
 
@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..backend import FlowState, ScanState
+from ..backend import ScanState
 from ..traffic.packet import FiveTuple
 
 #: Default maximum number of concurrently tracked flows per table.
@@ -108,10 +108,11 @@ class FlowKey:
 class FlowEntry:
     """Everything remembered about one live flow between segments.
 
-    ``states`` holds the compiled program's :class:`ScanState` (a 1-tuple,
-    :data:`repro.backend.FlowState`); ``lower_states`` is the parallel state
-    over the lower-cased view of the stream (allocated only when
-    case-insensitive patterns exist).
+    ``state`` is the compiled program's :class:`ScanState` for the flow;
+    ``lower_state`` is the parallel state over the lower-cased view of the
+    stream (allocated only when case-insensitive patterns exist).  A
+    checkpoint writes each as a one-element list, under ``"states"`` and
+    ``"lower_states"``.
     ``matched`` / ``matched_lower`` accumulate the global string numbers seen
     so far and ``alerted`` the rule sids already reported, so multi-content
     rules can complete across segments without duplicate alerts.
@@ -123,8 +124,8 @@ class FlowEntry:
 
     __slots__ = (
         "key",
-        "states",
-        "lower_states",
+        "state",
+        "lower_state",
         "packets",
         "matched",
         "matched_lower",
@@ -134,16 +135,16 @@ class FlowEntry:
     def __init__(
         self,
         key: FlowKey,
-        states: Tuple[ScanState, ...],
-        lower_states: Optional[Tuple[ScanState, ...]] = None,
+        state: ScanState,
+        lower_state: Optional[ScanState] = None,
         packets: int = 0,
         matched: Optional[Set[int]] = None,
         matched_lower: Optional[Set[int]] = None,
         alerted: Optional[Set[int]] = None,
     ):
         self.key = key
-        self.states = states
-        self.lower_states = lower_states
+        self.state = state
+        self.lower_state = lower_state
         self.packets = packets
         self.matched = set() if matched is None else matched
         self.matched_lower = set() if matched_lower is None else matched_lower
@@ -151,25 +152,23 @@ class FlowEntry:
 
     def __repr__(self) -> str:
         return (
-            f"FlowEntry(key={self.key!r}, states={self.states!r}, "
-            f"lower_states={self.lower_states!r}, packets={self.packets!r}, "
+            f"FlowEntry(key={self.key!r}, state={self.state!r}, "
+            f"lower_state={self.lower_state!r}, packets={self.packets!r}, "
             f"matched={self.matched!r}, matched_lower={self.matched_lower!r}, "
             f"alerted={self.alerted!r})"
         )
 
     @property
     def bytes_scanned(self) -> int:
-        return self.states[0].offset if self.states else 0
+        return self.state.offset
 
     def as_dict(self) -> Dict:
         """JSON-serialisable checkpoint of this flow."""
         return {
             "key": list(self.key.as_tuple()),
-            "states": [state.as_tuple() for state in self.states],
+            "states": [self.state.as_tuple()],
             "lower_states": (
-                None
-                if self.lower_states is None
-                else [state.as_tuple() for state in self.lower_states]
+                None if self.lower_state is None else [self.lower_state.as_tuple()]
             ),
             "packets": self.packets,
             "matched": sorted(self.matched),
@@ -182,12 +181,13 @@ class FlowEntry:
         """Rebuild a flow from :meth:`as_dict` output.  Every program is one
         automaton, so a flow whose ``states`` or ``lower_states`` hold other
         than one :class:`ScanState` (a multi-block checkpoint) is refused
-        with a ``ValueError`` naming the flow."""
+        with a ``ValueError`` naming the flow, as is a state whose fields
+        are out of range (:meth:`ScanState.from_tuple`)."""
         key = FlowKey.coerced(*data["key"])
         return cls(
             key=key,
-            states=_flow_state(key, "states", data["states"]),
-            lower_states=_flow_state(key, "lower_states", data.get("lower_states")),
+            state=_flow_state(key, "states", data["states"]),
+            lower_state=_flow_state(key, "lower_states", data.get("lower_states")),
             packets=int(data.get("packets", 0)),
             matched=set(data.get("matched", ())),
             matched_lower=set(data.get("matched_lower", ())),
@@ -195,9 +195,10 @@ class FlowEntry:
         )
 
 
-def _flow_state(key: FlowKey, view: str, values: Optional[Sequence]) -> Optional[FlowState]:
+def _flow_state(key: FlowKey, view: str, values: Optional[Sequence]) -> Optional[ScanState]:
     """A checkpointed ``view`` of flow ``key``: one :class:`ScanState`, or
-    ``None``; any other count is a ``ValueError`` naming the flow."""
+    ``None``; any other count, or a state out of range, is a ``ValueError``
+    naming the flow."""
     if values is None:
         return None
     if len(values) != 1:
@@ -205,7 +206,10 @@ def _flow_state(key: FlowKey, view: str, values: Optional[Sequence]) -> Optional
             f"flow {key.as_tuple()} checkpoints {len(values)} {view}; "
             "a program has one scan state per flow"
         )
-    return (ScanState.from_tuple(values[0]),)
+    try:
+        return ScanState.from_tuple(values[0])
+    except ValueError as error:
+        raise ValueError(f"flow {key.as_tuple()} {view}: {error}") from None
 
 
 @dataclass

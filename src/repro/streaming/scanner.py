@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..backend import CompiledProgram, MatchList, ScanJob
+from ..backend import CompiledProgram, MatchList, ScanJob, ScanState
 from ..traffic.packet import Packet
 from .flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
 
@@ -199,10 +199,8 @@ class StreamScanner:
     def _new_entry(self, key: FlowKey) -> FlowEntry:
         return FlowEntry(
             key=key,
-            states=self.program.initial_scan_states(),
-            lower_states=(
-                self.program.initial_scan_states() if self.track_nocase else None
-            ),
+            state=ScanState(),
+            lower_state=ScanState() if self.track_nocase else None,
         )
 
     @staticmethod
@@ -223,31 +221,29 @@ class StreamScanner:
         ``lowered`` holds only what the raw view did not already report, on
         the strings ``track_nocase`` lets a lowered hit credit.
         """
-        jobs: List[ScanJob] = [(entry.states, payload) for entry, payload in work]
+        jobs: List[ScanJob] = [(entry.state, payload) for entry, payload in work]
         if self.track_nocase:
             for entry, payload in work:
-                if entry.lower_states is None:
+                if entry.lower_state is None:
                     # e.g. a flow restored from a checkpoint written without
                     # nocase tracking: restart the lowered view rather than
                     # silently never matching case-insensitively again.  Seed
                     # it at the raw stream offset so lowered matches keep
                     # reporting flow-absolute positions (and dedup against
                     # raw hits works).
-                    entry.lower_states = self.program.initial_scan_states(
-                        offset=entry.bytes_scanned
-                    )
-                jobs.append((entry.lower_states, payload.lower()))
+                    entry.lower_state = ScanState(offset=entry.bytes_scanned)
+                jobs.append((entry.lower_state, payload.lower()))
         results = self._scan_many(jobs)
 
         nocase = self.track_nocase
         views: List[Tuple[MatchList, MatchList]] = []
         for position, (entry, _) in enumerate(work):
-            raw, entry.states = results[position]
+            raw, entry.state = results[position]
             if raw:
                 entry.matched.update(number for _, number in raw)
             lowered: MatchList = []
             if self.track_nocase:
-                lowered, entry.lower_states = results[len(work) + position]
+                lowered, entry.lower_state = results[len(work) + position]
                 if lowered:
                     # an occurrence that is already lower-case matches in
                     # both views; report it once (the raw event) so

@@ -406,16 +406,16 @@ class ReferenceLaneCut:
         ), final
 
 
-def reference_dense_scan_lanes(self, flow_states, batch: LaneBatch):
+def reference_dense_scan_lanes(self, scan_states, batch: LaneBatch):
     """``CompiledDenseProgram._scan_lanes`` as it was, over the plain
     ``state << 8`` view it walked (rebuilt here: the flagged table without
     its match bit)."""
     cut = ReferenceLaneCut(batch, self.warmup)
     premultiplied = self.premultiplied % len(self.premultiplied)
     dtype = premultiplied.dtype
-    count = len(flow_states)
-    carried = np.fromiter((states[0].state for states in flow_states), dtype, count)
-    offsets = np.fromiter((states[0].offset for states in flow_states), np.int64, count)
+    count = len(scan_states)
+    carried = np.fromiter((s.state for s in scan_states), dtype, count)
+    offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
     # the bound method skips np.take's Python wrapper, ~1.4 us a step
     add, take = np.add, premultiplied.take
 
@@ -438,7 +438,7 @@ def reference_dense_scan_lanes(self, flow_states, batch: LaneBatch):
 
     hits, final = cut.run(carried, offsets, self.match_flags, walk, cut.lane_len + 1)
     return lanes.job_results(
-        flow_states, batch,
+        scan_states, batch,
         lanes.expand_hits(hits, self.match_index, self.match_pids), final,
     )
 
@@ -630,13 +630,13 @@ def reference_dtp_lane_hits(self, cut: ReferenceLaneCut, scan_states):
     return lanes.expand_hits(hits, self.match_index, self.match_pids), final
 
 
-def reference_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
+def reference_dtp_scan_lanes(program, scan_states, batch: LaneBatch):
     """``DTPAutomaton._scan_lanes`` over :func:`reference_dtp_lane_hits`."""
     hits, final = reference_dtp_lane_hits(
         ReferenceDtpViews(program), ReferenceLaneCut(batch, program.warmup, history=2),
-        [state for (state,) in flow_states],
+        scan_states,
     )
-    return lanes.job_results(flow_states, batch, hits, final)
+    return lanes.job_results(scan_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------
@@ -729,13 +729,13 @@ def slab_dtp_lane_hits(self, cut: "FullWarmupLaneCut", scan_states):
     return lanes.expand_hits(hits, self.match_index, self.match_pids), final
 
 
-def slab_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
+def slab_dtp_scan_lanes(program, scan_states, batch: LaneBatch):
     """``DTPAutomaton._scan_lanes`` over :func:`slab_dtp_lane_hits`."""
     hits, final = slab_dtp_lane_hits(
         ReferenceDtpViews(program), FullWarmupLaneCut(batch, program.warmup, history=2),
-        [state for (state,) in flow_states],
+        scan_states,
     )
-    return lanes.job_results(flow_states, batch, hits, final)
+    return lanes.job_results(scan_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------
@@ -837,16 +837,16 @@ class FullWarmupLaneCut:
         ), final
 
 
-def full_warmup_dense_scan_lanes(self, flow_states, batch: LaneBatch):
+def full_warmup_dense_scan_lanes(self, scan_states, batch: LaneBatch):
     """``CompiledDenseProgram._scan_lanes`` as it was, on
     :class:`FullWarmupLaneCut`."""
     cut = FullWarmupLaneCut(batch, self.warmup)
     premultiplied, dtype = self.premultiplied, self.premultiplied.dtype
     # a state value at or above this carries the match bit
     flagged = len(premultiplied)
-    count = len(flow_states)
-    carried = np.fromiter((states[0].state for states in flow_states), dtype, count) << 8
-    offsets = np.fromiter((states[0].offset for states in flow_states), np.int64, count)
+    count = len(scan_states)
+    carried = np.fromiter((s.state for s in scan_states), dtype, count) << 8
+    offsets = np.fromiter((s.offset for s in scan_states), np.int64, count)
     # the bound method skips np.take's Python wrapper, ~1.4 us a step
     add, take = np.add, premultiplied.take
 
@@ -874,7 +874,7 @@ def full_warmup_dense_scan_lanes(self, flow_states, batch: LaneBatch):
     hits = lanes.expand_hits(
         (jobs, ends, (values - flagged) >> 8), self.match_index, self.match_pids
     )
-    return lanes.job_results(flow_states, batch, hits, (final % flagged) >> 8)
+    return lanes.job_results(scan_states, batch, hits, (final % flagged) >> 8)
 
 
 def full_warmup_dtp_lane_hits(self, cut: FullWarmupLaneCut, scan_states):
@@ -960,14 +960,14 @@ def full_warmup_dtp_lane_hits(self, cut: FullWarmupLaneCut, scan_states):
     )
     return hits, id_of.take(final)
 
-def full_warmup_dtp_scan_lanes(self, flow_states, batch: LaneBatch):
+def full_warmup_dtp_scan_lanes(self, scan_states, batch: LaneBatch):
     """``DTPAutomaton._scan_lanes`` as it was, over
     :func:`full_warmup_dtp_lane_hits` and the views of its day."""
     hits, final = full_warmup_dtp_lane_hits(
         EscapeDtpViews(self), FullWarmupLaneCut(batch, self.warmup, history=2),
-        [state for (state,) in flow_states],
+        scan_states,
     )
-    return lanes.job_results(flow_states, batch, hits, final)
+    return lanes.job_results(scan_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------
@@ -1132,14 +1132,14 @@ def escape_dtp_lane_hits(self, cut: lanes.LaneCut, scan_states):
     return hits, id_of.take(final)
 
 
-def escape_dtp_scan_lanes(program, flow_states, batch: LaneBatch):
+def escape_dtp_scan_lanes(program, scan_states, batch: LaneBatch):
     """``DTPAutomaton._scan_lanes`` as it was, over
     :func:`escape_dtp_lane_hits`."""
     hits, final = escape_dtp_lane_hits(
         EscapeDtpViews(program), lanes.LaneCut(batch, program.warmup, history=2),
-        [state for (state,) in flow_states],
+        scan_states,
     )
-    return lanes.job_results(flow_states, batch, hits, final)
+    return lanes.job_results(scan_states, batch, hits, final)
 
 
 # ----------------------------------------------------------------------

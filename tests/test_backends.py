@@ -38,7 +38,7 @@ from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import FlowKey, FlowTable, StreamScanner
-from repro.traffic import TrafficGenerator
+from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import (
     EscapeDtpViews,
@@ -91,8 +91,9 @@ class TestRegistry:
             program = backend.compile(patterns)
             assert program.backend_name == backend.name
             assert tuple(program.patterns) == patterns
-            states = program.initial_scan_states()
-            assert all(isinstance(s, ScanState) for s in states)
+            matches, state = program.scan_chunk(ScanState(), b"xabc")
+            assert matches == [(4, 0)]
+            assert isinstance(state, ScanState) and state.offset == 4
 
 
 class TestCrossBackendEquivalence:
@@ -120,9 +121,9 @@ class TestCrossBackendEquivalence:
         for name in ALL_BACKENDS:
             program = get_backend(name).compile(patterns)
             for split in range(len(payload) + 1):
-                states = program.initial_scan_states()
-                first, states = program.scan_from(states, payload[:split])
-                second, states = program.scan_from(states, payload[split:])
+                states = ScanState()
+                first, states = program.scan_chunk(states, payload[:split])
+                second, states = program.scan_chunk(states, payload[split:])
                 assert sorted(list(first) + list(second)) == expected, (name, split)
 
     def test_three_chunk_delivery(self):
@@ -134,10 +135,10 @@ class TestCrossBackendEquivalence:
         cuts = (0, 10, 17, 31, len(payload))
         for name in ALL_BACKENDS:
             program = get_backend(name).compile(patterns)
-            states = program.initial_scan_states()
+            states = ScanState()
             collected = []
             for start, stop in zip(cuts, cuts[1:]):
-                matches, states = program.scan_from(states, payload[start:stop])
+                matches, states = program.scan_chunk(states, payload[start:stop])
                 collected.extend(matches)
             assert sorted(collected) == expected, name
 
@@ -153,9 +154,9 @@ class TestCrossBackendEquivalence:
         expected = sorted(dense.match(payload))
         assert sorted(program.match(payload)) == sorted(accelerator.match(payload)) == expected
         for split in (0, 13, 200, len(payload)):
-            states = program.initial_scan_states()
-            first, states = program.scan_from(states, payload[:split])
-            second, states = program.scan_from(states, payload[split:])
+            states = ScanState()
+            first, states = program.scan_chunk(states, payload[:split])
+            second, states = program.scan_chunk(states, payload[split:])
             assert sorted(list(first) + list(second)) == expected
 
 
@@ -185,7 +186,57 @@ class TestCrossBackendEquivalence:
             assert any(expected), program.backend_name
             assert program.scan_packets(payloads) == expected, program.backend_name
             (jobs,) = crossings
-            assert jobs == [program.initial_scan_states()] * len(payloads)
+            assert jobs == [ScanState()] * len(payloads)
+
+
+#: The one flow :func:`stream_checkpoint` scans.
+STREAM_HEADER = FiveTuple("10.0.0.1", "10.0.1.1", 4000, 80, "tcp")
+
+
+def stream_config(backend: str) -> PipelineConfig:
+    """A stream-mode session over 20 synthetic rules on ``backend``."""
+    return PipelineConfig(
+        mode="stream",
+        source=SourceSpec(kind="packets", packets=()),
+        rules=RulesSpec(kind="synthetic", size=20, seed=8),
+        engine=EngineSpec(backend=backend),
+    )
+
+
+def stream_checkpoint(backend: str, payload: bytes) -> dict:
+    """The JSON checkpoint of a stream session that scanned ``payload`` as
+    one segment of :data:`STREAM_HEADER`'s flow."""
+    with Session.from_config(stream_config(backend)) as session:
+        session.scan([Packet(payload=payload, header=STREAM_HEADER, packet_id=0)])
+        return json.loads(json.dumps(session.checkpoint()))
+
+
+@pytest.mark.parametrize("backend", ("dtp", "dense"))
+@pytest.mark.parametrize(
+    "values, field",
+    (
+        ([-1, None, None, 0], "ScanState.state must"),
+        ([0, None, None, -5], "ScanState.offset must"),
+        ([0, 300, None, 1], "ScanState.prev1 must"),
+        ([0, 97, -1, 2], "ScanState.prev2 must"),
+        ([0, 97, 256, 2], "ScanState.prev2 must"),
+        ([0, None, None], "4 or 5 elements"),
+        ([0, None, None, 0, None, 0], "4 or 5 elements"),
+    ),
+    ids=("state-1", "offset-5", "prev1-300", "prev2-1", "prev2-256", "3-elements", "6-elements"),
+)
+def test_restore_refuses_a_scan_state_out_of_range(backend, values, field):
+    """A checkpointed flow state whose field is out of range — a negative
+    state id or offset, a history byte outside 0..255, a wrong element
+    count — is refused by ``Session.restore``, naming the flow and the
+    field, rather than resumed from a state no scan can reach."""
+    saved = stream_checkpoint(backend, b"GET / HTTP/1.1")
+    (flow,) = saved["flows"]
+    flow["states"] = [values]
+    with Session.from_config(stream_config(backend)) as session:
+        with pytest.raises(ValueError, match=field) as refused:
+            session.restore(saved)
+    assert repr(FlowKey.from_header(STREAM_HEADER).as_tuple()) in str(refused.value)
 
 
 class TestScanState:
@@ -204,13 +255,13 @@ class TestScanState:
     def test_float_checkpoint_resumes_identically(self):
         dtp = DTPAutomaton.from_patterns([b"abab", b"bab"])
         stream = b"xxababxbabab"
-        _, mid = dtp.scan_from(ScanState(), stream[:5])
+        _, mid = dtp.scan_chunk(ScanState(), stream[:5])
         # simulate a float-typed JSON round trip of the checkpoint
         contaminated = ScanState.from_tuple(tuple(map(
             lambda v: float(v) if v is not None else None, mid.as_tuple()
         )))
-        clean_matches, _ = dtp.scan_from(mid, stream[5:])
-        restored_matches, _ = dtp.scan_from(contaminated, stream[5:])
+        clean_matches, _ = dtp.scan_chunk(mid, stream[5:])
+        restored_matches, _ = dtp.scan_chunk(contaminated, stream[5:])
         assert restored_matches == clean_matches
 
     def test_tail_round_trips_through_json(self):
@@ -341,7 +392,7 @@ class TestDenseProgram:
         jobs = []
         for _ in range(12):
             body = random_payload(rng, list(ruleset.patterns), length=rng.randrange(600, 1400))
-            _, states = narrow._scan_scalar(narrow.initial_scan_states(), body[:7])
+            _, states = narrow._scan_scalar(ScanState(), body[:7])
             jobs.append((states, body[7:]))
         found = narrow.scan_many(jobs)
         assert found == wide.scan_many(jobs)
@@ -426,7 +477,7 @@ class TestLaneKernel:
                 expected = reference.match(payload)
                 assert expected
                 assert program.match(payload) == expected, (pattern, offset)
-                assert scalar_scan(program, program.initial_scan_states(), payload)[0] == expected
+                assert scalar_scan(program, ScanState(), payload)[0] == expected
 
     def test_padding_is_never_reported(self, short_lanes):
         """A short last lane walks zero padding: the all-zero pattern must
@@ -440,9 +491,9 @@ class TestLaneKernel:
                 assert program.match(payload) == reference.match(payload), payload
         # ... nor when the fresh flows sit behind other jobs' bytes and padding
         payloads = [b"\x00", b"\x01", b"\x00\x01", b"\x00\x00", b"\x01\x00\x00\x01", b"\x00"]
-        results = program.scan_many([(program.initial_scan_states(), p) for p in payloads])
+        results = program.scan_many([(ScanState(), p) for p in payloads])
         assert [m for m, _ in results] == [reference.match(p) for p in payloads]
-        assert [s.state for _, (s,) in results] == [final_state(reference, p) for p in payloads]
+        assert [s.state for _, s in results] == [final_state(reference, p) for p in payloads]
 
     def test_jobs_of_every_awkward_length_with_carried_state(self, short_lanes):
         """scan_many over jobs of length 0, 1, lane_len - 1, lane_len,
@@ -459,7 +510,7 @@ class TestLaneKernel:
             for flow, length in enumerate(lengths):
                 prefix = stream[flow:flow + head]  # a different phase per flow
                 body = stream[flow + head:flow + head + length]
-                before, states = scalar_scan(program, program.initial_scan_states(), prefix)
+                before, states = scalar_scan(program, ScanState(), prefix)
                 jobs.append((states, body))
                 expected.append(reference.match(prefix + body)[len(before):])
             results = program.scan_many(jobs)
@@ -479,19 +530,19 @@ class TestLaneKernel:
             expected = reference.match(payload)
             ended = final_state(reference, payload)
             assert program.match(payload) == expected
-            one_shot = program.scan_chunk(program.initial_scan_states(), payload)
-            assert one_shot == scalar_scan(program, program.initial_scan_states(), payload)
-            assert (one_shot[0], one_shot[1][0].state) == (expected, ended)
+            one_shot = program.scan_chunk(ScanState(), payload)
+            assert one_shot == scalar_scan(program, ScanState(), payload)
+            assert (one_shot[0], one_shot[1].state) == (expected, ended)
             cuts = sorted(rng.sample(range(len(payload) + 1), 3))
             pieces = [payload[a:b] for a, b in zip([0] + cuts, cuts + [len(payload)])]
-            states, streamed = program.initial_scan_states(), []
+            states, streamed = ScanState(), []
             for piece in pieces:
                 found, states = program.scan_chunk(states, piece)
                 streamed.extend(found)
             assert (streamed, states) == one_shot
             # the same pieces as four independent flows in one batch
             batched = program.scan_many(
-                [(program.initial_scan_states(), piece) for piece in pieces]
+                [(ScanState(), piece) for piece in pieces]
             )
             assert [m for m, _ in batched] == [reference.match(piece) for piece in pieces]
 
@@ -509,7 +560,7 @@ class TestLaneKernel:
         ]
         for head in range(1, 16):
             jobs = [
-                (scalar_scan(program, program.initial_scan_states(), stream[:head])[1],
+                (scalar_scan(program, ScanState(), stream[:head])[1],
                  stream[head:head + length])
                 for length in lengths
             ]
@@ -533,7 +584,7 @@ class TestLaneKernel:
             assert program.match(payload) == expected
             # ... and with the tile's lanes spread over three jobs
             pieces = [payload[low:low + lane_len] for low in range(0, len(payload), lane_len)]
-            results = program.scan_many([(program.initial_scan_states(), p) for p in pieces])
+            results = program.scan_many([(ScanState(), p) for p in pieces])
             assert [m for m, _ in results] == [reference.match(p) for p in pieces]
 
     def test_matches_the_tiled_walk_on_random_batches(self, short_lanes):
@@ -551,7 +602,7 @@ class TestLaneKernel:
                     rng, LANE_PATTERNS, length=length + 12, alphabet=b"hesrabcdfx\x00\x01"
                 )
                 head = rng.randrange(12)
-                _, states = scalar_scan(program, program.initial_scan_states(), stream[:head])
+                _, states = scalar_scan(program, ScanState(), stream[:head])
                 jobs.append((states, stream[head:head + length]))
             batch = lanes.LaneBatch([chunk for _, chunk in jobs])
             flow_states = [states for states, _ in jobs]
@@ -575,7 +626,7 @@ class TestLaneKernel:
                         offset = rng.randrange(len(body) - len(pattern))
                         body[offset:offset + len(pattern)] = pattern
                 head = rng.choice(patterns)[: rng.randrange(1, 8)]
-                _, states = scalar_scan(program, program.initial_scan_states(), head)
+                _, states = scalar_scan(program, ScanState(), head)
                 jobs.append((states, bytes(body)))
             batch = lanes.LaneBatch([chunk for _, chunk in jobs])
             flow_states = [states for states, _ in jobs]
@@ -623,7 +674,7 @@ class TestLaneKernel:
                 body[offset:offset + len(pattern)] = pattern
             payloads.append(bytes(body))
         results = program.scan_many(
-            [(program.initial_scan_states(), payload) for payload in payloads]
+            [(ScanState(), payload) for payload in payloads]
         )
         assert [m for m, _ in results] == [reference.match(p) for p in payloads]
         assert any(m for m, _ in results)
@@ -671,7 +722,7 @@ class TestDtpLaneKernel(TestLaneKernel):
         walked = list(reference_iter_states(program, payload))
         assert walked == list(reference.iter_states(payload))
         for stop in range(len(payload) + 1):
-            _, (state,) = program.scan_chunk(program.initial_scan_states(), payload[:stop])
+            _, state = program.scan_chunk(ScanState(), payload[:stop])
             assert state.state == ([0] + walked)[stop], stop
             assert (state.prev1, state.prev2) == (
                 payload[stop - 1] if stop >= 1 else None,
@@ -706,12 +757,12 @@ class TestDtpLaneKernel(TestLaneKernel):
             assert byte not in program.stored[before], "the transition must be pruned"
             stream = b"zz" + triple + b"zz" * lane_len
             for cut in (3, 4):  # one and two bytes into the triple
-                found, states = scalar_scan(program, program.initial_scan_states(), stream[:cut])
+                found, states = scalar_scan(program, ScanState(), stream[:cut])
                 jobs.append((states, stream[cut:]))
                 expected.append(reference.match(stream)[len(found):])
                 # the neighbour in the packed buffer ends in the same prefix:
                 # a fresh flow starting with the default's byte must stay shallow
-                jobs.append((program.initial_scan_states(), stream[cut:]))
+                jobs.append((ScanState(), stream[cut:]))
                 expected.append(reference.match(stream[cut:]))
         results = program.scan_many(jobs)
         assert [m for m, _ in results] == expected
@@ -727,18 +778,15 @@ class TestDtpLaneKernel(TestLaneKernel):
         stream = (b"xushersx\x00\x00\x01abcdefx" * 4)[: 7 * lane_len]
         for first in range(1, len(stream) - 1, 5):
             for second in range(first + 1, len(stream), 7):
-                found, states = [], program.initial_scan_states()
+                found, state = [], ScanState()
                 legs = ((program, stream[:first]), (dense, stream[first:second]),
                         (program, stream[second:]))
                 for backend, piece in legs:
-                    restored = tuple(
-                        ScanState.from_tuple(json.loads(json.dumps(s.as_tuple())))
-                        for s in states
-                    )
-                    ((matches, states),) = backend.scan_many([(restored, piece)])
+                    restored = ScanState.from_tuple(json.loads(json.dumps(state.as_tuple())))
+                    ((matches, state),) = backend.scan_many([(restored, piece)])
                     found.extend(matches)
                 assert found == reference.match(stream), (first, second)
-                assert states[0].state == final_state(reference, stream)
+                assert state.state == final_state(reference, stream)
 
 
 #: Patterns that share their first three bytes with others, so the depth-3
@@ -816,7 +864,7 @@ def test_dtp_escapes_every_few_bytes(storm_programs, force_short_lanes, slab_row
     force_short_lanes(program, 3, slab_rows)
     flow_states, chunks = [], []
     for head, end in zip(bounds, bounds[1:]):
-        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
+        flow_states.append(scalar_scan(program, ScanState(), stream[:head])[1])
         chunks.append(stream[head:end])
     batch = lanes.LaneBatch(chunks)
     found = program._scan_lanes(flow_states, batch)
@@ -870,7 +918,7 @@ class TestAcceleratorLaneKernel:
                 offset = rng.randrange(len(body) - len(pattern))
                 body[offset:offset + len(pattern)] = pattern
             streams.append(bytes(body) + patterns[flow] + patterns[-1 - flow])
-        heads = [program._scan_scalar(program.initial_scan_states(), s[:flow + 1])
+        heads = [program._scan_scalar(ScanState(), s[:flow + 1])
                  for flow, s in enumerate(streams)]
         jobs = [(states, s[flow + 1:]) for flow, (s, (_, states)) in enumerate(zip(streams, heads))]
         results = program.scan_many(jobs)
@@ -910,10 +958,10 @@ class TestAcceleratorLaneKernel:
                     offset = rng.randrange(len(body) - len(pattern))
                     body[offset:offset + len(pattern)] = pattern
             head = rng.choice(patterns)[: rng.randrange(1, 8)]
-            _, states = program._scan_scalar(program.initial_scan_states(), head)
+            _, states = program._scan_scalar(ScanState(), head)
             jobs.append((states, bytes(body)))
         batch = lanes.LaneBatch([chunk for _, chunk in jobs])
-        scan_states = [state for (state,), _ in jobs]
+        scan_states = [state for state, _ in jobs]
         (found_jobs, ends, pids), final = program.lane_hits(
             lanes.LaneCut(batch, program.warmup, history=1), scan_states
         )
@@ -959,7 +1007,7 @@ class TestAcceleratorLaneKernel:
             return run(self, *args)
 
         monkeypatch.setattr(lanes.LaneCut, "run", counting)
-        results = program.scan_many([(program.initial_scan_states(), p) for p in payloads])
+        results = program.scan_many([(ScanState(), p) for p in payloads])
         assert len(runs) == 1
         ac = get_backend("ac").compile(ruleset)
         expected = [sorted(ac.match(payload)) for payload in payloads]
@@ -968,15 +1016,29 @@ class TestAcceleratorLaneKernel:
         cycle_model = HardwareAccelerator(device_program).scan_packets(payloads)
         assert [sorted(matches) for matches in cycle_model] == expected
 
-    def test_wrong_state_count_is_rejected_on_both_paths(self, force_short_lanes):
-        """A flow state is one ScanState: two (a multi-block flow's) do not
-        unpack, on the scalar loop or in the kernel."""
-        program = get_backend("dtp").compile(generate_snort_like_ruleset(20, seed=8))
-        with pytest.raises(ValueError, match="unpack"):
-            program.scan_chunk((ScanState(),) * 2, b"short")
-        force_short_lanes(program)
-        with pytest.raises(ValueError, match="unpack"):
-            program.scan_many([((ScanState(),) * 2, b"anything at all")])
+    def test_wrong_state_count_is_rejected_on_both_paths(self, monkeypatch):
+        """A flow state is one ScanState, whether the flow's batch took the
+        scalar loop (below ``KERNEL_MIN_BYTES``) or the kernel (above): its
+        checkpoint carries one, and one carrying two (a multi-block flow's)
+        is refused by restore, naming the flow."""
+        kernel_jobs = []
+        kernel = DTPAutomaton._scan_lanes
+
+        def counting(program, scan_states, batch):
+            kernel_jobs.append(len(scan_states))
+            return kernel(program, scan_states, batch)
+
+        monkeypatch.setattr(DTPAutomaton, "_scan_lanes", counting)
+        for size, jobs in ((lanes.KERNEL_MIN_BYTES // 2, []), (2 * lanes.KERNEL_MIN_BYTES, [1])):
+            kernel_jobs.clear()
+            saved = stream_checkpoint("dtp", bytes(range(256)) * (size // 256))
+            assert kernel_jobs == jobs
+            (flow,) = saved["flows"]
+            flow["states"] *= 2
+            with Session.from_config(stream_config("dtp")) as session:
+                with pytest.raises(ValueError, match="checkpoints 2 states") as refused:
+                    session.restore(saved)
+            assert repr(FlowKey.from_header(STREAM_HEADER).as_tuple()) in str(refused.value)
 
 
 # ----------------------------------------------------------------------
@@ -1043,7 +1105,7 @@ def assert_lanes_are_exact(program, stream: bytes, bounds: Sequence[int]):
     the full-warm-up driver's kernel where the program has one."""
     flow_states, chunks = [], []
     for head, end in zip(bounds, bounds[1:]):
-        flow_states.append(scalar_scan(program, program.initial_scan_states(), stream[:head])[1])
+        flow_states.append(scalar_scan(program, ScanState(), stream[:head])[1])
         chunks.append(stream[head:end])
     batch = lanes.LaneBatch(chunks)
     found = program._scan_lanes(flow_states, batch)
@@ -1197,7 +1259,7 @@ def test_benign_chatter_needs_no_repair(walked, compile):
     assert program.warmup > lanes.SHORT_WARMUP
     rng = random.Random(6)
     payloads = [chatter(rng, 4096) for _ in range(48)]
-    results = program.scan_many([(program.initial_scan_states(), p) for p in payloads])
+    results = program.scan_many([(ScanState(), p) for p in payloads])
     assert not any(matches for matches, _ in results)
     cut = lanes.LaneCut(lanes.LaneBatch(payloads), program.warmup)
     assert walked == [Walked(lanes.SHORT_WARMUP, cut.num_lanes, cut.lane_len)]
@@ -1360,3 +1422,35 @@ def test_no_module_branches_on_the_dtp_name():
             ):
                 branches.append(f"{path.relative_to(root)}:{node.lineno}")
     assert branches == []
+
+
+#: Names of the per-flow tuple protocol a flow's one ``ScanState`` replaced.
+RETIRED_STATE_NAMES = {"FlowState", "scan_from", "initial_scan_state", "initial_scan_states"}
+
+
+def retired_state_protocol(root: Path) -> List[str]:
+    """Where the package under ``root`` names the retired per-flow tuple
+    protocol, or unpacks a one-element tuple of states (``(state,) = ...``,
+    ``for (state,) in ...``)."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {
+                getattr(node, field, None)
+                for field in ("id", "attr", "name", "asname", "arg")
+            }
+            if names & RETIRED_STATE_NAMES or (
+                isinstance(node, (ast.Tuple, ast.List))
+                and isinstance(node.ctx, ast.Store)
+                and len(node.elts) == 1
+                and "state" in ast.unparse(node.elts[0]).lower()
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_a_flow_state_is_one_scan_state():
+    """No module names ``FlowState``, ``scan_from`` or
+    ``initial_scan_state(s)``, nor unpacks a one-element tuple of states:
+    a flow's resumable state is one ``ScanState``, in one form."""
+    assert retired_state_protocol(Path(repro.__file__).parent) == []

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.automata.trie import ROOT
-from repro.backend import get_backend
+from repro.backend import ScanState, get_backend
 from repro.check import (
     AUTOMATON_BACKENDS,
     Diagnostic,
@@ -237,7 +237,7 @@ def _mutate_dtp_pair_default_at_stream_start(program):
 
 def _state_of(program, prefix):
     """The state a fresh stream is in after ``prefix`` (a pattern prefix)."""
-    _, (scan_state,) = program._scan_scalar(program.initial_scan_states(), prefix)
+    _, scan_state = program._scan_scalar(ScanState(), prefix)
     return scan_state.state
 
 

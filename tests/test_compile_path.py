@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.automata import AhoCorasickDFA
 from repro.automata.trie import Trie
-from repro.backend import get_backend
+from repro.backend import ScanState, get_backend
 from repro.core import DTPAutomaton, MatchMemory, PackingError, compile_ruleset
 from repro.core import accelerator_config, default_transitions, dtp_automaton
 from repro.core.default_transitions import select_defaults, stored_mask
@@ -180,7 +180,7 @@ def test_a_moved_depth3_default_moves_what_it_folds():
     assert_dtp_is_the_reference(dtp)
     assert dtp.verify().ok
     stream = b"xabdccdcccdabe" * 40
-    fresh = dtp.initial_scan_states()
+    fresh = ScanState()
     assert dtp._scan_lanes([fresh], LaneBatch([stream])) == [dtp._scan_scalar(fresh, stream)]
 
 

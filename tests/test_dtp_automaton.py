@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import AhoCorasickDFA
+from repro.backend import ScanState
 from repro.core import DTPAutomaton, build_default_transition_table
 from repro.core.dtp_automaton import displace_rows
 from repro.core.lanes import LaneBatch, LaneCut
@@ -201,7 +202,7 @@ class TestKernelViews:
         deep = DTPAutomaton.from_patterns([b"abcdefghij" * 4 + b"Z"])
 
         def working_memory(program, chunks):
-            jobs = [(program.initial_scan_states(), chunk) for chunk in chunks]
+            jobs = [(ScanState(), chunk) for chunk in chunks]
             packed = len(LaneCut(LaneBatch(chunks), program.warmup, history=1).data)
             tracemalloc.start()
             try:
@@ -241,7 +242,7 @@ def test_dtp_equivalent_to_dfa_property(patterns, data):
     assert sorted(dtp.match(data)) == sorted(dfa.match(data))
     # ... and so is the lane kernel, to the byte-at-a-time loop: order, final
     # state and history included, in two jobs so one resumes mid-stream
-    fresh = dtp.initial_scan_states()
+    fresh = ScanState()
     head, resumed = dtp._scan_scalar(fresh, data[:len(data) // 3])
     (whole, tail) = dtp._scan_lanes(
         [fresh, resumed], LaneBatch([data, data[len(data) // 3:]])

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.backend import get_backend
+from repro.backend import ScanState, get_backend
 from repro.capture import (
     LINKTYPE_ETHERNET,
     LINKTYPE_LINUX_SLL,
@@ -700,9 +700,8 @@ class TestFlowInterning:
         interned = FlowKey.from_header(decode_frame(frame)[0].header)
         assert decode_frame(frame)[0].header.flow_key is interned  # carried, not re-derived
 
-        program = get_backend("dense").compile([b"needle"])
         table = FlowTable(8)
-        table.insert(FlowEntry(key=interned, states=program.initial_scan_states()))
+        table.insert(FlowEntry(key=interned, state=ScanState()))
         travelled = {
             "pickle": pickle.loads(pickle.dumps(interned)),
             "coerced": FlowKey.coerced(*interned.as_tuple()),

@@ -186,10 +186,10 @@ class TestLaneKernelBatches:
             assert self.events_of(first + second) == self.events_of(expected), cut
             assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
             for key in reference.flows.keys():
-                assert batched.flows.peek(key).states == reference.flows.peek(key).states
+                assert batched.flows.peek(key).state == reference.flows.peek(key).state
                 assert (
-                    batched.flows.peek(key).lower_states
-                    == reference.flows.peek(key).lower_states
+                    batched.flows.peek(key).lower_state
+                    == reference.flows.peek(key).lower_state
                 )
         # one backend crossing per batch: raw jobs, plus the lowered views
         assert set(calls) == {10 if track_nocase else 5}
@@ -260,10 +260,10 @@ class TestAcceleratorLaneKernelBatches:
                 assert any(found) and found == self.events_of(walked), cut
                 assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
                 for key in reference.flows.keys():
-                    assert batched.flows.peek(key).states == reference.flows.peek(key).states
+                    assert batched.flows.peek(key).state == reference.flows.peek(key).state
                     assert (
-                        batched.flows.peek(key).lower_states
-                        == reference.flows.peek(key).lower_states
+                        batched.flows.peek(key).lower_state
+                        == reference.flows.peek(key).lower_state
                     )
                 for segment, events in zip(merged, found):
                     segment.extend(
@@ -335,8 +335,8 @@ class TestStatisticsParity:
         for key in reference.flows.keys():
             ours, theirs = batched.flows.peek(key), reference.flows.peek(key)
             assert ours.packets == theirs.packets
-            assert ours.states == theirs.states
-            assert ours.lower_states == theirs.lower_states
+            assert ours.state == theirs.state
+            assert ours.lower_state == theirs.lower_state
             assert ours.matched == theirs.matched
             assert ours.matched_lower == theirs.matched_lower
 

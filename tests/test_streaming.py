@@ -67,19 +67,19 @@ class TestScanFrom:
         whole = example_dtp.match(data)
 
         for chunk_size in (1, 2, 3, 7, 64):
-            state = example_dtp.initial_scan_state()
+            state = ScanState()
             chunked = []
             for start in range(0, len(data), chunk_size):
-                matches, state = example_dtp.scan_from(state, data[start:start + chunk_size])
+                matches, state = example_dtp.scan_chunk(state, data[start:start + chunk_size])
                 chunked.extend(matches)
             assert chunked == whole, f"chunk_size={chunk_size}"
             assert state.offset == len(data)
 
     def test_scan_from_offsets_are_stream_absolute(self):
         dtp = DTPAutomaton.from_patterns([b"abcd"])
-        first, state = dtp.scan_from(ScanState(), b"xxab")
+        first, state = dtp.scan_chunk(ScanState(), b"xxab")
         assert first == []
-        second, state = dtp.scan_from(state, b"cdab")
+        second, state = dtp.scan_chunk(state, b"cdab")
         assert second == [(6, 0)]  # match ends at stream offset 6
         assert state.offset == 8
 
@@ -95,19 +95,25 @@ class TestScanFrom:
             for _ in range(12)
         )
         whole = small_dtp.match(stream)
-        states = small_dtp.initial_scan_states()
+        states = ScanState()
         chunked = []
         position = 0
         while position < len(stream):
             size = rng.randint(1, 100)
-            matches, states = small_dtp.scan_from(states, stream[position:position + size])
+            matches, states = small_dtp.scan_chunk(states, stream[position:position + size])
             chunked.extend(matches)
             position += size
         assert sorted(chunked) == sorted(whole)
 
     def test_program_scan_from_validates_state_count(self, small_dtp):
-        with pytest.raises(ValueError):
-            small_dtp.scan_from((ScanState(),) * 2, b"x")
+        """A flow resumes from one scan state: a checkpointed flow of two
+        is refused where it enters the program's service, at restore."""
+        service = ScanService(small_dtp)
+        service.submit(Packet(payload=b"x", header=make_header(1), packet_id=0))
+        snapshot = json.loads(json.dumps(service.checkpoint()))
+        snapshot["flows"][0]["states"] *= 2
+        with pytest.raises(ValueError, match="2 states"):
+            ScanService(small_dtp).restore(snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +122,7 @@ class TestScanFrom:
 class TestFlowTable:
     @staticmethod
     def entry(n: int) -> FlowEntry:
-        return FlowEntry(key=make_key(n), states=(ScanState(),))
+        return FlowEntry(key=make_key(n), state=ScanState())
 
     def test_lru_eviction_order(self):
         evicted = []
@@ -176,7 +182,7 @@ class TestFlowTable:
     def test_checkpoint_restore_round_trip(self):
         table = FlowTable(capacity=8)
         entry = self.entry(1)
-        entry.states = (ScanState(state=3, prev1=104, prev2=101, offset=42),)
+        entry.state = ScanState(state=3, prev1=104, prev2=101, offset=42)
         entry.matched.add(7)
         entry.alerted.add(99)
         entry.packets = 3
@@ -184,7 +190,7 @@ class TestFlowTable:
         restored = FlowTable.restore(table.checkpoint())
         assert restored.capacity == 8
         back = restored.lookup(make_key(1))
-        assert back.states == entry.states
+        assert back.state == entry.state
         assert back.matched == {7} and back.alerted == {99} and back.packets == 3
 
     @pytest.mark.parametrize("view", ("states", "lower_states"))
@@ -195,7 +201,7 @@ class TestFlowTable:
         automaton) fails at restore, naming the flow, not mid-scan."""
         table = FlowTable(capacity=8)
         entry = self.entry(5)
-        entry.lower_states = (ScanState(),)
+        entry.lower_state = ScanState()
         table.insert(entry)
         snapshot = json.loads(json.dumps(table.checkpoint()))
         snapshot["flows"][0][view] = [ScanState(offset=9).as_tuple()] * count
@@ -203,9 +209,8 @@ class TestFlowTable:
             FlowTable.restore(snapshot)
         assert repr(make_key(5).as_tuple()) in str(refused.value)
         snapshot["flows"][0][view] = [ScanState(offset=9).as_tuple()]
-        assert getattr(FlowTable.restore(snapshot).lookup(make_key(5)), view) == (
-            ScanState(offset=9),
-        )
+        restored = FlowTable.restore(snapshot).lookup(make_key(5))
+        assert getattr(restored, view[:-1]) == ScanState(offset=9)
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +228,7 @@ class TestFlowKeyCoercion:
         assert FlowKey.from_header(header) == make_key(1)
 
     def test_from_dict_coerces_float_ports(self):
-        entry = FlowEntry(key=make_key(2), states=(ScanState(),))
+        entry = FlowEntry(key=make_key(2), state=ScanState())
         data = entry.as_dict()
         data["key"][2] = float(data["key"][2])  # what a JSON writer may emit
         data["key"][3] = float(data["key"][3])
@@ -257,7 +262,7 @@ class TestFlowKeyCoercion:
 class TestFlowTableAccounting:
     @staticmethod
     def entry(n: int) -> FlowEntry:
-        return FlowEntry(key=make_key(n), states=(ScanState(),))
+        return FlowEntry(key=make_key(n), state=ScanState())
 
     def test_counters_are_the_ones_something_reads(self):
         """Creations, evictions and restore drops; lookups are not counted."""
