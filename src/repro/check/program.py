@@ -37,14 +37,15 @@ over the whole state graph:
   reference's reporting states, and ``warmup`` is at least the deepest
   state's depth: it bounds the lane repair walk and makes every lane end in
   the true state (a shorter one loses matches just after a lane cut).
-* **DTP kernel views** — every state has a value of its own, at or above
-  the table length exactly when it reports a match, and ``id_of`` decodes
-  it; the row-displacement table owns, for every state value, exactly the
-  slots of its stored pointers and of the transitions a depth-3 default
-  prunes (the reference's), and holds their targets' values; the pair table
-  reproduces ``DefaultTransitionTable.resolve`` with no depth-3 default
-  firing for every one of the 256 x 257 ``(byte, prev1)`` histories,
-  ``None`` included; and ``warmup`` covers the deepest state.
+* **DTP kernel views** (the scan program's; a device block holds none) —
+  every state has a value of its own, at or above the table length exactly
+  when it reports a match, and ``id_of`` decodes it; the row-displacement
+  table owns, for every state value, exactly the slots of its stored
+  pointers and of the transitions a depth-3 default prunes (the
+  reference's), and holds their targets' values; the pair table reproduces
+  ``DefaultTransitionTable.resolve`` with no depth-3 default firing for
+  every one of the 256 x 257 ``(byte, prev1)`` histories, ``None``
+  included; and ``warmup`` covers the deepest state.
 * **Match-memory completeness** — every pattern's terminal state is reachable
   (by walking the pattern through the reference table) and reports the
   pattern's string number through the match memory.
@@ -68,7 +69,7 @@ from ..automata.wu_manber import WuManber
 from ..backend import get_backend
 from ..core.accelerator_config import AcceleratorProgram, BlockProgram
 from ..core.compiled import CompiledDenseProgram
-from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, NO_BYTE, DTPAutomaton
+from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, NO_BYTE, DTPAutomaton, PrunedAutomaton
 from ..core.match_memory import MatchMemory
 from ..core.state_types import WORD_BITS
 from ..rulesets.ruleset import RuleSet
@@ -611,17 +612,15 @@ def _consistent_prev2_for_depth1(ref: Reference, state: int, candidate: int) -> 
 
 
 def _check_dtp_automaton(
-    capped: _Capped, dtp: DTPAutomaton, ref: Reference, source: str = "dtp"
-) -> None:
+    capped: _Capped, dtp: PrunedAutomaton, ref: Reference, source: str = "dtp"
+) -> Optional[Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]]:
+    """A block's or the scan program's pruned automaton; returns what
+    :func:`_check_dtp_kernel` reads (``None``: the state count is wrong)."""
     if not _check_state_count(capped, dtp.num_states, ref, source):
-        return
+        return None
     defaults = dtp.defaults
     _check_outputs(capped, lambda s: dtp.outputs[s], ref, source, code="DTP005")
     _check_pattern_reachability(capped, lambda s: dtp.outputs[s], ref, source)
-    # the kernel reports from the packed copy
-    packed = lambda s: dtp.match_pids[dtp.match_index[s]:dtp.match_index[s + 1]]
-    if dtp.match_index.shape == (ref.num_states + 1,):
-        _check_outputs(capped, packed, ref, source, code="DTP005")
 
     # --- well-formedness of the default table itself (DTP004) -------------
     for byte in range(ALPHABET):
@@ -775,7 +774,7 @@ def _check_dtp_automaton(
                     f"({describe})", source,
                 )
 
-    _check_dtp_kernel(capped, dtp, ref, stored_mask, stored_target, arrays, source)
+    return stored_mask, stored_target, arrays
 
 
 def _check_dtp_kernel(
@@ -785,7 +784,7 @@ def _check_dtp_kernel(
     stored_mask: np.ndarray,
     stored_target: np.ndarray,
     arrays: Tuple[np.ndarray, ...],
-    source: str,
+    source: str = "dtp",
 ) -> None:
     """The lane kernel's views against the structures they were derived from.
 
@@ -793,6 +792,10 @@ def _check_dtp_kernel(
     default prunes, so the pair table need only hold the depth-1/2 defaults:
     where a depth-3 default fires, DTP002 has the true target equal to it,
     and a transition to it is held."""
+    # the kernel reports from the packed copy
+    packed = lambda s: dtp.match_pids[dtp.match_index[s]:dtp.match_index[s + 1]]
+    if dtp.match_index.shape == (ref.num_states + 1,):
+        _check_outputs(capped, packed, ref, source, code="DTP005")
     # --- state values + row-displacement table == stored + folded (DTP007) --
     flagged, value_of, id_of = dtp.flagged, dtp.value_of, dtp.id_of
     check, following = dtp.check, dtp.next
@@ -931,7 +934,7 @@ def _check_dtp_kernel(
         )
 
 
-def _dtp_effective_table(dtp: DTPAutomaton, ref: Reference) -> np.ndarray:
+def _dtp_effective_table(dtp: PrunedAutomaton, ref: Reference) -> np.ndarray:
     """Effective move function of a DTP automaton under canonical histories."""
     prev1 = np.where(ref.depth >= 1, ref.label, -3)
     prev2 = np.where(ref.depth >= 2, ref.label[ref.parent], -3)
@@ -944,7 +947,7 @@ def _dtp_effective_table(dtp: DTPAutomaton, ref: Reference) -> np.ndarray:
 # ----------------------------------------------------------------------
 # hardware-layer checkers (packing, lookup encoding, match memory, image)
 # ----------------------------------------------------------------------
-def _stored_rows(dtp: DTPAutomaton) -> List[List[Tuple[int, int]]]:
+def _stored_rows(dtp: PrunedAutomaton) -> List[List[Tuple[int, int]]]:
     """Per state, its stored ``(byte, target)`` pairs in byte order, off the
     pointer arrays the packer and the kernel read."""
     pairs = list(zip(dtp.pointers[1].tolist(), dtp.pointers[2].tolist()))
@@ -1405,7 +1408,9 @@ def verify_program(program, patterns: Optional[Sequence[bytes]] = None) -> Repor
     if isinstance(program, AcceleratorProgram):
         _check_accelerator(capped, program, ref)
     elif isinstance(program, DTPAutomaton):
-        _check_dtp_automaton(capped, program, ref)
+        views = _check_dtp_automaton(capped, program, ref)
+        if views is not None:
+            _check_dtp_kernel(capped, program, ref, *views)
     elif isinstance(program, AhoCorasickDFA):
         _check_ac(capped, program, ref)
     elif isinstance(program, CompiledDenseProgram):

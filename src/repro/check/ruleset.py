@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, DTPAutomaton
+from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, PrunedAutomaton
 from ..rulesets.parser import RuleParseError, parse_rule
 from ..rulesets.ruleset import PatternRule, RuleSet
 from .diagnostics import ERROR, WARNING, Report
@@ -158,7 +158,7 @@ def lint_ruleset(rules: RulesInput, subject: str = "") -> Report:
     # Hardware capacity: states keeping more pointers than a 324-bit word
     # holds.  Built without the pointer cap so the raw requirement shows.
     if ordered:
-        dtp = DTPAutomaton.from_patterns(ordered)
+        dtp = PrunedAutomaton.from_patterns(ordered)
         counts = dtp.pointer_counts()
         for state in dtp.states_exceeding(HARDWARE_MAX_POINTERS):
             report.add(

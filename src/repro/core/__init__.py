@@ -13,10 +13,11 @@ from .default_transitions import (
     DepthTwoDefault,
     build_default_transition_table,
 )
+from ..backend import ScanState
 from .dtp_automaton import (
     HARDWARE_MAX_POINTERS,
     DTPAutomaton,
-    ScanState,
+    PrunedAutomaton,
     StagedPointerCounts,
     staged_pointer_counts,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "build_default_transition_table",
     "HARDWARE_MAX_POINTERS",
     "DTPAutomaton",
+    "PrunedAutomaton",
     "ScanState",
     "StagedPointerCounts",
     "staged_pointer_counts",

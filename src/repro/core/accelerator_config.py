@@ -14,7 +14,9 @@ update time:
 
 The result is the hardware view of a ruleset: what Tables II/III, the block
 image and the cycle model (:class:`repro.hardware.HardwareAccelerator`)
-consume.  Software scans one unpartitioned automaton (the registry's ``dtp``
+consume.  A block holds a :class:`PrunedAutomaton` — stored pointers and
+lookup table, no lane-kernel views — because nothing in software scans a
+block.  Software scans one unpartitioned automaton (the registry's ``dtp``
 entry, :meth:`DTPAutomaton.from_patterns`); in hardware the blocks run side
 by side, so the partition costs no rate there, but stepped one after another
 in software a byte would cost one step per block.
@@ -29,11 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..fpga.devices import FPGADevice
 from ..fpga.throughput import accelerator_throughput_gbps
 from ..rulesets.ruleset import RuleSet
-from .dtp_automaton import (
-    HARDWARE_MAX_POINTERS,
-    DTPAutomaton,
-    StagedPointerCounts,
-)
+from .dtp_automaton import HARDWARE_MAX_POINTERS, PrunedAutomaton, StagedPointerCounts
 from .lookup_table import EncodedLookupTable, encode_lookup_table
 from .match_memory import MATCH_MEMORY_WORDS, MatchMemory
 from .memory_layout import PackedStateMachine, PackingError, pack_state_machine
@@ -51,7 +49,7 @@ class BlockProgram:
 
     index: int
     ruleset: RuleSet
-    dtp: DTPAutomaton
+    dtp: PrunedAutomaton
     packed: PackedStateMachine
     lookup: EncodedLookupTable
     match_memory: MatchMemory
@@ -166,7 +164,7 @@ def _compile_block(
     include_d2: bool,
     include_d3: bool,
 ) -> BlockProgram:
-    dtp = DTPAutomaton.from_patterns(
+    dtp = PrunedAutomaton.from_patterns(
         group.patterns,
         d2_slots=d2_slots,
         include_d2=include_d2,

@@ -44,7 +44,7 @@ two structures laid out as flat arrays.
   slots per pointer instead of 256 per state.
 * **Depth-3 defaults, folded** — the table also holds every transition a
   depth-3 default prunes, ``s --c--> t`` with ``t`` the depth-3 default of
-  ``c`` (:func:`folded_pointers`, from the pruning mask and the trie's
+  ``c`` (:func:`folded_pointers`, from the stored pointers and the trie's
   labels): 6-10 % more pointers, Table II's ``after_d1_d2`` count where no
   pointer limit moved a default.  Where a depth-3 default would
   fire on the true state, that state's folded pointer leads to the same
@@ -118,10 +118,6 @@ MatchList = List[Tuple[int, int]]
 #: The hardware string matching engines handle at most 13 pointers per state
 #: (Section IV.A); the packer enforces this limit.
 HARDWARE_MAX_POINTERS = 13
-
-# ``ScanState`` historically lived here; it now sits in :mod:`repro.backend`
-# (shared by every backend) and the import above re-exports it for existing
-# ``from repro.core.dtp_automaton import ScanState`` callers.
 
 _CHUNK_STATES = 8192  # chunk size for staged_pointer_counts
 
@@ -269,19 +265,19 @@ def displace_rows(
 
 
 def folded_pointers(
-    dfa: AhoCorasickDFA, defaults: DefaultTransitionTable, keep: np.ndarray
+    dfa: AhoCorasickDFA, defaults: DefaultTransitionTable, stored: np.ndarray
 ) -> np.ndarray:
     """The transitions a depth-3 default prunes, ``s --c--> t`` with ``t``
     the depth-3 default of ``c``, as sorted flat indices ``s * 256 + c``.
 
     ``t`` spells its preceding pair then ``c``, so ``s`` ends in that pair.
-    Conversely, where a state at depth 2 or more ends in the pair and
-    ``keep`` (:func:`~repro.core.default_transitions.stored_mask`) pruned
-    its ``c`` transition, the target is ``t``: it is at least 3 deep, since
-    the pair then ``c`` is a suffix of the input and a pattern prefix, and
-    the only pruned target that deep is ``c``'s depth-3 default.  So the set
-    comes from the trie's labels and the pruning mask, with no second pass
-    over the DFA table.
+    Conversely, where a state at depth 2 or more ends in the pair and its
+    ``c`` transition is not among the ``stored`` flat indices (so it was
+    pruned), the target is ``t``: it is at least 3 deep, since the pair
+    then ``c`` is a suffix of the input and a pattern prefix, and the only
+    pruned target that deep is ``c``'s depth-3 default.  So the set comes
+    from the trie's labels and the stored pointers, with no second pass over
+    the DFA table.
     """
     if not defaults.d3:
         return np.empty(0, dtype=np.intp)
@@ -300,7 +296,8 @@ def folded_pointers(
     # every state ending in a default's pair: a run of ``ends`` per default
     at = np.repeat(low - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
     flat = deep[order[at]] * ALPHABET_SIZE + np.repeat(symbols, counts)
-    return np.sort(flat[~keep.ravel()[flat]])
+    # a candidate is folded unless stored; the appended -1 is "past the end"
+    return np.sort(flat[np.append(stored, -1)[np.searchsorted(stored, flat)] != flat])
 
 
 def state_values(
@@ -327,19 +324,17 @@ def default_views(defaults: DefaultTransitionTable, value_of: np.ndarray) -> np.
     return value_of.take(resolved).ravel()
 
 
-class DTPAutomaton(LaneKernelMixin):
-    """Software model of the paper's compressed string matching automaton.
+class PrunedAutomaton:
+    """The paper's pruned automaton: the stored pointers and the lookup table.
 
-    The registry's ``dtp`` program: one automaton over the whole ruleset,
-    conforming to the :class:`repro.backend.CompiledProgram` protocol; the
-    per-flow state carries the automaton state *and* the two-byte input
-    history the default-transition lookup needs.  A device's blocks
+    What a string matching block holds (Section IV) and what the hardware
+    view reads: the packer, the lookup-table encoder, the block image and
+    the prover.  It keeps the stored :attr:`pointers` and the lookup table,
+    not the DFA it is compiled from (the statistics that compare against
+    that DFA rebuild it from :attr:`patterns`).  A device's blocks
     (:func:`repro.core.compile_ruleset`) are one of these per string group,
-    built with ``max_stored_pointers`` so that every state fits a word.
-
-    It keeps the stored :attr:`pointers`, the lookup table and the kernel
-    views laid out from them, not the DFA it is compiled from (the statistics
-    that compare against that DFA rebuild it from :attr:`patterns`).
+    built with ``max_stored_pointers`` so that every state fits a word;
+    :class:`DTPAutomaton` adds the lane kernel's views and scans.
 
     Parameters
     ----------
@@ -351,8 +346,6 @@ class DTPAutomaton(LaneKernelMixin):
         Forwarded to :func:`build_default_transition_table` when ``defaults``
         is not supplied.
     """
-
-    backend_name = "dtp"
 
     def __init__(
         self,
@@ -383,17 +376,106 @@ class DTPAutomaton(LaneKernelMixin):
         #: then byte; state ``s`` owns entries ``pointer_index[s]`` ..
         #: ``pointer_index[s + 1] - 1``
         flat = np.flatnonzero(keep)
-        table = dfa.table.ravel()
-        self.pointers = (flat >> 8, flat & 0xFF, table.take(flat))
+        self.pointers = (flat >> 8, flat & 0xFF, dfa.table.ravel().take(flat))
         self.pointer_index = np.searchsorted(self.pointers[0], np.arange(self.num_states + 1))
+
+    @classmethod
+    def from_patterns(cls, patterns: Sequence[bytes], **kwargs):
+        return cls(AhoCorasickDFA.from_patterns(patterns), **kwargs)
+
+    @classmethod
+    def from_ruleset(cls, ruleset, **kwargs):
+        """Build from a :class:`repro.rulesets.RuleSet`."""
+        return cls.from_patterns(ruleset.patterns, **kwargs)
+
+    @cached_property
+    def stored(self) -> List[Dict[int, int]]:
+        """Per state, its stored pointers as ``{byte: target}``: the scalar
+        walk's view of :attr:`pointers`, built on first use."""
+        stored: List[Dict[int, int]] = [{} for _ in range(self.num_states)]
+        for state, byte, target in zip(*(column.tolist() for column in self.pointers)):
+            stored[state][byte] = target
+        return stored
+
+    def pointer_counts(self) -> np.ndarray:
+        """Stored pointers per state."""
+        return np.diff(self.pointer_index)
+
+    def step(
+        self, state: int, byte: int, prev1: Optional[int], prev2: Optional[int]
+    ) -> int:
+        """One transition: explicit pointer first, lookup-table default
+        otherwise — the independent scalar reference."""
+        target = self.stored[state].get(byte)
+        if target is not None:
+            return target
+        return self.defaults.resolve(byte, prev1, prev2)
+
+    # ------------------------------------------------------------------
+    # statistics / memory accounting
+    # ------------------------------------------------------------------
+    def stored_pointer_count(self) -> int:
+        return len(self.pointers[0])
+
+    def average_stored_pointers(self) -> float:
+        return self.stored_pointer_count() / self.num_states
+
+    def memory_bytes(self) -> int:
+        """Resident footprint of the arrays it holds: the stored pointers,
+        their index and the depths.  A device block's memory image is
+        :meth:`BlockProgram.memory_bytes`."""
+        return sum(array.nbytes for array in (*self.pointers, self.pointer_index, self.depth))
+
+    def pointer_count_histogram(self) -> Dict[int, int]:
+        histogram = np.bincount(self.pointer_counts())
+        return {count: int(states) for count, states in enumerate(histogram) if states}
+
+    def max_pointers_per_state(self) -> int:
+        return int(self.pointer_counts().max(initial=0))
+
+    def states_exceeding(self, limit: int = HARDWARE_MAX_POINTERS) -> List[int]:
+        """State ids whose stored pointer count exceeds the hardware limit."""
+        return np.flatnonzero(self.pointer_counts() > limit).tolist()
+
+    def staged_counts(self) -> StagedPointerCounts:
+        """Stored pointers per compression stage (rebuilds the DFA)."""
+        return staged_pointer_counts(AhoCorasickDFA.from_patterns(self.patterns), self.defaults)
+
+    def reduction_percent(self) -> float:
+        """Pointer reduction relative to the original move-function automaton
+        (rebuilt)."""
+        original = AhoCorasickDFA.from_patterns(self.patterns).stored_pointer_count()
+        if original == 0:
+            return 0.0
+        return 100.0 * (1.0 - self.stored_pointer_count() / original)
+
+    def matching_states(self) -> List[int]:
+        return [s for s in range(self.num_states) if self.outputs[s]]
+
+
+class DTPAutomaton(PrunedAutomaton, LaneKernelMixin):
+    """The registry's ``dtp`` program: the pruned automaton over the whole
+    ruleset plus the lane kernel's views laid out from it (see the module
+    docstring), conforming to the :class:`repro.backend.CompiledProgram`
+    protocol.  The per-flow state carries the automaton state *and* the
+    two-byte input history the default-transition lookup needs.  Only this
+    scan program holds kernel views; a device block holds the
+    :class:`PrunedAutomaton` alone.
+    """
+
+    backend_name = "dtp"
+
+    def __init__(self, dfa: AhoCorasickDFA, *args, **kwargs):
+        super().__init__(dfa, *args, **kwargs)
         #: bytes a lane walks from the root before its cut: the deepest state
         self.warmup = int(self.depth.max())
         # kernel views (see the module docstring): the stored pointers and
         # the folded ones
         self.match_index, self.match_pids = lanes.pack_outputs(self.outputs)
-        held = np.sort(np.concatenate((flat, folded_pointers(dfa, defaults, keep))))
+        stored = (self.pointers[0] << 8) | self.pointers[1]
+        held = np.sort(np.concatenate((stored, folded_pointers(dfa, self.defaults, stored))))
         self.flagged, self.value_of, self.check, self.next = state_values(
-            *displace_rows(held >> 8, held & 0xFF, table.take(held), self.num_states),
+            *displace_rows(held >> 8, held & 0xFF, dfa.table.ravel().take(held), self.num_states),
             np.diff(self.match_index) > 0,
         )
         self.id_of = np.full(2 * self.flagged, -1, dtype=np.int32)
@@ -404,44 +486,6 @@ class DTPAutomaton(LaneKernelMixin):
         self.value_depth = np.zeros(2 * self.flagged, dtype=depth.dtype)
         self.value_depth[self.value_of] = depth
         self.pair_default = default_views(self.defaults, self.value_of)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_patterns(cls, patterns: Sequence[bytes], **kwargs) -> "DTPAutomaton":
-        return cls(AhoCorasickDFA.from_patterns(patterns), **kwargs)
-
-    @classmethod
-    def from_ruleset(cls, ruleset, **kwargs) -> "DTPAutomaton":
-        """Build from a :class:`repro.rulesets.RuleSet`."""
-        return cls.from_patterns(ruleset.patterns, **kwargs)
-
-    @cached_property
-    def stored(self) -> List[Dict[int, int]]:
-        """Per state, its stored pointers as ``{byte: target}``: the scalar
-        walk's view of :attr:`pointers`, built on first use and independent
-        of the kernel's displaced rows."""
-        stored: List[Dict[int, int]] = [{} for _ in range(self.num_states)]
-        for state, byte, target in zip(*(column.tolist() for column in self.pointers)):
-            stored[state][byte] = target
-        return stored
-
-    def pointer_counts(self) -> np.ndarray:
-        """Stored pointers per state."""
-        return np.diff(self.pointer_index)
-
-    # ------------------------------------------------------------------
-    # transition / matching
-    # ------------------------------------------------------------------
-    def step(
-        self, state: int, byte: int, prev1: Optional[int], prev2: Optional[int]
-    ) -> int:
-        """One transition: explicit pointer first, lookup-table default otherwise."""
-        target = self.stored[state].get(byte)
-        if target is not None:
-            return target
-        return self.defaults.resolve(byte, prev1, prev2)
 
     def _scan_scalar(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
         """Scan ``chunk`` resuming from ``scan_state``; return matches + new state.
@@ -555,50 +599,13 @@ class DTPAutomaton(LaneKernelMixin):
         hits, final = self.lane_hits(LaneCut(batch, self.warmup, history=1), scan_states)
         return lanes.job_results(scan_states, batch, hits, final)
 
-    # ------------------------------------------------------------------
-    # statistics / memory accounting
-    # ------------------------------------------------------------------
-    def stored_pointer_count(self) -> int:
-        return len(self.pointers[0])
-
-    def average_stored_pointers(self) -> float:
-        return self.stored_pointer_count() / self.num_states
-
     def memory_bytes(self) -> int:
-        """Resident footprint: every array the program holds — the stored
-        pointers, the kernel views, the packed outputs and the depths — as
+        """Resident footprint: the pruned automaton's arrays plus the kernel
+        views and the packed outputs, as
         :meth:`CompiledDenseProgram.memory_bytes` counts its own (the e2e
-        benchmark's ``backend.table_mb``).  A device block's memory image is
-        :meth:`BlockProgram.memory_bytes`."""
-        arrays = (
-            *self.pointers, self.pointer_index, self.depth, self.match_index,
-            self.match_pids, self.value_of, self.check, self.next, self.id_of,
-            self.value_depth, self.pair_default,
+        benchmark's ``backend.table_mb``)."""
+        views = (
+            self.match_index, self.match_pids, self.value_of, self.check, self.next,
+            self.id_of, self.value_depth, self.pair_default,
         )
-        return sum(array.nbytes for array in arrays)
-
-    def pointer_count_histogram(self) -> Dict[int, int]:
-        histogram = np.bincount(self.pointer_counts())
-        return {count: int(states) for count, states in enumerate(histogram) if states}
-
-    def max_pointers_per_state(self) -> int:
-        return int(self.pointer_counts().max(initial=0))
-
-    def states_exceeding(self, limit: int = HARDWARE_MAX_POINTERS) -> List[int]:
-        """State ids whose stored pointer count exceeds the hardware limit."""
-        return np.flatnonzero(self.pointer_counts() > limit).tolist()
-
-    def staged_counts(self) -> StagedPointerCounts:
-        """Stored pointers per compression stage (rebuilds the DFA)."""
-        return staged_pointer_counts(AhoCorasickDFA.from_patterns(self.patterns), self.defaults)
-
-    def reduction_percent(self) -> float:
-        """Pointer reduction relative to the original move-function automaton
-        (rebuilt)."""
-        original = AhoCorasickDFA.from_patterns(self.patterns).stored_pointer_count()
-        if original == 0:
-            return 0.0
-        return 100.0 * (1.0 - self.stored_pointer_count() / original)
-
-    def matching_states(self) -> List[int]:
-        return [s for s in range(self.num_states) if self.outputs[s]]
+        return super().memory_bytes() + sum(array.nbytes for array in views)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..automata.trie import ROOT
-from .dtp_automaton import DTPAutomaton
+from .dtp_automaton import PrunedAutomaton
 from .match_memory import MatchMemory
 from .state_types import (
     ADDRESS_BITS,
@@ -82,10 +82,6 @@ class Placement:
     state_type: StateType
 
     @property
-    def address(self) -> int:
-        return self.word_index
-
-    @property
     def type_id(self) -> int:
         return self.state_type.type_id
 
@@ -104,9 +100,8 @@ class PackedStateMachine:
     type_id: np.ndarray
     num_words: int
     #: the automaton the words hold (its stored pointers and defaults)
-    dtp: DTPAutomaton = field(repr=False)
+    dtp: PrunedAutomaton = field(repr=False)
     match_memory: Optional[MatchMemory] = field(default=None, repr=False)
-    capacity_words: Optional[int] = None
 
     @cached_property
     def records(self) -> Dict[int, StateRecord]:
@@ -130,16 +125,10 @@ class PackedStateMachine:
     # ------------------------------------------------------------------
     # addressing
     # ------------------------------------------------------------------
-    def placement_of(self, state_id: int) -> Placement:
-        return self.placements[state_id]
-
     def address_of(self, state_id: int) -> Tuple[int, int]:
         """(word address, type id) — what a transition pointer stores."""
         placement = self.placements[state_id]
         return placement.word_index, placement.type_id
-
-    def states_in_word(self, word_index: int) -> List[int]:
-        return np.flatnonzero(self.word_index == word_index).tolist()
 
     # ------------------------------------------------------------------
     # utilisation / accounting
@@ -157,9 +146,6 @@ class PackedStateMachine:
 
     def memory_bytes(self) -> int:
         return (self.memory_bits() + 7) // 8
-
-    def fits(self, capacity_words: int) -> bool:
-        return self.num_words <= capacity_words
 
     def type_histogram(self) -> Dict[int, int]:
         histogram = np.bincount(self.type_id)
@@ -220,7 +206,7 @@ class PackedStateMachine:
         return words
 
     def decode_state(self, words: Sequence[int], state_id: int) -> Dict[str, object]:
-        """Decode a state from word images (used by tests and the HW model)."""
+        """Decode a state from word images (the block image is built from these)."""
         placement = self.placements[state_id]
         raw = (words[placement.word_index] >> placement.state_type.bit_offset) & (
             (1 << placement.state_type.width_bits) - 1
@@ -228,15 +214,14 @@ class PackedStateMachine:
         has_match = bool(raw & 1)
         match_address = (raw >> 1) & ((1 << (MATCH_INFO_BITS - 1)) - 1)
         pointers: List[Tuple[int, int, int]] = []
-        capacity = placement.state_type.max_pointers
-        for index in range(capacity):
+        for index in range(placement.state_type.max_pointers):
             chunk = (raw >> (MATCH_INFO_BITS + index * POINTER_BITS)) & (
                 (1 << POINTER_BITS) - 1
             )
             char = chunk & 0xFF
             address = (chunk >> CHAR_BITS) & ((1 << ADDRESS_BITS) - 1)
             type_id = chunk >> (CHAR_BITS + ADDRESS_BITS)
-            if chunk != 0 or (index == 0 and capacity > 0):
+            if type_id:  # type ids start at 1: a slot of type 0 is empty
                 pointers.append((char, address, type_id))
         return {
             "has_match": has_match,
@@ -313,7 +298,7 @@ def place_states(slots: np.ndarray, first_word: int = 0) -> Tuple[np.ndarray, np
     return word, start, words
 
 
-def default_target_order(dtp: DTPAutomaton) -> List[int]:
+def default_target_order(dtp: PrunedAutomaton) -> List[int]:
     """Canonical ordering of default-target states for fixed addressing.
 
     Depth-1 targets in character order, then depth-2 targets in (character,
@@ -343,7 +328,7 @@ def default_target_order(dtp: DTPAutomaton) -> List[int]:
 
 
 def pack_state_machine(
-    dtp: DTPAutomaton,
+    dtp: PrunedAutomaton,
     match_memory: Optional[MatchMemory] = None,
     capacity_words: Optional[int] = None,
 ) -> PackedStateMachine:
@@ -395,5 +380,4 @@ def pack_state_machine(
         num_words=num_words,
         dtp=dtp,
         match_memory=match_memory,
-        capacity_words=capacity_words,
     )

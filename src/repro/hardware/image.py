@@ -84,7 +84,8 @@ class BlockImage:
 
 
 def build_block_image(program: BlockProgram) -> BlockImage:
-    """Lower a compiled :class:`BlockProgram` to its hardware image."""
+    """Lower a compiled :class:`BlockProgram` to its hardware image; the
+    state entries are decoded from the block memory's 324-bit words."""
     packed = program.packed
     dtp = program.dtp
 
@@ -92,12 +93,14 @@ def build_block_image(program: BlockProgram) -> BlockImage:
         state_id: packed.address_of(state_id) for state_id in packed.placements
     }
 
+    words = packed.encode_words()
     states: Dict[StateAddress, StateEntry] = {}
-    for state_id, record in packed.records.items():
-        entry = StateEntry(match_address=record.match_address)
-        for char, target in record.pointers:
-            entry.pointers[char] = address_of[target]
-        states[address_of[state_id]] = entry
+    for state_id, address in address_of.items():
+        decoded = packed.decode_state(words, state_id)
+        states[address] = StateEntry(
+            {char: (word, type_id) for char, word, type_id in decoded["pointers"]},
+            decoded["match_address"],
+        )
 
     lookup: Dict[int, LookupEntry] = {}
     defaults = dtp.defaults

@@ -45,7 +45,7 @@ from repro.capture.frames import DecodedFrame
 from repro.capture.replay import ReplayStats
 from repro.core import DTPAutomaton, compile_ruleset, lanes
 from repro.core import lanes as lane_driver
-from repro.core.dtp_automaton import NO_BYTE, displace_rows, state_values
+from repro.core.dtp_automaton import HARDWARE_MAX_POINTERS, NO_BYTE, displace_rows, state_values
 from repro.core.lanes import LaneBatch
 from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.ids.classifier import CANDIDATE_CACHE_LIMIT
@@ -94,6 +94,25 @@ def medium_ruleset() -> RuleSet:
 def small_program(small_ruleset):
     """The small ruleset compiled for the Stratix III target."""
     return compile_ruleset(small_ruleset, STRATIX_III)
+
+
+#: What only the scan program holds: the lane kernel's views and the scan
+#: methods; a device block's pruned automaton has none of them.
+KERNEL_VIEWS = (
+    "warmup", "match_index", "match_pids", "flagged", "value_of", "check", "next", "id_of",
+    "value_depth", "pair_default", "_scan_scalar", "lane_hits", "_scan_lanes", "scan_chunk",
+    "scan_many", "match",
+)
+
+
+def block_automaton(block) -> DTPAutomaton:
+    """The scan program of one device block's strings: the registry's
+    automaton built with the block's pointer limit.  A block holds its
+    pruned automaton only; this one's pointers and defaults are the block's
+    (``test_a_block_holds_the_pruned_automaton_not_a_scan_program``)."""
+    return DTPAutomaton.from_patterns(
+        block.ruleset.patterns, max_stored_pointers=HARDWARE_MAX_POINTERS
+    )
 
 
 @pytest.fixture(scope="session")
@@ -2491,3 +2510,53 @@ def reference_pack_state_machine(dtp, stored, match_memory=None, capacity_words=
             f"12 bits (max {1 << 12})"
         )
     return packed
+
+
+# ----------------------------------------------------------------------
+# the block image as it was built from the packed records
+# ----------------------------------------------------------------------
+def reference_build_block_image(program):
+    """``hardware.image.build_block_image`` as it was: every state entry from
+    ``packed.records``, not decoded from the encoded words."""
+    from repro.hardware.image import BlockImage, LookupEntry, StateEntry
+
+    packed = program.packed
+    dtp = program.dtp
+
+    address_of = {
+        state_id: packed.address_of(state_id) for state_id in packed.placements
+    }
+
+    states = {}
+    for state_id, record in packed.records.items():
+        entry = StateEntry(match_address=record.match_address)
+        for char, target in record.pointers:
+            entry.pointers[char] = address_of[target]
+        states[address_of[state_id]] = entry
+
+    lookup = {}
+    defaults = dtp.defaults
+    for byte in range(len(defaults.d1)):
+        depth1 = int(defaults.d1[byte])
+        entry = LookupEntry(
+            d1_address=address_of[depth1] if depth1 != ROOT else None
+        )
+        for d2 in defaults.d2.get(byte, []):
+            entry.d2.append((d2.preceding_byte, address_of[d2.state]))
+        d3 = defaults.d3.get(byte)
+        if d3 is not None:
+            entry.d3 = (d3.preceding_bytes[0], d3.preceding_bytes[1], address_of[d3.state])
+        lookup[byte] = entry
+
+    match_words = {
+        address: word for address, word in enumerate(program.match_memory.words)
+    }
+
+    return BlockImage(
+        root_address=address_of[ROOT],
+        states=states,
+        lookup=lookup,
+        match_words=match_words,
+        string_numbers=dict(program.string_numbers),
+        state_machine_words=packed.num_words,
+    )

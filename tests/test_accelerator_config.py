@@ -1,10 +1,11 @@
 """Tests for the end-to-end ruleset -> accelerator compiler."""
 
+import numpy as np
 import pytest
 
 from repro.automata import AhoCorasickDFA
 from repro.check import verify_program
-from repro.core import CompilationError, compile_ruleset
+from repro.core import CompilationError, DTPAutomaton, compile_ruleset
 from repro.core.dtp_automaton import HARDWARE_MAX_POINTERS
 from repro.fpga import STRATIX_III
 from repro.hardware import HardwareAccelerator
@@ -43,6 +44,25 @@ class TestCompile:
         # the device program matches through its cycle model
         accelerator = HardwareAccelerator(small_program)
         assert sorted(accelerator.match(data)) == sorted(reference.match(data))
+
+    def test_a_block_holds_the_pruned_automaton_not_a_scan_program(
+        self, small_program, medium_ruleset
+    ):
+        """A block's ``dtp`` is the pruned automaton its memories are built
+        from, with no lane-kernel view; its pointers and defaults are those
+        of the automaton the block-scanning tests scan in its place."""
+        from tests.conftest import KERNEL_VIEWS, block_automaton
+
+        two_blocks = compile_ruleset(medium_ruleset, STRATIX_III, blocks_per_group=2)
+        for block in small_program.blocks + two_blocks.blocks:
+            assert not isinstance(block.dtp, DTPAutomaton)
+            assert [name for name in KERNEL_VIEWS if hasattr(block.dtp, name)] == []
+            automaton = block_automaton(block)
+            for ours, theirs in zip(block.dtp.pointers, automaton.pointers):
+                assert np.array_equal(ours, theirs)
+            defaults, theirs = block.dtp.defaults, automaton.defaults
+            assert np.array_equal(defaults.d1, theirs.d1)
+            assert (defaults.d2, defaults.d3) == (theirs.d2, theirs.d3)
 
     def test_string_numbers_map_to_sids(self, small_ruleset, small_program):
         mapping = small_program.string_number_to_sid()

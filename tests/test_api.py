@@ -222,10 +222,12 @@ def test_session_checkpoints_interchange_with_raw_service(capacity, backend):
 
 def test_a_one_block_device_checkpoint_resumes_on_the_one_automaton():
     """Where the ruleset fits one block, a dtp session used to scan that
-    block's automaton: its flow checkpoints restore into a session that
+    block's automaton (built here from the block's strings, as a block
+    holds no kernel views): its flow checkpoints restore into a session that
     scans the one automaton, and the flows resume to the same events."""
     from repro.core import compile_ruleset
     from repro.fpga import STRATIX_III
+    from tests.conftest import block_automaton
 
     ruleset = build_ruleset()
     (block,) = compile_ruleset(ruleset, STRATIX_III).blocks
@@ -236,7 +238,7 @@ def test_a_one_block_device_checkpoint_resumes_on_the_one_automaton():
         uninterrupted.scan(packets[:half])
         expected = uninterrupted.scan(packets[half:]).events
     assert expected
-    old = make_service(block.dtp, 4096)
+    old = make_service(block_automaton(block), 4096)
     old.scan(packets[:half])
     with Session.from_config(config) as resumed:
         resumed.restore(json.loads(json.dumps(old.checkpoint())))

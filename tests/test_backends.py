@@ -44,6 +44,7 @@ from tests.conftest import (
     EscapeDtpViews,
     FullWarmupLaneCut,
     ReferenceDtpViews,
+    block_automaton,
     escape_dtp_lane_hits,
     escape_dtp_scan_lanes,
     full_warmup_dense_scan_lanes,
@@ -808,7 +809,11 @@ def storm_programs():
 
 
 def storm_automata(program):
-    return [program] if isinstance(program, DTPAutomaton) else [b.dtp for b in program.blocks]
+    """The automata scanned in place of ``program``: itself, or the one of
+    each device block's strings (a block holds no kernel views)."""
+    if isinstance(program, DTPAutomaton):
+        return [program]
+    return [block_automaton(block) for block in program.blocks]
 
 
 @pytest.mark.parametrize("kind", ("dtp", "accelerator"))
@@ -1055,8 +1060,9 @@ REPAIR_PATTERNS = [REPAIR_LONG, b"cdefghijabcd", b"ijabcdefghijab", b"fghij", b"
 @pytest.fixture(scope="module")
 def repair_programs():
     """``REPAIR_PATTERNS`` compiled dense and dtp, and the automaton of the
-    one block of a three-block Cyclone III program that holds
-    ``REPAIR_LONG`` alone — what that hardware block scans, on its own."""
+    strings of the one block of a three-block Cyclone III program that
+    holds ``REPAIR_LONG`` alone — what that hardware block scans, on its
+    own."""
     accelerator = compile_ruleset(
         RuleSet.from_patterns(REPAIR_PATTERNS), CYCLONE_III, blocks_per_group=3
     )
@@ -1066,7 +1072,7 @@ def repair_programs():
     return {
         "dense": CompiledDenseProgram.from_patterns(REPAIR_PATTERNS),
         "dtp": DTPAutomaton.from_patterns(REPAIR_PATTERNS),
-        "accelerator": block.dtp,
+        "accelerator": block_automaton(block),
     }
 
 
@@ -1351,13 +1357,15 @@ class TestTheRegistryCompilesWhatScans:
 
     @pytest.mark.parametrize("size", (500, 1000))
     def test_the_automaton_equals_a_one_block_device_program(self, size):
-        """On Stratix III 500 or 1 000 strings fit one block, whose automaton
-        (the program sessions scanned before the one automaton) is the
-        registry's, array for array."""
+        """On Stratix III 500 or 1 000 strings fit one block, whose strings'
+        automaton under the block's pointer limit (the program sessions
+        scanned before the one automaton) is the registry's, array for
+        array."""
         ruleset = generate_snort_like_ruleset(size, seed=2010)
         (block,) = compile_ruleset(ruleset, STRATIX_III).blocks
         assert block.ruleset.patterns == ruleset.patterns
-        assert automaton_views(block.dtp) == automaton_views(get_backend("dtp").compile(ruleset))
+        registry = get_backend("dtp").compile(ruleset)
+        assert automaton_views(block_automaton(block)) == automaton_views(registry)
 
     def test_the_cycle_model_is_built_lazily_and_only_when_asked(self, monkeypatch):
         """A session scans without building the device's blocks; its cycle

@@ -36,8 +36,11 @@ from repro.check import (
 from repro.cli import main
 from repro.core import DTPAutomaton
 from repro.core.accelerator_config import compile_ruleset
+from repro.core.memory_layout import PackedStateMachine
+from repro.core.state_types import CHAR_BITS, MATCH_INFO_BITS, POINTER_BITS
 from repro.fpga.devices import get_device
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
+from tests.conftest import block_automaton
 
 FIG2_PATTERNS = (b"he", b"she", b"his", b"hers")
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -335,12 +338,46 @@ class TestMutationDetection:
         assert {d.code for d in program.verify().errors} == {"DEN003"}
 
     def test_corrupt_kernel_view_in_accelerator_block(self):
+        """A block holds no kernel views: they are proved on the automaton
+        of the block's strings, the program that scans them."""
         ruleset = generate_snort_like_ruleset(60, seed=5)
         program = compile_ruleset(ruleset, get_device("stratix3"))
         assert verify_program(program).ok
-        dtp = program.blocks[0].dtp
+        dtp = block_automaton(program.blocks[0])
+        assert verify_program(dtp).ok
         dtp.next[int(np.flatnonzero(dtp.check >= 0)[0])] += 1
-        assert {d.code for d in verify_program(program).errors} == {"DTP007"}
+        assert {d.code for d in verify_program(dtp).errors} == {"DTP007"}
+        assert verify_program(program).ok
+
+    def test_a_flipped_address_bit_in_the_words_is_an_image_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """The block image is decoded from the encoded words: one pointer's
+        address bit flipped by the encoder is an HWI001 of ``repro verify
+        --device``, which the records alone would not show."""
+        encode_state = PackedStateMachine.encode_state
+        chosen = []  # the first state encoded with two pointers or more
+
+        def flipping(self, record, pad_lookup=None):
+            value = encode_state(self, record, pad_lookup)
+            if not chosen and len(record.pointers) >= 2:
+                chosen.append(record.state_id)
+            if chosen == [record.state_id]:
+                # the last pointer's: unused slots repeat the first
+                last = MATCH_INFO_BITS + (len(record.pointers) - 1) * POINTER_BITS
+                value ^= 1 << (last + CHAR_BITS)
+            return value
+
+        argv = ["verify", "--size", "60", "--seed", "5", "--device", "stratix3",
+                "--json", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        monkeypatch.setattr(PackedStateMachine, "encode_state", flipping)
+        capsys.readouterr()
+        assert main(argv) == 1
+        diagnostics = json.loads((tmp_path / "report.json").read_text())["diagnostics"]
+        assert ("HWI001", chosen[0]) in {
+            (d["code"], d.get("state")) for d in diagnostics if d["severity"] == "error"
+        }
 
     def test_corrupt_stored_pointer_in_accelerator_block(self):
         ruleset = generate_snort_like_ruleset(60, seed=5)

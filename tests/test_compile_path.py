@@ -36,11 +36,14 @@ from repro.core.lanes import LaneBatch
 from repro.core.lookup_table import encode_lookup_table
 from repro.core.memory_layout import PackedStateMachine, pack_state_machine, place_states
 from repro.fpga import STRATIX_III
+from repro.hardware import build_block_image
 from repro.rulesets import generate_snort_like_ruleset
 
 from tests.conftest import (
     ReferencePacker,
+    block_automaton,
     reference_build_stored_pointers,
+    reference_build_block_image,
     reference_build_table,
     reference_folded_pointers,
     reference_pack_state_machine,
@@ -280,12 +283,20 @@ def paper_sized_program():
 
 
 def test_a_paper_sized_program_compiles_as_before(paper_sized_program):
+    """Each block's pruned automaton, match memory, lookup words and packing
+    are the per-state builders'; the kernel views, which a block does not
+    hold, are checked on the automaton of the block's strings, whose
+    pointers and defaults are the block's."""
     assert len(paper_sized_program.blocks) == 2
     for block in paper_sized_program.blocks:
         dtp = block.dtp
         dfa = AhoCorasickDFA.from_patterns(dtp.patterns)
         assert_dfa_is_the_reference(dfa)
-        assert_dtp_is_the_reference(dtp)
+        automaton = block_automaton(block)
+        assert_dtp_is_the_reference(automaton)
+        for ours, theirs in zip(dtp.pointers, automaton.pointers):
+            assert np.array_equal(ours, theirs)
+        assert dtp.stored == automaton.stored
         _, fail, outputs = reference_build_table(dfa.trie)
         matches = {
             state: [block.string_numbers[pid] for pid in found]
@@ -296,6 +307,17 @@ def test_a_paper_sized_program_compiles_as_before(paper_sized_program):
         assert block.match_memory.state_address == reference_memory.state_address
         assert block.lookup.words == encode_lookup_table(dtp.defaults).words
         assert_packing_is_the_reference(dtp, block.match_memory, STRATIX_III.state_machine_words)
+
+
+def test_the_block_image_decoded_from_the_words_is_the_one_built_from_records(
+    paper_sized_program,
+):
+    """500 strings on one block and 2 588 on two: the image the cycle model
+    runs on, decoded from the encoded words, equals the one built from the
+    packed records."""
+    for program in (compile_ruleset(snort_like(500), STRATIX_III), paper_sized_program):
+        for block in program.blocks:
+            assert build_block_image(block) == reference_build_block_image(block)
 
 
 @pytest.mark.parametrize("strings", [500, 2588, 6275])
@@ -351,8 +373,9 @@ def resident_mb(build):
 
 
 def test_a_compiled_program_keeps_one_transition_table():
-    """500 strings: the dtp program holds its pointer arrays and kernel views
-    (3.3 MB), not also the DFA they were pruned from (13.9 MB while it did);
+    """500 strings: the device program's block holds its pointer arrays
+    (1.2 MB; 3.3 MB with the kernel views it no longer builds), not also the
+    DFA they were pruned from (13.9 MB while it did);
     the dense program its premultiplied table (8.3 MB), not also the plain
     one (16.1 MB while it did)."""
     ruleset = snort_like(500)

@@ -230,6 +230,7 @@ class TestCiCommands:
                 "--json", "verify_all_diagnostics.json"] in commands
         assert ["verify", "--size", "1000", "--seed", "2010", "--device", "cyclone3",
                 "--backend", "all"] in commands
+        assert ["verify", "--size", "6275", "--seed", "2010", "--device", "stratix3"] in commands
         assert len(commands) >= 8, commands
         parser = build_parser()
         for argv in commands:

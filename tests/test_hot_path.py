@@ -45,6 +45,7 @@ from repro.traffic import Packet, TrafficGenerator
 from tests.conftest import (
     assert_equivalent_alerts,
     assert_equivalent_events,
+    block_automaton,
     equivalence_workload,
     random_predicate_rules,
     random_text,
@@ -214,10 +215,10 @@ class TestDtpLaneKernelBatches(TestLaneKernelBatches):
 
 class TestAcceleratorLaneKernelBatches:
     """... and through the two blocks of a device program, which in hardware
-    scan the same flows side by side: one scanner per block's automaton,
-    each carrying its own flow states, equal to the same automaton walked
-    segment by segment; the blocks' events, mapped to string numbers, are
-    the ``ac`` reference's segment for segment."""
+    scan the same flows side by side: one scanner per automaton of a
+    block's strings, each carrying its own flow states, equal to the same
+    automaton walked segment by segment; the blocks' events, mapped to
+    string numbers, are the ``ac`` reference's segment for segment."""
 
     events_of = staticmethod(TestLaneKernelBatches.events_of)
 
@@ -231,9 +232,10 @@ class TestAcceleratorLaneKernelBatches:
             blocks_per_group=2,
         )
         assert len(program.blocks) == 2
-        for block in program.blocks:
-            force_short_lanes(block.dtp, lanes_per_tile=8)
-        return program.blocks
+        automata = [(block, block_automaton(block)) for block in program.blocks]
+        for _, automaton in automata:
+            force_short_lanes(automaton, lanes_per_tile=8)
+        return automata
 
     @pytest.mark.parametrize("track_nocase", (False, True))
     def test_interleaved_flows_split_at_every_offset(self, short_lanes, track_nocase):
@@ -246,8 +248,7 @@ class TestAcceleratorLaneKernelBatches:
             whole = StreamScanner(reference_program, track_nocase=track_nocase)
             expected = self.events_of([whole.scan_segment(*item) for item in items + tail])
             merged = [[] for _ in expected]
-            for block in short_lanes:
-                program = block.dtp
+            for block, program in short_lanes:
                 reference = StreamScanner(program, track_nocase=track_nocase)
                 reference._scan_many = lambda jobs, program=program: [  # byte at a time
                     program._scan_scalar(states, chunk) for states, chunk in jobs

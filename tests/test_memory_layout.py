@@ -102,27 +102,30 @@ class TestEncoding:
         match_memory = MatchMemory.build(matches)
         packed = pack_state_machine(dtp, match_memory=match_memory)
         table = AhoCorasickDFA.from_patterns(dtp.patterns).table
-        words = packed.encode_words(pad_lookup=lambda state, char: int(table[state, char]))
-        assert len(words) == packed.num_words
-        assert all(word < (1 << WORD_BITS) for word in words)
+        padded = packed.encode_words(pad_lookup=lambda state, char: int(table[state, char]))
+        reverse = {packed.address_of(s): s for s in packed.placements}
+        # unpadded, as the prover and the block image encode them: a
+        # pointer-less state's slots stay zero and decode to no pointer
+        for words in (padded, packed.encode_words()):
+            assert len(words) == packed.num_words
+            assert all(word < (1 << WORD_BITS) for word in words)
 
-        for state_id in list(packed.records)[:200]:
-            record = packed.records[state_id]
-            decoded = packed.decode_state(words, state_id)
-            assert decoded["has_match"] == (record.match_address is not None)
-            if record.match_address is not None:
-                assert decoded["match_address"] == record.match_address
-            # every stored pointer must appear in the decoded pointer list
-            decoded_pairs = {(char, address, type_id) for char, address, type_id in decoded["pointers"]}
-            for char, target in record.pointers:
-                address, type_id = packed.address_of(target)
-                assert (char, address, type_id) in decoded_pairs
-            # every decoded pointer must be *correct* (padding is redundant
-            # but never wrong): following char c from this state reaches the
-            # state stored at that address
-            reverse = {packed.address_of(s): s for s in packed.placements}
-            for char, address, type_id in decoded["pointers"]:
-                assert reverse[(address, type_id)] == int(table[state_id, char])
+            for state_id in list(packed.records)[:200]:
+                record = packed.records[state_id]
+                decoded = packed.decode_state(words, state_id)
+                assert decoded["has_match"] == (record.match_address is not None)
+                if record.match_address is not None:
+                    assert decoded["match_address"] == record.match_address
+                # every stored pointer must appear in the decoded pointer list
+                decoded_pairs = set(decoded["pointers"])
+                for char, target in record.pointers:
+                    address, type_id = packed.address_of(target)
+                    assert (char, address, type_id) in decoded_pairs
+                # every decoded pointer must be *correct* (padding is
+                # redundant but never wrong): following char c from this
+                # state reaches the state stored at that address
+                for char, address, type_id in decoded["pointers"]:
+                    assert reverse[(address, type_id)] == int(table[state_id, char])
 
     def test_encode_without_pad_lookup(self, example_dtp):
         packed = pack_state_machine(example_dtp)

@@ -837,7 +837,10 @@ class TestIDSScanFlow:
 # ----------------------------------------------------------------------
 class TestEngineCheckpointing:
     def test_resumed_engine_matches_contiguous_scan(self):
-        """Suspend a flow mid-stream, resume on another engine, same matches."""
+        """Suspend a flow mid-stream, resume on another engine, same matches
+        as the automaton of the block's strings."""
+        from tests.conftest import block_automaton
+
         ruleset = RuleSet(name="paper-example")
         for pattern in PAPER_EXAMPLE_PATTERNS:
             ruleset.add_pattern(pattern)
@@ -861,7 +864,7 @@ class TestEngineCheckpointing:
             if match is not None:
                 matched_offsets.append(match.end_offset)
 
-        expected = [offset for offset, _ in program.blocks[0].dtp.match(stream)]
+        expected = [offset for offset, _ in block_automaton(program.blocks[0]).match(stream)]
         assert sorted(matched_offsets) == sorted(set(expected))
 
     def test_export_requires_packet_in_flight(self, small_program):
