@@ -12,7 +12,7 @@ The package is organised as:
 * :mod:`repro.core`     — the paper's contribution: the DTP-compressed
   Aho-Corasick automaton, its memory layout, the ruleset -> accelerator
   compiler and the compiled dense-table fast path;
-* :mod:`repro.automata` — classic string matching substrates and baselines;
+* :mod:`repro.automata` — the Aho-Corasick substrates and Table III's baselines;
 * :mod:`repro.rulesets` — synthetic Snort-like rulesets (the paper's workload);
 * :mod:`repro.hardware` — cycle-level simulation of the engines/blocks;
 * :mod:`repro.fpga`     — device, resource, power and throughput models;
@@ -90,7 +90,6 @@ from .automata import (
     BitmapAhoCorasick,
     PathCompressedAhoCorasick,
     Trie,
-    WuManber,
 )
 from .backend import (
     Backend,
@@ -169,7 +168,6 @@ __all__ = [
     "BitmapAhoCorasick",
     "PathCompressedAhoCorasick",
     "Trie",
-    "WuManber",
     "Backend",
     "CaptureFile",
     "CaptureRecord",

@@ -1,4 +1,6 @@
-"""Classic string matching automata used as substrates and baselines."""
+"""The Aho-Corasick automata: the trie, the reference NFA/DFA and the
+compressed baselines of Table III (Tuck et al.'s bitmap and path
+compression)."""
 
 from .aho_corasick import (
     AhoCorasickDFA,
@@ -16,9 +18,7 @@ from .path_compressed_ac import (
     PathCompressedAhoCorasick,
     PathNodeLayout,
 )
-from .single_pattern import BoyerMoore, KnuthMorrisPratt, NaiveMultiPattern
 from .trie import ALPHABET_SIZE, ROOT, Trie, TrieStats
-from .wu_manber import WuManber
 
 __all__ = [
     "AhoCorasickDFA",
@@ -31,12 +31,8 @@ __all__ = [
     "PathCompressedAhoCorasick",
     "PathNodeLayout",
     "TUCK_PATH_COMPRESSED_REFERENCE_BYTES",
-    "BoyerMoore",
-    "KnuthMorrisPratt",
-    "NaiveMultiPattern",
     "ALPHABET_SIZE",
     "ROOT",
     "Trie",
     "TrieStats",
-    "WuManber",
 ]

@@ -169,6 +169,11 @@ class PathCompressedAhoCorasick(CompiledProgramMixin):
     # memory accounting
     # ------------------------------------------------------------------
     @property
+    def num_states(self) -> int:
+        """The trie's state count: the walk's state ids run below it."""
+        return self.trie.num_states
+
+    @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
@@ -182,7 +187,7 @@ class PathCompressedAhoCorasick(CompiledProgramMixin):
 
     def compression_ratio(self) -> float:
         """Original state count divided by node count."""
-        return self.trie.num_states / max(1, self.num_nodes)
+        return self.num_states / max(1, self.num_nodes)
 
     def memory_bits(self) -> int:
         bits = 0

@@ -3,8 +3,8 @@
 The paper's central observation (Kennedy et al., DATE 2010) is that one set
 of matching *semantics* — report every ``(end_offset, pattern_id)`` occurrence
 of every pattern — can be served by radically different state encodings: the
-full move-function DFA, bitmap- or path-compressed failure automata, the
-DTP-pruned hardware form, or a software shift-table matcher.  This module
+full move-function DFA, bitmap- or path-compressed failure automata, or the
+DTP-pruned hardware form.  This module
 gives the repository one vocabulary for all of them:
 
 * :class:`Backend` — a named compiler: ``compile(rules)`` returns the
@@ -20,8 +20,10 @@ gives the repository one vocabulary for all of them:
 * :class:`ScanState` — the immutable, JSON-checkpointable resume record
   carried across the segments of one flow.
 * a registry (:func:`register_backend` / :func:`get_backend`) mapping the CLI
-  names ``ac``, ``dense``, ``bitmap``, ``path``, ``wu-manber`` and ``dtp`` to
-  their compilers.
+  names ``ac``, ``dense``, ``bitmap``, ``path`` and ``dtp`` to their
+  compilers.  Every registered program is an automaton numbering its states
+  as the trie does, so the registry is also the list of backends the prover
+  shows bisimilar (:func:`repro.check.verify_cross_backend`).
 
 Resumability contract
 ---------------------
@@ -67,14 +69,13 @@ ROOT_STATE = 0
 class ScanState:
     """Resumable matcher state carried across chunks of one byte stream.
 
-    ``state`` is the backend's current automaton state; ``prev1``/``prev2``
-    are the previous two input bytes (the DTP lookup-table defaults compare
-    their stored preceding characters against that history; other backends
-    maintain them anyway so a checkpoint has one shape everywhere);
-    ``offset`` counts the bytes already consumed so resumed matches report
-    stream-wide end positions.  ``tail`` is an optional carry buffer used by
-    window-based backends (Wu-Manber keeps the last ``max_pattern_len - 1``
-    bytes there).  Instances are immutable, so checkpointing a flow is just
+    The register set the paper's engine saves per flow: ``state`` is the
+    backend's current automaton state; ``prev1``/``prev2`` are the previous
+    two input bytes (the DTP lookup-table defaults compare their stored
+    preceding characters against that history; other backends maintain them
+    anyway so a checkpoint has one shape everywhere); ``offset`` counts the
+    bytes already consumed so resumed matches report stream-wide end
+    positions.  Instances are immutable, so checkpointing a flow is just
     keeping a reference.  Every program is one automaton, so a flow carries
     exactly one.
     """
@@ -83,21 +84,14 @@ class ScanState:
     prev1: Optional[int] = None
     prev2: Optional[int] = None
     offset: int = 0
-    tail: Optional[bytes] = None
 
     def as_tuple(self) -> Tuple:
-        """A plain, JSON-serialisable form for flow-table checkpoints.
-
-        Backends that do not use ``tail`` produce the historical 4-tuple, so
-        checkpoints written by older versions restore unchanged.
-        """
-        if self.tail is None:
-            return (self.state, self.prev1, self.prev2, self.offset)
-        return (self.state, self.prev1, self.prev2, self.offset, self.tail.hex())
+        """A plain, JSON-serialisable 4-tuple for flow-table checkpoints."""
+        return (self.state, self.prev1, self.prev2, self.offset)
 
     @classmethod
     def from_tuple(cls, values: Sequence) -> "ScanState":
-        """Rebuild from :meth:`as_tuple` output (4- or 5-element form).
+        """Rebuild from :meth:`as_tuple` output.
 
         Every numeric field is coerced with ``int(...)``: a checkpoint that
         round-tripped through JSON (or was written by hand) may carry
@@ -105,20 +99,23 @@ class ScanState:
         silently fail the ``==`` history comparisons the default-transition
         lookup performs.  A field out of range — a negative ``state`` or
         ``offset``, a ``prev1``/``prev2`` that is not a byte, an element
-        count other than 4 or 5 — is a ``ValueError`` naming it.
+        count other than 4 — is a ``ValueError`` naming it.
 
         >>> ScanState.from_tuple([3, 97, None, 10.0])
-        ScanState(state=3, prev1=97, prev2=None, offset=10, tail=None)
+        ScanState(state=3, prev1=97, prev2=None, offset=10)
         >>> ScanState.from_tuple([0, 300, None, 0])
         Traceback (most recent call last):
         ...
         ValueError: ScanState.prev1 must be a byte (0..255) or None, got 300
+        >>> ScanState.from_tuple([0, None, None, 4, "6162"])
+        Traceback (most recent call last):
+        ...
+        ValueError: ScanState takes 4 elements, got 5: the 5th is a retired Wu-Manber tail
         """
-        if len(values) not in (4, 5):
-            raise ValueError(f"ScanState takes 4 or 5 elements, got {len(values)}")
-        state, prev1, prev2, offset = (
-            None if value is None else int(value) for value in values[:4]
-        )
+        if len(values) != 4:
+            retired = ": the 5th is a retired Wu-Manber tail" if len(values) == 5 else ""
+            raise ValueError(f"ScanState takes 4 elements, got {len(values)}{retired}")
+        state, prev1, prev2, offset = (None if value is None else int(value) for value in values)
         for name, value in (("state", state), ("offset", offset)):
             if value is None or value < 0:
                 raise ValueError(f"ScanState.{name} must be >= 0, got {value}")
@@ -127,14 +124,7 @@ class ScanState:
                 raise ValueError(
                     f"ScanState.{name} must be a byte (0..255) or None, got {value}"
                 )
-        raw_tail = values[4] if len(values) == 5 else None
-        if raw_tail is None:
-            tail: Optional[bytes] = None
-        elif isinstance(raw_tail, str):
-            tail = bytes.fromhex(raw_tail)
-        else:
-            tail = bytes(raw_tail)
-        return cls(state=state, prev1=prev1, prev2=prev2, offset=offset, tail=tail)
+        return cls(state=state, prev1=prev1, prev2=prev2, offset=offset)
 
 
 #: One unit of batched scanning: a flow's state and the bytes to resume over.
@@ -154,9 +144,11 @@ def advance_history(
 
 @runtime_checkable
 class CompiledProgram(Protocol):
-    """Structural type of a compiled matcher (see the module docstring)."""
+    """Structural type of a compiled matcher (see the module docstring);
+    every state id a scan reaches is below ``num_states``."""
 
     backend_name: str
+    num_states: int
 
     @property
     def patterns(self) -> Tuple[bytes, ...]: ...
@@ -279,13 +271,14 @@ def get_backend(name: str) -> Backend:
 
 
 def backend_names() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
+    """Registered backend names, in registration order: the reference
+    ``ac`` first, the paper's ``dtp`` last."""
+    return list(_REGISTRY)
 
 
 def all_backends() -> List[Backend]:
-    """Registered backends, sorted by name."""
-    return [_REGISTRY[name] for name in backend_names()]
+    """Registered backends, in registration order."""
+    return list(_REGISTRY.values())
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +306,6 @@ for _name, _module, _target, _description in (
      "bitmap-compressed Aho-Corasick (Tuck et al.)"),
     ("path", ".automata.path_compressed_ac", "PathCompressedAhoCorasick.from_patterns",
      "path-compressed Aho-Corasick (Tuck et al.)"),
-    ("wu-manber", ".automata.wu_manber", "WuManber", "Wu-Manber shift-table matcher"),
     ("dtp", ".core.dtp_automaton", "DTPAutomaton.from_patterns",
      "DTP-compressed automaton (the paper's design)"),
 ):

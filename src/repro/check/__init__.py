@@ -25,7 +25,6 @@ from .diagnostics import (
 )
 from .idioms import check_paths, check_source
 from .program import (
-    AUTOMATON_BACKENDS,
     Reference,
     verify_cross_backend,
     verify_program,
@@ -41,7 +40,6 @@ __all__ = [
     "merge_reports",
     "check_paths",
     "check_source",
-    "AUTOMATON_BACKENDS",
     "Reference",
     "verify_cross_backend",
     "verify_program",

@@ -65,8 +65,7 @@ import numpy as np
 from ..automata.aho_corasick import AhoCorasickDFA
 from ..automata.bitmap_ac import BitmapAhoCorasick
 from ..automata.path_compressed_ac import PathCompressedAhoCorasick
-from ..automata.wu_manber import WuManber
-from ..backend import get_backend
+from ..backend import backend_names, get_backend
 from ..core.accelerator_config import AcceleratorProgram, BlockProgram
 from ..core.compiled import CompiledDenseProgram
 from ..core.dtp_automaton import HARDWARE_MAX_POINTERS, NO_BYTE, DTPAutomaton, PrunedAutomaton
@@ -77,9 +76,6 @@ from .diagnostics import ERROR, WARNING, Report
 
 ROOT = 0
 ALPHABET = 256
-
-#: Automaton backends that share trie state numbering (bisimulation family).
-AUTOMATON_BACKENDS: Tuple[str, ...] = ("ac", "dense", "bitmap", "path", "dtp")
 
 #: Findings reported per (code, source) before the remainder is summarised.
 MAX_FINDINGS_PER_CODE = 20
@@ -1330,60 +1326,6 @@ def _check_accelerator(capped: _Capped, program: AcceleratorProgram, ref: Refere
         _check_block_image(capped, block, source)
 
 
-def _check_wu_manber(capped: _Capped, program: WuManber, ref: Reference) -> None:
-    """Shift-table soundness: a stored shift may never skip a real match."""
-    source = "wu-manber"
-    block = program.block_size
-    m = program._minimum_length
-    expected_shift: Dict[bytes, int] = {}
-    for _, pattern in program._long_patterns:
-        window = pattern[:m]
-        for offset in range(m - block + 1):
-            chunk = bytes(window[offset:offset + block])
-            shift = m - block - offset
-            expected_shift[chunk] = min(expected_shift.get(chunk, shift), shift)
-    if program._default_shift > max(1, m - block + 1):
-        capped.add(
-            ERROR,
-            "WM002",
-            f"default shift {program._default_shift} exceeds the sound "
-            f"maximum {max(1, m - block + 1)}",
-            source=source,
-        )
-    for chunk, want in expected_shift.items():
-        got = program._shift.get(chunk, program._default_shift)
-        if got > want:
-            capped.add(
-                ERROR,
-                "WM002",
-                f"shift for block {chunk!r} is {got}, but a pattern window "
-                f"allows at most {want} — matches would be skipped",
-                source=source,
-            )
-    for pid, pattern in enumerate(program.patterns):
-        if len(pattern) < block:
-            if (pid, pattern) not in program._short_patterns:
-                capped.add(
-                    ERROR,
-                    "WM001",
-                    f"short pattern {pid} is missing from the prefix-scan "
-                    "list",
-                    rule=pid,
-                    source=source,
-                )
-            continue
-        suffix = bytes(pattern[:m][m - block:m])
-        if pid not in program._hash.get(suffix, []):
-            capped.add(
-                ERROR,
-                "WM001",
-                f"pattern {pid} is missing from the hash bucket of its "
-                f"window suffix {suffix!r}",
-                rule=pid,
-                source=source,
-            )
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
@@ -1419,8 +1361,6 @@ def verify_program(program, patterns: Optional[Sequence[bytes]] = None) -> Repor
         _check_bitmap(capped, program, ref)
     elif isinstance(program, PathCompressedAhoCorasick):
         _check_path(capped, program, ref)
-    elif isinstance(program, WuManber):
-        _check_wu_manber(capped, program, ref)
     else:
         raise TypeError(
             f"cannot verify {type(program).__name__}: not a compiled program "
@@ -1453,19 +1393,18 @@ def _effective_view(program, ref: Reference):
     raise TypeError(f"no structural view for {type(program).__name__}")
 
 
-def verify_cross_backend(
-    rules,
-    backends: Sequence[str] = AUTOMATON_BACKENDS,
-) -> Report:
-    """Prove the automaton backends structurally bisimilar on ``rules``.
+def verify_cross_backend(rules) -> Report:
+    """Prove every registered backend structurally bisimilar on ``rules``.
 
     ``rules`` (a :class:`RuleSet` or byte patterns) compiles through the
-    registry, into the programs a :class:`repro.api.Session` scans.  All
-    listed backends number their states identically (they share the trie
-    construction), so the identity relation is a bisimulation iff every
-    backend's effective move function and output sets equal the independent
-    reference — which is what this checks.  No byte of traffic is scanned.
+    registry, into the programs a :class:`repro.api.Session` scans.  Every
+    registered program is an automaton numbering its states as the trie
+    does, so the identity relation is a bisimulation iff every backend's
+    state count, effective move function and output sets equal the
+    independent reference — which is what this checks.  No byte of traffic
+    is scanned.
     """
+    backends = backend_names()
     patterns = [bytes(p) for p in (rules.patterns if isinstance(rules, RuleSet) else rules)]
     report = Report(
         subject=f"cross-backend equivalence ({', '.join(backends)}) over "
@@ -1475,8 +1414,7 @@ def verify_cross_backend(
     ref = Reference(patterns)
     for name in backends:
         program = get_backend(name).compile(rules)
-        num_states = getattr(program, "num_states", ref.num_states)
-        if not _check_state_count(capped, num_states, ref, name):
+        if not _check_state_count(capped, program.num_states, ref, name):
             continue
         eff, outputs_of = _effective_view(program, ref)
         if eff is None:

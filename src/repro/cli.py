@@ -30,8 +30,8 @@ shared builder (:func:`_pipeline_config`) turns the rest of its flags into a
 and drives it — so the CLI, the config-file path (``run``) and programmatic
 use share one composition of sources, rules, engines and sinks, and one set
 of summary printers.  ``scan``, ``scan-stream``, ``scan-pcap`` and ``ids`` take
-``--backend`` with any name from :mod:`repro.backend` (``dtp``, ``dense``,
-``bitmap``, ``path``, ``wu-manber``, ``ac``); every backend is driven
+``--backend`` with any name from :mod:`repro.backend` (``ac``, ``dense``,
+``bitmap``, ``path``, ``dtp``); every backend is driven
 through the same :class:`repro.backend.CompiledProgram` protocol, so the
 reported match sets are identical by construction.
 
@@ -72,7 +72,7 @@ from .api import (
     load_config,
     repro_version,
 )
-from .backend import backend_names
+from .backend import backend_names, get_backend
 from .core.accelerator_config import compile_ruleset
 from .core.dtp_automaton import DTPAutomaton
 from .fpga.devices import CYCLONE_III, DEVICES, STRATIX_III, get_device
@@ -588,24 +588,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .backend import get_backend
-    from .check import (
-        AUTOMATON_BACKENDS,
-        merge_reports,
-        verify_cross_backend,
-        verify_program,
-    )
+    from .check import merge_reports, verify_cross_backend, verify_program
 
     ruleset = _ruleset_for_check(args)
     # the registry compiles what Session(backend=...) scans; for dtp the
     # device's blocks get the hardware audit as well
-    names = AUTOMATON_BACKENDS if args.backend == "all" else (args.backend,)
+    names = backend_names() if args.backend == "all" else [args.backend]
     programs = [get_backend(name).compile(ruleset) for name in names]
     if any(isinstance(program, DTPAutomaton) for program in programs):
         programs.append(compile_ruleset(ruleset, get_device(args.device)))
     reports = [verify_program(program) for program in programs]
-    if set(names) <= set(AUTOMATON_BACKENDS):
-        reports.append(verify_cross_backend(ruleset))
+    reports.append(verify_cross_backend(ruleset))
     report = merge_reports(
         f"verify {args.backend} over {len(ruleset)} pattern(s) "
         f"({ruleset.name})",

@@ -5,15 +5,15 @@ that has been taught to multiplex flows: before scanning a segment it loads
 the flow's checkpointed :class:`repro.backend.ScanState` registers from its
 :class:`repro.streaming.flow.FlowTable`, and afterwards it stores them back.
 Because the state carries everything the backend needs to resume (automaton
-state, two-byte history, tail buffer), a pattern split across consecutive
+state, two-byte history, stream offset), a pattern split across consecutive
 segments of a flow is found exactly as if the segments had arrived as one
 contiguous payload — the property the per-packet ``match`` path cannot
 provide.
 
 The scanner is written against the :class:`repro.backend.CompiledProgram`
 protocol, so *any* backend — the DTP automaton, the compiled dense table, a
-plain DFA, even Wu-Manber — multiplexes flows through the identical code
-path.
+plain DFA, the compressed baselines — multiplexes flows through the
+identical code path.
 Higher layers stack the scan service on top of it; the declarative
 :class:`repro.api.Session` facade composes the whole column from one
 :class:`repro.api.PipelineConfig`.

@@ -184,7 +184,9 @@ class ScanService:
         over-capacity flows are dropped LRU-first.  The older envelope that
         listed one table per partition of the flows is accepted when it holds
         one table, which is every checkpoint the IDS wrote; the LRU order
-        across several tables cannot be recovered, so more raise.
+        across several tables cannot be recovered, so more raise.  A flow
+        whose state id is not one of the program's states is a
+        ``ValueError`` naming the flow and ``ScanState.state``.
         """
         if "flows" not in data:
             tables = data["shards"]
@@ -195,7 +197,17 @@ class ScanService:
                 )
             data = tables[0]
         scanner = self.scanner
-        scanner.flows = FlowTable.restore(data, capacity=scanner.flows.capacity)
+        flows = FlowTable.restore(data, capacity=scanner.flows.capacity)
+        limit = self.program.num_states
+        for key in flows.keys():
+            entry = flows.peek(key)
+            for view, state in (("states", entry.state), ("lower_states", entry.lower_state)):
+                if state is not None and state.state >= limit:
+                    raise ValueError(
+                        f"flow {key.as_tuple()} {view}: ScanState.state must be "
+                        f"below the program's {limit} states, got {state.state}"
+                    )
+        scanner.flows = flows
 
     # ------------------------------------------------------------------
     def close(self) -> None:

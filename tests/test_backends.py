@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SourceSpec
+from repro.api import ConfigError, EngineSpec, PipelineConfig, RulesSpec, Session, SourceSpec
 from repro.automata import AhoCorasickDFA
 from repro.backend import (
     ScanState,
@@ -29,6 +29,7 @@ from repro.backend import (
     get_backend,
 )
 from repro.check import verify_cross_backend
+from repro.cli import main
 from repro.core import CompiledDenseProgram, DTPAutomaton, compile_ruleset
 from repro.core import compiled, lanes
 from repro.core.dtp_automaton import HARDWARE_MAX_POINTERS
@@ -37,7 +38,7 @@ from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from repro.streaming import FlowKey, FlowTable, StreamScanner
+from repro.streaming import FlowKey
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import (
@@ -57,7 +58,7 @@ from tests.conftest import (
     slab_dtp_scan_lanes,
 )
 
-ALL_BACKENDS = ("ac", "bitmap", "dense", "dtp", "path", "wu-manber")
+ALL_BACKENDS = tuple(backend_names())
 
 
 def random_patterns(rng, count, alphabet=b"abcd", max_len=6):
@@ -80,7 +81,10 @@ def random_payload(rng, patterns, length=90, alphabet=b"abcd"):
 
 class TestRegistry:
     def test_all_six_backends_registered(self):
-        assert set(ALL_BACKENDS) <= set(backend_names())
+        """The registry holds the five automata, in registration order (the
+        sixth, Wu-Manber, is retired); ``verify --backend all`` proves them
+        in this order."""
+        assert backend_names() == ["ac", "dense", "bitmap", "path", "dtp"]
 
     def test_unknown_backend_raises_with_listing(self):
         with pytest.raises(KeyError, match="dense"):
@@ -212,25 +216,31 @@ def stream_checkpoint(backend: str, payload: bytes) -> dict:
         return json.loads(json.dumps(session.checkpoint()))
 
 
-@pytest.mark.parametrize("backend", ("dtp", "dense"))
+@pytest.mark.parametrize("backend", backend_names())
 @pytest.mark.parametrize(
     "values, field",
     (
         ([-1, None, None, 0], "ScanState.state must"),
+        ([10**6, None, None, 0], "ScanState.state must"),
         ([0, None, None, -5], "ScanState.offset must"),
         ([0, 300, None, 1], "ScanState.prev1 must"),
         ([0, 97, -1, 2], "ScanState.prev2 must"),
         ([0, 97, 256, 2], "ScanState.prev2 must"),
-        ([0, None, None], "4 or 5 elements"),
-        ([0, None, None, 0, None, 0], "4 or 5 elements"),
+        ([0, None, None], "takes 4 elements, got 3$"),
+        ([0, None, None, 0, "6162"], "got 5: the 5th is a retired Wu-Manber tail"),
+        ([0, None, None, 0, None, 0], "takes 4 elements, got 6$"),
     ),
-    ids=("state-1", "offset-5", "prev1-300", "prev2-1", "prev2-256", "3-elements", "6-elements"),
+    ids=(
+        "state-1", "state-1e6", "offset-5", "prev1-300", "prev2-1", "prev2-256",
+        "3-elements", "5-elements", "6-elements",
+    ),
 )
 def test_restore_refuses_a_scan_state_out_of_range(backend, values, field):
     """A checkpointed flow state whose field is out of range — a negative
-    state id or offset, a history byte outside 0..255, a wrong element
-    count — is refused by ``Session.restore``, naming the flow and the
-    field, rather than resumed from a state no scan can reach."""
+    state id or offset, a state id at or past the program's state count, a
+    history byte outside 0..255, a wrong element count — is refused by
+    ``Session.restore``, naming the flow and the field, rather than resumed
+    from a state no scan can reach."""
     saved = stream_checkpoint(backend, b"GET / HTTP/1.1")
     (flow,) = saved["flows"]
     flow["states"] = [values]
@@ -238,6 +248,23 @@ def test_restore_refuses_a_scan_state_out_of_range(backend, values, field):
         with pytest.raises(ValueError, match=field) as refused:
             session.restore(saved)
     assert repr(FlowKey.from_header(STREAM_HEADER).as_tuple()) in str(refused.value)
+
+
+def test_the_retired_wu_manber_backend_fails_by_name(capsys):
+    """Wu-Manber is retired, and every way in names it: a 5-element
+    checkpoint (its ``tail``), the engine's ``backend`` key, the CLI's
+    ``--backend`` and the import."""
+    with pytest.raises(ValueError, match="the 5th is a retired Wu-Manber tail"):
+        ScanState.from_tuple([0, None, None, 0, "6162"])
+    with pytest.raises(ConfigError, match="unknown backend 'wu-manber'"):
+        EngineSpec(backend="wu-manber")
+    for command in ("scan-stream", "verify"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--backend", "wu-manber"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'wu-manber'" in capsys.readouterr().err
+    with pytest.raises(ImportError, match="WuManber"):
+        from repro.automata import WuManber  # noqa: F401
 
 
 class TestScanState:
@@ -265,17 +292,12 @@ class TestScanState:
         restored_matches, _ = dtp.scan_chunk(contaminated, stream[5:])
         assert restored_matches == clean_matches
 
-    def test_tail_round_trips_through_json(self):
-        state = ScanState(offset=7, tail=b"\x00\xffab")
-        decoded = ScanState.from_tuple(json.loads(json.dumps(state.as_tuple())))
-        assert decoded == state
-
     def test_legacy_four_tuple_still_restores(self):
         assert ScanState.from_tuple((5, 1, 2, 9)) == ScanState(5, 1, 2, 9)
 
 
 class TestStreamingAcrossBackends:
-    @pytest.mark.parametrize("name", ["dense", "ac", "wu-manber"])
+    @pytest.mark.parametrize("name", ["dense", "ac"])
     def test_stream_scanner_equals_dtp_on_split_flows(self, name):
         from tests.conftest import assert_equivalent_events
 
@@ -291,18 +313,6 @@ class TestStreamingAcrossBackends:
             sources=("memory",),
         )
         assert reference.events, "boundary-split flows should produce events"
-
-    def test_wu_manber_flow_checkpoint_restores(self):
-        """The tail carry buffer must survive the JSON flow-table checkpoint."""
-        patterns = [b"needle"]
-        program = get_backend("wu-manber").compile(patterns)
-        scanner = StreamScanner(program, capacity=4)
-        key = FlowKey("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
-        scanner.scan_segment(key, b"xxxxneed", packet_id=0)
-        checkpoint = json.loads(json.dumps(scanner.flows.checkpoint()))
-        scanner.flows = FlowTable.restore(checkpoint)
-        matches = scanner.scan_segment(key, b"le-and-more", packet_id=1)
-        assert [(m.end_offset, m.string_number) for m in matches] == [(10, 0)]
 
 
 class TestDenseProgram:
@@ -1432,14 +1442,19 @@ def test_no_module_branches_on_the_dtp_name():
     assert branches == []
 
 
-#: Names of the per-flow tuple protocol a flow's one ``ScanState`` replaced.
-RETIRED_STATE_NAMES = {"FlowState", "scan_from", "initial_scan_state", "initial_scan_states"}
+#: Names of the per-flow tuple protocol a flow's one ``ScanState`` replaced,
+#: and of the retired Wu-Manber backend that gave ``ScanState`` a ``tail``.
+RETIRED_STATE_NAMES = {
+    "FlowState", "scan_from", "initial_scan_state", "initial_scan_states", "WuManber",
+}
 
 
 def retired_state_protocol(root: Path) -> List[str]:
     """Where the package under ``root`` names the retired per-flow tuple
-    protocol, or unpacks a one-element tuple of states (``(state,) = ...``,
-    ``for (state,) in ...``)."""
+    protocol or the Wu-Manber backend (``WuManber``, ``"wu-manber"``),
+    reads or passes a ``tail`` (``.tail``, ``tail=``), or unpacks a
+    one-element tuple of states (``(state,) = ...``, ``for (state,) in
+    ...``)."""
     found = []
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1448,6 +1463,10 @@ def retired_state_protocol(root: Path) -> List[str]:
                 for field in ("id", "attr", "name", "asname", "arg")
             }
             if names & RETIRED_STATE_NAMES or (
+                isinstance(node, (ast.Attribute, ast.keyword)) and "tail" in names
+            ) or (
+                isinstance(node, ast.Constant) and node.value == "wu-manber"
+            ) or (
                 isinstance(node, (ast.Tuple, ast.List))
                 and isinstance(node.ctx, ast.Store)
                 and len(node.elts) == 1
@@ -1458,7 +1477,8 @@ def retired_state_protocol(root: Path) -> List[str]:
 
 
 def test_a_flow_state_is_one_scan_state():
-    """No module names ``FlowState``, ``scan_from`` or
-    ``initial_scan_state(s)``, nor unpacks a one-element tuple of states:
-    a flow's resumable state is one ``ScanState``, in one form."""
+    """No module names ``FlowState``, ``scan_from``,
+    ``initial_scan_state(s)`` or Wu-Manber, touches a ``tail``, nor unpacks
+    a one-element tuple of states: a flow's resumable state is one
+    four-register ``ScanState``, in one form."""
     assert retired_state_protocol(Path(repro.__file__).parent) == []

@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from repro.automata.trie import ROOT
-from repro.backend import ScanState, get_backend
+from repro.automata import PathCompressedAhoCorasick
+from repro.backend import ScanState, backend_names, get_backend
 from repro.check import (
-    AUTOMATON_BACKENDS,
     Diagnostic,
     Report,
     check_paths,
@@ -76,13 +76,13 @@ class TestDiagnostics:
 # the prover on clean programs: Fig. 2 + randomized, no traffic scanned
 # ----------------------------------------------------------------------
 class TestVerifyClean:
-    @pytest.mark.parametrize("backend", AUTOMATON_BACKENDS + ("wu-manber",))
+    @pytest.mark.parametrize("backend", backend_names())
     def test_fig2_example_proves_clean(self, backend):
         program = get_backend(backend).compile(FIG2_PATTERNS)
         report = program.verify()
         assert report.ok and not report.warnings, report.render()
 
-    @pytest.mark.parametrize("backend", AUTOMATON_BACKENDS)
+    @pytest.mark.parametrize("backend", backend_names())
     def test_randomized_ruleset_proves_clean(self, backend):
         patterns = tuple(generate_snort_like_ruleset(90, seed=17).patterns)
         report = verify_program(get_backend(backend).compile(patterns))
@@ -411,6 +411,19 @@ class TestMutationDetection:
         report = verify_cross_backend(patterns)
         assert {(d.code, d.source) for d in report.errors} == {("BSM001", "dtp")}
 
+    def test_cross_backend_checks_the_path_state_count(self, monkeypatch):
+        """``path`` has a state count of its own (its trie's), so the
+        cross-backend proof compares it with the reference's rather than
+        the reference's with itself: one state too many is an STR001 of
+        ``path``."""
+        assert verify_cross_backend(FIG2_PATTERNS).ok
+        monkeypatch.setattr(
+            PathCompressedAhoCorasick, "num_states",
+            property(lambda program: program.trie.num_states + 1),
+        )
+        report = verify_cross_backend(FIG2_PATTERNS)
+        assert {(d.code, d.source) for d in report.errors} == {("STR001", "path")}
+
     def test_cross_backend_names_the_corrupt_block(self, monkeypatch, tmp_path, capsys):
         """``repro verify --backend all --device``: the cross-backend run
         also audits the device program block by block, so a stored pointer
@@ -457,13 +470,6 @@ class TestMutationDetection:
         char, target = block.packed.records[state].pointers[0]
         block.packed.records[state].pointers[0] = (char, (target + 1) % block.dtp.num_states)
         assert verify_program(program).errors
-
-    def test_unsound_wu_manber_shift_is_an_error(self):
-        program = get_backend("wu-manber").compile(FIG2_PATTERNS)
-        assert program.verify().ok
-        chunk = next(iter(program._shift))
-        program._shift[chunk] = program._shift[chunk] + 5  # would skip matches
-        assert program.verify().errors
 
     def test_capacity_overrun_is_a_warning_not_an_error(self, monkeypatch):
         # one state fanning out to 16 children needs 16 stored pointers —
@@ -656,9 +662,14 @@ class TestSurfaces:
         assert "proved: cross-backend equivalence" in out
 
     def test_cli_verify_all_backends(self, capsys):
+        """``--backend all`` proves every registered program, in registry
+        order, then the device program and the bisimulation."""
         assert main(["verify", "--size", "30", "--seed", "3",
                      "--backend", "all"]) == 0
-        assert "cross-backend equivalence" in capsys.readouterr().out
+        proofs = [line.split(": ", 1)[1].split(" ", 1)[0]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  proved: ")]
+        assert proofs == ["ac", "dense", "bitmap", "path", "dtp", "Stratix", "cross-backend"]
 
     def test_cli_lint_flags_bad_rules_file(self, capsys, tmp_path):
         rules = tmp_path / "dup.rules"
@@ -693,5 +704,5 @@ class TestSurfaces:
         assert report.ok, report.render()
 
     def test_mixin_verify_hook_on_every_backend(self):
-        for name in AUTOMATON_BACKENDS:
+        for name in backend_names():
             assert get_backend(name).compile(FIG2_PATTERNS).verify().ok

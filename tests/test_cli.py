@@ -109,7 +109,7 @@ def _stream_match_report(capsys, backend):
 def test_scan_stream_backends_report_identically(capsys):
     reports = {
         backend: _stream_match_report(capsys, backend)
-        for backend in ("dtp", "dense", "ac", "wu-manber")
+        for backend in ("dtp", "dense", "ac", "bitmap", "path")
     }
     assert len(set(reports.values())) == 1, "match reports must be byte-identical"
     assert reports["dtp"].count("packet=") == 6
