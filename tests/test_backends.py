@@ -38,7 +38,7 @@ from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from repro.streaming import FlowKey
+from repro.streaming import FlowKey, FlowTable, StreamScanner
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import (
@@ -297,7 +297,7 @@ class TestScanState:
 
 
 class TestStreamingAcrossBackends:
-    @pytest.mark.parametrize("name", ["dense", "ac"])
+    @pytest.mark.parametrize("name", ["dense", "ac", "bitmap", "path"])
     def test_stream_scanner_equals_dtp_on_split_flows(self, name):
         from tests.conftest import assert_equivalent_events
 
@@ -313,6 +313,19 @@ class TestStreamingAcrossBackends:
             sources=("memory",),
         )
         assert reference.events, "boundary-split flows should produce events"
+
+    @pytest.mark.parametrize("name", backend_names())
+    def test_flow_checkpoint_resumes_a_split_string(self, name):
+        """A flow stopped mid-string resumes from its JSON flow-table
+        checkpoint: the four registers alone carry the partial match."""
+        program = get_backend(name).compile([b"needle"])
+        scanner = StreamScanner(program, capacity=4)
+        key = FlowKey("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
+        assert scanner.scan_segment(key, b"xxxxneed", packet_id=0) == []
+        checkpoint = json.loads(json.dumps(scanner.flows.checkpoint()))
+        scanner.flows = FlowTable.restore(checkpoint)
+        matches = scanner.scan_segment(key, b"le-and-more", packet_id=1)
+        assert [(m.end_offset, m.string_number) for m in matches] == [(10, 0)]
 
 
 class TestDenseProgram:
