@@ -15,7 +15,10 @@ bare (``program.scan`` per segment, no flow state) and the full
 ``BENCH_streaming_smoke.json`` with the service-vs-raw-backend ratio, and
 exits non-zero if the service falls past a deliberately generous threshold —
 CI containers are noisy, so the gate only catches a real return of the
-per-packet-overhead regime, not run-to-run jitter.
+per-packet-overhead regime, not run-to-run jitter.  It also scans the same
+segments through a flow table of half as many slots as flows, so every
+batch evicts, and gates the evicting ÷ fitting service seconds: a batch is
+one backend crossing either way.
 
     PYTHONPATH=src python benchmarks/bench_streaming_flows.py --smoke
 """
@@ -56,6 +59,12 @@ SMOKE_REPEATS = 3
 #: per-packet loop sat near 6x, so 3.0 has headroom for CI noise on both
 #: sides.
 SMOKE_MAX_RATIO = 3.0
+#: the over-capacity point's flow table: half the flows, so the batch evicts
+SMOKE_EVICTING_CAPACITY = SMOKE_FLOWS // 2
+#: evicting ÷ fitting service seconds may be at most this: a batch that
+#: evicts is still one crossing (its jobs one segment each here, ~1.1-1.3x),
+#: where the per-segment loop it replaced sat near 8x
+SMOKE_MAX_EVICTION_RATIO = 2.0
 #: rules in the confirm-stage gate's ruleset (positional windows + negation
 #: on every rule, patterns absent from the traffic: a pure no-hit workload)
 SMOKE_CONFIRM_RULES = 16
@@ -101,8 +110,10 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
 
     raw_best = float("inf")
     service_best = float("inf")
+    evicting_best = float("inf")
     ids_best = float("inf")
     cross_segment = 0
+    evicted = 0
     prefilter_hits = 0
     confirm_alerts = 0
     for _ in range(repeats):
@@ -116,6 +127,13 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
         service.scan(packets)
         service_best = min(service_best, time.perf_counter() - start)
         cross_segment = service.cross_segment_matches
+
+        # the same segments through a table of half as many slots as flows
+        service = ScanService(program, flow_capacity=SMOKE_EVICTING_CAPACITY)
+        start = time.perf_counter()
+        service.scan(packets)
+        evicting_best = min(evicting_best, time.perf_counter() - start)
+        evicted = service.evicted_flows
 
         # the full two-stage pipeline over the same segments: the confirm
         # rules never hit, so this times prefilter + per-packet candidacy
@@ -132,6 +150,7 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
     ids_mb = payload_bytes / ids_best / 1e6
     ratio = raw_mb / service_mb
     ids_ratio = raw_mb / ids_mb
+    eviction_ratio = evicting_best / service_best
     return {
         "generated_by": "benchmarks/bench_streaming_flows.py --smoke",
         "seed": BENCH_SEED,
@@ -146,6 +165,11 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
         "raw_backend_mb_per_s": raw_mb,
         "service_mb_per_s": service_mb,
         "service_vs_raw_backend_ratio": ratio,
+        "evicting_capacity": SMOKE_EVICTING_CAPACITY,
+        "evicted_flows": evicted,
+        "evicting_service_mb_per_s": payload_bytes / evicting_best / 1e6,
+        "evicting_vs_fitting_ratio": eviction_ratio,
+        "max_eviction_ratio": SMOKE_MAX_EVICTION_RATIO,
         "confirm_rules": SMOKE_CONFIRM_RULES,
         "confirm_prefilter_hits": prefilter_hits,
         "confirm_alerts": confirm_alerts,
@@ -153,7 +177,8 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
         "ids_confirm_vs_raw_backend_ratio": ids_ratio,
         "max_ratio": SMOKE_MAX_RATIO,
         "within_threshold": ratio <= SMOKE_MAX_RATIO
-        and ids_ratio <= SMOKE_MAX_RATIO,
+        and ids_ratio <= SMOKE_MAX_RATIO
+        and eviction_ratio <= SMOKE_MAX_EVICTION_RATIO,
     }
 
 
@@ -175,6 +200,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"service {report['service_mb_per_s']:.2f} MB/s, ratio "
         f"{report['service_vs_raw_backend_ratio']:.2f}x "
         f"(max {report['max_ratio']}x)"
+    )
+    print(
+        f"over-capacity smoke: {report['evicting_capacity']} slots for "
+        f"{report['flows']} flows ({report['evicted_flows']} evicted), service "
+        f"{report['evicting_service_mb_per_s']:.2f} MB/s, evicting/fitting "
+        f"{report['evicting_vs_fitting_ratio']:.2f}x (max {report['max_eviction_ratio']}x)"
     )
     print(
         f"confirm-stage no-hit smoke: ids {report['ids_confirm_mb_per_s']:.2f} "
@@ -200,13 +231,16 @@ def test_streaming_smoke_gate(results_dir):
     assert report["raw_backend_mb_per_s"] > 0
     assert report["service_mb_per_s"] > 0
     assert report["cross_segment_matches"] > 0
+    assert report["evicted_flows"] > 0
     # the confirm ruleset is built to never hit: all its cost is hot path
     assert report["confirm_prefilter_hits"] == 0
     assert report["confirm_alerts"] == 0
     assert report["within_threshold"], (
         f"service is {report['service_vs_raw_backend_ratio']:.2f}x and the "
         f"confirm-stage ids {report['ids_confirm_vs_raw_backend_ratio']:.2f}x "
-        f"slower than the raw backend (max {report['max_ratio']}x)"
+        f"slower than the raw backend (max {report['max_ratio']}x); evicting "
+        f"is {report['evicting_vs_fitting_ratio']:.2f}x the fitting service "
+        f"(max {report['max_eviction_ratio']}x)"
     )
 
 

@@ -517,9 +517,22 @@ class Session:
         return {self._engine_name: data, **front} if front else data
 
     def restore(self, data: Dict) -> None:
-        """Restore state saved by :meth:`checkpoint` (or by a raw engine)."""
+        """Restore state saved by :meth:`checkpoint` (or by a raw engine).
+
+        The reassembler keeps the engine's configured bounds and overlap
+        policy, as the scan service keeps its flow capacity: a checkpoint's
+        own values never override them, and its least recently used flows
+        that do not fit are dropped (``restore_dropped``)."""
         if "reassembly" in data:
-            self._set_reassembler(TcpReassembler.restore(data["reassembly"]))
+            engine = self.config.engine
+            self._set_reassembler(
+                TcpReassembler.restore(
+                    data["reassembly"],
+                    max_flows=engine.reassembly_flows,
+                    overlap_policy=engine.overlap_policy,
+                    max_flow_bytes=engine.reassembly_bytes,
+                )
+            )
             data = data[self._engine_name]
         getattr(self, self._engine_name).restore(data)
 

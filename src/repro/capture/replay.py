@@ -194,9 +194,15 @@ def write_packets(
 # call load_packets() directly (as the CLI does) when you need to report
 # how many frames were skipped and why alongside the scan result.
 def replay_stream(source: CaptureSource, scanner, strict: bool = False):
-    """Replay a capture through a :class:`StreamScanner`; returns its matches."""
+    """Replay a capture through a :class:`StreamScanner` as one
+    :meth:`~repro.streaming.StreamScanner.scan_batch`; returns its matches
+    in arrival order."""
     packets, _ = load_packets(source, strict=strict)
-    return scanner.scan_packets(packets)
+    flow_key = scanner.flow_key
+    hits, _ = scanner.scan_batch(
+        [(flow_key(packet), packet.payload, packet.packet_id) for packet in packets]
+    )
+    return [event for events in hits.values() for event in events]
 
 
 def replay_scan(source: CaptureSource, service, strict: bool = False):

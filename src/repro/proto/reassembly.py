@@ -526,21 +526,25 @@ class TcpReassembler:
         *,
         max_flows: Optional[int] = None,
         overlap_policy: Optional[str] = None,
+        max_flow_bytes: Optional[int] = None,
     ) -> "TcpReassembler":
         """Rebuild a reassembler from :meth:`checkpoint` data.
 
         Mirrors :meth:`repro.streaming.flow.FlowTable.restore`: ``max_flows``
-        (and ``overlap_policy``) override the checkpointed values, and a
-        checkpoint holding more flows than fit drops the LRU head — counted
-        in ``stats.restore_dropped``, buffered bytes included — so a restore
-        never silently raises the memory bound.
+        (and ``overlap_policy``, ``max_flow_bytes``) override the
+        checkpointed values, and a checkpoint holding more flows than fit
+        drops the LRU head — counted in ``stats.restore_dropped``, buffered
+        bytes included — so a restore never silently raises the memory
+        bound.
         """
         reassembler = cls(
             overlap_policy=(
                 str(data["overlap_policy"]) if overlap_policy is None else overlap_policy
             ),
             max_flows=int(data["max_flows"]) if max_flows is None else max_flows,
-            max_flow_bytes=int(data["max_flow_bytes"]),
+            max_flow_bytes=(
+                int(data["max_flow_bytes"]) if max_flow_bytes is None else max_flow_bytes
+            ),
             max_flow_segments=int(data["max_flow_segments"]),
             first_packet_id=int(data.get("next_packet_id", 0)),
         )

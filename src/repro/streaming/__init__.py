@@ -7,9 +7,10 @@ flow is silently missed.  This package adds the layer a production line card
 puts on top of the matcher:
 
 * :mod:`repro.streaming.flow`    — flow identity, the per-flow resumable
-  state record and a bounded LRU :class:`FlowTable` with checkpointing;
+  state record and a bounded LRU :class:`FlowTable` that admits a batch in
+  one walk, with checkpointing;
 * :mod:`repro.streaming.scanner` — a :class:`StreamScanner` that loads/stores
-  flow state around each segment scan (one engine multiplexing many flows);
+  flow state around each batch scan (one engine multiplexing many flows);
 * :mod:`repro.streaming.service` — a :class:`ScanService` scanning whole
   batches on one scanner with aggregate reporting;
 * :mod:`repro.streaming.ingest`  — the asyncio front-end feeding any scan

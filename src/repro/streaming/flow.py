@@ -10,16 +10,20 @@ previous segment left off.
 Memory is bounded: the table holds at most ``capacity`` flows and evicts the
 least recently scanned one when full (an evicted flow that sends more traffic
 simply restarts from the root state, the standard trade-off in flow-state
-engines).  The whole table can be checkpointed to a plain JSON-serialisable
-dict and restored later — per-flow state is tiny (a few integers),
-which is what makes checkpointing and migration across engines cheap.
+engines).  :meth:`FlowTable.admit` is the one place that happens: it walks a
+batch's flow keys in arrival order, exactly as segment-at-a-time scanning
+would, and hands back each flow incarnation with its segments plus the
+eviction records.  The whole table can be checkpointed to a plain
+JSON-serialisable dict and restored later — per-flow state is tiny (a few
+integers), which is what makes checkpointing and migration across engines
+cheap.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend import ScanState
 from ..traffic.packet import FiveTuple
@@ -112,50 +116,31 @@ class FlowEntry:
     ``lower_state`` is the parallel state over the lower-cased view of the
     stream (allocated only when case-insensitive patterns exist).  A
     checkpoint writes each as a one-element list, under ``"states"`` and
-    ``"lower_states"``.
-    ``matched`` / ``matched_lower`` accumulate the global string numbers seen
-    so far and ``alerted`` the rule sids already reported, so multi-content
-    rules can complete across segments without duplicate alerts.
+    ``"lower_states"``.  The rules a flow's hits complete are the confirm
+    stage's business (:mod:`repro.ids.confirm` keeps its own per-flow
+    record), so the registers are all a flow entry holds.
 
     A ``__slots__`` record rather than a dataclass: one is created per live
-    flow and its fields are reassigned on every scanned segment, so the
+    flow and its fields are reassigned on every scanned batch, so the
     streaming hot loop benefits from ``__dict__``-free attribute access.
     """
 
-    __slots__ = (
-        "key",
-        "state",
-        "lower_state",
-        "packets",
-        "matched",
-        "matched_lower",
-        "alerted",
-    )
+    __slots__ = ("key", "state", "lower_state")
 
     def __init__(
         self,
         key: FlowKey,
         state: ScanState,
         lower_state: Optional[ScanState] = None,
-        packets: int = 0,
-        matched: Optional[Set[int]] = None,
-        matched_lower: Optional[Set[int]] = None,
-        alerted: Optional[Set[int]] = None,
     ):
         self.key = key
         self.state = state
         self.lower_state = lower_state
-        self.packets = packets
-        self.matched = set() if matched is None else matched
-        self.matched_lower = set() if matched_lower is None else matched_lower
-        self.alerted = set() if alerted is None else alerted
 
     def __repr__(self) -> str:
         return (
             f"FlowEntry(key={self.key!r}, state={self.state!r}, "
-            f"lower_state={self.lower_state!r}, packets={self.packets!r}, "
-            f"matched={self.matched!r}, matched_lower={self.matched_lower!r}, "
-            f"alerted={self.alerted!r})"
+            f"lower_state={self.lower_state!r})"
         )
 
     @property
@@ -170,10 +155,6 @@ class FlowEntry:
             "lower_states": (
                 None if self.lower_state is None else [self.lower_state.as_tuple()]
             ),
-            "packets": self.packets,
-            "matched": sorted(self.matched),
-            "matched_lower": sorted(self.matched_lower),
-            "alerted": sorted(self.alerted),
         }
 
     @classmethod
@@ -182,16 +163,14 @@ class FlowEntry:
         automaton, so a flow whose ``states`` or ``lower_states`` hold other
         than one :class:`ScanState` (a multi-block checkpoint) is refused
         with a ``ValueError`` naming the flow, as is a state whose fields
-        are out of range (:meth:`ScanState.from_tuple`)."""
+        are out of range (:meth:`ScanState.from_tuple`).  The per-flow
+        ``packets``, ``matched``, ``matched_lower`` and ``alerted`` keys
+        older checkpoints carry are ignored: nothing read them."""
         key = FlowKey.coerced(*data["key"])
         return cls(
             key=key,
             state=_flow_state(key, "states", data["states"]),
             lower_state=_flow_state(key, "lower_states", data.get("lower_states")),
-            packets=int(data.get("packets", 0)),
-            matched=set(data.get("matched", ())),
-            matched_lower=set(data.get("matched_lower", ())),
-            alerted=set(data.get("alerted", ())),
         )
 
 
@@ -222,18 +201,21 @@ class FlowTableStatistics:
     restore_dropped: int = 0
 
 
+#: Per-batch eviction record: ``(item_index, FlowKey)`` — the flow evicted
+#: while the batch item at ``item_index`` was being admitted.
+Eviction = Tuple[int, FlowKey]
+
+#: What :meth:`FlowTable.admit` returns: ``(admitted, evictions)``.
+Admission = Tuple[List[Tuple[FlowEntry, List[int]]], List[Eviction]]
+
+
 class FlowTable:
     """Bounded LRU table of :class:`FlowEntry` keyed by :class:`FlowKey`."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_FLOW_CAPACITY,
-        on_evict: Optional[Callable[[FlowEntry], None]] = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_FLOW_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.capacity = capacity
-        self.on_evict = on_evict
         self.stats = FlowTableStatistics()
         self._entries: "OrderedDict[FlowKey, FlowEntry]" = OrderedDict()
 
@@ -249,47 +231,53 @@ class FlowTable:
         return list(self._entries)
 
     def peek(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Like :meth:`lookup` but leaving ``key``'s recency alone."""
+        """The live entry for ``key``, or ``None``; its recency is left alone."""
         return self._entries.get(key)
 
-    def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Return the entry for ``key`` (refreshing its recency) or ``None``."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+    def admit(
+        self, keys: Sequence[FlowKey], factory: Callable[[FlowKey], FlowEntry]
+    ) -> Admission:
+        """Admit one batch's segments, flow key by flow key in arrival order.
 
-    def touch(self, key: FlowKey) -> None:
-        """Refresh ``key``'s recency.
-
-        The batched fast path walks flows in grouped order and then replays
-        the per-segment recency sequence through here, so eviction order
-        stays identical to segment-at-a-time scanning.
+        Each key refreshes its live entry's recency, or gets a new entry
+        from ``factory`` — evicting the least recently used flow whenever
+        that overflows the table — exactly as scanning the batch one segment
+        at a time would, so LRU order, counters and evictions are that
+        walk's.  Returns ``(admitted, evictions)``: every entry with the
+        arrival indexes of its segments, in first-arrival order, and an
+        ``(index, key)`` :data:`Eviction` for every flow evicted while the
+        segment at ``index`` was admitted.  A flow evicted and seen again
+        within the batch comes back as a second, fresh entry, so its later
+        segments restart from the root state.
         """
-        if key in self._entries:
-            self._entries.move_to_end(key)
-
-    def get_or_create(
-        self, key: FlowKey, factory: Callable[[FlowKey], FlowEntry]
-    ) -> FlowEntry:
-        """Fetch the live entry for ``key``, creating (and possibly evicting)."""
-        entry = self.lookup(key)
-        if entry is not None:
-            return entry
-        entry = factory(key)
-        self.insert(entry)
-        return entry
-
-    def insert(self, entry: FlowEntry) -> None:
-        if entry.key not in self._entries:
-            self.stats.created += 1
-        self._entries[entry.key] = entry
-        self._entries.move_to_end(entry.key)
-        while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            self.stats.evicted += 1
-            if self.on_evict is not None:
-                self.on_evict(evicted)
+        entries = self._entries
+        refresh = entries.move_to_end
+        capacity = self.capacity
+        current: Dict[FlowKey, List[int]] = {}
+        admitted: List[Tuple[FlowEntry, List[int]]] = []
+        evictions: List[Eviction] = []
+        created = 0
+        for index, key in enumerate(keys):
+            indexes = current.get(key)
+            if indexes is not None:
+                indexes.append(index)
+                refresh(key)
+                continue
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = factory(key)
+                created += 1
+                while len(entries) > capacity:
+                    evicted, _ = entries.popitem(last=False)
+                    evictions.append((index, evicted))
+                    current.pop(evicted, None)
+            else:
+                refresh(key)
+            indexes = current[key] = [index]
+            admitted.append((entry, indexes))
+        self.stats.created += created
+        self.stats.evicted += len(evictions)
+        return admitted, evictions
 
     def remove(self, key: FlowKey) -> Optional[FlowEntry]:
         """Drop a flow (e.g. on TCP FIN/RST); not counted as an eviction."""
@@ -323,10 +311,7 @@ class FlowTable:
         ``stats.created``; ``stats.evicted`` stays 0 because dropped flows
         were never live in this table.
         """
-        table = cls(
-            capacity=int(data["capacity"]) if capacity is None else capacity,
-            on_evict=on_evict,
-        )
+        table = cls(int(data["capacity"]) if capacity is None else capacity)
         flows = data["flows"]
         overflow = max(0, len(flows) - table.capacity)
         for flow in flows[:overflow]:  # the LRU head that does not fit

@@ -1,8 +1,8 @@
 """Stateful flow scanning over one compiled matcher program.
 
 A :class:`StreamScanner` is the software model of one string matching engine
-that has been taught to multiplex flows: before scanning a segment it loads
-the flow's checkpointed :class:`repro.backend.ScanState` registers from its
+that has been taught to multiplex flows: before scanning a batch it loads
+each flow's checkpointed :class:`repro.backend.ScanState` registers from its
 :class:`repro.streaming.flow.FlowTable`, and afterwards it stores them back.
 Because the state carries everything the backend needs to resume (automaton
 state, two-byte history, stream offset), a pattern split across consecutive
@@ -20,16 +20,18 @@ Higher layers stack the scan service on top of it; the declarative
 
 Hot path
 --------
-A scan service hands a whole batch to one :meth:`scan_batch` call.  The
-batch is grouped by flow once; each flow's segments are concatenated into
-one job, and all of those jobs cross into the backend together
-(``scan_many``: one job per flow, plus one per lower-cased view under
-``track_nocase``), so a batch costs one backend crossing.  Matches are then
+A scan service hands a whole batch to one :meth:`scan_batch` call.  The flow
+table walks the batch's keys once, in arrival order
+(:meth:`FlowTable.admit`), exactly as segment-at-a-time scanning would:
+every flow incarnation — a flow evicted and seen again within the batch is
+two — gets its segments concatenated into one job, and all of those jobs
+cross into the backend together (``scan_many``: one job per incarnation,
+plus one per lower-cased view under ``track_nocase``), so a batch costs one
+backend crossing whether or not the table evicts.  Matches are then
 re-attributed to their segments by offset — per-segment work only a flow
-whose scan reported a hit pays for.  A batch that could make the flow table
-evict takes the exact per-segment loop instead, so events, statistics and
-LRU order are byte-identical either way (the differential harness in the
-test suite holds it to that).
+whose scan reported a hit pays for.  Events, statistics, eviction records
+and LRU order are those of the segment-at-a-time walk (the differential
+harness in the test suite holds it to that).
 """
 
 from __future__ import annotations
@@ -41,19 +43,19 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram, MatchList, ScanJob, ScanState
 from ..traffic.packet import Packet
-from .flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
+from .flow import DEFAULT_FLOW_CAPACITY, Eviction, FlowEntry, FlowKey, FlowTable
 
 #: Flow key used when a packet carries no 5-tuple header (treated as one
 #: anonymous flow so bare payload streams can still be scanned statefully).
 ANONYMOUS_FLOW = FlowKey("0.0.0.0", "0.0.0.0", 0, 0, "raw")
 
+#: The registers of a flow that has not sent a byte.  ``ScanState`` is
+#: immutable, so every new flow entry starts from this one instance.
+_ROOT = ScanState()
+
 #: One batch item: ``(FlowKey, payload, packet_id)`` — the item form
 #: :meth:`StreamScanner.scan_batch` accepts besides a :class:`SegmentBatch`.
 BatchItem = Tuple[FlowKey, bytes, int]
-
-#: Per-batch eviction record: ``(item_index, FlowKey)`` — the flow evicted
-#: while the batch item at ``item_index`` was being scanned.
-Eviction = Tuple[int, FlowKey]
 
 #: What :meth:`StreamScanner.scan_batch` returns: ``(hits, evictions)``.
 #: ``hits`` maps the index of every segment that matched to its events and
@@ -197,11 +199,7 @@ class StreamScanner:
 
     # ------------------------------------------------------------------
     def _new_entry(self, key: FlowKey) -> FlowEntry:
-        return FlowEntry(
-            key=key,
-            state=ScanState(),
-            lower_state=ScanState() if self.track_nocase else None,
-        )
+        return FlowEntry(key, _ROOT, _ROOT if self.track_nocase else None)
 
     @staticmethod
     def flow_key(packet: Packet) -> FlowKey:
@@ -216,10 +214,10 @@ class StreamScanner:
 
         Every ``(entry, payload)`` rides the same ``scan_many`` call as one
         raw job plus, under ``track_nocase``, one job over the lower-cased
-        view.  Resumes the entries' states, records the matched string
-        numbers and returns ``(raw, lowered)`` hit lists per entry, where
-        ``lowered`` holds only what the raw view did not already report, on
-        the strings ``track_nocase`` lets a lowered hit credit.
+        view.  Resumes the entries' states and returns ``(raw, lowered)``
+        hit lists per entry, where ``lowered`` holds only what the raw view
+        did not already report, on the strings ``track_nocase`` lets a
+        lowered hit credit.
         """
         jobs: List[ScanJob] = [(entry.state, payload) for entry, payload in work]
         if self.track_nocase:
@@ -239,8 +237,6 @@ class StreamScanner:
         views: List[Tuple[MatchList, MatchList]] = []
         for position, (entry, _) in enumerate(work):
             raw, entry.state = results[position]
-            if raw:
-                entry.matched.update(number for _, number in raw)
             lowered: MatchList = []
             if self.track_nocase:
                 lowered, entry.lower_state = results[len(work) + position]
@@ -254,46 +250,8 @@ class StreamScanner:
                         hit for hit in lowered
                         if hit not in raw_hits and (nocase is True or hit[1] in nocase)
                     ]
-                    entry.matched_lower.update(number for _, number in lowered)
             views.append((raw, lowered))
         return views
-
-    # ------------------------------------------------------------------
-    def scan_packet(self, packet: Packet) -> List[StreamMatch]:
-        """Scan one packet as the next segment of its flow."""
-        return self.scan_segment(self.flow_key(packet), packet.payload, packet.packet_id)
-
-    def scan_segment(
-        self, key: FlowKey, payload: bytes, packet_id: int = 0
-    ) -> List[StreamMatch]:
-        """Scan ``payload`` as the next segment of flow ``key``."""
-        entry = self.flows.get_or_create(key, self._new_entry)
-        segment_start = entry.bytes_scanned
-        ((raw, lowered),) = self._scan_views([(entry, payload)])
-        matches = [
-            StreamMatch(key, packet_id, offset, number) for offset, number in raw
-        ]
-        matches.extend(
-            StreamMatch(key, packet_id, offset, number, True)
-            for offset, number in lowered
-        )
-
-        entry.packets += 1
-        self.stats.segments += 1
-        self.stats.bytes_scanned += len(payload)
-        self.stats.matches += len(matches)
-        for match in matches:
-            # the match ends in this segment but started before it
-            if match.end_offset - self._pattern_length[match.string_number] < segment_start:
-                self.stats.cross_segment_matches += 1
-        return matches
-
-    def scan_packets(self, packets: Sequence[Packet]) -> List[StreamMatch]:
-        """Scan a batch of packets in arrival order (flows may interleave)."""
-        matches: List[StreamMatch] = []
-        for packet in packets:
-            matches.extend(self.scan_packet(packet))
-        return matches
 
     # ------------------------------------------------------------------
     # batched scanning (the services' hot path)
@@ -303,64 +261,37 @@ class StreamScanner:
         of ``(key, payload, packet_id)`` items.
 
         Returns ``(hits, evictions)`` (see :data:`BatchScan`): ``hits[i]``
-        is exactly the non-empty event list :meth:`scan_segment` would have
-        returned for segment ``i``, and ``evictions`` records ``(i, key)``,
-        in arrival order, for every flow LRU-evicted while segment ``i`` was
-        being scanned.
+        is exactly the non-empty event list scanning segment ``i`` on its
+        own, in arrival order, would have produced, and ``evictions``
+        records ``(i, key)``, in arrival order, for every flow LRU-evicted
+        while segment ``i`` was admitted.
 
-        Fast path: the batch is grouped by flow once.  When the table
-        provably cannot evict (its live flows plus this batch's new ones fit
-        its capacity), each flow's segments are concatenated into one job
-        and every job crosses into the backend in one ``scan_many`` call;
-        matches are re-attributed to segments by their flow-absolute end
-        offset and the table's LRU recency is replayed in per-segment order
-        afterwards.  Otherwise the batch takes the exact per-segment loop,
-        because eviction timing (and hence restart state) depends on the
-        segment interleaving the fast path collapses.  Events, statistics
-        and final table state are identical on both paths.
+        The flow table admits the batch in arrival order
+        (:meth:`FlowTable.admit`); each admitted entry's segments are joined
+        into one job and every job crosses into the backend in one
+        ``scan_many`` call.  Matches are re-attributed to segments by their
+        flow-absolute end offset.
         """
         batch = items if isinstance(items, SegmentBatch) else SegmentBatch.from_items(items)
-        groups: Dict[FlowKey, List[int]] = {}
-        for index, key in enumerate(batch.keys):
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [index]
-            else:
-                group.append(index)
-        table = self.flows
-        if len(table) + sum(1 for key in groups if key not in table) > table.capacity:
-            return self._scan_per_segment(batch)
-
-        work: List[Tuple[FlowEntry, bytes]] = []
+        admitted, evictions = self.flows.admit(batch.keys, self._new_entry)
         payloads = batch.payloads
-        for key, indexes in groups.items():
-            entry = table.peek(key)
-            if entry is None:
-                entry = self._new_entry(key)
-                table.insert(entry)
-            entry.packets += len(indexes)
-            work.append((entry, b"".join([payloads[index] for index in indexes])))
+        work = [
+            (entry, b"".join([payloads[index] for index in indexes]))
+            for entry, indexes in admitted
+        ]
         views = self._scan_views(work) if work else []
 
         stats = self.stats
         found: Dict[int, List[StreamMatch]] = {}
-        for (key, indexes), (entry, joined), (raw, lowered) in zip(
-            groups.items(), work, views
-        ):
+        for (entry, indexes), (_, joined), (raw, lowered) in zip(admitted, work, views):
             stats.segments += len(indexes)
             stats.bytes_scanned += len(joined)
             if raw or lowered:
                 self._attribute(
-                    key, indexes, batch, entry.bytes_scanned - len(joined),
+                    entry.key, indexes, batch, entry.bytes_scanned - len(joined),
                     raw, lowered, found,
                 )
-
-        # Replay LRU recency in per-segment order: the grouped walk inserted
-        # new flows at their *first* arrival and left live ones in place, but
-        # per-segment scanning leaves flows ordered by their *last* segment.
-        for key in sorted(groups, key=lambda flow: groups[flow][-1]):
-            table.touch(key)
-        return {index: found[index] for index in sorted(found)}, []
+        return {index: found[index] for index in sorted(found)}, evictions
 
     def scan_fresh(self, batch: SegmentBatch) -> Dict[int, List[StreamMatch]]:
         """Scan every segment of ``batch`` as a new flow of its own.
@@ -393,9 +324,9 @@ class StreamScanner:
     ) -> None:
         """Hand one flow's hits to the segments they ended in.
 
-        The per-segment half of the fast path, entered only for a flow whose
-        joined scan reported a hit: ``start`` is the flow-absolute offset of
-        the flow's first segment in this batch.
+        The per-segment half of :meth:`scan_batch`, entered only for a flow
+        whose joined scan reported a hit: ``start`` is the flow-absolute
+        offset of the flow's first segment in this batch.
         """
         # boundaries[j] = flow-absolute end offset of segment j; a match
         # with end offset o belongs to the segment with the smallest
@@ -422,31 +353,6 @@ class StreamScanner:
                 segment_start = boundaries[position - 1] if position else start
                 if offset - pattern_length[number] < segment_start:
                     stats.cross_segment_matches += 1
-
-    def _scan_per_segment(self, batch: SegmentBatch) -> BatchScan:
-        """The exact slow path: scan the batch one segment at a time,
-        recording each flow the table evicts on the way."""
-        keys, payloads, packet_ids = batch.keys, batch.payloads, batch.packet_ids
-        hits: Dict[int, List[StreamMatch]] = {}
-        evictions: List[Eviction] = []
-        flows = self.flows
-        previous = flows.on_evict
-        position = 0
-
-        def record(entry: FlowEntry) -> None:
-            evictions.append((position, entry.key))
-            if previous is not None:
-                previous(entry)
-
-        flows.on_evict = record
-        try:
-            for position in range(len(keys)):
-                events = self.scan_segment(keys[position], payloads[position], packet_ids[position])
-                if events:
-                    hits[position] = events
-        finally:
-            flows.on_evict = previous
-        return hits, evictions
 
     # ------------------------------------------------------------------
     def close_flow(self, key: FlowKey) -> Optional[FlowEntry]:

@@ -6,8 +6,9 @@ engine in software: one :class:`repro.streaming.scanner.StreamScanner` with
 one bounded :class:`FlowTable`, so a flow's resumable automaton state never
 has to move.  Like the paper's engines pulling from one shared packet
 buffer, the service scans a whole arrival batch in one
-:meth:`StreamScanner.scan_batch` call — grouped by flow once, every flow's
-job sharing one backend crossing.
+:meth:`StreamScanner.scan_batch` call — admitted to the flow table once, in
+arrival order, every flow's job sharing one backend crossing, whether or not
+the table evicts.  A single packet is a batch of one.
 """
 
 from __future__ import annotations
@@ -90,27 +91,22 @@ class ScanService:
         )
 
     # ------------------------------------------------------------------
-    def submit(self, packet: Packet) -> List[StreamMatch]:
-        """Scan a single packet as the next segment of its flow."""
-        return self.scanner.scan_packet(packet)
-
     def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
         """Batched dispatch plus what a confirm stage needs to follow it.
 
         Returns ``(result, hits, evictions, keys)``: the aggregate result;
-        ``hits[i]``, the events of input packet ``i`` (what
-        :meth:`StreamScanner.scan_packet` would have returned for it) for
-        every packet that matched — absent means none; ``(arrival_index,
-        key)`` for every flow LRU-evicted while the packet at
-        ``arrival_index`` was being scanned; and every packet's resolved
-        flow key.  The stateful IDS pipeline correlates alerts from these
-        without touching the flow table.
+        ``hits[i]``, the events of input packet ``i`` (what scanning it alone,
+        in arrival order, would have returned) for every packet that matched
+        — absent means none; ``(arrival_index, key)`` for every flow
+        LRU-evicted while the packet at ``arrival_index`` was admitted; and
+        every packet's resolved flow key.  The stateful IDS pipeline
+        correlates alerts from these without touching the flow table.
 
         The whole batch is one :meth:`StreamScanner.scan_batch` call: one
-        grouping by flow, one backend crossing.  Nothing per packet is built
-        beyond the batch's three columns — a small-packet pass pays for
-        every object that lives through the batch in the collector's older
-        generations.  ``hits`` comes back in arrival order, and the
+        walk of the flow table, one backend crossing.  Nothing per packet is
+        built beyond the batch's three columns — a small-packet pass pays
+        for every object that lives through the batch in the collector's
+        older generations.  ``hits`` comes back in arrival order, and the
         canonical event sort is stable, so that order decides its ties.
         """
         batch = SegmentBatch.from_packets(packets)

@@ -54,8 +54,10 @@ from repro.proto import HttpStream, TcpReassembler
 from repro.proto.reassembly import _FIN, _RST, _SEQ_MASK, _SYN, _FlowState, _seq_delta
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ScanService
-from repro.streaming.flow import FlowKey
-from repro.streaming.scanner import ANONYMOUS_FLOW, StreamMatch
+from repro.streaming.flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
+from repro.streaming.scanner import (
+    ANONYMOUS_FLOW, BatchScan, Eviction, SegmentBatch, StreamMatch, StreamScanner,
+)
 from repro.traffic import Packet, TrafficGenerator
 from repro.traffic.packet import FiveTuple, MatchEvent
 
@@ -1855,6 +1857,149 @@ def install_reference_confirm(ids) -> ReferenceConfirmStage:
     same evaluators (before any packet is scanned)."""
     ids._confirm = ReferenceConfirmStage(ids._confirm.evaluators.values())
     return ids._confirm
+
+
+# ----------------------------------------------------------------------
+# the per-segment scan loop as it was
+# ----------------------------------------------------------------------
+# ``StreamScanner.scan_packet``, ``scan_segment`` and ``_scan_per_segment``
+# and ``ScanService.submit`` moved here verbatim when ``scan_batch`` became
+# one ``FlowTable.admit`` walk and one backend crossing whether or not the
+# table evicts, together with the ``FlowTable`` methods they call
+# (``lookup``, ``get_or_create``, ``insert`` and the constructor's
+# ``on_evict`` hook).  One line had to go: ``entry.packets += 1`` (a flow
+# entry no longer counts its packets).  ``ReferenceStreamScanner.scan_batch``
+# is that loop for every batch — one crossing per segment — and is what the
+# batched path is held to.
+class ReferenceFlowTable(FlowTable):
+    """The LRU table walked one segment at a time."""
+
+    def __init__(
+        self,
+        capacity: int = DEFAULT_FLOW_CAPACITY,
+        on_evict: Optional[Callable[[FlowEntry], None]] = None,
+    ):
+        super().__init__(capacity)
+        self.on_evict = on_evict
+
+    def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
+        """Return the entry for ``key`` (refreshing its recency) or ``None``."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def get_or_create(
+        self, key: FlowKey, factory: Callable[[FlowKey], FlowEntry]
+    ) -> FlowEntry:
+        """Fetch the live entry for ``key``, creating (and possibly evicting)."""
+        entry = self.lookup(key)
+        if entry is not None:
+            return entry
+        entry = factory(key)
+        self.insert(entry)
+        return entry
+
+    def insert(self, entry: FlowEntry) -> None:
+        if entry.key not in self._entries:
+            self.stats.created += 1
+        self._entries[entry.key] = entry
+        self._entries.move_to_end(entry.key)
+        while len(self._entries) > self.capacity:
+            _, evicted = self._entries.popitem(last=False)
+            self.stats.evicted += 1
+            if self.on_evict is not None:
+                self.on_evict(evicted)
+
+
+class ReferenceStreamScanner(StreamScanner):
+    """A :class:`StreamScanner` whose every batch is the per-segment loop."""
+
+    def __init__(
+        self,
+        program,
+        flow_table: Optional[FlowTable] = None,
+        capacity: int = DEFAULT_FLOW_CAPACITY,
+        track_nocase=False,
+    ):
+        super().__init__(
+            program,
+            ReferenceFlowTable(capacity) if flow_table is None else flow_table,
+            track_nocase=track_nocase,
+        )
+
+    def scan_packet(self, packet: Packet) -> List[StreamMatch]:
+        """Scan one packet as the next segment of its flow."""
+        return self.scan_segment(self.flow_key(packet), packet.payload, packet.packet_id)
+
+    def scan_segment(
+        self, key: FlowKey, payload: bytes, packet_id: int = 0
+    ) -> List[StreamMatch]:
+        """Scan ``payload`` as the next segment of flow ``key``."""
+        entry = self.flows.get_or_create(key, self._new_entry)
+        segment_start = entry.bytes_scanned
+        ((raw, lowered),) = self._scan_views([(entry, payload)])
+        matches = [
+            StreamMatch(key, packet_id, offset, number) for offset, number in raw
+        ]
+        matches.extend(
+            StreamMatch(key, packet_id, offset, number, True)
+            for offset, number in lowered
+        )
+
+        self.stats.segments += 1
+        self.stats.bytes_scanned += len(payload)
+        self.stats.matches += len(matches)
+        for match in matches:
+            # the match ends in this segment but started before it
+            if match.end_offset - self._pattern_length[match.string_number] < segment_start:
+                self.stats.cross_segment_matches += 1
+        return matches
+
+    def scan_batch(self, items) -> BatchScan:
+        batch = items if isinstance(items, SegmentBatch) else SegmentBatch.from_items(items)
+        return self._scan_per_segment(batch)
+
+    def _scan_per_segment(self, batch: SegmentBatch) -> BatchScan:
+        """The exact slow path: scan the batch one segment at a time,
+        recording each flow the table evicts on the way."""
+        keys, payloads, packet_ids = batch.keys, batch.payloads, batch.packet_ids
+        hits: Dict[int, List[StreamMatch]] = {}
+        evictions: List[Eviction] = []
+        flows = self.flows
+        previous = flows.on_evict
+        position = 0
+
+        def record(entry: FlowEntry) -> None:
+            evictions.append((position, entry.key))
+            if previous is not None:
+                previous(entry)
+
+        flows.on_evict = record
+        try:
+            for position in range(len(keys)):
+                events = self.scan_segment(keys[position], payloads[position], packet_ids[position])
+                if events:
+                    hits[position] = events
+        finally:
+            flows.on_evict = previous
+        return hits, evictions
+
+
+def reference_service(
+    program, flow_capacity: int = DEFAULT_FLOW_CAPACITY, track_nocase=False
+) -> ScanService:
+    """A :class:`ScanService` scanning through :class:`ReferenceStreamScanner`."""
+    service = ScanService(program, flow_capacity=flow_capacity, track_nocase=track_nocase)
+    service.scanner = ReferenceStreamScanner(
+        program, capacity=flow_capacity, track_nocase=track_nocase
+    )
+    return service
+
+
+def reference_submit(self: ScanService, packet: Packet) -> List[StreamMatch]:
+    """Scan a single packet as the next segment of its flow."""
+    return self.scanner.scan_packet(packet)
 
 
 # ----------------------------------------------------------------------

@@ -321,11 +321,11 @@ class TestStreamingAcrossBackends:
         program = get_backend(name).compile([b"needle"])
         scanner = StreamScanner(program, capacity=4)
         key = FlowKey("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
-        assert scanner.scan_segment(key, b"xxxxneed", packet_id=0) == []
+        assert scanner.scan_batch([(key, b"xxxxneed", 0)]) == ({}, [])
         checkpoint = json.loads(json.dumps(scanner.flows.checkpoint()))
         scanner.flows = FlowTable.restore(checkpoint)
-        matches = scanner.scan_segment(key, b"le-and-more", packet_id=1)
-        assert [(m.end_offset, m.string_number) for m in matches] == [(10, 0)]
+        hits, _ = scanner.scan_batch([(key, b"le-and-more", 1)])
+        assert [(m.end_offset, m.string_number) for m in hits[0]] == [(10, 0)]
 
 
 class TestDenseProgram:

@@ -37,7 +37,7 @@ from repro.rulesets import generate_snort_like_ruleset
 from repro.streaming import StreamScanner
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.packet import FiveTuple, Packet
-from tests.conftest import assert_equivalent_events, renumbered
+from tests.conftest import ReferenceStreamScanner, assert_equivalent_events, renumbered
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +306,8 @@ class TestReplayEquivalence:
     def test_stream_scanner_events_identical(self, ruleset, workload, capture_bytes, backend):
         _, packets = workload
         program = self._program(ruleset, backend)
-        in_memory = StreamScanner(program).scan_packets(renumbered(packets))
+        one_by_one = ReferenceStreamScanner(program)
+        in_memory = [event for p in renumbered(packets) for event in one_by_one.scan_packet(p)]
         replayed = replay_stream(io.BytesIO(capture_bytes), StreamScanner(program))
         assert replayed == in_memory
         assert len(replayed) > 0

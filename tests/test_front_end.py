@@ -701,7 +701,7 @@ class TestFlowInterning:
         assert decode_frame(frame)[0].header.flow_key is interned  # carried, not re-derived
 
         table = FlowTable(8)
-        table.insert(FlowEntry(key=interned, state=ScanState()))
+        table.admit([interned], lambda key: FlowEntry(key=key, state=ScanState()))
         travelled = {
             "pickle": pickle.loads(pickle.dumps(interned)),
             "coerced": FlowKey.coerced(*interned.as_tuple()),
@@ -754,6 +754,15 @@ STORED_CHECKPOINT = (
     '"722e2e2e2e"]],"fin_off":null,"delivered":true}]}}'
 )
 
+#: What this commit writes at that point: a flow carries its registers alone
+#: (the ``packets``, ``matched``, ``matched_lower`` and ``alerted`` keys of
+#: :data:`STORED_CHECKPOINT` are read past on restore).
+WRITTEN_CHECKPOINT = (
+    '{"service":{"capacity":4096,"flows":[{"key":["10.0.0.1","10.0.1.1",4000,80,"tcp"],'
+    '"states":[[10,65,79,14]],"lower_states":null},{"key":["10.0.0.2","10.0.1.1",4001,80,'
+    '"tcp"],"states":[[0,32,114,14]],"lower_states":null}]},'
+    + STORED_CHECKPOINT[STORED_CHECKPOINT.index('"reassembly":'):]
+)
 
 #: The same point as written while stream mode split its flows over two
 #: tables (``shards: 2``; the second one empty).
@@ -808,21 +817,54 @@ def test_a_stored_checkpoint_restores_and_continues():
     cut = 2 * len(wire) // 3
     with Session.from_config(config) as session:
         assert session.scan(wire[:cut]).events == []
-        # the format is pinned: this commit writes the same bytes
-        assert json.dumps(session.checkpoint(), separators=(",", ":")) == STORED_CHECKPOINT
+        # the format is pinned: this commit writes these bytes
+        assert json.dumps(session.checkpoint(), separators=(",", ":")) == WRITTEN_CHECKPOINT
     with Session.from_config(config) as session:
         with pytest.raises(ValueError, match="checkpoint holds 2 flow tables"):
             session.restore(json.loads(TWO_TABLE_CHECKPOINT))
+    for stored in (STORED_CHECKPOINT, WRITTEN_CHECKPOINT):
+        with Session.from_config(config) as session:
+            session.restore(json.loads(stored))
+            events = session.scan(wire[cut:]).events
+            assert session.flush_reassembly() is None
+        assert [
+            (e.flow.as_tuple(), e.packet_id, e.end_offset, e.string_number) for e in events
+        ] == [
+            (("10.0.0.1", "10.0.1.1", 4000, 80, "tcp"), 6, 15, 0),
+            (("10.0.0.1", "10.0.1.1", 4000, 80, "tcp"), 12, 35, 1),
+            (("10.0.0.3", "10.0.1.1", 4002, 80, "tcp"), 16, 31, 1),
+            (("10.0.0.3", "10.0.1.1", 4002, 80, "tcp"), 18, 44, 0),
+        ]
+
+
+def test_a_restored_session_keeps_its_configured_reassembly_bounds():
+    """The checkpoint's reassembler bounds never override the session's:
+    ``reassembly_flows``, ``overlap_policy`` and ``reassembly_bytes`` stay
+    the configured ones, as the scan service keeps its ``flow_capacity``,
+    and the least recently used flow that does not fit is dropped and
+    counted."""
+    config = {
+        "mode": "stream",
+        "rules": {"kind": "specs", "rules": [{"content": "EVILPAYLOAD", "sid": 1}]},
+        "engine": {"backend": "dense", "reassemble": True},
+        "source": {"kind": "packets", "packets": []},
+    }
+    wire = golden_wire()
     with Session.from_config(config) as session:
-        session.restore(json.loads(STORED_CHECKPOINT))
-        events = session.scan(wire[cut:]).events
-        assert session.flush_reassembly() is None
-    assert [(e.flow.as_tuple(), e.packet_id, e.end_offset, e.string_number) for e in events] == [
-        (("10.0.0.1", "10.0.1.1", 4000, 80, "tcp"), 6, 15, 0),
-        (("10.0.0.1", "10.0.1.1", 4000, 80, "tcp"), 12, 35, 1),
-        (("10.0.0.3", "10.0.1.1", 4002, 80, "tcp"), 16, 31, 1),
-        (("10.0.0.3", "10.0.1.1", 4002, 80, "tcp"), 18, 44, 0),
-    ]
+        session.scan(wire[: 2 * len(wire) // 3])
+        saved = json.loads(json.dumps(session.checkpoint()))
+    flows = [tuple(flow["key"]) for flow in saved["reassembly"]["flows"]]
+    assert len(flows) == 3 and saved["reassembly"]["overlap_policy"] == "first"
+
+    bounded = {"reassembly_flows": 2, "overlap_policy": "last", "reassembly_bytes": 4096}
+    with Session.from_config({**config, "engine": {**config["engine"], **bounded}}) as session:
+        session.restore(saved)
+        reassembler = session.reassembler
+        assert (
+            reassembler.max_flows, reassembler.overlap_policy, reassembler.max_flow_bytes
+        ) == (2, "last", 4096)
+        assert reassembler.stats.restore_dropped == 1
+        assert [key.as_tuple() for key in reassembler._flows] == flows[1:]
 
 
 # ----------------------------------------------------------------------

@@ -16,13 +16,17 @@ directions:
 * **statistics parity** — the batched path must report byte-identical
   :class:`ScannerStatistics` and :class:`FlowTableStatistics` counters, and
   leave the identical LRU recency order, as segment-at-a-time scanning;
-* **eviction pressure** — a batch that could evict must fall back to the
-  exact per-segment loop, producing the same events, eviction records and
-  restart behaviour the serial path shows;
+* **eviction pressure** — a batch that evicts must produce the same events,
+  eviction records and restart behaviour the serial path shows, over any
+  interleaving, capacity and batch split;
 * **one crossing per batch** — a service calls ``scan_many`` once per
-  batch; only a table under eviction pressure steps out of it, segment by
-  segment, and segments of any size (0 B to 1 MiB) batch exactly as they
-  scan one at a time.
+  batch, under eviction pressure too, and segments of any size (0 B to
+  1 MiB) batch exactly as they scan one at a time.
+
+Segment-at-a-time scanning is ``tests/conftest.py``'s
+:class:`ReferenceStreamScanner`: the per-segment loop as it was before the
+flow table admitted whole batches, so the batched path is never compared
+with itself.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backend import get_backend
 from repro.core import DTPAutomaton
@@ -43,12 +49,16 @@ from repro.streaming import (
 from repro.streaming.service import event_order
 from repro.traffic import Packet, TrafficGenerator
 from tests.conftest import (
+    ReferenceFlowTable,
+    ReferenceStreamScanner,
     assert_equivalent_alerts,
     assert_equivalent_events,
     block_automaton,
     equivalence_workload,
     random_predicate_rules,
     random_text,
+    reference_service,
+    reference_submit,
 )
 
 BACKENDS = ("dense", "dtp")
@@ -64,7 +74,7 @@ def make_header(n: int = 0):
     return FiveTuple(f"10.1.0.{n}", "192.168.9.9", 41000 + n, 80, "tcp")
 
 
-def segment_events(scanner: StreamScanner, key: FlowKey, segments):
+def segment_events(scanner: ReferenceStreamScanner, key: FlowKey, segments):
     events = []
     for packet_id, segment in enumerate(segments):
         events.extend(scanner.scan_segment(key, segment, packet_id))
@@ -77,6 +87,10 @@ def batch_events(scanner: StreamScanner, key: FlowKey, segments):
     )
     assert evictions == []
     return [(e.end_offset, e.string_number) for events in hits.values() for e in events]
+
+
+#: Segment at a time through the reference, and one batch through ours.
+SCANNERS = ((segment_events, ReferenceStreamScanner), (batch_events, StreamScanner))
 
 
 def per_item(hits, count: int):
@@ -108,8 +122,8 @@ class TestBoundarySplits:
             assert expected, "every payload embeds its pattern"
             for cut in range(1, len(payload)):
                 segments = [payload[:cut], payload[cut:]]
-                for events_of in (segment_events, batch_events):
-                    scanner = StreamScanner(program)
+                for events_of, scanner_type in SCANNERS:
+                    scanner = scanner_type(program)
                     got = events_of(scanner, make_key(flow_n), segments)
                     assert got == expected, (
                         f"pattern #{flow_n} split at {cut} via {events_of.__name__}"
@@ -125,8 +139,8 @@ class TestBoundarySplits:
             for first in range(lo + 1, hi):
                 for second in range(first + 1, hi):
                     segments = [payload[:first], payload[first:second], payload[second:]]
-                    for events_of in (segment_events, batch_events):
-                        scanner = StreamScanner(program)
+                    for events_of, scanner_type in SCANNERS:
+                        scanner = scanner_type(program)
                         got = events_of(scanner, make_key(flow_n), segments)
                         assert got == expected, (
                             f"pattern #{flow_n} split at ({first}, {second}) "
@@ -177,7 +191,7 @@ class TestLaneKernelBatches:
                 (make_key(n), stream[cut // 2:cut], 5 + n) for n, stream in enumerate(streams)
             ]
             tail = [(make_key(n), stream[cut:], 10 + n) for n, stream in enumerate(streams)]
-            reference = StreamScanner(reference_program, track_nocase=track_nocase)
+            reference = ReferenceStreamScanner(reference_program, track_nocase=track_nocase)
             expected = [reference.scan_segment(*item) for item in items + tail]
 
             batched = StreamScanner(short_lanes, track_nocase=track_nocase)
@@ -199,10 +213,10 @@ class TestLaneKernelBatches:
         reference_program = get_backend("ac").compile(self.PATTERNS)
         stream = b"xshersxabcdefx" * 6
         segments = [stream[i:i + 5] for i in range(0, len(stream), 5)]
-        expected = segment_events(StreamScanner(reference_program), make_key(), segments)
+        expected = segment_events(ReferenceStreamScanner(reference_program), make_key(), segments)
         assert expected
         assert batch_events(StreamScanner(short_lanes), make_key(), segments) == expected
-        assert segment_events(StreamScanner(short_lanes), make_key(), segments) == expected
+        assert segment_events(ReferenceStreamScanner(short_lanes), make_key(), segments) == expected
 
 
 class TestDtpLaneKernelBatches(TestLaneKernelBatches):
@@ -245,11 +259,11 @@ class TestAcceleratorLaneKernelBatches:
             streams = [body[n:] + body[:n] for n in range(5)]
             items = [(make_key(n), stream[:cut], n) for n, stream in enumerate(streams)]
             tail = [(make_key(n), stream[cut:], 5 + n) for n, stream in enumerate(streams)]
-            whole = StreamScanner(reference_program, track_nocase=track_nocase)
+            whole = ReferenceStreamScanner(reference_program, track_nocase=track_nocase)
             expected = self.events_of([whole.scan_segment(*item) for item in items + tail])
             merged = [[] for _ in expected]
             for block, program in short_lanes:
-                reference = StreamScanner(program, track_nocase=track_nocase)
+                reference = ReferenceStreamScanner(program, track_nocase=track_nocase)
                 reference._scan_many = lambda jobs, program=program: [  # byte at a time
                     program._scan_scalar(states, chunk) for states, chunk in jobs
                 ]
@@ -315,7 +329,7 @@ class TestStatisticsParity:
         self, drift_ruleset, drift_workload, backend, track_nocase
     ):
         program = get_backend(backend).compile(drift_ruleset.patterns)
-        reference = StreamScanner(program, track_nocase=track_nocase)
+        reference = ReferenceStreamScanner(program, track_nocase=track_nocase)
         batched = StreamScanner(program, track_nocase=track_nocase)
 
         items = [
@@ -335,25 +349,23 @@ class TestStatisticsParity:
         assert batched.flows.keys() == reference.flows.keys()
         for key in reference.flows.keys():
             ours, theirs = batched.flows.peek(key), reference.flows.peek(key)
-            assert ours.packets == theirs.packets
             assert ours.state == theirs.state
             assert ours.lower_state == theirs.lower_state
-            assert ours.matched == theirs.matched
-            assert ours.matched_lower == theirs.matched_lower
+        assert batched.flows.checkpoint() == reference.flows.checkpoint()
 
     def test_service_stats_identical_to_per_packet_submit(
         self, drift_ruleset, drift_workload
     ):
-        """ScanService.scan (batched) vs submit() (per segment): same events,
-        same stats() dict — the drift the ISSUE names, locked shut."""
+        """ScanService.scan (batched) vs the reference ``submit`` (per
+        segment): same events, same stats() dict."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         batched_service = ScanService(program)
-        submit_service = ScanService(program)
+        submit_service = reference_service(program)
 
         result = batched_service.scan(drift_workload)
         submitted = []
         for packet in drift_workload:
-            submitted.extend(submit_service.submit(packet))
+            submitted.extend(reference_submit(submit_service, packet))
 
         assert sorted(
             result.events, key=lambda e: (e.packet_id, e.end_offset, e.string_number)
@@ -367,7 +379,7 @@ class TestStatisticsParity:
 
 
 # ----------------------------------------------------------------------
-# eviction pressure: exact fallback, exact records
+# eviction pressure: exact events, exact records
 # ----------------------------------------------------------------------
 class TestEvictionPressure:
     @staticmethod
@@ -382,12 +394,12 @@ class TestEvictionPressure:
     @pytest.mark.parametrize("capacity", (1, 2, 3))
     def test_fallback_matches_per_segment_loop(self, drift_ruleset, capacity):
         """Under eviction pressure scan_batch must behave exactly like the
-        old per-segment loop — events, counters, eviction records with the
+        per-segment loop — events, counters, eviction records with the
         per-item positions the IDS correlates on."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         items = self.build_items(num_flows=4, segments=3)
 
-        reference = StreamScanner(program, FlowTable(capacity))
+        reference = ReferenceStreamScanner(program, ReferenceFlowTable(capacity))
         expected_evictions = []
         position = 0
 
@@ -413,8 +425,8 @@ class TestEvictionPressure:
         assert batched.flows.keys() == reference.flows.keys()
 
     def test_exactly_full_table_stays_on_the_fast_path(self, drift_ruleset):
-        """A batch that fills the table to exactly its capacity cannot evict
-        and must not fall back (no eviction records, same results)."""
+        """A batch that fills the table to exactly its capacity does not
+        evict (no eviction records, no evicted counter)."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         items = self.build_items(num_flows=4, segments=2)
         scanner = StreamScanner(program, FlowTable(capacity=4))
@@ -423,7 +435,7 @@ class TestEvictionPressure:
         assert scanner.flows.stats.evicted == 0
         assert len(scanner.flows) == 4
 
-        # ...and the next batch introducing a fifth flow falls back and evicts
+        # ...and the next batch introducing a fifth flow evicts the LRU one
         extra = [(make_key(9), b"overflow-segment", 0)]
         _, second_evictions = scanner.scan_batch(extra)
         assert second_evictions == [(0, make_key(0))]
@@ -444,10 +456,10 @@ class TestEvictionPressure:
                     )
                 )
         batched = ScanService(program, flow_capacity=1)
-        per_packet = ScanService(program, flow_capacity=1)
+        per_packet = reference_service(program, flow_capacity=1)
         result = batched.scan(packets)
         for packet in packets:
-            per_packet.submit(packet)
+            reference_submit(per_packet, packet)
         assert batched.stats() == per_packet.stats()
         assert batched.evicted_flows > 0
         assert result.packets == len(packets)
@@ -469,7 +481,8 @@ def count_crossings(monkeypatch, program) -> list:
 
 def segment_at_a_time(service, packets):
     """What one batched ``scan_annotated`` must equal: every packet
-    ``submit``-ted on its own (one ``scan_segment`` each).
+    ``submit``-ted on its own (one ``scan_segment`` each) through a
+    :func:`reference_service`.
 
     Returns the canonical events (gathered in arrival order, then stably
     sorted), the events by arrival index and the ``(arrival, key)``
@@ -480,7 +493,7 @@ def segment_at_a_time(service, packets):
     arrival = 0
     flows.on_evict = lambda entry: evictions.append((arrival, entry.key))
     for arrival, packet in enumerate(packets):
-        events = service.submit(packet)
+        events = reference_submit(service, packet)
         if events:
             hits[arrival] = events
             found.extend(events)
@@ -530,7 +543,7 @@ class TestOneCrossingPerBatch:
         program = get_backend(backend).compile(drift_ruleset.patterns)
         calls = count_crossings(monkeypatch, program)
         batched = ScanService(program, track_nocase=track_nocase)
-        reference = ScanService(program, track_nocase=track_nocase)
+        reference = reference_service(program, track_nocase=track_nocase)
         sort_keys = []
         for annotated, batch in zip((False, True), crossing_batches):
             if annotated:
@@ -557,12 +570,13 @@ class TestOneCrossingPerBatch:
     def test_a_table_under_eviction_pressure_steps_out_segment_by_segment(
         self, monkeypatch, drift_ruleset
     ):
-        """Three flows in two slots: the whole batch scans segment by
-        segment, one crossing each, with the per-segment evictions."""
+        """Three flows in two slots, round robin: every segment evicts, so
+        every segment is a flow incarnation of its own — nine jobs, still
+        one crossing — with the per-segment evictions."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         calls = count_crossings(monkeypatch, program)
         batched = ScanService(program, flow_capacity=2)
-        reference = ScanService(program, flow_capacity=2)
+        reference = reference_service(program, flow_capacity=2)
         headers = [make_header(n) for n in range(3)]
         pattern = drift_ruleset.patterns[0]
         cut = 2 + len(pattern) // 2
@@ -573,12 +587,44 @@ class TestOneCrossingPerBatch:
             for header in headers
         ]
         result, hits, evictions, _ = batched.scan_annotated(packets)
-        assert calls == [1] * 9
+        assert calls == [9]
 
         events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
         assert evictions == expected_evictions and evictions
         assert hits == expected_hits
         assert result.events == events
+        assert_same_state(batched, reference)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("track_nocase", (False, True))
+    def test_a_batch_under_eviction_is_one_crossing(
+        self, monkeypatch, drift_ruleset, backend, track_nocase
+    ):
+        """Three flows of three segments each, one flow after the other, in
+        two slots: the third flow evicts the first.  Segment at a time that
+        is nine crossings; the batch is one, a job per flow (two under
+        ``track_nocase``), with the same eviction record and events."""
+        program = get_backend(backend).compile(drift_ruleset.patterns)
+        calls = count_crossings(monkeypatch, program)
+        batched = ScanService(program, flow_capacity=2, track_nocase=track_nocase)
+        reference = reference_service(program, flow_capacity=2, track_nocase=track_nocase)
+        pattern = drift_ruleset.patterns[0]
+        stream = b"<<" + pattern + b">>"
+        cuts = (0, 2 + len(pattern) // 3, 2 + 2 * len(pattern) // 3, len(stream))
+        packets = [
+            Packet(payload=stream[lo:hi], header=make_header(flow), packet_id=3 * flow + piece)
+            for flow in range(3)
+            for piece, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ]
+        result, hits, evictions, _ = batched.scan_annotated(packets)
+        assert calls == [6 if track_nocase else 3]
+
+        events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
+        assert len(calls) == 1 + 9
+        assert evictions == expected_evictions == [(6, make_key(0))]
+        assert hits == expected_hits and list(hits) == list(expected_hits)
+        assert result.events == events
+        assert [event.flow for event in events] == [make_key(n) for n in range(3)]
         assert_same_state(batched, reference)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -594,7 +640,7 @@ class TestOneCrossingPerBatch:
             generator.flows(2, num_packets=3, split_patterns=1, segment_bytes=4096)
             + generator.flows(2, num_packets=3, split_patterns=1, segment_bytes=65536)
         )
-        batched, reference = ScanService(program), ScanService(program)
+        batched, reference = ScanService(program), reference_service(program)
         result, hits, evictions, _ = batched.scan_annotated(packets)
         events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
         assert result.events == events and hits == expected_hits
@@ -617,13 +663,73 @@ class TestOneCrossingPerBatch:
             Packet(payload=filler + pattern[:9], header=make_header(9), packet_id=0),
             Packet(payload=pattern[9:], header=make_header(9), packet_id=1),
         ]
-        batched, reference = ScanService(program), ScanService(program)
+        batched, reference = ScanService(program), reference_service(program)
         result, hits, _, _ = batched.scan_annotated(packets)
         events, expected_hits, _ = segment_at_a_time(reference, packets)
         assert result.events == events and hits == expected_hits
         assert_same_state(batched, reference)
         assert len(events) == 1 + (size >= len(pattern))
         assert events[-1].end_offset == size + len(pattern)
+
+
+# ----------------------------------------------------------------------
+# any interleaving, any capacity, any batch split
+# ----------------------------------------------------------------------
+#: Short, overlapping strings, one of them mixed-case, and the pieces the
+#: random segments are spliced from: they hit often, and across segment
+#: boundaries.
+DIFFERENTIAL_PATTERNS = [b"he", b"she", b"his", b"hers", b"aBc", b"cabca"]
+FRAGMENTS = [b"h", b"e", b"s", b"he", b"hi", b"rs", b"aBc", b"ABC", b"cab", b"ca", b"x"]
+
+
+@pytest.fixture(scope="module")
+def differential_programs():
+    return {
+        backend: get_backend(backend).compile(DIFFERENTIAL_PATTERNS) for backend in BACKENDS
+    }
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    backend=st.sampled_from(BACKENDS),
+    capacity=st.integers(1, 6),
+    track_nocase=st.sampled_from((False, True, frozenset({4}))),
+    segments=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.lists(st.sampled_from(FRAGMENTS), max_size=5).map(b"".join),
+        ),
+        max_size=40,
+    ),
+    cuts=st.lists(st.integers(1, 39), max_size=4),
+)
+def test_scan_batch_equals_the_per_segment_reference(
+    differential_programs, backend, capacity, track_nocase, segments, cuts
+):
+    """Random interleavings of up to eight flows through tables of one to
+    six slots, cut into random batches: every batch's hits (in arrival
+    order) and eviction records, and at the end the scanner and table
+    counters, the LRU order and the checkpoint, equal the per-segment
+    reference's."""
+    program = differential_programs[backend]
+    batched = StreamScanner(program, FlowTable(capacity), track_nocase=track_nocase)
+    reference = ReferenceStreamScanner(
+        program, ReferenceFlowTable(capacity), track_nocase=track_nocase
+    )
+    items = [(make_key(flow), payload, index) for index, (flow, payload) in enumerate(segments)]
+    bounds = sorted({0, len(items), *(cut for cut in cuts if cut < len(items))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        hits, evictions = batched.scan_batch(items[lo:hi])
+        expected_hits, expected_evictions = reference.scan_batch(items[lo:hi])
+        assert list(hits.items()) == list(expected_hits.items())
+        assert evictions == expected_evictions
+    assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+    assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(reference.flows.stats)
+    assert batched.flows.keys() == reference.flows.keys()
+    assert batched.flows.checkpoint() == reference.flows.checkpoint()
 
 
 def test_equivalent_events_with_nocase_tracking():

@@ -219,6 +219,15 @@ SERVICE_CHECKPOINT = (
     '["10.0.0.3","10.0.1.1",4002,80,"tcp"],"states":[[0,122,122,6]],"lower_states":null,'
     '"packets":1,"matched":[],"matched_lower":[],"alerted":[]}]}'
 )
+#: What this commit writes at that point: a flow carries its registers alone
+#: (the ``packets``, ``matched``, ``matched_lower`` and ``alerted`` keys of
+#: :data:`SERVICE_CHECKPOINT` are read past on restore).
+WRITTEN_SERVICE_CHECKPOINT = (
+    '{"capacity":4096,"flows":[{"key":["10.0.0.1","10.0.1.1",4000,80,"tcp"],"states":'
+    '[[14,100,109,20]],"lower_states":null},{"key":["10.0.0.2","10.0.1.1",4001,80,"tcp"],'
+    '"states":[[7,89,65,11]],"lower_states":null},{"key":["10.0.0.3","10.0.1.1",4002,80,'
+    '"tcp"],"states":[[0,122,122,6]],"lower_states":null}]}'
+)
 
 #: The same point as written while stream mode split its flows over two
 #: tables (``shards: 2``): the order across the tables is lost.
@@ -286,9 +295,10 @@ def test_a_service_checkpoint_restores_and_is_still_what_we_write():
     with Session.from_config(STORED_SERVICE_CONFIG) as session:
         session.scan(wire[:3])
         written = json.dumps(session.checkpoint(), separators=(",", ":"))
-        assert written == SERVICE_CHECKPOINT
+        assert written == WRITTEN_SERVICE_CHECKPOINT
     for stored in (
         json.loads(SERVICE_CHECKPOINT),
+        json.loads(WRITTEN_SERVICE_CHECKPOINT),
         {"num_shards": 1, "shards": [json.loads(SERVICE_CHECKPOINT)]},  # older envelope
     ):
         with Session.from_config(STORED_SERVICE_CONFIG) as session:
@@ -343,7 +353,14 @@ def test_an_ids_checkpoint_in_the_one_table_envelope_restores_and_continues():
         parse_rules(STORED_RULE_LINES), backend="dense"
     ) as ids:
         ids.restore(enveloped)
-        assert json.loads(json.dumps(ids.checkpoint()["service"])) == stored["flows"]
+        # the table comes back as stored, each flow's registers alone
+        registers = [
+            {name: flow[name] for name in ("key", "states", "lower_states")}
+            for flow in stored["flows"]["flows"]
+        ]
+        assert json.loads(json.dumps(ids.checkpoint()["service"])) == {
+            **stored["flows"], "flows": registers,
+        }
         late = ids.scan_flow(wire[3:]) + ids.finish()
     assert pairs(late) == [(4, 4), (3, 2)]
 
@@ -448,8 +465,8 @@ def test_scan_service_is_built_in_two_places_only():
     """``Session.service`` (stream and packets mode) and
     ``IntrusionDetectionSystem.service`` are the only construction sites, and
     both pass every engine option; no retired name of the process pool, its
-    payload ring, in-process shards or the stateless mode's private matchers
-    comes back."""
+    payload ring, in-process shards, the stateless mode's private matchers or
+    the per-segment scan loop comes back."""
     calls, sites = [], []
     retired = {
         "_scan_flow_parallel", "preprocess_flush", "_require_stream", "parallel_service",
@@ -464,6 +481,10 @@ def test_scan_service_is_built_in_two_places_only():
         "shard_occupancy", "shard_crc", "lookups", "hit_rate",
         # the stateless mode's private matchers: it scans through the service
         "scan_stateless", "_packet_events", "_matcher", "use_hardware_model", "per_packet",
+        # the per-segment scan loop and the table calls only it made: a batch
+        # is one FlowTable.admit walk and one crossing, evicting or not
+        "scan_segment", "scan_packet", "_scan_per_segment", "submit", "get_or_create",
+        "touch", "matched_lower",
     }
     for path in sorted(SRC_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

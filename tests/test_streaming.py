@@ -5,8 +5,11 @@ string split across consecutive packets of one flow is invisible to the
 per-packet scan path but must be found by the stateful flow scan.
 """
 
+import ast
 import dataclasses
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -24,8 +27,10 @@ from repro.streaming import (
     ScanService,
     StreamScanner,
 )
+from repro.streaming.scanner import SegmentBatch
 from repro.streaming.service import event_order
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
+from tests.conftest import ReferenceStreamScanner, reference_service, reference_submit
 
 #: The worked example of Figures 1 and 2 (mirrors tests/conftest.py).
 PAPER_EXAMPLE_PATTERNS = [b"he", b"she", b"his", b"hers"]
@@ -37,6 +42,22 @@ def make_key(n: int = 0) -> FlowKey:
 
 def make_header(n: int = 0) -> FiveTuple:
     return FiveTuple(f"10.0.0.{n}", "192.168.0.1", 40000 + n, 80, "tcp")
+
+
+def fresh_entry(key: FlowKey) -> FlowEntry:
+    return FlowEntry(key=key, state=ScanState())
+
+
+def scan_one(scanner: StreamScanner, key: FlowKey, payload: bytes, packet_id: int = 0):
+    """``payload`` as the next segment of flow ``key``: a batch of one."""
+    hits, _ = scanner.scan_batch([(key, payload, packet_id)])
+    return hits.get(0, [])
+
+
+def scan_in_order(scanner: StreamScanner, packets):
+    """One batch of ``packets``; its events in arrival order."""
+    hits, _ = scanner.scan_batch(SegmentBatch.from_packets(packets))
+    return [event for events in hits.values() for event in events]
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +130,7 @@ class TestScanFrom:
         """A flow resumes from one scan state: a checkpointed flow of two
         is refused where it enters the program's service, at restore."""
         service = ScanService(small_dtp)
-        service.submit(Packet(payload=b"x", header=make_header(1), packet_id=0))
+        service.scan([Packet(payload=b"x", header=make_header(1), packet_id=0)])
         snapshot = json.loads(json.dumps(service.checkpoint()))
         snapshot["flows"][0]["states"] *= 2
         with pytest.raises(ValueError, match="2 states"):
@@ -125,32 +146,64 @@ class TestFlowTable:
         return FlowEntry(key=make_key(n), state=ScanState())
 
     def test_lru_eviction_order(self):
-        evicted = []
-        table = FlowTable(capacity=2, on_evict=evicted.append)
-        table.insert(self.entry(1))
-        table.insert(self.entry(2))
-        # touch flow 1 so flow 2 becomes the LRU victim
-        assert table.lookup(make_key(1)) is not None
-        table.insert(self.entry(3))
+        table = FlowTable(capacity=2)
+        table.admit([make_key(1), make_key(2)], fresh_entry)
+        # flow 1 arrives again first, so flow 2 is the LRU victim of flow 3
+        admitted, evictions = table.admit([make_key(1), make_key(3)], fresh_entry)
+        assert [(entry.key, indexes) for entry, indexes in admitted] == [
+            (make_key(1), [0]), (make_key(3), [1]),
+        ]
         assert len(table) == 2
-        assert [e.key for e in evicted] == [make_key(2)]
+        assert evictions == [(1, make_key(2))]
         assert make_key(1) in table and make_key(3) in table
         assert table.stats.evicted == 1
+
+    def test_a_flow_evicted_within_a_batch_is_admitted_twice(self):
+        """Flow 1, pushed out by flow 2 in a one-slot table, comes back as
+        a second, fresh entry: two incarnations, each with its segments."""
+        table = FlowTable(capacity=1)
+        keys = [make_key(1), make_key(1), make_key(2), make_key(1)]
+        admitted, evictions = table.admit(keys, fresh_entry)
+        assert [(entry.key, indexes) for entry, indexes in admitted] == [
+            (make_key(1), [0, 1]), (make_key(2), [2]), (make_key(1), [3]),
+        ]
+        assert admitted[0][0] is not admitted[2][0]
+        assert evictions == [(2, make_key(1)), (3, make_key(2))]
+        assert table.keys() == [make_key(1)] and table.peek(make_key(1)) is admitted[2][0]
+        assert (table.stats.created, table.stats.evicted) == (3, 2)
+
+    def test_admit_is_the_only_lru_walk(self):
+        """Only ``admit`` reorders or evicts (``move_to_end``, ``popitem``);
+        the per-segment calls, the constructor's ``on_evict`` hook and the
+        per-flow sets nothing read are gone."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(FlowTable)))
+        walkers = {
+            method.name
+            for method in tree.body[0].body
+            if isinstance(method, ast.FunctionDef) and any(
+                isinstance(node, ast.Attribute) and node.attr in {"move_to_end", "popitem"}
+                for node in ast.walk(method)
+            )
+        }
+        assert walkers == {"admit"}
+        assert not {"lookup", "touch", "get_or_create", "insert"} & set(vars(FlowTable))
+        assert list(inspect.signature(FlowTable).parameters) == ["capacity"]
+        assert FlowEntry.__slots__ == ("key", "state", "lower_state")
 
     def test_evicted_flow_restarts_fresh(self, crafted_program, crafted_ruleset):
         scanner = StreamScanner(crafted_program, FlowTable(capacity=1))
         pattern = crafted_ruleset[0].pattern
-        scanner.scan_segment(make_key(1), pattern[:8])
+        scan_one(scanner, make_key(1), pattern[:8])
         # flow 2 pushes flow 1 out of the single-entry table
-        scanner.scan_segment(make_key(2), b"unrelated")
-        matches = scanner.scan_segment(make_key(1), pattern[8:])
+        scan_one(scanner, make_key(2), b"unrelated")
+        matches = scan_one(scanner, make_key(1), pattern[8:])
         assert matches == []  # the head fragment was forgotten with the state
         assert scanner.flows.stats.evicted == 2
 
     def test_lookup_miss_and_remove(self):
         table = FlowTable(capacity=4)
-        assert table.lookup(make_key(9)) is None
-        table.insert(self.entry(1))
+        assert table.peek(make_key(9)) is None
+        table.admit([make_key(1)], fresh_entry)
         assert table.remove(make_key(1)).key == make_key(1)
         assert table.remove(make_key(1)) is None
         assert table.stats.evicted == 0
@@ -161,19 +214,17 @@ class TestFlowTable:
 
     def test_peek_does_not_touch_recency_or_create(self):
         table = FlowTable(capacity=2)
-        table.insert(self.entry(1))
-        table.insert(self.entry(2))
+        table.admit([make_key(1), make_key(2)], fresh_entry)
         assert table.peek(make_key(1)).key == make_key(1)
         assert table.peek(make_key(9)) is None
         assert table.keys() == [make_key(1), make_key(2)]  # recency untouched
         assert table.stats.created == 2  # a miss creates nothing
-        table.insert(self.entry(3))  # flow 1 is still the LRU victim
+        table.admit([make_key(3)], fresh_entry)  # flow 1 is still the LRU victim
         assert make_key(1) not in table
 
     def test_restore_respects_capacity_override(self):
         table = FlowTable(capacity=8)
-        for n in range(4):
-            table.insert(self.entry(n))
+        table.admit([make_key(n) for n in range(4)], fresh_entry)
         restored = FlowTable.restore(table.checkpoint(), capacity=2)
         assert restored.capacity == 2 and len(restored) == 2
         # the most recently used flows survive
@@ -183,15 +234,16 @@ class TestFlowTable:
         table = FlowTable(capacity=8)
         entry = self.entry(1)
         entry.state = ScanState(state=3, prev1=104, prev2=101, offset=42)
-        entry.matched.add(7)
-        entry.alerted.add(99)
-        entry.packets = 3
-        table.insert(entry)
-        restored = FlowTable.restore(table.checkpoint())
+        table.admit([entry.key], lambda key: entry)
+        snapshot = table.checkpoint()
+        assert list(snapshot["flows"][0]) == ["key", "states", "lower_states"]
+        restored = FlowTable.restore(snapshot)
         assert restored.capacity == 8
-        back = restored.lookup(make_key(1))
-        assert back.state == entry.state
-        assert back.matched == {7} and back.alerted == {99} and back.packets == 3
+        back = restored.peek(make_key(1))
+        assert back.state == entry.state and back.lower_state is None
+        # the per-flow counters and sets older checkpoints carry are read past
+        snapshot["flows"][0].update(packets=3, matched=[7], matched_lower=[], alerted=[99])
+        assert FlowTable.restore(snapshot).checkpoint() == table.checkpoint()
 
     @pytest.mark.parametrize("view", ("states", "lower_states"))
     @pytest.mark.parametrize("count", (0, 2))
@@ -202,14 +254,14 @@ class TestFlowTable:
         table = FlowTable(capacity=8)
         entry = self.entry(5)
         entry.lower_state = ScanState()
-        table.insert(entry)
+        table.admit([entry.key], lambda key: entry)
         snapshot = json.loads(json.dumps(table.checkpoint()))
         snapshot["flows"][0][view] = [ScanState(offset=9).as_tuple()] * count
         with pytest.raises(ValueError, match=rf"{view}.*one scan state") as refused:
             FlowTable.restore(snapshot)
         assert repr(make_key(5).as_tuple()) in str(refused.value)
         snapshot["flows"][0][view] = [ScanState(offset=9).as_tuple()]
-        restored = FlowTable.restore(snapshot).lookup(make_key(5))
+        restored = FlowTable.restore(snapshot).peek(make_key(5))
         assert getattr(restored, view[:-1]) == ScanState(offset=9)
 
 
@@ -242,7 +294,7 @@ class TestFlowKeyCoercion:
         pattern = crafted_ruleset[0].pattern
         header = make_header(3)
         service = ScanService(crafted_program)
-        assert service.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
+        assert service.scan([Packet(payload=pattern[:9], header=header, packet_id=0)]).events == []
 
         snapshot = json.loads(json.dumps(service.checkpoint()))
         for flow in snapshot["flows"]:
@@ -252,7 +304,7 @@ class TestFlowKeyCoercion:
         resumed = ScanService(crafted_program)
         resumed.restore(snapshot)
         assert resumed.scanner.flows.keys() == [FlowKey.from_header(header)]
-        matches = resumed.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
+        matches = resumed.scan([Packet(payload=pattern[9:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
 
 
@@ -260,10 +312,6 @@ class TestFlowKeyCoercion:
 # flow-table statistics accounting
 # ----------------------------------------------------------------------
 class TestFlowTableAccounting:
-    @staticmethod
-    def entry(n: int) -> FlowEntry:
-        return FlowEntry(key=make_key(n), state=ScanState())
-
     def test_counters_are_the_ones_something_reads(self):
         """Creations, evictions and restore drops; lookups are not counted."""
         assert [f.name for f in dataclasses.fields(FlowTableStatistics)] == [
@@ -271,18 +319,18 @@ class TestFlowTableAccounting:
         ]
 
     def test_insert_overwrite_does_not_count_as_created(self):
+        """Admitting a live flow again refreshes it; it is not a new flow."""
         table = FlowTable(capacity=4)
-        table.insert(self.entry(1))
-        table.insert(self.entry(1))  # overwrite, not a new flow
+        table.admit([make_key(1), make_key(1)], fresh_entry)
+        table.admit([make_key(1)], fresh_entry)
         assert len(table) == 1
         assert table.stats.created == 1
-        table.insert(self.entry(2))
+        table.admit([make_key(2)], fresh_entry)
         assert table.stats.created == 2
 
     def test_restore_counts_created(self):
         table = FlowTable(capacity=8)
-        for n in range(3):
-            table.insert(self.entry(n))
+        table.admit([make_key(n) for n in range(3)], fresh_entry)
         restored = FlowTable.restore(table.checkpoint())
         assert restored.stats.created == 3
         assert restored.stats.evicted == 0
@@ -290,8 +338,7 @@ class TestFlowTableAccounting:
 
     def test_restore_overflow_counts_drops_and_invokes_on_evict(self):
         table = FlowTable(capacity=8)
-        for n in range(5):
-            table.insert(self.entry(n))
+        table.admit([make_key(n) for n in range(5)], fresh_entry)
         dropped = []
         restored = FlowTable.restore(
             table.checkpoint(), capacity=2, on_evict=dropped.append
@@ -323,7 +370,7 @@ class TestCrossPacketMatching:
             assert crafted_program.match(packet.payload) == []
         # ...stateful scanning finds it, at the reassembled-stream offset
         scanner = StreamScanner(crafted_program)
-        matches = scanner.scan_packets(packets)
+        matches = scan_in_order(scanner, packets)
         assert [m.string_number for m in matches] == [0]
         assert matches[0].end_offset == len(b"padding ") + len(pattern)
         assert scanner.stats.cross_segment_matches == 1
@@ -338,7 +385,7 @@ class TestCrossPacketMatching:
         ]
         for packet in packets:
             assert crafted_program.match(packet.payload) == []
-        matches = StreamScanner(crafted_program).scan_packets(packets)
+        matches = scan_in_order(StreamScanner(crafted_program), packets)
         assert [m.string_number for m in matches] == [1]
 
     def test_byte_at_a_time_flow(self, crafted_program, crafted_ruleset):
@@ -349,7 +396,7 @@ class TestCrossPacketMatching:
             Packet(payload=bytes([byte]), header=header, packet_id=i)
             for i, byte in enumerate(pattern)
         ]
-        matches = StreamScanner(crafted_program).scan_packets(packets)
+        matches = scan_in_order(StreamScanner(crafted_program), packets)
         assert [(m.string_number, m.end_offset) for m in matches] == [(2, len(pattern))]
 
     def test_nocase_view_reports_lowercase_occurrence_once(self):
@@ -358,10 +405,10 @@ class TestCrossPacketMatching:
         ruleset.add_pattern(b"lowercasesignature")
         program = get_backend("dtp").compile(ruleset)
         scanner = StreamScanner(program, track_nocase=True)
-        matches = scanner.scan_segment(make_key(1), b"xx lowercasesignature yy")
+        matches = scan_one(scanner, make_key(1), b"xx lowercasesignature yy")
         assert len(matches) == 1 and not matches[0].lowered
         # a genuinely mixed-case occurrence is still caught, via the lowered view
-        mixed = scanner.scan_segment(make_key(2), b"LowerCaseSignature")
+        mixed = scan_one(scanner, make_key(2), b"LowerCaseSignature")
         assert len(mixed) == 1 and mixed[0].lowered
 
     def test_lowered_view_rebuilt_at_stream_offset(self):
@@ -371,26 +418,26 @@ class TestCrossPacketMatching:
         ruleset.add_pattern(b"lowercasesignature")
         program = get_backend("dtp").compile(ruleset)
         plain = StreamScanner(program, track_nocase=False)
-        plain.scan_segment(make_key(1), b"0123456789")  # 10 bytes of prologue
+        scan_one(plain, make_key(1), b"0123456789")  # 10 bytes of prologue
         snapshot = plain.flows.checkpoint()
 
         nocase = StreamScanner(program, track_nocase=True)
         nocase.flows = FlowTable.restore(snapshot)
-        matches = nocase.scan_segment(make_key(1), b"xx LowerCaseSignature")
+        matches = scan_one(nocase, make_key(1), b"xx LowerCaseSignature")
         assert [m.lowered for m in matches] == [True]
         assert matches[0].end_offset == 10 + len(b"xx LowerCaseSignature")
         # an already-lowercase hit is still reported once, not per view
-        again = nocase.scan_segment(make_key(1), b" lowercasesignature")
+        again = scan_one(nocase, make_key(1), b" lowercasesignature")
         assert len(again) == 1 and not again[0].lowered
 
     def test_independent_flows_do_not_share_state(self, crafted_program, crafted_ruleset):
         """Fragments from different flows must never combine into a match."""
         pattern = crafted_ruleset[0].pattern
         scanner = StreamScanner(crafted_program)
-        scanner.scan_segment(make_key(1), pattern[:10])
-        assert scanner.scan_segment(make_key(2), pattern[10:]) == []
+        scan_one(scanner, make_key(1), pattern[:10])
+        assert scan_one(scanner, make_key(2), pattern[10:]) == []
         # while the real continuation still completes
-        assert scanner.scan_segment(make_key(1), pattern[10:]) != []
+        assert scan_one(scanner, make_key(1), pattern[10:]) != []
 
 
 # ----------------------------------------------------------------------
@@ -419,8 +466,8 @@ class TestScanService:
         service = ScanService(crafted_program)
         pattern = crafted_ruleset[0].pattern
         header = make_header(4)
-        first = service.submit(Packet(payload=pattern[:6], header=header, packet_id=0))
-        second = service.submit(Packet(payload=pattern[6:], header=header, packet_id=1))
+        first = service.scan([Packet(payload=pattern[:6], header=header, packet_id=0)]).events
+        second = service.scan([Packet(payload=pattern[6:], header=header, packet_id=1)]).events
         assert first == [] and [m.string_number for m in second] == [0]
 
     def test_evicted_flows_is_a_lifetime_counter(self, crafted_program):
@@ -452,13 +499,13 @@ class TestScanService:
         pattern = crafted_ruleset[0].pattern
         header = make_header(5)
         service = ScanService(crafted_program)
-        assert service.submit(Packet(payload=pattern[:9], header=header, packet_id=0)) == []
+        assert service.scan([Packet(payload=pattern[:9], header=header, packet_id=0)]).events == []
 
         snapshot = service.checkpoint()
         assert snapshot == service.scanner.flows.checkpoint()  # no envelope
         resumed = ScanService(crafted_program)
         resumed.restore(snapshot)
-        matches = resumed.submit(Packet(payload=pattern[9:], header=header, packet_id=1))
+        matches = resumed.scan([Packet(payload=pattern[9:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
 
     def test_restore_keeps_configured_capacity(self, crafted_program):
@@ -474,15 +521,16 @@ class TestScanService:
         services and every IDS checkpoint wrote still restores."""
         pattern = crafted_ruleset[0].pattern
         service = ScanService(crafted_program)
-        for n in range(3):
-            service.submit(Packet(payload=pattern[:9], header=make_header(n), packet_id=n))
+        service.scan(
+            [Packet(payload=pattern[:9], header=make_header(n), packet_id=n) for n in range(3)]
+        )
         table = service.checkpoint()
         fresh, enveloped = ScanService(crafted_program), ScanService(crafted_program)
         fresh.restore(table)
         enveloped.restore({"num_shards": 1, "shards": [table]})
         assert enveloped.checkpoint() == fresh.checkpoint() == table
         tail = Packet(payload=pattern[9:], header=make_header(1), packet_id=9)
-        assert enveloped.submit(tail) == fresh.submit(tail) != []
+        assert enveloped.scan([tail]).events == fresh.scan([tail]).events != []
 
     def test_multi_table_envelope_is_refused_by_count(self, crafted_program):
         table = ScanService(crafted_program).checkpoint()
@@ -498,7 +546,7 @@ class TestScanService:
     ):
         """Flow state spans ``scan()`` calls: two batches of randomized
         traffic through the differential harness, then dozens of one-packet
-        scans against one ``submit`` per packet."""
+        scans against the per-segment reference's ``submit``."""
         from tests.conftest import assert_equivalent_events
 
         generator = TrafficGenerator(small_ruleset, seed=47)
@@ -516,9 +564,11 @@ class TestScanService:
             for index, piece in enumerate(pieces * 3)
             for flow in range(4)
         ]
-        batched, submitted = ScanService(crafted_program), ScanService(crafted_program)
+        batched, submitted = ScanService(crafted_program), reference_service(crafted_program)
         events = [event for packet in packets for event in batched.scan([packet]).events]
-        assert events == [event for packet in packets for event in submitted.submit(packet)]
+        assert events == [
+            event for packet in packets for event in reference_submit(submitted, packet)
+        ]
         assert len(events) == 4 * 3
 
     def test_empty_scan(self, crafted_program):
@@ -549,15 +599,14 @@ def split_traffic(small_ruleset):
 
 @pytest.mark.parametrize("capacity", FLOW_CAPACITIES)
 class TestFlowCapacity:
-    """``flow_capacity`` bounds the one LRU table; under pressure the batch
-    takes the per-segment loop, and either way the service answers exactly
-    what one packet at a time would."""
+    """``flow_capacity`` bounds the one LRU table; under pressure or not, the
+    service answers exactly what one packet at a time would."""
 
     def test_events_equal_segment_at_a_time(self, small_dtp, split_traffic, capacity):
         service = ScanService(small_dtp, flow_capacity=capacity)
         result = service.scan(split_traffic)
-        one_by_one = StreamScanner(small_dtp, capacity=capacity)
-        expected = one_by_one.scan_packets(split_traffic)
+        one_by_one = ReferenceStreamScanner(small_dtp, capacity=capacity)
+        expected = [event for packet in split_traffic for event in one_by_one.scan_packet(packet)]
         assert result.events == sorted(expected, key=event_order)
         assert service.scanner.stats == one_by_one.stats
         assert service.scanner.flows.keys() == one_by_one.flows.keys()
