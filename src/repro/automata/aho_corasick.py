@@ -17,6 +17,9 @@ Two variants are provided, mirroring Section III.A of the paper:
 
 from __future__ import annotations
 
+import ctypes
+import mmap
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -26,6 +29,41 @@ from ..backend import CompiledProgramMixin, ScanState, advance_history
 from .trie import ALPHABET_SIZE, ROOT, Trie
 
 MatchList = List[Tuple[int, int]]  # (end_position, pattern_id)
+
+#: glibc's initial mmap threshold: smaller arrays come from the heap and
+#: leave the threshold alone, so :func:`mapped_zeros` makes them ``np.zeros``
+MAPPED_MIN_BYTES = 128 * 1024
+
+_TRACK = ctypes.pythonapi.PyTraceMalloc_Track
+_UNTRACK = ctypes.pythonapi.PyTraceMalloc_Untrack
+_TRACK.argtypes = [ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t]
+_UNTRACK.argtypes = [ctypes.c_uint, ctypes.c_size_t]
+
+
+def mapped_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """A zero-filled array in a private anonymous mapping of its own.
+
+    One table-sized array is built per compile.  Left to ``malloc``, the
+    first one freed raises glibc's dynamic mmap threshold to its size, later
+    ones come from the brk heap, and whether a dropped program's tables go
+    back to the system then hangs on heap layout: a process that compiles
+    again and again sat 7 MB higher or not from one run to the next.  A
+    mapping is unmapped when its last view dies.  ``tracemalloc`` counts it
+    in numpy's domain, as it would ``np.zeros``.
+    """
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape, dtype=np.int64))
+    size = count * dtype.itemsize
+    if size < MAPPED_MIN_BYTES:
+        return np.zeros(shape, dtype=dtype)
+    if hasattr(mmap, "MAP_PRIVATE"):  # POSIX: an anonymous map is shared by default
+        buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:
+        buffer = mmap.mmap(-1, size)
+    array = np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+    _TRACK(np.lib.tracemalloc_domain, array.ctypes.data, size)
+    weakref.finalize(buffer, _UNTRACK, np.lib.tracemalloc_domain, array.ctypes.data)
+    return array
 
 
 @dataclass
@@ -171,7 +209,7 @@ class AhoCorasickDFA(CompiledProgramMixin):
         fallback's (shallower, finished) row in one fancy copy, then the
         level's goto edges are scattered over it.  A child's fallback is its
         parent's inherited entry for its byte, read before that scatter."""
-        table = np.zeros((self.num_states, ALPHABET_SIZE), dtype=np.int32)
+        table = mapped_zeros((self.num_states, ALPHABET_SIZE), np.int32)
         fail = np.zeros(self.num_states, dtype=np.int32)
         by_depth = np.argsort(self.depth, kind="stable")
         bounds = np.cumsum(np.bincount(self.depth)).tolist()

@@ -51,7 +51,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..automata.aho_corasick import AhoCorasickDFA
+from ..automata.aho_corasick import AhoCorasickDFA, mapped_zeros
 from ..automata.trie import ALPHABET_SIZE
 from ..backend import MatchList, ScanState
 from . import lanes
@@ -71,14 +71,20 @@ def premultiplied_dtype(num_states: int) -> np.dtype:
     return np.dtype(np.int32 if num_states <= INT32_MAX_STATES else np.int64)
 
 
-def flagged_view(table: np.ndarray, match_flags: np.ndarray) -> np.ndarray:
+def flagged_view(
+    table: np.ndarray, match_flags: np.ndarray, in_place: bool = False
+) -> np.ndarray:
     """``premultiplied`` (see the module docstring), gathered into place 256
-    rows at a time: one gather would widen the whole table to ``intp``."""
-    view = np.empty(table.shape, dtype=premultiplied_dtype(len(table)))
-    entering = np.arange(len(table), dtype=view.dtype) << 8  # value per state
+    rows at a time: one gather would widen the whole table to ``intp``.
+    ``in_place`` writes it over ``table`` itself where the dtypes agree, so a
+    compile holds one table-sized array, not two, at its peak."""
+    dtype = premultiplied_dtype(len(table))
+    view = table if in_place and table.dtype == dtype else mapped_zeros(table.shape, dtype)
+    entering = np.arange(len(table), dtype=dtype) << 8  # value per state
     entering[match_flags] += view.size
     for low in range(0, len(table), 256):
-        entering.take(table[low:low + 256], out=view[low:low + 256], mode="clip")
+        rows = table[low:low + 256].astype(np.intp)  # a copy: ``view`` may be ``table``
+        entering.take(rows, out=view[low:low + 256], mode="clip")
     return view.ravel()
 
 
@@ -109,7 +115,11 @@ class CompiledDenseProgram(LaneKernelMixin):
         outputs: Sequence[Sequence[int]],
         patterns: Sequence[bytes],
         depth: np.ndarray,
+        *,
+        consume_table: bool = False,
     ):
+        """``consume_table``: ``table`` is this compile's own, and the
+        premultiplied table is written over it."""
         if table.ndim != 2 or table.shape[1] != ALPHABET_SIZE:
             raise ValueError(f"transition table must be (num_states, 256), got {table.shape}")
         if table.shape[0] != len(outputs):
@@ -127,7 +137,7 @@ class CompiledDenseProgram(LaneKernelMixin):
         # kernel views (the root, state 0, can never match — patterns are
         # non-empty — so a signed row's sign encoding is unambiguous)
         self.match_flags = np.diff(self.match_index) > 0
-        self.premultiplied = flagged_view(table, self.match_flags)
+        self.premultiplied = flagged_view(table, self.match_flags, consume_table)
         #: the depth of state ``(v % N) >> 8``, indexed by ``v >> 8``: the
         #: lane repair's settling test (see :mod:`repro.core.lanes`)
         self.value_depth = np.tile(lanes.depth_view(np.asarray(depth)), 2)
@@ -157,7 +167,8 @@ class CompiledDenseProgram(LaneKernelMixin):
 
     @classmethod
     def from_patterns(cls, patterns: Sequence[bytes]) -> "CompiledDenseProgram":
-        return cls.from_automaton(AhoCorasickDFA.from_patterns(patterns))
+        dfa = AhoCorasickDFA.from_patterns(patterns)  # nobody else holds it
+        return cls(dfa.table, dfa.outputs, dfa.trie.patterns, dfa.depth, consume_table=True)
 
     @classmethod
     def from_ruleset(cls, ruleset) -> "CompiledDenseProgram":

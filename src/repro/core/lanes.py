@@ -101,6 +101,17 @@ MAX_WIDTH = 1 << 15
 #: dense kernel one ``max()`` over it, ~5 % of walking it at this size.
 SLAB_CELLS = 1 << 18
 
+#: glibc serves a block above its mmap threshold (128 KB at start) with
+#: fresh pages, raises the threshold to the largest such block freed, and
+#: trims the heap's free top above twice it.  Set by the kernel's own
+#: buffers (a batch's packed lanes and history slabs, megabytes), that
+#: trims a bulk pass's buffers and faults them back in on every pass
+#: (~1 150 page faults, 12 % of a dense 2.2 MB pass).  One block of this
+#: size, freed at import, starts the threshold above them.  The compiled
+#: tables live outside the heap (``aho_corasick.mapped_zeros``).
+WARM_HEAP_BYTES = 4 << 20
+np.empty(WARM_HEAP_BYTES, dtype=np.uint8)
+
 #: Bytes a lane other than its job's first walks from the root before its
 #: cut (fewer when no pattern is that long).  The state at a cut of benign
 #: traffic is at most 6 deep with 500 rules (mean 0.95, p99 5), so lanes of

@@ -1,12 +1,17 @@
 """Unit tests for the Aho-Corasick NFA (failure function) and DFA (move function)."""
 
+import mmap
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import AhoCorasickDFA, AhoCorasickNFA, verify_equivalent_matches
+from repro.automata.aho_corasick import MAPPED_MIN_BYTES, mapped_zeros
 from repro.automata.trie import ROOT
+from repro.core.compiled import CompiledDenseProgram
 
 
 def brute_force_matches(patterns, data):
@@ -143,3 +148,47 @@ def test_nfa_and_dfa_agree_property(patterns, data):
     nfa = AhoCorasickNFA.from_patterns(patterns)
     dfa = AhoCorasickDFA.from_patterns(patterns)
     assert sorted(nfa.match(data)) == sorted(dfa.match(data))
+
+
+def _mapping_of(array):
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+def test_mapped_zeros_is_a_zeroed_writable_array_in_its_own_mapping():
+    rows = MAPPED_MIN_BYTES // 1024
+    table = mapped_zeros((rows, 256), np.int32)
+    assert table.shape == (rows, 256) and table.dtype == np.int32
+    assert not table.any()
+    table[rows - 1, 7] = 5
+    assert table[rows - 1, 7] == 5 and table.sum() == 5
+    assert isinstance(_mapping_of(table), mmap.mmap)
+    small = mapped_zeros((rows - 1, 256), np.int32)  # heap-sized: plain np.zeros
+    assert _mapping_of(small) is None and not small.any()
+    assert mapped_zeros((0, 256), np.int32).shape == (0, 256)
+
+
+def test_compile_tables_stay_out_of_the_malloc_heap():
+    """The megabyte tables a compile builds, the DFA's and the dense
+    program's premultiplied view, each get a mapping of their own, so a
+    dropped program returns them to the system whatever the heap's layout."""
+    patterns = [b"%03d-string-%03d" % (number, number * 7) for number in range(40)]
+    dfa = AhoCorasickDFA.from_patterns(patterns)
+    assert dfa.table.nbytes >= MAPPED_MIN_BYTES
+    program = CompiledDenseProgram.from_automaton(dfa)
+    assert isinstance(_mapping_of(dfa.table), mmap.mmap)
+    assert isinstance(_mapping_of(program.premultiplied), mmap.mmap)
+    tracemalloc.start()
+    try:
+        table = mapped_zeros(dfa.table.shape, np.int32)
+        assert tracemalloc.get_traced_memory()[0] >= table.nbytes  # audits see it
+        del table
+        assert tracemalloc.get_traced_memory()[0] < MAPPED_MIN_BYTES  # and its release
+    finally:
+        tracemalloc.stop()
+    data = b"xx 007-string-049 039-string-273039-string-2"
+    assert sorted(program.match(data)) == sorted(dfa.match(data)) == brute_force_matches(
+        patterns, data
+    )

@@ -25,6 +25,7 @@ from repro.automata.trie import Trie
 from repro.backend import ScanState, get_backend
 from repro.core import DTPAutomaton, MatchMemory, PackingError, compile_ruleset
 from repro.core import accelerator_config, default_transitions, dtp_automaton
+from repro.core.compiled import CompiledDenseProgram
 from repro.core.default_transitions import select_defaults, stored_mask
 from repro.core.dtp_automaton import (
     HARDWARE_MAX_POINTERS,
@@ -389,4 +390,23 @@ def test_a_compiled_program_keeps_one_transition_table():
     ]
     assert table_sized == ["premultiplied"]
     assert dense_mb <= 1.25 * dense.premultiplied.nbytes / 1e6, dense_mb
+
+
+def test_the_dense_compile_writes_its_premultiplied_table_over_its_own_dfa():
+    """``from_patterns`` owns its DFA and converts the table in place (one
+    table-sized array at the compile's peak); ``from_automaton`` leaves the
+    caller's DFA as it was."""
+    patterns = snort_like(60).patterns
+    dfa = AhoCorasickDFA.from_patterns(patterns)
+    table = dfa.table.copy()
+    kept = CompiledDenseProgram.from_automaton(dfa)
+    assert np.array_equal(dfa.table, table)
+    assert not np.shares_memory(kept.premultiplied, dfa.table)
+    consumed = CompiledDenseProgram(
+        dfa.table, dfa.outputs, dfa.trie.patterns, dfa.depth, consume_table=True
+    )
+    assert np.shares_memory(consumed.premultiplied, dfa.table)
+    assert np.array_equal(consumed.premultiplied, kept.premultiplied)
+    fresh = CompiledDenseProgram.from_patterns(patterns)
+    assert np.array_equal(fresh.premultiplied, kept.premultiplied)
 
