@@ -236,8 +236,11 @@ class Session:
         ``get_backend(backend).compile(ruleset)``, the program ``repro verify
         --backend`` proves (for ``dtp`` one unpartitioned
         :class:`~repro.core.DTPAutomaton`).  String numbers follow ruleset
-        order.
+        order.  In ids mode this *is* :attr:`ids`' program, as
+        :attr:`service` is its service.
         """
+        if self._engine_name == "ids":
+            return self.ids.program
         if self._program is _UNSET:
             start = time.perf_counter()
             self._program = get_backend(self.config.engine.backend).compile(self.ruleset)
@@ -610,7 +613,7 @@ class Session:
         return merge_reports(
             f"session verify ({self.config.engine.backend})",
             [
-                verify_program(self.program, patterns=self.ruleset.patterns),
+                verify_program(self.program, patterns=self.program.patterns),
                 lint_ruleset(self.ruleset),
             ],
         )

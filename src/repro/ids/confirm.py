@@ -93,6 +93,7 @@ gate is a function of them alone).
 
 from __future__ import annotations
 
+from itertools import count
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
     Union,
@@ -101,7 +102,6 @@ from typing import (
 from ..proto.http import HttpStream
 from ..rulesets.parser import RulePredicate
 from ..streaming.flow import FlowKey
-from ..traffic.packet import FiveTuple, Packet
 from .classifier import CANDIDATE_CACHE_LIMIT
 
 
@@ -318,15 +318,16 @@ class _FlowRecord:
     """Per-flow confirm state: occurrence positions, optional byte buffer,
     header candidates, which rules already alerted, the open set, and what
     the last absorbed packet changed (the inputs :meth:`ConfirmStage.verdicts`
-    routes on)."""
+    routes on), numbered by ``sequence`` in creation (first-seen) order."""
 
     __slots__ = (
         "positions", "lower_positions", "buffer", "length",
         "alerted", "view", "last_packet_id", "http",
-        "open", "fresh", "fed", "grew", "_merged",
+        "open", "fresh", "fed", "grew", "_merged", "sequence",
     )
 
-    def __init__(self, view: _Candidates):
+    def __init__(self, view: _Candidates, sequence: int):
+        self.sequence = sequence
         self.positions: Dict[int, List[int]] = {}
         self.lower_positions: Dict[int, List[int]] = {}
         self.buffer: Optional[bytearray] = None
@@ -420,8 +421,8 @@ class _FlowRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict, view: _Candidates) -> "_FlowRecord":
-        record = cls(view)
+    def from_dict(cls, data: Dict, view: _Candidates, sequence: int) -> "_FlowRecord":
+        record = cls(view, sequence)
         record.positions = {int(k): list(v) for k, v in data["positions"].items()}
         record.lower_positions = {
             int(k): list(v) for k, v in data["lower_positions"].items()
@@ -441,20 +442,22 @@ class ConfirmStage:
     """Correlates prefilter events into per-rule verdicts, flow by flow.
 
     One instance backs the flow scan and the stateless per-packet path (it
-    is fed :class:`StreamMatch` events either way).  Flow byte buffers are
-    kept only when some rule actually carries a pcre.  ``evaluators`` arrive
-    in rule-file order, which is the order verdicts are asked and alerts
-    come out in.
+    is fed :class:`StreamMatch` events either way) and holds no flow: the
+    caller keeps each :meth:`new_record`.  Flow byte buffers are kept only
+    when some rule actually carries a pcre.  ``evaluators`` arrive in
+    rule-file order, which is the order verdicts are asked and alerts come
+    out in; ``strings`` is the prefilter program's string count.
     """
 
-    def __init__(self, evaluators: Iterable[RuleEvaluator]):
+    def __init__(self, evaluators: Iterable[RuleEvaluator], strings: int):
         self.evaluators: Dict[int, RuleEvaluator] = {e.sid: e for e in evaluators}
+        self.strings = strings
         self.needs_buffer = any(e.needs_buffer for e in self.evaluators.values())
         #: some rule targets a normalized HTTP buffer: every flow carries an
         #: incremental :class:`HttpStream` alongside its hit positions
         self.needs_http = any(e.needs_http for e in self.evaluators.values())
-        #: insertion-ordered: finalize walks flows in first-seen order
-        self._flows: Dict[FlowKey, _FlowRecord] = {}
+        #: numbers records in creation (first-seen) order
+        self._sequence = count()
         # the routing tables of the module docstring: string number -> sids
         # with a positive raw step on it, per prefilter view (a rule naming
         # one string twice is listed twice; what is asked is a set), and the
@@ -492,38 +495,14 @@ class ConfirmStage:
         return view
 
     def new_record(self, candidates: Iterable[int]) -> _FlowRecord:
-        """A flow record the stage does not track: :meth:`observe` creates
-        the tracked ones, the stateless per-packet path uses one per packet."""
-        record = _FlowRecord(self._view(candidates))
+        """A new flow's record over its header-candidate sids: the IDS keeps
+        it on the flow's table entry, the stateless path one per packet."""
+        record = _FlowRecord(self._view(candidates), next(self._sequence))
         if self.needs_buffer:
             record.buffer = bytearray()
         if self.needs_http:
             record.http = HttpStream()
         return record
-
-    def observe(
-        self,
-        key: FlowKey,
-        packet: Packet,
-        events: Sequence,
-        classify: Callable[[Optional[FiveTuple]], Sequence[int]],
-    ) -> _FlowRecord:
-        """Fold one scanned packet's prefilter events into flow state.
-
-        ``classify`` supplies the header-candidate sids; it is only called
-        the first time a flow is seen (the 5-tuple — and therefore the
-        candidate set — is constant across a flow's segments).  Returns the
-        flow's record for :meth:`verdicts`.
-        """
-        record = self._flows.get(key)
-        if record is None:
-            record = self._flows[key] = self.new_record(classify(packet.header))
-        record.absorb(packet.packet_id, packet.payload, events)
-        return record
-
-    def flow_keys(self) -> List[FlowKey]:
-        """Tracked flows in first-seen order."""
-        return list(self._flows)
 
     # ------------------------------------------------------------------
     def check(self, record: _FlowRecord, sid: int, at_end: bool = False) -> bool:
@@ -603,16 +582,13 @@ class ConfirmStage:
             due -= self._end_only
         return self._confirmed(record, due, at_end) if due else []
 
-    def finalize_flow(self, key: FlowKey) -> List[Tuple[int, int]]:
-        """Decide end-of-flow rules (negation) for one flow.
+    def finalize_flow(self, record: _FlowRecord) -> List[Tuple[int, int]]:
+        """Decide end-of-flow rules (negation) for one flow's record.
 
         Returns ``(packet_id, sid)`` pairs — the alert is attributed to the
         flow's last seen packet, the point where "no more bytes" became
         true.  Safe to call repeatedly: decided rules are marked alerted.
         """
-        record = self._flows.get(key)
-        if record is None:
-            return []
         # only a negated component reads ``at_end``, and a rule outside the
         # open set is missing a positive content
         due = record.open & self._requires_end
@@ -621,29 +597,35 @@ class ConfirmStage:
             for sid in self._confirmed(record, due, at_end=True)
         ]
 
-    def drop(self, key: FlowKey) -> None:
-        """Forget a flow (after eviction: the scanner restarts it at offset
-        0, so stale absolute positions must not survive)."""
-        self._flows.pop(key, None)
-
-    def reset(self) -> None:
-        self._flows.clear()
-
     # ------------------------------------------------------------------
-    def checkpoint(self) -> Dict:
-        """JSON-serialisable snapshot of every tracked flow's confirm state."""
+    def checkpoint(self, flows: Iterable[Tuple[FlowKey, _FlowRecord]]) -> Dict:
+        """JSON-serialisable snapshot of ``(key, record)`` flows, in order."""
         return {
             "flows": [
                 {"key": list(key.as_tuple()), **record.as_dict()}
-                for key, record in self._flows.items()
+                for key, record in flows
             ]
         }
 
-    def restore(self, data: Dict) -> None:
-        self._flows = {}
+    def restore(self, data: Dict) -> List[Tuple[FlowKey, _FlowRecord]]:
+        """A :meth:`checkpoint`'s ``(key, record)`` flows, numbered in order.
+        A sid no rule has or a string number outside the program is a
+        ``ValueError`` naming the flow and the field."""
+        rules = (self.evaluators, "sid", "a loaded rule's")
+        strings = (range(self.strings), "string", f"one of the program's {self.strings}")
+        known = dict(candidates=rules, alerted=rules, positions=strings, lower_positions=strings)
+        out: List[Tuple[FlowKey, _FlowRecord]] = []
         for entry in data["flows"]:
             key = FlowKey.coerced(*entry["key"])
-            record = _FlowRecord.from_dict(entry, self._view(entry["candidates"]))
+            for field, (within, what, where) in known.items():
+                stray = [value for value in entry[field] if int(value) not in within]
+                if stray:
+                    raise ValueError(
+                        f"confirm flow {key.as_tuple()} {field}: {what} {stray[0]} is not {where}"
+                    )
+            record = _FlowRecord.from_dict(
+                entry, self._view(entry["candidates"]), next(self._sequence)
+            )
             # the open set is not serialised: the gate reads the positions
             # alone, and every rule it can admit is indexed under one of them
             named: Set[int] = set()
@@ -654,7 +636,8 @@ class ConfirmStage:
                 for number in positions:
                     named.update(index.get(number, ()))
             self._opened(record, named)
-            self._flows[key] = record
+            out.append((key, record))
+        return out
 
 
 __all__ = ["ConfirmStage", "RuleEvaluator"]

@@ -39,9 +39,9 @@ from ..rulesets.parser import (
     SnortRuleSpec,
 )
 from ..rulesets.ruleset import RuleSet
-from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowKey
+from ..streaming.flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey
 from ..streaming.scanner import SegmentBatch, StreamScanner
-from ..streaming.service import ScanService, StreamScanResult
+from ..streaming.service import ScanService, StreamScanResult, checkpoint_table
 from ..traffic.packet import Packet
 from .classifier import HeaderClassifier, HeaderPattern
 from .confirm import ConfirmStage, RuleEvaluator
@@ -100,10 +100,6 @@ class IDSRule:
                     f"rule {self.sid}: contents do not match the predicate's "
                     "positive raw-stream contents"
                 )
-
-    def content_flags(self) -> Tuple[Tuple[bytes, bool], ...]:
-        flags = self.nocase or (False,) * len(self.contents)
-        return tuple(zip(self.contents, flags))
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,8 @@ class IntrusionDetectionSystem:
         #: and the stateless :meth:`process` (it is fed from StreamMatch
         #: events either way)
         self._confirm = ConfirmStage(
-            RuleEvaluator(rule.sid, rule.predicate, number_of) for rule in rules
+            (RuleEvaluator(rule.sid, rule.predicate, number_of) for rule in rules),
+            len(number_of),
         )
         self._service: Optional[ScanService] = None
         self._flow_capacity = flow_capacity
@@ -336,7 +333,6 @@ class IntrusionDetectionSystem:
         if capacity is not None:
             self._flow_capacity = capacity
         self._service = None  # rebuilt on next use, at the new size
-        self._confirm.reset()
 
     def close(self) -> None:
         """Part of the pipeline-stage contract: nothing to release (flow
@@ -351,22 +347,25 @@ class IntrusionDetectionSystem:
     def _correlate(
         self,
         packets: Sequence[Packet],
-        keys: Sequence[FlowKey],
+        admitted: Admitted,
         hits: Dict[int, Sequence],
-        evictions: Sequence,
+        evictions: Sequence[Eviction],
     ) -> List[Alert]:
         """Fold scanned events into confirm-stage verdicts, packet by packet.
 
-        Fed from the service's annotated scan: the event lists of the
-        packets that matched (``hits``, by arrival index) and
-        ``(arrival_index, key)`` eviction records.  A flow evicted while
-        packet ``index`` was being scanned is finalized (pending negation
-        verdicts) and dropped before that packet is correlated — it restarts
-        from scratch, because the scanner restarted its offsets too.
+        Fed from the service's annotated scan.  A flow's confirm record lives
+        on its flow-table entry from the flow's first packet; a flow evicted
+        while packet ``index`` was being scanned has its record finalized
+        (pending negation verdicts) before that packet is correlated, and a
+        returning flow restarts from scratch, as the scanner restarted it.
         """
         alerts: List[Alert] = []
         confirm = self._confirm
         classify = self.classifier.classify
+        entries: List[Optional[FlowEntry]] = [None] * len(packets)
+        for entry, indexes in admitted:
+            for index in indexes:
+                entries[index] = entry
         next_eviction = 0
         for index, packet in enumerate(packets):
             self.stats.packets_processed += 1
@@ -379,12 +378,16 @@ class IntrusionDetectionSystem:
                 next_eviction < len(evictions)
                 and evictions[next_eviction][0] <= index
             ):
-                _, evicted_key = evictions[next_eviction]
+                evicted = evictions[next_eviction][1].record
                 next_eviction += 1
-                for packet_id, sid in confirm.finalize_flow(evicted_key):
-                    alerts.append(self._alert(packet_id, sid))
-                confirm.drop(evicted_key)
-            record = confirm.observe(keys[index], packet, events, classify)
+                if evicted is not None:
+                    for packet_id, sid in confirm.finalize_flow(evicted):
+                        alerts.append(self._alert(packet_id, sid))
+            entry = entries[index]
+            record = entry.record
+            if record is None:
+                record = entry.record = confirm.new_record(classify(packet.header))
+            record.absorb(packet.packet_id, packet.payload, events)
             self.stats.header_candidates += len(record.candidates)
             # no prefilter hit and no normalized HTTP buffer on this flow
             # yet -> no rule can pass its candidacy gate: keep the no-hit
@@ -413,11 +416,16 @@ class IntrusionDetectionSystem:
 
         The payloads are scanned by :attr:`service`, and the confirm stage
         is fed from its annotated scan: the matched packets' events
-        (flow-absolute offsets) and eviction records that finalize-and-drop
-        a flow exactly where the LRU table forgot it.
+        (flow-absolute offsets), and the entries each flow's confirm record
+        hangs off — finalized exactly where the LRU table evicts them.
         """
-        _, hits, evictions, keys = self.service.scan_annotated(packets)
-        return self._correlate(packets, keys, hits, evictions)
+        _, hits, evictions, admitted = self.service.scan_annotated(packets)
+        return self._correlate(packets, admitted, hits, evictions)
+
+    def _live_flows(self) -> List[FlowEntry]:
+        """The live flows that carry a confirm record, in first-seen order."""
+        live = [e for e in self.service.scanner.flows.entries() if e.record is not None]
+        return sorted(live, key=lambda entry: entry.record.sequence)
 
     def finish(self) -> List[Alert]:
         """Decide the pending end-of-flow verdicts of every tracked flow.
@@ -431,11 +439,11 @@ class IntrusionDetectionSystem:
         Rules without negation never alert here: their predicates are
         monotone, so a prefix that failed keeps failing on the same bytes.
         """
-        confirm = self._confirm
+        finalize = self._confirm.finalize_flow
         return [
             self._alert(packet_id, sid)
-            for key in confirm.flow_keys()
-            for packet_id, sid in confirm.finalize_flow(key)
+            for entry in self._live_flows()
+            for packet_id, sid in finalize(entry.record)
         ]
 
     # ------------------------------------------------------------------
@@ -463,19 +471,26 @@ class IntrusionDetectionSystem:
         positions per flow, pcre byte buffers, pending negation candidacy —
         rides next to the service's table of resumable automaton states,
         so a restored IDS continues mid-flow predicates exactly where it
-        stopped.
+        stopped.  The confirm flows are written in first-seen order.
         """
         return {
             "service": self.service.checkpoint(),
-            "confirm": self._confirm.checkpoint(),
+            "confirm": self._confirm.checkpoint((e.key, e.record) for e in self._live_flows()),
         }
 
     def restore(self, data: Dict) -> None:
         """Restore state saved by :meth:`checkpoint`.
 
-        Also accepts the ``{"flows", "confirm"}`` shape written before the
-        IDS scanned through a service: the same one flow table, under
-        another key.
+        Each confirm record goes onto its flow's restored entry, so a flow
+        dropped for capacity (``restore_dropped``) takes it along; a confirm
+        flow the table never held is refused before anything is restored.
+        Also accepts the older ``{"flows", "confirm"}`` shape.
         """
-        self.service.restore(data["flows"] if "flows" in data else data["service"])
-        self._confirm.restore(data["confirm"])
+        table = checkpoint_table(data["flows"] if "flows" in data else data["service"])
+        held = {FlowKey.coerced(*flow["key"]) for flow in table["flows"]}
+        records = dict(self._confirm.restore(data["confirm"]))
+        for key in records.keys() - held:
+            raise ValueError(f"confirm flow {key.as_tuple()} key: not in the flow table")
+        self.service.restore(table)
+        for entry in self.service.scanner.flows.entries():
+            entry.record = records.get(entry.key)

@@ -13,7 +13,8 @@ simply restarts from the root state, the standard trade-off in flow-state
 engines).  :meth:`FlowTable.admit` is the one place that happens: it walks a
 batch's flow keys in arrival order, exactly as segment-at-a-time scanning
 would, and hands back each flow incarnation with its segments plus the
-eviction records.  The whole table can be checkpointed to a plain
+evicted entries, the only way a flow (:attr:`FlowEntry.record` and all)
+leaves the table.  The whole table can be checkpointed to a plain
 JSON-serialisable dict and restored later — per-flow state is tiny (a few
 integers), which is what makes checkpointing and migration across engines
 cheap.
@@ -116,16 +117,16 @@ class FlowEntry:
     ``lower_state`` is the parallel state over the lower-cased view of the
     stream (allocated only when case-insensitive patterns exist).  A
     checkpoint writes each as a one-element list, under ``"states"`` and
-    ``"lower_states"``.  The rules a flow's hits complete are the confirm
-    stage's business (:mod:`repro.ids.confirm` keeps its own per-flow
-    record), so the registers are all a flow entry holds.
+    ``"lower_states"``.  ``record`` is the IDS's confirm record for the
+    flow (:mod:`repro.ids.confirm`): no scan or checkpoint reads it, and it
+    leaves with the entry.
 
     A ``__slots__`` record rather than a dataclass: one is created per live
     flow and its fields are reassigned on every scanned batch, so the
     streaming hot loop benefits from ``__dict__``-free attribute access.
     """
 
-    __slots__ = ("key", "state", "lower_state")
+    __slots__ = ("key", "state", "lower_state", "record")
 
     def __init__(
         self,
@@ -136,6 +137,7 @@ class FlowEntry:
         self.key = key
         self.state = state
         self.lower_state = lower_state
+        self.record = None
 
     def __repr__(self) -> str:
         return (
@@ -201,12 +203,15 @@ class FlowTableStatistics:
     restore_dropped: int = 0
 
 
-#: Per-batch eviction record: ``(item_index, FlowKey)`` — the flow evicted
-#: while the batch item at ``item_index`` was being admitted.
-Eviction = Tuple[int, FlowKey]
+#: Per-batch eviction record: ``(item_index, FlowEntry)`` — the flow evicted
+#: while the batch item at ``item_index`` was being admitted, record and all.
+Eviction = Tuple[int, FlowEntry]
+
+#: Every entry a batch was admitted under, with its segments' arrival indexes.
+Admitted = List[Tuple[FlowEntry, List[int]]]
 
 #: What :meth:`FlowTable.admit` returns: ``(admitted, evictions)``.
-Admission = Tuple[List[Tuple[FlowEntry, List[int]]], List[Eviction]]
+Admission = Tuple[Admitted, List[Eviction]]
 
 
 class FlowTable:
@@ -230,6 +235,10 @@ class FlowTable:
         """Flow keys, least recently used first."""
         return list(self._entries)
 
+    def entries(self) -> List[FlowEntry]:
+        """Live entries, least recently used first."""
+        return list(self._entries.values())
+
     def peek(self, key: FlowKey) -> Optional[FlowEntry]:
         """The live entry for ``key``, or ``None``; its recency is left alone."""
         return self._entries.get(key)
@@ -245,7 +254,7 @@ class FlowTable:
         at a time would, so LRU order, counters and evictions are that
         walk's.  Returns ``(admitted, evictions)``: every entry with the
         arrival indexes of its segments, in first-arrival order, and an
-        ``(index, key)`` :data:`Eviction` for every flow evicted while the
+        ``(index, entry)`` :data:`Eviction` for every flow evicted while the
         segment at ``index`` was admitted.  A flow evicted and seen again
         within the batch comes back as a second, fresh entry, so its later
         segments restart from the root state.
@@ -254,7 +263,7 @@ class FlowTable:
         refresh = entries.move_to_end
         capacity = self.capacity
         current: Dict[FlowKey, List[int]] = {}
-        admitted: List[Tuple[FlowEntry, List[int]]] = []
+        admitted: Admitted = []
         evictions: List[Eviction] = []
         created = 0
         for index, key in enumerate(keys):
@@ -268,8 +277,8 @@ class FlowTable:
                 entry = entries[key] = factory(key)
                 created += 1
                 while len(entries) > capacity:
-                    evicted, _ = entries.popitem(last=False)
-                    evictions.append((index, evicted))
+                    evicted, gone = entries.popitem(last=False)
+                    evictions.append((index, gone))
                     current.pop(evicted, None)
             else:
                 refresh(key)
@@ -278,13 +287,6 @@ class FlowTable:
         self.stats.created += created
         self.stats.evicted += len(evictions)
         return admitted, evictions
-
-    def remove(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Drop a flow (e.g. on TCP FIN/RST); not counted as an eviction."""
-        return self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:

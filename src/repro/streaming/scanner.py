@@ -43,7 +43,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram, MatchList, ScanJob, ScanState
 from ..traffic.packet import Packet
-from .flow import DEFAULT_FLOW_CAPACITY, Eviction, FlowEntry, FlowKey, FlowTable
+from .flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey, FlowTable
 
 #: Flow key used when a packet carries no 5-tuple header (treated as one
 #: anonymous flow so bare payload streams can still be scanned statefully).
@@ -73,9 +73,11 @@ class SegmentBatch:
     Segment ``i`` is ``payloads[i]`` of flow ``keys[i]`` with id
     ``packet_ids[i]``.  The services build one straight from their packets,
     so a batch costs three lists, not one record per segment.
+    :meth:`StreamScanner.scan_batch` sets ``admitted``: the flow entries the
+    segments were scanned under (:meth:`FlowTable.admit`).
     """
 
-    __slots__ = ("keys", "payloads", "packet_ids")
+    __slots__ = ("keys", "payloads", "packet_ids", "admitted")
 
     def __init__(
         self,
@@ -86,6 +88,7 @@ class SegmentBatch:
         self.keys = keys
         self.payloads = payloads
         self.packet_ids = packet_ids
+        self.admitted: Admitted = []
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -263,17 +266,18 @@ class StreamScanner:
         Returns ``(hits, evictions)`` (see :data:`BatchScan`): ``hits[i]``
         is exactly the non-empty event list scanning segment ``i`` on its
         own, in arrival order, would have produced, and ``evictions``
-        records ``(i, key)``, in arrival order, for every flow LRU-evicted
+        records ``(i, entry)``, in arrival order, for every flow LRU-evicted
         while segment ``i`` was admitted.
 
         The flow table admits the batch in arrival order
-        (:meth:`FlowTable.admit`); each admitted entry's segments are joined
-        into one job and every job crosses into the backend in one
-        ``scan_many`` call.  Matches are re-attributed to segments by their
-        flow-absolute end offset.
+        (``batch.admitted``); each admitted entry's segments are joined into
+        one job and every job crosses into the backend in one ``scan_many``
+        call.  Matches are re-attributed to segments by their flow-absolute
+        end offset.
         """
         batch = items if isinstance(items, SegmentBatch) else SegmentBatch.from_items(items)
         admitted, evictions = self.flows.admit(batch.keys, self._new_entry)
+        batch.admitted = admitted
         payloads = batch.payloads
         work = [
             (entry, b"".join([payloads[index] for index in indexes]))
@@ -353,15 +357,6 @@ class StreamScanner:
                 segment_start = boundaries[position - 1] if position else start
                 if offset - pattern_length[number] < segment_start:
                     stats.cross_segment_matches += 1
-
-    # ------------------------------------------------------------------
-    def close_flow(self, key: FlowKey) -> Optional[FlowEntry]:
-        """Forget a finished flow and return its final entry, if tracked."""
-        return self.flows.remove(key)
-
-    @property
-    def active_flows(self) -> int:
-        return len(self.flows)
 
 
 __all__ = [

@@ -20,7 +20,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
-from .flow import DEFAULT_FLOW_CAPACITY, FlowKey, FlowTable
+from .flow import DEFAULT_FLOW_CAPACITY, Admitted, FlowKey, FlowTable
 from .scanner import Eviction, SegmentBatch, StreamMatch, StreamScanner
 
 
@@ -59,14 +59,23 @@ class StreamScanResult:
 _EVENT_ORDER = attrgetter("packet_id", "end_offset", "string_number")
 
 #: What :meth:`ScanService.scan_annotated` returns.
-AnnotatedScan = Tuple[
-    StreamScanResult, Dict[int, List[StreamMatch]], List[Eviction], List[FlowKey]
-]
+AnnotatedScan = Tuple[StreamScanResult, Dict[int, List[StreamMatch]], List[Eviction], Admitted]
 
 
 def event_order(event: StreamMatch) -> Tuple[int, int, int]:
     """The canonical event ordering every service reports in."""
     return _EVENT_ORDER(event)
+
+
+def checkpoint_table(data: Dict) -> Dict:
+    """The one flow table of a service checkpoint (:meth:`ScanService.restore`)."""
+    tables = [data] if "flows" in data else data["shards"]
+    if len(tables) != 1:
+        raise ValueError(
+            f"checkpoint holds {len(tables)} flow tables; only a "
+            "one-table checkpoint can be restored"
+        )
+    return tables[0]
 
 
 class ScanService:
@@ -94,13 +103,13 @@ class ScanService:
     def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
         """Batched dispatch plus what a confirm stage needs to follow it.
 
-        Returns ``(result, hits, evictions, keys)``: the aggregate result;
-        ``hits[i]``, the events of input packet ``i`` (what scanning it alone,
-        in arrival order, would have returned) for every packet that matched
-        — absent means none; ``(arrival_index, key)`` for every flow
-        LRU-evicted while the packet at ``arrival_index`` was admitted; and
-        every packet's resolved flow key.  The stateful IDS pipeline
-        correlates alerts from these without touching the flow table.
+        Returns ``(result, hits, evictions, admitted)``: the aggregate
+        result; ``hits[i]``, the events of input packet ``i`` (what scanning
+        it alone, in arrival order, would have returned) for every packet
+        that matched — absent means none; ``(arrival_index, entry)`` for
+        every flow LRU-evicted while the packet at ``arrival_index`` was
+        admitted; and the flow entries the batch was scanned under, which the
+        IDS hangs each flow's confirm record on.
 
         The whole batch is one :meth:`StreamScanner.scan_batch` call: one
         walk of the flow table, one backend crossing.  Nothing per packet is
@@ -118,7 +127,7 @@ class ScanService:
         result = StreamScanResult(
             events, len(packets), scanner.stats.bytes_scanned - before
         )
-        return result, hits, evictions, batch.keys
+        return result, hits, evictions, batch.admitted
 
     def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
         """Batched dispatch: scan ``packets`` statefully, aggregate.
@@ -184,23 +193,14 @@ class ScanService:
         whose state id is not one of the program's states is a
         ``ValueError`` naming the flow and ``ScanState.state``.
         """
-        if "flows" not in data:
-            tables = data["shards"]
-            if len(tables) != 1:
-                raise ValueError(
-                    f"checkpoint holds {len(tables)} flow tables; only a "
-                    "one-table checkpoint can be restored"
-                )
-            data = tables[0]
         scanner = self.scanner
-        flows = FlowTable.restore(data, capacity=scanner.flows.capacity)
+        flows = FlowTable.restore(checkpoint_table(data), capacity=scanner.flows.capacity)
         limit = self.program.num_states
-        for key in flows.keys():
-            entry = flows.peek(key)
+        for entry in flows.entries():
             for view, state in (("states", entry.state), ("lower_states", entry.lower_state)):
                 if state is not None and state.state >= limit:
                     raise ValueError(
-                        f"flow {key.as_tuple()} {view}: ScanState.state must be "
+                        f"flow {entry.key.as_tuple()} {view}: ScanState.state must be "
                         f"below the program's {limit} states, got {state.state}"
                     )
         scanner.flows = flows

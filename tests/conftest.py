@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import ipaddress
+import itertools
 import json
 import random
 import struct
@@ -1532,7 +1533,10 @@ class ReferenceReassembler(TcpReassembler):
 # objects, so what the differential tests in tests/test_confirm.py compare is
 # *which rules are asked when*, not how one rule is evaluated (the naive
 # evaluator below covers that).  ``install_reference_confirm`` swaps it into a
-# built IDS.
+# built IDS.  Its per-flow storage follows the production stage's interface:
+# the IDS keeps each record on the flow's table entry, so the stage holds no
+# flow and ``finalize_flow`` / ``checkpoint`` / ``restore`` take and give
+# records; the evaluation logic is unchanged.
 def reference_merged_occurrences(
     step: _Step,
     positions: Dict[int, List[int]],
@@ -1573,10 +1577,11 @@ class _ReferenceFlowRecord:
 
     __slots__ = (
         "positions", "lower_positions", "buffer", "length",
-        "alerted", "view", "last_packet_id", "http", "touched",
+        "alerted", "view", "last_packet_id", "http", "touched", "sequence",
     )
 
-    def __init__(self, view: _ReferenceCandidates):
+    def __init__(self, view: _ReferenceCandidates, sequence: int):
+        self.sequence = sequence
         self.positions: Dict[int, List[int]] = {}
         self.lower_positions: Dict[int, List[int]] = {}
         self.buffer: Optional[bytearray] = None
@@ -1629,8 +1634,10 @@ class _ReferenceFlowRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict, view: _ReferenceCandidates) -> "_ReferenceFlowRecord":
-        record = cls(view)
+    def from_dict(
+        cls, data: Dict, view: _ReferenceCandidates, sequence: int
+    ) -> "_ReferenceFlowRecord":
+        record = cls(view, sequence)
         record.positions = {int(k): list(v) for k, v in data["positions"].items()}
         record.lower_positions = {
             int(k): list(v) for k, v in data["lower_positions"].items()
@@ -1665,8 +1672,8 @@ class ReferenceConfirmStage:
         #: some rule targets a normalized HTTP buffer: every flow carries an
         #: incremental :class:`HttpStream` alongside its hit positions
         self.needs_http = any(e.needs_http for e in self.evaluators.values())
-        #: insertion-ordered: finalize walks flows in first-seen order
-        self._flows: Dict[FlowKey, _ReferenceFlowRecord] = {}
+        #: numbers records in creation (first-seen) order
+        self._sequence = itertools.count()
         # the event-driven due set (module docstring): string number -> sids
         # with a positive raw step on it, per prefilter view.  A rule naming
         # one string twice is listed twice; the due set is a set.
@@ -1711,38 +1718,14 @@ class ReferenceConfirmStage:
         return view
 
     def new_record(self, candidates: Iterable[int]) -> _ReferenceFlowRecord:
-        """A flow record the stage does not track: :meth:`observe` creates
-        the tracked ones, the stateless per-packet path uses one per packet."""
-        record = _ReferenceFlowRecord(self._view(candidates))
+        """A new flow's record: the IDS keeps it on the flow's table entry,
+        the stateless per-packet path uses one per packet."""
+        record = _ReferenceFlowRecord(self._view(candidates), next(self._sequence))
         if self.needs_buffer:
             record.buffer = bytearray()
         if self.needs_http:
             record.http = HttpStream()
         return record
-
-    def observe(
-        self,
-        key: FlowKey,
-        packet: Packet,
-        events: Sequence,
-        classify: Callable[[Optional[FiveTuple]], Sequence[int]],
-    ) -> _ReferenceFlowRecord:
-        """Fold one scanned packet's prefilter events into flow state.
-
-        ``classify`` supplies the header-candidate sids; it is only called
-        the first time a flow is seen (the 5-tuple — and therefore the
-        candidate set — is constant across a flow's segments).  Returns the
-        flow's record for :meth:`verdicts`.
-        """
-        record = self._flows.get(key)
-        if record is None:
-            record = self._flows[key] = self.new_record(classify(packet.header))
-        record.absorb(packet.packet_id, packet.payload, events)
-        return record
-
-    def flow_keys(self) -> List[FlowKey]:
-        """Tracked flows in first-seen order."""
-        return list(self._flows)
 
     # ------------------------------------------------------------------
     def _occurrences(self, record: _ReferenceFlowRecord) -> OccurrenceFn:
@@ -1798,16 +1781,13 @@ class ReferenceConfirmStage:
         due |= record.touched
         return self._confirmed(record, due, at_end)
 
-    def finalize_flow(self, key: FlowKey) -> List[Tuple[int, int]]:
-        """Decide end-of-flow rules (negation) for one flow.
+    def finalize_flow(self, record: _ReferenceFlowRecord) -> List[Tuple[int, int]]:
+        """Decide end-of-flow rules (negation) for one flow's record.
 
         Returns ``(packet_id, sid)`` pairs — the alert is attributed to the
         flow's last seen packet, the point where "no more bytes" became
         true.  Safe to call repeatedly: decided rules are marked alerted.
         """
-        record = self._flows.get(key)
-        if record is None:
-            return []
         # a pending end-of-flow rule is growth-sensitive: unless the flow
         # touched it, one of its positive contents never occurred
         due = record.touched & self._requires_end
@@ -1816,29 +1796,23 @@ class ReferenceConfirmStage:
             for sid in self._confirmed(record, due, at_end=True)
         ]
 
-    def drop(self, key: FlowKey) -> None:
-        """Forget a flow (after eviction: the scanner restarts it at offset
-        0, so stale absolute positions must not survive)."""
-        self._flows.pop(key, None)
-
-    def reset(self) -> None:
-        self._flows.clear()
-
     # ------------------------------------------------------------------
-    def checkpoint(self) -> Dict:
-        """JSON-serialisable snapshot of every tracked flow's confirm state."""
+    def checkpoint(self, flows: Iterable[Tuple[FlowKey, _ReferenceFlowRecord]]) -> Dict:
+        """JSON-serialisable snapshot of ``flows``' confirm state."""
         return {
             "flows": [
                 {"key": list(key.as_tuple()), **record.as_dict()}
-                for key, record in self._flows.items()
+                for key, record in flows
             ]
         }
 
-    def restore(self, data: Dict) -> None:
-        self._flows = {}
+    def restore(self, data: Dict) -> List[Tuple[FlowKey, _ReferenceFlowRecord]]:
+        out: List[Tuple[FlowKey, _ReferenceFlowRecord]] = []
         for entry in data["flows"]:
             key = FlowKey.coerced(*entry["key"])
-            record = _ReferenceFlowRecord.from_dict(entry, self._view(entry["candidates"]))
+            record = _ReferenceFlowRecord.from_dict(
+                entry, self._view(entry["candidates"]), next(self._sequence)
+            )
             # ``touched`` is not serialised: every number with a recorded
             # position was once an event, so the index gives it back
             for index, positions in (
@@ -1849,7 +1823,8 @@ class ReferenceConfirmStage:
                     record.touched.update(index.get(number, ()))
             record.touched &= self._growth & record.view.members
             record.touched -= record.alerted
-            self._flows[key] = record
+            out.append((key, record))
+        return out
 
 
 def install_reference_confirm(ids) -> ReferenceConfirmStage:
@@ -1965,7 +1940,7 @@ class ReferenceStreamScanner(StreamScanner):
         recording each flow the table evicts on the way."""
         keys, payloads, packet_ids = batch.keys, batch.payloads, batch.packet_ids
         hits: Dict[int, List[StreamMatch]] = {}
-        evictions: List[Eviction] = []
+        evictions: List[Tuple[int, FlowKey]] = []
         flows = self.flows
         previous = flows.on_evict
         position = 0
@@ -1984,6 +1959,12 @@ class ReferenceStreamScanner(StreamScanner):
         finally:
             flows.on_evict = previous
         return hits, evictions
+
+
+def eviction_keys(evictions: Sequence[Eviction]) -> List[Tuple[int, FlowKey]]:
+    """``(index, key)`` of each ``(index, entry)`` eviction record: the form
+    the per-segment reference records."""
+    return [(index, entry.key) for index, entry in evictions]
 
 
 def reference_service(

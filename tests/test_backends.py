@@ -250,6 +250,47 @@ def test_restore_refuses_a_scan_state_out_of_range(backend, values, field):
     assert repr(FlowKey.from_header(STREAM_HEADER).as_tuple()) in str(refused.value)
 
 
+#: Two rules over the prefilter strings ``GET`` (0) and ``cmd`` (1).
+CONFIRM_RULES = (
+    IDSRule(sid=1, header=HeaderPattern(), contents=(b"GET",)),
+    IDSRule(sid=2, header=HeaderPattern(), contents=(b"cmd",)),
+)
+
+
+def ids_checkpoint() -> dict:
+    """The JSON checkpoint of an IDS over :data:`CONFIRM_RULES` that scanned
+    one segment of :data:`STREAM_HEADER`'s flow."""
+    with IntrusionDetectionSystem(CONFIRM_RULES, backend="dense") as ids:
+        ids.scan_flow([Packet(payload=b"GET / HTTP/1.1", header=STREAM_HEADER, packet_id=0)])
+        return json.loads(json.dumps(ids.checkpoint()))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    (
+        ("candidates", [1, 2, 999], "candidates: sid 999 is not a loaded rule's"),
+        ("alerted", [999], "alerted: sid 999 is not a loaded rule's"),
+        ("positions", {"0": [3], "2": [9]}, "positions: string 2 is not one of the program's 2"),
+        ("lower_positions", {"-1": [3]}, "lower_positions: string -1 is not one"),
+        ("key", ["10.9.9.9", "10.0.1.1", 4000, 80, "tcp"], "key: not in the flow table"),
+    ),
+    ids=("candidates", "alerted", "positions", "lower_positions", "key"),
+)
+def test_restore_refuses_a_confirm_flow_out_of_range(field, value, message):
+    """A confirm flow naming a sid no rule has, a string number the program
+    lacks, or a flow the checkpoint's table never held is refused by the
+    IDS's restore, naming the flow and the field, and nothing is restored."""
+    saved = ids_checkpoint()
+    (flow,) = saved["confirm"]["flows"]
+    assert (flow["candidates"], flow["alerted"], flow["positions"]) == ([1, 2], [1], {"0": [3]})
+    flow[field] = value
+    with IntrusionDetectionSystem(CONFIRM_RULES, backend="dense") as ids:
+        with pytest.raises(ValueError, match=message) as refused:
+            ids.restore(saved)
+        assert len(ids.flow_scanner.flows) == 0
+    assert repr(FlowKey.coerced(*flow["key"]).as_tuple()) in str(refused.value)
+
+
 def test_the_retired_wu_manber_backend_fails_by_name(capsys):
     """Wu-Manber is retired, and every way in names it: a 5-element
     checkpoint (its ``tail``), the engine's ``backend`` key, the CLI's

@@ -55,6 +55,7 @@ from tests.conftest import (
     assert_equivalent_events,
     block_automaton,
     equivalence_workload,
+    eviction_keys,
     random_predicate_rules,
     random_text,
     reference_service,
@@ -416,7 +417,7 @@ class TestEvictionPressure:
         hits, evictions = batched.scan_batch(items)
 
         assert per_item(hits, len(items)) == expected
-        assert evictions == expected_evictions
+        assert eviction_keys(evictions) == expected_evictions
         assert evictions, "the workload must actually evict"
         assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
         assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(
@@ -438,7 +439,7 @@ class TestEvictionPressure:
         # ...and the next batch introducing a fifth flow evicts the LRU one
         extra = [(make_key(9), b"overflow-segment", 0)]
         _, second_evictions = scanner.scan_batch(extra)
-        assert second_evictions == [(0, make_key(0))]
+        assert eviction_keys(second_evictions) == [(0, make_key(0))]
         assert scanner.flows.stats.evicted == 1
 
     def test_service_level_eviction_equivalence(self, drift_ruleset):
@@ -547,7 +548,7 @@ class TestOneCrossingPerBatch:
         sort_keys = []
         for annotated, batch in zip((False, True), crossing_batches):
             if annotated:
-                result, hits, evictions, keys = batched.scan_annotated(batch)
+                result, hits, evictions, admitted = batched.scan_annotated(batch)
             else:
                 result = batched.scan(batch)
             flows = len({StreamScanner.flow_key(packet) for packet in batch})
@@ -561,7 +562,10 @@ class TestOneCrossingPerBatch:
             if annotated:
                 assert hits == expected_hits
                 assert evictions == expected_evictions == []
-                assert keys == [StreamScanner.flow_key(packet) for packet in batch]
+                keys = {i: entry.key for entry, indexes in admitted for i in indexes}
+                assert [keys[i] for i in range(len(batch))] == [
+                    StreamScanner.flow_key(packet) for packet in batch
+                ]
                 assert list(hits) == sorted(hits)  # the pre-sort order: arrival
             assert_same_state(batched, reference)
             sort_keys += map(event_order, result.events)
@@ -590,7 +594,7 @@ class TestOneCrossingPerBatch:
         assert calls == [9]
 
         events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
-        assert evictions == expected_evictions and evictions
+        assert eviction_keys(evictions) == expected_evictions and evictions
         assert hits == expected_hits
         assert result.events == events
         assert_same_state(batched, reference)
@@ -621,7 +625,7 @@ class TestOneCrossingPerBatch:
 
         events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
         assert len(calls) == 1 + 9
-        assert evictions == expected_evictions == [(6, make_key(0))]
+        assert eviction_keys(evictions) == expected_evictions == [(6, make_key(0))]
         assert hits == expected_hits and list(hits) == list(expected_hits)
         assert result.events == events
         assert [event.flow for event in events] == [make_key(n) for n in range(3)]
@@ -725,7 +729,7 @@ def test_scan_batch_equals_the_per_segment_reference(
         hits, evictions = batched.scan_batch(items[lo:hi])
         expected_hits, expected_evictions = reference.scan_batch(items[lo:hi])
         assert list(hits.items()) == list(expected_hits.items())
-        assert evictions == expected_evictions
+        assert eviction_keys(evictions) == expected_evictions
     assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
     assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(reference.flows.stats)
     assert batched.flows.keys() == reference.flows.keys()

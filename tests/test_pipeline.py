@@ -7,10 +7,12 @@ What the two-path layout used to forbid or hide, locked here:
   ``packets`` mode serves too, writing the offline run's ndjson;
 * every ``EngineSpec`` field reaches the IDS's scan service;
 * checkpoints written before the IDS scanned through a service still
-  restore, and stream-mode checkpoints are the bytes they always were;
+  restore, stream-mode checkpoints are the bytes they always were, and a
+  flow the restoring table drops takes its confirm record along;
 * the structure itself, without a clock: one scan service and one compiled
-  prefilter per session, nothing per-packet retained by ``ScanService.scan``,
-  ``ScanService`` built in exactly two places, and no process pool.
+  prefilter per session (the one ``verify`` proves), nothing per-packet
+  retained by ``ScanService.scan``, ``ScanService`` built in exactly two
+  places, no process pool, and no per-flow container beside the flow table.
 """
 
 import ast
@@ -21,9 +23,11 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from typing import Dict, List
 
 import pytest
 
+import repro.check
 import repro.core.accelerator_config as accelerator_config
 import repro.ids.pipeline as ids_pipeline
 from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SinkSpec, SourceSpec
@@ -365,6 +369,63 @@ def test_an_ids_checkpoint_in_the_one_table_envelope_restores_and_continues():
     assert pairs(late) == [(4, 4), (3, 2)]
 
 
+#: Flow A sends ``abc`` before the checkpoint; ``xyz`` completes sid 1.
+SPLIT_RULE_LINES = [WILDCARD + '(content:"abc"; content:"xyz"; sid:1;)']
+FLOW_A = FiveTuple("10.0.0.1", "10.0.1.1", 4000, 80, "tcp")
+FLOW_B = FiveTuple("10.0.0.2", "10.0.1.1", 4001, 80, "tcp")
+
+
+@pytest.mark.parametrize("through", ("ids", "session"))
+def test_a_flow_dropped_at_restore_takes_its_confirm_record(through, tmp_path):
+    """Restored into one slot, the checkpoint's least recently used flow A
+    (``abc`` seen) is dropped, and its confirm record with it: when A comes
+    back with ``xyz`` it alerts exactly as a fresh flow does — only once
+    ``abc`` arrives again — and ``restore_dropped`` counts the drop."""
+    specs = parse_rules(SPLIT_RULE_LINES)
+    before = [
+        Packet(payload=b"..abc..", header=FLOW_A, packet_id=0),
+        Packet(payload=b".......", header=FLOW_B, packet_id=1),
+    ]
+    after = [
+        Packet(payload=b"..xyz..", header=FLOW_A, packet_id=2),
+        Packet(payload=b"..abc..", header=FLOW_A, packet_id=3),
+    ]
+    with IntrusionDetectionSystem.from_specs(specs, backend="dense") as ids:
+        assert ids.scan_flow(before) == []
+        saved = json.loads(json.dumps(ids.checkpoint()))
+    assert len(saved["confirm"]["flows"]) == 2
+    with IntrusionDetectionSystem.from_specs(specs, backend="dense", flow_capacity=1) as fresh:
+        expected = pairs(fresh.scan_flow(after) + fresh.finish())
+    assert expected == [(3, 1)]
+
+    if through == "ids":
+        with IntrusionDetectionSystem.from_specs(
+            specs, backend="dense", flow_capacity=1
+        ) as ids:
+            ids.restore(saved)
+            kept = ids.checkpoint()["confirm"]["flows"]
+            late = ids.scan_flow(after) + ids.finish()
+    else:
+        rules = tmp_path / "split.rules"
+        rules.write_text("\n".join(SPLIT_RULE_LINES) + "\n", encoding="utf-8")
+        config = PipelineConfig(
+            mode="ids",
+            source=SourceSpec(kind="packets", packets=()),
+            rules=RulesSpec(kind="file", path=str(rules)),
+            engine=EngineSpec(backend="dense", flow_capacity=1),
+        )
+        with Session.from_config(config) as session:
+            session.restore(saved)
+            ids = session.ids
+            kept = session.checkpoint()["confirm"]["flows"]
+            late = session.scan(after).alerts
+            end = session.flush()
+            late += end.alerts if end else []
+    assert pairs(late) == expected
+    assert ids.flow_scanner.flows.stats.restore_dropped == 1
+    assert [flow["key"][0] for flow in kept] == [FLOW_B.src_ip]
+
+
 # ----------------------------------------------------------------------
 # the structure, locked without a clock
 # ----------------------------------------------------------------------
@@ -411,6 +472,41 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
     # the registry is the one entry point, and a scan never builds the
     # device's blocks: only the cycle model (``session.hardware``) does
     assert device_compiled == []
+
+
+def test_an_ids_session_proves_the_program_its_ids_scans(tmp_path, monkeypatch):
+    """``Session.program`` is the IDS's program in ids mode, as
+    ``Session.service`` is its service, so ``verify`` proves what is scanned
+    and compiles nothing more.  A rule whose every content is negated
+    gives the prefilter nothing (the IDS skips it), but a ruleset of the
+    rules file's contents would hold its string: a third pattern."""
+    rules = tmp_path / "negated.rules"
+    rules.write_text(
+        WILDCARD + '(content:"abc"; content:!"zz"; sid:1;)\n'
+        + WILDCARD + '(content:!"qq"; sid:2;)\n',
+        encoding="utf-8",
+    )
+    config = PipelineConfig(
+        mode="ids",
+        source=SourceSpec(kind="packets", packets=()),
+        rules=RulesSpec(kind="file", path=str(rules)),
+        engine=EngineSpec(backend="dense"),
+    )
+    proved, compiled = [], []
+    verify_program = repro.check.verify_program
+    monkeypatch.setattr(
+        repro.check, "verify_program",
+        lambda program, patterns=None: proved.append((program, list(patterns)))
+        or verify_program(program, patterns),
+    )
+    with Session.from_config(config) as session:
+        counting(monkeypatch, Backend, "compile", compiled)
+        assert session.program is session.ids.program
+        assert session.verify().ok
+        program = session.ids.program
+    assert len(session.ruleset.patterns) == 3
+    assert proved == [(program, [b"abc", b"zz"])]
+    assert compiled == ["compile"]  # the IDS's, built on first use
 
 
 @pytest.mark.parametrize("mode", ("stream", "ids"))
@@ -518,6 +614,78 @@ def test_scan_service_is_built_in_two_places_only():
     ], sites
     for site, keywords in sites:
         assert {"flow_capacity", "track_nocase"} <= keywords, site
+
+
+#: The containers the confirm stage and the IDS may hold: per rule, per
+#: prefilter string or per candidate list — never per flow.
+NOT_PER_FLOW = {
+    "ConfirmStage": ["_lower_index", "_rank", "_raw_index", "_views", "evaluators"],
+    "IntrusionDetectionSystem": ["_nocase_numbers", "rules"],
+}
+CONTAINER_CALLS = {"dict", "list", "set", "frozenset", "OrderedDict", "defaultdict", "deque"}
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def held_containers(source: str) -> Dict[str, List[str]]:
+    """Per class in ``source``, the ``self`` attributes its code assigns a
+    container (a display, a comprehension or a container constructor),
+    annotates with ``FlowKey`` or stores into by subscript."""
+    held: Dict[str, List[str]] = {}
+    for owner in ast.walk(ast.parse(source)):
+        if not isinstance(owner, ast.ClassDef):
+            continue
+        names = set()
+        for node in ast.walk(owner):
+            if isinstance(node, ast.Assign):
+                targets, annotation = node.targets, None
+            elif isinstance(node, ast.AnnAssign):
+                targets, annotation = [node.target], node.annotation
+            else:
+                continue
+            value = node.value
+            container = isinstance(value, CONTAINER_NODES) or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", getattr(value.func, "attr", None))
+                in CONTAINER_CALLS
+            )
+            keyed = annotation is not None and "FlowKey" in ast.unparse(annotation)
+            for target in targets:
+                stored = isinstance(target, ast.Subscript)
+                if stored:
+                    target = target.value
+                if (
+                    (container or keyed or stored)
+                    and isinstance(target, ast.Attribute)
+                    and getattr(target.value, "id", None) == "self"
+                ):
+                    names.add(target.attr)
+        held[owner.name] = sorted(names)
+    return held
+
+
+def test_no_per_flow_container_beside_the_flow_table():
+    """A flow's confirm record hangs off its flow-table entry, so neither
+    the confirm stage nor the IDS keeps anything per flow, and outside the
+    reassembler's own table (still separate) ``FlowTable.admit`` is the one
+    LRU walk: the table alone decides when a flow's state begins and ends."""
+    for module, owner in (("confirm", "ConfirmStage"), ("pipeline", "IntrusionDetectionSystem")):
+        source = (SRC_ROOT / "ids" / f"{module}.py").read_text(encoding="utf-8")
+        assert held_containers(source)[owner] == NOT_PER_FLOW[owner]
+    # the shape the guard is for: the stage's old flow table
+    old = "class ConfirmStage:\n    def reset(self):\n        self._flows: Dict[FlowKey, R] = {}\n"
+    assert held_containers(old) == {"ConfirmStage": ["_flows"]}
+
+    walkers = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path == SRC_ROOT / "proto" / "reassembly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Attribute) and call.attr in {"move_to_end", "popitem"}
+                for call in ast.walk(node)
+            ):
+                walkers.append(f"{path.relative_to(SRC_ROOT).as_posix()}:{node.name}")
+    assert walkers == ["streaming/flow.py:admit"]
 
 
 def test_importing_the_package_starts_no_process_machinery():

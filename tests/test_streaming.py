@@ -30,7 +30,12 @@ from repro.streaming import (
 from repro.streaming.scanner import SegmentBatch
 from repro.streaming.service import event_order
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
-from tests.conftest import ReferenceStreamScanner, reference_service, reference_submit
+from tests.conftest import (
+    ReferenceStreamScanner,
+    eviction_keys,
+    reference_service,
+    reference_submit,
+)
 
 #: The worked example of Figures 1 and 2 (mirrors tests/conftest.py).
 PAPER_EXAMPLE_PATTERNS = [b"he", b"she", b"his", b"hers"]
@@ -154,7 +159,7 @@ class TestFlowTable:
             (make_key(1), [0]), (make_key(3), [1]),
         ]
         assert len(table) == 2
-        assert evictions == [(1, make_key(2))]
+        assert eviction_keys(evictions) == [(1, make_key(2))]
         assert make_key(1) in table and make_key(3) in table
         assert table.stats.evicted == 1
 
@@ -168,7 +173,7 @@ class TestFlowTable:
             (make_key(1), [0, 1]), (make_key(2), [2]), (make_key(1), [3]),
         ]
         assert admitted[0][0] is not admitted[2][0]
-        assert evictions == [(2, make_key(1)), (3, make_key(2))]
+        assert eviction_keys(evictions) == [(2, make_key(1)), (3, make_key(2))]
         assert table.keys() == [make_key(1)] and table.peek(make_key(1)) is admitted[2][0]
         assert (table.stats.created, table.stats.evicted) == (3, 2)
 
@@ -188,7 +193,7 @@ class TestFlowTable:
         assert walkers == {"admit"}
         assert not {"lookup", "touch", "get_or_create", "insert"} & set(vars(FlowTable))
         assert list(inspect.signature(FlowTable).parameters) == ["capacity"]
-        assert FlowEntry.__slots__ == ("key", "state", "lower_state")
+        assert FlowEntry.__slots__ == ("key", "state", "lower_state", "record")
 
     def test_evicted_flow_restarts_fresh(self, crafted_program, crafted_ruleset):
         scanner = StreamScanner(crafted_program, FlowTable(capacity=1))
@@ -201,12 +206,21 @@ class TestFlowTable:
         assert scanner.flows.stats.evicted == 2
 
     def test_lookup_miss_and_remove(self):
-        table = FlowTable(capacity=4)
+        """A miss creates nothing, and nothing removes a flow by key: a flow
+        leaves a live table only as one of ``admit``'s evictions, with the
+        record a higher layer hung off its entry."""
+        table = FlowTable(capacity=1)
         assert table.peek(make_key(9)) is None
+        assert (len(table), table.stats.created) == (0, 0)
         table.admit([make_key(1)], fresh_entry)
-        assert table.remove(make_key(1)).key == make_key(1)
-        assert table.remove(make_key(1)) is None
-        assert table.stats.evicted == 0
+        first = table.peek(make_key(1))
+        first.record = "flow 1's confirm record"
+        assert not {"remove", "clear", "pop", "discard"} & set(dir(table))
+        assert not {"close_flow", "active_flows"} & set(dir(StreamScanner))
+        _, evictions = table.admit([make_key(2)], fresh_entry)
+        assert evictions == [(0, first)] and first.record == "flow 1's confirm record"
+        assert table.keys() == [make_key(2)] and table.peek(make_key(2)).record is None
+        assert table.stats.evicted == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
