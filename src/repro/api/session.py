@@ -610,10 +610,12 @@ class Session:
         """
         from ..check import lint_ruleset, merge_reports, verify_program
 
+        # proved against the strings it should hold, not its own list
+        ruleset = self.ids.content_ruleset if self._engine_name == "ids" else self.ruleset
         return merge_reports(
             f"session verify ({self.config.engine.backend})",
             [
-                verify_program(self.program, patterns=self.program.patterns),
+                verify_program(self.program, patterns=ruleset.patterns),
                 lint_ruleset(self.ruleset),
             ],
         )

@@ -47,10 +47,6 @@ class BitmapNodeLayout:
             + self.match_bits
         )
 
-    @property
-    def node_bytes(self) -> float:
-        return self.node_bits / 8.0
-
 
 class BitmapAhoCorasick(CompiledProgramMixin):
     """Bitmap-compressed AC automaton with failure transitions.

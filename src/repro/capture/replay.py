@@ -199,7 +199,7 @@ def replay_stream(source: CaptureSource, scanner, strict: bool = False):
     in arrival order."""
     packets, _ = load_packets(source, strict=strict)
     flow_key = scanner.flow_key
-    hits, _ = scanner.scan_batch(
+    hits, _, _ = scanner.scan_batch(
         [(flow_key(packet), packet.payload, packet.packet_id) for packet in packets]
     )
     return [event for events in hits.values() for event in events]

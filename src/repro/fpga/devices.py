@@ -84,10 +84,6 @@ class FPGADevice:
         """Engines run at one third of the memory clock."""
         return self.memory_fmax_mhz / 3.0
 
-    @property
-    def total_engines(self) -> int:
-        return self.num_matching_blocks * self.engines_per_block
-
     def logic_estimate(self, num_blocks: int | None = None) -> int:
         """Logic-cell estimate for ``num_blocks`` matching blocks."""
         blocks = self.num_matching_blocks if num_blocks is None else num_blocks

@@ -28,10 +28,6 @@ class MemorySpec:
     depth_words: int
     true_dual_port: bool = True
 
-    @property
-    def total_bits(self) -> int:
-        return self.width_bits * self.depth_words
-
 
 def block_rams_for_memory(spec: MemorySpec, geometry: BlockRAMGeometry) -> int:
     """Minimum number of block RAMs needed to implement ``spec``.

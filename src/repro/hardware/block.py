@@ -15,7 +15,7 @@ bytes per engine cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..core.accelerator_config import BlockProgram
 from ..traffic.packet import MatchEvent, Packet
@@ -109,8 +109,3 @@ class StringMatchingBlock:
         return BlockScanResult(
             events=events, engine_cycles=total_cycles, bytes_processed=total_bytes
         )
-
-    # ------------------------------------------------------------------
-    def matches_as_tuples(self, result: BlockScanResult) -> List[Tuple[int, int, int]]:
-        """(packet_id, end_offset, string_number) triples, convenient for tests."""
-        return [(e.packet_id, e.end_offset, e.string_number) for e in result.events]

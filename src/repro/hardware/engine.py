@@ -158,8 +158,3 @@ class StringMatchingEngine:
                 match_address=next_entry.match_address,
             )
         return None
-
-    # ------------------------------------------------------------------
-    @property
-    def current_address(self) -> StateAddress:
-        return self._current_address

@@ -125,8 +125,8 @@ class IntrusionDetectionSystem:
     """A miniature Snort-style IDS driven by the paper's accelerator.
 
     ``backend`` selects the content matcher (any :mod:`repro.backend` name):
-    :attr:`program` is ``get_backend(backend).compile(contents)``, what a
-    :class:`repro.api.Session` of that backend scans.
+    :attr:`program` is ``get_backend(backend).compile(content_ruleset)``
+    (every rule's raw-stream strings), what a Session of that backend scans.
 
     :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
     prefilter runs on one :class:`repro.streaming.ScanService`
@@ -166,7 +166,7 @@ class IntrusionDetectionSystem:
         # decides negation windows from their *occurrence* positions.
         # Contents flagged nocase are stored lower-cased and additionally
         # searched in a lower-cased view of each payload.
-        self._content_ruleset = RuleSet(name="ids-contents")
+        self.content_ruleset = RuleSet(name="ids-contents")
         nocase_patterns: Set[bytes] = set()
         for rule in rules:
             for content in rule.predicate.contents:
@@ -175,9 +175,9 @@ class IntrusionDetectionSystem:
                 pattern = content.effective_pattern()
                 if content.nocase:
                     nocase_patterns.add(pattern)
-                if pattern not in self._content_ruleset:
-                    self._content_ruleset.add_pattern(pattern)
-        if len(self._content_ruleset) == 0:
+                if pattern not in self.content_ruleset:
+                    self.content_ruleset.add_pattern(pattern)
+        if len(self.content_ruleset) == 0:
             # every rule is pure-sticky: the prefilter has nothing to search
             # on the raw stream, but the scan machinery needs a compiled
             # program — seed it with the sticky patterns.  Their raw
@@ -186,13 +186,13 @@ class IntrusionDetectionSystem:
             for rule in rules:
                 for content in rule.predicate.contents:
                     pattern = content.effective_pattern()
-                    if pattern not in self._content_ruleset:
-                        self._content_ruleset.add_pattern(pattern)
+                    if pattern not in self.content_ruleset:
+                        self.content_ruleset.add_pattern(pattern)
 
         self.backend = backend
-        self.program: CompiledProgram = get_backend(backend).compile(self._content_ruleset)
+        self.program: CompiledProgram = get_backend(backend).compile(self.content_ruleset)
         number_of = {
-            rule.pattern: index for index, rule in enumerate(self._content_ruleset)
+            rule.pattern: index for index, rule in enumerate(self.content_ruleset)
         }
         #: the strings a lowered-view hit may credit (the service's track_nocase)
         self._nocase_numbers = frozenset(number_of[p] for p in nocase_patterns)
@@ -206,6 +206,8 @@ class IntrusionDetectionSystem:
         )
         self._service: Optional[ScanService] = None
         self._flow_capacity = flow_capacity
+        #: what :meth:`restore` raised for the flows it dropped, not yet handed out
+        self._dropped: List[Alert] = []
 
     # ------------------------------------------------------------------
     @classmethod
@@ -420,7 +422,8 @@ class IntrusionDetectionSystem:
         hangs off — finalized exactly where the LRU table evicts them.
         """
         _, hits, evictions, admitted = self.service.scan_annotated(packets)
-        return self._correlate(packets, admitted, hits, evictions)
+        alerts, self._dropped = self._dropped, []
+        return alerts + self._correlate(packets, admitted, hits, evictions)
 
     def _live_flows(self) -> List[FlowEntry]:
         """The live flows that carry a confirm record, in first-seen order."""
@@ -440,7 +443,8 @@ class IntrusionDetectionSystem:
         monotone, so a prefix that failed keeps failing on the same bytes.
         """
         finalize = self._confirm.finalize_flow
-        return [
+        alerts, self._dropped = self._dropped, []
+        return alerts + [
             self._alert(packet_id, sid)
             for entry in self._live_flows()
             for packet_id, sid in finalize(entry.record)
@@ -481,16 +485,26 @@ class IntrusionDetectionSystem:
     def restore(self, data: Dict) -> None:
         """Restore state saved by :meth:`checkpoint`.
 
-        Each confirm record goes onto its flow's restored entry, so a flow
-        dropped for capacity (``restore_dropped``) takes it along; a confirm
+        Each confirm record goes onto its flow's restored entry; a confirm
         flow the table never held is refused before anything is restored.
-        Also accepts the older ``{"flows", "confirm"}`` shape.
+        A flow dropped for capacity (``restore_dropped``) ends here as an
+        LRU eviction ends it: the next :meth:`scan_flow` or :meth:`finish`
+        hands out its end-of-flow alerts.  Also accepts the older
+        ``{"flows", "confirm"}`` shape.
         """
         table = checkpoint_table(data["flows"] if "flows" in data else data["service"])
         held = {FlowKey.coerced(*flow["key"]) for flow in table["flows"]}
         records = dict(self._confirm.restore(data["confirm"]))
         for key in records.keys() - held:
             raise ValueError(f"confirm flow {key.as_tuple()} key: not in the flow table")
-        self.service.restore(table)
+        dropped: List[FlowEntry] = []  # least recently used first
+        self.service.restore(table, on_evict=dropped.append)
         for entry in self.service.scanner.flows.entries():
             entry.record = records.get(entry.key)
+        finalize = self._confirm.finalize_flow
+        self._dropped += [
+            self._alert(packet_id, sid)
+            for entry in dropped
+            if entry.key in records
+            for packet_id, sid in finalize(records[entry.key])
+        ]

@@ -231,10 +231,6 @@ class FlowTable:
     def __contains__(self, key: FlowKey) -> bool:
         return key in self._entries
 
-    def keys(self) -> List[FlowKey]:
-        """Flow keys, least recently used first."""
-        return list(self._entries)
-
     def entries(self) -> List[FlowEntry]:
         """Live entries, least recently used first."""
         return list(self._entries.values())

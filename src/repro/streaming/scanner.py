@@ -57,11 +57,11 @@ _ROOT = ScanState()
 #: :meth:`StreamScanner.scan_batch` accepts besides a :class:`SegmentBatch`.
 BatchItem = Tuple[FlowKey, bytes, int]
 
-#: What :meth:`StreamScanner.scan_batch` returns: ``(hits, evictions)``.
-#: ``hits`` maps the index of every segment that matched to its events and
-#: holds nothing for the others; it is ordered by arrival — the order the
-#: canonical event sort breaks its ties in.
-BatchScan = Tuple[Dict[int, List["StreamMatch"]], List[Eviction]]
+#: What :meth:`StreamScanner.scan_batch` returns: ``(hits, evictions,
+#: admitted)``.  ``hits`` maps the index of every segment that matched to
+#: its events and holds nothing for the others; it is ordered by arrival —
+#: the order the canonical event sort breaks its ties in.
+BatchScan = Tuple[Dict[int, List["StreamMatch"]], List[Eviction], Admitted]
 
 _PAYLOADS = attrgetter("payload")
 _PACKET_IDS = attrgetter("packet_id")
@@ -73,11 +73,9 @@ class SegmentBatch:
     Segment ``i`` is ``payloads[i]`` of flow ``keys[i]`` with id
     ``packet_ids[i]``.  The services build one straight from their packets,
     so a batch costs three lists, not one record per segment.
-    :meth:`StreamScanner.scan_batch` sets ``admitted``: the flow entries the
-    segments were scanned under (:meth:`FlowTable.admit`).
     """
 
-    __slots__ = ("keys", "payloads", "packet_ids", "admitted")
+    __slots__ = ("keys", "payloads", "packet_ids")
 
     def __init__(
         self,
@@ -88,7 +86,6 @@ class SegmentBatch:
         self.keys = keys
         self.payloads = payloads
         self.packet_ids = packet_ids
-        self.admitted: Admitted = []
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -263,21 +260,21 @@ class StreamScanner:
         """Scan one batch of segments: a :class:`SegmentBatch` or a sequence
         of ``(key, payload, packet_id)`` items.
 
-        Returns ``(hits, evictions)`` (see :data:`BatchScan`): ``hits[i]``
-        is exactly the non-empty event list scanning segment ``i`` on its
-        own, in arrival order, would have produced, and ``evictions``
-        records ``(i, entry)``, in arrival order, for every flow LRU-evicted
-        while segment ``i`` was admitted.
+        Returns ``(hits, evictions, admitted)`` (see :data:`BatchScan`):
+        ``hits[i]`` is exactly the non-empty event list scanning segment
+        ``i`` on its own, in arrival order, would have produced;
+        ``evictions`` records ``(i, entry)``, in arrival order, for every
+        flow LRU-evicted while segment ``i`` was admitted; ``admitted`` is
+        every entry the batch was scanned under, with its segments' indexes.
 
         The flow table admits the batch in arrival order
-        (``batch.admitted``); each admitted entry's segments are joined into
-        one job and every job crosses into the backend in one ``scan_many``
-        call.  Matches are re-attributed to segments by their flow-absolute
-        end offset.
+        (:meth:`FlowTable.admit`); each admitted entry's segments are joined
+        into one job and every job crosses into the backend in one
+        ``scan_many`` call.  Matches are re-attributed to segments by their
+        flow-absolute end offset.
         """
         batch = items if isinstance(items, SegmentBatch) else SegmentBatch.from_items(items)
         admitted, evictions = self.flows.admit(batch.keys, self._new_entry)
-        batch.admitted = admitted
         payloads = batch.payloads
         work = [
             (entry, b"".join([payloads[index] for index in indexes]))
@@ -295,7 +292,7 @@ class StreamScanner:
                     entry.key, indexes, batch, entry.bytes_scanned - len(joined),
                     raw, lowered, found,
                 )
-        return {index: found[index] for index in sorted(found)}, evictions
+        return {index: found[index] for index in sorted(found)}, evictions, admitted
 
     def scan_fresh(self, batch: SegmentBatch) -> Dict[int, List[StreamMatch]]:
         """Scan every segment of ``batch`` as a new flow of its own.

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram
 from ..traffic.packet import Packet
-from .flow import DEFAULT_FLOW_CAPACITY, Admitted, FlowKey, FlowTable
+from .flow import DEFAULT_FLOW_CAPACITY, Admitted, FlowEntry, FlowKey, FlowTable
 from .scanner import Eviction, SegmentBatch, StreamMatch, StreamScanner
 
 
@@ -121,13 +121,13 @@ class ScanService:
         batch = SegmentBatch.from_packets(packets)
         scanner = self.scanner
         before = scanner.stats.bytes_scanned
-        hits, evictions = scanner.scan_batch(batch)
+        hits, evictions, admitted = scanner.scan_batch(batch)
         events = list(chain.from_iterable(hits.values()))
         events.sort(key=_EVENT_ORDER)
         result = StreamScanResult(
             events, len(packets), scanner.stats.bytes_scanned - before
         )
-        return result, hits, evictions, batch.admitted
+        return result, hits, evictions, admitted
 
     def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
         """Batched dispatch: scan ``packets`` statefully, aggregate.
@@ -181,12 +181,13 @@ class ScanService:
         """Serialise the flow table to plain data (:meth:`FlowTable.checkpoint`)."""
         return self.scanner.flows.checkpoint()
 
-    def restore(self, data: Dict) -> None:
+    def restore(self, data: Dict, on_evict: Optional[Callable[[FlowEntry], None]] = None) -> None:
         """Restore flow state saved by :meth:`checkpoint`.
 
         The table keeps its *configured* flow capacity — a checkpoint from a
         larger table never silently raises this service's memory bound;
-        over-capacity flows are dropped LRU-first.  The older envelope that
+        over-capacity flows are dropped LRU-first, each handed to
+        ``on_evict`` (:meth:`FlowTable.restore`).  The older envelope that
         listed one table per partition of the flows is accepted when it holds
         one table, which is every checkpoint the IDS wrote; the LRU order
         across several tables cannot be recovered, so more raise.  A flow
@@ -194,7 +195,9 @@ class ScanService:
         ``ValueError`` naming the flow and ``ScanState.state``.
         """
         scanner = self.scanner
-        flows = FlowTable.restore(checkpoint_table(data), capacity=scanner.flows.capacity)
+        flows = FlowTable.restore(
+            checkpoint_table(data), capacity=scanner.flows.capacity, on_evict=on_evict
+        )
         limit = self.program.num_states
         for entry in flows.entries():
             for view, state in (("states", entry.state), ("lower_states", entry.lower_state)):

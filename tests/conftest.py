@@ -1961,6 +1961,11 @@ class ReferenceStreamScanner(StreamScanner):
         return hits, evictions
 
 
+def flow_keys(table: FlowTable) -> List[FlowKey]:
+    """The table's flow keys, least recently used first."""
+    return [entry.key for entry in table.entries()]
+
+
 def eviction_keys(evictions: Sequence[Eviction]) -> List[Tuple[int, FlowKey]]:
     """``(index, key)`` of each ``(index, entry)`` eviction record: the form
     the per-segment reference records."""

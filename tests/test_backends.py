@@ -362,10 +362,10 @@ class TestStreamingAcrossBackends:
         program = get_backend(name).compile([b"needle"])
         scanner = StreamScanner(program, capacity=4)
         key = FlowKey("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
-        assert scanner.scan_batch([(key, b"xxxxneed", 0)]) == ({}, [])
+        assert scanner.scan_batch([(key, b"xxxxneed", 0)])[:2] == ({}, [])
         checkpoint = json.loads(json.dumps(scanner.flows.checkpoint()))
         scanner.flows = FlowTable.restore(checkpoint)
-        hits, _ = scanner.scan_batch([(key, b"le-and-more", 1)])
+        hits, _, _ = scanner.scan_batch([(key, b"le-and-more", 1)])
         assert [(m.end_offset, m.string_number) for m in hits[0]] == [(10, 0)]
 
 

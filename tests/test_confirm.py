@@ -474,7 +474,7 @@ class TestEventDrivenIndex:
         packets = _flow(payloads)
         with IntrusionDetectionSystem.from_specs(specs, backend="dense") as ids:
             ids.scan_flow(packets[:alerting])
-            hits, _ = ids.flow_scanner.scan_batch(
+            hits, _, _ = ids.flow_scanner.scan_batch(
                 [(FlowKey.from_header(p.header), p.payload, p.packet_id)
                  for p in packets[alerting:]]
             )

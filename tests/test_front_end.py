@@ -707,7 +707,7 @@ class TestFlowInterning:
             "coerced": FlowKey.coerced(*interned.as_tuple()),
             "checkpoint": FlowTable.restore(
                 json.loads(json.dumps(table.checkpoint()))
-            ).keys()[0],
+            ).entries()[0].key,
             "fresh header": FlowKey.from_header(FiveTuple(*interned.as_tuple())),
         }
         frames._FLOWS.clear()  # a roll-over between two frames of the flow
@@ -980,14 +980,14 @@ class TestOncePerFlow:
         keys = [FlowKey("10.0.0.1", "10.0.0.2", 1000 + flow, 80, "tcp") for flow in range(256)]
         items = [(key, b"nothing to see " * 3, 8 * index + round_index)
                  for round_index in range(8) for index, key in enumerate(keys)]
-        hits, evictions = scanner.scan_batch(items)
+        hits, evictions, _ = scanner.scan_batch(items)
         assert calls == [] and evictions == [] and hits == {}
         assert (scanner.stats.segments, scanner.stats.bytes_scanned) == (2048, 2048 * 45)
 
         # one flow with a hit split across its segments: exactly one call
         items[5] = (keys[5], b"....need", 5)
         items[5 + 256] = (keys[5], b"le....", 5 + 256)
-        hits, _ = StreamScanner(program, FlowTable(1024)).scan_batch(items)
+        hits, _, _ = StreamScanner(program, FlowTable(1024)).scan_batch(items)
         assert calls == [keys[5]]
         assert {index: len(events) for index, events in hits.items()} == {5 + 256: 1}
 

@@ -56,6 +56,7 @@ from tests.conftest import (
     block_automaton,
     equivalence_workload,
     eviction_keys,
+    flow_keys,
     random_predicate_rules,
     random_text,
     reference_service,
@@ -83,7 +84,7 @@ def segment_events(scanner: ReferenceStreamScanner, key: FlowKey, segments):
 
 
 def batch_events(scanner: StreamScanner, key: FlowKey, segments):
-    hits, evictions = scanner.scan_batch(
+    hits, evictions, _ = scanner.scan_batch(
         [(key, segment, packet_id) for packet_id, segment in enumerate(segments)]
     )
     assert evictions == []
@@ -201,7 +202,7 @@ class TestLaneKernelBatches:
             second = per_item(batched.scan_batch(tail)[0], len(tail))
             assert self.events_of(first + second) == self.events_of(expected), cut
             assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
-            for key in reference.flows.keys():
+            for key in flow_keys(reference.flows):
                 assert batched.flows.peek(key).state == reference.flows.peek(key).state
                 assert (
                     batched.flows.peek(key).lower_state
@@ -275,7 +276,7 @@ class TestAcceleratorLaneKernelBatches:
                 found = self.events_of(first + second)
                 assert any(found) and found == self.events_of(walked), cut
                 assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
-                for key in reference.flows.keys():
+                for key in flow_keys(reference.flows):
                     assert batched.flows.peek(key).state == reference.flows.peek(key).state
                     assert (
                         batched.flows.peek(key).lower_state
@@ -338,7 +339,7 @@ class TestStatisticsParity:
             for p in drift_workload
         ]
         expected = [reference.scan_segment(*item) for item in items]
-        hits, evictions = batched.scan_batch(items)
+        hits, evictions, _ = batched.scan_batch(items)
 
         assert per_item(hits, len(items)) == expected
         assert evictions == []
@@ -347,8 +348,8 @@ class TestStatisticsParity:
             reference.flows.stats
         )
         # identical recency order → identical future eviction decisions
-        assert batched.flows.keys() == reference.flows.keys()
-        for key in reference.flows.keys():
+        assert flow_keys(batched.flows) == flow_keys(reference.flows)
+        for key in flow_keys(reference.flows):
             ours, theirs = batched.flows.peek(key), reference.flows.peek(key)
             assert ours.state == theirs.state
             assert ours.lower_state == theirs.lower_state
@@ -414,7 +415,7 @@ class TestEvictionPressure:
         reference.flows.on_evict = None
 
         batched = StreamScanner(program, FlowTable(capacity))
-        hits, evictions = batched.scan_batch(items)
+        hits, evictions, _ = batched.scan_batch(items)
 
         assert per_item(hits, len(items)) == expected
         assert eviction_keys(evictions) == expected_evictions
@@ -423,7 +424,7 @@ class TestEvictionPressure:
         assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(
             reference.flows.stats
         )
-        assert batched.flows.keys() == reference.flows.keys()
+        assert flow_keys(batched.flows) == flow_keys(reference.flows)
 
     def test_exactly_full_table_stays_on_the_fast_path(self, drift_ruleset):
         """A batch that fills the table to exactly its capacity does not
@@ -431,14 +432,14 @@ class TestEvictionPressure:
         program = get_backend("dense").compile(drift_ruleset.patterns)
         items = self.build_items(num_flows=4, segments=2)
         scanner = StreamScanner(program, FlowTable(capacity=4))
-        _, evictions = scanner.scan_batch(items)
+        _, evictions, _ = scanner.scan_batch(items)
         assert evictions == []
         assert scanner.flows.stats.evicted == 0
         assert len(scanner.flows) == 4
 
         # ...and the next batch introducing a fifth flow evicts the LRU one
         extra = [(make_key(9), b"overflow-segment", 0)]
-        _, second_evictions = scanner.scan_batch(extra)
+        _, second_evictions, _ = scanner.scan_batch(extra)
         assert eviction_keys(second_evictions) == [(0, make_key(0))]
         assert scanner.flows.stats.evicted == 1
 
@@ -508,7 +509,7 @@ def assert_same_state(batched: ScanService, reference: ScanService) -> None:
     ours, theirs = batched.scanner, reference.scanner
     assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
     assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(theirs.flows.stats)
-    assert ours.flows.keys() == theirs.flows.keys()
+    assert flow_keys(ours.flows) == flow_keys(theirs.flows)
     assert batched.checkpoint() == reference.checkpoint()
 
 
@@ -726,13 +727,13 @@ def test_scan_batch_equals_the_per_segment_reference(
     items = [(make_key(flow), payload, index) for index, (flow, payload) in enumerate(segments)]
     bounds = sorted({0, len(items), *(cut for cut in cuts if cut < len(items))})
     for lo, hi in zip(bounds, bounds[1:]):
-        hits, evictions = batched.scan_batch(items[lo:hi])
+        hits, evictions, _ = batched.scan_batch(items[lo:hi])
         expected_hits, expected_evictions = reference.scan_batch(items[lo:hi])
         assert list(hits.items()) == list(expected_hits.items())
         assert eviction_keys(evictions) == expected_evictions
     assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
     assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(reference.flows.stats)
-    assert batched.flows.keys() == reference.flows.keys()
+    assert flow_keys(batched.flows) == flow_keys(reference.flows)
     assert batched.flows.checkpoint() == reference.flows.checkpoint()
 
 

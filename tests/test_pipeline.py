@@ -426,6 +426,43 @@ def test_a_flow_dropped_at_restore_takes_its_confirm_record(through, tmp_path):
     assert [flow["key"][0] for flow in kept] == [FLOW_B.src_ip]
 
 
+#: Flow A sends ``ab``; sid 1 waits for the flow to end without ``zz``.
+NEGATED_RULE_LINES = [WILDCARD + '(content:"ab"; content:!"zz"; sid:1;)']
+
+
+@pytest.mark.parametrize("handed_out_by", ("finish", "scan_flow"))
+def test_a_flow_dropped_at_restore_ends_as_an_eviction_ends_it(handed_out_by):
+    """Restored into one slot, flow A (``ab`` seen, ``zz`` not) is dropped;
+    its pending negation verdict is decided then, as when the live table
+    evicts A for B, and the alert comes out of the next ``finish()`` or
+    ``scan_flow()`` once: a second ``finish()`` raises nothing."""
+    specs = parse_rules(NEGATED_RULE_LINES)
+    before = [
+        Packet(payload=b"..ab..", header=FLOW_A, packet_id=0),
+        Packet(payload=b"......", header=FLOW_B, packet_id=1),
+    ]
+    later = [Packet(payload=b"......", header=FLOW_B, packet_id=2)]
+    with IntrusionDetectionSystem.from_specs(specs, backend="dense", flow_capacity=1) as live:
+        evicted = pairs(live.scan_flow(before))
+        assert live.flow_scanner.flows.stats.evicted == 1
+        assert pairs(live.scan_flow(later) + live.finish()) == []
+    assert evicted == [(0, 1)]
+
+    with IntrusionDetectionSystem.from_specs(specs, backend="dense") as ids:
+        assert ids.scan_flow(before) == []
+        saved = json.loads(json.dumps(ids.checkpoint()))
+    with IntrusionDetectionSystem.from_specs(specs, backend="dense", flow_capacity=1) as ids:
+        ids.restore(saved)
+        assert ids.flow_scanner.flows.stats.restore_dropped == 1
+        if handed_out_by == "finish":
+            assert pairs(ids.finish()) == evicted
+            assert pairs(ids.scan_flow(later) + ids.finish()) == []
+        else:
+            assert pairs(ids.scan_flow(later)) == evicted
+            assert pairs(ids.finish()) == []
+        assert ids.stats.alerts_raised == 1
+
+
 # ----------------------------------------------------------------------
 # the structure, locked without a clock
 # ----------------------------------------------------------------------
@@ -507,6 +544,33 @@ def test_an_ids_session_proves_the_program_its_ids_scans(tmp_path, monkeypatch):
     assert len(session.ruleset.patterns) == 3
     assert proved == [(program, [b"abc", b"zz"])]
     assert compiled == ["compile"]  # the IDS's, built on first use
+
+
+@pytest.mark.parametrize("mode", ("stream", "ids"))
+def test_verify_refuses_a_program_that_lost_a_string(mode, tmp_path):
+    """``verify`` proves the program against the strings it should hold —
+    the IDS's prefilter strings in ids mode, the ruleset otherwise — not
+    against the program's own list: a compile that dropped one fails."""
+    rules = tmp_path / "two.rules"
+    rules.write_text(
+        WILDCARD + '(content:"abc"; sid:1;)\n' + WILDCARD + '(content:"xyz"; sid:2;)\n',
+        encoding="utf-8",
+    )
+    config = PipelineConfig(
+        mode=mode,
+        source=SourceSpec(kind="packets", packets=()),
+        rules=RulesSpec(kind="file", path=str(rules)),
+        engine=EngineSpec(backend="dense"),
+    )
+    with Session.from_config(config) as session:
+        assert session.verify().ok
+        short = get_backend("dense").compile([b"abc"])
+        if mode == "ids":
+            session.ids.program = short
+        else:
+            session._program = short
+        assert session.program is short
+        assert not session.verify().ok
 
 
 @pytest.mark.parametrize("mode", ("stream", "ids"))
@@ -620,7 +684,8 @@ def test_scan_service_is_built_in_two_places_only():
 #: prefilter string or per candidate list — never per flow.
 NOT_PER_FLOW = {
     "ConfirmStage": ["_lower_index", "_rank", "_raw_index", "_views", "evaluators"],
-    "IntrusionDetectionSystem": ["_nocase_numbers", "rules"],
+    # ``_dropped``: the alerts ``restore`` raised, held until the next call
+    "IntrusionDetectionSystem": ["_dropped", "_nocase_numbers", "rules"],
 }
 CONTAINER_CALLS = {"dict", "list", "set", "frozenset", "OrderedDict", "defaultdict", "deque"}
 CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

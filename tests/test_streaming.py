@@ -33,6 +33,7 @@ from repro.traffic import FiveTuple, Packet, TrafficGenerator
 from tests.conftest import (
     ReferenceStreamScanner,
     eviction_keys,
+    flow_keys,
     reference_service,
     reference_submit,
 )
@@ -55,13 +56,13 @@ def fresh_entry(key: FlowKey) -> FlowEntry:
 
 def scan_one(scanner: StreamScanner, key: FlowKey, payload: bytes, packet_id: int = 0):
     """``payload`` as the next segment of flow ``key``: a batch of one."""
-    hits, _ = scanner.scan_batch([(key, payload, packet_id)])
+    hits, _, _ = scanner.scan_batch([(key, payload, packet_id)])
     return hits.get(0, [])
 
 
 def scan_in_order(scanner: StreamScanner, packets):
     """One batch of ``packets``; its events in arrival order."""
-    hits, _ = scanner.scan_batch(SegmentBatch.from_packets(packets))
+    hits, _, _ = scanner.scan_batch(SegmentBatch.from_packets(packets))
     return [event for events in hits.values() for event in events]
 
 
@@ -174,7 +175,7 @@ class TestFlowTable:
         ]
         assert admitted[0][0] is not admitted[2][0]
         assert eviction_keys(evictions) == [(2, make_key(1)), (3, make_key(2))]
-        assert table.keys() == [make_key(1)] and table.peek(make_key(1)) is admitted[2][0]
+        assert flow_keys(table) == [make_key(1)] and table.peek(make_key(1)) is admitted[2][0]
         assert (table.stats.created, table.stats.evicted) == (3, 2)
 
     def test_admit_is_the_only_lru_walk(self):
@@ -219,7 +220,7 @@ class TestFlowTable:
         assert not {"close_flow", "active_flows"} & set(dir(StreamScanner))
         _, evictions = table.admit([make_key(2)], fresh_entry)
         assert evictions == [(0, first)] and first.record == "flow 1's confirm record"
-        assert table.keys() == [make_key(2)] and table.peek(make_key(2)).record is None
+        assert flow_keys(table) == [make_key(2)] and table.peek(make_key(2)).record is None
         assert table.stats.evicted == 1
 
     def test_capacity_validation(self):
@@ -231,7 +232,7 @@ class TestFlowTable:
         table.admit([make_key(1), make_key(2)], fresh_entry)
         assert table.peek(make_key(1)).key == make_key(1)
         assert table.peek(make_key(9)) is None
-        assert table.keys() == [make_key(1), make_key(2)]  # recency untouched
+        assert flow_keys(table) == [make_key(1), make_key(2)]  # recency untouched
         assert table.stats.created == 2  # a miss creates nothing
         table.admit([make_key(3)], fresh_entry)  # flow 1 is still the LRU victim
         assert make_key(1) not in table
@@ -317,7 +318,7 @@ class TestFlowKeyCoercion:
 
         resumed = ScanService(crafted_program)
         resumed.restore(snapshot)
-        assert resumed.scanner.flows.keys() == [FlowKey.from_header(header)]
+        assert flow_keys(resumed.scanner.flows) == [FlowKey.from_header(header)]
         matches = resumed.scan([Packet(payload=pattern[9:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
 
@@ -504,7 +505,7 @@ class TestScanService:
         ]
         service.scan(scan)  # flow 2 is now the least recently used
         service.scan([Packet(payload=b"y", header=make_header(3), packet_id=3)])
-        assert service.scanner.flows.keys() == [make_key(1), make_key(3)]
+        assert flow_keys(service.scanner.flows) == [make_key(1), make_key(3)]
         assert service.stats() == {
             "active_flows": 2, "evicted_flows": 1, "cross_segment_matches": 0,
         }
@@ -623,7 +624,7 @@ class TestFlowCapacity:
         expected = [event for packet in split_traffic for event in one_by_one.scan_packet(packet)]
         assert result.events == sorted(expected, key=event_order)
         assert service.scanner.stats == one_by_one.stats
-        assert service.scanner.flows.keys() == one_by_one.flows.keys()
+        assert flow_keys(service.scanner.flows) == flow_keys(one_by_one.flows)
         assert service.evicted_flows == one_by_one.flows.stats.evicted
 
     @pytest.mark.parametrize("batches", (2, 5))
@@ -639,7 +640,7 @@ class TestFlowCapacity:
             events += cut.scan(split_traffic[start : start + size]).events
         assert sorted(events, key=event_order) == expected
         assert cut.stats() == whole.stats()
-        assert cut.scanner.flows.keys() == whole.scanner.flows.keys()
+        assert flow_keys(cut.scanner.flows) == flow_keys(whole.scanner.flows)
 
     def test_flow_capacity_bounds_the_table(self, small_dtp, split_traffic, capacity):
         service = ScanService(small_dtp, flow_capacity=capacity)
@@ -662,7 +663,7 @@ class TestFlowCapacity:
         resumed.restore(snapshot)
         got = resumed.scan(split_traffic[half:])
         assert got.events == expected.events
-        assert resumed.scanner.flows.keys() == uninterrupted.scanner.flows.keys()
+        assert flow_keys(resumed.scanner.flows) == flow_keys(uninterrupted.scanner.flows)
         if capacity >= 12:
             # a service that forgot the first half reports other offsets
             cold = ScanService(small_dtp, flow_capacity=capacity)
@@ -673,7 +674,7 @@ class TestFlowCapacity:
         service.scan(split_traffic)
         resumed = ScanService(small_dtp, flow_capacity=capacity)
         resumed.restore(service.checkpoint())
-        assert resumed.scanner.flows.keys() == service.scanner.flows.keys()
+        assert flow_keys(resumed.scanner.flows) == flow_keys(service.scanner.flows)
         assert resumed.checkpoint() == service.checkpoint()
 
 
