@@ -48,7 +48,7 @@ from ..proto.reassembly import (
     DEFAULT_REASSEMBLY_FLOWS,
     OVERLAP_POLICIES,
 )
-from ..traffic.packet import FiveTuple, Packet
+from ..traffic.packet import FLOW_FIELDS, FiveTuple, Packet
 
 #: Pipeline execution modes: stateless per-packet matching, stateful flow
 #: scanning, or the full header+content IDS pipeline.
@@ -259,13 +259,9 @@ class SourceSpec:
 def _packet_to_dict(packet: Packet) -> Dict[str, Any]:
     out: Dict[str, Any] = {
         "payload": packet.payload.hex(),
-        "header": None if packet.header is None else {
-            "src_ip": packet.header.src_ip,
-            "dst_ip": packet.header.dst_ip,
-            "src_port": packet.header.src_port,
-            "dst_port": packet.header.dst_port,
-            "protocol": packet.header.protocol,
-        },
+        "header": None if packet.header is None else dict(
+            zip(FLOW_FIELDS, packet.header.as_tuple())
+        ),
         "packet_id": packet.packet_id,
     }
     if packet.tcp_seq is not None:
@@ -284,13 +280,7 @@ def _packet_from_dict(data: Dict[str, Any]) -> Packet:
     flags = data.get("tcp_flags")
     return Packet(
         payload=bytes.fromhex(data["payload"]),
-        header=None if header is None else FiveTuple(
-            src_ip=str(header["src_ip"]),
-            dst_ip=str(header["dst_ip"]),
-            src_port=int(header["src_port"]),
-            dst_port=int(header["dst_port"]),
-            protocol=str(header["protocol"]),
-        ),
+        header=None if header is None else FiveTuple(*map(header.__getitem__, FLOW_FIELDS)),
         packet_id=int(data.get("packet_id", 0)),
         tcp_seq=None if seq is None else int(seq),
         tcp_flags=None if flags is None else int(flags),

@@ -426,10 +426,6 @@ class Session:
         result = self._scan([], end_of_source=True)
         return result if result.packets or result.alerts else None
 
-    #: :meth:`flush` under the name it had while the reassembler was the only
-    #: stage with anything to flush
-    flush_reassembly = flush
-
     def run(self) -> RunResult:
         """Execute the configured pipeline end to end, then emit every sink.
 

@@ -93,8 +93,9 @@ def _checksum(data: bytes) -> int:
 #: trimmed, when it fills — the next frame of each flow re-resolves it.
 FLOW_INTERN_BOUND = 1 << 16
 
-#: (protocol, raw address bytes + raw port bytes) -> the flow's one header.
-#: A pure memo: a hit returns a header equal to what a miss would build.
+#: (protocol, raw address bytes + raw port bytes) -> the flow's header, which
+#: is also its flow key.  A pure memo: a hit returns a header equal to what a
+#: miss would build.
 _FLOWS: Dict[Tuple[int, bytes], FiveTuple] = {}
 
 _IPV4_FIELDS = struct.Struct("!BxH2xHxB")  # version/ihl, total length, frag, protocol
@@ -147,9 +148,9 @@ def decode_fields(data: bytes, linktype: int = LINKTYPE_ETHERNET) -> Tuple:
     One pass by offset from link header to payload: nothing is sliced but
     the payload and the flow's wire identity (address and port bytes), which
     is looked up in a bounded table of flows already seen — so a frame of a
-    known flow reuses that flow's :class:`FiveTuple` (and the
-    :class:`~repro.streaming.flow.FlowKey` the scan layers attached to it)
-    and only a flow's first frame builds addresses and validates ports.
+    known flow reuses that flow's :class:`FiveTuple`, which the scan layers
+    key the flow by, and only a flow's first frame builds addresses, validates
+    ports and hashes the flow.
     The returned header is *equal* to a freshly built one; whether it is the
     same object as an earlier frame's is not part of the contract.
     """

@@ -609,14 +609,15 @@ class ConfirmStage:
 
     def restore(self, data: Dict) -> List[Tuple[FlowKey, _FlowRecord]]:
         """A :meth:`checkpoint`'s ``(key, record)`` flows, numbered in order.
-        A sid no rule has or a string number outside the program is a
-        ``ValueError`` naming the flow and the field."""
+        A key that is not a flow's five fields, a sid no rule has or a string
+        number outside the program is a ``ValueError`` naming the flow and
+        the field."""
         rules = (self.evaluators, "sid", "a loaded rule's")
         strings = (range(self.strings), "string", f"one of the program's {self.strings}")
         known = dict(candidates=rules, alerted=rules, positions=strings, lower_positions=strings)
         out: List[Tuple[FlowKey, _FlowRecord]] = []
         for entry in data["flows"]:
-            key = FlowKey.coerced(*entry["key"])
+            key = FlowKey.from_checkpoint(entry["key"], "confirm flow")
             for field, (within, what, where) in known.items():
                 stray = [value for value in entry[field] if int(value) not in within]
                 if stray:

@@ -493,7 +493,7 @@ class IntrusionDetectionSystem:
         ``{"flows", "confirm"}`` shape.
         """
         table = checkpoint_table(data["flows"] if "flows" in data else data["service"])
-        held = {FlowKey.coerced(*flow["key"]) for flow in table["flows"]}
+        held = {FlowKey.from_checkpoint(flow["key"]) for flow in table["flows"]}
         records = dict(self._confirm.restore(data["confirm"]))
         for key in records.keys() - held:
             raise ValueError(f"confirm flow {key.as_tuple()} key: not in the flow table")

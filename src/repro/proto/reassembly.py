@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..streaming.flow import FlowKey
-from ..traffic.packet import FiveTuple, Packet
+from ..traffic.packet import Packet
 
 #: Default maximum number of concurrently reassembled flows.
 DEFAULT_REASSEMBLY_FLOWS = 1024
@@ -165,7 +165,7 @@ class _FlowState:
     @classmethod
     def from_dict(cls, data: Dict) -> "_FlowState":
         return cls(
-            key=FlowKey.coerced(*data["key"]),
+            key=FlowKey.from_checkpoint(data["key"]),
             mode=str(data["mode"]),
             seq_at_next=int(data["seq_at_next"]),
             next_off=int(data["next_off"]),
@@ -261,13 +261,12 @@ class TcpReassembler:
             self.stats.passthrough += 1
             return [self._emit(packet, packet.payload, packet.tcp_seq)]
 
-        key = FlowKey.from_header(header)  # resolved once, kept on the header
         out: List[Packet] = []
-        state = self._flows.get(key)
+        state = self._flows.get(header)
         if state is None:
-            state = self._create(key, packet, out)
+            state = self._create(header, packet, out)
         else:
-            self._flows.move_to_end(key)
+            self._flows.move_to_end(header)
 
         if state.mode == "arrival":
             self.stats.passthrough += 1
@@ -277,7 +276,7 @@ class TcpReassembler:
         flags = packet.tcp_flags or 0
         if flags & _RST:
             self.stats.reset_flows += 1
-            self._flows.pop(key, None)
+            self._flows.pop(header, None)
             return out
         seq = packet.tcp_seq
         if seq is None:
@@ -299,7 +298,7 @@ class TcpReassembler:
             if flags & _FIN:
                 rel = _seq_delta(seq, state.seq_at_next)
                 state.fin_off = state.next_off + rel
-                self._maybe_close(key, state)
+                self._maybe_close(header, state)
             else:
                 self.stats.keepalives += 1
             return out
@@ -333,7 +332,7 @@ class TcpReassembler:
             if holes:
                 out.extend(self._drain(state, packet))
             if state.fin_off is not None:
-                self._maybe_close(key, state)
+                self._maybe_close(header, state)
             return out
 
         self._insert(state, offset, data)
@@ -350,7 +349,7 @@ class TcpReassembler:
         ):
             self.stats.hole_flushes += 1
             out.extend(self._flush_state(state, packet))
-        self._maybe_close(key, state)
+        self._maybe_close(header, state)
         return out
 
     def process(self, packets: Sequence[Packet]) -> List[Packet]:
@@ -467,16 +466,8 @@ class TcpReassembler:
         return out
 
     def _flush_evicted(self, state: _FlowState) -> List[Packet]:
-        key = state.key
-        header = FiveTuple(
-            src_ip=key.src_ip,
-            dst_ip=key.dst_ip,
-            src_port=key.src_port,
-            dst_port=key.dst_port,
-            protocol=key.protocol,
-        )
-        template = Packet(payload=b"", header=header)
-        return self._flush_state(state, template)
+        # the flow's key is its header: the template every piece is cut from
+        return self._flush_state(state, Packet(b"", state.key))
 
     def _maybe_close(self, key: FlowKey, state: _FlowState) -> None:
         if (
@@ -548,11 +539,10 @@ class TcpReassembler:
             max_flow_segments=int(data["max_flow_segments"]),
             first_packet_id=int(data.get("next_packet_id", 0)),
         )
-        flows = data["flows"]
-        overflow = max(0, len(flows) - reassembler.max_flows)
+        states = [_FlowState.from_dict(flow) for flow in data["flows"]]
+        overflow = max(0, len(states) - reassembler.max_flows)
         reassembler.stats.restore_dropped = overflow
-        for flow in flows[overflow:]:
-            state = _FlowState.from_dict(flow)
+        for state in states[overflow:]:
             reassembler._flows[state.key] = state
         return reassembler
 

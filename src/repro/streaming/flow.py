@@ -23,7 +23,7 @@ cheap.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend import ScanState
@@ -32,82 +32,10 @@ from ..traffic.packet import FiveTuple
 #: Default maximum number of concurrently tracked flows per table.
 DEFAULT_FLOW_CAPACITY = 4096
 
-
-@dataclass(frozen=True)
-class FlowKey:
-    """Hashable flow identity derived from the packet 5-tuple.
-
-    Deliberately a separate type from :class:`repro.traffic.FiveTuple`, even
-    though the fields coincide today: the header is a *record* of what was on
-    the wire, while the flow key is a *policy* about which packets share scan
-    state — the place where direction normalisation (client/server flows),
-    VLAN/tunnel identifiers or IPv6 scoping would land without touching the
-    packet model.
-
-    A key is resolved once per flow and then handed from layer to layer, so
-    it carries what every layer used to recompute per packet: its hash.
-    Identity is still *by value*: a key rebuilt from a checkpoint, a pickle
-    or a fresh :meth:`coerced` call is equal and hashes alike — nothing may
-    assume two equal keys are one object.
-    """
-
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    protocol: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.as_tuple()))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__: string hashes are salted per process, so
-        # the cached hash must never travel inside a pickle
-        return (FlowKey, self.as_tuple())
-
-    @classmethod
-    def coerced(cls, src_ip, dst_ip, src_port, dst_port, protocol) -> "FlowKey":
-        """Build a key with canonical field types.
-
-        Flow identity is *typed*: ``encode()`` stringifies every field, so a
-        port that arrives as the float ``80.0`` (a JSON checkpoint round-trip,
-        a hand-written fixture) would hash and compare as ``"80.0"`` — a
-        different table slot than the live ``80``.
-        Every constructor that ingests external data funnels through here.
-        """
-        return cls(
-            src_ip=str(src_ip),
-            dst_ip=str(dst_ip),
-            src_port=int(src_port),
-            dst_port=int(dst_port),
-            protocol=str(protocol),
-        )
-
-    @classmethod
-    def from_header(cls, header: FiveTuple) -> "FlowKey":
-        """The header's flow key, derived on first use and kept on the header."""
-        key = header.flow_key
-        if key is None:
-            key = cls.coerced(
-                header.src_ip,
-                header.dst_ip,
-                header.src_port,
-                header.dst_port,
-                header.protocol,
-            )
-            object.__setattr__(header, "flow_key", key)
-        return key
-
-    def as_tuple(self) -> Tuple[str, str, int, int, str]:
-        return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
-
-    def encode(self) -> bytes:
-        """Stable byte encoding of the flow's identity."""
-        return "|".join(str(part) for part in self.as_tuple()).encode()
+#: The flow identity every per-flow table is keyed by: a packet's header is
+#: its flow key (:class:`repro.traffic.FiveTuple`, under the name the scan
+#: layers use for it).
+FlowKey = FiveTuple
 
 
 class FlowEntry:
@@ -165,10 +93,11 @@ class FlowEntry:
         automaton, so a flow whose ``states`` or ``lower_states`` hold other
         than one :class:`ScanState` (a multi-block checkpoint) is refused
         with a ``ValueError`` naming the flow, as is a state whose fields
-        are out of range (:meth:`ScanState.from_tuple`).  The per-flow
+        are out of range (:meth:`ScanState.from_tuple`) or a key that is not
+        a flow's five fields (:meth:`FiveTuple.from_checkpoint`).  The per-flow
         ``packets``, ``matched``, ``matched_lower`` and ``alerted`` keys
         older checkpoints carry are ignored: nothing read them."""
-        key = FlowKey.coerced(*data["key"])
+        key = FlowKey.from_checkpoint(data["key"])
         return cls(
             key=key,
             state=_flow_state(key, "states", data["states"]),

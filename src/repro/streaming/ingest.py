@@ -145,13 +145,7 @@ class TcpListenerSource:
     async def _serve_client(self, reader, writer, emit: EmitFn) -> None:
         peer = writer.get_extra_info("peername")
         local = writer.get_extra_info("sockname")
-        header = FiveTuple(
-            src_ip=str(peer[0]),
-            dst_ip=str(local[0]),
-            src_port=int(peer[1]),
-            dst_port=int(local[1]),
-            protocol="tcp",
-        )
+        header = FiveTuple(peer[0], local[0], peer[1], local[1], "tcp")
         self.connections += 1
         try:
             while True:
@@ -177,11 +171,7 @@ class _UdpProtocol(asyncio.DatagramProtocol):
         source = self.source
         source.datagrams += 1
         header = FiveTuple(
-            src_ip=str(addr[0]),
-            dst_ip=source.host,
-            src_port=int(addr[1]),
-            dst_port=source.bound_port or source.port,
-            protocol="udp",
+            addr[0], source.host, addr[1], source.bound_port or source.port, "udp"
         )
         self.emit(header, data)
 

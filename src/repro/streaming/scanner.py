@@ -92,7 +92,7 @@ class SegmentBatch:
 
     @classmethod
     def from_packets(cls, packets: Sequence[Packet]) -> "SegmentBatch":
-        flow_key = StreamScanner.flow_key  # resolved once per flow
+        flow_key = StreamScanner.flow_key
         return cls(
             [flow_key(packet) for packet in packets],
             list(map(_PAYLOADS, packets)),
@@ -203,9 +203,9 @@ class StreamScanner:
 
     @staticmethod
     def flow_key(packet: Packet) -> FlowKey:
-        """The packet's flow: the key its header already carries, if any."""
+        """The packet's flow: its header, if it has one."""
         header = packet.header
-        return ANONYMOUS_FLOW if header is None else FlowKey.from_header(header)
+        return ANONYMOUS_FLOW if header is None else header
 
     def _scan_views(
         self, work: Sequence[Tuple[FlowEntry, bytes]]

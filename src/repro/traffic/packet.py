@@ -2,21 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, ClassVar, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
+
+#: The fields of a flow's identity, in the order a checkpoint lists them.
+FLOW_FIELDS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+
+
+def _port(name: str, value) -> int:
+    """``value`` as a port number: an integer (``80.0`` and ``"80"`` are
+    accepted as 80, ``80.5`` is not) in 0..65535, else a ``ValueError``
+    naming the field."""
+    try:
+        port = int(value)
+    except (TypeError, ValueError, OverflowError):
+        port = None
+    if port is None or (port != value and not isinstance(value, str)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    if not 0 <= port <= 0xFFFF:
+        raise ValueError(f"{name} {port} out of range 0..65535")
+    return port
 
 
 @dataclass(frozen=True)
 class FiveTuple:
-    """The classic 5-tuple a router's header classifier operates on.
+    """The classic 5-tuple a router's header classifier operates on, and the
+    flow's identity: every scan layer keys its per-flow state by the header
+    itself (:data:`repro.streaming.flow.FlowKey` is this class).
 
-    ``flow_key`` is the flow's resolved identity — the
-    :class:`repro.streaming.flow.FlowKey` (with its hash) that
-    :meth:`FlowKey.from_header` attaches on first use, so every later packet
-    carrying this header object reads it instead of re-deriving it.  It is a
-    cache, not a field (the class default is shadowed per instance):
-    equality, hashing, ``repr`` and ``replace`` ignore it, and a header that
-    never met a scan layer simply has ``None``.
+    Identity is *typed*, since :meth:`encode` stringifies every field: a port
+    that arrives as the float ``80.0`` (a JSON round-trip, a hand-written
+    fixture) would otherwise encode as ``"80.0"``.  So the constructor
+    canonicalises — ``str`` addresses and protocol, ``int`` ports range
+    checked — and computes the hash once.  Identity is still *by value*: a
+    header rebuilt from a checkpoint, a pickle or another frame is equal and
+    hashes alike, so nothing may assume two equal headers are one object.
     """
 
     src_ip: str
@@ -24,13 +44,55 @@ class FiveTuple:
     src_port: int
     dst_port: int
     protocol: str
-
-    flow_key: ClassVar[Optional[Any]] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for port in (self.src_port, self.dst_port):
-            if not 0 <= port <= 0xFFFF:
-                raise ValueError(f"port {port} out of range")
+        identity = (
+            str(self.src_ip),
+            str(self.dst_ip),
+            _port("src_port", self.src_port),
+            _port("dst_port", self.dst_port),
+            str(self.protocol),
+        )
+        set_field = object.__setattr__
+        for name, value in zip(FLOW_FIELDS, identity):
+            set_field(self, name, value)
+        set_field(self, "_hash", hash(identity))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: string hashes are salted per process, so
+        # the cached hash must never travel inside a pickle
+        return (self.__class__, self.as_tuple())
+
+    @classmethod
+    def from_checkpoint(cls, values: Sequence, where: str = "flow") -> "FiveTuple":
+        """A flow key read back from outside data (a checkpoint's ``"key"``
+        list): anything but five fields the constructor accepts is a
+        ``ValueError`` naming the flow and the field."""
+        if not isinstance(values, (list, tuple)) or len(values) != len(FLOW_FIELDS):
+            raise ValueError(
+                f"{where} {values!r} key: a flow key is the {len(FLOW_FIELDS)} "
+                f"fields {', '.join(FLOW_FIELDS)}"
+            )
+        try:
+            return cls(*values)
+        except ValueError as error:
+            raise ValueError(f"{where} {list(values)!r} key: {error}") from None
+
+    @staticmethod
+    def from_header(header: "FiveTuple") -> "FiveTuple":
+        """A header's flow key: the header itself."""
+        return header
+
+    def as_tuple(self) -> Tuple[str, str, int, int, str]:
+        return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
+
+    def encode(self) -> bytes:
+        """Stable byte encoding of the flow's identity."""
+        return "|".join(str(part) for part in self.as_tuple()).encode()
 
 
 class Packet:

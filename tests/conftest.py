@@ -1379,7 +1379,7 @@ class ReferenceReassembler(TcpReassembler):
             self.stats.passthrough += 1
             return [self._emit(packet, packet.payload, packet.tcp_seq)]
 
-        key = FlowKey.coerced(
+        key = FlowKey(
             header.src_ip, header.dst_ip, header.src_port, header.dst_port,
             header.protocol,
         )
@@ -1809,7 +1809,7 @@ class ReferenceConfirmStage:
     def restore(self, data: Dict) -> List[Tuple[FlowKey, _ReferenceFlowRecord]]:
         out: List[Tuple[FlowKey, _ReferenceFlowRecord]] = []
         for entry in data["flows"]:
-            key = FlowKey.coerced(*entry["key"])
+            key = FlowKey(*entry["key"])
             record = _ReferenceFlowRecord.from_dict(
                 entry, self._view(entry["candidates"]), next(self._sequence)
             )

@@ -11,6 +11,7 @@ import ast
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 from typing import List, NamedTuple, Sequence
 
@@ -37,6 +38,7 @@ from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.hardware import HardwareAccelerator
 from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
+from repro.proto import TcpReassembler
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import FlowKey, FlowTable, StreamScanner
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
@@ -288,7 +290,69 @@ def test_restore_refuses_a_confirm_flow_out_of_range(field, value, message):
         with pytest.raises(ValueError, match=message) as refused:
             ids.restore(saved)
         assert len(ids.flow_scanner.flows) == 0
-    assert repr(FlowKey.coerced(*flow["key"]).as_tuple()) in str(refused.value)
+    assert repr(FlowKey(*flow["key"]).as_tuple()) in str(refused.value)
+
+
+def restore_stream_key(key):
+    """``Session.restore`` (``FlowEntry.from_dict``) of a service flow keyed ``key``."""
+    saved = stream_checkpoint("dense", b"GET / HTTP/1.1")
+    saved["flows"][0]["key"] = key
+    with Session.from_config(stream_config("dense")) as session:
+        session.restore(saved)
+
+
+def restore_reassembly_key(max_flows):
+    """``TcpReassembler.restore`` (``_FlowState.from_dict``) into ``max_flows``
+    flows of a checkpoint whose least recently used flow is keyed ``key``:
+    kept, or dropped for capacity."""
+    def restore(key):
+        reassembler = TcpReassembler()
+        for port in (4000, 4001):
+            header = FiveTuple("10.0.0.1", "10.0.1.1", port, 80, "tcp")
+            reassembler.feed(Packet(payload=b"GET", header=header, tcp_seq=100, tcp_flags=0x10))
+        saved = json.loads(json.dumps(reassembler.checkpoint()))
+        saved["flows"][0]["key"] = key
+        TcpReassembler.restore(saved, max_flows=max_flows)
+    return restore
+
+
+def restore_ids_key(part):
+    """``IntrusionDetectionSystem.restore`` of a checkpoint whose ``part`` —
+    the flow table's flow (the ``held`` set) or the confirm stage's
+    (``ConfirmStage.restore``) — is keyed ``key``."""
+    def restore(key):
+        saved = ids_checkpoint()
+        saved[part]["flows"][0]["key"] = key
+        with IntrusionDetectionSystem(CONFIRM_RULES, backend="dense") as ids:
+            ids.restore(saved)
+    return restore
+
+
+@pytest.mark.parametrize(
+    "restore",
+    (restore_stream_key, restore_reassembly_key(2), restore_reassembly_key(1),
+     restore_ids_key("service"), restore_ids_key("confirm")),
+    ids=("flow-table", "reassembler", "reassembler-dropped", "ids-held", "confirm"),
+)
+@pytest.mark.parametrize(
+    "key, message",
+    (
+        (["10.0.0.1", "10.0.1.1", 4000], "key: a flow key is the 5 fields src_ip, dst_ip, "),
+        (["10.0.0.1", "10.0.1.1", 70000, 80, "tcp"], "key: src_port 70000 out of range"),
+        (["10.0.0.1", "10.0.1.1", 4000, "x", "tcp"], "key: dst_port 'x' is not an integer"),
+        (["10.0.0.1", "10.0.1.1", 80.5, 80, "tcp"], "key: src_port 80.5 is not an integer"),
+    ),
+    ids=("3-fields", "port-70000", "port-x", "port-80.5"),
+)
+def test_restore_refuses_a_flow_key_from_outside(restore, key, message):
+    """Every reader of a checkpointed flow key takes it through one checked
+    path (``FiveTuple.from_checkpoint``): a key that is not five fields, or
+    whose port is not an integer in 0..65535, is a ``ValueError`` naming the
+    flow and the field — never a bare ``TypeError``, a truncated port or a
+    port past 65535 resumed as a flow."""
+    with pytest.raises(ValueError, match=re.escape(message)) as refused:
+        restore(key)
+    assert repr(key) in str(refused.value)
 
 
 def test_the_retired_wu_manber_backend_fails_by_name(capsys):

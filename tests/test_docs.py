@@ -8,15 +8,19 @@
 * CI's ``tests`` job (and the ``test`` extra) must install every third-party
   module the test suite imports, and every ``python -m repro`` command in
   ``ci.yml`` must parse — nobody runs ``ci.yml`` before it is pushed;
-* ``examples/quickstart.py`` must run and print the figures it printed.
+* ``examples/quickstart.py`` must run and print the figures it printed, and
+  ``hardware_pipeline.py`` and ``ruleset_scaling.py`` exit 0 printing one of
+  theirs.
 """
 
 import ast
 import importlib.util
+import os
 import pathlib
 import re
 import runpy
 import shlex
+import subprocess
 import sys
 import sysconfig
 
@@ -264,4 +268,22 @@ class TestExamples:
             "-> 2 matches",
         ):
             assert line in out, out
+
+    @pytest.mark.parametrize(
+        "example, line",
+        (
+            ("hardware_pipeline.py", "injected attack rules    : 30, detected: 30"),
+            ("ruleset_scaling.py", "1600    | 26923      | 85.95         | 1.25           | 2"),
+        ),
+    )
+    def test_example_runs_and_prints_its_figure(self, example, line):
+        """Two examples nothing else runs work as a user runs them — a fresh
+        interpreter, exit status 0 — and still print one of their figures."""
+        done = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / example)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert done.returncode == 0, done.stderr
+        assert line in done.stdout, done.stdout
 

@@ -697,14 +697,17 @@ class TestFlowInterning:
     def test_keys_are_equal_not_identical(self, small_intern_bound):
         header = FiveTuple("10.0.0.1", "10.0.0.2", 1234, 80, "tcp")
         frame = encode_frame(header, b"data")
-        interned = FlowKey.from_header(decode_frame(frame)[0].header)
-        assert decode_frame(frame)[0].header.flow_key is interned  # carried, not re-derived
+        interned = decode_frame(frame)[0].header
+        assert FlowKey.from_header(interned) is interned  # the header is its own key
 
         table = FlowTable(8)
         table.admit([interned], lambda key: FlowEntry(key=key, state=ScanState()))
         travelled = {
             "pickle": pickle.loads(pickle.dumps(interned)),
-            "coerced": FlowKey.coerced(*interned.as_tuple()),
+            "canonicalised": FlowKey(
+                interned.src_ip, interned.dst_ip, float(interned.src_port),
+                str(interned.dst_port), interned.protocol,
+            ),
             "checkpoint": FlowTable.restore(
                 json.loads(json.dumps(table.checkpoint()))
             ).entries()[0].key,
@@ -826,7 +829,7 @@ def test_a_stored_checkpoint_restores_and_continues():
         with Session.from_config(config) as session:
             session.restore(json.loads(stored))
             events = session.scan(wire[cut:]).events
-            assert session.flush_reassembly() is None
+            assert session.flush() is None
         assert [
             (e.flow.as_tuple(), e.packet_id, e.end_offset, e.string_number) for e in events
         ] == [
@@ -883,21 +886,21 @@ class TestOncePerFlow:
         write_packets(buffer, renumbered(packets))
         buffer.seek(0)
 
-        built, coerced = [], []
+        built, derived = [], []
 
         class CountingFiveTuple(FiveTuple):
             def __post_init__(self):
                 built.append(self)
                 super().__post_init__()
 
-        real_coerced = FlowKey.coerced.__func__
+        real_from_header = FlowKey.from_header
 
-        def counting_coerced(cls, *fields):
-            coerced.append(fields)
-            return real_coerced(cls, *fields)
+        def counting_from_header(header):
+            derived.append(header)
+            return real_from_header(header)
 
         monkeypatch.setattr(frames, "FiveTuple", CountingFiveTuple)
-        monkeypatch.setattr(FlowKey, "coerced", classmethod(counting_coerced))
+        monkeypatch.setattr(FlowKey, "from_header", staticmethod(counting_from_header))
         frames._FLOWS.clear()
         try:
             decoded, stats = load_packets(buffer)
@@ -907,7 +910,7 @@ class TestOncePerFlow:
             frames._FLOWS.clear()  # drop the counting subclass instances
         assert stats.decoded == result.packets == flows * rounds
         assert len(built) == flows
-        assert len(coerced) == flows
+        assert len(derived) == 0  # the header is the key: nothing derives one
 
     def test_in_order_segments_never_enter_the_hole_buffer(self, monkeypatch):
         def forbidden(self, state, offset, data):

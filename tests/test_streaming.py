@@ -10,9 +10,11 @@ import dataclasses
 import inspect
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.backend import get_backend
 from repro.core import DTPAutomaton, ScanState, compile_ruleset
 from repro.fpga import STRATIX_III
@@ -30,6 +32,7 @@ from repro.streaming import (
 from repro.streaming.scanner import SegmentBatch
 from repro.streaming.service import event_order
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
+from repro.traffic.packet import FLOW_FIELDS
 from tests.conftest import (
     ReferenceStreamScanner,
     eviction_keys,
@@ -285,7 +288,7 @@ class TestFlowTable:
 # ----------------------------------------------------------------------
 class TestFlowKeyCoercion:
     def test_coerced_constructor_canonicalises_types(self):
-        key = FlowKey.coerced("10.0.0.1", "192.168.0.1", 40001.0, 80.0, "tcp")
+        key = FlowKey("10.0.0.1", "192.168.0.1", 40001.0, 80.0, "tcp")
         assert key == make_key(1)
         assert isinstance(key.src_port, int) and isinstance(key.dst_port, int)
         assert key.encode() == make_key(1).encode()
@@ -321,6 +324,84 @@ class TestFlowKeyCoercion:
         assert flow_keys(resumed.scanner.flows) == [FlowKey.from_header(header)]
         matches = resumed.scan([Packet(payload=pattern[9:], header=header, packet_id=1)]).events
         assert [m.string_number for m in matches] == [0]
+
+
+def flow_identities_and_cache_writes(sources):
+    """Over ``(name, source)`` pairs: every class declaring the five flow
+    fields with ``int`` ports (a flow identity, not a rule's port pattern),
+    and every place code assigns a ``flow_key`` attribute — an attribute
+    target, a class-level name, or a ``setattr``-style call naming it."""
+    identities, writes = [], []
+    for name, source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                declared = {
+                    item.target.id: ast.unparse(item.annotation)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+                ports = (declared.get("src_port"), declared.get("dst_port"))
+                if set(FLOW_FIELDS) <= declared.keys() and ports == ("int", "int"):
+                    identities.append(f"{name}:{node.name}")
+                assigned = [
+                    target.id
+                    for item in node.body
+                    if isinstance(item, ast.Assign)
+                    for target in item.targets
+                    if isinstance(target, ast.Name)
+                ]
+                if "flow_key" in declared or "flow_key" in assigned:
+                    writes.append(f"{name}:{node.name}.flow_key")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                if any(getattr(target, "attr", None) == "flow_key" for target in targets):
+                    writes.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and any(
+                isinstance(arg, ast.Constant) and arg.value == "flow_key" for arg in node.args
+            ):
+                writes.append(f"{name}:{node.lineno}")
+    return identities, sorted(writes)
+
+
+def test_the_header_is_the_one_flow_identity():
+    """A packet's header is its flow key: ``FiveTuple`` is the only class
+    under ``src/repro`` declaring a flow's five fields, ``FlowKey`` is
+    another name for it, and nothing derives a key and caches it back onto
+    the header."""
+    root = Path(repro.__file__).parent
+    identities, writes = flow_identities_and_cache_writes(
+        (path.relative_to(root).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.py"))
+    )
+    assert identities == ["traffic/packet.py:FiveTuple"]
+    assert writes == []
+    assert FlowKey is FiveTuple and repro.FlowKey is FiveTuple
+    header = make_header(1)
+    assert FlowKey.from_header(header) is header
+    assert StreamScanner.flow_key(Packet(payload=b"x", header=header)) is header
+    # the shapes the guard is for: the second record and the header's cache
+    old = textwrap.dedent('''\
+        class FlowKey:
+            src_ip: str
+            dst_ip: str
+            src_port: int
+            dst_port: int
+            protocol: str
+
+        class FiveTuple:
+            flow_key: ClassVar[Optional[Any]] = None
+
+        class Header:
+            flow_key = None
+
+        def from_header(header):
+            object.__setattr__(header, "flow_key", key)
+            header.flow_key = key
+    ''')
+    assert flow_identities_and_cache_writes([("old.py", old)]) == (
+        ["old.py:FlowKey"],
+        ["old.py:15", "old.py:16", "old.py:FiveTuple.flow_key", "old.py:Header.flow_key"],
+    )
 
 
 # ----------------------------------------------------------------------
