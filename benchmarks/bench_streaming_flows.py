@@ -10,7 +10,8 @@ where LRU eviction kicks in.
 
 Standalone ``--smoke`` mode is the CI throughput-regression gate for the
 batched streaming hot path: it times the dense backend scanning the workload
-bare (``program.scan`` per segment, no flow state) and the full
+bare (one ``program.scan_packets`` crossing over every segment, each from a
+fresh state: no flow table, no resumed state) and the full
 :class:`ScanService` over the identical segments, writes
 ``BENCH_streaming_smoke.json`` with the service-vs-raw-backend ratio, and
 exits non-zero if the service falls past a deliberately generous threshold —
@@ -118,8 +119,7 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
     confirm_alerts = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        for payload in payloads:
-            program.scan(payload)
+        program.scan_packets(payloads)
         raw_best = min(raw_best, time.perf_counter() - start)
 
         service = ScanService(program)

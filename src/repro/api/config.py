@@ -276,6 +276,14 @@ def _packet_from_dict(data: Dict[str, Any]) -> Packet:
         data, ("payload", "header", "packet_id", "tcp_seq", "tcp_flags"), "packet"
     )
     header = data.get("header")
+    if header is not None:
+        missing = [name for name in FLOW_FIELDS if name not in header]
+        if missing:
+            raise ConfigError(
+                f"packet header lacks {', '.join(map(repr, missing))}; "
+                f"a header has the fields {', '.join(FLOW_FIELDS)}"
+            )
+        _check_keys(header, FLOW_FIELDS, "packet header")
     seq = data.get("tcp_seq")
     flags = data.get("tcp_flags")
     return Packet(

@@ -365,15 +365,17 @@ def _cmd_scan_stream(args: argparse.Namespace) -> int:
         sid_of = session.sid_of
         program = session.program
         events_by_flow = result.events_by_flow()
+        # every packet on its own, from a fresh state: one backend crossing
+        stateless_of = iter(program.scan_packets(
+            [packet.payload for flow in session.flows for packet in flow.packets]
+        ))
         found_split = 0
         stateless_split = 0
         for flow in session.flows:
             key = StreamScanner.flow_key(flow.packets[0])
             streamed = {sid_of[event.string_number] for event in events_by_flow.get(key, ())}
             stateless = {
-                sid_of[number]
-                for packet in flow.packets
-                for _, number in program.match(packet.payload)
+                sid_of[number] for _ in flow.packets for _, number in next(stateless_of)
             }
             for sid in flow.split_sids:
                 found_split += sid in streamed

@@ -31,13 +31,8 @@ walk settles a lane by its state's depth: ``value_depth[value >> 8]``, the
 DFA's depth twice over (a flagged value's ``>> 8`` is its id plus the state
 count), built with the table.
 
-Calls too small to amortise the dispatch (``lanes.KERNEL_MIN_BYTES``) keep a
-scalar loop over lazily built *signed rows* (``row[byte]`` is the next state,
-negated when that state reports a match), decoded from ``premultiplied`` one
-row at a time, so short segments cost one dict lookup, one list index and one
-sign test per byte and only the rows actually visited are ever materialised.
-
-The scan is resumable either way: the per-flow state is one
+Every call takes this kernel, a one-byte segment too, so the arrays above
+are all the program holds.  The scan is resumable: the per-flow state is one
 :class:`repro.backend.ScanState` carrying the plain state id, so the
 streaming layer (flow table, stream scanner, scan service) uses this
 backend unchanged and checkpoints are interchangeable with every other
@@ -46,7 +41,6 @@ automaton backend's.
 
 from __future__ import annotations
 
-import sys
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -88,22 +82,6 @@ def flagged_view(
     return view.ravel()
 
 
-class _SignedRows(dict):
-    """``state -> signed transition row``, decoded on first use."""
-
-    def __init__(self, premultiplied: np.ndarray):
-        super().__init__()
-        self._premultiplied = premultiplied
-
-    def __missing__(self, state: int) -> List[int]:
-        size = len(self._premultiplied)
-        values = self._premultiplied[state * ALPHABET_SIZE:(state + 1) * ALPHABET_SIZE]
-        targets = (values % size) >> 8
-        row = np.where(values >= size, -targets, targets).tolist()
-        self[state] = row
-        return row
-
-
 class CompiledDenseProgram(LaneKernelMixin):
     """A multi-pattern matcher compiled to dense transition/match tables."""
 
@@ -132,16 +110,13 @@ class CompiledDenseProgram(LaneKernelMixin):
 
         # packed match-output arrays (the dense analogue of the match memory)
         self.match_index, self.match_pids = lanes.pack_outputs(outputs)
-        self._outputs: List[List[int]] = [list(o) for o in outputs]
 
-        # kernel views (the root, state 0, can never match — patterns are
-        # non-empty — so a signed row's sign encoding is unambiguous)
+        # kernel views
         self.match_flags = np.diff(self.match_index) > 0
         self.premultiplied = flagged_view(table, self.match_flags, consume_table)
         #: the depth of state ``(v % N) >> 8``, indexed by ``v >> 8``: the
         #: lane repair's settling test (see :mod:`repro.core.lanes`)
         self.value_depth = np.tile(lanes.depth_view(np.asarray(depth)), 2)
-        self._rows = _SignedRows(self.premultiplied)
 
     # ------------------------------------------------------------------
     # construction
@@ -186,21 +161,6 @@ class CompiledDenseProgram(LaneKernelMixin):
     def matches_of(self, state: int) -> Sequence[int]:
         """Pattern ids reported when ``state`` is entered (packed-array view)."""
         return self.match_pids[self.match_index[state]:self.match_index[state + 1]]
-
-    def _scan_scalar(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
-        state = scan_state.state
-        base = scan_state.offset
-        matches: MatchList = []
-        rows = self._rows
-        outputs = self._outputs
-        for position, byte in enumerate(chunk):
-            state = rows[state][byte]
-            if state < 0:
-                state = -state
-                end = base + position + 1
-                for pid in outputs[state]:
-                    matches.append((end, pid))
-        return matches, lanes.resumed(scan_state, state, chunk)
 
     # ------------------------------------------------------------------
     # the lane kernel
@@ -252,26 +212,17 @@ class CompiledDenseProgram(LaneKernelMixin):
     # memory accounting
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Total resident footprint: dense arrays plus the scan views.
-
-        Counts the premultiplied table, the flag vector, the depth view, the
-        packed match arrays and the signed rows the scalar loop has built so
-        far (8-byte list slots plus one boxed int per entry outside CPython's
-        small-int cache, -5 .. 256; a matching target ``t`` is held as
-        ``-t``).  Matters
-        because the dense backend's whole trade is memory for speed —
-        understating it would skew the dense-vs-DTP comparison
-        (``backend.table_mb``).
+        """Total resident footprint: the premultiplied table, the flag
+        vector, the depth view and the packed match arrays.  Matters because
+        the dense backend's whole trade is memory for speed — understating it
+        would skew the dense-vs-DTP comparison (``backend.table_mb``).
         """
-        array_bytes = (
-            self.premultiplied.nbytes + self.match_flags.nbytes + self.value_depth.nbytes
-            + self.match_index.nbytes + self.match_pids.nbytes
+        return sum(
+            array.nbytes for array in (
+                self.premultiplied, self.match_flags, self.value_depth,
+                self.match_index, self.match_pids,
+            )
         )
-        rows = list(self._rows.values())
-        row_slots = sum(sys.getsizeof(row) for row in rows)
-        entries = np.array(rows, dtype=np.int64)
-        boxed_ints = int(((entries < -5) | (entries > 256)).sum()) * 32
-        return int(array_bytes + row_slots + boxed_ints)
 
     def memory_words(self, word_bits: int = 324) -> int:
         """Equivalent count of the paper's 324-bit state-machine words.

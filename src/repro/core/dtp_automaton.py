@@ -28,10 +28,10 @@ paper's guaranteed-rate property.
 
 The lane kernel
 ---------------
-Calls of ``lanes.KERNEL_MIN_BYTES`` or more, and every ``scan_many`` batch,
-are cut into lanes by :mod:`repro.core.lanes` and stepped by this module's
-kernel: all lanes of all flows consume one byte per step, through the paper's
-two structures laid out as flat arrays.
+Every call, a one-byte segment as much as a ``scan_many`` batch, is cut into
+lanes by :mod:`repro.core.lanes` and stepped by this module's kernel: all
+lanes of all flows consume one byte per step, through the paper's two
+structures laid out as flat arrays.
 
 * **Stored pointers** — ``check`` / ``next``, a row-displacement
   ("double-array") table whose displacements are the state *values* the
@@ -486,33 +486,6 @@ class DTPAutomaton(PrunedAutomaton, LaneKernelMixin):
         self.value_depth = np.zeros(2 * self.flagged, dtype=depth.dtype)
         self.value_depth[self.value_of] = depth
         self.pair_default = default_views(self.defaults, self.value_of)
-
-    def _scan_scalar(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
-        """Scan ``chunk`` resuming from ``scan_state``; return matches + new state.
-
-        Feeding the segments of one byte stream through consecutive
-        :meth:`scan_chunk` calls is exactly equivalent to one :meth:`match`
-        over the concatenated stream: the returned state carries the
-        automaton state *and* the two-byte history the default-transition
-        lookup needs, so patterns straddling a segment boundary are still
-        found.  Match end offsets are stream-absolute (``offset`` + position
-        in ``chunk``).
-        """
-        matches: MatchList = []
-        state = scan_state.state
-        prev1 = scan_state.prev1
-        prev2 = scan_state.prev2
-        base = scan_state.offset
-        outputs = self.outputs
-        for position, byte in enumerate(chunk):
-            state = self.step(state, byte, prev1, prev2)
-            if outputs[state]:
-                matches.extend((base + position + 1, pid) for pid in outputs[state])
-            prev2 = prev1
-            prev1 = byte
-        return matches, ScanState(
-            state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)
-        )
 
     # ------------------------------------------------------------------
     # the lane kernel

@@ -62,9 +62,10 @@ dispatch cost whatever the lane count, and a lane may pay up to ``warmup``
 extra steps, so few long lanes waste dispatch and many short lanes waste
 warm-up and repair; the optimum grows with the square root of the batch.
 
-Calls too small to amortise the dispatch (:data:`KERNEL_MIN_BYTES`) keep the
-kernel owner's scalar loop, which is also the reference the kernels are
-tested against.
+Every call takes the kernel, whatever its size: a one-byte ``scan_chunk`` is
+a batch of one job of one byte.  A small call therefore pays the kernel's
+fixed dispatch floor, not a cost per byte; the byte-at-a-time loops the
+kernels replaced are the tests' reference (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ from ..backend import (
     ScanState,
     advance_history,
 )
-
-#: Calls with fewer payload bytes than this stay on the scalar loop: one
-#: kernel pass costs at least :data:`SHORT_WARMUP` + lane-length NumPy
-#: dispatches, ~140 us (dense) or ~300 us (dtp) whatever its size.  Measured
-#: at 500 rules (60-byte longest): the dense kernel beats its scalar loop
-#: (~75 ns/B) from ~3 KB, the dtp kernel beats its (~550 ns/B) from ~1 KB;
-#: one threshold serves both.
-KERNEL_MIN_BYTES = 4096
 
 #: Lanes a tile walks side by side: a batch of more lanes takes several
 #: tiles.  Past a few thousand lanes a step costs ~2.3 ns a lane whatever the
@@ -442,11 +435,10 @@ def job_results(
 class LaneKernelMixin(CompiledProgramMixin):
     """The one scan entry of a program with a lane kernel.
 
-    A conforming class implements ``_scan_scalar(scan_state, chunk)`` — the
-    byte-at-a-time loop, the reference semantics — and
-    ``_scan_lanes(scan_states, batch)`` returning one ``(matches, state)``
-    per packed job; ``match``/``scan``/``scan_chunk``/``scan_packets`` all
-    arrive here through :meth:`_scan_chunk`.
+    A conforming class implements ``_scan_lanes(scan_states, batch)``
+    returning one ``(matches, state)`` per packed job;
+    ``match``/``scan``/``scan_chunk``/``scan_many``/``scan_packets`` all
+    arrive there through :meth:`_scan_chunk`.
     """
 
     def scan_many(self, jobs: Sequence[ScanJob]) -> List[Tuple[MatchList, ScanState]]:
@@ -457,27 +449,22 @@ class LaneKernelMixin(CompiledProgramMixin):
         (``len(batch)`` is the payload byte count), so whatever observes the
         backend boundary there sees one call carrying the batch's bytes.
         """
-        batch = LaneBatch([chunk for _, chunk in jobs])
-        if len(batch) < KERNEL_MIN_BYTES:
-            return super().scan_many(jobs)
-        return self.scan_chunk([state for state, _ in jobs], batch)
+        return self.scan_chunk(
+            [state for state, _ in jobs], LaneBatch([chunk for _, chunk in jobs])
+        )
 
     def _scan_chunk(
         self,
         states: Union[ScanState, Sequence[ScanState]],
         chunk: Union[bytes, LaneBatch],
     ) -> Union[Tuple[MatchList, ScanState], List[Tuple[MatchList, ScanState]]]:
-        """One chunk resumed from the scan state ``states``; or, for a
-        :class:`LaneBatch`, one ``(matches, state)`` result per packed job
-        (``states`` is then the jobs' scan states, in order)."""
+        """One chunk resumed from the scan state ``states``, as a batch of
+        one job; or, for a :class:`LaneBatch`, one ``(matches, state)``
+        result per packed job (``states`` is then the jobs' scan states, in
+        order)."""
         if isinstance(chunk, LaneBatch):
             return self._scan_lanes(states, chunk)
-        if len(chunk) >= KERNEL_MIN_BYTES:
-            return self._scan_lanes([states], LaneBatch([chunk]))[0]
-        return self._scan_scalar(states, chunk)
-
-    def _scan_scalar(self, scan_state: ScanState, chunk: bytes) -> Tuple[MatchList, ScanState]:
-        raise NotImplementedError
+        return self._scan_lanes([states], LaneBatch([chunk]))[0]
 
     def _scan_lanes(
         self, scan_states: Sequence[ScanState], batch: LaneBatch

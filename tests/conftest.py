@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.automata import AhoCorasickDFA
 from repro.automata.trie import ALPHABET_SIZE, ROOT
-from repro.backend import get_backend
+from repro.backend import ScanState, get_backend
 from repro.capture import (
     LINKTYPE_ETHERNET,
     LINKTYPE_LINUX_SLL,
@@ -103,7 +103,7 @@ def small_program(small_ruleset):
 #: methods; a device block's pruned automaton has none of them.
 KERNEL_VIEWS = (
     "warmup", "match_index", "match_pids", "flagged", "value_of", "check", "next", "id_of",
-    "value_depth", "pair_default", "_scan_scalar", "lane_hits", "_scan_lanes", "scan_chunk",
+    "value_depth", "pair_default", "lane_hits", "_scan_lanes", "scan_chunk",
     "scan_many", "match",
 )
 
@@ -155,13 +155,11 @@ def text_with_patterns(rng: random.Random, patterns, length: int = 2000) -> byte
 @pytest.fixture
 def force_short_lanes(monkeypatch):
     """Private test hook for the lane kernels (the shared driver's module
-    constants, not an option): every call takes the kernel, and
-    ``force(program)`` makes its lanes exactly one warm-up long — the
+    constants, not an option): ``force(program)`` makes its lanes exactly one warm-up long — the
     shortest legal — its tiles ``lanes_per_tile`` lanes wide and its history
     slabs ``slab_rows`` steps deep (a tile of fewer lanes gets deeper slabs),
     so a few dozen bytes cross lane cuts, tile boundaries and slab edges.
     Returns the lane length."""
-    monkeypatch.setattr(lanes, "KERNEL_MIN_BYTES", 0)
     monkeypatch.setattr(lanes, "STEP_DISPATCH_CELLS", 1 << 40)
 
     def force(program, lanes_per_tile: int = 3, slab_rows: int = 4) -> int:
@@ -466,7 +464,7 @@ def reference_dense_scan_lanes(self, scan_states, batch: LaneBatch):
 
 
 # ----------------------------------------------------------------------
-# the DTP program's scalar walkers, as they were on the program
+# the scalar walkers, as they were on the programs
 # ----------------------------------------------------------------------
 def reference_iter_states(program: DTPAutomaton, data: bytes) -> Iterator[int]:
     """``DTPAutomaton.iter_states`` as it was: the state after each byte of
@@ -490,6 +488,74 @@ def reference_verify_equivalence(program: DTPAutomaton, data: bytes) -> bool:
         if ours != reference:
             return False
     return True
+
+
+# Moved here (``self`` the program) when the lane kernel became the ``dense``
+# and ``dtp`` programs' only scan path: below 4 KB a call used to take these
+# byte-at-a-time loops.  The dtp loop is verbatim; the dense one decodes its
+# signed rows per call and reads a match's ids from the packed arrays, since
+# the program no longer keeps rows or per-state lists.  They are the
+# reference the kernel tests hold every batch to, job by job: matches, their
+# order and the scan state.
+class ReferenceSignedRows(dict):
+    """``state -> signed transition row``, decoded on first use."""
+
+    def __init__(self, premultiplied: np.ndarray):
+        super().__init__()
+        self._premultiplied = premultiplied
+
+    def __missing__(self, state: int) -> List[int]:
+        size = len(self._premultiplied)
+        values = self._premultiplied[state * ALPHABET_SIZE:(state + 1) * ALPHABET_SIZE]
+        targets = (values % size) >> 8
+        row = np.where(values >= size, -targets, targets).tolist()
+        self[state] = row
+        return row
+
+
+def _reference_dense_scan_scalar(self, scan_state: ScanState, chunk: bytes):
+    # rows decoded afresh per call, so a test that edits the table is seen
+    rows = ReferenceSignedRows(self.premultiplied)
+    state = scan_state.state
+    base = scan_state.offset
+    matches = []
+    for position, byte in enumerate(chunk):
+        state = rows[state][byte]
+        if state < 0:
+            state = -state
+            end = base + position + 1
+            for pid in self.matches_of(state).tolist():
+                matches.append((end, pid))
+    return matches, lanes.resumed(scan_state, state, chunk)
+
+
+def _reference_dtp_scan_scalar(self, scan_state: ScanState, chunk: bytes):
+    matches = []
+    state = scan_state.state
+    prev1 = scan_state.prev1
+    prev2 = scan_state.prev2
+    base = scan_state.offset
+    outputs = self.outputs
+    for position, byte in enumerate(chunk):
+        state = self.step(state, byte, prev1, prev2)
+        if outputs[state]:
+            matches.extend((base + position + 1, pid) for pid in outputs[state])
+        prev2 = prev1
+        prev1 = byte
+    return matches, ScanState(
+        state=state, prev1=prev1, prev2=prev2, offset=base + len(chunk)
+    )
+
+
+def reference_scalar_scan(program, scan_state: ScanState, chunk: bytes):
+    """``program._scan_scalar(scan_state, chunk)`` as it was: ``chunk``
+    resumed from ``scan_state`` one byte at a time, on a ``dense`` program
+    (its signed rows) or a ``dtp`` one (``step``: stored pointer, else the
+    lookup table's default); returns the matches and the state to resume
+    from."""
+    if isinstance(program, DTPAutomaton):
+        return _reference_dtp_scan_scalar(program, scan_state, chunk)
+    return _reference_dense_scan_scalar(program, scan_state, chunk)
 
 
 # ----------------------------------------------------------------------

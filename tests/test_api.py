@@ -481,6 +481,24 @@ def test_malformed_configs_raise_config_error(factory):
         factory()
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", "src_prt": 4000, "dst_port": 80,
+          "protocol": "tcp"}, "packet header lacks 'src_port'"),
+        ({"src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", "src_port": 4000, "dst_port": 80,
+          "protocol": "tcp", "vlan": 7}, "unknown packet header key\\(s\\) 'vlan'"),
+    ],
+    ids=("misspelt", "extra"),
+)
+def test_a_packets_source_header_is_checked_by_name(header, message):
+    """A ``packets`` source's header holds exactly the flow fields: a missing
+    one is named, and an extra one is refused, not dropped."""
+    packet = {"payload": "6162", "header": header}
+    with pytest.raises(ConfigError, match=message):
+        PipelineConfig.from_dict({"source": {"kind": "packets", "packets": [packet]}})
+
+
 @pytest.mark.parametrize("key", ["ring_slots", "ring_slot_bytes", "workers", "shards"])
 def test_retired_engine_keys_are_named(key):
     with pytest.raises(ConfigError, match=f"unknown engine key\\(s\\) '{key}'"):

@@ -55,6 +55,7 @@ from tests.conftest import (
     full_warmup_dtp_scan_lanes,
     reference_dtp_scan_lanes,
     reference_iter_states,
+    reference_scalar_scan,
     reference_scan_packets,
     slab_dtp_lane_hits,
     slab_dtp_scan_lanes,
@@ -455,41 +456,31 @@ class TestDenseProgram:
             assert sorted(program.matches_of(state)) == sorted(dfa.outputs[state])
 
     def test_memory_accounting(self):
-        import sys
-
         program = CompiledDenseProgram.from_patterns([b"abc"])
         arrays = (
             program.premultiplied, program.match_flags, program.value_depth,
             program.match_index, program.match_pids,
         )
         array_bytes = sum(array.nbytes for array in arrays)
-        assert program.memory_bytes() == array_bytes  # no signed row built yet
-        program.match(b"xxabcx")  # a short call: the scalar loop builds rows
-        assert program._rows, "the scalar loop must have cached the rows it visited"
-        row_slots = sum(sys.getsizeof(row) for row in program._rows.values())
-        assert program.memory_bytes() >= array_bytes + row_slots
+        assert program.memory_bytes() == array_bytes
+        assert program.match(b"xxabcx") == [(5, 0)]  # a scan builds nothing
+        assert program.memory_bytes() == array_bytes
         assert program.memory_words() == -(-program.memory_bytes() * 8 // 324)
 
     def test_memory_accounting_counts_boxed_matching_targets(self):
-        """A signed row holds a matching target ``t`` as ``-t``: outside
-        CPython's small-int cache (-5 .. 256) from ``t = 6`` on, so a boxed
-        int the footprint must count."""
-        import sys
-
+        """A match past CPython's small-int cache (a matching target ``t =
+        8``) once cost a boxed int in a scalar row; the kernel holds no rows,
+        so the footprint is the arrays' before and after the scan."""
         program = CompiledDenseProgram.from_patterns([b"abcdefgh"])
-        program.match(b"abcdefgh")
-        assert program._rows[7][ord("h")] == -8
-        rows = list(program._rows.values())
-        boxed = sum(not -5 <= entry <= 256 for row in rows for entry in row)
-        assert boxed == 1
         array_bytes = sum(
             array.nbytes for array in (
                 program.premultiplied, program.match_flags, program.value_depth,
                 program.match_index, program.match_pids,
             )
         )
-        row_slots = sum(sys.getsizeof(row) for row in rows)
-        assert program.memory_bytes() == array_bytes + row_slots + 32 * boxed
+        assert program.memory_bytes() == array_bytes
+        assert program.match(b"abcdefgh") == [(8, 0)]
+        assert program.memory_bytes() == array_bytes
 
     def test_premultiplied_index_never_wraps(self):
         """A flagged index ``(t << 8) + N + byte`` stays below ``2 * N``
@@ -521,11 +512,11 @@ class TestDenseProgram:
         jobs = []
         for _ in range(12):
             body = random_payload(rng, list(ruleset.patterns), length=rng.randrange(600, 1400))
-            _, states = narrow._scan_scalar(ScanState(), body[:7])
+            _, states = reference_scalar_scan(narrow, ScanState(), body[:7])
             jobs.append((states, body[7:]))
         found = narrow.scan_many(jobs)
         assert found == wide.scan_many(jobs)
-        assert found == [narrow._scan_scalar(states, body) for states, body in jobs]
+        assert found == [reference_scalar_scan(narrow, states, body) for states, body in jobs]
         assert any(matches for matches, _ in found)
 
     def test_kernel_walks_an_int64_table(self, monkeypatch):
@@ -533,7 +524,6 @@ class TestDenseProgram:
         import numpy as np
 
         monkeypatch.setattr(compiled, "premultiplied_dtype", lambda n: np.dtype(np.int64))
-        monkeypatch.setattr(lanes, "KERNEL_MIN_BYTES", 0)
         patterns = [b"he", b"she", b"hers", b"his"]
         program = CompiledDenseProgram.from_patterns(patterns)
         assert program.premultiplied.dtype == np.int64
@@ -555,11 +545,6 @@ def final_state(reference, payload):
     for state in reference.iter_states(payload):
         pass
     return state
-
-
-def scalar_scan(program, states, chunk):
-    """The byte-at-a-time loop, whatever the kernel threshold is patched to."""
-    return program._scan_scalar(states, chunk)
 
 
 class TestLaneKernel:
@@ -606,7 +591,7 @@ class TestLaneKernel:
                 expected = reference.match(payload)
                 assert expected
                 assert program.match(payload) == expected, (pattern, offset)
-                assert scalar_scan(program, ScanState(), payload)[0] == expected
+                assert reference_scalar_scan(program, ScanState(), payload)[0] == expected
 
     def test_padding_is_never_reported(self, short_lanes):
         """A short last lane walks zero padding: the all-zero pattern must
@@ -639,14 +624,14 @@ class TestLaneKernel:
             for flow, length in enumerate(lengths):
                 prefix = stream[flow:flow + head]  # a different phase per flow
                 body = stream[flow + head:flow + head + length]
-                before, states = scalar_scan(program, ScanState(), prefix)
+                before, states = reference_scalar_scan(program, ScanState(), prefix)
                 jobs.append((states, body))
                 expected.append(reference.match(prefix + body)[len(before):])
             results = program.scan_many(jobs)
             assert [matches for matches, _ in results] == expected, head
             for (states, body), (_, after) in zip(jobs, results):
                 # state id, history and offset all carry on
-                assert after == scalar_scan(program, states, body)[1]
+                assert after == reference_scalar_scan(program, states, body)[1]
 
     def test_one_shot_streamed_batched_and_scalar_agree(self, short_lanes):
         program, reference, lane_len = short_lanes
@@ -660,7 +645,7 @@ class TestLaneKernel:
             ended = final_state(reference, payload)
             assert program.match(payload) == expected
             one_shot = program.scan_chunk(ScanState(), payload)
-            assert one_shot == scalar_scan(program, ScanState(), payload)
+            assert one_shot == reference_scalar_scan(program, ScanState(), payload)
             assert (one_shot[0], one_shot[1].state) == (expected, ended)
             cuts = sorted(rng.sample(range(len(payload) + 1), 3))
             pieces = [payload[a:b] for a, b in zip([0] + cuts, cuts + [len(payload)])]
@@ -689,12 +674,14 @@ class TestLaneKernel:
         ]
         for head in range(1, 16):
             jobs = [
-                (scalar_scan(program, ScanState(), stream[:head])[1],
+                (reference_scalar_scan(program, ScanState(), stream[:head])[1],
                  stream[head:head + length])
                 for length in lengths
             ]
             results = program.scan_many(jobs)
-            assert results == [scalar_scan(program, states, body) for states, body in jobs]
+            assert results == [
+                reference_scalar_scan(program, states, body) for states, body in jobs
+            ]
 
     def test_hits_in_the_first_and_last_cell_of_a_slab(self, short_lanes):
         """A slab with no hit, then one that reports in its first cell (first
@@ -731,7 +718,7 @@ class TestLaneKernel:
                     rng, LANE_PATTERNS, length=length + 12, alphabet=b"hesrabcdfx\x00\x01"
                 )
                 head = rng.randrange(12)
-                _, states = scalar_scan(program, ScanState(), stream[:head])
+                _, states = reference_scalar_scan(program, ScanState(), stream[:head])
                 jobs.append((states, stream[head:head + length]))
             batch = lanes.LaneBatch([chunk for _, chunk in jobs])
             flow_states = [states for states, _ in jobs]
@@ -755,7 +742,7 @@ class TestLaneKernel:
                         offset = rng.randrange(len(body) - len(pattern))
                         body[offset:offset + len(pattern)] = pattern
                 head = rng.choice(patterns)[: rng.randrange(1, 8)]
-                _, states = scalar_scan(program, ScanState(), head)
+                _, states = reference_scalar_scan(program, ScanState(), head)
                 jobs.append((states, bytes(body)))
             batch = lanes.LaneBatch([chunk for _, chunk in jobs])
             flow_states = [states for states, _ in jobs]
@@ -778,9 +765,9 @@ class TestLaneKernel:
         patterns = [long_pattern, b"needle"]
         program = self.compile(patterns)
         reference = AhoCorasickDFA.from_patterns(patterns)
-        for total in (0, 1, 700, lanes.KERNEL_MIN_BYTES, 1 << 16, 1 << 24):
+        for total in (0, 1, 700, 4096, 1 << 16, 1 << 24):
             assert lanes.lane_length(program.warmup, total) >= program.warmup == 700
-        size = 3 * lanes.KERNEL_MIN_BYTES
+        size = 3 * 4096
         lane_len = lanes.lane_length(program.warmup, size)
         for offset in (lane_len - 699, lane_len - 350, lane_len - 1, lane_len, 2 * lane_len + 5):
             payload = bytearray(b"y" * size)
@@ -886,7 +873,7 @@ class TestDtpLaneKernel(TestLaneKernel):
             assert byte not in program.stored[before], "the transition must be pruned"
             stream = b"zz" + triple + b"zz" * lane_len
             for cut in (3, 4):  # one and two bytes into the triple
-                found, states = scalar_scan(program, ScanState(), stream[:cut])
+                found, states = reference_scalar_scan(program, ScanState(), stream[:cut])
                 jobs.append((states, stream[cut:]))
                 expected.append(reference.match(stream)[len(found):])
                 # the neighbour in the packed buffer ends in the same prefix:
@@ -896,7 +883,7 @@ class TestDtpLaneKernel(TestLaneKernel):
         results = program.scan_many(jobs)
         assert [m for m, _ in results] == expected
         for (states, body), (_, after) in zip(jobs, results):
-            assert after == scalar_scan(program, states, body)[1]
+            assert after == reference_scalar_scan(program, states, body)[1]
 
     def test_checkpoint_hand_over_dtp_dense_dtp(self, short_lanes):
         """A flow changes backend twice mid-pattern, through JSON-shaped
@@ -997,11 +984,13 @@ def test_dtp_escapes_every_few_bytes(storm_programs, force_short_lanes, slab_row
     force_short_lanes(program, 3, slab_rows)
     flow_states, chunks = [], []
     for head, end in zip(bounds, bounds[1:]):
-        flow_states.append(scalar_scan(program, ScanState(), stream[:head])[1])
+        flow_states.append(reference_scalar_scan(program, ScanState(), stream[:head])[1])
         chunks.append(stream[head:end])
     batch = lanes.LaneBatch(chunks)
     found = program._scan_lanes(flow_states, batch)
-    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+    assert found == [
+        reference_scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)
+    ]
     assert sorted(m for matches, _ in found for m in matches) == expected
     assert found == escape_dtp_scan_lanes(program, flow_states, batch)
     assert found == slab_dtp_scan_lanes(program, flow_states, batch)
@@ -1051,12 +1040,12 @@ class TestAcceleratorLaneKernel:
                 offset = rng.randrange(len(body) - len(pattern))
                 body[offset:offset + len(pattern)] = pattern
             streams.append(bytes(body) + patterns[flow] + patterns[-1 - flow])
-        heads = [program._scan_scalar(ScanState(), s[:flow + 1])
+        heads = [reference_scalar_scan(program, ScanState(), s[:flow + 1])
                  for flow, s in enumerate(streams)]
         jobs = [(states, s[flow + 1:]) for flow, (s, (_, states)) in enumerate(zip(streams, heads))]
         results = program.scan_many(jobs)
         for (found, after), (states, body), stream, (head, _) in zip(results, jobs, streams, heads):
-            assert (found, after) == program._scan_scalar(states, body)
+            assert (found, after) == reference_scalar_scan(program, states, body)
             assert head + found == sorted(dense.match(stream))
         assert any(found for found, _ in results)
         merged = HardwareAccelerator(device_program).scan_packets(streams)
@@ -1091,7 +1080,7 @@ class TestAcceleratorLaneKernel:
                     offset = rng.randrange(len(body) - len(pattern))
                     body[offset:offset + len(pattern)] = pattern
             head = rng.choice(patterns)[: rng.randrange(1, 8)]
-            _, states = program._scan_scalar(ScanState(), head)
+            _, states = reference_scalar_scan(program, ScanState(), head)
             jobs.append((states, bytes(body)))
         batch = lanes.LaneBatch([chunk for _, chunk in jobs])
         scan_states = [state for state, _ in jobs]
@@ -1111,7 +1100,7 @@ class TestAcceleratorLaneKernel:
             assert np.array_equal(pids, want_pids) and np.array_equal(final, want_final)
         assert len(pids)
         found = program._scan_lanes([states for states, _ in jobs], batch)
-        assert found == [program._scan_scalar(states, body) for states, body in jobs]
+        assert found == [reference_scalar_scan(program, states, body) for states, body in jobs]
 
     def test_one_batch_is_one_kernel_run_and_the_cycle_model_agrees(self, monkeypatch):
         """1 000 strings, two Cyclone III blocks: one ``scan_many`` batch
@@ -1131,7 +1120,6 @@ class TestAcceleratorLaneKernel:
                 offset = rng.randrange(len(body) - len(pattern))
                 body[offset:offset + len(pattern)] = pattern
             payloads.append(bytes(body))
-        assert sum(map(len, payloads)) >= lanes.KERNEL_MIN_BYTES
         runs = []
         run = lanes.LaneCut.run
 
@@ -1150,10 +1138,10 @@ class TestAcceleratorLaneKernel:
         assert [sorted(matches) for matches in cycle_model] == expected
 
     def test_wrong_state_count_is_rejected_on_both_paths(self, monkeypatch):
-        """A flow state is one ScanState, whether the flow's batch took the
-        scalar loop (below ``KERNEL_MIN_BYTES``) or the kernel (above): its
-        checkpoint carries one, and one carrying two (a multi-block flow's)
-        is refused by restore, naming the flow."""
+        """A flow state is one ScanState, whether the flow's batch is small
+        (2 KB) or large (8 KB): either is one kernel job, its checkpoint
+        carries one state, and one carrying two (a multi-block flow's) is
+        refused by restore, naming the flow."""
         kernel_jobs = []
         kernel = DTPAutomaton._scan_lanes
 
@@ -1162,10 +1150,10 @@ class TestAcceleratorLaneKernel:
             return kernel(program, scan_states, batch)
 
         monkeypatch.setattr(DTPAutomaton, "_scan_lanes", counting)
-        for size, jobs in ((lanes.KERNEL_MIN_BYTES // 2, []), (2 * lanes.KERNEL_MIN_BYTES, [1])):
+        for size in (2048, 8192):
             kernel_jobs.clear()
             saved = stream_checkpoint("dtp", bytes(range(256)) * (size // 256))
-            assert kernel_jobs == jobs
+            assert kernel_jobs == [1]
             (flow,) = saved["flows"]
             flow["states"] *= 2
             with Session.from_config(stream_config("dtp")) as session:
@@ -1239,11 +1227,13 @@ def assert_lanes_are_exact(program, stream: bytes, bounds: Sequence[int]):
     the full-warm-up driver's kernel where the program has one."""
     flow_states, chunks = [], []
     for head, end in zip(bounds, bounds[1:]):
-        flow_states.append(scalar_scan(program, ScanState(), stream[:head])[1])
+        flow_states.append(reference_scalar_scan(program, ScanState(), stream[:head])[1])
         chunks.append(stream[head:end])
     batch = lanes.LaneBatch(chunks)
     found = program._scan_lanes(flow_states, batch)
-    assert found == [scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)]
+    assert found == [
+        reference_scalar_scan(program, s, chunk) for s, chunk in zip(flow_states, chunks)
+    ]
     reference = {
         CompiledDenseProgram: full_warmup_dense_scan_lanes,
         DTPAutomaton: full_warmup_dtp_scan_lanes,
@@ -1600,3 +1590,59 @@ def test_a_flow_state_is_one_scan_state():
     a one-element tuple of states: a flow's resumable state is one
     four-register ``ScanState``, in one form."""
     assert retired_state_protocol(Path(repro.__file__).parent) == []
+
+
+#: Names of the second scan path the lane kernel replaced: the size branch
+#: and the scalar loops (now ``tests/conftest.py::reference_scalar_scan``).
+RETIRED_SCAN_PATH_NAMES = {"_scan_scalar", "_SignedRows", "KERNEL_MIN_BYTES"}
+
+
+def test_no_module_keeps_a_second_scan_path():
+    """No module defines, reads or assigns ``_scan_scalar``,
+    ``_SignedRows`` or ``KERNEL_MIN_BYTES``: the lane kernel is the ``dense``
+    and ``dtp`` programs' one scan path."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            if names & RETIRED_SCAN_PATH_NAMES:
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize("backend", ("dense", "dtp"))
+def test_every_call_takes_the_lane_kernel(monkeypatch, backend):
+    """A 1-byte ``scan_chunk`` that completes a string, a 100-byte
+    ``match``, an empty ``scan_many`` and one empty job each reach the
+    program's ``_scan_lanes`` as one batch, and equal the byte-at-a-time
+    reference."""
+    ruleset = generate_snort_like_ruleset(40, seed=9)
+    program = get_backend(backend).compile(ruleset.patterns)
+    kernel = type(program)._scan_lanes
+    batches = []
+
+    def counting(self, scan_states, batch):
+        batches.append(list(batch.chunks))
+        return kernel(self, scan_states, batch)
+
+    monkeypatch.setattr(type(program), "_scan_lanes", counting)
+    pattern = ruleset.patterns[0]
+    _, resumed = reference_scalar_scan(program, ScanState(), b"xy" + pattern[:-1])
+    found = program.scan_chunk(resumed, pattern[-1:])
+    assert found == reference_scalar_scan(program, resumed, pattern[-1:])
+    assert found[0] == [(len(pattern) + 2, 0)]
+    assert batches == [[pattern[-1:]]]
+
+    payload = (b"." + b"..".join(ruleset.patterns)).ljust(100, b".")[:100]
+    batches.clear()
+    matches = program.match(payload)
+    assert matches and matches == reference_scalar_scan(program, ScanState(), payload)[0]
+    assert batches == [[payload]]
+
+    batches.clear()
+    assert program.scan_many([]) == []
+    assert program.scan_many([(ScanState(), b"")]) == [
+        reference_scalar_scan(program, ScanState(), b"")
+    ]
+    assert batches == [[], [b""]]

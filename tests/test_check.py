@@ -40,7 +40,7 @@ from repro.core.memory_layout import PackedStateMachine
 from repro.core.state_types import CHAR_BITS, MATCH_INFO_BITS, POINTER_BITS
 from repro.fpga.devices import get_device
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from tests.conftest import block_automaton
+from tests.conftest import block_automaton, reference_scalar_scan
 
 FIG2_PATTERNS = (b"he", b"she", b"his", b"hers")
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -240,7 +240,7 @@ def _mutate_dtp_pair_default_at_stream_start(program):
 
 def _state_of(program, prefix):
     """The state a fresh stream is in after ``prefix`` (a pattern prefix)."""
-    _, scan_state = program._scan_scalar(ScanState(), prefix)
+    _, scan_state = reference_scalar_scan(program, ScanState(), prefix)
     return scan_state.state
 
 

@@ -48,6 +48,7 @@ from tests.conftest import (
     reference_build_table,
     reference_folded_pointers,
     reference_pack_state_machine,
+    reference_scalar_scan,
     reference_stored_pointer_counts,
 )
 
@@ -185,7 +186,9 @@ def test_a_moved_depth3_default_moves_what_it_folds():
     assert dtp.verify().ok
     stream = b"xabdccdcccdabe" * 40
     fresh = ScanState()
-    assert dtp._scan_lanes([fresh], LaneBatch([stream])) == [dtp._scan_scalar(fresh, stream)]
+    assert dtp._scan_lanes([fresh], LaneBatch([stream])) == [
+        reference_scalar_scan(dtp, fresh, stream)
+    ]
 
 
 def test_a_block_prunes_in_one_pass(monkeypatch):

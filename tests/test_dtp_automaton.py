@@ -12,6 +12,7 @@ from repro.backend import ScanState
 from repro.core import DTPAutomaton, build_default_transition_table
 from repro.core.dtp_automaton import displace_rows
 from repro.core.lanes import LaneBatch, LaneCut
+from tests.conftest import reference_scalar_scan
 
 
 class TestFigure2Example:
@@ -243,11 +244,11 @@ def test_dtp_equivalent_to_dfa_property(patterns, data):
     # ... and so is the lane kernel, to the byte-at-a-time loop: order, final
     # state and history included, in two jobs so one resumes mid-stream
     fresh = ScanState()
-    head, resumed = dtp._scan_scalar(fresh, data[:len(data) // 3])
+    head, resumed = reference_scalar_scan(dtp, fresh, data[:len(data) // 3])
     (whole, tail) = dtp._scan_lanes(
         [fresh, resumed], LaneBatch([data, data[len(data) // 3:]])
     )
-    assert whole == dtp._scan_scalar(fresh, data)
+    assert whole == reference_scalar_scan(dtp, fresh, data)
     assert (head + tail[0], tail[1]) == whole
 
 

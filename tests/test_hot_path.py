@@ -59,6 +59,7 @@ from tests.conftest import (
     flow_keys,
     random_predicate_rules,
     random_text,
+    reference_scalar_scan,
     reference_service,
     reference_submit,
 )
@@ -267,7 +268,7 @@ class TestAcceleratorLaneKernelBatches:
             for block, program in short_lanes:
                 reference = ReferenceStreamScanner(program, track_nocase=track_nocase)
                 reference._scan_many = lambda jobs, program=program: [  # byte at a time
-                    program._scan_scalar(states, chunk) for states, chunk in jobs
+                    reference_scalar_scan(program, states, chunk) for states, chunk in jobs
                 ]
                 walked = [reference.scan_segment(*item) for item in items + tail]
                 batched = StreamScanner(program, track_nocase=track_nocase)
