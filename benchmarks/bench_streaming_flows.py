@@ -34,7 +34,7 @@ from typing import Dict, Optional, Sequence
 from repro.analysis import format_table
 from repro.backend import get_backend
 from repro.rulesets import generate_snort_like_ruleset
-from repro.streaming import ScanService, StreamScanner
+from repro.streaming import ScanService
 from repro.traffic import TrafficGenerator
 
 DEFAULT_SMOKE_OUTPUT = (
@@ -126,14 +126,14 @@ def run_smoke(repeats: int = SMOKE_REPEATS) -> Dict:
         start = time.perf_counter()
         service.scan(packets)
         service_best = min(service_best, time.perf_counter() - start)
-        cross_segment = service.cross_segment_matches
+        cross_segment = service.stats()["cross_segment_matches"]
 
         # the same segments through a table of half as many slots as flows
         service = ScanService(program, flow_capacity=SMOKE_EVICTING_CAPACITY)
         start = time.perf_counter()
         service.scan(packets)
         evicting_best = min(evicting_best, time.perf_counter() - start)
-        evicted = service.evicted_flows
+        evicted = service.stats()["evicted_flows"]
 
         # the full two-stage pipeline over the same segments: the confirm
         # rules never hit, so this times prefilter + per-packet candidacy
@@ -273,10 +273,11 @@ def test_streaming_flow_scaling(benchmark, write_result):
             result = service.scan(packets)
             elapsed = time.perf_counter() - start
 
+            stats = service.stats()
             detected = 0
             events_by_flow = result.events_by_flow()
             for flow in flows:
-                key = StreamScanner.flow_key(flow.packets[0])
+                key = ScanService.flow_key(flow.packets[0])
                 streamed = {
                     sid_of[event.string_number]
                     for event in events_by_flow.get(key, ())
@@ -290,10 +291,10 @@ def test_streaming_flow_scaling(benchmark, write_result):
                     "kbytes": round(result.bytes_scanned / 1024, 1),
                     "mbit_per_s": round(result.bytes_scanned * 8 / elapsed / 1e6, 2),
                     "events": len(result.events),
-                    "cross_segment": service.cross_segment_matches,
+                    "cross_segment": stats["cross_segment_matches"],
                     "split_detected": f"{detected}/{flow_count}",
-                    "active_flows": service.active_flows,
-                    "evicted": service.evicted_flows,
+                    "active_flows": stats["active_flows"],
+                    "evicted": stats["evicted_flows"],
                 }
             )
         return rows

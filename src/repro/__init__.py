@@ -41,7 +41,7 @@ with the registry's program over the same rules:
     True
 
 Streaming: a pattern split across packets of one flow is missed by the
-per-packet scan but found by the stateful scan service:
+per-packet scan but found by the stateful scan engine:
 
     >>> from repro import ScanService, TrafficGenerator
     >>> flow = TrafficGenerator(ruleset, seed=5).flow(num_packets=3, split_patterns=1)
@@ -105,9 +105,6 @@ from .capture import (
     CaptureRecord,
     load_packets,
     read_capture,
-    replay_ids,
-    replay_scan,
-    replay_stream,
     write_packets,
     write_pcap,
     write_pcapng,
@@ -173,9 +170,6 @@ __all__ = [
     "CaptureRecord",
     "load_packets",
     "read_capture",
-    "replay_ids",
-    "replay_scan",
-    "replay_stream",
     "write_packets",
     "write_pcap",
     "write_pcapng",

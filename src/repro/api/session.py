@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Union
 
 from ..backend import CompiledProgram, get_backend
@@ -101,8 +102,8 @@ class Session:
         #: the stage that consumes the packets, by attribute name: the scan
         #: service, or in ids mode the IDS (that service plus the confirm stage)
         self._engine_name = "ids" if config.mode == "ids" else "service"
-        #: the engine's batch call: in packets mode every packet is a fresh flow
-        self._scan_name = "scan_fresh" if config.mode == "packets" else "scan"
+        #: packets mode: every packet is a fresh flow
+        self._fresh = config.mode == "packets"
         self._live = config.source.is_live  # run() serves instead of loading
         engine = config.engine
         self._set_reassembler(
@@ -248,12 +249,20 @@ class Session:
         return self._program
 
     @property
+    def _scanned_ruleset(self):
+        """The strings :attr:`program` holds: in ids mode the IDS's
+        prefilter strings (``ids.content_ruleset``), else :attr:`ruleset`."""
+        return self.ids.content_ruleset if self._engine_name == "ids" else self.ruleset
+
+    @property
     def hardware(self):
-        """The cycle-level hardware model of the ruleset on the configured
-        device: ``compile_ruleset``'s block partition, built on first use
-        (a scan never builds it), whatever the backend."""
+        """The cycle-level hardware model of the scanned strings on the
+        configured device: ``compile_ruleset``'s block partition, built on
+        first use (a scan never builds it), whatever the backend."""
         if self._hardware is _UNSET:
-            self._hardware = HardwareAccelerator(compile_ruleset(self.ruleset, self.device))
+            self._hardware = HardwareAccelerator(
+                compile_ruleset(self._scanned_ruleset, self.device)
+            )
         return self._hardware
 
     @property
@@ -392,7 +401,14 @@ class Session:
         pending end-of-flow verdicts)."""
         engine = getattr(self, self._engine_name)
         packets = self._reshaped(packets, end_of_source)
-        result = getattr(engine, self._scan_name)(packets)
+        if self._fresh:
+            hits = engine.scan_fresh(packets)
+            result = StreamScanResult(
+                list(chain.from_iterable(hits.values())), len(packets),
+                sum(len(packet.payload) for packet in packets),
+            )
+        else:
+            result = engine.scan(packets)
         result.scanned = packets
         end = engine.flush() if end_of_source else None
         if end is not None:
@@ -505,7 +521,7 @@ class Session:
 
         When the engine is the only stateful stage the envelope is the
         engine's own: a stream-mode checkpoint is interchangeable with one
-        taken directly from a :class:`ScanService`, an ids-mode one with
+        taken directly from the :class:`ScanService`, an ids-mode one with
         the IDS's ``{"service", "confirm"}``.  With
         ``reassemble`` on, the reassembler's state (buffered holes, per-flow anchors) must
         ride along, so the checkpoint becomes ``{"service" | "ids": ...,
@@ -606,12 +622,11 @@ class Session:
         """
         from ..check import lint_ruleset, merge_reports, verify_program
 
-        # proved against the strings it should hold, not its own list
-        ruleset = self.ids.content_ruleset if self._engine_name == "ids" else self.ruleset
         return merge_reports(
             f"session verify ({self.config.engine.backend})",
             [
-                verify_program(self.program, patterns=ruleset.patterns),
+                # proved against the strings it should hold, not its own list
+                verify_program(self.program, patterns=self._scanned_ruleset.patterns),
                 lint_ruleset(self.ruleset),
             ],
         )

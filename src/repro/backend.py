@@ -209,8 +209,9 @@ class CompiledProgramMixin:
         return [self.scan_chunk(state, chunk) for state, chunk in jobs]
 
     def scan(self, data: bytes) -> MatchList:
-        """Scan one payload from a fresh state (alias of :meth:`match`)."""
-        matches, _ = self._scan_chunk(ScanState(), data)
+        """Scan one payload from a fresh state (alias of :meth:`match`):
+        one :meth:`scan_chunk` crossing."""
+        matches, _ = self.scan_chunk(ScanState(), data)
         return matches
 
     def match(self, data: bytes) -> MatchList:

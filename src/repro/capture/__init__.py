@@ -7,9 +7,9 @@ The subsystem splits into three layers:
 * :mod:`repro.capture.frames` — Ethernet/SLL/raw-IP + IPv4/IPv6 + TCP/UDP
   frame decoding into the :class:`repro.traffic.Packet` model, and the
   deterministic inverse encoding;
-* :mod:`repro.capture.replay` — adapters that stream a capture through
-  :class:`~repro.streaming.StreamScanner`, :class:`~repro.streaming.ScanService`
-  and the IDS with events
+* :mod:`repro.capture.replay` — loading a capture into packets and writing
+  packets back out; a :class:`repro.api.Session` with a ``pcap`` source
+  replays one through the scan pipeline with events and alerts
   byte-identical to an in-memory scan of the same segments.
 """
 
@@ -28,9 +28,6 @@ from .pcap import (
 from .replay import (
     ReplayStats,
     load_packets,
-    replay_ids,
-    replay_scan,
-    replay_stream,
     write_packets,
 )
 
@@ -50,8 +47,5 @@ __all__ = [
     "write_pcapng",
     "ReplayStats",
     "load_packets",
-    "replay_ids",
-    "replay_scan",
-    "replay_stream",
     "write_packets",
 ]

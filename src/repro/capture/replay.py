@@ -1,22 +1,19 @@
-"""Replay adapters: captures in and out of every scan layer.
+"""Capture replay: captures in and out of the scan pipeline.
 
 The contract this module makes testable: a capture written by
-:func:`write_packets`, read back and replayed through any scan front-end —
-:class:`repro.streaming.StreamScanner`, the
-:class:`repro.streaming.ScanService` or the stateful
-:class:`repro.ids.IntrusionDetectionSystem` pipeline — produces events and
-alerts **byte-identical** to scanning the same segments in memory.  Capture
-order is flow-segment order (packet ids are assigned sequentially from
-``first_packet_id``), which is exactly the arrival-order guarantee the
-scan services already rely on.
+:func:`write_packets`, read back by :func:`load_packets` and scanned —
+through a :class:`repro.api.Session` with a ``pcap`` source, the one
+composer — produces events and alerts **byte-identical** to scanning the
+same segments in memory.  Capture order is flow-segment order (packet ids
+are assigned sequentially from ``first_packet_id``), which is exactly the
+arrival-order guarantee the scan engine already relies on.
 
 Real-world captures contain frames the DPI layers cannot scan (ARP, ICMP,
 fragments); :func:`load_packets` skips and counts them per reason in
 :class:`ReplayStats` unless ``strict`` is set.
 
-Captures also plug into the declarative pipeline API: a
-``SourceSpec(kind="pcap", path=...)`` makes :class:`repro.api.Session` drive
-:func:`load_packets` (honouring the engine's ``strict`` flag), and a
+A ``SourceSpec(kind="pcap", path=...)`` makes :class:`repro.api.Session`
+drive :func:`load_packets` (honouring the engine's ``strict`` flag), and a
 ``SinkSpec(kind="pcap", path=...)`` exports a run's packets through
 :func:`write_packets` — so ``repro run`` replays and produces capture files
 without any hand-wiring.
@@ -187,58 +184,10 @@ def write_packets(
     raise ValueError(f"unknown capture format {fmt!r} (use 'pcap' or 'pcapng')")
 
 
-# ----------------------------------------------------------------------
-# scan-layer front-ends
-# ----------------------------------------------------------------------
-# These are one-call conveniences that trade away the decode statistics;
-# call load_packets() directly (as the CLI does) when you need to report
-# how many frames were skipped and why alongside the scan result.
-def replay_stream(source: CaptureSource, scanner, strict: bool = False):
-    """Replay a capture through a :class:`StreamScanner` as one
-    :meth:`~repro.streaming.StreamScanner.scan_batch`; returns its matches
-    in arrival order."""
-    packets, _ = load_packets(source, strict=strict)
-    flow_key = scanner.flow_key
-    hits, _, _ = scanner.scan_batch(
-        [(flow_key(packet), packet.payload, packet.packet_id) for packet in packets]
-    )
-    return [event for events in hits.values() for event in events]
-
-
-def replay_scan(source: CaptureSource, service, strict: bool = False):
-    """Replay a capture through a :class:`repro.streaming.ScanService`.
-
-    The returned :class:`StreamScanResult` is byte-identical to
-    ``service.scan(packets)`` on the same in-memory segments.
-    """
-    packets, _ = load_packets(source, strict=strict)
-    return service.scan(packets)
-
-
-def replay_ids(
-    source: CaptureSource, ids, strict: bool = False, finalize: bool = True
-):
-    """Replay a capture through the stateful IDS pipeline; returns the alerts.
-
-    A finished capture means its flows are finished, so by default the
-    replay also decides the end-of-flow rule verdicts (negated contents /
-    pcres) via :meth:`IntrusionDetectionSystem.finish`; pass
-    ``finalize=False`` when stitching several captures into one workload.
-    """
-    packets, _ = load_packets(source, strict=strict)
-    alerts = ids.scan_flow(packets)
-    if finalize:
-        alerts += ids.finish()
-    return alerts
-
-
 __all__ = [
     "CaptureSource",
     "ReplayStats",
     "decode_records",
     "load_packets",
-    "replay_ids",
-    "replay_scan",
-    "replay_stream",
     "write_packets",
 ]

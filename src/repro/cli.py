@@ -79,7 +79,7 @@ from .fpga.devices import CYCLONE_III, DEVICES, STRATIX_III, get_device
 from .proto.reassembly import OVERLAP_POLICIES
 from .rulesets.generator import generate_paper_rulesets, generate_snort_like_ruleset
 from .rulesets.reducer import reduce_to_character_count
-from .streaming.scanner import StreamScanner
+from .streaming.service import ScanService
 
 
 def _add_ruleset_arguments(parser: argparse.ArgumentParser) -> None:
@@ -191,7 +191,7 @@ def _flow_count(session) -> int:
     """Flows in the session's source: generator ground truth, else counted."""
     if session.flows is not None:
         return len(session.flows)
-    return len({StreamScanner.flow_key(packet) for packet in session.packets})
+    return len({ScanService.flow_key(packet) for packet in session.packets})
 
 
 # The summary printers take the label column's width: every subcommand keeps
@@ -372,7 +372,7 @@ def _cmd_scan_stream(args: argparse.Namespace) -> int:
         found_split = 0
         stateless_split = 0
         for flow in session.flows:
-            key = StreamScanner.flow_key(flow.packets[0])
+            key = ScanService.flow_key(flow.packets[0])
             streamed = {sid_of[event.string_number] for event in events_by_flow.get(key, ())}
             stateless = {
                 sid_of[number] for _ in flow.packets for _, number in next(stateless_of)

@@ -40,7 +40,6 @@ from ..rulesets.parser import (
 )
 from ..rulesets.ruleset import RuleSet
 from ..streaming.flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey
-from ..streaming.scanner import SegmentBatch, StreamScanner
 from ..streaming.service import ScanService, StreamScanResult, checkpoint_table
 from ..traffic.packet import Packet
 from .classifier import HeaderClassifier, HeaderPattern
@@ -290,13 +289,13 @@ class IntrusionDetectionSystem:
 
         Stateless: every packet is its own complete "flow", so predicates —
         negation included — are decided per packet (``at_end`` semantics).
-        The prefilter is :attr:`service`'s scanner with every packet a fresh
-        flow (:meth:`StreamScanner.scan_fresh`): one backend crossing for the
-        batch, and the flow table is not touched.
+        The prefilter is :attr:`service` with every packet a fresh flow
+        (:meth:`ScanService.scan_fresh`): one backend crossing for the batch,
+        and the flow table is not touched.
         """
         alerts: List[Alert] = []
         confirm = self._confirm
-        hits = self.service.scanner.scan_fresh(SegmentBatch.from_packets(packets))
+        hits = self.service.scan_fresh(packets)
         for index, packet in enumerate(packets):
             self.stats.packets_processed += 1
             self.stats.payload_bytes += len(packet.payload)
@@ -326,15 +325,11 @@ class IntrusionDetectionSystem:
         return self._service
 
     @property
-    def flow_scanner(self) -> StreamScanner:
-        """The service's one engine (a read-only view)."""
-        return self.service.scanner
-
-    def reset_flows(self, capacity: Optional[int] = None) -> None:
-        """Drop all tracked flow state (optionally resizing the flow table)."""
-        if capacity is not None:
-            self._flow_capacity = capacity
-        self._service = None  # rebuilt on next use, at the new size
+    def flow_scanner(self) -> ScanService:
+        """:attr:`service` under the name the end-to-end benchmark reads
+        (``flow_scanner.flows``): one engine, ``StreamScanner`` and
+        ``ScanService`` being the same class."""
+        return self.service
 
     def close(self) -> None:
         """Part of the pipeline-stage contract: nothing to release (flow
@@ -427,7 +422,7 @@ class IntrusionDetectionSystem:
 
     def _live_flows(self) -> List[FlowEntry]:
         """The live flows that carry a confirm record, in first-seen order."""
-        live = [e for e in self.service.scanner.flows.entries() if e.record is not None]
+        live = [e for e in self.service.flows.entries() if e.record is not None]
         return sorted(live, key=lambda entry: entry.record.sequence)
 
     def finish(self) -> List[Alert]:
@@ -499,7 +494,7 @@ class IntrusionDetectionSystem:
             raise ValueError(f"confirm flow {key.as_tuple()} key: not in the flow table")
         dropped: List[FlowEntry] = []  # least recently used first
         self.service.restore(table, on_evict=dropped.append)
-        for entry in self.service.scanner.flows.entries():
+        for entry in self.service.flows.entries():
             entry.record = records.get(entry.key)
         finalize = self._confirm.finalize_flow
         self._dropped += [

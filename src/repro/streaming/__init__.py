@@ -9,12 +9,13 @@ puts on top of the matcher:
 * :mod:`repro.streaming.flow`    — flow identity, the per-flow resumable
   state record and a bounded LRU :class:`FlowTable` that admits a batch in
   one walk, with checkpointing;
-* :mod:`repro.streaming.scanner` — a :class:`StreamScanner` that loads/stores
-  flow state around each batch scan (one engine multiplexing many flows);
-* :mod:`repro.streaming.service` — a :class:`ScanService` scanning whole
-  batches on one scanner with aggregate reporting;
-* :mod:`repro.streaming.ingest`  — the asyncio front-end feeding any scan
-  service from live sources (socket listeners, tail-followed captures).
+* :mod:`repro.streaming.service` — the one scan engine, :class:`ScanService`
+  (also bound as ``StreamScanner``): it loads/stores flow state around each
+  whole-batch scan, one engine multiplexing many flows, and reports the
+  aggregate;
+* :mod:`repro.streaming.ingest`  — the asyncio front-end feeding the engine
+  (or the IDS around it) from live sources (socket listeners, tail-followed
+  captures).
 """
 
 from .flow import (
@@ -31,8 +32,14 @@ from .ingest import (
     TcpListenerSource,
     UdpListenerSource,
 )
-from .scanner import ANONYMOUS_FLOW, ScannerStatistics, StreamMatch, StreamScanner
-from .service import ScanService, StreamScanResult
+from .service import (
+    ANONYMOUS_FLOW,
+    ScannerStatistics,
+    ScanService,
+    StreamMatch,
+    StreamScanner,
+    StreamScanResult,
+)
 
 __all__ = [
     "DEFAULT_FLOW_CAPACITY",

@@ -57,7 +57,7 @@ from typing import Callable, Dict, List, Optional
 from ..capture.pcap import CaptureError, PcapBlockReader
 from ..capture.replay import ReplayStats, decode_records
 from ..traffic.packet import FiveTuple, Packet
-from .scanner import StreamMatch
+from .service import StreamMatch
 
 #: ``emit(header, payload, seq=None, flags=None)`` — how a source hands one
 #: flow segment to the ingestor.  Synchronous on purpose: sources call it

@@ -1,34 +1,169 @@
-"""Flow-scan service: many flows multiplexed over one scan engine.
+"""The one scan engine: stateful flow scanning over one compiled program.
 
-The paper's accelerator scans many flows on engines that each own their
-flows' registers, so no engine waits on another.  The service is one such
-engine in software: one :class:`repro.streaming.scanner.StreamScanner` with
-one bounded :class:`FlowTable`, so a flow's resumable automaton state never
-has to move.  Like the paper's engines pulling from one shared packet
-buffer, the service scans a whole arrival batch in one
-:meth:`StreamScanner.scan_batch` call — admitted to the flow table once, in
-arrival order, every flow's job sharing one backend crossing, whether or not
-the table evicts.  A single packet is a batch of one.
+A :class:`ScanService` is the software model of one string matching engine
+that has been taught to multiplex flows, as the paper's engines own their
+flows' registers and pull segments straight from the shared packet buffer:
+before scanning a batch it loads each flow's checkpointed
+:class:`repro.backend.ScanState` registers from its one bounded
+:class:`repro.streaming.flow.FlowTable`, and afterwards it stores them back.
+Because the state carries everything the backend needs to resume (automaton
+state, two-byte history, stream offset), a pattern split across consecutive
+segments of a flow is found exactly as if the segments had arrived as one
+contiguous payload — the property the per-packet ``match`` path cannot
+provide.
+
+The engine is written against the :class:`repro.backend.CompiledProgram`
+protocol, so *any* backend — the DTP automaton, the compiled dense table, a
+plain DFA, the compressed baselines — multiplexes flows through the
+identical code path.  The declarative :class:`repro.api.Session` facade
+composes it, with the stages around it, from one
+:class:`repro.api.PipelineConfig`.
+
+Hot path
+--------
+A whole arrival batch is one :meth:`ScanService.scan_batch` call (a single
+packet is a batch of one).  The flow table walks the batch's keys once, in
+arrival order (:meth:`FlowTable.admit`), exactly as segment-at-a-time
+scanning would: every flow incarnation — a flow evicted and seen again
+within the batch is two — gets its segments concatenated into one job, and
+all of those jobs cross into the backend together (``scan_many``: one job
+per incarnation, plus one per lower-cased view under ``track_nocase``), so a
+batch costs one backend crossing whether or not the table evicts.  Matches
+are then re-attributed to their segments by offset — per-segment work only
+a flow whose scan reported a hit pays for.  Events, statistics, eviction
+records and LRU order are those of the segment-at-a-time walk (the
+differential harness in the test suite holds it to that).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..backend import CompiledProgram
+from ..backend import CompiledProgram, MatchList, ScanJob, ScanState
 from ..traffic.packet import Packet
-from .flow import DEFAULT_FLOW_CAPACITY, Admitted, FlowEntry, FlowKey, FlowTable
-from .scanner import Eviction, SegmentBatch, StreamMatch, StreamScanner
+from .flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey, FlowTable
+
+#: Flow key used when a packet carries no 5-tuple header (treated as one
+#: anonymous flow so bare payload streams can still be scanned statefully).
+ANONYMOUS_FLOW = FlowKey("0.0.0.0", "0.0.0.0", 0, 0, "raw")
+
+#: The registers of a flow that has not sent a byte.  ``ScanState`` is
+#: immutable, so every new flow entry starts from this one instance.
+_ROOT = ScanState()
+
+#: What :meth:`ScanService.scan_batch` returns: ``(hits, evictions,
+#: admitted)``.  ``hits`` maps the index of every segment that matched to
+#: its events and holds nothing for the others; it is ordered by arrival —
+#: the order the canonical event sort breaks its ties in.
+BatchScan = Tuple[Dict[int, List["StreamMatch"]], List[Eviction], Admitted]
+
+_PAYLOADS = attrgetter("payload")
+_PACKET_IDS = attrgetter("packet_id")
+
+
+class SegmentBatch:
+    """One batch of flow segments as three parallel columns.
+
+    Segment ``i`` is ``payloads[i]`` of flow ``keys[i]`` with id
+    ``packet_ids[i]``.  The engine builds one straight from its packets,
+    so a batch costs three lists, not one record per segment.
+    """
+
+    __slots__ = ("keys", "payloads", "packet_ids")
+
+    def __init__(
+        self,
+        keys: List[FlowKey],
+        payloads: Sequence[bytes],
+        packet_ids: Sequence[int],
+    ):
+        self.keys = keys
+        self.payloads = payloads
+        self.packet_ids = packet_ids
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @classmethod
+    def from_packets(cls, packets: Sequence[Packet]) -> "SegmentBatch":
+        flow_key = ScanService.flow_key
+        return cls(
+            [flow_key(packet) for packet in packets],
+            list(map(_PAYLOADS, packets)),
+            list(map(_PACKET_IDS, packets)),
+        )
+
+
+class StreamMatch:
+    """A match found while scanning a flow segment.
+
+    ``end_offset`` is the position one past the match's final byte in the
+    *flow's* byte stream (not the segment), so a cross-segment match reports
+    an offset beyond the current segment's start.  ``lowered`` marks hits
+    found in the lower-cased view of the stream (case-insensitive scanning).
+    ``flow`` is ``None`` when the segment was scanned as a flow of its own
+    (:meth:`ScanService.scan_fresh`).
+
+    A ``__slots__`` record rather than a dataclass: the streaming hot loop
+    creates one per match event, and slot instances allocate without a
+    per-instance ``__dict__``.  Equality, hashing and repr keep the frozen
+    dataclass semantics the rest of the suite was written against.
+    """
+
+    __slots__ = ("flow", "packet_id", "end_offset", "string_number", "lowered")
+
+    def __init__(
+        self,
+        flow: Optional[FlowKey],
+        packet_id: int,
+        end_offset: int,
+        string_number: int,
+        lowered: bool = False,
+    ):
+        self.flow = flow
+        self.packet_id = packet_id
+        self.end_offset = end_offset
+        self.string_number = string_number
+        self.lowered = lowered
+
+    def _key(self) -> Tuple[Optional[FlowKey], int, int, int, bool]:
+        return (self.flow, self.packet_id, self.end_offset, self.string_number, self.lowered)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StreamMatch):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamMatch(flow={self.flow!r}, packet_id={self.packet_id!r}, "
+            f"end_offset={self.end_offset!r}, string_number={self.string_number!r}, "
+            f"lowered={self.lowered!r})"
+        )
+
+
+@dataclass
+class ScannerStatistics:
+    """The engine's lifetime scan counters (:attr:`ScanService.counters`)."""
+
+    segments: int = 0
+    bytes_scanned: int = 0
+    matches: int = 0
+    cross_segment_matches: int = 0
 
 
 @dataclass
 class StreamScanResult:
     """Aggregate outcome of one batched scan.
 
-    The one batch result every pipeline hands on: a scan service fills the
+    The one batch result every pipeline hands on: the engine fills the
     first three fields; ``alerts`` is what a confirm stage raised for the
     batch (:meth:`repro.ids.IntrusionDetectionSystem.scan`), and ``scanned``
     names the packets the result covers when a composed pipeline re-shaped
@@ -63,12 +198,12 @@ AnnotatedScan = Tuple[StreamScanResult, Dict[int, List[StreamMatch]], List[Evict
 
 
 def event_order(event: StreamMatch) -> Tuple[int, int, int]:
-    """The canonical event ordering every service reports in."""
+    """The canonical event ordering the engine reports in."""
     return _EVENT_ORDER(event)
 
 
 def checkpoint_table(data: Dict) -> Dict:
-    """The one flow table of a service checkpoint (:meth:`ScanService.restore`)."""
+    """The one flow table of an engine checkpoint (:meth:`ScanService.restore`)."""
     tables = [data] if "flows" in data else data["shards"]
     if len(tables) != 1:
         raise ValueError(
@@ -79,13 +214,24 @@ def checkpoint_table(data: Dict) -> Dict:
 
 
 class ScanService:
-    """Stateful scanning front-end over one compiled program.
+    """The one flow-multiplexing scan engine around any compiled program.
 
-    ``program`` is any :class:`repro.backend.CompiledProgram`; the service's
-    one :attr:`scanner` keeps every flow in one LRU table of
-    ``flow_capacity`` flows.  The service is a context manager, so callers
-    can hold it in a ``with`` block (teardown is a no-op); it is built
-    declaratively through :class:`repro.api.Session`.
+    ``program`` is anything honouring the :class:`repro.backend.CompiledProgram`
+    protocol; :attr:`flows` is the engine's one LRU :class:`FlowTable` of
+    ``flow_capacity`` flows, and :attr:`counters` its lifetime
+    :class:`ScannerStatistics`.
+
+    ``track_nocase`` turns on the lower-cased second view of every payload.
+    It names the string numbers a lowered-view hit may credit — the strings
+    some ``nocase`` content uses — or is ``True`` for every string; an empty
+    set (or ``False``) scans the raw view alone.
+
+    ``StreamScanner`` is bound to this same class: the two names are one
+    engine, and code written against either (the end-to-end benchmark's
+    tracer wraps ``ScanService.scan`` and ``StreamScanner.scan_batch`` by
+    name) sees the same methods.  The engine is a context manager, so
+    callers can hold it in a ``with`` block (teardown is a no-op); it is
+    built declaratively through :class:`repro.api.Session`.
     """
 
     def __init__(
@@ -95,11 +241,109 @@ class ScanService:
         track_nocase: Union[bool, AbstractSet[int]] = False,
     ):
         self.program = program
-        self.scanner = StreamScanner(
-            program, FlowTable(flow_capacity), track_nocase=track_nocase
-        )
+        self.flows = FlowTable(flow_capacity)
+        self.track_nocase = track_nocase
+        self.counters = ScannerStatistics()
+        self._pattern_length = {
+            index: len(pattern) for index, pattern in enumerate(program.patterns)
+        }
+        self._scan_many = program.scan_many
 
     # ------------------------------------------------------------------
+    def _new_entry(self, key: FlowKey) -> FlowEntry:
+        return FlowEntry(key, _ROOT, _ROOT if self.track_nocase else None)
+
+    @staticmethod
+    def flow_key(packet: Packet) -> FlowKey:
+        """The packet's flow: its header, if it has one."""
+        header = packet.header
+        return ANONYMOUS_FLOW if header is None else header
+
+    def _scan_views(
+        self, work: Sequence[Tuple[FlowEntry, bytes]]
+    ) -> List[Tuple[MatchList, MatchList]]:
+        """Cross into the backend once for the next bytes of several flows.
+
+        Every ``(entry, payload)`` rides the same ``scan_many`` call as one
+        raw job plus, under ``track_nocase``, one job over the lower-cased
+        view.  Resumes the entries' states and returns ``(raw, lowered)``
+        hit lists per entry, where ``lowered`` holds only what the raw view
+        did not already report, on the strings ``track_nocase`` lets a
+        lowered hit credit.
+        """
+        jobs: List[ScanJob] = [(entry.state, payload) for entry, payload in work]
+        if self.track_nocase:
+            for entry, payload in work:
+                if entry.lower_state is None:
+                    # e.g. a flow restored from a checkpoint written without
+                    # nocase tracking: restart the lowered view rather than
+                    # silently never matching case-insensitively again.  Seed
+                    # it at the raw stream offset so lowered matches keep
+                    # reporting flow-absolute positions (and dedup against
+                    # raw hits works).
+                    entry.lower_state = ScanState(offset=entry.bytes_scanned)
+                jobs.append((entry.lower_state, payload.lower()))
+        results = self._scan_many(jobs)
+
+        nocase = self.track_nocase
+        views: List[Tuple[MatchList, MatchList]] = []
+        for position, (entry, _) in enumerate(work):
+            raw, entry.state = results[position]
+            lowered: MatchList = []
+            if self.track_nocase:
+                lowered, entry.lower_state = results[len(work) + position]
+                if lowered:
+                    # an occurrence that is already lower-case matches in
+                    # both views; report it once (the raw event) so
+                    # statistics are not inflated.  A case-sensitive string
+                    # found only in the lowered view did not occur at all.
+                    raw_hits = set(raw)
+                    lowered = [
+                        hit for hit in lowered
+                        if hit not in raw_hits and (nocase is True or hit[1] in nocase)
+                    ]
+            views.append((raw, lowered))
+        return views
+
+    # ------------------------------------------------------------------
+    # batched scanning (the hot path)
+    # ------------------------------------------------------------------
+    def scan_batch(self, batch: SegmentBatch) -> BatchScan:
+        """Scan one :class:`SegmentBatch` of flow segments.
+
+        Returns ``(hits, evictions, admitted)`` (see :data:`BatchScan`):
+        ``hits[i]`` is exactly the non-empty event list scanning segment
+        ``i`` on its own, in arrival order, would have produced;
+        ``evictions`` records ``(i, entry)``, in arrival order, for every
+        flow LRU-evicted while segment ``i`` was admitted; ``admitted`` is
+        every entry the batch was scanned under, with its segments' indexes.
+
+        The flow table admits the batch in arrival order
+        (:meth:`FlowTable.admit`); each admitted entry's segments are joined
+        into one job and every job crosses into the backend in one
+        ``scan_many`` call.  Matches are re-attributed to segments by their
+        flow-absolute end offset.
+        """
+        admitted, evictions = self.flows.admit(batch.keys, self._new_entry)
+        payloads = batch.payloads
+        work = [
+            (entry, b"".join([payloads[index] for index in indexes]))
+            for entry, indexes in admitted
+        ]
+        views = self._scan_views(work) if work else []
+
+        counters = self.counters
+        found: Dict[int, List[StreamMatch]] = {}
+        for (entry, indexes), (_, joined), (raw, lowered) in zip(admitted, work, views):
+            counters.segments += len(indexes)
+            counters.bytes_scanned += len(joined)
+            if raw or lowered:
+                self._attribute(
+                    entry.key, indexes, batch, entry.bytes_scanned - len(joined),
+                    raw, lowered, found,
+                )
+        return {index: found[index] for index in sorted(found)}, evictions, admitted
+
     def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
         """Batched dispatch plus what a confirm stage needs to follow it.
 
@@ -111,21 +355,19 @@ class ScanService:
         admitted; and the flow entries the batch was scanned under, which the
         IDS hangs each flow's confirm record on.
 
-        The whole batch is one :meth:`StreamScanner.scan_batch` call: one
-        walk of the flow table, one backend crossing.  Nothing per packet is
-        built beyond the batch's three columns — a small-packet pass pays
-        for every object that lives through the batch in the collector's
-        older generations.  ``hits`` comes back in arrival order, and the
-        canonical event sort is stable, so that order decides its ties.
+        The whole batch is one :meth:`scan_batch` call: one walk of the flow
+        table, one backend crossing.  Nothing per packet is built beyond the
+        batch's three columns — a small-packet pass pays for every object
+        that lives through the batch in the collector's older generations.
+        ``hits`` comes back in arrival order, and the canonical event sort is
+        stable, so that order decides its ties.
         """
-        batch = SegmentBatch.from_packets(packets)
-        scanner = self.scanner
-        before = scanner.stats.bytes_scanned
-        hits, evictions, admitted = scanner.scan_batch(batch)
+        before = self.counters.bytes_scanned
+        hits, evictions, admitted = self.scan_batch(SegmentBatch.from_packets(packets))
         events = list(chain.from_iterable(hits.values()))
         events.sort(key=_EVENT_ORDER)
         result = StreamScanResult(
-            events, len(packets), scanner.stats.bytes_scanned - before
+            events, len(packets), self.counters.bytes_scanned - before
         )
         return result, hits, evictions, admitted
 
@@ -137,55 +379,96 @@ class ScanService:
         """
         return self.scan_annotated(packets)[0]
 
-    def scan_fresh(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """``packets`` mode: every packet a new flow of its own
-        (:meth:`StreamScanner.scan_fresh`).  Events carry no flow and stay in
-        arrival order, which a source's packet ids need not follow."""
-        hits = self.scanner.scan_fresh(SegmentBatch.from_packets(packets))
-        events = list(chain.from_iterable(hits.values()))
-        return StreamScanResult(events, len(packets), sum(len(p.payload) for p in packets))
+    def scan_fresh(self, packets: Sequence[Packet]) -> Dict[int, List[StreamMatch]]:
+        """Scan every packet as a new flow of its own.
+
+        The stateless mode: the registers reset at every packet boundary, as
+        in the paper's engine.  Still one :meth:`_scan_views` call (one
+        backend crossing, both views), but the flow table and its LRU order
+        are not touched.  Returns hits by arrival index, like
+        :meth:`scan_batch`; the events carry no flow and stay in arrival
+        order, which the packets' ids need not follow.
+        """
+        batch = SegmentBatch.from_packets(packets)
+        work = [(self._new_entry(key), payload) for key, payload in zip(batch.keys, batch.payloads)]
+        views = self._scan_views(work) if work else []
+        self.counters.segments += len(work)
+        self.counters.bytes_scanned += sum(map(len, batch.payloads))
+        found: Dict[int, List[StreamMatch]] = {}
+        for index, (raw, lowered) in enumerate(views):
+            if raw or lowered:
+                self._attribute(None, [index], batch, 0, raw, lowered, found)
+        return found
+
+    def _attribute(
+        self,
+        key: Optional[FlowKey],
+        indexes: List[int],
+        batch: SegmentBatch,
+        start: int,
+        raw: MatchList,
+        lowered: MatchList,
+        found: Dict[int, List[StreamMatch]],
+    ) -> None:
+        """Hand one flow's hits to the segments they ended in.
+
+        The per-segment half of :meth:`scan_batch`, entered only for a flow
+        whose joined scan reported a hit: ``start`` is the flow-absolute
+        offset of the flow's first segment in this batch.
+        """
+        # boundaries[j] = flow-absolute end offset of segment j; a match
+        # with end offset o belongs to the segment with the smallest
+        # boundary >= o (its final byte is at o - 1 < boundaries[j]).
+        payloads, packet_ids = batch.payloads, batch.packet_ids
+        boundaries: List[int] = []
+        acc = start
+        for index in indexes:
+            acc += len(payloads[index])
+            boundaries.append(acc)
+
+        counters = self.counters
+        pattern_length = self._pattern_length
+        for matches, is_lowered in ((raw, False), (lowered, True)):
+            counters.matches += len(matches)
+            for offset, number in matches:
+                position = bisect_left(boundaries, offset)
+                index = indexes[position]
+                events = found.get(index)
+                if events is None:
+                    events = found[index] = []
+                events.append(StreamMatch(key, packet_ids[index], offset, number, is_lowered))
+                # the match ends in this segment but started before it
+                segment_start = boundaries[position - 1] if position else start
+                if offset - pattern_length[number] < segment_start:
+                    counters.cross_segment_matches += 1
 
     def flush(self) -> None:
-        """End of a finite source: a scan service buffers nothing."""
+        """End of a finite source: the engine buffers nothing."""
 
     # ------------------------------------------------------------------
-    @property
-    def active_flows(self) -> int:
-        return len(self.scanner.flows)
-
-    @property
-    def evicted_flows(self) -> int:
-        return self.scanner.flows.stats.evicted
-
-    @property
-    def cross_segment_matches(self) -> int:
-        return self.scanner.stats.cross_segment_matches
-
     def stats(self) -> Dict[str, object]:
-        """The service's gauges as one plain dict.
+        """The engine's gauges as one plain dict.
 
         Counters (``evicted_flows``, ``cross_segment_matches``) are
         lifetime totals; ``active_flows`` is a live gauge.  The dict is
         JSON-serialisable, so it can ride along in run artifacts
         (:meth:`repro.api.Session.stats` embeds it).
         """
-        scanner = self.scanner
         return {
-            "active_flows": len(scanner.flows),
-            "evicted_flows": scanner.flows.stats.evicted,
-            "cross_segment_matches": scanner.stats.cross_segment_matches,
+            "active_flows": len(self.flows),
+            "evicted_flows": self.flows.stats.evicted,
+            "cross_segment_matches": self.counters.cross_segment_matches,
         }
 
-    # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
         """Serialise the flow table to plain data (:meth:`FlowTable.checkpoint`)."""
-        return self.scanner.flows.checkpoint()
+        return self.flows.checkpoint()
 
     def restore(self, data: Dict, on_evict: Optional[Callable[[FlowEntry], None]] = None) -> None:
         """Restore flow state saved by :meth:`checkpoint`.
 
         The table keeps its *configured* flow capacity — a checkpoint from a
-        larger table never silently raises this service's memory bound;
+        larger table never silently raises this engine's memory bound;
         over-capacity flows are dropped LRU-first, each handed to
         ``on_evict`` (:meth:`FlowTable.restore`).  The older envelope that
         listed one table per partition of the flows is accepted when it holds
@@ -194,9 +477,8 @@ class ScanService:
         whose state id is not one of the program's states is a
         ``ValueError`` naming the flow and ``ScanState.state``.
         """
-        scanner = self.scanner
         flows = FlowTable.restore(
-            checkpoint_table(data), capacity=scanner.flows.capacity, on_evict=on_evict
+            checkpoint_table(data), capacity=self.flows.capacity, on_evict=on_evict
         )
         limit = self.program.num_states
         for entry in flows.entries():
@@ -206,7 +488,7 @@ class ScanService:
                         f"flow {entry.key.as_tuple()} {view}: ScanState.state must be "
                         f"below the program's {limit} states, got {state.state}"
                     )
-        scanner.flows = flows
+        self.flows = flows
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -217,3 +499,23 @@ class ScanService:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
+
+
+#: The engine's other name (see :class:`ScanService`).
+StreamScanner = ScanService
+
+
+__all__ = [
+    "ANONYMOUS_FLOW",
+    "AnnotatedScan",
+    "BatchScan",
+    "Eviction",
+    "ScanService",
+    "ScannerStatistics",
+    "SegmentBatch",
+    "StreamMatch",
+    "StreamScanResult",
+    "StreamScanner",
+    "checkpoint_table",
+    "event_order",
+]

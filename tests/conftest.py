@@ -39,7 +39,7 @@ from repro.capture import (
     LINKTYPE_LINUX_SLL,
     LINKTYPE_RAW,
     CaptureError,
-    replay_scan,
+    load_packets,
     write_packets,
 )
 from repro.capture.frames import DecodedFrame
@@ -56,7 +56,7 @@ from repro.proto.reassembly import _FIN, _RST, _SEQ_MASK, _SYN, _FlowState, _seq
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ScanService
 from repro.streaming.flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
-from repro.streaming.scanner import (
+from repro.streaming.service import (
     ANONYMOUS_FLOW, BatchScan, Eviction, SegmentBatch, StreamMatch, StreamScanner,
 )
 from repro.traffic import Packet, TrafficGenerator
@@ -278,7 +278,7 @@ def assert_equivalent_events(
         if source == "memory":
             results = [service.scan(chunk) for chunk in chunks]
         else:
-            results = [replay_scan(io.BytesIO(capture), service)]
+            results = [service.scan(load_packets(io.BytesIO(capture))[0])]
         return results, service.stats()
 
     reference: Optional[EquivalenceReference] = None
@@ -1954,20 +1954,12 @@ class ReferenceFlowTable(FlowTable):
 
 
 class ReferenceStreamScanner(StreamScanner):
-    """A :class:`StreamScanner` whose every batch is the per-segment loop."""
+    """The scan engine with every batch the per-segment loop, over a
+    :class:`ReferenceFlowTable` of ``flow_capacity`` flows."""
 
-    def __init__(
-        self,
-        program,
-        flow_table: Optional[FlowTable] = None,
-        capacity: int = DEFAULT_FLOW_CAPACITY,
-        track_nocase=False,
-    ):
-        super().__init__(
-            program,
-            ReferenceFlowTable(capacity) if flow_table is None else flow_table,
-            track_nocase=track_nocase,
-        )
+    def __init__(self, program, flow_capacity: int = DEFAULT_FLOW_CAPACITY, track_nocase=False):
+        super().__init__(program, flow_capacity, track_nocase=track_nocase)
+        self.flows = ReferenceFlowTable(flow_capacity)
 
     def scan_packet(self, packet: Packet) -> List[StreamMatch]:
         """Scan one packet as the next segment of its flow."""
@@ -1988,17 +1980,16 @@ class ReferenceStreamScanner(StreamScanner):
             for offset, number in lowered
         )
 
-        self.stats.segments += 1
-        self.stats.bytes_scanned += len(payload)
-        self.stats.matches += len(matches)
+        self.counters.segments += 1
+        self.counters.bytes_scanned += len(payload)
+        self.counters.matches += len(matches)
         for match in matches:
             # the match ends in this segment but started before it
             if match.end_offset - self._pattern_length[match.string_number] < segment_start:
-                self.stats.cross_segment_matches += 1
+                self.counters.cross_segment_matches += 1
         return matches
 
-    def scan_batch(self, items) -> BatchScan:
-        batch = items if isinstance(items, SegmentBatch) else SegmentBatch.from_items(items)
+    def scan_batch(self, batch: SegmentBatch) -> BatchScan:
         return self._scan_per_segment(batch)
 
     def _scan_per_segment(self, batch: SegmentBatch) -> BatchScan:
@@ -2040,18 +2031,23 @@ def eviction_keys(evictions: Sequence[Eviction]) -> List[Tuple[int, FlowKey]]:
 
 def reference_service(
     program, flow_capacity: int = DEFAULT_FLOW_CAPACITY, track_nocase=False
-) -> ScanService:
-    """A :class:`ScanService` scanning through :class:`ReferenceStreamScanner`."""
-    service = ScanService(program, flow_capacity=flow_capacity, track_nocase=track_nocase)
-    service.scanner = ReferenceStreamScanner(
-        program, capacity=flow_capacity, track_nocase=track_nocase
-    )
-    return service
+) -> ReferenceStreamScanner:
+    """The per-segment reference engine, built as a :class:`ScanService` is."""
+    return ReferenceStreamScanner(program, flow_capacity, track_nocase=track_nocase)
 
 
-def reference_submit(self: ScanService, packet: Packet) -> List[StreamMatch]:
+def reference_submit(self: ReferenceStreamScanner, packet: Packet) -> List[StreamMatch]:
     """Scan a single packet as the next segment of its flow."""
-    return self.scanner.scan_packet(packet)
+    return self.scan_packet(packet)
+
+
+def segment_batch(items: Sequence[Tuple[FlowKey, bytes, int]]) -> SegmentBatch:
+    """A :class:`SegmentBatch` of ``(key, payload, packet_id)`` items."""
+    return SegmentBatch(
+        [key for key, _, _ in items],
+        [payload for _, payload, _ in items],
+        [packet_id for _, _, packet_id in items],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -2418,14 +2414,12 @@ def assert_equivalent_alerts(
     checkpoint → JSON → restore into a fresh IDS before packet
     ``restore_at``.
     """
-    from repro.capture import replay_ids
     from repro.ids import IntrusionDetectionSystem
 
     def build_ids(backend: str):
-        ids = IntrusionDetectionSystem.from_specs(specs, backend=backend)
-        if flow_capacity != 4096:
-            ids.reset_flows(capacity=flow_capacity)
-        return ids
+        return IntrusionDetectionSystem.from_specs(
+            specs, backend=backend, flow_capacity=flow_capacity
+        )
 
     packets = renumbered(list(packets))
     expected = naive_reference_alerts(specs, packets)
@@ -2437,10 +2431,8 @@ def assert_equivalent_alerts(
     for backend in backends:
         for source in sources:
             ids = build_ids(backend)
-            if source == "memory":
-                alerts = ids.scan_flow(packets) + ids.finish()
-            else:
-                alerts = replay_ids(io.BytesIO(capture), ids)
+            replayed = packets if source == "memory" else load_packets(io.BytesIO(capture))[0]
+            alerts = ids.scan_flow(replayed) + ids.finish()
             got = [(alert.packet_id, alert.sid) for alert in alerts]
             assert got == expected, (
                 f"backend={backend} source={source} alerts differ from the naive reference"

@@ -108,7 +108,7 @@ def test_stream_session_matches_direct_composition(capacity, backend):
     config = stream_config(generator_source(), backend, capacity=capacity)
     with Session.from_config(config) as s:
         via_session = s.run().scan_result
-        assert s.service.scanner.flows.capacity == capacity
+        assert s.service.flows.capacity == capacity
 
     assert via_session.events == direct.events
     assert via_session.packets == direct.packets

@@ -40,7 +40,7 @@ from repro.ids import IDSRule, IntrusionDetectionSystem
 from repro.ids.classifier import HeaderPattern
 from repro.proto import TcpReassembler
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from repro.streaming import FlowKey, FlowTable, StreamScanner
+from repro.streaming import FlowKey, StreamScanner
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import (
@@ -57,6 +57,7 @@ from tests.conftest import (
     reference_iter_states,
     reference_scalar_scan,
     reference_scan_packets,
+    segment_batch,
     slab_dtp_lane_hits,
     slab_dtp_scan_lanes,
 )
@@ -425,12 +426,12 @@ class TestStreamingAcrossBackends:
         """A flow stopped mid-string resumes from its JSON flow-table
         checkpoint: the four registers alone carry the partial match."""
         program = get_backend(name).compile([b"needle"])
-        scanner = StreamScanner(program, capacity=4)
+        scanner = StreamScanner(program, flow_capacity=4)
         key = FlowKey("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
-        assert scanner.scan_batch([(key, b"xxxxneed", 0)])[:2] == ({}, [])
+        assert scanner.scan_batch(segment_batch([(key, b"xxxxneed", 0)]))[:2] == ({}, [])
         checkpoint = json.loads(json.dumps(scanner.flows.checkpoint()))
-        scanner.flows = FlowTable.restore(checkpoint)
-        hits, _, _ = scanner.scan_batch([(key, b"le-and-more", 1)])
+        scanner.restore(checkpoint)
+        hits, _, _ = scanner.scan_batch(segment_batch([(key, b"le-and-more", 1)]))
         assert [(m.end_offset, m.string_number) for m in hits[0]] == [(10, 0)]
 
 
@@ -1511,6 +1512,45 @@ class TestTheRegistryCompilesWhatScans:
             assert session.hardware is session.hardware
             assert built == [CYCLONE_III]
             assert session.hardware.program.patterns == session.program.patterns
+
+    def test_ids_cycle_model_holds_the_scanned_strings(self, tmp_path):
+        """In ids mode the cycle model is built from the strings the IDS
+        program scans (``ids.content_ruleset``), not from the session's
+        per-content ruleset: a rule with only a negated content adds no
+        prefilter string, so it adds none to the model either."""
+        rules = tmp_path / "negated.rules"
+        rules.write_text(
+            'alert tcp any any -> any any (content:"attack"; sid:1;)\n'
+            'alert tcp any any -> any any (content:!"zzqq"; sid:2;)\n'
+            'alert tcp any any -> any any (content:"evil"; content:!"good"; sid:3;)\n'
+        )
+        session = Session(PipelineConfig(
+            mode="ids",
+            source=SourceSpec(kind="packets", packets=()),
+            rules=RulesSpec(kind="file", path=str(rules)),
+            engine=EngineSpec(backend="dense", device="cyclone3"),
+        ))
+        assert sorted(session.program.patterns) == [b"attack", b"evil", b"good"]
+        assert list(session.hardware.program.ruleset.patterns) == list(session.program.patterns)
+
+
+@pytest.mark.parametrize("name", ("dense", "dtp"))
+def test_match_is_one_scan_chunk_crossing(monkeypatch, name):
+    """``match`` (through ``scan``) crosses the profiled boundary,
+    ``scan_chunk``, exactly once."""
+    from repro.backend import CompiledProgramMixin
+
+    calls = []
+    scan_chunk = CompiledProgramMixin.scan_chunk
+
+    def wrapped(self, states, chunk):
+        calls.append(len(chunk))
+        return scan_chunk(self, states, chunk)
+
+    monkeypatch.setattr(CompiledProgramMixin, "scan_chunk", wrapped)
+    program = get_backend(name).compile([b"abc"])
+    assert program.match(b"xxabc") == [(5, 0)]
+    assert calls == [5]
 
 
 @pytest.mark.parametrize(

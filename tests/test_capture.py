@@ -25,8 +25,6 @@ from repro.capture import (
     encode_frame,
     load_packets,
     read_capture,
-    replay_ids,
-    replay_stream,
     write_packets,
     write_pcap,
     write_pcapng,
@@ -34,7 +32,8 @@ from repro.capture import (
 from repro.ids.classifier import HeaderPattern
 from repro.ids.pipeline import IDSRule, IntrusionDetectionSystem
 from repro.rulesets import generate_snort_like_ruleset
-from repro.streaming import StreamScanner
+from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SourceSpec
+from repro.streaming.service import event_order
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.packet import FiveTuple, Packet
 from tests.conftest import ReferenceStreamScanner, assert_equivalent_events, renumbered
@@ -292,6 +291,20 @@ class TestReplayEquivalence:
     def _program(self, ruleset, backend):
         return get_backend(backend).compile(ruleset)
 
+    def _replay(self, capture_bytes, tmp_path, mode, backend):
+        """A run of the capture through a pcap-source :class:`Session`, the
+        composer of every replay, over the module's ruleset."""
+        path = tmp_path / "replay.cap"
+        path.write_bytes(capture_bytes)
+        config = PipelineConfig(
+            mode=mode,
+            source=SourceSpec(kind="pcap", path=str(path)),
+            rules=RulesSpec(kind="synthetic", size=60, seed=11),
+            engine=EngineSpec(backend=backend),
+        )
+        with Session.from_config(config) as session:
+            return session.run()
+
     def test_loaded_packets_match_originals(self, workload, capture_bytes):
         _, packets = workload
         loaded, stats = load_packets(io.BytesIO(capture_bytes))
@@ -303,13 +316,15 @@ class TestReplayEquivalence:
             assert roundtripped.packet_id == original.packet_id
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stream_scanner_events_identical(self, ruleset, workload, capture_bytes, backend):
+    def test_stream_scanner_events_identical(
+        self, ruleset, workload, capture_bytes, backend, tmp_path
+    ):
         _, packets = workload
         program = self._program(ruleset, backend)
         one_by_one = ReferenceStreamScanner(program)
         in_memory = [event for p in renumbered(packets) for event in one_by_one.scan_packet(p)]
-        replayed = replay_stream(io.BytesIO(capture_bytes), StreamScanner(program))
-        assert replayed == in_memory
+        replayed = self._replay(capture_bytes, tmp_path, "stream", backend).events
+        assert replayed == sorted(in_memory, key=event_order)
         assert len(replayed) > 0
 
     @pytest.mark.parametrize("fmt", ["pcap", "pcapng"])
@@ -332,7 +347,7 @@ class TestReplayEquivalence:
         assert {sid for flow in flows for sid in flow.split_sids} <= streamed
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ids_alerts_identical(self, ruleset, workload, capture_bytes, backend):
+    def test_ids_alerts_identical(self, ruleset, workload, capture_bytes, backend, tmp_path):
         _, packets = workload
         rules = [
             IDSRule(sid=rule.sid, header=HeaderPattern(), contents=(rule.pattern,))
@@ -341,8 +356,7 @@ class TestReplayEquivalence:
         expected = IntrusionDetectionSystem(rules, backend=backend).scan_flow(
             renumbered(packets)
         )
-        ids = IntrusionDetectionSystem(rules, backend=backend)
-        alerts = replay_ids(io.BytesIO(capture_bytes), ids)
+        alerts = self._replay(capture_bytes, tmp_path, "ids", backend).alerts
         assert alerts == expected
         assert len(alerts) >= 8  # one split pattern per flow at minimum
 

@@ -25,7 +25,6 @@ Layers of coverage:
   edges a re-derived open set creates.
 """
 
-import io
 import json
 
 import pytest
@@ -39,7 +38,7 @@ from repro.api import (
     Session,
     SourceSpec,
 )
-from repro.capture import replay_ids, write_packets
+from repro.capture import write_packets
 from repro.ids import ConfirmStage, IntrusionDetectionSystem, RuleEvaluator
 from repro.rulesets import (
     RuleParseError,
@@ -47,8 +46,7 @@ from repro.rulesets import (
     parse_rule,
     parse_rules,
 )
-from repro.streaming import FlowKey
-from repro.streaming.scanner import ANONYMOUS_FLOW, StreamMatch
+from repro.streaming.service import ANONYMOUS_FLOW, SegmentBatch, StreamMatch
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import (
@@ -272,9 +270,7 @@ class TestPipeline:
             + _flow([b"....ab"], src_port=2222, start_id=1)
             + _flow([b"...."], src_port=1111, start_id=2)
         )
-        with _ids_for(lines) as ids:
-            alerts = ids.scan_flow(packets)
-            ids.reset_flows(capacity=1)
+        with _ids_for(lines, flow_capacity=1) as ids:
             alerts = ids.scan_flow(packets)
             final = ids.finish()
         # flow 1111 evicted when 2222 arrives -> negation decided at packet 0;
@@ -386,16 +382,24 @@ class TestDifferential:
         expected = assert_equivalent_alerts(specs, packets)
         assert {sid for _, sid in expected} == {1, 2, 3, 4}
 
-    def test_pcap_replay_equals_memory_scan(self):
-        """replay_ids over a written capture is one of the harness axes, but
-        lock the alert list shape explicitly for a single combination."""
+    def test_pcap_replay_equals_memory_scan(self, tmp_path):
+        """A pcap replay is one of the harness axes, but lock the alert list
+        shape explicitly for a single combination, replayed by its composer:
+        an ids-mode Session with a pcap source."""
         lines = [WILDCARD + '(content:"ab"; content:!"zz"; sid:5;)']
         specs = parse_rules(lines)
         packets = renumbered(_flow([b"ab..", b"...."]))
-        buffer = io.BytesIO()
-        write_packets(buffer, packets)
-        with IntrusionDetectionSystem.from_specs(specs, backend="dtp") as ids:
-            alerts = replay_ids(io.BytesIO(buffer.getvalue()), ids)
+        rules, capture = tmp_path / "replay.rules", tmp_path / "replay.pcap"
+        rules.write_text("\n".join(lines) + "\n")
+        write_packets(capture, packets)
+        config = PipelineConfig(
+            mode="ids",
+            source=SourceSpec(kind="pcap", path=str(capture)),
+            rules=RulesSpec(kind="file", path=str(rules)),
+            engine=EngineSpec(backend="dtp"),
+        )
+        with Session.from_config(config) as session:
+            alerts = session.run().alerts
         assert _alert_pairs(alerts) == naive_reference_alerts(specs, packets)
 
 
@@ -474,10 +478,7 @@ class TestEventDrivenIndex:
         packets = _flow(payloads)
         with IntrusionDetectionSystem.from_specs(specs, backend="dense") as ids:
             ids.scan_flow(packets[:alerting])
-            hits, _, _ = ids.flow_scanner.scan_batch(
-                [(FlowKey.from_header(p.header), p.payload, p.packet_id)
-                 for p in packets[alerting:]]
-            )
+            hits, _, _ = ids.service.scan_batch(SegmentBatch.from_packets(packets[alerting:]))
         assert 0 not in hits, "the flipping packet must carry no prefilter event"
         # the restore lands between the hit packet and the growth packet
         expected = assert_equivalent_alerts(specs, packets, restore_at=alerting)
@@ -491,8 +492,9 @@ class TestEventDrivenIndex:
             WILDCARD + '(content:"ab"; sid:1;)',
             WILDCARD + '(content:"ab"; pcre:"/ab.*!/"; sid:2;)',
         ]
-        ids = IntrusionDetectionSystem.from_specs(parse_rules(lines), backend=backend)
-        ids.reset_flows(capacity=1)
+        ids = IntrusionDetectionSystem.from_specs(
+            parse_rules(lines), backend=backend, flow_capacity=1
+        )
         packets = (
             _flow([b"ab!"], src_port=1111, start_id=0)
             + _flow([b"..ab"], src_port=2000, start_id=1)

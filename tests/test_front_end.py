@@ -65,6 +65,7 @@ from tests.conftest import (
     reference_decode_frame,
     reference_load_packets,
     renumbered,
+    segment_batch,
 )
 
 FIN, SYN, RST, ACK = 0x01, 0x02, 0x04, 0x10
@@ -979,18 +980,18 @@ class TestOncePerFlow:
 
         monkeypatch.setattr(StreamScanner, "_attribute", counting)
         program = get_backend("dense").compile([b"needle", b"haystack"])
-        scanner = StreamScanner(program, FlowTable(1024))
+        scanner = StreamScanner(program, flow_capacity=1024)
         keys = [FlowKey("10.0.0.1", "10.0.0.2", 1000 + flow, 80, "tcp") for flow in range(256)]
         items = [(key, b"nothing to see " * 3, 8 * index + round_index)
                  for round_index in range(8) for index, key in enumerate(keys)]
-        hits, evictions, _ = scanner.scan_batch(items)
+        hits, evictions, _ = scanner.scan_batch(segment_batch(items))
         assert calls == [] and evictions == [] and hits == {}
-        assert (scanner.stats.segments, scanner.stats.bytes_scanned) == (2048, 2048 * 45)
+        assert (scanner.counters.segments, scanner.counters.bytes_scanned) == (2048, 2048 * 45)
 
         # one flow with a hit split across its segments: exactly one call
         items[5] = (keys[5], b"....need", 5)
         items[5 + 256] = (keys[5], b"le....", 5 + 256)
-        hits, _, _ = StreamScanner(program, FlowTable(1024)).scan_batch(items)
+        hits, _, _ = StreamScanner(program, flow_capacity=1024).scan_batch(segment_batch(items))
         assert calls == [keys[5]]
         assert {index: len(events) for index, events in hits.items()} == {5 + 256: 1}
 

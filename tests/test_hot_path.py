@@ -40,16 +40,10 @@ from hypothesis import strategies as st
 from repro.backend import get_backend
 from repro.core import DTPAutomaton
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
-from repro.streaming import (
-    FlowKey,
-    FlowTable,
-    ScanService,
-    StreamScanner,
-)
+from repro.streaming import FlowKey, ScanService, StreamScanner
 from repro.streaming.service import event_order
 from repro.traffic import Packet, TrafficGenerator
 from tests.conftest import (
-    ReferenceFlowTable,
     ReferenceStreamScanner,
     assert_equivalent_alerts,
     assert_equivalent_events,
@@ -62,6 +56,7 @@ from tests.conftest import (
     reference_scalar_scan,
     reference_service,
     reference_submit,
+    segment_batch,
 )
 
 BACKENDS = ("dense", "dtp")
@@ -86,7 +81,7 @@ def segment_events(scanner: ReferenceStreamScanner, key: FlowKey, segments):
 
 def batch_events(scanner: StreamScanner, key: FlowKey, segments):
     hits, evictions, _ = scanner.scan_batch(
-        [(key, segment, packet_id) for packet_id, segment in enumerate(segments)]
+        segment_batch([(key, segment, packet_id) for packet_id, segment in enumerate(segments)])
     )
     assert evictions == []
     return [(e.end_offset, e.string_number) for events in hits.values() for e in events]
@@ -199,10 +194,10 @@ class TestLaneKernelBatches:
 
             batched = StreamScanner(short_lanes, track_nocase=track_nocase)
             batched._scan_many = lambda jobs: calls.append(len(jobs)) or scan_many(jobs)
-            first = per_item(batched.scan_batch(items)[0], len(items))
-            second = per_item(batched.scan_batch(tail)[0], len(tail))
+            first = per_item(batched.scan_batch(segment_batch(items))[0], len(items))
+            second = per_item(batched.scan_batch(segment_batch(tail))[0], len(tail))
             assert self.events_of(first + second) == self.events_of(expected), cut
-            assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+            assert dataclasses.asdict(batched.counters) == dataclasses.asdict(reference.counters)
             for key in flow_keys(reference.flows):
                 assert batched.flows.peek(key).state == reference.flows.peek(key).state
                 assert (
@@ -272,11 +267,11 @@ class TestAcceleratorLaneKernelBatches:
                 ]
                 walked = [reference.scan_segment(*item) for item in items + tail]
                 batched = StreamScanner(program, track_nocase=track_nocase)
-                first = per_item(batched.scan_batch(items)[0], len(items))
-                second = per_item(batched.scan_batch(tail)[0], len(tail))
+                first = per_item(batched.scan_batch(segment_batch(items))[0], len(items))
+                second = per_item(batched.scan_batch(segment_batch(tail))[0], len(tail))
                 found = self.events_of(first + second)
                 assert any(found) and found == self.events_of(walked), cut
-                assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+                assert dataclasses.asdict(batched.counters) == dataclasses.asdict(reference.counters)
                 for key in flow_keys(reference.flows):
                     assert batched.flows.peek(key).state == reference.flows.peek(key).state
                     assert (
@@ -340,11 +335,11 @@ class TestStatisticsParity:
             for p in drift_workload
         ]
         expected = [reference.scan_segment(*item) for item in items]
-        hits, evictions, _ = batched.scan_batch(items)
+        hits, evictions, _ = batched.scan_batch(segment_batch(items))
 
         assert per_item(hits, len(items)) == expected
         assert evictions == []
-        assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+        assert dataclasses.asdict(batched.counters) == dataclasses.asdict(reference.counters)
         assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(
             reference.flows.stats
         )
@@ -376,8 +371,8 @@ class TestStatisticsParity:
             submitted, key=lambda e: (e.packet_id, e.end_offset, e.string_number)
         )
         assert batched_service.stats() == submit_service.stats()
-        ours, theirs = batched_service.scanner, submit_service.scanner
-        assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
+        ours, theirs = batched_service, submit_service
+        assert dataclasses.asdict(ours.counters) == dataclasses.asdict(theirs.counters)
         assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(theirs.flows.stats)
 
 
@@ -394,15 +389,20 @@ class TestEvictionPressure:
                 items.append((make_key(flow), random_text(rng, 40), seg))
         return items
 
-    @pytest.mark.parametrize("capacity", (1, 2, 3))
-    def test_fallback_matches_per_segment_loop(self, drift_ruleset, capacity):
+    @pytest.mark.parametrize(
+        "capacity, track_nocase",
+        [(1, False), (2, False), (3, False), (1, True), (2, frozenset({0}))],
+        ids=["1", "2", "3", "1-nocase", "2-nocase-one"],
+    )
+    def test_fallback_matches_per_segment_loop(self, drift_ruleset, capacity, track_nocase):
         """Under eviction pressure scan_batch must behave exactly like the
         per-segment loop — events, counters, eviction records with the
-        per-item positions the IDS correlates on."""
+        per-item positions the IDS correlates on — with the lowered view
+        on or off."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         items = self.build_items(num_flows=4, segments=3)
 
-        reference = ReferenceStreamScanner(program, ReferenceFlowTable(capacity))
+        reference = ReferenceStreamScanner(program, capacity, track_nocase=track_nocase)
         expected_evictions = []
         position = 0
 
@@ -415,13 +415,13 @@ class TestEvictionPressure:
             expected.append(reference.scan_segment(*item))
         reference.flows.on_evict = None
 
-        batched = StreamScanner(program, FlowTable(capacity))
-        hits, evictions, _ = batched.scan_batch(items)
+        batched = StreamScanner(program, flow_capacity=capacity, track_nocase=track_nocase)
+        hits, evictions, _ = batched.scan_batch(segment_batch(items))
 
         assert per_item(hits, len(items)) == expected
         assert eviction_keys(evictions) == expected_evictions
         assert evictions, "the workload must actually evict"
-        assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+        assert dataclasses.asdict(batched.counters) == dataclasses.asdict(reference.counters)
         assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(
             reference.flows.stats
         )
@@ -432,15 +432,15 @@ class TestEvictionPressure:
         evict (no eviction records, no evicted counter)."""
         program = get_backend("dense").compile(drift_ruleset.patterns)
         items = self.build_items(num_flows=4, segments=2)
-        scanner = StreamScanner(program, FlowTable(capacity=4))
-        _, evictions, _ = scanner.scan_batch(items)
+        scanner = StreamScanner(program, flow_capacity=4)
+        _, evictions, _ = scanner.scan_batch(segment_batch(items))
         assert evictions == []
         assert scanner.flows.stats.evicted == 0
         assert len(scanner.flows) == 4
 
         # ...and the next batch introducing a fifth flow evicts the LRU one
         extra = [(make_key(9), b"overflow-segment", 0)]
-        _, second_evictions, _ = scanner.scan_batch(extra)
+        _, second_evictions, _ = scanner.scan_batch(segment_batch(extra))
         assert eviction_keys(second_evictions) == [(0, make_key(0))]
         assert scanner.flows.stats.evicted == 1
 
@@ -464,7 +464,7 @@ class TestEvictionPressure:
         for packet in packets:
             reference_submit(per_packet, packet)
         assert batched.stats() == per_packet.stats()
-        assert batched.evicted_flows > 0
+        assert batched.stats()["evicted_flows"] > 0
         assert result.packets == len(packets)
 
 
@@ -491,7 +491,7 @@ def segment_at_a_time(service, packets):
     sorted), the events by arrival index and the ``(arrival, key)``
     evictions.
     """
-    flows = service.scanner.flows
+    flows = service.flows
     found, hits, evictions = [], {}, []
     arrival = 0
     flows.on_evict = lambda entry: evictions.append((arrival, entry.key))
@@ -507,8 +507,8 @@ def segment_at_a_time(service, packets):
 def assert_same_state(batched: ScanService, reference: ScanService) -> None:
     """Gauges, the scanner's counters, LRU order and checkpoint, equal."""
     assert batched.stats() == reference.stats()
-    ours, theirs = batched.scanner, reference.scanner
-    assert dataclasses.asdict(ours.stats) == dataclasses.asdict(theirs.stats)
+    ours, theirs = batched, reference
+    assert dataclasses.asdict(ours.counters) == dataclasses.asdict(theirs.counters)
     assert dataclasses.asdict(ours.flows.stats) == dataclasses.asdict(theirs.flows.stats)
     assert flow_keys(ours.flows) == flow_keys(theirs.flows)
     assert batched.checkpoint() == reference.checkpoint()
@@ -652,7 +652,7 @@ class TestOneCrossingPerBatch:
         assert result.events == events and hits == expected_hits
         assert evictions == expected_evictions == []
         assert_same_state(batched, reference)
-        assert batched.cross_segment_matches > 0
+        assert batched.stats()["cross_segment_matches"] > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("size", (0, 1, 1500, 65536, 1 << 20))
@@ -721,18 +721,16 @@ def test_scan_batch_equals_the_per_segment_reference(
     counters, the LRU order and the checkpoint, equal the per-segment
     reference's."""
     program = differential_programs[backend]
-    batched = StreamScanner(program, FlowTable(capacity), track_nocase=track_nocase)
-    reference = ReferenceStreamScanner(
-        program, ReferenceFlowTable(capacity), track_nocase=track_nocase
-    )
+    batched = StreamScanner(program, flow_capacity=capacity, track_nocase=track_nocase)
+    reference = ReferenceStreamScanner(program, capacity, track_nocase=track_nocase)
     items = [(make_key(flow), payload, index) for index, (flow, payload) in enumerate(segments)]
     bounds = sorted({0, len(items), *(cut for cut in cuts if cut < len(items))})
     for lo, hi in zip(bounds, bounds[1:]):
-        hits, evictions, _ = batched.scan_batch(items[lo:hi])
-        expected_hits, expected_evictions = reference.scan_batch(items[lo:hi])
+        hits, evictions, _ = batched.scan_batch(segment_batch(items[lo:hi]))
+        expected_hits, expected_evictions = reference.scan_batch(segment_batch(items[lo:hi]))
         assert list(hits.items()) == list(expected_hits.items())
         assert eviction_keys(evictions) == expected_evictions
-    assert dataclasses.asdict(batched.stats) == dataclasses.asdict(reference.stats)
+    assert dataclasses.asdict(batched.counters) == dataclasses.asdict(reference.counters)
     assert dataclasses.asdict(batched.flows.stats) == dataclasses.asdict(reference.flows.stats)
     assert flow_keys(batched.flows) == flow_keys(reference.flows)
     assert batched.flows.checkpoint() == reference.flows.checkpoint()

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.backend import get_backend
-from repro.capture import CaptureError, replay_scan, write_packets
+from repro.capture import CaptureError, load_packets, write_packets
 from repro.rulesets import RuleSet
 from repro.streaming import (
     LiveIngestor,
@@ -79,7 +79,7 @@ def test_pcap_tail_serve_equals_offline_replay(
         report = ingestor.serve(PcapTailSource(str(path)))
     with ScanService(dense_program, flow_capacity=capacity) as offline:
         with open(path, "rb") as handle:
-            reference = replay_scan(handle, offline)
+            reference = offline.scan(load_packets(handle)[0])
 
     assert report.stop_reason == "source_exhausted"
     assert report.packets == reference.packets
@@ -88,7 +88,7 @@ def test_pcap_tail_serve_equals_offline_replay(
     assert service.stats() == offline.stats()
     # two slots for six interleaved flows: every split string is forgotten,
     # and what is compared is the eviction record instead
-    assert report.events or service.evicted_flows, "equivalence is vacuous"
+    assert report.events or service.stats()["evicted_flows"], "equivalence is vacuous"
     if batch_packets == 5:
         assert report.batches > 1  # state genuinely carried across batches
 

@@ -34,7 +34,7 @@ from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SinkSpec, 
 from repro.backend import Backend, get_backend
 from repro.ids import IntrusionDetectionSystem
 from repro.rulesets import generate_snort_like_ruleset, parse_rules, render_content
-from repro.streaming import ScanService
+from repro.streaming import DEFAULT_FLOW_CAPACITY, ScanService
 from repro.traffic import FiveTuple, Packet, TrafficGenerator
 
 from tests.conftest import renumbered
@@ -195,19 +195,22 @@ def ids_config(**engine):
 
 
 def test_flow_capacity_reaches_the_ids_without_a_reset(monkeypatch):
-    resized = []
-    original = IntrusionDetectionSystem.reset_flows
+    """The IDS sizes its one engine from ``flow_capacity`` when it builds
+    it: one construction, never a rebuilt table."""
+    built = []
+    original = ScanService.__init__
 
-    def spy(self, capacity=None):
-        resized.append(capacity)
-        original(self, capacity)
+    def spy(self, program, flow_capacity=DEFAULT_FLOW_CAPACITY, track_nocase=False):
+        built.append(flow_capacity)
+        original(self, program, flow_capacity, track_nocase)
 
-    monkeypatch.setattr(IntrusionDetectionSystem, "reset_flows", spy)
+    monkeypatch.setattr(ScanService, "__init__", spy)
     with Session.from_config(ids_config(flow_capacity=1)) as session:
         alerts = session.run().alerts
         assert session.stats()["service"]["evicted_flows"] > 0
+        assert session.ids.service.flows.capacity == 1
     assert alerts == []  # every flow was forgotten between its two halves
-    assert not any(resized), "flow_capacity took the reset_flows detour"
+    assert built == [1], "the engine was built more than once, or at another size"
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +507,7 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
             assert session.service is session.ids.service
         saved = session.checkpoint()  # reassembly on: {engine, "reassembly"}
         table = saved["ids"]["service"] if mode == "ids" else saved["service"]
-        assert table == session.service.scanner.flows.checkpoint()
+        assert table == session.service.flows.checkpoint()
     assert len(services) == len(compiled) == 1
     # the registry is the one entry point, and a scan never builds the
     # device's blocks: only the cycle model (``session.hardware``) does

@@ -195,7 +195,7 @@ def test_process_is_the_private_path(reassemble, backend):
     alerts = ours.process(packets)
     assert alerts == reference_process(reference, packets) and len(alerts) > 2
     assert ours.stats == reference.stats
-    assert len(ours.service.scanner.flows) == 0
+    assert len(ours.service.flows) == 0
 
 
 def test_a_fresh_scan_is_one_crossing_and_leaves_the_flow_table_alone():
@@ -205,14 +205,16 @@ def test_a_fresh_scan_is_one_crossing_and_leaves_the_flow_table_alone():
     service.scan(packets[:7])
     before = service.checkpoint()  # live flows, in LRU order
     crossings = []
-    scan_many = service.scanner._scan_many
-    service.scanner._scan_many = lambda jobs: crossings.append(len(jobs)) or scan_many(jobs)
+    scan_many = service._scan_many
+    service._scan_many = lambda jobs: crossings.append(len(jobs)) or scan_many(jobs)
 
-    result = service.scan_fresh(packets)
+    scanned = service.counters.bytes_scanned
+    hits = service.scan_fresh(packets)
     assert crossings == [2 * len(packets)]  # one raw and one lowered job a packet
     assert service.checkpoint() == before
-    assert result.packets == len(packets)
-    assert result.bytes_scanned == sum(len(packet.payload) for packet in packets)
+    assert list(hits) == sorted(hits) and set(hits) <= set(range(len(packets)))
+    assert service.counters.bytes_scanned - scanned == sum(len(p.payload) for p in packets)
+    events = [event for found in hits.values() for event in found]
     expected = [
         (packet.packet_id, end, number)
         for packet, matches in zip(packets, reference_scan_packets(
@@ -221,6 +223,6 @@ def test_a_fresh_scan_is_one_crossing_and_leaves_the_flow_table_alone():
         for end, number in matches
     ]
     assert [
-        (e.packet_id, e.end_offset, e.string_number) for e in result.events if not e.lowered
+        (e.packet_id, e.end_offset, e.string_number) for e in events if not e.lowered
     ] == expected
-    assert expected and all(event.flow is None for event in result.events)
+    assert expected and all(event.flow is None for event in events)
