@@ -9,7 +9,7 @@
     python3 benchmarks/gate_rate_spread.py benign.json dtp.json 3
     python3 benchmarks/gate_rate_spread.py benign.json hits.json 6
     python3 benchmarks/e2e/run.py --workload mangled_small_segments --trace 1 | tail -n 1 > m.json
-    python3 benchmarks/gate_rate_spread.py --front-end m.json 12
+    python3 benchmarks/gate_rate_spread.py --front-end m.json 8
     python3 benchmarks/e2e/run.py --workload web_rules_mixed --trace 1 | tail -n 1 > web.json
     python3 benchmarks/gate_rate_spread.py --check-yield web.json 0.02
     python3 benchmarks/e2e/run.py --workload live_microbatch ... | tail -n 1 > live.json
@@ -61,7 +61,9 @@ kernel spends scanning (25 while every packet re-derived its flow's identity,
 buffer, ~7 since a frame is decoded straight into its one ``Packet`` and a
 segment ahead of a waiting hole is delivered without entering it; 6.42 then
 10.08, worst 10.39, across the slab walk, the kernel it divides by 38 %
-faster and the front end unchanged; bound 12).
+faster and the front end unchanged; ~12.9 later, as the kernel sped up; 4.6-5.7
+in five runs since decode, reassembly and dispatch pass one columnar packet
+batch; bound 12, then 8).
 The *yield of a question*: a match costs one match-memory
 read, not one per rule that might care; the software form is the share of
 ``ConfirmStage.check`` calls on ``web_rules_mixed`` that end in an alert

@@ -148,7 +148,7 @@ from .streaming import (
     StreamScanner,
     StreamScanResult,
 )
-from .traffic import GeneratedFlow, Packet, TrafficGenerator, TrafficProfile
+from .traffic import GeneratedFlow, Packet, PacketBatch, TrafficGenerator, TrafficProfile
 
 __all__ = [
     "ContentRule",
@@ -215,6 +215,7 @@ __all__ = [
     "StreamScanResult",
     "GeneratedFlow",
     "Packet",
+    "PacketBatch",
     "TrafficGenerator",
     "TrafficProfile",
     "__version__",

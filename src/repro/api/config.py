@@ -663,7 +663,7 @@ class LoadedSource:
     file): :attr:`repro.api.Session.capture` reads it on first access.
     """
 
-    packets: List[Packet]
+    packets: Sequence[Packet]
     flows: Optional[List] = None
     capture: Optional[Any] = None
     stats: Optional[Any] = None
@@ -846,6 +846,11 @@ def _emit_alerts(session, spec: SinkSpec, run) -> List:
     return list(run.alerts)
 
 
+#: The ndjson sink's one encoder: ``json.dumps(record, sort_keys=True)``
+#: builds a new ``JSONEncoder`` per call for its non-default keyword.
+_NDJSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit_ndjson(session, spec: SinkSpec, run) -> Dict[str, Any]:
     what = spec.what or ("alerts" if run.mode == "ids" else "events")
     if what == "alerts":
@@ -853,9 +858,9 @@ def _emit_ndjson(session, spec: SinkSpec, run) -> Dict[str, Any]:
     else:
         records = [session.event_record(event) for event in run.events]
     path = session.config.resolve(spec.path)
+    encode = _NDJSON.encode
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.write("".join([encode(record) + "\n" for record in records]))
     return {"path": path, "what": what, "records": len(records)}
 
 

@@ -335,8 +335,9 @@ class Session:
         return self._source
 
     @property
-    def packets(self) -> List[Packet]:
-        """The run's packets, loaded once from the configured source."""
+    def packets(self) -> Sequence[Packet]:
+        """The run's packets, loaded once from the configured source (a
+        ``pcap`` source's are one :class:`~repro.traffic.PacketBatch`)."""
         return self._loaded_source.packets
 
     @property
@@ -383,14 +384,14 @@ class Session:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _reshaped(self, packets: Sequence[Packet], end_of_source: bool) -> List[Packet]:
+    def _reshaped(self, packets: Sequence[Packet], end_of_source: bool) -> Sequence[Packet]:
         """``packets`` through the front stages, in order.
 
         At the end of a finite source each stage also releases what it still
         buffers (into the stages after it), so one engine scan sees it all.
         """
         for _, stage in self._front:
-            packets = stage.process(packets)  # a fresh list: ours to extend
+            packets = stage.process(packets)  # a fresh batch: ours to extend
             if end_of_source:
                 packets += stage.flush_all()
         return packets

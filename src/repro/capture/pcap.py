@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union
 
 #: Link-layer types (the registry values pcap and pcapng share).
 LINKTYPE_ETHERNET = 1
@@ -154,26 +154,27 @@ def read_capture(source: PathOrIO) -> CaptureFile:
             handle.close()
 
 
-#: One record as the block reader hands it out:
-#: ``(ts_sec, ts_frac, orig_len, data)``.
-RawRecord = Tuple[int, int, int, bytes]
+#: Frames as the block reader finds them, unsliced: ``(buffer, starts,
+#: lengths)`` — frame ``i`` is ``buffer[starts[i]:starts[i] + lengths[i]]``.
+FrameBlock = Tuple[bytes, List[int], List[int]]
 
 
 def read_blocks(
     source: Union[PathOrIO, CaptureFile]
-) -> Iterator[Tuple[Optional[int], Sequence[RawRecord]]]:
-    """A capture's records as ``(linktype, records)`` blocks, in file order.
+) -> Iterator[Tuple[Optional[int], FrameBlock]]:
+    """A capture's frames as ``(linktype, (buffer, starts, lengths))``
+    blocks, in file order.
 
     A classic pcap is streamed: one :class:`PcapBlockReader` block at a time,
-    no :class:`CaptureRecord` is built and nothing but the current block is
-    held.  A pcapng file is parsed whole by :func:`read_capture`'s reader and
-    an already-parsed :class:`CaptureFile` is taken as it is; either comes out
-    as one block whose records carry only the frame bytes (zero timestamps
-    and lengths).  ``linktype`` is ``None`` only on a block that completed
-    no record before the pcap global header had arrived.  Every container
-    error :func:`read_capture` raises is raised here, at the block it
-    concerns — a record cut short at the end of the file after the blocks
-    before it.
+    no :class:`CaptureRecord` is built, no frame is sliced out of its block
+    and nothing but the blocks handed out is held.  A pcapng file is parsed
+    whole by :func:`read_capture`'s reader and an already-parsed
+    :class:`CaptureFile` is taken as it is; either comes out as one block,
+    its frames joined into one buffer.  ``linktype`` is ``None`` only on a
+    block that completed no record before the pcap global header had
+    arrived.  Every container error :func:`read_capture` raises is raised
+    here, at the block it concerns — a record cut short at the end of the
+    file after the blocks before it.
     """
     if not isinstance(source, CaptureFile):
         handle, needs_close = _open(source, "rb")
@@ -181,7 +182,7 @@ def read_blocks(
             reader = _classic_reader(handle)
             if reader is not None:
                 while True:
-                    block = reader.read_block()
+                    block = reader.read_frames()
                     if block is None:
                         break
                     yield reader.linktype, block
@@ -191,14 +192,19 @@ def read_blocks(
         finally:
             if needs_close:
                 handle.close()
-    yield source.linktype, [(0, 0, 0, record.data) for record in source.records]
+    lengths = [len(record.data) for record in source.records]
+    starts, position = [], 0
+    for length in lengths:
+        starts.append(position)
+        position += length
+    yield source.linktype, (b"".join(record.data for record in source.records), starts, lengths)
 
 
 class PcapBlockReader:
     """Incremental classic-pcap reader: bounded block reads in, whole records out.
 
     The one container loop behind :func:`read_capture` and the live
-    :class:`repro.streaming.ingest.PcapTailSource`.  Each :meth:`read_block`
+    :class:`repro.streaming.ingest.PcapTailSource`.  Each :meth:`read_frames`
     asks the handle for at most :data:`READ_BLOCK` bytes and parses every
     record that is now complete out of the buffer by offset; an incomplete
     tail stays buffered for the next block, so a caller waits (or gives up)
@@ -221,6 +227,7 @@ class PcapBlockReader:
         self.index = 0
         self._buffer = prefix
         self._record = struct.Struct("<IIII")
+        self._length = struct.Struct("<I")
         self._limit = MAX_SNAPLEN
 
     def _parse_global_header(self, buffer: bytes) -> None:
@@ -243,14 +250,17 @@ class PcapBlockReader:
         self.snaplen = snaplen
         self.linktype = linktype
         self._record = struct.Struct(endian + "IIII")
+        self._length = struct.Struct(endian + "I")
         self._limit = max(snaplen, MAX_SNAPLEN)
 
-    def read_block(self) -> Optional[List[RawRecord]]:
-        """Read one block; return the records it completed.
+    def read_frames(self) -> Optional[FrameBlock]:
+        """Read one block; return the frames it completed, unsliced.
 
         ``None`` means the handle had nothing new (end of file, or — for a
-        file still being written — nothing *yet*); an empty list means bytes
-        arrived but the next record is still incomplete.
+        file still being written — nothing *yet*); no frames (empty
+        ``starts``) means bytes arrived but the next record is still
+        incomplete.  The buffer holds the frames in place: nothing is cut
+        out of it.
         """
         block = self.handle.read(READ_BLOCK)
         if not block:
@@ -261,27 +271,29 @@ class PcapBlockReader:
         if self.linktype is None:
             if size < 24:
                 self._buffer = buffer
-                return []
+                return buffer, [], []
             self._parse_global_header(buffer)
             position = 24
-        records: List[RawRecord] = []
-        unpack_from = self._record.unpack_from
+        starts: List[int] = []
+        lengths: List[int] = []
+        unpack_from = self._length.unpack_from
         limit = self._limit
         while position + 16 <= size:
-            ts_sec, ts_frac, incl_len, orig_len = unpack_from(buffer, position)
+            (incl_len,) = unpack_from(buffer, position + 8)
             if incl_len > limit:
                 raise CaptureError(
-                    f"pcap record {self.index + len(records)} claims {incl_len} "
+                    f"pcap record {self.index + len(starts)} claims {incl_len} "
                     f"captured bytes, above the {limit}-byte snap length limit"
                 )
             end = position + 16 + incl_len
             if end > size:
                 break
-            records.append((ts_sec, ts_frac, orig_len, buffer[position + 16:end]))
+            starts.append(position + 16)
+            lengths.append(incl_len)
             position = end
-        self.index += len(records)
+        self.index += len(starts)
         self._buffer = buffer[position:]
-        return records
+        return buffer, starts, lengths
 
     def finish(self) -> None:
         """The input has ended: whatever is still buffered was cut short."""
@@ -302,16 +314,19 @@ def _read_pcap(reader: PcapBlockReader) -> CaptureFile:
     records: List[CaptureRecord] = []
     append = records.append
     while True:
-        block = reader.read_block()
+        block = reader.read_frames()
         if block is None:
             break
+        buffer, starts, lengths = block
         frac_scale = 1 if reader.nanosecond else 1000
-        for ts_sec, ts_frac, orig_len, data in block:
+        unpack_from = reader._record.unpack_from
+        for start, length in zip(starts, lengths):
+            ts_sec, ts_frac, _, orig_len = unpack_from(buffer, start - 16)
             append(
                 CaptureRecord(
-                    data,
+                    buffer[start:start + length],
                     ts_sec * 1_000_000_000 + ts_frac * frac_scale,
-                    orig_len if orig_len != len(data) else None,
+                    orig_len if orig_len != length else None,
                 )
             )
     reader.finish()

@@ -22,17 +22,16 @@ without any hand-wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from ..traffic.packet import Packet
-from .frames import FrameEncodeError, decode_fields, encode_frame
+from ..traffic.packet import Packet, PacketBatch
+from .frames import FrameEncodeError, decode_batch, decode_fields, encode_frame
 from .pcap import (
     LINKTYPE_ETHERNET,
     CaptureError,
     CaptureFile,
     CaptureRecord,
     PathOrIO,
-    RawRecord,
     read_blocks,
     write_pcap,
     write_pcapng,
@@ -66,66 +65,36 @@ class ReplayStats:
         return self.skipped_total - self.skipped_fragments
 
 
-def decode_records(
-    records: Iterable[RawRecord],
-    linktype: Optional[int],
-    stats: ReplayStats,
-    strict: bool = False,
-) -> Iterator[Tuple]:
-    """The one record loop: decode raw records in capture order.
-
-    Yields :func:`~repro.capture.frames.decode_fields`' plain
-    ``(header, payload, tcp_seq, tcp_flags)`` per scannable frame — the
-    consumer builds the frame's one :class:`Packet` — and counts every frame
-    into ``stats`` once the records are exhausted.  An undecodable frame is
-    skipped and counted by reason or, with ``strict``, raises
-    :class:`CaptureError` naming its index among every frame ``stats`` has
-    seen.  :func:`load_packets` runs it over a whole capture,
-    :class:`repro.streaming.ingest.PcapTailSource` over each block it reads.
-    """
-    decode = decode_fields
-    skipped = stats.skipped
-    frames = stats.frames
-    payload_bytes = 0
-    for _, _, _, data in records:
-        fields = decode(data, linktype)
-        frames += 1
-        if fields[0] is None:
-            reason = fields[1]
-            if strict:
-                raise CaptureError(f"frame {frames - 1} cannot be decoded ({reason})")
-            skipped[reason] = skipped.get(reason, 0) + 1
-            continue
-        payload_bytes += len(fields[1])
-        yield fields
-    stats.frames = frames
-    stats.decoded = frames - stats.skipped_total
-    stats.payload_bytes += payload_bytes
-
-
 def load_packets(
     source: CaptureSource,
     first_packet_id: int = 0,
     strict: bool = False,
-) -> Tuple[List[Packet], ReplayStats]:
-    """Decode a capture into scan-ready :class:`Packet` objects.
+) -> Tuple[PacketBatch, ReplayStats]:
+    """Decode a capture into one scan-ready :class:`PacketBatch`.
 
     Packet ids are assigned sequentially in capture order starting at
     ``first_packet_id``; undecodable frames are skipped and counted (or, with
     ``strict``, raise :class:`repro.capture.CaptureError`).  A classic pcap
-    given by path or handle is streamed block by block
-    (:func:`~repro.capture.pcap.read_blocks`): each frame becomes its one
-    :class:`Packet` and no :class:`CaptureRecord` is built.
+    given by path or handle is read block by block
+    (:func:`~repro.capture.pcap.read_blocks`) and decoded by
+    :func:`~repro.capture.frames.decode_batch`: every payload stays in its
+    64 KiB block, and no :class:`CaptureRecord` or :class:`Packet` is built
+    (the batch builds a row's :class:`Packet` when asked for it).  A frame
+    outside the column decoder's class goes through this module's
+    ``decode_fields``, the per-frame rule (a test swaps a decoder in here).  A
+    container error at the end of the file is raised after the frames before
+    it were decoded, so ``strict`` names a bad frame ahead of it first.
     """
     stats = ReplayStats()
-    packets: List[Packet] = []
-    append = packets.append
-    next_id = first_packet_id
-    for linktype, records in read_blocks(source):
-        for header, payload, seq, flags in decode_records(records, linktype, stats, strict):
-            append(Packet(payload, header, next_id, None, seq, flags))
-            next_id += 1
-    return packets, stats
+    blocks = []
+    try:
+        for block in read_blocks(source):
+            blocks.append(block)
+    except CaptureError:
+        if strict:  # a bad frame before the broken container is named first
+            decode_batch(blocks, ReplayStats(), strict, decode=decode_fields)
+        raise
+    return decode_batch(blocks, stats, strict, first_packet_id, decode_fields), stats
 
 
 def write_packets(
@@ -187,7 +156,6 @@ def write_packets(
 __all__ = [
     "CaptureSource",
     "ReplayStats",
-    "decode_records",
     "load_packets",
     "write_packets",
 ]

@@ -41,7 +41,7 @@ from ..rulesets.parser import (
 from ..rulesets.ruleset import RuleSet
 from ..streaming.flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey
 from ..streaming.service import ScanService, StreamScanResult, checkpoint_table
-from ..traffic.packet import Packet
+from ..traffic.packet import Packet, PacketBatch
 from .classifier import HeaderClassifier, HeaderPattern
 from .confirm import ConfirmStage, RuleEvaluator
 
@@ -343,33 +343,39 @@ class IntrusionDetectionSystem:
 
     def _correlate(
         self,
-        packets: Sequence[Packet],
+        batch: PacketBatch,
         admitted: Admitted,
         hits: Dict[int, Sequence],
         evictions: Sequence[Eviction],
     ) -> List[Alert]:
-        """Fold scanned events into confirm-stage verdicts, packet by packet.
+        """Fold scanned events into confirm-stage verdicts, row by row.
 
-        Fed from the service's annotated scan.  A flow's confirm record lives
-        on its flow-table entry from the flow's first packet; a flow evicted
-        while packet ``index`` was being scanned has its record finalized
-        (pending negation verdicts) before that packet is correlated, and a
-        returning flow restarts from scratch, as the scanner restarted it.
+        Fed from the service's annotated scan of ``batch``, whose columns it
+        reads.  A flow's confirm record lives on its flow-table entry from
+        the flow's first packet; a flow evicted while row ``index`` was
+        being scanned has its record finalized (pending negation verdicts)
+        before that row is correlated, and a returning flow restarts from
+        scratch, as the scanner restarted it.
         """
         alerts: List[Alert] = []
         confirm = self._confirm
         classify = self.classifier.classify
-        entries: List[Optional[FlowEntry]] = [None] * len(packets)
+        stats = self.stats
+        lengths = batch.length
+        stats.packets_processed += len(lengths)
+        stats.payload_bytes += sum(lengths)
+        entries: List[Optional[FlowEntry]] = [None] * len(lengths)
         for entry, indexes in admitted:
             for index in indexes:
                 entries[index] = entry
+        buffers, starts, packet_ids = batch.buffer, batch.start, batch.packet_id
+        headers, flows = batch.flows, batch.flow
         next_eviction = 0
-        for index, packet in enumerate(packets):
-            self.stats.packets_processed += 1
-            self.stats.payload_bytes += len(packet.payload)
+        for index in range(len(lengths)):
             events = hits.get(index, ())
-            # distinct strings per packet, as process() counts them
-            self.stats.content_matches += len({e.string_number for e in events})
+            if events:
+                # distinct strings per packet, as process() counts them
+                stats.content_matches += len({e.string_number for e in events})
             # the eviction is always triggered by a *different* flow's arrival
             while (
                 next_eviction < len(evictions)
@@ -383,16 +389,19 @@ class IntrusionDetectionSystem:
             entry = entries[index]
             record = entry.record
             if record is None:
-                record = entry.record = confirm.new_record(classify(packet.header))
-            record.absorb(packet.packet_id, packet.payload, events)
-            self.stats.header_candidates += len(record.candidates)
+                record = entry.record = confirm.new_record(classify(headers[flows[index]]))
+            start = starts[index]
+            record.absorb(
+                packet_ids[index], buffers[index][start:start + lengths[index]], events
+            )
+            stats.header_candidates += len(record.candidates)
             # no prefilter hit and no normalized HTTP buffer on this flow
             # yet -> no rule can pass its candidacy gate: keep the no-hit
             # hot path free of per-rule work
             if not record.has_hits:
                 continue
             for sid in confirm.verdicts(record, events):
-                alerts.append(self._alert(packet.packet_id, sid))
+                alerts.append(self._alert(packet_ids[index], sid))
         return alerts
 
     def scan_flow(self, packets: Sequence[Packet]) -> List[Alert]:
@@ -416,9 +425,10 @@ class IntrusionDetectionSystem:
         (flow-absolute offsets), and the entries each flow's confirm record
         hangs off — finalized exactly where the LRU table evicts them.
         """
-        _, hits, evictions, admitted = self.service.scan_annotated(packets)
+        batch = PacketBatch.from_packets(packets)
+        _, hits, evictions, admitted = self.service.scan_annotated(batch)
         alerts, self._dropped = self._dropped, []
-        return alerts + self._correlate(packets, admitted, hits, evictions)
+        return alerts + self._correlate(batch, admitted, hits, evictions)
 
     def _live_flows(self) -> List[FlowEntry]:
         """The live flows that carry a confirm record, in first-seen order."""

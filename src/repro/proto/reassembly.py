@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..streaming.flow import FlowKey
-from ..traffic.packet import Packet
+from ..traffic.packet import Packet, PacketBatch
 
 #: Default maximum number of concurrently reassembled flows.
 DEFAULT_REASSEMBLY_FLOWS = 1024
@@ -178,13 +178,49 @@ class _FlowState:
         )
 
 
+class _Rows:
+    """What one reassembler call emits, as the columns of its batch: each
+    row a source row's bytes (its buffer, start and length) or a hole
+    piece's, with the flow's number in ``flows`` and the sequence number."""
+
+    __slots__ = ("buffer", "start", "length", "flow", "seq", "flows", "_index")
+
+    def __init__(self, flows: Sequence[Optional[FlowKey]]):
+        self.buffer: List = []
+        self.start: List[int] = []
+        self.length: List[int] = []
+        self.flow: List[int] = []
+        self.seq: List[Optional[int]] = []
+        self.flows = list(flows)
+        self._index: Optional[Dict[Optional[FlowKey], int]] = None
+
+    def add(self, buffer, start: int, length: int, flow: int, seq: Optional[int]) -> None:
+        self.buffer.append(buffer)
+        self.start.append(start)
+        self.length.append(length)
+        self.flow.append(flow)
+        self.seq.append(seq)
+
+    def number(self, key: FlowKey) -> int:
+        """``key``'s number in :attr:`flows`, added when it is not there."""
+        index = self._index
+        if index is None:
+            index = self._index = {flow: number for number, flow in enumerate(self.flows)}
+        number = index.get(key)
+        if number is None:
+            number = index[key] = len(self.flows)
+            self.flows.append(key)
+        return number
+
+
 class TcpReassembler:
     """Reorder TCP segments by sequence number in front of any scan layer.
 
-    Feed arrival-order packets in, get stream-order packets out — with
-    sequential emission-order ids — via :meth:`feed` / :meth:`process`, then
-    :meth:`flush_all` once the source is exhausted to deliver whatever is
-    still waiting behind holes.
+    Feed an arrival-order :class:`~repro.traffic.PacketBatch` in, get a
+    stream-order batch out — with sequential emission-order ids — via
+    :meth:`process` (:meth:`feed` for one packet), then :meth:`flush_all`
+    once the source is exhausted to deliver whatever is still waiting
+    behind holes.
     """
 
     def __init__(
@@ -233,79 +269,165 @@ class TcpReassembler:
         return sum(state.buffered_bytes for state in self._flows.values())
 
     # ------------------------------------------------------------------
-    def _emit(self, source: Packet, payload: bytes, seq: Optional[int]) -> Packet:
-        packet = Packet(payload, source.header, self._next_id, None, seq)
-        self._next_id += 1
-        self.stats.packets_out += 1
-        return packet
-
-    def _emit_piece(self, state: _FlowState, template: Packet, data: bytes) -> Packet:
-        packet = Packet(data, template.header, self._next_id, None, state.seq_at_next)
-        self._next_id += 1
-        self.stats.packets_out += 1
-        state.next_off += len(data)
-        state.seq_at_next = (state.seq_at_next + len(data)) & _SEQ_MASK
-        state.delivered = True
-        return packet
-
-    # ------------------------------------------------------------------
-    def feed(self, packet: Packet) -> List[Packet]:
+    def feed(self, packet: Packet) -> PacketBatch:
         """Process one arriving packet; return every packet now deliverable.
 
-        The returned list may include flushed segments of *other* flows when
+        The returned batch may include flushed segments of *other* flows when
         this arrival LRU-evicted one.
         """
-        self.stats.segments_in += 1
-        header = packet.header
-        if header is None or header.protocol.lower() != "tcp":
-            self.stats.passthrough += 1
-            return [self._emit(packet, packet.payload, packet.tcp_seq)]
+        return self.process([packet])
 
-        out: List[Packet] = []
-        state = self._flows.get(header)
-        if state is None:
-            state = self._create(header, packet, out)
-        else:
-            self._flows.move_to_end(header)
+    def process(self, packets: Sequence[Packet]) -> PacketBatch:
+        """Reassemble one arrival batch; returns the deliverable rows.
 
-        if state.mode == "arrival":
-            self.stats.passthrough += 1
-            out.append(self._emit(packet, packet.payload, packet.tcp_seq))
-            return out
+        ``packets`` is a :class:`PacketBatch` (a packet list is taken as one).
+        The loop reads its columns: a data segment that covers its flow's
+        delivery point (``seq`` at or before the next expected byte, its end
+        beyond it, no SYN or RST) and stays clear of the buffered pieces is
+        emitted as a reference to its source row, trimmed of what was
+        already delivered; only the others take the per-segment path below.  No :class:`Packet` is built
+        and no payload is sliced; only hole pieces hold bytes.  The flow
+        table's recency is refreshed once per flow, at the end of the batch
+        or before an eviction needs it.
+        """
+        batch = PacketBatch.from_packets(packets)
+        rows = _Rows(batch.flows)
+        self._reassemble(batch, rows)
+        return self._finish(rows)
 
-        flags = packet.tcp_flags or 0
+    def _reassemble(self, batch: PacketBatch, rows: "_Rows") -> None:
+        stats = self.stats
+        table = self._flows
+        keys = batch.flows
+        not_tcp = [key is None or key.protocol.lower() != "tcp" for key in keys]
+        # the flows whose rows pass through as they are: not TCP, or (once
+        # found) a flow reassembled in arrival order
+        through = list(not_tcp)
+        cache: List[Optional[_FlowState]] = [None] * len(keys)
+        touched: Dict[int, int] = {}  # flow -> last row, the deferred LRU refresh
+        buffers, starts, lengths = batch.buffer, batch.start, batch.length
+        flows, seqs, all_flags = batch.flow, batch.seq, batch.flags
+        out_buffer, out_start = rows.buffer.append, rows.start.append
+        out_length, out_flow, out_seq = rows.length.append, rows.flow.append, rows.seq.append
+        mask, syn_rst, fin = _SEQ_MASK, _SYN | _RST, _FIN
+        stats.segments_in += len(lengths)
+        passthrough = overlap = retransmits = keepalives = 0
+        for row in range(len(lengths)):
+            f = flows[row]
+            length = lengths[row]
+            seq = seqs[row]
+            state = cache[f]
+            if state is None and not through[f]:
+                key = keys[f]
+                state = table.get(key)
+                if state is None:
+                    if len(table) >= self.max_flows:
+                        self._evict(touched, keys, rows)
+                        cache = [None] * len(keys)
+                        through = list(not_tcp)
+                    state = self._create(key, seq, all_flags[row])
+                cache[f] = state
+                through[f] = state.mode == "arrival"
+            if through[f]:
+                if state is not None:
+                    touched[f] = row
+                passthrough += 1
+                out_buffer(buffers[row])
+                out_start(starts[row])
+                out_length(length)
+                out_flow(f)
+                out_seq(seq)
+                continue
+            touched[f] = row
+            flags = all_flags[row] or 0
+            if seq is not None and not flags & syn_rst:
+                if length:
+                    rel = ((seq - state.seq_at_next + 0x80000000) & mask) - 0x80000000
+                    if rel <= 0 and (not rel or state.delivered):
+                        if rel <= -length:  # every byte was delivered already
+                            retransmits += 1
+                            continue
+                        # a segment that covers the delivery point: its new
+                        # bytes go out as they are (the delivered ones are
+                        # final), unless they run into a buffered piece (the
+                        # overlap policy decides that)
+                        holes = state.holes
+                        end = state.next_off + length + rel
+                        if not holes or end <= holes[0][0]:
+                            overlap -= rel
+                            out_buffer(buffers[row])
+                            out_start(starts[row] - rel)
+                            out_length(length + rel)
+                            out_flow(f)
+                            out_seq(state.seq_at_next)
+                            state.next_off = end
+                            state.seq_at_next = (seq + length) & mask
+                            state.delivered = True
+                            if flags & fin:
+                                state.fin_off = end
+                            if holes and holes[0][0] <= end:
+                                self._drain(state, rows, f)
+                            if state.fin_off is not None and self._maybe_close(keys[f], state):
+                                cache[f] = None
+                            continue
+                elif not flags & fin:
+                    keepalives += 1
+                    continue
+            elif seq is not None and flags & syn_rst == _SYN and not length and not flags & fin:
+                # a bare SYN (re)anchors an empty flow
+                if state.next_off == 0 and not state.holes:
+                    state.seq_at_next = (seq + 1) & mask
+                continue
+            if self._segment(state, keys[f], f, flags, seq, length, batch, row, rows):
+                cache[f] = None
+        stats.passthrough += passthrough
+        stats.overlap_bytes += overlap
+        stats.retransmits += retransmits
+        stats.keepalives += keepalives
+        self._refresh(touched, keys)
+
+    def _segment(
+        self,
+        state: _FlowState,
+        key: FlowKey,
+        f: int,
+        flags: int,
+        seq: Optional[int],
+        length: int,
+        batch: PacketBatch,
+        row: int,
+        rows: "_Rows",
+    ) -> bool:
+        """One segment off the in-order path; True when its flow was dropped."""
         if flags & _RST:
             self.stats.reset_flows += 1
-            self._flows.pop(header, None)
-            return out
-        seq = packet.tcp_seq
+            self._flows.pop(key, None)
+            return True
         if seq is None:
             # a seq-less segment inside a seq flow: deliver at the current
             # point rather than guess (keeps mixed captures flowing)
-            if packet.payload:
-                out.append(self._emit_piece(state, packet, packet.payload))
-            return out
+            if length:
+                self._emit_row(state, rows, batch, row, 0, length, f)
+            return False
         if flags & _SYN:
             if state.next_off == 0 and not state.holes:
                 # (re)anchor an empty flow at the handshake
                 state.seq_at_next = (seq + 1) & _SEQ_MASK
-            if not packet.payload and not flags & _FIN:
-                return out
+            if not length and not flags & _FIN:
+                return False
             seq = (seq + 1) & _SEQ_MASK  # SYN consumes one: data starts after it
 
-        data = packet.payload
-        if not data:
+        if not length:
             if flags & _FIN:
                 rel = _seq_delta(seq, state.seq_at_next)
                 state.fin_off = state.next_off + rel
-                self._maybe_close(header, state)
-            else:
-                self.stats.keepalives += 1
-            return out
+                return self._maybe_close(key, state)
+            self.stats.keepalives += 1
+            return False
 
         rel = _seq_delta(seq, state.seq_at_next)
         offset = state.next_off + rel
-        end = offset + len(data)
+        end = offset + length
         if offset < state.next_off and not state.delivered:
             # the anchor came from an out-of-order first arrival; nothing
             # has reached the scanner yet, so the stream start moves back
@@ -313,12 +435,12 @@ class TcpReassembler:
             state.next_off = offset
         if end <= state.next_off:
             self.stats.retransmits += 1
-            return out
+            return False
+        trim = 0
         if offset < state.next_off:
             # leading bytes were already delivered and are final
             trim = state.next_off - offset
             self.stats.overlap_bytes += trim
-            data = data[trim:]
             offset = state.next_off
 
         holes = state.holes
@@ -326,55 +448,87 @@ class TcpReassembler:
             # on the delivery point and clear of the first buffered piece: no
             # byte overlaps, so either policy delivers the segment as it is —
             # then whatever it made contiguous
-            out.append(self._emit_piece(state, packet, bytes(data)))
+            self._emit_row(state, rows, batch, row, trim, length - trim, f)
             if flags & _FIN:
                 state.fin_off = end
             if holes:
-                out.extend(self._drain(state, packet))
-            if state.fin_off is not None:
-                self._maybe_close(header, state)
-            return out
+                self._drain(state, rows, f)
+            return state.fin_off is not None and self._maybe_close(key, state)
 
-        self._insert(state, offset, data)
+        start = batch.start[row] + trim
+        self._insert(state, offset, batch.buffer[row][start:start + length - trim])
         if flags & _FIN:
             state.fin_off = end
 
         if offset > state.next_off:
             self.stats.reordered += 1
-
-        out.extend(self._drain(state, packet))
+        if state.holes[0][0] <= state.next_off:
+            self._drain(state, rows, f)
         if (
             state.buffered_bytes > self.max_flow_bytes
             or len(state.holes) > self.max_flow_segments
         ):
             self.stats.hole_flushes += 1
-            out.extend(self._flush_state(state, packet))
-        self._maybe_close(header, state)
-        return out
+            self._flush_state(state, rows, f)
+        return state.fin_off is not None and self._maybe_close(key, state)
 
-    def process(self, packets: Sequence[Packet]) -> List[Packet]:
-        """Feed a whole batch; returns the concatenated deliverable packets."""
-        out: List[Packet] = []
-        for packet in packets:
-            out.extend(self.feed(packet))
-        return out
+    def _emit_row(
+        self, state: _FlowState, rows: "_Rows", batch: PacketBatch, row: int,
+        trim: int, length: int, f: int,
+    ) -> None:
+        """Deliver ``length`` bytes of source ``row``, ``trim`` bytes in."""
+        rows.add(batch.buffer[row], batch.start[row] + trim, length, f, state.seq_at_next)
+        state.next_off += length
+        state.seq_at_next = (state.seq_at_next + length) & _SEQ_MASK
+        state.delivered = True
+
+    def _emit_piece(self, state: _FlowState, rows: "_Rows", f: int, data: bytes) -> None:
+        rows.add(data, 0, len(data), f, state.seq_at_next)
+        state.next_off += len(data)
+        state.seq_at_next = (state.seq_at_next + len(data)) & _SEQ_MASK
+        state.delivered = True
+
+    def _finish(self, rows: "_Rows") -> PacketBatch:
+        """The emitted rows as a batch, with sequential emission-order ids."""
+        count = len(rows.length)
+        ids = range(self._next_id, self._next_id + count)
+        self._next_id += count
+        self.stats.packets_out += count
+        return PacketBatch(
+            rows.buffer, rows.start, rows.length, rows.flows, rows.flow, rows.seq,
+            [None] * count, ids,
+        )
+
+    def _refresh(self, touched: Dict[int, int], keys: Sequence[FlowKey]) -> None:
+        """Move the touched flows to the recent end, least recent touch first:
+        the order one ``move_to_end`` per segment would have left."""
+        refresh = self._flows.move_to_end
+        for f in sorted(touched, key=touched.__getitem__):
+            try:
+                refresh(keys[f])
+            except KeyError:  # dropped since (RST, FIN, eviction)
+                pass
+        touched.clear()
 
     # ------------------------------------------------------------------
-    def _create(self, key: FlowKey, packet: Packet, out: List[Packet]) -> _FlowState:
+    def _evict(self, touched: Dict[int, int], keys: Sequence[FlowKey], rows: "_Rows") -> None:
+        """Make room for one flow: evict (and flush) the least recently
+        active ones, with the batch's pending refreshes applied first."""
+        self._refresh(touched, keys)
         while len(self._flows) >= self.max_flows:
-            _, evicted = self._flows.popitem(last=False)
+            key, evicted = self._flows.popitem(last=False)
             self.stats.evicted_flows += 1
             if evicted.holes:
-                out.extend(self._flush_evicted(evicted))
-        seq = packet.tcp_seq
-        flags = packet.tcp_flags or 0
+                self._flush_state(evicted, rows, rows.number(key))
+
+    def _create(self, key: FlowKey, seq: Optional[int], flags: Optional[int]) -> _FlowState:
+        flags = flags or 0
         if seq is None or (seq == 0 and not flags & _SYN):
             # no usable sequence state (UDP-style source or a legacy
             # zero-seq capture): scan in arrival order, never worse than
             # not reassembling
-            mode = "arrival"
             self.stats.fallback_flows += 1
-            state = _FlowState(key, mode)
+            state = _FlowState(key, "arrival")
         else:
             anchor = (seq + 1) & _SEQ_MASK if flags & _SYN else seq
             state = _FlowState(key, "seq", seq_at_next=anchor)
@@ -389,6 +543,11 @@ class TcpReassembler:
         buffer grows by the new piece minus the overlap.
         """
         holes = state.holes
+        if not holes or offset >= holes[-1][0] + len(holes[-1][1]):
+            # past every buffered piece: no byte overlaps under either policy
+            holes.append([offset, data])
+            state.buffered_bytes += len(data)
+            return
         overlap = 0
         if self.overlap_policy == "last":
             # the new bytes win: cut every overlapped range out of the
@@ -435,9 +594,8 @@ class TcpReassembler:
         self.stats.overlap_bytes += overlap
         state.buffered_bytes += len(data) - overlap
 
-    def _drain(self, state: _FlowState, template: Packet) -> List[Packet]:
+    def _drain(self, state: _FlowState, rows: "_Rows", f: int) -> None:
         """Deliver every piece now contiguous with the delivery point."""
-        out: List[Packet] = []
         holes = state.holes
         count = 0
         for offset, data in holes:
@@ -448,55 +606,56 @@ class TcpReassembler:
             if offset < state.next_off:  # defensive: policy trimming left none
                 data = data[state.next_off - offset:]
             if data:
-                out.append(self._emit_piece(state, template, bytes(data)))
+                self._emit_piece(state, rows, f, bytes(data))
         del holes[:count]
-        return out
 
-    def _flush_state(self, state: _FlowState, template: Packet) -> List[Packet]:
+    def _flush_state(self, state: _FlowState, rows: "_Rows", f: int) -> None:
         """Deliver all buffered pieces in stream order, skipping the gaps."""
-        out: List[Packet] = []
         for offset, data in state.holes:
             skipped = offset - state.next_off
             if skipped > 0:
                 state.next_off = offset
                 state.seq_at_next = (state.seq_at_next + skipped) & _SEQ_MASK
-            out.append(self._emit_piece(state, template, bytes(data)))
+            self._emit_piece(state, rows, f, bytes(data))
         state.holes = []
         state.buffered_bytes = 0
-        return out
 
-    def _flush_evicted(self, state: _FlowState) -> List[Packet]:
-        # the flow's key is its header: the template every piece is cut from
-        return self._flush_state(state, Packet(b"", state.key))
-
-    def _maybe_close(self, key: FlowKey, state: _FlowState) -> None:
+    def _maybe_close(self, key: FlowKey, state: _FlowState) -> bool:
+        """Forget a flow whose every byte up to its FIN is delivered; True
+        when it did."""
         if (
             state.fin_off is not None
             and state.next_off >= state.fin_off
             and not state.holes
         ):
             self._flows.pop(key, None)
+            return True
+        return False
 
     # ------------------------------------------------------------------
-    def flush(self, key: FlowKey) -> List[Packet]:
-        """Force-deliver one flow's buffered pieces (the flow stays tracked)."""
+    def _flush_key(self, key: FlowKey, rows: "_Rows") -> None:
         state = self._flows.get(key)
         if state is None or not state.holes:
-            return []
-        out = self._flush_evicted(state)
+            return
+        self._flush_state(state, rows, rows.number(key))
         self._maybe_close(key, state)
-        return out
 
-    def flush_all(self) -> List[Packet]:
+    def flush(self, key: FlowKey) -> PacketBatch:
+        """Force-deliver one flow's buffered pieces (the flow stays tracked)."""
+        rows = _Rows([])
+        self._flush_key(key, rows)
+        return self._finish(rows)
+
+    def flush_all(self) -> PacketBatch:
         """Force-deliver every flow's buffered pieces, LRU order first.
 
         Call once the source is exhausted so data waiting behind a hole that
         will never fill still reaches the scanner.
         """
-        out: List[Packet] = []
+        rows = _Rows([])
         for key in list(self._flows):
-            out.extend(self.flush(key))
-        return out
+            self._flush_key(key, rows)
+        return self._finish(rows)
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
@@ -549,7 +708,7 @@ class TcpReassembler:
 
 def reassemble_packets(
     packets: Sequence[Packet], **kwargs
-) -> Tuple[List[Packet], ReassemblyStatistics]:
+) -> Tuple[PacketBatch, ReassemblyStatistics]:
     """One-shot convenience: reassemble a finished packet list.
 
     Feeds every packet through a fresh :class:`TcpReassembler`, flushes the
@@ -557,7 +716,7 @@ def reassemble_packets(
     """
     reassembler = TcpReassembler(**kwargs)
     out = reassembler.process(packets)
-    out.extend(reassembler.flush_all())
+    out += reassembler.flush_all()
     return out, reassembler.stats
 
 

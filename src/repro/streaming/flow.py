@@ -10,14 +10,14 @@ previous segment left off.
 Memory is bounded: the table holds at most ``capacity`` flows and evicts the
 least recently scanned one when full (an evicted flow that sends more traffic
 simply restarts from the root state, the standard trade-off in flow-state
-engines).  :meth:`FlowTable.admit` is the one place that happens: it walks a
-batch's flow keys in arrival order, exactly as segment-at-a-time scanning
-would, and hands back each flow incarnation with its segments plus the
-evicted entries, the only way a flow (:attr:`FlowEntry.record` and all)
-leaves the table.  The whole table can be checkpointed to a plain
-JSON-serialisable dict and restored later — per-flow state is tiny (a few
-integers), which is what makes checkpointing and migration across engines
-cheap.
+engines).  :meth:`FlowTable.admit` is the one place that happens: it admits a
+batch's flows with the outcome of an arrival-order walk, exactly as
+segment-at-a-time scanning would leave it, and hands back each flow
+incarnation with its segments plus the evicted entries, the only way a flow
+(:attr:`FlowEntry.record` and all) leaves the table.  The whole table can be
+checkpointed to a plain JSON-serialisable dict and restored later — per-flow
+state is tiny (a few integers), which is what makes checkpointing and
+migration across engines cheap.
 """
 
 from __future__ import annotations
@@ -143,6 +143,10 @@ Admitted = List[Tuple[FlowEntry, List[int]]]
 Admission = Tuple[Admitted, List[Eviction]]
 
 
+def _last_index(admitted: Tuple[FlowEntry, List[int]]) -> int:
+    return admitted[1][-1]
+
+
 class FlowTable:
     """Bounded LRU table of :class:`FlowEntry` keyed by :class:`FlowKey`."""
 
@@ -169,29 +173,61 @@ class FlowTable:
         return self._entries.get(key)
 
     def admit(
-        self, keys: Sequence[FlowKey], factory: Callable[[FlowKey], FlowEntry]
+        self,
+        flows: Sequence[FlowKey],
+        factory: Callable[[FlowKey], FlowEntry],
+        rows: Sequence[int],
     ) -> Admission:
-        """Admit one batch's segments, flow key by flow key in arrival order.
+        """Admit one batch's segments: segment ``i`` is of flow ``flows[rows[i]]``.
 
-        Each key refreshes its live entry's recency, or gets a new entry
-        from ``factory`` — evicting the least recently used flow whenever
-        that overflows the table — exactly as scanning the batch one segment
-        at a time would, so LRU order, counters and evictions are that
+        ``flows`` are the batch's flows, each key once (a packet batch's
+        ``flows``), and ``rows`` its flow column, in arrival order.  The
+        outcome is that of walking the segments in arrival order, as
+        scanning the batch one segment at a time would: each segment
+        refreshes its flow's live entry, or gets a new entry from
+        ``factory`` — evicting the least recently used flow whenever that
+        overflows the table — so LRU order, counters and evictions are that
         walk's.  Returns ``(admitted, evictions)``: every entry with the
         arrival indexes of its segments, in first-arrival order, and an
         ``(index, entry)`` :data:`Eviction` for every flow evicted while the
         segment at ``index`` was admitted.  A flow evicted and seen again
         within the batch comes back as a second, fresh entry, so its later
         segments restart from the root state.
+
+        The segments are grouped by flow number and each flow's entry looked
+        up once: when the batch's new flows fit, nothing can be evicted, and
+        LRU order after the walk is the touched flows by their last segment
+        — so each is refreshed once, in that order.  Only a batch that would
+        overflow the table is walked segment by segment.
         """
         entries = self._entries
+        groups: Dict[int, List[int]] = {}
+        for index, number in enumerate(rows):
+            indexes = groups.get(number)
+            if indexes is None:
+                groups[number] = [index]
+            else:
+                indexes.append(index)
+        found = [(number, entries.get(flows[number])) for number in groups]
+        new = sum(1 for _, entry in found if entry is None)
+        if len(entries) + new <= self.capacity:
+            admitted: Admitted = []
+            for number, entry in found:
+                if entry is None:
+                    key = flows[number]
+                    entry = entries[key] = factory(key)
+                admitted.append((entry, groups[number]))
+            for entry, _ in sorted(admitted, key=_last_index):
+                entries.move_to_end(entry.key)
+            self.stats.created += new
+            return admitted, []
         refresh = entries.move_to_end
         capacity = self.capacity
         current: Dict[FlowKey, List[int]] = {}
-        admitted: Admitted = []
+        admitted = []
         evictions: List[Eviction] = []
         created = 0
-        for index, key in enumerate(keys):
+        for index, key in enumerate([flows[number] for number in rows]):
             indexes = current.get(key)
             if indexes is not None:
                 indexes.append(index)

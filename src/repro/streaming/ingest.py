@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
+from ..capture.frames import decode_batch
 from ..capture.pcap import CaptureError, PcapBlockReader
-from ..capture.replay import ReplayStats, decode_records
+from ..capture.replay import ReplayStats
 from ..traffic.packet import FiveTuple, Packet
 from .service import StreamMatch
 
@@ -212,9 +213,10 @@ class PcapTailSource:
 
     Reads whatever the file holds in bounded blocks (the
     :class:`repro.capture.pcap.PcapBlockReader` behind ``read_capture`` too)
-    and emits every complete record, decoded by the record loop
+    and emits every complete record, decoded block by block by the column
+    decoder
     :func:`~repro.capture.replay.load_packets` runs
-    (:func:`~repro.capture.replay.decode_records`, counting into
+    (:func:`~repro.capture.frames.decode_batch`, counting into
     :attr:`decode_stats`); it waits only when the next record is
     unfinished.  With ``follow=False`` the source is exhausted at end of
     file (a *complete* record boundary — a half-written record means a
@@ -254,14 +256,18 @@ class PcapTailSource:
             with open(self.path, "rb") as handle:
                 reader = PcapBlockReader(handle)
                 while True:
-                    block = reader.read_block()
+                    block = reader.read_frames()
                     self._ready.set()
                     if block is not None:
-                        for fields in decode_records(
-                            block, reader.linktype, self.decode_stats, self.strict
+                        batch = decode_batch(
+                            [(reader.linktype, block)], self.decode_stats, self.strict
+                        )
+                        for header, payload, seq, flags in zip(
+                            batch.headers, batch.payloads, batch.seq, batch.flags
                         ):
-                            emit(*fields)
-                    elif self.follow:  # nothing new yet
+                            emit(header, payload, seq, flags)
+                        continue
+                    if self.follow:  # nothing new yet
                         await asyncio.sleep(self.poll_interval)
                     else:
                         reader.finish()  # a half-written record raises

@@ -21,11 +21,13 @@ composes it, with the stages around it, from one
 
 Hot path
 --------
-A whole arrival batch is one :meth:`ScanService.scan_batch` call (a single
-packet is a batch of one).  The flow table walks the batch's keys once, in
-arrival order (:meth:`FlowTable.admit`), exactly as segment-at-a-time
-scanning would: every flow incarnation — a flow evicted and seen again
-within the batch is two — gets its segments concatenated into one job, and
+A whole arrival batch — the front end's columnar
+:class:`~repro.traffic.PacketBatch` — is one :meth:`ScanService.scan_batch`
+call (a single packet is a batch of one).  The flow table admits the
+batch's rows by flow number (:meth:`FlowTable.admit`), with the LRU order,
+creations and evictions segment-at-a-time scanning would leave: every flow
+incarnation — a flow evicted and seen again within the batch is two — gets
+its segments sliced from their blocks into one job, and
 all of those jobs cross into the backend together (``scan_many``: one job
 per incarnation, plus one per lower-cased view under ``track_nocase``), so a
 batch costs one backend crossing whether or not the table evicts.  Matches
@@ -39,12 +41,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backend import CompiledProgram, MatchList, ScanJob, ScanState
-from ..traffic.packet import Packet
+from ..traffic.packet import Packet, PacketBatch
 from .flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey, FlowTable
 
 #: Flow key used when a packet carries no 5-tuple header (treated as one
@@ -60,43 +62,6 @@ _ROOT = ScanState()
 #: its events and holds nothing for the others; it is ordered by arrival —
 #: the order the canonical event sort breaks its ties in.
 BatchScan = Tuple[Dict[int, List["StreamMatch"]], List[Eviction], Admitted]
-
-_PAYLOADS = attrgetter("payload")
-_PACKET_IDS = attrgetter("packet_id")
-
-
-class SegmentBatch:
-    """One batch of flow segments as three parallel columns.
-
-    Segment ``i`` is ``payloads[i]`` of flow ``keys[i]`` with id
-    ``packet_ids[i]``.  The engine builds one straight from its packets,
-    so a batch costs three lists, not one record per segment.
-    """
-
-    __slots__ = ("keys", "payloads", "packet_ids")
-
-    def __init__(
-        self,
-        keys: List[FlowKey],
-        payloads: Sequence[bytes],
-        packet_ids: Sequence[int],
-    ):
-        self.keys = keys
-        self.payloads = payloads
-        self.packet_ids = packet_ids
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @classmethod
-    def from_packets(cls, packets: Sequence[Packet]) -> "SegmentBatch":
-        flow_key = ScanService.flow_key
-        return cls(
-            [flow_key(packet) for packet in packets],
-            list(map(_PAYLOADS, packets)),
-            list(map(_PACKET_IDS, packets)),
-        )
-
 
 class StreamMatch:
     """A match found while scanning a flow segment.
@@ -308,8 +273,8 @@ class ScanService:
     # ------------------------------------------------------------------
     # batched scanning (the hot path)
     # ------------------------------------------------------------------
-    def scan_batch(self, batch: SegmentBatch) -> BatchScan:
-        """Scan one :class:`SegmentBatch` of flow segments.
+    def scan_batch(self, batch: PacketBatch) -> BatchScan:
+        """Scan one :class:`~repro.traffic.PacketBatch` of flow segments.
 
         Returns ``(hits, evictions, admitted)`` (see :data:`BatchScan`):
         ``hits[i]`` is exactly the non-empty event list scanning segment
@@ -319,15 +284,27 @@ class ScanService:
         every entry the batch was scanned under, with its segments' indexes.
 
         The flow table admits the batch in arrival order
-        (:meth:`FlowTable.admit`); each admitted entry's segments are joined
-        into one job and every job crosses into the backend in one
-        ``scan_many`` call.  Matches are re-attributed to segments by their
-        flow-absolute end offset.
+        (:meth:`FlowTable.admit` over the batch's flow column);
+        each admitted entry's segments are sliced from their buffers into
+        one job and every job crosses into the backend in one ``scan_many``
+        call.  Matches are re-attributed to segments by their flow-absolute
+        end offset.
         """
-        admitted, evictions = self.flows.admit(batch.keys, self._new_entry)
-        payloads = batch.payloads
+        keys, rows = batch.flows, batch.flow
+        if any(key is None for key in keys):  # headerless rows: the anonymous flow
+            number: Dict[FlowKey, int] = {}
+            renumber = [
+                number.setdefault(ANONYMOUS_FLOW if key is None else key, len(number))
+                for key in keys
+            ]
+            keys, rows = list(number), [renumber[flow] for flow in rows]
+        admitted, evictions = self.flows.admit(keys, self._new_entry, rows)
+        buffers, starts, lengths = batch.buffer, batch.start, batch.length
         work = [
-            (entry, b"".join([payloads[index] for index in indexes]))
+            (entry, b"".join([
+                buffers[index][starts[index]:starts[index] + lengths[index]]
+                for index in indexes
+            ]))
             for entry, indexes in admitted
         ]
         views = self._scan_views(work) if work else []
@@ -356,18 +333,20 @@ class ScanService:
         IDS hangs each flow's confirm record on.
 
         The whole batch is one :meth:`scan_batch` call: one walk of the flow
-        table, one backend crossing.  Nothing per packet is built beyond the
-        batch's three columns — a small-packet pass pays for every object
-        that lives through the batch in the collector's older generations.
-        ``hits`` comes back in arrival order, and the canonical event sort is
-        stable, so that order decides its ties.
+        table, one backend crossing.  ``packets`` is a
+        :class:`~repro.traffic.PacketBatch` (a packet list is taken as one),
+        and nothing per packet is built: a small-packet pass pays for every
+        object that lives through the batch in the collector's older
+        generations.  ``hits`` comes back in arrival order, and the
+        canonical event sort is stable, so that order decides its ties.
         """
+        batch = PacketBatch.from_packets(packets)
         before = self.counters.bytes_scanned
-        hits, evictions, admitted = self.scan_batch(SegmentBatch.from_packets(packets))
+        hits, evictions, admitted = self.scan_batch(batch)
         events = list(chain.from_iterable(hits.values()))
         events.sort(key=_EVENT_ORDER)
         result = StreamScanResult(
-            events, len(packets), self.counters.bytes_scanned - before
+            events, len(batch), self.counters.bytes_scanned - before
         )
         return result, hits, evictions, admitted
 
@@ -389,11 +368,12 @@ class ScanService:
         :meth:`scan_batch`; the events carry no flow and stay in arrival
         order, which the packets' ids need not follow.
         """
-        batch = SegmentBatch.from_packets(packets)
-        work = [(self._new_entry(key), payload) for key, payload in zip(batch.keys, batch.payloads)]
+        batch = PacketBatch.from_packets(packets)
+        payloads = batch.payloads
+        work = [(self._new_entry(ANONYMOUS_FLOW), payload) for payload in payloads]
         views = self._scan_views(work) if work else []
         self.counters.segments += len(work)
-        self.counters.bytes_scanned += sum(map(len, batch.payloads))
+        self.counters.bytes_scanned += sum(batch.length)
         found: Dict[int, List[StreamMatch]] = {}
         for index, (raw, lowered) in enumerate(views):
             if raw or lowered:
@@ -404,7 +384,7 @@ class ScanService:
         self,
         key: Optional[FlowKey],
         indexes: List[int],
-        batch: SegmentBatch,
+        batch: PacketBatch,
         start: int,
         raw: MatchList,
         lowered: MatchList,
@@ -416,30 +396,25 @@ class ScanService:
         whose joined scan reported a hit: ``start`` is the flow-absolute
         offset of the flow's first segment in this batch.
         """
-        # boundaries[j] = flow-absolute end offset of segment j; a match
-        # with end offset o belongs to the segment with the smallest
-        # boundary >= o (its final byte is at o - 1 < boundaries[j]).
-        payloads, packet_ids = batch.payloads, batch.packet_ids
-        boundaries: List[int] = []
-        acc = start
-        for index in indexes:
-            acc += len(payloads[index])
-            boundaries.append(acc)
+        # bounds[j + 1] = flow-absolute end offset of segment j; a match
+        # with end offset o belongs to the segment with the smallest end
+        # >= o (its final byte is at o - 1), which starts at bounds[j]
+        lengths, packet_ids = batch.length, batch.packet_id
+        bounds = list(accumulate([lengths[index] for index in indexes], initial=start))
 
         counters = self.counters
         pattern_length = self._pattern_length
         for matches, is_lowered in ((raw, False), (lowered, True)):
             counters.matches += len(matches)
             for offset, number in matches:
-                position = bisect_left(boundaries, offset)
+                position = bisect_left(bounds, offset, 1) - 1
                 index = indexes[position]
                 events = found.get(index)
                 if events is None:
                     events = found[index] = []
                 events.append(StreamMatch(key, packet_ids[index], offset, number, is_lowered))
                 # the match ends in this segment but started before it
-                segment_start = boundaries[position - 1] if position else start
-                if offset - pattern_length[number] < segment_start:
+                if offset - pattern_length[number] < bounds[position]:
                     counters.cross_segment_matches += 1
 
     def flush(self) -> None:
@@ -512,7 +487,6 @@ __all__ = [
     "Eviction",
     "ScanService",
     "ScannerStatistics",
-    "SegmentBatch",
     "StreamMatch",
     "StreamScanResult",
     "StreamScanner",

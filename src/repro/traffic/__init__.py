@@ -1,7 +1,7 @@
 """Packets and synthetic traffic generation."""
 
 from .generator import MANGLE_MODES, GeneratedFlow, TrafficGenerator, TrafficProfile
-from .packet import FiveTuple, MatchEvent, Packet
+from .packet import FiveTuple, MatchEvent, Packet, PacketBatch
 
 __all__ = [
     "GeneratedFlow",
@@ -11,4 +11,5 @@ __all__ = [
     "FiveTuple",
     "MatchEvent",
     "Packet",
+    "PacketBatch",
 ]

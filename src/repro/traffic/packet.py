@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 #: The fields of a flow's identity, in the order a checkpoint lists them.
 FLOW_FIELDS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
@@ -107,9 +108,9 @@ class Packet:
     ``None`` means "no usable sequence state" and the :mod:`repro.proto`
     reassembler falls back to arrival order for the flow.
 
-    A ``__slots__`` record rather than a dataclass: capture replay builds one
-    per decoded frame and the reassembler one per emitted segment, and slot
-    instances allocate without a per-instance ``__dict__``.  Construction,
+    A ``__slots__`` record rather than a dataclass: a :class:`PacketBatch`
+    builds one per row it hands out, and slot instances allocate without a
+    per-instance ``__dict__``.  Construction,
     equality, ``repr`` and unhashability keep the dataclass semantics.
     ``injected_sids`` is still a list owned by this one packet, but it is
     created on first access — a packet off the wire never allocates one.
@@ -174,6 +175,158 @@ class Packet:
 
     def __len__(self) -> int:
         return len(self.payload)
+
+
+class PacketBatch(SequenceABC):
+    """Packets as parallel columns: the front end's one batch.
+
+    Row ``i``'s payload is ``buffer[i][start[i]:start[i] + length[i]]``:
+    ``buffer`` names the bytes the payload lies in — a 64 KiB capture block,
+    a hole piece, or a packet's own payload — so a decoded frame is never
+    sliced until something reads its bytes.  Its header is
+    ``flows[flow[i]]``, one entry per distinct flow of the batch; ``seq``,
+    ``flags`` and ``packet_id`` are the TCP sequence number, flag byte and
+    id, as :class:`Packet` holds them.
+
+    ``len()`` is the row count, and the batch is a ``Sequence[Packet]``: a
+    :class:`Packet` is built only when a caller indexes or iterates a row,
+    and is a copy (changing it leaves the batch alone).  Capture decoding,
+    TCP reassembly and the scan engine read and write the columns.
+    """
+
+    __slots__ = ("buffer", "start", "length", "flows", "flow", "seq", "flags", "packet_id")
+
+    def __init__(
+        self,
+        buffer: List,
+        start: List[int],
+        length: List[int],
+        flows: List[Optional[FiveTuple]],
+        flow: List[int],
+        seq: List[Optional[int]],
+        flags: List[Optional[int]],
+        packet_id: Sequence[int],
+    ):
+        self.buffer = buffer
+        self.start = start
+        self.length = length
+        self.flows = flows
+        self.flow = flow
+        self.seq = seq
+        self.flags = flags
+        self.packet_id = packet_id
+
+    @classmethod
+    def empty(cls) -> "PacketBatch":
+        return cls([], [], [], [], [], [], [], range(0))
+
+    @classmethod
+    def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
+        """``packets`` as a batch; a batch is returned as it is."""
+        if isinstance(packets, PacketBatch):
+            return packets
+        index: dict = {}
+        flows: List[Optional[FiveTuple]] = []
+        flow: List[int] = []
+        for packet in packets:
+            header = packet.header
+            number = index.get(header)
+            if number is None:
+                number = index[header] = len(flows)
+                flows.append(header)
+            flow.append(number)
+        payloads = [packet.payload for packet in packets]
+        return cls(
+            payloads, [0] * len(payloads), list(map(len, payloads)), flows, flow,
+            [packet.tcp_seq for packet in packets],
+            [packet.tcp_flags for packet in packets],
+            [packet.packet_id for packet in packets],
+        )
+
+    # ------------------------------------------------------------------
+    @property
+    def payloads(self) -> List[bytes]:
+        """Every row's payload, sliced out of its buffer."""
+        return [
+            buffer[start:start + length]
+            for buffer, start, length in zip(self.buffer, self.start, self.length)
+        ]
+
+    @property
+    def headers(self) -> List[Optional[FiveTuple]]:
+        """Every row's header."""
+        flows = self.flows
+        return [flows[number] for number in self.flow]
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def _row(self, index: int) -> Packet:
+        start = self.start[index]
+        return Packet(
+            self.buffer[index][start:start + self.length[index]],
+            self.flows[self.flow[index]], self.packet_id[index], None,
+            self.seq[index], self.flags[index],
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PacketBatch(
+                self.buffer[index], self.start[index], self.length[index], self.flows,
+                self.flow[index], self.seq[index], self.flags[index],
+                self.packet_id[index],
+            )
+        return self._row(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[Packet]:
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (PacketBatch, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PacketBatch({len(self)} rows, {len(self.flows)} flows)"
+
+    def __add__(self, other: "PacketBatch") -> "PacketBatch":
+        if not isinstance(other, PacketBatch):
+            return NotImplemented
+        joined = PacketBatch(
+            list(self.buffer), list(self.start), list(self.length), list(self.flows),
+            list(self.flow), list(self.seq), list(self.flags), self.packet_id,
+        )
+        joined += other
+        return joined
+
+    def __iadd__(self, other: "PacketBatch") -> "PacketBatch":
+        """Append ``other``'s rows in place (a batch someone else holds is
+        never extended: only the one a stage just returned)."""
+        if not len(other):
+            return self
+        flows = self.flows
+        index = {header: number for number, header in enumerate(flows)}
+        renumber = []
+        for header in other.flows:
+            number = index.get(header)
+            if number is None:
+                number = index[header] = len(flows)
+                flows.append(header)
+            renumber.append(number)
+        self.buffer += other.buffer
+        self.start += other.start
+        self.length += other.length
+        self.flow += [renumber[number] for number in other.flow]
+        self.seq += other.seq
+        self.flags += other.flags
+        ids, more = self.packet_id, other.packet_id
+        if isinstance(ids, range) and isinstance(more, range) and ids.stop == more.start:
+            self.packet_id = range(ids.start, more.stop)
+        else:
+            self.packet_id = list(ids) + list(more)
+        return self
 
 
 @dataclass(frozen=True)

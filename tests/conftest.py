@@ -22,6 +22,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import attrgetter
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
     Tuple,
@@ -42,7 +43,8 @@ from repro.capture import (
     load_packets,
     write_packets,
 )
-from repro.capture.frames import DecodedFrame
+from repro.capture.frames import DecodedFrame, decode_fields
+from repro.capture.pcap import read_blocks
 from repro.capture.replay import ReplayStats
 from repro.core import DTPAutomaton, compile_ruleset, lanes
 from repro.core import lanes as lane_driver
@@ -57,9 +59,9 @@ from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ScanService
 from repro.streaming.flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
 from repro.streaming.service import (
-    ANONYMOUS_FLOW, BatchScan, Eviction, SegmentBatch, StreamMatch, StreamScanner,
+    ANONYMOUS_FLOW, BatchScan, Eviction, StreamMatch, StreamScanner,
 )
-from repro.traffic import Packet, TrafficGenerator
+from repro.traffic import Packet, PacketBatch, TrafficGenerator
 from repro.traffic.packet import FiveTuple, MatchEvent
 
 #: The worked example of Figures 1 and 2.
@@ -1411,6 +1413,65 @@ def reference_load_packets(capture, first_packet_id: int = 0, strict: bool = Fal
     return packets, stats
 
 
+# ----------------------------------------------------------------------
+# replay's row loop, as it stood before the column decoder
+# ----------------------------------------------------------------------
+# ``decode_records`` moved here verbatim (the per-frame rule it calls,
+# ``decode_fields``, is still production) when ``load_packets`` and the tail
+# reader began to decode whole blocks at once with
+# ``repro.capture.frames.decode_batch``; ``row_load_packets`` is the
+# ``load_packets`` that ran it, one sliced record and one ``Packet`` a frame.
+def reference_decode_records(
+    records: Iterable[Tuple[int, int, int, bytes]],
+    linktype: Optional[int],
+    stats: ReplayStats,
+    strict: bool = False,
+    decode: Callable[[bytes, Optional[int]], Tuple] = decode_fields,
+) -> Iterator[Tuple]:
+    """The one record loop: decode raw records in capture order (``decode``
+    is the per-frame rule; a test passes the reference decoder)."""
+    skipped = stats.skipped
+    frames = stats.frames
+    payload_bytes = 0
+    for _, _, _, data in records:
+        fields = decode(data, linktype)
+        frames += 1
+        if fields[0] is None:
+            reason = fields[1]
+            if strict:
+                raise CaptureError(f"frame {frames - 1} cannot be decoded ({reason})")
+            skipped[reason] = skipped.get(reason, 0) + 1
+            continue
+        payload_bytes += len(fields[1])
+        yield fields
+    stats.frames = frames
+    stats.decoded = frames - stats.skipped_total
+    stats.payload_bytes += payload_bytes
+
+
+def row_load_packets(
+    source,
+    first_packet_id: int = 0,
+    strict: bool = False,
+    decode: Callable[[bytes, Optional[int]], Tuple] = decode_fields,
+):
+    """``load_packets`` over :func:`reference_decode_records`: every frame
+    sliced out of its block, decoded by ``decode`` and built into its one
+    ``Packet``."""
+    stats = ReplayStats()
+    packets: List[Packet] = []
+    append = packets.append
+    next_id = first_packet_id
+    for linktype, (buffer, starts, lengths) in read_blocks(source):
+        records = [(0, 0, 0, buffer[at:at + size]) for at, size in zip(starts, lengths)]
+        for header, payload, seq, flags in reference_decode_records(
+            records, linktype, stats, strict, decode
+        ):
+            append(Packet(payload, header, next_id, None, seq, flags))
+            next_id += 1
+    return packets, stats
+
+
 @dataclass
 class ReferencePacket:
     """``repro.traffic.Packet`` as it stood before it became a ``__slots__``
@@ -1431,7 +1492,233 @@ class ReferencePacket:
         return len(self.payload)
 
 
-class ReferenceReassembler(TcpReassembler):
+# ----------------------------------------------------------------------
+# the reassembler's Packet path, as it stood before the column loop
+# ----------------------------------------------------------------------
+# Moved here verbatim when ``TcpReassembler.process`` began to read a
+# ``PacketBatch``'s columns and emit ``(source row, trim, length, seq)`` rows:
+# ``feed`` built one ``Packet`` per emitted segment, re-hashed the header on
+# every packet (``_flows.get`` plus ``move_to_end``) and sliced each payload
+# it delivered.  ``PacketReassembler`` is that path whole — the hole buffer's
+# ``_insert`` is still the production one — and what the column loop is held
+# to, packet by packet and across a checkpoint.
+class PacketReassembler(TcpReassembler):
+    """:class:`TcpReassembler` with ``feed``'s Packet path: lists of
+    :class:`Packet` in and out."""
+
+    def _emit(self, source: Packet, payload: bytes, seq: Optional[int]) -> Packet:
+        packet = Packet(payload, source.header, self._next_id, None, seq)
+        self._next_id += 1
+        self.stats.packets_out += 1
+        return packet
+
+    def _emit_piece(self, state: _FlowState, template: Packet, data: bytes) -> Packet:
+        packet = Packet(data, template.header, self._next_id, None, state.seq_at_next)
+        self._next_id += 1
+        self.stats.packets_out += 1
+        state.next_off += len(data)
+        state.seq_at_next = (state.seq_at_next + len(data)) & _SEQ_MASK
+        state.delivered = True
+        return packet
+
+    # ------------------------------------------------------------------
+    def feed(self, packet: Packet) -> List[Packet]:
+        """Process one arriving packet; return every packet now deliverable.
+
+        The returned list may include flushed segments of *other* flows when
+        this arrival LRU-evicted one.
+        """
+        self.stats.segments_in += 1
+        header = packet.header
+        if header is None or header.protocol.lower() != "tcp":
+            self.stats.passthrough += 1
+            return [self._emit(packet, packet.payload, packet.tcp_seq)]
+
+        out: List[Packet] = []
+        state = self._flows.get(header)
+        if state is None:
+            state = self._create(header, packet, out)
+        else:
+            self._flows.move_to_end(header)
+
+        if state.mode == "arrival":
+            self.stats.passthrough += 1
+            out.append(self._emit(packet, packet.payload, packet.tcp_seq))
+            return out
+
+        flags = packet.tcp_flags or 0
+        if flags & _RST:
+            self.stats.reset_flows += 1
+            self._flows.pop(header, None)
+            return out
+        seq = packet.tcp_seq
+        if seq is None:
+            # a seq-less segment inside a seq flow: deliver at the current
+            # point rather than guess (keeps mixed captures flowing)
+            if packet.payload:
+                out.append(self._emit_piece(state, packet, packet.payload))
+            return out
+        if flags & _SYN:
+            if state.next_off == 0 and not state.holes:
+                # (re)anchor an empty flow at the handshake
+                state.seq_at_next = (seq + 1) & _SEQ_MASK
+            if not packet.payload and not flags & _FIN:
+                return out
+            seq = (seq + 1) & _SEQ_MASK  # SYN consumes one: data starts after it
+
+        data = packet.payload
+        if not data:
+            if flags & _FIN:
+                rel = _seq_delta(seq, state.seq_at_next)
+                state.fin_off = state.next_off + rel
+                self._maybe_close(header, state)
+            else:
+                self.stats.keepalives += 1
+            return out
+
+        rel = _seq_delta(seq, state.seq_at_next)
+        offset = state.next_off + rel
+        end = offset + len(data)
+        if offset < state.next_off and not state.delivered:
+            # the anchor came from an out-of-order first arrival; nothing
+            # has reached the scanner yet, so the stream start moves back
+            state.seq_at_next = seq
+            state.next_off = offset
+        if end <= state.next_off:
+            self.stats.retransmits += 1
+            return out
+        if offset < state.next_off:
+            # leading bytes were already delivered and are final
+            trim = state.next_off - offset
+            self.stats.overlap_bytes += trim
+            data = data[trim:]
+            offset = state.next_off
+
+        holes = state.holes
+        if offset == state.next_off and (not holes or end <= holes[0][0]):
+            # on the delivery point and clear of the first buffered piece: no
+            # byte overlaps, so either policy delivers the segment as it is —
+            # then whatever it made contiguous
+            out.append(self._emit_piece(state, packet, bytes(data)))
+            if flags & _FIN:
+                state.fin_off = end
+            if holes:
+                out.extend(self._drain(state, packet))
+            if state.fin_off is not None:
+                self._maybe_close(header, state)
+            return out
+
+        self._insert(state, offset, data)
+        if flags & _FIN:
+            state.fin_off = end
+
+        if offset > state.next_off:
+            self.stats.reordered += 1
+
+        out.extend(self._drain(state, packet))
+        if (
+            state.buffered_bytes > self.max_flow_bytes
+            or len(state.holes) > self.max_flow_segments
+        ):
+            self.stats.hole_flushes += 1
+            out.extend(self._flush_state(state, packet))
+        self._maybe_close(header, state)
+        return out
+
+    def process(self, packets: Sequence[Packet]) -> List[Packet]:
+        """Feed a whole batch; returns the concatenated deliverable packets."""
+        out: List[Packet] = []
+        for packet in packets:
+            out.extend(self.feed(packet))
+        return out
+
+    # ------------------------------------------------------------------
+    def _create(self, key: FlowKey, packet: Packet, out: List[Packet]) -> _FlowState:
+        while len(self._flows) >= self.max_flows:
+            _, evicted = self._flows.popitem(last=False)
+            self.stats.evicted_flows += 1
+            if evicted.holes:
+                out.extend(self._flush_evicted(evicted))
+        seq = packet.tcp_seq
+        flags = packet.tcp_flags or 0
+        if seq is None or (seq == 0 and not flags & _SYN):
+            # no usable sequence state (UDP-style source or a legacy
+            # zero-seq capture): scan in arrival order, never worse than
+            # not reassembling
+            mode = "arrival"
+            self.stats.fallback_flows += 1
+            state = _FlowState(key, mode)
+        else:
+            anchor = (seq + 1) & _SEQ_MASK if flags & _SYN else seq
+            state = _FlowState(key, "seq", seq_at_next=anchor)
+        self._flows[key] = state
+        return state
+
+    def _drain(self, state: _FlowState, template: Packet) -> List[Packet]:
+        """Deliver every piece now contiguous with the delivery point."""
+        out: List[Packet] = []
+        holes = state.holes
+        count = 0
+        for offset, data in holes:
+            if offset > state.next_off:
+                break
+            count += 1
+            state.buffered_bytes -= len(data)
+            if offset < state.next_off:  # defensive: policy trimming left none
+                data = data[state.next_off - offset:]
+            if data:
+                out.append(self._emit_piece(state, template, bytes(data)))
+        del holes[:count]
+        return out
+
+    def _flush_state(self, state: _FlowState, template: Packet) -> List[Packet]:
+        """Deliver all buffered pieces in stream order, skipping the gaps."""
+        out: List[Packet] = []
+        for offset, data in state.holes:
+            skipped = offset - state.next_off
+            if skipped > 0:
+                state.next_off = offset
+                state.seq_at_next = (state.seq_at_next + skipped) & _SEQ_MASK
+            out.append(self._emit_piece(state, template, bytes(data)))
+        state.holes = []
+        state.buffered_bytes = 0
+        return out
+
+    def _flush_evicted(self, state: _FlowState) -> List[Packet]:
+        # the flow's key is its header: the template every piece is cut from
+        return self._flush_state(state, Packet(b"", state.key))
+
+    def _maybe_close(self, key: FlowKey, state: _FlowState) -> None:
+        if (
+            state.fin_off is not None
+            and state.next_off >= state.fin_off
+            and not state.holes
+        ):
+            self._flows.pop(key, None)
+
+    # ------------------------------------------------------------------
+    def flush(self, key: FlowKey) -> List[Packet]:
+        """Force-deliver one flow's buffered pieces (the flow stays tracked)."""
+        state = self._flows.get(key)
+        if state is None or not state.holes:
+            return []
+        out = self._flush_evicted(state)
+        self._maybe_close(key, state)
+        return out
+
+    def flush_all(self) -> List[Packet]:
+        """Force-deliver every flow's buffered pieces, LRU order first.
+
+        Call once the source is exhausted so data waiting behind a hole that
+        will never fill still reaches the scanner.
+        """
+        out: List[Packet] = []
+        for key in list(self._flows):
+            out.extend(self.flush(key))
+        return out
+
+
+class ReferenceReassembler(PacketReassembler):
     """:class:`TcpReassembler` with the insert-then-drain ``feed`` and the
     re-summing hole bookkeeping it had before the O(1) in-order path."""
 
@@ -1989,10 +2276,10 @@ class ReferenceStreamScanner(StreamScanner):
                 self.counters.cross_segment_matches += 1
         return matches
 
-    def scan_batch(self, batch: SegmentBatch) -> BatchScan:
-        return self._scan_per_segment(batch)
+    def scan_batch(self, batch: PacketBatch) -> BatchScan:
+        return self._scan_per_segment(ReferenceSegmentBatch.from_packets(list(batch)))
 
-    def _scan_per_segment(self, batch: SegmentBatch) -> BatchScan:
+    def _scan_per_segment(self, batch: "ReferenceSegmentBatch") -> BatchScan:
         """The exact slow path: scan the batch one segment at a time,
         recording each flow the table evicts on the way."""
         keys, payloads, packet_ids = batch.keys, batch.payloads, batch.packet_ids
@@ -2023,6 +2310,16 @@ def flow_keys(table: FlowTable) -> List[FlowKey]:
     return [entry.key for entry in table.entries()]
 
 
+def admit_keys(
+    table: FlowTable, keys: Sequence[FlowKey], factory: Callable[[FlowKey], FlowEntry]
+):
+    """``table.admit`` over one flow key per segment, in arrival order: the
+    keys become the batch's distinct flows and its flow column."""
+    number: Dict[FlowKey, int] = {}
+    rows = [number.setdefault(key, len(number)) for key in keys]
+    return table.admit(list(number), factory, rows)
+
+
 def eviction_keys(evictions: Sequence[Eviction]) -> List[Tuple[int, FlowKey]]:
     """``(index, key)`` of each ``(index, entry)`` eviction record: the form
     the per-segment reference records."""
@@ -2041,13 +2338,45 @@ def reference_submit(self: ReferenceStreamScanner, packet: Packet) -> List[Strea
     return self.scan_packet(packet)
 
 
-def segment_batch(items: Sequence[Tuple[FlowKey, bytes, int]]) -> SegmentBatch:
-    """A :class:`SegmentBatch` of ``(key, payload, packet_id)`` items."""
-    return SegmentBatch(
-        [key for key, _, _ in items],
-        [payload for _, payload, _ in items],
-        [packet_id for _, _, packet_id in items],
+def segment_batch(items: Sequence[Tuple[FlowKey, bytes, int]]) -> PacketBatch:
+    """A batch of ``(key, payload, packet_id)`` items."""
+    return PacketBatch.from_packets(
+        [Packet(payload, key, packet_id) for key, payload, packet_id in items]
     )
+
+
+_PAYLOADS = attrgetter("payload")
+_PACKET_IDS = attrgetter("packet_id")
+
+
+class ReferenceSegmentBatch:
+    """The engine's batch before it read the front end's ``PacketBatch``:
+    three columns built from a packet list, verbatim (``from_packets`` is
+    the row path that built them; the per-segment reference scans it)."""
+
+    __slots__ = ("keys", "payloads", "packet_ids")
+
+    def __init__(
+        self,
+        keys: List[FlowKey],
+        payloads: Sequence[bytes],
+        packet_ids: Sequence[int],
+    ):
+        self.keys = keys
+        self.payloads = payloads
+        self.packet_ids = packet_ids
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @classmethod
+    def from_packets(cls, packets: Sequence[Packet]) -> "ReferenceSegmentBatch":
+        flow_key = ScanService.flow_key
+        return cls(
+            [flow_key(packet) for packet in packets],
+            list(map(_PAYLOADS, packets)),
+            list(map(_PACKET_IDS, packets)),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -46,8 +46,8 @@ from repro.rulesets import (
     parse_rule,
     parse_rules,
 )
-from repro.streaming.service import ANONYMOUS_FLOW, SegmentBatch, StreamMatch
-from repro.traffic import FiveTuple, Packet, TrafficGenerator
+from repro.streaming.service import ANONYMOUS_FLOW, StreamMatch
+from repro.traffic import FiveTuple, Packet, PacketBatch, TrafficGenerator
 
 from tests.conftest import (
     MIXED_RULE_HEADERS,
@@ -478,7 +478,7 @@ class TestEventDrivenIndex:
         packets = _flow(payloads)
         with IntrusionDetectionSystem.from_specs(specs, backend="dense") as ids:
             ids.scan_flow(packets[:alerting])
-            hits, _, _ = ids.service.scan_batch(SegmentBatch.from_packets(packets[alerting:]))
+            hits, _, _ = ids.service.scan_batch(PacketBatch.from_packets(packets[alerting:]))
         assert 0 not in hits, "the flipping packet must carry no prefilter event"
         # the restore lands between the hit packet and the growth packet
         expected = assert_equivalent_alerts(specs, packets, restore_at=alerting)

@@ -18,6 +18,7 @@ in ``tests/conftest.py`` as the reference.  This file holds them to it:
 from __future__ import annotations
 
 import asyncio
+import gc
 import io
 import json
 import pickle
@@ -26,6 +27,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -55,16 +57,19 @@ from repro.streaming import FlowTable, ScanService, StreamScanner
 from repro.streaming.flow import FlowEntry, FlowKey
 from repro.streaming.ingest import PcapTailSource
 from repro.traffic import MANGLE_MODES, TrafficGenerator
-from repro.traffic.packet import FiveTuple, Packet
+from repro.traffic.packet import FiveTuple, Packet, PacketBatch
 from tests.conftest import (
+    PacketReassembler,
     ReferencePacket,
     ReferenceReassembler,
+    admit_keys,
     assert_equivalent_events,
     equivalence_workload,
     reference_decode_fields,
     reference_decode_frame,
     reference_load_packets,
     renumbered,
+    row_load_packets,
     segment_batch,
 )
 
@@ -375,6 +380,136 @@ class TestDecodeRoutes:
 
 
 # ----------------------------------------------------------------------
+# the column decoder against the per-frame rule and the row loop it replaced
+# ----------------------------------------------------------------------
+def frame_block(wire):
+    """``wire`` back to back in one buffer, as ``read_blocks`` yields a block."""
+    starts, position = [], 0
+    for frame in wire:
+        starts.append(position)
+        position += len(frame)
+    return b"".join(wire), starts, [len(frame) for frame in wire]
+
+
+def per_frame(wire, linktype):
+    """``decode_fields`` frame by frame: the kept rows and the skip counts."""
+    rows, skipped = [], {}
+    for frame in wire:
+        header, payload, seq, flags = frames.decode_fields(frame, linktype)
+        if header is None:
+            skipped[payload] = skipped.get(payload, 0) + 1
+        else:
+            rows.append((header, payload, seq, flags))
+    return rows, skipped
+
+
+def row_view(batch):
+    return [(p.header, p.payload, p.tcp_seq, p.tcp_flags) for p in batch]
+
+
+class TestColumnDecoder:
+    @pytest.mark.parametrize("fault", FAULTS)
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_every_truncation_decodes_like_decode_fields(self, fault, data):
+        """Every prefix of a generated frame — each link type, VLAN tags,
+        IPv6 extension chains, fragments, UDP — in one block: row by row the
+        batch is what ``decode_fields`` makes of each frame, and the
+        statistics count the same skips."""
+        linktype, frame = data.draw(wire_frames(fault))
+        wire = [frame[:length] for length in range(len(frame) + 1)]
+        stats = replay.ReplayStats()
+        batch = frames.decode_batch([(linktype, frame_block(wire))], stats, first_packet_id=3)
+        rows, skipped = per_frame(wire, linktype)
+        assert row_view(batch) == rows
+        assert list(batch.packet_id) == list(range(3, 3 + len(rows)))
+        assert (stats.frames, stats.decoded, stats.skipped) == (len(wire), len(rows), skipped)
+        assert stats.payload_bytes == sum(len(row[1]) for row in rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.sampled_from(FAULTS).flatmap(wire_frames), min_size=1, max_size=12),
+        st.integers(1, 5),
+    )
+    def test_blocks_and_interleaved_faults_decode_like_the_row_loop(self, generated, cuts):
+        """Frames of one link type spread over several blocks, the faulty
+        ones among them: one batch in frame order, equal to the row loop."""
+        linktype = generated[0][0]
+        wire = [frame for _, frame in generated]
+        blocks = [(linktype, frame_block(wire[at::cuts])) for at in range(cuts)]
+        order = [frame for at in range(cuts) for frame in wire[at::cuts]]
+        stats = replay.ReplayStats()
+        batch = frames.decode_batch(blocks, stats)
+        rows, skipped = per_frame(order, linktype)
+        assert row_view(batch) == rows and stats.skipped == skipped
+
+    @pytest.mark.parametrize("link", ["ethernet", "sll", "raw"])
+    def test_the_common_class_never_calls_the_per_frame_rule(self, monkeypatch, link):
+        """Option-less IPv4 TCP/UDP decodes in NumPy: only the IPv6 third and
+        the four faulty frames of :func:`route_frames` reach ``decode``."""
+        calls = []
+
+        def counting(data, linktype):
+            calls.append(len(data))
+            return frames.decode_fields(data, linktype)
+
+        wire = route_frames(link)
+        stats = replay.ReplayStats()
+        batch = frames.decode_batch(
+            [(LINKTYPE[link], frame_block(wire))], stats, decode=counting
+        )
+        assert len(calls) == 1000 + 4
+        assert len(batch) == 2996 and row_view(batch) == per_frame(wire, LINKTYPE[link])[0]
+
+    def test_strict_names_the_first_bad_frame_of_the_batch(self):
+        good = encode_frame(FiveTuple("1.1.1.1", "2.2.2.2", 1, 2, "tcp"), b"ok")
+        stats = replay.ReplayStats(frames=7)
+        with pytest.raises(CaptureError, match=r"frame 9 cannot be decoded \(truncated\)"):
+            frames.decode_batch(
+                [(LINKTYPE_ETHERNET, frame_block([good, good, good[:20], b"\x00"]))],
+                stats, strict=True,
+            )
+
+    def test_a_roll_over_inside_a_batch_resolves_rows_in_order(self, small_intern_bound):
+        """More new flows than the memo holds: the batch resolves its rows
+        one by one, so the memo rolls over where the row loop rolls it —
+        the same resolutions, never more than the bound held."""
+        packets = many_flow_packets(3 * small_intern_bound, 3, b"needle")
+        wire = [encode_frame(packet.header, packet.payload) for packet in packets]
+        resolved = {"row": [], "column": []}
+        real_intern = frames._intern_flow
+
+        def run(name, decode):
+            frames._FLOWS.clear()
+
+            def watching(protocol, key):
+                resolved[name].append(len(frames._FLOWS))
+                return real_intern(protocol, key)
+
+            frames._intern_flow = watching
+            try:
+                return decode()
+            finally:
+                frames._intern_flow = real_intern
+
+        rows = run("row", lambda: per_frame(wire, LINKTYPE_ETHERNET)[0])
+        batch = run("column", lambda: frames.decode_batch(
+            [(LINKTYPE_ETHERNET, frame_block(wire))], replay.ReplayStats()))
+        assert row_view(batch) == rows
+        assert resolved["column"] == resolved["row"] and len(resolved["row"]) == len(wire)
+        assert max(resolved["column"]) <= small_intern_bound
+        assert len(batch.flows) == 3 * small_intern_bound  # one number per flow
+
+    def test_load_packets_equals_the_row_loop_it_replaced(self, tmp_path):
+        path = tmp_path / "routes.pcap"
+        path.write_bytes(pcap_file(route_frames("vlan"), LINKTYPE_ETHERNET))
+        batch, stats = load_packets(str(path), first_packet_id=2)
+        packets, expected = row_load_packets(str(path), first_packet_id=2)
+        assert isinstance(batch, PacketBatch) and not isinstance(packets, PacketBatch)
+        assert batch == packets and stats == expected
+
+
+# ----------------------------------------------------------------------
 # the packet record against the dataclass it replaced
 # ----------------------------------------------------------------------
 PACKET_CASES = [
@@ -592,6 +727,54 @@ class TestReassemblyAgainstReference:
         assert ours.stats.reordered and ours.stats.overlap_bytes  # not vacuous
 
 
+class TestColumnReassembler:
+    @pytest.mark.parametrize("shape", REASSEMBLER_SHAPES + [{"max_flows": 3}], ids=repr)
+    @pytest.mark.parametrize("seed", range(20, 28))
+    def test_batches_of_any_size_match_the_packet_path(self, seed, shape):
+        """The column loop against ``feed``'s Packet path it replaced, in
+        batches of 1-40 rows: evictions land between deferred LRU refreshes,
+        sequence numbers wrap, and a checkpoint is taken and restored
+        between some batches — rows, statistics and checkpoint agree after
+        every batch."""
+        rng = random.Random(seed)
+        wire = hostile_wire(seed, flows=10)
+        ours, reference = TcpReassembler(**shape), PacketReassembler(**shape)
+        position = 0
+        while position < len(wire):
+            chunk = wire[position:position + rng.randint(1, 40)]
+            position += len(chunk)
+            assert view(ours.process(PacketBatch.from_packets(chunk))) == view(
+                reference.process(chunk)
+            )
+            assert_same_state(ours, reference)
+            if rng.random() < 0.3:  # both restart from their checkpoints
+                ours = TcpReassembler.restore(json.loads(json.dumps(ours.checkpoint())))
+                reference = PacketReassembler.restore(reference.checkpoint())
+        assert view(ours.flush_all()) == view(reference.flush_all())
+        assert_same_state(ours, reference)
+
+    @pytest.mark.parametrize("policy", ["first", "last"])
+    def test_a_decoded_capture_reassembles_like_its_packets(self, policy):
+        """Rows whose payloads sit in a capture block, trimmed and emitted
+        by reference: the same packets as the Packet path over the decoded
+        frames, and no payload is sliced for an in-order row."""
+        wire = mangled_wire(3, flows=30)
+        buffer = io.BytesIO()
+        write_packets(buffer, wire)
+        buffer.seek(0)
+        batch, _ = load_packets(buffer)
+        ours = TcpReassembler(overlap_policy=policy)
+        out = ours.process(batch)
+        out += ours.flush_all()
+        reference = PacketReassembler(overlap_policy=policy)
+        expected = reference.process(list(batch)) + reference.flush_all()
+        assert view(out) == view(expected)
+        assert_same_state(ours, reference)
+        blocks = {id(block) for block in batch.buffer}
+        in_place = sum(1 for block in out.buffer if id(block) in blocks)
+        assert in_place > len(out) // 2  # most rows still point into their block
+
+
 def mangled_wire(seed: int, flows: int = 12):
     """Generated flows, each mangled by a seed-chosen mode, interleaved, plus
     re-sends of delivered or buffered ranges with other bytes."""
@@ -643,7 +826,8 @@ class TestFlowInterning:
     ):
         """3x the bound of distinct 5-tuples, each split across segments that
         sit either side of a roll-over: same events and statistics as the
-        per-frame reference decoder, and the table never exceeds its bound."""
+        per-frame reference decoder run over every frame in a row loop, and
+        the table never exceeds its bound."""
         ruleset = generate_snort_like_ruleset(40, seed=3)
         pattern = max(ruleset.patterns, key=len)
         path = tmp_path / "many.pcap"
@@ -669,9 +853,17 @@ class TestFlowInterning:
         assert max(sizes) <= small_intern_bound
         assert len(run.events) >= 3 * small_intern_bound  # every split pattern found
 
-        monkeypatch.setattr(replay, "decode_fields", reference_decode_fields)
+        decoded = []
+
+        def reference(data, linktype):
+            decoded.append(data)
+            return reference_decode_fields(data, linktype)
+
+        # the expected run decodes frame by frame with the reference rule
+        monkeypatch.setattr(replay, "load_packets", partial(row_load_packets, decode=reference))
         with Session.from_config(config) as session:
             expected = session.run()
+        assert len(decoded) == 3 * 3 * small_intern_bound  # every frame, once
         assert run.events == expected.events
         assert run.stats == expected.stats
 
@@ -702,7 +894,7 @@ class TestFlowInterning:
         assert FlowKey.from_header(interned) is interned  # the header is its own key
 
         table = FlowTable(8)
-        table.admit([interned], lambda key: FlowEntry(key=key, state=ScanState()))
+        admit_keys(table, [interned], lambda key: FlowEntry(key=key, state=ScanState()))
         travelled = {
             "pickle": pickle.loads(pickle.dumps(interned)),
             "canonicalised": FlowKey(
@@ -997,8 +1189,9 @@ class TestOncePerFlow:
 
     def test_one_object_per_packet_through_a_session(self, monkeypatch, tmp_path):
         """A 10 000-frame capture through ``Session.run()``: no
-        ``CaptureRecord`` and no ``DecodedFrame`` is built, and every
-        ``Packet`` is either a decoded frame or a reassembled segment."""
+        ``CaptureRecord``, no ``DecodedFrame`` and no ``Packet`` is built —
+        decode, reassembly and dispatch pass one columnar batch along (it was
+        one ``Packet`` per decoded frame plus one per reassembled segment)."""
         header = FiveTuple("10.4.0.1", "10.4.1.1", 20000, 80, "tcp")
         wire = [seg(b"", 99, SYN, header)] + [
             seg(b"z" * 30, 100 + 30 * index, ACK, header) for index in range(9_999)
@@ -1024,10 +1217,47 @@ class TestOncePerFlow:
             counts = dict(built)
             assert run.stats["capture"]["decoded"] == 10_000
             assert run.stats["reassembly"]["reordered"] == 1
-            emitted = run.stats["reassembly"]["packets_out"]
-            assert counts == {CaptureRecord: 0, frames.DecodedFrame: 0, Packet: 10_000 + emitted}
+            assert run.stats["reassembly"]["packets_out"] == 9_999  # the SYN carries no data
+            assert counts == {CaptureRecord: 0, frames.DecodedFrame: 0, Packet: 0}
             # the container is still there for whoever asks
             assert (session.capture.fmt, len(session.capture)) == ("pcap", 10_000)
+
+    def test_the_mangled_shape_runs_without_a_full_collection(self, tmp_path):
+        """1 024 mangled flows x 8 segments of 64 B (SYN, reorder, retransmit,
+        overlap-split, FIN) through a stream-mode ``Session.run()``: the
+        columnar front end keeps few objects alive across the pass, so the
+        collector never runs a generation-2 collection."""
+        ruleset = generate_snort_like_ruleset(40, seed=3)
+        generator = TrafficGenerator(ruleset, seed=11)
+        clean = generator.flows(1024, num_packets=8, segment_bytes=64, split_patterns=1)
+        modes = ("reorder", "retransmit", "overlap-split")
+        wire = TrafficGenerator.interleave(
+            [generator.mangle(flow, mode=modes[i % 3]) for i, flow in enumerate(clean)]
+        )
+        path = tmp_path / "mangled.pcap"
+        write_packets(str(path), wire)
+        config = {
+            "mode": "stream",
+            "rules": {"kind": "synthetic", "size": 40, "seed": 3},
+            "engine": {"backend": "dense", "reassemble": True, "reassembly_flows": 4096},
+            "source": {"kind": "pcap", "path": str(path)},
+        }
+        collections = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "start":
+                collections[info["generation"]] += 1
+
+        with Session.from_config(config) as session:
+            session.service  # compiled before the count starts
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                run = session.run()
+            finally:
+                gc.callbacks.remove(count)
+        assert run.stats["reassembly"]["reordered"] > 0 and len(run.events) >= 1024
+        assert collections[2] == 0, collections
 
     def test_a_capture_is_read_in_blocks(self):
         class CountingReader(io.BytesIO):

@@ -30,12 +30,12 @@ from repro.streaming import (
     ScanService,
     StreamScanner,
 )
-from repro.streaming.service import SegmentBatch
 from repro.streaming.service import event_order
-from repro.traffic import FiveTuple, Packet, TrafficGenerator
+from repro.traffic import FiveTuple, Packet, PacketBatch, TrafficGenerator
 from repro.traffic.packet import FLOW_FIELDS
 from tests.conftest import (
     ReferenceStreamScanner,
+    admit_keys,
     eviction_keys,
     flow_keys,
     reference_service,
@@ -67,7 +67,7 @@ def scan_one(scanner: StreamScanner, key: FlowKey, payload: bytes, packet_id: in
 
 def scan_in_order(scanner: StreamScanner, packets):
     """One batch of ``packets``; its events in arrival order."""
-    hits, _, _ = scanner.scan_batch(SegmentBatch.from_packets(packets))
+    hits, _, _ = scanner.scan_batch(PacketBatch.from_packets(packets))
     return [event for events in hits.values() for event in events]
 
 
@@ -158,9 +158,9 @@ class TestFlowTable:
 
     def test_lru_eviction_order(self):
         table = FlowTable(capacity=2)
-        table.admit([make_key(1), make_key(2)], fresh_entry)
+        admit_keys(table, [make_key(1), make_key(2)], fresh_entry)
         # flow 1 arrives again first, so flow 2 is the LRU victim of flow 3
-        admitted, evictions = table.admit([make_key(1), make_key(3)], fresh_entry)
+        admitted, evictions = admit_keys(table, [make_key(1), make_key(3)], fresh_entry)
         assert [(entry.key, indexes) for entry, indexes in admitted] == [
             (make_key(1), [0]), (make_key(3), [1]),
         ]
@@ -174,7 +174,7 @@ class TestFlowTable:
         a second, fresh entry: two incarnations, each with its segments."""
         table = FlowTable(capacity=1)
         keys = [make_key(1), make_key(1), make_key(2), make_key(1)]
-        admitted, evictions = table.admit(keys, fresh_entry)
+        admitted, evictions = admit_keys(table, keys, fresh_entry)
         assert [(entry.key, indexes) for entry, indexes in admitted] == [
             (make_key(1), [0, 1]), (make_key(2), [2]), (make_key(1), [3]),
         ]
@@ -218,12 +218,12 @@ class TestFlowTable:
         table = FlowTable(capacity=1)
         assert table.peek(make_key(9)) is None
         assert (len(table), table.stats.created) == (0, 0)
-        table.admit([make_key(1)], fresh_entry)
+        admit_keys(table, [make_key(1)], fresh_entry)
         first = table.peek(make_key(1))
         first.record = "flow 1's confirm record"
         assert not {"remove", "clear", "pop", "discard"} & set(dir(table))
         assert not {"close_flow", "active_flows"} & set(dir(StreamScanner))
-        _, evictions = table.admit([make_key(2)], fresh_entry)
+        _, evictions = admit_keys(table, [make_key(2)], fresh_entry)
         assert evictions == [(0, first)] and first.record == "flow 1's confirm record"
         assert flow_keys(table) == [make_key(2)] and table.peek(make_key(2)).record is None
         assert table.stats.evicted == 1
@@ -234,17 +234,17 @@ class TestFlowTable:
 
     def test_peek_does_not_touch_recency_or_create(self):
         table = FlowTable(capacity=2)
-        table.admit([make_key(1), make_key(2)], fresh_entry)
+        admit_keys(table, [make_key(1), make_key(2)], fresh_entry)
         assert table.peek(make_key(1)).key == make_key(1)
         assert table.peek(make_key(9)) is None
         assert flow_keys(table) == [make_key(1), make_key(2)]  # recency untouched
         assert table.stats.created == 2  # a miss creates nothing
-        table.admit([make_key(3)], fresh_entry)  # flow 1 is still the LRU victim
+        admit_keys(table, [make_key(3)], fresh_entry)  # flow 1 is still the LRU victim
         assert make_key(1) not in table
 
     def test_restore_respects_capacity_override(self):
         table = FlowTable(capacity=8)
-        table.admit([make_key(n) for n in range(4)], fresh_entry)
+        admit_keys(table, [make_key(n) for n in range(4)], fresh_entry)
         restored = FlowTable.restore(table.checkpoint(), capacity=2)
         assert restored.capacity == 2 and len(restored) == 2
         # the most recently used flows survive
@@ -254,7 +254,7 @@ class TestFlowTable:
         table = FlowTable(capacity=8)
         entry = self.entry(1)
         entry.state = ScanState(state=3, prev1=104, prev2=101, offset=42)
-        table.admit([entry.key], lambda key: entry)
+        admit_keys(table, [entry.key], lambda key: entry)
         snapshot = table.checkpoint()
         assert list(snapshot["flows"][0]) == ["key", "states", "lower_states"]
         restored = FlowTable.restore(snapshot)
@@ -274,7 +274,7 @@ class TestFlowTable:
         table = FlowTable(capacity=8)
         entry = self.entry(5)
         entry.lower_state = ScanState()
-        table.admit([entry.key], lambda key: entry)
+        admit_keys(table, [entry.key], lambda key: entry)
         snapshot = json.loads(json.dumps(table.checkpoint()))
         snapshot["flows"][0][view] = [ScanState(offset=9).as_tuple()] * count
         with pytest.raises(ValueError, match=rf"{view}.*one scan state") as refused:
@@ -419,16 +419,16 @@ class TestFlowTableAccounting:
     def test_insert_overwrite_does_not_count_as_created(self):
         """Admitting a live flow again refreshes it; it is not a new flow."""
         table = FlowTable(capacity=4)
-        table.admit([make_key(1), make_key(1)], fresh_entry)
-        table.admit([make_key(1)], fresh_entry)
+        admit_keys(table, [make_key(1), make_key(1)], fresh_entry)
+        admit_keys(table, [make_key(1)], fresh_entry)
         assert len(table) == 1
         assert table.stats.created == 1
-        table.admit([make_key(2)], fresh_entry)
+        admit_keys(table, [make_key(2)], fresh_entry)
         assert table.stats.created == 2
 
     def test_restore_counts_created(self):
         table = FlowTable(capacity=8)
-        table.admit([make_key(n) for n in range(3)], fresh_entry)
+        admit_keys(table, [make_key(n) for n in range(3)], fresh_entry)
         restored = FlowTable.restore(table.checkpoint())
         assert restored.stats.created == 3
         assert restored.stats.evicted == 0
@@ -436,7 +436,7 @@ class TestFlowTableAccounting:
 
     def test_restore_overflow_counts_drops_and_invokes_on_evict(self):
         table = FlowTable(capacity=8)
-        table.admit([make_key(n) for n in range(5)], fresh_entry)
+        admit_keys(table, [make_key(n) for n in range(5)], fresh_entry)
         dropped = []
         restored = FlowTable.restore(
             table.checkpoint(), capacity=2, on_evict=dropped.append
