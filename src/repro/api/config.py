@@ -43,11 +43,7 @@ from typing import (
 )
 
 from ..capture import replay as capture_replay
-from ..proto.reassembly import (
-    DEFAULT_MAX_FLOW_BYTES,
-    DEFAULT_REASSEMBLY_FLOWS,
-    OVERLAP_POLICIES,
-)
+from ..proto.reassembly import DEFAULT_MAX_FLOW_BYTES, OVERLAP_POLICIES
 from ..traffic.packet import FLOW_FIELDS, FiveTuple, Packet
 
 #: Pipeline execution modes: stateless per-packet matching, stateful flow
@@ -412,8 +408,10 @@ class EngineSpec:
     state fall back to arrival order).  ``overlap_policy`` picks whose bytes
     win when retransmitted segments disagree (``"first"``: the earlier copy,
     ``"last"``: the later one — Snort's target-based policies);
-    ``reassembly_flows``/``reassembly_bytes`` bound the reassembler's
-    per-flow table and hole buffers.
+    ``reassembly_bytes`` bounds each flow's hole buffer.  The reassembler
+    keeps its per-flow state on the scan service's flow table, so
+    ``flow_capacity`` bounds the reassembled flows too: a document may still
+    name ``reassembly_flows``, but only with ``flow_capacity``'s value.
     """
 
     backend: str = "dtp"
@@ -422,7 +420,6 @@ class EngineSpec:
     strict: bool = False
     reassemble: bool = False
     overlap_policy: str = "first"
-    reassembly_flows: int = DEFAULT_REASSEMBLY_FLOWS
     reassembly_bytes: int = DEFAULT_MAX_FLOW_BYTES
 
     def __post_init__(self) -> None:
@@ -446,10 +443,8 @@ class EngineSpec:
                 f"unknown overlap_policy {self.overlap_policy!r}; available: "
                 f"{', '.join(OVERLAP_POLICIES)}"
             )
-        for name in ("reassembly_flows", "reassembly_bytes"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.reassembly_bytes < 1:
+            raise ConfigError(f"reassembly_bytes must be >= 1, got {self.reassembly_bytes}")
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -463,8 +458,6 @@ class EngineSpec:
             out["reassemble"] = True
         if self.overlap_policy != "first":
             out["overlap_policy"] = self.overlap_policy
-        if self.reassembly_flows != DEFAULT_REASSEMBLY_FLOWS:
-            out["reassembly_flows"] = self.reassembly_flows
         if self.reassembly_bytes != DEFAULT_MAX_FLOW_BYTES:
             out["reassembly_bytes"] = self.reassembly_bytes
         return out
@@ -479,6 +472,15 @@ class EngineSpec:
             ),
             "engine",
         )
+        data = dict(data)
+        flows = data.pop("reassembly_flows", None)
+        capacity = data.get("flow_capacity", cls.flow_capacity)
+        if flows is not None and flows != capacity:
+            raise ConfigError(
+                f"unknown engine key 'reassembly_flows' = {flows!r}: the reassembler "
+                f"shares the one flow table, so only flow_capacity's value "
+                f"({capacity!r}) is accepted; set flow_capacity instead"
+            )
         return cls(**data)
 
 

@@ -6,15 +6,17 @@ ruleset generation or Snort-file parsing, backend compilation (through
 :func:`repro.backend.get_backend`) and **one
 ordered stage list**::
 
-    Reassembly  ->  Prefilter (scan service)  ->  Confirm  ->  Sinks
-    TcpReassembler  ScanService(...)              the IDS      config order
+    Reassembly + Prefilter (scan service)  ->  Confirm  ->  Sinks
+    ScanService(..., reassemble=...)           the IDS      config order
 
+The TCP reassembler is part of the scan service: its sequencers ride on the
+service's one flow table (``session.reassembler`` is the service's).
 ``ids`` mode is ``stream`` mode plus the confirm stage: the IDS scans through
 the session's one scan service (``session.service is session.ids.service``).
 The stages share a small contract, implemented on the classes themselves —
-feed a batch (``process`` re-shapes packets, the engine's ``scan`` consumes
-them), ``flush`` at the end of a finite source, ``checkpoint``/``restore``,
-``close`` — and ``run``, ``scan``, ``flush``, ``serve``, ``checkpoint``,
+``scan`` a batch (at the end of a finite source with ``end_of_source``),
+``flush`` behind it, ``checkpoint``/``restore``, ``close`` — and ``run``,
+``scan``, ``flush``, ``serve``, ``checkpoint``,
 ``restore``, ``stats`` and ``close`` walk that list in every mode (sessions
 are context managers; ``docs/architecture.md`` §7 has the table).
 
@@ -40,11 +42,11 @@ from ..core.accelerator_config import compile_ruleset
 from ..fpga.devices import get_device
 from ..hardware.accelerator import HardwareAccelerator
 from ..ids.pipeline import IntrusionDetectionSystem
-from ..proto.reassembly import TcpReassembler
+from ..proto.reassembly import fold_reassembly
 from ..rulesets import parser as rules_parser
 from ..rulesets.generator import generate_snort_like_ruleset
 from ..streaming.ingest import IngestReport, LiveIngestor
-from ..streaming.service import ScanService, StreamScanResult
+from ..streaming.service import ScanService, StreamScanResult, checkpoint_table
 from ..traffic.packet import Packet
 from .config import (
     EmptyRulesetError,
@@ -105,16 +107,6 @@ class Session:
         #: packets mode: every packet is a fresh flow
         self._fresh = config.mode == "packets"
         self._live = config.source.is_live  # run() serves instead of loading
-        engine = config.engine
-        self._set_reassembler(
-            TcpReassembler(
-                overlap_policy=engine.overlap_policy,
-                max_flows=engine.reassembly_flows,
-                max_flow_bytes=engine.reassembly_bytes,
-            )
-            if engine.reassemble
-            else None
-        )
         self._sid_of = _UNSET
         self._payload_bytes = _UNSET
         # one remap dict per allocator pass: ruleset_from_specs assigns a sid
@@ -124,17 +116,6 @@ class Session:
         self._ids_sid_remap: Dict[int, int] = {}
         #: seconds spent compiling the program (set on first .program access)
         self.compile_seconds: Optional[float] = None
-
-    def _set_reassembler(self, reassembler: Optional[TcpReassembler]) -> None:
-        #: The configured :class:`repro.proto.TcpReassembler`, ``None`` unless
-        #: the engine set ``reassemble=True``.  One instance persists across
-        #: :meth:`scan` calls, so segments buffered behind a sequence hole
-        #: carry over exactly like the scan services' flow state; :meth:`run`
-        #: and :meth:`serve` flush it when their finite source ends.
-        self.reassembler = reassembler
-        #: ``(name, stage)`` of the stages that re-shape packets before the
-        #: engine scans them, in order
-        self._front = () if reassembler is None else (("reassembly", reassembler),)
 
     @classmethod
     def from_config(
@@ -294,12 +275,26 @@ class Session:
         if self._engine_name == "ids":
             return self.ids.service
         if self._service is _UNSET:
+            engine = self.config.engine
             self._service = ScanService(
                 self.program,
-                flow_capacity=self.config.engine.flow_capacity,
+                flow_capacity=engine.flow_capacity,
                 track_nocase=self._nocase_numbers,
+                reassemble=engine.reassemble,
+                overlap_policy=engine.overlap_policy,
+                reassembly_bytes=engine.reassembly_bytes,
             )
         return self._service
+
+    @property
+    def reassembler(self):
+        """The :class:`repro.proto.TcpReassembler` of :attr:`service`, ``None``
+        unless the engine set ``reassemble=True``.  Its sequencers ride on
+        the service's flow table, so segments buffered behind a sequence
+        hole carry over across :meth:`scan` calls like the flows' scan
+        state; :meth:`run` and :meth:`serve` flush it when their finite
+        source ends."""
+        return self.service.reassembler if self.config.engine.reassemble else None
 
     @property
     def ids(self):
@@ -309,6 +304,9 @@ class Session:
             options = dict(
                 backend=engine.backend,
                 flow_capacity=engine.flow_capacity,
+                reassemble=engine.reassemble,
+                overlap_policy=engine.overlap_policy,
+                reassembly_bytes=engine.reassembly_bytes,
             )
             if self.specs is None:
                 self._ids = IntrusionDetectionSystem.from_ruleset(self.ruleset, **options)
@@ -321,7 +319,6 @@ class Session:
                 self._ids = IntrusionDetectionSystem.from_specs(
                     self.specs, sid_remap=self._ids_sid_remap, **options
                 )
-            self._ids.service  # composed at set-up, not by the first pass mid-stream
         return self._ids
 
     # ------------------------------------------------------------------
@@ -384,33 +381,21 @@ class Session:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _reshaped(self, packets: Sequence[Packet], end_of_source: bool) -> Sequence[Packet]:
-        """``packets`` through the front stages, in order.
-
-        At the end of a finite source each stage also releases what it still
-        buffers (into the stages after it), so one engine scan sees it all.
-        """
-        for _, stage in self._front:
-            packets = stage.process(packets)  # a fresh batch: ours to extend
-            if end_of_source:
-                packets += stage.flush_all()
-        return packets
-
     def _scan(self, packets: Sequence[Packet], end_of_source: bool) -> StreamScanResult:
         """One batch down the stage list; every stage flushes behind it when
-        it is the last of a finite source (in ids mode that also decides the
+        it is the last of a finite source (the reassembler's buffered pieces
+        ride the batch's one crossing; in ids mode the flush also decides the
         pending end-of-flow verdicts)."""
         engine = getattr(self, self._engine_name)
-        packets = self._reshaped(packets, end_of_source)
         if self._fresh:
+            packets = engine.sequence(packets, end_of_source)
             hits = engine.scan_fresh(packets)
             result = StreamScanResult(
                 list(chain.from_iterable(hits.values())), len(packets),
-                sum(len(packet.payload) for packet in packets),
+                sum(packets.length), scanned=packets,
             )
         else:
-            result = engine.scan(packets)
-        result.scanned = packets
+            result = engine.scan(packets, end_of_source)
         end = engine.flush() if end_of_source else None
         if end is not None:
             result.alerts += end.alerts
@@ -424,7 +409,7 @@ class Session:
         it covers.  Repeated calls continue the same flow state, exactly as
         repeated ``service.scan`` calls would (in packets mode every packet
         starts afresh: ``service.scan_fresh``).  With ``reassemble`` on,
-        segments pass through the session's :attr:`reassembler` first — data
+        segments pass through the service's :attr:`reassembler` first — data
         stuck behind a sequence hole stays buffered across calls; call
         :meth:`flush` when no more segments will arrive.
         """
@@ -518,38 +503,34 @@ class Session:
     # state and reporting
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
-        """Serialise every stage's in-flight state.
+        """Serialise every stage's in-flight state: the engine's own
+        checkpoint.
 
-        When the engine is the only stateful stage the envelope is the
-        engine's own: a stream-mode checkpoint is interchangeable with one
-        taken directly from the :class:`ScanService`, an ids-mode one with
-        the IDS's ``{"service", "confirm"}``.  With
-        ``reassemble`` on, the reassembler's state (buffered holes, per-flow anchors) must
-        ride along, so the checkpoint becomes ``{"service" | "ids": ...,
-        "reassembly": ...}``; :meth:`restore` accepts both shapes.
+        A stream-mode checkpoint is interchangeable with one taken directly
+        from the :class:`ScanService`, an ids-mode one with the IDS's
+        ``{"service", "confirm"}``.  With ``reassemble`` on, each flow's
+        sequencer (buffered holes, anchor) rides in its flow-table record and
+        the emission counter beside the table.
         """
-        data = getattr(self, self._engine_name).checkpoint()
-        front = {name: stage.checkpoint() for name, stage in self._front}
-        return {self._engine_name: data, **front} if front else data
+        return getattr(self, self._engine_name).checkpoint()
 
     def restore(self, data: Dict) -> None:
         """Restore state saved by :meth:`checkpoint` (or by a raw engine).
 
-        The reassembler keeps the engine's configured bounds and overlap
-        policy, as the scan service keeps its flow capacity: a checkpoint's
-        own values never override them, and its least recently used flows
-        that do not fit are dropped (``restore_dropped``)."""
+        The engine keeps its configured bounds and overlap policy: a
+        checkpoint's own values never override them, and its least recently
+        used flows that do not fit the ``flow_capacity`` are dropped
+        (``restore_dropped``).  The ``{"service" | "ids", "reassembly"}``
+        shape earlier versions wrote, with the reassembler's flows beside
+        the engine's, is folded into one table first
+        (:func:`repro.proto.reassembly.fold_reassembly`)."""
         if "reassembly" in data:
-            engine = self.config.engine
-            self._set_reassembler(
-                TcpReassembler.restore(
-                    data["reassembly"],
-                    max_flows=engine.reassembly_flows,
-                    overlap_policy=engine.overlap_policy,
-                    max_flow_bytes=engine.reassembly_bytes,
-                )
-            )
-            data = data[self._engine_name]
+            engine, half = data[self._engine_name], data["reassembly"]
+            if self._engine_name == "service":
+                data = fold_reassembly(checkpoint_table(engine), half)
+            else:
+                name = "flows" if "flows" in engine else "service"
+                data = {**engine, name: fold_reassembly(checkpoint_table(engine[name]), half)}
         getattr(self, self._engine_name).restore(data)
 
     def event_record(self, event) -> Dict[str, Any]:
@@ -605,9 +586,9 @@ class Session:
             service = ids.service  # the session's one prefilter lives there
         if service is not _UNSET:
             out["service"] = service.stats()
-        # flat counters: a shallow copy each, not asdict's recursive one
-        for name, stage in self._front:
-            out[name] = dict(vars(stage.stats))
+            # flat counters: a shallow copy each, not asdict's recursive one
+            if service.reassembler is not None:
+                out["reassembly"] = dict(vars(service.reassembler.stats))
         if ids is not _UNSET:
             out["ids"] = dict(vars(ids.stats))
         return out

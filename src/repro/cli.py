@@ -344,6 +344,7 @@ def _print_scan_summary(session, result, extra_lines=()) -> None:
         print(line)
     print(f"active flows              : {stats['active_flows']}")
     print(f"evicted flows             : {stats['evicted_flows']}")
+    print(f"released flows            : {stats['released_flows']}")
 
 
 def _cmd_scan_stream(args: argparse.Namespace) -> int:

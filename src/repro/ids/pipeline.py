@@ -28,7 +28,7 @@ per-flow open set of :mod:`repro.ids.confirm`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..backend import CompiledProgram, get_backend
 from ..core.accelerator_config import compile_ruleset  # noqa: F401 (the e2e tracer wraps it)
@@ -129,10 +129,11 @@ class IntrusionDetectionSystem:
 
     :meth:`scan_flow` is the stream pipeline plus a confirm stage: the
     prefilter runs on one :class:`repro.streaming.ScanService`
-    (:attr:`service`, built on first use) with one flow table of
-    ``flow_capacity`` flows, so a whole batch crosses into the lane kernel
-    at once and flows are evicted in arrival order — the same service a
-    stream-mode session scans with.
+    (:attr:`service`) with one flow table of ``flow_capacity`` flows, so a
+    whole batch crosses into the lane kernel at once and flows are evicted
+    in arrival order — the same service a stream-mode session scans with.
+    ``reassemble``, ``overlap_policy`` and ``reassembly_bytes`` are the
+    service's TCP reassembly settings (:class:`ScanService`).
 
     As a pipeline stage the IDS answers a scan service's calls —
     :meth:`scan` / :meth:`flush` (batch results carrying the alerts),
@@ -146,6 +147,9 @@ class IntrusionDetectionSystem:
         rules: Sequence[IDSRule],
         backend: str = "dtp",
         flow_capacity: int = DEFAULT_FLOW_CAPACITY,
+        reassemble: bool = False,
+        overlap_policy: str = "first",
+        reassembly_bytes: Optional[int] = None,
     ):
         if not rules:
             raise ValueError("at least one rule is required")
@@ -203,8 +207,15 @@ class IntrusionDetectionSystem:
             (RuleEvaluator(rule.sid, rule.predicate, number_of) for rule in rules),
             len(number_of),
         )
-        self._service: Optional[ScanService] = None
-        self._flow_capacity = flow_capacity
+        #: the scan service the prefilter runs on
+        self.service = ScanService(
+            self.program,
+            flow_capacity=flow_capacity,
+            track_nocase=self._nocase_numbers,
+            reassemble=reassemble,
+            overlap_policy=overlap_policy,
+            reassembly_bytes=reassembly_bytes,
+        )
         #: what :meth:`restore` raised for the flows it dropped, not yet handed out
         self._dropped: List[Alert] = []
 
@@ -314,17 +325,6 @@ class IntrusionDetectionSystem:
     # stateful (streaming) scanning
     # ------------------------------------------------------------------
     @property
-    def service(self) -> ScanService:
-        """The scan service the prefilter runs on, built on first use."""
-        if self._service is None:
-            self._service = ScanService(
-                self.program,
-                flow_capacity=self._flow_capacity,
-                track_nocase=self._nocase_numbers,
-            )
-        return self._service
-
-    @property
     def flow_scanner(self) -> ScanService:
         """:attr:`service` under the name the end-to-end benchmark reads
         (``flow_scanner.flows``): one engine, ``StreamScanner`` and
@@ -352,10 +352,11 @@ class IntrusionDetectionSystem:
 
         Fed from the service's annotated scan of ``batch``, whose columns it
         reads.  A flow's confirm record lives on its flow-table entry from
-        the flow's first packet; a flow evicted while row ``index`` was
-        being scanned has its record finalized (pending negation verdicts)
-        before that row is correlated, and a returning flow restarts from
-        scratch, as the scanner restarted it.
+        the flow's first packet; a flow that left the table before row
+        ``index`` — evicted, or released after its FIN or RST — has its
+        record finalized (pending negation verdicts) before that row is
+        correlated (one that left after the last row, after it), and a
+        returning flow restarts from scratch, as the scanner restarted it.
         """
         alerts: List[Alert] = []
         confirm = self._confirm
@@ -376,7 +377,7 @@ class IntrusionDetectionSystem:
             if events:
                 # distinct strings per packet, as process() counts them
                 stats.content_matches += len({e.string_number for e in events})
-            # the eviction is always triggered by a *different* flow's arrival
+            # a flow leaves before a *different* flow's row (or after the last)
             while (
                 next_eviction < len(evictions)
                 and evictions[next_eviction][0] <= index
@@ -402,9 +403,18 @@ class IntrusionDetectionSystem:
                 continue
             for sid in confirm.verdicts(record, events):
                 alerts.append(self._alert(packet_ids[index], sid))
+        for _, entry in evictions[next_eviction:]:
+            if entry.record is not None:
+                for packet_id, sid in confirm.finalize_flow(entry.record):
+                    alerts.append(self._alert(packet_id, sid))
         return alerts
 
-    def scan_flow(self, packets: Sequence[Packet]) -> List[Alert]:
+    def scan_flow(
+        self,
+        packets: Sequence[Packet],
+        end_of_source: bool = False,
+        on_scanned: Optional[Callable[[PacketBatch], None]] = None,
+    ) -> List[Alert]:
         """Run the pipeline statefully: packets are flow segments, in order.
 
         Unlike :meth:`process`, the content matcher resumes each flow's
@@ -420,13 +430,18 @@ class IntrusionDetectionSystem:
         state is evicted under memory pressure.  Evicted flows restart from
         scratch.
 
-        The payloads are scanned by :attr:`service`, and the confirm stage
-        is fed from its annotated scan: the matched packets' events
-        (flow-absolute offsets), and the entries each flow's confirm record
-        hangs off — finalized exactly where the LRU table evicts them.
+        The payloads are scanned by :attr:`service` (reassembled first when
+        it reassembles), and the confirm stage is fed from its annotated
+        scan: the matched packets' events (flow-absolute offsets), and the
+        entries each flow's confirm record hangs off — finalized exactly
+        where the table evicts or releases them.  At the ``end_of_source``
+        the reassembler's buffered pieces ride along; ``on_scanned`` is
+        handed the batch that was scanned.
         """
-        batch = PacketBatch.from_packets(packets)
-        _, hits, evictions, admitted = self.service.scan_annotated(batch)
+        result, hits, evictions, admitted = self.service.scan_annotated(packets, end_of_source)
+        batch = PacketBatch.from_packets(packets if result.scanned is None else result.scanned)
+        if on_scanned is not None:
+            on_scanned(batch)
         alerts, self._dropped = self._dropped, []
         return alerts + self._correlate(batch, admitted, hits, evictions)
 
@@ -458,14 +473,17 @@ class IntrusionDetectionSystem:
     # ------------------------------------------------------------------
     # the pipeline-stage contract (shared with the scan services)
     # ------------------------------------------------------------------
-    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
+    def scan(self, packets: Sequence[Packet], end_of_source: bool = False) -> StreamScanResult:
         """:meth:`scan_flow` as a pipeline stage: the batch result a scan
         service would return, with the confirm stage's alerts in place of
         the prefilter events it consumed."""
-        before = self.stats.payload_bytes
-        alerts = self.scan_flow(packets)
-        scanned = self.stats.payload_bytes - before
-        return StreamScanResult([], len(packets), scanned, alerts=alerts)
+        stats, scanned = self.stats, []
+        rows, payload = stats.packets_processed, stats.payload_bytes
+        alerts = self.scan_flow(packets, end_of_source, scanned.append)
+        return StreamScanResult(
+            [], stats.packets_processed - rows, stats.payload_bytes - payload,
+            alerts=alerts, scanned=scanned[0],
+        )
 
     def flush(self) -> Optional[StreamScanResult]:
         """End of a finite source: what :meth:`finish` raised, as a

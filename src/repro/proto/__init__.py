@@ -19,7 +19,6 @@ from .http import HTTP_BUFFERS, HttpStream, percent_decode
 from .reassembly import (
     DEFAULT_MAX_FLOW_BYTES,
     DEFAULT_MAX_FLOW_SEGMENTS,
-    DEFAULT_REASSEMBLY_FLOWS,
     OVERLAP_POLICIES,
     ReassemblyStatistics,
     TcpReassembler,
@@ -29,7 +28,6 @@ from .reassembly import (
 __all__ = [
     "DEFAULT_MAX_FLOW_BYTES",
     "DEFAULT_MAX_FLOW_SEGMENTS",
-    "DEFAULT_REASSEMBLY_FLOWS",
     "HTTP_BUFFERS",
     "HttpStream",
     "OVERLAP_POLICIES",

@@ -32,35 +32,39 @@ Semantics (Snort-style, documented precisely because tests pin them):
   bounded by ``max_flow_bytes`` and ``max_flow_segments``; exceeding either
   cap *flushes* the flow — buffered pieces are delivered in stream order,
   gaps skipped — so memory stays bounded under sequence-gap floods at the
-  price of detection across the skipped gap.  The table itself is a bounded
-  LRU over ``max_flows`` flows, evicting (and flushing) the least recently
-  active flow, mirroring :class:`repro.streaming.flow.FlowTable`.
-* **SYN/FIN/RST.**  A SYN (re)anchors an empty flow; a FIN marks the end of
-  stream and the flow is forgotten once every byte up to it is delivered; an
-  RST discards the flow and its buffered holes immediately.  Zero-length
-  segments with no flag of interest are keepalives and vanish.
+  price of detection across the skipped gap.
+* **One flow table.**  A flow's :class:`Sequencer` rides on its
+  :class:`~repro.streaming.flow.FlowEntry`, beside its scan registers, in
+  the scan engine's :class:`~repro.streaming.flow.FlowTable` (a standalone
+  reassembler makes one), which admits flows in arrival order; an evicted
+  flow's buffered pieces are flushed as its last rows.
+* **SYN/FIN/RST.**  A SYN (re)anchors an empty flow.  A flow *closes* once
+  every byte up to its FIN is delivered with nothing buffered, or at an RST
+  (its buffered bytes counted in ``reset_bytes``), and leaves the table
+  there (``released``): a later segment of the flow, in the same batch or
+  a later one, starts a new entry at the root scan state.  The outcome is
+  that of admitting one segment at a time, wherever a batch ends: a batch
+  whose new flows fit the table evicts nothing, and a reopened flow takes
+  its closed entry's slot; a batch whose new flows do not fit is taken one
+  segment at a time, so a freed slot serves the next arrival.
+  Zero-length segments with no flag of interest are keepalives and vanish.
 
 Emitted packets get sequential ids in *emission* order (the reassembler owns
 the counter), which is exactly the arrival-order id contract capture replay
 and live ingestion make — downstream event streams stay canonically sorted.
-
-Checkpoint/restore mirrors :class:`~repro.streaming.flow.FlowTable`: the
-whole reassembler serialises to one JSON-friendly dict in LRU order, and
-restoring into a smaller ``max_flows`` drops (and counts) the LRU head, so
-a session checkpoint can carry reassembly state.
+A checkpoint is the table's, sequencers inside the flow records
+(:meth:`TcpReassembler.checkpoint`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..streaming.flow import FlowKey
+from ..backend import ScanState
+from ..streaming.flow import FlowEntry, FlowKey, FlowTable, SequencedBatch, table_flows
 from ..traffic.packet import Packet, PacketBatch
 
-#: Default maximum number of concurrently reassembled flows.
-DEFAULT_REASSEMBLY_FLOWS = 1024
 #: Default per-flow hole-buffer byte cap.
 DEFAULT_MAX_FLOW_BYTES = 65536
 #: Default per-flow hole-buffer segment cap.
@@ -73,10 +77,17 @@ _FIN = 0x01
 _SYN = 0x02
 _RST = 0x04
 
+#: A standalone reassembler's flow registers: it scans nothing.
+_ROOT = ScanState()
+
 
 def _seq_delta(seq: int, reference: int) -> int:
     """Signed 32-bit distance from ``reference`` to ``seq`` (wraparound-safe)."""
     return ((seq - reference + 0x80000000) & _SEQ_MASK) - 0x80000000
+
+
+def _root_entry(key: FlowKey) -> FlowEntry:
+    return FlowEntry(key, _ROOT)
 
 
 @dataclass
@@ -97,18 +108,18 @@ class ReassemblyStatistics:
     keepalives: int = 0
     #: flows force-flushed because a hole-buffer cap was exceeded
     hole_flushes: int = 0
-    #: flows LRU-evicted (flushed) to honour ``max_flows``
+    #: sequenced flows the table evicted (their pieces flushed)
     evicted_flows: int = 0
-    #: flows discarded by an RST
+    #: flows closed by an RST
     reset_flows: int = 0
+    #: buffered bytes an RST discarded
+    reset_bytes: int = 0
     #: flows that fell back to arrival order (no usable sequence state)
     fallback_flows: int = 0
-    #: checkpointed flows dropped at restore time (capacity shrank)
-    restore_dropped: int = 0
 
 
-class _FlowState:
-    """Per-flow reassembly state: delivery point plus the hole buffer.
+class Sequencer:
+    """One flow's reassembly state: delivery point plus the hole buffer.
 
     ``next_off`` is the flow-absolute stream offset delivered so far and
     ``seq_at_next`` the 32-bit sequence number of that position — keeping
@@ -120,7 +131,6 @@ class _FlowState:
     """
 
     __slots__ = (
-        "key",
         "mode",
         "next_off",
         "seq_at_next",
@@ -132,7 +142,6 @@ class _FlowState:
 
     def __init__(
         self,
-        key: FlowKey,
         mode: str,
         seq_at_next: int = 0,
         next_off: int = 0,
@@ -140,7 +149,6 @@ class _FlowState:
         fin_off: Optional[int] = None,
         delivered: bool = False,
     ):
-        self.key = key
         self.mode = mode  # "seq" or "arrival"
         self.next_off = next_off
         self.seq_at_next = seq_at_next
@@ -153,7 +161,6 @@ class _FlowState:
 
     def as_dict(self) -> Dict:
         return {
-            "key": list(self.key.as_tuple()),
             "mode": self.mode,
             "next_off": self.next_off,
             "seq_at_next": self.seq_at_next,
@@ -163,9 +170,9 @@ class _FlowState:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "_FlowState":
+    def from_dict(cls, data: Dict) -> "Sequencer":
+        """Rebuild from :meth:`as_dict` output (an older ``key`` is ignored)."""
         return cls(
-            key=FlowKey.from_checkpoint(data["key"]),
             mode=str(data["mode"]),
             seq_at_next=int(data["seq_at_next"]),
             next_off=int(data["next_off"]),
@@ -181,9 +188,15 @@ class _FlowState:
 class _Rows:
     """What one reassembler call emits, as the columns of its batch: each
     row a source row's bytes (its buffer, start and length) or a hole
-    piece's, with the flow's number in ``flows`` and the sequence number."""
+    piece's, with the flow's number in ``flows``, the sequence number and
+    the flow entry; ``departures`` holds ``(rows emitted by then, entry)``
+    for each flow that left the table (evicted, or closed), and ``closed``
+    the closed entries still to be released from it."""
 
-    __slots__ = ("buffer", "start", "length", "flow", "seq", "flows", "_index")
+    __slots__ = (
+        "buffer", "start", "length", "flow", "seq", "entry", "flows", "closed",
+        "departures", "_index",
+    )
 
     def __init__(self, flows: Sequence[Optional[FlowKey]]):
         self.buffer: List = []
@@ -191,15 +204,22 @@ class _Rows:
         self.length: List[int] = []
         self.flow: List[int] = []
         self.seq: List[Optional[int]] = []
+        self.entry: List[FlowEntry] = []
         self.flows = list(flows)
+        self.closed: Set[FlowEntry] = set()
+        self.departures: List[Tuple[int, FlowEntry]] = []
         self._index: Optional[Dict[Optional[FlowKey], int]] = None
 
-    def add(self, buffer, start: int, length: int, flow: int, seq: Optional[int]) -> None:
+    def add(
+        self, buffer, start: int, length: int, flow: int, seq: Optional[int],
+        entry: FlowEntry,
+    ) -> None:
         self.buffer.append(buffer)
         self.start.append(start)
         self.length.append(length)
         self.flow.append(flow)
         self.seq.append(seq)
+        self.entry.append(entry)
 
     def number(self, key: FlowKey) -> int:
         """``key``'s number in :attr:`flows`, added when it is not there."""
@@ -221,13 +241,17 @@ class TcpReassembler:
     :meth:`process` (:meth:`feed` for one packet), then :meth:`flush_all`
     once the source is exhausted to deliver whatever is still waiting
     behind holes.
+
+    ``flows`` is the table the sequencers ride on (the scan engine's, with
+    its ``new_entry``), by default one of its own.
     """
 
     def __init__(
         self,
         *,
+        flows: Optional[FlowTable] = None,
+        new_entry: Callable[[FlowKey], FlowEntry] = _root_entry,
         overlap_policy: str = "first",
-        max_flows: int = DEFAULT_REASSEMBLY_FLOWS,
         max_flow_bytes: int = DEFAULT_MAX_FLOW_BYTES,
         max_flow_segments: int = DEFAULT_MAX_FLOW_SEGMENTS,
         first_packet_id: int = 0,
@@ -237,8 +261,6 @@ class TcpReassembler:
                 f"overlap_policy must be one of {OVERLAP_POLICIES}, "
                 f"got {overlap_policy!r}"
             )
-        if max_flows < 1:
-            raise ValueError(f"max_flows must be at least 1, got {max_flows}")
         if max_flow_bytes < 1:
             raise ValueError(
                 f"max_flow_bytes must be at least 1, got {max_flow_bytes}"
@@ -248,97 +270,114 @@ class TcpReassembler:
                 f"max_flow_segments must be at least 1, got {max_flow_segments}"
             )
         self.overlap_policy = overlap_policy
-        self.max_flows = max_flows
         self.max_flow_bytes = max_flow_bytes
         self.max_flow_segments = max_flow_segments
         self.stats = ReassemblyStatistics()
-        self._flows: "OrderedDict[FlowKey, _FlowState]" = OrderedDict()
-        self._next_id = first_packet_id
+        self.flows = FlowTable() if flows is None else flows
+        self._new_entry = new_entry
+        #: the id the next emitted row gets
+        self.next_packet_id = first_packet_id
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._flows)
+        return len(self.flows)
 
     @property
     def active_flows(self) -> int:
-        return len(self._flows)
+        """Flows the table holds."""
+        return len(self.flows)
 
     @property
     def buffered_bytes(self) -> int:
         """Bytes currently waiting in hole buffers across all flows."""
-        return sum(state.buffered_bytes for state in self._flows.values())
+        return sum(
+            entry.sequencer.buffered_bytes
+            for entry in self.flows.entries()
+            if entry.sequencer is not None
+        )
 
     # ------------------------------------------------------------------
-    def feed(self, packet: Packet) -> PacketBatch:
+    def feed(self, packet: Packet) -> SequencedBatch:
         """Process one arriving packet; return every packet now deliverable.
 
         The returned batch may include flushed segments of *other* flows when
-        this arrival LRU-evicted one.
+        this arrival evicted one.
         """
         return self.process([packet])
 
-    def process(self, packets: Sequence[Packet]) -> PacketBatch:
+    def process(self, packets: Sequence[Packet]) -> SequencedBatch:
         """Reassemble one arrival batch; returns the deliverable rows.
 
         ``packets`` is a :class:`PacketBatch` (a packet list is taken as one).
-        The loop reads its columns: a data segment that covers its flow's
-        delivery point (``seq`` at or before the next expected byte, its end
-        beyond it, no SYN or RST) and stays clear of the buffered pieces is
-        emitted as a reference to its source row, trimmed of what was
-        already delivered; only the others take the per-segment path below.  No :class:`Packet` is built
-        and no payload is sliced; only hole pieces hold bytes.  The flow
-        table's recency is refreshed once per flow, at the end of the batch
-        or before an eviction needs it.
+        The table admits the batch (:meth:`FlowTable.admit`, whose walk
+        hands an overflowing batch over one segment at a time, so a flow
+        released at its close frees its slot for the next segment) and the
+        loop reads the columns:
+        a data segment that covers its flow's delivery point (``seq`` at or
+        before the next expected byte, its end beyond it, no SYN or RST) and
+        stays clear of the buffered pieces is emitted as a reference to its
+        source row, trimmed of what was already delivered; only the others
+        take the per-segment path below.  No :class:`Packet` is built and no
+        payload is sliced; only hole pieces hold bytes.
         """
         batch = PacketBatch.from_packets(packets)
         rows = _Rows(batch.flows)
-        self._reassemble(batch, rows)
+        keys, renumber = table_flows(batch.flows)
+        column = batch.flow if renumber is None else [renumber[f] for f in batch.flow]
+        through = [key is None or key.protocol.lower() != "tcp" for key in batch.flows]
+
+        def visit(span: range, entries: List[FlowEntry], evicted: List[FlowEntry]) -> None:
+            for entry in evicted:
+                self._evicted(entry, rows)
+            if renumber is not None:
+                entries = [entries[number] for number in renumber]
+            self._walk(batch, span, entries, through, rows)
+            self._release(rows)
+
+        self.flows.admit(keys, self._new_entry, column, visit)
         return self._finish(rows)
 
-    def _reassemble(self, batch: PacketBatch, rows: "_Rows") -> None:
+    def _walk(
+        self,
+        batch: PacketBatch,
+        span: range,
+        entries: Sequence[FlowEntry],
+        through: Sequence[bool],
+        rows: "_Rows",
+    ) -> None:
+        """Sequence rows ``span`` of ``batch``; ``entries[f]`` is flow ``f``'s
+        entry and ``through[f]`` is true for a flow that is not TCP."""
         stats = self.stats
-        table = self._flows
-        keys = batch.flows
-        not_tcp = [key is None or key.protocol.lower() != "tcp" for key in keys]
-        # the flows whose rows pass through as they are: not TCP, or (once
-        # found) a flow reassembled in arrival order
-        through = list(not_tcp)
-        cache: List[Optional[_FlowState]] = [None] * len(keys)
-        touched: Dict[int, int] = {}  # flow -> last row, the deferred LRU refresh
         buffers, starts, lengths = batch.buffer, batch.start, batch.length
         flows, seqs, all_flags = batch.flow, batch.seq, batch.flags
         out_buffer, out_start = rows.buffer.append, rows.start.append
         out_length, out_flow, out_seq = rows.length.append, rows.flow.append, rows.seq.append
+        out_entry = rows.entry.append
         mask, syn_rst, fin = _SEQ_MASK, _SYN | _RST, _FIN
-        stats.segments_in += len(lengths)
+        stats.segments_in += len(span)
         passthrough = overlap = retransmits = keepalives = 0
-        for row in range(len(lengths)):
+        for row in span:
             f = flows[row]
+            entry = entries[f]
             length = lengths[row]
             seq = seqs[row]
-            state = cache[f]
-            if state is None and not through[f]:
-                key = keys[f]
-                state = table.get(key)
+            state = None
+            if not through[f]:
+                state = entry.sequencer
                 if state is None:
-                    if len(table) >= self.max_flows:
-                        self._evict(touched, keys, rows)
-                        cache = [None] * len(keys)
-                        through = list(not_tcp)
-                    state = self._create(key, seq, all_flags[row])
-                cache[f] = state
-                through[f] = state.mode == "arrival"
-            if through[f]:
-                if state is not None:
-                    touched[f] = row
+                    if entry in rows.closed:  # closed earlier in this batch
+                        rows.closed.discard(entry)
+                        entry = entries[f] = self.flows.reopen(entry, self._new_entry)
+                    state = entry.sequencer = self._create(seq, all_flags[row])
+            if state is None or state.mode == "arrival":
                 passthrough += 1
                 out_buffer(buffers[row])
                 out_start(starts[row])
                 out_length(length)
                 out_flow(f)
                 out_seq(seq)
+                out_entry(entry)
                 continue
-            touched[f] = row
             flags = all_flags[row] or 0
             if seq is not None and not flags & syn_rst:
                 if length:
@@ -360,15 +399,16 @@ class TcpReassembler:
                             out_length(length + rel)
                             out_flow(f)
                             out_seq(state.seq_at_next)
+                            out_entry(entry)
                             state.next_off = end
                             state.seq_at_next = (seq + length) & mask
                             state.delivered = True
                             if flags & fin:
                                 state.fin_off = end
                             if holes and holes[0][0] <= end:
-                                self._drain(state, rows, f)
-                            if state.fin_off is not None and self._maybe_close(keys[f], state):
-                                cache[f] = None
+                                self._drain(entry, rows, f)
+                            if state.fin_off is not None:
+                                self._maybe_close(entry, rows)
                             continue
                 elif not flags & fin:
                     keepalives += 1
@@ -378,18 +418,15 @@ class TcpReassembler:
                 if state.next_off == 0 and not state.holes:
                     state.seq_at_next = (seq + 1) & mask
                 continue
-            if self._segment(state, keys[f], f, flags, seq, length, batch, row, rows):
-                cache[f] = None
+            self._segment(entry, f, flags, seq, length, batch, row, rows)
         stats.passthrough += passthrough
         stats.overlap_bytes += overlap
         stats.retransmits += retransmits
         stats.keepalives += keepalives
-        self._refresh(touched, keys)
 
     def _segment(
         self,
-        state: _FlowState,
-        key: FlowKey,
+        entry: FlowEntry,
         f: int,
         flags: int,
         seq: Optional[int],
@@ -397,33 +434,36 @@ class TcpReassembler:
         batch: PacketBatch,
         row: int,
         rows: "_Rows",
-    ) -> bool:
-        """One segment off the in-order path; True when its flow was dropped."""
+    ) -> None:
+        """One segment off the in-order path."""
+        state = entry.sequencer
         if flags & _RST:
             self.stats.reset_flows += 1
-            self._flows.pop(key, None)
-            return True
+            self.stats.reset_bytes += state.buffered_bytes
+            self._close(entry, rows)
+            return
         if seq is None:
             # a seq-less segment inside a seq flow: deliver at the current
             # point rather than guess (keeps mixed captures flowing)
             if length:
-                self._emit_row(state, rows, batch, row, 0, length, f)
-            return False
+                self._emit_row(entry, rows, batch, row, 0, length, f)
+            return
         if flags & _SYN:
             if state.next_off == 0 and not state.holes:
                 # (re)anchor an empty flow at the handshake
                 state.seq_at_next = (seq + 1) & _SEQ_MASK
             if not length and not flags & _FIN:
-                return False
+                return
             seq = (seq + 1) & _SEQ_MASK  # SYN consumes one: data starts after it
 
         if not length:
             if flags & _FIN:
                 rel = _seq_delta(seq, state.seq_at_next)
                 state.fin_off = state.next_off + rel
-                return self._maybe_close(key, state)
-            self.stats.keepalives += 1
-            return False
+                self._maybe_close(entry, rows)
+            else:
+                self.stats.keepalives += 1
+            return
 
         rel = _seq_delta(seq, state.seq_at_next)
         offset = state.next_off + rel
@@ -435,7 +475,7 @@ class TcpReassembler:
             state.next_off = offset
         if end <= state.next_off:
             self.stats.retransmits += 1
-            return False
+            return
         trim = 0
         if offset < state.next_off:
             # leading bytes were already delivered and are final
@@ -448,12 +488,13 @@ class TcpReassembler:
             # on the delivery point and clear of the first buffered piece: no
             # byte overlaps, so either policy delivers the segment as it is —
             # then whatever it made contiguous
-            self._emit_row(state, rows, batch, row, trim, length - trim, f)
+            self._emit_row(entry, rows, batch, row, trim, length - trim, f)
             if flags & _FIN:
                 state.fin_off = end
             if holes:
-                self._drain(state, rows, f)
-            return state.fin_off is not None and self._maybe_close(key, state)
+                self._drain(entry, rows, f)
+            self._maybe_close(entry, rows)
+            return
 
         start = batch.start[row] + trim
         self._insert(state, offset, batch.buffer[row][start:start + length - trim])
@@ -463,79 +504,73 @@ class TcpReassembler:
         if offset > state.next_off:
             self.stats.reordered += 1
         if state.holes[0][0] <= state.next_off:
-            self._drain(state, rows, f)
+            self._drain(entry, rows, f)
         if (
             state.buffered_bytes > self.max_flow_bytes
             or len(state.holes) > self.max_flow_segments
         ):
             self.stats.hole_flushes += 1
-            self._flush_state(state, rows, f)
-        return state.fin_off is not None and self._maybe_close(key, state)
+            self._flush_state(entry, rows, f)
+        self._maybe_close(entry, rows)
 
     def _emit_row(
-        self, state: _FlowState, rows: "_Rows", batch: PacketBatch, row: int,
+        self, entry: FlowEntry, rows: "_Rows", batch: PacketBatch, row: int,
         trim: int, length: int, f: int,
     ) -> None:
         """Deliver ``length`` bytes of source ``row``, ``trim`` bytes in."""
-        rows.add(batch.buffer[row], batch.start[row] + trim, length, f, state.seq_at_next)
+        state = entry.sequencer
+        rows.add(
+            batch.buffer[row], batch.start[row] + trim, length, f, state.seq_at_next, entry
+        )
         state.next_off += length
         state.seq_at_next = (state.seq_at_next + length) & _SEQ_MASK
         state.delivered = True
 
-    def _emit_piece(self, state: _FlowState, rows: "_Rows", f: int, data: bytes) -> None:
-        rows.add(data, 0, len(data), f, state.seq_at_next)
+    def _emit_piece(self, entry: FlowEntry, rows: "_Rows", f: int, data: bytes) -> None:
+        state = entry.sequencer
+        rows.add(data, 0, len(data), f, state.seq_at_next, entry)
         state.next_off += len(data)
         state.seq_at_next = (state.seq_at_next + len(data)) & _SEQ_MASK
         state.delivered = True
 
-    def _finish(self, rows: "_Rows") -> PacketBatch:
+    def _finish(self, rows: "_Rows") -> SequencedBatch:
         """The emitted rows as a batch, with sequential emission-order ids."""
         count = len(rows.length)
-        ids = range(self._next_id, self._next_id + count)
-        self._next_id += count
+        ids = range(self.next_packet_id, self.next_packet_id + count)
+        self.next_packet_id += count
         self.stats.packets_out += count
-        return PacketBatch(
+        return SequencedBatch(
             rows.buffer, rows.start, rows.length, rows.flows, rows.flow, rows.seq,
-            [None] * count, ids,
+            [None] * count, ids, entry=rows.entry, departures=rows.departures,
         )
 
-    def _refresh(self, touched: Dict[int, int], keys: Sequence[FlowKey]) -> None:
-        """Move the touched flows to the recent end, least recent touch first:
-        the order one ``move_to_end`` per segment would have left."""
-        refresh = self._flows.move_to_end
-        for f in sorted(touched, key=touched.__getitem__):
-            try:
-                refresh(keys[f])
-            except KeyError:  # dropped since (RST, FIN, eviction)
-                pass
-        touched.clear()
-
     # ------------------------------------------------------------------
-    def _evict(self, touched: Dict[int, int], keys: Sequence[FlowKey], rows: "_Rows") -> None:
-        """Make room for one flow: evict (and flush) the least recently
-        active ones, with the batch's pending refreshes applied first."""
-        self._refresh(touched, keys)
-        while len(self._flows) >= self.max_flows:
-            key, evicted = self._flows.popitem(last=False)
+    def _evicted(self, entry: FlowEntry, rows: "_Rows") -> None:
+        state = entry.sequencer
+        if state is not None:
             self.stats.evicted_flows += 1
-            if evicted.holes:
-                self._flush_state(evicted, rows, rows.number(key))
+            if state.holes:
+                self._flush_state(entry, rows, rows.number(entry.key))
+        rows.departures.append((len(rows.length), entry))
 
-    def _create(self, key: FlowKey, seq: Optional[int], flags: Optional[int]) -> _FlowState:
+    def _release(self, rows: "_Rows") -> None:
+        """Release the flows that closed and were not reopened."""
+        if rows.closed:
+            self.flows.release(list(rows.closed))
+            rows.closed.clear()
+
+    def _create(self, seq: Optional[int], flags: Optional[int]) -> Sequencer:
         flags = flags or 0
         if seq is None or (seq == 0 and not flags & _SYN):
             # no usable sequence state (UDP-style source or a legacy
             # zero-seq capture): scan in arrival order, never worse than
             # not reassembling
             self.stats.fallback_flows += 1
-            state = _FlowState(key, "arrival")
-        else:
-            anchor = (seq + 1) & _SEQ_MASK if flags & _SYN else seq
-            state = _FlowState(key, "seq", seq_at_next=anchor)
-        self._flows[key] = state
-        return state
+            return Sequencer("arrival")
+        anchor = (seq + 1) & _SEQ_MASK if flags & _SYN else seq
+        return Sequencer("seq", seq_at_next=anchor)
 
-    def _insert(self, state: _FlowState, offset: int, data: bytes) -> None:
+    def _insert(self, state: Sequencer, offset: int, data: bytes) -> None:
         """Insert one piece into the hole buffer under the overlap policy.
 
         ``buffered_bytes`` moves by what the policy cut: under either policy
@@ -594,8 +629,9 @@ class TcpReassembler:
         self.stats.overlap_bytes += overlap
         state.buffered_bytes += len(data) - overlap
 
-    def _drain(self, state: _FlowState, rows: "_Rows", f: int) -> None:
+    def _drain(self, entry: FlowEntry, rows: "_Rows", f: int) -> None:
         """Deliver every piece now contiguous with the delivery point."""
+        state = entry.sequencer
         holes = state.holes
         count = 0
         for offset, data in holes:
@@ -606,104 +642,91 @@ class TcpReassembler:
             if offset < state.next_off:  # defensive: policy trimming left none
                 data = data[state.next_off - offset:]
             if data:
-                self._emit_piece(state, rows, f, bytes(data))
+                self._emit_piece(entry, rows, f, bytes(data))
         del holes[:count]
 
-    def _flush_state(self, state: _FlowState, rows: "_Rows", f: int) -> None:
+    def _flush_state(self, entry: FlowEntry, rows: "_Rows", f: int) -> None:
         """Deliver all buffered pieces in stream order, skipping the gaps."""
+        state = entry.sequencer
         for offset, data in state.holes:
             skipped = offset - state.next_off
             if skipped > 0:
                 state.next_off = offset
                 state.seq_at_next = (state.seq_at_next + skipped) & _SEQ_MASK
-            self._emit_piece(state, rows, f, bytes(data))
+            self._emit_piece(entry, rows, f, bytes(data))
         state.holes = []
         state.buffered_bytes = 0
 
-    def _maybe_close(self, key: FlowKey, state: _FlowState) -> bool:
-        """Forget a flow whose every byte up to its FIN is delivered; True
-        when it did."""
+    def _maybe_close(self, entry: FlowEntry, rows: "_Rows") -> None:
+        """Close a flow whose every byte up to its FIN is delivered."""
+        state = entry.sequencer
         if (
             state.fin_off is not None
             and state.next_off >= state.fin_off
             and not state.holes
         ):
-            self._flows.pop(key, None)
-            return True
-        return False
+            self._close(entry, rows)
+
+    @staticmethod
+    def _close(entry: FlowEntry, rows: "_Rows") -> None:
+        """The flow departs here; the table releases it at the end of the
+        call, unless a later segment reopens it first (in its place)."""
+        entry.sequencer = None
+        rows.closed.add(entry)
+        rows.departures.append((len(rows.length), entry))
 
     # ------------------------------------------------------------------
-    def _flush_key(self, key: FlowKey, rows: "_Rows") -> None:
-        state = self._flows.get(key)
-        if state is None or not state.holes:
-            return
-        self._flush_state(state, rows, rows.number(key))
-        self._maybe_close(key, state)
-
-    def flush(self, key: FlowKey) -> PacketBatch:
-        """Force-deliver one flow's buffered pieces (the flow stays tracked)."""
-        rows = _Rows([])
-        self._flush_key(key, rows)
-        return self._finish(rows)
-
-    def flush_all(self) -> PacketBatch:
+    def flush_all(self) -> SequencedBatch:
         """Force-deliver every flow's buffered pieces, LRU order first.
 
         Call once the source is exhausted so data waiting behind a hole that
         will never fill still reaches the scanner.
         """
         rows = _Rows([])
-        for key in list(self._flows):
-            self._flush_key(key, rows)
+        for entry in self.flows.entries():
+            if entry.sequencer is not None and entry.sequencer.holes:
+                self._flush_state(entry, rows, rows.number(entry.key))
+                self._maybe_close(entry, rows)
+        self._release(rows)
         return self._finish(rows)
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
-        """Serialise the reassembler (LRU order preserved) to plain data."""
-        return {
-            "overlap_policy": self.overlap_policy,
-            "max_flows": self.max_flows,
-            "max_flow_bytes": self.max_flow_bytes,
-            "max_flow_segments": self.max_flow_segments,
-            "next_packet_id": self._next_id,
-            "flows": [state.as_dict() for state in self._flows.values()],
-        }
+        """The table's checkpoint plus the emission counter."""
+        return {**self.flows.checkpoint(), "next_packet_id": self.next_packet_id}
 
     @classmethod
     def restore(
-        cls,
-        data: Dict,
-        *,
-        max_flows: Optional[int] = None,
-        overlap_policy: Optional[str] = None,
-        max_flow_bytes: Optional[int] = None,
+        cls, data: Dict, *, capacity: Optional[int] = None, **settings
     ) -> "TcpReassembler":
-        """Rebuild a reassembler from :meth:`checkpoint` data.
-
-        Mirrors :meth:`repro.streaming.flow.FlowTable.restore`: ``max_flows``
-        (and ``overlap_policy``, ``max_flow_bytes``) override the
-        checkpointed values, and a checkpoint holding more flows than fit
-        drops the LRU head — counted in ``stats.restore_dropped``, buffered
-        bytes included — so a restore never silently raises the memory
-        bound.
-        """
-        reassembler = cls(
-            overlap_policy=(
-                str(data["overlap_policy"]) if overlap_policy is None else overlap_policy
-            ),
-            max_flows=int(data["max_flows"]) if max_flows is None else max_flows,
-            max_flow_bytes=(
-                int(data["max_flow_bytes"]) if max_flow_bytes is None else max_flow_bytes
-            ),
-            max_flow_segments=int(data["max_flow_segments"]),
+        """Rebuild a standalone reassembler from :meth:`checkpoint` data
+        (:meth:`FlowTable.restore` with ``capacity``; ``settings`` are the
+        constructor's other keywords)."""
+        return cls(
+            flows=FlowTable.restore(data, capacity),
             first_packet_id=int(data.get("next_packet_id", 0)),
+            **settings,
         )
-        states = [_FlowState.from_dict(flow) for flow in data["flows"]]
-        overflow = max(0, len(states) - reassembler.max_flows)
-        reassembler.stats.restore_dropped = overflow
-        for state in states[overflow:]:
-            reassembler._flows[state.key] = state
-        return reassembler
+
+
+def fold_reassembly(table: Dict, reassembly: Dict) -> Dict:
+    """One table from an earlier version's engine ``table`` and the
+    ``reassembly`` checkpoint beside it: each reassembly flow becomes the
+    ``"sequencer"`` of its key's record — a flow only the reassembler held
+    gets one at the root state, at the LRU end — and its counter the
+    table's ``next_packet_id`` (its bounds are not read)."""
+    sequencers = {
+        FlowKey.from_checkpoint(flow["key"]): flow for flow in reassembly["flows"]
+    }
+    flows = []
+    for flow in table["flows"]:
+        sequencer = sequencers.pop(FlowKey.from_checkpoint(flow["key"]), None)
+        flows.append(flow if sequencer is None else {**flow, "sequencer": sequencer})
+    fresh = [
+        {"key": flow["key"], "states": [_ROOT.as_tuple()], "sequencer": flow}
+        for flow in sequencers.values()
+    ]
+    return {**table, "flows": fresh + flows, "next_packet_id": reassembly["next_packet_id"]}
 
 
 def reassemble_packets(
@@ -723,9 +746,10 @@ def reassemble_packets(
 __all__ = [
     "DEFAULT_MAX_FLOW_BYTES",
     "DEFAULT_MAX_FLOW_SEGMENTS",
-    "DEFAULT_REASSEMBLY_FLOWS",
     "OVERLAP_POLICIES",
     "ReassemblyStatistics",
+    "Sequencer",
     "TcpReassembler",
+    "fold_reassembly",
     "reassemble_packets",
 ]

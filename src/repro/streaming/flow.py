@@ -13,11 +13,12 @@ simply restarts from the root state, the standard trade-off in flow-state
 engines).  :meth:`FlowTable.admit` is the one place that happens: it admits a
 batch's flows with the outcome of an arrival-order walk, exactly as
 segment-at-a-time scanning would leave it, and hands back each flow
-incarnation with its segments plus the evicted entries, the only way a flow
-(:attr:`FlowEntry.record` and all) leaves the table.  The whole table can be
-checkpointed to a plain JSON-serialisable dict and restored later — per-flow
-state is tiny (a few integers), which is what makes checkpointing and
-migration across engines cheap.
+incarnation with its segments plus the evicted entries; those and
+:meth:`FlowTable.release` (a flow the reassembler saw close) are the only
+ways a flow, :attr:`FlowEntry.record` and all, leaves the table.  The whole
+table can be checkpointed to a plain JSON-serialisable dict and restored
+later — per-flow state is tiny (a few integers), which is what makes
+checkpointing and migration across engines cheap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend import ScanState
-from ..traffic.packet import FiveTuple
+from ..traffic.packet import FiveTuple, PacketBatch
 
 #: Default maximum number of concurrently tracked flows per table.
 DEFAULT_FLOW_CAPACITY = 4096
@@ -36,6 +37,26 @@ DEFAULT_FLOW_CAPACITY = 4096
 #: its flow key (:class:`repro.traffic.FiveTuple`, under the name the scan
 #: layers use for it).
 FlowKey = FiveTuple
+
+#: Flow key used when a packet carries no 5-tuple header (treated as one
+#: anonymous flow so bare payload streams can still be scanned statefully).
+ANONYMOUS_FLOW = FlowKey("0.0.0.0", "0.0.0.0", 0, 0, "raw")
+
+
+def table_flows(
+    flows: Sequence[Optional[FlowKey]],
+) -> Tuple[Sequence[FlowKey], Optional[List[int]]]:
+    """``(keys, renumber)``: a batch's ``flows`` as :meth:`FlowTable.admit`'s
+    distinct keys, headerless ones as :data:`ANONYMOUS_FLOW`; ``renumber[f]``
+    is flow ``f``'s number in ``keys`` (``None``: the batch's own)."""
+    if all(key is not None for key in flows):
+        return flows, None
+    number: Dict[FlowKey, int] = {}
+    renumber = [
+        number.setdefault(ANONYMOUS_FLOW if key is None else key, len(number))
+        for key in flows
+    ]
+    return list(number), renumber
 
 
 class FlowEntry:
@@ -47,14 +68,15 @@ class FlowEntry:
     checkpoint writes each as a one-element list, under ``"states"`` and
     ``"lower_states"``.  ``record`` is the IDS's confirm record for the
     flow (:mod:`repro.ids.confirm`): no scan or checkpoint reads it, and it
-    leaves with the entry.
+    leaves with the entry.  ``sequencer`` is the TCP reassembler's
+    :class:`repro.proto.reassembly.Sequencer` for the flow, if any.
 
     A ``__slots__`` record rather than a dataclass: one is created per live
     flow and its fields are reassigned on every scanned batch, so the
     streaming hot loop benefits from ``__dict__``-free attribute access.
     """
 
-    __slots__ = ("key", "state", "lower_state", "record")
+    __slots__ = ("key", "state", "lower_state", "record", "sequencer")
 
     def __init__(
         self,
@@ -66,6 +88,7 @@ class FlowEntry:
         self.state = state
         self.lower_state = lower_state
         self.record = None
+        self.sequencer = None
 
     def __repr__(self) -> str:
         return (
@@ -79,13 +102,16 @@ class FlowEntry:
 
     def as_dict(self) -> Dict:
         """JSON-serialisable checkpoint of this flow."""
-        return {
+        out = {
             "key": list(self.key.as_tuple()),
             "states": [self.state.as_tuple()],
             "lower_states": (
                 None if self.lower_state is None else [self.lower_state.as_tuple()]
             ),
         }
+        if self.sequencer is not None:
+            out["sequencer"] = self.sequencer.as_dict()
+        return out
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FlowEntry":
@@ -98,11 +124,16 @@ class FlowEntry:
         ``packets``, ``matched``, ``matched_lower`` and ``alerted`` keys
         older checkpoints carry are ignored: nothing read them."""
         key = FlowKey.from_checkpoint(data["key"])
-        return cls(
+        entry = cls(
             key=key,
             state=_flow_state(key, "states", data["states"]),
             lower_state=_flow_state(key, "lower_states", data.get("lower_states")),
         )
+        if data.get("sequencer") is not None:
+            from ..proto.reassembly import Sequencer  # the proto layer sits above
+
+            entry.sequencer = Sequencer.from_dict(data["sequencer"])
+        return entry
 
 
 def _flow_state(key: FlowKey, view: str, values: Optional[Sequence]) -> Optional[ScanState]:
@@ -126,6 +157,8 @@ def _flow_state(key: FlowKey, view: str, values: Optional[Sequence]) -> Optional
 class FlowTableStatistics:
     created: int = 0
     evicted: int = 0
+    #: flows that left because they closed (:meth:`FlowTable.release`)
+    released: int = 0
     #: flows present in a checkpoint but dropped at restore time because they
     #: exceeded the restoring table's capacity (not LRU evictions — the flows
     #: were never live in this table).
@@ -145,6 +178,38 @@ Admission = Tuple[Admitted, List[Eviction]]
 
 def _last_index(admitted: Tuple[FlowEntry, List[int]]) -> int:
     return admitted[1][-1]
+
+
+class SequencedBatch(PacketBatch):
+    """A batch the TCP reassembler emitted: ``entry[i]`` is row ``i``'s
+    :class:`FlowEntry`, and ``departures`` an ``(index, entry)`` for every
+    flow that left the table (evicted, or released at its close) once
+    ``index`` rows were emitted."""
+
+    __slots__ = ("entry", "departures")
+
+    def __init__(self, *columns, entry: List[FlowEntry], departures: List["Eviction"]):
+        super().__init__(*columns)
+        self.entry = entry
+        self.departures = departures
+
+    def admission(self) -> "Admission":
+        """``(admitted, departures)``, as :meth:`FlowTable.admit` returns."""
+        groups: Dict[FlowEntry, List[int]] = {}
+        for index, entry in enumerate(self.entry):
+            indexes = groups.get(entry)
+            if indexes is None:
+                groups[entry] = [index]
+            else:
+                indexes.append(index)
+        return list(groups.items()), self.departures
+
+    def __iadd__(self, other: "SequencedBatch") -> "SequencedBatch":
+        at = len(self)
+        super().__iadd__(other)
+        self.entry += other.entry
+        self.departures += [(at + index, entry) for index, entry in other.departures]
+        return self
 
 
 class FlowTable:
@@ -177,6 +242,7 @@ class FlowTable:
         flows: Sequence[FlowKey],
         factory: Callable[[FlowKey], FlowEntry],
         rows: Sequence[int],
+        visit: Optional[Callable[[range, List, List[FlowEntry]], None]] = None,
     ) -> Admission:
         """Admit one batch's segments: segment ``i`` is of flow ``flows[rows[i]]``.
 
@@ -199,6 +265,14 @@ class FlowTable:
         LRU order after the walk is the touched flows by their last segment
         — so each is refreshed once, in that order.  Only a batch that would
         overflow the table is walked segment by segment.
+
+        ``visit``, if given, is handed each admitted span of segments before
+        the next is admitted, as ``visit(span, entries, evicted)``:
+        ``entries[n]`` is flow ``n``'s entry for the span and ``evicted`` the
+        entries evicted to admit it.  A batch that fits is one span; the walk
+        hands over one segment at a time, so a flow the visitor
+        releases (:meth:`release`) frees its slot for the next segment, and
+        comes back, if seen again, as a fresh entry.
         """
         entries = self._entries
         groups: Dict[int, List[int]] = {}
@@ -220,34 +294,55 @@ class FlowTable:
             for entry, _ in sorted(admitted, key=_last_index):
                 entries.move_to_end(entry.key)
             self.stats.created += new
+            if visit is not None:
+                numbered: List[Optional[FlowEntry]] = [None] * len(flows)
+                for (number, _), (entry, _) in zip(found, admitted):
+                    numbered[number] = entry
+                visit(range(len(rows)), numbered, [])
             return admitted, []
         refresh = entries.move_to_end
         capacity = self.capacity
-        current: Dict[FlowKey, List[int]] = {}
-        admitted = []
+        numbered = [None] * len(flows)
+        incarnations: Dict[FlowEntry, List[int]] = {}
         evictions: List[Eviction] = []
         created = 0
-        for index, key in enumerate([flows[number] for number in rows]):
-            indexes = current.get(key)
-            if indexes is not None:
-                indexes.append(index)
-                refresh(key)
-                continue
+        for index, number in enumerate(rows):
+            key = flows[number]
             entry = entries.get(key)
+            seen = len(evictions)
             if entry is None:
                 entry = entries[key] = factory(key)
                 created += 1
                 while len(entries) > capacity:
-                    evicted, gone = entries.popitem(last=False)
-                    evictions.append((index, gone))
-                    current.pop(evicted, None)
+                    evictions.append((index, entries.popitem(last=False)[1]))
             else:
                 refresh(key)
-            indexes = current[key] = [index]
-            admitted.append((entry, indexes))
+            indexes = incarnations.get(entry)
+            if indexes is None:
+                incarnations[entry] = [index]
+            else:
+                indexes.append(index)
+            if visit is not None:
+                numbered[number] = entry
+                visit(range(index, index + 1), numbered, [gone for _, gone in evictions[seen:]])
         self.stats.created += created
         self.stats.evicted += len(evictions)
-        return admitted, evictions
+        return list(incarnations.items()), evictions
+
+    def release(self, closed: Sequence[FlowEntry]) -> None:
+        """Drop the live entries of flows that closed (``stats.released``)."""
+        for entry in closed:
+            del self._entries[entry.key]
+        self.stats.released += len(closed)
+
+    def reopen(self, closed: FlowEntry, factory: Callable[[FlowKey], FlowEntry]) -> FlowEntry:
+        """Release a flow that closed and admit its key's next flow from
+        ``factory`` in its place, as an arrival would but keeping its LRU
+        position (the reassembler's batch has already placed it)."""
+        entry = self._entries[closed.key] = factory(closed.key)
+        self.stats.released += 1
+        self.stats.created += 1
+        return entry
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:

@@ -35,6 +35,9 @@ are then re-attributed to their segments by offset — per-segment work only
 a flow whose scan reported a hit pays for.  Events, statistics, eviction
 records and LRU order are those of the segment-at-a-time walk (the
 differential harness in the test suite holds it to that).
+With ``reassemble`` on, the service's :class:`~repro.proto.TcpReassembler`
+admits the arrival batch into the same table and emits it in stream order,
+each row naming its entry, so the scan walks the table once.
 """
 
 from __future__ import annotations
@@ -47,15 +50,30 @@ from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from ..backend import CompiledProgram, MatchList, ScanJob, ScanState
 from ..traffic.packet import Packet, PacketBatch
-from .flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey, FlowTable
-
-#: Flow key used when a packet carries no 5-tuple header (treated as one
-#: anonymous flow so bare payload streams can still be scanned statefully).
-ANONYMOUS_FLOW = FlowKey("0.0.0.0", "0.0.0.0", 0, 0, "raw")
+from .flow import (
+    ANONYMOUS_FLOW,
+    DEFAULT_FLOW_CAPACITY,
+    Admitted,
+    Eviction,
+    FlowEntry,
+    FlowKey,
+    FlowTable,
+    SequencedBatch,
+    table_flows,
+)
 
 #: The registers of a flow that has not sent a byte.  ``ScanState`` is
 #: immutable, so every new flow entry starts from this one instance.
 _ROOT = ScanState()
+
+
+def _new_flow(key: FlowKey) -> FlowEntry:
+    return FlowEntry(key, _ROOT)
+
+
+def _new_nocase_flow(key: FlowKey) -> FlowEntry:
+    return FlowEntry(key, _ROOT, _ROOT)
+
 
 #: What :meth:`ScanService.scan_batch` returns: ``(hits, evictions,
 #: admitted)``.  ``hits`` maps the index of every segment that matched to
@@ -191,6 +209,10 @@ class ScanService:
     some ``nocase`` content uses — or is ``True`` for every string; an empty
     set (or ``False``) scans the raw view alone.
 
+    ``reassemble`` puts a :class:`~repro.proto.TcpReassembler` over the same
+    table (:attr:`reassembler`, else ``None``) in front of the scan, with
+    ``overlap_policy`` and ``reassembly_bytes`` (its ``max_flow_bytes``).
+
     ``StreamScanner`` is bound to this same class: the two names are one
     engine, and code written against either (the end-to-end benchmark's
     tracer wraps ``ScanService.scan`` and ``StreamScanner.scan_batch`` by
@@ -204,20 +226,33 @@ class ScanService:
         program: CompiledProgram,
         flow_capacity: int = DEFAULT_FLOW_CAPACITY,
         track_nocase: Union[bool, AbstractSet[int]] = False,
+        reassemble: bool = False,
+        overlap_policy: str = "first",
+        reassembly_bytes: Optional[int] = None,
     ):
         self.program = program
         self.flows = FlowTable(flow_capacity)
         self.track_nocase = track_nocase
+        #: a new flow's entry: a plain function, not a bound method, so the
+        #: reassembler that holds it does not tie the service into a cycle
+        #: (a closed session's program is freed at once, not by the collector)
+        self._new_entry = _new_nocase_flow if track_nocase else _new_flow
         self.counters = ScannerStatistics()
         self._pattern_length = {
             index: len(pattern) for index, pattern in enumerate(program.patterns)
         }
         self._scan_many = program.scan_many
+        self.reassembler = None
+        if reassemble:
+            from ..proto.reassembly import TcpReassembler  # a layer above this one
+
+            bound = {} if reassembly_bytes is None else {"max_flow_bytes": reassembly_bytes}
+            self.reassembler = TcpReassembler(
+                flows=self.flows, new_entry=self._new_entry,
+                overlap_policy=overlap_policy, **bound,
+            )
 
     # ------------------------------------------------------------------
-    def _new_entry(self, key: FlowKey) -> FlowEntry:
-        return FlowEntry(key, _ROOT, _ROOT if self.track_nocase else None)
-
     @staticmethod
     def flow_key(packet: Packet) -> FlowKey:
         """The packet's flow: its header, if it has one."""
@@ -284,21 +319,19 @@ class ScanService:
         every entry the batch was scanned under, with its segments' indexes.
 
         The flow table admits the batch in arrival order
-        (:meth:`FlowTable.admit` over the batch's flow column);
-        each admitted entry's segments are sliced from their buffers into
-        one job and every job crosses into the backend in one ``scan_many``
-        call.  Matches are re-attributed to segments by their flow-absolute
-        end offset.
+        (:meth:`FlowTable.admit` over the batch's flow column), unless the
+        reassembler already did (a :class:`SequencedBatch`, whose
+        ``evictions`` include released flows).  Each admitted entry's
+        segments are sliced from their buffers into one job and every job
+        crosses into the backend in one ``scan_many`` call.  Matches are
+        re-attributed to segments by their flow-absolute end offset.
         """
-        keys, rows = batch.flows, batch.flow
-        if any(key is None for key in keys):  # headerless rows: the anonymous flow
-            number: Dict[FlowKey, int] = {}
-            renumber = [
-                number.setdefault(ANONYMOUS_FLOW if key is None else key, len(number))
-                for key in keys
-            ]
-            keys, rows = list(number), [renumber[flow] for flow in rows]
-        admitted, evictions = self.flows.admit(keys, self._new_entry, rows)
+        if isinstance(batch, SequencedBatch):
+            admitted, evictions = batch.admission()
+        else:
+            keys, renumber = table_flows(batch.flows)
+            rows = batch.flow if renumber is None else [renumber[f] for f in batch.flow]
+            admitted, evictions = self.flows.admit(keys, self._new_entry, rows)
         buffers, starts, lengths = batch.buffer, batch.start, batch.length
         work = [
             (entry, b"".join([
@@ -321,7 +354,22 @@ class ScanService:
                 )
         return {index: found[index] for index in sorted(found)}, evictions, admitted
 
-    def scan_annotated(self, packets: Sequence[Packet]) -> AnnotatedScan:
+    def sequence(self, packets: Sequence[Packet], end_of_source: bool = False) -> PacketBatch:
+        """``packets`` as the engine scans them: what the reassembler emits
+        (plus, at the ``end_of_source``, what it still buffers), if there is
+        one."""
+        batch = PacketBatch.from_packets(packets)
+        reassembler = self.reassembler
+        if reassembler is None:
+            return batch
+        batch = reassembler.process(batch)
+        if end_of_source:
+            batch += reassembler.flush_all()
+        return batch
+
+    def scan_annotated(
+        self, packets: Sequence[Packet], end_of_source: bool = False
+    ) -> AnnotatedScan:
         """Batched dispatch plus what a confirm stage needs to follow it.
 
         Returns ``(result, hits, evictions, admitted)``: the aggregate
@@ -329,8 +377,10 @@ class ScanService:
         it alone, in arrival order, would have returned) for every packet
         that matched — absent means none; ``(arrival_index, entry)`` for
         every flow LRU-evicted while the packet at ``arrival_index`` was
-        admitted; and the flow entries the batch was scanned under, which the
-        IDS hangs each flow's confirm record on.
+        admitted (or released); and the flow entries the batch was scanned
+        under, which the IDS hangs each flow's confirm record on.  With
+        ``reassemble`` on, indexes are into :meth:`sequence`'s batch, the
+        result's ``scanned``.
 
         The whole batch is one :meth:`scan_batch` call: one walk of the flow
         table, one backend crossing.  ``packets`` is a
@@ -340,23 +390,25 @@ class ScanService:
         generations.  ``hits`` comes back in arrival order, and the
         canonical event sort is stable, so that order decides its ties.
         """
-        batch = PacketBatch.from_packets(packets)
+        batch = self.sequence(packets, end_of_source)
         before = self.counters.bytes_scanned
         hits, evictions, admitted = self.scan_batch(batch)
         events = list(chain.from_iterable(hits.values()))
         events.sort(key=_EVENT_ORDER)
         result = StreamScanResult(
-            events, len(batch), self.counters.bytes_scanned - before
+            events, len(batch), self.counters.bytes_scanned - before,
+            scanned=None if self.reassembler is None else batch,
         )
         return result, hits, evictions, admitted
 
-    def scan(self, packets: Sequence[Packet]) -> StreamScanResult:
-        """Batched dispatch: scan ``packets`` statefully, aggregate.
+    def scan(self, packets: Sequence[Packet], end_of_source: bool = False) -> StreamScanResult:
+        """Batched dispatch: scan ``packets`` statefully (:meth:`sequence`),
+        aggregate.
 
         The annotation is dropped here, not retained: a result that kept the
         per-packet lists would keep every event list alive through the sinks.
         """
-        return self.scan_annotated(packets)[0]
+        return self.scan_annotated(packets, end_of_source)[0]
 
     def scan_fresh(self, packets: Sequence[Packet]) -> Dict[int, List[StreamMatch]]:
         """Scan every packet as a new flow of its own.
@@ -424,20 +476,24 @@ class ScanService:
     def stats(self) -> Dict[str, object]:
         """The engine's gauges as one plain dict.
 
-        Counters (``evicted_flows``, ``cross_segment_matches``) are
-        lifetime totals; ``active_flows`` is a live gauge.  The dict is
+        Counters (``evicted_flows``, ``released_flows`` — flows that left at
+        their FIN or RST — and ``cross_segment_matches``) are lifetime
+        totals; ``active_flows`` is a live gauge.  The dict is
         JSON-serialisable, so it can ride along in run artifacts
         (:meth:`repro.api.Session.stats` embeds it).
         """
         return {
             "active_flows": len(self.flows),
             "evicted_flows": self.flows.stats.evicted,
+            "released_flows": self.flows.stats.released,
             "cross_segment_matches": self.counters.cross_segment_matches,
         }
 
     def checkpoint(self) -> Dict:
-        """Serialise the flow table to plain data (:meth:`FlowTable.checkpoint`)."""
-        return self.flows.checkpoint()
+        """Serialise the flow table to plain data (:meth:`FlowTable.checkpoint`,
+        or :meth:`TcpReassembler.checkpoint` with its sequencers)."""
+        reassembler = self.reassembler
+        return self.flows.checkpoint() if reassembler is None else reassembler.checkpoint()
 
     def restore(self, data: Dict, on_evict: Optional[Callable[[FlowEntry], None]] = None) -> None:
         """Restore flow state saved by :meth:`checkpoint`.
@@ -452,9 +508,8 @@ class ScanService:
         whose state id is not one of the program's states is a
         ``ValueError`` naming the flow and ``ScanState.state``.
         """
-        flows = FlowTable.restore(
-            checkpoint_table(data), capacity=self.flows.capacity, on_evict=on_evict
-        )
+        table = checkpoint_table(data)
+        flows = FlowTable.restore(table, capacity=self.flows.capacity, on_evict=on_evict)
         limit = self.program.num_states
         for entry in flows.entries():
             for view, state in (("states", entry.state), ("lower_states", entry.lower_state)):
@@ -464,6 +519,9 @@ class ScanService:
                         f"below the program's {limit} states, got {state.state}"
                     )
         self.flows = flows
+        if self.reassembler is not None:
+            self.reassembler.flows = flows
+            self.reassembler.next_packet_id = int(table.get("next_packet_id", 0))
 
     # ------------------------------------------------------------------
     def close(self) -> None:

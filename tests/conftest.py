@@ -20,6 +20,7 @@ import itertools
 import json
 import random
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import isqrt
 from operator import attrgetter
@@ -54,7 +55,17 @@ from repro.fpga import CYCLONE_III, STRATIX_III
 from repro.ids.classifier import CANDIDATE_CACHE_LIMIT
 from repro.ids.confirm import OccurrenceFn, RuleEvaluator, _Step
 from repro.proto import HttpStream, TcpReassembler
-from repro.proto.reassembly import _FIN, _RST, _SEQ_MASK, _SYN, _FlowState, _seq_delta
+from repro.proto.reassembly import (
+    DEFAULT_MAX_FLOW_BYTES,
+    DEFAULT_MAX_FLOW_SEGMENTS,
+    OVERLAP_POLICIES,
+    ReassemblyStatistics,
+    _FIN,
+    _RST,
+    _SEQ_MASK,
+    _SYN,
+    _seq_delta,
+)
 from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ScanService
 from repro.streaming.flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
@@ -1493,6 +1504,190 @@ class ReferencePacket:
 
 
 # ----------------------------------------------------------------------
+# the reassembler's own flow table, as it stood before it moved onto FlowTable
+# ----------------------------------------------------------------------
+# Moved here verbatim when the reassembler's per-flow state began to ride on
+# the scan engine's ``FlowTable`` entries (``FlowEntry.sequencer``): the
+# reassembler kept a second LRU table of its own, an ``OrderedDict`` of
+# ``_FlowState`` keyed by the header, bounded by ``max_flows``, with its own
+# checkpoint of the whole table.  The Packet-path references below still run
+# on it.
+DEFAULT_REASSEMBLY_FLOWS = 1024
+
+
+class _FlowState:
+    """Per-flow reassembly state: delivery point plus the hole buffer.
+
+    ``next_off`` is the flow-absolute stream offset delivered so far and
+    ``seq_at_next`` the 32-bit sequence number of that position — keeping
+    both lets every comparison run on plain unbounded ints while arriving
+    segments are placed with wraparound-safe arithmetic.  ``holes`` is a
+    sorted list of non-overlapping ``[offset, bytes]`` pieces beyond the
+    delivery point; piece boundaries are preserved through delivery so an
+    in-order flow passes through with its segmentation intact.
+    """
+
+    __slots__ = (
+        "key",
+        "mode",
+        "next_off",
+        "seq_at_next",
+        "holes",
+        "buffered_bytes",
+        "fin_off",
+        "delivered",
+    )
+
+    def __init__(
+        self,
+        key: FlowKey,
+        mode: str,
+        seq_at_next: int = 0,
+        next_off: int = 0,
+        holes: Optional[List[List]] = None,
+        fin_off: Optional[int] = None,
+        delivered: bool = False,
+    ):
+        self.key = key
+        self.mode = mode  # "seq" or "arrival"
+        self.next_off = next_off
+        self.seq_at_next = seq_at_next
+        self.holes: List[List] = holes if holes is not None else []
+        self.buffered_bytes = sum(len(piece[1]) for piece in self.holes)
+        self.fin_off = fin_off
+        #: True once any byte has reached the scanner — the point after
+        #: which the anchor can no longer move backward
+        self.delivered = delivered
+
+    def as_dict(self) -> Dict:
+        return {
+            "key": list(self.key.as_tuple()),
+            "mode": self.mode,
+            "next_off": self.next_off,
+            "seq_at_next": self.seq_at_next,
+            "holes": [[offset, data.hex()] for offset, data in self.holes],
+            "fin_off": self.fin_off,
+            "delivered": self.delivered,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "_FlowState":
+        return cls(
+            key=FlowKey.from_checkpoint(data["key"]),
+            mode=str(data["mode"]),
+            seq_at_next=int(data["seq_at_next"]),
+            next_off=int(data["next_off"]),
+            holes=[
+                [int(offset), bytes.fromhex(payload)]
+                for offset, payload in data.get("holes", ())
+            ],
+            fin_off=None if data.get("fin_off") is None else int(data["fin_off"]),
+            delivered=bool(data.get("delivered", False)),
+        )
+
+
+class ParentTableReassembler:
+    """The reassembler's table half as it stood: construction, gauges and the
+    whole-table checkpoint; the hole buffer's ``_insert`` is the production one."""
+
+    def __init__(
+        self,
+        *,
+        overlap_policy: str = "first",
+        max_flows: int = DEFAULT_REASSEMBLY_FLOWS,
+        max_flow_bytes: int = DEFAULT_MAX_FLOW_BYTES,
+        max_flow_segments: int = DEFAULT_MAX_FLOW_SEGMENTS,
+        first_packet_id: int = 0,
+    ):
+        if overlap_policy not in OVERLAP_POLICIES:
+            raise ValueError(
+                f"overlap_policy must be one of {OVERLAP_POLICIES}, "
+                f"got {overlap_policy!r}"
+            )
+        if max_flows < 1:
+            raise ValueError(f"max_flows must be at least 1, got {max_flows}")
+        if max_flow_bytes < 1:
+            raise ValueError(
+                f"max_flow_bytes must be at least 1, got {max_flow_bytes}"
+            )
+        if max_flow_segments < 1:
+            raise ValueError(
+                f"max_flow_segments must be at least 1, got {max_flow_segments}"
+            )
+        self.overlap_policy = overlap_policy
+        self.max_flows = max_flows
+        self.max_flow_bytes = max_flow_bytes
+        self.max_flow_segments = max_flow_segments
+        self.stats = ReassemblyStatistics()
+        self._flows: "OrderedDict[FlowKey, _FlowState]" = OrderedDict()
+        self._next_id = first_packet_id
+
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._flows)
+
+    @property
+    def active_flows(self) -> int:
+        return len(self._flows)
+
+    @property
+    def buffered_bytes(self) -> int:
+        """Bytes currently waiting in hole buffers across all flows."""
+        return sum(state.buffered_bytes for state in self._flows.values())
+
+    _insert = TcpReassembler._insert
+
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> Dict:
+        """Serialise the reassembler (LRU order preserved) to plain data."""
+        return {
+            "overlap_policy": self.overlap_policy,
+            "max_flows": self.max_flows,
+            "max_flow_bytes": self.max_flow_bytes,
+            "max_flow_segments": self.max_flow_segments,
+            "next_packet_id": self._next_id,
+            "flows": [state.as_dict() for state in self._flows.values()],
+        }
+
+    @classmethod
+    def restore(
+        cls,
+        data: Dict,
+        *,
+        max_flows: Optional[int] = None,
+        overlap_policy: Optional[str] = None,
+        max_flow_bytes: Optional[int] = None,
+    ) -> "TcpReassembler":
+        """Rebuild a reassembler from :meth:`checkpoint` data.
+
+        Mirrors :meth:`repro.streaming.flow.FlowTable.restore`: ``max_flows``
+        (and ``overlap_policy``, ``max_flow_bytes``) override the
+        checkpointed values, and a checkpoint holding more flows than fit
+        drops the LRU head — counted in ``stats.restore_dropped``, buffered
+        bytes included — so a restore never silently raises the memory
+        bound.
+        """
+        reassembler = cls(
+            overlap_policy=(
+                str(data["overlap_policy"]) if overlap_policy is None else overlap_policy
+            ),
+            max_flows=int(data["max_flows"]) if max_flows is None else max_flows,
+            max_flow_bytes=(
+                int(data["max_flow_bytes"]) if max_flow_bytes is None else max_flow_bytes
+            ),
+            max_flow_segments=int(data["max_flow_segments"]),
+            first_packet_id=int(data.get("next_packet_id", 0)),
+        )
+        states = [_FlowState.from_dict(flow) for flow in data["flows"]]
+        overflow = max(0, len(states) - reassembler.max_flows)
+        reassembler.stats.restore_dropped = overflow
+        for state in states[overflow:]:
+            reassembler._flows[state.key] = state
+        return reassembler
+
+
+
+# ----------------------------------------------------------------------
 # the reassembler's Packet path, as it stood before the column loop
 # ----------------------------------------------------------------------
 # Moved here verbatim when ``TcpReassembler.process`` began to read a
@@ -1502,7 +1697,7 @@ class ReferencePacket:
 # it delivered.  ``PacketReassembler`` is that path whole — the hole buffer's
 # ``_insert`` is still the production one — and what the column loop is held
 # to, packet by packet and across a checkpoint.
-class PacketReassembler(TcpReassembler):
+class PacketReassembler(ParentTableReassembler):
     """:class:`TcpReassembler` with ``feed``'s Packet path: lists of
     :class:`Packet` in and out."""
 
@@ -2406,7 +2601,7 @@ def reference_scan_stateless(
 
 
 def reference_packets_run_events(self) -> List[MatchEvent]:
-    packets = self._reshaped(self._loaded_source.packets, end_of_source=True)
+    packets = self.service.sequence(self._loaded_source.packets, True)
     per_packet = reference_scan_stateless(self, [packet.payload for packet in packets])
     events = [
         MatchEvent(

@@ -281,18 +281,21 @@ def test_ids_session_checkpoint_resumes_to_the_same_alerts(reassemble, tmp_path)
         return [(alert.packet_id, alert.sid) for alert in session.scan(batch).alerts]
 
     def flushed(session):
-        return [(alert.packet_id, alert.sid) for alert in session.flush().alerts]
+        end = session.flush()  # None when every flow closed on its own
+        return [] if end is None else [(alert.packet_id, alert.sid) for alert in end.alerts]
 
     with Session.from_config(config) as whole:
         expected = served(whole, packets) + flushed(whole)
-    assert expected[-1][1] == 9000 and len(expected) > 6
+    # a mangled flow ends in a FIN: its negation is decided as it closes
+    assert (expected[-1][1] == 9000 or reassemble) and len(expected) > 6
+    assert [sid for _, sid in expected].count(9000) == 1
 
     cut = len(packets) // 2
     with Session.from_config(config) as first:
         early = served(first, packets[:cut])
         saved = json.loads(json.dumps(first.checkpoint()))
-    # the engine's own envelope, unless another stage's state rides along
-    assert sorted(saved) == (["ids", "reassembly"] if reassemble else ["confirm", "service"])
+    # the engine's own envelope: the reassembler's state rides in its table
+    assert sorted(saved) == ["confirm", "service"]
     with Session.from_config(config) as second:
         second.restore(saved)
         late = served(second, packets[cut:]) + flushed(second)

@@ -641,10 +641,42 @@ def view(packets):
     return [(p.payload, p.header, p.packet_id, p.tcp_seq) for p in packets]
 
 
-def assert_same_state(ours: TcpReassembler, reference: TcpReassembler):
-    assert vars(ours.stats) == vars(reference.stats)
+def incarnations(batches):
+    """The flow entries of a run of emitted batches, numbered by first
+    appearance: each row's, and each departure's before the row it
+    precedes (or after the last)."""
+    number, out, at = {}, [], 0
+    for batch in batches:
+        departures = list(batch.departures)
+        for index, entry in enumerate(batch.entry + [None]):
+            while departures and departures[0][0] == index:
+                gone = departures.pop(0)[1]
+                out.append(("left", at + index, number.setdefault(id(gone), len(number))))
+            if entry is not None:
+                out.append(("row", at + index, number.setdefault(id(entry), len(number))))
+        at += len(batch)
+    return out
+
+
+def sequencer_states(reassembler):
+    """Every sequenced flow's state, least recently used first, as the
+    reference's whole-table checkpoint writes its flows."""
+    if not isinstance(reassembler, TcpReassembler):
+        return reassembler.checkpoint()["flows"]
+    return [
+        {"key": list(entry.key.as_tuple()), **entry.sequencer.as_dict()}
+        for entry in reassembler.flows.entries()
+        if entry.sequencer is not None
+    ]
+
+
+def assert_same_state(ours: TcpReassembler, reference):
+    counters = vars(ours.stats).copy()
+    counters.pop("reset_bytes")  # the reference drops an RST's bytes uncounted
+    assert counters == {name: vars(reference.stats)[name] for name in counters}
     assert ours.buffered_bytes == reference.buffered_bytes
-    assert ours.checkpoint() == reference.checkpoint()
+    assert sequencer_states(ours) == sequencer_states(reference)
+    assert ours.next_packet_id == reference._next_id
 
 
 REASSEMBLER_SHAPES = [
@@ -656,14 +688,33 @@ REASSEMBLER_SHAPES = [
 ]
 
 
+def ours_for(shape):
+    """``TcpReassembler`` of a shape: ``max_flows`` sizes its one table."""
+    settings = dict(shape)
+    return TcpReassembler(flows=FlowTable(settings.pop("max_flows", 4096)), **settings)
+
+
+def restored_for(shape, data):
+    settings = {name: value for name, value in shape.items() if name != "max_flows"}
+    return TcpReassembler.restore(json.loads(json.dumps(data)), **settings)
+
+
+def wire_for(shape, wire):
+    """The reference's table holds TCP flows alone, the one table every
+    flow: where ``max_flows`` makes it evict, the UDP flows stay out."""
+    if "max_flows" not in shape:
+        return wire
+    return [packet for packet in wire if packet.header.protocol == "tcp"]
+
+
 class TestReassemblyAgainstReference:
     @pytest.mark.parametrize("shape", REASSEMBLER_SHAPES, ids=repr)
     @pytest.mark.parametrize("seed", range(12))
     def test_packet_by_packet(self, seed, shape):
         """One-packet batches: emitted packets, statistics and the whole
         checkpoint agree after every single arrival."""
-        ours, reference = TcpReassembler(**shape), ReferenceReassembler(**shape)
-        for packet in hostile_wire(seed):
+        ours, reference = ours_for(shape), ReferenceReassembler(**shape)
+        for packet in wire_for(shape, hostile_wire(seed)):
             assert view(ours.process([packet])) == view(reference.process([packet]))
             assert_same_state(ours, reference)
         assert view(ours.flush_all()) == view(reference.flush_all())
@@ -672,21 +723,21 @@ class TestReassemblyAgainstReference:
     @pytest.mark.parametrize("shape", REASSEMBLER_SHAPES, ids=repr)
     @pytest.mark.parametrize("seed", range(12, 20))
     def test_one_batch_and_across_a_checkpoint(self, seed, shape):
-        wire = hostile_wire(seed, flows=8)
+        wire = wire_for(shape, hostile_wire(seed, flows=8))
         reference = ReferenceReassembler(**shape)
         expected = view(reference.process(wire) + reference.flush_all())
 
-        whole = TcpReassembler(**shape)
+        whole = ours_for(shape)
         assert view(whole.process(wire) + whole.flush_all()) == expected
         assert_same_state(whole, reference)
 
         cut = len(wire) // 2
-        first = TcpReassembler(**shape)
+        first = ours_for(shape)
         head = first.process(wire[:cut])
-        restored = TcpReassembler.restore(json.loads(json.dumps(first.checkpoint())))
+        restored = restored_for(shape, first.checkpoint())
         tail = restored.process(wire[cut:]) + restored.flush_all()
         assert view(head + tail) == expected
-        assert restored.checkpoint() == reference.checkpoint()
+        assert sequencer_states(restored) == sequencer_states(reference)
 
     @pytest.mark.parametrize("policy", ["first", "last"])
     @pytest.mark.parametrize("segments", [128, 131])
@@ -737,8 +788,8 @@ class TestColumnReassembler:
         between some batches — rows, statistics and checkpoint agree after
         every batch."""
         rng = random.Random(seed)
-        wire = hostile_wire(seed, flows=10)
-        ours, reference = TcpReassembler(**shape), PacketReassembler(**shape)
+        wire = wire_for(shape, hostile_wire(seed, flows=10))
+        ours, reference = ours_for(shape), PacketReassembler(**shape)
         position = 0
         while position < len(wire):
             chunk = wire[position:position + rng.randint(1, 40)]
@@ -748,10 +799,37 @@ class TestColumnReassembler:
             )
             assert_same_state(ours, reference)
             if rng.random() < 0.3:  # both restart from their checkpoints
-                ours = TcpReassembler.restore(json.loads(json.dumps(ours.checkpoint())))
+                ours = restored_for(shape, ours.checkpoint())
                 reference = PacketReassembler.restore(reference.checkpoint())
         assert view(ours.flush_all()) == view(reference.flush_all())
         assert_same_state(ours, reference)
+
+    @pytest.mark.parametrize("capacity", [2, 3, 64])
+    @pytest.mark.parametrize("seed", range(20, 24))
+    def test_the_one_table_evicts_alike_in_any_batching(self, seed, capacity):
+        """Every flow — UDP too — holds a slot of the one table, and batches
+        of 1-40 rows evict, release and emit what one packet per batch does,
+        row by row under the same flow entries (a batch that does not fit is
+        walked a segment at a time; a flow seen again after its close starts
+        a new entry either way)."""
+        rng = random.Random(seed)
+        wire = hostile_wire(seed, flows=10)
+        single = TcpReassembler(flows=FlowTable(capacity))
+        singles = [single.process([packet]) for packet in wire]
+        ours, chunks, position = TcpReassembler(flows=FlowTable(capacity)), [], 0
+        while position < len(wire):
+            chunk = wire[position:position + rng.randint(1, 40)]
+            position += len(chunk)
+            chunks.append(ours.process(chunk))
+        assert [row for batch in chunks for row in view(batch)] == [
+            row for batch in singles for row in view(batch)
+        ]
+        assert incarnations(chunks) == incarnations(singles)
+        assert vars(ours.stats) == vars(single.stats)
+        assert vars(ours.flows.stats) == vars(single.flows.stats)
+        assert sequencer_states(ours) == sequencer_states(single)
+        assert ours.flows.stats.released  # not vacuous
+        assert bool(ours.flows.stats.evicted) == (capacity < 10)
 
     @pytest.mark.parametrize("policy", ["first", "last"])
     def test_a_decoded_capture_reassembles_like_its_packets(self, policy):
@@ -950,14 +1028,22 @@ STORED_CHECKPOINT = (
     '"722e2e2e2e"]],"fin_off":null,"delivered":true}]}}'
 )
 
-#: What this commit writes at that point: a flow carries its registers alone
-#: (the ``packets``, ``matched``, ``matched_lower`` and ``alerted`` keys of
-#: :data:`STORED_CHECKPOINT` are read past on restore).
+#: What this commit writes at that point: one table, whose flows carry their
+#: registers and their reassembly sequencer (the ``packets``, ``matched``,
+#: ``matched_lower`` and ``alerted`` keys of :data:`STORED_CHECKPOINT` are read
+#: past on restore, and its reassembly half is folded into the table: flow 3,
+#: which only the reassembler held, at the root state and the LRU head).
 WRITTEN_CHECKPOINT = (
-    '{"service":{"capacity":4096,"flows":[{"key":["10.0.0.1","10.0.1.1",4000,80,"tcp"],'
-    '"states":[[10,65,79,14]],"lower_states":null},{"key":["10.0.0.2","10.0.1.1",4001,80,'
-    '"tcp"],"states":[[0,32,114,14]],"lower_states":null}]},'
-    + STORED_CHECKPOINT[STORED_CHECKPOINT.index('"reassembly":'):]
+    '{"capacity":4096,"flows":[{"key":["10.0.0.3","10.0.1.1",4002,80,"tcp"],"states":'
+    '[[0,null,null,0]],"lower_states":null,"sequencer":{"mode":"seq","next_off":0,'
+    '"seq_at_next":4294967289,"holes":[[7,"41597878787878"],[21,"787369676e6174"],[35,'
+    '"494c5041594c4f"]],"fin_off":null,"delivered":false}},{"key":["10.0.0.1","10.0.1.1",'
+    '4000,80,"tcp"],"states":[[10,65,79,14]],"lower_states":null,"sequencer":{"mode":"seq",'
+    '"next_off":14,"seq_at_next":5,"holes":[[21,"636f6e642d7369"],[35,"2e2e2e2e"]],'
+    '"fin_off":null,"delivered":true}},{"key":["10.0.0.2","10.0.1.1",4001,80,"tcp"],'
+    '"states":[[0,32,114,14]],"lower_states":null,"sequencer":{"mode":"seq","next_off":14,'
+    '"seq_at_next":6,"holes":[[21,"652062656e6967"],[35,"722e2e2e2e"]],"fin_off":null,'
+    '"delivered":true}}],"next_packet_id":4}'
 )
 
 #: The same point as written while stream mode split its flows over two
@@ -1021,6 +1107,8 @@ def test_a_stored_checkpoint_restores_and_continues():
     for stored in (STORED_CHECKPOINT, WRITTEN_CHECKPOINT):
         with Session.from_config(config) as session:
             session.restore(json.loads(stored))
+            # the older two-part shape folds into the one table this commit writes
+            assert json.dumps(session.checkpoint(), separators=(",", ":")) == WRITTEN_CHECKPOINT
             events = session.scan(wire[cut:]).events
             assert session.flush() is None
         assert [
@@ -1034,11 +1122,10 @@ def test_a_stored_checkpoint_restores_and_continues():
 
 
 def test_a_restored_session_keeps_its_configured_reassembly_bounds():
-    """The checkpoint's reassembler bounds never override the session's:
-    ``reassembly_flows``, ``overlap_policy`` and ``reassembly_bytes`` stay
-    the configured ones, as the scan service keeps its ``flow_capacity``,
-    and the least recently used flow that does not fit is dropped and
-    counted."""
+    """The checkpoint's bounds never override the session's:
+    ``flow_capacity`` (which bounds the reassembled flows too),
+    ``overlap_policy`` and ``reassembly_bytes`` stay the configured ones, and
+    the least recently used flow that does not fit is dropped and counted."""
     config = {
         "mode": "stream",
         "rules": {"kind": "specs", "rules": [{"content": "EVILPAYLOAD", "sid": 1}]},
@@ -1049,18 +1136,19 @@ def test_a_restored_session_keeps_its_configured_reassembly_bounds():
     with Session.from_config(config) as session:
         session.scan(wire[: 2 * len(wire) // 3])
         saved = json.loads(json.dumps(session.checkpoint()))
-    flows = [tuple(flow["key"]) for flow in saved["reassembly"]["flows"]]
-    assert len(flows) == 3 and saved["reassembly"]["overlap_policy"] == "first"
+    flows = [tuple(flow["key"]) for flow in saved["flows"]]
+    assert len(flows) == 3 and all("sequencer" in flow for flow in saved["flows"])
 
-    bounded = {"reassembly_flows": 2, "overlap_policy": "last", "reassembly_bytes": 4096}
+    bounded = {"flow_capacity": 2, "overlap_policy": "last", "reassembly_bytes": 4096}
     with Session.from_config({**config, "engine": {**config["engine"], **bounded}}) as session:
         session.restore(saved)
         reassembler = session.reassembler
+        assert reassembler.flows is session.service.flows
         assert (
-            reassembler.max_flows, reassembler.overlap_policy, reassembler.max_flow_bytes
+            reassembler.flows.capacity, reassembler.overlap_policy, reassembler.max_flow_bytes
         ) == (2, "last", 4096)
-        assert reassembler.stats.restore_dropped == 1
-        assert [key.as_tuple() for key in reassembler._flows] == flows[1:]
+        assert reassembler.flows.stats.restore_dropped == 1
+        assert [entry.key.as_tuple() for entry in reassembler.flows.entries()] == flows[1:]
 
 
 # ----------------------------------------------------------------------

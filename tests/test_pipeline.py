@@ -109,8 +109,13 @@ def test_serve_raises_the_offline_runs_alerts(live_workload, backend, reassemble
     assert report.alerts == expected  # packet id, sid, msg, action — and order
     sids = [alert.sid for alert in expected]
     assert 9000 in sids and len(set(sids)) > 3, "the workload must exercise the rules"
-    # the negation is decided by the end-of-source flush, after every packet
-    assert pairs(expected)[-1][1] == 9000 and batches[-1][0][-1][1] == 9000
+    if reassemble:
+        # the mangled flows end in a FIN: the planted flow's negation is
+        # decided when it closes and leaves the table, at the same row live
+        assert sids.count(9000) == 1
+    else:
+        # the negation is decided by the end-of-source flush, after every packet
+        assert pairs(expected)[-1][1] == 9000 and batches[-1][0][-1][1] == 9000
     assert report.stop_reason == "source_exhausted" and report.batches == len(batches)
     # on_batch saw every alert next to the packets actually scanned
     assert [pair for alerts, _ in batches for pair in alerts] == pairs(expected)
@@ -200,9 +205,9 @@ def test_flow_capacity_reaches_the_ids_without_a_reset(monkeypatch):
     built = []
     original = ScanService.__init__
 
-    def spy(self, program, flow_capacity=DEFAULT_FLOW_CAPACITY, track_nocase=False):
+    def spy(self, program, flow_capacity=DEFAULT_FLOW_CAPACITY, track_nocase=False, **reassembly):
         built.append(flow_capacity)
-        original(self, program, flow_capacity, track_nocase)
+        original(self, program, flow_capacity, track_nocase, **reassembly)
 
     monkeypatch.setattr(ScanService, "__init__", spy)
     with Session.from_config(ids_config(flow_capacity=1)) as session:
@@ -505,9 +510,12 @@ def test_a_session_builds_one_service_and_compiles_one_prefilter(
         session.stats(), session.checkpoint()
         if mode == "ids":
             assert session.service is session.ids.service
-        saved = session.checkpoint()  # reassembly on: {engine, "reassembly"}
-        table = saved["ids"]["service"] if mode == "ids" else saved["service"]
-        assert table == session.service.flows.checkpoint()
+        saved = session.checkpoint()  # reassembly on: sequencers ride in the one table
+        table = saved["service"] if mode == "ids" else saved
+        assert table == {
+            **session.service.flows.checkpoint(),
+            "next_packet_id": session.reassembler.next_packet_id,
+        }
     assert len(services) == len(compiled) == 1
     # the registry is the one entry point, and a scan never builds the
     # device's blocks: only the cycle model (``session.hardware``) does
@@ -592,7 +600,9 @@ def test_service_stats_are_one_tables_gauges(mode):
         with Session.from_config(config) as session:
             session.run()
             stats[capacity] = session.stats()["service"]
-    assert sorted(stats[2]) == ["active_flows", "cross_segment_matches", "evicted_flows"]
+    assert sorted(stats[2]) == [
+        "active_flows", "cross_segment_matches", "evicted_flows", "released_flows",
+    ]
     assert (stats[2]["active_flows"], stats[2]["evicted_flows"]) == (2, 16)
     assert (stats[4096]["active_flows"], stats[4096]["evicted_flows"]) == (6, 0)
 
@@ -626,7 +636,7 @@ def test_stream_scan_retains_nothing_per_packet(small_ruleset):
 
 def test_scan_service_is_built_in_two_places_only():
     """``Session.service`` (stream and packets mode) and
-    ``IntrusionDetectionSystem.service`` are the only construction sites, and
+    ``IntrusionDetectionSystem.__init__`` are the only construction sites, and
     both pass every engine option; no retired name of the process pool, its
     payload ring, in-process shards, the stateless mode's private matchers or
     the per-segment scan loop comes back."""
@@ -677,7 +687,7 @@ def test_scan_service_is_built_in_two_places_only():
             assert not names & retired, f"{where} brings back {names & retired}"
     assert len(calls) == 2, calls  # none outside a method either
     assert sorted(site for site, _ in sites) == [
-        "IntrusionDetectionSystem.service", "Session.service",
+        "IntrusionDetectionSystem.__init__", "Session.service",
     ], sites
     for site, keywords in sites:
         assert {"flow_capacity", "track_nocase"} <= keywords, site
@@ -732,28 +742,34 @@ def held_containers(source: str) -> Dict[str, List[str]]:
 
 
 def test_no_per_flow_container_beside_the_flow_table():
-    """A flow's confirm record hangs off its flow-table entry, so neither
-    the confirm stage nor the IDS keeps anything per flow, and outside the
-    reassembler's own table (still separate) ``FlowTable.admit`` is the one
-    LRU walk: the table alone decides when a flow's state begins and ends."""
+    """A flow's confirm record and its reassembly sequencer hang off its
+    flow-table entry, so neither the confirm stage, the IDS nor the
+    reassembler keeps anything per flow, and ``FlowTable.admit`` is the one
+    LRU walk in the package: the table alone decides when a flow's state
+    begins and ends."""
     for module, owner in (("confirm", "ConfirmStage"), ("pipeline", "IntrusionDetectionSystem")):
         source = (SRC_ROOT / "ids" / f"{module}.py").read_text(encoding="utf-8")
         assert held_containers(source)[owner] == NOT_PER_FLOW[owner]
+    reassembly = (SRC_ROOT / "proto" / "reassembly.py").read_text(encoding="utf-8")
+    assert held_containers(reassembly)["TcpReassembler"] == []
     # the shape the guard is for: the stage's old flow table
     old = "class ConfirmStage:\n    def reset(self):\n        self._flows: Dict[FlowKey, R] = {}\n"
     assert held_containers(old) == {"ConfirmStage": ["_flows"]}
 
-    walkers = []
+    walkers, ordered = [], []
     for path in sorted(SRC_ROOT.rglob("*.py")):
-        if path == SRC_ROOT / "proto" / "reassembly.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        text = path.read_text(encoding="utf-8")
+        name = path.relative_to(SRC_ROOT).as_posix()
+        if "OrderedDict" in text:
+            ordered.append(name)
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.FunctionDef) and any(
                 isinstance(call, ast.Attribute) and call.attr in {"move_to_end", "popitem"}
                 for call in ast.walk(node)
             ):
-                walkers.append(f"{path.relative_to(SRC_ROOT).as_posix()}:{node.name}")
+                walkers.append(f"{name}:{node.name}")
     assert walkers == ["streaming/flow.py:admit"]
+    assert ordered == ["streaming/flow.py"]
 
 
 def test_importing_the_package_starts_no_process_machinery():

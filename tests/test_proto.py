@@ -37,6 +37,7 @@ from repro.proto import (
 from repro.proto.reassembly import _seq_delta
 from repro.rulesets.generator import generate_snort_like_ruleset
 from repro.rulesets.parser import STICKY_BUFFERS, RuleParseError, parse_rule
+from repro.streaming.flow import FlowTable
 from repro.traffic.generator import MANGLE_MODES, TrafficGenerator
 from repro.traffic.packet import FiveTuple, Packet
 
@@ -253,6 +254,7 @@ class TestFlagsAndLifecycle:
         assert r.process([seg(b"", 25, RST)]) == []
         assert r.active_flows == 0
         assert r.stats.reset_flows == 1
+        assert r.stats.reset_bytes == 6  # the parked bytes are counted, not lost
 
     def test_zero_seq_without_syn_falls_back_to_arrival_order(self):
         r = TcpReassembler()
@@ -287,7 +289,7 @@ class TestBoundedBuffers:
         assert r.stats.hole_flushes == 1
 
     def test_lru_eviction_flushes_the_oldest_flow(self):
-        r = TcpReassembler(max_flows=1)
+        r = TcpReassembler(flows=FlowTable(1))
         first = tcp_header(1111)
         second = tcp_header(2222)
         r.process([seg(b"", 10, SYN, first), seg(b"parked", 20, ACK, first)])
@@ -330,9 +332,9 @@ class TestCheckpointRestore:
         for port in (1111, 2222, 3333):
             r.process([seg(b"", 10, SYN, tcp_header(port)),
                        seg(b"hole", 20, ACK, tcp_header(port))])
-        restored = TcpReassembler.restore(r.checkpoint(), max_flows=2)
+        restored = TcpReassembler.restore(r.checkpoint(), capacity=2)
         assert restored.active_flows == 2
-        assert restored.stats.restore_dropped == 1
+        assert restored.flows.stats.restore_dropped == 1
 
     def test_restore_can_override_overlap_policy(self):
         r = TcpReassembler(overlap_policy="first")
@@ -343,7 +345,7 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError):
             TcpReassembler(overlap_policy="newest")
         with pytest.raises(ValueError):
-            TcpReassembler(max_flows=0)
+            TcpReassembler(flows=FlowTable(0))
         with pytest.raises(ValueError):
             TcpReassembler(max_flow_bytes=0)
 
@@ -520,13 +522,16 @@ class TestSessionIntegration:
         with Session(self._config(path, reassemble=True)) as session:
             session.scan(flow.packets[:2])
             data = json.loads(json.dumps(session.checkpoint()))
-            assert set(data) == {"service", "reassembly"}
+            # one table: the sequencer rides in the flow's record
+            assert set(data) == {"capacity", "flows", "next_packet_id"}
+            assert [set(record) >= {"states", "sequencer"} for record in data["flows"]] == [True]
         with Session(self._config(path, reassemble=True)) as session:
             session.restore(data)
             assert session.reassembler.active_flows <= 1
-        # plain sessions keep the bare envelope
+            assert json.loads(json.dumps(session.checkpoint())) == data
+        # plain sessions keep the bare table
         with Session(self._config(path)) as session:
-            assert "reassembly" not in session.checkpoint()
+            assert "next_packet_id" not in session.checkpoint()
 
     def test_overlap_policy_decides_detection(self, tmp_path):
         from repro.api import (
@@ -864,3 +869,188 @@ class TestStickyEvaluation:
 
         assert alerts(True) == [20]
         assert alerts(False) == []
+
+
+# ----------------------------------------------------------------------
+# one flow table: sequencers ride on the scan engine's entries
+# ----------------------------------------------------------------------
+def motivation_wire(ending: int):
+    """A sends, B starts ``EVIL``, A ends (FIN with data, or a bare RST),
+    C arrives, B finishes ``PAYLOAD`` — five segments, three flows."""
+    a, b, c = tcp_header(1), tcp_header(2), tcp_header(3)
+    last_of_a = seg(b"aaaa", 104, ACK | FIN, a) if ending == FIN else seg(b"", 104, RST, a)
+    return [
+        seg(b"aaaa", 100, ACK, a),
+        seg(b"xxEVIL", 200, ACK, b),
+        last_of_a,
+        seg(b"cccc", 300, ACK, c),
+        seg(b"PAYLOAD", 206, ACK, b),
+    ]
+
+
+def two_slot_session():
+    from repro.api import Session
+
+    return Session.from_config({
+        "mode": "stream",
+        "rules": {"kind": "specs", "rules": [{"content": "EVILPAYLOAD", "sid": 1}]},
+        "engine": {"backend": "dense", "reassemble": True, "flow_capacity": 2},
+        "source": {"kind": "packets", "packets": []},
+    })
+
+
+class TestOneFlowTable:
+    @pytest.mark.parametrize("ending", [FIN, RST], ids=["fin", "rst"])
+    @pytest.mark.parametrize("batched", [True, False], ids=["one-batch", "per-packet"])
+    def test_a_closed_flow_frees_its_slot_for_the_next_arrival(self, batched, ending):
+        """Two slots, three flows: A's close frees its slot, so C takes it and
+        B keeps its registers across ``EVIL|PAYLOAD`` — in one batch or one
+        packet per batch (the slot is free for the very next arrival)."""
+        wire = renumbered(motivation_wire(ending))
+        with two_slot_session() as session:
+            batches = [wire] if batched else [[packet] for packet in wire]
+            events = [event for batch in batches for event in session.scan(batch).events]
+            assert session.flush() is None
+            service = session.stats()["service"]
+        assert [(e.flow, e.end_offset) for e in events] == [(tcp_header(2), 13)]
+        assert (service["released_flows"], service["evicted_flows"]) == (1, 0)
+
+    def test_a_mangled_capture_leaves_an_empty_table(self):
+        """Every flow of a SYN+FIN mangled capture closes, so every flow
+        leaves the table (counted as released, none evicted)."""
+        from repro.api import EngineSpec, PipelineConfig, RulesSpec, Session, SourceSpec
+
+        gen = TrafficGenerator(generate_snort_like_ruleset(40, seed=5), seed=6)
+        flows = gen.flows(12, num_packets=4, split_patterns=1, segment_bytes=60)
+        wire = TrafficGenerator.interleave(
+            [gen.mangle(flow, mode=MANGLE_MODES[i % len(MANGLE_MODES)]) for i, flow in enumerate(flows)]
+        )
+        config = PipelineConfig(
+            mode="stream",
+            source=SourceSpec(kind="packets", packets=tuple(renumbered(wire))),
+            rules=RulesSpec(kind="synthetic", size=40, seed=5),
+            engine=EngineSpec(backend="dense", reassemble=True),
+        )
+        with Session.from_config(config) as session:
+            session.run()
+            assert len(session.service.flows) == 0
+            stats = session.stats()["service"]
+        assert (stats["released_flows"], stats["evicted_flows"]) == (12, 0)
+
+    def test_a_flow_that_closes_and_reopens_in_one_batch_starts_a_new_entry(self):
+        """A flow leaves the table at its close, wherever the batch ends: a
+        later segment of it starts a new entry in one batch as in two."""
+        closing = [seg(b"", 10, SYN), seg(b"bye", 11, ACK | FIN)]
+        again = [seg(b"", 500, SYN), seg(b"hi", 501)]
+        r = TcpReassembler()
+        out = r.process(closing + again)
+        assert stream_of(out) == b"byehi"
+        assert out.entry[0] is not out.entry[1]
+        assert out.departures == [(1, out.entry[0])]
+        one_batch = (r.active_flows, r.flows.stats.created, r.flows.stats.released)
+        r = TcpReassembler()
+        r.process(closing)
+        assert r.active_flows == 0 and r.flows.stats.released == 1
+        assert stream_of(r.process(again)) == b"hi"
+        assert (r.active_flows, r.flows.stats.created, r.flows.stats.released) == one_batch == (1, 2, 1)
+
+    @pytest.mark.parametrize("mode", ["stream", "ids"])
+    def test_a_retransmit_after_the_close_gives_the_same_verdicts_however_batched(self, mode):
+        """B's final data+FIN segment comes again after B closed: the copy
+        starts B afresh, so it is scanned (and alerted) as a new flow — the
+        same in one batch, one packet per batch or any cut between."""
+        from repro.api import Session
+
+        a, b = tcp_header(1), tcp_header(2)
+        wire = renumbered([
+            seg(b"xxEVIL", 200, ACK, b),
+            seg(b"PAYLOAD", 206, ACK | FIN, b),
+            seg(b"aaaa", 100, ACK, a),
+            seg(b"PAYLOAD", 206, ACK | FIN, b),
+        ])
+        rules = [{"content": "EVILPAYLOAD", "sid": 1}, {"content": "PAYLOAD", "sid": 2}]
+
+        def verdicts(size):
+            with Session.from_config({
+                "mode": mode,
+                "rules": {"kind": "specs", "rules": rules},
+                "engine": {"backend": "dense", "reassemble": True},
+                "source": {"kind": "packets", "packets": []},
+            }) as session:
+                events, alerts = [], []
+                for at in range(0, len(wire), size):
+                    result = session.scan(wire[at:at + size])
+                    events += [(e.flow.src_port, e.end_offset, e.string_number) for e in result.events]
+                    alerts += [(alert.packet_id, alert.sid) for alert in result.alerts]
+                end = session.flush()
+                if end is not None:
+                    alerts += [(alert.packet_id, alert.sid) for alert in end.alerts]
+                return events, alerts, session.stats()["service"]["released_flows"]
+
+        expected = verdicts(1)
+        if mode == "stream":
+            assert expected[0] == [(2, 13, 0), (2, 13, 1), (2, 7, 1)]
+        else:
+            assert expected[1] == [(1, 1), (1, 2), (3, 2)]
+        assert expected[2] == 2
+        for size in (2, 3, len(wire)):
+            assert verdicts(size) == expected
+
+    @pytest.mark.parametrize("mode", ["stream", "ids"])
+    def test_a_dropped_session_frees_its_engine_without_the_collector(self, mode):
+        """The reassembler holds the service's table, not the service: a
+        session dropped after a reassembled scan frees its engine (and the
+        compiled program in it) at once, not at a later collection."""
+        import gc
+        import weakref
+
+        from repro.api import Session
+
+        session = Session.from_config({
+            "mode": mode,
+            "rules": {"kind": "specs", "rules": [{"content": "EVILPAYLOAD", "sid": 1}]},
+            "engine": {"backend": "dense", "reassemble": True},
+            "source": {"kind": "packets", "packets": []},
+        })
+        session.scan(renumbered(motivation_wire(FIN)))
+        session.flush()
+        engine, program = weakref.ref(session.service), weakref.ref(session.service.program)
+        gc.collect()
+        gc.disable()
+        try:
+            session.close()
+            del session
+            assert engine() is None and program() is None
+        finally:
+            gc.enable()
+
+    def test_reset_bytes_count_what_an_rst_discards(self):
+        r = TcpReassembler()
+        r.process([seg(b"", 10, SYN), seg(b"parked", 20), seg(b"more", 40)])
+        assert r.buffered_bytes == 10
+        r.process([seg(b"", 50, RST)])
+        assert (r.stats.reset_flows, r.stats.reset_bytes, r.buffered_bytes) == (1, 10, 0)
+
+    def test_released_flows_reach_the_cli_summary(self, tmp_path, capsys):
+        from repro.cli import main
+
+        gen = TrafficGenerator(generate_snort_like_ruleset(40, seed=5), seed=6)
+        flows = gen.flows(3, num_packets=3, split_patterns=1, segment_bytes=60)
+        path = tmp_path / "fin.pcap"
+        TrafficGenerator.export_pcap(
+            str(path), renumbered(TrafficGenerator.interleave([gen.mangle(f) for f in flows]))
+        )
+        assert main(["scan-pcap", str(path), "--size", "40", "--seed", "5", "--reassemble"]) == 0
+        out = capsys.readouterr().out
+        assert "evicted flows             : 0" in out
+        assert "released flows            : 3" in out
+
+    def test_reassembly_flows_only_names_the_flow_capacity(self):
+        from repro.api import ConfigError, EngineSpec
+
+        same = EngineSpec.from_dict({"reassemble": True, "reassembly_flows": 4096})
+        assert same == EngineSpec(reassemble=True)
+        assert EngineSpec.from_dict({"flow_capacity": 8, "reassembly_flows": 8}).flow_capacity == 8
+        with pytest.raises(ConfigError, match="reassembly_flows"):
+            EngineSpec.from_dict({"flow_capacity": 8, "reassembly_flows": 1024})
+        assert "reassembly_flows" not in EngineSpec(flow_capacity=8).to_dict()

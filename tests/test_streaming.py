@@ -199,7 +199,7 @@ class TestFlowTable:
         assert walkers == {"admit"}
         assert not {"lookup", "touch", "get_or_create", "insert"} & set(vars(FlowTable))
         assert list(inspect.signature(FlowTable).parameters) == ["capacity"]
-        assert FlowEntry.__slots__ == ("key", "state", "lower_state", "record")
+        assert FlowEntry.__slots__ == ("key", "state", "lower_state", "record", "sequencer")
 
     def test_evicted_flow_restarts_fresh(self, crafted_program, crafted_ruleset):
         scanner = StreamScanner(crafted_program, flow_capacity=1)
@@ -411,9 +411,10 @@ def test_the_header_is_the_one_flow_identity():
 # ----------------------------------------------------------------------
 class TestFlowTableAccounting:
     def test_counters_are_the_ones_something_reads(self):
-        """Creations, evictions and restore drops; lookups are not counted."""
+        """Creations, evictions, releases and restore drops; lookups are not
+        counted."""
         assert [f.name for f in dataclasses.fields(FlowTableStatistics)] == [
-            "created", "evicted", "restore_dropped",
+            "created", "evicted", "released", "restore_dropped",
         ]
 
     def test_insert_overwrite_does_not_count_as_created(self):
@@ -590,7 +591,8 @@ class TestScanService:
         service.scan([Packet(payload=b"y", header=make_header(3), packet_id=3)])
         assert flow_keys(service.flows) == [make_key(1), make_key(3)]
         assert service.stats() == {
-            "active_flows": 2, "evicted_flows": 1, "cross_segment_matches": 0,
+            "active_flows": 2, "evicted_flows": 1, "released_flows": 0,
+            "cross_segment_matches": 0,
         }
 
     def test_checkpoint_restore_resumes_mid_flow(self, crafted_program, crafted_ruleset):
@@ -674,7 +676,8 @@ class TestScanService:
         result = service.scan([])
         assert (result.events, result.packets, result.bytes_scanned) == ([], 0, 0)
         assert service.stats() == {
-            "active_flows": 0, "evicted_flows": 0, "cross_segment_matches": 0,
+            "active_flows": 0, "evicted_flows": 0, "released_flows": 0,
+            "cross_segment_matches": 0,
         }
 
 
