@@ -47,7 +47,7 @@ from ..rulesets import parser as rules_parser
 from ..rulesets.generator import generate_snort_like_ruleset
 from ..streaming.ingest import IngestReport, LiveIngestor
 from ..streaming.service import ScanService, StreamScanResult, checkpoint_table
-from ..traffic.packet import Packet
+from ..traffic.packet import Packet, PacketBatch
 from .config import (
     EmptyRulesetError,
     PipelineConfig,
@@ -388,7 +388,11 @@ class Session:
         pending end-of-flow verdicts)."""
         engine = getattr(self, self._engine_name)
         if self._fresh:
-            packets = engine.sequence(packets, end_of_source)
+            # every packet is a flow of its own: only the reassembler admits
+            packets = (
+                PacketBatch.from_packets(packets) if engine.reassembler is None
+                else engine.sequence(packets, end_of_source)
+            )
             hits = engine.scan_fresh(packets)
             result = StreamScanResult(
                 list(chain.from_iterable(hits.values())), len(packets),

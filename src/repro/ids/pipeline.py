@@ -39,7 +39,7 @@ from ..rulesets.parser import (
     SnortRuleSpec,
 )
 from ..rulesets.ruleset import RuleSet
-from ..streaming.flow import DEFAULT_FLOW_CAPACITY, Admitted, Eviction, FlowEntry, FlowKey
+from ..streaming.flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, SequencedBatch
 from ..streaming.service import ScanService, StreamScanResult, checkpoint_table
 from ..traffic.packet import Packet, PacketBatch
 from .classifier import HeaderClassifier, HeaderPattern
@@ -341,22 +341,18 @@ class IntrusionDetectionSystem:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def _correlate(
-        self,
-        batch: PacketBatch,
-        admitted: Admitted,
-        hits: Dict[int, Sequence],
-        evictions: Sequence[Eviction],
-    ) -> List[Alert]:
+    def _correlate(self, batch: SequencedBatch, hits: Dict[int, Sequence]) -> List[Alert]:
         """Fold scanned events into confirm-stage verdicts, row by row.
 
-        Fed from the service's annotated scan of ``batch``, whose columns it
-        reads.  A flow's confirm record lives on its flow-table entry from
-        the flow's first packet; a flow that left the table before row
-        ``index`` — evicted, or released after its FIN or RST — has its
-        record finalized (pending negation verdicts) before that row is
-        correlated (one that left after the last row, after it), and a
-        returning flow restarts from scratch, as the scanner restarted it.
+        Fed from the service's scan of ``batch``, whose columns it reads: a
+        row's flow entry is ``batch.entry``, and the flows that left the
+        table are ``batch.departures``.  A flow's confirm record lives on its
+        flow-table entry from the flow's first packet; a flow that left the
+        table before row ``index`` — evicted, or released after its FIN or
+        RST — has its record finalized (pending negation verdicts) before
+        that row is correlated (one that left after the last row, after
+        it), and a returning flow restarts from scratch, as the scanner
+        restarted it.
         """
         alerts: List[Alert] = []
         confirm = self._confirm
@@ -365,10 +361,7 @@ class IntrusionDetectionSystem:
         lengths = batch.length
         stats.packets_processed += len(lengths)
         stats.payload_bytes += sum(lengths)
-        entries: List[Optional[FlowEntry]] = [None] * len(lengths)
-        for entry, indexes in admitted:
-            for index in indexes:
-                entries[index] = entry
+        entries, evictions = batch.entry, batch.departures
         buffers, starts, packet_ids = batch.buffer, batch.start, batch.packet_id
         headers, flows = batch.flows, batch.flow
         next_eviction = 0
@@ -430,20 +423,20 @@ class IntrusionDetectionSystem:
         state is evicted under memory pressure.  Evicted flows restart from
         scratch.
 
-        The payloads are scanned by :attr:`service` (reassembled first when
-        it reassembles), and the confirm stage is fed from its annotated
-        scan: the matched packets' events (flow-absolute offsets), and the
-        entries each flow's confirm record hangs off — finalized exactly
-        where the table evicts or releases them.  At the ``end_of_source``
-        the reassembler's buffered pieces ride along; ``on_scanned`` is
-        handed the batch that was scanned.
+        The payloads are sequenced by :attr:`service` (reassembled first
+        when it reassembles) and scanned in one :meth:`ScanService.scan_batch`,
+        and the confirm stage is fed from both: the matched packets' events
+        (flow-absolute offsets), and the entries each flow's confirm record
+        hangs off — finalized exactly where the table evicts or releases
+        them.  At the ``end_of_source`` the reassembler's buffered pieces
+        ride along; ``on_scanned`` is handed the batch that was scanned.
         """
-        result, hits, evictions, admitted = self.service.scan_annotated(packets, end_of_source)
-        batch = PacketBatch.from_packets(packets if result.scanned is None else result.scanned)
+        batch = self.service.sequence(packets, end_of_source)
+        hits = self.service.scan_batch(batch)
         if on_scanned is not None:
             on_scanned(batch)
         alerts, self._dropped = self._dropped, []
-        return alerts + self._correlate(batch, admitted, hits, evictions)
+        return alerts + self._correlate(batch, hits)
 
     def _live_flows(self) -> List[FlowEntry]:
         """The live flows that carry a confirm record, in first-seen order."""

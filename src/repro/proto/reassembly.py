@@ -59,10 +59,10 @@ A checkpoint is the table's, sequencers inside the flow records
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend import ScanState
-from ..streaming.flow import FlowEntry, FlowKey, FlowTable, SequencedBatch, table_flows
+from ..streaming.flow import FlowEntry, FlowKey, FlowTable, SequencedBatch
 from ..traffic.packet import Packet, PacketBatch
 
 #: Default per-flow hole-buffer byte cap.
@@ -88,6 +88,11 @@ def _seq_delta(seq: int, reference: int) -> int:
 
 def _root_entry(key: FlowKey) -> FlowEntry:
     return FlowEntry(key, _ROOT)
+
+
+def _empty(flows: List[Optional[FlowKey]]) -> SequencedBatch:
+    """A batch for one reassembler call to append its rows to."""
+    return SequencedBatch([], [], [], flows, [], [], [], range(0), entry=[], departures=[])
 
 
 @dataclass
@@ -171,66 +176,49 @@ class Sequencer:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Sequencer":
-        """Rebuild from :meth:`as_dict` output (an older ``key`` is ignored)."""
-        return cls(
-            mode=str(data["mode"]),
-            seq_at_next=int(data["seq_at_next"]),
-            next_off=int(data["next_off"]),
-            holes=[
-                [int(offset), bytes.fromhex(payload)]
-                for offset, payload in data.get("holes", ())
-            ],
-            fin_off=None if data.get("fin_off") is None else int(data["fin_off"]),
-            delivered=bool(data.get("delivered", False)),
-        )
+        """Rebuild from :meth:`as_dict` output (an older ``key`` is ignored).
+
+        A state the reassembler could not resume from is a ``ValueError``: a
+        ``mode`` other than ``"seq"`` or ``"arrival"``, a ``seq_at_next``
+        that is not a 32-bit sequence number, or holes that are not sorted
+        and disjoint (delivered out of order, or the same bytes twice).
+        Offsets are relative to the anchor and may be negative (a stream
+        start moved back before a SYN's anchor), and a hole may start at or
+        behind ``next_off`` (a seq-less segment inside a seq flow is
+        delivered at the delivery point and can pass a buffered piece):
+        the reassembler writes both."""
+        try:
+            state = cls(
+                mode=str(data["mode"]),
+                seq_at_next=int(data["seq_at_next"]),
+                next_off=int(data["next_off"]),
+                holes=[
+                    [int(offset), bytes.fromhex(payload)]
+                    for offset, payload in data.get("holes", ())
+                ],
+                fin_off=None if data.get("fin_off") is None else int(data["fin_off"]),
+                delivered=bool(data.get("delivered", False)),
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"unreadable sequencer: {error!r}") from None
+        if state.mode not in ("seq", "arrival"):
+            raise ValueError(f"mode {state.mode!r} is not 'seq' or 'arrival'")
+        if not 0 <= state.seq_at_next <= _SEQ_MASK:
+            raise ValueError(f"seq_at_next {state.seq_at_next} is not a 32-bit value")
+        end = None
+        for offset, piece in state.holes:
+            if end is not None and offset < end:
+                raise ValueError(
+                    f"hole at {offset} starts before the one ahead of it ends "
+                    f"({end}): holes are sorted and disjoint"
+                )
+            end = offset + len(piece)
+        return state
 
 
-class _Rows:
-    """What one reassembler call emits, as the columns of its batch: each
-    row a source row's bytes (its buffer, start and length) or a hole
-    piece's, with the flow's number in ``flows``, the sequence number and
-    the flow entry; ``departures`` holds ``(rows emitted by then, entry)``
-    for each flow that left the table (evicted, or closed), and ``closed``
-    the closed entries still to be released from it."""
-
-    __slots__ = (
-        "buffer", "start", "length", "flow", "seq", "entry", "flows", "closed",
-        "departures", "_index",
-    )
-
-    def __init__(self, flows: Sequence[Optional[FlowKey]]):
-        self.buffer: List = []
-        self.start: List[int] = []
-        self.length: List[int] = []
-        self.flow: List[int] = []
-        self.seq: List[Optional[int]] = []
-        self.entry: List[FlowEntry] = []
-        self.flows = list(flows)
-        self.closed: Set[FlowEntry] = set()
-        self.departures: List[Tuple[int, FlowEntry]] = []
-        self._index: Optional[Dict[Optional[FlowKey], int]] = None
-
-    def add(
-        self, buffer, start: int, length: int, flow: int, seq: Optional[int],
-        entry: FlowEntry,
-    ) -> None:
-        self.buffer.append(buffer)
-        self.start.append(start)
-        self.length.append(length)
-        self.flow.append(flow)
-        self.seq.append(seq)
-        self.entry.append(entry)
-
-    def number(self, key: FlowKey) -> int:
-        """``key``'s number in :attr:`flows`, added when it is not there."""
-        index = self._index
-        if index is None:
-            index = self._index = {flow: number for number, flow in enumerate(self.flows)}
-        number = index.get(key)
-        if number is None:
-            number = index[key] = len(self.flows)
-            self.flows.append(key)
-        return number
+#: The sequencer of a flow that closed in the current span: the table
+#: releases the flow at the span's end, unless a later segment reopens it.
+_CLOSED = Sequencer("closed")
 
 
 class TcpReassembler:
@@ -321,21 +309,18 @@ class TcpReassembler:
         payload is sliced; only hole pieces hold bytes.
         """
         batch = PacketBatch.from_packets(packets)
-        rows = _Rows(batch.flows)
-        keys, renumber = table_flows(batch.flows)
-        column = batch.flow if renumber is None else [renumber[f] for f in batch.flow]
+        out = _empty(list(batch.flows))
         through = [key is None or key.protocol.lower() != "tcp" for key in batch.flows]
 
         def visit(span: range, entries: List[FlowEntry], evicted: List[FlowEntry]) -> None:
+            mark = len(out.departures)
             for entry in evicted:
-                self._evicted(entry, rows)
-            if renumber is not None:
-                entries = [entries[number] for number in renumber]
-            self._walk(batch, span, entries, through, rows)
-            self._release(rows)
+                self._evicted(entry, out)
+            self._walk(batch, span, entries, through, out)
+            self._release(out.departures[mark:])
 
-        self.flows.admit(keys, self._new_entry, column, visit)
-        return self._finish(rows)
+        self.flows.admit(batch, self._new_entry, visit)
+        return self._finish(out)
 
     def _walk(
         self,
@@ -343,16 +328,17 @@ class TcpReassembler:
         span: range,
         entries: Sequence[FlowEntry],
         through: Sequence[bool],
-        rows: "_Rows",
+        out: SequencedBatch,
     ) -> None:
-        """Sequence rows ``span`` of ``batch``; ``entries[f]`` is flow ``f``'s
-        entry and ``through[f]`` is true for a flow that is not TCP."""
+        """Sequence rows ``span`` of ``batch`` onto ``out``; ``entries[f]`` is
+        flow ``f``'s entry and ``through[f]`` is true for a flow that is not
+        TCP."""
         stats = self.stats
         buffers, starts, lengths = batch.buffer, batch.start, batch.length
         flows, seqs, all_flags = batch.flow, batch.seq, batch.flags
-        out_buffer, out_start = rows.buffer.append, rows.start.append
-        out_length, out_flow, out_seq = rows.length.append, rows.flow.append, rows.seq.append
-        out_entry = rows.entry.append
+        out_buffer, out_start = out.buffer.append, out.start.append
+        out_length, out_flow, out_seq = out.length.append, out.flow.append, out.seq.append
+        out_entry = out.entry.append
         mask, syn_rst, fin = _SEQ_MASK, _SYN | _RST, _FIN
         stats.segments_in += len(span)
         passthrough = overlap = retransmits = keepalives = 0
@@ -364,9 +350,9 @@ class TcpReassembler:
             state = None
             if not through[f]:
                 state = entry.sequencer
-                if state is None:
-                    if entry in rows.closed:  # closed earlier in this batch
-                        rows.closed.discard(entry)
+                if state is None or state is _CLOSED:
+                    if state is _CLOSED:  # closed earlier in this span
+                        entry.sequencer = None
                         entry = entries[f] = self.flows.reopen(entry, self._new_entry)
                     state = entry.sequencer = self._create(seq, all_flags[row])
             if state is None or state.mode == "arrival":
@@ -406,9 +392,9 @@ class TcpReassembler:
                             if flags & fin:
                                 state.fin_off = end
                             if holes and holes[0][0] <= end:
-                                self._drain(entry, rows, f)
+                                self._drain(entry, out, f)
                             if state.fin_off is not None:
-                                self._maybe_close(entry, rows)
+                                self._maybe_close(entry, out)
                             continue
                 elif not flags & fin:
                     keepalives += 1
@@ -418,7 +404,7 @@ class TcpReassembler:
                 if state.next_off == 0 and not state.holes:
                     state.seq_at_next = (seq + 1) & mask
                 continue
-            self._segment(entry, f, flags, seq, length, batch, row, rows)
+            self._segment(entry, f, flags, seq, length, batch, row, out)
         stats.passthrough += passthrough
         stats.overlap_bytes += overlap
         stats.retransmits += retransmits
@@ -433,20 +419,20 @@ class TcpReassembler:
         length: int,
         batch: PacketBatch,
         row: int,
-        rows: "_Rows",
+        out: SequencedBatch,
     ) -> None:
         """One segment off the in-order path."""
         state = entry.sequencer
         if flags & _RST:
             self.stats.reset_flows += 1
             self.stats.reset_bytes += state.buffered_bytes
-            self._close(entry, rows)
+            self._close(entry, out)
             return
         if seq is None:
             # a seq-less segment inside a seq flow: deliver at the current
             # point rather than guess (keeps mixed captures flowing)
             if length:
-                self._emit_row(entry, rows, batch, row, 0, length, f)
+                self._emit(entry, out, f, batch.buffer[row], batch.start[row], length)
             return
         if flags & _SYN:
             if state.next_off == 0 and not state.holes:
@@ -460,7 +446,7 @@ class TcpReassembler:
             if flags & _FIN:
                 rel = _seq_delta(seq, state.seq_at_next)
                 state.fin_off = state.next_off + rel
-                self._maybe_close(entry, rows)
+                self._maybe_close(entry, out)
             else:
                 self.stats.keepalives += 1
             return
@@ -488,12 +474,12 @@ class TcpReassembler:
             # on the delivery point and clear of the first buffered piece: no
             # byte overlaps, so either policy delivers the segment as it is —
             # then whatever it made contiguous
-            self._emit_row(entry, rows, batch, row, trim, length - trim, f)
+            self._emit(entry, out, f, batch.buffer[row], batch.start[row] + trim, length - trim)
             if flags & _FIN:
                 state.fin_off = end
             if holes:
-                self._drain(entry, rows, f)
-            self._maybe_close(entry, rows)
+                self._drain(entry, out, f)
+            self._maybe_close(entry, out)
             return
 
         start = batch.start[row] + trim
@@ -504,60 +490,59 @@ class TcpReassembler:
         if offset > state.next_off:
             self.stats.reordered += 1
         if state.holes[0][0] <= state.next_off:
-            self._drain(entry, rows, f)
+            self._drain(entry, out, f)
         if (
             state.buffered_bytes > self.max_flow_bytes
             or len(state.holes) > self.max_flow_segments
         ):
             self.stats.hole_flushes += 1
-            self._flush_state(entry, rows, f)
-        self._maybe_close(entry, rows)
+            self._flush_state(entry, out, f)
+        self._maybe_close(entry, out)
 
-    def _emit_row(
-        self, entry: FlowEntry, rows: "_Rows", batch: PacketBatch, row: int,
-        trim: int, length: int, f: int,
+    @staticmethod
+    def _emit(
+        entry: FlowEntry, out: SequencedBatch, f: int, buffer, start: int, length: int
     ) -> None:
-        """Deliver ``length`` bytes of source ``row``, ``trim`` bytes in."""
+        """Deliver ``length`` bytes of ``buffer`` from ``start`` as flow ``f``'s
+        next row: a source row's bytes, trimmed, or a hole piece's."""
         state = entry.sequencer
-        rows.add(
-            batch.buffer[row], batch.start[row] + trim, length, f, state.seq_at_next, entry
-        )
+        out.buffer.append(buffer)
+        out.start.append(start)
+        out.length.append(length)
+        out.flow.append(f)
+        out.seq.append(state.seq_at_next)
+        out.entry.append(entry)
         state.next_off += length
         state.seq_at_next = (state.seq_at_next + length) & _SEQ_MASK
         state.delivered = True
 
-    def _emit_piece(self, entry: FlowEntry, rows: "_Rows", f: int, data: bytes) -> None:
-        state = entry.sequencer
-        rows.add(data, 0, len(data), f, state.seq_at_next, entry)
-        state.next_off += len(data)
-        state.seq_at_next = (state.seq_at_next + len(data)) & _SEQ_MASK
-        state.delivered = True
-
-    def _finish(self, rows: "_Rows") -> SequencedBatch:
-        """The emitted rows as a batch, with sequential emission-order ids."""
-        count = len(rows.length)
-        ids = range(self.next_packet_id, self.next_packet_id + count)
+    def _finish(self, out: SequencedBatch) -> SequencedBatch:
+        """Stamp the emitted rows with sequential emission-order ids."""
+        count = len(out)
+        out.flags = [None] * count
+        out.packet_id = range(self.next_packet_id, self.next_packet_id + count)
         self.next_packet_id += count
         self.stats.packets_out += count
-        return SequencedBatch(
-            rows.buffer, rows.start, rows.length, rows.flows, rows.flow, rows.seq,
-            [None] * count, ids, entry=rows.entry, departures=rows.departures,
-        )
+        return out
 
     # ------------------------------------------------------------------
-    def _evicted(self, entry: FlowEntry, rows: "_Rows") -> None:
+    def _evicted(self, entry: FlowEntry, out: SequencedBatch) -> None:
         state = entry.sequencer
         if state is not None:
             self.stats.evicted_flows += 1
             if state.holes:
-                self._flush_state(entry, rows, rows.number(entry.key))
-        rows.departures.append((len(rows.length), entry))
+                out.flows.append(entry.key)
+                self._flush_state(entry, out, len(out.flows) - 1)
+        out.departures.append((len(out), entry))
 
-    def _release(self, rows: "_Rows") -> None:
-        """Release the flows that closed and were not reopened."""
-        if rows.closed:
-            self.flows.release(list(rows.closed))
-            rows.closed.clear()
+    def _release(self, departures: List[Tuple[int, FlowEntry]]) -> None:
+        """Release the flows that closed among ``departures`` and were not
+        reopened."""
+        closed = [entry for _, entry in departures if entry.sequencer is _CLOSED]
+        for entry in closed:
+            entry.sequencer = None
+        if closed:
+            self.flows.release(closed)
 
     def _create(self, seq: Optional[int], flags: Optional[int]) -> Sequencer:
         flags = flags or 0
@@ -629,7 +614,7 @@ class TcpReassembler:
         self.stats.overlap_bytes += overlap
         state.buffered_bytes += len(data) - overlap
 
-    def _drain(self, entry: FlowEntry, rows: "_Rows", f: int) -> None:
+    def _drain(self, entry: FlowEntry, out: SequencedBatch, f: int) -> None:
         """Deliver every piece now contiguous with the delivery point."""
         state = entry.sequencer
         holes = state.holes
@@ -642,10 +627,10 @@ class TcpReassembler:
             if offset < state.next_off:  # defensive: policy trimming left none
                 data = data[state.next_off - offset:]
             if data:
-                self._emit_piece(entry, rows, f, bytes(data))
+                self._emit(entry, out, f, bytes(data), 0, len(data))
         del holes[:count]
 
-    def _flush_state(self, entry: FlowEntry, rows: "_Rows", f: int) -> None:
+    def _flush_state(self, entry: FlowEntry, out: SequencedBatch, f: int) -> None:
         """Deliver all buffered pieces in stream order, skipping the gaps."""
         state = entry.sequencer
         for offset, data in state.holes:
@@ -653,11 +638,11 @@ class TcpReassembler:
             if skipped > 0:
                 state.next_off = offset
                 state.seq_at_next = (state.seq_at_next + skipped) & _SEQ_MASK
-            self._emit_piece(entry, rows, f, bytes(data))
+            self._emit(entry, out, f, bytes(data), 0, len(data))
         state.holes = []
         state.buffered_bytes = 0
 
-    def _maybe_close(self, entry: FlowEntry, rows: "_Rows") -> None:
+    def _maybe_close(self, entry: FlowEntry, out: SequencedBatch) -> None:
         """Close a flow whose every byte up to its FIN is delivered."""
         state = entry.sequencer
         if (
@@ -665,15 +650,14 @@ class TcpReassembler:
             and state.next_off >= state.fin_off
             and not state.holes
         ):
-            self._close(entry, rows)
+            self._close(entry, out)
 
     @staticmethod
-    def _close(entry: FlowEntry, rows: "_Rows") -> None:
+    def _close(entry: FlowEntry, out: SequencedBatch) -> None:
         """The flow departs here; the table releases it at the end of the
-        call, unless a later segment reopens it first (in its place)."""
-        entry.sequencer = None
-        rows.closed.add(entry)
-        rows.departures.append((len(rows.length), entry))
+        span, unless a later segment reopens it first (in its place)."""
+        entry.sequencer = _CLOSED
+        out.departures.append((len(out), entry))
 
     # ------------------------------------------------------------------
     def flush_all(self) -> SequencedBatch:
@@ -682,13 +666,14 @@ class TcpReassembler:
         Call once the source is exhausted so data waiting behind a hole that
         will never fill still reaches the scanner.
         """
-        rows = _Rows([])
+        out = _empty([])
         for entry in self.flows.entries():
             if entry.sequencer is not None and entry.sequencer.holes:
-                self._flush_state(entry, rows, rows.number(entry.key))
-                self._maybe_close(entry, rows)
-        self._release(rows)
-        return self._finish(rows)
+                out.flows.append(entry.key)
+                self._flush_state(entry, out, len(out.flows) - 1)
+                self._maybe_close(entry, out)
+        self._release(out.departures)
+        return self._finish(out)
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:

@@ -11,9 +11,9 @@ Memory is bounded: the table holds at most ``capacity`` flows and evicts the
 least recently scanned one when full (an evicted flow that sends more traffic
 simply restarts from the root state, the standard trade-off in flow-state
 engines).  :meth:`FlowTable.admit` is the one place that happens: it admits a
-batch's flows with the outcome of an arrival-order walk, exactly as
-segment-at-a-time scanning would leave it, and hands back each flow
-incarnation with its segments plus the evicted entries; those and
+batch's rows with the outcome of an arrival-order walk, exactly as
+segment-at-a-time scanning would leave it, and hands back each row's entry
+plus the evicted entries (:class:`SequencedBatch`'s columns); those and
 :meth:`FlowTable.release` (a flow the reassembler saw close) are the only
 ways a flow, :attr:`FlowEntry.record` and all, leaves the table.  The whole
 table can be checkpointed to a plain JSON-serialisable dict and restored
@@ -41,22 +41,6 @@ FlowKey = FiveTuple
 #: Flow key used when a packet carries no 5-tuple header (treated as one
 #: anonymous flow so bare payload streams can still be scanned statefully).
 ANONYMOUS_FLOW = FlowKey("0.0.0.0", "0.0.0.0", 0, 0, "raw")
-
-
-def table_flows(
-    flows: Sequence[Optional[FlowKey]],
-) -> Tuple[Sequence[FlowKey], Optional[List[int]]]:
-    """``(keys, renumber)``: a batch's ``flows`` as :meth:`FlowTable.admit`'s
-    distinct keys, headerless ones as :data:`ANONYMOUS_FLOW`; ``renumber[f]``
-    is flow ``f``'s number in ``keys`` (``None``: the batch's own)."""
-    if all(key is not None for key in flows):
-        return flows, None
-    number: Dict[FlowKey, int] = {}
-    renumber = [
-        number.setdefault(ANONYMOUS_FLOW if key is None else key, len(number))
-        for key in flows
-    ]
-    return list(number), renumber
 
 
 class FlowEntry:
@@ -119,8 +103,10 @@ class FlowEntry:
         automaton, so a flow whose ``states`` or ``lower_states`` hold other
         than one :class:`ScanState` (a multi-block checkpoint) is refused
         with a ``ValueError`` naming the flow, as is a state whose fields
-        are out of range (:meth:`ScanState.from_tuple`) or a key that is not
-        a flow's five fields (:meth:`FiveTuple.from_checkpoint`).  The per-flow
+        are out of range (:meth:`ScanState.from_tuple`), a key that is not
+        a flow's five fields (:meth:`FiveTuple.from_checkpoint`) or a
+        sequencer the reassembler could not resume
+        (:meth:`~repro.proto.reassembly.Sequencer.from_dict`).  The per-flow
         ``packets``, ``matched``, ``matched_lower`` and ``alerted`` keys
         older checkpoints carry are ignored: nothing read them."""
         key = FlowKey.from_checkpoint(data["key"])
@@ -132,7 +118,10 @@ class FlowEntry:
         if data.get("sequencer") is not None:
             from ..proto.reassembly import Sequencer  # the proto layer sits above
 
-            entry.sequencer = Sequencer.from_dict(data["sequencer"])
+            try:
+                entry.sequencer = Sequencer.from_dict(data["sequencer"])
+            except ValueError as error:
+                raise ValueError(f"flow {key.as_tuple()} sequencer: {error}") from None
         return entry
 
 
@@ -169,22 +158,15 @@ class FlowTableStatistics:
 #: while the batch item at ``item_index`` was being admitted, record and all.
 Eviction = Tuple[int, FlowEntry]
 
-#: Every entry a batch was admitted under, with its segments' arrival indexes.
-Admitted = List[Tuple[FlowEntry, List[int]]]
-
-#: What :meth:`FlowTable.admit` returns: ``(admitted, evictions)``.
-Admission = Tuple[Admitted, List[Eviction]]
-
-
-def _last_index(admitted: Tuple[FlowEntry, List[int]]) -> int:
-    return admitted[1][-1]
-
 
 class SequencedBatch(PacketBatch):
-    """A batch the TCP reassembler emitted: ``entry[i]`` is row ``i``'s
-    :class:`FlowEntry`, and ``departures`` an ``(index, entry)`` for every
-    flow that left the table (evicted, or released at its close) once
-    ``index`` rows were emitted."""
+    """A batch as the scan engine scans it, with its one admission record:
+    ``entry[i]`` is row ``i``'s :class:`FlowEntry`, and ``departures`` an
+    ``(index, entry)`` for every flow that left the table (evicted, or
+    released at its close) before row ``index``.  The rows are the arrival
+    batch's (:meth:`FlowTable.admit`) or what the TCP reassembler emitted;
+    a reassembled batch's ``flows`` may name a key twice, when a flow
+    evicted mid-batch had its buffered pieces flushed."""
 
     __slots__ = ("entry", "departures")
 
@@ -192,17 +174,6 @@ class SequencedBatch(PacketBatch):
         super().__init__(*columns)
         self.entry = entry
         self.departures = departures
-
-    def admission(self) -> "Admission":
-        """``(admitted, departures)``, as :meth:`FlowTable.admit` returns."""
-        groups: Dict[FlowEntry, List[int]] = {}
-        for index, entry in enumerate(self.entry):
-            indexes = groups.get(entry)
-            if indexes is None:
-                groups[entry] = [index]
-            else:
-                indexes.append(index)
-        return list(groups.items()), self.departures
 
     def __iadd__(self, other: "SequencedBatch") -> "SequencedBatch":
         at = len(self)
@@ -239,95 +210,88 @@ class FlowTable:
 
     def admit(
         self,
-        flows: Sequence[FlowKey],
+        batch: PacketBatch,
         factory: Callable[[FlowKey], FlowEntry],
-        rows: Sequence[int],
         visit: Optional[Callable[[range, List, List[FlowEntry]], None]] = None,
-    ) -> Admission:
-        """Admit one batch's segments: segment ``i`` is of flow ``flows[rows[i]]``.
+    ) -> Tuple[List[FlowEntry], List[Eviction]]:
+        """Admit one arrival batch: row ``i`` is a segment of flow
+        ``batch.flows[batch.flow[i]]``, and a row with no header is one of
+        :data:`ANONYMOUS_FLOW`.
 
-        ``flows`` are the batch's flows, each key once (a packet batch's
-        ``flows``), and ``rows`` its flow column, in arrival order.  The
-        outcome is that of walking the segments in arrival order, as
-        scanning the batch one segment at a time would: each segment
-        refreshes its flow's live entry, or gets a new entry from
-        ``factory`` — evicting the least recently used flow whenever that
-        overflows the table — so LRU order, counters and evictions are that
-        walk's.  Returns ``(admitted, evictions)``: every entry with the
-        arrival indexes of its segments, in first-arrival order, and an
-        ``(index, entry)`` :data:`Eviction` for every flow evicted while the
-        segment at ``index`` was admitted.  A flow evicted and seen again
-        within the batch comes back as a second, fresh entry, so its later
-        segments restart from the root state.
+        The outcome is that of walking the rows in arrival order, as
+        scanning them one at a time would: each row refreshes its flow's
+        live entry, or gets a new entry from ``factory`` — evicting the least
+        recently used flow whenever that overflows the table — so LRU order,
+        counters and evictions are that walk's.  Returns ``(entry,
+        departures)``, the admission columns of a :class:`SequencedBatch`:
+        ``entry[i]`` is row ``i``'s entry, and ``departures`` an ``(index,
+        entry)`` :data:`Eviction` for every flow evicted while row ``index``
+        was admitted.  A flow evicted and seen again within the batch comes
+        back as a second, fresh entry, so its later rows restart from the
+        root state.
 
-        The segments are grouped by flow number and each flow's entry looked
-        up once: when the batch's new flows fit, nothing can be evicted, and
-        LRU order after the walk is the touched flows by their last segment
-        — so each is refreshed once, in that order.  Only a batch that would
-        overflow the table is walked segment by segment.
+        Each flow's entry is looked up once: when the batch's new flows fit,
+        nothing can be evicted, and LRU order after the walk is the touched
+        flows by their last row — so each is refreshed once, in that order.
+        Only a batch that would overflow the table is walked row by row.
 
-        ``visit``, if given, is handed each admitted span of segments before
-        the next is admitted, as ``visit(span, entries, evicted)``:
-        ``entries[n]`` is flow ``n``'s entry for the span and ``evicted`` the
-        entries evicted to admit it.  A batch that fits is one span; the walk
-        hands over one segment at a time, so a flow the visitor
-        releases (:meth:`release`) frees its slot for the next segment, and
-        comes back, if seen again, as a fresh entry.
+        ``visit``, if given, is handed each admitted span of rows before the
+        next is admitted, as ``visit(span, entries, evicted)``: ``entries[n]``
+        is flow ``n``'s entry for the span and ``evicted`` the entries
+        evicted to admit it.  A batch that fits is one span; the walk hands
+        over one row at a time, so a flow the visitor releases
+        (:meth:`release`) frees its slot for the next row, and comes back, if
+        seen again, as a fresh entry.
         """
         entries = self._entries
-        groups: Dict[int, List[int]] = {}
-        for index, number in enumerate(rows):
-            indexes = groups.get(number)
-            if indexes is None:
-                groups[number] = [index]
-            else:
-                indexes.append(index)
-        found = [(number, entries.get(flows[number])) for number in groups]
-        new = sum(1 for _, entry in found if entry is None)
-        if len(entries) + new <= self.capacity:
-            admitted: Admitted = []
-            for number, entry in found:
+        keys = batch.flows
+        if any(key is None for key in keys):
+            keys = [ANONYMOUS_FLOW if key is None else key for key in keys]
+        rows = batch.flow
+        numbered: List[Optional[FlowEntry]] = [None] * len(keys)
+        order = list(dict.fromkeys(reversed(rows)))  # flows by last row, latest first
+        order.reverse()
+        found = [entries.get(keys[number]) for number in order]
+        if len(entries) + found.count(None) <= self.capacity:
+            created = 0
+            for number, entry in zip(order, found):
+                key = keys[number]
+                if entry is None:  # new, unless another flow number shares its key
+                    entry = entries.get(key)
                 if entry is None:
-                    key = flows[number]
                     entry = entries[key] = factory(key)
-                admitted.append((entry, groups[number]))
-            for entry, _ in sorted(admitted, key=_last_index):
-                entries.move_to_end(entry.key)
-            self.stats.created += new
+                    created += 1
+                else:
+                    entries.move_to_end(key)
+                numbered[number] = entry
+            self.stats.created += created
+            column = [numbered[number] for number in rows]
             if visit is not None:
-                numbered: List[Optional[FlowEntry]] = [None] * len(flows)
-                for (number, _), (entry, _) in zip(found, admitted):
-                    numbered[number] = entry
                 visit(range(len(rows)), numbered, [])
-            return admitted, []
+            return column, []
         refresh = entries.move_to_end
         capacity = self.capacity
-        numbered = [None] * len(flows)
-        incarnations: Dict[FlowEntry, List[int]] = {}
-        evictions: List[Eviction] = []
+        column = []
+        departures: List[Eviction] = []
         created = 0
         for index, number in enumerate(rows):
-            key = flows[number]
+            key = keys[number]
             entry = entries.get(key)
-            seen = len(evictions)
+            seen = len(departures)
             if entry is None:
                 entry = entries[key] = factory(key)
                 created += 1
                 while len(entries) > capacity:
-                    evictions.append((index, entries.popitem(last=False)[1]))
+                    departures.append((index, entries.popitem(last=False)[1]))
             else:
                 refresh(key)
-            indexes = incarnations.get(entry)
-            if indexes is None:
-                incarnations[entry] = [index]
-            else:
-                indexes.append(index)
+            column.append(entry)
             if visit is not None:
                 numbered[number] = entry
-                visit(range(index, index + 1), numbered, [gone for _, gone in evictions[seen:]])
+                visit(range(index, index + 1), numbered, [gone for _, gone in departures[seen:]])
         self.stats.created += created
-        self.stats.evicted += len(evictions)
-        return list(incarnations.items()), evictions
+        self.stats.evicted += len(departures)
+        return column, departures
 
     def release(self, closed: Sequence[FlowEntry]) -> None:
         """Drop the live entries of flows that closed (``stats.released``)."""

@@ -22,22 +22,25 @@ composes it, with the stages around it, from one
 Hot path
 --------
 A whole arrival batch — the front end's columnar
-:class:`~repro.traffic.PacketBatch` — is one :meth:`ScanService.scan_batch`
-call (a single packet is a batch of one).  The flow table admits the
-batch's rows by flow number (:meth:`FlowTable.admit`), with the LRU order,
-creations and evictions segment-at-a-time scanning would leave: every flow
-incarnation — a flow evicted and seen again within the batch is two — gets
-its segments sliced from their blocks into one job, and
-all of those jobs cross into the backend together (``scan_many``: one job
-per incarnation, plus one per lower-cased view under ``track_nocase``), so a
-batch costs one backend crossing whether or not the table evicts.  Matches
-are then re-attributed to their segments by offset — per-segment work only
-a flow whose scan reported a hit pays for.  Events, statistics, eviction
-records and LRU order are those of the segment-at-a-time walk (the
-differential harness in the test suite holds it to that).
-With ``reassemble`` on, the service's :class:`~repro.proto.TcpReassembler`
-admits the arrival batch into the same table and emits it in stream order,
-each row naming its entry, so the scan walks the table once.
+:class:`~repro.traffic.PacketBatch` (a single packet is a batch of one) — is
+sequenced once and scanned once.  :meth:`ScanService.sequence` admits its
+rows into the flow table (:meth:`FlowTable.admit`), with the LRU order,
+creations and evictions segment-at-a-time scanning would leave, and returns
+the one admission record: a :class:`SequencedBatch` whose ``entry`` column
+names each row's flow entry and whose ``departures`` name the flows that
+left the table.  With ``reassemble`` on, the service's
+:class:`~repro.proto.TcpReassembler` admits the arrival batch into the same
+table and emits it in stream order with those same columns.
+:meth:`ScanService.scan_batch` then groups the rows by entry — a flow
+evicted and seen again within the batch is two entries — slices each
+entry's segments from their blocks into one job, and sends every job into
+the backend together (``scan_many``: one job per entry, plus one per
+lower-cased view under ``track_nocase``), so a batch costs one backend
+crossing whether or not the table evicts.  Matches are then re-attributed
+to their segments by offset — per-segment work only a flow whose scan
+reported a hit pays for.  Events, statistics, eviction records and LRU
+order are those of the segment-at-a-time walk (the differential harness in
+the test suite holds it to that).
 """
 
 from __future__ import annotations
@@ -53,13 +56,11 @@ from ..traffic.packet import Packet, PacketBatch
 from .flow import (
     ANONYMOUS_FLOW,
     DEFAULT_FLOW_CAPACITY,
-    Admitted,
     Eviction,
     FlowEntry,
     FlowKey,
     FlowTable,
     SequencedBatch,
-    table_flows,
 )
 
 #: The registers of a flow that has not sent a byte.  ``ScanState`` is
@@ -74,12 +75,6 @@ def _new_flow(key: FlowKey) -> FlowEntry:
 def _new_nocase_flow(key: FlowKey) -> FlowEntry:
     return FlowEntry(key, _ROOT, _ROOT)
 
-
-#: What :meth:`ScanService.scan_batch` returns: ``(hits, evictions,
-#: admitted)``.  ``hits`` maps the index of every segment that matched to
-#: its events and holds nothing for the others; it is ordered by arrival —
-#: the order the canonical event sort breaks its ties in.
-BatchScan = Tuple[Dict[int, List["StreamMatch"]], List[Eviction], Admitted]
 
 class StreamMatch:
     """A match found while scanning a flow segment.
@@ -175,10 +170,6 @@ class StreamScanResult:
 #: The canonical event sort key as a C-level attribute getter (the aggregate
 #: sort is on the hot path; ``attrgetter`` avoids a Python frame per event).
 _EVENT_ORDER = attrgetter("packet_id", "end_offset", "string_number")
-
-#: What :meth:`ScanService.scan_annotated` returns.
-AnnotatedScan = Tuple[StreamScanResult, Dict[int, List[StreamMatch]], List[Eviction], Admitted]
-
 
 def event_order(event: StreamMatch) -> Tuple[int, int, int]:
     """The canonical event ordering the engine reports in."""
@@ -308,43 +299,59 @@ class ScanService:
     # ------------------------------------------------------------------
     # batched scanning (the hot path)
     # ------------------------------------------------------------------
-    def scan_batch(self, batch: PacketBatch) -> BatchScan:
-        """Scan one :class:`~repro.traffic.PacketBatch` of flow segments.
+    def sequence(self, packets: Sequence[Packet], end_of_source: bool = False) -> SequencedBatch:
+        """``packets`` as the engine scans them, each row naming its flow
+        entry: the arrival batch as the table admits it
+        (:meth:`FlowTable.admit`), or, with ``reassemble`` on, what the
+        reassembler emits (plus, at the ``end_of_source``, what it still
+        buffers), admitted on the way."""
+        batch = PacketBatch.from_packets(packets)
+        reassembler = self.reassembler
+        if reassembler is None:
+            entry, departures = self.flows.admit(batch, self._new_entry)
+            return SequencedBatch(
+                batch.buffer, batch.start, batch.length, batch.flows, batch.flow,
+                batch.seq, batch.flags, batch.packet_id, entry=entry, departures=departures,
+            )
+        batch = reassembler.process(batch)
+        if end_of_source:
+            batch += reassembler.flush_all()
+        return batch
 
-        Returns ``(hits, evictions, admitted)`` (see :data:`BatchScan`):
-        ``hits[i]`` is exactly the non-empty event list scanning segment
-        ``i`` on its own, in arrival order, would have produced;
-        ``evictions`` records ``(i, entry)``, in arrival order, for every
-        flow LRU-evicted while segment ``i`` was admitted; ``admitted`` is
-        every entry the batch was scanned under, with its segments' indexes.
+    def scan_batch(self, batch: SequencedBatch) -> Dict[int, List[StreamMatch]]:
+        """Scan one :meth:`sequence`-d batch of flow segments.
 
-        The flow table admits the batch in arrival order
-        (:meth:`FlowTable.admit` over the batch's flow column), unless the
-        reassembler already did (a :class:`SequencedBatch`, whose
-        ``evictions`` include released flows).  Each admitted entry's
-        segments are sliced from their buffers into one job and every job
+        Returns the hits: ``hits[i]`` is exactly the non-empty event list
+        scanning segment ``i`` on its own, in arrival order, would have
+        produced, and segments that matched nothing are absent; the dict is
+        ordered by arrival — the order the canonical event sort breaks its
+        ties in.  The flows that left the table are ``batch.departures``.
+
+        The rows are grouped by their entry (``batch.entry``), each entry's
+        segments sliced from their buffers into one job, and every job
         crosses into the backend in one ``scan_many`` call.  Matches are
         re-attributed to segments by their flow-absolute end offset.
         """
-        if isinstance(batch, SequencedBatch):
-            admitted, evictions = batch.admission()
-        else:
-            keys, renumber = table_flows(batch.flows)
-            rows = batch.flow if renumber is None else [renumber[f] for f in batch.flow]
-            admitted, evictions = self.flows.admit(keys, self._new_entry, rows)
+        groups: Dict[FlowEntry, List[int]] = {}
+        for index, entry in enumerate(batch.entry):
+            indexes = groups.get(entry)
+            if indexes is None:
+                groups[entry] = [index]
+            else:
+                indexes.append(index)
         buffers, starts, lengths = batch.buffer, batch.start, batch.length
         work = [
             (entry, b"".join([
                 buffers[index][starts[index]:starts[index] + lengths[index]]
                 for index in indexes
             ]))
-            for entry, indexes in admitted
+            for entry, indexes in groups.items()
         ]
         views = self._scan_views(work) if work else []
 
         counters = self.counters
         found: Dict[int, List[StreamMatch]] = {}
-        for (entry, indexes), (_, joined), (raw, lowered) in zip(admitted, work, views):
+        for indexes, (entry, joined), (raw, lowered) in zip(groups.values(), work, views):
             counters.segments += len(indexes)
             counters.bytes_scanned += len(joined)
             if raw or lowered:
@@ -352,63 +359,28 @@ class ScanService:
                     entry.key, indexes, batch, entry.bytes_scanned - len(joined),
                     raw, lowered, found,
                 )
-        return {index: found[index] for index in sorted(found)}, evictions, admitted
+        return {index: found[index] for index in sorted(found)}
 
-    def sequence(self, packets: Sequence[Packet], end_of_source: bool = False) -> PacketBatch:
-        """``packets`` as the engine scans them: what the reassembler emits
-        (plus, at the ``end_of_source``, what it still buffers), if there is
-        one."""
-        batch = PacketBatch.from_packets(packets)
-        reassembler = self.reassembler
-        if reassembler is None:
-            return batch
-        batch = reassembler.process(batch)
-        if end_of_source:
-            batch += reassembler.flush_all()
-        return batch
+    def scan(self, packets: Sequence[Packet], end_of_source: bool = False) -> StreamScanResult:
+        """Batched dispatch: scan ``packets`` statefully (:meth:`sequence`,
+        then one :meth:`scan_batch`: one walk of the flow table, one backend
+        crossing), aggregate.
 
-    def scan_annotated(
-        self, packets: Sequence[Packet], end_of_source: bool = False
-    ) -> AnnotatedScan:
-        """Batched dispatch plus what a confirm stage needs to follow it.
-
-        Returns ``(result, hits, evictions, admitted)``: the aggregate
-        result; ``hits[i]``, the events of input packet ``i`` (what scanning
-        it alone, in arrival order, would have returned) for every packet
-        that matched — absent means none; ``(arrival_index, entry)`` for
-        every flow LRU-evicted while the packet at ``arrival_index`` was
-        admitted (or released); and the flow entries the batch was scanned
-        under, which the IDS hangs each flow's confirm record on.  With
-        ``reassemble`` on, indexes are into :meth:`sequence`'s batch, the
-        result's ``scanned``.
-
-        The whole batch is one :meth:`scan_batch` call: one walk of the flow
-        table, one backend crossing.  ``packets`` is a
-        :class:`~repro.traffic.PacketBatch` (a packet list is taken as one),
-        and nothing per packet is built: a small-packet pass pays for every
-        object that lives through the batch in the collector's older
-        generations.  ``hits`` comes back in arrival order, and the
-        canonical event sort is stable, so that order decides its ties.
+        ``packets`` is a :class:`~repro.traffic.PacketBatch` (a packet list
+        is taken as one), and nothing per packet is retained: a result that
+        kept the per-packet lists would keep every event list alive through
+        the sinks.  The hits come back in arrival order, and the canonical
+        event sort is stable, so that order decides its ties.  With
+        ``reassemble`` on, the result's ``scanned`` is the reassembled batch.
         """
         batch = self.sequence(packets, end_of_source)
         before = self.counters.bytes_scanned
-        hits, evictions, admitted = self.scan_batch(batch)
-        events = list(chain.from_iterable(hits.values()))
+        events = list(chain.from_iterable(self.scan_batch(batch).values()))
         events.sort(key=_EVENT_ORDER)
-        result = StreamScanResult(
+        return StreamScanResult(
             events, len(batch), self.counters.bytes_scanned - before,
             scanned=None if self.reassembler is None else batch,
         )
-        return result, hits, evictions, admitted
-
-    def scan(self, packets: Sequence[Packet], end_of_source: bool = False) -> StreamScanResult:
-        """Batched dispatch: scan ``packets`` statefully (:meth:`sequence`),
-        aggregate.
-
-        The annotation is dropped here, not retained: a result that kept the
-        per-packet lists would keep every event list alive through the sinks.
-        """
-        return self.scan_annotated(packets, end_of_source)[0]
 
     def scan_fresh(self, packets: Sequence[Packet]) -> Dict[int, List[StreamMatch]]:
         """Scan every packet as a new flow of its own.
@@ -540,8 +512,6 @@ StreamScanner = ScanService
 
 __all__ = [
     "ANONYMOUS_FLOW",
-    "AnnotatedScan",
-    "BatchScan",
     "Eviction",
     "ScanService",
     "ScannerStatistics",

@@ -70,7 +70,7 @@ from repro.rulesets import RuleSet, generate_snort_like_ruleset
 from repro.streaming import ScanService
 from repro.streaming.flow import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowKey, FlowTable
 from repro.streaming.service import (
-    ANONYMOUS_FLOW, BatchScan, Eviction, StreamMatch, StreamScanner,
+    ANONYMOUS_FLOW, Eviction, StreamMatch, StreamScanner,
 )
 from repro.traffic import Packet, PacketBatch, TrafficGenerator
 from repro.traffic.packet import FiveTuple, MatchEvent
@@ -2072,6 +2072,53 @@ class ReferenceReassembler(PacketReassembler):
         return out
 
 
+class OneTable:
+    """The one-table rule over a reference reassembler's own table: a flow
+    that is not TCP (a headerless one as ``ANONYMOUS_FLOW``) takes an LRU
+    slot too — a ``"slot"``-mode state that sequences nothing — so
+    ``max_flows`` evicts as the one flow table does.  Evicting a slot counts
+    nothing in the reassembly statistics.  Checkpoints keep the slots (a
+    restored table evicts alike); :func:`sequenced_flows` leaves them out."""
+
+    def feed(self, packet: Packet) -> List[Packet]:
+        header = packet.header
+        if header is not None and header.protocol.lower() == "tcp":
+            return super().feed(packet)
+        key = ANONYMOUS_FLOW if header is None else header
+        out: List[Packet] = []
+        if key in self._flows:
+            self._flows.move_to_end(key)
+        else:
+            self._make_room(out)
+            self._flows[key] = _FlowState(key, "slot")
+        return out + super().feed(packet)
+
+    def _create(self, key: FlowKey, packet: Packet, out: List[Packet]) -> _FlowState:
+        self._make_room(out)
+        return super()._create(key, packet, out)
+
+    def _make_room(self, out: List[Packet]) -> None:
+        while len(self._flows) >= self.max_flows:
+            _, evicted = self._flows.popitem(last=False)
+            if evicted.mode != "slot":
+                self.stats.evicted_flows += 1
+                if evicted.holes:
+                    out.extend(self._flush_evicted(evicted))
+
+
+class OneTablePacketReassembler(OneTable, PacketReassembler):
+    """:class:`PacketReassembler` under the one-table rule."""
+
+
+class OneTableReferenceReassembler(OneTable, ReferenceReassembler):
+    """:class:`ReferenceReassembler` under the one-table rule."""
+
+
+def sequenced_flows(checkpoint: Dict) -> List[Dict]:
+    """A reference checkpoint's flows that hold a sequencer, LRU first."""
+    return [flow for flow in checkpoint["flows"] if flow["mode"] != "slot"]
+
+
 # ----------------------------------------------------------------------
 # the confirm stage as it was: the event-driven due set
 # ----------------------------------------------------------------------
@@ -2435,6 +2482,11 @@ class ReferenceFlowTable(FlowTable):
                 self.on_evict(evicted)
 
 
+#: What the per-segment reference's ``scan_batch`` returns: the hits and the
+#: ``(index, key)`` of every eviction.
+ReferenceBatchScan = Tuple[Dict[int, List[StreamMatch]], List[Tuple[int, FlowKey]]]
+
+
 class ReferenceStreamScanner(StreamScanner):
     """The scan engine with every batch the per-segment loop, over a
     :class:`ReferenceFlowTable` of ``flow_capacity`` flows."""
@@ -2471,10 +2523,10 @@ class ReferenceStreamScanner(StreamScanner):
                 self.counters.cross_segment_matches += 1
         return matches
 
-    def scan_batch(self, batch: PacketBatch) -> BatchScan:
+    def scan_batch(self, batch: PacketBatch) -> ReferenceBatchScan:
         return self._scan_per_segment(ReferenceSegmentBatch.from_packets(list(batch)))
 
-    def _scan_per_segment(self, batch: "ReferenceSegmentBatch") -> BatchScan:
+    def _scan_per_segment(self, batch: "ReferenceSegmentBatch") -> ReferenceBatchScan:
         """The exact slow path: scan the batch one segment at a time,
         recording each flow the table evicts on the way."""
         keys, payloads, packet_ids = batch.keys, batch.payloads, batch.packet_ids
@@ -2508,11 +2560,48 @@ def flow_keys(table: FlowTable) -> List[FlowKey]:
 def admit_keys(
     table: FlowTable, keys: Sequence[FlowKey], factory: Callable[[FlowKey], FlowEntry]
 ):
-    """``table.admit`` over one flow key per segment, in arrival order: the
-    keys become the batch's distinct flows and its flow column."""
+    """``table.admit`` of a payload-less batch of one segment per key, in
+    arrival order (the keys become the batch's distinct flows and its flow
+    column): admit's ``(entry, departures)``."""
     number: Dict[FlowKey, int] = {}
     rows = [number.setdefault(key, len(number)) for key in keys]
-    return table.admit(list(number), factory, rows)
+    count = len(rows)
+    batch = PacketBatch(
+        [b""] * count, [0] * count, [0] * count, list(number), rows,
+        [None] * count, [None] * count, range(count),
+    )
+    return table.admit(batch, factory)
+
+
+def entry_groups(entries: Sequence[FlowEntry]) -> List[Tuple[FlowEntry, List[int]]]:
+    """Each distinct entry of an ``entry`` column with the rows it names, in
+    first-row order: one ``(entry, indexes)`` per flow incarnation."""
+    groups: Dict[FlowEntry, List[int]] = {}
+    for index, entry in enumerate(entries):
+        groups.setdefault(entry, []).append(index)
+    return list(groups.items())
+
+
+def sequenced_scan(scanner: ScanService, packets: Sequence[Packet]):
+    """``scanner.scan_batch`` of ``packets`` as :meth:`ScanService.sequence`
+    admits them: ``(hits, departures, batch)``."""
+    batch = scanner.sequence(packets)
+    return scanner.scan_batch(batch), batch.departures, batch
+
+
+def recorded_scan(service: ScanService, packets: Sequence[Packet]):
+    """``service.scan(packets)`` and what its one ``sequence`` and
+    ``scan_batch`` call saw: ``(result, hits, departures, batch)``."""
+    seen: List = []
+    sequence, scan_batch = service.sequence, service.scan_batch
+    service.sequence = lambda *args: seen.append(sequence(*args)) or seen[-1]
+    service.scan_batch = lambda batch: seen.append(scan_batch(batch)) or seen[-1]
+    try:
+        result = service.scan(packets)
+    finally:
+        del service.sequence, service.scan_batch
+    batch, hits = seen
+    return result, hits, batch.departures, batch
 
 
 def eviction_keys(evictions: Sequence[Eviction]) -> List[Tuple[int, FlowKey]]:

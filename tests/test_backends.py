@@ -58,6 +58,7 @@ from tests.conftest import (
     reference_scalar_scan,
     reference_scan_packets,
     segment_batch,
+    sequenced_scan,
     slab_dtp_lane_hits,
     slab_dtp_scan_lanes,
 )
@@ -428,10 +429,10 @@ class TestStreamingAcrossBackends:
         program = get_backend(name).compile([b"needle"])
         scanner = StreamScanner(program, flow_capacity=4)
         key = FlowKey("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
-        assert scanner.scan_batch(segment_batch([(key, b"xxxxneed", 0)]))[:2] == ({}, [])
+        assert sequenced_scan(scanner, segment_batch([(key, b"xxxxneed", 0)]))[:2] == ({}, [])
         checkpoint = json.loads(json.dumps(scanner.flows.checkpoint()))
         scanner.restore(checkpoint)
-        hits, _, _ = scanner.scan_batch(segment_batch([(key, b"le-and-more", 1)]))
+        hits, _, _ = sequenced_scan(scanner, segment_batch([(key, b"le-and-more", 1)]))
         assert [(m.end_offset, m.string_number) for m in hits[0]] == [(10, 0)]
 
 

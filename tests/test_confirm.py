@@ -57,6 +57,7 @@ from tests.conftest import (
     naive_rule_match,
     random_predicate_rules,
     renumbered,
+    sequenced_scan,
 )
 
 WILDCARD = "alert ip any any -> any any "
@@ -478,7 +479,7 @@ class TestEventDrivenIndex:
         packets = _flow(payloads)
         with IntrusionDetectionSystem.from_specs(specs, backend="dense") as ids:
             ids.scan_flow(packets[:alerting])
-            hits, _, _ = ids.service.scan_batch(PacketBatch.from_packets(packets[alerting:]))
+            hits, _, _ = sequenced_scan(ids.service, PacketBatch.from_packets(packets[alerting:]))
         assert 0 not in hits, "the flipping packet must carry no prefilter event"
         # the restore lands between the hit packet and the growth packet
         expected = assert_equivalent_alerts(specs, packets, restore_at=alerting)

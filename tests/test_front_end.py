@@ -59,6 +59,8 @@ from repro.streaming.ingest import PcapTailSource
 from repro.traffic import MANGLE_MODES, TrafficGenerator
 from repro.traffic.packet import FiveTuple, Packet, PacketBatch
 from tests.conftest import (
+    OneTablePacketReassembler,
+    OneTableReferenceReassembler,
     PacketReassembler,
     ReferencePacket,
     ReferenceReassembler,
@@ -71,6 +73,8 @@ from tests.conftest import (
     renumbered,
     row_load_packets,
     segment_batch,
+    sequenced_flows,
+    sequenced_scan,
 )
 
 FIN, SYN, RST, ACK = 0x01, 0x02, 0x04, 0x10
@@ -662,7 +666,7 @@ def sequencer_states(reassembler):
     """Every sequenced flow's state, least recently used first, as the
     reference's whole-table checkpoint writes its flows."""
     if not isinstance(reassembler, TcpReassembler):
-        return reassembler.checkpoint()["flows"]
+        return sequenced_flows(reassembler.checkpoint())
     return [
         {"key": list(entry.key.as_tuple()), **entry.sequencer.as_dict()}
         for entry in reassembler.flows.entries()
@@ -699,22 +703,14 @@ def restored_for(shape, data):
     return TcpReassembler.restore(json.loads(json.dumps(data)), **settings)
 
 
-def wire_for(shape, wire):
-    """The reference's table holds TCP flows alone, the one table every
-    flow: where ``max_flows`` makes it evict, the UDP flows stay out."""
-    if "max_flows" not in shape:
-        return wire
-    return [packet for packet in wire if packet.header.protocol == "tcp"]
-
-
 class TestReassemblyAgainstReference:
     @pytest.mark.parametrize("shape", REASSEMBLER_SHAPES, ids=repr)
     @pytest.mark.parametrize("seed", range(12))
     def test_packet_by_packet(self, seed, shape):
         """One-packet batches: emitted packets, statistics and the whole
         checkpoint agree after every single arrival."""
-        ours, reference = ours_for(shape), ReferenceReassembler(**shape)
-        for packet in wire_for(shape, hostile_wire(seed)):
+        ours, reference = ours_for(shape), OneTableReferenceReassembler(**shape)
+        for packet in hostile_wire(seed):
             assert view(ours.process([packet])) == view(reference.process([packet]))
             assert_same_state(ours, reference)
         assert view(ours.flush_all()) == view(reference.flush_all())
@@ -723,8 +719,8 @@ class TestReassemblyAgainstReference:
     @pytest.mark.parametrize("shape", REASSEMBLER_SHAPES, ids=repr)
     @pytest.mark.parametrize("seed", range(12, 20))
     def test_one_batch_and_across_a_checkpoint(self, seed, shape):
-        wire = wire_for(shape, hostile_wire(seed, flows=8))
-        reference = ReferenceReassembler(**shape)
+        wire = hostile_wire(seed, flows=8)
+        reference = OneTableReferenceReassembler(**shape)
         expected = view(reference.process(wire) + reference.flush_all())
 
         whole = ours_for(shape)
@@ -788,8 +784,8 @@ class TestColumnReassembler:
         between some batches — rows, statistics and checkpoint agree after
         every batch."""
         rng = random.Random(seed)
-        wire = wire_for(shape, hostile_wire(seed, flows=10))
-        ours, reference = ours_for(shape), PacketReassembler(**shape)
+        wire = hostile_wire(seed, flows=10)
+        ours, reference = ours_for(shape), OneTablePacketReassembler(**shape)
         position = 0
         while position < len(wire):
             chunk = wire[position:position + rng.randint(1, 40)]
@@ -800,7 +796,7 @@ class TestColumnReassembler:
             assert_same_state(ours, reference)
             if rng.random() < 0.3:  # both restart from their checkpoints
                 ours = restored_for(shape, ours.checkpoint())
-                reference = PacketReassembler.restore(reference.checkpoint())
+                reference = OneTablePacketReassembler.restore(reference.checkpoint())
         assert view(ours.flush_all()) == view(reference.flush_all())
         assert_same_state(ours, reference)
 
@@ -1264,14 +1260,15 @@ class TestOncePerFlow:
         keys = [FlowKey("10.0.0.1", "10.0.0.2", 1000 + flow, 80, "tcp") for flow in range(256)]
         items = [(key, b"nothing to see " * 3, 8 * index + round_index)
                  for round_index in range(8) for index, key in enumerate(keys)]
-        hits, evictions, _ = scanner.scan_batch(segment_batch(items))
+        hits, evictions, _ = sequenced_scan(scanner, segment_batch(items))
         assert calls == [] and evictions == [] and hits == {}
         assert (scanner.counters.segments, scanner.counters.bytes_scanned) == (2048, 2048 * 45)
 
         # one flow with a hit split across its segments: exactly one call
         items[5] = (keys[5], b"....need", 5)
         items[5 + 256] = (keys[5], b"le....", 5 + 256)
-        hits, _, _ = StreamScanner(program, flow_capacity=1024).scan_batch(segment_batch(items))
+        fresh = StreamScanner(program, flow_capacity=1024)
+        hits, _, _ = sequenced_scan(fresh, segment_batch(items))
         assert calls == [keys[5]]
         assert {index: len(events) for index, events in hits.items()} == {5 + 256: 1}
 

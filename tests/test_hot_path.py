@@ -55,8 +55,10 @@ from tests.conftest import (
     random_text,
     reference_scalar_scan,
     reference_service,
+    recorded_scan,
     reference_submit,
     segment_batch,
+    sequenced_scan,
 )
 
 BACKENDS = ("dense", "dtp")
@@ -80,8 +82,9 @@ def segment_events(scanner: ReferenceStreamScanner, key: FlowKey, segments):
 
 
 def batch_events(scanner: StreamScanner, key: FlowKey, segments):
-    hits, evictions, _ = scanner.scan_batch(
-        segment_batch([(key, segment, packet_id) for packet_id, segment in enumerate(segments)])
+    hits, evictions, _ = sequenced_scan(
+        scanner,
+        segment_batch([(key, segment, packet_id) for packet_id, segment in enumerate(segments)]),
     )
     assert evictions == []
     return [(e.end_offset, e.string_number) for events in hits.values() for e in events]
@@ -194,8 +197,8 @@ class TestLaneKernelBatches:
 
             batched = StreamScanner(short_lanes, track_nocase=track_nocase)
             batched._scan_many = lambda jobs: calls.append(len(jobs)) or scan_many(jobs)
-            first = per_item(batched.scan_batch(segment_batch(items))[0], len(items))
-            second = per_item(batched.scan_batch(segment_batch(tail))[0], len(tail))
+            first = per_item(sequenced_scan(batched, segment_batch(items))[0], len(items))
+            second = per_item(sequenced_scan(batched, segment_batch(tail))[0], len(tail))
             assert self.events_of(first + second) == self.events_of(expected), cut
             assert dataclasses.asdict(batched.counters) == dataclasses.asdict(reference.counters)
             for key in flow_keys(reference.flows):
@@ -267,8 +270,8 @@ class TestAcceleratorLaneKernelBatches:
                 ]
                 walked = [reference.scan_segment(*item) for item in items + tail]
                 batched = StreamScanner(program, track_nocase=track_nocase)
-                first = per_item(batched.scan_batch(segment_batch(items))[0], len(items))
-                second = per_item(batched.scan_batch(segment_batch(tail))[0], len(tail))
+                first = per_item(sequenced_scan(batched, segment_batch(items))[0], len(items))
+                second = per_item(sequenced_scan(batched, segment_batch(tail))[0], len(tail))
                 found = self.events_of(first + second)
                 assert any(found) and found == self.events_of(walked), cut
                 assert dataclasses.asdict(batched.counters) == dataclasses.asdict(reference.counters)
@@ -335,7 +338,7 @@ class TestStatisticsParity:
             for p in drift_workload
         ]
         expected = [reference.scan_segment(*item) for item in items]
-        hits, evictions, _ = batched.scan_batch(segment_batch(items))
+        hits, evictions, _ = sequenced_scan(batched, segment_batch(items))
 
         assert per_item(hits, len(items)) == expected
         assert evictions == []
@@ -416,7 +419,7 @@ class TestEvictionPressure:
         reference.flows.on_evict = None
 
         batched = StreamScanner(program, flow_capacity=capacity, track_nocase=track_nocase)
-        hits, evictions, _ = batched.scan_batch(segment_batch(items))
+        hits, evictions, _ = sequenced_scan(batched, segment_batch(items))
 
         assert per_item(hits, len(items)) == expected
         assert eviction_keys(evictions) == expected_evictions
@@ -433,14 +436,14 @@ class TestEvictionPressure:
         program = get_backend("dense").compile(drift_ruleset.patterns)
         items = self.build_items(num_flows=4, segments=2)
         scanner = StreamScanner(program, flow_capacity=4)
-        _, evictions, _ = scanner.scan_batch(segment_batch(items))
+        _, evictions, _ = sequenced_scan(scanner, segment_batch(items))
         assert evictions == []
         assert scanner.flows.stats.evicted == 0
         assert len(scanner.flows) == 4
 
         # ...and the next batch introducing a fifth flow evicts the LRU one
         extra = [(make_key(9), b"overflow-segment", 0)]
-        _, second_evictions, _ = scanner.scan_batch(segment_batch(extra))
+        _, second_evictions, _ = sequenced_scan(scanner, segment_batch(extra))
         assert eviction_keys(second_evictions) == [(0, make_key(0))]
         assert scanner.flows.stats.evicted == 1
 
@@ -483,7 +486,7 @@ def count_crossings(monkeypatch, program) -> list:
 
 
 def segment_at_a_time(service, packets):
-    """What one batched ``scan_annotated`` must equal: every packet
+    """What one batched ``scan`` must equal: every packet
     ``submit``-ted on its own (one ``scan_segment`` each) through a
     :func:`reference_service`.
 
@@ -550,7 +553,7 @@ class TestOneCrossingPerBatch:
         sort_keys = []
         for annotated, batch in zip((False, True), crossing_batches):
             if annotated:
-                result, hits, evictions, admitted = batched.scan_annotated(batch)
+                result, hits, evictions, scanned = recorded_scan(batched, batch)
             else:
                 result = batched.scan(batch)
             flows = len({StreamScanner.flow_key(packet) for packet in batch})
@@ -564,8 +567,7 @@ class TestOneCrossingPerBatch:
             if annotated:
                 assert hits == expected_hits
                 assert evictions == expected_evictions == []
-                keys = {i: entry.key for entry, indexes in admitted for i in indexes}
-                assert [keys[i] for i in range(len(batch))] == [
+                assert [entry.key for entry in scanned.entry] == [
                     StreamScanner.flow_key(packet) for packet in batch
                 ]
                 assert list(hits) == sorted(hits)  # the pre-sort order: arrival
@@ -592,7 +594,7 @@ class TestOneCrossingPerBatch:
             for round_index, piece in enumerate((stream[:cut], stream[cut:], b"tail"))
             for header in headers
         ]
-        result, hits, evictions, _ = batched.scan_annotated(packets)
+        result, hits, evictions, _ = recorded_scan(batched, packets)
         assert calls == [9]
 
         events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
@@ -622,7 +624,7 @@ class TestOneCrossingPerBatch:
             for flow in range(3)
             for piece, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
         ]
-        result, hits, evictions, _ = batched.scan_annotated(packets)
+        result, hits, evictions, _ = recorded_scan(batched, packets)
         assert calls == [6 if track_nocase else 3]
 
         events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
@@ -647,7 +649,7 @@ class TestOneCrossingPerBatch:
             + generator.flows(2, num_packets=3, split_patterns=1, segment_bytes=65536)
         )
         batched, reference = ScanService(program), reference_service(program)
-        result, hits, evictions, _ = batched.scan_annotated(packets)
+        result, hits, evictions, _ = recorded_scan(batched, packets)
         events, expected_hits, expected_evictions = segment_at_a_time(reference, packets)
         assert result.events == events and hits == expected_hits
         assert evictions == expected_evictions == []
@@ -670,7 +672,7 @@ class TestOneCrossingPerBatch:
             Packet(payload=pattern[9:], header=make_header(9), packet_id=1),
         ]
         batched, reference = ScanService(program), reference_service(program)
-        result, hits, _, _ = batched.scan_annotated(packets)
+        result, hits, _, _ = recorded_scan(batched, packets)
         events, expected_hits, _ = segment_at_a_time(reference, packets)
         assert result.events == events and hits == expected_hits
         assert_same_state(batched, reference)
@@ -726,7 +728,7 @@ def test_scan_batch_equals_the_per_segment_reference(
     items = [(make_key(flow), payload, index) for index, (flow, payload) in enumerate(segments)]
     bounds = sorted({0, len(items), *(cut for cut in cuts if cut < len(items))})
     for lo, hi in zip(bounds, bounds[1:]):
-        hits, evictions, _ = batched.scan_batch(segment_batch(items[lo:hi]))
+        hits, evictions, _ = sequenced_scan(batched, segment_batch(items[lo:hi]))
         expected_hits, expected_evictions = reference.scan_batch(segment_batch(items[lo:hi]))
         assert list(hits.items()) == list(expected_hits.items())
         assert eviction_keys(evictions) == expected_evictions

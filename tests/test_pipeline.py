@@ -638,8 +638,8 @@ def test_scan_service_is_built_in_two_places_only():
     """``Session.service`` (stream and packets mode) and
     ``IntrusionDetectionSystem.__init__`` are the only construction sites, and
     both pass every engine option; no retired name of the process pool, its
-    payload ring, in-process shards, the stateless mode's private matchers or
-    the per-segment scan loop comes back."""
+    payload ring, in-process shards, the stateless mode's private matchers,
+    the per-segment scan loop or a second admission record comes back."""
     calls, sites = [], []
     retired = {
         "_scan_flow_parallel", "preprocess_flush", "_require_stream", "parallel_service",
@@ -658,6 +658,10 @@ def test_scan_service_is_built_in_two_places_only():
         # is one FlowTable.admit walk and one crossing, evicting or not
         "scan_segment", "scan_packet", "_scan_per_segment", "submit", "get_or_create",
         "touch", "matched_lower",
+        # the second admission record: a scanned batch names its rows' entries
+        # (SequencedBatch.entry / departures) and nothing regroups them
+        "scan_annotated", "AnnotatedScan", "BatchScan", "Admitted", "Admission",
+        "admission", "_last_index", "_Rows", "table_flows",
     }
     for path in sorted(SRC_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -739,6 +743,29 @@ def held_containers(source: str) -> Dict[str, List[str]]:
                     names.add(target.attr)
         held[owner.name] = sorted(names)
     return held
+
+
+def test_flow_table_admits_from_two_places_only():
+    """``FlowTable.admit`` is called by ``ScanService.sequence`` (an arrival
+    batch) and ``TcpReassembler.process`` (a batch the reassembler
+    sequences) and nowhere else in the package, so every scanned batch
+    carries the one admission record those two write."""
+    callers, calls = [], []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "admit":
+                calls.append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "admit"
+                    for call in ast.walk(method)
+                ):
+                    callers.append(f"{node.name}.{method.name}")
+    assert len(calls) == 2, calls  # none outside a method either
+    assert sorted(callers) == ["ScanService.sequence", "TcpReassembler.process"], callers
 
 
 def test_no_per_flow_container_beside_the_flow_table():

@@ -341,6 +341,51 @@ class TestCheckpointRestore:
         restored = TcpReassembler.restore(r.checkpoint(), overlap_policy="last")
         assert restored.overlap_policy == "last"
 
+    @pytest.mark.parametrize(
+        "broken, reason",
+        [
+            ({"mode": "bogus"}, "mode 'bogus'"),
+            ({"seq_at_next": 2**40}, "seq_at_next 1099511627776"),
+            ({"seq_at_next": -1}, "seq_at_next -1"),
+            ({"holes": [[10, "6161"], [3, "62"]]}, "hole at 3 .*sorted"),
+            ({"holes": [[3, "62"], [3, "6363"]]}, "hole at 3 .*disjoint"),
+            ({"holes": [[3, "not hex"]]}, "unreadable"),
+            ({"mode": "bogus", "seq_at_next": 2**40, "next_off": -5,
+              "holes": [[10, "6161"], [3, "62"], [3, "6363"]]}, "mode 'bogus'"),
+        ],
+        ids=["mode", "seq-40-bit", "seq-negative", "unsorted", "overlapping", "hex", "all"],
+    )
+    def test_a_sequencer_it_could_not_resume_is_refused_by_flow(self, broken, reason):
+        """A checkpointed sequencer whose mode, sequence number or hole
+        buffer the reassembler could not resume from is a ``ValueError``
+        naming the flow, as a bad key or scan state is: before, it was
+        taken, then emitted a row at ``tcp_seq`` 2**40 and delivered offset
+        10 before offset 3, and offset 3 twice."""
+        r = TcpReassembler()
+        r.process([seg(b"", 10, SYN), seg(b"later", 20)])
+        data = json.loads(json.dumps(r.checkpoint()))
+        data["flows"][0]["sequencer"].update(broken)
+        with pytest.raises(ValueError, match=reason) as refused:
+            TcpReassembler.restore(data)
+        assert f"flow {tcp_header().as_tuple()} sequencer" in str(refused.value)
+
+    def test_every_sequencer_it_writes_restores(self):
+        """What the reassembler writes itself still restores: a stream start
+        moved back before the SYN's anchor (``next_off`` below 0) and a
+        seq-less segment delivered past a buffered piece (a hole behind
+        ``next_off``)."""
+        r = TcpReassembler()
+        r.process([seg(b"", 100, SYN), seg(b"abcde", 90), seg(b"zz", 120)])
+        behind = json.loads(json.dumps(r.checkpoint()))
+        assert behind["flows"][0]["sequencer"]["next_off"] == -6
+        r.process([seg(b"x" * 30, None)])
+        passed = json.loads(json.dumps(r.checkpoint()))
+        sequencer = passed["flows"][0]["sequencer"]
+        assert sequencer["holes"][0][0] <= sequencer["next_off"]
+        for data in (behind, passed):
+            restored = TcpReassembler.restore(data)
+            assert json.loads(json.dumps(restored.checkpoint())) == data
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             TcpReassembler(overlap_policy="newest")

@@ -141,6 +141,8 @@ def test_packets_mode_is_the_private_path(workload, reassemble, backend):
     with Session.from_config(config) as session:
         run = session.run()
         got = [session.event_record(event) for event in run.events]
+        # every packet is a flow of its own: only the reassembler admits flows
+        assert reassemble or len(session.service.flows) == 0
     with Session.from_config(config) as reference:
         want = [reference.event_record(e) for e in reference_packets_run_events(reference)]
     assert got == want and len(want) > 5

@@ -36,11 +36,13 @@ from repro.traffic.packet import FLOW_FIELDS
 from tests.conftest import (
     ReferenceStreamScanner,
     admit_keys,
+    entry_groups,
     eviction_keys,
     flow_keys,
     reference_service,
     reference_submit,
     segment_batch,
+    sequenced_scan,
 )
 
 #: The worked example of Figures 1 and 2 (mirrors tests/conftest.py).
@@ -61,13 +63,13 @@ def fresh_entry(key: FlowKey) -> FlowEntry:
 
 def scan_one(scanner: StreamScanner, key: FlowKey, payload: bytes, packet_id: int = 0):
     """``payload`` as the next segment of flow ``key``: a batch of one."""
-    hits, _, _ = scanner.scan_batch(segment_batch([(key, payload, packet_id)]))
+    hits, _, _ = sequenced_scan(scanner, segment_batch([(key, payload, packet_id)]))
     return hits.get(0, [])
 
 
 def scan_in_order(scanner: StreamScanner, packets):
     """One batch of ``packets``; its events in arrival order."""
-    hits, _, _ = scanner.scan_batch(PacketBatch.from_packets(packets))
+    hits, _, _ = sequenced_scan(scanner, PacketBatch.from_packets(packets))
     return [event for events in hits.values() for event in events]
 
 
@@ -160,8 +162,8 @@ class TestFlowTable:
         table = FlowTable(capacity=2)
         admit_keys(table, [make_key(1), make_key(2)], fresh_entry)
         # flow 1 arrives again first, so flow 2 is the LRU victim of flow 3
-        admitted, evictions = admit_keys(table, [make_key(1), make_key(3)], fresh_entry)
-        assert [(entry.key, indexes) for entry, indexes in admitted] == [
+        entries, evictions = admit_keys(table, [make_key(1), make_key(3)], fresh_entry)
+        assert [(entry.key, indexes) for entry, indexes in entry_groups(entries)] == [
             (make_key(1), [0]), (make_key(3), [1]),
         ]
         assert len(table) == 2
@@ -174,7 +176,8 @@ class TestFlowTable:
         a second, fresh entry: two incarnations, each with its segments."""
         table = FlowTable(capacity=1)
         keys = [make_key(1), make_key(1), make_key(2), make_key(1)]
-        admitted, evictions = admit_keys(table, keys, fresh_entry)
+        entries, evictions = admit_keys(table, keys, fresh_entry)
+        admitted = entry_groups(entries)
         assert [(entry.key, indexes) for entry, indexes in admitted] == [
             (make_key(1), [0, 1]), (make_key(2), [2]), (make_key(1), [3]),
         ]
